@@ -12,8 +12,8 @@
 //!
 //! [`Session`]: mediator_sim::Session
 
-use crate::frame::{Frame, NetError, OutcomeSummary, RejectReason, SessionId, MAX_FRAME_LEN};
-use crate::transport::{ConnPair, FrameRx, FrameTx, MemTransport, TcpTransport};
+use crate::frame::{Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN};
+use crate::transport::{ConnPair, FrameBuf, FrameRx, FrameTx, MemTransport, TcpTransport};
 use crate::wire::{CodecError, Reader, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -53,15 +53,26 @@ impl<M: Wire + 'static> Client<M> {
     /// The relay loop: echoes every `Msg` frame back to the service
     /// (completing each message's network leg) until the service announces
     /// the session's end, then returns the outcome summary.
+    ///
+    /// Echoes are burst-granular: they queue while complete frames remain
+    /// buffered from the last read and leave in **one write** the moment
+    /// the next frame would have to come off the stream — so the relay
+    /// never blocks holding a frame its peer is waiting for, and a burst
+    /// of k frames costs one read and one write instead of 2k of each.
+    /// Returning frames in bursts is one more delivery order the §2
+    /// scheduler was always free to pick (DESIGN.md §9).
     pub fn relay(mut self) -> Result<OutcomeSummary, NetError> {
-        loop {
+        let end = loop {
+            if !self.rx.has_frame() {
+                self.tx.flush()?;
+            }
             match self.rx.recv()? {
-                frame @ Frame::Msg { .. } => self.tx.send(&frame)?,
-                Frame::Outcome { summary, .. } => return Ok(summary),
+                frame @ Frame::Msg { .. } => self.tx.queue(&frame),
+                Frame::Outcome { summary, .. } => break Ok(summary),
                 Frame::Reject { session, reason } => {
-                    return Err(NetError::Rejected { session, reason })
+                    break Err(NetError::Rejected { session, reason })
                 }
-                Frame::Abort { session } => return Err(NetError::Aborted { session }),
+                Frame::Abort { session } => break Err(NetError::Aborted { session }),
                 // `Attach` never travels service → client, and shard
                 // lease frames never reach a session relay; tolerate.
                 Frame::Attach { .. }
@@ -71,7 +82,12 @@ impl<M: Wire + 'static> Client<M> {
                 | Frame::ShardWitness { .. }
                 | Frame::ShardDrain => {}
             }
-        }
+        };
+        // Echoes that shared a burst with the closing frame belong to
+        // other sessions on this connection; they still go out, but the
+        // verdict already in hand outranks a write to a closing peer.
+        let _ = self.tx.flush();
+        end
     }
 
     /// Receives one frame (for hand-rolled clients and tests).
@@ -120,41 +136,13 @@ pub fn bulk_relay<R: Read, W: Write>(
     wbuf.clear();
 
     let mut outcomes: Vec<(SessionId, OutcomeSummary)> = Vec::with_capacity(expected);
-    let mut rbuf: Vec<u8> = Vec::with_capacity(256 * 1024);
-    let mut chunk = vec![0u8; 256 * 1024];
+    let mut inbound = FrameBuf::new();
     loop {
-        let n = loop {
-            match rx.read(&mut chunk) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        };
-        if n == 0 {
-            return Err(if rbuf.is_empty() {
-                NetError::Closed
-            } else {
-                NetError::Disconnected
-            });
-        }
-        rbuf.extend_from_slice(&chunk[..n]);
+        inbound.read_from(&mut rx)?;
 
-        // Parse every complete frame; echo `Msg` bodies untouched.
-        let mut off = 0usize;
-        while rbuf.len() - off >= 4 {
-            let len = u32::from_le_bytes([rbuf[off], rbuf[off + 1], rbuf[off + 2], rbuf[off + 3]]);
-            if len > MAX_FRAME_LEN {
-                return Err(CodecError::LengthOverrun {
-                    announced: u64::from(len),
-                    remaining: MAX_FRAME_LEN as usize,
-                }
-                .into());
-            }
-            let total = 4 + len as usize;
-            if rbuf.len() - off < total {
-                break;
-            }
-            let body = &rbuf[off + 4..off + total];
+        // Every complete frame of the burst; echo `Msg` frames untouched.
+        while let Some(framed) = inbound.next_frame()? {
+            let body = &framed[PREFIX_LEN..];
             if body.len() < 2 {
                 return Err(CodecError::Truncated.into());
             }
@@ -165,7 +153,7 @@ pub fn bulk_relay<R: Read, W: Write>(
             }
             match body[1] {
                 // The network leg: bounce the frame back, bytes and all.
-                1 => wbuf.extend_from_slice(&rbuf[off..off + total]),
+                1 => wbuf.extend_from_slice(framed),
                 2 => {
                     let mut r = Reader::new(&body[2..]);
                     let session = u64::decode(&mut r)?;
@@ -189,11 +177,6 @@ pub fn bulk_relay<R: Read, W: Write>(
                 0 => {} // `Attach` never travels service → client; tolerate it.
                 tag => return Err(CodecError::UnknownTag { what: "Frame", tag }.into()),
             }
-            off += total;
-        }
-        if off > 0 {
-            rbuf.copy_within(off.., 0);
-            rbuf.truncate(rbuf.len() - off);
         }
         if !wbuf.is_empty() {
             // One write + flush per read burst: echo batching is most of

@@ -29,6 +29,9 @@ pub type SessionId = u64;
 /// hostile length prefix and is rejected without allocating.
 pub const MAX_FRAME_LEN: u32 = 1 << 24;
 
+/// Bytes of the `len u32 LE` prefix in front of every frame body.
+pub const PREFIX_LEN: usize = 4;
+
 /// One unit of transport-plane traffic, generic over the protocol message
 /// type `M` (cheap-talk or mediator-game messages).
 #[derive(Debug, Clone, PartialEq)]
@@ -245,8 +248,21 @@ impl Wire for RejectReason {
 }
 
 impl<M: Wire> Frame<M> {
+    /// Appends the frame as it travels: `len u32 LE`, then the body. The
+    /// one framer every sender shares (blocking halves, the reactor's
+    /// out-buffers, the tamper battery), so a burst of frames is one
+    /// contiguous buffer and one `write`.
+    pub fn encode_framed(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0u8; PREFIX_LEN]);
+        self.encode_body(out);
+        let len = (out.len() - start - PREFIX_LEN) as u32;
+        debug_assert!(len <= MAX_FRAME_LEN);
+        out[start..start + PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Encodes the frame *body* (version byte + kind + payload) — the
-    /// length prefix is the transport's job (`write_frame`). A `Msg`
+    /// length prefix is [`Frame::encode_framed`]'s job. A `Msg`
     /// carrying an [`AuthTag`] encodes under [`WIRE_VERSION_AUTH`]:
     ///
     /// ```text

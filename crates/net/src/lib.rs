@@ -102,7 +102,7 @@ pub use auth::{siphash24, AuthKey, AuthTag, AuthVerdict, TamperKind};
 pub use client::{bulk_relay, Client};
 pub use frame::{
     peek_auth_session, Frame, NetError, OutcomeSummary, RejectReason, SessionId, MAX_FRAME_LEN,
-    SHARD_COORD,
+    PREFIX_LEN, SHARD_COORD,
 };
 pub use frontier::{run_frontier_sharded, FrontierShardLog};
 pub use plan::NetPlan;
@@ -118,7 +118,7 @@ pub use shard::{
 };
 pub use tamper::{tamper_relay, DriverMode, TamperPlan, TamperReport, TransportKind, WireTactic};
 pub use transport::{
-    duplex, pipe, ConnPair, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport, PipeReader,
-    PipeWriter, TcpTransport,
+    duplex, pipe, ConnPair, FrameBuf, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport,
+    PipeReader, PipeWriter, TcpTransport,
 };
 pub use wire::{CodecError, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};

@@ -26,17 +26,18 @@
 
 use crate::auth::TamperKind;
 use crate::frame::{
-    peek_auth_session, Frame, NetError, OutcomeSummary, RejectReason, SessionId, MAX_FRAME_LEN,
+    peek_auth_session, Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN,
 };
 use crate::readiness::{
     ConnIo, Event, Interest, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN,
 };
 use crate::service::{broadcast, finish_recorded, DeliveryOrder, ServiceConfig};
 use crate::service::{ship, Driver, FlightState, Inbound, SessionEntry, Shared};
+use crate::transport::FrameBuf;
 use crate::wire::Wire;
 use mediator_sim::{Outcome, Session, SessionStatus, TraceSink};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -101,12 +102,7 @@ impl ConnOut {
             if b.closed {
                 return Err(NetError::Disconnected);
             }
-            let start = b.bytes.len();
-            b.bytes.extend_from_slice(&[0u8; 4]);
-            frame.encode_body(&mut b.bytes);
-            let len = (b.bytes.len() - start - 4) as u32;
-            debug_assert!(len <= MAX_FRAME_LEN);
-            b.bytes[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            frame.encode_framed(&mut b.bytes);
         }
         self.waker.wake(self.token);
         Ok(())
@@ -287,11 +283,7 @@ impl<M: Wire + Send> SessionSm<M> {
             if !self.flight.held.is_empty()
                 && (self.flight.held.len() > self.depth || self.flight.in_flight == 0)
             {
-                let i = match &mut self.rng {
-                    Some(r) => r.gen_range(0..self.flight.held.len()),
-                    None => 0,
-                };
-                let env = self.flight.held.remove(i);
+                let env = self.flight.release(self.rng.as_mut());
                 if session.inject(env.src, env.dst, env.msg).progressed()
                     && session.step().is_done()
                 {
@@ -333,7 +325,7 @@ struct Conn {
     fd: Option<i32>,
     out: Arc<ConnOut>,
     /// Unparsed inbound bytes (a partial frame lives here until complete).
-    rbuf: Vec<u8>,
+    rbuf: FrameBuf,
     /// `(session, player)` routes this connection claimed.
     claimed: Vec<(SessionId, usize)>,
     /// TCP only: the last flush hit `WouldBlock`; poll for writability.
@@ -407,6 +399,10 @@ pub(crate) struct Reactor<M: Wire + Send + 'static> {
     drain_deadline: Option<Instant>,
     scratch: Vec<u8>,
     next_conn_id: u64,
+    /// The loop's clock: read at the top of each iteration and again
+    /// when `wait` returns, so one reading serves the timer pass and one
+    /// serves every frame of every burst the wake-up delivers.
+    now: Instant,
 }
 
 impl<M: Wire + Send + 'static> Reactor<M> {
@@ -433,6 +429,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             drain_deadline: None,
             scratch: vec![0u8; 64 * 1024],
             next_conn_id: 0,
+            now: Instant::now(),
         }
     }
 
@@ -445,6 +442,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
 
         loop {
             runnable.clear();
+            self.now = Instant::now();
             self.process_commands(&mut runnable);
             self.sweep_parked(&mut runnable);
             self.fire_timers(&mut runnable);
@@ -495,6 +493,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
 
             self.poller
                 .wait(&interests, timeout, &mut events, &mut notified);
+            self.now = Instant::now();
 
             for ev in events.drain(..) {
                 if ev.token == ACCEPT_TOKEN {
@@ -591,7 +590,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 
     fn fire_timers(&mut self, runnable: &mut HashSet<SessionId>) {
-        let now = Instant::now();
+        let now = self.now;
         while let Some(Reverse((deadline, _))) = self.timers.peek() {
             if *deadline > now {
                 break;
@@ -759,7 +758,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     // Every absorbed event restarts the idle window, the
                     // way `recv_timeout` restarted per received event.
                     if sm.idle_deadline.is_some() {
-                        sm.idle_deadline = Some(Instant::now() + self.shared.cfg.idle_timeout);
+                        sm.idle_deadline = Some(self.now + self.shared.cfg.idle_timeout);
                     }
                     runnable.insert(sid);
                 } else {
@@ -802,7 +801,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             io,
             fd,
             out,
-            rbuf: Vec::new(),
+            rbuf: FrameBuf::new(),
             claimed: Vec::new(),
             want_write: false,
         });
@@ -816,7 +815,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         loop {
             match conn.io.try_read(&mut self.scratch) {
                 TryRead::Data(n) => {
-                    conn.rbuf.extend_from_slice(&self.scratch[..n]);
+                    conn.rbuf.extend(&self.scratch[..n]);
                     if n < self.scratch.len() {
                         break;
                     }
@@ -831,25 +830,17 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         // Parse every complete frame; a trailing partial frame stays
         // buffered until its bytes arrive (one slow peer stalls only
         // itself — the slow-loris test pins this).
-        let mut off = 0usize;
-        while !dead && conn.rbuf.len() - off >= 4 {
-            let len = u32::from_le_bytes([
-                conn.rbuf[off],
-                conn.rbuf[off + 1],
-                conn.rbuf[off + 2],
-                conn.rbuf[off + 3],
-            ]);
-            if len > MAX_FRAME_LEN {
+        while !dead {
+            let body = match conn.rbuf.next_frame() {
+                Ok(Some(framed)) => &framed[PREFIX_LEN..],
+                Ok(None) => break,
                 // An oversized announcement is corruption or hostility:
                 // cut the connection before buffering the claimed body.
-                dead = true;
-                break;
-            }
-            let total = 4 + len as usize;
-            if conn.rbuf.len() - off < total {
-                break;
-            }
-            let body = &conn.rbuf[off + 4..off + total];
+                Err(_) => {
+                    dead = true;
+                    break;
+                }
+            };
             match Frame::<M>::decode_body(body) {
                 Ok(frame) => match self.vet_frame(&frame, body) {
                     None => self.process_frame(&mut conn, slot, frame, runnable),
@@ -867,27 +858,14 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     // that session alone (the relay is Byzantine, but
                     // its other sessions stay live); structurally
                     // anonymous garbage still kills the connection.
-                    match self
-                        .shared
-                        .cfg
-                        .auth
-                        .and_then(|_| peek_auth_session(&conn.rbuf[off + 4..off + total]))
-                    {
+                    match self.shared.cfg.auth.and_then(|_| peek_auth_session(body)) {
                         Some(session) => {
                             self.tampered(&conn, session, TamperKind::Truncated, runnable)
                         }
-                        None => {
-                            dead = true;
-                            break;
-                        }
+                        None => dead = true,
                     }
                 }
             }
-            off += total;
-        }
-        if off > 0 {
-            conn.rbuf.copy_within(off.., 0);
-            conn.rbuf.truncate(conn.rbuf.len() - off);
         }
         if dead {
             self.kill_conn(slot, conn, runnable);

@@ -587,7 +587,7 @@ pub(crate) fn broadcast<M: Wire>(entry: &SessionEntry<M>, frame: &Frame<M>) {
 /// event touches the accounting — the reactor state machine and the
 /// threaded pump both call it, so they cannot drift apart.
 pub(crate) struct FlightState<M> {
-    pub(crate) held: Vec<Envelope<M>>,
+    pub(crate) held: VecDeque<Envelope<M>>,
     pub(crate) in_flight: u64,
     pub(crate) in_flight_by: Vec<u64>,
     pub(crate) gone: Vec<usize>,
@@ -611,7 +611,7 @@ pub(crate) struct AuthState {
 impl<M> FlightState<M> {
     pub(crate) fn new(expected: usize, auth: Option<AuthKey>) -> Self {
         FlightState {
-            held: Vec::new(),
+            held: VecDeque::new(),
             in_flight: 0,
             in_flight_by: vec![0; expected],
             gone: Vec::new(),
@@ -665,7 +665,7 @@ impl<M> FlightState<M> {
                                 }
                             }
                         }
-                        self.held.push(Envelope { src, dst, msg });
+                        self.held.push_back(Envelope { src, dst, msg });
                     }
                     // An unauthenticated Msg reaching an authenticated
                     // driver: the parse layer rejects these, so this is
@@ -685,7 +685,7 @@ impl<M> FlightState<M> {
                                 }
                             }
                         }
-                        self.held.push(Envelope { src, dst, msg });
+                        self.held.push_back(Envelope { src, dst, msg });
                     }
                 }
             }
@@ -693,6 +693,18 @@ impl<M> FlightState<M> {
             Inbound::PeerGone { player } => self.gone.push(player),
             Inbound::Tampered { conn, kind } => self.flag(conn, kind),
         }
+    }
+
+    /// Takes the next held frame to deliver: the oldest under arrival
+    /// order (O(1) however deep a burst made the buffer), a seeded-random
+    /// index under the shuffle policy — the survivors keep their order, so
+    /// a seed picks the same frames it always did.
+    pub(crate) fn release(&mut self, rng: Option<&mut StdRng>) -> Envelope<M> {
+        match rng {
+            Some(r) => self.held.remove(r.gen_range(0..self.held.len())),
+            None => self.held.pop_front(),
+        }
+        .expect("release is only called on a non-empty buffer")
     }
 
     /// A vanished relay whose player still owes shipped frames, if any.
@@ -829,11 +841,7 @@ fn pump<M: Wire + Send>(
         //    through the shuffle buffer otherwise (force-drained once
         //    nothing is left in flight, so the policy is always live).
         if !flight.held.is_empty() && (flight.held.len() > depth || flight.in_flight == 0) {
-            let i = match &mut rng {
-                Some(r) => r.gen_range(0..flight.held.len()),
-                None => 0,
-            };
-            let env = flight.held.remove(i);
+            let env = flight.release(rng.as_mut());
             if session.inject(env.src, env.dst, env.msg).progressed() && session.step().is_done() {
                 // Budget guard mid-delivery.
                 return Ok(finish_recorded(session, cfg.sink.as_ref(), &entry.meta));

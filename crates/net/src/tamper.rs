@@ -32,9 +32,9 @@
 //! [`ServiceConfig::auth`]: crate::ServiceConfig
 //! [`Window`]: mediator_core::adversary::Window
 
-use crate::frame::{Frame, NetError, OutcomeSummary, RejectReason, SessionId, MAX_FRAME_LEN};
+use crate::frame::{Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN};
 use crate::service::{Service, ServiceConfig};
-use crate::transport::{MemTransport, TcpTransport};
+use crate::transport::{FrameBuf, MemTransport, TcpTransport};
 use crate::wire::{CodecError, Reader, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};
 use mediator_core::adversary::{TamperableMsg, Window};
 use mediator_core::scenario::SessionPlan;
@@ -187,41 +187,12 @@ where
     let mut delayed: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut reorder: Vec<Vec<u8>> = Vec::new();
 
-    let mut rbuf: Vec<u8> = Vec::with_capacity(256 * 1024);
-    let mut chunk = vec![0u8; 256 * 1024];
+    let mut inbound = FrameBuf::new();
     loop {
-        let n = loop {
-            match rx.read(&mut chunk) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        };
-        if n == 0 {
-            return Err(if rbuf.is_empty() {
-                NetError::Closed
-            } else {
-                NetError::Disconnected
-            });
-        }
-        rbuf.extend_from_slice(&chunk[..n]);
+        inbound.read_from(&mut rx)?;
 
-        let mut off = 0usize;
-        while rbuf.len() - off >= 4 {
-            let len = u32::from_le_bytes([rbuf[off], rbuf[off + 1], rbuf[off + 2], rbuf[off + 3]]);
-            if len > MAX_FRAME_LEN {
-                return Err(CodecError::LengthOverrun {
-                    announced: u64::from(len),
-                    remaining: MAX_FRAME_LEN as usize,
-                }
-                .into());
-            }
-            let total = 4 + len as usize;
-            if rbuf.len() - off < total {
-                break;
-            }
-            let framed = &rbuf[off..off + total];
-            let body = &framed[4..];
+        while let Some(framed) = inbound.next_frame()? {
+            let body = &framed[PREFIX_LEN..];
             if body.len() < 2 {
                 return Err(CodecError::Truncated.into());
             }
@@ -281,16 +252,14 @@ where
                                     auth,
                                 } = frame
                                 {
-                                    emit(
-                                        &mut wbuf,
-                                        &Frame::Msg {
-                                            session,
-                                            src,
-                                            dst,
-                                            msg: msg.corrupt(offset),
-                                            auth,
-                                        },
-                                    );
+                                    Frame::Msg {
+                                        session,
+                                        src,
+                                        dst,
+                                        msg: msg.corrupt(offset),
+                                        auth,
+                                    }
+                                    .encode_framed(&mut wbuf);
                                 }
                             }
                             Some(WireTactic::Redirect) => {
@@ -304,16 +273,14 @@ where
                                     auth,
                                 } = frame
                                 {
-                                    emit(
-                                        &mut wbuf,
-                                        &Frame::Msg {
-                                            session,
-                                            src,
-                                            dst: (dst + 1) % players,
-                                            msg,
-                                            auth,
-                                        },
-                                    );
+                                    Frame::Msg {
+                                        session,
+                                        src,
+                                        dst: (dst + 1) % players,
+                                        msg,
+                                        auth,
+                                    }
+                                    .encode_framed(&mut wbuf);
                                 }
                             }
                             Some(WireTactic::Truncate { cut }) => {
@@ -335,16 +302,14 @@ where
                                     ..
                                 } = frame
                                 {
-                                    emit(
-                                        &mut wbuf,
-                                        &Frame::Msg {
-                                            session,
-                                            src,
-                                            dst,
-                                            msg,
-                                            auth: None,
-                                        },
-                                    );
+                                    Frame::Msg {
+                                        session,
+                                        src,
+                                        dst,
+                                        msg,
+                                        auth: None,
+                                    }
+                                    .encode_framed(&mut wbuf);
                                 }
                             }
                         }
@@ -395,11 +360,6 @@ where
                 0 => {}
                 tag => return Err(CodecError::UnknownTag { what: "Frame", tag }.into()),
             }
-            off += total;
-        }
-        if off > 0 {
-            rbuf.copy_within(off.., 0);
-            rbuf.truncate(rbuf.len() - off);
         }
         if !wbuf.is_empty() {
             tx.write_all(&wbuf)?;
@@ -410,15 +370,6 @@ where
             return Ok(report);
         }
     }
-}
-
-/// Appends one length-prefixed frame to `wbuf`.
-fn emit<M: Wire>(wbuf: &mut Vec<u8>, frame: &Frame<M>) {
-    let start = wbuf.len();
-    wbuf.extend_from_slice(&[0u8; 4]);
-    frame.encode_body(wbuf);
-    let len = (wbuf.len() - start - 4) as u32;
-    wbuf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 // ---------------------------------------------------------------------------

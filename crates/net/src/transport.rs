@@ -2,7 +2,11 @@
 //!
 //! Both backends speak the *same* framing code over `std::io::Read`/
 //! `Write`, so every codec property (length cap, version check, typed
-//! truncation errors) holds identically on each:
+//! truncation errors) holds identically on each. Framing is
+//! burst-granular: [`FrameBuf`] is the one length-prefix splitter (it
+//! takes whatever a read returned and yields every complete frame), and
+//! a [`FramedTx`] writes prefix and body — or a whole queue of frames —
+//! in one `write` (DESIGN.md §9, "Burst-granular framing").
 //!
 //! * **In-memory duplex pipes** ([`MemTransport`]) — a [`pipe`] is a
 //!   `Mutex<VecDeque<u8>>` + condvar with hangup-aware ends; a connection
@@ -19,7 +23,7 @@
 //! fd, memory pipes via a watcher hook ([`PipeReader::watch`]) that
 //! wakes the reactor when bytes or a hangup arrive.
 
-use crate::frame::{Frame, NetError, MAX_FRAME_LEN};
+use crate::frame::{Frame, NetError, MAX_FRAME_LEN, PREFIX_LEN};
 use crate::readiness::{ConnIo, NbListener, TryRead, Waker, ACCEPT_TOKEN};
 use crate::wire::{CodecError, Wire};
 use std::collections::VecDeque;
@@ -29,8 +33,20 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// The sending half of a framed connection.
 pub trait FrameTx<M>: Send {
-    /// Writes one frame (length prefix + body) to the stream.
-    fn send(&mut self, frame: &Frame<M>) -> Result<(), NetError>;
+    /// Encodes one frame (length prefix + body) into the outbound buffer
+    /// without touching the stream. Nothing is on the wire until
+    /// [`FrameTx::flush`].
+    fn queue(&mut self, frame: &Frame<M>);
+
+    /// Writes every queued frame to the stream in one `write`.
+    fn flush(&mut self) -> Result<(), NetError>;
+
+    /// Queues one frame and flushes: the frame is on the wire when this
+    /// returns.
+    fn send(&mut self, frame: &Frame<M>) -> Result<(), NetError> {
+        self.queue(frame);
+        self.flush()
+    }
 }
 
 /// The receiving half of a framed connection.
@@ -39,6 +55,12 @@ pub trait FrameRx<M>: Send {
     /// shut down cleanly at a frame boundary; [`NetError::Disconnected`]
     /// means the stream died mid-frame.
     fn recv(&mut self) -> Result<Frame<M>, NetError>;
+
+    /// True when the next [`FrameRx::recv`] returns without reading the
+    /// stream — a complete frame (or a refusable prefix) is already
+    /// buffered. A relay that queues its replies must flush them whenever
+    /// this is false, or it would block holding frames its peer waits for.
+    fn has_frame(&self) -> bool;
 }
 
 /// A connection, split into its two independently-owned halves.
@@ -48,9 +70,142 @@ pub type ConnPair<M> = (Box<dyn FrameTx<M>>, Box<dyn FrameRx<M>>);
 // Framing over any byte stream
 // ---------------------------------------------------------------------------
 
+/// How much room a [`FrameBuf`] offers each blocking read. Protocol
+/// frames are tens of bytes, so one read drains a whole burst.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// The one length-prefix splitter: a rolling inbound buffer that takes
+/// whatever the stream hands over — a byte, half a prefix, a hundred
+/// frames — and yields each complete frame in order. Blocking readers
+/// ([`FramedRx`], `bulk_relay`, the tamper relay) fill it with
+/// [`FrameBuf::read_from`]; the reactor pushes what its non-blocking
+/// reads returned with [`FrameBuf::extend`].
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    /// Always fully initialised; `head..tail` holds the unconsumed bytes,
+    /// `tail..` is room for the next read.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl FrameBuf {
+    /// An empty buffer (allocates on first fill).
+    pub fn new() -> Self {
+        FrameBuf::default()
+    }
+
+    /// At least `n` writable bytes after `tail`, reclaiming the consumed
+    /// prefix before growing.
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        if self.head == self.tail {
+            self.head = 0;
+            self.tail = 0;
+        }
+        if self.buf.len() - self.tail < n {
+            if self.head > 0 {
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.tail -= self.head;
+                self.head = 0;
+            }
+            if self.buf.len() - self.tail < n {
+                self.buf.resize(self.tail + n, 0);
+            }
+        }
+        &mut self.buf[self.tail..]
+    }
+
+    /// Appends bytes a caller already read.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.tail += bytes.len();
+    }
+
+    /// One blocking read of whatever `source` has. End of stream is
+    /// [`NetError::Closed`] at a frame boundary and
+    /// [`NetError::Disconnected`] inside a frame; a peer that vanished
+    /// abruptly (process death, RST) surfaces as reset/aborted, the same
+    /// "dropped mid-stream" condition as a silent EOF.
+    pub fn read_from<R: Read>(&mut self, source: &mut R) -> Result<(), NetError> {
+        loop {
+            match source.read(self.room(READ_CHUNK)) {
+                Ok(0) => break,
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::ConnectionReset
+                            | std::io::ErrorKind::ConnectionAborted
+                            | std::io::ErrorKind::BrokenPipe
+                            | std::io::ErrorKind::UnexpectedEof
+                    ) =>
+                {
+                    break
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Err(if self.is_empty() {
+            NetError::Closed
+        } else {
+            NetError::Disconnected
+        })
+    }
+
+    /// True when no unconsumed byte is buffered: the stream stands at a
+    /// frame boundary.
+    pub fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    /// Length on the wire (prefix included) of the next frame, once all
+    /// of it is buffered. An announcement over [`MAX_FRAME_LEN`] is
+    /// refused as soon as the prefix is, before its body is buffered (let
+    /// alone allocated for): an oversized prefix is corruption or
+    /// hostility.
+    fn ready(&self) -> Result<Option<usize>, CodecError> {
+        let held = &self.buf[self.head..self.tail];
+        let Some(prefix) = held.first_chunk::<PREFIX_LEN>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix);
+        if len > MAX_FRAME_LEN {
+            return Err(CodecError::LengthOverrun {
+                announced: u64::from(len),
+                remaining: MAX_FRAME_LEN as usize,
+            });
+        }
+        let total = PREFIX_LEN + len as usize;
+        Ok((held.len() >= total).then_some(total))
+    }
+
+    /// True when [`FrameBuf::next_frame`] has something to say without
+    /// more bytes: a complete frame, or a prefix it refuses.
+    pub fn has_frame(&self) -> bool {
+        !matches!(self.ready(), Ok(None))
+    }
+
+    /// Consumes the next complete frame and returns it as it travelled:
+    /// the body is `[PREFIX_LEN..]`, and a content-blind relay echoes the
+    /// whole slice. `None` means the frame's tail has not arrived yet —
+    /// the partial bytes stay buffered.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
+        Ok(self.ready()?.map(|total| {
+            let start = self.head;
+            self.head += total;
+            &self.buf[start..self.head]
+        }))
+    }
+}
+
 /// Frame writer over any byte sink.
 pub struct FramedTx<W> {
     sink: W,
+    /// Queued frames, prefix and body contiguous.
     buf: Vec<u8>,
 }
 
@@ -65,13 +220,19 @@ impl<W: Write> FramedTx<W> {
 }
 
 impl<W: Write + Send, M: Wire> FrameTx<M> for FramedTx<W> {
-    fn send(&mut self, frame: &Frame<M>) -> Result<(), NetError> {
+    fn queue(&mut self, frame: &Frame<M>) {
+        frame.encode_framed(&mut self.buf);
+    }
+
+    fn flush(&mut self) -> Result<(), NetError> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.sink.write_all(&self.buf);
+        // A failed write leaves the stream at an unknown offset: the
+        // connection is dead, so the queue is dropped either way.
         self.buf.clear();
-        frame.encode_body(&mut self.buf);
-        debug_assert!(self.buf.len() <= MAX_FRAME_LEN as usize);
-        let len = (self.buf.len() as u32).to_le_bytes();
-        self.sink.write_all(&len)?;
-        self.sink.write_all(&self.buf)?;
+        written?;
         self.sink.flush()?;
         Ok(())
     }
@@ -80,7 +241,7 @@ impl<W: Write + Send, M: Wire> FrameTx<M> for FramedTx<W> {
 /// Frame reader over any byte source.
 pub struct FramedRx<R> {
     source: R,
-    buf: Vec<u8>,
+    buf: FrameBuf,
 }
 
 impl<R: Read> FramedRx<R> {
@@ -88,67 +249,23 @@ impl<R: Read> FramedRx<R> {
     pub fn new(source: R) -> Self {
         FramedRx {
             source,
-            buf: Vec::new(),
+            buf: FrameBuf::new(),
         }
-    }
-
-    /// Reads exactly `n` bytes into the scratch buffer. `eof_ok`
-    /// distinguishes a clean close (frame boundary) from a mid-frame drop.
-    fn read_exact_n(&mut self, n: usize, eof_ok: bool) -> Result<(), NetError> {
-        self.buf.clear();
-        self.buf.resize(n, 0);
-        let mut filled = 0;
-        while filled < n {
-            match self.source.read(&mut self.buf[filled..]) {
-                Ok(0) => {
-                    return Err(if eof_ok && filled == 0 {
-                        NetError::Closed
-                    } else {
-                        NetError::Disconnected
-                    });
-                }
-                Ok(k) => filled += k,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                // A peer that vanished abruptly (process death, RST)
-                // surfaces as reset/aborted — the same "dropped mid-
-                // stream" condition as a silent EOF.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::ConnectionReset
-                            | std::io::ErrorKind::ConnectionAborted
-                            | std::io::ErrorKind::BrokenPipe
-                            | std::io::ErrorKind::UnexpectedEof
-                    ) =>
-                {
-                    return Err(if eof_ok && filled == 0 {
-                        NetError::Closed
-                    } else {
-                        NetError::Disconnected
-                    });
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
     }
 }
 
 impl<R: Read + Send, M: Wire> FrameRx<M> for FramedRx<R> {
     fn recv(&mut self) -> Result<Frame<M>, NetError> {
-        self.read_exact_n(4, true)?;
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len > MAX_FRAME_LEN {
-            // Reject before reading (let alone allocating) the announced
-            // body: an oversized prefix is corruption or hostility.
-            return Err(CodecError::LengthOverrun {
-                announced: u64::from(len),
-                remaining: MAX_FRAME_LEN as usize,
+        loop {
+            if let Some(framed) = self.buf.next_frame()? {
+                return Ok(Frame::decode_body(&framed[PREFIX_LEN..])?);
             }
-            .into());
+            self.buf.read_from(&mut self.source)?;
         }
-        self.read_exact_n(len as usize, false)?;
-        Ok(Frame::decode_body(&self.buf)?)
+    }
+
+    fn has_frame(&self) -> bool {
+        self.buf.has_frame()
     }
 }
 

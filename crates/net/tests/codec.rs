@@ -11,14 +11,17 @@ use mediator_core::MedMsg;
 use mediator_field::Fp;
 use mediator_mpc::MpcMsg;
 use mediator_net::{
-    AuthKey, AuthTag, CodecError, Frame, FrameRx as _, FramedRx, MemTransport, NetError,
-    OutcomeSummary, TamperKind, TcpTransport, Wire, MAX_FRAME_LEN, WIRE_VERSION, WIRE_VERSION_AUTH,
+    AuthKey, AuthTag, Client, CodecError, Frame, FrameBuf, FrameRx as _, FrameTx as _, FramedRx,
+    FramedTx, MemTransport, NetError, OutcomeSummary, TamperKind, TcpTransport, Wire,
+    MAX_FRAME_LEN, PREFIX_LEN, WIRE_VERSION, WIRE_VERSION_AUTH,
 };
 use mediator_sim::{Payload, TerminationKind};
 use mediator_vss::{AvssMsg, DetectMsg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Random message generators (the shim has no prop_oneof; hand-rolled)
@@ -190,12 +193,279 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Burst-granular framing: one splitter, any chunking, one write per burst
+// ---------------------------------------------------------------------------
+
+/// A byte source that hands its stream over in scripted chunks: read `i`
+/// returns at most `cuts[i % cuts.len()]` bytes, then EOF.
+struct Chunked {
+    bytes: Vec<u8>,
+    at: usize,
+    cuts: Vec<usize>,
+    /// `read` calls so far (shared, so a test can watch a moved source).
+    reads: Arc<AtomicUsize>,
+}
+
+impl Chunked {
+    fn new(bytes: &[u8], cuts: &[usize]) -> Self {
+        Chunked {
+            bytes: bytes.to_vec(),
+            at: 0,
+            cuts: cuts.to_vec(),
+            reads: Arc::default(),
+        }
+    }
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let cut = self.cuts[self.reads.fetch_add(1, Ordering::SeqCst) % self.cuts.len()];
+        let n = cut.min(out.len()).min(self.bytes.len() - self.at);
+        out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// The fixed split patterns every malformed-input case also runs under:
+/// a one-byte dribble, cuts that land inside the prefix and inside the
+/// body, and the whole stream in one read.
+const SPLITS: [&[usize]; 5] = [&[1], &[2], &[3, 1, 5], &[7, 64], &[usize::MAX]];
+
+/// `stream` ends in a malformed or cut-short frame: under every split
+/// the frames before it decode and the same typed error follows.
+fn assert_under_splits(stream: &[u8], expect: &NetError) {
+    for cuts in SPLITS {
+        let mut rx = FramedRx::new(Chunked::new(stream, cuts));
+        let got: Result<Frame<CtMsg>, NetError> = rx.recv();
+        assert_eq!(got.unwrap_err(), *expect, "split {cuts:?}");
+    }
+}
+
+fn arb_frame(rng: &mut StdRng) -> Frame<CtMsg> {
+    let session = rng.gen_range(0..1000u64);
+    match rng.gen_range(0..4) {
+        0 => Frame::Attach {
+            session,
+            player: rng.gen_range(0..16usize),
+        },
+        1 => Frame::Abort { session },
+        _ => Frame::Msg {
+            session,
+            src: rng.gen_range(0..16usize),
+            dst: rng.gen_range(0..16usize),
+            msg: arb_ct(rng),
+            auth: None,
+        },
+    }
+}
+
+/// A valid multi-frame stream plus a random way to cut it up: dribble,
+/// small cuts that split prefixes and bodies, or many frames per read.
+fn arb_split_stream(rng: &mut StdRng) -> (Vec<Frame<CtMsg>>, Vec<usize>) {
+    let frames: Vec<_> = (0..rng.gen_range(1..24)).map(|_| arb_frame(rng)).collect();
+    let widest = match rng.gen_range(0..3) {
+        0 => 1,
+        1 => 9,
+        _ => 4096,
+    };
+    let cuts = (0..rng.gen_range(1..8))
+        .map(|_| rng.gen_range(1..=widest))
+        .collect();
+    (frames, cuts)
+}
+
+proptest! {
+    #[test]
+    fn frames_survive_arbitrary_chunk_splits(case in Gen(arb_split_stream)) {
+        let (frames, cuts) = case;
+        let mut stream = Vec::new();
+        for frame in &frames {
+            frame.encode_framed(&mut stream);
+        }
+
+        // Through the blocking half: same frames, then a clean close.
+        let mut rx = FramedRx::new(Chunked::new(&stream, &cuts));
+        for frame in &frames {
+            prop_assert_eq!(&rx.recv().expect("frame survives the split"), frame);
+        }
+        let end: Result<Frame<CtMsg>, NetError> = rx.recv();
+        prop_assert_eq!(end.unwrap_err(), NetError::Closed);
+
+        // Through the splitter itself, pushed chunk by chunk (the
+        // reactor's way in): the wire bytes come back frame for frame.
+        let mut buf = FrameBuf::new();
+        let mut seen = Vec::new();
+        let mut source = Chunked::new(&stream, &cuts);
+        let mut chunk = vec![0u8; 4096];
+        loop {
+            let n = std::io::Read::read(&mut source, &mut chunk).expect("scripted read");
+            if n == 0 {
+                break;
+            }
+            buf.extend(&chunk[..n]);
+            while let Some(framed) = buf.next_frame().expect("valid stream") {
+                seen.push(Frame::<CtMsg>::decode_body(&framed[PREFIX_LEN..]).expect("decodes"));
+            }
+        }
+        prop_assert!(buf.is_empty(), "nothing left over");
+        prop_assert_eq!(seen, frames);
+    }
+}
+
+#[test]
+fn frames_before_a_malformed_one_still_arrive_under_every_split() {
+    // Two good frames, then an oversized announcement: the good frames
+    // are delivered first and the refusal follows, however the stream is
+    // cut — and the refused body is never waited for.
+    let good = [
+        Frame::<CtMsg>::Attach {
+            session: 3,
+            player: 1,
+        },
+        Frame::Abort { session: 3 },
+    ];
+    let mut stream = Vec::new();
+    for frame in &good {
+        frame.encode_framed(&mut stream);
+    }
+    stream.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+    for cuts in SPLITS {
+        let mut rx = FramedRx::new(Chunked::new(&stream, cuts));
+        for frame in &good {
+            assert_eq!(&rx.recv().expect("good frame"), frame, "split {cuts:?}");
+        }
+        let got: Result<Frame<CtMsg>, NetError> = rx.recv();
+        assert_eq!(
+            got.unwrap_err(),
+            NetError::Codec(CodecError::LengthOverrun {
+                announced: u64::from(MAX_FRAME_LEN) + 1,
+                remaining: MAX_FRAME_LEN as usize,
+            }),
+            "split {cuts:?}"
+        );
+    }
+}
+
+/// A byte sink that counts `write` calls and keeps what was written.
+#[derive(Clone, Default)]
+struct CountingSink {
+    writes: Arc<AtomicUsize>,
+    bytes: Arc<Mutex<Vec<u8>>>,
+}
+
+impl CountingSink {
+    fn writes(&self) -> usize {
+        self.writes.load(Ordering::SeqCst)
+    }
+}
+
+impl std::io::Write for CountingSink {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.writes.fetch_add(1, Ordering::SeqCst);
+        self.bytes.lock().unwrap().extend_from_slice(data);
+        Ok(data.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn send_is_one_write_per_frame() {
+    let sink = CountingSink::default();
+    let mut tx = FramedTx::new(sink.clone());
+    let mut rng = proptest::test_rng("send_is_one_write_per_frame");
+    let mut expect = Vec::new();
+    for sent in 1..=32 {
+        let frame = arb_frame(&mut rng);
+        tx.send(&frame).expect("send");
+        frame.encode_framed(&mut expect);
+        assert_eq!(sink.writes(), sent, "prefix and body leave in one write");
+    }
+    assert_eq!(*sink.bytes.lock().unwrap(), expect);
+}
+
+#[test]
+fn relay_writes_at_most_once_per_read_burst() {
+    // A session's worth of `Msg` frames, then the outcome, arriving in
+    // bursts of every shape: the relay echoes every `Msg` byte for byte,
+    // in order, and never writes more often than it reads.
+    let mut rng = proptest::test_rng("relay_writes_at_most_once_per_read_burst");
+    let mut stream = Vec::new();
+    let mut echoes = Vec::new();
+    for _ in 0..200 {
+        let frame = Frame::Msg {
+            session: 5,
+            src: rng.gen_range(0..5usize),
+            dst: rng.gen_range(0..5usize),
+            msg: arb_ct(&mut rng),
+            auth: None,
+        };
+        frame.encode_framed(&mut stream);
+        frame.encode_framed(&mut echoes);
+    }
+    let summary = OutcomeSummary {
+        termination: TerminationKind::Quiescent,
+        moves: vec![Some(1); 5],
+        wills: vec![None; 5],
+        halted: vec![true; 5],
+        messages_sent: 200,
+        messages_delivered: 200,
+        steps: 400,
+    };
+    Frame::<CtMsg>::Outcome {
+        session: 5,
+        summary: summary.clone(),
+    }
+    .encode_framed(&mut stream);
+
+    for cuts in [
+        &[1usize][..],
+        &[5, 3],
+        &[40, 7, 300],
+        &[4096],
+        &[usize::MAX],
+    ] {
+        let sink = CountingSink::default();
+        let source = Chunked::new(&stream, cuts);
+        let reads = Arc::clone(&source.reads);
+        let client: Client<CtMsg> = Client::from_pair((
+            Box::new(FramedTx::new(sink.clone())),
+            Box::new(FramedRx::new(source)),
+        ));
+        assert_eq!(client.relay().expect("outcome"), summary, "split {cuts:?}");
+        assert_eq!(*sink.bytes.lock().unwrap(), echoes, "split {cuts:?}");
+        let reads = reads.load(Ordering::SeqCst);
+        assert!(
+            sink.writes() <= reads,
+            "split {cuts:?}: {} writes for {reads} reads",
+            sink.writes()
+        );
+    }
+    // The whole session in one read is one write.
+    let sink = CountingSink::default();
+    let client: Client<CtMsg> = Client::from_pair((
+        Box::new(FramedTx::new(sink.clone())),
+        Box::new(FramedRx::new(Chunked::new(&stream, &[usize::MAX]))),
+    ));
+    client.relay().expect("outcome");
+    assert_eq!(sink.writes(), 1);
+}
+
+// ---------------------------------------------------------------------------
 // Frame-level edge cases over BOTH transport backends
 // ---------------------------------------------------------------------------
 
 /// Runs `spray` against a fresh framed connection on each backend and
 /// asserts the receiving side surfaces `expect`.
 fn assert_both_backends(spray: fn(&mut dyn std::io::Write), expect: &NetError) {
+    // The same bytes under every chunk split: what the splitter says may
+    // not depend on how the stream was cut up.
+    let mut stream = Vec::new();
+    spray(&mut stream);
+    assert_under_splits(&stream, expect);
+
     // In-memory pipe.
     let (mut raw_tx, raw_rx) = mediator_net::pipe();
     spray(&mut raw_tx);
@@ -373,6 +643,8 @@ fn spray_bytes_both_backends(body: &[u8], expect: &NetError) {
         bytes.extend_from_slice(body);
         bytes
     };
+
+    assert_under_splits(&framed(body), expect);
 
     let (mut raw_tx, raw_rx) = mediator_net::pipe();
     std::io::Write::write_all(&mut raw_tx, &framed(body)).unwrap();

@@ -48,7 +48,7 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    fn from_tag(tag: u8) -> Result<Self, StoreError> {
+    pub(crate) fn from_tag(tag: u8) -> Result<Self, StoreError> {
         match tag {
             0 => Ok(RecordKind::Header),
             1 => Ok(RecordKind::EventsChunk),
@@ -73,7 +73,16 @@ impl RecordKind {
 /// checksum gzip and PNG use, implemented table-free: the store check-sums
 /// whole records once per append/scan, so the bitwise loop is plenty.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
+    !crc32_update(CRC_INIT, bytes)
+}
+
+/// The running state a CRC32 starts from; the checksum is the final
+/// state's complement.
+pub(crate) const CRC_INIT: u32 = !0;
+
+/// Folds `bytes` into a running CRC32 state, so a record can be
+/// check-summed piece by piece.
+pub(crate) fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
@@ -81,7 +90,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
         }
     }
-    !crc
+    crc
 }
 
 /// Appends the file preamble (magic + version) to `out`.
@@ -119,14 +128,7 @@ pub fn put_record(out: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
     let body_len = payload.len() + 1;
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
     // CRC over the body: compute incrementally to avoid a copy.
-    let mut crc: u32 = !crc32(&[kind.tag()]);
-    for &b in payload {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
+    let crc = crc32_update(crc32_update(CRC_INIT, &[kind.tag()]), payload);
     out.extend_from_slice(&(!crc).to_le_bytes());
     out.push(kind.tag());
     out.extend_from_slice(payload);

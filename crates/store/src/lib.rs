@@ -43,4 +43,6 @@ pub use replay::{
     replay_networked_session, replay_plan, replay_run, stored_script, ReplayError, ReplayReport,
 };
 pub use sink::{HeaderTemplate, StoreSink};
-pub use store::{Backend, EventsIter, FileBackend, MemBackend, RunId, StoredRun, TraceStore};
+pub use store::{
+    Backend, EventsIter, FileBackend, MemBackend, RunId, StoredRun, TraceStore, INDEX_WINDOW,
+};

@@ -18,7 +18,10 @@
 //! retained event count.
 
 use crate::codec::{OutcomeRecord, Reader, RunHeader, StoreCodec, StoreError};
-use crate::format::{self, decode_events_chunk, encode_events_chunk, put_record, scan, RecordKind};
+use crate::format::{
+    self, crc32_update, decode_events_chunk, encode_events_chunk, put_record, RawRecord,
+    RecordKind, CRC_INIT,
+};
 use mediator_sim::{Outcome, SchedulerKind, TraceEvent};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -29,6 +32,12 @@ use std::sync::Mutex;
 /// record), small enough that streaming iteration touches one chunk at a
 /// time.
 pub const EVENTS_PER_CHUNK: usize = 1024;
+
+/// How much of the log [`TraceStore::open`] holds at a time while it
+/// rebuilds the index: the walk reads the log window by window, so
+/// reopening costs this much memory however long the log has grown. No
+/// single [`Backend::read`] of the walk asks for more.
+pub const INDEX_WINDOW: usize = 64 * 1024;
 
 /// Where a [`TraceStore`] keeps its bytes.
 pub trait Backend: Send {
@@ -250,8 +259,7 @@ impl TraceStore {
                 runs: Vec::new(),
             });
         }
-        let bytes = backend.read(0, backend.len() as usize)?;
-        let runs = index_records(&bytes)?;
+        let runs = index_log(backend.as_ref())?;
         Ok(TraceStore { backend, runs })
     }
 
@@ -409,65 +417,161 @@ impl TraceStore {
             put_record(&mut buf, RecordKind::Outcome, &run.outcome.to_bytes());
         }
         self.backend.rewrite(&buf)?;
-        self.runs = index_records(&buf)?;
+        self.runs = index_log(self.backend.as_ref())?;
         Ok(evicted)
     }
 }
 
-/// Rebuilds the run index from a fully scanned log buffer, enforcing the
-/// `Header EventsChunk* Outcome` grammar.
-fn index_records(bytes: &[u8]) -> Result<Vec<RunEntry>, StoreError> {
-    let records = scan(bytes)?;
-    let mut runs: Vec<RunEntry> = Vec::new();
-    let mut open: Option<(RunHeader, Vec<ChunkSpan>)> = None;
-    for rec in records {
-        let payload =
-            &bytes[rec.payload_offset as usize..rec.payload_offset as usize + rec.payload_len];
+/// The `Header EventsChunk* Outcome` grammar, fed one record at a time.
+#[derive(Default)]
+struct RunGrammar {
+    runs: Vec<RunEntry>,
+    open: Option<(RunHeader, Vec<ChunkSpan>)>,
+}
+
+impl RunGrammar {
+    /// Takes the next record. `payload` is the record's whole payload
+    /// for a header or an outcome, and at least the leading count varint
+    /// for an events chunk.
+    fn push(&mut self, rec: RawRecord, payload: &[u8]) -> Result<(), StoreError> {
+        let unexpected = |kind| StoreError::UnexpectedRecord {
+            offset: rec.offset,
+            kind,
+        };
         match rec.kind {
             RecordKind::Header => {
-                if open.is_some() {
-                    return Err(StoreError::UnexpectedRecord {
-                        offset: rec.offset,
-                        kind: 0,
-                    });
+                if self.open.is_some() {
+                    return Err(unexpected(0));
                 }
-                open = Some((RunHeader::from_bytes(payload)?, Vec::new()));
+                self.open = Some((RunHeader::from_bytes(payload)?, Vec::new()));
             }
-            RecordKind::EventsChunk => match &mut open {
-                Some((_, chunks)) => {
-                    let count = chunk_event_count(payload)?;
-                    chunks.push((rec.payload_offset, rec.payload_len, count));
-                }
-                None => {
-                    return Err(StoreError::UnexpectedRecord {
-                        offset: rec.offset,
-                        kind: 1,
-                    })
-                }
-            },
-            RecordKind::Outcome => match open.take() {
-                Some((header, chunks)) => runs.push(RunEntry {
+            RecordKind::EventsChunk => {
+                let (_, chunks) = self.open.as_mut().ok_or(unexpected(1))?;
+                let count = chunk_event_count(payload)?;
+                chunks.push((rec.payload_offset, rec.payload_len, count));
+            }
+            RecordKind::Outcome => {
+                let (header, chunks) = self.open.take().ok_or(unexpected(2))?;
+                self.runs.push(RunEntry {
                     header,
                     outcome: OutcomeRecord::from_bytes(payload)?,
                     chunks,
-                }),
-                None => {
-                    return Err(StoreError::UnexpectedRecord {
-                        offset: rec.offset,
-                        kind: 2,
-                    })
-                }
-            },
+                });
+            }
         }
+        Ok(())
     }
-    if open.is_some() {
-        // A header without its outcome cannot happen through `record`
-        // (one append per run); treat it as a torn tail at EOF.
-        return Err(StoreError::TornTail {
-            offset: bytes.len() as u64,
-        });
+
+    /// The indexed runs, once the log ended at `end`.
+    fn finish(self, end: u64) -> Result<Vec<RunEntry>, StoreError> {
+        if self.open.is_some() {
+            // A header without its outcome cannot happen through `record`
+            // (one append per run); treat it as a torn tail at EOF.
+            return Err(StoreError::TornTail { offset: end });
+        }
+        Ok(self.runs)
     }
-    Ok(runs)
+}
+
+/// The longest encoding a varint may have: all the index reads of an
+/// events chunk is its leading count.
+const MAX_VARINT_LEN: usize = 10;
+
+/// At most [`INDEX_WINDOW`] bytes of the log, re-read where a request
+/// straddles the window's edge.
+struct LogWindow<'a> {
+    backend: &'a dyn Backend,
+    end: u64,
+    start: u64,
+    bytes: Vec<u8>,
+}
+
+impl LogWindow<'_> {
+    /// The `n` log bytes at `at`. The caller has checked that the log
+    /// holds them and that `n` fits the window.
+    fn slice(&mut self, at: u64, n: usize) -> Result<&[u8], StoreError> {
+        debug_assert!(n <= INDEX_WINDOW && at + n as u64 <= self.end);
+        let held = self.start + self.bytes.len() as u64;
+        if at < self.start || at + n as u64 > held {
+            let len = (self.end - at).min(INDEX_WINDOW as u64) as usize;
+            self.bytes = self.backend.read(at, len)?;
+            self.start = at;
+        }
+        let off = (at - self.start) as usize;
+        Ok(&self.bytes[off..off + n])
+    }
+}
+
+/// Rebuilds the run index by walking the log's records through a bounded
+/// window: every frame's length and CRC is verified and the run grammar
+/// enforced exactly as [`format::scan`] plus a pass over its records
+/// would, without the log ever being in memory at once. Framing errors
+/// outrank grammar and payload errors wherever in the log they sit, as
+/// they do when the whole log is scanned first.
+fn index_log(backend: &dyn Backend) -> Result<Vec<RunEntry>, StoreError> {
+    let end = backend.len();
+    let mut log = LogWindow {
+        backend,
+        end,
+        start: 0,
+        bytes: Vec::new(),
+    };
+    let preamble = log.slice(0, end.min(format::PREAMBLE_LEN) as usize)?;
+    let mut pos = format::check_preamble(preamble)?;
+    let mut grammar = RunGrammar::default();
+    let mut deferred: Option<StoreError> = None;
+    let mut kept: Vec<u8> = Vec::new();
+    while pos < end {
+        let offset = pos;
+        if end - pos < format::FRAME_LEN as u64 {
+            return Err(StoreError::TornTail { offset });
+        }
+        let frame = log.slice(pos, format::FRAME_LEN)?;
+        let len = u64::from(u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")));
+        let crc = u32::from_le_bytes(frame[4..].try_into().expect("4 bytes"));
+        pos += format::FRAME_LEN as u64;
+        if len == 0 || end - pos < len {
+            return Err(StoreError::TornTail { offset });
+        }
+        // The body, a window at a time: all of it is check-summed, and
+        // only what the index decodes is kept — the whole payload of a
+        // header or an outcome, the count varint of an events chunk.
+        let tag = log.slice(pos, 1)?[0];
+        let kind = RecordKind::from_tag(tag);
+        let want = match kind {
+            Ok(RecordKind::EventsChunk) => MAX_VARINT_LEN,
+            Ok(RecordKind::Header | RecordKind::Outcome) => usize::MAX,
+            Err(_) => 0,
+        };
+        kept.clear();
+        let mut state = crc32_update(CRC_INIT, &[tag]);
+        let mut at = pos + 1;
+        while at < pos + len {
+            let n = (pos + len - at).min(INDEX_WINDOW as u64) as usize;
+            let piece = log.slice(at, n)?;
+            state = crc32_update(state, piece);
+            let keep = piece.len().min(want - kept.len());
+            kept.extend_from_slice(&piece[..keep]);
+            at += n as u64;
+        }
+        if !state != crc {
+            return Err(StoreError::BadCrc { offset });
+        }
+        let rec = RawRecord {
+            offset,
+            kind: kind?,
+            payload_offset: pos + 1,
+            payload_len: len as usize - 1,
+        };
+        if deferred.is_none() {
+            deferred = grammar.push(rec, &kept).err();
+        }
+        pos += len;
+    }
+    match deferred {
+        Some(e) => Err(e),
+        None => grammar.finish(end),
+    }
 }
 
 /// Indexes the chunk locations of a freshly appended run buffer, shifting

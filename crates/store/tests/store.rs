@@ -193,3 +193,212 @@ fn zero_budget_never_loses_a_verdict() {
     let err_free: Result<Vec<_>, StoreError> = store.events(0).collect();
     assert_eq!(err_free.unwrap(), Vec::new());
 }
+
+// ---------------------------------------------------------------------------
+// The bounded-window index walk behind `TraceStore::open`
+// ---------------------------------------------------------------------------
+
+use mediator_store::format::{scan, PREAMBLE_LEN};
+use mediator_store::{Backend, MemBackend, RunHeader, INDEX_WINDOW};
+use std::sync::{Arc, Mutex};
+
+/// A backend whose bytes and `read` calls the test can look at from
+/// outside the store that owns it.
+#[derive(Clone, Default)]
+struct SharedLog {
+    bytes: Arc<Mutex<Vec<u8>>>,
+    reads: Arc<Mutex<Vec<(u64, usize)>>>,
+}
+
+impl SharedLog {
+    fn holding(bytes: Vec<u8>) -> Self {
+        SharedLog {
+            bytes: Arc::new(Mutex::new(bytes)),
+            reads: Arc::default(),
+        }
+    }
+}
+
+impl Backend for SharedLog {
+    fn len(&self) -> u64 {
+        self.bytes.lock().unwrap().len() as u64
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.bytes.lock().unwrap().extend_from_slice(bytes);
+        Ok(())
+    }
+    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+        self.reads.lock().unwrap().push((offset, len));
+        let bytes = self.bytes.lock().unwrap();
+        bytes
+            .get(offset as usize..offset as usize + len)
+            .map(<[u8]>::to_vec)
+            .ok_or(StoreError::Truncated)
+    }
+    fn rewrite(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        *self.bytes.lock().unwrap() = bytes.to_vec();
+        Ok(())
+    }
+}
+
+/// A header whose `meta` pads the record to a chosen size, so runs can be
+/// steered onto (and far across) window edges.
+fn padded_header(session: u64, pad: usize) -> RunHeader {
+    let mut header = RunHeader::bare(session, session);
+    header.kind = Some(SchedulerKind::Random);
+    header.meta = vec![("pad".into(), "x".repeat(pad))];
+    header
+}
+
+fn open_error(bytes: Vec<u8>) -> Option<StoreError> {
+    TraceStore::with_backend(Box::new(MemBackend::from_bytes(bytes))).err()
+}
+
+#[test]
+fn a_log_many_windows_long_reopens_to_the_index_that_recorded_it() {
+    // Runs of uneven size — one header alone is wider than two windows —
+    // so window edges fall inside headers, chunks and outcomes alike.
+    let log = SharedLog::default();
+    let mut recorded = TraceStore::with_backend(Box::new(log.clone())).expect("fresh store");
+    let mut session = 0u64;
+    while (log.len() as usize) < 8 * INDEX_WINDOW {
+        let pad = match session {
+            40 => 2 * INDEX_WINDOW + 17,
+            s => (s as usize * 37) % 900,
+        };
+        recorded
+            .record(padded_header(session, pad), &run_gossip(9, session))
+            .expect("record");
+        session += 1;
+    }
+    let bytes = log.bytes.lock().unwrap().clone();
+
+    let probe = SharedLog::holding(bytes.clone());
+    let reopened = TraceStore::with_backend(Box::new(probe.clone())).expect("reopen");
+    let walk = std::mem::take(&mut *probe.reads.lock().unwrap());
+
+    // The walk never held more than a window, and it took many.
+    assert!(walk.iter().all(|&(_, len)| len <= INDEX_WINDOW));
+    assert!(walk.len() > 6);
+    // Every window but the last ends inside a record (a record the walk
+    // then re-read from its start): the edges were straddled, not dodged.
+    let records = scan(&bytes).expect("pristine log scans");
+    for &(offset, len) in &walk {
+        let edge = offset + len as u64;
+        if edge < bytes.len() as u64 {
+            assert!(
+                records
+                    .iter()
+                    .any(|r| r.offset < edge && edge < r.payload_offset + r.payload_len as u64),
+                "window edge {edge} fell between records"
+            );
+        }
+    }
+
+    // Same index as the store that wrote the log, run for run.
+    assert_eq!(reopened.len(), recorded.len());
+    for id in reopened.ids() {
+        assert_eq!(reopened.header(id), recorded.header(id));
+        assert_eq!(reopened.outcome(id), recorded.outcome(id));
+        assert_eq!(reopened.evicted(id), recorded.evicted(id));
+        assert_eq!(
+            reopened.load(id).expect("load"),
+            recorded.load(id).expect("load")
+        );
+    }
+}
+
+/// A log a little over one window long whose last run starts just short
+/// of the first window's edge, so every cut and flip below lands where
+/// the walk has to cross windows.
+fn edge_log() -> (Vec<u8>, usize) {
+    let log = SharedLog::default();
+    let mut store = TraceStore::with_backend(Box::new(log.clone())).expect("fresh store");
+    let mut session = 0;
+    while (log.len() as usize) < INDEX_WINDOW - 4096 {
+        store
+            .record(padded_header(session, 0), &run_gossip(6, session))
+            .expect("record");
+        session += 1;
+    }
+    let fill = INDEX_WINDOW - 200 - log.len() as usize;
+    store
+        .record(padded_header(session, fill), &run_gossip(2, session))
+        .expect("filler");
+    let last_run = log.len() as usize;
+    assert!(last_run < INDEX_WINDOW && last_run > INDEX_WINDOW - 200);
+    store
+        .record(padded_header(session + 1, 0), &run_gossip(6, session + 1))
+        .expect("last run");
+    let bytes = log.bytes.lock().unwrap().clone();
+    assert!(bytes.len() > INDEX_WINDOW);
+    (bytes, last_run)
+}
+
+#[test]
+fn truncating_the_last_run_at_every_byte_matches_scan() {
+    let (bytes, last_run) = edge_log();
+    assert_eq!(open_error(bytes[..last_run].to_vec()), None);
+    for cut in last_run + 1..bytes.len() {
+        // Where the frames still scan, the cut fell between records of
+        // the open run: a torn tail at the end of the log.
+        let expect = match scan(&bytes[..cut]) {
+            Err(e) => e,
+            Ok(_) => StoreError::TornTail { offset: cut as u64 },
+        };
+        assert_eq!(
+            open_error(bytes[..cut].to_vec()),
+            Some(expect),
+            "cut at {cut}"
+        );
+    }
+    assert_eq!(open_error(bytes), None);
+}
+
+#[test]
+fn one_flipped_byte_per_record_matches_scan() {
+    let (bytes, _) = edge_log();
+    let records = scan(&bytes).expect("pristine log scans");
+    assert!(records.len() > 30);
+    for (i, rec) in records.iter().enumerate() {
+        // Walk the flip through the record: length, CRC, kind, payload.
+        let span = (rec.payload_offset - rec.offset) as usize + rec.payload_len;
+        let at = rec.offset as usize + (i * 5) % span;
+        let mut damaged = bytes.clone();
+        damaged[at] ^= 0x10;
+        let expect = scan(&damaged).expect_err("a flipped byte never scans");
+        assert_eq!(open_error(damaged), Some(expect), "record {i}, byte {at}");
+    }
+    // And in the preamble, where there is no record to blame.
+    for at in 0..PREAMBLE_LEN as usize {
+        let mut damaged = bytes.clone();
+        damaged[at] ^= 0x10;
+        let expect = scan(&damaged).expect_err("a damaged preamble never scans");
+        assert_eq!(open_error(damaged), Some(expect), "preamble byte {at}");
+    }
+}
+
+#[test]
+fn a_framing_error_outranks_an_earlier_grammar_error() {
+    use mediator_store::format::{put_preamble, put_record, RecordKind};
+    // An events chunk with no header open is a grammar error at the first
+    // record — unless the log is also torn further on: scanning the whole
+    // log first always reported the tear, and the one-pass walk still does.
+    let mut log = Vec::new();
+    put_preamble(&mut log);
+    put_record(&mut log, RecordKind::EventsChunk, &[0]);
+    assert_eq!(
+        open_error(log.clone()),
+        Some(StoreError::UnexpectedRecord {
+            offset: PREAMBLE_LEN,
+            kind: 1
+        })
+    );
+    let tear_at = log.len() as u64;
+    put_record(&mut log, RecordKind::Outcome, b"cut short by a crash");
+    log.truncate(log.len() - 3);
+    assert_eq!(
+        open_error(log),
+        Some(StoreError::TornTail { offset: tear_at })
+    );
+}
