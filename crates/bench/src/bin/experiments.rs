@@ -632,8 +632,7 @@ fn bench_trajectory(label: &str, out: &str, fast: bool, net_only: bool) {
 fn tamper_battery(out: &str) {
     use mediator_core::adversary::{Window, OPEN_LIE_OFFSET};
     use mediator_net::tamper::{
-        run_tampered_pair, DriverMode, TamperPlan, TamperedPair, TransportKind, WireTactic,
-        TARGET_SID,
+        run_tampered_pair, TamperPlan, TamperedPair, TransportKind, WireTactic, TARGET_SID,
     };
     use mediator_net::{AuthKey, DeliveryOrder, NetError, ServiceConfig, TamperKind};
     use std::time::Duration;
@@ -662,14 +661,11 @@ fn tamper_battery(out: &str) {
         }
     };
 
-    // (name, transport, driver, plan): one cell per tactic, transports and
-    // drivers spread across the battery so the smoke run touches mem + TCP
-    // and both engines.
-    let cells: Vec<(&str, TransportKind, DriverMode, TamperPlan)> = vec![
+    // (name, transport, plan): one cell per tactic, alternating transports.
+    let cells: Vec<(&str, TransportKind, TamperPlan)> = vec![
         (
             "rewrite",
             TransportKind::Mem,
-            DriverMode::Reactor,
             TamperPlan::against(TARGET_SID).tactic(
                 Window::all(),
                 WireTactic::Rewrite {
@@ -680,13 +676,11 @@ fn tamper_battery(out: &str) {
         (
             "redirect",
             TransportKind::Tcp,
-            DriverMode::Threaded,
             TamperPlan::against(TARGET_SID).tactic(Window::all(), WireTactic::Redirect),
         ),
         (
             "replay-splice",
             TransportKind::Mem,
-            DriverMode::Threaded,
             TamperPlan::against(TARGET_SID)
                 .tactic(Window::between(0, 10), WireTactic::Replay)
                 .tactic(Window::between(10, 20), WireTactic::Drop),
@@ -694,14 +688,12 @@ fn tamper_battery(out: &str) {
         (
             "truncate",
             TransportKind::Tcp,
-            DriverMode::Reactor,
             TamperPlan::against(TARGET_SID)
                 .tactic(Window::between(5, 6), WireTactic::Truncate { cut: 4 }),
         ),
         (
             "drop",
             TransportKind::Mem,
-            DriverMode::Reactor,
             TamperPlan::against(TARGET_SID).tactic(Window::between(5, 15), WireTactic::Drop),
         ),
     ];
@@ -720,11 +712,10 @@ fn tamper_battery(out: &str) {
     };
     let mut rows: Vec<(String, String, String, bool, bool)> = Vec::new();
     let mut all_ok = true;
-    for (name, transport, driver, tp) in &cells {
+    for (name, transport, tp) in &cells {
         let plain = run_tampered_pair(
             &plan,
             *transport,
-            *driver,
             cfg(false),
             tp.clone(),
             SchedulerKind::Fifo,
@@ -733,7 +724,6 @@ fn tamper_battery(out: &str) {
         let authed = run_tampered_pair(
             &plan,
             *transport,
-            *driver,
             cfg(true),
             tp.clone(),
             SchedulerKind::Fifo,
@@ -762,7 +752,7 @@ fn tamper_battery(out: &str) {
         let pass = attack_succeeded && detected && honest_ok;
         all_ok &= pass;
         rows.push((
-            format!("{name} ({transport:?}/{driver:?})"),
+            format!("{name} ({transport:?})"),
             describe(&plain),
             describe(&authed),
             honest_ok,

@@ -23,8 +23,8 @@
 //!   player-id)`, drives every hosted session as a state machine over
 //!   per-connection read/write buffers, detects quiescence, surfaces
 //!   outcomes ([`Service::run_many`] drives thousands of sessions
-//!   concurrently on one core; `Service::host_threaded` keeps the PR 5
-//!   thread-per-session engine for differential testing).
+//!   concurrently on one core). Sessions, routes and connection buffers
+//!   are owned by that thread alone; callers hold a command sender.
 //! * [`client`] — the thin relay endpoint ([`Client`]): the network leg
 //!   of every message addressed to its players.
 //! * [`auth`] — authenticated frames: per-pair keyed MACs (hand-rolled
@@ -116,7 +116,7 @@ pub use shard::{
     coordinate, run_worker, worker_mem, worker_tcp, ShardConfig, ShardFrame, ShardListener,
     ShardLog, ShardedSweep,
 };
-pub use tamper::{tamper_relay, DriverMode, TamperPlan, TamperReport, TransportKind, WireTactic};
+pub use tamper::{tamper_relay, TamperPlan, TamperReport, TransportKind, WireTactic};
 pub use transport::{
     duplex, pipe, ConnPair, FrameBuf, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport,
     PipeReader, PipeWriter, TcpTransport,

@@ -1,23 +1,32 @@
 //! The reactor: one thread, every connection, every hosted session.
 //!
-//! PR 5's service spent one reader thread per connection plus one pump
-//! thread per session (~130 OS threads at 64 sessions, with wakeup and
-//! handoff dominating the profile). The reactor replaces all of it with a
-//! single readiness loop:
+//! A single readiness loop owns all of it. Nothing below is reachable from
+//! another thread, so nothing below is locked:
 //!
 //! * **Connections** own a read buffer (incremental frame parsing — a
 //!   partial frame simply waits for more bytes, so a stalled peer cannot
-//!   block anyone else) and a shared write buffer ([`ConnOut`]) that any
-//!   thread may append frames to; the loop flushes it when the transport
-//!   signals writable.
-//! * **Sessions** run as state machines ([`SessionSm`]) executing exactly
-//!   the threaded pump's ship → step → deliver → quiesce loop, but
-//!   returning to the loop instead of blocking; timeouts become timer
-//!   entries instead of `recv_timeout` calls.
+//!   block anyone else) and an out-buffer that session machines append
+//!   encoded frames to. After each pass over the runnable sessions the
+//!   loop flushes the buffers that pass dirtied, one `write` per
+//!   connection; a transport that pushes back is polled for writability.
+//! * **Sessions** run as state machines ([`SessionSm`]) executing the
+//!   ship → step → absorb → deliver → quiesce → vanish → block loop
+//!   specified on [`SessionSm::run`], returning to the loop where a
+//!   blocking design would wait; timeouts are timer entries.
 //! * **Timers** live in a lazily-revalidated heap: idle deadlines are
 //!   *updated* in place as events arrive and only re-pushed when a stale
 //!   entry fires, so a session's thousands of frames cost one heap entry,
 //!   not thousands.
+//! * **Commands** from [`Service`](crate::Service) callers arrive over a
+//!   channel whose receiving end lives here. The session table (`sms`) is
+//!   the only registry: a `Host` command for a live id is answered
+//!   `SessionIdTaken` through the same result channel an outcome would
+//!   use. Commands are drained each time `wait` returns, *before* that
+//!   wake-up's I/O is dispatched, so a frame a client sent after `host`
+//!   returned finds its session; an `Attach` that still overtakes its
+//!   `Host` command (both landed inside one read) is parked, and the
+//!   drain-then-sweep at the top of the next iteration resolves it before
+//!   any grace timer can fire.
 //!
 //! The single-threaded interleaving is not a compromise — it is the
 //! paper's §2 asynchronous model made literal: one adversarial scheduler
@@ -31,95 +40,25 @@ use crate::frame::{
 use crate::readiness::{
     ConnIo, Event, Interest, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN,
 };
-use crate::service::{broadcast, finish_recorded, DeliveryOrder, ServiceConfig};
-use crate::service::{ship, Driver, FlightState, Inbound, SessionEntry, Shared};
+use crate::service::{broadcast, ship, DeliveryOrder, FlightState, Inbound, ServiceConfig};
 use crate::transport::FrameBuf;
 use crate::wire::Wire;
-use mediator_sim::{Outcome, Session, SessionStatus, TraceSink};
+use mediator_sim::{Outcome, RunMeta, Session, SessionStatus, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Token the reactor's command queue (and registry changes) wake.
+/// Token `Service` callers wake the reactor's command channel with.
+/// (Connections are woken under their slab slot.)
 pub(crate) const CMD_TOKEN: usize = usize::MAX - 1;
 
 /// How long a draining reactor keeps trying to flush final frames to
 /// peers that have stopped reading before giving up and exiting.
 const DRAIN_FLUSH_CAP: Duration = Duration::from_secs(5);
-
-fn read_token(slot: usize) -> usize {
-    slot * 2
-}
-fn write_token(slot: usize) -> usize {
-    slot * 2 + 1
-}
-
-// ---------------------------------------------------------------------------
-// Shared outbound buffer
-// ---------------------------------------------------------------------------
-
-struct OutBuf {
-    bytes: Vec<u8>,
-    sent: usize,
-    closed: bool,
-}
-
-/// A connection's outbound side, shareable across threads: threaded pumps
-/// and the reactor's own session machines append length-prefixed frames;
-/// the reactor flushes when the transport can take them. Appending never
-/// blocks on the network — backpressure is the buffer growing, which for
-/// this protocol is bounded by the sessions' own in-flight accounting.
-pub(crate) struct ConnOut {
-    buf: Mutex<OutBuf>,
-    waker: Arc<Waker>,
-    token: usize,
-}
-
-impl ConnOut {
-    fn new(waker: Arc<Waker>, token: usize) -> Self {
-        ConnOut {
-            buf: Mutex::new(OutBuf {
-                bytes: Vec::new(),
-                sent: 0,
-                closed: false,
-            }),
-            waker,
-            token,
-        }
-    }
-
-    /// Encodes `frame` (length prefix included) into the buffer and wakes
-    /// the reactor to flush. Fails once the connection is gone — exactly
-    /// the signal `ship` turns into `PeerVanished`.
-    pub(crate) fn send_frame<M: Wire>(&self, frame: &Frame<M>) -> Result<(), NetError> {
-        {
-            let mut b = self.buf.lock().expect("conn out poisoned");
-            if b.closed {
-                return Err(NetError::Disconnected);
-            }
-            frame.encode_framed(&mut b.bytes);
-        }
-        self.waker.wake(self.token);
-        Ok(())
-    }
-
-    fn close(&self) {
-        let mut b = self.buf.lock().expect("conn out poisoned");
-        b.closed = true;
-        b.bytes.clear();
-        b.sent = 0;
-    }
-
-    fn is_idle(&self) -> bool {
-        let b = self.buf.lock().expect("conn out poisoned");
-        b.closed || b.sent == b.bytes.len()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Reactor-hosted session state machine
@@ -135,12 +74,19 @@ enum SmPhase {
     Running,
 }
 
-/// One hosted session as a state machine: the exact ship / step / deliver
-/// / quiesce loop of the threaded `pump`, with every blocking receive
-/// replaced by "return to the loop and wait for events".
-pub(crate) struct SessionSm<M: Wire + Send> {
+/// One hosted session as a state machine: the routing table, the wire
+/// accounting and the [`Session`] itself, advanced by [`SessionSm::run`]
+/// whenever an event for it arrives.
+struct SessionSm<M: Wire + Send> {
     sid: SessionId,
-    entry: Arc<SessionEntry<M>>,
+    /// World size: how many players must attach before the run starts.
+    expected: usize,
+    /// What the host knew about the run — handed to the [`TraceSink`]
+    /// alongside the outcome. Plan-hosted sessions carry their `(kind,
+    /// seed)` cell; closure-hosted sessions carry the routing id alone.
+    meta: RunMeta,
+    /// Per player, the connection attached as its relay.
+    routes: Vec<Option<Route>>,
     session: Option<Session<M>>,
     flight: FlightState<M>,
     depth: usize,
@@ -148,8 +94,6 @@ pub(crate) struct SessionSm<M: Wire + Send> {
     phase: SmPhase,
     queue: VecDeque<Inbound<M>>,
     result: Sender<Result<Outcome, NetError>>,
-    /// The service-wide outcome recorder, cloned out of the config so the
-    /// finish site needs no reach back into shared state.
     sink: Option<Arc<dyn TraceSink>>,
     /// Rolls forward on every absorbed event; the heap entry is lazily
     /// revalidated against it.
@@ -160,12 +104,12 @@ pub(crate) struct SessionSm<M: Wire + Send> {
 impl<M: Wire + Send> SessionSm<M> {
     fn new(
         sid: SessionId,
+        expected: usize,
+        meta: RunMeta,
         session: Session<M>,
-        entry: Arc<SessionEntry<M>>,
         result: Sender<Result<Outcome, NetError>>,
         cfg: &ServiceConfig,
     ) -> Self {
-        let expected = entry.expected;
         let (depth, rng) = match cfg.delivery {
             DeliveryOrder::Arrival => (0usize, None),
             DeliveryOrder::Shuffled { seed, depth } => {
@@ -174,7 +118,9 @@ impl<M: Wire + Send> SessionSm<M> {
         };
         SessionSm {
             sid,
-            entry,
+            expected,
+            meta,
+            routes: vec![None; expected],
             session: Some(session),
             flight: FlightState::new(expected, cfg.auth),
             depth,
@@ -191,16 +137,44 @@ impl<M: Wire + Send> SessionSm<M> {
         }
     }
 
+    /// Claims `player`'s route for `route`, reporting the reject reason if
+    /// the claim is impossible. Shared by the direct-attach and
+    /// parked-attach paths so they cannot drift.
+    fn claim(&mut self, player: usize, route: Route) -> Option<RejectReason> {
+        match self.routes.get_mut(player) {
+            None => Some(RejectReason::PlayerOutOfRange),
+            Some(Some(_)) => Some(RejectReason::PlayerTaken),
+            Some(vacant) => {
+                *vacant = Some(route);
+                None
+            }
+        }
+    }
+
+    /// True iff `player`'s frames currently go to `route`.
+    fn routed_to(&self, player: usize, route: Route) -> bool {
+        self.routes.get(player) == Some(&Some(route))
+    }
+
+    /// Finishes the session, handing the outcome to the configured sink —
+    /// the single recording site, so a session is recorded exactly once
+    /// no matter which arm of `run` ended it.
     fn finish_now(&mut self) -> Outcome {
         let session = self.session.take().expect("session present until finish");
-        finish_recorded(session, self.sink.as_ref(), &self.entry.meta)
+        let outcome = session.finish();
+        if let Some(sink) = &self.sink {
+            sink.record(&self.meta, &outcome);
+        }
+        outcome
     }
 
     /// Runs until the session either blocks on the network (`None`) or
-    /// reaches its result. Mirrors the threaded `pump` arm for arm; the
-    /// parity and differential suites pin the correspondence.
-    fn run(&mut self) -> Option<Result<Outcome, NetError>> {
-        let expected = self.entry.expected;
+    /// reaches its result. First the attach barrier, then the numbered
+    /// loop below — ship, step, absorb, deliver, quiesce, vanish, block —
+    /// which is the specification of a networked run: the session's own
+    /// termination verdict is trusted only at step 5, when the plane, the
+    /// delivery buffer and the wire are all empty.
+    fn run(&mut self, conns: &mut Conns) -> Option<Result<Outcome, NetError>> {
         // Attach barrier: every world process needs a relay before the
         // first message leaves the plane. (The attach-timeout timer owns
         // the deadline; blocking here is just "wait for more events".)
@@ -236,7 +210,7 @@ impl<M: Wire + Send> SessionSm<M> {
                     kind,
                 }));
             }
-            if *nattached != expected {
+            if *nattached != self.expected {
                 return None;
             }
             self.phase = SmPhase::Running;
@@ -254,14 +228,16 @@ impl<M: Wire + Send> SessionSm<M> {
             let session = self.session.as_mut().expect("session present until finish");
             // 1. Ship every freshly-sent message onto its network leg.
             for env in session.drain_outbox() {
-                if let Err(e) = ship(&self.entry, self.sid, env, &mut self.flight) {
+                if let Err(e) = ship(&self.routes, conns, self.sid, env, &mut self.flight) {
                     return Some(Err(e));
                 }
             }
             // 2. Dispatch local events (start signals stay on the plane).
             if session.pump_ready() {
                 if session.wants() == mediator_sim::SessionWants::Finished {
-                    // Mid-run Done can only be the budget guard.
+                    // Mid-run Done can only be the budget guard:
+                    // termination with events pending is
+                    // BudgetExhausted by construction.
                     return Some(Ok(self.finish_now()));
                 }
                 continue;
@@ -291,7 +267,8 @@ impl<M: Wire + Send> SessionSm<M> {
                 }
                 continue;
             }
-            // 5. Quiescence: plane drained, buffer empty, wire empty.
+            // 5. Quiescence: plane drained, buffer empty, wire empty — the
+            //    session's own verdict is now trustworthy.
             if self.flight.in_flight == 0 {
                 debug_assert!(self.flight.held.is_empty());
                 return Some(match session.step() {
@@ -300,14 +277,16 @@ impl<M: Wire + Send> SessionSm<M> {
                 });
             }
             // 6. Traffic is in flight. A vanished relay is fatal only if
-            //    its player still owes frames.
+            //    its player still owes frames (otherwise a replacement may
+            //    yet attach, and sends to it will fail loudly at `ship`).
             if let Some(player) = self.flight.fatal_gone() {
                 return Some(Err(NetError::PeerVanished {
                     session: self.sid,
                     player,
                 }));
             }
-            // 7. Blocked for the network: the caller arms the idle timer.
+            // 7. Blocked for the network: the caller arms the idle timer,
+            //    and the next event for this session re-enters at 0.
             return None;
         }
     }
@@ -323,7 +302,12 @@ struct Conn {
     id: u64,
     io: ConnIo,
     fd: Option<i32>,
-    out: Arc<ConnOut>,
+    /// Encoded frames the transport has not taken yet; `out[..sent]` is
+    /// already written. Appending never blocks on the network —
+    /// backpressure is the buffer growing, which for this protocol is
+    /// bounded by the sessions' own in-flight accounting.
+    out: Vec<u8>,
+    sent: usize,
     /// Unparsed inbound bytes (a partial frame lives here until complete).
     rbuf: FrameBuf,
     /// `(session, player)` routes this connection claimed.
@@ -332,14 +316,77 @@ struct Conn {
     want_write: bool,
 }
 
+impl Conn {
+    fn queue<M: Wire>(&mut self, frame: &Frame<M>) {
+        frame.encode_framed(&mut self.out);
+    }
+
+    fn pending(&self) -> bool {
+        self.sent < self.out.len()
+    }
+
+    /// Writes the out-buffer until it is empty or the transport pushes
+    /// back (then `want_write` asks the loop to poll for writability).
+    /// `false` means the connection died.
+    fn flush(&mut self) -> bool {
+        while self.pending() {
+            match self.io.try_write(&self.out[self.sent..]) {
+                TryWrite::Wrote(n) => self.sent += n,
+                TryWrite::WouldBlock => {
+                    self.want_write = true;
+                    return true;
+                }
+                TryWrite::Err(_) => return false,
+            }
+        }
+        self.out.clear();
+        self.sent = 0;
+        self.want_write = false;
+        true
+    }
+}
+
+/// Where a player's frames go: a slab slot plus the id of the connection
+/// that claimed it, so a slot recycled by a later connection never
+/// inherits the route.
+pub(crate) type Route = (usize, u64);
+
+/// The connection slab and the slots holding output no flush has tried
+/// to write yet.
+pub(crate) struct Conns {
+    slab: Vec<Option<Conn>>,
+    dirty: Vec<usize>,
+}
+
+impl Conns {
+    fn live(&mut self, (slot, id): Route) -> Option<&mut Conn> {
+        self.slab.get_mut(slot)?.as_mut().filter(|c| c.id == id)
+    }
+
+    /// Appends `frame` to the routed connection's out-buffer; the loop
+    /// flushes it at the end of the current pass. Fails once the
+    /// connection is gone — the signal `ship` turns into `PeerVanished`.
+    pub(crate) fn send<M: Wire>(&mut self, route: Route, frame: &Frame<M>) -> Result<(), NetError> {
+        let conn = self.live(route).ok_or(NetError::Disconnected)?;
+        // A buffer with bytes pending is either queued for this pass's
+        // flush already or waiting on writability.
+        let newly_dirty = !conn.pending();
+        conn.queue(frame);
+        if newly_dirty {
+            self.dirty.push(route.0);
+        }
+        Ok(())
+    }
+}
+
 /// An `Attach` for a not-yet-hosted session, parked for the grace window
-/// (the host/connect race smoother). Replaces PR 5's 5 ms sleep-poll: the
-/// parked list is swept on every host registration (wakeup-driven), and
-/// the grace timer rejects only if the session truly never appeared.
+/// (the host/connect race smoother). The parked list is swept after every
+/// command drain (wakeup-driven), and the grace timer rejects only if the
+/// session truly never appeared.
 struct Parked {
     session: SessionId,
     player: usize,
-    conn: usize,
+    conn: Route,
 }
 
 // ---------------------------------------------------------------------------
@@ -348,12 +395,13 @@ struct Parked {
 
 /// What `Service` asks the reactor to do.
 pub(crate) enum Command<M: Wire + Send> {
-    /// Open and drive a session on the reactor (the entry is already in
-    /// the shared registry; `open` runs on the reactor thread, so worlds
-    /// need not be `Send`-friendly beyond the closure itself).
+    /// Open and drive a session of `processes` players under `id`, unless
+    /// that id is live. `open` runs on the reactor thread, so worlds need
+    /// not be `Send`-friendly beyond the closure itself.
     Host {
         id: SessionId,
-        entry: Arc<SessionEntry<M>>,
+        processes: usize,
+        meta: RunMeta,
         open: Box<dyn FnOnce() -> Session<M> + Send>,
         result: Sender<Result<Outcome, NetError>>,
     },
@@ -366,7 +414,7 @@ pub(crate) enum Command<M: Wire + Send> {
 enum Timer {
     /// A parked attach's grace window closed.
     AttachGrace {
-        conn: usize,
+        conn: Route,
         session: SessionId,
         player: usize,
     },
@@ -381,18 +429,14 @@ enum Timer {
 // ---------------------------------------------------------------------------
 
 pub(crate) struct Reactor<M: Wire + Send + 'static> {
-    shared: Arc<Shared<M>>,
+    cfg: ServiceConfig,
     listener: Box<dyn NbListener>,
     listener_fd: Option<i32>,
     poller: Poller,
     waker: Arc<Waker>,
-    commands: Arc<Mutex<VecDeque<Command<M>>>>,
-    conns: Vec<Option<Conn>>,
+    commands: Receiver<Command<M>>,
+    conns: Conns,
     sms: HashMap<SessionId, SessionSm<M>>,
-    /// Events for sessions registered but whose `Host` command has not
-    /// been processed yet (the registry insert happens on the caller's
-    /// thread, so an attach can beat the command here).
-    staged: HashMap<SessionId, Vec<Inbound<M>>>,
     parked: Vec<Parked>,
     timers: BinaryHeap<Reverse<(Instant, Timer)>>,
     draining: bool,
@@ -407,22 +451,24 @@ pub(crate) struct Reactor<M: Wire + Send + 'static> {
 
 impl<M: Wire + Send + 'static> Reactor<M> {
     pub(crate) fn new(
-        shared: Arc<Shared<M>>,
+        cfg: ServiceConfig,
         listener: Box<dyn NbListener>,
         poller: Poller,
-        commands: Arc<Mutex<VecDeque<Command<M>>>>,
+        commands: Receiver<Command<M>>,
     ) -> Self {
         let waker = poller.waker();
         Reactor {
-            shared,
+            cfg,
             listener,
             listener_fd: None,
             poller,
             waker,
             commands,
-            conns: Vec::new(),
+            conns: Conns {
+                slab: Vec::new(),
+                dirty: Vec::new(),
+            },
             sms: HashMap::new(),
-            staged: HashMap::new(),
             parked: Vec::new(),
             timers: BinaryHeap::new(),
             draining: false,
@@ -443,17 +489,16 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         loop {
             runnable.clear();
             self.now = Instant::now();
+            // Commands, then parked attaches, then timers: an attach
+            // parked by the previous wake-up meets its session here
+            // before its grace timer gets a chance to fire.
             self.process_commands(&mut runnable);
             self.sweep_parked(&mut runnable);
-            self.fire_timers(&mut runnable);
+            self.fire_timers();
             self.advance(&mut runnable);
 
-            if self.draining && self.sms.is_empty() && self.quiet() {
-                let flushed = self
-                    .conns
-                    .iter()
-                    .flatten()
-                    .all(|c| c.out.is_idle() && !c.want_write);
+            if self.draining && self.sms.is_empty() {
+                let flushed = self.conns.slab.iter().flatten().all(|c| !c.pending());
                 let gave_up = self
                     .drain_deadline
                     .map(|d| Instant::now() >= d)
@@ -474,11 +519,11 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     });
                 }
             }
-            for (slot, conn) in self.conns.iter().enumerate() {
+            for (slot, conn) in self.conns.slab.iter().enumerate() {
                 if let Some(conn) = conn {
                     if let Some(fd) = conn.fd {
                         interests.push(Interest {
-                            token: read_token(slot),
+                            token: slot,
                             fd,
                             read: true,
                             write: conn.want_write,
@@ -494,89 +539,80 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             self.poller
                 .wait(&interests, timeout, &mut events, &mut notified);
             self.now = Instant::now();
+            // Before any I/O of this wake-up: whatever a caller hosted
+            // before its client wrote is registered before the write is
+            // read.
+            self.process_commands(&mut runnable);
 
             for ev in events.drain(..) {
                 if ev.token == ACCEPT_TOKEN {
                     self.accept_ready(&mut runnable);
                     continue;
                 }
-                let slot = ev.token / 2;
                 if ev.readable {
-                    self.conn_readable(slot, &mut runnable);
+                    self.conn_readable(ev.token, &mut runnable);
                 }
                 if ev.writable {
-                    self.conn_flush(slot, &mut runnable);
+                    self.conn_flush(ev.token, &mut runnable);
                 }
             }
             for token in notified.drain(..) {
                 match token {
                     ACCEPT_TOKEN => self.accept_ready(&mut runnable),
-                    CMD_TOKEN => {} // commands drain at the top of the loop
-                    t if t % 2 == 0 => self.conn_readable(t / 2, &mut runnable),
-                    t => self.conn_flush(t / 2, &mut runnable),
+                    CMD_TOKEN => {} // drained when `wait` returned
+                    slot => self.conn_readable(slot, &mut runnable),
                 }
             }
             self.advance(&mut runnable);
         }
     }
 
-    /// True when no threaded pump is still running (they hold the final
-    /// frames the drain must flush).
-    fn quiet(&self) -> bool {
-        self.shared.live_pumps.load(Ordering::Acquire) == 0
-            && self
-                .shared
-                .sessions
-                .lock()
-                .expect("sessions poisoned")
-                .is_empty()
-    }
-
-    // -- commands / registry ------------------------------------------------
+    // -- commands -----------------------------------------------------------
 
     fn process_commands(&mut self, runnable: &mut HashSet<SessionId>) {
-        loop {
-            let cmd = self.commands.lock().expect("commands poisoned").pop_front();
+        while let Ok(cmd) = self.commands.try_recv() {
             match cmd {
-                Some(Command::Host {
+                Command::Host {
                     id,
-                    entry,
+                    processes,
+                    meta,
                     open,
                     result,
-                }) => {
-                    let session = open().with_session_id(id);
-                    let mut sm = SessionSm::new(id, session, entry, result, &self.shared.cfg);
-                    if let Some(evs) = self.staged.remove(&id) {
-                        sm.queue.extend(evs);
+                } => {
+                    // Re-hosting a live id would orphan the running
+                    // session's routes.
+                    if self.sms.contains_key(&id) {
+                        let _ = result.send(Err(NetError::SessionIdTaken { session: id }));
+                        continue;
                     }
+                    let session = open().with_session_id(id);
+                    let sm = SessionSm::new(id, processes, meta, session, result, &self.cfg);
                     self.timers.push(Reverse((
-                        Instant::now() + self.shared.cfg.attach_timeout,
+                        Instant::now() + self.cfg.attach_timeout,
                         Timer::Attach { session: id },
                     )));
                     self.sms.insert(id, sm);
                     runnable.insert(id);
                 }
-                Some(Command::Drain) => {
+                Command::Drain => {
                     self.draining = true;
                     self.drain_deadline = Some(Instant::now() + DRAIN_FLUSH_CAP);
                     self.listener.close();
                     self.listener_fd = None;
                 }
-                None => break,
             }
         }
     }
 
-    /// Re-tries parked attaches against the registry — woken by every
-    /// `host` call, so a session registered mid-grace attaches immediately
+    /// Re-tries parked attaches against the session table, so a session
+    /// hosted mid-grace attaches on the wake-up its `Host` command caused
     /// instead of after a poll interval.
     fn sweep_parked(&mut self, runnable: &mut HashSet<SessionId>) {
         let mut i = 0;
         while i < self.parked.len() {
-            let sid = self.parked[i].session;
-            if let Some(entry) = self.shared.lookup(sid) {
+            if self.sms.contains_key(&self.parked[i].session) {
                 let p = self.parked.swap_remove(i);
-                self.attach_player(&entry, p.session, p.player, p.conn, runnable);
+                self.attach_player(p.session, p.player, p.conn, runnable);
             } else {
                 i += 1;
             }
@@ -589,7 +625,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         self.timers.peek().map(|Reverse((d, _))| *d)
     }
 
-    fn fire_timers(&mut self, runnable: &mut HashSet<SessionId>) {
+    fn fire_timers(&mut self) {
         let now = self.now;
         while let Some(Reverse((deadline, _))) = self.timers.peek() {
             if *deadline > now {
@@ -609,35 +645,23 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     else {
                         continue; // already swept
                     };
-                    let p = self.parked.swap_remove(i);
-                    match self.shared.lookup(session) {
-                        Some(entry) => {
-                            self.attach_player(&entry, session, p.player, p.conn, runnable)
-                        }
-                        None => {
-                            if let Some(conn) = self.conns.get(conn).and_then(|c| c.as_ref()) {
-                                let _ = conn.out.send_frame::<M>(&Frame::Reject {
-                                    session,
-                                    reason: RejectReason::UnknownSession,
-                                });
-                            }
-                        }
-                    }
+                    // Still parked after this iteration's sweep: the
+                    // session never appeared.
+                    self.parked.swap_remove(i);
+                    let _ = self.conns.send::<M>(
+                        conn,
+                        &Frame::Reject {
+                            session,
+                            reason: RejectReason::UnknownSession,
+                        },
+                    );
                 }
                 Timer::Attach { session } => {
-                    let attach_failed = match self.sms.get(&session) {
-                        Some(sm) => match &sm.phase {
-                            SmPhase::Attaching { nattached, .. } => Some(*nattached),
-                            SmPhase::Running => None,
-                        },
-                        None => None,
-                    };
-                    if let Some(attached) = attach_failed {
-                        let expected = self
-                            .sms
-                            .get(&session)
-                            .map(|sm| sm.entry.expected)
-                            .unwrap_or(0);
+                    let still_attaching = self.sms.get(&session).and_then(|sm| match &sm.phase {
+                        SmPhase::Attaching { nattached, .. } => Some((*nattached, sm.expected)),
+                        SmPhase::Running => None,
+                    });
+                    if let Some((attached, expected)) = still_attaching {
                         self.finish_session(
                             session,
                             Err(NetError::AttachTimeout {
@@ -677,95 +701,70 @@ impl<M: Wire + Send + 'static> Reactor<M> {
 
     // -- session driving ----------------------------------------------------
 
+    /// Runs every runnable session until it blocks or finishes, then
+    /// flushes the out-buffers that pass wrote to. A failed flush kills
+    /// its connection, which can make sessions runnable again (their relay
+    /// is gone), so repeat until a pass leaves nothing to run.
     fn advance(&mut self, runnable: &mut HashSet<SessionId>) {
-        if runnable.is_empty() {
-            return;
-        }
-        let ids: Vec<SessionId> = runnable.drain().collect();
-        for sid in ids {
-            let outcome = match self.sms.get_mut(&sid) {
-                Some(sm) => {
-                    let outcome = sm.run();
-                    if outcome.is_none() {
-                        // Blocked. Arm (or roll) the idle deadline only in
-                        // the running phase — attach has its own timer.
-                        if matches!(sm.phase, SmPhase::Running) {
-                            let d = Instant::now() + self.shared.cfg.idle_timeout;
-                            sm.idle_deadline = Some(d);
-                            if !sm.idle_queued {
-                                sm.idle_queued = true;
-                                self.timers.push(Reverse((d, Timer::Idle { session: sid })));
-                            }
+        loop {
+            let ids: Vec<SessionId> = runnable.drain().collect();
+            for sid in ids {
+                let Some(sm) = self.sms.get_mut(&sid) else {
+                    continue;
+                };
+                match sm.run(&mut self.conns) {
+                    Some(result) => self.finish_session(sid, result),
+                    // Blocked. Arm (or roll) the idle deadline only in the
+                    // running phase — attach has its own timer.
+                    None if matches!(sm.phase, SmPhase::Running) => {
+                        let d = Instant::now() + self.cfg.idle_timeout;
+                        sm.idle_deadline = Some(d);
+                        if !sm.idle_queued {
+                            sm.idle_queued = true;
+                            self.timers.push(Reverse((d, Timer::Idle { session: sid })));
                         }
                     }
-                    outcome
+                    None => {}
                 }
-                None => None,
-            };
-            if let Some(result) = outcome {
-                self.finish_session(sid, result);
+            }
+            while let Some(slot) = self.conns.dirty.pop() {
+                self.conn_flush(slot, runnable);
+            }
+            if runnable.is_empty() {
+                break;
             }
         }
     }
 
     fn finish_session(&mut self, sid: SessionId, result: Result<Outcome, NetError>) {
+        // Out of the table first: frames for a finished session are dead.
         let Some(sm) = self.sms.remove(&sid) else {
             return;
         };
-        // Unregister first: frames for a finished session are dead.
-        // Identity-guarded — only this session's own entry may be removed.
-        {
-            let mut sessions = self.shared.sessions.lock().expect("sessions poisoned");
-            if sessions
-                .get(&sid)
-                .map(|e| Arc::ptr_eq(e, &sm.entry))
-                .unwrap_or(false)
-            {
-                sessions.remove(&sid);
-            }
-        }
-        match &result {
-            Ok(outcome) => broadcast(
-                &sm.entry,
-                &Frame::Outcome {
-                    session: sid,
-                    summary: OutcomeSummary::from(outcome),
-                },
-            ),
+        let frame = match &result {
+            Ok(outcome) => Frame::Outcome {
+                session: sid,
+                summary: OutcomeSummary::from(outcome),
+            },
             // A failed session will never yield an outcome: tell the
             // relays so none of them blocks forever.
-            Err(_) => broadcast(&sm.entry, &Frame::Abort { session: sid }),
-        }
+            Err(_) => Frame::Abort { session: sid },
+        };
+        broadcast::<M>(&sm.routes, &mut self.conns, &frame);
         let _ = sm.result.send(result);
-        self.staged.remove(&sid);
     }
 
-    /// Routes an inbound event to whatever drives the session.
-    fn deliver(
-        &mut self,
-        entry: &SessionEntry<M>,
-        sid: SessionId,
-        ev: Inbound<M>,
-        runnable: &mut HashSet<SessionId>,
-    ) {
-        match &entry.driver {
-            Driver::Threaded(tx) => {
-                let _ = tx.send(ev);
-            }
-            Driver::Reactor => {
-                if let Some(sm) = self.sms.get_mut(&sid) {
-                    sm.queue.push_back(ev);
-                    // Every absorbed event restarts the idle window, the
-                    // way `recv_timeout` restarted per received event.
-                    if sm.idle_deadline.is_some() {
-                        sm.idle_deadline = Some(self.now + self.shared.cfg.idle_timeout);
-                    }
-                    runnable.insert(sid);
-                } else {
-                    self.staged.entry(sid).or_default().push(ev);
-                }
-            }
+    /// Queues an inbound event on its session, if that session is live.
+    fn deliver(&mut self, sid: SessionId, ev: Inbound<M>, runnable: &mut HashSet<SessionId>) {
+        let Some(sm) = self.sms.get_mut(&sid) else {
+            return;
+        };
+        sm.queue.push_back(ev);
+        // Every absorbed event restarts the idle window.
+        if sm.idle_deadline.is_some() {
+            sm.idle_deadline = Some(self.now + self.cfg.idle_timeout);
         }
+        runnable.insert(sid);
     }
 
     // -- accept / read / write ----------------------------------------------
@@ -784,23 +783,20 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 
     fn add_conn(&mut self, mut io: ConnIo) {
-        let slot = self
-            .conns
-            .iter()
-            .position(|c| c.is_none())
-            .unwrap_or_else(|| {
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
-        let fd = io.register(&self.waker, read_token(slot));
-        let out = Arc::new(ConnOut::new(Arc::clone(&self.waker), write_token(slot)));
+        let slab = &mut self.conns.slab;
+        let slot = slab.iter().position(|c| c.is_none()).unwrap_or_else(|| {
+            slab.push(None);
+            slab.len() - 1
+        });
+        let fd = io.register(&self.waker, slot);
         let id = self.next_conn_id;
         self.next_conn_id += 1;
-        self.conns[slot] = Some(Conn {
+        slab[slot] = Some(Conn {
             id,
             io,
             fd,
-            out,
+            out: Vec::new(),
+            sent: 0,
             rbuf: FrameBuf::new(),
             claimed: Vec::new(),
             want_write: false,
@@ -808,7 +804,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 
     fn conn_readable(&mut self, slot: usize, runnable: &mut HashSet<SessionId>) {
-        let Some(mut conn) = self.conns.get_mut(slot).and_then(|c| c.take()) else {
+        let Some(mut conn) = self.conns.slab.get_mut(slot).and_then(|c| c.take()) else {
             return;
         };
         let mut dead = false;
@@ -849,7 +845,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                             Frame::Msg { session, .. } => *session,
                             _ => unreachable!("only Msg frames are vetted"),
                         };
-                        self.tampered(&conn, session, kind, runnable);
+                        self.tampered(&mut conn, session, kind, runnable);
                     }
                 },
                 Err(_) => {
@@ -858,19 +854,23 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     // that session alone (the relay is Byzantine, but
                     // its other sessions stay live); structurally
                     // anonymous garbage still kills the connection.
-                    match self.shared.cfg.auth.and_then(|_| peek_auth_session(body)) {
+                    match self.cfg.auth.and_then(|_| peek_auth_session(body)) {
                         Some(session) => {
-                            self.tampered(&conn, session, TamperKind::Truncated, runnable)
+                            self.tampered(&mut conn, session, TamperKind::Truncated, runnable)
                         }
                         None => dead = true,
                     }
                 }
             }
         }
+        // Rejects the frames above earned go out with this wake-up.
+        if !dead && conn.pending() {
+            dead = !conn.flush();
+        }
         if dead {
             self.kill_conn(slot, conn, runnable);
         } else {
-            self.conns[slot] = Some(conn);
+            self.conns.slab[slot] = Some(conn);
         }
     }
 
@@ -881,7 +881,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     /// inbound) or precede any routing (`Attach` — a forged attach can
     /// only lose the race to the honest relay and collect a `Reject`).
     fn vet_frame(&self, frame: &Frame<M>, body: &[u8]) -> Option<TamperKind> {
-        let key = self.shared.cfg.auth.as_ref()?;
+        let key = self.cfg.auth.as_ref()?;
         let Frame::Msg {
             session,
             src,
@@ -911,31 +911,28 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 
     /// A tampering verdict for `session` on `conn`: tell the offending
-    /// connection (typed `Reject`), then hand the violation to whatever
-    /// drives the session, which aborts it with [`NetError::AuthFailure`].
-    /// The connection itself survives — its other sessions are unharmed.
+    /// connection (typed `Reject`), then hand the violation to the
+    /// session, which aborts with [`NetError::AuthFailure`]. The
+    /// connection itself survives — its other sessions are unharmed.
     fn tampered(
         &mut self,
-        conn: &Conn,
+        conn: &mut Conn,
         session: SessionId,
         kind: TamperKind,
         runnable: &mut HashSet<SessionId>,
     ) {
-        let _ = conn.out.send_frame::<M>(&Frame::Reject {
+        conn.queue::<M>(&Frame::Reject {
             session,
             reason: RejectReason::TamperDetected,
         });
-        if let Some(entry) = self.shared.lookup(session) {
-            self.deliver(
-                &entry,
-                session,
-                Inbound::Tampered {
-                    conn: conn.id,
-                    kind,
-                },
-                runnable,
-            );
-        }
+        self.deliver(
+            session,
+            Inbound::Tampered {
+                conn: conn.id,
+                kind,
+            },
+            runnable,
+        );
     }
 
     fn process_frame(
@@ -945,30 +942,27 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         frame: Frame<M>,
         runnable: &mut HashSet<SessionId>,
     ) {
+        let route = (slot, conn.id);
         match frame {
-            Frame::Attach { session, player } => match self.shared.lookup(session) {
-                Some(entry) => {
-                    match claim_route(&entry, player, &conn.out) {
-                        None => {
-                            conn.claimed.push((session, player));
-                            self.deliver(&entry, session, Inbound::Attached { player }, runnable);
-                        }
-                        Some(reason) => {
-                            let _ = conn.out.send_frame::<M>(&Frame::Reject { session, reason });
-                        }
-                    };
-                }
+            Frame::Attach { session, player } => match self.sms.get_mut(&session) {
+                Some(sm) => match sm.claim(player, route) {
+                    None => {
+                        conn.claimed.push((session, player));
+                        self.deliver(session, Inbound::Attached { player }, runnable);
+                    }
+                    Some(reason) => conn.queue::<M>(&Frame::Reject { session, reason }),
+                },
                 None => {
                     // Park for the grace window (the host/connect race).
                     self.parked.push(Parked {
                         session,
                         player,
-                        conn: slot,
+                        conn: route,
                     });
                     self.timers.push(Reverse((
-                        Instant::now() + self.shared.cfg.attach_grace,
+                        Instant::now() + self.cfg.attach_grace,
                         Timer::AttachGrace {
-                            conn: slot,
+                            conn: route,
                             session,
                             player,
                         },
@@ -984,39 +978,29 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             } => {
                 // A frame for an unknown session is a late echo for a run
                 // that already finished: dead, by design.
-                if let Some(entry) = self.shared.lookup(session) {
-                    // Range-check before delivery: a hostile-but-well-
-                    // formed frame must never panic a hosted session.
-                    if src >= entry.expected || dst >= entry.expected {
-                        let _ = conn.out.send_frame::<M>(&Frame::Reject {
-                            session,
-                            reason: RejectReason::PlayerOutOfRange,
-                        });
-                    } else {
-                        // Only `dst`'s own relay can complete a shipped
-                        // frame's network leg (see `Inbound::Msg`).
-                        let returned = entry
-                            .routes
-                            .lock()
-                            .expect("routes poisoned")
-                            .get(&dst)
-                            .map(|r| Arc::ptr_eq(r, &conn.out))
-                            .unwrap_or(false);
-                        self.deliver(
-                            &entry,
-                            session,
-                            Inbound::Msg {
-                                src,
-                                dst,
-                                msg,
-                                returned,
-                                seq: auth.map(|tag| tag.seq),
-                                conn: conn.id,
-                            },
-                            runnable,
-                        );
-                    }
+                let Some(sm) = self.sms.get(&session) else {
+                    return;
+                };
+                // Range-check before delivery: a hostile-but-well-formed
+                // frame must never panic a hosted session.
+                if src >= sm.expected || dst >= sm.expected {
+                    conn.queue::<M>(&Frame::Reject {
+                        session,
+                        reason: RejectReason::PlayerOutOfRange,
+                    });
+                    return;
                 }
+                let ev = Inbound::Msg {
+                    src,
+                    dst,
+                    msg,
+                    // Only `dst`'s own relay can complete a shipped
+                    // frame's network leg (see `Inbound::Msg`).
+                    returned: sm.routed_to(dst, route),
+                    seq: auth.map(|tag| tag.seq),
+                    conn: conn.id,
+                };
+                self.deliver(session, ev, runnable);
             }
             // `Outcome`/`Reject`/`Abort` only travel service → client;
             // shard lease frames belong to the shard coordinator plane,
@@ -1032,110 +1016,61 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         }
     }
 
-    /// Attaches `player` on a conn referenced by slot (the parked-attach
+    /// Attaches `player` on a conn referenced by route (the parked-attach
     /// path, where the conn sits in the slab).
     fn attach_player(
         &mut self,
-        entry: &Arc<SessionEntry<M>>,
         sid: SessionId,
         player: usize,
-        slot: usize,
+        route: Route,
         runnable: &mut HashSet<SessionId>,
     ) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) else {
+        let (Some(sm), Some(conn)) = (self.sms.get_mut(&sid), self.conns.live(route)) else {
             return; // the conn died while parked
         };
-        match claim_route(entry, player, &conn.out) {
+        match sm.claim(player, route) {
             None => {
                 conn.claimed.push((sid, player));
-                self.deliver(entry, sid, Inbound::Attached { player }, runnable);
+                self.deliver(sid, Inbound::Attached { player }, runnable);
             }
             Some(reason) => {
-                let _ = conn.out.send_frame::<M>(&Frame::Reject {
-                    session: sid,
-                    reason,
-                });
+                let _ = self.conns.send::<M>(
+                    route,
+                    &Frame::Reject {
+                        session: sid,
+                        reason,
+                    },
+                );
             }
         }
     }
 
     fn conn_flush(&mut self, slot: usize, runnable: &mut HashSet<SessionId>) {
-        let Some(mut conn) = self.conns.get_mut(slot).and_then(|c| c.take()) else {
+        let Some(mut conn) = self.conns.slab.get_mut(slot).and_then(|c| c.take()) else {
             return;
         };
-        let mut dead = false;
-        {
-            let mut b = conn.out.buf.lock().expect("conn out poisoned");
-            while b.sent < b.bytes.len() {
-                match conn.io.try_write(&b.bytes[b.sent..]) {
-                    TryWrite::Wrote(n) => b.sent += n,
-                    TryWrite::WouldBlock => break,
-                    TryWrite::Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if b.sent == b.bytes.len() {
-                b.bytes.clear();
-                b.sent = 0;
-                conn.want_write = false;
-            } else if !dead {
-                conn.want_write = true;
-            }
-        }
-        if dead {
-            self.kill_conn(slot, conn, runnable);
+        if conn.flush() {
+            self.conns.slab[slot] = Some(conn);
         } else {
-            self.conns[slot] = Some(conn);
+            self.kill_conn(slot, conn, runnable);
         }
     }
 
-    /// Tears a connection down: closes the shared out-buffer (pumps then
-    /// see `PeerVanished` at `ship`), releases claimed routes, and tells
-    /// each affected session its relay is gone.
-    fn kill_conn(&mut self, slot: usize, mut conn: Conn, runnable: &mut HashSet<SessionId>) {
-        conn.out.close();
-        for (sid, player) in std::mem::take(&mut conn.claimed) {
-            if let Some(entry) = self.shared.lookup(sid) {
-                let mine = {
-                    let mut routes = entry.routes.lock().expect("routes poisoned");
-                    let mine = routes
-                        .get(&player)
-                        .map(|r| Arc::ptr_eq(r, &conn.out))
-                        .unwrap_or(false);
-                    if mine {
-                        routes.remove(&player);
-                    }
-                    mine
-                };
-                if mine {
-                    self.deliver(&entry, sid, Inbound::PeerGone { player }, runnable);
-                }
+    /// Tears a connection down: releases the routes it still holds
+    /// (sessions then see `PeerVanished` at `ship`), tells each affected
+    /// session its relay is gone, and frees the slot.
+    fn kill_conn(&mut self, slot: usize, conn: Conn, runnable: &mut HashSet<SessionId>) {
+        let route = (slot, conn.id);
+        for &(sid, player) in &conn.claimed {
+            let Some(sm) = self.sms.get_mut(&sid) else {
+                continue;
+            };
+            if sm.routed_to(player, route) {
+                sm.routes[player] = None;
+                self.deliver(sid, Inbound::PeerGone { player }, runnable);
             }
         }
-        self.parked.retain(|p| p.conn != slot);
-        self.conns[slot] = None;
-    }
-}
-
-/// Claims `(player → out)` in the entry's route table, reporting the
-/// reject reason if the claim is impossible. Shared by the direct-attach
-/// and parked-attach paths so they cannot drift.
-fn claim_route<M>(
-    entry: &SessionEntry<M>,
-    player: usize,
-    out: &Arc<ConnOut>,
-) -> Option<RejectReason> {
-    if player >= entry.expected {
-        return Some(RejectReason::PlayerOutOfRange);
-    }
-    let mut routes = entry.routes.lock().expect("routes poisoned");
-    match routes.entry(player) {
-        std::collections::hash_map::Entry::Vacant(v) => {
-            v.insert(Arc::clone(out));
-            None
-        }
-        std::collections::hash_map::Entry::Occupied(_) => Some(RejectReason::PlayerTaken),
+        self.parked.retain(|p| p.conn != route);
+        self.conns.slab[slot] = None;
     }
 }

@@ -101,8 +101,8 @@ struct WakerState {
 }
 
 /// The reactor's wake-up handle: notify-based readiness sources (memory
-/// pipes, cross-thread frame senders, `Service::host` callers) push a
-/// token and nudge whichever wait the reactor is parked in. Shared via
+/// pipes, `Service::host` callers) push a token and nudge whichever wait
+/// the reactor is parked in. Shared via
 /// `Arc` between the poller, the service handle, and every pipe watcher.
 pub struct Waker {
     state: Mutex<WakerState>,

@@ -35,29 +35,31 @@
 //! buffer is empty. Only then is the [`Session`]'s own termination verdict
 //! (quiescent / deadlocked / budget-exhausted) trustworthy.
 //!
-//! [`Service::host`] drives the session on the reactor; the PR 5
-//! thread-per-session engine survives as [`Service::host_threaded`], kept
-//! deliberately so the differential suite can run the same plans through
-//! both drivers and pin outcome-kind and failure-owner agreement.
+//! The caller's side of a [`Service`] is three things: a command sender, a
+//! waker, and the reactor's join handle. Sessions, routes and connection
+//! buffers all live on the reactor thread and are touched by nothing else;
+//! [`Service::host`] only posts a command and hands back the channel the
+//! result will arrive on. The reference a networked run is held to is the
+//! in-process `World`: a recorded run replays through `replay_plan` to a
+//! byte-identical trace (DESIGN.md §11).
 
 use crate::auth::{AuthKey, AuthTag, TamperKind};
 use crate::client::Client;
 use crate::frame::{Frame, NetError, OutcomeSummary, SessionId};
-use crate::reactor::{Command, ConnOut, Reactor, CMD_TOKEN};
+use crate::reactor::{Command, Conns, Reactor, Route, CMD_TOKEN};
 use crate::readiness::{NbListener, Poller, Waker};
 use crate::transport::{ConnPair, MemTransport, TcpTransport};
 use crate::wire::Wire;
 use mediator_core::scenario::SessionPlan;
 use mediator_sim::SchedulerKind;
-use mediator_sim::{Envelope, Outcome, RunMeta, Session, SessionStatus, TraceSink};
+use mediator_sim::{Envelope, Outcome, RunMeta, Session, TraceSink};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use rand::Rng;
+use std::collections::{HashSet, VecDeque};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a session pump turns frame arrivals into deliveries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +102,18 @@ pub struct ServiceConfig {
     /// plane did before authenticated frames existed.
     pub auth: Option<AuthKey>,
     /// When set, every session that reaches an [`Outcome`] is handed to
-    /// this sink exactly once, by whichever driver completed it (the
-    /// reactor thread or a pump thread — sinks must be `Sync`). Failed
-    /// sessions produce no outcome and are not recorded. Plan-hosted
-    /// sessions ([`Service::host_plan`]) record their `(kind, seed)` cell
-    /// so a store-backed sink can replay them; closure-hosted sessions
-    /// record routing metadata only.
+    /// this sink exactly once, on the reactor thread. Failed sessions
+    /// produce no outcome and are not recorded. Plan-hosted sessions
+    /// ([`Service::host_plan`]) record their `(kind, seed)` cell so a
+    /// store-backed sink can replay them; closure-hosted sessions record
+    /// routing metadata only.
+    ///
+    /// A recording replays (`replay_plan`) only when the wire kept each
+    /// `(src, dst)` pair's frames in order: [`DeliveryOrder::Arrival`]
+    /// with honest relays. Under [`DeliveryOrder::Shuffled`], or through a
+    /// relay that reorders, the trace cannot say which of a pair's
+    /// emissions came back first, and replay reports a `Divergence`
+    /// (DESIGN.md §11).
     pub sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -149,7 +157,7 @@ impl ServiceConfig {
     }
 }
 
-/// What the reactor feeds a session driver.
+/// What the reactor feeds a hosted session's state machine.
 pub(crate) enum Inbound<M> {
     /// A relay attached for `player`.
     Attached { player: usize },
@@ -175,48 +183,9 @@ pub(crate) enum Inbound<M> {
     PeerGone { player: usize },
     /// The parse layer caught tampering on an authenticated frame for
     /// this session (bad MAC, stripped trailer, or truncated body). The
-    /// driver turns it into [`NetError::AuthFailure`] — session-fatal,
-    /// connection-preserving.
+    /// session machine turns it into [`NetError::AuthFailure`] —
+    /// session-fatal, connection-preserving.
     Tampered { conn: u64, kind: TamperKind },
-}
-
-/// What drives a hosted session: the reactor's state machine, or a
-/// dedicated pump thread (the PR 5 engine, kept for differential runs).
-pub(crate) enum Driver<M> {
-    Threaded(Sender<Inbound<M>>),
-    Reactor,
-}
-
-/// Per-hosted-session routing state, shared between the reactor (which
-/// fills it as relays attach) and whatever drives the session (which
-/// ships through it).
-pub(crate) struct SessionEntry<M> {
-    pub(crate) driver: Driver<M>,
-    pub(crate) routes: Mutex<HashMap<usize, Arc<ConnOut>>>,
-    pub(crate) expected: usize,
-    /// What the driver knew about the run at host time — handed to the
-    /// configured [`TraceSink`] alongside the outcome. Plan-hosted
-    /// sessions carry their `(kind, seed)` cell; closure-hosted sessions
-    /// carry the routing id alone.
-    pub(crate) meta: RunMeta,
-}
-
-pub(crate) struct Shared<M> {
-    pub(crate) sessions: Mutex<HashMap<SessionId, Arc<SessionEntry<M>>>>,
-    pub(crate) cfg: ServiceConfig,
-    /// Threaded pumps still running (the reactor drains only once this
-    /// hits zero *and* their final frames are flushed).
-    pub(crate) live_pumps: AtomicUsize,
-}
-
-impl<M> Shared<M> {
-    pub(crate) fn lookup(&self, id: SessionId) -> Option<Arc<SessionEntry<M>>> {
-        self.sessions
-            .lock()
-            .expect("sessions poisoned")
-            .get(&id)
-            .cloned()
-    }
 }
 
 /// A ticket for a hosted session's result.
@@ -242,8 +211,7 @@ impl SessionHandle {
 /// connection and every hosted session (thousands of concurrent sessions
 /// on one core — see the `service_*` BENCH entries).
 pub struct Service<M: Wire + Send + 'static> {
-    shared: Arc<Shared<M>>,
-    commands: Arc<Mutex<VecDeque<Command<M>>>>,
+    commands: Sender<Command<M>>,
     waker: Arc<Waker>,
     reactor: Option<JoinHandle<()>>,
 }
@@ -256,25 +224,21 @@ impl<M: Wire + Send + 'static> Service<M> {
 
     /// Starts a service with explicit tunables.
     pub fn with_config(listener: Box<dyn NbListener>, cfg: ServiceConfig) -> Self {
-        let shared = Arc::new(Shared {
-            sessions: Mutex::new(HashMap::new()),
-            cfg,
-            live_pumps: AtomicUsize::new(0),
-        });
-        let commands: Arc<Mutex<VecDeque<Command<M>>>> = Arc::new(Mutex::new(VecDeque::new()));
+        // The reactor owns the receiving end: if it dies, queued commands
+        // drop with it and later sends fail, so every pending and future
+        // `outcome()` resolves to `ServiceGone` instead of waiting on a
+        // queue nobody drains.
+        let (commands, inbox) = mpsc::channel();
         let poller = Poller::new().expect("reactor poller");
         let waker = poller.waker();
         // The `Reactor` is built *inside* the thread: hosted `Session`s
         // (and the processes within) are created and consumed there, so
         // they never cross a thread boundary and need not be `Send`.
-        let reactor_shared = Arc::clone(&shared);
-        let reactor_commands = Arc::clone(&commands);
         let handle = thread::Builder::new()
             .name("mediator-reactor".into())
-            .spawn(move || Reactor::new(reactor_shared, listener, poller, reactor_commands).run())
+            .spawn(move || Reactor::new(cfg, listener, poller, inbox).run())
             .expect("spawn reactor");
         Service {
-            shared,
             commands,
             waker,
             reactor: Some(handle),
@@ -288,7 +252,9 @@ impl<M: Wire + Send + 'static> Service<M> {
     /// must know how many players have to attach before the run starts.
     /// Returns immediately; the session waits for all `processes` relays,
     /// runs the networked game, and delivers the result through the
-    /// [`SessionHandle`].
+    /// [`SessionHandle`]. An `id` that is still live is refused with
+    /// [`NetError::SessionIdTaken`] (and `open` never runs); a frame sent
+    /// after this call returns finds the session.
     pub fn host(
         &self,
         id: SessionId,
@@ -305,124 +271,29 @@ impl<M: Wire + Send + 'static> Service<M> {
         open: impl FnOnce() -> Session<M> + Send + 'static,
         meta: RunMeta,
     ) -> SessionHandle {
-        let (result_tx, result_rx) = mpsc::channel();
-        let entry = Arc::new(SessionEntry {
-            driver: Driver::Reactor,
-            routes: Mutex::new(HashMap::new()),
-            expected: processes,
+        let (result, rx) = mpsc::channel();
+        self.post(Command::Host {
+            id,
+            processes,
             meta,
+            open: Box::new(open),
+            result,
         });
-        if !self.register(id, &entry, &result_tx) {
-            return SessionHandle { id, rx: result_rx };
-        }
-        self.commands
-            .lock()
-            .expect("commands poisoned")
-            .push_back(Command::Host {
-                id,
-                entry,
-                open: Box::new(open),
-                result: result_tx,
-            });
-        self.waker.wake(CMD_TOKEN);
-        SessionHandle { id, rx: result_rx }
+        SessionHandle { id, rx }
     }
 
-    /// Hosts a session on a dedicated pump thread — the PR 5 engine,
-    /// kept so the differential suite can pin reactor/threaded agreement
-    /// on outcome kinds and failure owners. Same contract as
-    /// [`Service::host`].
-    pub fn host_threaded(
-        &self,
-        id: SessionId,
-        processes: usize,
-        open: impl FnOnce() -> Session<M> + Send + 'static,
-    ) -> SessionHandle {
-        self.host_threaded_with_meta(id, processes, open, RunMeta::bare(id))
-    }
-
-    fn host_threaded_with_meta(
-        &self,
-        id: SessionId,
-        processes: usize,
-        open: impl FnOnce() -> Session<M> + Send + 'static,
-        meta: RunMeta,
-    ) -> SessionHandle {
-        let (result_tx, result_rx) = mpsc::channel();
-        let (inbox_tx, inbox_rx) = mpsc::channel();
-        let entry = Arc::new(SessionEntry {
-            driver: Driver::Threaded(inbox_tx),
-            routes: Mutex::new(HashMap::new()),
-            expected: processes,
-            meta,
-        });
-        if !self.register(id, &entry, &result_tx) {
-            return SessionHandle { id, rx: result_rx };
+    /// Queues `cmd` and wakes the reactor. A dead reactor drops the
+    /// command (and the result sender inside it) on the floor.
+    fn post(&self, cmd: Command<M>) {
+        if self.commands.send(cmd).is_ok() {
+            self.waker.wake(CMD_TOKEN);
         }
-        self.shared.live_pumps.fetch_add(1, Ordering::AcqRel);
-        let shared = Arc::clone(&self.shared);
-        let waker = Arc::clone(&self.waker);
-        thread::spawn(move || {
-            let cfg = shared.cfg.clone();
-            let result = pump(id, open().with_session_id(id), &entry, inbox_rx, &cfg);
-            // Unregister first: frames for a finished session are dead.
-            // Guarded by identity (belt to the duplicate-id braces in
-            // `register`): only this pump's own entry may be removed.
-            {
-                let mut sessions = shared.sessions.lock().expect("sessions poisoned");
-                if sessions
-                    .get(&id)
-                    .map(|e| Arc::ptr_eq(e, &entry))
-                    .unwrap_or(false)
-                {
-                    sessions.remove(&id);
-                }
-            }
-            match &result {
-                Ok(outcome) => {
-                    broadcast(
-                        &entry,
-                        &Frame::Outcome {
-                            session: id,
-                            summary: OutcomeSummary::from(outcome),
-                        },
-                    );
-                }
-                // A failed session will never yield an outcome: tell the
-                // relays so none of them blocks forever.
-                Err(_) => broadcast(&entry, &Frame::Abort { session: id }),
-            }
-            let _ = result_tx.send(result);
-            // The decrement is last: the reactor must not drain while
-            // this pump's final frames are still unqueued.
-            shared.live_pumps.fetch_sub(1, Ordering::AcqRel);
-            waker.wake(CMD_TOKEN);
-        });
-        // Wake the reactor so attaches parked for this id resolve now.
-        self.waker.wake(CMD_TOKEN);
-        SessionHandle { id, rx: result_rx }
-    }
-
-    /// Registers `entry` under `id`, refusing to clobber a live session
-    /// (re-registering an id would orphan the running driver's routes).
-    /// Wakes the reactor so parked attaches for `id` resolve immediately.
-    fn register(
-        &self,
-        id: SessionId,
-        entry: &Arc<SessionEntry<M>>,
-        result_tx: &Sender<Result<Outcome, NetError>>,
-    ) -> bool {
-        let mut sessions = self.shared.sessions.lock().expect("sessions poisoned");
-        if sessions.contains_key(&id) {
-            let _ = result_tx.send(Err(NetError::SessionIdTaken { session: id }));
-            return false;
-        }
-        sessions.insert(id, Arc::clone(entry));
-        true
     }
 
     /// Hosts one `(scheduler, seed)` cell of `plan` under `id` — the
-    /// networked mirror of `plan.session_with(kind, seed)`.
+    /// networked mirror of `plan.session_with(kind, seed)`. The cell
+    /// travels with the session, so a store-backed sink records a
+    /// replayable header.
     pub fn host_plan<P>(
         &self,
         id: SessionId,
@@ -436,30 +307,6 @@ impl<M: Wire + Send + 'static> Service<M> {
         let plan = plan.clone();
         let meta = RunMeta::cell(id, kind.clone(), seed);
         self.host_with_meta(
-            id,
-            plan.processes(),
-            move || plan.open_session(&kind, seed),
-            meta,
-        )
-    }
-
-    /// [`Service::host_plan`] on the thread-per-session engine — the cell
-    /// metadata travels with the session either way, so a store-backed
-    /// sink records replayable headers under both drivers (the
-    /// differential replay suite leans on this).
-    pub fn host_plan_threaded<P>(
-        &self,
-        id: SessionId,
-        plan: &P,
-        kind: SchedulerKind,
-        seed: u64,
-    ) -> SessionHandle
-    where
-        P: SessionPlan<Msg = M>,
-    {
-        let plan = plan.clone();
-        let meta = RunMeta::cell(id, kind.clone(), seed);
-        self.host_threaded_with_meta(
             id,
             plan.processes(),
             move || plan.open_session(&kind, seed),
@@ -497,11 +344,7 @@ impl<M: Wire + Send + 'static> Service<M> {
 
     fn stop(&mut self) {
         if let Some(handle) = self.reactor.take() {
-            self.commands
-                .lock()
-                .expect("commands poisoned")
-                .push_back(Command::Drain);
-            self.waker.wake(CMD_TOKEN);
+            self.post(Command::Drain);
             let _ = handle.join();
         }
     }
@@ -516,26 +359,24 @@ impl<M: Wire + Send + 'static> Drop for Service<M> {
 /// Ships one drained envelope to its destination's relay, recording it in
 /// the flight accounting and — under an authenticated config — assigning
 /// a fresh sequence number and sealing the frame's MAC. A missing route
-/// or a dead connection is [`NetError::PeerVanished`] — the typed owner
-/// the failure-mode suites assert on.
+/// or a dead (or recycled) connection is [`NetError::PeerVanished`] — the
+/// typed owner the failure-mode suites assert on.
 pub(crate) fn ship<M: Wire>(
-    entry: &SessionEntry<M>,
+    routes: &[Option<Route>],
+    conns: &mut Conns,
     sid: SessionId,
     env: Envelope<M>,
     flight: &mut FlightState<M>,
 ) -> Result<(), NetError> {
     let dst = env.dst;
     flight.shipped(dst);
-    let route = entry
-        .routes
-        .lock()
-        .expect("routes poisoned")
-        .get(&dst)
-        .cloned()
-        .ok_or(NetError::PeerVanished {
-            session: sid,
-            player: dst,
-        })?;
+    let vanished = NetError::PeerVanished {
+        session: sid,
+        player: dst,
+    };
+    let Some(route) = routes.get(dst).copied().flatten() else {
+        return Err(vanished);
+    };
     let auth = flight.auth.as_mut().map(|a| {
         let seq = a.next_seq;
         a.next_seq += 1;
@@ -552,40 +393,25 @@ pub(crate) fn ship<M: Wire>(
     if let Some(a) = &flight.auth {
         frame.seal(&a.key);
     }
-    route
-        .send_frame(&frame)
-        .map_err(|_| NetError::PeerVanished {
-            session: sid,
-            player: dst,
-        })
+    conns.send(route, &frame).map_err(|_| vanished)
 }
 
 /// Sends `frame` once per distinct connection attached to the session (a
 /// relay may serve several players of one session over one conn).
-pub(crate) fn broadcast<M: Wire>(entry: &SessionEntry<M>, frame: &Frame<M>) {
-    let routes: Vec<Arc<ConnOut>> = entry
-        .routes
-        .lock()
-        .expect("routes poisoned")
-        .values()
-        .cloned()
-        .collect();
-    let mut announced: Vec<*const ConnOut> = Vec::new();
-    for route in routes {
-        let ptr = Arc::as_ptr(&route);
-        if announced.contains(&ptr) {
-            continue;
+pub(crate) fn broadcast<M: Wire>(routes: &[Option<Route>], conns: &mut Conns, frame: &Frame<M>) {
+    let mut announced: Vec<Route> = Vec::new();
+    for route in routes.iter().flatten() {
+        if !announced.contains(route) {
+            announced.push(*route);
+            let _ = conns.send(*route, frame);
         }
-        announced.push(ptr);
-        let _ = route.send_frame(frame);
     }
 }
 
 /// The pump's wire-side bookkeeping: the delivery buffer, the shipped-but-
 /// not-returned counts (total and per destination, kept in lockstep), and
 /// the vanished-relay ledger. One `absorb` is the single place an inbound
-/// event touches the accounting — the reactor state machine and the
-/// threaded pump both call it, so they cannot drift apart.
+/// event touches the accounting.
 pub(crate) struct FlightState<M> {
     pub(crate) held: VecDeque<Envelope<M>>,
     pub(crate) in_flight: u64,
@@ -594,8 +420,8 @@ pub(crate) struct FlightState<M> {
     /// Authenticated-channel state, present iff the config carries a key.
     pub(crate) auth: Option<AuthState>,
     /// First tampering violation observed (parse-layer `Tampered` events
-    /// and replay detection both land here); the driver turns it into
-    /// [`NetError::AuthFailure`] at its next check.
+    /// and replay detection both land here); the session machine turns it
+    /// into [`NetError::AuthFailure`] at its next check.
     pub(crate) violation: Option<(u64, TamperKind)>,
 }
 
@@ -668,7 +494,7 @@ impl<M> FlightState<M> {
                         self.held.push_back(Envelope { src, dst, msg });
                     }
                     // An unauthenticated Msg reaching an authenticated
-                    // driver: the parse layer rejects these, so this is
+                    // session: the parse layer rejects these, so this is
                     // defense in depth against a path drift.
                     (Some(_), None) => self.flag(conn, TamperKind::Downgrade),
                     // Plain channel. Decrement only for a frame that (a)
@@ -713,172 +539,6 @@ impl<M> FlightState<M> {
             .iter()
             .copied()
             .find(|&p| self.in_flight_by.get(p).copied().unwrap_or(0) > 0)
-    }
-}
-
-/// Finishes a networked session, handing the outcome to the configured
-/// sink first — the single recording site for the threaded driver, so a
-/// session cannot be recorded twice no matter which pump arm ended it.
-pub(crate) fn finish_recorded<M>(
-    session: Session<M>,
-    sink: Option<&Arc<dyn TraceSink>>,
-    meta: &RunMeta,
-) -> Outcome {
-    let outcome = session.finish();
-    if let Some(sink) = sink {
-        sink.record(meta, &outcome);
-    }
-    outcome
-}
-
-/// The thread-per-session engine ([`Service::host_threaded`]): barrier on
-/// attaches, then the ship / deliver / quiesce loop described in the
-/// module docs. The reactor's `SessionSm` mirrors this arm for arm — the
-/// differential suite pins the correspondence.
-fn pump<M: Wire + Send>(
-    sid: SessionId,
-    mut session: Session<M>,
-    entry: &SessionEntry<M>,
-    inbox: Receiver<Inbound<M>>,
-    cfg: &ServiceConfig,
-) -> Result<Outcome, NetError> {
-    let expected = entry.expected;
-    let mut flight: FlightState<M> = FlightState::new(expected, cfg.auth);
-    let (depth, mut rng) = match cfg.delivery {
-        DeliveryOrder::Arrival => (0usize, None),
-        DeliveryOrder::Shuffled { seed, depth } => (depth, Some(StdRng::seed_from_u64(seed ^ sid))),
-    };
-
-    // Attach barrier: every world process needs a relay before the first
-    // message leaves the plane.
-    let mut attached = vec![false; expected];
-    let mut nattached = 0usize;
-    let deadline = Instant::now() + cfg.attach_timeout;
-    while nattached < expected {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(NetError::AttachTimeout {
-                session: sid,
-                attached: nattached,
-                expected,
-            });
-        }
-        match inbox.recv_timeout(left) {
-            Ok(Inbound::Attached { player }) => {
-                if !attached[player] {
-                    attached[player] = true;
-                    nattached += 1;
-                }
-            }
-            Ok(Inbound::PeerGone { player }) => {
-                if attached[player] {
-                    attached[player] = false;
-                    nattached -= 1;
-                }
-            }
-            // Nothing has been shipped yet, so any early frame is a peer
-            // improvising; hold it — it will be delivered in order.
-            Ok(ev @ (Inbound::Msg { .. } | Inbound::Tampered { .. })) => {
-                flight.absorb(ev);
-                if let Some((conn, kind)) = flight.violation {
-                    return Err(NetError::AuthFailure {
-                        session: sid,
-                        conn,
-                        kind,
-                    });
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(NetError::AttachTimeout {
-                    session: sid,
-                    attached: nattached,
-                    expected,
-                });
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(NetError::ServiceGone),
-        }
-    }
-
-    loop {
-        // 0. A tampering verdict (parse-layer event or replay detection)
-        //    aborts the session with its typed owner before anything else.
-        if let Some((conn, kind)) = flight.violation {
-            return Err(NetError::AuthFailure {
-                session: sid,
-                conn,
-                kind,
-            });
-        }
-        // 1. Ship every freshly-sent message onto its network leg.
-        for env in session.drain_outbox() {
-            ship(entry, sid, env, &mut flight)?;
-        }
-        // 2. Dispatch local events (start signals stay on the plane).
-        if !session.pending().is_empty() {
-            if session.step().is_done() {
-                // Mid-run Done can only be the budget guard: termination
-                // with events pending is BudgetExhausted by construction.
-                return Ok(finish_recorded(session, cfg.sink.as_ref(), &entry.meta));
-            }
-            continue;
-        }
-        // 3. Absorb everything the network has already handed back.
-        loop {
-            match inbox.try_recv() {
-                Ok(inbound) => flight.absorb(inbound),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Err(NetError::ServiceGone),
-            }
-        }
-        if let Some((conn, kind)) = flight.violation {
-            return Err(NetError::AuthFailure {
-                session: sid,
-                conn,
-                kind,
-            });
-        }
-        // 4. Deliver one held frame — immediately under Arrival order,
-        //    through the shuffle buffer otherwise (force-drained once
-        //    nothing is left in flight, so the policy is always live).
-        if !flight.held.is_empty() && (flight.held.len() > depth || flight.in_flight == 0) {
-            let env = flight.release(rng.as_mut());
-            if session.inject(env.src, env.dst, env.msg).progressed() && session.step().is_done() {
-                // Budget guard mid-delivery.
-                return Ok(finish_recorded(session, cfg.sink.as_ref(), &entry.meta));
-            }
-            continue;
-        }
-        // 5. Quiescence: plane drained, buffer empty, wire empty — the
-        //    session's own verdict is now trustworthy.
-        if flight.in_flight == 0 {
-            debug_assert!(flight.held.is_empty());
-            return match session.step() {
-                SessionStatus::Done(_) => {
-                    Ok(finish_recorded(session, cfg.sink.as_ref(), &entry.meta))
-                }
-                SessionStatus::Running => unreachable!("empty plane must terminate"),
-            };
-        }
-        // 6. Traffic is in flight. A vanished relay is fatal only if its
-        //    player still owes us frames (otherwise a replacement may yet
-        //    attach, and sends to it will fail loudly at `ship`).
-        if let Some(player) = flight.fatal_gone() {
-            return Err(NetError::PeerVanished {
-                session: sid,
-                player,
-            });
-        }
-        // 7. Block for the network.
-        match inbox.recv_timeout(cfg.idle_timeout) {
-            Ok(inbound) => flight.absorb(inbound),
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(NetError::IdleTimeout {
-                    session: sid,
-                    in_flight: flight.in_flight,
-                });
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(NetError::ServiceGone),
-        }
     }
 }
 

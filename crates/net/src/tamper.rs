@@ -385,15 +385,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Which service driver hosts the paired sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverMode {
-    /// The reactor event loop (`Service::host`).
-    Reactor,
-    /// The PR 5 thread-per-session engine (`Service::host_threaded`).
-    Threaded,
-}
-
 /// The session id [`run_tampered_pair`] tampers with.
 pub const TARGET_SID: SessionId = 1;
 /// The honest session multiplexed on the same hostile connection.
@@ -416,12 +407,11 @@ pub struct TamperedPair {
 /// [`TARGET_SID`] and [`HONEST_SID`]) hosted on one service, every player
 /// of both relayed over **one** [`tamper_relay`] connection that attacks
 /// only the target. The contrast between `target` and `honest` fates —
-/// across transports, drivers, and `cfg.auth` — is the paired conformance
-/// suite's entire subject.
+/// across transports and `cfg.auth` — is the paired conformance suite's
+/// entire subject.
 pub fn run_tampered_pair<P>(
     plan: &P,
     transport: TransportKind,
-    driver: DriverMode,
     cfg: ServiceConfig,
     tamper: TamperPlan,
     kind: SchedulerKind,
@@ -440,11 +430,7 @@ where
     let host = |service: &Service<P::Msg>, sid: SessionId| {
         let plan = plan.clone();
         let k = kind.clone();
-        let open = move || plan.open_session(&k, seed);
-        match driver {
-            DriverMode::Reactor => service.host(sid, n, open),
-            DriverMode::Threaded => service.host_threaded(sid, n, open),
-        }
+        service.host(sid, n, move || plan.open_session(&k, seed))
     };
 
     match transport {

@@ -1,16 +1,15 @@
-//! Differential suite: the reactor driver against the PR 5 threaded
-//! engine, which survives as [`Service::host_threaded`] precisely so this
-//! file can exist.
+//! Differential suite: hosted sessions against literal expectations.
 //!
-//! Both drivers execute the same ship → step → deliver → quiesce pump
-//! contract; what differs is everything around it (blocking receives vs
-//! readiness events, `recv_timeout` vs timer heap, reader threads vs
-//! buffered incremental parsing). The suite pins the observable contract:
-//! **outcome-kind agreement** with in-process runs and with each other,
-//! and **identical typed failure owners** (`AttachTimeout`,
-//! `PeerVanished`, `Rejected`) on both the in-memory and TCP transports.
-//! A slow-loris test closes the file: a peer dribbling one byte at a time
-//! must stall nobody but itself.
+//! A networked run is held to two references. Outcomes must agree in
+//! *kind* with the in-process `plan.run_with(..)` — same termination,
+//! same resolved profile — over both transports. And every abnormal end
+//! must carry its exact typed owner: `AttachTimeout`, `PeerVanished`,
+//! both `Rejected` reasons, and `AuthFailure { BadMac }`, each asserted
+//! against a literal value with the relays' own view (`Aborted`,
+//! `Rejected`) checked alongside. A slow-loris test closes the file: a
+//! peer dribbling one byte at a time must stall nobody but itself. (The
+//! byte-level reference — a recorded run replayed in-process to an
+//! identical trace — lives in `crates/store/tests/replay.rs`.)
 
 use mediator_circuits::catalog;
 use mediator_core::cheap_talk::CtMsg;
@@ -32,30 +31,17 @@ fn majority_plan(n: usize) -> CheapTalkPlan {
         .expect("n = 5 > 4k+4t = 4")
 }
 
-#[derive(Clone, Copy, Debug)]
-enum DriverKind {
-    Reactor,
-    Threaded,
-}
-
-const BOTH: [DriverKind; 2] = [DriverKind::Reactor, DriverKind::Threaded];
-
-/// Hosts one plan cell through the chosen driver — the only line where
-/// the two paths diverge; everything asserted afterwards must not.
-fn host_with(
+/// Hosts one plan cell through the closure entry (`Service::host`), so
+/// the suite covers it next to the `host_plan` path the other suites use.
+fn host(
     service: &Service<CtMsg>,
-    driver: DriverKind,
     id: u64,
     plan: &CheapTalkPlan,
     kind: SchedulerKind,
     seed: u64,
 ) -> SessionHandle {
     let plan = plan.clone();
-    let open = move || plan.open_session(&kind, seed);
-    match driver {
-        DriverKind::Reactor => service.host(id, 5, open),
-        DriverKind::Threaded => service.host_threaded(id, 5, open),
-    }
+    service.host(id, 5, move || plan.open_session(&kind, seed))
 }
 
 fn assert_outcome_parity(local: &Outcome, networked: &Outcome, players: usize, label: &str) {
@@ -82,38 +68,18 @@ fn quick_cfg() -> ServiceConfig {
 }
 
 #[test]
-fn drivers_agree_with_in_process_outcomes_over_mem() {
+fn concurrent_sessions_agree_with_in_process_outcomes_over_mem() {
     let n = 5;
     let plan = majority_plan(n);
     let hub = MemTransport::new();
     let service = Service::start(Box::new(hub.listener()));
 
-    // Interleave both drivers on the same service, same seeds: sessions
-    // 0..3 on the reactor, 100..103 on pump threads, all live at once.
+    // Six sessions live at once on the one reactor, two per seed.
     let mut handles = Vec::new();
     for seed in 0..3u64 {
-        handles.push((
-            seed,
-            host_with(
-                &service,
-                DriverKind::Reactor,
-                seed,
-                &plan,
-                SchedulerKind::Random,
-                seed,
-            ),
-        ));
-        handles.push((
-            seed,
-            host_with(
-                &service,
-                DriverKind::Threaded,
-                100 + seed,
-                &plan,
-                SchedulerKind::Random,
-                seed,
-            ),
-        ));
+        for id in [seed, 100 + seed] {
+            handles.push((seed, host(&service, id, &plan, SchedulerKind::Random, seed)));
+        }
     }
     let relays: Vec<_> = handles
         .iter()
@@ -141,29 +107,15 @@ fn drivers_agree_with_in_process_outcomes_over_mem() {
 }
 
 #[test]
-fn drivers_agree_with_in_process_outcomes_over_tcp() {
+fn concurrent_sessions_agree_with_in_process_outcomes_over_tcp() {
     let n = 5;
     let plan = majority_plan(n);
     let transport = TcpTransport::bind_loopback().expect("bind");
     let addr = transport.addr();
     let service = Service::start(Box::new(transport));
 
-    let reactor = host_with(
-        &service,
-        DriverKind::Reactor,
-        1,
-        &plan,
-        SchedulerKind::Fifo,
-        0,
-    );
-    let threaded = host_with(
-        &service,
-        DriverKind::Threaded,
-        2,
-        &plan,
-        SchedulerKind::Fifo,
-        0,
-    );
+    let first = host(&service, 1, &plan, SchedulerKind::Fifo, 0);
+    let second = host(&service, 2, &plan, SchedulerKind::Fifo, 0);
     let relays: Vec<_> = [1u64, 2]
         .into_iter()
         .flat_map(|sid| (0..n).map(move |player| (sid, player)))
@@ -177,7 +129,7 @@ fn drivers_agree_with_in_process_outcomes_over_tcp() {
         .collect();
 
     let local = plan.run_with(&SchedulerKind::Fifo, 0);
-    for (label, handle) in [("reactor/tcp", reactor), ("threaded/tcp", threaded)] {
+    for (label, handle) in [("tcp session 1", first), ("tcp session 2", second)] {
         let outcome = handle.outcome().expect("networked run completes");
         assert_outcome_parity(&local, &outcome, n, label);
     }
@@ -188,98 +140,86 @@ fn drivers_agree_with_in_process_outcomes_over_tcp() {
 }
 
 #[test]
-fn attach_timeout_owner_is_identical_across_drivers() {
+fn attach_timeout_names_how_many_attached() {
     let plan = majority_plan(5);
-    for driver in BOTH {
-        let hub = MemTransport::new();
-        let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
-        let handle = host_with(&service, driver, 8, &plan, SchedulerKind::Fifo, 0);
+    let hub = MemTransport::new();
+    let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
+    let handle = host(&service, 8, &plan, SchedulerKind::Fifo, 0);
 
-        // Exactly one of five players attaches: the barrier must fail
-        // with the same typed owner under either driver, and the attached
-        // relay must learn via Abort, not a hang.
-        let mut lone = plan.connect_mem(&hub);
-        lone.attach(8, 2).expect("attach");
-        assert_eq!(
-            handle.outcome().expect_err("attach barrier must time out"),
-            NetError::AttachTimeout {
-                session: 8,
-                attached: 1,
-                expected: 5
-            },
-            "{driver:?}"
-        );
-        assert_eq!(
-            lone.relay(),
-            Err(NetError::Aborted { session: 8 }),
-            "{driver:?}"
-        );
-        service.shutdown();
-    }
+    // Exactly one of five players attaches: the barrier must fail with
+    // its typed owner, and the attached relay must learn via Abort, not
+    // a hang.
+    let mut lone = plan.connect_mem(&hub);
+    lone.attach(8, 2).expect("attach");
+    assert_eq!(
+        handle.outcome().expect_err("attach barrier must time out"),
+        NetError::AttachTimeout {
+            session: 8,
+            attached: 1,
+            expected: 5
+        }
+    );
+    assert_eq!(lone.relay(), Err(NetError::Aborted { session: 8 }));
+    service.shutdown();
 }
 
 #[test]
-fn vanishing_relay_owner_is_identical_across_drivers() {
+fn vanishing_relay_names_the_player_that_owes_frames() {
     let plan = majority_plan(5);
-    for driver in BOTH {
-        let hub = MemTransport::new();
-        let service = Service::with_config(
-            Box::new(hub.listener()),
-            ServiceConfig {
-                idle_timeout: Duration::from_secs(20),
-                ..quick_cfg()
-            },
-        );
-        let handle = host_with(&service, driver, 3, &plan, SchedulerKind::Random, 2);
+    let hub = MemTransport::new();
+    let service = Service::with_config(
+        Box::new(hub.listener()),
+        ServiceConfig {
+            idle_timeout: Duration::from_secs(20),
+            ..quick_cfg()
+        },
+    );
+    let handle = host(&service, 3, &plan, SchedulerKind::Random, 2);
 
-        let relays: Vec<_> = (1..5)
-            .map(|player| {
-                let mut client = plan.connect_mem(&hub);
-                std::thread::spawn(move || {
-                    client.attach(3, player).expect("attach");
-                    client.relay()
-                })
+    let relays: Vec<_> = (1..5)
+        .map(|player| {
+            let mut client = plan.connect_mem(&hub);
+            std::thread::spawn(move || {
+                client.attach(3, player).expect("attach");
+                client.relay()
             })
-            .collect();
-        // Player 0's relay swallows one message and dies: that frame is
-        // in flight forever, so the driver must name the culprit.
-        let mut defector = plan.connect_mem(&hub);
-        defector.attach(3, 0).expect("attach");
-        loop {
-            match defector.recv().expect("a frame for player 0") {
-                Frame::Msg { .. } => break,
-                _ => continue,
-            }
+        })
+        .collect();
+    // Player 0's relay swallows one message and dies: that frame is in
+    // flight forever, so the session must name the culprit.
+    let mut defector = plan.connect_mem(&hub);
+    defector.attach(3, 0).expect("attach");
+    loop {
+        match defector.recv().expect("a frame for player 0") {
+            Frame::Msg { .. } => break,
+            _ => continue,
         }
-        drop(defector);
-
-        assert_eq!(
-            handle.outcome().expect_err("a vanished relay is fatal"),
-            NetError::PeerVanished {
-                session: 3,
-                player: 0
-            },
-            "{driver:?}"
-        );
-        for relay in relays {
-            assert_eq!(
-                relay.join().expect("relay thread"),
-                Err(NetError::Aborted { session: 3 }),
-                "{driver:?}"
-            );
-        }
-        service.shutdown();
     }
+    drop(defector);
+
+    assert_eq!(
+        handle.outcome().expect_err("a vanished relay is fatal"),
+        NetError::PeerVanished {
+            session: 3,
+            player: 0
+        }
+    );
+    for relay in relays {
+        assert_eq!(
+            relay.join().expect("relay thread"),
+            Err(NetError::Aborted { session: 3 })
+        );
+    }
+    service.shutdown();
 }
 
 #[test]
 fn slow_loris_partial_frames_stall_nobody() {
     // A peer dribbling an Attach frame one byte at a time across the
     // whole run: with per-connection incremental parsing the partial
-    // frame just sits in that connection's read buffer. Before the
-    // reactor, a reader *thread* blocked mid-frame was harmless but a
-    // slot wasted; in a shared event loop this test is load-bearing —
-    // one stalled peer must not stall the loop.
+    // frame just sits in that connection's read buffer. In a shared
+    // event loop this test is load-bearing — one stalled peer must not
+    // stall the loop.
     let n = 5;
     let plan = majority_plan(n);
     let transport = TcpTransport::bind_loopback().expect("bind");
@@ -334,104 +274,75 @@ fn slow_loris_partial_frames_stall_nobody() {
 }
 
 #[test]
-fn rejection_reasons_are_identical_across_drivers() {
+fn rejection_reasons_are_typed_and_leave_the_session_live() {
     let plan = majority_plan(5);
-    for driver in BOTH {
-        let hub = MemTransport::new();
-        let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
-        let handle = host_with(&service, driver, 7, &plan, SchedulerKind::Fifo, 0);
+    let hub = MemTransport::new();
+    let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
+    let handle = host(&service, 7, &plan, SchedulerKind::Fifo, 0);
 
-        let mut first = plan.connect_mem(&hub);
-        first.attach(7, 0).expect("attach");
-        let mut second = plan.connect_mem(&hub);
-        second.attach(7, 0).expect("attach");
-        assert_eq!(
-            second.relay(),
-            Err(NetError::Rejected {
-                session: 7,
-                reason: RejectReason::PlayerTaken
-            }),
-            "{driver:?}"
-        );
-        let mut ninth = plan.connect_mem(&hub);
-        ninth.attach(7, 9).expect("attach");
-        assert_eq!(
-            ninth.relay(),
-            Err(NetError::Rejected {
-                session: 7,
-                reason: RejectReason::PlayerOutOfRange
-            }),
-            "{driver:?}"
-        );
-        assert_eq!(
-            handle.outcome().expect_err("barrier times out"),
-            NetError::AttachTimeout {
-                session: 7,
-                attached: 1,
-                expected: 5
-            },
-            "{driver:?}"
-        );
-        assert_eq!(
-            first.relay(),
-            Err(NetError::Aborted { session: 7 }),
-            "{driver:?}"
-        );
-        service.shutdown();
-    }
+    let mut first = plan.connect_mem(&hub);
+    first.attach(7, 0).expect("attach");
+    let mut second = plan.connect_mem(&hub);
+    second.attach(7, 0).expect("attach");
+    assert_eq!(
+        second.relay(),
+        Err(NetError::Rejected {
+            session: 7,
+            reason: RejectReason::PlayerTaken
+        })
+    );
+    let mut ninth = plan.connect_mem(&hub);
+    ninth.attach(7, 9).expect("attach");
+    assert_eq!(
+        ninth.relay(),
+        Err(NetError::Rejected {
+            session: 7,
+            reason: RejectReason::PlayerOutOfRange
+        })
+    );
+    assert_eq!(
+        handle.outcome().expect_err("barrier times out"),
+        NetError::AttachTimeout {
+            session: 7,
+            attached: 1,
+            expected: 5
+        }
+    );
+    assert_eq!(first.relay(), Err(NetError::Aborted { session: 7 }));
+    service.shutdown();
 }
 
-// ---------------------------------------------------------------------------
-// PR 7: the new typed owner — both drivers must report tampering
-// identically
-// ---------------------------------------------------------------------------
-
 #[test]
-fn drivers_agree_on_the_auth_failure_owner() {
-    // The same rewriting relay against the same authenticated config, once
-    // per driver: MAC verification lives in the reactor's single parse
-    // site and freshness in the shared flight state precisely so the two
-    // drivers *cannot* disagree on the verdict. Pin it anyway.
+fn a_rewriting_relay_is_owned_by_auth_failure_bad_mac() {
+    // MAC verification lives in the reactor's single parse site and
+    // freshness in the session's flight state; a relay rewriting opening
+    // values against an authenticated config must end the target with
+    // exactly this typed verdict and leave its neighbor alone.
     use mediator_core::adversary::{Window, OPEN_LIE_OFFSET};
     use mediator_net::tamper::{
-        run_tampered_pair, DriverMode, TamperPlan, TransportKind, WireTactic, TARGET_SID,
+        run_tampered_pair, TamperPlan, TransportKind, WireTactic, TARGET_SID,
     };
     use mediator_net::{AuthKey, TamperKind};
 
     let plan = majority_plan(5);
-    let cfg = ServiceConfig {
-        auth: None,
-        ..quick_cfg()
-    }
-    .with_auth(AuthKey::from_seed(7));
-    let mut verdicts: Vec<(u64, TamperKind)> = Vec::new();
-    for driver in [DriverMode::Reactor, DriverMode::Threaded] {
-        let pair = run_tampered_pair(
-            &plan,
-            TransportKind::Mem,
-            driver,
-            cfg.clone(),
-            TamperPlan::against(TARGET_SID).tactic(
-                Window::all(),
-                WireTactic::Rewrite {
-                    offset: OPEN_LIE_OFFSET,
-                },
-            ),
-            SchedulerKind::Fifo,
-            0,
-        );
-        match pair.target {
-            Err(NetError::AuthFailure { session, kind, .. }) => verdicts.push((session, kind)),
-            other => panic!("{driver:?}: expected AuthFailure, got {other:?}"),
-        }
-        assert!(
-            pair.honest.is_ok(),
-            "{driver:?}: honest neighbor unaffected"
-        );
-    }
-    assert_eq!(
-        verdicts[0], verdicts[1],
-        "reactor and threaded drivers report the same typed verdict"
+    let pair = run_tampered_pair(
+        &plan,
+        TransportKind::Mem,
+        quick_cfg().with_auth(AuthKey::from_seed(7)),
+        TamperPlan::against(TARGET_SID).tactic(
+            Window::all(),
+            WireTactic::Rewrite {
+                offset: OPEN_LIE_OFFSET,
+            },
+        ),
+        SchedulerKind::Fifo,
+        0,
     );
-    assert_eq!(verdicts[0], (TARGET_SID, TamperKind::BadMac));
+    match pair.target {
+        Err(NetError::AuthFailure { session, kind, .. }) => {
+            assert_eq!((session, kind), (TARGET_SID, TamperKind::BadMac))
+        }
+        other => panic!("expected AuthFailure, got {other:?}"),
+    }
+    assert!(pair.honest.is_ok(), "honest neighbor unaffected");
 }

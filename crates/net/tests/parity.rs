@@ -18,7 +18,8 @@ use mediator_net::{
     run_over_mem, Client, DeliveryOrder, Frame, MemTransport, NetError, NetPlan, RejectReason,
     Service, ServiceConfig,
 };
-use mediator_sim::{Outcome, SchedulerKind, TerminationKind};
+use mediator_sim::{Ctx, Outcome, Process, SchedulerKind, Session, TerminationKind, World};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn majority_plan(n: usize) -> CheapTalkPlan {
@@ -354,6 +355,93 @@ fn duplicate_session_id_is_refused_without_clobbering_the_live_one() {
     );
     assert_eq!(relay.relay(), Err(NetError::Aborted { session: 11 }));
     service.shutdown();
+}
+
+/// A one-process world that moves and halts on its start signal: hosted
+/// with `processes = 1` it runs to its outcome the moment its single relay
+/// attaches, with no message ever crossing the wire.
+fn solo_session() -> Session<CtMsg> {
+    struct Solo;
+    impl Process<CtMsg> for Solo {
+        fn on_start(&mut self, ctx: &mut Ctx<CtMsg>) {
+            ctx.make_move(1);
+            ctx.halt();
+        }
+        fn on_message(&mut self, _src: usize, _msg: CtMsg, _ctx: &mut Ctx<CtMsg>) {}
+    }
+    let world = World::new(vec![Box::new(Solo) as Box<dyn Process<CtMsg>>], 0);
+    Session::new(world, SchedulerKind::Fifo.build(), 1_000)
+}
+
+#[test]
+fn an_attach_sent_after_host_returns_always_finds_the_session() {
+    // The ordering `host` promises: once it has returned, the session is
+    // there for any frame sent afterwards. With no grace window to hide
+    // behind, an attach that lost a race with its own `Host` command
+    // would be answered `Reject { UnknownSession }` at once.
+    let hub = MemTransport::new();
+    let service = Service::<CtMsg>::with_config(
+        Box::new(hub.listener()),
+        ServiceConfig {
+            attach_grace: Duration::ZERO,
+            ..quick_cfg()
+        },
+    );
+    // One connection for every session, and a dead-on-arrival frame ahead
+    // of each `host`, so the reactor is as likely as it can be made to be
+    // in the middle of a wake-up — already past its command drain,
+    // reading this very connection — when the command and attach land.
+    let mut client = Client::<CtMsg>::mem(&hub);
+    for id in 0..300u64 {
+        client.send(&Frame::Abort { session: id }).expect("noise");
+        let handle = service.host(id, 1, solo_session);
+        client.attach(id, 0).expect("send attach");
+        match client.recv().expect("an answer to the attach") {
+            Frame::Outcome { session, .. } => assert_eq!(session, id),
+            other => panic!("session {id}: attach answered with {other:?}"),
+        }
+        let outcome = handle.outcome().expect("solo session completes");
+        assert_eq!(outcome.termination, TerminationKind::Quiescent);
+    }
+    service.shutdown();
+}
+
+#[test]
+fn a_dead_reactor_answers_every_host_with_service_gone() {
+    // `open` runs on the reactor thread, so a panicking `open` kills the
+    // reactor. Commands queued behind it, and every command posted later,
+    // must resolve to `ServiceGone` — not wait on a queue nobody drains.
+    let hub = MemTransport::new();
+    let service = Service::<CtMsg>::with_config(Box::new(hub.listener()), quick_cfg());
+    let doomed = service.host(1, 5, || panic!("open() failed on the reactor thread"));
+    let queued = service.host(2, 1, solo_session);
+    assert_eq!(
+        doomed.outcome().expect_err("the reactor died opening it"),
+        NetError::ServiceGone
+    );
+    let late = service.host(3, 1, solo_session);
+
+    // Bounded waits: before the command queue became a channel the
+    // reactor owns, the first of these blocked forever.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(Some(queued.outcome().expect_err("queued behind the panic")));
+        let _ = tx.send(Some(late.outcome().expect_err("posted to a dead reactor")));
+        service.shutdown();
+        let _ = tx.send(None);
+    });
+    let wait = Duration::from_secs(5);
+    assert_eq!(
+        rx.recv_timeout(wait),
+        Ok(Some(NetError::ServiceGone)),
+        "queued"
+    );
+    assert_eq!(
+        rx.recv_timeout(wait),
+        Ok(Some(NetError::ServiceGone)),
+        "late"
+    );
+    assert_eq!(rx.recv_timeout(wait), Ok(None), "shutdown returns");
 }
 
 #[test]

@@ -20,8 +20,8 @@ use mediator_core::{
 use mediator_field::Fp;
 use mediator_games::library;
 use mediator_net::{
-    Client, DriverMode, MemTransport, RunMeta, Service, ServiceConfig, ShardConfig, ShardedSweep,
-    TraceSink, TransportKind,
+    Client, MemTransport, RunMeta, Service, ServiceConfig, ShardConfig, ShardedSweep, TraceSink,
+    TransportKind,
 };
 use mediator_sim::{Outcome, SchedulerKind};
 
@@ -219,13 +219,13 @@ fn one_worker_shard_degenerates_to_local() {
 }
 
 #[test]
-fn witness_cell_reenacts_identically_under_both_service_drivers() {
+fn witness_cell_reenacts_identically_as_a_networked_session() {
     // The §6.4 witness profile is schedule-invariant (the coalition
     // deadlocks, the mediator times out, everyone resolves to the ⊥
     // punishment), so hosting the witness cell as a *networked session* —
-    // where the wire is the scheduler — must resolve to the same profile
-    // under both service drivers. This ties the sharded verdict's witness
-    // back to the PR 6/7 runtime it will be replayed on.
+    // where the wire is the scheduler — must resolve to the profile the
+    // sweep recorded. This ties the sharded verdict's witness back to the
+    // service runtime it will be replayed on.
     let (plan, game, types, conf) = sec64_naive_mediator();
     let report = plan.conformance(&game, &types, &conf);
     let w = report.witness().expect("§6.4 must violate").clone();
@@ -233,37 +233,29 @@ fn witness_cell_reenacts_identically_under_both_service_drivers() {
     let deviant = sweep_unit_plan(&plan, &units[w.unit], &conf)
         .expect("the witness unit names a generated strategy");
     let n = deviant.processes();
-    let mut profiles = Vec::new();
-    for driver in [DriverMode::Reactor, DriverMode::Threaded] {
-        let hub = MemTransport::new();
-        let service = Service::with_config(Box::new(hub.listener()), ServiceConfig::default());
-        let sid = 1;
-        let open = {
-            let deviant = deviant.clone();
-            let kind = w.kind.clone();
-            let seed = w.seed;
-            move || deviant.open_session(&kind, seed)
-        };
-        let handle = match driver {
-            DriverMode::Reactor => service.host(sid, n, open),
-            DriverMode::Threaded => service.host_threaded(sid, n, open),
-        };
-        let outcome = std::thread::scope(|s| {
-            for player in 0..n {
-                let mut client: Client<<MediatorPlan as SessionPlan>::Msg> = Client::mem(&hub);
-                s.spawn(move || {
-                    client.attach(sid, player).expect("attach");
-                    let _ = client.relay();
-                });
-            }
-            handle.outcome().expect("witness session completes")
-        });
-        service.shutdown();
-        profiles.push(deviant.resolve_mode().profile(&outcome, deviant.players()));
-    }
-    assert_eq!(profiles[0], profiles[1], "reactor vs threaded");
+    let hub = MemTransport::new();
+    let service = Service::with_config(Box::new(hub.listener()), ServiceConfig::default());
+    let sid = 1;
+    let handle = {
+        let deviant = deviant.clone();
+        let kind = w.kind.clone();
+        let seed = w.seed;
+        service.host(sid, n, move || deviant.open_session(&kind, seed))
+    };
+    let outcome = std::thread::scope(|s| {
+        for player in 0..n {
+            let mut client: Client<<MediatorPlan as SessionPlan>::Msg> = Client::mem(&hub);
+            s.spawn(move || {
+                client.attach(sid, player).expect("attach");
+                let _ = client.relay();
+            });
+        }
+        handle.outcome().expect("witness session completes")
+    });
+    service.shutdown();
     assert_eq!(
-        profiles[0], w.deviant_profile,
+        deviant.resolve_mode().profile(&outcome, deviant.players()),
+        w.deviant_profile,
         "networked re-enactment matches the sweep's recorded witness"
     );
 }

@@ -22,8 +22,7 @@ use mediator_core::adversary::{Window, OPEN_LIE_OFFSET};
 use mediator_core::scenario::{CheapTalkPlan, Scenario};
 use mediator_field::Fp;
 use mediator_net::tamper::{
-    run_tampered_pair, DriverMode, TamperPlan, TamperedPair, TransportKind, WireTactic, HONEST_SID,
-    TARGET_SID,
+    run_tampered_pair, TamperPlan, TamperedPair, TransportKind, WireTactic, HONEST_SID, TARGET_SID,
 };
 use mediator_net::{AuthKey, DeliveryOrder, NetError, RejectReason, ServiceConfig, TamperKind};
 use mediator_sim::{Outcome, SchedulerKind, TerminationKind};
@@ -53,16 +52,10 @@ fn cfg(auth: bool) -> ServiceConfig {
     }
 }
 
-fn run(
-    transport: TransportKind,
-    driver: DriverMode,
-    auth: bool,
-    tamper: TamperPlan,
-) -> TamperedPair {
+fn run(transport: TransportKind, auth: bool, tamper: TamperPlan) -> TamperedPair {
     run_tampered_pair(
         &majority_plan(5),
         transport,
-        driver,
         cfg(auth),
         tamper,
         SchedulerKind::Fifo,
@@ -118,8 +111,8 @@ fn assert_detected(pair: &TamperedPair, expect: TamperKind, label: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Tactic 1 — rewrite: the canonical private-channel violation. The full
-// transport × driver matrix, paired.
+// Tactic 1 — rewrite: the canonical private-channel violation. Both
+// transports, paired.
 // ---------------------------------------------------------------------------
 
 fn rewrite_plan() -> TamperPlan {
@@ -133,19 +126,14 @@ fn rewrite_plan() -> TamperPlan {
 
 #[test]
 fn rewriting_relay_flips_cheap_talk_outcomes_on_plain_channels() {
-    // Unauthenticated, every transport × driver cell: the relay corrupts
-    // opening values in flight and the session *completes normally* with
+    // Unauthenticated, on both transports: the relay corrupts opening
+    // values in flight and the session *completes normally* with
     // a wrong action profile — the worst failure mode (silent corruption),
     // and exactly what the paper's channel assumption exists to exclude.
     let base = baseline();
-    for (transport, driver) in [
-        (TransportKind::Mem, DriverMode::Reactor),
-        (TransportKind::Mem, DriverMode::Threaded),
-        (TransportKind::Tcp, DriverMode::Reactor),
-        (TransportKind::Tcp, DriverMode::Threaded),
-    ] {
-        let label = format!("rewrite plain {transport:?}/{driver:?}");
-        let pair = run(transport, driver, false, rewrite_plan());
+    for transport in [TransportKind::Mem, TransportKind::Tcp] {
+        let label = format!("rewrite plain {transport:?}");
+        let pair = run(transport, false, rewrite_plan());
         let target = pair
             .target
             .as_ref()
@@ -167,17 +155,12 @@ fn rewriting_relay_flips_cheap_talk_outcomes_on_plain_channels() {
 
 #[test]
 fn rewriting_relay_is_detected_and_neutralized_under_auth() {
-    // Authenticated, the same matrix: every rewritten frame fails its MAC,
+    // Authenticated, the same two cells: every rewritten frame fails its MAC,
     // the target aborts with the typed owner, the honest neighbor on the
     // same connection never notices.
-    for (transport, driver) in [
-        (TransportKind::Mem, DriverMode::Reactor),
-        (TransportKind::Mem, DriverMode::Threaded),
-        (TransportKind::Tcp, DriverMode::Reactor),
-        (TransportKind::Tcp, DriverMode::Threaded),
-    ] {
-        let label = format!("rewrite auth {transport:?}/{driver:?}");
-        let pair = run(transport, driver, true, rewrite_plan());
+    for transport in [TransportKind::Mem, TransportKind::Tcp] {
+        let label = format!("rewrite auth {transport:?}");
+        let pair = run(transport, true, rewrite_plan());
         assert_detected(&pair, TamperKind::BadMac, &label);
         let report = pair.relay.as_ref().expect("relay completes");
         assert!(
@@ -202,12 +185,7 @@ fn redirect_plan() -> TamperPlan {
 
 #[test]
 fn redirecting_relay_deadlocks_plain_and_fails_the_mac_authenticated() {
-    let pair = run(
-        TransportKind::Mem,
-        DriverMode::Reactor,
-        false,
-        redirect_plan(),
-    );
+    let pair = run(TransportKind::Mem, false, redirect_plan());
     let target = pair.target.as_ref().expect("plain run terminates");
     assert_eq!(
         target.termination,
@@ -216,13 +194,8 @@ fn redirecting_relay_deadlocks_plain_and_fails_the_mac_authenticated() {
     );
     assert_honest_untouched(&pair, "redirect plain");
 
-    let pair = run(
-        TransportKind::Tcp,
-        DriverMode::Threaded,
-        true,
-        redirect_plan(),
-    );
-    assert_detected(&pair, TamperKind::BadMac, "redirect auth tcp/threaded");
+    let pair = run(TransportKind::Tcp, true, redirect_plan());
+    assert_detected(&pair, TamperKind::BadMac, "redirect auth tcp");
 }
 
 // ---------------------------------------------------------------------------
@@ -239,12 +212,7 @@ fn splice_plan() -> TamperPlan {
 
 #[test]
 fn replay_splice_substitutes_messages_plain_and_is_caught_by_freshness() {
-    let pair = run(
-        TransportKind::Mem,
-        DriverMode::Reactor,
-        false,
-        splice_plan(),
-    );
+    let pair = run(TransportKind::Mem, false, splice_plan());
     let target = pair.target.as_ref().expect("plain run terminates");
     assert_eq!(
         target.termination,
@@ -253,13 +221,8 @@ fn replay_splice_substitutes_messages_plain_and_is_caught_by_freshness() {
     );
     assert_honest_untouched(&pair, "splice plain");
 
-    let pair = run(
-        TransportKind::Mem,
-        DriverMode::Threaded,
-        true,
-        splice_plan(),
-    );
-    assert_detected(&pair, TamperKind::Replayed, "splice auth mem/threaded");
+    let pair = run(TransportKind::Mem, true, splice_plan());
+    assert_detected(&pair, TamperKind::Replayed, "splice auth mem");
 }
 
 // ---------------------------------------------------------------------------
@@ -277,12 +240,7 @@ fn truncation_kills_the_connection_plain_but_only_the_session_authenticated() {
     // Plain (over TCP): the mangled frame is indistinguishable from
     // stream corruption — the service drops the connection, and *both*
     // sessions on it die with PeerVanished. Collateral damage.
-    let pair = run(
-        TransportKind::Tcp,
-        DriverMode::Reactor,
-        false,
-        truncate_plan(),
-    );
+    let pair = run(TransportKind::Tcp, false, truncate_plan());
     assert!(
         matches!(pair.target, Err(NetError::PeerVanished { session, .. }) if session == TARGET_SID),
         "plain truncation: target dies of connection loss, got {:?}",
@@ -296,13 +254,8 @@ fn truncation_kills_the_connection_plain_but_only_the_session_authenticated() {
 
     // Authenticated: the frame still names its session in the clear, so
     // the service can scope the verdict — target aborts, honest lives.
-    let pair = run(
-        TransportKind::Tcp,
-        DriverMode::Reactor,
-        true,
-        truncate_plan(),
-    );
-    assert_detected(&pair, TamperKind::Truncated, "truncate auth tcp/reactor");
+    let pair = run(TransportKind::Tcp, true, truncate_plan());
+    assert_detected(&pair, TamperKind::Truncated, "truncate auth tcp");
 }
 
 // ---------------------------------------------------------------------------
@@ -317,13 +270,13 @@ fn stripping_the_mac_trailer_is_rejected_as_a_downgrade() {
 
     // Plain frames carry no trailer: strip decodes and re-encodes the
     // same v1 bytes — the attack has no purchase and the run completes.
-    let pair = run(TransportKind::Mem, DriverMode::Reactor, false, plan.clone());
+    let pair = run(TransportKind::Mem, false, plan.clone());
     let base = baseline();
     let target = pair.target.as_ref().expect("plain strip is a no-op");
     assert_eq!(target.termination, base.termination);
 
-    let pair = run(TransportKind::Mem, DriverMode::Reactor, true, plan);
-    assert_detected(&pair, TamperKind::Downgrade, "strip auth mem/reactor");
+    let pair = run(TransportKind::Mem, true, plan);
+    assert_detected(&pair, TamperKind::Downgrade, "strip auth mem");
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +291,7 @@ fn stripping_the_mac_trailer_is_rejected_as_a_downgrade() {
 fn selective_drop_is_undetectable_and_owned_by_idle_timeout_in_both_modes() {
     let plan = TamperPlan::against(TARGET_SID).tactic(Window::between(5, 15), WireTactic::Drop);
     for auth in [false, true] {
-        let pair = run(TransportKind::Mem, DriverMode::Reactor, auth, plan.clone());
+        let pair = run(TransportKind::Mem, auth, plan.clone());
         assert!(
             matches!(pair.target, Err(NetError::IdleTimeout { session, .. }) if session == TARGET_SID),
             "drop auth={auth}: withheld frames look like a slow network, got {:?}",
@@ -378,7 +331,7 @@ fn reorder_and_delay_are_scheduler_legal_in_both_modes() {
     for (name, plan) in &controls {
         for auth in [false, true] {
             let label = format!("{name} auth={auth}");
-            let pair = run(TransportKind::Mem, DriverMode::Reactor, auth, plan.clone());
+            let pair = run(TransportKind::Mem, auth, plan.clone());
             let target = pair
                 .target
                 .as_ref()

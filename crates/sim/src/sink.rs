@@ -47,7 +47,7 @@ impl RunMeta {
 }
 
 /// A recorder of completed runs. Implementations must tolerate concurrent
-/// calls (the threaded service driver completes sessions from many pump
+/// calls (sharded sweep workers record witness runs from their own
 /// threads) and should not panic: recording is an observer, and a failing
 /// sink must not take the run down with it.
 pub trait TraceSink: Send + Sync {

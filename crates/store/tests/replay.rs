@@ -8,9 +8,9 @@
 //! service via [`ServiceConfig::with_sink`] — replay *without a
 //! transport*: the stored script disambiguates injections from emissions
 //! at step boundaries (DESIGN.md §11), so the same session logic re-runs
-//! in-process and must land on the same bytes. Both service drivers
-//! (reactor and thread-per-session) and both transports (in-memory hub
-//! and TCP loopback) feed the same assertion.
+//! in-process and must land on the same bytes. That replay is the
+//! oracle a networked run is held to: several `(scheduler, seed)` cells
+//! over the in-memory hub, plus TCP loopback, feed the same assertion.
 
 use std::sync::Arc;
 
@@ -133,14 +133,8 @@ fn replaying_against_the_wrong_plan_is_a_typed_error_not_a_silent_pass() {
 }
 
 // ---------------------------------------------------------------------------
-// Networked differential: both drivers, both transports, no transport on replay
+// Networked: both transports, no transport on replay
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-enum DriverKind {
-    Reactor,
-    Threaded,
-}
 
 fn recording_cfg(sink: Arc<dyn TraceSink>) -> ServiceConfig {
     ServiceConfig {
@@ -158,7 +152,6 @@ fn recording_cfg(sink: Arc<dyn TraceSink>) -> ServiceConfig {
 /// what the service reported — the two views the replay must reconcile.
 fn record_networked_mem(
     plan: &CheapTalkPlan,
-    driver: DriverKind,
     kind: SchedulerKind,
     seed: u64,
 ) -> (StoredRun, mediator_sim::Outcome) {
@@ -170,10 +163,7 @@ fn record_networked_mem(
     let hub = MemTransport::new();
     let service = Service::with_config(Box::new(hub.listener()), recording_cfg(sink.clone()));
     const SID: u64 = 42;
-    let handle = match driver {
-        DriverKind::Reactor => service.host_plan(SID, plan, kind.clone(), seed),
-        DriverKind::Threaded => service.host_plan_threaded(SID, plan, kind.clone(), seed),
-    };
+    let handle = service.host_plan(SID, plan, kind.clone(), seed);
     let relays: Vec<_> = (0..n)
         .map(|player| {
             let mut client = Client::<CtMsg>::mem(&hub);
@@ -202,42 +192,38 @@ fn record_networked_mem(
 }
 
 #[test]
-fn networked_recordings_replay_without_a_transport_on_both_drivers() {
+fn networked_recordings_replay_without_a_transport() {
+    // The in-process `World` is the reference: whatever delivery order
+    // the wire produced for a cell, the stored script must re-drive the
+    // same session logic — no hub, no sockets — to the same bytes, and
+    // the outcome must agree in kind with the plain in-process run.
     let plan = majority_plan(5);
-    for driver in [DriverKind::Reactor, DriverKind::Threaded] {
-        let (run, outcome) = record_networked_mem(&plan, driver, SchedulerKind::Fifo, 0);
-        assert!(run.header.networked, "{driver:?}: template stamped");
+    let cells = std::iter::once((SchedulerKind::Fifo, 0u64))
+        .chain((0..6).map(|seed| (SchedulerKind::Random, seed)));
+    for (kind, seed) in cells {
+        let label = format!("{kind:?}/{seed}");
+        let (run, outcome) = record_networked_mem(&plan, kind.clone(), seed);
+        assert!(run.header.networked, "{label}: template stamped");
         assert_eq!(run.header.n, 5);
         // The stored script is exactly what the live session traced.
         assert_eq!(
             run.events,
             outcome.trace.events(),
-            "{driver:?}: stored body matches the live trace"
+            "{label}: stored body matches the live trace"
         );
-        // Replay re-runs the session in-process — no hub, no sockets —
-        // and must land on the same bytes and the same verdict.
         let report = replay_plan(&plan, &run)
-            .unwrap_or_else(|e| panic!("{driver:?}: networked replay diverged: {e:?}"));
-        assert_eq!(report.termination, outcome.termination);
-        assert_eq!(report.events as u64, run.outcome.event_count);
-    }
-}
+            .unwrap_or_else(|e| panic!("{label}: networked replay diverged: {e:?}"));
+        assert_eq!(report.termination, outcome.termination, "{label}");
+        assert_eq!(report.events as u64, run.outcome.event_count, "{label}");
 
-#[test]
-fn drivers_record_identical_cells() {
-    // Same plan, same (kind, seed) cell, different driver: the service's
-    // delivery order is part of the recorded trace, so the two stored
-    // runs need not be byte-equal — but each must replay against itself,
-    // and both must report the same termination kind.
-    let plan = majority_plan(5);
-    let (reactor, r_out) =
-        record_networked_mem(&plan, DriverKind::Reactor, SchedulerKind::Random, 1);
-    let (threaded, t_out) =
-        record_networked_mem(&plan, DriverKind::Threaded, SchedulerKind::Random, 1);
-    assert_eq!(r_out.termination, t_out.termination);
-    assert_eq!(reactor.outcome.termination, threaded.outcome.termination);
-    replay_plan(&plan, &reactor).expect("reactor recording replays");
-    replay_plan(&plan, &threaded).expect("threaded recording replays");
+        let local = plan.run_with(&kind, seed);
+        assert_eq!(outcome.termination, local.termination, "{label}: kind");
+        assert_eq!(
+            outcome.resolve_default(&[0; 5]),
+            local.resolve_default(&[0; 5]),
+            "{label}: resolved profile"
+        );
+    }
 }
 
 #[test]
