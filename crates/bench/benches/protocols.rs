@@ -9,10 +9,10 @@ use mediator_bench::{
 };
 use mediator_circuits::catalog;
 use mediator_core::egl;
-use mediator_core::mediator::{run_mediator_game, MediatorGameSpec};
+use mediator_core::mediator::MediatorGameSpec;
+use mediator_core::scenario::MediatorPlan;
 use mediator_field::Fp;
 use mediator_sim::SchedulerKind;
-use std::collections::BTreeMap;
 
 fn bench_mediator_game(c: &mut Criterion) {
     let mut g = c.benchmark_group("mediator-game");
@@ -25,19 +25,12 @@ fn bench_mediator_game(c: &mut Criterion) {
         catalog::majority_circuit(n),
         vec![vec![Fp::ZERO]; n],
     );
-    let inputs = ones_inputs(n);
+    let plan = MediatorPlan::from_spec(spec, ones_inputs(n)).max_steps(200_000);
     g.bench_function("majority_n5", |b| {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            run_mediator_game(
-                &spec,
-                &inputs,
-                BTreeMap::new(),
-                &SchedulerKind::Random,
-                seed,
-                200_000,
-            )
+            plan.run_with(&SchedulerKind::Random, seed)
         })
     });
     g.finish();

@@ -12,9 +12,9 @@ use mediator_core::adversary::{cheap_talk_deviant_cells, mediator_deviant_cells}
 use mediator_core::deviations::{Behavior, CounterexampleColluder};
 use mediator_core::egl;
 use mediator_core::implement::compare_run_sets;
-use mediator_core::mediator::{run_mediator_game, MedMsg, MediatorGameSpec};
+use mediator_core::mediator::MediatorGameSpec;
 use mediator_core::min_info;
-use mediator_core::report::{check, f4, Table};
+use mediator_core::report::{check, f4, json_escape, Table};
 use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario};
 use mediator_core::CheapTalkSpec;
 use mediator_field::Fp;
@@ -23,128 +23,55 @@ use mediator_games::punishment;
 use mediator_games::solution;
 use mediator_sim::covert::{CovertDecoder, CovertSender};
 use mediator_sim::{Process, SchedulerKind, TerminationKind, World};
-use std::collections::BTreeMap;
+
+/// The value of option `name`, given as `name=v` or as `name v`.
+fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    args.iter()
+        .enumerate()
+        .find_map(|(i, a)| match a.strip_prefix(name)? {
+            "" => args.get(i + 1).map(String::as_str),
+            rest => rest.strip_prefix('='),
+        })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "--all");
-    let fast = args.iter().any(|a| a == "--fast");
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let want = |name: &str| args.is_empty() || flag(name) || flag("--all");
+    let fast = flag("--fast");
     let samples = if fast { 20 } else { 60 };
+    let out = opt(&args, "--out");
+    let witness_out = opt(&args, "--witness-out");
+    // `--shard N`: also run the sweep over N in-process mem workers and
+    // assert the rendered artifact byte-identical to the local fan-out.
+    let shard = || opt(&args, "--shard").map(|v| v.parse().expect("--shard takes a worker count"));
 
-    if args.iter().any(|a| a == "--bench") {
-        // BENCH.json mode: time the tracked hot-path workloads and append a
-        // labelled entry to the performance trajectory (see DESIGN.md §5).
-        let label = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--label="))
-            .unwrap_or("dev")
-            .to_string();
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("BENCH.json")
-            .to_string();
-        // `--net` restricts the run to the transport-plane workloads (the
-        // reactor's tracked set) — what the CI bench-smoke job exercises.
-        let net_only = args.iter().any(|a| a == "--net");
-        bench_trajectory(&label, &out, fast, net_only);
+    // The artifact modes; each exits nonzero when its check fails (see the
+    // doc comment of the function it calls).
+    if flag("--tamper") {
+        tamper_battery(out.unwrap_or("TAMPER.json"));
         return;
     }
-
-    if args.iter().any(|a| a == "--tamper") {
-        // TAMPER.json mode: the Byzantine-relay smoke battery — each wire
-        // tactic must succeed against plain frames and die with the typed
-        // AuthFailure verdict against authenticated ones (DESIGN.md §10).
-        // Exits nonzero if any cell misbehaves.
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("TAMPER.json")
-            .to_string();
-        tamper_battery(&out);
+    if flag("--frontier") {
+        frontier_atlas(
+            out.unwrap_or("FRONTIER.json"),
+            witness_out.unwrap_or("FRONTIER-WITNESS.mtrc"),
+            fast,
+            shard(),
+        );
         return;
     }
-
-    if args.iter().any(|a| a == "--frontier") {
-        // FRONTIER.json mode: the lower-bound atlas (DESIGN.md §13).
-        // Enumerate the (n, k, t) grid straddling each theorem's boundary
-        // (`--fast` selects the small CI grid), classify every cell by
-        // experiment, machine-check the empirical boundary against the
-        // theorem predicate cell-for-cell, persist every Violated cell's
-        // witness as a replayable trace (see `--replay`), and write the
-        // deterministic artifact. With `--shard N` the whole grid is
-        // additionally run over N in-process workers on the mem transport
-        // and the rendered artifact is asserted byte-identical to the
-        // local fan-out. Exits nonzero if the map and the theorems
-        // disagree anywhere.
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("FRONTIER.json")
-            .to_string();
-        let witness_out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--witness-out="))
-            .unwrap_or("FRONTIER-WITNESS.mtrc")
-            .to_string();
-        let shard = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--shard=").map(str::to_string))
-            .or_else(|| {
-                args.iter()
-                    .position(|a| a == "--shard")
-                    .and_then(|i| args.get(i + 1).cloned())
-            })
-            .map(|v| v.parse::<usize>().expect("--shard takes a worker count"));
-        frontier_atlas(&out, &witness_out, fast, shard);
+    if flag("--conformance") {
+        conformance_battery(
+            out.unwrap_or("CONFORMANCE.json"),
+            witness_out.unwrap_or("WITNESS.mtrc"),
+            fast,
+            shard(),
+        );
         return;
     }
-
-    if args.iter().any(|a| a == "--conformance") {
-        // CONFORMANCE.json mode: run the ε-resilience conformance battery
-        // (reduced in --fast) and write the reports as a JSON artifact.
-        // Every Violated verdict's witness run is additionally persisted
-        // as a replayable trace (see `--replay`). With `--shard N` each
-        // sweep additionally runs sharded over N in-process workers on the
-        // mem transport and the rendered report is asserted byte-identical
-        // to the local fan-out (DESIGN.md §12). Exits nonzero if any
-        // verdict contradicts the paper's claims.
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("CONFORMANCE.json")
-            .to_string();
-        let witness_out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--witness-out="))
-            .unwrap_or("WITNESS.mtrc")
-            .to_string();
-        let shard = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--shard=").map(str::to_string))
-            .or_else(|| {
-                args.iter()
-                    .position(|a| a == "--shard")
-                    .and_then(|i| args.get(i + 1).cloned())
-            })
-            .map(|v| v.parse::<usize>().expect("--shard takes a worker count"));
-        conformance_battery(&out, &witness_out, fast, shard);
-        return;
-    }
-
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--replay")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--replay=").map(String::from))
-        })
-    {
-        // Replay mode: re-enact every run in a stored trace log (the
-        // `--conformance` witness artifact, typically) and verify each one
-        // reproduces byte-identically. Exits nonzero on any divergence.
-        replay_store(&path);
+    if let Some(path) = opt(&args, "--replay") {
+        replay_store(path);
         return;
     }
 
@@ -188,439 +115,6 @@ fn main() {
     if want("--e11") {
         e11_substrate_timings();
     }
-}
-
-/// `--bench` — the tracked BENCH.json trajectory: hot-path workloads timed
-/// as median ns/op with their message/step counters, appended under the
-/// given label. These are the numbers every perf PR must beat; see the
-/// "Performance" section of DESIGN.md for how to read them. With
-/// `net_only` the run is restricted to the transport-plane set (the CI
-/// bench-smoke's `--bench --net` invocation).
-fn bench_trajectory(label: &str, out: &str, fast: bool, net_only: bool) {
-    use mediator_bcast::RbcPeer;
-    use mediator_bench::measure::{append_bench_json, median_ns_per_op, Metric};
-    use mediator_field::{rs, Poly};
-    use mediator_sim::sansio::run_machines;
-    use mediator_vss::{avss, OecState};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    // Many short samples: on a loaded machine the median of small batches
-    // rejects preemption spikes far better than few long batches.
-    let (wsamples, ksamples, kiters) = if fast { (11, 11, 20) } else { (31, 31, 50) };
-    let mut metrics = Vec::new();
-
-    let spec = majority_spec_robust(5, 1, 0);
-    let inputs = ones_inputs(5);
-    let plan = plan_for(&spec, &inputs);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    if !net_only {
-        // The World macro-bench: one full reliable-broadcast execution,
-        // n = 16, uniformly random scheduler, fixed seed — the event-plane
-        // hot loop.
-        let run_rbc = |kind: &SchedulerKind, seed: u64| {
-            let machines: Vec<RbcPeer<u64>> = (0..16)
-                .map(|me| RbcPeer::new(16, 5, 0, me, (me == 0).then_some(42)))
-                .collect();
-            run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 2_000_000)
-        };
-        for kind in [SchedulerKind::Random, SchedulerKind::Lifo] {
-            let (outcome, _) = run_rbc(&kind, 7);
-            let name = format!("world_rbc_n16_{}", format!("{kind:?}").to_lowercase());
-            let ns = median_ns_per_op(wsamples, 1, || run_rbc(&kind, 7));
-            metrics.push(
-                Metric::new(name, ns)
-                    .with("messages_sent", outcome.messages_sent)
-                    .with("steps", outcome.steps),
-            );
-        }
-
-        // The algebra kernel: Berlekamp–Welch robust decoding at the
-        // Theorem 4.1 working point (degree-2f product opening, f = 4
-        // errors).
-        let mut rng = StdRng::seed_from_u64(5);
-        for (deg, e, n) in [(4usize, 4usize, 17usize), (2, 2, 9)] {
-            let p = Poly::random_with_secret(Fp::new(5), deg, &mut rng);
-            let mut pts: Vec<(Fp, Fp)> = (1..=n as u64)
-                .map(|i| (Fp::new(i), p.eval(Fp::new(i))))
-                .collect();
-            for pt in pts.iter_mut().take(e) {
-                pt.1 += Fp::new(99);
-            }
-            let ns = median_ns_per_op(ksamples, kiters, || {
-                rs::decode_robust(&pts, deg, e).expect("decodes")
-            });
-            metrics.push(Metric::new(format!("rs_decode_deg{deg}_e{e}_n{n}"), ns));
-        }
-
-        // Online error correction: the per-opening reconstruction loop
-        // (shares dribbling in, f of them corrupt).
-        let p = Poly::random_with_secret(Fp::new(77), 8, &mut rng);
-        let shares: Vec<Fp> = (1..=17u64).map(|i| p.eval(Fp::new(i))).collect();
-        let ns = median_ns_per_op(ksamples, kiters.min(10), || {
-            let mut oec = OecState::new(8, 4);
-            for (i, &v) in shares.iter().enumerate() {
-                let v = if i < 4 { v + Fp::new(13) } else { v };
-                if oec.add_share(i, v).is_some() {
-                    break;
-                }
-            }
-            oec.secret().expect("reconstructs")
-        });
-        metrics.push(Metric::new("oec_reconstruct_deg8_f4_n17", ns));
-
-        // Exact interpolation over the share grid (the crash-path kernel).
-        let pts: Vec<(Fp, Fp)> = (1..=9u64)
-            .map(|i| (Fp::new(i), p.eval(Fp::new(i))))
-            .collect();
-        let ns = median_ns_per_op(ksamples, kiters, || Poly::interpolate(&pts));
-        metrics.push(Metric::new("poly_interpolate_n9", ns));
-
-        // AVSS dealing (vector of 8 secrets, n = 9, f = 2).
-        let ns = median_ns_per_op(ksamples, kiters.min(20), || {
-            let mut rng = StdRng::seed_from_u64(3);
-            let secrets: Vec<Fp> = (0..8).map(|_| Fp::random(&mut rng)).collect();
-            avss::deal(&secrets, 9, 2, &mut rng)
-        });
-        metrics.push(Metric::new("avss_deal_n9_f2_vec8", ns));
-
-        // End-to-end cheap talk (Theorem 4.1 majority, n = 5): everything
-        // at once — event plane, engine, kernels.
-        let ct = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 1);
-        let ns = median_ns_per_op(wsamples.min(15), 1, || {
-            run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 1)
-        });
-        metrics.push(
-            Metric::new("cheap_talk_majority_n5_random", ns)
-                .with("messages_sent", ct.messages_sent)
-                .with("steps", ct.steps),
-        );
-
-        // The Scenario batch runner: the same workload as a 64-seed sweep,
-        // sequential versus fanned across the worker pool — the number the
-        // multi-threaded `run_batch` plan has to justify. On a single-core
-        // host the mt run would be the 1t run under another name, so the
-        // metric is *skipped* there (recording it would pollute the
-        // trajectory with an indistinguishable duplicate); multi-core
-        // hosts record the worker count alongside the timing.
-        let bsamples = if fast { 3 } else { 7 };
-        let ns_1t = median_ns_per_op(bsamples, 1, || {
-            plan.seeds(0..64).threads(1).run_batch().len()
-        });
-        metrics.push(Metric::new("batch_cheap_talk_n5_64seeds_1t", ns_1t).with("threads", 1));
-        if workers > 1 {
-            let ns_mt = median_ns_per_op(bsamples, 1, || plan.seeds(0..64).run_batch().len());
-            metrics.push(
-                Metric::new("batch_cheap_talk_n5_64seeds_mt", ns_mt)
-                    .with("threads", workers as u64),
-            );
-        } else {
-            println!(
-                "batch_cheap_talk_n5_64seeds_mt   skipped: single-core host \
-                 (available_parallelism = 1, the mt run would duplicate the 1t metric)"
-            );
-        }
-    }
-
-    use mediator_sim::TraceSink;
-    use mediator_store::{HeaderTemplate, PlanKind, RunHeader, StoreSink, TraceStore};
-
-    if !net_only {
-        // The trace store's append path: CRC-framed encode of header +
-        // event chunks + outcome, ~1e5 events per op into a fresh
-        // in-memory log — the cost a recording sweep pays per session,
-        // aggregated to a stable measurement.
-        let recorded = plan.run_with(&SchedulerKind::Random, 1);
-        let per_run = recorded.trace.events().len().max(1);
-        let appends = 100_000usize.div_ceil(per_run);
-        let ns = median_ns_per_op(ksamples, 1, || {
-            let mut store = TraceStore::in_memory();
-            for session in 0..appends as u64 {
-                let mut header = RunHeader::bare(session, 1);
-                header.plan = PlanKind::CheapTalk;
-                store.record(header, &recorded).expect("append");
-            }
-            store.len()
-        });
-        metrics.push(
-            Metric::new("trace_store_append_1e5_events", ns)
-                .with("events", (appends * per_run) as u64)
-                .with("appends", appends as u64),
-        );
-
-        // Deterministic replay of one stored cheap-talk run: decode the
-        // script, re-run the session under the Replay scheduler, compare
-        // the re-recorded trace byte-for-byte and the outcome field by
-        // field.
-        let sink = StoreSink::with_template(
-            TraceStore::in_memory(),
-            HeaderTemplate {
-                plan: Some(PlanKind::CheapTalk),
-                n: 5,
-                k: 1,
-                ..HeaderTemplate::default()
-            },
-        );
-        sink.record(
-            &mediator_sim::RunMeta::cell(0, SchedulerKind::Random, 1),
-            &recorded,
-        );
-        assert!(sink.take_error().is_none(), "witness append");
-        let store = sink.into_store();
-        let run = store.load(0).expect("stored run loads");
-        let ns = median_ns_per_op(wsamples, 1, || {
-            mediator_store::replay_plan(&plan, &run)
-                .expect("replay reproduces")
-                .events
-        });
-        metrics
-            .push(Metric::new("replay_cheap_talk_n5", ns).with("events", run.outcome.event_count));
-    }
-
-    // The transport plane (DESIGN.md §9): one full cheap-talk execution
-    // over real TCP loopback sockets — service, five relay connections
-    // (one per player), every protocol message framed, shipped, echoed,
-    // and re-injected. The price of the kernel, measured.
-    use mediator_core::cheap_talk::CtMsg;
-    use mediator_net::{
-        bulk_relay, run_over_tcp, AuthKey, Client, MemTransport, Service, ServiceConfig,
-    };
-    let nsamples = if fast { 3 } else { 5 };
-    // Paired with/without authenticated frames: the `_auth` twin seals a
-    // SipHash-2-4 MAC onto every shipped Msg and verifies every returned
-    // one, so the delta between the two entries *is* the MAC overhead on
-    // the wire path (two PRF passes per protocol message).
-    for auth in [false, true] {
-        let cfg = if auth {
-            ServiceConfig::default().with_auth(AuthKey::from_seed(0xbe9c))
-        } else {
-            ServiceConfig::default()
-        };
-        let name = if auth {
-            "net_cheap_talk_n5_tcp_loopback_auth"
-        } else {
-            "net_cheap_talk_n5_tcp_loopback"
-        };
-        let net_out =
-            run_over_tcp(&plan, &SchedulerKind::Random, 1, cfg.clone()).expect("tcp loopback run");
-        let ns = median_ns_per_op(nsamples, 1, || {
-            run_over_tcp(&plan, &SchedulerKind::Random, 1, cfg.clone())
-                .expect("tcp loopback run")
-                .steps
-        });
-        metrics.push(
-            Metric::new(name, ns)
-                .with("messages_sent", net_out.messages_sent)
-                .with("steps", net_out.steps),
-        );
-    }
-
-    // The same TCP-loopback workload with a `StoreSink` wired into the
-    // service: every finished session is encoded and appended to an
-    // in-memory trace store. The delta against
-    // `net_cheap_talk_n5_tcp_loopback` is the whole price of recording —
-    // budgeted below 10% of the unrecorded run.
-    {
-        let run_recorded = || {
-            let sink = std::sync::Arc::new(StoreSink::with_template(
-                TraceStore::in_memory(),
-                HeaderTemplate {
-                    plan: Some(PlanKind::CheapTalk),
-                    n: 5,
-                    k: 1,
-                    networked: true,
-                    ..HeaderTemplate::default()
-                },
-            ));
-            let cfg = ServiceConfig::default().with_sink(sink.clone());
-            let out =
-                run_over_tcp(&plan, &SchedulerKind::Random, 1, cfg).expect("tcp loopback run");
-            assert!(sink.take_error().is_none(), "trace recorded");
-            out
-        };
-        let net_out = run_recorded();
-        let ns = median_ns_per_op(nsamples, 1, || run_recorded().steps);
-        metrics.push(
-            Metric::new("net_cheap_talk_n5_tcp_loopback_recorded", ns)
-                .with("messages_sent", net_out.messages_sent)
-                .with("steps", net_out.steps),
-        );
-    }
-
-    // The multi-session service at the PR 5 shape: 64 concurrent
-    // cheap-talk sessions over the in-memory transport, one relay
-    // connection (and client thread) per session claiming all five
-    // players — ~128k frames through the full framing stack. The workload
-    // is kept byte-for-byte comparable with the seed entry; what changed
-    // underneath is the engine (one reactor thread instead of a pump
-    // thread + reader thread per session/connection).
-    let svc_samples = if fast { 2 } else { 3 };
-    let sessions = 64u64;
-    // Paired with/without auth, same workload byte-for-byte apart from the
-    // v2 Msg layout (seq varint + 8-byte MAC trailer per frame).
-    for auth in [false, true] {
-        let cfg = if auth {
-            ServiceConfig::default().with_auth(AuthKey::from_seed(0xbe9c))
-        } else {
-            ServiceConfig::default()
-        };
-        let name = if auth {
-            "service_64sessions_auth"
-        } else {
-            "service_64sessions"
-        };
-        let ns = median_ns_per_op(svc_samples, 1, || {
-            let hub = MemTransport::new();
-            let service = Service::with_config(Box::new(hub.listener()), cfg.clone());
-            let relays: Vec<_> = (0..sessions)
-                .map(|sid| {
-                    let mut client = Client::<CtMsg>::mem(&hub);
-                    std::thread::spawn(move || {
-                        for p in 0..5 {
-                            client.attach(sid, p).expect("attach");
-                        }
-                        client.relay().expect("relay")
-                    })
-                })
-                .collect();
-            let results = service.run_many(
-                &plan,
-                (0..sessions).map(|sid| (sid, SchedulerKind::Random, sid)),
-            );
-            for (sid, result) in results {
-                result.unwrap_or_else(|e| panic!("session {sid}: {e}"));
-            }
-            for relay in relays {
-                relay.join().expect("relay thread");
-            }
-            service.shutdown();
-        });
-        metrics.push(
-            Metric::new(name, ns)
-                .with("sessions", sessions)
-                .with("hw_threads", workers as u64),
-        );
-    }
-
-    // The reactor at scale: `sessions` concurrent cheap-talk runs, ALL of
-    // them on the single reactor thread, with ONE bulk-relay connection
-    // (and one client thread) carrying every player of every session —
-    // the whole benchmark is two OS threads of service+client work, so it
-    // measures one core driving thousands of interleaved sessions rather
-    // than the kernel's thread scheduler.
-    let mut svc_scale = |sessions: u64, name: &str, samples: usize| {
-        let ns = median_ns_per_op(samples, 1, || {
-            let hub = MemTransport::new();
-            let service = Service::start(Box::new(hub.listener()));
-            let handles: Vec<_> = (0..sessions)
-                .map(|sid| service.host_plan(sid, &plan, SchedulerKind::Random, sid))
-                .collect();
-            let attaches: Vec<(u64, usize)> = (0..sessions)
-                .flat_map(|sid| (0..5usize).map(move |p| (sid, p)))
-                .collect();
-            let (tx, rx) = hub.connect_raw();
-            let relay = std::thread::spawn(move || {
-                bulk_relay(rx, tx, &attaches, sessions as usize).expect("bulk relay")
-            });
-            for handle in handles {
-                let sid = handle.id();
-                handle
-                    .outcome()
-                    .unwrap_or_else(|e| panic!("session {sid}: {e}"));
-            }
-            assert_eq!(relay.join().expect("relay thread").len(), sessions as usize);
-            service.shutdown();
-        });
-        metrics.push(
-            Metric::new(name, ns)
-                .with("sessions", sessions)
-                .with("service_threads", 2)
-                .with("relay_conns", 1)
-                .with("hw_threads", workers as u64),
-        );
-    };
-    svc_scale(1024, "service_1024sessions", if fast { 1 } else { 2 });
-    if !fast {
-        svc_scale(4096, "service_4096sessions_mem", 1);
-    } else {
-        println!("service_4096sessions_mem         skipped: --fast (full mode only)");
-    }
-
-    // The sharded conformance plane (DESIGN.md §12): the Theorem 4.1
-    // sweep once as the local thread fan-out and once sharded over 4
-    // in-memory workers. The pair is the lease protocol's price tag on a
-    // clean run — framing, lease round trips, and the coordinator-side
-    // re-render — over the identical statistical workload (the verdicts
-    // are bit-identical by the differential suite, so only time differs).
-    {
-        use mediator_core::adversary::Conformance;
-        use mediator_net::{ShardConfig, ShardedSweep, TransportKind};
-        let game = library::byzantine_agreement_game(5);
-        let types = vec![1usize; 5];
-        let conf = Conformance::new(0.05, 1, 0)
-            .battery(vec![SchedulerKind::Random])
-            .seeds(if fast { 2 } else { 3 })
-            .coalitions(vec![vec![1], vec![3]]);
-        let sweep_samples = if fast { 2 } else { 3 };
-        let cells = plan.conformance(&game, &types, &conf).cells.len() as u64;
-        let ns = median_ns_per_op(sweep_samples, 1, || {
-            plan.conformance(&game, &types, &conf).cells.len()
-        });
-        metrics.push(Metric::new("conformance_sweep_local", ns).with("cells", cells));
-        let scfg = ShardConfig::default();
-        let ns = median_ns_per_op(sweep_samples, 1, || {
-            let (report, log) = conf.sharded(&plan, &game, &types, 4, TransportKind::Mem, &scfg);
-            assert!(log.failures.is_empty(), "clean bench run");
-            report.cells.len()
-        });
-        metrics.push(
-            Metric::new("conformance_sweep_sharded_4w", ns)
-                .with("cells", cells)
-                .with("workers", 4)
-                .with("hw_threads", workers as u64),
-        );
-    }
-
-    // The frontier atlas (DESIGN.md §13): the fast grid end to end —
-    // every cell's build evidence, conformance sweep, and classification —
-    // once on the local thread fan-out and once sharded over 4 in-memory
-    // workers per cell. The artifacts are byte-identical by the
-    // differential suite, so the pair prices the plane over a
-    // heterogeneous-(n, k, t) workload.
-    if !net_only {
-        use mediator_core::frontier::{run_frontier_local, FrontierSpec};
-        use mediator_net::{run_frontier_sharded, ShardConfig, TransportKind};
-        let spec = FrontierSpec::fast();
-        let grid_cells = spec.cells().len() as u64;
-        let atlas_samples = if fast { 2 } else { 3 };
-        let ns = median_ns_per_op(atlas_samples, 1, || {
-            let atlas = run_frontier_local(&spec);
-            assert!(atlas.check().is_ok(), "fast grid matches the theorems");
-            atlas.results.len()
-        });
-        metrics.push(Metric::new("frontier_fast_grid_local", ns).with("cells", grid_cells));
-        let scfg = ShardConfig::default().lease_deadline(std::time::Duration::from_secs(60));
-        let ns = median_ns_per_op(atlas_samples, 1, || {
-            let (atlas, log) = run_frontier_sharded(&spec, 4, TransportKind::Mem, &scfg);
-            assert_eq!(log.failures(), 0, "clean bench run");
-            atlas.results.len()
-        });
-        metrics.push(
-            Metric::new("frontier_fast_grid_sharded_4w", ns)
-                .with("cells", grid_cells)
-                .with("workers", 4)
-                .with("hw_threads", workers as u64),
-        );
-    }
-
-    for m in &metrics {
-        println!("{:<34} {:>12} ns/op", m.name, m.ns_per_op);
-    }
-    append_bench_json(std::path::Path::new(out), label, &metrics).expect("write BENCH.json");
-    println!("appended entry '{label}' to {out}");
 }
 
 /// `--tamper` — the Byzantine-relay smoke battery (DESIGN.md §10): each
@@ -784,9 +278,12 @@ fn tamper_battery(out: &str) {
     let mut json = String::from("{\n  \"entries\": [\n");
     for (i, (name, plain, authed, honest, pass)) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"cell\": \"{name}\", \"plain\": \"{plain}\", \
-             \"authenticated\": \"{authed}\", \"honest_unaffected\": {honest}, \
+            "    {{ \"cell\": \"{}\", \"plain\": \"{}\", \
+             \"authenticated\": \"{}\", \"honest_unaffected\": {honest}, \
              \"pass\": {pass} }}{}\n",
+            json_escape(name),
+            json_escape(plain),
+            json_escape(authed),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -1340,14 +837,9 @@ fn e11_substrate_timings() {
         vec![vec![Fp::ZERO]; 5],
     );
     let start = Instant::now();
-    let out = run_mediator_game(
-        &med,
-        &inputs,
-        BTreeMap::new(),
-        &SchedulerKind::Random,
-        1,
-        200_000,
-    );
+    let out = MediatorPlan::from_spec(med, inputs)
+        .max_steps(200_000)
+        .run_with(&SchedulerKind::Random, 1);
     t.row(vec![
         "mediator game".into(),
         format!("n 5, majority, {} msgs", out.messages_sent),
@@ -1473,19 +965,13 @@ fn e1b_robustness_report(samples: usize) {
         catalog::majority_circuit(n),
         vec![vec![Fp::ZERO]; n],
     );
+    let med_plan = MediatorPlan::from_spec(med, inputs.clone())
+        .max_steps(200_000)
+        .with_deviant(2, || Box::new(mediator_core::deviations::SilentProcess));
     let med_harm_not_moving = {
         let mut honest_sum = 0.0;
         for seed in 0..samples as u64 {
-            let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
-            deviants.insert(2, Box::new(mediator_core::deviations::SilentProcess));
-            let out = run_mediator_game(
-                &med,
-                &inputs,
-                deviants,
-                &SchedulerKind::Random,
-                seed,
-                200_000,
-            );
+            let out = med_plan.run_with(&SchedulerKind::Random, seed);
             let mut actions: Vec<usize> = out.resolve_default(&vec![0; n + 1])[..n]
                 .iter()
                 .map(|&a| a as usize)

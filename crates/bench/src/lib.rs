@@ -1,10 +1,9 @@
-//! Shared workloads for the benchmark harness and the `experiments` binary.
+//! Shared workloads for the `experiments` binary and the Criterion benches.
 //!
 //! Every quantitative claim of the paper maps to an experiment E1–E11 (see
-//! DESIGN.md §4); this crate hosts the workload builders and measurement
-//! helpers those experiments share with the Criterion benches.
-
-pub mod measure;
+//! DESIGN.md §4); this crate hosts the workload builders those experiments
+//! share with the Criterion benches. Timing lives in `benchmark/` (the
+//! repo benchmark, `BENCHMARK.json`), not here.
 
 use mediator_circuits::catalog;
 use mediator_core::deviations::Behavior;

@@ -1018,9 +1018,7 @@ impl ConformanceReport {
     /// `CONFORMANCE.json` CI artifact; the offline serde shim does not
     /// serialize).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
+        use crate::report::json_escape as esc;
         fn ci(c: &ConfidenceInterval) -> String {
             format!(
                 "{{ \"mean\": {:.6}, \"lo\": {:.6}, \"hi\": {:.6}, \"samples\": {} }}",

@@ -729,9 +729,7 @@ impl FrontierAtlas {
     /// exactly (`f64::to_bits` hex) — the representation the sharded-vs-
     /// local differential diffs byte for byte.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
+        use crate::report::json_escape as esc;
         fn jf(x: f64) -> String {
             format!(
                 "{{ \"val\": {:.6}, \"bits\": \"0x{:016x}\" }}",

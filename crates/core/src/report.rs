@@ -1,4 +1,5 @@
-//! Plain-text tables for the experiment harness.
+//! Plain-text tables for the experiment harness, and the one JSON string
+//! escaper every hand-rolled artifact emitter shares.
 
 use std::fmt;
 
@@ -78,6 +79,23 @@ pub fn check(b: bool) -> String {
     }
 }
 
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\` get a
+/// backslash, control characters below U+0020 become `\uXXXX`. The offline
+/// serde shim does not serialize, so `CONFORMANCE.json`, `FRONTIER.json`
+/// and `TAMPER.json` are formatted by hand and all quote through here.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,5 +123,12 @@ mod tests {
         assert_eq!(f4(1.0 / 3.0), "0.3333");
         assert_eq!(check(true), "✓");
         assert_eq!(check(false), "✗");
+    }
+
+    #[test]
+    fn json_escape_quotes_backslashes_and_controls() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\ny\t\u{1}"), "x\\u000ay\\u0009\\u0001");
+        assert_eq!(json_escape("n > 4k+4t ✓"), "n > 4k+4t ✓");
     }
 }

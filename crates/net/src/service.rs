@@ -208,8 +208,8 @@ impl SessionHandle {
 }
 
 /// A networked multi-session runtime: one reactor thread servicing every
-/// connection and every hosted session (thousands of concurrent sessions
-/// on one core — see the `service_*` BENCH entries).
+/// connection and every hosted session (a thousand concurrent sessions
+/// on one core and one connection in `tests/reactor_smoke.rs`).
 pub struct Service<M: Wire + Send + 'static> {
     commands: Sender<Command<M>>,
     waker: Arc<Waker>,

@@ -12,8 +12,7 @@
 //!
 //! Machine-readable output: set `CRITERION_SHIM_JSON=<path>` and every
 //! benchmark appends one JSON line `{"name": …, "median_ns": …,
-//! "iters": …}` to that file — the shape the BENCH.json tooling and CI
-//! artifacts consume.
+//! "iters": …}` to that file — what CI's `microbench-smoke` job uploads.
 
 use std::time::{Duration, Instant};
 

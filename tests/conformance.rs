@@ -11,6 +11,8 @@
 //!   harness must *find* the profitable deviation and hand back a concrete,
 //!   replayable witness.
 
+mod common;
+
 use mediator_talk::games::library;
 use mediator_talk::prelude::*;
 
@@ -167,7 +169,7 @@ fn conformance_report_renders_json() {
     let n = 7;
     let (game, _, k) = library::counterexample_game(n);
     let plan = naive_counterexample_plan(n, k);
-    let report = plan.conformance(
+    let mut report = plan.conformance(
         &game,
         &vec![0usize; n],
         &Conformance::new(0.01, k, 0)
@@ -182,11 +184,17 @@ fn conformance_report_renders_json() {
     assert!(json.contains("deadlock-if-bit=0"));
     assert!(json.contains("\"baseline\""));
     assert!(json.contains("\"cells\""));
-    // Crude structural sanity: balanced braces/brackets.
-    assert_eq!(
-        json.matches('{').count(),
-        json.matches('}').count(),
-        "unbalanced JSON"
-    );
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
+    common::assert_strict_json(&json);
+
+    // A strategy name is free text: quotes, backslashes and control
+    // characters in it must not break the artifact.
+    let hostile = "say \"x\\y\"\nthen\tstall";
+    report.cells[0].strategy = hostile.to_string();
+    let ConformanceVerdict::Violated(w) = &mut report.verdict else {
+        panic!("the naive mediator is violated");
+    };
+    w.strategy = hostile.to_string();
+    let json = report.to_json();
+    assert!(json.contains(r#"say \"x\\y\"\u000athen\u0009stall"#));
+    common::assert_strict_json(&json);
 }

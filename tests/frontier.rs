@@ -10,6 +10,8 @@
 //! re-enact byte-identically through `replay_plan` — the same recipe
 //! `experiments -- --replay` uses.
 
+mod common;
+
 use mediator_talk::core::adversary::mediator_deviant_cells;
 use mediator_talk::core::frontier::{companion_plan, run_frontier_local, CellClass, FrontierSpec};
 use mediator_talk::prelude::*;
@@ -17,7 +19,7 @@ use mediator_talk::prelude::*;
 #[test]
 fn the_tiny_grid_matches_the_theorem_predicate_cell_for_cell() {
     let spec = FrontierSpec::tiny();
-    let atlas = run_frontier_local(&spec);
+    let mut atlas = run_frontier_local(&spec);
     atlas
         .check()
         .unwrap_or_else(|m| panic!("atlas mismatches: {m:#?}"));
@@ -69,9 +71,23 @@ fn the_tiny_grid_matches_the_theorem_predicate_cell_for_cell() {
     // The artifact is deterministic and carries the machine check's
     // verdict.
     assert_eq!(atlas.to_json(), run_frontier_local(&spec).to_json());
-    assert!(atlas
-        .to_json()
-        .contains("\"matches_theorem_predicate\": true"));
+    let json = atlas.to_json();
+    assert!(json.contains("\"matches_theorem_predicate\": true"));
+    common::assert_strict_json(&json);
+
+    // Notes, build verdicts and strategy names are free text: quotes,
+    // backslashes and control characters must not break the artifact.
+    let hostile = "say \"x\\y\"\nthen\tstall";
+    for r in &mut atlas.results {
+        r.note = hostile.to_string();
+        r.evidence.hatch_build = hostile.to_string();
+        if let Some(w) = &mut r.witness {
+            w.strategy = hostile.to_string();
+        }
+    }
+    let json = atlas.to_json();
+    assert!(json.contains(r#"say \"x\\y\"\u000athen\u0009stall"#));
+    common::assert_strict_json(&json);
 }
 
 #[test]

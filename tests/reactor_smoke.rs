@@ -1,9 +1,11 @@
-//! Tier-1 smoke for the reactor service: 128 concurrent sessions on the
+//! Tier-1 smoke for the reactor service: many concurrent sessions on the
 //! in-memory transport, every one of them driven by the single reactor
 //! thread, with one `bulk_relay` connection carrying every player of
-//! every session. Small enough for a debug-build test run; the release
-//! benches (`service_1024sessions`, `service_4096sessions_mem`) scale
-//! the same shape to thousands.
+//! every session. Run at 128 and at 1024 sessions: these are echo
+//! sessions (about 3k frames at the larger count), cheap in a debug
+//! build, and the only place more than 128 sessions share one reactor in
+//! tier-1. `benchmark/` prices the same shape with real cheap-talk
+//! sessions, up to 256 in flight (`net.svc_sessions_per_s_c1` … `_c256`).
 
 use mediator_talk::net::{bulk_relay, MemTransport, Service};
 use mediator_talk::sim::{Ctx, Process, SchedulerKind, Session, TerminationKind, World};
@@ -36,24 +38,23 @@ fn echo_session(n: usize, seed: u64) -> Session<u64> {
     Session::new(World::new(procs, seed), SchedulerKind::Fifo.build(), 10_000)
 }
 
-#[test]
-fn reactor_hosts_128_sessions_on_one_thread() {
-    const SESSIONS: u64 = 128;
+/// Hosts `sessions` echo sessions on one reactor and relays for all of
+/// their players over one connection from one client thread.
+fn reactor_hosts_on_one_thread(sessions: u64) {
     const N: usize = 3;
 
     let hub = MemTransport::new();
     let service = Service::<u64>::start(Box::new(hub.listener()));
-    let handles: Vec<_> = (0..SESSIONS)
+    let handles: Vec<_> = (0..sessions)
         .map(|sid| service.host(sid, N, move || echo_session(N, sid)))
         .collect();
 
-    // One connection, one client thread, relaying for all 384 players.
-    let attaches: Vec<_> = (0..SESSIONS)
+    let attaches: Vec<_> = (0..sessions)
         .flat_map(|sid| (0..N).map(move |player| (sid, player)))
         .collect();
     let (tx, rx) = hub.connect_raw();
     let relay = std::thread::spawn(move || {
-        bulk_relay(rx, tx, &attaches, SESSIONS as usize).expect("bulk relay")
+        bulk_relay(rx, tx, &attaches, sessions as usize).expect("bulk relay")
     });
 
     for handle in handles {
@@ -69,9 +70,19 @@ fn reactor_hosts_128_sessions_on_one_thread() {
         );
     }
     let summaries = relay.join().expect("relay thread");
-    assert_eq!(summaries.len(), SESSIONS as usize);
+    assert_eq!(summaries.len(), sessions as usize);
     assert!(summaries
         .iter()
         .all(|(_, s)| s.termination == TerminationKind::Quiescent));
     service.shutdown();
+}
+
+#[test]
+fn reactor_hosts_128_sessions_on_one_thread() {
+    reactor_hosts_on_one_thread(128);
+}
+
+#[test]
+fn reactor_hosts_1024_sessions_on_one_thread() {
+    reactor_hosts_on_one_thread(1024);
 }
