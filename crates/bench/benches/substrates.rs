@@ -6,9 +6,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mediator_bcast::harness::{Behavior, Net};
 use mediator_bcast::{AbaState, CoinSource, IdealCoin, LocalCoin, RbcState};
 use mediator_field::{rs, Fp, Poly};
-use mediator_vss::avss;
+use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 fn bench_field(c: &mut Criterion) {
@@ -105,6 +106,30 @@ fn bench_agreement(c: &mut Criterion) {
     g.finish();
 }
 
+/// One whole AVSS instance: `dealer` deals `secrets`, every `Rows` / `Echo`
+/// / `Ready` is delivered first-in-first-out, all `n` players complete.
+/// Returns the number of messages delivered.
+fn run_avss_instance(n: usize, f: usize, dealer: usize, secrets: &[Fp], rng: &mut StdRng) -> u64 {
+    let mut states: Vec<AvssState> = (0..n).map(|_| AvssState::new(n, f, dealer)).collect();
+    let mut queue: VecDeque<(usize, usize, AvssMsg)> = avss::deal(secrets, n, f, rng)
+        .into_iter()
+        .enumerate()
+        .map(|(to, rows)| (dealer, to, rows))
+        .collect();
+    let mut delivered = 0;
+    while let Some((from, to, msg)) = queue.pop_front() {
+        delivered += 1;
+        for (dest, m) in states[to].on_message(from, msg).0 {
+            match dest {
+                AvssDest::One(d) => queue.push_back((to, d, m)),
+                AvssDest::All => queue.extend((0..n).map(|d| (to, d, m.clone()))),
+            }
+        }
+    }
+    assert!(states.iter().all(AvssState::is_completed));
+    delivered
+}
+
 fn bench_avss(c: &mut Criterion) {
     let mut g = c.benchmark_group("avss");
     g.sample_size(20);
@@ -114,6 +139,18 @@ fn bench_avss(c: &mut Criterion) {
             |mut rng| {
                 let secrets: Vec<Fp> = (0..8).map(|_| Fp::random(&mut rng)).collect();
                 avss::deal(&secrets, 9, 2, &mut rng)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The `sim_n13` working point: the n = 13 majority circuit makes every
+    // dealing 338 secrets long (input + 2 × 168 masks + pad).
+    g.bench_function("instance_n13_f3_vec338", |bch| {
+        bch.iter_batched(
+            || StdRng::seed_from_u64(4),
+            |mut rng| {
+                let secrets: Vec<Fp> = (0..338).map(|_| Fp::random(&mut rng)).collect();
+                run_avss_instance(13, 3, 0, &secrets, &mut rng)
             },
             BatchSize::SmallInput,
         )

@@ -125,6 +125,47 @@ impl Fp {
         Fp(Fp::reduce128(acc))
     }
 
+    /// Matrix–vector product `out[r] = Σ_b m[r·w + b]·v[b]` for a row-major
+    /// matrix with rows of `w = v.len()` cells: [`Fp::dot`] per row, with
+    /// the row length fixed at compile time for the widths share grids use
+    /// (`w ≤ 8`), so each row is straight-line code against `v` held in
+    /// registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `m.len() == out.len() · v.len()`.
+    pub fn mat_vec(m: &[Fp], v: &[Fp], out: &mut [Fp]) {
+        fn fixed<const W: usize>(m: &[Fp], v: &[Fp], out: &mut [Fp]) {
+            let v: [Fp; W] = v.try_into().expect("width checked by the caller");
+            for (row, o) in m.chunks_exact(W).zip(out) {
+                // W ≤ 8 terms, each < 2¹²²: no intermediate fold needed.
+                let acc: u128 = row
+                    .iter()
+                    .zip(&v)
+                    .map(|(x, y)| x.0 as u128 * y.0 as u128)
+                    .sum();
+                *o = Fp(Fp::reduce128(acc));
+            }
+        }
+        assert_eq!(m.len(), out.len() * v.len(), "mat_vec shape mismatch");
+        match v.len() {
+            0 => out.fill(Fp::ZERO),
+            1 => fixed::<1>(m, v, out),
+            2 => fixed::<2>(m, v, out),
+            3 => fixed::<3>(m, v, out),
+            4 => fixed::<4>(m, v, out),
+            5 => fixed::<5>(m, v, out),
+            6 => fixed::<6>(m, v, out),
+            7 => fixed::<7>(m, v, out),
+            8 => fixed::<8>(m, v, out),
+            w => {
+                for (row, o) in m.chunks_exact(w).zip(out) {
+                    *o = Fp::dot(row, v);
+                }
+            }
+        }
+    }
+
     /// Raises `self` to the power `e` by square-and-multiply.
     pub fn pow(self, mut e: u64) -> Self {
         let mut base = self;
@@ -482,6 +523,31 @@ mod tests {
             let naive: Fp = xs.iter().zip(&ys).map(|(&x, &y)| x * y).sum();
             assert_eq!(Fp::dot(&xs, &ys), naive, "len {len}");
         }
+    }
+
+    #[test]
+    fn mat_vec_is_dot_per_row() {
+        // Every unrolled width, the generic one past them, and the
+        // largest operands (the accumulator's worst case).
+        let mut rng = StdRng::seed_from_u64(33);
+        for w in 0..=10usize {
+            let rows = 7;
+            let mut m: Vec<Fp> = (0..rows * w).map(|_| Fp::random(&mut rng)).collect();
+            let mut v: Vec<Fp> = (0..w).map(|_| Fp::random(&mut rng)).collect();
+            for big in [false, true] {
+                if big {
+                    m.fill(Fp::new(MODULUS - 1));
+                    v.fill(Fp::new(MODULUS - 1));
+                }
+                let mut out = vec![Fp::ONE; rows];
+                Fp::mat_vec(&m, &v, &mut out);
+                let want: Vec<Fp> = (0..rows)
+                    .map(|r| Fp::dot(&m[r * w..(r + 1) * w], &v))
+                    .collect();
+                assert_eq!(out, want, "w {w} big {big}");
+            }
+        }
+        Fp::mat_vec(&[], &[Fp::ONE], &mut []);
     }
 
     #[test]

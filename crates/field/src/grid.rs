@@ -8,7 +8,8 @@
 //! * the barycentric denominators `d_i = ∏_{j≠i}(x_i − x_j)` are products
 //!   of small integers, and for the *full* grid they collapse to the
 //!   factorial formula `d_i = (−1)^{n−1−i} · i! · (n−1−i)!` — cached here
-//!   per `n`, computed once per process instead of once per reconstruction;
+//!   per `n`, computed once per process instead of once per reconstruction
+//!   (a fixed table of `OnceLock`s: the read path takes no lock);
 //! * all inversions (one per weight) batch into a single field inversion
 //!   via Montgomery's trick ([`Fp::batch_inv`]).
 //!
@@ -20,22 +21,42 @@
 
 use crate::gf::Fp;
 use crate::poly::Poly;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
-/// Cached full-grid weights: `n` → `[1/d_i]` for the grid `x = 1..=n`.
-fn full_grid_cache() -> &'static Mutex<BTreeMap<usize, Arc<Vec<Fp>>>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<usize, Arc<Vec<Fp>>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// Grids up to this size get a process-wide table; share grids are the
+/// player count, so anything larger is computed per call.
+const CACHED_GRIDS: usize = 64;
+
+/// What is precomputed once per grid size `n`.
+struct GridTable {
+    /// `weights[i] = 1 / ∏_{j≠i}(x_i − x_j)`.
+    weights: Vec<Fp>,
+    /// Row-major `n × n`: `powers[j·n + b] = x_j^b`.
+    powers: Vec<Fp>,
 }
 
-/// Inverted barycentric denominators for the **full** grid `x = 1..=n`,
-/// cached per `n`: `weights[i] = 1 / ∏_{j≠i}(x_i − x_j)` with
-/// `x_i = i + 1`.
-pub fn full_grid_weights(n: usize) -> Arc<Vec<Fp>> {
-    if let Some(w) = full_grid_cache().lock().expect("weights cache").get(&n) {
-        return Arc::clone(w);
+impl GridTable {
+    fn build(n: usize) -> Self {
+        GridTable {
+            weights: compute_full_grid_weights(n),
+            powers: compute_point_powers(n),
+        }
     }
+}
+
+/// The table for grid size `n`, or `None` above [`CACHED_GRIDS`]. Reads
+/// after the first are one atomic load: no lock, no reference count, so
+/// the worker threads of a batch never meet here.
+fn table(n: usize) -> Option<&'static GridTable> {
+    static TABLES: [OnceLock<GridTable>; CACHED_GRIDS + 1] =
+        [const { OnceLock::new() }; CACHED_GRIDS + 1];
+    TABLES
+        .get(n)
+        .map(|slot| slot.get_or_init(|| GridTable::build(n)))
+}
+
+fn compute_full_grid_weights(n: usize) -> Vec<Fp> {
     // d_i = (−1)^{n−1−i} · i! · (n−1−i)!  (0-indexed i, x_i = i+1).
     let mut fact = vec![Fp::ONE; n.max(1)];
     for i in 1..n {
@@ -51,12 +72,42 @@ pub fn full_grid_weights(n: usize) -> Arc<Vec<Fp>> {
             }
         })
         .collect();
-    let weights = Arc::new(Fp::batch_inv(&denoms));
-    full_grid_cache()
-        .lock()
-        .expect("weights cache")
-        .insert(n, Arc::clone(&weights));
-    weights
+    Fp::batch_inv(&denoms)
+}
+
+fn compute_point_powers(n: usize) -> Vec<Fp> {
+    let mut powers = Vec::with_capacity(n * n);
+    for j in 0..n {
+        let x = Fp::new(j as u64 + 1);
+        let mut xp = Fp::ONE;
+        for _ in 0..n {
+            powers.push(xp);
+            xp *= x;
+        }
+    }
+    powers
+}
+
+/// Inverted barycentric denominators for the **full** grid `x = 1..=n`,
+/// cached per `n`: `weights[i] = 1 / ∏_{j≠i}(x_i − x_j)` with
+/// `x_i = i + 1`.
+pub fn full_grid_weights(n: usize) -> Cow<'static, [Fp]> {
+    match table(n) {
+        Some(t) => Cow::Borrowed(t.weights.as_slice()),
+        None => Cow::Owned(compute_full_grid_weights(n)),
+    }
+}
+
+/// Powers of the share points of the grid `x = 1..=n`, cached per `n`:
+/// row-major `n × n` with `powers[j·n + b] = x_j^b` for `x_j = j + 1`.
+/// The prefix `[j·n ..= j·n + deg]` of row `j` is the evaluation plan of
+/// any degree-`deg` polynomial at player `j`'s point: a value is one
+/// [`Fp::dot`] against the coefficients, with no dependent multiply chain.
+pub fn point_powers(n: usize) -> Cow<'static, [Fp]> {
+    match table(n) {
+        Some(t) => Cow::Borrowed(t.powers.as_slice()),
+        None => Cow::Owned(compute_point_powers(n)),
+    }
 }
 
 /// Inverted barycentric denominators for an arbitrary subset of the grid:
@@ -66,7 +117,7 @@ pub fn full_grid_weights(n: usize) -> Arc<Vec<Fp>> {
 /// # Panics
 ///
 /// Panics if two indices coincide (duplicate share points).
-pub fn lagrange_weights(idxs: &[usize]) -> Arc<Vec<Fp>> {
+pub fn lagrange_weights(idxs: &[usize]) -> Cow<'static, [Fp]> {
     let contiguous = idxs.iter().enumerate().all(|(i, &idx)| idx == i);
     if contiguous {
         return full_grid_weights(idxs.len());
@@ -90,7 +141,34 @@ pub fn lagrange_weights(idxs: &[usize]) -> Arc<Vec<Fp>> {
         denoms.iter().all(|d| !d.is_zero()),
         "interpolation points must be distinct"
     );
-    Arc::new(Fp::batch_inv(&denoms))
+    Cow::Owned(Fp::batch_inv(&denoms))
+}
+
+/// The Lagrange basis over the share points `idxs`, in coefficient form and
+/// transposed for column-batched interpolation: row-major `m × m`
+/// (`m = idxs.len()`) with `basis[b·m + a]` the coefficient of `x^b` in
+/// `L_a`, where `L_a(x_c) = δ_ac`. The polynomial through `(x_a, y_a)` has
+/// `x^b` coefficient `Fp::dot(&basis[b·m..(b+1)·m], ys)`, so one basis
+/// serves every value vector over the same points.
+///
+/// # Panics
+///
+/// Panics if two indices coincide.
+pub fn lagrange_basis(idxs: &[usize]) -> Vec<Fp> {
+    let m = idxs.len();
+    let weights = lagrange_weights(idxs);
+    let x_of = |i: usize| Fp::new(idxs[i] as u64 + 1);
+    let master = Poly::master_coeffs(m, x_of);
+    let mut basis = vec![Fp::ZERO; m * m];
+    for a in 0..m {
+        // L_a interpolates the a-th unit vector.
+        let unit = |i: usize| if i == a { Fp::ONE } else { Fp::ZERO };
+        let l_a = Poly::interpolate_with_master(&master, x_of, unit, &weights);
+        for (b, &c) in l_a.coeffs().iter().enumerate() {
+            basis[b * m + a] = c;
+        }
+    }
+    basis
 }
 
 /// Interpolates the unique polynomial of degree `< idxs.len()` through the
@@ -169,6 +247,39 @@ mod tests {
                 .collect();
             assert_eq!(interpolate_indices(&idxs, &ys), p, "deg {deg} contiguous");
         }
+    }
+
+    #[test]
+    fn point_powers_are_powers_of_the_share_points() {
+        // One cached size and one past the cache: same values either way.
+        for n in [1usize, 5, 13, CACHED_GRIDS + 3] {
+            let p = point_powers(n);
+            assert_eq!(p.len(), n * n);
+            for j in 0..n {
+                for b in 0..n {
+                    assert_eq!(p[j * n + b], Fp::new(j as u64 + 1).pow(b as u64));
+                }
+            }
+            assert_eq!(
+                full_grid_weights(n),
+                Cow::<[Fp]>::Owned(compute_full_grid_weights(n))
+            );
+        }
+    }
+
+    #[test]
+    fn lagrange_basis_interpolates_every_value_vector() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for idxs in [vec![0usize, 1, 2, 3], vec![1, 4, 5, 9, 12], vec![7]] {
+            let m = idxs.len();
+            let basis = lagrange_basis(&idxs);
+            let ys: Vec<Fp> = (0..m).map(|_| Fp::random(&mut rng)).collect();
+            let coeffs: Vec<Fp> = (0..m)
+                .map(|b| Fp::dot(&basis[b * m..(b + 1) * m], &ys))
+                .collect();
+            assert_eq!(Poly::from_coeffs(coeffs), interpolate_indices(&idxs, &ys));
+        }
+        assert!(lagrange_basis(&[]).is_empty());
     }
 
     #[test]

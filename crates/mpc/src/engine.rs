@@ -163,7 +163,7 @@ impl MpcEngine {
             Mode::Robust => 1,
         };
         let avss_states = match cfg.mode {
-            Mode::Robust => (0..n).map(|_| AvssState::new(n, cfg.f, me)).collect(),
+            Mode::Robust => (0..n).map(|d| AvssState::new(n, cfg.f, d)).collect(),
             Mode::Epsilon { .. } => Vec::new(),
         };
         let detect_states = match cfg.mode {
@@ -320,9 +320,7 @@ impl MpcEngine {
                     let shares = self.avss[dealer]
                         .shares()
                         .expect("completed AVSS has shares")
-                        .into_iter()
-                        .map(|s| s.value)
-                        .collect::<Vec<Fp>>();
+                        .to_vec();
                     if shares.len() == self.vec_len(dealer) {
                         self.dealer_shares[dealer] = Some(shares);
                         self.dealer_ok[dealer] = Some(true);

@@ -93,6 +93,74 @@ fn wrong_arity_dealer_is_excluded_and_default_used() {
     }
 }
 
+/// Runs the n = 5 majority on all-one inputs with byzantine player 4
+/// sending only `attack(dealer, victim)` for every honest dealer and victim
+/// — never dealing itself, so the core is the four honest dealings and the
+/// majority is 1 — and requires every honest engine to finish with it.
+fn honest_majority_survives(attack: impl Fn(usize, usize) -> Vec<MpcMsg>) {
+    let (n, f, byz) = (5, 1, 4);
+    let cfg = MpcConfig::robust(n, f, 41, vec![vec![Fp::ZERO]; n]);
+    let circuit = Arc::new(catalog::majority_circuit(n));
+    let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
+    for kind in schedulers() {
+        for seed in 0..3 {
+            let kickoff: Vec<(usize, MpcMsg)> = (0..byz)
+                .flat_map(|dealer| (0..byz).map(move |victim| (dealer, victim)))
+                .flat_map(|(dealer, victim)| {
+                    attack(dealer, victim).into_iter().map(move |m| (victim, m))
+                })
+                .collect();
+            let (_, outputs) = run_machines(
+                drivers(&cfg, &circuit, &inputs),
+                vec![(byz, ByzantineProcess::new(no_op()).with_kickoff(kickoff))],
+                kind.build().as_mut(),
+                seed,
+                4_000_000,
+            );
+            for (i, ev) in outputs.iter().enumerate().take(byz) {
+                assert_eq!(
+                    done_value(ev),
+                    Fp::ONE,
+                    "player {i} under {kind:?} seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn rows_spoofed_for_honest_dealers_are_ignored() {
+    // The byzantine player plants, at every honest player and for every
+    // honest dealer's instance, rows of the right shape that the dealer
+    // never dealt, plus one bad echo. A victim that took them would echo
+    // garbage to itself and hold two bad points of five — one deviator
+    // stalling an honest player of the robust engine.
+    let circuit = catalog::majority_circuit(5);
+    let arity = circuit.inputs_per_player()[0] + 2 * circuit.mul_count() + 1;
+    honest_majority_survives(|dealer, victim| {
+        let mut rng = StdRng::seed_from_u64((5 * dealer + victim) as u64);
+        let junk: Vec<Fp> = (0..arity).map(|_| Fp::random(&mut rng)).collect();
+        let planted = avss::deal(&junk, 5, 1, &mut rng).swap_remove(victim);
+        [planted, avss::AvssMsg::Echo(junk)]
+            .into_iter()
+            .map(|inner| MpcMsg::Avss { dealer, inner })
+            .collect()
+    });
+}
+
+#[test]
+fn one_element_echoes_do_not_blind_honest_players() {
+    // A 1-element echo for every instance, sent before anything else: it
+    // must not decide the instance's arity at a player whose rows are
+    // still in flight, or the honest echoes arriving meanwhile are lost.
+    honest_majority_survives(|dealer, _| {
+        vec![MpcMsg::Avss {
+            dealer,
+            inner: avss::AvssMsg::Echo(vec![Fp::ONE]),
+        }]
+    });
+}
+
 #[test]
 fn forged_private_outputs_are_corrected() {
     // Byzantine player 3 sends garbage Output points to player 0 for every

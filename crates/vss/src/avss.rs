@@ -10,6 +10,22 @@
 //! them, and run Bracha-style READY amplification to terminate. The final
 //! share is `f_i(0)`, a point on the degree-`f` polynomial `S(x, 0)`.
 //!
+//! A dealing is a *vector* of `k` secrets (the MPC input phase ships a
+//! player's inputs and every mask it contributes at once), and the state
+//! treats it as one matrix problem, not `k` scalar sharings. On receiving
+//! its rows a player computes the `n × k` **echo matrix**
+//! `E[j][c] = f_c(x_j)` once, as dot products against the cached power
+//! table of the share grid. Row `E[j]` is the echo it sends to `j` — and,
+//! by the same symmetry, exactly what `j`'s echo must equal, so agreement
+//! is counted with `k` comparisons per arriving echo and no field
+//! multiplication. Rows that have to be decoded from the echoes are first
+//! tried column-batched — one Lagrange basis over the first `f + 1` senders
+//! applied to all `k` columns, checked against the next `f` — which is
+//! [`OecState`]'s own first acceptance attempt; a column that fails it goes
+//! through `OecState` unchanged, the one implementation of error
+//! correction. Once the rows are confirmed only their constant terms are
+//! kept: the echo evidence and `E` are released.
+//!
 //! Properties exercised by the tests (for `n > 4f`):
 //!
 //! * honest dealer → every honest player completes with consistent shares;
@@ -19,12 +35,11 @@
 //!   excludes it from the input core).
 
 use crate::reconstruct::OecState;
-use crate::shamir::Share;
-use mediator_field::{Fp, Poly};
+use mediator_field::{grid, Fp};
 use mediator_sim::sansio::Payload;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// AVSS wire messages (vector-valued: one entry per shared secret).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,48 +70,96 @@ pub enum AvssDest {
 /// Dealer-side sharing: builds the per-player row messages.
 ///
 /// Returns one `Rows` message per player.
-#[allow(clippy::needless_range_loop)] // symmetric matrix fill writes m[a][b] and m[b][a]
 pub fn deal<R: Rng + ?Sized>(secrets: &[Fp], n: usize, f: usize, rng: &mut R) -> Vec<AvssMsg> {
-    // One symmetric bivariate polynomial per secret:
-    // S(x,y) = Σ_{a≤b} c_{ab} (x^a y^b + x^b y^a excess handled below).
-    // We store the full (f+1)×(f+1) symmetric coefficient matrix.
-    let per_secret: Vec<Vec<Vec<Fp>>> = secrets
-        .iter()
-        .map(|&s| {
-            let mut m = vec![vec![Fp::ZERO; f + 1]; f + 1];
-            for a in 0..=f {
-                for b in a..=f {
-                    let c = if a == 0 && b == 0 { s } else { Fp::random(rng) };
-                    m[a][b] = c;
-                    m[b][a] = c;
-                }
+    // One symmetric bivariate polynomial per secret, S(x,y) = Σ c_ab x^a y^b
+    // with c_ab = c_ba: all the (f+1)×(f+1) coefficient matrices in one
+    // flat buffer, drawn upper triangle first, row by row.
+    let w = f + 1;
+    let mut coeffs = vec![Fp::ZERO; secrets.len() * w * w];
+    for (m, &s) in coeffs.chunks_exact_mut(w * w).zip(secrets) {
+        for a in 0..w {
+            for b in a..w {
+                let c = if a == 0 && b == 0 { s } else { Fp::random(rng) };
+                m[a * w + b] = c;
+                m[b * w + a] = c;
             }
-            m
-        })
-        .collect();
+        }
+    }
+    // f_i(y) = Σ_b (Σ_a c_ab x_i^a) y^b, and by symmetry the inner sum is
+    // matrix row b against the powers of x_i: player i's k·(f+1) row
+    // coefficients are one matrix–vector product.
+    let powers = grid::point_powers(n);
+    let mut flat = vec![Fp::ZERO; secrets.len() * w];
     (0..n)
         .map(|i| {
-            let xi = Fp::new(i as u64 + 1);
-            let rows: Vec<Vec<Fp>> = per_secret
-                .iter()
-                .map(|m| {
-                    // f_i(y) = Σ_b (Σ_a m[a][b] x_i^a) y^b
-                    (0..=f)
-                        .map(|b| {
-                            let mut acc = Fp::ZERO;
-                            let mut xp = Fp::ONE;
-                            for row in m.iter().take(f + 1) {
-                                acc += row[b] * xp;
-                                xp *= xi;
-                            }
-                            acc
-                        })
-                        .collect()
-                })
-                .collect();
+            Fp::mat_vec(&coeffs, &powers[i * n..i * n + w], &mut flat);
+            let rows = flat.chunks_exact(w).map(<[Fp]>::to_vec).collect();
             AvssMsg::Rows(Payload::new(rows))
         })
         .collect()
+}
+
+/// The echo matrix of `k` row polynomials, given row-major with `w`
+/// low-to-high coefficients each: row-major `n × k`, `E[j·k + c] = f_c(x_j)`.
+fn echo_matrix(rows: &[Fp], w: usize, n: usize) -> Vec<Fp> {
+    let k = rows.len() / w;
+    let powers = grid::point_powers(n);
+    let mut e = vec![Fp::ZERO; n * k];
+    for (j, ej) in e.chunks_exact_mut(k.max(1)).enumerate() {
+        Fp::mat_vec(rows, &powers[j * n..j * n + w], ej);
+    }
+    e
+}
+
+/// What a player knows from the dealer's `Rows`, reduced to what the rest
+/// of the instance reads.
+#[derive(Debug, Clone)]
+struct OwnRows {
+    /// The rows' constant terms — the shares, should the rows be confirmed.
+    consts: Vec<Fp>,
+    /// The echo matrix of the rows: `expect[j·k..(j+1)·k]` is what was sent
+    /// to `j` and what `j`'s echo has to equal.
+    expect: Vec<Fp>,
+    /// Per coordinate, how many stored echoes equal the expectation.
+    agree: Vec<u32>,
+}
+
+impl OwnRows {
+    /// Counts `vals`, the echo of player `from`, towards agreement.
+    fn count(&mut self, from: usize, vals: &[Fp]) {
+        let k = self.consts.len();
+        if vals.len() != k {
+            return;
+        }
+        let expect = &self.expect[from * k..(from + 1) * k];
+        for ((a, v), e) in self.agree.iter_mut().zip(vals).zip(expect) {
+            *a += u32::from(v == e);
+        }
+    }
+}
+
+/// What confirmation is decided from; released once it is decided.
+#[derive(Debug, Clone)]
+struct Evidence {
+    /// The first echo of each sender, whatever its length: an echo never
+    /// decides the arity, it is only filtered by it.
+    echoes: Vec<Option<Vec<Fp>>>,
+    own: Option<OwnRows>,
+}
+
+impl Evidence {
+    /// The number of secrets in this dealing: the length of the own rows
+    /// when held, otherwise the (smallest) length more than `2f` stored
+    /// echoes share — at least `f + 1` honest players echoed it.
+    fn arity(&self, f: usize) -> Option<usize> {
+        if let Some(own) = &self.own {
+            return Some(own.consts.len());
+        }
+        let lens = || self.echoes.iter().flatten().map(Vec::len);
+        lens()
+            .filter(|&l| lens().filter(|&m| m == l).count() > 2 * f)
+            .min()
+    }
 }
 
 /// One player's state in one AVSS instance.
@@ -104,35 +167,33 @@ pub fn deal<R: Rng + ?Sized>(secrets: &[Fp], n: usize, f: usize, rng: &mut R) ->
 pub struct AvssState {
     n: usize,
     f: usize,
-    me: usize,
-    num_secrets: Option<usize>,
-    own_rows: Option<Vec<Poly>>,
-    confirmed_rows: Option<Vec<Poly>>,
-    echoes: BTreeMap<usize, Vec<Fp>>,
-    echo_sent: bool,
+    dealer: usize,
+    evidence: Option<Evidence>,
+    /// Constant terms of the confirmed rows.
+    shares: Option<Vec<Fp>>,
     ready_sent: bool,
     ready_recv: BTreeSet<usize>,
     completed: bool,
 }
 
 impl AvssState {
-    /// Creates the receiving-side state for one instance.
+    /// Creates the receiving-side state for the instance dealt by `dealer`.
     ///
     /// # Panics
     ///
-    /// Panics unless `n > 4f` (the AVSS threshold) and `me < n`.
-    pub fn new(n: usize, f: usize, me: usize) -> Self {
+    /// Panics unless `n > 4f` (the AVSS threshold) and `dealer < n`.
+    pub fn new(n: usize, f: usize, dealer: usize) -> Self {
         assert!(n > 4 * f, "AVSS requires n > 4f (n={n}, f={f})");
-        assert!(me < n);
+        assert!(dealer < n);
         AvssState {
             n,
             f,
-            me,
-            num_secrets: None,
-            own_rows: None,
-            confirmed_rows: None,
-            echoes: BTreeMap::new(),
-            echo_sent: false,
+            dealer,
+            evidence: Some(Evidence {
+                echoes: vec![None; n],
+                own: None,
+            }),
+            shares: None,
             ready_sent: false,
             ready_recv: BTreeSet::new(),
             completed: false,
@@ -144,57 +205,55 @@ impl AvssState {
         self.completed
     }
 
-    /// The share vector `f_me(0)` once completed.
-    pub fn shares(&self) -> Option<Vec<Share>> {
+    /// The share vector `f_me(0)`, one value per secret, once completed.
+    pub fn shares(&self) -> Option<&[Fp]> {
         if !self.completed {
             return None;
         }
-        let rows = self.confirmed_rows.as_ref()?;
-        Some(
-            rows.iter()
-                .map(|r| Share {
-                    index: self.me,
-                    value: r.eval(Fp::ZERO),
-                })
-                .collect(),
-        )
+        self.shares.as_deref()
     }
 
-    /// Processes a message from `from` (the dealer for `Rows`, peers for the
-    /// rest). Returns outgoing messages and `true` when the instance
-    /// completes now.
+    /// Processes a message from `from`. `Rows` count only from the dealer
+    /// of this instance. Returns outgoing messages and `true` when the
+    /// instance completes now.
     pub fn on_message(&mut self, from: usize, msg: AvssMsg) -> (Vec<AvssOut>, bool) {
         let mut out = Vec::new();
         if self.completed {
             return (out, false);
         }
-        match msg {
-            AvssMsg::Rows(rows) => {
-                if self.own_rows.is_none() && self.valid_rows(&rows) {
-                    self.num_secrets = Some(rows.len());
-                    // Point-to-point dealing: this is normally the last
-                    // reference, so taking ownership is copy-free.
-                    self.own_rows = Some(
-                        rows.into_inner()
-                            .into_iter()
-                            .map(Poly::from_coeffs)
-                            .collect(),
-                    );
-                    self.send_echoes(&mut out);
-                }
-                let _ = from;
-            }
-            AvssMsg::Echo(vals) => {
-                if let Some(k) = self.num_secrets {
-                    if vals.len() != k {
-                        return (out, false); // malformed echo: drop
+        match (msg, &mut self.evidence) {
+            (AvssMsg::Rows(rows), Some(ev)) => {
+                if from == self.dealer && ev.own.is_none() && valid_rows(&rows, self.f) {
+                    let (k, w) = (rows.len(), self.f + 1);
+                    let mut flat = vec![Fp::ZERO; k * w];
+                    for (padded, r) in flat.chunks_exact_mut(w).zip(rows.iter()) {
+                        padded[..r.len()].copy_from_slice(r);
                     }
-                } else {
-                    self.num_secrets = Some(vals.len());
+                    let mut own = OwnRows {
+                        consts: flat.iter().step_by(w).copied().collect(),
+                        expect: echo_matrix(&flat, w, self.n),
+                        agree: vec![0; k],
+                    };
+                    for (j, vals) in ev.echoes.iter().enumerate() {
+                        if let Some(vals) = vals {
+                            own.count(j, vals);
+                        }
+                    }
+                    send_echoes(&own.expect, k, self.n, &mut out);
+                    ev.own = Some(own);
                 }
-                self.echoes.entry(from).or_insert(vals);
             }
-            AvssMsg::Ready => {
+            (AvssMsg::Echo(vals), Some(ev)) => {
+                if let Some(slot) = ev.echoes.get_mut(from).filter(|s| s.is_none()) {
+                    if let Some(own) = &mut ev.own {
+                        own.count(from, &vals);
+                    }
+                    *slot = Some(vals);
+                }
+            }
+            // Confirmed: nothing reads rows or echoes again.
+            (AvssMsg::Rows(_) | AvssMsg::Echo(_), None) => {}
+            (AvssMsg::Ready, _) => {
                 self.ready_recv.insert(from);
             }
         }
@@ -203,91 +262,116 @@ impl AvssState {
         (out, done)
     }
 
-    fn valid_rows(&self, rows: &[Vec<Fp>]) -> bool {
-        !rows.is_empty() && rows.iter().all(|r| r.len() <= self.f + 1)
-    }
-
-    fn send_echoes(&mut self, out: &mut Vec<AvssOut>) {
-        if self.echo_sent {
-            return;
-        }
-        if let Some(rows) = &self.own_rows {
-            self.echo_sent = true;
-            for j in 0..self.n {
-                let xj = Fp::new(j as u64 + 1);
-                let vals: Vec<Fp> = rows.iter().map(|r| r.eval(xj)).collect();
-                out.push((AvssDest::One(j), AvssMsg::Echo(vals)));
-            }
-        }
-    }
-
-    /// Attempts confirmation, READY, amplification, recovery, completion.
+    /// Attempts confirmation, READY, completion.
     fn progress(&mut self, out: &mut Vec<AvssOut>) {
-        self.try_confirm();
-        // Late recovery may enable our echoes (helping others finish).
-        if self.own_rows.is_none() && self.confirmed_rows.is_some() {
-            self.own_rows = self.confirmed_rows.clone();
-            self.send_echoes(out);
+        if self.shares.is_none() {
+            self.try_confirm(out);
         }
-        if self.confirmed_rows.is_some() && !self.ready_sent {
-            // Direct READY once confirmed, or amplified READY at f+1 votes.
-            let amplify = self.ready_recv.len() > self.f;
-            let direct = true; // confirmation alone suffices to vote
-            if direct || amplify {
+        if self.shares.is_some() {
+            if !self.ready_sent {
                 self.ready_sent = true;
                 out.push((AvssDest::All, AvssMsg::Ready));
             }
-        }
-        if self.confirmed_rows.is_some() && self.ready_recv.len() > 2 * self.f && !self.completed {
-            self.completed = true;
+            if self.ready_recv.len() > 2 * self.f {
+                self.completed = true;
+            }
         }
     }
 
-    /// Confirms rows coordinate-wise: own row if ≥ 2f+1 echoes agree, else
-    /// the OEC-recovered row from the echoes addressed to us.
-    fn try_confirm(&mut self) {
-        if self.confirmed_rows.is_some() {
+    /// Confirms rows coordinate-wise: the own row if ≥ 2f+1 echoes agree
+    /// with it, else the row decoded from the echoes addressed to us. On
+    /// success keeps the constant terms, echoes the rows if they were not
+    /// echoed on receipt (helping others finish), and drops the evidence.
+    fn try_confirm(&mut self, out: &mut Vec<AvssOut>) {
+        let (n, f, w) = (self.n, self.f, self.f + 1);
+        let Some(ev) = &self.evidence else { return };
+        let Some(k) = ev.arity(f) else { return };
+        // The echoes of that arity, in sender order. Own-row agreement and
+        // decoding both rest on 2f+1 of them.
+        let senders: Vec<(usize, &[Fp])> = ev
+            .echoes
+            .iter()
+            .enumerate()
+            .filter_map(|(j, vals)| Some((j, vals.as_deref().filter(|v| v.len() == k)?)))
+            .collect();
+        if senders.len() <= 2 * f {
             return;
         }
-        let Some(k) = self.num_secrets else { return };
-        let mut confirmed: Vec<Poly> = Vec::with_capacity(k);
-        for c in 0..k {
-            // Own-row confirmation.
-            if let Some(rows) = &self.own_rows {
-                let row = &rows[c];
-                let agree = self
-                    .echoes
-                    .iter()
-                    .filter(|(&j, vals)| {
-                        vals.len() == k && vals[c] == row.eval(Fp::new(j as u64 + 1))
-                    })
-                    .count();
-                if agree > 2 * self.f {
-                    confirmed.push(row.clone());
-                    continue;
-                }
-            }
-            // Echo-consensus recovery: the echoes sent to me are points of
-            // my row (symmetry), decode with ≤ f corruptions, accept at
-            // 2f+1 agreement.
-            let mut oec = OecState::new(self.f, self.f);
-            let mut rec = None;
-            for (&j, vals) in &self.echoes {
-                if vals.len() != k {
-                    continue;
-                }
-                if oec.add_share(j, vals[c]).is_some() {
-                    rec = oec.polynomial().cloned();
-                    break;
-                }
-            }
-            match rec {
-                Some(p) => confirmed.push(p),
-                None => return, // coordinate not confirmable yet
-            }
+        let (mut shares, open): (Vec<Fp>, Vec<usize>) = match &ev.own {
+            Some(own) => (
+                own.consts.clone(),
+                (0..k).filter(|&c| own.agree[c] as usize <= 2 * f).collect(),
+            ),
+            None => (vec![Fp::ZERO; k], (0..k).collect()),
+        };
+        let Some(rows) = recover(&senders, f, n, &open) else {
+            return;
+        };
+        for (&c, row) in open.iter().zip(rows.chunks_exact(w)) {
+            shares[c] = row[0];
         }
-        self.confirmed_rows = Some(confirmed);
+        if ev.own.is_none() {
+            send_echoes(&echo_matrix(&rows, w, n), k, n, out);
+        }
+        self.shares = Some(shares);
+        self.evidence = None;
     }
+}
+
+/// Decodes the row polynomials of the coordinates `cols` from the echoes
+/// addressed to us — `senders`, at least `2f+1` in index order, each with one
+/// value per coordinate: points of our rows, by symmetry — with up to `f` of them
+/// corrupt, accepting at `2f+1` agreement. Returns them row-major, `f + 1`
+/// low-to-high coefficients each, or `None` while some coordinate is not
+/// decodable.
+///
+/// Every column is first tried against one shared plan: interpolate
+/// through the first `f + 1` senders, check against the next `f`. That is
+/// the first attempt [`OecState`] makes when fed in sender order, so a
+/// column that passes has the polynomial `OecState` would return, and a
+/// column that fails is handed to `OecState` from scratch.
+fn recover(senders: &[(usize, &[Fp])], f: usize, n: usize, cols: &[usize]) -> Option<Vec<Fp>> {
+    let w = f + 1;
+    if cols.is_empty() {
+        return Some(Vec::new());
+    }
+    let (through, witnesses) = senders[..2 * f + 1].split_at(w);
+    let idxs: Vec<usize> = through.iter().map(|&(j, _)| j).collect();
+    let basis = grid::lagrange_basis(&idxs);
+    let powers = grid::point_powers(n);
+    let mut rows = vec![Fp::ZERO; cols.len() * w];
+    let mut ys = vec![Fp::ZERO; w];
+    for (row, &c) in rows.chunks_exact_mut(w).zip(cols) {
+        for (y, (_, vals)) in ys.iter_mut().zip(through) {
+            *y = vals[c];
+        }
+        Fp::mat_vec(&basis, &ys, row);
+        let clean = witnesses
+            .iter()
+            .all(|&(j, vals)| Fp::dot(row, &powers[j * n..j * n + w]) == vals[c]);
+        if !clean {
+            let mut oec = OecState::new(f, f);
+            senders
+                .iter()
+                .find_map(|&(j, vals)| oec.add_share(j, vals[c]))?;
+            let decoded = oec.polynomial().expect("accepted OEC holds its polynomial");
+            row.fill(Fp::ZERO);
+            row[..decoded.coeffs().len()].copy_from_slice(decoded.coeffs());
+        }
+    }
+    Some(rows)
+}
+
+fn valid_rows(rows: &[Vec<Fp>], f: usize) -> bool {
+    !rows.is_empty() && rows.iter().all(|r| r.len() <= f + 1)
+}
+
+/// Queues row `j` of the `n × k` echo matrix `e` for player `j`.
+fn send_echoes(e: &[Fp], k: usize, n: usize, out: &mut Vec<AvssOut>) {
+    out.extend((0..n).map(|j| {
+        let vals = e[j * k..(j + 1) * k].to_vec();
+        (AvssDest::One(j), AvssMsg::Echo(vals))
+    }));
 }
 
 #[cfg(test)]
@@ -310,7 +394,7 @@ mod tests {
         seed: u64,
     ) -> Vec<AvssState> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut states: Vec<AvssState> = (0..n).map(|i| AvssState::new(n, f, i)).collect();
+        let mut states: Vec<AvssState> = (0..n).map(|_| AvssState::new(n, f, dealer)).collect();
         let rows = deal(secrets, n, f, &mut rng);
         let mut queue: Vec<(usize, usize, AvssMsg)> = Vec::new();
         for (i, msg) in rows.into_iter().enumerate() {
@@ -355,8 +439,9 @@ mod tests {
         for (c, &secret) in secrets.iter().enumerate() {
             let pts: Vec<(Fp, Fp)> = states
                 .iter()
-                .filter(|s| s.is_completed())
-                .map(|s| s.shares().unwrap()[c].point())
+                .enumerate()
+                .filter(|(_, s)| s.is_completed())
+                .map(|(i, s)| (Fp::new(i as u64 + 1), s.shares().unwrap()[c]))
                 .collect();
             assert!(pts.len() > f, "not enough completed players");
             let p = rs::interpolate_exact(&pts, f).expect("shares must be f-consistent");
@@ -414,6 +499,159 @@ mod tests {
         let states = run(9, 2, 4, &secrets, &[0], &[1], 11);
         assert!(states.iter().all(|s| s.is_completed()));
         check_consistent_shares(&states, 2, &secrets);
+    }
+
+    /// Delivers `queue` first-in-first-out; what the `silent` (byzantine)
+    /// players would send is dropped.
+    fn drain_fifo(
+        states: &mut [AvssState],
+        queue: &mut std::collections::VecDeque<(usize, usize, AvssMsg)>,
+        silent: &[usize],
+    ) {
+        let n = states.len();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            let (out, _) = states[to].on_message(from, msg);
+            if silent.contains(&to) {
+                continue;
+            }
+            for (dest, m) in out {
+                match dest {
+                    AvssDest::One(d) => queue.push_back((to, d, m)),
+                    AvssDest::All => queue.extend((0..n).map(|d| (to, d, m.clone()))),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_from_a_non_dealer_are_ignored() {
+        // Honest dealer 2; byzantine 1 plants rows for the instance at
+        // player 0 before the real ones arrive, adds one bad echo, and is
+        // silent otherwise. Taking the planted rows would leave player 0
+        // echoing garbage to itself: two bad points of five, which a
+        // degree-1 decoding can never get past.
+        let (n, f, dealer, byz) = (5, 1, 2, 1);
+        let secrets = [Fp::new(41), Fp::new(42)];
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut states: Vec<AvssState> = (0..n).map(|_| AvssState::new(n, f, dealer)).collect();
+        let planted = deal(&[Fp::new(1), Fp::new(2)], n, f, &mut rng).swap_remove(0);
+        let mut queue = std::collections::VecDeque::from([
+            (byz, 0, planted),
+            (byz, 0, AvssMsg::Echo(vec![Fp::new(666), Fp::new(667)])),
+        ]);
+        let rows = deal(&secrets, n, f, &mut rng);
+        queue.extend(rows.into_iter().enumerate().map(|(i, m)| (dealer, i, m)));
+        drain_fifo(&mut states, &mut queue, &[byz]);
+        for i in [0, 2, 3, 4] {
+            assert!(states[i].is_completed(), "honest player {i}");
+        }
+        states.remove(byz);
+        let honest: Vec<(Fp, Fp)> = [0u64, 2, 3, 4]
+            .iter()
+            .zip(&states)
+            .map(|(&i, s)| (Fp::new(i + 1), s.shares().unwrap()[0]))
+            .collect();
+        let p = rs::interpolate_exact(&honest, f).expect("consistent shares");
+        assert_eq!(p.eval(Fp::ZERO), secrets[0]);
+    }
+
+    #[test]
+    fn a_wrong_length_echo_does_not_fix_the_arity() {
+        // Byzantine 4 gets a 1-element echo to player 1 first; the honest
+        // echoes arrive next, player 1's rows last. Were the arity read off
+        // the first echo, every honest echo in between would be dropped
+        // unseen and player 1 left with its own echo alone.
+        let (n, f, dealer, byz) = (5, 1, 0, 4);
+        let secrets = [Fp::new(5), Fp::new(6), Fp::new(7)];
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut states: Vec<AvssState> = (0..n).map(|_| AvssState::new(n, f, dealer)).collect();
+        let mut rows = deal(&secrets, n, f, &mut rng);
+        let late = rows.remove(1);
+        let mut queue = std::collections::VecDeque::from([(byz, 1, AvssMsg::Echo(vec![Fp::ONE]))]);
+        queue.extend(
+            [0, 2, 3, 4]
+                .into_iter()
+                .zip(rows)
+                .map(|(i, m)| (dealer, i, m)),
+        );
+        drain_fifo(&mut states, &mut queue, &[byz]);
+        queue.push_back((dealer, 1, late));
+        drain_fifo(&mut states, &mut queue, &[byz]);
+        for (i, s) in states.iter().enumerate().take(byz) {
+            assert!(s.is_completed(), "honest player {i}");
+        }
+        check_consistent_shares(&states[..4], f, &secrets);
+    }
+
+    #[test]
+    fn an_echo_corrupted_in_some_coordinates_costs_only_those_columns() {
+        // Player 3 never gets its rows and decodes them from echoes; the
+        // echo of sender 0 is wrong in coordinate 1 only. Coordinates 0 and
+        // 2 pass the shared first attempt over senders {0, 1, 2}; coordinate
+        // 1 needs a fourth point before error correction can accept, and
+        // confirmation waits for it.
+        let (n, f, dealer, me) = (5, 1, 4, 3);
+        let secrets = [Fp::new(10), Fp::new(20), Fp::new(30)];
+        let mut rng = StdRng::seed_from_u64(9);
+        // What each sender j echoes to `me`: E_j[me].
+        let echo_to_me: Vec<Vec<Fp>> = deal(&secrets, n, f, &mut rng)
+            .into_iter()
+            .map(|rows| {
+                let mut s = AvssState::new(n, f, dealer);
+                let (out, _) = s.on_message(dealer, rows);
+                match &out[me] {
+                    (AvssDest::One(d), AvssMsg::Echo(vals)) if *d == me => vals.clone(),
+                    other => panic!("not an echo to {me}: {other:?}"),
+                }
+            })
+            .collect();
+        let mut state = AvssState::new(n, f, dealer);
+        let mut bent = echo_to_me[0].clone();
+        bent[1] += Fp::ONE;
+        for (j, vals) in [(0, bent), (1, echo_to_me[1].clone())] {
+            assert!(state.on_message(j, AvssMsg::Echo(vals)).0.is_empty());
+        }
+        let (out, _) = state.on_message(2, AvssMsg::Echo(echo_to_me[2].clone()));
+        assert!(
+            out.is_empty(),
+            "coordinate 1 is not decodable from 3 points"
+        );
+        let (out, _) = state.on_message(4, AvssMsg::Echo(echo_to_me[4].clone()));
+        // Recovered: echoes to everyone, then READY — and the echo to
+        // player `me` itself is what an honest holder of the row sends.
+        assert_eq!(out.len(), n + 1);
+        assert_eq!(
+            out[me],
+            (AvssDest::One(me), AvssMsg::Echo(echo_to_me[me].clone()))
+        );
+        assert_eq!(out[n], (AvssDest::All, AvssMsg::Ready));
+    }
+
+    #[test]
+    fn confirmation_releases_the_echo_evidence() {
+        let (n, f, dealer) = (5, 1, 0);
+        let secrets = [Fp::new(3), Fp::new(4)];
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut rows = deal(&secrets, n, f, &mut rng);
+        let mut holder = AvssState::new(n, f, dealer);
+        let (echoes, _) = holder.on_message(dealer, rows.swap_remove(0));
+        assert!(holder.evidence.as_ref().is_some_and(|ev| ev.own.is_some()));
+        // Player 0's own echoes stand in for those of 1 and 2 here: only
+        // the row E[j] sent *to* j is what j's echo must equal, so feed
+        // each sender its expected vector.
+        for (j, (_, m)) in echoes.into_iter().enumerate().take(2 * f + 1) {
+            assert!(holder.shares.is_none());
+            holder.on_message(j, m);
+        }
+        assert!(holder.shares.is_some() && !holder.is_completed());
+        assert!(holder.evidence.is_none(), "echoes and E are dropped");
+        // A later echo is not stored either.
+        holder.on_message(4, AvssMsg::Echo(vec![Fp::ONE, Fp::ONE]));
+        assert!(holder.evidence.is_none());
+        // And a whole honest run ends with no state holding evidence.
+        for s in run(n, f, dealer, &secrets, &[3], &[], 1) {
+            assert!(s.is_completed() && s.evidence.is_none());
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub struct AvssPeer {
     state: AvssState,
     n: usize,
     f: usize,
+    me: usize,
     secrets: Option<Vec<Fp>>,
 }
 
@@ -55,9 +56,10 @@ impl AvssPeer {
             "exactly the dealer supplies secrets"
         );
         AvssPeer {
-            state: AvssState::new(n, f, me),
+            state: AvssState::new(n, f, dealer),
             n,
             f,
+            me,
             secrets,
         }
     }
@@ -85,7 +87,9 @@ impl SansIo for AvssPeer {
         _rng: &mut StdRng,
     ) -> (Vec<Outgoing<AvssMsg>>, Option<Vec<Share>>) {
         let (batch, done) = self.state.on_message(from, msg);
-        let shares = if done { self.state.shares() } else { None };
+        let index = self.me;
+        let shares = self.state.shares().filter(|_| done);
+        let shares = shares.map(|vals| vals.iter().map(|&value| Share { index, value }).collect());
         (convert(batch), shares)
     }
 

@@ -1,13 +1,145 @@
 //! Property-based tests for the sharing layer: privacy-degree arithmetic,
 //! online error correction soundness under arbitrary adversarial order and
-//! lie patterns.
+//! lie patterns, and the vector AVSS against its per-coordinate reference.
 
+mod avss_reference;
+
+use avss_reference::RefState;
 use mediator_field::{rs, Fp};
+use mediator_sim::sansio::Payload;
+use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
 use mediator_vss::shamir::{lagrange_at_zero, share_secret, Share};
 use mediator_vss::OecState;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// `vals` with a random non-empty subset of its coordinates changed.
+fn bend_some(vals: &mut [Fp], rng: &mut StdRng) {
+    let must = rng.gen_range(0..vals.len());
+    for (c, v) in vals.iter_mut().enumerate() {
+        if c == must || rng.gen_range(0..4) == 0 {
+            *v += Fp::random_nonzero(rng);
+        }
+    }
+}
+
+/// What a hostile dealer might hand a player in place of its rows.
+fn hostile_rows(rows: &[Vec<Fp>], f: usize, rng: &mut StdRng) -> Vec<Vec<Fp>> {
+    let mut rows = rows.to_vec();
+    match rng.gen_range(0..5) {
+        // Every coordinate replaced.
+        0 => rows
+            .iter_mut()
+            .for_each(|r| r.iter_mut().for_each(|c| *c = Fp::random(rng))),
+        // Some coordinates replaced: the others still confirm as dealt.
+        1 => {
+            let must = rng.gen_range(0..rows.len());
+            for (c, r) in rows.iter_mut().enumerate() {
+                if c == must || rng.gen_range(0..3) == 0 {
+                    bend_some(r, rng);
+                }
+            }
+        }
+        // Lower-degree and empty rows (legal: at most f + 1 coefficients).
+        2 => rows
+            .iter_mut()
+            .for_each(|r| r.truncate(rng.gen_range(0..=f + 1))),
+        // A different number of secrets.
+        3 => rows.push(vec![Fp::random(rng); f + 1]),
+        // Malformed: a row of too high a degree.
+        _ => rows[0].push(Fp::ONE),
+    }
+    rows
+}
+
+/// What a byzantine player might send in place of one honest message;
+/// `None` drops it.
+fn hostile_msg(msg: AvssMsg, rng: &mut StdRng) -> Option<AvssMsg> {
+    let AvssMsg::Echo(mut vals) = msg else {
+        return (rng.gen_range(0..4) > 0).then_some(msg);
+    };
+    match rng.gen_range(0..6) {
+        0 => return None,
+        1 => bend_some(&mut vals, rng),
+        2 => vals.iter_mut().for_each(|v| *v = Fp::random(rng)),
+        3 => vals = vec![Fp::ONE],
+        4 => vals.push(Fp::ZERO),
+        _ => {}
+    }
+    Some(AvssMsg::Echo(vals))
+}
+
+/// Runs one AVSS instance on the vector state and on the per-coordinate
+/// reference side by side, under a seeded adversary — rows withheld,
+/// replaced or planted by a non-dealer, up to `f + 1` players tampering
+/// with everything they send, arbitrary delivery order — and checks that
+/// both emit the same messages after every delivery and end with the same
+/// shares. Returns how many players completed.
+fn avss_matches_reference(n: usize, f: usize, k: usize, seed: u64) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dealer = rng.gen_range(0..n);
+    let secrets: Vec<Fp> = (0..k).map(|_| Fp::random(&mut rng)).collect();
+    let deal_seed = rng.gen::<u64>();
+    let dealt = avss::deal(&secrets, n, f, &mut StdRng::seed_from_u64(deal_seed));
+    let spec = avss_reference::deal(&secrets, n, f, &mut StdRng::seed_from_u64(deal_seed));
+    assert_eq!(dealt, spec, "deal: same draws, same rows");
+
+    let byzantine: Vec<usize> = (0..rng.gen_range(0..=f + 1))
+        .map(|_| rng.gen_range(0..n))
+        .collect();
+    let mut pool: Vec<(usize, usize, AvssMsg)> = Vec::new();
+    for (to, msg) in dealt.into_iter().enumerate() {
+        let AvssMsg::Rows(rows) = &msg else {
+            unreachable!("deal returns rows")
+        };
+        match rng.gen_range(0..6) {
+            0 => {}
+            1 => {
+                let bad = hostile_rows(rows, f, &mut rng);
+                pool.push((dealer, to, AvssMsg::Rows(Payload::new(bad))));
+            }
+            _ => pool.push((dealer, to, msg)),
+        }
+    }
+    for &b in byzantine.iter().filter(|&&b| b != dealer) {
+        // Rows for this instance from someone who is not its dealer.
+        let planted = avss::deal(&secrets, n, f, &mut rng);
+        for (to, msg) in planted.into_iter().enumerate() {
+            if rng.gen_range(0..2) == 0 {
+                pool.push((b, to, msg));
+            }
+        }
+    }
+
+    let mut states: Vec<AvssState> = (0..n).map(|_| AvssState::new(n, f, dealer)).collect();
+    let mut refs: Vec<RefState> = (0..n).map(|_| RefState::new(n, f, dealer)).collect();
+    while !pool.is_empty() {
+        let (from, to, msg) = pool.swap_remove(rng.gen_range(0..pool.len()));
+        let got = states[to].on_message(from, msg.clone());
+        let want = refs[to].on_message(from, msg);
+        assert_eq!(got, want, "player {to} after a message from {from}");
+        assert_eq!(states[to].shares().map(<[Fp]>::to_vec), refs[to].shares());
+        for (dest, m) in got.0 {
+            let dests = match dest {
+                AvssDest::One(d) => d..d + 1,
+                AvssDest::All => 0..n,
+            };
+            for d in dests {
+                if !byzantine.contains(&to) {
+                    pool.push((to, d, m.clone()));
+                } else if let Some(m) = hostile_msg(m.clone(), &mut rng) {
+                    pool.push((to, d, m));
+                }
+            }
+        }
+    }
+    for (s, r) in states.iter().zip(&refs) {
+        assert_eq!(s.is_completed(), r.is_completed());
+        assert_eq!(s.shares().map(<[Fp]>::to_vec), r.shares());
+    }
+    states.iter().filter(|s| s.is_completed()).count()
+}
 
 proptest! {
     #[test]
@@ -86,6 +218,15 @@ proptest! {
             }
         }
         prop_assert_eq!(oec.secret(), Some(Fp::new(secret)), "must terminate with all shares in");
+    }
+
+    /// The vector AVSS is the per-coordinate AVSS: same `AvssOut` sequence
+    /// after every message and same shares, hostile inputs included.
+    #[test]
+    fn vector_avss_matches_the_per_coordinate_reference(
+        f in 0usize..=3, extra in 1usize..=4, k in 1usize..=40, seed in any::<u64>()
+    ) {
+        avss_matches_reference(4 * f + extra, f, k, seed);
     }
 
     /// Privacy-shaped property: any deg shares are consistent with every
