@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mediator_bench::{
-    majority_spec_epsilon, majority_spec_punish, majority_spec_robust, ones_inputs,
-    run_with_deviant,
+    majority_spec_epsilon, majority_spec_punish, majority_spec_robust, ones_inputs, plan_for,
 };
 use mediator_circuits::catalog;
 use mediator_core::egl;
@@ -47,7 +46,7 @@ fn bench_cheap_talk(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            run_with_deviant(&robust, &inputs, None, &SchedulerKind::Random, seed)
+            plan_for(&robust, &inputs).run_with(&SchedulerKind::Random, seed)
         })
     });
 
@@ -57,7 +56,7 @@ fn bench_cheap_talk(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            run_with_deviant(&eps, &inputs4, None, &SchedulerKind::Random, seed)
+            plan_for(&eps, &inputs4).run_with(&SchedulerKind::Random, seed)
         })
     });
 
@@ -68,7 +67,7 @@ fn bench_cheap_talk(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            run_with_deviant(&punish, &inputs6, None, &SchedulerKind::Random, seed)
+            plan_for(&punish, &inputs6).run_with(&SchedulerKind::Random, seed)
         })
     });
     g.finish();

@@ -3,9 +3,10 @@
 //! the DESIGN.md coin ablation), AVSS, and one MPC multiplication.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mediator_bcast::harness::{Behavior, Net};
-use mediator_bcast::{AbaState, CoinSource, IdealCoin, LocalCoin, RbcState};
+use mediator_bcast::{AbaPeer, AbaState, CoinSource, IdealCoin, LocalCoin, RbcPeer};
 use mediator_field::{rs, Fp, Poly};
+use mediator_sim::sansio::Machines;
+use mediator_sim::RandomScheduler;
 use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,40 +44,26 @@ fn bench_rs(c: &mut Criterion) {
 }
 
 fn run_rbc(n: usize, t: usize, seed: u64) -> u64 {
-    let mut states: Vec<RbcState<u64>> = (0..n).map(|_| RbcState::new(n, t, 0)).collect();
-    let behavior: Behavior<_> = Box::new(|_, _, _| Vec::new());
-    let mut net = Net::new(n, vec![], seed, behavior);
-    let batch = states[0].start(42);
-    net.push_batch(0, batch);
-    net.run(|to, from, msg, sink| {
-        let (out, _) = states[to].on_message(from, msg);
-        sink.push_batch(to, out);
-    });
-    net.delivered
+    let peers: Vec<RbcPeer<u64>> = (0..n)
+        .map(|me| RbcPeer::new(n, t, 0, me, (me == 0).then_some(42)))
+        .collect();
+    let (outcome, _) = Machines::new(peers).run(&mut RandomScheduler::new(), seed, 2_000_000);
+    outcome.messages_delivered
 }
 
 fn run_aba(n: usize, t: usize, seed: u64, local: bool) -> u64 {
-    let mut states: Vec<AbaState> = (0..n)
+    let peers: Vec<AbaPeer> = (0..n)
         .map(|i| {
             let coin: Box<dyn CoinSource> = if local {
                 Box::new(LocalCoin::new(100 + i as u64))
             } else {
                 Box::new(IdealCoin::new(9))
             };
-            AbaState::new(n, t, 0, coin)
+            AbaPeer::new(AbaState::new(n, t, 0, coin), i % 2 == 0)
         })
         .collect();
-    let behavior: Behavior<_> = Box::new(|_, _, _| Vec::new());
-    let mut net = Net::new(n, vec![], seed, behavior);
-    for (i, s) in states.iter_mut().enumerate() {
-        let batch = s.start(i % 2 == 0);
-        net.push_batch(i, batch);
-    }
-    net.run(|to, from, msg, sink| {
-        let (out, _) = states[to].on_message(from, msg);
-        sink.push_batch(to, out);
-    });
-    net.delivered
+    let (outcome, _) = Machines::new(peers).run(&mut RandomScheduler::new(), seed, 2_000_000);
+    outcome.messages_delivered
 }
 
 fn bench_agreement(c: &mut Criterion) {

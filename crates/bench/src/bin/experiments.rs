@@ -34,10 +34,56 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         })
 }
 
+/// The table experiments, in the order `main` runs them.
+const EXPERIMENTS: [&str; 12] = [
+    "--e1", "--e1b", "--e2", "--e3", "--e4", "--e5", "--e6", "--e7", "--e8", "--e9", "--e10",
+    "--e11",
+];
+
+const USAGE: &str = "usage: experiments [--fast] [--all | --e1 --e1b --e2 … --e11]
+       experiments --conformance | --frontier [--fast] [--shard N] [--out FILE] [--witness-out FILE]
+       experiments --tamper [--out FILE]
+       experiments --replay FILE";
+
+/// Which table experiments `args` select, or the first argument that is
+/// not recognised. Modifiers (`--fast`), the artifact modes and valued
+/// options (with their values) select nothing; no selection means all.
+fn selection(args: &[String]) -> Result<Vec<&'static str>, &str> {
+    let mut picked = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let (name, inline_value) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        match name {
+            "--all" => picked.extend(EXPERIMENTS),
+            "--fast" | "--tamper" | "--frontier" | "--conformance" => {}
+            "--out" | "--witness-out" | "--shard" | "--replay" => {
+                if !inline_value {
+                    args.next();
+                }
+            }
+            _ => match EXPERIMENTS.iter().find(|e| **e == name) {
+                Some(e) => picked.push(*e),
+                None => return Err(arg),
+            },
+        }
+    }
+    if picked.is_empty() {
+        picked.extend(EXPERIMENTS);
+    }
+    Ok(picked)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let selected = selection(&args).unwrap_or_else(|unknown| {
+        eprintln!("experiments: unrecognised argument `{unknown}`\n{USAGE}");
+        std::process::exit(2);
+    });
     let flag = |name: &str| args.iter().any(|a| a == name);
-    let want = |name: &str| args.is_empty() || flag(name) || flag("--all");
+    let want = |name: &str| selected.contains(&name);
     let fast = flag("--fast");
     let samples = if fast { 20 } else { 60 };
     let out = opt(&args, "--out");
@@ -822,7 +868,7 @@ fn e11_substrate_timings() {
     let spec = majority_spec_robust(5, 1, 0);
     let inputs = ones_inputs(5);
     let start = Instant::now();
-    let out = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 1);
+    let out = plan_for(&spec, &inputs).run_with(&SchedulerKind::Random, 1);
     t.row(vec![
         "cheap talk (Thm 4.1)".into(),
         format!("n 5, majority, {} msgs", out.messages_sent),
@@ -1293,7 +1339,7 @@ fn e5_message_scaling() {
             vec![0; n],
         );
         let inputs = ones_inputs(n);
-        let out = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 5);
+        let out = plan_for(&spec, &inputs).run_with(&SchedulerKind::Random, 5);
         pts_n.push((n as f64, out.messages_sent as f64));
         t.row(vec![
             "n".into(),
@@ -1323,7 +1369,7 @@ fn e5_message_scaling() {
         let spec =
             CheapTalkSpec::theorem_4_1(n, 1, 0, circuit, vec![vec![Fp::ZERO]; n], vec![0; n]);
         let inputs = ones_inputs(n);
-        let out = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 5);
+        let out = plan_for(&spec, &inputs).run_with(&SchedulerKind::Random, 5);
         pts_c.push((muls as f64, out.messages_sent as f64));
         t.row(vec![
             "c".into(),
@@ -1579,7 +1625,7 @@ fn e9_egl() {
     // The punishment protocol's cost does not depend on ε: measure once.
     let n = 5;
     let spec = majority_spec_punish(n, 1, 0);
-    let out = run_with_deviant(&spec, &ones_inputs(n), None, &SchedulerKind::Random, 3);
+    let out = plan_for(&spec, &ones_inputs(n)).run_with(&SchedulerKind::Random, 3);
     let flat = out.messages_sent;
     let mut pts = Vec::new();
     for &eps in &[0.1f64, 0.03, 0.01, 0.003, 0.001] {
@@ -1650,4 +1696,33 @@ fn e10_scheduler_collusion(samples: usize) {
         ]);
     }
     print!("{t}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn select(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        selection(&args).map_err(str::to_string)
+    }
+
+    #[test]
+    fn modifiers_and_options_are_not_selections() {
+        assert_eq!(select(&[]), Ok(EXPERIMENTS.to_vec()));
+        assert_eq!(select(&["--fast"]), Ok(EXPERIMENTS.to_vec()));
+        assert_eq!(select(&["--fast", "--e9"]), Ok(vec!["--e9"]));
+        assert_eq!(select(&["--fast", "--all"]), Ok(EXPERIMENTS.to_vec()));
+        // A valued option swallows its value in both spellings.
+        let conformance = ["--conformance", "--shard", "4", "--out=C.json"];
+        assert_eq!(select(&conformance), Ok(EXPERIMENTS.to_vec()));
+        assert_eq!(select(&["--replay", "--e12"]), Ok(EXPERIMENTS.to_vec()));
+    }
+
+    #[test]
+    fn unrecognised_arguments_are_reported() {
+        assert_eq!(select(&["--e12"]), Err("--e12".into()));
+        assert_eq!(select(&["--bench"]), Err("--bench".into()));
+        assert_eq!(select(&["--fast", "e9"]), Err("e9".into()));
+    }
 }

@@ -6,11 +6,9 @@
 //! repo benchmark, `BENCHMARK.json`), not here.
 
 use mediator_circuits::catalog;
-use mediator_core::deviations::Behavior;
 use mediator_core::scenario::CheapTalkPlan;
 use mediator_core::CheapTalkSpec;
 use mediator_field::Fp;
-use mediator_sim::{Outcome, SchedulerKind};
 
 /// Builds the Theorem 4.1 majority workload.
 pub fn majority_spec_robust(n: usize, k: usize, t: usize) -> CheapTalkSpec {
@@ -80,21 +78,6 @@ pub fn plan_for(spec: &CheapTalkSpec, inputs: &[Vec<Fp>]) -> CheapTalkPlan {
     CheapTalkPlan::from_spec(spec.clone(), inputs.to_vec())
 }
 
-/// Runs one cheap-talk execution with a single deviant behaviour.
-pub fn run_with_deviant(
-    spec: &CheapTalkSpec,
-    inputs: &[Vec<Fp>],
-    deviant: Option<(usize, Behavior)>,
-    kind: &SchedulerKind,
-    seed: u64,
-) -> Outcome {
-    let mut plan = plan_for(spec, inputs);
-    if let Some((p, b)) = deviant {
-        plan = plan.with_deviant(p, b);
-    }
-    plan.run_with(kind, seed)
-}
-
 /// Least-squares slope of `log y` against `log x` — the fitted scaling
 /// exponent used by the E5 tables.
 pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
@@ -113,6 +96,7 @@ pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mediator_sim::SchedulerKind;
 
     #[test]
     fn slope_of_exact_power_law() {
@@ -134,7 +118,7 @@ mod tests {
     fn robust_majority_smoke() {
         let n = 5;
         let spec = majority_spec_robust(n, 1, 0);
-        let out = run_with_deviant(&spec, &ones_inputs(n), None, &SchedulerKind::Random, 1);
+        let out = plan_for(&spec, &ones_inputs(n)).run_with(&SchedulerKind::Random, 1);
         assert_eq!(out.resolve_default(&vec![0; n]), vec![1; n]);
     }
 }

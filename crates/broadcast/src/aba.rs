@@ -18,7 +18,7 @@
 //! processes stop participating.
 
 use crate::coin::CoinSource;
-use crate::outgoing::Outgoing;
+use mediator_sim::sansio::Outgoing;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -245,44 +245,37 @@ impl AbaState {
 mod tests {
     use super::*;
     use crate::coin::{IdealCoin, LocalCoin};
-    use crate::harness::{Behavior, Net};
+    use crate::driver::AbaPeer;
+    use mediator_sim::sansio::{Behavior, Machines};
+    use mediator_sim::SchedulerKind;
 
-    /// Runs one ABA instance; returns (decisions, deliveries).
+    /// Runs one ABA instance under `kind`, with the players in `byz`
+    /// replaced by their behaviours; returns (decisions, deliveries).
     fn run_aba(
         n: usize,
         t: usize,
         inputs: &[bool],
-        byz: &[usize],
+        byz: Vec<(usize, Behavior<AbaMsg>)>,
+        kind: &SchedulerKind,
         seed: u64,
         local_coin: bool,
-        behavior: Behavior<AbaMsg>,
     ) -> (Vec<Option<bool>>, u64) {
-        let mut states: Vec<AbaState> = (0..n)
+        let peers = (0..n)
             .map(|i| {
                 let coin: Box<dyn CoinSource> = if local_coin {
                     Box::new(LocalCoin::new(1000 + i as u64))
                 } else {
                     Box::new(IdealCoin::new(99))
                 };
-                AbaState::new(n, t, 0, coin)
+                AbaPeer::new(AbaState::new(n, t, 0, coin), inputs[i])
             })
             .collect();
-        let mut decisions: Vec<Option<bool>> = vec![None; n];
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        for i in 0..n {
-            if !byz.contains(&i) {
-                let batch = states[i].start(inputs[i]);
-                net.push_batch(i, batch);
-            }
+        let mut run = Machines::new(peers);
+        for (p, b) in byz {
+            run = run.byzantine(p, b);
         }
-        net.run(|to, from, msg, sink| {
-            let (out, d) = states[to].on_message(from, msg);
-            if let Some(v) = d {
-                decisions[to] = Some(v);
-            }
-            sink.push_batch(to, out);
-        });
-        (decisions, net.delivered)
+        let (outcome, decisions) = run.run(kind.build().as_mut(), seed, 2_000_000);
+        (decisions, outcome.messages_delivered)
     }
 
     fn no_op() -> Behavior<AbaMsg> {
@@ -291,11 +284,11 @@ mod tests {
 
     #[test]
     fn unanimous_inputs_decide_that_value() {
-        for seed in 0..5 {
-            for v in [false, true] {
-                let (d, _) = run_aba(4, 1, &[v; 4], &[], seed, false, no_op());
-                for di in &d {
-                    assert_eq!(*di, Some(v), "seed {seed} v {v}");
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..5 {
+                for v in [false, true] {
+                    let (d, _) = run_aba(4, 1, &[v; 4], vec![], &kind, seed, false);
+                    assert_eq!(d, vec![Some(v); 4], "{kind:?} seed {seed} v {v}");
                 }
             }
         }
@@ -303,23 +296,28 @@ mod tests {
 
     #[test]
     fn mixed_inputs_agree_on_something_valid() {
-        for seed in 0..10 {
-            let inputs = [true, false, true, false, true, false, true];
-            let (d, _) = run_aba(7, 2, &inputs, &[], seed, false, no_op());
-            let first = d[0].expect("decided");
-            for di in &d {
-                assert_eq!(*di, Some(first), "agreement, seed {seed}");
+        let inputs = [true, false, true, false, true, false, true];
+        for kind in SchedulerKind::battery(7) {
+            for seed in 0..10 {
+                let (d, _) = run_aba(7, 2, &inputs, vec![], &kind, seed, false);
+                let first = d[0].expect("decided");
+                for di in &d {
+                    assert_eq!(*di, Some(first), "agreement, {kind:?} seed {seed}");
+                }
             }
         }
     }
 
     #[test]
     fn tolerates_silent_byzantine() {
-        for seed in 0..5 {
-            let (d, _) = run_aba(4, 1, &[true; 4], &[2], seed, false, no_op());
-            for (i, di) in d.iter().enumerate() {
-                if i != 2 {
-                    assert_eq!(*di, Some(true), "seed {seed} player {i}");
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..5 {
+                let byz = vec![(2, no_op())];
+                let (d, _) = run_aba(4, 1, &[true; 4], byz, &kind, seed, false);
+                for (i, di) in d.iter().enumerate() {
+                    if i != 2 {
+                        assert_eq!(*di, Some(true), "{kind:?} seed {seed} player {i}");
+                    }
                 }
             }
         }
@@ -342,23 +340,30 @@ mod tests {
                 .collect(),
             _ => Vec::new(),
         });
-        for seed in 0..10 {
-            let (d, _) = run_aba(4, 1, &[true; 4], &[3], seed, false, behavior.clone_box());
-            // Validity: all honest had input true; one byzantine cannot get
-            // false accepted (needs 2t+1 = 3 BVal senders).
-            for (i, di) in d.iter().enumerate() {
-                if i != 3 {
-                    assert_eq!(*di, Some(true), "seed {seed} player {i}");
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..10 {
+                let byz = vec![(3, behavior.clone_box())];
+                let (d, _) = run_aba(4, 1, &[true; 4], byz, &kind, seed, false);
+                // Validity: all honest had input true; one byzantine cannot
+                // get false accepted (needs 2t+1 = 3 BVal senders).
+                for (i, di) in d.iter().enumerate() {
+                    if i != 3 {
+                        assert_eq!(*di, Some(true), "{kind:?} seed {seed} player {i}");
+                    }
                 }
             }
         }
     }
 
+    // The two LocalCoin tests stay on the fair random scheduler: with
+    // independent flips termination leans on the coins coinciding, which an
+    // adversarial order can postpone for exponentially many rounds.
+
     #[test]
     fn local_coin_still_terminates() {
         for seed in 0..5 {
             let inputs = [true, false, false, true];
-            let (d, _) = run_aba(4, 1, &inputs, &[], seed, true, no_op());
+            let (d, _) = run_aba(4, 1, &inputs, vec![], &SchedulerKind::Random, seed, true);
             let first = d[0].expect("decided with local coins");
             for di in &d {
                 assert_eq!(*di, Some(first));
@@ -376,10 +381,11 @@ mod tests {
         let mut common = 0u64;
         let mut local = 0u64;
         let runs = 20;
+        let kind = SchedulerKind::Random;
         for seed in 0..runs {
             let inputs = [true, false, true, false];
-            common += run_aba(4, 1, &inputs, &[], seed, false, no_op()).1;
-            local += run_aba(4, 1, &inputs, &[], seed, true, no_op()).1;
+            common += run_aba(4, 1, &inputs, vec![], &kind, seed, false).1;
+            local += run_aba(4, 1, &inputs, vec![], &kind, seed, true).1;
         }
         assert!(common > 0 && local > 0);
         assert!(

@@ -19,8 +19,8 @@
 
 use crate::aba::{AbaMsg, AbaState};
 use crate::coin::{CoinSource, IdealCoin};
-use crate::outgoing::{map_batch, Outgoing};
 use crate::rbc::{RbcMsg, RbcState};
+use mediator_sim::sansio::{map_batch, Outgoing};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -191,66 +191,64 @@ impl<V: Clone + Ord> AcsState<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Behavior, Net};
+    use crate::driver::AcsPeer;
+    use mediator_sim::sansio::{Behavior, Machines};
+    use mediator_sim::SchedulerKind;
 
-    fn no_op() -> Behavior<AcsMsg<u64>> {
-        Box::new(|_, _, _| Vec::new())
-    }
-
+    /// Runs one ACS execution (player `i` contributes `100 + i`) under
+    /// `kind` with the players in `byz` silent; returns (outputs,
+    /// deliveries).
     fn run_acs(
         n: usize,
         t: usize,
         byz: &[usize],
+        kind: &SchedulerKind,
         seed: u64,
-        behavior: Behavior<AcsMsg<u64>>,
     ) -> (Vec<Option<BTreeMap<usize, u64>>>, u64) {
-        let mut states: Vec<AcsState<u64>> = (0..n).map(|i| AcsState::new(n, t, i, 7)).collect();
-        let mut outputs: Vec<Option<BTreeMap<usize, u64>>> = vec![None; n];
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        for (i, state) in states.iter_mut().enumerate() {
-            if !byz.contains(&i) {
-                let batch = state.start(100 + i as u64);
-                net.push_batch(i, batch);
-            }
+        let peers = (0..n)
+            .map(|i| AcsPeer::new(n, t, i, 7, 100 + i as u64))
+            .collect();
+        let mut run = Machines::new(peers);
+        for &p in byz {
+            let silent: Behavior<AcsMsg<u64>> = Box::new(|_, _, _| Vec::new());
+            run = run.byzantine(p, silent);
         }
-        net.run(|to, from, msg, sink| {
-            let (out, done) = states[to].on_message(from, msg);
-            if let Some(s) = done {
-                outputs[to] = Some(s);
-            }
-            sink.push_batch(to, out);
-        });
-        (outputs, net.delivered)
+        let (outcome, outputs) = run.run(kind.build().as_mut(), seed, 2_000_000);
+        (outputs, outcome.messages_delivered)
     }
 
     #[test]
     fn all_honest_agree_on_full_subset() {
-        for seed in 0..5 {
-            let (outputs, _) = run_acs(4, 1, &[], seed, no_op());
-            let first = outputs[0].clone().expect("output");
-            assert!(first.len() >= 3, "|S| ≥ n−t");
-            for o in &outputs {
-                assert_eq!(o.as_ref(), Some(&first), "seed {seed}");
-            }
-            for (&j, &v) in &first {
-                assert_eq!(v, 100 + j as u64);
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..5 {
+                let (outputs, _) = run_acs(4, 1, &[], &kind, seed);
+                let first = outputs[0].clone().expect("output");
+                assert!(first.len() >= 3, "|S| ≥ n−t");
+                for o in &outputs {
+                    assert_eq!(o.as_ref(), Some(&first), "{kind:?} seed {seed}");
+                }
+                for (&j, &v) in &first {
+                    assert_eq!(v, 100 + j as u64);
+                }
             }
         }
     }
 
     #[test]
     fn silent_party_is_excluded_but_acs_completes() {
-        for seed in 0..5 {
-            let (outputs, _) = run_acs(4, 1, &[2], seed, no_op());
-            let first = outputs[0].clone().expect("output despite silent party");
-            assert!(first.len() >= 3);
-            assert!(
-                !first.contains_key(&2),
-                "silent party cannot be in S (no RBC)"
-            );
-            for (i, o) in outputs.iter().enumerate() {
-                if i != 2 {
-                    assert_eq!(o.as_ref(), Some(&first), "seed {seed} player {i}");
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..5 {
+                let (outputs, _) = run_acs(4, 1, &[2], &kind, seed);
+                let first = outputs[0].clone().expect("output despite silent party");
+                assert!(first.len() >= 3);
+                assert!(
+                    !first.contains_key(&2),
+                    "silent party cannot be in S (no RBC)"
+                );
+                for (i, o) in outputs.iter().enumerate() {
+                    if i != 2 {
+                        assert_eq!(o.as_ref(), Some(&first), "{kind:?} seed {seed} player {i}");
+                    }
                 }
             }
         }
@@ -258,22 +256,26 @@ mod tests {
 
     #[test]
     fn subset_size_lower_bound_holds_across_seeds() {
-        for seed in 0..10 {
-            let (outputs, _) = run_acs(7, 2, &[5, 6], seed, no_op());
-            let s = outputs[0].clone().expect("output");
-            assert!(s.len() >= 5, "n−t = 5, got {}", s.len());
+        for kind in SchedulerKind::battery(7) {
+            for seed in 0..10 {
+                let (outputs, _) = run_acs(7, 2, &[5, 6], &kind, seed);
+                let s = outputs[0].clone().expect("output");
+                assert!(s.len() >= 5, "{kind:?}: n−t = 5, got {}", s.len());
+            }
         }
     }
 
     #[test]
     fn values_of_members_are_held_by_everyone() {
-        for seed in 0..5 {
-            let n = 5;
-            let (outputs, _) = run_acs(n, 1, &[], seed, no_op());
-            let s = outputs[0].clone().unwrap();
-            for o in outputs.iter().flatten() {
-                for &j in s.keys() {
-                    assert!(o.contains_key(&j));
+        let n = 5;
+        for kind in SchedulerKind::battery(n) {
+            for seed in 0..5 {
+                let (outputs, _) = run_acs(n, 1, &[], &kind, seed);
+                let s = outputs[0].clone().unwrap();
+                for o in outputs.iter().flatten() {
+                    for &j in s.keys() {
+                        assert!(o.contains_key(&j));
+                    }
                 }
             }
         }
@@ -289,8 +291,8 @@ mod tests {
     fn message_complexity_reported() {
         // ACS = n RBCs + n ABAs: O(n^3)-ish point-to-point messages. This
         // records the measurement the E5 experiment scales.
-        let (_, delivered4) = run_acs(4, 1, &[], 0, no_op());
-        let (_, delivered7) = run_acs(7, 2, &[], 0, no_op());
+        let (_, delivered4) = run_acs(4, 1, &[], &SchedulerKind::Random, 0);
+        let (_, delivered7) = run_acs(7, 2, &[], &SchedulerKind::Random, 0);
         assert!(delivered7 > delivered4);
     }
 }

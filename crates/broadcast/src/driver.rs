@@ -3,7 +3,7 @@
 //! Each peer bundles one player's state machine with the input it
 //! contributes at start, so the generic
 //! [`SansIoProcess`](mediator_sim::sansio::SansIoProcess) adapter (or the
-//! [`run_machines`](mediator_sim::sansio::run_machines) runner) can drive
+//! [`Machines`](mediator_sim::sansio::Machines) runner) can drive
 //! it inside a full `World` — under every scheduler, with traces, the
 //! starvation bound, and behaviour-closure failure injection.
 //!
@@ -161,7 +161,7 @@ impl<V: Clone + Ord> SansIo for AcsPeer<V> {
 mod tests {
     use super::*;
     use crate::coin::IdealCoin;
-    use mediator_sim::sansio::run_machines;
+    use mediator_sim::sansio::Machines;
     use mediator_sim::{SchedulerKind, TerminationKind};
 
     fn schedulers() -> Vec<SchedulerKind> {
@@ -181,7 +181,7 @@ mod tests {
                     .map(|me| RbcPeer::new(4, 1, 0, me, (me == 0).then_some(42)))
                     .collect();
                 let (outcome, outputs) =
-                    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 200_000);
+                    Machines::new(machines).run(kind.build().as_mut(), seed, 200_000);
                 assert_eq!(outcome.termination, TerminationKind::Quiescent, "{kind:?}");
                 for (i, o) in outputs.iter().enumerate() {
                     assert_eq!(*o, Some(42), "player {i} under {kind:?} seed {seed}");
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn rbc_broadcasts_shared_payloads_without_deep_copies() {
-        use crate::outgoing::Payload;
+        use mediator_sim::sansio::Payload;
         // A Vec<Fp>-sized value: instantiating V = Payload<…> makes every
         // Echo/Ready broadcast a refcount bump instead of a vector clone.
         let value: Payload<Vec<u64>> = Payload::new((0..256).collect());
@@ -200,13 +200,8 @@ mod tests {
             let machines: Vec<RbcPeer<Payload<Vec<u64>>>> = (0..4)
                 .map(|me| RbcPeer::new(4, 1, 0, me, (me == 0).then(|| value.clone())))
                 .collect();
-            let (outcome, outputs) = run_machines(
-                machines,
-                Vec::new(),
-                SchedulerKind::Random.build().as_mut(),
-                seed,
-                200_000,
-            );
+            let (outcome, outputs) =
+                Machines::new(machines).run(SchedulerKind::Random.build().as_mut(), seed, 200_000);
             assert_eq!(outcome.termination, TerminationKind::Quiescent);
             for o in outputs.iter() {
                 assert_eq!(o.as_ref(), Some(&value), "seed {seed}");
@@ -224,7 +219,7 @@ mod tests {
                     })
                     .collect();
                 let (_, outputs) =
-                    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 500_000);
+                    Machines::new(machines).run(kind.build().as_mut(), seed, 500_000);
                 for (i, o) in outputs.iter().enumerate() {
                     assert_eq!(*o, Some(true), "player {i} under {kind:?} seed {seed}");
                 }
@@ -240,7 +235,7 @@ mod tests {
                     .map(|me| AcsPeer::new(4, 1, me, 7, 100 + me as u64))
                     .collect();
                 let (outcome, outputs) =
-                    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 1_000_000);
+                    Machines::new(machines).run(kind.build().as_mut(), seed, 1_000_000);
                 assert_eq!(outcome.termination, TerminationKind::Quiescent, "{kind:?}");
                 let first = outputs[0].clone().expect("output");
                 assert!(first.len() >= 3, "|S| >= n - t");

@@ -20,25 +20,19 @@
 //!   players have delivered. This is what makes "wait for n−t inputs"
 //!   consistent across honest players in the input phase of the MPC.
 //!
-//! All three machines are driveable two ways: [`driver`] wraps them as
-//! [`mediator_sim::sansio::SansIo`] peers so the full `mediator-sim` `World`
-//! (every scheduler, traces, failure injection) can run them, and
-//! [`harness`] keeps the original deterministic single-threaded `Net` driver
-//! as a compatibility shim for lightweight unit tests. The driver-parity
-//! property suite (`tests/driver_parity.rs`) pins the two runtimes to each
-//! other.
+//! [`driver`] wraps all three as [`mediator_sim::sansio::SansIo`] peers, and
+//! [`mediator_sim::sansio::Machines`] runs a set of peers under the full
+//! `mediator-sim` `World` — every scheduler, traces, failure injection.
+//! That is the one way they are driven, unit tests included.
 
 pub mod aba;
 pub mod acs;
 pub mod coin;
 pub mod driver;
-pub mod harness;
-pub mod outgoing;
 pub mod rbc;
 
 pub use aba::{AbaMsg, AbaState};
 pub use acs::{AcsMsg, AcsState};
 pub use coin::{CoinSource, IdealCoin, LocalCoin};
 pub use driver::{AbaPeer, AcsPeer, RbcPeer};
-pub use outgoing::{Dest, Outgoing, Payload};
 pub use rbc::{RbcMsg, RbcState};

@@ -12,7 +12,7 @@
 //! echo; `⌈(n+t+1)/2⌉` echoes (or `t+1` readies) trigger `Ready(v)`;
 //! `2t+1` readies deliver.
 
-use crate::outgoing::Outgoing;
+use mediator_sim::sansio::Outgoing;
 use serde::{Deserialize, Serialize};
 
 /// Reliable-broadcast wire messages.
@@ -165,56 +165,51 @@ fn insert_vote<V: Clone + Ord>(votes: &mut Vec<(V, VoterSet)>, v: &V, from: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Net;
+    use crate::driver::RbcPeer;
+    use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines};
+    use mediator_sim::{Outcome, SchedulerKind};
 
-    /// Runs one RBC instance over the harness with `byz` byzantine players
-    /// (who follow `behavior`). Returns delivered values per honest player.
+    fn no_op() -> Behavior<RbcMsg<u64>> {
+        Box::new(|_, _, _| Vec::new())
+    }
+
+    /// Runs one RBC instance (dealer value 42) under `kind`, with the
+    /// players in `byz` replaced by byzantine processes. Returns the world
+    /// outcome and the delivered value per player (`None` for byzantine).
     fn run_rbc(
         n: usize,
         t: usize,
         dealer: usize,
-        byz: &[usize],
+        byz: Vec<(usize, ByzantineProcess<RbcMsg<u64>>)>,
+        kind: &SchedulerKind,
         seed: u64,
-        behavior: crate::harness::Behavior<RbcMsg<u64>>,
-    ) -> Vec<Option<u64>> {
-        let mut states: Vec<RbcState<u64>> = (0..n).map(|_| RbcState::new(n, t, dealer)).collect();
-        let mut delivered: Vec<Option<u64>> = vec![None; n];
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        if !byz.contains(&dealer) {
-            let batch = states[dealer].start(42);
-            net.push_batch(dealer, batch);
-        } else {
-            // Byzantine dealer behaviour is injected via `behavior` on a
-            // dummy kick (handled by the test).
+    ) -> (Outcome, Vec<Option<u64>>) {
+        let peers = (0..n)
+            .map(|me| RbcPeer::new(n, t, dealer, me, (me == dealer).then_some(42)))
+            .collect();
+        let mut run = Machines::new(peers);
+        for (p, b) in byz {
+            run = run.byzantine(p, b);
         }
-        net.run(|to, from, msg, net| {
-            let (out, dv) = states[to].on_message(from, msg);
-            if let Some(v) = dv {
-                delivered[to] = Some(v);
-            }
-            net.push_batch(to, out);
-        });
-        delivered
+        run.run(kind.build().as_mut(), seed, 200_000)
     }
 
     #[test]
     fn honest_dealer_everyone_delivers() {
-        for seed in 0..5 {
-            let delivered = run_rbc(4, 1, 0, &[], seed, Box::new(|_, _, _| Vec::new()));
-            for d in &delivered {
-                assert_eq!(*d, Some(42));
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..5 {
+                let (_, delivered) = run_rbc(4, 1, 0, Vec::new(), &kind, seed);
+                assert_eq!(delivered, vec![Some(42); 4], "{kind:?} seed {seed}");
             }
         }
     }
 
     #[test]
     fn silent_byzantine_player_does_not_block() {
-        for seed in 0..5 {
-            let delivered = run_rbc(4, 1, 0, &[3], seed, Box::new(|_, _, _| Vec::new()));
-            for (i, d) in delivered.iter().enumerate() {
-                if i != 3 {
-                    assert_eq!(*d, Some(42), "player {i}");
-                }
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..5 {
+                let (_, delivered) = run_rbc(4, 1, 0, vec![(3, no_op().into())], &kind, seed);
+                assert_eq!(delivered[..3], [Some(42); 3], "{kind:?} seed {seed}");
             }
         }
     }
@@ -224,17 +219,15 @@ mod tests {
         // Byzantine player 3 echoes a different value to everyone, but with
         // n=4, t=1 the echo threshold is 3: one liar cannot reach it for a
         // fake value, and the true value still gathers 3 echoes.
-        let behavior: crate::harness::Behavior<RbcMsg<u64>> =
-            Box::new(|_me, _from, msg| match msg {
-                RbcMsg::Init(_) => (0..4).map(|p| (p, RbcMsg::Echo(999))).collect(),
-                _ => Vec::new(),
-            });
-        for seed in 0..5 {
-            let delivered = run_rbc(4, 1, 0, &[3], seed, behavior.clone_box());
-            for (i, d) in delivered.iter().enumerate() {
-                if i != 3 {
-                    assert_eq!(*d, Some(42), "player {i} seed {seed}");
-                }
+        let behavior: Behavior<RbcMsg<u64>> = Box::new(|_me, _from, msg| match msg {
+            RbcMsg::Init(_) => (0..4).map(|p| (p, RbcMsg::Echo(999))).collect(),
+            _ => Vec::new(),
+        });
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..5 {
+                let byz = vec![(3, behavior.clone_box().into())];
+                let (_, delivered) = run_rbc(4, 1, 0, byz, &kind, seed);
+                assert_eq!(delivered[..3], [Some(42); 3], "{kind:?} seed {seed}");
             }
         }
     }
@@ -252,29 +245,21 @@ mod tests {
         // Byzantine dealer sends Init(1) to {0,1} and Init(2) to {2}. With
         // n=4,t=1 honest players may deliver nothing, but they must never
         // deliver *different* values.
-        let n = 4;
-        let behavior: crate::harness::Behavior<RbcMsg<u64>> = Box::new(|_, _, _| Vec::new());
-        for seed in 0..10 {
-            let mut states: Vec<RbcState<u64>> = (0..n).map(|_| RbcState::new(n, 1, 3)).collect();
-            let mut delivered: Vec<Option<u64>> = vec![None; n];
-            let mut net = Net::new(n, vec![3], seed, behavior.clone_box());
-            // Dealer 3 equivocates:
-            net.push(3, 0, RbcMsg::Init(1));
-            net.push(3, 1, RbcMsg::Init(1));
-            net.push(3, 2, RbcMsg::Init(2));
-            net.run(|to, from, msg, net| {
-                let (out, dv) = states[to].on_message(from, msg);
-                if let Some(v) = dv {
-                    delivered[to] = Some(v);
-                }
-                net.push_batch(to, out);
-            });
-            let vals: Vec<u64> = delivered.iter().take(3).flatten().copied().collect();
-            // All delivered values agree.
-            assert!(
-                vals.windows(2).all(|w| w[0] == w[1]),
-                "seed {seed}: {vals:?}"
-            );
+        let kickoff = vec![
+            (0, RbcMsg::Init(1)),
+            (1, RbcMsg::Init(1)),
+            (2, RbcMsg::Init(2)),
+        ];
+        for kind in SchedulerKind::battery(4) {
+            for seed in 0..10 {
+                let dealer = ByzantineProcess::new(no_op()).with_kickoff(kickoff.clone());
+                let (_, delivered) = run_rbc(4, 1, 3, vec![(3, dealer)], &kind, seed);
+                let vals: Vec<u64> = delivered.iter().flatten().copied().collect();
+                assert!(
+                    vals.windows(2).all(|w| w[0] == w[1]),
+                    "{kind:?} seed {seed}: {vals:?}"
+                );
+            }
         }
     }
 
@@ -308,21 +293,16 @@ mod tests {
     #[test]
     fn message_complexity_is_quadratic() {
         // n players: 1 init broadcast + ≤ n echo broadcasts + ≤ n ready
-        // broadcasts → O(n^2) point-to-point messages.
-        let n = 7;
-        let t = 2;
-        let mut states: Vec<RbcState<u64>> = (0..n).map(|_| RbcState::new(n, t, 0)).collect();
-        let mut count = 0u64;
-        let behavior: crate::harness::Behavior<RbcMsg<u64>> = Box::new(|_, _, _| Vec::new());
-        let mut net = Net::new(n, vec![], 0, behavior);
-        net.push_batch(0, states[0].start(5));
-        net.run(|to, from, msg, net| {
-            count += 1;
-            let (out, _) = states[to].on_message(from, msg);
-            net.push_batch(to, out);
-        });
-        // (1 + n + n) broadcasts, each n messages.
-        assert!(count <= ((1 + 2 * n) * n) as u64, "count={count}");
-        assert!(count >= (n * n) as u64, "count={count}");
+        // broadcasts → O(n^2) point-to-point messages sent; and every one of
+        // the n players needs 2t+1 readies delivered before it can deliver
+        // (peers halt on delivery, so later traffic to them is not counted).
+        let (n, t) = (7, 2);
+        for kind in SchedulerKind::battery(n) {
+            let (outcome, delivered) = run_rbc(n, t, 0, Vec::new(), &kind, 0);
+            assert_eq!(delivered, vec![Some(42); n], "{kind:?}");
+            let (sent, recv) = (outcome.messages_sent, outcome.messages_delivered);
+            assert!(sent <= ((1 + 2 * n) * n) as u64, "{kind:?}: sent={sent}");
+            assert!(recv >= (n * (2 * t + 1)) as u64, "{kind:?}: recv={recv}");
+        }
     }
 }

@@ -1,28 +1,24 @@
-//! Driver parity: the legacy `Net` harness and the `World` adapter must
-//! agree on what the protocols decide.
+//! What the broadcast protocols decide, under every scheduler family.
 //!
-//! For every seed (64 proptest cases — beyond the ≥ 32 the acceptance bar
-//! asks for) each protocol runs once under the legacy seeded-random `Net`
-//! driver and once per [`SchedulerKind`] in the battery under the `World`
-//! via the shared sans-IO adapter:
+//! For every seed (64 proptest cases) each protocol runs once per
+//! [`SchedulerKind`] in the battery under the `World` via the shared
+//! sans-IO adapter, and its decision is checked against the dealt inputs:
 //!
 //! * **RBC** with an honest dealer: the decision (the delivered value) is
-//!   schedule-independent, so every honest player must output the *same*
-//!   value under every driver — bitwise parity.
-//! * **ABA** with unanimous inputs: validity forces the decision, so the
-//!   same bitwise parity applies.
+//!   schedule-independent, so every honest player must output the dealt
+//!   value under every scheduler.
+//! * **ABA** with unanimous inputs: validity forces the decision, so every
+//!   player decides the common input under every scheduler.
 //! * **ACS**: the agreed subset legitimately *depends on the schedule* (an
 //!   adversarial scheduler can keep a slow dealer out of the core), so
-//!   bitwise cross-driver equality would be asking the paper for more than
-//!   it promises. What must hold under every driver: all honest players
+//!   cross-schedule equality would be asking the paper for more than it
+//!   promises. What must hold under every scheduler: all honest players
 //!   output the **identical** subset, the subset has ≥ n − t members, and
-//!   each member's agreed value is the value that member actually dealt —
-//!   and those agreed values must match across drivers member-by-member.
+//!   each member's agreed value is the value that member actually dealt.
 
 use mediator_bcast::driver::{AbaPeer, AcsPeer, RbcPeer};
-use mediator_bcast::harness::Net;
-use mediator_bcast::{AbaState, AcsState, IdealCoin, RbcState};
-use mediator_sim::sansio::{run_machines, Behavior};
+use mediator_bcast::{AbaState, IdealCoin};
+use mediator_sim::sansio::Machines;
 use mediator_sim::SchedulerKind;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -30,139 +26,68 @@ use std::collections::BTreeMap;
 const N: usize = 4;
 const T: usize = 1;
 
-fn no_op<M: 'static>() -> Behavior<M> {
-    Box::new(|_, _, _| Vec::new())
-}
-
 /// Every scheduler family the simulator ships.
 fn battery() -> Vec<SchedulerKind> {
     SchedulerKind::battery(N)
 }
 
-// ---- legacy Net runners ----------------------------------------------------
-
-fn rbc_under_net(value: u64, seed: u64) -> Vec<Option<u64>> {
-    let mut states: Vec<RbcState<u64>> = (0..N).map(|_| RbcState::new(N, T, 0)).collect();
-    let mut delivered: Vec<Option<u64>> = vec![None; N];
-    let mut net = Net::new(N, vec![], seed, no_op());
-    let batch = states[0].start(value);
-    net.push_batch(0, batch);
-    net.run(|to, from, msg, sink| {
-        let (out, d) = states[to].on_message(from, msg);
-        if let Some(v) = d {
-            delivered[to] = Some(v);
-        }
-        sink.push_batch(to, out);
-    });
-    delivered
-}
-
-fn aba_under_net(input: bool, seed: u64) -> Vec<Option<bool>> {
-    let mut states: Vec<AbaState> = (0..N)
-        .map(|_| AbaState::new(N, T, 0, Box::new(IdealCoin::new(99))))
-        .collect();
-    let mut decisions: Vec<Option<bool>> = vec![None; N];
-    let mut net = Net::new(N, vec![], seed, no_op());
-    for (i, s) in states.iter_mut().enumerate() {
-        let batch = s.start(input);
-        net.push_batch(i, batch);
-    }
-    net.run(|to, from, msg, sink| {
-        let (out, d) = states[to].on_message(from, msg);
-        if let Some(v) = d {
-            decisions[to] = Some(v);
-        }
-        sink.push_batch(to, out);
-    });
-    decisions
-}
-
-fn acs_under_net(seed: u64) -> Vec<Option<BTreeMap<usize, u64>>> {
-    let mut states: Vec<AcsState<u64>> = (0..N).map(|i| AcsState::new(N, T, i, 7)).collect();
-    let mut outputs: Vec<Option<BTreeMap<usize, u64>>> = vec![None; N];
-    let mut net = Net::new(N, vec![], seed, no_op());
-    for (i, s) in states.iter_mut().enumerate() {
-        let batch = s.start(100 + i as u64);
-        net.push_batch(i, batch);
-    }
-    net.run(|to, from, msg, sink| {
-        let (out, done) = states[to].on_message(from, msg);
-        if let Some(s) = done {
-            outputs[to] = Some(s);
-        }
-        sink.push_batch(to, out);
-    });
-    outputs
-}
-
-// ---- World-adapter runners -------------------------------------------------
-
 fn rbc_under_world(value: u64, kind: &SchedulerKind, seed: u64) -> Vec<Option<u64>> {
     let machines: Vec<RbcPeer<u64>> = (0..N)
         .map(|me| RbcPeer::new(N, T, 0, me, (me == 0).then_some(value)))
         .collect();
-    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 500_000).1
+    Machines::new(machines)
+        .run(kind.build().as_mut(), seed, 500_000)
+        .1
 }
 
 fn aba_under_world(input: bool, kind: &SchedulerKind, seed: u64) -> Vec<Option<bool>> {
     let machines: Vec<AbaPeer> = (0..N)
         .map(|_| AbaPeer::new(AbaState::new(N, T, 0, Box::new(IdealCoin::new(99))), input))
         .collect();
-    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 1_000_000).1
+    Machines::new(machines)
+        .run(kind.build().as_mut(), seed, 1_000_000)
+        .1
 }
 
 fn acs_under_world(kind: &SchedulerKind, seed: u64) -> Vec<Option<BTreeMap<usize, u64>>> {
     let machines: Vec<AcsPeer<u64>> = (0..N)
         .map(|me| AcsPeer::new(N, T, me, 7, 100 + me as u64))
         .collect();
-    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 2_000_000).1
+    Machines::new(machines)
+        .run(kind.build().as_mut(), seed, 2_000_000)
+        .1
 }
-
-// ---- parity properties -----------------------------------------------------
 
 proptest! {
     #[test]
-    fn rbc_decisions_identical_across_drivers(value in any::<u64>(), seed in any::<u64>()) {
-        let reference = rbc_under_net(value, seed);
-        prop_assert_eq!(&reference, &vec![Some(value); N], "Net: everyone delivers the dealt value");
+    fn rbc_delivers_the_dealt_value_under_every_scheduler(value in any::<u64>(), seed in any::<u64>()) {
         for kind in battery() {
             let world = rbc_under_world(value, &kind, seed);
-            prop_assert_eq!(&world, &reference, "scheduler {:?}", kind);
+            prop_assert_eq!(&world, &vec![Some(value); N], "scheduler {:?}", kind);
         }
     }
 
     #[test]
-    fn aba_decisions_identical_across_drivers(input in any::<bool>(), seed in any::<u64>()) {
-        let reference = aba_under_net(input, seed);
-        prop_assert_eq!(&reference, &vec![Some(input); N], "Net: validity forces the decision");
+    fn aba_validity_forces_the_decision_under_every_scheduler(input in any::<bool>(), seed in any::<u64>()) {
         for kind in battery() {
             let world = aba_under_world(input, &kind, seed);
-            prop_assert_eq!(&world, &reference, "scheduler {:?}", kind);
+            prop_assert_eq!(&world, &vec![Some(input); N], "scheduler {:?}", kind);
         }
     }
 
     #[test]
-    fn acs_invariants_and_member_values_agree_across_drivers(seed in any::<u64>()) {
-        let check = |outputs: &[Option<BTreeMap<usize, u64>>], label: &str| -> BTreeMap<usize, u64> {
-            let first = outputs[0].clone().unwrap_or_else(|| panic!("{label}: no output"));
-            assert!(first.len() >= N - T, "{label}: |S| = {} < n - t", first.len());
-            for (j, o) in outputs.iter().enumerate() {
-                assert_eq!(o.as_ref(), Some(&first), "{label}: player {j} disagrees");
-            }
-            for (&j, &v) in &first {
-                assert_eq!(v, 100 + j as u64, "{label}: member {j} carries a forged value");
-            }
-            first
-        };
-        let reference = check(&acs_under_net(seed), "net");
+    fn acs_invariants_hold_under_every_scheduler(seed in any::<u64>()) {
         for kind in battery() {
-            let world = check(&acs_under_world(&kind, seed), &format!("world/{kind:?}"));
-            // The subset may differ per schedule; agreed values of common
-            // members must not.
-            for (j, v) in &world {
-                if let Some(rv) = reference.get(j) {
-                    prop_assert_eq!(v, rv, "member {} differs across drivers", j);
-                }
+            let outputs = acs_under_world(&kind, seed);
+            let first = outputs[0].clone().unwrap_or_else(|| panic!("{kind:?}: no output"));
+            prop_assert!(first.len() >= N - T, "{:?}: |S| = {} < n - t", kind, first.len());
+            for (j, o) in outputs.iter().enumerate() {
+                prop_assert_eq!(o.as_ref(), Some(&first), "{:?}: player {} disagrees", kind, j);
+            }
+            // The subset may differ per schedule; a member's agreed value
+            // is always the one it dealt.
+            for (&j, &v) in &first {
+                prop_assert_eq!(v, 100 + j as u64, "{:?}: member {} carries a forged value", kind, j);
             }
         }
     }

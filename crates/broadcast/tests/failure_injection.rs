@@ -4,13 +4,13 @@
 //!
 //! These suites run under the full `mediator-sim` `World` through the
 //! shared sans-IO adapter, so every attack is exercised against real
-//! adversarial schedulers (not just the legacy harness's uniform-random
-//! delivery). Byzantine players are [`ByzantineProcess`]es: reactive
-//! behaviour closures plus, for equivocating dealers, a deviant kickoff.
+//! adversarial schedulers, not just uniform-random delivery. Byzantine
+//! players are [`ByzantineProcess`]es: reactive behaviour closures plus,
+//! for equivocating dealers, a deviant kickoff.
 
 use mediator_bcast::driver::{AbaPeer, AcsPeer, RbcPeer};
 use mediator_bcast::{AbaMsg, AbaState, AcsMsg, AcsState, IdealCoin, RbcMsg};
-use mediator_sim::sansio::{run_machines, Behavior, ByzantineProcess};
+use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines};
 use mediator_sim::SchedulerKind;
 
 fn no_op<M: 'static>() -> Behavior<M> {
@@ -47,13 +47,9 @@ fn rbc_flooded_ready_for_fake_value_does_not_deliver() {
     });
     for kind in schedulers() {
         for seed in 0..4 {
-            let (_, delivered) = run_machines(
-                rbc_peers(n, 1, 0, 42),
-                vec![(3, behavior.clone_box().into())],
-                kind.build().as_mut(),
-                seed,
-                200_000,
-            );
+            let (_, delivered) = Machines::new(rbc_peers(n, 1, 0, 42))
+                .byzantine(3, behavior.clone_box())
+                .run(kind.build().as_mut(), seed, 200_000);
             for (i, d) in delivered.iter().enumerate() {
                 if i != 3 {
                     assert_eq!(
@@ -87,13 +83,10 @@ fn rbc_byzantine_dealer_equivocation_never_splits_honest_players() {
                 .chain((3..6).map(|p| (p, RbcMsg::Init(2))))
                 .collect();
             let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-            let (_, delivered) = run_machines(
-                machines,
-                vec![(6, byz)],
-                kind.build().as_mut(),
-                seed,
-                200_000,
-            );
+            let (_, delivered) =
+                Machines::new(machines)
+                    .byzantine(6, byz)
+                    .run(kind.build().as_mut(), seed, 200_000);
             let vals: Vec<u64> = delivered[..6].iter().flatten().copied().collect();
             assert!(
                 vals.windows(2).all(|w| w[0] == w[1]),
@@ -144,12 +137,10 @@ fn aba_byzantine_cannot_inject_a_value_no_honest_proposed() {
             let machines: Vec<AbaPeer> = (0..n)
                 .map(|_| AbaPeer::new(AbaState::new(n, t, 0, Box::new(IdealCoin::new(3))), true))
                 .collect();
-            let byz = vec![
-                (5, behavior.clone_box().into()),
-                (6, behavior.clone_box().into()),
-            ];
-            let (_, decisions) =
-                run_machines(machines, byz, kind.build().as_mut(), seed, 1_000_000);
+            let (_, decisions) = Machines::new(machines)
+                .byzantine(5, behavior.clone_box())
+                .byzantine(6, behavior.clone_box())
+                .run(kind.build().as_mut(), seed, 1_000_000);
             for (i, d) in decisions.iter().enumerate().take(5) {
                 assert_eq!(
                     *d,
@@ -197,9 +188,7 @@ fn acs_byzantine_rbc_equivocator_is_either_consistent_or_excluded() {
                 ),
             ];
             let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-            let (_, outputs) = run_machines(
-                machines,
-                vec![(3, byz)],
+            let (_, outputs) = Machines::new(machines).byzantine(3, byz).run(
                 kind.build().as_mut(),
                 seed,
                 1_000_000,
@@ -230,8 +219,10 @@ fn acs_two_silent_parties_at_exact_threshold() {
             let machines: Vec<AcsPeer<u64>> = (0..n)
                 .map(|me| AcsPeer::new(n, t, me, 1, me as u64))
                 .collect();
-            let byz = vec![(5, no_op().into()), (6, no_op().into())];
-            let (_, outputs) = run_machines(machines, byz, kind.build().as_mut(), seed, 2_000_000);
+            let (_, outputs) = Machines::new(machines)
+                .byzantine(5, no_op())
+                .byzantine(6, no_op())
+                .run(kind.build().as_mut(), seed, 2_000_000);
             let first = outputs[0].clone().expect("output");
             assert!(
                 first.len() >= 5,

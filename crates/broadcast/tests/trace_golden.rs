@@ -15,7 +15,7 @@
 
 use mediator_bcast::{AbaPeer, RbcPeer};
 use mediator_bcast::{AbaState, IdealCoin};
-use mediator_sim::sansio::run_machines;
+use mediator_sim::sansio::Machines;
 use mediator_sim::{Outcome, SchedulerKind};
 
 /// The single-sourced run fingerprint (see [`Outcome::fingerprint`]).
@@ -29,7 +29,9 @@ fn run_rbc(kind: &SchedulerKind, seed: u64) -> Outcome {
     let machines: Vec<RbcPeer<u64>> = (0..4)
         .map(|me| RbcPeer::new(4, 1, 0, me, (me == 0).then_some(42)))
         .collect();
-    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 200_000).0
+    Machines::new(machines)
+        .run(kind.build().as_mut(), seed, 200_000)
+        .0
 }
 
 fn run_aba(kind: &SchedulerKind, seed: u64) -> Outcome {
@@ -41,7 +43,9 @@ fn run_aba(kind: &SchedulerKind, seed: u64) -> Outcome {
             )
         })
         .collect();
-    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 500_000).0
+    Machines::new(machines)
+        .run(kind.build().as_mut(), seed, 500_000)
+        .0
 }
 
 /// Folds the per-seed outcome hashes of one scheduler kind into one value.

@@ -30,8 +30,8 @@ use mediator_circuits::Circuit;
 use mediator_field::Fp;
 use mediator_mpc::{Mode, MpcConfig, MpcDriver, MpcEvent, MpcMsg};
 use mediator_sim::sansio::{route_batch, SansIo};
-use mediator_sim::{Action, Ctx, Outcome, Process, ProcessId, SchedulerKind, TamperVerdict};
-use std::collections::{BTreeMap, BTreeSet};
+use mediator_sim::{Action, Ctx, Process, ProcessId, TamperVerdict};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which theorem's machinery to run.
@@ -385,34 +385,12 @@ impl Process<CtMsg> for CheapTalkPlayer {
     }
 }
 
-/// Runs one cheap-talk game with optional deviant behaviours per player.
-/// Returns the sim outcome; message counts and traces ride along.
-///
-/// Thin, source-compatible wrapper over the builder surface: equivalent to
-/// [`CheapTalkPlan`](crate::scenario::CheapTalkPlan) with the default
-/// starvation bound
-/// ([`DEFAULT_CHEAP_TALK_STARVATION_BOUND`](crate::scenario::DEFAULT_CHEAP_TALK_STARVATION_BOUND)).
-/// New code should start from [`Scenario::cheap_talk`](crate::scenario::Scenario::cheap_talk),
-/// which also validates the theorem thresholds at build time; the parity
-/// suite pins this wrapper byte-for-byte against the builder path.
-pub fn run_cheap_talk(
-    spec: &CheapTalkSpec,
-    inputs: &[Vec<Fp>],
-    behaviors: &BTreeMap<usize, Behavior>,
-    kind: &SchedulerKind,
-    seed: u64,
-    max_steps: u64,
-) -> Outcome {
-    crate::scenario::CheapTalkPlan::from_spec(spec.clone(), inputs.to_vec())
-        .with_behaviors(behaviors.clone())
-        .max_steps(max_steps)
-        .run_with(kind, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::CheapTalkPlan;
     use mediator_circuits::catalog;
+    use mediator_sim::SchedulerKind;
 
     fn majority_spec(n: usize, k: usize, t: usize) -> CheapTalkSpec {
         CheapTalkSpec::theorem_4_1(
@@ -433,14 +411,9 @@ mod tests {
             .iter()
             .map(|&b| vec![Fp::new(b)])
             .collect();
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &BTreeMap::new(),
-            &SchedulerKind::Random,
-            42,
-            2_000_000,
-        );
+        let out = CheapTalkPlan::from_spec(spec, inputs)
+            .max_steps(2_000_000)
+            .run_with(&SchedulerKind::Random, 42);
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);
     }
@@ -450,22 +423,14 @@ mod tests {
         let n = 5;
         let spec = majority_spec(n, 1, 0);
         let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            3usize,
-            Behavior {
-                silent: true,
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            7,
-            2_000_000,
-        );
+        let deviation = Behavior {
+            silent: true,
+            ..Behavior::default()
+        };
+        let out = CheapTalkPlan::from_spec(spec, inputs)
+            .with_deviant(3, deviation)
+            .max_steps(2_000_000)
+            .run_with(&SchedulerKind::Random, 7);
         for (p, m) in out.moves.iter().enumerate() {
             if p != 3 {
                 assert_eq!(*m, Some(1), "player {p}");
@@ -481,22 +446,14 @@ mod tests {
             .iter()
             .map(|&b| vec![Fp::new(b)])
             .collect();
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            2usize,
-            Behavior {
-                lie_in_opens: true,
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            13,
-            4_000_000,
-        );
+        let deviation = Behavior {
+            lie_in_opens: true,
+            ..Behavior::default()
+        };
+        let out = CheapTalkPlan::from_spec(spec, inputs)
+            .with_deviant(2, deviation)
+            .max_steps(4_000_000)
+            .run_with(&SchedulerKind::Random, 13);
         // Honest majority of (0,0,1,0,1) = 0 — the liar's input still counts
         // (it dealt honestly) but its opening lies must be corrected.
         for (p, m) in out.moves.iter().enumerate() {
@@ -523,22 +480,14 @@ mod tests {
         );
         let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
         for seed in 0..5 {
-            let mut behaviors = BTreeMap::new();
-            behaviors.insert(
-                1usize,
-                Behavior {
-                    crash_after_sends: Some(40),
-                    ..Behavior::default()
-                },
-            );
-            let out = run_cheap_talk(
-                &spec,
-                &inputs,
-                &behaviors,
-                &SchedulerKind::Random,
-                seed,
-                2_000_000,
-            );
+            let deviation = Behavior {
+                crash_after_sends: Some(40),
+                ..Behavior::default()
+            };
+            let out = CheapTalkPlan::from_spec(spec.clone(), inputs.clone())
+                .with_deviant(1, deviation)
+                .max_steps(2_000_000)
+                .run_with(&SchedulerKind::Random, seed);
             let honest_moved: Vec<bool> = (0..n)
                 .filter(|&p| p != 1)
                 .map(|p| out.moves[p].is_some())
@@ -575,22 +524,14 @@ mod tests {
             vec![0; n],
         );
         let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            0usize,
-            Behavior {
-                refuse_to_move: true,
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            3,
-            2_000_000,
-        );
+        let deviation = Behavior {
+            refuse_to_move: true,
+            ..Behavior::default()
+        };
+        let out = CheapTalkPlan::from_spec(spec, inputs)
+            .with_deviant(0, deviation)
+            .max_steps(2_000_000)
+            .run_with(&SchedulerKind::Random, 3);
         for p in 1..n {
             assert_eq!(out.moves[p], Some(1), "player {p} must still move");
         }
@@ -609,16 +550,39 @@ mod tests {
             vec![0; n],
         );
         let inputs: Vec<Vec<Fp>> = [1u64, 1, 1, 0].iter().map(|&b| vec![Fp::new(b)]).collect();
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &BTreeMap::new(),
-            &SchedulerKind::Random,
-            23,
-            2_000_000,
-        );
+        let out = CheapTalkPlan::from_spec(spec, inputs)
+            .max_steps(2_000_000)
+            .run_with(&SchedulerKind::Random, 23);
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);
+    }
+
+    #[test]
+    fn player_that_fixes_the_core_and_finishes_on_one_delivery_still_moves() {
+        // A multiplication-free circuit evaluates locally, so under targeted
+        // delay a player can fix the core and finish on the same delivery;
+        // the engine's `Done` must not be masked by its `CoreDecided`.
+        let n = 5;
+        let spec = CheapTalkSpec::theorem_4_1(
+            n,
+            1,
+            0,
+            catalog::sum_circuit(n),
+            vec![vec![Fp::ZERO]; n],
+            vec![0; n],
+        );
+        let inputs = (1..=n as u64).map(|v| vec![Fp::new(v)]).collect();
+        let plan = CheapTalkPlan::from_spec(spec, inputs);
+        for victim in 0..3 {
+            for seed in 0..4 {
+                let out = plan.run_with(&SchedulerKind::TargetedDelay(vec![victim]), seed);
+                assert!(
+                    out.moves.iter().all(Option::is_some),
+                    "victim {victim} seed {seed}: {:?}",
+                    out.moves
+                );
+            }
+        }
     }
 
     #[test]
@@ -631,22 +595,14 @@ mod tests {
             .iter()
             .map(|&b| vec![Fp::new(b)])
             .collect();
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            2usize,
-            Behavior {
-                input_override: Some(vec![Fp::ONE]),
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            31,
-            2_000_000,
-        );
+        let deviation = Behavior {
+            input_override: Some(vec![Fp::ONE]),
+            ..Behavior::default()
+        };
+        let out = CheapTalkPlan::from_spec(spec, inputs)
+            .with_deviant(2, deviation)
+            .max_steps(2_000_000)
+            .run_with(&SchedulerKind::Random, 31);
         // With the override the inputs become (1,1,1,0,0): majority 1.
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);

@@ -95,15 +95,15 @@ pub fn compare_run_sets(ct: &RunSet, md: &RunSet) -> ImplementationReport {
 pub fn compare_implementations<F, G>(
     kinds: &[SchedulerKind],
     samples: usize,
-    run_cheap_talk: F,
-    run_mediator: G,
+    cheap_talk: F,
+    mediator: G,
 ) -> ImplementationReport
 where
     F: FnMut(&SchedulerKind, u64) -> Vec<usize>,
     G: FnMut(&SchedulerKind, u64) -> Vec<usize>,
 {
-    let ct = outcome_distributions(kinds, samples, run_cheap_talk);
-    let md = outcome_distributions(kinds, samples, run_mediator);
+    let ct = outcome_distributions(kinds, samples, cheap_talk);
+    let md = outcome_distributions(kinds, samples, mediator);
     ImplementationReport {
         distance: set_distance(&ct, &md),
         weak_distance: weak_set_distance(&ct, &md),

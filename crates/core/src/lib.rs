@@ -23,8 +23,8 @@
 //!   surface (`Scenario::cheap_talk(…)` / `Scenario::mediator(…)`) with
 //!   build-time theorem-threshold validation, the multi-threaded
 //!   `(scheduler × seed)` batch runner ([`RunSet`]), and steppable
-//!   [`Session`](mediator_sim::Session)s. The free functions above are
-//!   thin wrappers over it.
+//!   [`Session`](mediator_sim::Session)s — the one way the two game kinds
+//!   above are run.
 //! * [`implement`] — empirical **implementation checking**: outcome
 //!   distributions under scheduler batteries, compared with the paper's
 //!   set-distance (both directions for implementation, one direction for
@@ -67,14 +67,14 @@ pub use adversary::{
     render_sweep_report, run_sweep_cell, run_sweep_unit, sweep_unit_plan, sweep_units, Conformance,
     ConformanceReport, ConformanceVerdict, Deviation, DeviationWitness, SweepPlan, SweepUnit,
 };
-pub use cheap_talk::{run_cheap_talk, CheapTalkPlayer, CheapTalkSpec, CtMsg, CtVariant};
+pub use cheap_talk::{CheapTalkPlayer, CheapTalkSpec, CtMsg, CtVariant};
 pub use deviations::{Behavior, RobustnessReport};
 pub use frontier::{
     run_frontier_local, CellClass, CellExperiment, CellResult, FrontierAtlas, FrontierCell,
     FrontierSpec, PreparedCell, TheoremBand,
 };
 pub use lease::{LeaseLedger, Reclaim};
-pub use mediator::{run_mediator_game, MedMsg, MediatorGameSpec};
+pub use mediator::{MedMsg, MediatorGameSpec};
 pub use scenario::{
     Batch, CheapTalkPlan, MediatorPlan, Resolve, RunRecord, RunSet, Scenario, ScenarioError,
     SessionPlan, Theorem,

@@ -21,7 +21,7 @@
 
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
-use mediator_sim::{Action, Ctx, Outcome, Process, ProcessId, SchedulerKind, World};
+use mediator_sim::{Action, Ctx, Process, ProcessId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -293,77 +293,13 @@ impl Process<MedMsg> for CircuitMediator {
     }
 }
 
-/// Runs one mediator game. `deviants` replaces the given players' processes;
-/// everyone else plays the honest canonical strategy with `inputs[p]`.
-/// Returns the sim outcome (resolve moves with the spec's wills or the
-/// game's default moves at the caller).
-///
-/// Thin, source-compatible wrapper over the builder surface
-/// ([`Scenario::mediator`](crate::scenario::Scenario::mediator)), running
-/// with the default starvation bound
-/// ([`DEFAULT_MEDIATOR_STARVATION_BOUND`](crate::scenario::DEFAULT_MEDIATOR_STARVATION_BOUND)
-/// — see that constant for why mediator games default looser than cheap
-/// talk); builder callers can override it with `.starvation_bound(…)`.
-/// The parity suite pins this wrapper byte-for-byte against the builder.
-pub fn run_mediator_game(
-    spec: &MediatorGameSpec,
-    inputs: &[Vec<Fp>],
-    deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-    kind: &SchedulerKind,
-    seed: u64,
-    max_steps: u64,
-) -> Outcome {
-    crate::scenario::MediatorPlan::from_spec(spec.clone(), inputs.to_vec())
-        .max_steps(max_steps)
-        .run_with_deviants(deviants, kind, seed)
-}
-
-/// Runs one mediator game under a **relaxed scheduler** (§5): messages from
-/// the mediator are dropped (whole batches at a time — the all-or-none rule
-/// of Lemma 6.10) after `drop_after` deliveries. This is the deadlock
-/// machinery of Propositions 6.9/6.11: with the mediator's STOP batch
-/// withheld, no honest player can move, and the wills (punishments) fire.
-///
-/// Thin wrapper over
-/// [`MediatorPlan::run_relaxed`](crate::scenario::MediatorPlan::run_relaxed).
-pub fn run_mediator_game_relaxed(
-    spec: &MediatorGameSpec,
-    inputs: &[Vec<Fp>],
-    deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-    drop_after: u64,
-    seed: u64,
-    max_steps: u64,
-) -> Outcome {
-    crate::scenario::MediatorPlan::from_spec(spec.clone(), inputs.to_vec())
-        .max_steps(max_steps)
-        .run_relaxed_with_deviants(deviants, drop_after, seed)
-}
-
-pub(crate) fn build_world(
-    spec: &MediatorGameSpec,
-    inputs: &[Vec<Fp>],
-    mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-    seed: u64,
-) -> World<MedMsg> {
-    let n = spec.n;
-    assert_eq!(inputs.len(), n);
-    let mut procs: Vec<Box<dyn Process<MedMsg>>> = Vec::with_capacity(n + 1);
-    for p in 0..n {
-        if let Some(d) = deviants.remove(&p) {
-            procs.push(d);
-        } else {
-            let will = spec.wills.as_ref().map(|w| w[p]);
-            procs.push(Box::new(HonestMedPlayer::new(n, inputs[p].clone(), will)));
-        }
-    }
-    procs.push(Box::new(CircuitMediator::new(spec.clone())));
-    World::new(procs, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deviations::SilentProcess;
+    use crate::scenario::MediatorPlan;
     use mediator_circuits::catalog;
+    use mediator_sim::SchedulerKind;
 
     fn majority_spec(n: usize) -> MediatorGameSpec {
         MediatorGameSpec::standard(
@@ -387,8 +323,9 @@ mod tests {
             .iter()
             .map(|&b| vec![Fp::new(b)])
             .collect();
+        let plan = MediatorPlan::from_spec(spec, inputs);
         for kind in SchedulerKind::battery(n) {
-            let out = run_mediator_game(&spec, &inputs, BTreeMap::new(), &kind, 7, 100_000);
+            let out = plan.run_with(&kind, 7);
             // The world has n+1 processes (the mediator never moves).
             let moves = out.resolve_default(&vec![9; n + 1]);
             assert_eq!(moves[..n], vec![1; n][..], "{kind:?}");
@@ -402,16 +339,9 @@ mod tests {
         let n = 5;
         let spec = majority_spec(n);
         let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
-        deviants.insert(2, Box::new(crate::deviations::SilentProcess));
-        let out = run_mediator_game(
-            &spec,
-            &inputs,
-            deviants,
-            &SchedulerKind::Random,
-            11,
-            100_000,
-        );
+        let out = MediatorPlan::from_spec(spec, inputs)
+            .with_deviant(2, || Box::new(SilentProcess))
+            .run_with(&SchedulerKind::Random, 11);
         for (p, m) in out.moves.iter().enumerate() {
             if p != 2 && p < n {
                 assert_eq!(*m, Some(1), "player {p}");
@@ -427,14 +357,7 @@ mod tests {
             MediatorGameSpec::standard(n, 1, 0, catalog::counterexample_naive(n), vec![vec![]; n]);
         spec.naive_split = true;
         let inputs = vec![vec![]; n];
-        let out = run_mediator_game(
-            &spec,
-            &inputs,
-            BTreeMap::new(),
-            &SchedulerKind::Random,
-            3,
-            100_000,
-        );
+        let out = MediatorPlan::from_spec(spec, inputs).run_with(&SchedulerKind::Random, 3);
         // All honest: everyone eventually moves the same bit b.
         let moves = out.moves[..n].to_vec();
         let b = moves[0].expect("moved");
@@ -460,8 +383,7 @@ mod tests {
         let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
         // Let the players' inputs through, then drop everything the
         // mediator sends (its STOP batch).
-        let out =
-            run_mediator_game_relaxed(&spec, &inputs, BTreeMap::new(), n as u64 + 1, 3, 100_000);
+        let out = MediatorPlan::from_spec(spec, inputs).run_relaxed(n as u64 + 1, 3);
         assert!(
             out.trace.dropped_count() > 0,
             "mediator batch must be dropped"
@@ -482,7 +404,7 @@ mod tests {
         let n = 4;
         let spec = majority_spec(n);
         let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let out = run_mediator_game_relaxed(&spec, &inputs, BTreeMap::new(), 10_000, 3, 100_000);
+        let out = MediatorPlan::from_spec(spec, inputs).run_relaxed(10_000, 3);
         for p in 0..n {
             assert_eq!(out.moves[p], Some(1));
         }
@@ -495,18 +417,11 @@ mod tests {
         spec.wills = Some(vec![7; n]);
         // Mediator never gets enough inputs: 3 players silent (wait_for=3
         // with k=1,t=0... n−k−t = 3, so make all 4 silent except one).
-        let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
+        let mut plan = MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; n]);
         for p in 1..n {
-            deviants.insert(p, Box::new(crate::deviations::SilentProcess));
+            plan = plan.with_deviant(p, || Box::new(SilentProcess));
         }
-        let out = run_mediator_game(
-            &spec,
-            &vec![vec![Fp::ONE]; n],
-            deviants,
-            &SchedulerKind::Random,
-            5,
-            100_000,
-        );
+        let out = plan.run_with(&SchedulerKind::Random, 5);
         // Player 0 deadlocks; AH resolution plays its will.
         assert_eq!(out.moves[0], None);
         let resolved = out.resolve_ah(&vec![0; n + 1]);

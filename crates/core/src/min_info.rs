@@ -264,11 +264,11 @@ mod tests {
 
     #[test]
     fn pattern_classes_distinguish_schedulers_and_respect_determinism() {
-        use crate::mediator::{run_mediator_game, MediatorGameSpec};
+        use crate::mediator::MediatorGameSpec;
+        use crate::scenario::MediatorPlan;
         use mediator_circuits::catalog;
         use mediator_field::Fp;
         use mediator_sim::SchedulerKind;
-        use std::collections::BTreeMap;
 
         let n = 4;
         let spec = MediatorGameSpec::standard(
@@ -278,10 +278,8 @@ mod tests {
             catalog::majority_circuit(n),
             vec![vec![Fp::ZERO]; n],
         );
-        let inputs = vec![vec![Fp::ONE]; n];
-        let run = |kind: &SchedulerKind, seed| {
-            run_mediator_game(&spec, &inputs, BTreeMap::new(), kind, seed, 100_000).trace
-        };
+        let plan = MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; n]);
+        let run = |kind: &SchedulerKind, seed| plan.run_with(kind, seed).trace;
         // Determinism: same kind + seed → same class.
         let a = run(&SchedulerKind::Fifo, 7);
         let b = run(&SchedulerKind::Fifo, 7);

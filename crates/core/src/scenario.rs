@@ -1,13 +1,9 @@
 //! The Scenario API: the builder-first experiment surface of the crate.
 //!
 //! The paper's claims are statements about *distributions of outcomes over
-//! scheduler batteries and seeds*, yet the historical entry points were
-//! positional free functions — every caller hand-rolled its own seed loop,
-//! scheduler loop, and aggregation. This module is the one validated,
-//! batch-native surface they all go through now (the free functions
-//! [`run_cheap_talk`](crate::cheap_talk::run_cheap_talk) and
-//! [`run_mediator_game`](crate::mediator::run_mediator_game) survive as
-//! thin wrappers, pinned by parity tests):
+//! scheduler batteries and seeds*, so the entry surface is batch-native:
+//! this module is the one way a cheap-talk or mediator game is configured,
+//! validated and run.
 //!
 //! * **[`Scenario`] builders** — `Scenario::cheap_talk(circuit)` /
 //!   `Scenario::mediator(circuit)` with fluent `.players(n)`,
@@ -54,7 +50,7 @@
 
 use crate::cheap_talk::{CheapTalkPlayer, CheapTalkSpec, CtMsg, CtVariant};
 use crate::deviations::Behavior;
-use crate::mediator::{build_world as build_mediator_world, MedMsg, MediatorGameSpec};
+use crate::mediator::{CircuitMediator, HonestMedPlayer, MedMsg, MediatorGameSpec};
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
 use mediator_games::dist::OutcomeDist;
@@ -161,8 +157,8 @@ impl fmt::Display for Theorem {
     }
 }
 
-/// A rejected scenario: the typed build-time diagnosis that replaces the
-/// downstream panics of the positional API.
+/// A rejected scenario: a typed build-time diagnosis instead of a
+/// downstream panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
     /// `(n, k, t)` violates the selected theorem's resilience threshold.
@@ -617,10 +613,10 @@ pub struct CheapTalkPlan {
 }
 
 impl CheapTalkPlan {
-    /// Adopts a pre-validated [`CheapTalkSpec`] (the escape hatch the
-    /// source-compatible free-function wrappers go through — **no theorem
-    /// threshold check happens here**; use [`Scenario::cheap_talk`] for the
-    /// validated path).
+    /// Adopts a hand-built [`CheapTalkSpec`] (e.g. from the
+    /// `CheapTalkSpec::theorem_4_x` constructors) — the escape hatch for
+    /// deliberately sub-threshold experiments: **no theorem threshold check
+    /// happens here**; use [`Scenario::cheap_talk`] for the validated path.
     pub fn from_spec(spec: CheapTalkSpec, inputs: Vec<Vec<Fp>>) -> Self {
         assert_eq!(inputs.len(), spec.n);
         CheapTalkPlan {
@@ -642,12 +638,6 @@ impl CheapTalkPlan {
     /// The resolved per-player inputs.
     pub fn inputs(&self) -> &[Vec<Fp>] {
         &self.inputs
-    }
-
-    /// Replaces the whole deviation map.
-    pub fn with_behaviors(mut self, behaviors: BTreeMap<usize, Behavior>) -> Self {
-        self.behaviors = behaviors;
-        self
     }
 
     /// Adds (or replaces) one player's deviation.
@@ -999,15 +989,12 @@ impl MediatorGame {
                 });
             }
         }
-        for (p, f) in &self.deviants {
-            let _ = f;
-            if *p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "deviant",
-                    player: *p,
-                    n,
-                });
-            }
+        if let Some(&(player, _)) = self.deviants.iter().find(|(p, _)| *p >= n) {
+            return Err(ScenarioError::PlayerOutOfRange {
+                what: "deviant",
+                player,
+                n,
+            });
         }
         let spec = MediatorGameSpec {
             n,
@@ -1022,7 +1009,7 @@ impl MediatorGame {
         Ok(MediatorPlan {
             spec,
             inputs,
-            deviants: self.deviants,
+            deviants: self.deviants.into_iter().collect(),
             resolve_defaults,
             starvation_bound: self.starvation_bound,
             scheduler: self.scheduler,
@@ -1037,7 +1024,7 @@ impl MediatorGame {
 pub struct MediatorPlan {
     spec: MediatorGameSpec,
     inputs: Vec<Vec<Fp>>,
-    deviants: Vec<(usize, DeviantFactory)>,
+    deviants: BTreeMap<usize, DeviantFactory>,
     resolve_defaults: Vec<Action>,
     starvation_bound: u64,
     scheduler: SchedulerKind,
@@ -1050,10 +1037,7 @@ impl fmt::Debug for MediatorPlan {
         f.debug_struct("MediatorPlan")
             .field("spec", &self.spec)
             .field("inputs", &self.inputs)
-            .field(
-                "deviants",
-                &self.deviants.iter().map(|(p, _)| p).collect::<Vec<_>>(),
-            )
+            .field("deviants", &self.deviants.keys().collect::<Vec<_>>())
             .field("resolve_defaults", &self.resolve_defaults)
             .field("starvation_bound", &self.starvation_bound)
             .field("scheduler", &self.scheduler)
@@ -1064,15 +1048,16 @@ impl fmt::Debug for MediatorPlan {
 }
 
 impl MediatorPlan {
-    /// Adopts a pre-validated [`MediatorGameSpec`] (the escape hatch the
-    /// source-compatible free-function wrappers go through; no validation).
+    /// Adopts a hand-built [`MediatorGameSpec`] (e.g. from
+    /// [`MediatorGameSpec::standard`]) with no validation; use
+    /// [`Scenario::mediator`] for the validated path.
     pub fn from_spec(spec: MediatorGameSpec, inputs: Vec<Vec<Fp>>) -> Self {
         assert_eq!(inputs.len(), spec.n);
         let resolve_defaults = vec![0; spec.n];
         MediatorPlan {
             spec,
             inputs,
-            deviants: Vec::new(),
+            deviants: BTreeMap::new(),
             resolve_defaults,
             starvation_bound: DEFAULT_MEDIATOR_STARVATION_BOUND,
             scheduler: SchedulerKind::Random,
@@ -1091,14 +1076,15 @@ impl MediatorPlan {
         &self.inputs
     }
 
-    /// Adds a deviant factory (see [`MediatorGame::deviant`]).
+    /// Adds (or replaces) player `i`'s deviant factory (see
+    /// [`MediatorGame::deviant`]).
     pub fn with_deviant(
         mut self,
         i: usize,
         factory: impl Fn() -> Box<dyn Process<MedMsg>> + Send + Sync + 'static,
     ) -> Self {
         assert!(i < self.spec.n, "deviant {i} out of range");
-        self.deviants.push((i, Arc::new(factory)));
+        self.deviants.insert(i, Arc::new(factory));
         self
     }
 
@@ -1126,8 +1112,24 @@ impl MediatorPlan {
         self
     }
 
-    fn make_deviants(&self) -> BTreeMap<usize, Box<dyn Process<MedMsg>>> {
-        self.deviants.iter().map(|(p, f)| (*p, f())).collect()
+    /// Assembles the `n + 1`-process world: each registered deviant's
+    /// factory is invoked once, everyone else plays the honest canonical
+    /// strategy with `inputs[p]`, and the mediator is process `n`.
+    fn build_world(&self, seed: u64) -> World<MedMsg> {
+        let n = self.spec.n;
+        let mut procs: Vec<Box<dyn Process<MedMsg>>> = (0..n)
+            .map(|p| match self.deviants.get(&p) {
+                Some(factory) => factory(),
+                None => {
+                    let will = self.spec.wills.as_ref().map(|w| w[p]);
+                    Box::new(HonestMedPlayer::new(n, self.inputs[p].clone(), will))
+                }
+            })
+            .collect();
+        procs.push(Box::new(CircuitMediator::new(self.spec.clone())));
+        let mut world = World::new(procs, seed);
+        world.set_starvation_bound(self.starvation_bound);
+        world
     }
 
     /// Runs once with the configured scheduler and seed.
@@ -1137,20 +1139,7 @@ impl MediatorPlan {
 
     /// Runs once with an explicit scheduler kind and seed.
     pub fn run_with(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
-        self.run_with_deviants(self.make_deviants(), kind, seed)
-    }
-
-    /// Runs once with explicit (non-factory) deviant processes — the path
-    /// the by-value [`run_mediator_game`](crate::mediator::run_mediator_game)
-    /// wrapper takes.
-    pub fn run_with_deviants(
-        &self,
-        deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-        kind: &SchedulerKind,
-        seed: u64,
-    ) -> Outcome {
-        let mut world = build_mediator_world(&self.spec, &self.inputs, deviants, seed);
-        world.set_starvation_bound(self.starvation_bound);
+        let mut world = self.build_world(seed);
         tune_world_for_replay(&mut world, kind);
         let mut sched = kind.build();
         world.run(sched.as_mut(), self.max_steps)
@@ -1158,22 +1147,16 @@ impl MediatorPlan {
 
     /// Runs once under a **relaxed scheduler** (§5): the mediator's
     /// messages are dropped — whole batches at a time, the all-or-none rule
-    /// of Lemma 6.10 — after `drop_after` deliveries. No starvation bound
-    /// applies: force-delivering withheld messages would contradict the
-    /// blackout a relaxed environment is allowed to impose.
+    /// of Lemma 6.10 — after `drop_after` deliveries. This is the deadlock
+    /// machinery of Propositions 6.9/6.11: with the mediator's STOP batch
+    /// withheld, no honest player can move, and the wills (punishments)
+    /// fire. No starvation bound applies: force-delivering withheld
+    /// messages would contradict the blackout a relaxed environment is
+    /// allowed to impose.
     pub fn run_relaxed(&self, drop_after: u64, seed: u64) -> Outcome {
-        self.run_relaxed_with_deviants(self.make_deviants(), drop_after, seed)
-    }
-
-    /// The explicit-deviants variant of [`MediatorPlan::run_relaxed`].
-    pub fn run_relaxed_with_deviants(
-        &self,
-        deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-        drop_after: u64,
-        seed: u64,
-    ) -> Outcome {
         let mediator = self.spec.n;
-        let mut world = build_mediator_world(&self.spec, &self.inputs, deviants, seed);
+        let mut world = self.build_world(seed);
+        world.set_starvation_bound(u64::MAX);
         world.allow_drops();
         let mut sched = RelaxedScheduler::new(vec![mediator], drop_after);
         world.run(&mut sched, self.max_steps)
@@ -1186,8 +1169,7 @@ impl MediatorPlan {
 
     /// Opens a steppable [`Session`] with an explicit scheduler and seed.
     pub fn session_with(&self, kind: &SchedulerKind, seed: u64) -> Session<MedMsg> {
-        let mut world = build_mediator_world(&self.spec, &self.inputs, self.make_deviants(), seed);
-        world.set_starvation_bound(self.starvation_bound);
+        let mut world = self.build_world(seed);
         tune_world_for_replay(&mut world, kind);
         Session::new(world, kind.build(), self.max_steps)
     }
@@ -1739,6 +1721,35 @@ mod tests {
         let set = plan.seeds(0..2).threads(1).run_batch();
         assert!((set.pooled().prob(&[1; 4]) - 1.0).abs() < 1e-12);
         assert_eq!(set.distributions().len(), 1);
+    }
+
+    #[test]
+    fn re_registering_a_mediator_deviant_replaces_the_first() {
+        use crate::deviations::SilentProcess;
+        let n = 4;
+        let built = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let (first, second) = (built.clone(), built.clone());
+        let plan = Scenario::mediator(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .deviant(2, move || {
+                first[0].fetch_add(1, Ordering::Relaxed);
+                Box::new(SilentProcess)
+            })
+            .build()
+            .expect("tolerance fine")
+            .with_deviant(2, move || {
+                second[1].fetch_add(1, Ordering::Relaxed);
+                Box::new(HonestMedPlayer::new(n, vec![Fp::ONE], None))
+            });
+        for seed in 0..2 {
+            let out = plan.run_with(&SchedulerKind::Fifo, seed);
+            assert_eq!(out.moves[2], Some(1), "the later (honest) one plays");
+        }
+        // The replaced factory never runs; the other once per run.
+        let calls = [&built[0], &built[1]].map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(calls, [0, 2]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! inputs, so the whole execution — dealing, core agreement, evaluation,
 //! output reconstruction — runs under the full `mediator-sim` `World` via
 //! [`SansIoProcess`](mediator_sim::sansio::SansIoProcess) or
-//! [`run_machines`](mediator_sim::sansio::run_machines), with randomness
+//! [`Machines`](mediator_sim::sansio::Machines), with randomness
 //! drawn from the runtime's process-local generator. The cheap-talk
 //! embedding in `mediator-core` drives this same type, so the game layer
 //! and the protocol test suites exercise one engine wrapping, not two.
@@ -81,7 +81,7 @@ impl SansIo for MpcDriver {
 mod tests {
     use super::*;
     use mediator_circuits::catalog;
-    use mediator_sim::sansio::run_machines;
+    use mediator_sim::sansio::Machines;
     use mediator_sim::{Behavior, SchedulerKind};
 
     fn drivers(cfg: &MpcConfig, circuit: Circuit, inputs: &[Vec<Fp>]) -> Vec<MpcDriver> {
@@ -114,13 +114,8 @@ mod tests {
             SchedulerKind::TargetedDelay(vec![2]),
         ] {
             for seed in 0..2 {
-                let (_, outputs) = run_machines(
-                    drivers(&cfg, catalog::sum_circuit(n), &inputs),
-                    Vec::new(),
-                    kind.build().as_mut(),
-                    seed,
-                    4_000_000,
-                );
+                let (_, outputs) = Machines::new(drivers(&cfg, catalog::sum_circuit(n), &inputs))
+                    .run(kind.build().as_mut(), seed, 4_000_000);
                 let first = match outputs[0].as_ref() {
                     Some(MpcEvent::Done(v)) => v.clone(),
                     other => panic!("player 0 under {kind:?} seed {seed}: {other:?}"),
@@ -147,13 +142,9 @@ mod tests {
         let cfg = MpcConfig::robust(n, 1, 9, vec![vec![Fp::ZERO]; n]);
         let inputs: Vec<Vec<Fp>> = (0..n as u64).map(|v| vec![Fp::new(v % 2)]).collect();
         let silent: Behavior<MpcMsg> = Box::new(|_, _, _| Vec::new());
-        let (_, outputs) = run_machines(
-            drivers(&cfg, catalog::majority_circuit(n), &inputs),
-            vec![(4, silent.into())],
-            SchedulerKind::Random.build().as_mut(),
-            11,
-            4_000_000,
-        );
+        let (_, outputs) = Machines::new(drivers(&cfg, catalog::majority_circuit(n), &inputs))
+            .byzantine(4, silent)
+            .run(SchedulerKind::Random.build().as_mut(), 11, 4_000_000);
         for (i, ev) in outputs.iter().enumerate() {
             if i != 4 {
                 let done = matches!(ev, Some(MpcEvent::Done(_)));

@@ -2,9 +2,10 @@
 
 use crate::config::{Mode, MpcConfig};
 use crate::msg::MpcMsg;
-use mediator_bcast::{AbaState, CoinSource, IdealCoin, Outgoing};
+use mediator_bcast::{AbaState, CoinSource, IdealCoin};
 use mediator_circuits::{Circuit, Gate};
 use mediator_field::Fp;
+use mediator_sim::sansio::Outgoing;
 use mediator_vss::avss::{self, AvssDest, AvssState};
 use mediator_vss::detect::{deal_detectable, DetectState, Verdict};
 use mediator_vss::OecState;
@@ -444,7 +445,11 @@ impl MpcEngine {
 
     // ---- evaluation ----
 
-    /// Advances everything that can advance; returns at most one event.
+    /// Advances everything that can advance; returns at most one event. A
+    /// terminal event (`Done` / `Aborted`) supersedes `CoreDecided` when
+    /// one call reaches both — a starved player can fix the core and
+    /// finish on the same delivery, and the embedding layer acts only on
+    /// the terminal one.
     fn pump(&mut self, out: &mut Vec<Outgoing<MpcMsg>>) -> Option<MpcEvent> {
         if self.status != MpcStatus::Running {
             return None;
@@ -479,7 +484,7 @@ impl MpcEngine {
         }
         self.run_eval(out);
         self.maybe_finish(&mut event);
-        if self.status == MpcStatus::Aborted && event.is_none() {
+        if self.status == MpcStatus::Aborted {
             event = Some(MpcEvent::Aborted);
         }
         event
@@ -772,9 +777,7 @@ impl MpcEngine {
         if self.output_vals.len() == self.output_oec.len() {
             let vals: Vec<Fp> = self.output_vals.values().copied().collect();
             self.status = MpcStatus::Done(vals.clone());
-            if event.is_none() {
-                *event = Some(MpcEvent::Done(vals));
-            }
+            *event = Some(MpcEvent::Done(vals));
         }
     }
 }
@@ -782,64 +785,77 @@ impl MpcEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mediator_bcast::harness::{Behavior, Net};
+    use crate::driver::MpcDriver;
     use mediator_circuits::{catalog, CircuitBuilder};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use mediator_sim::sansio::{Behavior, Machines};
+    use mediator_sim::SchedulerKind;
 
-    /// Runs `n` engines to completion; `byz` players never start and behave
-    /// per `behavior`. Returns final statuses and deliveries.
+    /// Runs `n` engines under `kind`; `byz` players never start and behave
+    /// per `behavior`. Returns each player's last event and the deliveries.
     fn run_mpc(
         cfg: MpcConfig,
         circuit: Circuit,
         inputs: Vec<Vec<Fp>>,
         byz: &[usize],
+        kind: &SchedulerKind,
         seed: u64,
         behavior: Behavior<MpcMsg>,
-    ) -> (Vec<MpcStatus>, u64) {
-        let n = cfg.n;
+    ) -> (Vec<Option<MpcEvent>>, u64) {
         let circuit = Arc::new(circuit);
         let cfg = Arc::new(cfg); // shared by all n engines
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let mut engines: Vec<MpcEngine> = (0..n)
-            .map(|i| MpcEngine::new(Arc::clone(&cfg), circuit.clone(), i))
+        let drivers = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| MpcDriver::new(Arc::clone(&cfg), circuit.clone(), i, x))
             .collect();
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        for i in 0..n {
-            if !byz.contains(&i) {
-                let batch = engines[i].start(&inputs[i], &mut rng);
-                net.push_batch(i, batch);
-            }
+        let mut run = Machines::new(drivers);
+        for &p in byz {
+            run = run.byzantine(p, behavior.clone_box());
         }
-        net.run(|to, from, msg, sink| {
-            let (out, _ev) = engines[to].on_message(from, msg);
-            sink.push_batch(to, out);
-        });
-        (
-            engines.iter().map(|e| e.status().clone()).collect(),
-            net.delivered,
-        )
+        let (outcome, events) = run.run(kind.build().as_mut(), seed, 8_000_000);
+        (events, outcome.messages_delivered)
     }
 
     fn no_op() -> Behavior<MpcMsg> {
         Box::new(|_, _, _| Vec::new())
     }
 
-    fn outputs_of(s: &MpcStatus) -> &[Fp] {
-        match s {
-            MpcStatus::Done(v) => v,
+    fn outputs_of(ev: &Option<MpcEvent>) -> &[Fp] {
+        match ev {
+            Some(MpcEvent::Done(v)) => v,
             other => panic!("not done: {other:?}"),
         }
     }
 
+    /// All players finished with the same single output; returns it.
+    fn common_output(events: &[Option<MpcEvent>], ctx: &dyn std::fmt::Debug) -> Fp {
+        let v = outputs_of(&events[0])[0];
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(outputs_of(ev), &[v], "player {i} disagrees under {ctx:?}");
+        }
+        v
+    }
+
+    // Asynchronous MPC fixes a core of ≥ n − f input providers: a scheduler
+    // may starve one honest dealing past the core decision, and that input
+    // then counts as its default. With every player honest the checkable
+    // guarantee is agreement on f(inputs with ≤ f defaulted); once a
+    // byzantine player is silent it *is* the excluded one and the output is
+    // exact.
+
     #[test]
     fn sum_circuit_robust_no_faults() {
         let n = 5;
-        let cfg = MpcConfig::robust(n, 1, 7, vec![vec![Fp::ZERO]; n]);
         let inputs: Vec<Vec<Fp>> = (1..=n as u64).map(|v| vec![Fp::new(v)]).collect();
-        let (statuses, _) = run_mpc(cfg, catalog::sum_circuit(n), inputs, &[], 3, no_op());
-        for s in &statuses {
-            assert_eq!(outputs_of(s), &[Fp::new(15)]);
+        let admissible: Vec<Fp> = (0..=n as u64)
+            .map(|excluded| Fp::new(15 - excluded))
+            .collect();
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::robust(n, 1, 7, vec![vec![Fp::ZERO]; n]);
+            let circuit = catalog::sum_circuit(n);
+            let (events, _) = run_mpc(cfg, circuit, inputs.clone(), &[], &kind, 3, no_op());
+            let sum = common_output(&events, &kind);
+            assert!(admissible.contains(&sum), "sum {sum} under {kind:?}");
         }
     }
 
@@ -855,15 +871,10 @@ mod tests {
         let m = b.mul(s, x2);
         b.output_all(m);
         let circuit = b.build();
-        let cfg = MpcConfig::robust(
-            n,
-            1,
-            7,
-            vec![vec![Fp::ZERO]; 3]
-                .into_iter()
-                .chain(vec![vec![], vec![]])
-                .collect(),
-        );
+        let defaults: Vec<Vec<Fp>> = vec![vec![Fp::ZERO]; 3]
+            .into_iter()
+            .chain(vec![vec![], vec![]])
+            .collect();
         let inputs = vec![
             vec![Fp::new(3)],
             vec![Fp::new(4)],
@@ -871,9 +882,13 @@ mod tests {
             vec![],
             vec![],
         ];
-        let (statuses, _) = run_mpc(cfg, circuit, inputs, &[], 5, no_op());
-        for s in &statuses {
-            assert_eq!(outputs_of(s), &[Fp::new(70)]);
+        // (3+4)·10, or with x0 / x1 / x2 defaulted to zero.
+        let admissible = [70, 40, 30, 0].map(Fp::new);
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::robust(n, 1, 7, defaults.clone());
+            let (events, _) = run_mpc(cfg, circuit.clone(), inputs.clone(), &[], &kind, 5, no_op());
+            let product = common_output(&events, &kind);
+            assert!(admissible.contains(&product), "{product} under {kind:?}");
         }
     }
 
@@ -881,7 +896,6 @@ mod tests {
     fn majority_circuit_with_silent_byzantine() {
         // n=5, f=1: player 4 never participates. Its input defaults to 0.
         let n = 5;
-        let cfg = MpcConfig::robust(n, 1, 9, vec![vec![Fp::ZERO]; n]);
         let inputs: Vec<Vec<Fp>> = vec![
             vec![Fp::ONE],
             vec![Fp::ONE],
@@ -889,12 +903,12 @@ mod tests {
             vec![Fp::ZERO],
             vec![Fp::ONE], // never dealt
         ];
-        let (statuses, _) = run_mpc(cfg, catalog::majority_circuit(n), inputs, &[4], 11, no_op());
-        // Inputs counted: 1,1,1,0 + default 0 → majority 1 (3 of 5).
-        for (i, s) in statuses.iter().enumerate() {
-            if i != 4 {
-                assert_eq!(outputs_of(s), &[Fp::ONE], "player {i}");
-            }
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::robust(n, 1, 9, vec![vec![Fp::ZERO]; n]);
+            let circuit = catalog::majority_circuit(n);
+            let (events, _) = run_mpc(cfg, circuit, inputs.clone(), &[4], &kind, 11, no_op());
+            // Inputs counted: 1,1,1,0 + default 0 → majority 1 (3 of 5).
+            assert_eq!(common_output(&events[..4], &kind), Fp::ONE);
         }
     }
 
@@ -905,11 +919,19 @@ mod tests {
         let r = b.rand();
         b.output_all(r);
         let circuit = b.build();
-        let cfg = MpcConfig::robust(n, 1, 13, vec![vec![]; n]);
-        let (statuses, _) = run_mpc(cfg, circuit, vec![vec![]; n], &[], 17, no_op());
-        let v = outputs_of(&statuses[0])[0];
-        for s in &statuses {
-            assert_eq!(outputs_of(s), &[v], "all players see the same random value");
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::robust(n, 1, 13, vec![vec![]; n]);
+            let (events, _) = run_mpc(
+                cfg,
+                circuit.clone(),
+                vec![vec![]; n],
+                &[],
+                &kind,
+                17,
+                no_op(),
+            );
+            // All players see the same random value.
+            common_output(&events, &kind);
         }
     }
 
@@ -920,31 +942,33 @@ mod tests {
         let r = b.rand_bit();
         b.output_all(r);
         let circuit = b.build();
-        for seed in 0..4 {
-            let cfg = MpcConfig::robust(n, 1, 13 + seed, vec![vec![]; n]);
-            let (statuses, _) = run_mpc(cfg, circuit.clone(), vec![vec![]; n], &[], seed, no_op());
-            let v = outputs_of(&statuses[0])[0];
-            assert!(v == Fp::ZERO || v == Fp::ONE, "value {v} is not a bit");
-            for s in &statuses {
-                assert_eq!(outputs_of(s), &[v]);
+        for kind in SchedulerKind::battery(n) {
+            for seed in 0..4 {
+                let cfg = MpcConfig::robust(n, 1, 13 + seed, vec![vec![]; n]);
+                let (events, _) = run_mpc(
+                    cfg,
+                    circuit.clone(),
+                    vec![vec![]; n],
+                    &[],
+                    &kind,
+                    seed,
+                    no_op(),
+                );
+                let v = common_output(&events, &kind);
+                assert!(v == Fp::ZERO || v == Fp::ONE, "value {v} is not a bit");
             }
         }
     }
 
     #[test]
     fn lying_shareholder_is_corrected_in_robust_mode() {
-        // Byzantine player participates in dealing (so it is in the core)
-        // but lies in every opening and output: online error correction
-        // must fix it. We model "participates then lies" by letting the
-        // byzantine player run a real engine whose outgoing Open/Output
-        // values are corrupted by the net behavior — here approximated by
-        // the byzantine player staying silent after dealing, plus a liar
-        // injecting garbage points for every opening id it sees.
+        // Byzantine player 2 never deals (so it is excluded from the core
+        // and its input defaults to 0) but lies in every opening: online
+        // error correction must fix it. On seeing any Open broadcast it
+        // sends a garbage point for the same id to everyone else (its only
+        // lie channel).
         let n = 5;
-        let cfg = MpcConfig::robust(n, 1, 21, vec![vec![Fp::ZERO]; n]);
         let inputs: Vec<Vec<Fp>> = (0..n).map(|v| vec![Fp::new(v as u64 % 2)]).collect();
-        // Behavior: on seeing any Open broadcast, player 2 echoes a garbage
-        // point for the same id to everyone else (its only lie channel).
         let behavior: Behavior<MpcMsg> = Box::new(|me, _from, msg| match msg {
             MpcMsg::Open { id, .. } => (0..5usize)
                 .filter(|&p| p != me)
@@ -960,20 +984,23 @@ mod tests {
                 .collect(),
             _ => Vec::new(),
         });
-        let (statuses, _) = run_mpc(
-            cfg,
-            catalog::majority_circuit(n),
-            inputs,
-            &[2],
-            23,
-            behavior,
-        );
-        // majority of (0,1,0,1) + default 0 for byz = 0... inputs: players
-        // 0..5 inputs v%2 = 0,1,0,1,0; player 2 excluded → default 0.
-        // Votes: 0,1,0(default),1,0 → majority 0.
-        for (i, s) in statuses.iter().enumerate() {
-            if i != 2 {
-                assert_eq!(outputs_of(s), &[Fp::ZERO], "player {i}");
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::robust(n, 1, 21, vec![vec![Fp::ZERO]; n]);
+            let circuit = catalog::majority_circuit(n);
+            let (events, _) = run_mpc(
+                cfg,
+                circuit,
+                inputs.clone(),
+                &[2],
+                &kind,
+                23,
+                behavior.clone_box(),
+            );
+            // Votes: 0,1,0(default),1,0 → majority 0.
+            for (i, ev) in events.iter().enumerate() {
+                if i != 2 {
+                    assert_eq!(outputs_of(ev), &[Fp::ZERO], "player {i} under {kind:?}");
+                }
             }
         }
     }
@@ -981,25 +1008,29 @@ mod tests {
     #[test]
     fn epsilon_mode_honest_run_completes() {
         let n = 4; // n = 3f+1 with f=t=1
-        let cfg = MpcConfig::epsilon(n, 1, 1, 2, 31, vec![vec![Fp::ZERO]; n]);
         let inputs: Vec<Vec<Fp>> = (1..=n as u64).map(|v| vec![Fp::new(v)]).collect();
-        let (statuses, _) = run_mpc(cfg, catalog::sum_circuit(n), inputs, &[], 37, no_op());
-        for s in &statuses {
-            assert_eq!(outputs_of(s), &[Fp::new(10)]);
+        let admissible: Vec<Fp> = (0..=n as u64)
+            .map(|excluded| Fp::new(10 - excluded))
+            .collect();
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::epsilon(n, 1, 1, 2, 31, vec![vec![Fp::ZERO]; n]);
+            let circuit = catalog::sum_circuit(n);
+            let (events, _) = run_mpc(cfg, circuit, inputs.clone(), &[], &kind, 37, no_op());
+            let sum = common_output(&events, &kind);
+            assert!(admissible.contains(&sum), "sum {sum} under {kind:?}");
         }
     }
 
     #[test]
     fn epsilon_mode_survives_silent_party() {
         let n = 4;
-        let cfg = MpcConfig::epsilon(n, 1, 1, 2, 41, vec![vec![Fp::ZERO]; n]);
         let inputs: Vec<Vec<Fp>> = (1..=n as u64).map(|v| vec![Fp::new(v)]).collect();
-        let (statuses, _) = run_mpc(cfg, catalog::sum_circuit(n), inputs, &[3], 43, no_op());
-        // Silent player excluded; default 0 used: 1+2+3+0 = 6.
-        for (i, s) in statuses.iter().enumerate() {
-            if i != 3 {
-                assert_eq!(outputs_of(s), &[Fp::new(6)], "player {i}");
-            }
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::epsilon(n, 1, 1, 2, 41, vec![vec![Fp::ZERO]; n]);
+            let circuit = catalog::sum_circuit(n);
+            let (events, _) = run_mpc(cfg, circuit, inputs.clone(), &[3], &kind, 43, no_op());
+            // Silent player excluded; default 0 used: 1+2+3+0 = 6.
+            assert_eq!(common_output(&events[..3], &kind), Fp::new(6));
         }
     }
 
@@ -1033,22 +1064,23 @@ mod tests {
                 .collect(),
             _ => Vec::new(),
         });
-        for seed in 0..5 {
-            let cfg = MpcConfig::epsilon(n, 1, 1, 2, 61 + seed, defaults.clone());
-            let (statuses, _) = run_mpc(
-                cfg,
-                circuit.clone(),
-                inputs.clone(),
-                &[3],
-                seed,
-                behavior.clone_box(),
-            );
-            for (i, s) in statuses.iter().enumerate().take(3) {
-                match s {
-                    MpcStatus::Done(v) => {
+        for kind in SchedulerKind::battery(n) {
+            for seed in 0..5 {
+                let cfg = MpcConfig::epsilon(n, 1, 1, 2, 61 + seed, defaults.clone());
+                let (events, _) = run_mpc(
+                    cfg,
+                    circuit.clone(),
+                    inputs.clone(),
+                    &[3],
+                    &kind,
+                    seed,
+                    behavior.clone_box(),
+                );
+                for (i, ev) in events.iter().enumerate().take(3) {
+                    // Anything but Done is detected / stalled: safe.
+                    if let Some(MpcEvent::Done(v)) = ev {
                         assert_eq!(v, &[Fp::new(42)], "player {i} accepted a wrong value");
                     }
-                    MpcStatus::Aborted | MpcStatus::Running => {} // detected / stalled: safe
                 }
             }
         }
@@ -1060,8 +1092,9 @@ mod tests {
         let mk = |depth| catalog::work_circuit(n, 2, depth);
         let inputs: Vec<Vec<Fp>> = (1..=n as u64).map(|v| vec![Fp::new(v)]).collect();
         let cfg = |seed| MpcConfig::robust(n, 1, seed, vec![vec![Fp::ZERO]; n]);
-        let (_, d1) = run_mpc(cfg(1), mk(1), inputs.clone(), &[], 1, no_op());
-        let (_, d2) = run_mpc(cfg(1), mk(6), inputs, &[], 1, no_op());
+        let kind = SchedulerKind::Random;
+        let (_, d1) = run_mpc(cfg(1), mk(1), inputs.clone(), &[], &kind, 1, no_op());
+        let (_, d2) = run_mpc(cfg(1), mk(6), inputs, &[], &kind, 1, no_op());
         assert!(
             d2 > d1,
             "more multiplications must cost more messages: {d1} vs {d2}"
@@ -1080,13 +1113,28 @@ mod tests {
         let circuit = b.build();
         let mut defaults = vec![vec![]; n];
         defaults[1] = vec![Fp::ZERO];
-        let cfg = MpcConfig::robust(n, 1, 51, defaults);
         let mut inputs = vec![vec![]; n];
         inputs[1] = vec![Fp::new(777)];
-        let (statuses, _) = run_mpc(cfg, circuit, inputs, &[], 53, no_op());
-        assert_eq!(outputs_of(&statuses[0]), &[Fp::new(777)]);
-        for s in statuses.iter().skip(1) {
-            assert_eq!(outputs_of(s), &[] as &[Fp]);
+        for kind in SchedulerKind::battery(n) {
+            let cfg = MpcConfig::robust(n, 1, 51, defaults.clone());
+            let (events, _) = run_mpc(
+                cfg,
+                circuit.clone(),
+                inputs.clone(),
+                &[],
+                &kind,
+                53,
+                no_op(),
+            );
+            let got = outputs_of(&events[0]);
+            // 777, or the default if player 1's dealing missed the core.
+            assert!(
+                got == [Fp::new(777)] || got == [Fp::ZERO],
+                "{got:?} under {kind:?}"
+            );
+            for ev in events.iter().skip(1) {
+                assert_eq!(outputs_of(ev), &[] as &[Fp]);
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 use mediator_circuits::catalog;
 use mediator_field::Fp;
 use mediator_mpc::{MpcConfig, MpcDriver, MpcEvent, MpcMsg};
-use mediator_sim::sansio::{run_machines, Behavior, ByzantineProcess};
+use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines};
 use mediator_sim::SchedulerKind;
 use mediator_vss::avss;
 use rand::rngs::StdRng;
@@ -75,13 +75,9 @@ fn wrong_arity_dealer_is_excluded_and_default_used() {
                 .map(|(i, inner)| (i, MpcMsg::Avss { dealer: 4, inner }))
                 .collect();
             let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-            let (_, outputs) = run_machines(
-                drivers(&cfg, &circuit, &inputs),
-                vec![(4, byz)],
-                kind.build().as_mut(),
-                seed,
-                4_000_000,
-            );
+            let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+                .byzantine(4, byz)
+                .run(kind.build().as_mut(), seed, 4_000_000);
             for (i, ev) in outputs.iter().enumerate().take(4) {
                 assert_eq!(
                     done_value(ev),
@@ -110,13 +106,9 @@ fn honest_majority_survives(attack: impl Fn(usize, usize) -> Vec<MpcMsg>) {
                     attack(dealer, victim).into_iter().map(move |m| (victim, m))
                 })
                 .collect();
-            let (_, outputs) = run_machines(
-                drivers(&cfg, &circuit, &inputs),
-                vec![(byz, ByzantineProcess::new(no_op()).with_kickoff(kickoff))],
-                kind.build().as_mut(),
-                seed,
-                4_000_000,
-            );
+            let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+                .byzantine(byz, ByzantineProcess::new(no_op()).with_kickoff(kickoff))
+                .run(kind.build().as_mut(), seed, 4_000_000);
             for (i, ev) in outputs.iter().enumerate().take(byz) {
                 assert_eq!(
                     done_value(ev),
@@ -194,13 +186,9 @@ fn forged_private_outputs_are_corrected() {
                     value: Fp::new(31337),
                 },
             )]);
-            let (_, outputs) = run_machines(
-                drivers(&cfg, &circuit, &inputs),
-                vec![(3, byz)],
-                kind.build().as_mut(),
-                seed,
-                4_000_000,
-            );
+            let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+                .byzantine(3, byz)
+                .run(kind.build().as_mut(), seed, 4_000_000);
             for (i, ev) in outputs.iter().enumerate() {
                 if i != 3 {
                     assert_eq!(
@@ -237,13 +225,9 @@ fn stale_open_ids_from_byzantine_are_harmless() {
             })
             .collect();
         let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-        let (_, outputs) = run_machines(
-            drivers(&cfg, &circuit, &inputs),
-            vec![(2, byz)],
-            kind.build().as_mut(),
-            19,
-            4_000_000,
-        );
+        let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+            .byzantine(2, byz)
+            .run(kind.build().as_mut(), 19, 4_000_000);
         for (i, ev) in outputs.iter().enumerate() {
             if i != 2 {
                 assert_eq!(done_value(ev), Fp::ONE, "player {i} under {kind:?}");
@@ -265,13 +249,9 @@ fn randomness_contributions_of_excluded_players_do_not_matter() {
     for silent in [0usize, 4] {
         let cfg = MpcConfig::robust(n, 1, 23, vec![vec![]; n]);
         let inputs: Vec<Vec<Fp>> = vec![vec![]; n];
-        let (_, outputs) = run_machines(
-            drivers(&cfg, &circuit, &inputs),
-            vec![(silent, no_op().into())],
-            SchedulerKind::Random.build().as_mut(),
-            29,
-            4_000_000,
-        );
+        let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+            .byzantine(silent, no_op())
+            .run(SchedulerKind::Random.build().as_mut(), 29, 4_000_000);
         let honest: Vec<usize> = (0..n).filter(|&p| p != silent).collect();
         let v = done_value(&outputs[honest[0]]);
         for &p in &honest {
@@ -303,13 +283,9 @@ fn epsilon_mode_wrong_arity_detect_dealer_is_excluded() {
             .map(|(i, inner)| (i, MpcMsg::Detect { dealer: 3, inner }))
             .collect();
         let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-        let (_, outputs) = run_machines(
-            drivers(&cfg, &circuit, &inputs),
-            vec![(3, byz)],
-            kind.build().as_mut(),
-            37,
-            4_000_000,
-        );
+        let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+            .byzantine(3, byz)
+            .run(kind.build().as_mut(), 37, 4_000_000);
         for (i, ev) in outputs.iter().enumerate().take(3) {
             assert_eq!(done_value(ev), Fp::new(3), "player {i} under {kind:?}");
         }

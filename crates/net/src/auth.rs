@@ -202,7 +202,7 @@ fn sipround(v: &mut [u64; 4]) {
 /// SipHash-2-4 (64-bit output), straight from the paper: 2 compression
 /// rounds per 8-byte word, 4 finalization rounds, length byte folded into
 /// the final word.
-pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
     let mut v = [
         k0 ^ 0x736f_6d65_7073_6575,
         k1 ^ 0x646f_7261_6e64_6f6d,

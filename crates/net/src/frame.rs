@@ -525,7 +525,7 @@ pub const SHARD_COORD: usize = usize::MAX;
 /// session come first), so the reactor can abort *that session* with a
 /// typed [`NetError::AuthFailure`] instead of killing the connection and
 /// every honest session multiplexed on it.
-pub fn peek_auth_session(body: &[u8]) -> Option<SessionId> {
+pub(crate) fn peek_auth_session(body: &[u8]) -> Option<SessionId> {
     if body.len() < 3 || body[0] != WIRE_VERSION_AUTH || body[1] != 1 {
         return None;
     }

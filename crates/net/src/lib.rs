@@ -16,8 +16,9 @@
 //!   code: in-memory duplex pipes ([`MemTransport`]) and TCP loopback
 //!   ([`TcpTransport`], always port 0 — sandbox/CI-safe).
 //! * [`readiness`] — the reactor's event plumbing: a hand-rolled
-//!   `poll(2)` wrapper (no `mio` in the container), a [`Waker`] bridging
-//!   fd- and notify-based sources, and the [`NbListener`] accept seam.
+//!   `poll(2)` wrapper (no `mio` in the container), a
+//!   [`Waker`](readiness::Waker) bridging fd- and notify-based sources,
+//!   and the [`NbListener`](readiness::NbListener) accept seam.
 //! * [`service`] — the multi-session [`Service`] runtime: **one reactor
 //!   thread** accepts connections, routes frames by `(session-id,
 //!   player-id)`, drives every hosted session as a state machine over
@@ -32,8 +33,8 @@
 //!   with sequence numbers for replay protection and downgrade rejection.
 //!   Enable via [`ServiceConfig::auth`]; tampering surfaces as the typed
 //!   [`NetError::AuthFailure`] and aborts only the tampered session.
-//! * [`tamper`] — the Byzantine-relay battery: [`tamper_relay`] mirrors
-//!   the content-blind `bulk_relay` but applies wire-level tactics
+//! * [`tamper`] — the Byzantine-relay battery: its relay mirrors the
+//!   content-blind [`bulk_relay`] but applies wire-level tactics
 //!   (rewrite / replay / redirect / truncate / reorder / drop / delay /
 //!   strip) over frame-counter windows — the adversary plane's combinator
 //!   style pointed at the transport (DESIGN.md §10).
@@ -98,27 +99,20 @@ pub mod tamper;
 pub mod transport;
 pub mod wire;
 
-pub use auth::{siphash24, AuthKey, AuthTag, AuthVerdict, TamperKind};
+pub use auth::{AuthKey, AuthTag, TamperKind};
 pub use client::{bulk_relay, Client};
-pub use frame::{
-    peek_auth_session, Frame, NetError, OutcomeSummary, RejectReason, SessionId, MAX_FRAME_LEN,
-    PREFIX_LEN, SHARD_COORD,
-};
+pub use frame::{Frame, NetError, OutcomeSummary, RejectReason, MAX_FRAME_LEN, SHARD_COORD};
 pub use frontier::{run_frontier_sharded, FrontierShardLog};
 pub use plan::NetPlan;
-pub use readiness::{ConnIo, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN};
+pub use readiness::TryRead;
 pub use service::{
     run_over_mem, run_over_tcp, DeliveryOrder, Service, ServiceConfig, SessionHandle,
 };
 // Re-exported so sink-wiring callers need not name `mediator_sim` at all.
 pub use mediator_sim::{RunMeta, TraceSink};
-pub use shard::{
-    coordinate, run_worker, worker_mem, worker_tcp, ShardConfig, ShardFrame, ShardListener,
-    ShardLog, ShardedSweep,
-};
-pub use tamper::{tamper_relay, TamperPlan, TamperReport, TransportKind, WireTactic};
+pub use shard::{coordinate, run_worker, worker_mem, ShardConfig, ShardFrame, ShardedSweep};
+pub use tamper::{TamperPlan, TransportKind, WireTactic};
 pub use transport::{
-    duplex, pipe, ConnPair, FrameBuf, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport,
-    PipeReader, PipeWriter, TcpTransport,
+    duplex, pipe, ConnPair, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport, TcpTransport,
 };
 pub use wire::{CodecError, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};

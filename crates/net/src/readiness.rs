@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Token a [`Waker`] associates with the accept side of a listener.
-pub const ACCEPT_TOKEN: usize = usize::MAX;
+pub(crate) const ACCEPT_TOKEN: usize = usize::MAX;
 
 // ---------------------------------------------------------------------------
 // poll(2), via FFI (unix only — the build container is Linux)
@@ -155,7 +155,7 @@ impl Waker {
 
 /// One readiness event delivered by [`Poller::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the source was registered under.
     pub token: usize,
     /// Readable (or hung up / errored — the read will surface it).
@@ -166,7 +166,7 @@ pub struct Event {
 
 /// An fd-based readiness interest for one [`Poller::wait`] call.
 #[derive(Debug, Clone, Copy)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Token to report events under.
     pub token: usize,
     /// The fd to watch.
@@ -180,7 +180,7 @@ pub struct Interest {
 /// The reactor's wait primitive: `poll(2)` over fd interests plus the
 /// [`Waker`] token queue, degrading to a pure condvar park when no fd
 /// sources exist (the in-memory transport configuration).
-pub struct Poller {
+pub(crate) struct Poller {
     waker: Arc<Waker>,
     /// Read end of the self-pipe (unix).
     #[cfg(unix)]
@@ -524,7 +524,7 @@ impl ConnIo {
 /// non-blocking connections as they arrive. Replaces the PR 5 blocking
 /// `Listener` (whose dedicated accept thread the reactor absorbed).
 pub trait NbListener: Send {
-    /// Registers accept-readiness delivery under [`ACCEPT_TOKEN`];
+    /// Registers accept-readiness delivery under the accept token;
     /// fd-based listeners return their fd for the poll set.
     fn register(&mut self, waker: &Arc<Waker>) -> Option<i32>;
 

@@ -143,8 +143,7 @@ pub enum ShardListener {
     /// An in-memory hub ([`MemTransport`]); workers dial with
     /// [`worker_mem`].
     Mem(MemTransport),
-    /// A loopback TCP listener; workers dial [`ShardListener::addr`] with
-    /// [`worker_tcp`].
+    /// A loopback TCP listener; workers dial [`ShardListener::addr`].
     Tcp {
         /// The bound listener.
         listener: TcpListener,
@@ -794,7 +793,7 @@ pub fn worker_mem<P: SweepPlan>(
 }
 
 /// Dials the coordinator's TCP listener and serves as worker `worker`.
-pub fn worker_tcp<P: SweepPlan>(
+fn worker_tcp<P: SweepPlan>(
     addr: SocketAddr,
     worker: u64,
     plan: &P,

@@ -3,7 +3,7 @@
 //!
 //! PR 4's adversary plane deviates *processes* — a Byzantine player lies
 //! in its openings, equivocates, goes silent. This module deviates the
-//! **network**: [`tamper_relay`] mirrors the content-blind `bulk_relay`
+//! **network**: its relay mirrors the content-blind `bulk_relay`
 //! (one raw byte stream, many sessions, echo every `Msg`) but applies
 //! [`WireTactic`]s to the frames of one *target session*, scheduled over
 //! frame-counter [`Window`]s — the same combinator grammar the adversary
@@ -90,7 +90,7 @@ pub enum WireTactic {
     Strip,
 }
 
-/// Which sessions a [`tamper_relay`] attacks, and how: tactics are tried
+/// Which sessions the tampering relay attacks, and how: tactics are tried
 /// in order against each target-session frame's arrival index, first
 /// matching window wins. Frames of other sessions are echoed verbatim —
 /// the honest-neighbor contrast is the point of the paired suite.
@@ -140,7 +140,7 @@ pub struct TamperReport {
 /// sessions have resolved (outcome *or* abort — a tampered session's
 /// abort is a resolution here, not an error, because observing the
 /// paired fates is the battery's job).
-pub fn tamper_relay<M, R, W>(
+fn tamper_relay<M, R, W>(
     mut rx: R,
     mut tx: W,
     attaches: &[(SessionId, usize)],
@@ -405,7 +405,7 @@ pub struct TamperedPair {
 
 /// Runs the canonical paired cell: two sessions of `plan` (ids
 /// [`TARGET_SID`] and [`HONEST_SID`]) hosted on one service, every player
-/// of both relayed over **one** [`tamper_relay`] connection that attacks
+/// of both relayed over **one** tampering connection that attacks
 /// only the target. The contrast between `target` and `honest` fates —
 /// across transports and `cfg.auth` — is the paired conformance suite's
 /// entire subject.

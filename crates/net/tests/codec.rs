@@ -10,10 +10,13 @@ use mediator_core::cheap_talk::CtMsg;
 use mediator_core::MedMsg;
 use mediator_field::Fp;
 use mediator_mpc::MpcMsg;
+use mediator_net::frame::PREFIX_LEN;
+use mediator_net::readiness::NbListener;
+use mediator_net::transport::FrameBuf;
 use mediator_net::{
-    AuthKey, AuthTag, Client, CodecError, Frame, FrameBuf, FrameRx as _, FrameTx as _, FramedRx,
-    FramedTx, MemTransport, NetError, OutcomeSummary, TamperKind, TcpTransport, Wire,
-    MAX_FRAME_LEN, PREFIX_LEN, WIRE_VERSION, WIRE_VERSION_AUTH,
+    AuthKey, AuthTag, Client, CodecError, Frame, FrameRx as _, FrameTx as _, FramedRx, FramedTx,
+    MemTransport, NetError, OutcomeSummary, TamperKind, TcpTransport, Wire, MAX_FRAME_LEN,
+    WIRE_VERSION, WIRE_VERSION_AUTH,
 };
 use mediator_sim::{Payload, TerminationKind};
 use mediator_vss::{AvssMsg, DetectMsg};
@@ -578,7 +581,7 @@ fn connecting_to_a_closed_mem_hub_fails_fast() {
     // a queue nobody will ever accept from.
     let hub = MemTransport::new();
     let mut listener = hub.listener();
-    mediator_net::NbListener::close(&mut listener);
+    NbListener::close(&mut listener);
     let (_tx, mut rx) = hub.connect::<CtMsg>();
     assert_eq!(rx.recv().unwrap_err(), NetError::Closed);
 }
@@ -847,7 +850,7 @@ fn replayed_frame_aborts_the_session_with_the_typed_owner_on_both_backends() {
 /// back as blocking framed halves (test convenience only — the service's
 /// reactor consumes the readiness-based form).
 fn accept_framed<M: mediator_net::Wire + 'static>(
-    listener: &mut dyn mediator_net::NbListener,
+    listener: &mut dyn NbListener,
 ) -> mediator_net::ConnPair<M> {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {

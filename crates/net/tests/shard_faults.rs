@@ -15,9 +15,10 @@ use mediator_core::scenario::Scenario;
 use mediator_core::{run_sweep_unit, sweep_units, Conformance, ConformanceReport, SweepUnit};
 use mediator_field::Fp;
 use mediator_games::library;
+use mediator_net::shard::{ShardListener, ShardLog};
 use mediator_net::{
     coordinate, duplex, run_worker, worker_mem, ConnPair, Frame, FrameRx, FrameTx, FramedRx,
-    FramedTx, MemTransport, NetError, ShardConfig, ShardListener, ShardLog,
+    FramedTx, MemTransport, NetError, ShardConfig,
 };
 use mediator_sim::SchedulerKind;
 

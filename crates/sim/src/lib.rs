@@ -23,7 +23,7 @@
 //!   adversaries, and the relaxed scheduler wrapper.
 //! * [`sansio`] — the shared sans-IO driving contract ([`Outgoing`],
 //!   [`Dest`], [`SansIo`]) plus the generic [`SansIoProcess`] adapter and
-//!   [`run_machines`] runner that let any protocol state machine (reliable
+//!   [`Machines`] runner that let any protocol state machine (reliable
 //!   broadcast, agreement, AVSS, the MPC engine) run under the full `World`
 //!   with every scheduler.
 //! * [`Session`] — a steppable, non-consuming handle over a running
@@ -67,13 +67,12 @@ pub mod world;
 
 pub use process::{Action, Ctx, OutgoingTamper, Process, ProcessId, Tamper, TamperVerdict};
 pub use sansio::{
-    map_batch, route_batch, run_machines, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines,
-    Outgoing, Payload, RunOutputs, SansIo, SansIoProcess,
+    map_batch, route_batch, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines, Outgoing,
+    Payload, RunOutputs, SansIo, SansIoProcess,
 };
 pub use scheduler::{
-    FifoScheduler, LifoScheduler, PartitionScheduler, PendingView, RandomScheduler,
-    RelaxedScheduler, ReplayScheduler, ReplayScript, SchedChoice, Scheduler, SchedulerKind,
-    TargetedDelayScheduler,
+    FifoScheduler, LifoScheduler, PendingView, RandomScheduler, RelaxedScheduler, ReplayScheduler,
+    ReplayScript, SchedChoice, Scheduler, SchedulerKind,
 };
 pub use session::{Injected, Session, SessionStatus, SessionWants};
 pub use sink::{RunMeta, TraceSink};

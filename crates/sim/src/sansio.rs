@@ -3,28 +3,21 @@
 //! Every protocol substrate in this workspace — reliable broadcast, binary
 //! agreement, common subset, AVSS, the MPC engine — is written *sans IO*: a
 //! pure state machine that consumes `(from, msg)` events and returns batches
-//! of [`Outgoing`] messages. Historically each layer re-invented the glue
-//! that turns such a machine into something a runtime can drive: the
-//! broadcast crate had a private `Outgoing`/`Dest`/`Behavior` vocabulary and
-//! a seeded-random `Net` driver, and `mediator-core` hand-rolled the same
-//! wrapping again to embed the MPC engine into a [`Process`]. This module is
-//! the one shared home for that contract:
+//! of [`Outgoing`] messages. This module is the one home for the glue that
+//! turns such a machine into something the [`World`] can drive:
 //!
-//! * [`Dest`] / [`Outgoing`] / [`map_batch`] — the outgoing-message shapes
-//!   (re-exported by `mediator-bcast` for backward compatibility);
+//! * [`Dest`] / [`Outgoing`] / [`map_batch`] — the outgoing-message shapes;
 //! * [`route_batch`] — the single implementation of broadcast expansion;
 //! * [`SansIo`] — the trait a driveable state machine implements;
 //! * [`SansIoProcess`] — the generic adapter that wraps any [`SansIo`]
-//!   machine as a [`Process`], so the full [`World`] — all
-//!   schedulers, starvation bounds, traces, failure injection — can drive
-//!   the substrates that previously only ran under the toy `Net` driver;
-//! * [`Behavior`] / [`ByzantineProcess`] — byzantine players as processes,
-//!   mirroring the `Net` driver's behaviour-closure semantics;
-//! * [`run_machines`] — the convenience runner used by the protocol test
-//!   suites (honest machines + byzantine behaviours + a scheduler in, an
-//!   [`Outcome`] and per-player outputs out).
+//!   machine as a [`Process`], so the full [`World`] — all schedulers,
+//!   starvation bounds, traces, failure injection — can drive it;
+//! * [`Behavior`] / [`ByzantineProcess`] — byzantine players as processes;
+//! * [`Machines`] — the runner the protocol test suites and benches drive
+//!   their substrates through (honest machines + byzantine behaviours + a
+//!   scheduler in, an [`Outcome`] and per-player outputs out).
 //!
-//! See DESIGN.md §3 for the runtime-unification diagram.
+//! See DESIGN.md §1 for the runtime diagram.
 
 use crate::process::{Action, Ctx, Process, ProcessId};
 use crate::scheduler::Scheduler;
@@ -170,8 +163,8 @@ pub fn map_batch<M, N>(batch: Vec<Outgoing<M>>, mut f: impl FnMut(M) -> N) -> Ve
 }
 
 /// Expands a batch into point-to-point sends: the one shared implementation
-/// of broadcast fan-out, used by the [`SansIoProcess`] adapter, the legacy
-/// `Net` compatibility driver, and the cheap-talk embedding alike.
+/// of broadcast fan-out, used by the [`SansIoProcess`] adapter and the
+/// cheap-talk embedding alike.
 pub fn route_batch<M: Clone>(n: usize, batch: Vec<Outgoing<M>>, mut send: impl FnMut(usize, M)) {
     for o in batch {
         match o.dest {
@@ -185,10 +178,8 @@ pub fn route_batch<M: Clone>(n: usize, batch: Vec<Outgoing<M>>, mut send: impl F
     }
 }
 
-/// Byzantine behaviour: `(me, from, msg) -> messages to inject`.
-///
-/// The same shape the legacy `Net` driver used; under a [`World`] the
-/// behaviour runs inside a [`ByzantineProcess`].
+/// Byzantine behaviour: `(me, from, msg) -> messages to inject`. Under a
+/// [`World`] the behaviour runs inside a [`ByzantineProcess`].
 pub trait BehaviorFn<M>: Fn(usize, usize, &M) -> Vec<(usize, M)> {
     /// Clones the behaviour into a fresh box (for reuse across seeds).
     fn clone_box(&self) -> Behavior<M>;
@@ -356,12 +347,11 @@ impl<S: SansIo> Process<S::Msg> for SansIoProcess<S> {
 }
 
 /// A byzantine player as a process: every delivered message is fed to the
-/// behaviour closure and the returned messages are injected into the world.
-/// This reproduces the legacy `Net` driver's byzantine semantics under every
-/// scheduler, including self-addressed injections (which arrive back as
-/// fresh deliveries). An optional *kickoff* batch models actively deviant
-/// starts — an equivocating dealer, forged first votes — sent when the
-/// environment first schedules the player.
+/// behaviour closure and the returned messages are injected into the world
+/// (self-addressed injections arrive back as fresh deliveries). An optional
+/// *kickoff* batch models actively deviant starts — an equivocating dealer,
+/// forged first votes — sent when the environment first schedules the
+/// player.
 pub struct ByzantineProcess<M> {
     behavior: Behavior<M>,
     kickoff: Vec<(usize, M)>,
@@ -403,7 +393,7 @@ impl<M> Process<M> for ByzantineProcess<M> {
     }
 }
 
-/// Default starvation bound for [`run_machines`]: adversarial schedulers
+/// Default starvation bound for [`Machines`]: adversarial schedulers
 /// (LIFO, targeted delay) stay technically fair — every message is delivered
 /// within this many steps — matching the paper's eventual-delivery model.
 /// The value matches the cheap-talk embedding layer's bound: LIFO can spin
@@ -505,30 +495,6 @@ where
     }
 }
 
-/// Runs one sans-IO machine per player under the given scheduler, replacing
-/// the machines of byzantine players with their behaviours.
-///
-/// Thin wrapper over [`Machines`] (kept source-compatible for the protocol
-/// test suites); see the builder for the steppable variant.
-pub fn run_machines<S>(
-    machines: Vec<S>,
-    byz: Vec<(usize, ByzantineProcess<S::Msg>)>,
-    scheduler: &mut dyn Scheduler,
-    seed: u64,
-    max_steps: u64,
-) -> (Outcome, Vec<Option<S::Output>>)
-where
-    S: SansIo + 'static,
-    S::Msg: 'static,
-    S::Output: 'static,
-{
-    let mut run = Machines::new(machines);
-    for (p, b) in byz {
-        run = run.byzantine(p, b);
-    }
-    run.run(scheduler, seed, max_steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,9 +550,7 @@ mod tests {
     #[test]
     fn adapter_drives_machines_to_quiescence() {
         for seed in 0..5 {
-            let (outcome, outputs) = run_machines(
-                echo_machines(4, 0, 99),
-                Vec::new(),
+            let (outcome, outputs) = Machines::new(echo_machines(4, 0, 99)).run(
                 &mut RandomScheduler::new(),
                 seed,
                 100_000,
@@ -601,7 +565,9 @@ mod tests {
     #[test]
     fn adapter_parity_across_schedulers() {
         let run = |sched: &mut dyn Scheduler| {
-            run_machines(echo_machines(3, 1, 7), Vec::new(), sched, 3, 100_000).1
+            Machines::new(echo_machines(3, 1, 7))
+                .run(sched, 3, 100_000)
+                .1
         };
         assert_eq!(run(&mut RandomScheduler::new()), run(&mut FifoScheduler));
         assert_eq!(run(&mut FifoScheduler), run(&mut LifoScheduler));
@@ -611,18 +577,50 @@ mod tests {
     fn byzantine_behavior_replaces_machine() {
         // Player 1 is byzantine: it forwards a corrupted token to player 2.
         let behavior: Behavior<u32> = Box::new(|_me, _from, msg| vec![(2, msg * 2)]);
-        let (_, outputs) = run_machines(
-            echo_machines(3, 0, 21),
-            vec![(1, behavior.into())],
-            &mut FifoScheduler,
-            0,
-            100_000,
-        );
+        let (_, outputs) = Machines::new(echo_machines(3, 0, 21))
+            .byzantine(1, behavior)
+            .run(&mut FifoScheduler, 0, 100_000);
         assert_eq!(outputs[0], Some(21));
         assert_eq!(outputs[1], None, "byzantine players record no output");
         // Player 2 sees either the real token first or the corrupted relay,
         // FIFO order: leader's broadcast (to 0,1,2) precedes the relay.
         assert_eq!(outputs[2], Some(21));
+    }
+
+    #[test]
+    fn byzantine_kickoff_is_sent_at_start() {
+        // The leader's machine (token 21) is replaced by an equivocating
+        // start: its honest broadcast never happens, the kickoff does.
+        let silent: Behavior<u32> = Box::new(|_, _, _| Vec::new());
+        let byz = ByzantineProcess::new(silent).with_kickoff(vec![(1, 5), (2, 6)]);
+        let (outcome, outputs) = Machines::new(echo_machines(3, 0, 21))
+            .byzantine(0, byz)
+            .run(&mut FifoScheduler, 0, 100_000);
+        assert_eq!(outputs, vec![None, Some(5), Some(6)]);
+        assert_eq!(outcome.messages_sent, 2);
+        // Byzantine processes never halt: the drained plane is a deadlock.
+        assert_eq!(outcome.termination, TerminationKind::Deadlock);
+    }
+
+    #[test]
+    fn starvation_bound_override_reaches_the_world() {
+        // Byzantine player 2 pings itself forever and LIFO always prefers
+        // the fresh ping, so everyone else only moves when the starvation
+        // watchdog forces a delivery.
+        let run = |machines: Machines<Echo>| {
+            let pinger: Behavior<u32> = Box::new(|me, _, msg| vec![(me, *msg)]);
+            let pinger = ByzantineProcess::new(pinger).with_kickoff(vec![(2, 0)]);
+            let (outcome, outputs) = machines
+                .byzantine(2, pinger)
+                .run(&mut LifoScheduler, 0, 500);
+            assert_eq!(outcome.termination, TerminationKind::BudgetExhausted);
+            outputs
+        };
+        // The default bound (2 000) outlasts the 500-step budget.
+        let starved = run(Machines::new(echo_machines(3, 0, 9)));
+        assert_eq!(starved, vec![None; 3]);
+        let forced = run(Machines::new(echo_machines(3, 0, 9)).starvation_bound(10));
+        assert_eq!(forced, vec![Some(9), Some(9), None]);
     }
 
     #[test]

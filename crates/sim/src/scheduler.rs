@@ -332,7 +332,7 @@ impl Scheduler for ReplayScheduler {
 /// behaves like the random scheduler. Models the classic "split then merge"
 /// network incident while remaining a legal (eventually-fair) environment.
 #[derive(Debug, Clone)]
-pub struct PartitionScheduler {
+pub(crate) struct PartitionScheduler {
     group: Vec<ProcessId>,
     heal_after: u64,
     steps: u64,
@@ -341,7 +341,7 @@ pub struct PartitionScheduler {
 impl PartitionScheduler {
     /// Creates a scheduler partitioning `group` from everyone else for
     /// `heal_after` steps.
-    pub fn new(group: Vec<ProcessId>, heal_after: u64) -> Self {
+    pub(crate) fn new(group: Vec<ProcessId>, heal_after: u64) -> Self {
         PartitionScheduler {
             group,
             heal_after,
@@ -445,13 +445,13 @@ impl Scheduler for LifoScheduler {
 /// keeps this technically fair, matching the paper's requirement that all
 /// messages are eventually delivered.
 #[derive(Debug, Clone)]
-pub struct TargetedDelayScheduler {
+pub(crate) struct TargetedDelayScheduler {
     victims: Vec<ProcessId>,
 }
 
 impl TargetedDelayScheduler {
     /// Creates a scheduler that starves `victims`.
-    pub fn new(victims: Vec<ProcessId>) -> Self {
+    pub(crate) fn new(victims: Vec<ProcessId>) -> Self {
         TargetedDelayScheduler { victims }
     }
 

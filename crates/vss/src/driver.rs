@@ -6,7 +6,7 @@
 //! the dealer's secrets so the whole sharing — dealing included — runs
 //! under the full `mediator-sim` `World` via
 //! [`SansIoProcess`](mediator_sim::sansio::SansIoProcess) or
-//! [`run_machines`](mediator_sim::sansio::run_machines).
+//! [`Machines`](mediator_sim::sansio::Machines).
 
 use crate::avss::{self, AvssDest, AvssMsg, AvssOut, AvssState};
 use crate::shamir::Share;
@@ -105,7 +105,7 @@ impl SansIo for AvssPeer {
 mod tests {
     use super::*;
     use crate::reconstruct::OecState;
-    use mediator_sim::sansio::run_machines;
+    use mediator_sim::sansio::Machines;
     use mediator_sim::{SchedulerKind, TerminationKind};
 
     fn peers(n: usize, f: usize, dealer: usize, secrets: &[u64]) -> Vec<AvssPeer> {
@@ -125,9 +125,7 @@ mod tests {
         ] {
             for seed in 0..3 {
                 let (n, f) = (5, 1);
-                let (outcome, outputs) = run_machines(
-                    peers(n, f, 0, &[17, 99]),
-                    Vec::new(),
+                let (outcome, outputs) = Machines::new(peers(n, f, 0, &[17, 99])).run(
                     kind.build().as_mut(),
                     seed,
                     500_000,
@@ -157,13 +155,9 @@ mod tests {
     fn avss_tolerates_silent_byzantine_player() {
         let (n, f) = (5, 1);
         let silent: mediator_sim::Behavior<AvssMsg> = Box::new(|_, _, _| Vec::new());
-        let (_, outputs) = run_machines(
-            peers(n, f, 0, &[23]),
-            vec![(3, silent.into())],
-            SchedulerKind::Random.build().as_mut(),
-            1,
-            500_000,
-        );
+        let (_, outputs) = Machines::new(peers(n, f, 0, &[23]))
+            .byzantine(3, silent)
+            .run(SchedulerKind::Random.build().as_mut(), 1, 500_000);
         for (i, o) in outputs.iter().enumerate() {
             if i != 3 {
                 assert!(o.is_some(), "honest player {i} completes");

@@ -4,7 +4,7 @@
 //! and the regeneration workflow).
 
 use mediator_field::Fp;
-use mediator_sim::sansio::run_machines;
+use mediator_sim::sansio::Machines;
 use mediator_sim::{Outcome, SchedulerKind};
 use mediator_vss::AvssPeer;
 
@@ -20,7 +20,9 @@ fn run_avss(kind: &SchedulerKind, seed: u64) -> Outcome {
     let machines: Vec<AvssPeer> = (0..5)
         .map(|me| AvssPeer::new(5, 1, 0, me, (me == 0).then(|| secrets.clone())))
         .collect();
-    run_machines(machines, Vec::new(), kind.build().as_mut(), seed, 500_000).0
+    Machines::new(machines)
+        .run(kind.build().as_mut(), seed, 500_000)
+        .0
 }
 
 fn battery_hash() -> Vec<(String, u64)> {

@@ -5,10 +5,9 @@
 use mediator_talk::circuits::catalog;
 use mediator_talk::core::adversary::Conformance;
 use mediator_talk::core::deviations::CounterexampleColluder;
-use mediator_talk::core::{run_mediator_game, MedMsg, MediatorGameSpec, Scenario};
+use mediator_talk::core::{MediatorGameSpec, MediatorPlan, Scenario};
 use mediator_talk::games::{library, punishment, Strategy};
-use mediator_talk::sim::{Process, SchedulerKind};
-use std::collections::BTreeMap;
+use mediator_talk::sim::SchedulerKind;
 
 const BOT: u64 = library::BOTTOM as u64;
 
@@ -22,19 +21,13 @@ fn run(n: usize, naive: bool, collude: bool, seed: u64) -> Vec<usize> {
     let mut spec = MediatorGameSpec::standard(n, k, 0, circuit, vec![vec![]; n]);
     spec.naive_split = naive;
     spec.wills = Some(vec![BOT; n]);
-    let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
+    let mut plan = MediatorPlan::from_spec(spec, vec![vec![]; n]);
     if collude {
-        deviants.insert(0, Box::new(CounterexampleColluder::new(n, 1)));
-        deviants.insert(1, Box::new(CounterexampleColluder::new(n, 0)));
+        plan = plan
+            .with_deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))
+            .with_deviant(1, move || Box::new(CounterexampleColluder::new(n, 0)));
     }
-    let out = run_mediator_game(
-        &spec,
-        &vec![vec![]; n],
-        deviants,
-        &SchedulerKind::Random,
-        seed,
-        200_000,
-    );
+    let out = plan.run_with(&SchedulerKind::Random, seed);
     out.resolve_ah(&vec![BOT; n + 1])[..n]
         .iter()
         .map(|&a| a as usize)

@@ -3,13 +3,9 @@
 //! battery (§2's definition, estimated).
 
 use mediator_talk::circuits::catalog;
-use mediator_talk::core::mediator::{run_mediator_game, MediatorGameSpec};
-use mediator_talk::core::{run_cheap_talk, CheapTalkSpec};
 use mediator_talk::field::Fp;
-use mediator_talk::games::dist::OutcomeDist;
 use mediator_talk::prelude::{compare_run_sets, Scenario};
 use mediator_talk::sim::SchedulerKind;
-use std::collections::BTreeMap;
 
 #[test]
 fn majority_cheap_talk_implements_the_mediator_exactly_on_unanimous_inputs() {
@@ -51,39 +47,24 @@ fn majority_cheap_talk_implements_the_mediator_exactly_on_unanimous_inputs() {
 fn coin_mediator_distribution_is_a_fair_coin_in_both_games() {
     let n = 5;
     let circuit = catalog::counterexample_minfo(n);
-    let spec = CheapTalkSpec::theorem_4_1(n, 1, 0, circuit.clone(), vec![vec![]; n], vec![0; n]);
-    let med = MediatorGameSpec::standard(n, 1, 0, circuit, vec![vec![]; n]);
-    let empty: Vec<Vec<Fp>> = vec![vec![]; n];
-
     let samples = 40u64;
-    let ct = OutcomeDist::from_samples((0..samples).map(|seed| {
-        let out = run_cheap_talk(
-            &spec,
-            &empty,
-            &BTreeMap::new(),
-            &SchedulerKind::Random,
-            seed,
-            20_000_000,
-        );
-        out.resolve_default(&vec![0; n])
-            .iter()
-            .map(|&a| a as usize)
-            .collect::<Vec<_>>()
-    }));
-    let md = OutcomeDist::from_samples((0..samples).map(|seed| {
-        let out = run_mediator_game(
-            &med,
-            &empty,
-            BTreeMap::new(),
-            &SchedulerKind::Random,
-            seed,
-            200_000,
-        );
-        out.resolve_default(&vec![0; n + 1])[..n]
-            .iter()
-            .map(|&a| a as usize)
-            .collect::<Vec<_>>()
-    }));
+    let ct = Scenario::cheap_talk(circuit.clone())
+        .players(n)
+        .tolerance(1, 0)
+        .max_steps(20_000_000)
+        .build()
+        .expect("5 > 4")
+        .seeds(0..samples)
+        .run_batch()
+        .pooled();
+    let md = Scenario::mediator(circuit)
+        .players(n)
+        .tolerance(1, 0)
+        .build()
+        .expect("n − k − t ≥ 1")
+        .seeds(0..samples)
+        .run_batch()
+        .pooled();
     // Support is exactly {all-0, all-1} on both sides.
     assert_eq!(ct.support_len(), 2, "cheap talk support: {ct:?}");
     assert_eq!(md.support_len(), 2);
@@ -98,38 +79,22 @@ fn coin_mediator_distribution_is_a_fair_coin_in_both_games() {
 fn mediated_and_cheap_talk_message_counts_differ_by_orders_of_magnitude() {
     // The price of removing the trusted party, quantified.
     let n = 5;
-    let spec = CheapTalkSpec::theorem_4_1(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
-    let med = MediatorGameSpec::standard(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-    );
     let inputs = vec![vec![Fp::ONE]; n];
-    let ct = run_cheap_talk(
-        &spec,
-        &inputs,
-        &BTreeMap::new(),
-        &SchedulerKind::Random,
-        1,
-        20_000_000,
-    );
-    let md = run_mediator_game(
-        &med,
-        &inputs,
-        BTreeMap::new(),
-        &SchedulerKind::Random,
-        1,
-        200_000,
-    );
+    let ct = Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(inputs.clone())
+        .max_steps(20_000_000)
+        .build()
+        .expect("5 > 4")
+        .run_with(&SchedulerKind::Random, 1);
+    let md = Scenario::mediator(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(inputs)
+        .build()
+        .expect("n − k − t ≥ 1")
+        .run_with(&SchedulerKind::Random, 1);
     assert!(
         md.messages_sent <= 2 * (n as u64) + 2,
         "mediator game is O(n): {}",

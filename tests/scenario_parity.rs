@@ -1,32 +1,31 @@
-//! Parity suite: the deprecated free-function wrappers and the `Scenario`
-//! builder produce **byte-identical** `Outcome`s for fixed
-//! `(scheduler, seed)` pairs across the battery — pinned through
+//! Parity suite: every way of reaching a run produces the **byte-identical**
+//! `Outcome` for a fixed `(scheduler, seed)` pair — pinned through
 //! `Outcome::fingerprint()`, which hashes the full message pattern, moves,
 //! wills, halted flags, counters and termination.
 //!
-//! Also pins: session-vs-closed-loop parity, batch-vs-individual parity,
-//! and thread-count invariance of `run_batch`.
+//! Pins: hand-built spec (`from_spec`) vs the validated `Scenario` builder
+//! for the cheap-talk plan, the mediator plan and `run_relaxed`;
+//! session-vs-closed-loop; batch-vs-individual and thread-count invariance
+//! of `run_batch`; `Machines::run` vs a stepped `Machines::session`.
 
 use mediator_talk::core::deviations::SilentProcess;
-use mediator_talk::core::mediator::{run_mediator_game, run_mediator_game_relaxed};
-use mediator_talk::core::run_cheap_talk;
 use mediator_talk::prelude::*;
-use mediator_talk::sim::Process;
-use std::collections::BTreeMap;
 
 const N: usize = 5;
 const SEEDS: std::ops::Range<u64> = 0..3;
+
+fn ct_inputs() -> Vec<Vec<Fp>> {
+    [1u64, 0, 1, 1, 0]
+        .iter()
+        .map(|&v| vec![Fp::new(v)])
+        .collect()
+}
 
 fn ct_plan(behaviors: &[(usize, Behavior)]) -> CheapTalkPlan {
     let mut b = Scenario::cheap_talk(catalog::majority_circuit(N))
         .players(N)
         .tolerance(1, 0)
-        .inputs(
-            [1u64, 0, 1, 1, 0]
-                .iter()
-                .map(|&v| vec![Fp::new(v)])
-                .collect(),
-        )
+        .inputs(ct_inputs())
         .max_steps(2_000_000);
     for (p, beh) in behaviors {
         b = b.deviant(*p, beh.clone());
@@ -34,7 +33,7 @@ fn ct_plan(behaviors: &[(usize, Behavior)]) -> CheapTalkPlan {
     b.build().expect("5 > 4")
 }
 
-fn legacy_spec() -> CheapTalkSpec {
+fn ct_spec() -> CheapTalkSpec {
     CheapTalkSpec::theorem_4_1(
         N,
         1,
@@ -45,52 +44,46 @@ fn legacy_spec() -> CheapTalkSpec {
     )
 }
 
-#[test]
-fn cheap_talk_wrapper_matches_builder_across_battery() {
-    let spec = legacy_spec();
-    let inputs: Vec<Vec<Fp>> = [1u64, 0, 1, 1, 0]
-        .iter()
-        .map(|&v| vec![Fp::new(v)])
-        .collect();
-    let plan = ct_plan(&[]);
-    for kind in SchedulerKind::battery(N) {
+fn assert_same_runs(
+    what: &str,
+    kinds: Vec<SchedulerKind>,
+    a: impl Fn(&SchedulerKind, u64) -> Outcome,
+    b: impl Fn(&SchedulerKind, u64) -> Outcome,
+) {
+    for kind in kinds {
         for seed in SEEDS {
-            let legacy = run_cheap_talk(&spec, &inputs, &BTreeMap::new(), &kind, seed, 2_000_000);
-            let built = plan.run_with(&kind, seed);
             assert_eq!(
-                legacy.fingerprint(),
-                built.fingerprint(),
-                "{kind:?} seed {seed}"
+                a(&kind, seed).fingerprint(),
+                b(&kind, seed).fingerprint(),
+                "{what}: {kind:?} seed {seed}"
             );
         }
     }
 }
 
 #[test]
-fn cheap_talk_wrapper_matches_builder_with_deviants() {
-    let spec = legacy_spec();
-    let inputs: Vec<Vec<Fp>> = [1u64, 0, 1, 1, 0]
-        .iter()
-        .map(|&v| vec![Fp::new(v)])
-        .collect();
-    let deviation = Behavior {
+fn cheap_talk_from_spec_matches_builder_across_battery() {
+    let spec_plan = CheapTalkPlan::from_spec(ct_spec(), ct_inputs()).max_steps(2_000_000);
+    let built = ct_plan(&[]);
+    assert_same_runs(
+        "honest",
+        SchedulerKind::battery(N),
+        |k, s| spec_plan.run_with(k, s),
+        |k, s| built.run_with(k, s),
+    );
+    // One more input: a deviant registered on the plan vs on the builder.
+    let liar = Behavior {
         lie_in_opens: true,
         ..Behavior::default()
     };
-    let mut behaviors = BTreeMap::new();
-    behaviors.insert(2usize, deviation.clone());
-    let plan = ct_plan(&[(2, deviation)]);
-    for kind in [SchedulerKind::Random, SchedulerKind::Lifo] {
-        for seed in SEEDS {
-            let legacy = run_cheap_talk(&spec, &inputs, &behaviors, &kind, seed, 2_000_000);
-            let built = plan.run_with(&kind, seed);
-            assert_eq!(
-                legacy.fingerprint(),
-                built.fingerprint(),
-                "{kind:?} seed {seed}"
-            );
-        }
-    }
+    let spec_plan = spec_plan.with_deviant(2, liar.clone());
+    let built = ct_plan(&[(2, liar)]);
+    assert_same_runs(
+        "opening liar",
+        vec![SchedulerKind::Random, SchedulerKind::Lifo],
+        |k, s| spec_plan.run_with(k, s),
+        |k, s| built.run_with(k, s),
+    );
 }
 
 fn med_plan() -> MediatorPlan {
@@ -103,75 +96,65 @@ fn med_plan() -> MediatorPlan {
         .expect("n − k − t ≥ 1")
 }
 
-fn med_spec() -> MediatorGameSpec {
-    MediatorGameSpec::standard(
+fn med_spec_plan(wills: Option<Vec<u64>>) -> MediatorPlan {
+    let mut spec = MediatorGameSpec::standard(
         N,
         1,
         0,
         catalog::majority_circuit(N),
         vec![vec![Fp::ZERO]; N],
-    )
+    );
+    spec.wills = wills;
+    MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; N]).max_steps(100_000)
 }
 
 #[test]
-fn mediator_wrapper_matches_builder_across_battery() {
-    let spec = med_spec();
-    let inputs = vec![vec![Fp::ONE]; N];
-    let plan = med_plan();
-    for kind in SchedulerKind::battery(N) {
-        for seed in SEEDS {
-            let legacy = run_mediator_game(&spec, &inputs, BTreeMap::new(), &kind, seed, 100_000);
-            let built = plan.run_with(&kind, seed);
-            assert_eq!(
-                legacy.fingerprint(),
-                built.fingerprint(),
-                "{kind:?} seed {seed}"
-            );
-        }
-    }
-}
-
-#[test]
-fn mediator_wrapper_matches_builder_with_deviant_process() {
-    let spec = med_spec();
-    let inputs = vec![vec![Fp::ONE]; N];
-    let plan = med_plan().with_deviant(2, || Box::new(SilentProcess));
-    for seed in SEEDS {
-        let mut deviants: BTreeMap<usize, Box<dyn Process<mediator_talk::core::MedMsg>>> =
-            BTreeMap::new();
-        deviants.insert(2, Box::new(SilentProcess));
-        let legacy = run_mediator_game(
-            &spec,
-            &inputs,
-            deviants,
-            &SchedulerKind::Random,
-            seed,
-            100_000,
-        );
-        let built = plan.run_with(&SchedulerKind::Random, seed);
-        assert_eq!(legacy.fingerprint(), built.fingerprint(), "seed {seed}");
-    }
-}
-
-#[test]
-fn relaxed_wrapper_matches_builder() {
-    let mut spec = med_spec();
-    spec.wills = Some(vec![7; N]);
-    let inputs = vec![vec![Fp::ONE]; N];
-    let plan = Scenario::mediator(catalog::majority_circuit(N))
+fn mediator_from_spec_matches_builder_across_battery() {
+    let (spec_plan, built) = (med_spec_plan(None), med_plan());
+    assert_same_runs(
+        "honest",
+        SchedulerKind::battery(N),
+        |k, s| spec_plan.run_with(k, s),
+        |k, s| built.run_with(k, s),
+    );
+    // One more input: a deviant process registered on the plan vs on the
+    // builder.
+    let spec_plan = spec_plan.with_deviant(2, || Box::new(SilentProcess));
+    let built = Scenario::mediator(catalog::majority_circuit(N))
         .players(N)
         .tolerance(1, 0)
-        .inputs(inputs.clone())
+        .inputs(vec![vec![Fp::ONE]; N])
+        .deviant(2, || Box::new(SilentProcess))
+        .max_steps(100_000)
+        .build()
+        .expect("n − k − t ≥ 1");
+    assert_same_runs(
+        "silent player",
+        vec![SchedulerKind::Random],
+        |k, s| spec_plan.run_with(k, s),
+        |k, s| built.run_with(k, s),
+    );
+}
+
+#[test]
+fn relaxed_from_spec_matches_builder() {
+    let spec_plan = med_spec_plan(Some(vec![7; N]));
+    let built = Scenario::mediator(catalog::majority_circuit(N))
+        .players(N)
+        .tolerance(1, 0)
+        .inputs(vec![vec![Fp::ONE]; N])
         .wills(vec![7; N])
         .max_steps(100_000)
         .build()
         .expect("n − k − t ≥ 1");
+    let drop_after = N as u64 + 1;
     for seed in SEEDS {
-        let drop_after = N as u64 + 1;
-        let legacy =
-            run_mediator_game_relaxed(&spec, &inputs, BTreeMap::new(), drop_after, seed, 100_000);
-        let built = plan.run_relaxed(drop_after, seed);
-        assert_eq!(legacy.fingerprint(), built.fingerprint(), "seed {seed}");
+        let (a, b) = (
+            spec_plan.run_relaxed(drop_after, seed),
+            built.run_relaxed(drop_after, seed),
+        );
+        assert!(a.trace.dropped_count() > 0, "the blackout must bite");
+        assert_eq!(a.fingerprint(), b.fingerprint(), "seed {seed}");
     }
 }
 
@@ -236,31 +219,22 @@ fn batch_matches_individual_runs_and_is_thread_invariant() {
 }
 
 #[test]
-fn run_machines_wrapper_matches_machines_builder() {
+fn machines_run_matches_stepped_session() {
     use mediator_talk::bcast::RbcPeer;
-    use mediator_talk::sim::{run_machines, Machines};
+    use mediator_talk::sim::Machines;
     let mk = || -> Vec<RbcPeer<u64>> {
         (0..4)
             .map(|me| RbcPeer::new(4, 1, 0, me, (me == 0).then_some(42)))
             .collect()
     };
     for seed in SEEDS {
-        let (legacy, legacy_out) = run_machines(
-            mk(),
-            Vec::new(),
-            SchedulerKind::Random.build().as_mut(),
-            seed,
-            100_000,
-        );
-        let (built, built_out) =
+        let (closed, closed_out) =
             Machines::new(mk()).run(SchedulerKind::Random.build().as_mut(), seed, 100_000);
-        assert_eq!(legacy.fingerprint(), built.fingerprint(), "seed {seed}");
-        assert_eq!(legacy_out, built_out);
-        // And the steppable variant drains to the same outcome.
+        // The steppable variant drains to the same outcome.
         let (session, outputs) =
             Machines::new(mk()).session(SchedulerKind::Random.build(), seed, 100_000);
         let stepped = session.finish();
-        assert_eq!(legacy.fingerprint(), stepped.fingerprint(), "seed {seed}");
-        assert_eq!(outputs.take(), legacy_out);
+        assert_eq!(closed.fingerprint(), stepped.fingerprint(), "seed {seed}");
+        assert_eq!(outputs.take(), closed_out);
     }
 }

@@ -2,10 +2,9 @@
 
 use mediator_talk::circuits::catalog;
 use mediator_talk::core::deviations::Behavior;
-use mediator_talk::core::{run_cheap_talk, CheapTalkSpec};
+use mediator_talk::core::{CheapTalkPlan, CheapTalkSpec};
 use mediator_talk::field::Fp;
 use mediator_talk::sim::SchedulerKind;
-use std::collections::BTreeMap;
 
 fn ones(n: usize) -> Vec<Vec<Fp>> {
     vec![vec![Fp::ONE]; n]
@@ -55,29 +54,19 @@ fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
         vec![vec![Fp::ZERO]; n],
         vec![0; n],
     );
-    let mut behaviors = BTreeMap::new();
-    behaviors.insert(
-        0usize,
-        Behavior {
-            silent: true,
-            ..Behavior::default()
-        },
-    );
-    behaviors.insert(
-        1usize,
-        Behavior {
-            lie_in_opens: true,
-            ..Behavior::default()
-        },
-    );
-    let out = run_cheap_talk(
-        &spec,
-        &ones(n),
-        &behaviors,
-        &SchedulerKind::Random,
-        5,
-        20_000_000,
-    );
+    let silent = Behavior {
+        silent: true,
+        ..Behavior::default()
+    };
+    let liar = Behavior {
+        lie_in_opens: true,
+        ..Behavior::default()
+    };
+    let out = CheapTalkPlan::from_spec(spec, ones(n))
+        .with_deviant(0, silent)
+        .with_deviant(1, liar)
+        .max_steps(20_000_000)
+        .run_with(&SchedulerKind::Random, 5);
     for p in 2..n {
         assert_eq!(out.moves[p], Some(1), "player {p}");
     }
@@ -95,14 +84,7 @@ fn theorem_4_2_threshold_n_3f_plus_1_runs() {
         vec![vec![Fp::ZERO]; n],
         vec![0; n],
     );
-    let out = run_cheap_talk(
-        &spec,
-        &ones(n),
-        &BTreeMap::new(),
-        &SchedulerKind::Random,
-        9,
-        8_000_000,
-    );
+    let out = CheapTalkPlan::from_spec(spec, ones(n)).run_with(&SchedulerKind::Random, 9);
     assert_eq!(out.resolve_default(&vec![0; n]), vec![1; n]);
 }
 
@@ -118,23 +100,16 @@ fn theorem_4_4_crash_cannot_split_honest_players() {
         vec![5; n],
         vec![0; n],
     );
+    let plan = CheapTalkPlan::from_spec(spec, ones(n));
     for seed in 0..8u64 {
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            2usize,
-            Behavior {
-                crash_after_sends: Some(25 + 10 * seed),
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &ones(n),
-            &behaviors,
-            &SchedulerKind::Random,
-            seed,
-            8_000_000,
-        );
+        let crash = Behavior {
+            crash_after_sends: Some(25 + 10 * seed),
+            ..Behavior::default()
+        };
+        let out = plan
+            .clone()
+            .with_deviant(2, crash)
+            .run_with(&SchedulerKind::Random, seed);
         let honest: Vec<bool> = (0..n)
             .filter(|&p| p != 2)
             .map(|p| out.moves[p].is_some())
@@ -160,14 +135,7 @@ fn theorem_4_5_runs_at_2k_3t_plus_1() {
         vec![5; n],
         vec![0; n],
     );
-    let out = run_cheap_talk(
-        &spec,
-        &ones(n),
-        &BTreeMap::new(),
-        &SchedulerKind::Random,
-        11,
-        8_000_000,
-    );
+    let out = CheapTalkPlan::from_spec(spec, ones(n)).run_with(&SchedulerKind::Random, 11);
     let moves = out.resolve_default(&vec![0; n]);
     assert_eq!(moves, vec![1; n]);
 }
@@ -188,7 +156,7 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
         vec![vec![Fp::ZERO]; n],
         vec![0; n],
     );
-    let inputs = ones(n);
+    let plan = CheapTalkPlan::from_spec(spec, ones(n)).max_steps(20_000_000);
     for (deviator, victim) in [(0usize, 1usize), (2, 3)] {
         for behavior in [
             Behavior {
@@ -200,10 +168,11 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
                 ..Behavior::default()
             },
         ] {
-            let mut behaviors = BTreeMap::new();
-            behaviors.insert(deviator, behavior);
             let kind = SchedulerKind::TargetedDelay(vec![victim]);
-            let out = run_cheap_talk(&spec, &inputs, &behaviors, &kind, 13, 20_000_000);
+            let out = plan
+                .clone()
+                .with_deviant(deviator, behavior)
+                .run_with(&kind, 13);
             for p in 0..n {
                 if p != deviator {
                     assert_eq!(
@@ -228,8 +197,9 @@ fn adversarial_schedulers_do_not_change_the_robust_outcome() {
         vec![vec![Fp::ZERO]; n],
         vec![0; n],
     );
+    let plan = CheapTalkPlan::from_spec(spec, ones(n)).max_steps(20_000_000);
     for kind in SchedulerKind::battery(n) {
-        let out = run_cheap_talk(&spec, &ones(n), &BTreeMap::new(), &kind, 3, 20_000_000);
+        let out = plan.run_with(&kind, 3);
         assert_eq!(
             out.resolve_default(&vec![0; n]),
             vec![1; n],
