@@ -1,12 +1,13 @@
 //! E11 — substrate microbenchmarks: field ops, Reed–Solomon robust
 //! decoding, reliable broadcast, binary agreement (common vs local coin —
-//! the DESIGN.md coin ablation), AVSS, and one MPC multiplication.
+//! the DESIGN.md coin ablation), AVSS, one MPC multiplication, and the
+//! `World` event plane under its starvation watchdog.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mediator_bcast::{AbaPeer, AbaState, CoinSource, IdealCoin, LocalCoin, RbcPeer};
 use mediator_field::{rs, Fp, Poly};
 use mediator_sim::sansio::Machines;
-use mediator_sim::RandomScheduler;
+use mediator_sim::{Ctx, Process, ProcessId, RandomScheduler, TraceMode, World};
 use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,5 +146,66 @@ fn bench_avss(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_field, bench_rs, bench_agreement, bench_avss);
+/// Floods its successor on start and passes every message on until its
+/// hop count runs out: no protocol work, so a run is all event plane.
+struct Relay {
+    n: usize,
+    fanout: usize,
+    hops: u32,
+}
+
+impl Process<u32> for Relay {
+    fn on_start(&mut self, ctx: &mut Ctx<u32>) {
+        for _ in 0..self.fanout {
+            ctx.send((ctx.me() + 1) % self.n, self.hops);
+        }
+    }
+    fn on_message(&mut self, _src: ProcessId, hops: u32, ctx: &mut Ctx<u32>) {
+        if hops > 0 {
+            ctx.send((ctx.me() + 1) % self.n, hops - 1);
+        }
+    }
+}
+
+/// ~1k pending for 7k steps under a starvation bound not far above the ~1k
+/// steps a uniformly random pick leaves an event waiting, which makes the
+/// backstop pick 29% of them: the `sim_n13` regime (DESIGN §5).
+fn forced_world() -> World<u32> {
+    let (n, fanout, hops) = (8, 128, 6);
+    let relays = (0..n).map(|_| Box::new(Relay { n, fanout, hops }) as Box<dyn Process<u32>>);
+    let mut world = World::new(relays.collect(), 5);
+    world.set_starvation_bound(1500);
+    world.set_trace_mode(TraceMode::Off);
+    world
+}
+
+fn bench_world(c: &mut Criterion) {
+    let mut g = c.benchmark_group("world");
+    g.sample_size(20);
+    // The bench is only worth its name while the backstop really picks.
+    let mut probe = forced_world();
+    let steps = probe.run(&mut RandomScheduler::new(), u64::MAX).steps;
+    let stats = probe.stats();
+    assert!(
+        stats.pending_high_water >= 1000 && 5 * stats.forced_deliveries >= steps,
+        "watchdog_forced_p1k left its regime: {stats:?} over {steps} steps"
+    );
+    g.bench_function("watchdog_forced_p1k", |bch| {
+        bch.iter_batched(
+            forced_world,
+            |mut world| world.run(&mut RandomScheduler::new(), u64::MAX).steps,
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_field,
+    bench_rs,
+    bench_agreement,
+    bench_avss,
+    bench_world
+);
 criterion_main!(benches);

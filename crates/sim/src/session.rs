@@ -453,6 +453,124 @@ mod tests {
         assert_eq!(session.moves(), &[Some(40), Some(41), Some(42)]);
     }
 
+    /// Floods every peer on start, relays each message onward while its
+    /// hop count lasts, halts after `quota` receipts (so later traffic to
+    /// it is purged or dead on arrival).
+    struct Flooder {
+        n: usize,
+        quota: usize,
+        received: usize,
+    }
+
+    impl Process<u64> for Flooder {
+        fn on_start(&mut self, ctx: &mut Ctx<u64>) {
+            let me = ctx.me();
+            for d in (0..self.n).filter(|&d| d != me) {
+                for _ in 0..6 {
+                    ctx.send(d, 2);
+                }
+            }
+        }
+        fn on_message(&mut self, src: usize, hops: u64, ctx: &mut Ctx<u64>) {
+            self.received += 1;
+            if hops > 0 {
+                ctx.send((src + self.received) % self.n, hops - 1);
+            }
+            if self.received == self.quota {
+                ctx.make_move(self.received as u64);
+                ctx.halt();
+            }
+        }
+    }
+
+    /// One flood world under a tight starvation bound, driven the way a
+    /// transport pump drives a session — steps, outbox drains and
+    /// re-injections interleaved by a seeded schedule of its own. Returns a
+    /// hash of every drained envelope in drain order, and the outcome.
+    fn drive_interleaved(kind: &SchedulerKind, seed: u64) -> (u64, Outcome) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 8;
+        let (quota, received) = (100, 0);
+        let flooder = |_| Box::new(Flooder { n, quota, received }) as Box<dyn Process<u64>>;
+        let mut world = World::new((0..n).map(flooder).collect(), seed);
+        world.set_starvation_bound(12);
+        let mut session = Session::new(world, kind.build(), 100_000);
+        let mut pump = StdRng::seed_from_u64(seed ^ 0x5e55_10f1);
+        let mut wire = std::collections::VecDeque::new();
+        let mut drained_hash = 0xcbf2_9ce4_8422_2325u64;
+        while !(wire.is_empty() && session.wants() == SessionWants::Network) {
+            match pump.gen_range(0..100) {
+                0..=79 => {
+                    session.pump_ready();
+                }
+                80..=82 => {
+                    let starts_of = |s: &Session<u64>| -> Vec<usize> {
+                        let starts = s.pending().iter().filter(|v| v.src.is_none());
+                        starts.map(|v| v.dst).collect()
+                    };
+                    let starts = starts_of(&session);
+                    for env in session.drain_outbox() {
+                        for word in [env.src as u64, env.dst as u64, env.msg] {
+                            drained_hash =
+                                (drained_hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+                        }
+                        wire.push_back(env);
+                    }
+                    // Only the start signals are left, in their old order.
+                    assert_eq!(session.pending().len(), starts.len());
+                    assert_eq!(starts_of(&session), starts);
+                }
+                _ => {
+                    for env in wire.drain(..pump.gen_range(0..40).min(wire.len())) {
+                        let _ = session.inject(env.src, env.dst, env.msg);
+                    }
+                }
+            }
+        }
+        let stats = session.world().stats();
+        assert!(
+            stats.forced_deliveries > 50 && stats.pending_high_water > 128,
+            "{kind:?} seed {seed} must exercise the backstop on a multi-block plane: {stats:?}"
+        );
+        (drained_hash, session.finish())
+    }
+
+    /// `(drained-envelope hash, Outcome::fingerprint)` per seed, captured
+    /// at the commit before `drain_messages` compacted in place and the
+    /// watchdog pick went through the block summary.
+    const INTERLEAVED_RANDOM: [(u64, u64); 6] = [
+        (0x63bf5e822706d491, 0x1af1c9f03c1f44c2),
+        (0x2893a3a788dd3582, 0x219d22ee02654874),
+        (0x8b433dd956015d56, 0xe54142958099dac8),
+        (0x273fc3854316d240, 0x4f9a504edb4e43d1),
+        (0x384754d7709fd55a, 0x4914a0d70fad143a),
+        (0xa077564d1fab5229, 0xa7277c1572e31a68),
+    ];
+    const INTERLEAVED_LIFO: [(u64, u64); 6] = [
+        (0x05637e569fedf811, 0x7c23de307e8da96b),
+        (0xdc926bc9797d2a0a, 0xd6320c0ddcd63dc5),
+        (0x4700def793ea662b, 0x3e87722e555f94eb),
+        (0x29901e6acd056ff9, 0xd19b63d0f8a062a0),
+        (0x69132d0a20492912, 0xf6c366f5f1cc8ec2),
+        (0x95006fc021543dfb, 0x259992f9c47b085d),
+    ];
+
+    #[test]
+    fn interleaved_drain_inject_step_matches_the_pinned_runs() {
+        for (kind, golden) in [
+            (SchedulerKind::Random, INTERLEAVED_RANDOM),
+            (SchedulerKind::Lifo, INTERLEAVED_LIFO),
+        ] {
+            let got: Vec<(u64, u64)> = (0..golden.len() as u64)
+                .map(|seed| {
+                    let (drained, out) = drive_interleaved(&kind, seed);
+                    (drained, out.fingerprint())
+                })
+                .collect();
+            assert_eq!(got, golden, "{kind:?}: got {got:#018x?}");
+        }
+    }
+
     #[test]
     fn session_id_plumbs_through() {
         let session = Session::new(echo_world(2, 0), Box::new(FifoScheduler), 100);

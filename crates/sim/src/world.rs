@@ -4,7 +4,7 @@
 //! step, rebuilt the scheduler-visible [`PendingView`] array and re-scanned
 //! the whole pending set for events addressed to halted processes — O(P)
 //! work per step, O(steps·P) per run. The event plane replaces that with
-//! three parallel dense arrays maintained *incrementally*:
+//! two parallel dense arrays maintained *incrementally*:
 //!
 //! * `views:  Vec<PendingView>` — the scheduler-visible index, pushed on
 //!   send and `swap_remove`d on dispatch/drop. Handed to schedulers as a
@@ -23,14 +23,28 @@
 //!    sent but never enters the plane (the seed queued it and purged it
 //!    before the next pick — observationally identical).
 //!
-//! The starvation backstop costs one comparison per step: the cached
-//! `watchdog_deadline` is a lower bound on the first step at which *any*
-//! pending event can be over-age (removals only raise the true deadline,
-//! and birth steps are nondecreasing, so a push can only set it when the
-//! plane was idle). Steps before the deadline skip the watchdog entirely;
-//! at the deadline one scan recomputes the exact minimum birth step and
-//! either force-delivers the first over-age index — exactly the pick the
-//! seed's per-step linear scan made — or pushes the deadline forward.
+//! The starvation backstop is **block-summarised**. Beside the two arrays
+//! the plane keeps `block_born`, one entry per block of 64 views, each a
+//! *lower bound* on the smallest `born` in its block, and the cached
+//! `watchdog_deadline`, a lower bound on the first step at which *any*
+//! pending event can be over-age. Steps before the deadline skip the
+//! watchdog with one comparison. At the deadline — which at `n = 13` is
+//! due on a quarter of all steps, not a rare event — the pick reads the
+//! ~P/64 bounds, opens only blocks whose bound is below the cut
+//! (`steps − bound`) and scans each such block in index order: the first
+//! over-age view is force-delivered — exactly the lowest over-age dense
+//! index the seed's per-step linear scan picked — and a block with no hit
+//! has its bound tightened to its true minimum, so it is not opened again
+//! until something in it can really be over-age. With no hit anywhere the
+//! deadline moves to the minimum over the bounds.
+//!
+//! The lower-bound invariant is nearly free to keep. Birth steps are
+//! nondecreasing in push order, so a push touches the summary only when it
+//! opens a block; a `swap_remove` moves the tail view into the popped slot,
+//! which is one compare of its `born` against that block's bound (and a
+//! `pop` when the trailing block empties); removals otherwise only raise a
+//! block's true minimum, which a lower bound survives. The two whole-plane
+//! compactions (halt purge, outbox drain) recompute the summary.
 
 use crate::process::{Action, Ctx, Process, ProcessId};
 use crate::scheduler::{PendingView, SchedChoice, Scheduler};
@@ -146,6 +160,24 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
+/// Event-plane counters of one [`World`], read through [`World::stats`].
+/// Observability only: nothing here is written into the [`Trace`] or the
+/// [`Outcome`], so fingerprints, goldens and stored traces cannot see it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorldStats {
+    /// Steps at which the starvation watchdog was due and looked for an
+    /// over-age event (`steps ≥` the cached deadline).
+    pub watchdog_scans: u64,
+    /// Steps whose event was picked by the starvation backstop instead of
+    /// the scheduler.
+    pub forced_deliveries: u64,
+    /// The largest number of events ever pending at once.
+    pub pending_high_water: u64,
+}
+
+/// Views per entry of the watchdog's block summary (see the module docs).
+const BLOCK: usize = 64;
+
 /// A deterministic asynchronous world: processes plus in-flight events.
 ///
 /// Determinism: one master seed derives one RNG per process and one for the
@@ -154,10 +186,12 @@ pub struct Envelope<M> {
 pub struct World<M> {
     procs: Vec<Box<dyn Process<M>>>,
     // The indexed event plane (see the module docs): two dense arrays in
-    // lockstep plus the cached starvation-watchdog deadline.
+    // lockstep plus the starvation watchdog's block summary and deadline.
     views: Vec<PendingView>,
     stores: Vec<Stored<M>>,
+    block_born: Vec<u64>,   // [b] <= min born of views[b*BLOCK..][..BLOCK]
     watchdog_deadline: u64, // earliest step any event can be over-age
+    stats: WorldStats,
     outbox_pool: Vec<(ProcessId, M)>, // recycled activation outbox
     started: Vec<bool>,
     halted: Vec<bool>,
@@ -193,7 +227,9 @@ impl<M> World<M> {
             procs,
             views: Vec::new(),
             stores: Vec::new(),
+            block_born: Vec::new(),
             watchdog_deadline: u64::MAX,
+            stats: WorldStats::default(),
             outbox_pool: Vec::new(),
             started: vec![false; n],
             halted: vec![false; n],
@@ -391,6 +427,11 @@ impl<M> World<M> {
         &self.trace
     }
 
+    /// The event-plane counters so far (see [`WorldStats`]).
+    pub fn stats(&self) -> WorldStats {
+        self.stats
+    }
+
     /// Injects a message from `src` to `dst` as if `src` had sent it in an
     /// activation of its own — the seam an external (network/async) backend
     /// attaches to. The event is traced, counted, and sequenced exactly
@@ -415,7 +456,10 @@ impl<M> World<M> {
 
     /// Removes every *message* event from the pending plane (start signals
     /// stay put), returning the drained envelopes in plane order and
-    /// preserving the relative order of what remains.
+    /// preserving the relative order of what remains. The plane is
+    /// compacted in place — its arrays keep their capacity for the sends of
+    /// the next delivery — and the result is allocated once, at its final
+    /// size.
     ///
     /// This is the outbox of a networked run: a transport backend drains
     /// the messages the processes just sent, carries them over real I/O,
@@ -425,14 +469,20 @@ impl<M> World<M> {
     /// a networked trace differs from the in-process trace of the same
     /// seed in exactly the way a different scheduler's would.
     pub fn drain_messages(&mut self) -> Vec<Envelope<M>> {
-        let views = std::mem::take(&mut self.views);
-        let stores = std::mem::take(&mut self.stores);
-        let mut drained = Vec::new();
-        for (view, store) in views.into_iter().zip(stores) {
-            match store {
+        let messages = self.views.iter().filter(|v| v.src.is_some()).count();
+        if messages == 0 {
+            return Vec::new();
+        }
+        let mut drained = Vec::with_capacity(messages);
+        let mut kept = 0;
+        for r in 0..self.views.len() {
+            let view = self.views[r];
+            // Every slot is left holding `Start`, which is what the kept
+            // prefix must hold anyway.
+            match std::mem::replace(&mut self.stores[r], Stored::Start) {
                 Stored::Start => {
-                    self.views.push(view);
-                    self.stores.push(Stored::Start);
+                    self.views[kept] = view;
+                    kept += 1;
                 }
                 Stored::Msg(msg) => drained.push(Envelope {
                     src: view.src.expect("message event has a source"),
@@ -441,6 +491,9 @@ impl<M> World<M> {
                 }),
             }
         }
+        self.views.truncate(kept);
+        self.stores.truncate(kept);
+        self.resummarise();
         drained
     }
 
@@ -478,11 +531,18 @@ impl<M> World<M> {
 
     /// Queues one event on the plane.
     fn push_event(&mut self, view: PendingView, store: Stored<M>) {
+        // Birth steps are nondecreasing in push order, so the view that
+        // opens a block is a lower bound for everything pushed into it.
+        if self.views.len().is_multiple_of(BLOCK) {
+            self.block_born.push(view.born);
+        }
         self.views.push(view);
         self.stores.push(store);
-        // Birth steps are nondecreasing, so a push can tighten the cached
-        // watchdog deadline only when the plane had gone idle (deadline
-        // reset to MAX); one branch in the common case.
+        let high_water = &mut self.stats.pending_high_water;
+        *high_water = (*high_water).max(self.views.len() as u64);
+        // For the same reason a push can tighten the cached watchdog
+        // deadline only when the plane had gone idle (deadline reset to
+        // MAX); one branch in the common case.
         if self.starvation_bound != u64::MAX && self.watchdog_deadline == u64::MAX {
             self.watchdog_deadline = view
                 .born
@@ -495,39 +555,80 @@ impl<M> World<M> {
     fn pop_event(&mut self, i: usize) -> (PendingView, Stored<M>) {
         let view = self.views.swap_remove(i);
         let store = self.stores.swap_remove(i);
+        if self.views.len().is_multiple_of(BLOCK) {
+            self.block_born.pop(); // the trailing block emptied
+        }
+        // The old tail now sits at `i` and may be older than its new block.
+        if let Some(moved) = self.views.get(i) {
+            let bound = &mut self.block_born[i / BLOCK];
+            *bound = (*bound).min(moved.born);
+        }
         (view, store)
     }
 
-    /// The starvation backstop: one comparison per step in the common case
-    /// (`steps < watchdog_deadline`). At the deadline, one pass over the
-    /// plane finds the first over-age dense index (the same pick the
-    /// seed's per-step linear scan made) — or, if the cached lower bound
-    /// was stale (the oldest event has since been dispatched), the exact
-    /// minimum birth step, which becomes the new deadline.
+    /// Recomputes the block summary exactly, after a whole-plane
+    /// compaction.
+    fn resummarise(&mut self) {
+        let oldest = |block: &[PendingView]| {
+            let borns = block.iter().map(|v| v.born);
+            borns.min().expect("chunks are non-empty")
+        };
+        self.block_born.clear();
+        self.block_born.extend(self.views.chunks(BLOCK).map(oldest));
+    }
+
+    /// The starvation backstop: one comparison per step while
+    /// `steps < watchdog_deadline`. At the deadline it returns the lowest
+    /// dense index whose event is over-age — the pick the seed's per-step
+    /// linear scan made — opening only blocks whose bound admits one; with
+    /// no hit, the deadline moves to the minimum over the (tightened)
+    /// bounds.
     fn overdue_index(&mut self) -> Option<usize> {
         if self.steps < self.watchdog_deadline {
             return None;
         }
-        let bound = self.starvation_bound;
-        let steps = self.steps;
+        self.stats.watchdog_scans += 1;
+        let found = self.first_over_age();
+        let (now, bound) = (self.steps, self.starvation_bound);
+        debug_assert_eq!(
+            found,
+            self.views.iter().position(|v| v.age(now) > bound),
+            "block summary disagrees with the seed's linear scan at step {now}"
+        );
+        found
+    }
+
+    fn first_over_age(&mut self) -> Option<usize> {
+        // Over-age ⇔ age > bound ⇔ born < steps − bound.
+        let cut = self.steps.saturating_sub(self.starvation_bound);
         let mut min_born = u64::MAX;
-        for (i, v) in self.views.iter().enumerate() {
-            // Over-age ⇔ age > bound ⇔ born + bound < steps.
-            if v.born.saturating_add(bound) < steps {
-                return Some(i);
+        let blocks = self.block_born.iter_mut().zip(self.views.chunks(BLOCK));
+        for (b, (bound, block)) in blocks.enumerate() {
+            if *bound < cut {
+                let mut block_min = u64::MAX;
+                for (j, v) in block.iter().enumerate() {
+                    if v.born < cut {
+                        return Some(b * BLOCK + j);
+                    }
+                    block_min = block_min.min(v.born);
+                }
+                *bound = block_min;
             }
-            min_born = min_born.min(v.born);
+            min_born = min_born.min(*bound);
         }
-        // Nothing over-age: cache the exact next deadline. The run loop
+        // Nothing over-age: cache the next deadline. The run loop
         // guarantees a non-empty plane here, but an empty one degrades to
         // "idle" (deadline MAX, re-armed by the next push).
-        self.watchdog_deadline = min_born.saturating_add(bound).saturating_add(1);
+        self.watchdog_deadline = min_born
+            .saturating_add(self.starvation_bound)
+            .saturating_add(1);
         None
     }
 
     fn pick(&mut self, scheduler: &mut dyn Scheduler) -> SchedChoice {
         // Starvation backstop: force-deliver over-age events.
         if let Some(i) = self.overdue_index() {
+            self.stats.forced_deliveries += 1;
             return SchedChoice::Deliver(i);
         }
         let c = scheduler.next(&self.views, self.steps, &mut self.sched_rng);
@@ -625,6 +726,7 @@ impl<M> World<M> {
         }
         self.views.truncate(w);
         self.stores.truncate(w);
+        self.resummarise();
     }
 
     fn drop_batch(&mut self, i: usize) {
@@ -848,8 +950,8 @@ mod tests {
         impl Process<u32> for SelfFeeder {
             fn on_start(&mut self, ctx: &mut Ctx<u32>) {
                 if ctx.me() == 0 {
-                    ctx.send(0, 0); // self-message loop
-                    ctx.send(1, 42); // the message LIFO will starve
+                    ctx.send(1, 42); // the message LIFO will starve...
+                    ctx.send(0, 0); // ...under this younger self-message loop
                 }
             }
             fn on_message(&mut self, _src: ProcessId, m: u32, ctx: &mut Ctx<u32>) {
@@ -879,6 +981,11 @@ mod tests {
             Some(42),
             "starved message must eventually arrive"
         );
+        // The counters say who delivered it: the backstop, once, on a
+        // plane that never held more than two events.
+        let stats = w.stats();
+        assert_eq!(stats.forced_deliveries, 1, "{stats:?}");
+        assert_eq!(stats.pending_high_water, 2, "{stats:?}");
     }
 
     #[test]
@@ -993,6 +1100,83 @@ mod tests {
             full.trace.events()[full.trace.events().len() - 8..].to_vec();
         let ring_window: Vec<TraceEvent> = ring.trace.recent().copied().collect();
         assert_eq!(full_tail, ring_window);
+    }
+
+    /// One summary entry per non-empty block, each a lower bound on the
+    /// smallest `born` in its block.
+    fn assert_summary_is_a_lower_bound(w: &World<u32>, after: &str) {
+        assert_eq!(
+            w.block_born.len(),
+            w.views.len().div_ceil(BLOCK),
+            "after {after}"
+        );
+        for (b, block) in w.views.chunks(BLOCK).enumerate() {
+            let min = block.iter().map(|v| v.born).min().expect("non-empty");
+            assert!(
+                w.block_born[b] <= min,
+                "after {after}: block {b} claims {} over a true minimum of {min}",
+                w.block_born[b]
+            );
+        }
+    }
+
+    #[test]
+    fn block_summary_stays_a_lower_bound_under_random_plane_edits() {
+        use rand::Rng;
+        struct Idle;
+        impl Process<u32> for Idle {
+            fn on_start(&mut self, _ctx: &mut Ctx<u32>) {}
+            fn on_message(&mut self, _src: ProcessId, _m: u32, _ctx: &mut Ctx<u32>) {}
+        }
+        let n = 6;
+        let procs = (0..n).map(|_| Box::new(Idle) as Box<dyn Process<u32>>);
+        let mut w = World::new(procs.collect(), 0);
+        w.set_starvation_bound(400);
+        w.start();
+        let mut rng = StdRng::seed_from_u64(7);
+        for round in 0..12_000 {
+            // As in `step_once`, a due watchdog goes first and its pick is
+            // popped; otherwise one random edit. Growing and shrinking
+            // phases alternate, so the tail that a pop moves into an
+            // earlier block is sometimes older than everything there.
+            let push_below = if (round / 600) % 2 == 0 { 600 } else { 50 };
+            let after = if let Some(i) = w.overdue_index() {
+                w.pop_event(i);
+                "forced pop"
+            } else {
+                match rng.gen_range(0..1000) {
+                    x if x < push_below => {
+                        for _ in 0..rng.gen_range(1..6) {
+                            w.inject(rng.gen_range(0..n), rng.gen_range(0..n), 0);
+                        }
+                        "push"
+                    }
+                    x if x < 990 => {
+                        if !w.views.is_empty() {
+                            w.pop_event(rng.gen_range(0..w.views.len()));
+                        }
+                        "pop"
+                    }
+                    x if x < 998 => {
+                        w.purge_for(rng.gen_range(0..n));
+                        "purge"
+                    }
+                    _ => {
+                        w.drain_messages();
+                        "drain"
+                    }
+                }
+            };
+            w.steps += 1;
+            assert_summary_is_a_lower_bound(&w, after);
+        }
+        let stats = w.stats();
+        assert!(
+            stats.pending_high_water > 4 * BLOCK as u64,
+            "the sequence must span several blocks, peaked at {}",
+            stats.pending_high_water
+        );
+        assert!(stats.watchdog_scans > 100, "{stats:?}");
     }
 }
 
@@ -1265,28 +1449,33 @@ mod spec_parity {
             .collect()
     }
 
+    /// Runs the plane world and the spec world over the same processes,
+    /// scheduler and seed and demands the same trace and outcome; returns
+    /// the plane's counters so a test can check which regime it covered.
     fn assert_same_run(
-        kind: &SchedulerKind,
+        sched: impl Fn() -> Box<dyn Scheduler>,
+        name: &str,
         seed: u64,
         bound: u64,
         drops: bool,
         mk: impl Fn() -> Vec<Box<dyn Process<u32>>>,
-    ) {
-        let plane = {
+    ) -> WorldStats {
+        let (plane, stats) = {
             let mut w = World::new(mk(), seed);
             w.set_starvation_bound(bound);
             if drops {
                 w.allow_drops();
             }
-            w.run(kind.build().as_mut(), 50_000)
+            let out = w.run(sched().as_mut(), 50_000);
+            (out, w.stats())
         };
         let spec = {
             let mut w = SpecWorld::new(mk(), seed);
             w.starvation_bound = bound;
             w.allow_drop = drops;
-            w.run(kind.build().as_mut(), 50_000)
+            w.run(sched().as_mut(), 50_000)
         };
-        let label = format!("{kind:?} seed {seed} bound {bound} drops {drops}");
+        let label = format!("{name} seed {seed} bound {bound} drops {drops}");
         assert_eq!(plane.trace.events(), spec.trace.events(), "trace: {label}");
         assert_eq!(plane.moves, spec.moves, "moves: {label}");
         assert_eq!(plane.wills, spec.wills, "wills: {label}");
@@ -1298,13 +1487,15 @@ mod spec_parity {
         );
         assert_eq!(plane.steps, spec.steps, "steps: {label}");
         assert_eq!(plane.termination, spec.termination, "termination: {label}");
+        stats
     }
 
     #[test]
     fn plane_matches_spec_across_battery_and_seeds() {
         for kind in SchedulerKind::battery(5) {
             for seed in 0..32 {
-                assert_same_run(&kind, seed, u64::MAX, false, || mixers(5));
+                let name = format!("{kind:?}");
+                assert_same_run(|| kind.build(), &name, seed, u64::MAX, false, || mixers(5));
             }
         }
     }
@@ -1314,30 +1505,57 @@ mod spec_parity {
         // A tight bound forces the backstop path (first-over-age pick).
         for kind in [SchedulerKind::Lifo, SchedulerKind::Random] {
             for seed in 0..32 {
-                assert_same_run(&kind, seed, 10, false, || mixers(4));
+                let name = format!("{kind:?}");
+                assert_same_run(|| kind.build(), &name, seed, 10, false, || mixers(4));
             }
         }
+    }
+
+    fn relaxed() -> Box<dyn Scheduler> {
+        Box::new(RelaxedScheduler::new(vec![0], 6))
     }
 
     #[test]
     fn plane_matches_spec_under_relaxed_drops() {
         for seed in 0..32 {
-            let plane = {
-                let mut w = World::new(mixers(4), seed);
-                w.allow_drops();
-                w.run(&mut RelaxedScheduler::new(vec![0], 6), 50_000)
-            };
-            let spec = {
-                let mut w = SpecWorld::new(mixers(4), seed);
-                w.allow_drop = true;
-                w.run(&mut RelaxedScheduler::new(vec![0], 6), 50_000)
-            };
-            assert_eq!(plane.trace.events(), spec.trace.events(), "seed {seed}");
-            assert_eq!(plane.termination, spec.termination, "seed {seed}");
-            assert_eq!(
-                plane.trace.dropped_count(),
-                spec.trace.dropped_count(),
-                "seed {seed}"
+            assert_same_run(relaxed, "relaxed", seed, u64::MAX, true, || mixers(4));
+        }
+    }
+
+    /// `mixers(24)` keeps several hundred events pending — a plane of many
+    /// summary blocks, where `mixers(4)` never fills one — and player 0,
+    /// fed by its self-loop, halts (and purges) while it is full.
+    #[test]
+    fn plane_matches_spec_with_starvation_bound_on_multi_block_planes() {
+        let kinds = [
+            SchedulerKind::Random,
+            SchedulerKind::Lifo,
+            SchedulerKind::TargetedDelay(vec![0]),
+        ];
+        for kind in kinds {
+            let name = format!("{kind:?}");
+            for bound in [10, 50, 300] {
+                for seed in 0..16 {
+                    let stats =
+                        assert_same_run(|| kind.build(), &name, seed, bound, false, || mixers(24));
+                    assert!(
+                        stats.pending_high_water > 4 * BLOCK as u64 && stats.forced_deliveries > 0,
+                        "{name} seed {seed} bound {bound}: {stats:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_matches_spec_under_relaxed_drops_with_a_finite_bound() {
+        // Batch drops (back-to-front multi-pops) interleaved with forced
+        // picks on the same multi-block plane.
+        for seed in 0..16 {
+            let stats = assert_same_run(relaxed, "relaxed", seed, 50, true, || mixers(24));
+            assert!(
+                stats.pending_high_water > 4 * BLOCK as u64 && stats.forced_deliveries > 0,
+                "seed {seed}: {stats:?}"
             );
         }
     }

@@ -1,7 +1,9 @@
 //! Golden trace-equality suite for the **top-level sessions**: cheap-talk
 //! games (Theorem 4.1 robust and Theorem 4.4 wills+barrier) and mediator
 //! games (standard and §6.4 naive), pinning the scheduler-visible message
-//! pattern of every battery member across 32 seeds.
+//! pattern of every battery member across 32 seeds — plus four single runs
+//! of Theorem 4.1 at `n = 13, k = 3`, the regime where the starvation
+//! backstop, not the scheduler, picks a quarter of the deliveries.
 //!
 //! The protocol substrates have had this safety net since PR 2
 //! (`crates/broadcast/tests/trace_golden.rs`,
@@ -22,14 +24,24 @@ use mediator_talk::prelude::*;
 
 const SEEDS: u64 = 32;
 
-fn cheap_talk_41_plan() -> CheapTalkPlan {
-    let n = 5;
+fn cheap_talk_41_plan_at(n: usize, k: usize) -> CheapTalkPlan {
     Scenario::cheap_talk(catalog::majority_circuit(n))
         .players(n)
-        .tolerance(1, 0)
+        .tolerance(k, 0)
         .inputs(vec![vec![Fp::ONE]; n])
         .build()
-        .expect("5 > 4")
+        .expect("n > 4k")
+}
+
+fn cheap_talk_41_plan() -> CheapTalkPlan {
+    cheap_talk_41_plan_at(5, 1)
+}
+
+/// The `sim_n13` working point: every `k = 3` cell sits at `n ≥ 13`, where
+/// a run is ~49k steps over a plane that peaks at ~3k pending events and
+/// the default 2 000-step starvation bound delivers a quarter of them.
+fn cheap_talk_41_n13_plan() -> CheapTalkPlan {
+    cheap_talk_41_plan_at(13, 3)
 }
 
 fn cheap_talk_44_plan() -> CheapTalkPlan {
@@ -151,6 +163,42 @@ fn cheap_talk_41_traces_match_pinned_sessions() {
     assert_matches("cheap_talk_41", GOLDEN_CHEAP_TALK_41, &got);
 }
 
+/// Per-run `(scheduler, seed, fingerprint)` at `n = 13, k = 3`, captured
+/// from the PR 18 runtime (linear watchdog scan). A battery × 32-seed table
+/// would take minutes here; four runs are ~200k steps, 27% of them forced.
+const GOLDEN_CHEAP_TALK_41_N13: [(SchedulerKind, u64, u64); 4] = [
+    (SchedulerKind::Random, 0, 0x188ac5effd46bc55),
+    (SchedulerKind::Random, 1, 0x9f9173a3015bfaab),
+    (SchedulerKind::Random, 2, 0x1aafb23bece1eddd),
+    (SchedulerKind::Lifo, 0, 0xaf81371ef0aef8da),
+];
+
+/// One stepped run: its fingerprint and how many deliveries the starvation
+/// backstop, not the scheduler, picked.
+fn fingerprint_and_forced(plan: &CheapTalkPlan, kind: &SchedulerKind, seed: u64) -> (u64, u64) {
+    let mut session = plan.session_with(kind, seed);
+    session.run_to_completion();
+    let forced = session.world().stats().forced_deliveries;
+    (session.finish().fingerprint(), forced)
+}
+
+#[test]
+fn cheap_talk_41_n13_runs_match_pinned_fingerprints() {
+    let plan = cheap_talk_41_n13_plan();
+    for (kind, seed, golden) in GOLDEN_CHEAP_TALK_41_N13 {
+        let (got, forced) = fingerprint_and_forced(&plan, &kind, seed);
+        assert_eq!(
+            got, golden,
+            "cheap_talk_41_n13/{kind:?}/{seed}: message pattern diverged from the pinned run"
+        );
+        // The regime these rows exist for: the backstop picks in bulk.
+        assert!(forced > 10_000, "{kind:?}/{seed}: {forced} forced");
+    }
+    // ...and the one the tables above cover: at n = 5 it never trips.
+    let (_, forced) = fingerprint_and_forced(&cheap_talk_41_plan(), &SchedulerKind::Random, 0);
+    assert_eq!(forced, 0, "n = 5 Random");
+}
+
 #[test]
 fn cheap_talk_44_traces_match_pinned_sessions() {
     let plan = cheap_talk_44_plan();
@@ -201,4 +249,11 @@ fn print_golden_tables() {
         }
         println!("];");
     }
+    let plan = cheap_talk_41_n13_plan();
+    println!("const GOLDEN_CHEAP_TALK_41_N13: [(SchedulerKind, u64, u64); 4] = [");
+    for (kind, seed, _) in GOLDEN_CHEAP_TALK_41_N13 {
+        let h = plan.run_with(&kind, seed).fingerprint();
+        println!("    (SchedulerKind::{kind:?}, {seed}, {h:#018x}),");
+    }
+    println!("];");
 }
