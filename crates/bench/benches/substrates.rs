@@ -131,8 +131,9 @@ fn bench_avss(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The `sim_n13` working point: the n = 13 majority circuit makes every
-    // dealing 338 secrets long (input + 2 × 168 masks + pad).
+    // A long dealing: 338 secrets is what the n = 13 majority circuit cost
+    // per dealer (input + 2 × 168 masks + pad) while lookups compiled to one
+    // indicator chain per row; on a power basis it is 26 (12 masked muls).
     g.bench_function("instance_n13_f3_vec338", |bch| {
         bch.iter_batched(
             || StdRng::seed_from_u64(4),

@@ -1321,7 +1321,8 @@ fn e4_eps_punishment(samples: usize) {
 }
 
 /// E5 — the `O(nNc)` message bound: measured scaling of messages in the
-/// player count `n` and the circuit size `c`.
+/// player count `n` and the circuit size `c`, and the `c` the lookup compile
+/// produces for `majority_circuit`.
 fn e5_message_scaling() {
     let mut t = Table::new(
         "E5 — message complexity scaling (robust cheap talk)",
@@ -1398,6 +1399,27 @@ fn e5_message_scaling() {
         format!("spread {spread:.1}"),
     ]);
     print!("{t}");
+
+    // Sweep the catalog's lookup user at its own thresholds (n = 4k + 1):
+    // `c` itself is what the compile chooses — n − 1 multiplications on a
+    // power basis, where one indicator chain per row cost n² − 1.
+    let mut lookup = Table::new(
+        "E5 — lookup compile: majority_circuit(n) on a power basis",
+        &["n", "gates", "multiplications", "depth", "messages"],
+    );
+    for &n in &[5usize, 9, 13] {
+        let circuit = catalog::majority_circuit(n);
+        let mut row: Vec<String> = [n, circuit.size(), circuit.mul_count(), circuit.depth()]
+            .map(|v| v.to_string())
+            .into();
+        let k = (n - 1) / 4;
+        let spec =
+            CheapTalkSpec::theorem_4_1(n, k, 0, circuit, vec![vec![Fp::ZERO]; n], vec![0; n]);
+        let out = plan_for(&spec, &ones_inputs(n)).run_with(&SchedulerKind::Random, 5);
+        row.push(out.messages_sent.to_string());
+        lookup.row(row);
+    }
+    print!("{lookup}");
     println!(
         "paper: O(nNc) — the marginal cost per multiplication is flat \
          ({marginals:.0?} msgs/mul: linear in c), and the n-sweep fits exponent {} \

@@ -1,14 +1,15 @@
 //! Incremental circuit construction and arithmetic gadgets.
 
 use crate::circuit::{Circuit, Gate, WireId};
-use mediator_field::Fp;
+use mediator_field::{Fp, Poly};
 
 /// Builds a [`Circuit`] gate by gate.
 ///
 /// The builder offers the raw gates plus gadgets for the boolean-flavoured
 /// operations mediator circuits need (XOR, NOT, selection, equality against
-/// a small domain, multiplexing, majority). Gadget inputs are assumed to be
-/// field elements in `{0, 1}` unless documented otherwise.
+/// a small domain, table lookup, majority). Gadget inputs are assumed to be
+/// field elements in `{0, 1}` unless documented otherwise; every gadget is a
+/// polynomial, so it has a definite value on any other input too.
 #[derive(Debug, Clone)]
 pub struct CircuitBuilder {
     num_players: usize,
@@ -155,21 +156,24 @@ impl CircuitBuilder {
     }
 
     /// Indicator `[x == c]` for `x` ranging over the small `domain`:
-    /// the Lagrange basis polynomial `Π_{d≠c} (x−d)/(c−d)` (|domain|−1
-    /// multiplications).
+    /// the Lagrange basis polynomial `Π_{d≠c} (x−d)/(c−d)` (|domain|−2
+    /// multiplications; a singleton domain is the constant 1). For a whole
+    /// table use [`CircuitBuilder::lookup`], which shares one power chain
+    /// across every indicator.
     ///
     /// # Panics
     ///
-    /// Panics if `c` is not in `domain` or `domain` has duplicates.
+    /// Panics if `c` is not in `domain` or `domain` repeats a point
+    /// (compared as field elements).
     pub fn eq_const(&mut self, x: WireId, c: u64, domain: &[u64]) -> WireId {
         assert!(domain.contains(&c), "{c} not in domain");
+        assert_distinct("eq_const", domain);
         let mut acc: Option<WireId> = None;
         let mut denom = Fp::ONE;
         for &d in domain {
             if d == c {
                 continue;
             }
-            assert_ne!(d, c);
             let dc = self.constant(Fp::new(d));
             let term = self.sub(x, dc);
             acc = Some(match acc {
@@ -184,20 +188,66 @@ impl CircuitBuilder {
         }
     }
 
-    /// Table lookup: `f(x)` where `x` ranges over `domain` and `f` is given
-    /// by `values[i] = f(domain[i])`. Computed as `Σ values[i]·[x == dᵢ]`.
-    pub fn lookup(&mut self, x: WireId, domain: &[u64], values: &[Fp]) -> WireId {
-        assert_eq!(domain.len(), values.len());
+    /// Evaluates the public polynomial `Σ coeffs[j]·x^j` (low-to-high) on
+    /// the wire `x`.
+    ///
+    /// The powers `x², …, x^d` (`d` the actual degree: trailing zero
+    /// coefficients are ignored) are built as `x^j = x^⌊j/2⌋ · x^⌈j/2⌉`, so
+    /// a degree-`d` polynomial costs `d − 1` multiplications at depth
+    /// `⌈log₂ d⌉`; the sum is `MulConst`/`Add` only and a zero coefficient
+    /// emits no gate.
+    pub fn poly_eval(&mut self, x: WireId, coeffs: &[Fp]) -> WireId {
+        self.check(x);
+        let len = coeffs
+            .iter()
+            .rposition(|c| !c.is_zero())
+            .map_or(0, |d| d + 1);
+        let coeffs = &coeffs[..len];
+        // powers[j] = x^j for j ≥ 1; slot 0 is never read.
+        let mut powers = vec![x; len];
+        for j in 2..len {
+            powers[j] = self.mul(powers[j / 2], powers[j - j / 2]);
+        }
         let mut acc: Option<WireId> = None;
-        for (&d, &v) in domain.iter().zip(values) {
-            let ind = self.eq_const(x, d, domain);
-            let term = self.mul_const(ind, v);
+        for (j, &c) in coeffs.iter().enumerate() {
+            if c.is_zero() {
+                continue;
+            }
+            let term = match j {
+                0 => self.constant(c),
+                _ => self.mul_const(powers[j], c),
+            };
             acc = Some(match acc {
                 None => term,
                 Some(a) => self.add(a, term),
             });
         }
         acc.unwrap_or_else(|| self.constant(Fp::ZERO))
+    }
+
+    /// Table lookup: `f(x)` where `x` ranges over `domain` and `f` is given
+    /// by `values[i] = f(domain[i])`.
+    ///
+    /// The table is interpolated once (public coefficients) and evaluated
+    /// with [`CircuitBuilder::poly_eval`]: a table of degree `e` costs
+    /// `e − 1` multiplications whatever its domain size. This is the same
+    /// polynomial as the indicator sum `Σ values[i]·[x == dᵢ]`, so the two
+    /// agree on every field element, in `domain` or not. An empty table is
+    /// the constant 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` and `values` differ in length or `domain` repeats
+    /// a point (compared as field elements).
+    pub fn lookup(&mut self, x: WireId, domain: &[u64], values: &[Fp]) -> WireId {
+        assert_eq!(domain.len(), values.len());
+        assert_distinct("lookup", domain);
+        let points: Vec<(Fp, Fp)> = domain
+            .iter()
+            .zip(values)
+            .map(|(&d, &v)| (Fp::new(d), v))
+            .collect();
+        self.poly_eval(x, Poly::interpolate(&points).coeffs())
     }
 
     /// Sum of a slice of wires.
@@ -211,7 +261,7 @@ impl CircuitBuilder {
     }
 
     /// Majority of bit wires, ties toward 0: `[Σ bits > n/2]` via a lookup
-    /// over the sum's domain `0..=n`.
+    /// over the sum's domain `0..=n` (at most `n − 1` multiplications).
     pub fn majority(&mut self, bits: &[WireId]) -> WireId {
         let n = bits.len();
         let s = self.sum(bits);
@@ -220,6 +270,16 @@ impl CircuitBuilder {
             .map(|ones| if 2 * ones > n { Fp::ONE } else { Fp::ZERO })
             .collect();
         self.lookup(s, &domain, &values)
+    }
+}
+
+/// Rejects a `domain` that names the same field element twice (`u64`s that
+/// differ may still reduce to one point), naming the gadget and the point.
+fn assert_distinct(gadget: &str, domain: &[u64]) {
+    let mut seen: Vec<Fp> = domain.iter().map(|&d| Fp::new(d)).collect();
+    seen.sort_unstable();
+    if let Some(w) = seen.windows(2).find(|w| w[0] == w[1]) {
+        panic!("{gadget}: domain repeats the point {}", w[0].as_u64());
     }
 }
 
@@ -316,6 +376,82 @@ mod tests {
         for v in 0..4u64 {
             assert_eq!(eval1(&c, &[vec![Fp::new(v)]]), Fp::new(v * v + 1));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "eq_const: domain repeats the point 3")]
+    fn eq_const_rejects_a_repeated_point() {
+        // Before the check a repeated d ≠ c squared its factor silently.
+        let mut b = CircuitBuilder::new(1, &[1]);
+        let x = b.input(0, 0);
+        let _ = b.eq_const(x, 2, &[0, 3, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "eq_const: domain repeats the point 1")]
+    fn eq_const_compares_points_as_field_elements() {
+        let mut b = CircuitBuilder::new(1, &[1]);
+        let x = b.input(0, 0);
+        let _ = b.eq_const(x, 0, &[0, 1, mediator_field::gf::MODULUS + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookup: domain repeats the point 1")]
+    fn lookup_rejects_a_repeated_point() {
+        let mut b = CircuitBuilder::new(1, &[1]);
+        let x = b.input(0, 0);
+        let _ = b.lookup(x, &[0, 1, 1], &[Fp::ONE, Fp::ZERO, Fp::ZERO]);
+    }
+
+    #[test]
+    fn lookup_over_empty_and_singleton_domains() {
+        let mut b = CircuitBuilder::new(1, &[1]);
+        let x = b.input(0, 0);
+        let empty = b.lookup(x, &[], &[]);
+        let single = b.lookup(x, &[7], &[Fp::new(42)]);
+        b.output(0, empty);
+        b.output(0, single);
+        let c = b.build();
+        assert_eq!(c.mul_count(), 0);
+        // Constants: 0 and 42 wherever x lands, in the domain or not.
+        let mut rng = StdRng::seed_from_u64(0);
+        for v in [0, 7, 99] {
+            let out = c.eval(&[vec![Fp::new(v)]], &mut rng);
+            assert_eq!(out.outputs[0], vec![Fp::ZERO, Fp::new(42)], "x={v}");
+        }
+    }
+
+    #[test]
+    fn poly_eval_costs_degree_minus_one_at_log_depth() {
+        for d in 0..=16usize {
+            let mut b = CircuitBuilder::new(1, &[1]);
+            let x = b.input(0, 0);
+            // 1 + 2x + … + (d+1)x^d, padded with zeros that must cost nothing.
+            let mut coeffs: Vec<Fp> = (0..=d as u64).map(|j| Fp::new(j + 1)).collect();
+            coeffs.extend([Fp::ZERO; 3]);
+            let y = b.poly_eval(x, &coeffs);
+            b.output(0, y);
+            let c = b.build();
+            assert_eq!(c.mul_count(), d.saturating_sub(1), "degree {d}");
+            let log2_ceil = d.max(1).next_power_of_two().trailing_zeros() as usize;
+            assert_eq!(c.depth(), log2_ceil, "degree {d}");
+            let at = Fp::new(3);
+            assert_eq!(eval1(&c, &[vec![at]]), Poly::from_coeffs(coeffs).eval(at));
+        }
+    }
+
+    #[test]
+    fn poly_eval_skips_zero_coefficients() {
+        // 5x⁴: the power chain, one coefficient gate, and no gate for the
+        // four zero terms below it.
+        let mut b = CircuitBuilder::new(1, &[1]);
+        let x = b.input(0, 0);
+        let before = b.gates.len();
+        let coeffs = [Fp::ZERO, Fp::ZERO, Fp::ZERO, Fp::ZERO, Fp::new(5)];
+        let y = b.poly_eval(x, &coeffs);
+        assert_eq!(b.gates.len() - before, 3 + 1, "x², x³, x⁴ and 5·x⁴");
+        b.output(0, y);
+        assert_eq!(eval1(&b.build(), &[vec![Fp::new(2)]]), Fp::new(80));
     }
 
     #[test]

@@ -4,8 +4,15 @@
 //! of gates of an arithmetic circuit representing the mediator (§4). This
 //! crate provides the circuit DSL, a plain evaluator (what the *trusted*
 //! mediator runs), gate/depth metrics, gadgets (XOR, selection, equality,
-//! multiplexing, majority), and a catalog of the mediator circuits used by
-//! the experiments:
+//! table lookup, majority), and a catalog of the mediator circuits used by
+//! the experiments. Only [`Gate::Mul`] costs messages under MPC, so the
+//! gadgets are built to spend few of them: a table lookup is one public
+//! polynomial evaluated on shared powers of its argument
+//! ([`CircuitBuilder::poly_eval`]) — degree − 1 multiplications at
+//! logarithmic depth, which makes [`catalog::majority_circuit`] cost `n − 1`
+//! of them, not one Lagrange chain per table row (`n² − 1`).
+//!
+//! The catalog:
 //!
 //! * [`catalog::majority_circuit`] — the introduction's Byzantine-agreement
 //!   mediator (send the majority input back to everyone);

@@ -913,6 +913,58 @@ mod tests {
     }
 
     #[test]
+    fn majority_lookup_matches_eval_on_admissible_inputs() {
+        // `majority_circuit` is a lookup compiled to one polynomial on a
+        // shared power chain. Run it with every player honest, once on bits
+        // and once with player 1 dealing 7 — the sum then leaves the table's
+        // domain `0..=n`, where the polynomial still has exactly one value —
+        // and hold the engines to the plain evaluator on every input set a
+        // scheduler may fix (≤ f dealings defaulted to 0).
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for (n, f) in [(5usize, 1usize), (9, 2)] {
+            let circuit = catalog::majority_circuit(n);
+            let bits: Vec<Fp> = (0..n).map(|i| Fp::new((i % 3 != 0) as u64)).collect();
+            let mut off_domain = bits.clone();
+            off_domain[1] = Fp::new(7);
+            for inputs in [bits, off_domain] {
+                let admissible: Vec<Fp> = (0..1u32 << n)
+                    .filter(|excluded| excluded.count_ones() as usize <= f)
+                    .map(|excluded| {
+                        let counted: Vec<Vec<Fp>> = (0..n)
+                            .map(|i| {
+                                vec![if excluded >> i & 1 == 1 {
+                                    Fp::ZERO
+                                } else {
+                                    inputs[i]
+                                }]
+                            })
+                            .collect();
+                        circuit
+                            .eval(&counted, &mut StdRng::seed_from_u64(0))
+                            .outputs[0][0]
+                    })
+                    .collect();
+                let inputs: Vec<Vec<Fp>> = inputs.iter().map(|&x| vec![x]).collect();
+                for kind in SchedulerKind::battery(n) {
+                    let cfg = MpcConfig::robust(n, f, 19, vec![vec![Fp::ZERO]; n]);
+                    let (events, _) = run_mpc(
+                        cfg,
+                        circuit.clone(),
+                        inputs.clone(),
+                        &[],
+                        &kind,
+                        29,
+                        no_op(),
+                    );
+                    let got = common_output(&events, &kind);
+                    assert!(admissible.contains(&got), "n={n}: {got} under {kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn rand_gate_yields_common_value() {
         let n = 5;
         let mut b = CircuitBuilder::new(n, &[0; 5]);

@@ -3,7 +3,7 @@
 //! games (standard and §6.4 naive), pinning the scheduler-visible message
 //! pattern of every battery member across 32 seeds — plus four single runs
 //! of Theorem 4.1 at `n = 13, k = 3`, the regime where the starvation
-//! backstop, not the scheduler, picks a quarter of the deliveries.
+//! backstop, not the scheduler, picks over half of the deliveries.
 //!
 //! The protocol substrates have had this safety net since PR 2
 //! (`crates/broadcast/tests/trace_golden.rs`,
@@ -38,8 +38,8 @@ fn cheap_talk_41_plan() -> CheapTalkPlan {
 }
 
 /// The `sim_n13` working point: every `k = 3` cell sits at `n ≥ 13`, where
-/// a run is ~49k steps over a plane that peaks at ~3k pending events and
-/// the default 2 000-step starvation bound delivers a quarter of them.
+/// a run is ~22.5k steps over a plane that peaks at ~3k pending events and
+/// the default 2 000-step starvation bound delivers ~59% of them.
 fn cheap_talk_41_n13_plan() -> CheapTalkPlan {
     cheap_talk_41_plan_at(13, 3)
 }
@@ -103,30 +103,32 @@ fn assert_matches(name: &str, golden: &[(&str, u64)], got: &[(String, u64)]) {
 
 /// Golden values captured from the PR 4 runtime (the PR 2/3 event plane:
 /// top-level sessions were bit-identical across those PRs, verified by the
-/// scenario parity suite).
+/// scenario parity suite); the two cheap-talk tables were re-captured at
+/// PR 21, when `majority_circuit(5)` went from 24 multiplications to 4 and
+/// every evaluation schedule shortened with it.
 const GOLDEN_CHEAP_TALK_41: &[(&str, u64)] = &[
-    ("Random", 0x82554591d43c259e),
-    ("Fifo", 0x4a1608d290c8f2ab),
-    ("Lifo", 0xd3d2ba16d6e87356),
-    ("TargetedDelay([0])", 0xdae4089873c905ee),
-    ("TargetedDelay([1])", 0x086d9d1bb055471a),
-    ("TargetedDelay([2])", 0x7b455adb9477411e),
+    ("Random", 0xf17a259374a33863),
+    ("Fifo", 0xeda0e553b771bbc1),
+    ("Lifo", 0x93578e68eea87197),
+    ("TargetedDelay([0])", 0x165bbf3249a19ec7),
+    ("TargetedDelay([1])", 0xd1a7fd1c7a0c1698),
+    ("TargetedDelay([2])", 0xddf6ee2a0735e4ba),
     (
         "Partition { group: [0, 1], heal_after: 200 }",
-        0x3f75cc60265ba896,
+        0x948fa66af90a617c,
     ),
 ];
 
 const GOLDEN_CHEAP_TALK_44: &[(&str, u64)] = &[
-    ("Random", 0x90cafd0a4d8d5e3d),
-    ("Fifo", 0x1761672cc08e58ca),
-    ("Lifo", 0xdd4d452fdcb2a84b),
-    ("TargetedDelay([0])", 0xe5ca71dd9014fd33),
-    ("TargetedDelay([1])", 0x827dd43e2676bf82),
-    ("TargetedDelay([2])", 0x162cdca87c6f444e),
+    ("Random", 0x68471f74849f8867),
+    ("Fifo", 0xa6c41abfd94be544),
+    ("Lifo", 0x0131d49ce9e16f86),
+    ("TargetedDelay([0])", 0x93ddbfdc950e5a13),
+    ("TargetedDelay([1])", 0x12a0f9d4765f4fbe),
+    ("TargetedDelay([2])", 0xbb651a09fb74bc2d),
     (
         "Partition { group: [0, 1, 2], heal_after: 200 }",
-        0x944a16d20ca3e588,
+        0x5617a6a68cbf9121,
     ),
 ];
 
@@ -164,38 +166,77 @@ fn cheap_talk_41_traces_match_pinned_sessions() {
 }
 
 /// Per-run `(scheduler, seed, fingerprint)` at `n = 13, k = 3`, captured
-/// from the PR 18 runtime (linear watchdog scan). A battery × 32-seed table
-/// would take minutes here; four runs are ~200k steps, 27% of them forced.
+/// at PR 21 (`majority_circuit(13)`: 12 multiplications, not 168). A
+/// battery × 32-seed table would take a minute here; four runs are ~93k
+/// steps, ~59% of them forced.
 const GOLDEN_CHEAP_TALK_41_N13: [(SchedulerKind, u64, u64); 4] = [
-    (SchedulerKind::Random, 0, 0x188ac5effd46bc55),
-    (SchedulerKind::Random, 1, 0x9f9173a3015bfaab),
-    (SchedulerKind::Random, 2, 0x1aafb23bece1eddd),
-    (SchedulerKind::Lifo, 0, 0xaf81371ef0aef8da),
+    (SchedulerKind::Random, 0, 0xd80cbaa30ecf72cb),
+    (SchedulerKind::Random, 1, 0x3429fc59877e13d4),
+    (SchedulerKind::Random, 2, 0x98f800e3be045b45),
+    (SchedulerKind::Lifo, 0, 0x41a8d37f59779007),
 ];
 
-/// One stepped run: its fingerprint and how many deliveries the starvation
+/// One stepped run: its outcome and how many deliveries the starvation
 /// backstop, not the scheduler, picked.
-fn fingerprint_and_forced(plan: &CheapTalkPlan, kind: &SchedulerKind, seed: u64) -> (u64, u64) {
+fn outcome_and_forced(plan: &CheapTalkPlan, kind: &SchedulerKind, seed: u64) -> (Outcome, u64) {
     let mut session = plan.session_with(kind, seed);
     session.run_to_completion();
     let forced = session.world().stats().forced_deliveries;
-    (session.finish().fingerprint(), forced)
+    (session.finish(), forced)
+}
+
+/// The arithmetic of the PR 21 schedule change. Compiling `lookup` on a
+/// power basis took `majority_circuit` from `n² − 1` multiplications to
+/// `n − 1`; each one is a masked opening of `n²` messages, and nothing
+/// before evaluation (dealing, ACS) moved. So against the PR 20 runtime a
+/// run sends exactly `(old − new)·n²` fewer messages, and the backstop —
+/// which under Random at `n = 13` only fires before evaluation — forces the
+/// same deliveries to the digit.
+#[test]
+fn power_basis_lookup_removed_exactly_its_openings() {
+    // n, k, multiplications at PR 20, then for Random seeds 0–2 the PR 20
+    // runtime's `messages_sent` and `forced_deliveries`.
+    for (n, k, old_muls, old_sent, old_forced) in [
+        (5usize, 1usize, 24u64, [1940u64, 1915, 1910], [0u64; 3]),
+        (
+            13,
+            3,
+            168,
+            [48_919, 49_062, 48_906],
+            [13_267, 12_943, 13_397],
+        ),
+    ] {
+        let new_muls = catalog::majority_circuit(n).mul_count() as u64;
+        assert_eq!(new_muls, n as u64 - 1, "n = {n}");
+        let removed = (old_muls - new_muls) * (n * n) as u64;
+        let plan = cheap_talk_41_plan_at(n, k);
+        for seed in 0..3 {
+            let (outcome, forced) = outcome_and_forced(&plan, &SchedulerKind::Random, seed as u64);
+            assert_eq!(
+                outcome.messages_sent,
+                old_sent[seed] - removed,
+                "n = {n}, seed {seed}"
+            );
+            assert_eq!(forced, old_forced[seed], "n = {n}, seed {seed}");
+        }
+    }
 }
 
 #[test]
 fn cheap_talk_41_n13_runs_match_pinned_fingerprints() {
     let plan = cheap_talk_41_n13_plan();
     for (kind, seed, golden) in GOLDEN_CHEAP_TALK_41_N13 {
-        let (got, forced) = fingerprint_and_forced(&plan, &kind, seed);
+        let (outcome, forced) = outcome_and_forced(&plan, &kind, seed);
         assert_eq!(
-            got, golden,
+            outcome.fingerprint(),
+            golden,
             "cheap_talk_41_n13/{kind:?}/{seed}: message pattern diverged from the pinned run"
         );
         // The regime these rows exist for: the backstop picks in bulk.
         assert!(forced > 10_000, "{kind:?}/{seed}: {forced} forced");
     }
     // ...and the one the tables above cover: at n = 5 it never trips.
-    let (_, forced) = fingerprint_and_forced(&cheap_talk_41_plan(), &SchedulerKind::Random, 0);
+    let (_, forced) = outcome_and_forced(&cheap_talk_41_plan(), &SchedulerKind::Random, 0);
     assert_eq!(forced, 0, "n = 5 Random");
 }
 
