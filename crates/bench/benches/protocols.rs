@@ -3,28 +3,22 @@
 //! message-count tables E1–E5/E9 of the experiments binary).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mediator_bench::{
-    majority_spec_epsilon, majority_spec_punish, majority_spec_robust, ones_inputs, plan_for,
-};
+use mediator_bench::ones_inputs;
 use mediator_circuits::catalog;
 use mediator_core::egl;
-use mediator_core::mediator::MediatorGameSpec;
-use mediator_core::scenario::MediatorPlan;
-use mediator_field::Fp;
+use mediator_core::scenario::{CheapTalk, Scenario};
 use mediator_sim::SchedulerKind;
 
 fn bench_mediator_game(c: &mut Criterion) {
     let mut g = c.benchmark_group("mediator-game");
     g.sample_size(20);
     let n = 5;
-    let spec = MediatorGameSpec::standard(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-    );
-    let plan = MediatorPlan::from_spec(spec, ones_inputs(n)).max_steps(200_000);
+    let plan = Scenario::mediator(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(n))
+        .build()
+        .expect("n − k − t ≥ 1");
     g.bench_function("majority_n5", |b| {
         let mut seed = 0;
         b.iter(|| {
@@ -38,38 +32,31 @@ fn bench_mediator_game(c: &mut Criterion) {
 fn bench_cheap_talk(c: &mut Criterion) {
     let mut g = c.benchmark_group("cheap-talk");
     g.sample_size(10);
-    let n = 5;
-    let inputs = ones_inputs(n);
-
-    let robust = majority_spec_robust(n, 1, 0);
-    g.bench_function("thm4.1_robust_majority_n5", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            plan_for(&robust, &inputs).run_with(&SchedulerKind::Random, seed)
-        })
-    });
-
-    let eps = majority_spec_epsilon(4, 0, 1, 2);
-    let inputs4 = ones_inputs(4);
-    g.bench_function("thm4.2_epsilon_majority_n4", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            plan_for(&eps, &inputs4).run_with(&SchedulerKind::Random, seed)
-        })
-    });
-
-    let n6 = 6;
-    let punish = majority_spec_punish(n6, 1, 0);
-    let inputs6 = ones_inputs(n6);
-    g.bench_function("thm4.4_punishment_majority_n6", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            plan_for(&punish, &inputs6).run_with(&SchedulerKind::Random, seed)
-        })
-    });
+    // The all-ones majority workload at (n, k, t), regime still open.
+    let majority = |n: usize, k: usize, t: usize| -> CheapTalk {
+        Scenario::cheap_talk(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(k, t)
+            .inputs(ones_inputs(n))
+    };
+    for (name, builder) in [
+        ("thm4.1_robust_majority_n5", majority(5, 1, 0)),
+        ("thm4.2_epsilon_majority_n4", majority(4, 0, 1).epsilon(2)),
+        // Punishment action 3: out of the game's range on purpose.
+        (
+            "thm4.4_punishment_majority_n6",
+            majority(6, 1, 0).wills(vec![3; 6]),
+        ),
+    ] {
+        let plan = builder.build().expect("each point is above its threshold");
+        g.bench_function(name, |b| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                plan.run_with(&SchedulerKind::Random, seed)
+            })
+        });
+    }
     g.finish();
 }
 

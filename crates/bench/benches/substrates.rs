@@ -1,4 +1,4 @@
-//! E11 — substrate microbenchmarks: field ops, Reed–Solomon robust
+//! Substrate microbenchmarks: field ops, Reed–Solomon robust
 //! decoding, reliable broadcast, binary agreement (common vs local coin —
 //! the DESIGN.md coin ablation), AVSS, one MPC multiplication, and the
 //! `World` event plane under its starvation watchdog.

@@ -8,16 +8,13 @@
 
 use mediator_bench::*;
 use mediator_circuits::catalog;
-use mediator_core::adversary::{cheap_talk_deviant_cells, mediator_deviant_cells};
-use mediator_core::deviations::{Behavior, CounterexampleColluder};
+use mediator_core::adversary::{sweep_unit_plan, Conformance, SweepPlan, SweepUnit};
+use mediator_core::deviations::{Behavior, CounterexampleColluder, SilentProcess};
 use mediator_core::egl;
 use mediator_core::implement::compare_run_sets;
-use mediator_core::mediator::MediatorGameSpec;
 use mediator_core::min_info;
 use mediator_core::report::{check, f4, json_escape, Table};
-use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario};
-use mediator_core::CheapTalkSpec;
-use mediator_field::Fp;
+use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario, SessionPlan};
 use mediator_games::library;
 use mediator_games::punishment;
 use mediator_games::solution;
@@ -35,12 +32,11 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 }
 
 /// The table experiments, in the order `main` runs them.
-const EXPERIMENTS: [&str; 12] = [
+const EXPERIMENTS: [&str; 11] = [
     "--e1", "--e1b", "--e2", "--e3", "--e4", "--e5", "--e6", "--e7", "--e8", "--e9", "--e10",
-    "--e11",
 ];
 
-const USAGE: &str = "usage: experiments [--fast] [--all | --e1 --e1b --e2 … --e11]
+const USAGE: &str = "usage: experiments [--fast] [--all | --e1 --e1b --e2 … --e10]
        experiments --conformance | --frontier [--fast] [--shard N] [--out FILE] [--witness-out FILE]
        experiments --tamper [--out FILE]
        experiments --replay FILE";
@@ -128,7 +124,7 @@ fn main() {
         e1_thresholds_robust(samples);
     }
     if want("--e1") || want("--e1b") {
-        e1b_robustness_report(if fast { 10 } else { 30 });
+        e1b_conformance_cells(if fast { 10 } else { 30 });
     }
     if want("--e2") {
         e2_epsilon(samples);
@@ -157,9 +153,6 @@ fn main() {
     }
     if want("--e10") {
         e10_scheduler_collusion(samples);
-    }
-    if want("--e11") {
-        e11_substrate_timings();
     }
 }
 
@@ -385,16 +378,44 @@ fn conformance_minfo_plan() -> MediatorPlan {
         .expect("n − k ≥ 1")
 }
 
+/// The cell a witness names — a generated deviation, or the honest plan
+/// for `None` — rebuilt through the sweep's own `(strategy, coalition)`
+/// lookup: the one place a strategy name that no battery generates (a
+/// stale or hand-edited store) is diagnosed.
+fn witness_cell<P: SweepPlan>(
+    plan: &P,
+    strategy: Option<&str>,
+    coalition: &[usize],
+    deadlock: Option<u64>,
+) -> Result<P, String> {
+    // Only the deadlock action of the configuration reaches cell
+    // generation; the claim and the sampling plan play no part in it.
+    let mut cfg = Conformance::new(0.0, coalition.len(), 0);
+    if let Some(action) = deadlock {
+        cfg = cfg.deadlock_action(action);
+    }
+    let unit = SweepUnit {
+        strategy: strategy.map(str::to_string),
+        coalition: coalition.to_vec(),
+    };
+    sweep_unit_plan(plan, &unit, &cfg).ok_or_else(|| {
+        format!(
+            "no generated strategy '{}' for coalition {coalition:?}",
+            strategy.unwrap_or("honest")
+        )
+    })
+}
+
 /// Re-runs one conformance sweep sharded over `workers` in-process mem
 /// workers and asserts the rendered report is **byte-identical** to the
 /// already-computed local fan-out — the `--shard N` differential pin.
-fn shard_check<P: mediator_core::adversary::SweepPlan>(
+fn shard_check<P: SweepPlan>(
     name: &str,
     workers: usize,
     plan: &P,
     game: &mediator_games::BayesianGame,
     types: &[usize],
-    conf: &mediator_core::adversary::Conformance,
+    conf: &Conformance,
     local: &mediator_core::adversary::ConformanceReport,
 ) {
     use mediator_net::{ShardConfig, ShardedSweep, TransportKind};
@@ -423,8 +444,6 @@ fn shard_check<P: mediator_core::adversary::SweepPlan>(
 /// `shard = Some(n)` every sweep also runs sharded over `n` workers and
 /// must render byte-identically (see [`shard_check`]).
 fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<usize>) {
-    use mediator_core::adversary::Conformance;
-
     let seeds = if fast { 16 } else { 48 };
     let ct_seeds = if fast { 3 } else { 6 };
     println!(
@@ -567,11 +586,8 @@ fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<u
         let (plan_kind, outcome, n, k) = match *name {
             "cheap_talk_thm41_n5" => {
                 let base = conformance_cheap_talk_plan();
-                let cell = cheap_talk_deviant_cells(&base, &w.coalition)
-                    .into_iter()
-                    .find(|(s, _)| *s == w.strategy)
-                    .unwrap_or_else(|| panic!("unknown cheap-talk strategy '{}'", w.strategy))
-                    .1;
+                let cell = witness_cell(&base, Some(&w.strategy), &w.coalition, None)
+                    .expect("the sweep's own witness");
                 let out = cell.run_with(&w.kind, w.seed);
                 (mediator_store::PlanKind::CheapTalk, out, 5u64, 1u64)
             }
@@ -581,11 +597,8 @@ fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<u
                 } else {
                     conformance_minfo_plan()
                 };
-                let cell = mediator_deviant_cells(&base, &w.coalition, Some(bot))
-                    .into_iter()
-                    .find(|(s, _)| *s == w.strategy)
-                    .unwrap_or_else(|| panic!("unknown mediator strategy '{}'", w.strategy))
-                    .1;
+                let cell = witness_cell(&base, Some(&w.strategy), &w.coalition, Some(bot))
+                    .expect("the sweep's own witness");
                 let out = cell.run_with(&w.kind, w.seed);
                 (mediator_store::PlanKind::Mediator, out, 7u64, k as u64)
             }
@@ -708,11 +721,8 @@ fn frontier_atlas(out: &str, witness_out: &str, fast: bool, shard: Option<usize>
     for (i, r) in atlas.violated().enumerate() {
         let w = r.witness.as_ref().expect("violated cells carry witnesses");
         let plan = companion_plan(r.cell.n, r.cell.k, r.cell.t);
-        let cell = mediator_deviant_cells(&plan, &w.coalition, Some(BOT))
-            .into_iter()
-            .find(|(s, _)| *s == w.strategy)
-            .unwrap_or_else(|| panic!("unknown mediator strategy '{}'", w.strategy))
-            .1;
+        let cell = witness_cell(&plan, Some(&w.strategy), &w.coalition, Some(BOT))
+            .expect("the sweep's own witness");
         let outcome = cell.run_with(&w.kind, w.seed);
         let recipe = FrontierRecipe {
             theorem: r.cell.theorem.name().to_string(),
@@ -764,32 +774,35 @@ fn replay_store(path: &str) {
             .header
             .meta_value("deadlock")
             .and_then(|s| s.parse().ok());
+        // Rebuild the recorded cell (the base plan itself when the header
+        // names no strategy) and pin its re-enactment against the store.
+        fn replay<P: SweepPlan + SessionPlan>(
+            base: &P,
+            strategy: Option<&str>,
+            coalition: &[usize],
+            deadlock: Option<u64>,
+            run: &mediator_store::StoredRun,
+        ) -> Result<TerminationKind, String> {
+            let cell = witness_cell(base, strategy, coalition, deadlock)?;
+            mediator_store::replay_plan(&cell, run)
+                .map(|r| r.termination)
+                .map_err(|e| format!("{e:?}"))
+        }
+        let named = strategy.as_deref();
         let result = match entry.as_str() {
-            "cheap_talk_thm41_n5" => {
-                let mut plan = conformance_cheap_talk_plan();
-                if let Some(strategy) = &strategy {
-                    plan = cheap_talk_deviant_cells(&plan, &coalition)
-                        .into_iter()
-                        .find(|(s, _)| s == strategy)
-                        .unwrap_or_else(|| panic!("unknown cheap-talk strategy '{strategy}'"))
-                        .1;
-                }
-                mediator_store::replay_plan(&plan, &run).map(|r| r.termination)
+            // (Cheap-talk cells do not read the deadlock action.)
+            "cheap_talk_thm41_n5" => replay(
+                &conformance_cheap_talk_plan(),
+                named,
+                &coalition,
+                deadlock,
+                &run,
+            ),
+            "naive_mediator_sec6_4" => {
+                replay(&conformance_naive_plan(), named, &coalition, deadlock, &run)
             }
-            med @ ("naive_mediator_sec6_4" | "min_info_mediator_sec6_4") => {
-                let mut plan = if med == "naive_mediator_sec6_4" {
-                    conformance_naive_plan()
-                } else {
-                    conformance_minfo_plan()
-                };
-                if let Some(strategy) = &strategy {
-                    plan = mediator_deviant_cells(&plan, &coalition, deadlock)
-                        .into_iter()
-                        .find(|(s, _)| s == strategy)
-                        .unwrap_or_else(|| panic!("unknown mediator strategy '{strategy}'"))
-                        .1;
-                }
-                mediator_store::replay_plan(&plan, &run).map(|r| r.termination)
+            "min_info_mediator_sec6_4" => {
+                replay(&conformance_minfo_plan(), named, &coalition, deadlock, &run)
             }
             mediator_store::FrontierRecipe::ENTRY => {
                 // A frontier-atlas witness: the header's typed recipe plus
@@ -802,12 +815,13 @@ fn replay_store(path: &str) {
                     run.header.k as usize,
                     run.header.t as usize,
                 );
-                let plan = mediator_deviant_cells(&plan, &recipe.coalition, Some(recipe.deadlock))
-                    .into_iter()
-                    .find(|(s, _)| *s == recipe.strategy)
-                    .unwrap_or_else(|| panic!("unknown frontier strategy '{}'", recipe.strategy))
-                    .1;
-                mediator_store::replay_plan(&plan, &run).map(|r| r.termination)
+                replay(
+                    &plan,
+                    Some(&recipe.strategy),
+                    &recipe.coalition,
+                    Some(recipe.deadlock),
+                    &run,
+                )
             }
             other => {
                 println!("run {id}: no recipe for entry '{other}', skipped");
@@ -823,7 +837,7 @@ fn replay_store(path: &str) {
             Ok(t) => println!("run {id} [{cell}]: reproduced byte-identically, {t:?}"),
             Err(e) => {
                 failures += 1;
-                println!("run {id} [{cell}]: REPLAY FAILED: {e:?}");
+                println!("run {id} [{cell}]: REPLAY FAILED: {e}");
             }
         }
     }
@@ -832,66 +846,6 @@ fn replay_store(path: &str) {
         std::process::exit(1);
     }
     println!("all runs reproduced");
-}
-
-/// E11 — quick wall-clock substrate measurements (the Criterion benches in
-/// `crates/bench/benches/` are the precise companion; this row gives the
-/// one-shot orders of magnitude).
-fn e11_substrate_timings() {
-    use mediator_field::{rs, Poly};
-    use std::time::Instant;
-    let mut t = Table::new(
-        "E11 — substrate one-shot timings (see `cargo bench` for distributions)",
-        &["operation", "params", "time"],
-    );
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    use rand::SeedableRng;
-
-    let p = Poly::random_with_secret(Fp::new(5), 4, &mut rng);
-    let mut pts: Vec<(Fp, Fp)> = (1..=17u64)
-        .map(|i| (Fp::new(i), p.eval(Fp::new(i))))
-        .collect();
-    for pt in pts.iter_mut().take(4) {
-        pt.1 += Fp::new(99);
-    }
-    let start = Instant::now();
-    let iters = 200;
-    for _ in 0..iters {
-        let _ = rs::decode_robust(&pts, 4, 4).unwrap();
-    }
-    t.row(vec![
-        "Berlekamp–Welch decode".into(),
-        "deg 4, e 4, n 17".into(),
-        format!("{:?}/op", start.elapsed() / iters),
-    ]);
-
-    let spec = majority_spec_robust(5, 1, 0);
-    let inputs = ones_inputs(5);
-    let start = Instant::now();
-    let out = plan_for(&spec, &inputs).run_with(&SchedulerKind::Random, 1);
-    t.row(vec![
-        "cheap talk (Thm 4.1)".into(),
-        format!("n 5, majority, {} msgs", out.messages_sent),
-        format!("{:?}", start.elapsed()),
-    ]);
-
-    let med = MediatorGameSpec::standard(
-        5,
-        1,
-        0,
-        catalog::majority_circuit(5),
-        vec![vec![Fp::ZERO]; 5],
-    );
-    let start = Instant::now();
-    let out = MediatorPlan::from_spec(med, inputs)
-        .max_steps(200_000)
-        .run_with(&SchedulerKind::Random, 1);
-    t.row(vec![
-        "mediator game".into(),
-        format!("n 5, majority, {} msgs", out.messages_sent),
-        format!("{:?}", start.elapsed()),
-    ]);
-    print!("{t}");
 }
 
 /// E1 — Theorem 4.1: `n > 4k + 4t` suffices for full robustness; below it
@@ -988,50 +942,47 @@ fn e1_thresholds_robust(samples: usize) {
     print!("{t}");
 }
 
-/// E1b — empirical (k,t)-robustness over the deviation battery: gains and
-/// harms per attack on the Byzantine-agreement game (Theorem 4.1's
-/// "equilibrium survives the transform" claim, measured).
-fn e1b_robustness_report(samples: usize) {
+/// E1b — the conformance cells for coalition {2} on the Byzantine-agreement
+/// game: paired gain and harm intervals per generated strategy (Theorem
+/// 4.1's "equilibrium survives the transform" claim, measured), next to
+/// what the same deviation costs in the mediator game.
+fn e1b_conformance_cells(seeds: u64) {
     let n = 5;
     let game = library::byzantine_agreement_game(n);
-    let spec = majority_spec_robust(n, 1, 0);
     let types = vec![1usize; n];
-    let inputs = ones_inputs(n);
-    let report = mediator_core::deviations::cheap_talk_robustness_report(
-        &spec, &game, &types, &inputs, 2, samples,
+    let report = conformance_cheap_talk_plan().conformance(
+        &game,
+        &types,
+        &Conformance::new(0.05, 1, 0)
+            .battery(vec![SchedulerKind::Random])
+            .seeds(seeds)
+            .coalitions(vec![vec![2]]),
     );
 
     // Theorem 4.1's actual claim: the cheap talk matches the *mediator game*
     // under the same deviation. Compute the mediator-game honest harm for
-    // the not-moving deviations (the deviator simply never moves there too).
-    let med = MediatorGameSpec::standard(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-    );
-    let med_plan = MediatorPlan::from_spec(med, inputs.clone())
-        .max_steps(200_000)
-        .with_deviant(2, || Box::new(mediator_core::deviations::SilentProcess));
-    let med_harm_not_moving = {
-        let mut honest_sum = 0.0;
-        for seed in 0..samples as u64 {
-            let out = med_plan.run_with(&SchedulerKind::Random, seed);
-            let mut actions: Vec<usize> = out.resolve_default(&vec![0; n + 1])[..n]
-                .iter()
-                .map(|&a| a as usize)
-                .collect();
-            // The deviator never moved; its default 0 breaks unanimity just
-            // as in the cheap-talk game.
-            actions[2] = usize::from(out.moves[2].map(|a| a as usize).unwrap_or(0) == 1);
-            honest_sum += game.utilities(&types, &actions)[0];
-        }
-        1.0 - honest_sum / samples as f64 // baseline honest utility is 1
-    };
+    // the not-moving deviations (the deviator simply never moves there too,
+    // and its default 0 breaks unanimity just as in the cheap-talk game).
+    let med = Scenario::mediator(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(n))
+        .deviant(2, || Box::new(SilentProcess))
+        .build()
+        .expect("n − k − t ≥ 1")
+        .seeds(0..seeds)
+        .run_batch();
+    let honest_sum: f64 = med
+        .outcomes()
+        .map(|out| game.utilities(&types, &med.profile(out))[0])
+        .sum();
+    let med_harm_not_moving = 1.0 - honest_sum / seeds as f64; // baseline honest utility is 1
 
+    let ci = |c: &mediator_games::ConfidenceInterval| {
+        format!("{} [{}, {}]", f4(c.mean), f4(c.lo), f4(c.hi))
+    };
     let mut t = Table::new(
-        "E1b — deviation battery on the robust cheap talk (BA game, deviator = player 2)",
+        "E1b — conformance cells on the robust cheap talk (BA game, coalition {2}; mean [95% CI], paired)",
         &[
             "deviation",
             "deviator gain",
@@ -1040,8 +991,8 @@ fn e1b_robustness_report(samples: usize) {
             "note",
         ],
     );
-    for row in &report.rows {
-        let (med_harm, note) = match row.name.as_str() {
+    for cell in &report.cells {
+        let (med_harm, note) = match cell.strategy.as_str() {
             "silent" | "refuse-move" => (
                 f4(med_harm_not_moving),
                 "not moving breaks unanimity — in both games equally",
@@ -1052,12 +1003,12 @@ fn e1b_robustness_report(samples: usize) {
                 "corrected by OEC: no gain, no harm",
             ),
             "lie-input" => ("0.0000".to_string(), "own input; unanimity keeps majority"),
-            _ => (String::new(), ""),
+            _ => (String::new(), "generated message-level strategy"),
         };
         t.row(vec![
-            row.name.clone(),
-            f4(row.gain()),
-            f4(row.harm()),
+            cell.strategy.clone(),
+            ci(&cell.gain),
+            ci(&cell.harm),
             med_harm,
             note.into(),
         ]);
@@ -1324,6 +1275,16 @@ fn e4_eps_punishment(samples: usize) {
 /// player count `n` and the circuit size `c`, and the `c` the lookup compile
 /// produces for `majority_circuit`.
 fn e5_message_scaling() {
+    // Every point of the sweep: Theorem 4.1 over `circuit`, all-ones inputs.
+    let robust_plan = |circuit: mediator_circuits::Circuit, k: usize| {
+        let n = circuit.num_players();
+        Scenario::cheap_talk(circuit)
+            .players(n)
+            .tolerance(k, 0)
+            .inputs(ones_inputs(n))
+            .build()
+            .expect("the sweep stays above n > 4k")
+    };
     let mut t = Table::new(
         "E5 — message complexity scaling (robust cheap talk)",
         &["sweep", "x", "gates c", "messages", "fitted exponent"],
@@ -1331,16 +1292,7 @@ fn e5_message_scaling() {
     // Sweep n at fixed small circuit.
     let mut pts_n = Vec::new();
     for &n in &[5usize, 7, 9, 11] {
-        let spec = CheapTalkSpec::theorem_4_1(
-            n,
-            1,
-            0,
-            catalog::sum_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        );
-        let inputs = ones_inputs(n);
-        let out = plan_for(&spec, &inputs).run_with(&SchedulerKind::Random, 5);
+        let out = robust_plan(catalog::sum_circuit(n), 1).run_with(&SchedulerKind::Random, 5);
         pts_n.push((n as f64, out.messages_sent as f64));
         t.row(vec![
             "n".into(),
@@ -1367,10 +1319,7 @@ fn e5_message_scaling() {
     for &depth in &[1usize, 2, 4, 8, 16] {
         let circuit = catalog::work_circuit(n, 2, depth);
         let muls = circuit.mul_count();
-        let spec =
-            CheapTalkSpec::theorem_4_1(n, 1, 0, circuit, vec![vec![Fp::ZERO]; n], vec![0; n]);
-        let inputs = ones_inputs(n);
-        let out = plan_for(&spec, &inputs).run_with(&SchedulerKind::Random, 5);
+        let out = robust_plan(circuit, 1).run_with(&SchedulerKind::Random, 5);
         pts_c.push((muls as f64, out.messages_sent as f64));
         t.row(vec![
             "c".into(),
@@ -1412,10 +1361,7 @@ fn e5_message_scaling() {
         let mut row: Vec<String> = [n, circuit.size(), circuit.mul_count(), circuit.depth()]
             .map(|v| v.to_string())
             .into();
-        let k = (n - 1) / 4;
-        let spec =
-            CheapTalkSpec::theorem_4_1(n, k, 0, circuit, vec![vec![Fp::ZERO]; n], vec![0; n]);
-        let out = plan_for(&spec, &ones_inputs(n)).run_with(&SchedulerKind::Random, 5);
+        let out = robust_plan(circuit, (n - 1) / 4).run_with(&SchedulerKind::Random, 5);
         row.push(out.messages_sent.to_string());
         lookup.row(row);
     }
@@ -1646,8 +1592,14 @@ fn e9_egl() {
     );
     // The punishment protocol's cost does not depend on ε: measure once.
     let n = 5;
-    let spec = majority_spec_punish(n, 1, 0);
-    let out = plan_for(&spec, &ones_inputs(n)).run_with(&SchedulerKind::Random, 3);
+    let out = Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .wills(vec![3; n]) // punishment action, out of the game's range on purpose
+        .inputs(ones_inputs(n))
+        .build()
+        .expect("5 > 3k+4t = 3")
+        .run_with(&SchedulerKind::Random, 3);
     let flat = out.messages_sent;
     let mut pts = Vec::new();
     for &eps in &[0.1f64, 0.03, 0.01, 0.003, 0.001] {

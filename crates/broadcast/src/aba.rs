@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn coin_ablation_both_variants_terminate() {
-        // The E11 ablation in miniature: disagreeing inputs, measure
+        // The DESIGN §2 coin ablation in miniature: disagreeing inputs, measure
         // deliveries. With a benign random network and n=4, local coins are
         // only mildly worse than the common coin (the asymptotic gap needs an
         // adversarial scheduler); here we check both terminate and stay

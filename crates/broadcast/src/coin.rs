@@ -57,8 +57,8 @@ impl CoinSource for IdealCoin {
 }
 
 /// A purely local coin: each player flips independently (Ben-Or style).
-/// Agreement remains correct; expected round count grows (the ablation in
-/// experiment E11 measures by how much).
+/// Agreement remains correct; expected round count grows (the criterion
+/// pair `aba_n7_common_coin` / `aba_n7_local_coin` measures by how much).
 #[derive(Debug, Clone)]
 pub struct LocalCoin {
     rng: StdRng,

@@ -1625,6 +1625,53 @@ mod tests {
     }
 
     #[test]
+    fn corrected_lies_neither_gain_nor_harm_in_the_ba_game() {
+        // n = 5, k = 1 robust cheap talk playing the BA game, player 2
+        // deviating. Silent / refusing deviations DO harm here (unanimity
+        // breaks when the deviator does not move — a property of the game,
+        // which the mediator game shares); the lies must not: openings are
+        // corrected by OEC, and one flipped vote cannot move a unanimous
+        // majority.
+        use mediator_circuits::catalog;
+        let n = 5;
+        let game = mediator_games::library::byzantine_agreement_game(n);
+        let plan = crate::scenario::Scenario::cheap_talk(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .build()
+            .expect("5 > 4");
+        let report = cheap_talk_conformance(
+            &plan,
+            &game,
+            &vec![1; n],
+            &Conformance::new(0.05, 1, 0)
+                .battery(vec![SchedulerKind::Random])
+                .seeds(4)
+                .coalitions(vec![vec![2]]),
+        );
+        // The five classic deviations lead the generated battery.
+        let names: Vec<&str> = report.cells.iter().map(|c| c.strategy.as_str()).collect();
+        assert_eq!(
+            names[..5],
+            [
+                "silent",
+                "crash-mid",
+                "lie-input",
+                "lie-opens",
+                "refuse-move"
+            ]
+        );
+        for name in ["lie-opens", "lie-input"] {
+            let cell = report.cells.iter().find(|c| c.strategy == name).unwrap();
+            assert!(cell.gain.hi <= 1e-9, "{name} gains {:?}", cell.gain);
+            assert!(cell.harm.hi <= 1e-9, "{name} harms {:?}", cell.harm);
+        }
+        let silent = &report.cells[0];
+        assert!(silent.harm.lo > 0.5, "not moving breaks unanimity");
+    }
+
+    #[test]
     fn collusion_battery_covers_both_triggers_and_control() {
         let rules = collusion_battery(2);
         assert_eq!(rules.len(), 4);

@@ -104,82 +104,6 @@ impl CheapTalkSpec {
             },
         }
     }
-
-    /// A Theorem 4.1 spec.
-    pub fn theorem_4_1(
-        n: usize,
-        k: usize,
-        t: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            n,
-            k,
-            t,
-            variant: CtVariant::Robust,
-            circuit: Arc::new(circuit),
-            coin_seed: 0x5EED,
-            defaults,
-            punishment: None,
-            default_actions,
-            barrier: false,
-        }
-    }
-
-    /// A Theorem 4.2 spec (ε-implementation).
-    pub fn theorem_4_2(
-        n: usize,
-        k: usize,
-        t: usize,
-        kappa: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            variant: CtVariant::Epsilon { kappa },
-            ..CheapTalkSpec::theorem_4_1(n, k, t, circuit, defaults, default_actions)
-        }
-    }
-
-    /// A Theorem 4.4 spec (punishment wills + cotermination barrier).
-    pub fn theorem_4_4(
-        n: usize,
-        k: usize,
-        t: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        punishment: Vec<Action>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            punishment: Some(punishment),
-            barrier: true,
-            ..CheapTalkSpec::theorem_4_1(n, k, t, circuit, defaults, default_actions)
-        }
-    }
-
-    /// A Theorem 4.5 spec (ε + punishment).
-    #[allow(clippy::too_many_arguments)]
-    pub fn theorem_4_5(
-        n: usize,
-        k: usize,
-        t: usize,
-        kappa: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        punishment: Vec<Action>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            variant: CtVariant::Epsilon { kappa },
-            punishment: Some(punishment),
-            barrier: true,
-            ..CheapTalkSpec::theorem_4_1(n, k, t, circuit, defaults, default_actions)
-        }
-    }
 }
 
 /// One cheap-talk player: the honest strategy, with optional parameterized
@@ -388,31 +312,24 @@ impl Process<CtMsg> for CheapTalkPlayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::CheapTalkPlan;
+    use crate::scenario::{CheapTalk, Scenario};
     use mediator_circuits::catalog;
     use mediator_sim::SchedulerKind;
 
-    fn majority_spec(n: usize, k: usize, t: usize) -> CheapTalkSpec {
-        CheapTalkSpec::theorem_4_1(
-            n,
-            k,
-            t,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        )
+    fn majority(n: usize, k: usize, t: usize, bits: &[u64]) -> CheapTalk {
+        Scenario::cheap_talk(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(k, t)
+            .inputs(bits.iter().map(|&b| vec![Fp::new(b)]).collect())
+            .max_steps(2_000_000)
     }
 
     #[test]
     fn honest_cheap_talk_computes_majority() {
         let n = 5; // k=1, t=0: n > 4 ✓
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = [1u64, 0, 1, 1, 0]
-            .iter()
-            .map(|&b| vec![Fp::new(b)])
-            .collect();
-        let out = CheapTalkPlan::from_spec(spec, inputs)
-            .max_steps(2_000_000)
+        let out = majority(n, 1, 0, &[1, 0, 1, 1, 0])
+            .build()
+            .expect("5 > 4")
             .run_with(&SchedulerKind::Random, 42);
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);
@@ -421,15 +338,14 @@ mod tests {
     #[test]
     fn silent_deviator_does_not_block_robust_protocol() {
         let n = 5;
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
         let deviation = Behavior {
             silent: true,
             ..Behavior::default()
         };
-        let out = CheapTalkPlan::from_spec(spec, inputs)
-            .with_deviant(3, deviation)
-            .max_steps(2_000_000)
+        let out = majority(n, 1, 0, &[1; 5])
+            .deviant(3, deviation)
+            .build()
+            .expect("5 > 4")
             .run_with(&SchedulerKind::Random, 7);
         for (p, m) in out.moves.iter().enumerate() {
             if p != 3 {
@@ -441,18 +357,15 @@ mod tests {
     #[test]
     fn opening_liar_is_corrected() {
         let n = 5;
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = [0u64, 0, 1, 0, 1]
-            .iter()
-            .map(|&b| vec![Fp::new(b)])
-            .collect();
         let deviation = Behavior {
             lie_in_opens: true,
             ..Behavior::default()
         };
-        let out = CheapTalkPlan::from_spec(spec, inputs)
-            .with_deviant(2, deviation)
+        let out = majority(n, 1, 0, &[0, 0, 1, 0, 1])
+            .deviant(2, deviation)
             .max_steps(4_000_000)
+            .build()
+            .expect("5 > 4")
             .run_with(&SchedulerKind::Random, 13);
         // Honest majority of (0,0,1,0,1) = 0 — the liar's input still counts
         // (it dealt honestly) but its opening lies must be corrected.
@@ -469,24 +382,18 @@ mod tests {
         // crashes mid-protocol; either everyone (honest) moves or nobody
         // does — never a mix.
         let n = 6; // k=1, t=0: n > 3k+4t = 3 ✓ (and > 4f for the engine)
-        let spec = CheapTalkSpec::theorem_4_4(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![5; n], // punishment action
-            vec![0; n],
-        );
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
+        let plan = majority(n, 1, 0, &[1; 6])
+            .wills(vec![5; n]) // punishment action
+            .build()
+            .expect("6 > 3");
         for seed in 0..5 {
             let deviation = Behavior {
                 crash_after_sends: Some(40),
                 ..Behavior::default()
             };
-            let out = CheapTalkPlan::from_spec(spec.clone(), inputs.clone())
+            let out = plan
+                .clone()
                 .with_deviant(1, deviation)
-                .max_steps(2_000_000)
                 .run_with(&SchedulerKind::Random, seed);
             let honest_moved: Vec<bool> = (0..n)
                 .filter(|&p| p != 1)
@@ -514,23 +421,15 @@ mod tests {
     fn refuse_to_move_triggers_wills_of_nobody_else_with_barrier_quorum() {
         // A single refusing player cannot stop the others: quorum is n−f.
         let n = 6;
-        let spec = CheapTalkSpec::theorem_4_4(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![5; n],
-            vec![0; n],
-        );
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
         let deviation = Behavior {
             refuse_to_move: true,
             ..Behavior::default()
         };
-        let out = CheapTalkPlan::from_spec(spec, inputs)
-            .with_deviant(0, deviation)
-            .max_steps(2_000_000)
+        let out = majority(n, 1, 0, &[1; 6])
+            .wills(vec![5; n])
+            .deviant(0, deviation)
+            .build()
+            .expect("6 > 3")
             .run_with(&SchedulerKind::Random, 3);
         for p in 1..n {
             assert_eq!(out.moves[p], Some(1), "player {p} must still move");
@@ -540,18 +439,10 @@ mod tests {
     #[test]
     fn epsilon_variant_honest_run() {
         let n = 4; // k=0, t=1: n > 3 ✓
-        let spec = CheapTalkSpec::theorem_4_2(
-            n,
-            0,
-            1,
-            2,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        );
-        let inputs: Vec<Vec<Fp>> = [1u64, 1, 1, 0].iter().map(|&b| vec![Fp::new(b)]).collect();
-        let out = CheapTalkPlan::from_spec(spec, inputs)
-            .max_steps(2_000_000)
+        let out = majority(n, 0, 1, &[1, 1, 1, 0])
+            .epsilon(2)
+            .build()
+            .expect("4 > 3")
             .run_with(&SchedulerKind::Random, 23);
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);
@@ -563,16 +454,12 @@ mod tests {
         // delay a player can fix the core and finish on the same delivery;
         // the engine's `Done` must not be masked by its `CoreDecided`.
         let n = 5;
-        let spec = CheapTalkSpec::theorem_4_1(
-            n,
-            1,
-            0,
-            catalog::sum_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        );
-        let inputs = (1..=n as u64).map(|v| vec![Fp::new(v)]).collect();
-        let plan = CheapTalkPlan::from_spec(spec, inputs);
+        let plan = Scenario::cheap_talk(catalog::sum_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs((1..=n as u64).map(|v| vec![Fp::new(v)]).collect())
+            .build()
+            .expect("5 > 4");
         for victim in 0..3 {
             for seed in 0..4 {
                 let out = plan.run_with(&SchedulerKind::TargetedDelay(vec![victim]), seed);
@@ -590,18 +477,14 @@ mod tests {
         // A lying input is *allowed* by the model (it is the player's own
         // input); verify the machinery wires it through.
         let n = 5;
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = [1u64, 1, 0, 0, 0]
-            .iter()
-            .map(|&b| vec![Fp::new(b)])
-            .collect();
         let deviation = Behavior {
             input_override: Some(vec![Fp::ONE]),
             ..Behavior::default()
         };
-        let out = CheapTalkPlan::from_spec(spec, inputs)
-            .with_deviant(2, deviation)
-            .max_steps(2_000_000)
+        let out = majority(n, 1, 0, &[1, 1, 0, 0, 0])
+            .deviant(2, deviation)
+            .build()
+            .expect("5 > 4")
             .run_with(&SchedulerKind::Random, 31);
         // With the override the inputs become (1,1,1,0,0): majority 1.
         let moves = out.resolve_default(&vec![9; n]);

@@ -1,23 +1,23 @@
-//! The deviation library and empirical robustness reports.
+//! The deviation library: what a deviating player *is*.
 //!
 //! Solution concepts over *extended* games quantify over all strategies —
 //! an infinite space. The paper's lower-bound companion exhibits specific
-//! attacks; experiments here do the analogous thing: batteries of
-//! parameterized deviations applied to the honest machinery, measuring the
-//! utility consequences for deviators (resilience) and bystanders
-//! (immunity). [`Behavior`] deviations plug into
-//! [`CheapTalkPlayer`](crate::cheap_talk::CheapTalkPlayer); they are built
-//! by the [`adversary`](crate::adversary) plane's combinator DSL
-//! ([`Deviation`]), which also generates the
-//! coalition-strategy batteries the conformance harness sweeps. The §6.4
-//! colluders are mediator-game processes
-//! ([`GossipColluder`] in general;
-//! [`CounterexampleColluder`] is the paper's specific point in that space).
+//! attacks; experiments here do the analogous thing: parameterized
+//! deviations applied to the honest machinery. [`Behavior`] deviations
+//! plug into [`CheapTalkPlayer`](crate::cheap_talk::CheapTalkPlayer); they
+//! are built by the [`adversary`](crate::adversary) plane's combinator DSL
+//! ([`Deviation`](crate::adversary::Deviation)), which also generates the
+//! coalition-strategy batteries and owns the one harness that judges them
+//! — gains for deviators (resilience) and harms for bystanders (immunity),
+//! with paired intervals ([`Conformance`](crate::adversary::Conformance)).
+//! The §6.4 colluders are mediator-game processes ([`GossipColluder`] in
+//! general; [`CounterexampleColluder`] is the paper's specific point in
+//! that space).
 
-use crate::adversary::{CollusionRule, Deviation, GossipColluder, Scheduled};
+use crate::adversary::{CollusionRule, GossipColluder, Scheduled};
 use crate::mediator::MedMsg;
 use mediator_field::Fp;
-use mediator_games::{library, BayesianGame};
+use mediator_games::library;
 use mediator_sim::{Action, Ctx, Process, ProcessId};
 
 /// Parameterized deviations applied to the honest cheap-talk player:
@@ -40,37 +40,6 @@ pub struct Behavior {
     /// Message-level tactics (drop/delay/equivocate/silence/abort windows),
     /// applied in the player's send path.
     pub tactics: Vec<Scheduled>,
-}
-
-impl Behavior {
-    /// The honest behaviour.
-    pub fn honest() -> Self {
-        Behavior::default()
-    }
-
-    /// The classic named battery of single-player deviations, built from
-    /// the combinator DSL (the conformance harness sweeps the larger
-    /// [`generated_battery`](crate::adversary::generated_battery), which
-    /// extends this list with windowed message-level strategies).
-    pub fn battery() -> Vec<(&'static str, Behavior)> {
-        let named = [
-            ("silent", Deviation::named("silent").silent()),
-            ("crash-mid", Deviation::named("crash-mid").crash_after(60)),
-            (
-                "lie-input",
-                Deviation::named("lie-input").lie_about_input(vec![Fp::ONE]),
-            ),
-            ("lie-opens", Deviation::named("lie-opens").lie_in_opens()),
-            (
-                "refuse-move",
-                Deviation::named("refuse-move").refuse_to_move(),
-            ),
-        ];
-        named
-            .into_iter()
-            .map(|(name, d)| (name, d.build().1))
-            .collect()
-    }
 }
 
 /// A process that never does anything (generic silent deviator).
@@ -122,272 +91,5 @@ impl Process<MedMsg> for CounterexampleColluder {
 
     fn on_message(&mut self, src: ProcessId, msg: MedMsg, ctx: &mut Ctx<MedMsg>) {
         self.inner.on_message(src, msg, ctx);
-    }
-}
-
-/// One row of a robustness report.
-#[derive(Debug, Clone)]
-pub struct DeviationRow {
-    /// Deviation name.
-    pub name: String,
-    /// Who deviated.
-    pub deviators: Vec<usize>,
-    /// Mean deviator utility under the deviation.
-    pub deviator_utility: f64,
-    /// Mean deviator utility under honest play.
-    pub deviator_baseline: f64,
-    /// Worst honest player's utility under the deviation.
-    pub honest_worst: f64,
-    /// That player's utility under honest play.
-    pub honest_baseline: f64,
-    /// Samples used.
-    pub samples: usize,
-}
-
-impl DeviationRow {
-    /// The deviator's gain (positive = resilience violated by this attack).
-    pub fn gain(&self) -> f64 {
-        self.deviator_utility - self.deviator_baseline
-    }
-
-    /// The harm inflicted on honest players (positive = immunity violated).
-    pub fn harm(&self) -> f64 {
-        self.honest_baseline - self.honest_worst
-    }
-}
-
-/// An empirical (ε-)(k,t)-robustness report over a deviation battery.
-#[derive(Debug, Clone, Default)]
-pub struct RobustnessReport {
-    /// One row per deviation tried.
-    pub rows: Vec<DeviationRow>,
-}
-
-impl RobustnessReport {
-    /// The largest deviator gain across the battery.
-    pub fn max_gain(&self) -> f64 {
-        self.rows.iter().map(DeviationRow::gain).fold(0.0, f64::max)
-    }
-
-    /// The largest honest harm across the battery.
-    pub fn max_harm(&self) -> f64 {
-        self.rows.iter().map(DeviationRow::harm).fold(0.0, f64::max)
-    }
-
-    /// Whether the battery found no ε-violating attack.
-    pub fn is_eps_robust(&self, eps: f64) -> bool {
-        self.max_gain() < eps + 1e-9 && self.max_harm() < eps + 1e-9
-    }
-}
-
-/// Builds an empirical robustness report for a cheap-talk spec: runs the
-/// honest baseline and every battery deviation (applied to `deviator`),
-/// converts outcomes to game utilities under the fixed `types` draw, and
-/// tabulates gains and harms.
-///
-/// Moves are resolved with the AH semantics when the spec carries a
-/// punishment (wills) and with the spec's default actions otherwise. Actions
-/// outside the game's range are passed through to the utility function —
-/// the library games treat them as "something else" (zero matches), which is
-/// the natural reading of an off-menu move.
-pub fn cheap_talk_robustness_report(
-    spec: &crate::cheap_talk::CheapTalkSpec,
-    game: &BayesianGame,
-    types: &[usize],
-    inputs: &[Vec<Fp>],
-    deviator: usize,
-    samples: usize,
-) -> RobustnessReport {
-    let n = spec.n;
-    // One validated plan; the baseline and every battery deviation are
-    // seed-sweep batches of it (fanned across worker threads by run_batch).
-    let plan = crate::scenario::CheapTalkPlan::from_spec(spec.clone(), inputs.to_vec());
-    let runs_for = |plan: crate::scenario::CheapTalkPlan| -> Vec<(Vec<usize>, Vec<usize>)> {
-        let set = plan.seeds(0..samples as u64).run_batch();
-        set.outcomes()
-            .map(|out| (types.to_vec(), set.profile(out)))
-            .collect()
-    };
-    let base_u = empirical_utilities(game, &runs_for(plan.clone()));
-
-    let mut report = RobustnessReport::default();
-    for (name, behavior) in Behavior::battery() {
-        let dev_runs = runs_for(plan.clone().with_deviant(deviator, behavior));
-        let dev_u = empirical_utilities(game, &dev_runs);
-        let honest_worst = (0..n)
-            .filter(|&p| p != deviator)
-            .map(|p| dev_u[p])
-            .fold(f64::INFINITY, f64::min);
-        let honest_baseline = (0..n)
-            .filter(|&p| p != deviator)
-            .map(|p| base_u[p])
-            .fold(f64::INFINITY, f64::min);
-        report.rows.push(DeviationRow {
-            name: name.to_string(),
-            deviators: vec![deviator],
-            deviator_utility: dev_u[deviator],
-            deviator_baseline: base_u[deviator],
-            honest_worst,
-            honest_baseline,
-            samples,
-        });
-    }
-    report
-}
-
-/// Per-player expected utilities of a batch [`RunSet`](crate::scenario::RunSet)
-/// under `game` with the fixed `types` draw, as confidence intervals at
-/// critical value `z` — the interval-carrying replacement for feeding
-/// [`empirical_utilities`] point estimates into ε comparisons.
-pub fn run_set_utilities_ci(
-    set: &crate::scenario::RunSet,
-    game: &BayesianGame,
-    types: &[usize],
-    z: f64,
-) -> Vec<mediator_games::ConfidenceInterval> {
-    mediator_games::stats::utilities_ci(game, &run_set_samples(set, types), z)
-}
-
-/// Materializes a [`RunSet`](crate::scenario::RunSet) into the
-/// `(types, actions)` sample pairs the `mediator-games` statistics layer
-/// consumes, in grid (kind-major, seed-minor) order — the one
-/// RunSet→samples bridge both the conformance harness and
-/// [`run_set_utilities_ci`] go through.
-pub fn run_set_samples(
-    set: &crate::scenario::RunSet,
-    types: &[usize],
-) -> Vec<(Vec<usize>, Vec<usize>)> {
-    set.outcomes()
-        .map(|out| (types.to_vec(), set.profile(out)))
-        .collect()
-}
-
-/// Mean per-player utilities over `(types, actions)` samples.
-pub fn empirical_utilities(game: &BayesianGame, runs: &[(Vec<usize>, Vec<usize>)]) -> Vec<f64> {
-    assert!(!runs.is_empty());
-    let mut acc = vec![0.0; game.n()];
-    for (types, actions) in runs {
-        let us = game.utilities(types, actions);
-        for i in 0..game.n() {
-            acc[i] += us[i];
-        }
-    }
-    for a in &mut acc {
-        *a /= runs.len() as f64;
-    }
-    acc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cheap_talk::CheapTalkSpec;
-    use mediator_circuits::catalog;
-
-    #[test]
-    fn robustness_report_on_byzantine_agreement_game() {
-        // n=5, k=1, t=0 robust cheap talk playing the BA game. The honest
-        // profile pays 1 to everyone; the battery should show (a) bounded
-        // gains for the deviator and (b) the harms each attack causes
-        // (silent/crash deviations DO harm in the BA game: unanimity breaks
-        // when the deviator does not move — that is a property of the game,
-        // not a protocol failure; the protocol's job per Theorem 4.1 is to
-        // match what the *mediator game* would yield under the same
-        // deviation, which also breaks unanimity).
-        let n = 5;
-        let game = mediator_games::library::byzantine_agreement_game(n);
-        let spec = CheapTalkSpec::theorem_4_1(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        );
-        let types = vec![1usize; n];
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let report = cheap_talk_robustness_report(&spec, &game, &types, &inputs, 2, 4);
-        assert_eq!(report.rows.len(), Behavior::battery().len());
-        // The lie-opens attack must not profit: outputs are corrected.
-        let lie = report.rows.iter().find(|r| r.name == "lie-opens").unwrap();
-        assert!(lie.gain() <= 1e-9, "lying in openings gains {}", lie.gain());
-        assert!(lie.harm() <= 1e-9, "lying in openings harms {}", lie.harm());
-        // The lie-input attack flips the deviator's vote — with unanimous
-        // honest inputs the majority is unchanged: no gain, no harm.
-        let li = report.rows.iter().find(|r| r.name == "lie-input").unwrap();
-        assert!(li.gain().abs() <= 1e-9 && li.harm() <= 1e-9);
-    }
-
-    #[test]
-    fn run_set_utilities_carry_intervals() {
-        // A mediator-game batch with unanimous votes: every run pays 1 to
-        // everyone in the BA game, so the intervals are exact points.
-        let n = 4;
-        let game = mediator_games::library::byzantine_agreement_game(n);
-        let set = crate::scenario::Scenario::mediator(catalog::majority_circuit(n))
-            .players(n)
-            .tolerance(1, 0)
-            .inputs(vec![vec![Fp::ONE]; n])
-            .build()
-            .expect("n − k − t ≥ 1")
-            .seeds(0..3)
-            .run_batch();
-        let cis = run_set_utilities_ci(&set, &game, &vec![1; n], 1.96);
-        assert_eq!(cis.len(), n);
-        for ci in &cis {
-            assert!((ci.mean - 1.0).abs() < 1e-12);
-            assert_eq!(ci.samples, 3);
-            assert!(ci.hi - ci.lo < 1e-12);
-        }
-        assert_eq!(run_set_samples(&set, &vec![1; n]).len(), set.len());
-    }
-
-    #[test]
-    fn battery_has_distinct_names() {
-        let b = Behavior::battery();
-        let names: std::collections::BTreeSet<&str> = b.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), b.len());
-    }
-
-    #[test]
-    fn row_gain_and_harm() {
-        let row = DeviationRow {
-            name: "x".into(),
-            deviators: vec![0],
-            deviator_utility: 1.55,
-            deviator_baseline: 1.5,
-            honest_worst: 1.1,
-            honest_baseline: 1.5,
-            samples: 100,
-        };
-        assert!((row.gain() - 0.05).abs() < 1e-12);
-        assert!((row.harm() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empirical_utilities_average() {
-        let (game, _) = mediator_games::library::prisoners_dilemma();
-        let runs = vec![
-            (vec![0, 0], vec![0, 0]), // (3,3)
-            (vec![0, 0], vec![1, 1]), // (1,1)
-        ];
-        let us = empirical_utilities(&game, &runs);
-        assert_eq!(us, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn report_robustness_threshold() {
-        let mut rep = RobustnessReport::default();
-        rep.rows.push(DeviationRow {
-            name: "a".into(),
-            deviators: vec![1],
-            deviator_utility: 1.0,
-            deviator_baseline: 1.0,
-            honest_worst: 0.95,
-            honest_baseline: 1.0,
-            samples: 10,
-        });
-        assert!(rep.is_eps_robust(0.1));
-        assert!(!rep.is_eps_robust(0.01));
     }
 }

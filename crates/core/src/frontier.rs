@@ -66,13 +66,6 @@ pub const ALL_THEOREMS: [Theorem; 4] = [
     Theorem::EpsilonPunishment45,
 ];
 
-/// Resolves a theorem from its paper number (`"4.1"`, `"4.2"`, `"4.4"`,
-/// `"4.5"`) — the inverse of [`Theorem::name`], used by the trace-store
-/// witness recipes to rebuild a cell from persisted metadata.
-pub fn theorem_by_name(name: &str) -> Option<Theorem> {
-    ALL_THEOREMS.iter().copied().find(|t| t.name() == name)
-}
-
 // ---------------------------------------------------------------------------
 // Grid grammar
 // ---------------------------------------------------------------------------

@@ -5,31 +5,12 @@
 //! distributions to be ε-matched on the other side; weak implementation
 //! drops one direction. The scheduler space is uncountable, so experiments
 //! quantify over a **battery** of qualitatively distinct scheduler families
-//! ([`SchedulerKind::battery`]) and estimate each family's outcome
+//! ([`SchedulerKind::battery`](mediator_sim::SchedulerKind::battery)) and estimate each family's outcome
 //! distribution from seeded samples. The distances reported are therefore
 //! statistical estimates — EXPERIMENTS.md records sample counts alongside.
 
 use crate::scenario::RunSet;
-use mediator_games::dist::{set_distance, weak_set_distance, OutcomeDist};
-use mediator_sim::SchedulerKind;
-
-/// Estimates one outcome distribution per scheduler kind.
-///
-/// `run` maps `(kind, seed)` to an action profile (already resolved for
-/// infinite play). Each kind is sampled `samples` times with distinct seeds.
-pub fn outcome_distributions<F>(
-    kinds: &[SchedulerKind],
-    samples: usize,
-    mut run: F,
-) -> Vec<OutcomeDist>
-where
-    F: FnMut(&SchedulerKind, u64) -> Vec<usize>,
-{
-    kinds
-        .iter()
-        .map(|kind| OutcomeDist::from_samples((0..samples as u64).map(|seed| run(kind, seed))))
-        .collect()
-}
+use mediator_games::dist::{set_distance, weak_set_distance};
 
 /// The result of comparing two games' outcome-distribution sets.
 #[derive(Debug, Clone)]
@@ -50,18 +31,12 @@ impl ImplementationReport {
     pub fn eps_implements(&self, eps: f64) -> bool {
         self.distance <= eps
     }
-
-    /// Whether the measured one-sided distance certifies weak
-    /// ε-implementation.
-    pub fn weakly_eps_implements(&self, eps: f64) -> bool {
-        self.weak_distance <= eps
-    }
 }
 
 /// Compares two batch [`RunSet`]s — typically a cheap-talk game against
 /// its mediator game over the same scheduler battery, as produced by the
 /// [`Scenario`](crate::scenario::Scenario) builders' `run_batch`. The
-/// per-kind [`OutcomeDist`]s come built-in with the sets, so this is pure
+/// per-kind [`OutcomeDist`](mediator_games::dist::OutcomeDist)s come built-in with the sets, so this is pure
 /// distance arithmetic.
 ///
 /// # Panics
@@ -91,104 +66,51 @@ pub fn compare_run_sets(ct: &RunSet, md: &RunSet) -> ImplementationReport {
     }
 }
 
-/// Compares a cheap-talk game against its mediator game over a battery.
-pub fn compare_implementations<F, G>(
-    kinds: &[SchedulerKind],
-    samples: usize,
-    cheap_talk: F,
-    mediator: G,
-) -> ImplementationReport
-where
-    F: FnMut(&SchedulerKind, u64) -> Vec<usize>,
-    G: FnMut(&SchedulerKind, u64) -> Vec<usize>,
-{
-    let ct = outcome_distributions(kinds, samples, cheap_talk);
-    let md = outcome_distributions(kinds, samples, mediator);
-    ImplementationReport {
-        distance: set_distance(&ct, &md),
-        weak_distance: weak_set_distance(&ct, &md),
-        kinds: kinds.len(),
-        samples,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The distance arithmetic itself — disjoint point masses at distance
+    //! 2, the one-sided weak direction, empty-set conventions — is tested
+    //! where it lives (`mediator_games::dist`: `l1_disjoint_is_two`,
+    //! `set_distance_symmetric_cases`, `empty_set_conventions`); these
+    //! cases pin the `RunSet` wiring around it.
+
     use super::*;
+    use crate::scenario::{RunSet, Scenario};
+    use mediator_circuits::catalog;
+    use mediator_field::Fp;
+    use mediator_sim::SchedulerKind;
 
-    #[test]
-    fn identical_runners_have_zero_distance() {
-        let kinds = vec![SchedulerKind::Random, SchedulerKind::Fifo];
-        let runner = |_k: &SchedulerKind, seed: u64| vec![(seed % 2) as usize];
-        let rep = compare_implementations(&kinds, 50, runner, runner);
-        assert_eq!(rep.distance, 0.0);
-        assert_eq!(rep.weak_distance, 0.0);
-        assert!(rep.eps_implements(0.0));
-    }
+    const N: usize = 5;
 
-    #[test]
-    fn diverging_runners_are_detected() {
-        let kinds = vec![SchedulerKind::Random];
-        let a = |_: &SchedulerKind, _: u64| vec![0usize];
-        let b = |_: &SchedulerKind, _: u64| vec![1usize];
-        let rep = compare_implementations(&kinds, 20, a, b);
-        assert!((rep.distance - 2.0).abs() < 1e-12);
-        assert!(!rep.eps_implements(0.5));
-    }
-
-    #[test]
-    fn weak_direction_is_one_sided() {
-        // Cheap talk always plays 0; the mediator plays 0 or 1 depending on
-        // the scheduler kind: weak implementation (⊆) holds, full does not.
-        let kinds = vec![SchedulerKind::Random, SchedulerKind::Fifo];
-        let ct = |_: &SchedulerKind, _: u64| vec![0usize];
-        let md = |k: &SchedulerKind, _: u64| match k {
-            SchedulerKind::Fifo => vec![1usize],
-            _ => vec![0usize],
-        };
-        let rep = compare_implementations(&kinds, 20, ct, md);
-        assert_eq!(rep.weak_distance, 0.0, "every CT distribution is matched");
-        assert!(
-            rep.distance > 1.0,
-            "the mediator's Fifo distribution is unmatched"
-        );
+    fn majority_runs(vote: Fp) -> RunSet {
+        Scenario::cheap_talk(catalog::majority_circuit(N))
+            .players(N)
+            .tolerance(1, 0)
+            .inputs(vec![vec![vote]; N])
+            .build()
+            .expect("5 > 4")
+            .battery(vec![SchedulerKind::Random, SchedulerKind::Fifo])
+            .seeds(0..2)
+            .run_batch()
     }
 
     #[test]
     fn run_set_comparison_of_identical_batches_is_zero() {
-        use crate::scenario::Scenario;
-        use mediator_circuits::catalog;
-        use mediator_field::Fp;
-        let n = 5;
-        let kinds = vec![SchedulerKind::Random, SchedulerKind::Fifo];
-        let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-            .players(n)
-            .tolerance(1, 0)
-            .inputs(vec![vec![Fp::ONE]; n])
-            .build()
-            .expect("5 > 4");
-        let a = plan.battery(kinds.clone()).seeds(0..2).run_batch();
-        let b = plan.battery(kinds).seeds(0..2).run_batch();
-        let rep = compare_run_sets(&a, &b);
+        let rep = compare_run_sets(&majority_runs(Fp::ONE), &majority_runs(Fp::ONE));
         assert_eq!(rep.distance, 0.0);
         assert_eq!(rep.weak_distance, 0.0);
+        assert!(rep.eps_implements(0.0));
         assert_eq!(rep.kinds, 2);
         assert_eq!(rep.samples, 2);
     }
 
     #[test]
-    fn sampling_noise_stays_small_for_identical_random_sources() {
-        // Two independent samplings of the same coin: distance is O(1/√N).
-        let kinds = vec![SchedulerKind::Random];
-        let mk = |salt: u64| {
-            move |_: &SchedulerKind, seed: u64| {
-                // SplitMix-ish hash → fair coin.
-                let mut z = seed.wrapping_add(salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z ^= z >> 31;
-                vec![(z & 1) as usize]
-            }
-        };
-        let rep = compare_implementations(&kinds, 2000, mk(1), mk(2));
-        assert!(rep.distance < 0.1, "distance {}", rep.distance);
+    fn diverging_run_sets_are_detected() {
+        // Unanimous ones against unanimous zeros: two disjoint point
+        // masses under every scheduler kind, in both directions.
+        let rep = compare_run_sets(&majority_runs(Fp::ONE), &majority_runs(Fp::ZERO));
+        assert!((rep.distance - 2.0).abs() < 1e-12);
+        assert!((rep.weak_distance - 2.0).abs() < 1e-12);
+        assert!(!rep.eps_implements(0.5));
     }
 }

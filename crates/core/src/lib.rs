@@ -30,8 +30,8 @@
 //!   set-distance (both directions for implementation, one direction for
 //!   weak implementation).
 //! * [`deviations`] — the deviation library (silence, crashes, input lies,
-//!   opening lies, §6.4 deadlock collusion) and robustness reports
-//!   (empirical ε-(k,t)-robustness over the battery).
+//!   opening lies, §6.4 deadlock collusion); judged by the conformance
+//!   harness below, never by a second report.
 //! * [`adversary`] — the **adversary plane**: message-level deviation
 //!   primitives (drop, delay-until-phase, equivocate, selective silence,
 //!   abort-at-round) composed per-phase and per-coalition by a combinator
@@ -67,14 +67,14 @@ pub use adversary::{
     render_sweep_report, run_sweep_cell, run_sweep_unit, sweep_unit_plan, sweep_units, Conformance,
     ConformanceReport, ConformanceVerdict, Deviation, DeviationWitness, SweepPlan, SweepUnit,
 };
-pub use cheap_talk::{CheapTalkPlayer, CheapTalkSpec, CtMsg, CtVariant};
-pub use deviations::{Behavior, RobustnessReport};
+pub use cheap_talk::CtMsg;
+pub use deviations::Behavior;
 pub use frontier::{
     run_frontier_local, CellClass, CellExperiment, CellResult, FrontierAtlas, FrontierCell,
     FrontierSpec, PreparedCell, TheoremBand,
 };
 pub use lease::{LeaseLedger, Reclaim};
-pub use mediator::{MedMsg, MediatorGameSpec};
+pub use mediator::MedMsg;
 pub use scenario::{
     Batch, CheapTalkPlan, MediatorPlan, Resolve, RunRecord, RunSet, Scenario, ScenarioError,
     SessionPlan, Theorem,

@@ -80,26 +80,6 @@ pub struct MediatorGameSpec {
 }
 
 impl MediatorGameSpec {
-    /// A standard one-round mediator game.
-    pub fn standard(
-        n: usize,
-        k: usize,
-        t: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-    ) -> Self {
-        MediatorGameSpec {
-            n,
-            k,
-            t,
-            circuit: Arc::new(circuit),
-            defaults,
-            naive_split: false,
-            extra_rounds: 0,
-            wills: None,
-        }
-    }
-
     /// How many complete inputs the mediator waits for.
     pub fn wait_for(&self) -> usize {
         if self.naive_split {
@@ -297,33 +277,25 @@ impl Process<MedMsg> for CircuitMediator {
 mod tests {
     use super::*;
     use crate::deviations::SilentProcess;
-    use crate::scenario::MediatorPlan;
+    use crate::scenario::{MediatorGame, Scenario};
     use mediator_circuits::catalog;
     use mediator_sim::SchedulerKind;
 
-    fn majority_spec(n: usize) -> MediatorGameSpec {
-        MediatorGameSpec::standard(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-        )
+    fn majority(n: usize, bits: &[u64]) -> MediatorGame {
+        Scenario::mediator(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs(bits.iter().map(|&b| vec![Fp::new(b)]).collect())
     }
 
     #[test]
     fn honest_majority_game_everyone_plays_majority() {
         let n = 5;
-        let spec = majority_spec(n);
         // The mediator waits for n−k−t = 4 inputs and defaults the last to
         // 0, and *which* input arrives late depends on the scheduler (that
         // is the point of the asynchronous model). These inputs give
         // majority 1 for every 4-subset, so the outcome is scheduler-proof.
-        let inputs: Vec<Vec<Fp>> = [1u64, 1, 1, 1, 0]
-            .iter()
-            .map(|&b| vec![Fp::new(b)])
-            .collect();
-        let plan = MediatorPlan::from_spec(spec, inputs);
+        let plan = majority(n, &[1, 1, 1, 1, 0]).build().expect("n − k ≥ 1");
         for kind in SchedulerKind::battery(n) {
             let out = plan.run_with(&kind, 7);
             // The world has n+1 processes (the mediator never moves).
@@ -337,10 +309,10 @@ mod tests {
         // One player silent: mediator waits for n−k−t = 4 inputs, fills the
         // default, and everyone else still moves.
         let n = 5;
-        let spec = majority_spec(n);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let out = MediatorPlan::from_spec(spec, inputs)
-            .with_deviant(2, || Box::new(SilentProcess))
+        let out = majority(n, &[1; 5])
+            .deviant(2, || Box::new(SilentProcess))
+            .build()
+            .expect("n − k ≥ 1")
             .run_with(&SchedulerKind::Random, 11);
         for (p, m) in out.moves.iter().enumerate() {
             if p != 2 && p < n {
@@ -353,11 +325,13 @@ mod tests {
     #[test]
     fn naive_split_mediator_sends_leak_then_stop() {
         let n = 4;
-        let mut spec =
-            MediatorGameSpec::standard(n, 1, 0, catalog::counterexample_naive(n), vec![vec![]; n]);
-        spec.naive_split = true;
-        let inputs = vec![vec![]; n];
-        let out = MediatorPlan::from_spec(spec, inputs).run_with(&SchedulerKind::Random, 3);
+        let out = Scenario::mediator(catalog::counterexample_naive(n))
+            .players(n)
+            .tolerance(1, 0)
+            .naive_split()
+            .build()
+            .expect("n − k ≥ 1")
+            .run_with(&SchedulerKind::Random, 3);
         // All honest: everyone eventually moves the same bit b.
         let moves = out.moves[..n].to_vec();
         let b = moves[0].expect("moved");
@@ -378,12 +352,13 @@ mod tests {
         // (punishments) apply uniformly — the hypothesis Proposition 6.9
         // uses to price deadlocks at the punishment payoff.
         let n = 4;
-        let mut spec = majority_spec(n);
-        spec.wills = Some(vec![7; n]);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
         // Let the players' inputs through, then drop everything the
         // mediator sends (its STOP batch).
-        let out = MediatorPlan::from_spec(spec, inputs).run_relaxed(n as u64 + 1, 3);
+        let out = majority(n, &[1; 4])
+            .wills(vec![7; n])
+            .build()
+            .expect("n − k ≥ 1")
+            .run_relaxed(n as u64 + 1, 3);
         assert!(
             out.trace.dropped_count() > 0,
             "mediator batch must be dropped"
@@ -402,9 +377,10 @@ mod tests {
         // run is indistinguishable from a non-relaxed one (the paper's
         // "deadlock iff no STOP delivered" characterization).
         let n = 4;
-        let spec = majority_spec(n);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let out = MediatorPlan::from_spec(spec, inputs).run_relaxed(10_000, 3);
+        let out = majority(n, &[1; 4])
+            .build()
+            .expect("n − k ≥ 1")
+            .run_relaxed(10_000, 3);
         for p in 0..n {
             assert_eq!(out.moves[p], Some(1));
         }
@@ -413,15 +389,16 @@ mod tests {
     #[test]
     fn wills_are_left_when_configured() {
         let n = 4;
-        let mut spec = majority_spec(n);
-        spec.wills = Some(vec![7; n]);
-        // Mediator never gets enough inputs: 3 players silent (wait_for=3
-        // with k=1,t=0... n−k−t = 3, so make all 4 silent except one).
-        let mut plan = MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; n]);
+        // Mediator never gets enough inputs: wait_for = n−k−t = 3, so
+        // silence everyone except player 0.
+        let mut game = majority(n, &[1; 4]).wills(vec![7; n]);
         for p in 1..n {
-            plan = plan.with_deviant(p, || Box::new(SilentProcess));
+            game = game.deviant(p, || Box::new(SilentProcess));
         }
-        let out = plan.run_with(&SchedulerKind::Random, 5);
+        let out = game
+            .build()
+            .expect("n − k ≥ 1")
+            .run_with(&SchedulerKind::Random, 5);
         // Player 0 deadlocks; AH resolution plays its will.
         assert_eq!(out.moves[0], None);
         let resolved = out.resolve_ah(&vec![0; n + 1]);

@@ -264,21 +264,18 @@ mod tests {
 
     #[test]
     fn pattern_classes_distinguish_schedulers_and_respect_determinism() {
-        use crate::mediator::MediatorGameSpec;
-        use crate::scenario::MediatorPlan;
+        use crate::scenario::Scenario;
         use mediator_circuits::catalog;
         use mediator_field::Fp;
         use mediator_sim::SchedulerKind;
 
         let n = 4;
-        let spec = MediatorGameSpec::standard(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-        );
-        let plan = MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; n]);
+        let plan = Scenario::mediator(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .build()
+            .expect("n − k ≥ 1");
         let run = |kind: &SchedulerKind, seed| plan.run_with(kind, seed).trace;
         // Determinism: same kind + seed → same class.
         let a = run(&SchedulerKind::Fifo, 7);

@@ -446,6 +446,12 @@ impl CheapTalk {
     /// [`ScenarioError::ToleranceTooLarge`]: below that, the machinery
     /// itself (sharing degree `k + t` among `n` points) is meaningless,
     /// not merely unprotected.
+    ///
+    /// The hatch waives this builder's check and nothing below it: the
+    /// robust engine asserts its own `n > 4(k + t)` when a run starts, so
+    /// a sub-threshold 4.1 / 4.4 plan can be built and inspected but
+    /// panics if run; the ε engines' bound is weaker than 4.2's / 4.5's,
+    /// so those plans mostly do run (`tests/scenario_thresholds.rs`).
     pub fn allow_sub_threshold(mut self) -> Self {
         self.allow_sub_threshold = true;
         self
@@ -613,23 +619,6 @@ pub struct CheapTalkPlan {
 }
 
 impl CheapTalkPlan {
-    /// Adopts a hand-built [`CheapTalkSpec`] (e.g. from the
-    /// `CheapTalkSpec::theorem_4_x` constructors) — the escape hatch for
-    /// deliberately sub-threshold experiments: **no theorem threshold check
-    /// happens here**; use [`Scenario::cheap_talk`] for the validated path.
-    pub fn from_spec(spec: CheapTalkSpec, inputs: Vec<Vec<Fp>>) -> Self {
-        assert_eq!(inputs.len(), spec.n);
-        CheapTalkPlan {
-            spec,
-            inputs,
-            behaviors: BTreeMap::new(),
-            scheduler: SchedulerKind::Random,
-            seed: 0,
-            max_steps: 8_000_000,
-            starvation_bound: DEFAULT_CHEAP_TALK_STARVATION_BOUND,
-        }
-    }
-
     /// The validated spec.
     pub fn spec(&self) -> &CheapTalkSpec {
         &self.spec
@@ -644,30 +633,6 @@ impl CheapTalkPlan {
     pub fn with_deviant(mut self, p: usize, behavior: Behavior) -> Self {
         assert!(p < self.spec.n, "deviant {p} out of range");
         self.behaviors.insert(p, behavior);
-        self
-    }
-
-    /// Overrides the single-run scheduler.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
-    /// Overrides the single-run seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the step budget.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Overrides the starvation bound.
-    pub fn starvation_bound(mut self, bound: u64) -> Self {
-        self.starvation_bound = bound;
         self
     }
 
@@ -1048,24 +1013,6 @@ impl fmt::Debug for MediatorPlan {
 }
 
 impl MediatorPlan {
-    /// Adopts a hand-built [`MediatorGameSpec`] (e.g. from
-    /// [`MediatorGameSpec::standard`]) with no validation; use
-    /// [`Scenario::mediator`] for the validated path.
-    pub fn from_spec(spec: MediatorGameSpec, inputs: Vec<Vec<Fp>>) -> Self {
-        assert_eq!(inputs.len(), spec.n);
-        let resolve_defaults = vec![0; spec.n];
-        MediatorPlan {
-            spec,
-            inputs,
-            deviants: BTreeMap::new(),
-            resolve_defaults,
-            starvation_bound: DEFAULT_MEDIATOR_STARVATION_BOUND,
-            scheduler: SchedulerKind::Random,
-            seed: 0,
-            max_steps: 200_000,
-        }
-    }
-
     /// The validated spec.
     pub fn spec(&self) -> &MediatorGameSpec {
         &self.spec
@@ -1085,30 +1032,6 @@ impl MediatorPlan {
     ) -> Self {
         assert!(i < self.spec.n, "deviant {i} out of range");
         self.deviants.insert(i, Arc::new(factory));
-        self
-    }
-
-    /// Overrides the step budget.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Overrides the starvation bound.
-    pub fn starvation_bound(mut self, bound: u64) -> Self {
-        self.starvation_bound = bound;
-        self
-    }
-
-    /// Overrides the single-run scheduler.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
-    /// Overrides the single-run seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -1703,24 +1626,6 @@ mod tests {
         assert_eq!(out.termination, TerminationKind::Quiescent);
         let set = plan.seeds(0..3).threads(2).run_batch();
         assert!((set.pooled().prob(&[1; 5]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mediator_from_spec_batches_resolve_without_panicking() {
-        // The from_spec escape hatch must leave a usable resolver: the
-        // mediator world has n+1 processes and the mediator never moves.
-        let n = 4;
-        let spec = MediatorGameSpec::standard(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-        );
-        let plan = MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; n]);
-        let set = plan.seeds(0..2).threads(1).run_batch();
-        assert!((set.pooled().prob(&[1; 4]) - 1.0).abs() < 1e-12);
-        assert_eq!(set.distributions().len(), 1);
     }
 
     #[test]

@@ -4,24 +4,31 @@
 //! typed [`ScenarioError::Threshold`] (never a panic) otherwise. The
 //! `allow_sub_threshold()` escape hatch waives exactly the theorem check
 //! (the frontier atlas builds its below-boundary cells through it) while
-//! `k + t < n` stays enforced.
+//! `k + t < n` stays enforced. What a hatch-built plan does when *run* is
+//! pinned per theorem at the end: the ε engines carry their own, weaker
+//! bound and run to a typed `TerminationKind`; the robust engine's bound
+//! *is* Theorem 4.1's, so 4.1 and 4.4 plans are refused by the engine's
+//! own assertion — the hatch waives the builder's check, nothing below it.
 
 use mediator_circuits::catalog;
-use mediator_core::scenario::{Scenario, ScenarioError, Theorem};
+use mediator_core::scenario::{CheapTalkPlan, Scenario, ScenarioError, Theorem};
+use mediator_field::Fp;
+use mediator_sim::{SchedulerKind, TerminationKind};
 use proptest::prelude::*;
 
-/// Builds a majority-circuit cheap-talk scenario in the given regime and
-/// returns the builder verdict. `hatch` engages `allow_sub_threshold()`.
-fn try_build_with(
+/// Builds a majority-circuit cheap-talk scenario (all-ones votes) in the
+/// given regime. `hatch` engages `allow_sub_threshold()`.
+fn build_with(
     theorem: Theorem,
     n: usize,
     k: usize,
     t: usize,
     hatch: bool,
-) -> Result<(), ScenarioError> {
+) -> Result<CheapTalkPlan, ScenarioError> {
     let mut builder = Scenario::cheap_talk(catalog::majority_circuit(n))
         .players(n)
-        .tolerance(k, t);
+        .tolerance(k, t)
+        .inputs(vec![vec![Fp::ONE]; n]);
     builder = match theorem {
         Theorem::Robust41 => builder,
         Theorem::Epsilon42 => builder.epsilon(2),
@@ -32,7 +39,18 @@ fn try_build_with(
         builder = builder.allow_sub_threshold();
     }
     assert_eq!(builder.selected_theorem(), theorem);
-    builder.build().map(|_| ())
+    builder.build()
+}
+
+/// The builder verdict alone.
+fn try_build_with(
+    theorem: Theorem,
+    n: usize,
+    k: usize,
+    t: usize,
+    hatch: bool,
+) -> Result<(), ScenarioError> {
+    build_with(theorem, n, k, t, hatch).map(|_| ())
 }
 
 fn try_build(theorem: Theorem, n: usize, k: usize, t: usize) -> Result<(), ScenarioError> {
@@ -159,4 +177,43 @@ fn the_hatch_is_a_no_op_above_the_boundary() {
     // Admitted points build identically with or without the hatch.
     assert!(try_build(Theorem::Robust41, 9, 2, 0).is_ok());
     assert!(try_build_with(Theorem::Robust41, 9, 2, 0, true).is_ok());
+}
+
+/// Runs a hatch-built plan at a point its theorem rejects.
+fn run_sub_threshold(theorem: Theorem, n: usize, k: usize, t: usize) -> mediator_sim::Outcome {
+    assert!(!theorem.admits(n, k, t), "the point must be sub-threshold");
+    build_with(theorem, n, k, t, true)
+        .expect("the hatch builds it")
+        .run_with(&SchedulerKind::Random, 1)
+}
+
+#[test]
+#[should_panic(expected = "robust MPC requires n > 4f")]
+fn a_hatch_built_4_1_plan_is_refused_by_the_robust_engine() {
+    run_sub_threshold(Theorem::Robust41, 4, 1, 0);
+}
+
+#[test]
+fn a_hatch_built_4_2_plan_runs_to_quiescence_when_nobody_deviates() {
+    // n = 6 = 3k: the ε engine only needs n > f + 2 = 4, and with no
+    // deviator to exploit the missing margin everyone decodes the majority.
+    let out = run_sub_threshold(Theorem::Epsilon42, 6, 2, 0);
+    assert_eq!(out.termination, TerminationKind::Quiescent);
+    assert_eq!(out.moves, vec![Some(1); 6]);
+}
+
+#[test]
+#[should_panic(expected = "robust MPC requires n > 4f")]
+fn a_hatch_built_4_4_plan_is_refused_by_the_robust_engine() {
+    run_sub_threshold(Theorem::Punishment44, 3, 1, 0);
+}
+
+#[test]
+fn a_hatch_built_4_5_plan_ends_typed_and_coterminated() {
+    // n = 5 = 2k + 3t: whatever the detection layer decides, the run must
+    // end — not spin out its budget — and end all-or-none.
+    let out = run_sub_threshold(Theorem::EpsilonPunishment45, 5, 1, 1);
+    assert_ne!(out.termination, TerminationKind::BudgetExhausted);
+    let moved = out.moves.iter().filter(|m| m.is_some()).count();
+    assert!(moved == 0 || moved == 5, "mixed ending: {:?}", out.moves);
 }

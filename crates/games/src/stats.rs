@@ -159,21 +159,9 @@ pub fn bootstrap_mean_ci(xs: &[f64], alpha: f64, reps: usize, seed: u64) -> Conf
     }
 }
 
-/// Per-player expected utilities with confidence intervals over
-/// `(types, actions)` samples — the interval-carrying companion of the
-/// point-estimate accounting in `mediator-core`.
-pub fn utilities_ci(
-    game: &crate::game::BayesianGame,
-    runs: &[(Vec<usize>, Vec<usize>)],
-    z: f64,
-) -> Vec<ConfidenceInterval> {
-    let samples: Vec<Vec<f64>> = utility_samples(game, runs);
-    samples.iter().map(|xs| mean_ci(xs, z)).collect()
-}
-
-/// The raw per-player utility sample vectors behind [`utilities_ci`]
-/// (outer index: player; inner: one value per run). Exposed so paired
-/// estimators (common-random-number gains) can difference them run-by-run.
+/// Per-player utility samples over `(types, actions)` runs (outer index:
+/// player; inner: one value per run), so paired estimators
+/// (common-random-number gains) can difference them run-by-run.
 pub fn utility_samples(
     game: &crate::game::BayesianGame,
     runs: &[(Vec<usize>, Vec<usize>)],
@@ -273,15 +261,16 @@ mod tests {
     }
 
     #[test]
-    fn utilities_ci_matches_hand_average() {
+    fn utility_samples_match_hand_average() {
         let (game, _) = crate::library::prisoners_dilemma();
         let runs = vec![
             (vec![0, 0], vec![0, 0]), // (3,3)
             (vec![0, 0], vec![1, 1]), // (1,1)
         ];
-        let cis = utilities_ci(&game, &runs, 1.96);
-        assert_eq!(cis.len(), 2);
-        for ci in &cis {
+        let samples = utility_samples(&game, &runs);
+        assert_eq!(samples, vec![vec![3.0, 1.0]; 2]);
+        for xs in &samples {
+            let ci = mean_ci(xs, 1.96);
             assert!((ci.mean - 2.0).abs() < 1e-12);
             assert!(ci.contains(2.0));
             assert_eq!(ci.samples, 2);

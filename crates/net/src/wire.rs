@@ -2,7 +2,9 @@
 //!
 //! The build container carries no crates.io registry, so there is no serde
 //! derive to lean on; instead every wire type implements [`Wire`] by hand
-//! against two tiny primitives:
+//! against two tiny primitives (the cursor and LEB128 themselves live in
+//! [`mediator_sim::bytes`], shared with the trace-store codec; the trait,
+//! the tag tables and the version bytes below are this format's own):
 //!
 //! * **varint** — unsigned LEB128 (7 data bits per byte, continuation in
 //!   the high bit). Every integer on the wire — lengths, ids, rounds,
@@ -20,7 +22,10 @@
 //! x` across randomly generated protocol messages.
 
 use mediator_field::Fp;
+use mediator_sim::bytes::ByteError;
 use std::fmt;
+
+pub use mediator_sim::bytes::{put_varint, Reader};
 
 /// The wire-format version, written as the first byte of every frame body.
 /// Decoders reject anything else with [`CodecError::UnknownVersion`] —
@@ -102,105 +107,29 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A bounds-checked cursor over a received byte buffer.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts reading at the front of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads an unsigned LEB128 varint. Strict: the 10th byte may only
-    /// carry the single bit that still fits in a `u64` (9 × 7 = 63 bits
-    /// precede it) — an encoding claiming more than 64 bits is rejected,
-    /// never silently truncated, so no two accepted byte strings decode
-    /// to the same value by bit loss.
-    pub fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut value: u64 = 0;
-        for i in 0..10 {
-            let b = self.u8()?;
-            if i == 9 && b > 0x01 {
-                return Err(CodecError::VarintOverflow);
-            }
-            value |= u64::from(b & 0x7F) << (7 * i);
-            if b & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(CodecError::VarintOverflow)
-    }
-
-    /// Reads a `bool` (strict: only 0 and 1 are valid).
-    pub fn boolean(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(CodecError::UnknownTag { what: "bool", tag }),
-        }
-    }
-
-    /// Reads a collection length and vets it against the bytes actually
-    /// remaining (each element needs at least one byte), so a hostile
-    /// length can never drive an allocation.
-    pub fn length(&mut self) -> Result<usize, CodecError> {
-        let announced = self.varint()?;
-        if announced > self.remaining() as u64 {
-            return Err(CodecError::LengthOverrun {
+impl From<ByteError> for CodecError {
+    fn from(e: ByteError) -> Self {
+        match e {
+            ByteError::Truncated => CodecError::Truncated,
+            ByteError::UnknownTag { what, tag } => CodecError::UnknownTag { what, tag },
+            ByteError::VarintOverflow => CodecError::VarintOverflow,
+            ByteError::LengthOverrun {
                 announced,
-                remaining: self.remaining(),
-            });
-        }
-        Ok(announced as usize)
-    }
-
-    /// Reads exactly `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Asserts the buffer is fully consumed.
-    pub fn finish(self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes {
-                extra: self.buf.len() - self.pos,
-            })
+                remaining,
+            } => CodecError::LengthOverrun {
+                announced,
+                remaining,
+            },
+            ByteError::TrailingBytes { extra } => CodecError::TrailingBytes { extra },
         }
     }
 }
 
-/// Appends an unsigned LEB128 varint to `out`.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+/// So a bare cursor read can `?` straight into the transport's error, as
+/// it could when the cursor spoke [`CodecError`] itself.
+impl From<ByteError> for crate::frame::NetError {
+    fn from(e: ByteError) -> Self {
+        CodecError::from(e).into()
     }
 }
 
@@ -234,7 +163,7 @@ impl Wire for u64 {
         put_varint(out, *self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.varint()
+        Ok(r.varint()?)
     }
 }
 
@@ -255,7 +184,7 @@ impl Wire for bool {
         out.push(u8::from(*self));
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.boolean()
+        Ok(r.boolean()?)
     }
 }
 
@@ -607,37 +536,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn varint_round_trips_at_the_boundaries() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX - 1, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut r = Reader::new(&buf);
-            assert_eq!(r.varint().unwrap(), v);
-            r.finish().unwrap();
+    fn every_byte_error_maps_to_the_same_named_codec_error() {
+        // The cursor's own boundary cases are tested once, in
+        // `mediator_sim::bytes`; this format only owes the lift.
+        let pairs = [
+            (ByteError::Truncated, CodecError::Truncated),
+            (
+                ByteError::UnknownTag {
+                    what: "bool",
+                    tag: 2,
+                },
+                CodecError::UnknownTag {
+                    what: "bool",
+                    tag: 2,
+                },
+            ),
+            (ByteError::VarintOverflow, CodecError::VarintOverflow),
+            (
+                ByteError::LengthOverrun {
+                    announced: 9,
+                    remaining: 1,
+                },
+                CodecError::LengthOverrun {
+                    announced: 9,
+                    remaining: 1,
+                },
+            ),
+            (
+                ByteError::TrailingBytes { extra: 3 },
+                CodecError::TrailingBytes { extra: 3 },
+            ),
+        ];
+        for (byte, codec) in pairs {
+            assert_eq!(CodecError::from(byte), codec);
+            assert_eq!(
+                crate::frame::NetError::from(byte),
+                crate::frame::NetError::Codec(codec)
+            );
         }
-    }
-
-    #[test]
-    fn varint_overflow_is_typed() {
-        let buf = [0xFFu8; 11];
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.varint(), Err(CodecError::VarintOverflow));
-    }
-
-    #[test]
-    fn varint_tenth_byte_overflow_bits_are_rejected_not_truncated() {
-        // 9 continuation bytes put the 10th byte's contribution at bit 63:
-        // only 0x00 / 0x01 still fit a u64. 0x40 would silently vanish
-        // under a truncating decoder — it must error instead.
-        let mut bad = vec![0x80u8; 9];
-        bad.push(0x40);
-        let mut r = Reader::new(&bad);
-        assert_eq!(r.varint(), Err(CodecError::VarintOverflow));
-        // The one legal 10-byte encoding: the top bit itself.
-        let mut top = vec![0x80u8; 9];
-        top.push(0x01);
-        let mut r = Reader::new(&top);
-        assert_eq!(r.varint(), Ok(1u64 << 63));
     }
 
     #[test]

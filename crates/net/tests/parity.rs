@@ -120,7 +120,13 @@ fn mediator_game_over_mem_matches_in_process_outcome_kinds() {
 fn budget_exhaustion_travels_the_wire() {
     // A starved step budget terminates the networked run with the same
     // kind the in-process run reports.
-    let plan = majority_plan(5).max_steps(40);
+    let plan = Scenario::cheap_talk(catalog::majority_circuit(5))
+        .players(5)
+        .tolerance(1, 0)
+        .inputs(vec![vec![Fp::ONE]; 5])
+        .max_steps(40)
+        .build()
+        .expect("n = 5 > 4k+4t = 4");
     let local = plan.run_with(&SchedulerKind::Fifo, 1);
     assert_eq!(local.termination, TerminationKind::BudgetExhausted);
     let networked = plan

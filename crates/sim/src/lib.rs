@@ -32,6 +32,8 @@
 //!   to), `finish` into the ordinary [`Outcome`].
 //! * [`covert`] — the Proposition 6.1 covert channel: players signalling
 //!   values to the content-blind scheduler via counted self-messages.
+//! * [`bytes`] — the byte kernel (bounds-checked cursor, strict LEB128)
+//!   the wire codec and the trace-store codec both decode through.
 //!
 //! # Example
 //!
@@ -56,6 +58,7 @@
 //! assert_eq!(outcome.moves[1], Some(42));
 //! ```
 
+pub mod bytes;
 pub mod covert;
 pub mod process;
 pub mod sansio;

@@ -276,13 +276,6 @@ impl<T> RunOutputs<T> {
     }
 }
 
-impl<T: Clone> RunOutputs<T> {
-    /// Snapshots all outputs.
-    pub fn snapshot(&self) -> Vec<Option<T>> {
-        self.slots.borrow().clone()
-    }
-}
-
 /// Converts a machine output into the process's move in the underlying game
 /// (see [`SansIoProcess::with_move`]).
 pub type MoveMap<O> = Box<dyn Fn(&O) -> Action>;

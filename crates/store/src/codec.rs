@@ -6,13 +6,17 @@
 //! integer, one `u8` tag per enum, and strict decoding — unknown tags,
 //! truncated buffers, hostile lengths, and trailing garbage all surface a
 //! typed [`StoreError`], never a panic and never a silent best-effort
-//! value. The store does **not** share code with the wire codec on
-//! purpose: a trace log outlives any one process, so its format must not
-//! drift when the transport's does — the two evolve (and version)
-//! independently.
+//! value. The two share the byte primitives ([`mediator_sim::bytes`]: the
+//! cursor and LEB128) and nothing else: a trace log outlives any one
+//! process, so its *format* — the [`StoreCodec`] impls, the tag tables and
+//! the version byte — must not drift when the transport's does. The two
+//! evolve (and version) independently.
 
+use mediator_sim::bytes::ByteError;
 use mediator_sim::{ReplayScript, SchedulerKind, TerminationKind, TraceEvent};
 use std::fmt;
+
+pub use mediator_sim::bytes::{put_varint, Reader};
 
 /// A typed store-format failure. Everything malformed — a truncated file,
 /// a corrupted record, an unknown tag — maps to one of these.
@@ -120,103 +124,21 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// A bounds-checked cursor over a store byte buffer.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts reading at the front of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, StoreError> {
-        let b = *self.buf.get(self.pos).ok_or(StoreError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads an unsigned LEB128 varint. Strict: the 10th byte may only
-    /// carry the single bit that still fits a `u64`, so no two accepted
-    /// byte strings decode to the same value by bit loss.
-    pub fn varint(&mut self) -> Result<u64, StoreError> {
-        let mut value: u64 = 0;
-        for i in 0..10 {
-            let b = self.u8()?;
-            if i == 9 && b > 0x01 {
-                return Err(StoreError::VarintOverflow);
-            }
-            value |= u64::from(b & 0x7F) << (7 * i);
-            if b & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(StoreError::VarintOverflow)
-    }
-
-    /// Reads a `bool` (strict: only 0 and 1 are valid).
-    pub fn boolean(&mut self) -> Result<bool, StoreError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(StoreError::UnknownTag { what: "bool", tag }),
-        }
-    }
-
-    /// Reads a collection length and vets it against the bytes actually
-    /// remaining (each element needs at least one byte), so a hostile
-    /// length can never drive an allocation.
-    pub fn length(&mut self) -> Result<usize, StoreError> {
-        let announced = self.varint()?;
-        if announced > self.remaining() as u64 {
-            return Err(StoreError::LengthOverrun {
+impl From<ByteError> for StoreError {
+    fn from(e: ByteError) -> Self {
+        match e {
+            ByteError::Truncated => StoreError::Truncated,
+            ByteError::UnknownTag { what, tag } => StoreError::UnknownTag { what, tag },
+            ByteError::VarintOverflow => StoreError::VarintOverflow,
+            ByteError::LengthOverrun {
                 announced,
-                remaining: self.remaining(),
-            });
+                remaining,
+            } => StoreError::LengthOverrun {
+                announced,
+                remaining,
+            },
+            ByteError::TrailingBytes { extra } => StoreError::TrailingBytes { extra },
         }
-        Ok(announced as usize)
-    }
-
-    /// Reads exactly `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.remaining() < n {
-            return Err(StoreError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Asserts the buffer is fully consumed.
-    pub fn finish(self) -> Result<(), StoreError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(StoreError::TrailingBytes {
-                extra: self.buf.len() - self.pos,
-            })
-        }
-    }
-}
-
-/// Appends an unsigned LEB128 varint to `out`.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
 }
 
@@ -250,7 +172,7 @@ impl StoreCodec for u64 {
         put_varint(out, *self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        r.varint()
+        Ok(r.varint()?)
     }
 }
 
@@ -268,7 +190,7 @@ impl StoreCodec for bool {
         out.push(u8::from(*self));
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        r.boolean()
+        Ok(r.boolean()?)
     }
 }
 
@@ -658,13 +580,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn varint_round_trips_at_the_boundaries() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX - 1, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut r = Reader::new(&buf);
-            assert_eq!(r.varint().unwrap(), v);
-            r.finish().unwrap();
+    fn every_byte_error_maps_to_the_same_named_store_error() {
+        // The cursor's own boundary cases are tested once, in
+        // `mediator_sim::bytes`; this format only owes the lift.
+        let pairs = [
+            (ByteError::Truncated, StoreError::Truncated),
+            (
+                ByteError::UnknownTag {
+                    what: "bool",
+                    tag: 2,
+                },
+                StoreError::UnknownTag {
+                    what: "bool",
+                    tag: 2,
+                },
+            ),
+            (ByteError::VarintOverflow, StoreError::VarintOverflow),
+            (
+                ByteError::LengthOverrun {
+                    announced: 9,
+                    remaining: 1,
+                },
+                StoreError::LengthOverrun {
+                    announced: 9,
+                    remaining: 1,
+                },
+            ),
+            (
+                ByteError::TrailingBytes { extra: 3 },
+                StoreError::TrailingBytes { extra: 3 },
+            ),
+        ];
+        for (byte, store) in pairs {
+            assert_eq!(StoreError::from(byte), store);
         }
     }
 

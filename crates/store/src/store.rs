@@ -598,7 +598,7 @@ fn scan_appended(buf: &[u8], base: u64) -> Result<Vec<(u64, usize, u64)>, StoreE
 
 /// Reads just the event count off a chunk payload.
 fn chunk_event_count(payload: &[u8]) -> Result<u64, StoreError> {
-    Reader::new(payload).varint()
+    Ok(Reader::new(payload).varint()?)
 }
 
 /// Streaming iterator over one run's retained events: decodes one chunk

@@ -44,11 +44,6 @@ impl OecState {
         self.decoded.as_ref().map(|(p, _)| p)
     }
 
-    /// Number of distinct share points received.
-    pub fn point_count(&self) -> usize {
-        self.points.len()
-    }
-
     /// Adds the share of player `index` (point `x = index+1`) and retries
     /// acceptance. Returns the secret when first accepted. Duplicate senders
     /// keep their first value (equivocation to the same reconstructor is

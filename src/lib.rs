@@ -87,7 +87,6 @@ pub mod prelude {
         ScenarioError, SessionPlan, Theorem, DEFAULT_CHEAP_TALK_STARVATION_BOUND,
         DEFAULT_MEDIATOR_STARVATION_BOUND,
     };
-    pub use mediator_core::{CheapTalkSpec, CtVariant, MediatorGameSpec};
     pub use mediator_field::Fp;
     pub use mediator_games::dist::OutcomeDist;
     pub use mediator_games::library;

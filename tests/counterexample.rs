@@ -5,7 +5,7 @@
 use mediator_talk::circuits::catalog;
 use mediator_talk::core::adversary::Conformance;
 use mediator_talk::core::deviations::CounterexampleColluder;
-use mediator_talk::core::{MediatorGameSpec, MediatorPlan, Scenario};
+use mediator_talk::core::Scenario;
 use mediator_talk::games::{library, punishment, Strategy};
 use mediator_talk::sim::SchedulerKind;
 
@@ -18,10 +18,14 @@ fn run(n: usize, naive: bool, collude: bool, seed: u64) -> Vec<usize> {
     } else {
         catalog::counterexample_minfo(n)
     };
-    let mut spec = MediatorGameSpec::standard(n, k, 0, circuit, vec![vec![]; n]);
-    spec.naive_split = naive;
-    spec.wills = Some(vec![BOT; n]);
-    let mut plan = MediatorPlan::from_spec(spec, vec![vec![]; n]);
+    let mut game = Scenario::mediator(circuit)
+        .players(n)
+        .tolerance(k, 0)
+        .wills(vec![BOT; n]);
+    if naive {
+        game = game.naive_split();
+    }
+    let mut plan = game.build().expect("n − k ≥ 1");
     if collude {
         plan = plan
             .with_deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))

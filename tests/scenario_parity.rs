@@ -3,12 +3,12 @@
 //! `Outcome::fingerprint()`, which hashes the full message pattern, moves,
 //! wills, halted flags, counters and termination.
 //!
-//! Pins: hand-built spec (`from_spec`) vs the validated `Scenario` builder
-//! for the cheap-talk plan, the mediator plan and `run_relaxed`;
-//! session-vs-closed-loop; batch-vs-individual and thread-count invariance
-//! of `run_batch`; `Machines::run` vs a stepped `Machines::session`.
+//! Pins: session-vs-closed-loop; `run_relaxed` with a blackout that never
+//! begins vs the closed loop under `Random`; batch-vs-individual and
+//! thread-count invariance of `run_batch`; `Machines::run` vs a stepped
+//! `Machines::session`. (There is one way to construct a plan — the
+//! `Scenario` builder — so there is no construction fork to pin.)
 
-use mediator_talk::core::deviations::SilentProcess;
 use mediator_talk::prelude::*;
 
 const N: usize = 5;
@@ -21,69 +21,14 @@ fn ct_inputs() -> Vec<Vec<Fp>> {
         .collect()
 }
 
-fn ct_plan(behaviors: &[(usize, Behavior)]) -> CheapTalkPlan {
-    let mut b = Scenario::cheap_talk(catalog::majority_circuit(N))
+fn ct_plan() -> CheapTalkPlan {
+    Scenario::cheap_talk(catalog::majority_circuit(N))
         .players(N)
         .tolerance(1, 0)
         .inputs(ct_inputs())
-        .max_steps(2_000_000);
-    for (p, beh) in behaviors {
-        b = b.deviant(*p, beh.clone());
-    }
-    b.build().expect("5 > 4")
-}
-
-fn ct_spec() -> CheapTalkSpec {
-    CheapTalkSpec::theorem_4_1(
-        N,
-        1,
-        0,
-        catalog::majority_circuit(N),
-        vec![vec![Fp::ZERO]; N],
-        vec![0; N],
-    )
-}
-
-fn assert_same_runs(
-    what: &str,
-    kinds: Vec<SchedulerKind>,
-    a: impl Fn(&SchedulerKind, u64) -> Outcome,
-    b: impl Fn(&SchedulerKind, u64) -> Outcome,
-) {
-    for kind in kinds {
-        for seed in SEEDS {
-            assert_eq!(
-                a(&kind, seed).fingerprint(),
-                b(&kind, seed).fingerprint(),
-                "{what}: {kind:?} seed {seed}"
-            );
-        }
-    }
-}
-
-#[test]
-fn cheap_talk_from_spec_matches_builder_across_battery() {
-    let spec_plan = CheapTalkPlan::from_spec(ct_spec(), ct_inputs()).max_steps(2_000_000);
-    let built = ct_plan(&[]);
-    assert_same_runs(
-        "honest",
-        SchedulerKind::battery(N),
-        |k, s| spec_plan.run_with(k, s),
-        |k, s| built.run_with(k, s),
-    );
-    // One more input: a deviant registered on the plan vs on the builder.
-    let liar = Behavior {
-        lie_in_opens: true,
-        ..Behavior::default()
-    };
-    let spec_plan = spec_plan.with_deviant(2, liar.clone());
-    let built = ct_plan(&[(2, liar)]);
-    assert_same_runs(
-        "opening liar",
-        vec![SchedulerKind::Random, SchedulerKind::Lifo],
-        |k, s| spec_plan.run_with(k, s),
-        |k, s| built.run_with(k, s),
-    );
+        .max_steps(2_000_000)
+        .build()
+        .expect("5 > 4")
 }
 
 fn med_plan() -> MediatorPlan {
@@ -96,50 +41,12 @@ fn med_plan() -> MediatorPlan {
         .expect("n − k − t ≥ 1")
 }
 
-fn med_spec_plan(wills: Option<Vec<u64>>) -> MediatorPlan {
-    let mut spec = MediatorGameSpec::standard(
-        N,
-        1,
-        0,
-        catalog::majority_circuit(N),
-        vec![vec![Fp::ZERO]; N],
-    );
-    spec.wills = wills;
-    MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; N]).max_steps(100_000)
-}
-
 #[test]
-fn mediator_from_spec_matches_builder_across_battery() {
-    let (spec_plan, built) = (med_spec_plan(None), med_plan());
-    assert_same_runs(
-        "honest",
-        SchedulerKind::battery(N),
-        |k, s| spec_plan.run_with(k, s),
-        |k, s| built.run_with(k, s),
-    );
-    // One more input: a deviant process registered on the plan vs on the
-    // builder.
-    let spec_plan = spec_plan.with_deviant(2, || Box::new(SilentProcess));
-    let built = Scenario::mediator(catalog::majority_circuit(N))
-        .players(N)
-        .tolerance(1, 0)
-        .inputs(vec![vec![Fp::ONE]; N])
-        .deviant(2, || Box::new(SilentProcess))
-        .max_steps(100_000)
-        .build()
-        .expect("n − k − t ≥ 1");
-    assert_same_runs(
-        "silent player",
-        vec![SchedulerKind::Random],
-        |k, s| spec_plan.run_with(k, s),
-        |k, s| built.run_with(k, s),
-    );
-}
-
-#[test]
-fn relaxed_from_spec_matches_builder() {
-    let spec_plan = med_spec_plan(Some(vec![7; N]));
-    let built = Scenario::mediator(catalog::majority_circuit(N))
+fn relaxed_run_without_a_blackout_matches_the_random_closed_loop() {
+    // A relaxed scheduler picks like `Random` until its blackout begins, so
+    // one that never begins must be the closed loop under `Random`, byte
+    // for byte; one that does begin must actually withhold the STOP batch.
+    let plan = Scenario::mediator(catalog::majority_circuit(N))
         .players(N)
         .tolerance(1, 0)
         .inputs(vec![vec![Fp::ONE]; N])
@@ -147,20 +54,19 @@ fn relaxed_from_spec_matches_builder() {
         .max_steps(100_000)
         .build()
         .expect("n − k − t ≥ 1");
-    let drop_after = N as u64 + 1;
     for seed in SEEDS {
-        let (a, b) = (
-            spec_plan.run_relaxed(drop_after, seed),
-            built.run_relaxed(drop_after, seed),
-        );
-        assert!(a.trace.dropped_count() > 0, "the blackout must bite");
-        assert_eq!(a.fingerprint(), b.fingerprint(), "seed {seed}");
+        let never = plan.run_relaxed(u64::MAX, seed);
+        let closed = plan.run_with(&SchedulerKind::Random, seed);
+        assert_eq!(never.fingerprint(), closed.fingerprint(), "seed {seed}");
+        let blackout = plan.run_relaxed(N as u64 + 1, seed);
+        assert!(blackout.trace.dropped_count() > 0, "the blackout must bite");
+        assert_ne!(blackout.fingerprint(), closed.fingerprint(), "seed {seed}");
     }
 }
 
 #[test]
 fn session_matches_closed_loop_for_both_game_kinds() {
-    let plan = ct_plan(&[]);
+    let plan = ct_plan();
     for kind in [SchedulerKind::Random, SchedulerKind::Fifo] {
         let closed = plan.run_with(&kind, 1);
         let open = plan.session_with(&kind, 1).finish();
@@ -184,7 +90,7 @@ fn session_matches_closed_loop_for_both_game_kinds() {
 
 #[test]
 fn batch_matches_individual_runs_and_is_thread_invariant() {
-    let plan = ct_plan(&[]);
+    let plan = ct_plan();
     let kinds = vec![SchedulerKind::Random, SchedulerKind::Lifo];
     let sequential = plan
         .battery(kinds.clone())

@@ -1,42 +1,46 @@
 //! Integration: the resilience thresholds of Theorems 4.1–4.5, end to end.
 
-use mediator_talk::circuits::catalog;
-use mediator_talk::core::deviations::Behavior;
-use mediator_talk::core::{CheapTalkPlan, CheapTalkSpec};
-use mediator_talk::field::Fp;
-use mediator_talk::sim::SchedulerKind;
+use mediator_talk::core::scenario::CheapTalk;
+use mediator_talk::prelude::*;
 
-fn ones(n: usize) -> Vec<Vec<Fp>> {
-    vec![vec![Fp::ONE]; n]
+/// The all-ones majority workload at `(n, k, t)`, regime still open.
+fn majority(n: usize, k: usize, t: usize) -> CheapTalk {
+    Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(k, t)
+        .inputs(vec![vec![Fp::ONE]; n])
 }
 
 #[test]
 fn theorem_4_1_exact_threshold_accepted_and_below_rejected() {
     for f in 1..=2usize {
-        // n = 4f + 1 accepted...
-        let spec = CheapTalkSpec::theorem_4_1(
-            4 * f + 1,
-            f,
-            0,
-            catalog::majority_circuit(4 * f + 1),
-            vec![vec![Fp::ZERO]; 4 * f + 1],
-            vec![0; 4 * f + 1],
+        // n = 4f + 1 accepted, by the builder and by the engine under it...
+        let plan = majority(4 * f + 1, f, 0).build().expect("n = 4f + 1");
+        assert_eq!(plan.spec().f(), f);
+        plan.spec()
+            .mpc_config()
+            .validate(plan.spec().circuit.inputs_per_player());
+        // ... n = 4f rejected by the builder with the typed threshold...
+        let err = majority(4 * f, f, 0).build().expect_err("n = 4f");
+        assert_eq!(
+            err,
+            ScenarioError::Threshold {
+                theorem: Theorem::Robust41,
+                n: 4 * f,
+                k: f,
+                t: 0
+            }
         );
-        assert_eq!(spec.f(), f);
-        spec.mpc_config().validate(spec.circuit.inputs_per_player());
-        // ... n = 4f rejected (the OEC liveness bound fails).
-        let spec_low = CheapTalkSpec::theorem_4_1(
-            4 * f,
-            f,
-            0,
-            catalog::majority_circuit(4 * f),
-            vec![vec![Fp::ZERO]; 4 * f],
-            vec![0; 4 * f],
-        );
+        // ... and, past the explicit hatch, by the engine itself (the OEC
+        // liveness bound fails).
+        let low = majority(4 * f, f, 0)
+            .allow_sub_threshold()
+            .build()
+            .expect("the hatch waives the theorem check");
         let res = std::panic::catch_unwind(|| {
-            spec_low
+            low.spec()
                 .mpc_config()
-                .validate(spec_low.circuit.inputs_per_player())
+                .validate(low.spec().circuit.inputs_per_player())
         });
         assert!(res.is_err(), "n = 4f must be rejected (f = {f})");
     }
@@ -46,14 +50,6 @@ fn theorem_4_1_exact_threshold_accepted_and_below_rejected() {
 fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
     // n = 4f+1 with f = k+t = 2: one silent + one lying player.
     let n = 9;
-    let spec = CheapTalkSpec::theorem_4_1(
-        n,
-        1,
-        1,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
     let silent = Behavior {
         silent: true,
         ..Behavior::default()
@@ -62,10 +58,12 @@ fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
         lie_in_opens: true,
         ..Behavior::default()
     };
-    let out = CheapTalkPlan::from_spec(spec, ones(n))
-        .with_deviant(0, silent)
-        .with_deviant(1, liar)
+    let out = majority(n, 1, 1)
+        .deviant(0, silent)
+        .deviant(1, liar)
         .max_steps(20_000_000)
+        .build()
+        .expect("9 > 8")
         .run_with(&SchedulerKind::Random, 5);
     for p in 2..n {
         assert_eq!(out.moves[p], Some(1), "player {p}");
@@ -75,32 +73,18 @@ fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
 #[test]
 fn theorem_4_2_threshold_n_3f_plus_1_runs() {
     let n = 4; // f = 1
-    let spec = CheapTalkSpec::theorem_4_2(
-        n,
-        0,
-        1,
-        2,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
-    let out = CheapTalkPlan::from_spec(spec, ones(n)).run_with(&SchedulerKind::Random, 9);
+    let out = majority(n, 0, 1)
+        .epsilon(2)
+        .build()
+        .expect("4 > 3")
+        .run_with(&SchedulerKind::Random, 9);
     assert_eq!(out.resolve_default(&vec![0; n]), vec![1; n]);
 }
 
 #[test]
 fn theorem_4_4_crash_cannot_split_honest_players() {
     let n = 6;
-    let spec = CheapTalkSpec::theorem_4_4(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![5; n],
-        vec![0; n],
-    );
-    let plan = CheapTalkPlan::from_spec(spec, ones(n));
+    let plan = majority(n, 1, 0).wills(vec![5; n]).build().expect("6 > 3");
     for seed in 0..8u64 {
         let crash = Behavior {
             crash_after_sends: Some(25 + 10 * seed),
@@ -125,17 +109,12 @@ fn theorem_4_4_crash_cannot_split_honest_players() {
 fn theorem_4_5_runs_at_2k_3t_plus_1() {
     let (k, t) = (1usize, 1usize);
     let n = 2 * k + 3 * t + 1; // 6
-    let spec = CheapTalkSpec::theorem_4_5(
-        n,
-        k,
-        t,
-        2,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![5; n],
-        vec![0; n],
-    );
-    let out = CheapTalkPlan::from_spec(spec, ones(n)).run_with(&SchedulerKind::Random, 11);
+    let out = majority(n, k, t)
+        .epsilon(2)
+        .wills(vec![5; n])
+        .build()
+        .expect("6 > 5")
+        .run_with(&SchedulerKind::Random, 11);
     let moves = out.resolve_default(&vec![0; n]);
     assert_eq!(moves, vec![1; n]);
 }
@@ -148,15 +127,10 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
     // player the deviator targets): the robust protocol must still deliver
     // the right outcome to everyone who moves.
     let n = 5;
-    let spec = CheapTalkSpec::theorem_4_1(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
-    let plan = CheapTalkPlan::from_spec(spec, ones(n)).max_steps(20_000_000);
+    let plan = majority(n, 1, 0)
+        .max_steps(20_000_000)
+        .build()
+        .expect("5 > 4");
     for (deviator, victim) in [(0usize, 1usize), (2, 3)] {
         for behavior in [
             Behavior {
@@ -189,15 +163,10 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
 #[test]
 fn adversarial_schedulers_do_not_change_the_robust_outcome() {
     let n = 5;
-    let spec = CheapTalkSpec::theorem_4_1(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
-    let plan = CheapTalkPlan::from_spec(spec, ones(n)).max_steps(20_000_000);
+    let plan = majority(n, 1, 0)
+        .max_steps(20_000_000)
+        .build()
+        .expect("5 > 4");
     for kind in SchedulerKind::battery(n) {
         let out = plan.run_with(&kind, 3);
         assert_eq!(
