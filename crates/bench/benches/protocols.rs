@@ -1,6 +1,6 @@
 //! Protocol-level benchmarks: one bench per theorem transform plus the
 //! mediator-game baseline and the EGL curve (the timing companion to the
-//! message-count tables E1–E5/E9 of the experiments binary).
+//! message-count tables E5/E9 of the experiments binary).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mediator_bench::ones_inputs;

@@ -1,424 +1,197 @@
-//! The experiment harness: regenerates every quantitative claim of the
-//! paper as a table (DESIGN.md §4 maps experiments to claims).
+//! The experiment harness: the tables no test suite certifies (E5, E6,
+//! E8–E10) and the artifact modes (`--conformance`, `--frontier`,
+//! `--replay`). DESIGN.md §4 maps every claim of the paper to the
+//! experiment or the suite that carries it.
 //!
 //! ```sh
-//! cargo run -p mediator-bench --release --bin experiments            # all
-//! cargo run -p mediator-bench --release --bin experiments -- --e7   # one
+//! cargo run -p mediator-bench --release --bin experiments            # all tables
+//! cargo run -p mediator-bench --release --bin experiments -- --e6   # one
 //! ```
 
 use mediator_bench::*;
 use mediator_circuits::catalog;
-use mediator_core::adversary::{sweep_unit_plan, Conformance, SweepPlan, SweepUnit};
-use mediator_core::deviations::{Behavior, CounterexampleColluder, SilentProcess};
+use mediator_core::adversary::{Conformance, SweepPlan};
 use mediator_core::egl;
+use mediator_core::frontier::companion_plan;
 use mediator_core::implement::compare_run_sets;
 use mediator_core::min_info;
-use mediator_core::report::{check, f4, json_escape, Table};
-use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario, SessionPlan};
+use mediator_core::report::{f4, Table};
+use mediator_core::scenario::Scenario;
 use mediator_games::library;
-use mediator_games::punishment;
-use mediator_games::solution;
 use mediator_sim::covert::{CovertDecoder, CovertSender};
 use mediator_sim::{Process, SchedulerKind, TerminationKind, World};
+use mediator_store::{
+    record_witness, replay_witness, PlanKind, ReplayError, RunHeader, StoredRun, TraceStore,
+    WitnessRecipe,
+};
+use std::path::Path;
 
-/// The value of option `name`, given as `name=v` or as `name v`.
-fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .enumerate()
-        .find_map(|(i, a)| match a.strip_prefix(name)? {
-            "" => args.get(i + 1).map(String::as_str),
-            rest => rest.strip_prefix('='),
-        })
+/// The command line, parsed once: the `--fast` modifier and the valued
+/// options, each given as `--x v` or `--x=v`.
+#[derive(Debug, Default, PartialEq)]
+struct Options {
+    fast: bool,
+    /// `--shard N`: also run the sweep over N in-process mem workers and
+    /// assert the rendered artifact byte-identical to the local fan-out.
+    shard: Option<usize>,
+    out: Option<String>,
+    witness_out: Option<String>,
+    replay: Option<String>,
 }
 
-/// The table experiments, in the order `main` runs them.
-const EXPERIMENTS: [&str; 11] = [
-    "--e1", "--e1b", "--e2", "--e3", "--e4", "--e5", "--e6", "--e7", "--e8", "--e9", "--e10",
+impl Options {
+    /// Seeds per scheduler kind of the sampling tables.
+    fn samples(&self) -> usize {
+        if self.fast {
+            20
+        } else {
+            60
+        }
+    }
+}
+
+/// One thing the binary can do. The table below is the single source of
+/// the usage text, the selection and the dispatch.
+struct Command {
+    flag: &'static str,
+    /// The valued options the command reads, `(option, metavariable)`:
+    /// none for a table experiment; a command that reads any is an
+    /// artifact mode — it runs alone, and exits nonzero when its check
+    /// fails (see the doc comment of the function it calls).
+    takes: &'static [(&'static str, &'static str)],
+    run: fn(&Options),
+}
+
+impl Command {
+    fn is_table(&self) -> bool {
+        self.takes.is_empty()
+    }
+}
+
+const SWEEP_OPTIONS: &[(&str, &str)] = &[
+    ("--shard", "N"),
+    ("--out", "FILE"),
+    ("--witness-out", "FILE"),
 ];
 
-const USAGE: &str = "usage: experiments [--fast] [--all | --e1 --e1b --e2 … --e10]
-       experiments --conformance | --frontier [--fast] [--shard N] [--out FILE] [--witness-out FILE]
-       experiments --tamper [--out FILE]
-       experiments --replay FILE";
+/// In the order a table run executes them.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { flag: "--e5", takes: &[], run: |_| e5_message_scaling() },
+    Command { flag: "--e6", takes: &[], run: |o| e6_implementation(o.samples()) },
+    Command { flag: "--e8", takes: &[], run: |_| e8_min_info() },
+    Command { flag: "--e9", takes: &[], run: |_| e9_egl() },
+    Command { flag: "--e10", takes: &[], run: |o| e10_scheduler_collusion(o.samples()) },
+    Command { flag: "--conformance", takes: SWEEP_OPTIONS, run: conformance_battery },
+    Command { flag: "--frontier", takes: SWEEP_OPTIONS, run: frontier_atlas },
+    Command { flag: "--replay", takes: &[("--replay", "FILE")], run: replay_store },
+];
 
-/// Which table experiments `args` select, or the first argument that is
-/// not recognised. Modifiers (`--fast`), the artifact modes and valued
-/// options (with their values) select nothing; no selection means all.
-fn selection(args: &[String]) -> Result<Vec<&'static str>, &str> {
-    let mut picked = Vec::new();
+fn tables() -> impl Iterator<Item = &'static Command> {
+    COMMANDS.iter().filter(|c| c.is_table())
+}
+
+fn usage() -> String {
+    let tables: Vec<&str> = tables().map(|c| c.flag).collect();
+    let mut text = format!("usage: experiments [--all | {}]", tables.join(" "));
+    for c in COMMANDS.iter().filter(|c| !c.is_table()) {
+        text.push_str(&format!("\n       experiments {}", c.flag));
+        for (option, value) in c.takes {
+            // A command whose own flag takes the value spells it bare.
+            if *option == c.flag {
+                text.push_str(&format!(" {value}"));
+            } else {
+                text.push_str(&format!(" [{option} {value}]"));
+            }
+        }
+    }
+    text + "\n       (--fast cuts the sample counts of any of the above)"
+}
+
+/// The commands `args` select and the options they run under, or what is
+/// wrong with the line. No selection means every table; an artifact mode
+/// runs alone; a valued option needs a usable value and a selected
+/// command that reads it.
+fn parse(args: &[String]) -> Result<(Vec<&'static Command>, Options), String> {
+    let mut opts = Options::default();
+    let mut picked: Vec<&'static Command> = Vec::new();
+    let mut given: Vec<&str> = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        let (name, inline_value) = match arg.split_once('=') {
-            Some((name, _)) => (name, true),
-            None => (arg.as_str(), false),
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
         };
-        match name {
-            "--all" => picked.extend(EXPERIMENTS),
-            "--fast" | "--tamper" | "--frontier" | "--conformance" => {}
-            "--out" | "--witness-out" | "--shard" | "--replay" => {
-                if !inline_value {
-                    args.next();
-                }
-            }
-            _ => match EXPERIMENTS.iter().find(|e| **e == name) {
-                Some(e) => picked.push(*e),
-                None => return Err(arg),
+        let mut value = || {
+            given.push(name);
+            inline
+                .or_else(|| args.next().map(String::as_str))
+                .filter(|v| !v.is_empty())
+                .map(str::to_string)
+                .ok_or(format!("`{name}` needs a value"))
+        };
+        let command = COMMANDS.iter().find(|c| c.flag == name);
+        match (name, inline) {
+            ("--fast", None) => opts.fast = true,
+            ("--all", None) => picked.extend(tables()),
+            ("--out", _) => opts.out = Some(value()?),
+            ("--witness-out", _) => opts.witness_out = Some(value()?),
+            ("--shard", _) => match value()?.parse() {
+                Ok(workers) if workers > 0 => opts.shard = Some(workers),
+                _ => return Err("`--shard` takes a worker count ≥ 1".to_string()),
             },
+            ("--replay", _) => {
+                opts.replay = Some(value()?);
+                picked.extend(command);
+            }
+            (_, None) if command.is_some() => picked.extend(command),
+            _ => return Err(format!("unrecognised argument `{arg}`")),
         }
     }
     if picked.is_empty() {
-        picked.extend(EXPERIMENTS);
+        picked.extend(tables());
     }
-    Ok(picked)
+    if picked.len() > 1 {
+        if let Some(mode) = picked.iter().find(|c| !c.is_table()) {
+            return Err(format!("`{}` runs alone", mode.flag));
+        }
+    }
+    for option in given {
+        let reads = |c: &&Command| c.takes.iter().any(|(o, _)| *o == option);
+        if let Some(deaf) = picked.iter().find(|c| !reads(c)) {
+            return Err(format!("`{option}` does not apply to `{}`", deaf.flag));
+        }
+    }
+    Ok((picked, opts))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let selected = selection(&args).unwrap_or_else(|unknown| {
-        eprintln!("experiments: unrecognised argument `{unknown}`\n{USAGE}");
+    let (commands, opts) = parse(&args).unwrap_or_else(|problem| {
+        eprintln!("experiments: {problem}\n{}", usage());
         std::process::exit(2);
     });
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let want = |name: &str| selected.contains(&name);
-    let fast = flag("--fast");
-    let samples = if fast { 20 } else { 60 };
-    let out = opt(&args, "--out");
-    let witness_out = opt(&args, "--witness-out");
-    // `--shard N`: also run the sweep over N in-process mem workers and
-    // assert the rendered artifact byte-identical to the local fan-out.
-    let shard = || opt(&args, "--shard").map(|v| v.parse().expect("--shard takes a worker count"));
-
-    // The artifact modes; each exits nonzero when its check fails (see the
-    // doc comment of the function it calls).
-    if flag("--tamper") {
-        tamper_battery(out.unwrap_or("TAMPER.json"));
-        return;
+    if commands[0].is_table() {
+        println!("# mediator-talk experiment harness");
+        println!("# paper: Implementing Mediators with Asynchronous Cheap Talk (PODC 2019)");
     }
-    if flag("--frontier") {
-        frontier_atlas(
-            out.unwrap_or("FRONTIER.json"),
-            witness_out.unwrap_or("FRONTIER-WITNESS.mtrc"),
-            fast,
-            shard(),
-        );
-        return;
-    }
-    if flag("--conformance") {
-        conformance_battery(
-            out.unwrap_or("CONFORMANCE.json"),
-            witness_out.unwrap_or("WITNESS.mtrc"),
-            fast,
-            shard(),
-        );
-        return;
-    }
-    if let Some(path) = opt(&args, "--replay") {
-        replay_store(path);
-        return;
-    }
-
-    println!("# mediator-talk experiment harness");
-    println!("# paper: Implementing Mediators with Asynchronous Cheap Talk (PODC 2019)");
-
-    if want("--e1") {
-        e1_thresholds_robust(samples);
-    }
-    if want("--e1") || want("--e1b") {
-        e1b_conformance_cells(if fast { 10 } else { 30 });
-    }
-    if want("--e2") {
-        e2_epsilon(samples);
-    }
-    if want("--e3") {
-        e3_punishment(samples);
-        e3b_relaxed_deadlock(samples);
-    }
-    if want("--e4") {
-        e4_eps_punishment(samples);
-    }
-    if want("--e5") {
-        e5_message_scaling();
-    }
-    if want("--e6") {
-        e6_implementation(samples);
-    }
-    if want("--e7") {
-        e7_counterexample(if fast { 100 } else { 400 });
-    }
-    if want("--e8") {
-        e8_min_info();
-    }
-    if want("--e9") {
-        e9_egl();
-    }
-    if want("--e10") {
-        e10_scheduler_collusion(samples);
+    for command in commands {
+        (command.run)(&opts);
     }
 }
 
-/// `--tamper` — the Byzantine-relay smoke battery (DESIGN.md §10): each
-/// wire tactic runs paired, once against a plain service (the attack must
-/// *succeed* — the cheap-talk outcome diverges from the honest baseline)
-/// and once against an authenticated one (the attack must *die* — typed
-/// `AuthFailure`, honest neighbor session unaffected). Writes the verdict
-/// rows to `out` as JSON and panics — failing CI — on any wrong cell.
-fn tamper_battery(out: &str) {
-    use mediator_core::adversary::{Window, OPEN_LIE_OFFSET};
-    use mediator_net::tamper::{
-        run_tampered_pair, TamperPlan, TamperedPair, TransportKind, WireTactic, TARGET_SID,
-    };
-    use mediator_net::{AuthKey, DeliveryOrder, NetError, ServiceConfig, TamperKind};
-    use std::time::Duration;
-
-    let n = 5;
-    let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-        .players(n)
-        .tolerance(1, 0)
-        .inputs(ones_inputs(n))
-        .build()
-        .expect("n = 5 > 4k+4t = 4");
-    let baseline = plan.run_with(&SchedulerKind::Fifo, 0);
-    let base_profile = baseline.resolve_default(&vec![0; n]);
-    let cfg = |auth: bool| {
-        let base = ServiceConfig {
-            idle_timeout: Duration::from_millis(1500),
-            attach_timeout: Duration::from_secs(10),
-            attach_grace: Duration::from_millis(100),
-            delivery: DeliveryOrder::Arrival,
-            ..ServiceConfig::default()
-        };
-        if auth {
-            base.with_auth(AuthKey::from_seed(0xfeed))
-        } else {
-            base
-        }
-    };
-
-    // (name, transport, plan): one cell per tactic, alternating transports.
-    let cells: Vec<(&str, TransportKind, TamperPlan)> = vec![
-        (
-            "rewrite",
-            TransportKind::Mem,
-            TamperPlan::against(TARGET_SID).tactic(
-                Window::all(),
-                WireTactic::Rewrite {
-                    offset: OPEN_LIE_OFFSET,
-                },
-            ),
-        ),
-        (
-            "redirect",
-            TransportKind::Tcp,
-            TamperPlan::against(TARGET_SID).tactic(Window::all(), WireTactic::Redirect),
-        ),
-        (
-            "replay-splice",
-            TransportKind::Mem,
-            TamperPlan::against(TARGET_SID)
-                .tactic(Window::between(0, 10), WireTactic::Replay)
-                .tactic(Window::between(10, 20), WireTactic::Drop),
-        ),
-        (
-            "truncate",
-            TransportKind::Tcp,
-            TamperPlan::against(TARGET_SID)
-                .tactic(Window::between(5, 6), WireTactic::Truncate { cut: 4 }),
-        ),
-        (
-            "drop",
-            TransportKind::Mem,
-            TamperPlan::against(TARGET_SID).tactic(Window::between(5, 15), WireTactic::Drop),
-        ),
-    ];
-
-    // How each plain-channel attack is expected to land, and which typed
-    // verdict the authenticated run must produce. Drop is the documented
-    // limitation: undetectable by MACs, owned by IdleTimeout in both modes.
-    let describe = |pair: &TamperedPair| -> String {
-        match &pair.target {
-            Ok(o) if o.resolve_default(&vec![0; n]) != base_profile => {
-                format!("silent corruption ({:?}, wrong profile)", o.termination)
-            }
-            Ok(o) => format!("{:?} (baseline profile)", o.termination),
-            Err(e) => format!("{e:?}"),
-        }
-    };
-    let mut rows: Vec<(String, String, String, bool, bool)> = Vec::new();
-    let mut all_ok = true;
-    for (name, transport, tp) in &cells {
-        let plain = run_tampered_pair(
-            &plan,
-            *transport,
-            cfg(false),
-            tp.clone(),
-            SchedulerKind::Fifo,
-            0,
-        );
-        let authed = run_tampered_pair(
-            &plan,
-            *transport,
-            cfg(true),
-            tp.clone(),
-            SchedulerKind::Fifo,
-            0,
-        );
-        let attack_succeeded = match &plain.target {
-            Ok(o) => o.resolve_default(&vec![0; n]) != base_profile,
-            Err(_) => true,
-        };
-        let (detected, honest_ok) = match (*name, &authed.target) {
-            ("drop", Err(NetError::IdleTimeout { .. })) => (true, authed.honest.is_ok()),
-            (_, Err(NetError::AuthFailure { session, kind, .. })) => {
-                let expect = match *name {
-                    "rewrite" | "redirect" => TamperKind::BadMac,
-                    "replay-splice" => TamperKind::Replayed,
-                    "truncate" => TamperKind::Truncated,
-                    _ => unreachable!("drop handled above"),
-                };
-                (
-                    *session == TARGET_SID && *kind == expect,
-                    authed.honest.is_ok(),
-                )
-            }
-            _ => (false, authed.honest.is_ok()),
-        };
-        let pass = attack_succeeded && detected && honest_ok;
-        all_ok &= pass;
-        rows.push((
-            format!("{name} ({transport:?})"),
-            describe(&plain),
-            describe(&authed),
-            honest_ok,
-            pass,
-        ));
-    }
-
-    let mut t = Table::new(
-        "Byzantine-relay battery: attack succeeds plain / dies authenticated",
-        &[
-            "tactic (cell)",
-            "plain channel",
-            "authenticated",
-            "honest ok",
-            "pass",
-        ],
-    );
-    for (name, plain, authed, honest, pass) in &rows {
-        t.row(vec![
-            name.clone(),
-            plain.clone(),
-            authed.clone(),
-            check(*honest),
-            check(*pass),
-        ]);
-    }
-    print!("{t}");
-
-    let mut json = String::from("{\n  \"entries\": [\n");
-    for (i, (name, plain, authed, honest, pass)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"cell\": \"{}\", \"plain\": \"{}\", \
-             \"authenticated\": \"{}\", \"honest_unaffected\": {honest}, \
-             \"pass\": {pass} }}{}\n",
-            json_escape(name),
-            json_escape(plain),
-            json_escape(authed),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).expect("write tamper JSON");
-    println!("wrote {out}");
-    assert!(
-        all_ok,
-        "tamper battery: at least one cell misbehaved (see table)"
-    );
-}
-
-/// The Theorem 4.1 cheap-talk working point of the conformance battery
-/// (n = 5 > 4k + 4t) — factored out so `--replay` can rebuild the exact
-/// plan a stored witness names.
-fn conformance_cheap_talk_plan() -> CheapTalkPlan {
-    let n = 5;
-    Scenario::cheap_talk(catalog::majority_circuit(n))
-        .players(n)
-        .tolerance(1, 0)
-        .inputs(ones_inputs(n))
-        .build()
-        .expect("5 > 4")
-}
-
-/// The §6.4 naive mediator of the conformance battery (n = 7, k = 2 —
-/// below the 4.1 bound, so the harness must find the deviation).
-fn conformance_naive_plan() -> MediatorPlan {
-    let n = 7;
-    let (_, _, k) = library::counterexample_game(n);
-    let bot = library::BOTTOM as u64;
-    Scenario::mediator(catalog::counterexample_naive(n))
-        .players(n)
-        .tolerance(k, 0)
-        .naive_split()
-        .wills(vec![bot; n])
-        .resolve_defaults(vec![bot; n])
-        .build()
-        .expect("n − k ≥ 1")
-}
-
-/// The minimally-informative §6.4 fix of the conformance battery.
-fn conformance_minfo_plan() -> MediatorPlan {
-    let n = 7;
-    let (_, _, k) = library::counterexample_game(n);
-    let bot = library::BOTTOM as u64;
-    Scenario::mediator(catalog::counterexample_minfo(n))
-        .players(n)
-        .tolerance(k, 0)
-        .wills(vec![bot; n])
-        .resolve_defaults(vec![bot; n])
-        .build()
-        .expect("n − k ≥ 1")
-}
-
-/// The cell a witness names — a generated deviation, or the honest plan
-/// for `None` — rebuilt through the sweep's own `(strategy, coalition)`
-/// lookup: the one place a strategy name that no battery generates (a
-/// stale or hand-edited store) is diagnosed.
-fn witness_cell<P: SweepPlan>(
-    plan: &P,
-    strategy: Option<&str>,
-    coalition: &[usize],
-    deadlock: Option<u64>,
-) -> Result<P, String> {
-    // Only the deadlock action of the configuration reaches cell
-    // generation; the claim and the sampling plan play no part in it.
-    let mut cfg = Conformance::new(0.0, coalition.len(), 0);
-    if let Some(action) = deadlock {
-        cfg = cfg.deadlock_action(action);
-    }
-    let unit = SweepUnit {
-        strategy: strategy.map(str::to_string),
-        coalition: coalition.to_vec(),
-    };
-    sweep_unit_plan(plan, &unit, &cfg).ok_or_else(|| {
-        format!(
-            "no generated strategy '{}' for coalition {coalition:?}",
-            strategy.unwrap_or("honest")
-        )
-    })
-}
-
-/// Re-runs one conformance sweep sharded over `workers` in-process mem
-/// workers and asserts the rendered report is **byte-identical** to the
-/// already-computed local fan-out — the `--shard N` differential pin.
+/// Under `--shard N`, re-runs one conformance sweep sharded over N
+/// in-process mem workers and asserts the rendered report is
+/// **byte-identical** to the already-computed local fan-out.
 fn shard_check<P: SweepPlan>(
     name: &str,
-    workers: usize,
+    shard: Option<usize>,
     plan: &P,
-    game: &mediator_games::BayesianGame,
-    types: &[usize],
-    conf: &Conformance,
+    (game, types, conf): (&mediator_games::BayesianGame, &[usize], &Conformance),
     local: &mediator_core::adversary::ConformanceReport,
 ) {
     use mediator_net::{ShardConfig, ShardedSweep, TransportKind};
+    let Some(workers) = shard else { return };
     let cfg = ShardConfig::default().lease_deadline(std::time::Duration::from_secs(60));
     let (sharded, log) = conf.sharded(plan, game, types, workers, TransportKind::Mem, &cfg);
     assert_eq!(
@@ -437,13 +210,15 @@ fn shard_check<P: SweepPlan>(
 /// the Theorem 4.1 cheap talk at a paper-valid working point (must be
 /// resilient), the §6.4 naive mediator below the 4.1 bound (the harness
 /// must *find* the profitable deviation), and the minimally-informative
-/// fix (resilient again). Writes all three reports to `out` as JSON,
-/// persists every Violated verdict's witness run as a replayable trace
-/// in `witness_out` (one `experiments -- --replay <path>` from a rerun),
-/// and panics — failing CI — on any unexpected verdict. With
-/// `shard = Some(n)` every sweep also runs sharded over `n` workers and
-/// must render byte-identically (see [`shard_check`]).
-fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<usize>) {
+/// fix (resilient again). Writes all three reports to `--out` as JSON,
+/// persists the §6.4 witness run as a replayable trace in `--witness-out`
+/// (one `experiments -- --replay <path>` from a rerun), and panics —
+/// failing CI — on any unexpected verdict. With `--shard N` every sweep
+/// also runs sharded and must render byte-identically ([`shard_check`]).
+fn conformance_battery(opts: &Options) {
+    let out = opts.out.as_deref().unwrap_or("CONFORMANCE.json");
+    let witness_out = opts.witness_out.as_deref().unwrap_or("WITNESS.mtrc");
+    let (fast, shard) = (opts.fast, opts.shard);
     let seeds = if fast { 16 } else { 48 };
     let ct_seeds = if fast { 3 } else { 6 };
     println!(
@@ -454,8 +229,13 @@ fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<u
 
     // Theorem 4.1 working point: n = 5 > 4k + 4t.
     let n = 5;
-    let game = library::byzantine_agreement_game(n);
-    let plan = conformance_cheap_talk_plan();
+    let (game, types) = (library::byzantine_agreement_game(n), vec![1usize; n]);
+    let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(n))
+        .build()
+        .expect("5 > 4");
     let ct_conf = Conformance::new(0.05, 1, 0)
         .battery(if fast {
             vec![SchedulerKind::Random]
@@ -467,72 +247,51 @@ fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<u
             ]
         })
         .seeds(ct_seeds);
-    let report = plan.conformance(&game, &vec![1usize; n], &ct_conf);
+    let sweep = (&game, &types[..], &ct_conf);
+    let report = plan.conformance(&game, &types, &ct_conf);
     assert!(
         report.is_resilient(),
         "Theorem 4.1 cheap talk must be resilient: {:?}",
         report.verdict
     );
-    if let Some(w) = shard {
-        shard_check(
-            "cheap_talk_thm41_n5",
-            w,
-            &plan,
-            &game,
-            &vec![1usize; n],
-            &ct_conf,
-            &report,
-        );
-    }
+    shard_check("cheap_talk_thm41_n5", shard, &plan, sweep, &report);
     entries.push(("cheap_talk_thm41_n5", report));
 
     // §6.4: naive mediator at n = 7, k = 2 (n ≤ 4k — below the 4.1 bound).
     let n = 7;
     let (game, _, k) = library::counterexample_game(n);
-    let bot = library::BOTTOM as u64;
+    let (bot, types) = (library::BOTTOM as u64, vec![0usize; n]);
     let cfg = Conformance::new(0.01, k, 0)
         .battery(vec![SchedulerKind::Random])
         .seeds(seeds)
         .coalitions(vec![vec![0], vec![0, 1]])
         .deadlock_action(bot);
-    let naive = conformance_naive_plan();
-    let report = naive.conformance(&game, &vec![0; n], &cfg);
+    let naive = companion_plan(n, k, 0);
+    let sweep = (&game, &types[..], &cfg);
+    let report = naive.conformance(&game, &types, &cfg);
     let witness = report
         .witness()
         .expect("the naive mediator's profitable deviation must be found")
         .clone();
     assert_eq!(witness.strategy, "deadlock-if-bit=0");
-    if let Some(w) = shard {
-        shard_check(
-            "naive_mediator_sec6_4",
-            w,
-            &naive,
-            &game,
-            &vec![0; n],
-            &cfg,
-            &report,
-        );
-    }
+    shard_check("naive_mediator_sec6_4", shard, &naive, sweep, &report);
     entries.push(("naive_mediator_sec6_4", report));
 
-    let fixed = conformance_minfo_plan();
-    let report = fixed.conformance(&game, &vec![0; n], &cfg);
+    // The minimally-informative fix: same game, same sweep.
+    let fixed = Scenario::mediator(catalog::counterexample_minfo(n))
+        .players(n)
+        .tolerance(k, 0)
+        .wills(vec![bot; n])
+        .resolve_defaults(vec![bot; n])
+        .build()
+        .expect("n − k ≥ 1");
+    let report = fixed.conformance(&game, &types, &cfg);
     assert!(
         report.is_resilient(),
         "min-info mediator must be resilient: {:?}",
         report.verdict
     );
-    if let Some(w) = shard {
-        shard_check(
-            "min_info_mediator_sec6_4",
-            w,
-            &fixed,
-            &game,
-            &vec![0; n],
-            &cfg,
-            &report,
-        );
-    }
+    shard_check("min_info_mediator_sec6_4", shard, &fixed, sweep, &report);
     entries.push(("min_info_mediator_sec6_4", report));
 
     let mut t = Table::new(
@@ -574,62 +333,26 @@ fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<u
     std::fs::write(out, json).expect("write conformance JSON");
     println!("wrote {out}");
 
-    // Persist every Violated verdict's witness run as a replayable trace:
-    // the deviant cell is rebuilt from its (strategy, coalition) recipe,
-    // re-run at the witnessing (scheduler, seed), and recorded with the
-    // recipe in the header metadata so `--replay` needs nothing else.
-    let mut wstore = mediator_store::TraceStore::create(std::path::Path::new(witness_out))
-        .expect("create witness trace store");
-    let mut stored = 0u64;
-    for (i, (name, rep)) in entries.iter().enumerate() {
-        let Some(w) = rep.witness() else { continue };
-        let (plan_kind, outcome, n, k) = match *name {
-            "cheap_talk_thm41_n5" => {
-                let base = conformance_cheap_talk_plan();
-                let cell = witness_cell(&base, Some(&w.strategy), &w.coalition, None)
-                    .expect("the sweep's own witness");
-                let out = cell.run_with(&w.kind, w.seed);
-                (mediator_store::PlanKind::CheapTalk, out, 5u64, 1u64)
-            }
-            med @ ("naive_mediator_sec6_4" | "min_info_mediator_sec6_4") => {
-                let base = if med == "naive_mediator_sec6_4" {
-                    conformance_naive_plan()
-                } else {
-                    conformance_minfo_plan()
-                };
-                let cell = witness_cell(&base, Some(&w.strategy), &w.coalition, Some(bot))
-                    .expect("the sweep's own witness");
-                let out = cell.run_with(&w.kind, w.seed);
-                (mediator_store::PlanKind::Mediator, out, 7u64, k as u64)
-            }
-            other => panic!("no witness recipe for conformance entry '{other}'"),
-        };
-        let coalition = w
-            .coalition
-            .iter()
-            .map(|m| m.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut header = mediator_store::RunHeader::bare(i as u64, w.seed);
-        header.kind = Some(w.kind.clone());
-        header.plan = plan_kind;
-        header.n = n;
-        header.k = k;
-        header.meta = vec![
-            ("entry".to_string(), name.to_string()),
-            ("strategy".to_string(), w.strategy.clone()),
-            ("coalition".to_string(), coalition),
-            ("deadlock".to_string(), bot.to_string()),
-        ];
-        wstore.record(header, &outcome).expect("record witness");
-        stored += 1;
-    }
-    if stored > 0 {
-        println!("stored {stored} witness trace(s) → {witness_out}");
-        println!(
-            "reproduce: cargo run -p mediator-bench --bin experiments -- --replay {witness_out}"
-        );
-    }
+    // Persist the Violated verdict's witness run as a replayable trace (the
+    // asserts above leave the naive mediator's — entry 1 — as the only one).
+    let recipe = WitnessRecipe {
+        entry: "naive_mediator_sec6_4".to_string(),
+        cell: None,
+        strategy: witness.strategy.clone(),
+        coalition: witness.coalition.clone(),
+        deadlock: bot,
+    };
+    let header = RunHeader {
+        kind: Some(witness.kind.clone()),
+        plan: PlanKind::Mediator,
+        n: n as u64,
+        k: k as u64,
+        ..RunHeader::bare(1, witness.seed)
+    };
+    let mut wstore = TraceStore::create(Path::new(witness_out)).expect("create witness store");
+    record_witness(&mut wstore, header, &naive, &recipe).expect("record witness");
+    println!("stored 1 witness trace(s) → {witness_out}");
+    println!("reproduce: cargo run -p mediator-bench --bin experiments -- --replay {witness_out}");
 }
 
 /// `--frontier` — the lower-bound frontier atlas (DESIGN.md §13): run the
@@ -638,11 +361,15 @@ fn conformance_battery(out: &str, witness_out: &str, fast: bool, shard: Option<u
 /// the deterministic `FRONTIER.json`. With `--shard N` the grid
 /// additionally runs over the PR 9 coordinator/worker plane and the
 /// artifact is asserted byte-identical to the local fan-out.
-fn frontier_atlas(out: &str, witness_out: &str, fast: bool, shard: Option<usize>) {
-    use mediator_core::frontier::{companion_plan, run_frontier_local, FrontierSpec, BOT};
-    use mediator_store::FrontierRecipe;
+fn frontier_atlas(opts: &Options) {
+    use mediator_core::frontier::{run_frontier_local, FrontierSpec, BOT};
+    let out = opts.out.as_deref().unwrap_or("FRONTIER.json");
+    let witness_out = opts
+        .witness_out
+        .as_deref()
+        .unwrap_or("FRONTIER-WITNESS.mtrc");
 
-    let spec = if fast {
+    let spec = if opts.fast {
         FrontierSpec::fast()
     } else {
         FrontierSpec::full()
@@ -688,7 +415,7 @@ fn frontier_atlas(out: &str, witness_out: &str, fast: bool, shard: Option<usize>
 
     // The sharded differential: the whole grid over the coordinator/
     // worker plane must render the identical artifact, byte for byte.
-    if let Some(workers) = shard {
+    if let Some(workers) = opts.shard {
         use mediator_net::{run_frontier_sharded, ShardConfig, TransportKind};
         let cfg = ShardConfig::default().lease_deadline(std::time::Duration::from_secs(60));
         let (sharded, log) = run_frontier_sharded(&spec, workers, TransportKind::Mem, &cfg);
@@ -710,565 +437,94 @@ fn frontier_atlas(out: &str, witness_out: &str, fast: bool, shard: Option<usize>
     std::fs::write(out, atlas.to_json()).expect("write FRONTIER.json");
     println!("wrote {out}");
 
-    // Persist every Violated cell's witness as a replayable trace: the
-    // deviant companion plan is rebuilt from the cell coordinates and the
-    // witness's (strategy, coalition) recipe, re-run at the witnessing
-    // (scheduler, seed), and recorded under a typed FrontierRecipe header
-    // so `--replay` needs nothing else.
-    let mut wstore = mediator_store::TraceStore::create(std::path::Path::new(witness_out))
-        .expect("create frontier witness store");
+    // Persist every Violated cell's witness as a replayable trace, over
+    // the companion plan at the cell's coordinates.
+    let mut wstore = TraceStore::create(Path::new(witness_out)).expect("create witness store");
     let mut stored = 0u64;
-    for (i, r) in atlas.violated().enumerate() {
+    for r in atlas.violated() {
         let w = r.witness.as_ref().expect("violated cells carry witnesses");
-        let plan = companion_plan(r.cell.n, r.cell.k, r.cell.t);
-        let cell = witness_cell(&plan, Some(&w.strategy), &w.coalition, Some(BOT))
-            .expect("the sweep's own witness");
-        let outcome = cell.run_with(&w.kind, w.seed);
-        let recipe = FrontierRecipe {
-            theorem: r.cell.theorem.name().to_string(),
-            cell_key: r.cell.key(),
+        let recipe = WitnessRecipe {
+            entry: WitnessRecipe::FRONTIER_ENTRY.to_string(),
+            cell: Some((r.cell.theorem.name().to_string(), r.cell.key())),
             strategy: w.strategy.clone(),
             coalition: w.coalition.clone(),
             deadlock: BOT,
         };
-        let mut header = mediator_store::RunHeader::bare(i as u64, w.seed);
-        header.kind = Some(w.kind.clone());
-        header.plan = mediator_store::PlanKind::Mediator;
-        header.n = r.cell.n as u64;
-        header.k = r.cell.k as u64;
-        header.t = r.cell.t as u64;
-        header.meta = recipe.meta();
-        wstore.record(header, &outcome).expect("record witness");
+        let header = RunHeader {
+            kind: Some(w.kind.clone()),
+            plan: PlanKind::Mediator,
+            n: r.cell.n as u64,
+            k: r.cell.k as u64,
+            t: r.cell.t as u64,
+            ..RunHeader::bare(stored, w.seed)
+        };
+        let plan = companion_plan(r.cell.n, r.cell.k, r.cell.t);
+        record_witness(&mut wstore, header, &plan, &recipe).expect("record witness");
         stored += 1;
     }
     println!("stored {stored} witness trace(s) → {witness_out}");
     println!("reproduce: cargo run -p mediator-bench --bin experiments -- --replay {witness_out}");
 }
 
-/// `--replay <store>` — re-enacts every run persisted in a trace log and
-/// checks each reproduces byte-identically: the header's metadata names
-/// the conformance entry and the (strategy, coalition) recipe, the plan
-/// is rebuilt from the same single-sourced deviant-cell tables the sweep
-/// used, and [`mediator_store::replay_plan`] pins the re-recorded trace
-/// against the stored one. Exits nonzero on any divergence.
-fn replay_store(path: &str) {
-    let store =
-        mediator_store::TraceStore::open(std::path::Path::new(path)).expect("open trace store");
-    println!("# replaying {} stored run(s) from {path}", store.len());
-    let mut failures = 0usize;
-    for id in store.ids().collect::<Vec<_>>() {
-        let run = store.load(id).expect("stored run loads");
-        let entry = run.header.meta_value("entry").unwrap_or("?").to_string();
-        let strategy = run.header.meta_value("strategy").map(str::to_string);
-        let coalition: Vec<usize> = run
-            .header
-            .meta_value("coalition")
-            .map(|s| {
-                s.split(',')
-                    .filter(|p| !p.is_empty())
-                    .map(|p| p.parse().expect("coalition member id"))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let deadlock: Option<u64> = run
-            .header
-            .meta_value("deadlock")
-            .and_then(|s| s.parse().ok());
-        // Rebuild the recorded cell (the base plan itself when the header
-        // names no strategy) and pin its re-enactment against the store.
-        fn replay<P: SweepPlan + SessionPlan>(
-            base: &P,
-            strategy: Option<&str>,
-            coalition: &[usize],
-            deadlock: Option<u64>,
-            run: &mediator_store::StoredRun,
-        ) -> Result<TerminationKind, String> {
-            let cell = witness_cell(base, strategy, coalition, deadlock)?;
-            mediator_store::replay_plan(&cell, run)
-                .map(|r| r.termination)
-                .map_err(|e| format!("{e:?}"))
-        }
-        let named = strategy.as_deref();
-        let result = match entry.as_str() {
-            // (Cheap-talk cells do not read the deadlock action.)
-            "cheap_talk_thm41_n5" => replay(
-                &conformance_cheap_talk_plan(),
-                named,
-                &coalition,
-                deadlock,
-                &run,
-            ),
-            "naive_mediator_sec6_4" => {
-                replay(&conformance_naive_plan(), named, &coalition, deadlock, &run)
-            }
-            "min_info_mediator_sec6_4" => {
-                replay(&conformance_minfo_plan(), named, &coalition, deadlock, &run)
-            }
-            mediator_store::FrontierRecipe::ENTRY => {
-                // A frontier-atlas witness: the header's typed recipe plus
-                // its (n, k, t) fields rebuild the companion plan and its
-                // deviant cell from scratch.
-                let recipe = mediator_store::FrontierRecipe::from_header(&run.header)
-                    .expect("frontier witnesses carry a well-formed recipe");
-                let plan = mediator_core::frontier::companion_plan(
-                    run.header.n as usize,
-                    run.header.k as usize,
-                    run.header.t as usize,
-                );
-                replay(
-                    &plan,
-                    Some(&recipe.strategy),
-                    &recipe.coalition,
-                    Some(recipe.deadlock),
-                    &run,
-                )
-            }
-            other => {
-                println!("run {id}: no recipe for entry '{other}', skipped");
-                continue;
-            }
-        };
-        let strategy = strategy.as_deref().unwrap_or("honest");
-        let cell = format!(
-            "{entry} / {strategy} / coalition {coalition:?} / {:?} seed {}",
-            run.header.kind, run.header.seed
-        );
-        match result {
-            Ok(t) => println!("run {id} [{cell}]: reproduced byte-identically, {t:?}"),
-            Err(e) => {
-                failures += 1;
-                println!("run {id} [{cell}]: REPLAY FAILED: {e}");
-            }
-        }
+/// Re-enacts one stored run over the base plan its recipe's `entry`
+/// names; the line to print when it reproduced. A run no recipe rebuilds
+/// — none in the header, or an entry this binary does not know — is
+/// [`ReplayError::NoRecipe`], not a skip.
+fn replay_stored(run: &StoredRun) -> Result<String, ReplayError> {
+    let recipe = WitnessRecipe::from_header(&run.header)?;
+    let h = &run.header;
+    let (n, k, t) = (h.n as usize, h.k as usize, h.t as usize);
+    // Both kinds of witness deviate from the §6.4 companion plan at the
+    // header's coordinates (the conformance entry's are (7, 2, 0); its two
+    // sibling entries must come back resilient, so they never persist one).
+    let known = ["naive_mediator_sec6_4", WitnessRecipe::FRONTIER_ENTRY];
+    if !known.contains(&recipe.entry.as_str()) || k + t >= n {
+        return Err(ReplayError::NoRecipe { key: "entry" });
     }
-    if failures > 0 {
-        eprintln!("{failures} stored run(s) failed to reproduce");
+    let report = replay_witness(&companion_plan(n, k, t), run)?;
+    Ok(format!(
+        "[{} / {} / coalition {:?} / {:?} seed {}]: reproduced byte-identically, {:?}",
+        recipe.entry, recipe.strategy, recipe.coalition, h.kind, h.seed, report.termination
+    ))
+}
+
+/// `(reproduced, failed, no recipe)` over the replay results of a store.
+fn tally<T>(results: &[Result<T, ReplayError>]) -> (usize, usize, usize) {
+    let reproduced = results.iter().filter(|r| r.is_ok()).count();
+    let no_recipe = results
+        .iter()
+        .filter(|r| matches!(r, Err(ReplayError::NoRecipe { .. })))
+        .count();
+    let failed = results.len() - reproduced - no_recipe;
+    (reproduced, failed, no_recipe)
+}
+
+/// `--replay <store>` — re-enacts every run persisted in a trace log
+/// through [`replay_witness`] and checks each reproduces byte-identically.
+/// Ends with the counts and exits nonzero unless at least one run
+/// reproduced and none failed or lacked a recipe: an empty store, or one
+/// of service sessions, reproduces nothing and must not pass.
+fn replay_store(opts: &Options) {
+    let path = opts
+        .replay
+        .as_deref()
+        .expect("`--replay` parses with its value");
+    let store = TraceStore::open(Path::new(path)).expect("open trace store");
+    println!("# replaying {} stored run(s) from {path}", store.len());
+    let mut results = Vec::new();
+    for id in store.ids() {
+        let result = replay_stored(&store.load(id).expect("stored run loads"));
+        match &result {
+            Ok(line) => println!("run {id} {line}"),
+            Err(e) => println!("run {id}: NOT REPRODUCED: {e}"),
+        }
+        results.push(result);
+    }
+    let (reproduced, failed, no_recipe) = tally(&results);
+    println!("reproduced {reproduced} / failed {failed} / no recipe {no_recipe}");
+    if reproduced == 0 || failed + no_recipe > 0 {
         std::process::exit(1);
     }
-    println!("all runs reproduced");
-}
-
-/// E1 — Theorem 4.1: `n > 4k + 4t` suffices for full robustness; below it
-/// the construction is rejected (the OEC liveness bound is unsatisfiable).
-fn e1_thresholds_robust(samples: usize) {
-    let mut t = Table::new(
-        "E1 — Theorem 4.1 thresholds (robust cheap talk, majority mediator)",
-        &[
-            "k",
-            "t",
-            "n",
-            "paper",
-            "built?",
-            "honest ok",
-            "f silent ok",
-            "f liars ok",
-            "msgs/run",
-        ],
-    );
-    for &(k, tt) in &[(1usize, 0usize), (0, 1), (1, 1)] {
-        let f = k + tt;
-        for n in [4 * f, 4 * f + 1, 4 * f + 3] {
-            let paper = if n > 4 * f {
-                "n > 4k+4t ✓"
-            } else {
-                "n ≤ 4k+4t ✗"
-            };
-            // The builder validates the Theorem 4.1 threshold at build
-            // time; below 4f+1 decoding the degree-2f product openings
-            // with f errors is information-theoretically impossible
-            // anyway (see vss::reconstruct for the ambiguity witness).
-            let built = Scenario::cheap_talk(catalog::majority_circuit(n))
-                .players(n)
-                .tolerance(k, tt)
-                .inputs(ones_inputs(n))
-                .build();
-            let Ok(plan) = built else {
-                t.row(vec![
-                    k.to_string(),
-                    tt.to_string(),
-                    n.to_string(),
-                    paper.into(),
-                    check(false),
-                    "—".into(),
-                    "—".into(),
-                    "—".into(),
-                    "—".into(),
-                ]);
-                continue;
-            };
-            // Three seed-sweep batches: honest, f players silent, f
-            // players lying in openings.
-            let deviant_plan = |b: Behavior| {
-                let mut p = plan.clone();
-                for player in 0..f {
-                    p = p.with_deviant(player, b.clone());
-                }
-                p
-            };
-            let honest = plan.seeds(0..samples as u64).run_batch();
-            let honest_ok = honest
-                .outcomes()
-                .all(|out| out.resolve_default(&vec![0; n]) == vec![1; n]);
-            let msgs: u64 = honest.outcomes().map(|o| o.messages_sent).sum();
-            let silent_ok = deviant_plan(Behavior {
-                silent: true,
-                ..Behavior::default()
-            })
-            .seeds(0..samples as u64)
-            .run_batch()
-            .outcomes()
-            .all(|out| (f..n).all(|p| out.moves[p] == Some(1)));
-            let liar_ok = deviant_plan(Behavior {
-                lie_in_opens: true,
-                ..Behavior::default()
-            })
-            .seeds(0..samples as u64)
-            .run_batch()
-            .outcomes()
-            .all(|out| (f..n).all(|p| out.moves[p] == Some(1)));
-            t.row(vec![
-                k.to_string(),
-                tt.to_string(),
-                n.to_string(),
-                paper.into(),
-                check(true),
-                check(honest_ok),
-                check(silent_ok),
-                check(liar_ok),
-                (msgs / samples as u64).to_string(),
-            ]);
-        }
-    }
-    print!("{t}");
-}
-
-/// E1b — the conformance cells for coalition {2} on the Byzantine-agreement
-/// game: paired gain and harm intervals per generated strategy (Theorem
-/// 4.1's "equilibrium survives the transform" claim, measured), next to
-/// what the same deviation costs in the mediator game.
-fn e1b_conformance_cells(seeds: u64) {
-    let n = 5;
-    let game = library::byzantine_agreement_game(n);
-    let types = vec![1usize; n];
-    let report = conformance_cheap_talk_plan().conformance(
-        &game,
-        &types,
-        &Conformance::new(0.05, 1, 0)
-            .battery(vec![SchedulerKind::Random])
-            .seeds(seeds)
-            .coalitions(vec![vec![2]]),
-    );
-
-    // Theorem 4.1's actual claim: the cheap talk matches the *mediator game*
-    // under the same deviation. Compute the mediator-game honest harm for
-    // the not-moving deviations (the deviator simply never moves there too,
-    // and its default 0 breaks unanimity just as in the cheap-talk game).
-    let med = Scenario::mediator(catalog::majority_circuit(n))
-        .players(n)
-        .tolerance(1, 0)
-        .inputs(ones_inputs(n))
-        .deviant(2, || Box::new(SilentProcess))
-        .build()
-        .expect("n − k − t ≥ 1")
-        .seeds(0..seeds)
-        .run_batch();
-    let honest_sum: f64 = med
-        .outcomes()
-        .map(|out| game.utilities(&types, &med.profile(out))[0])
-        .sum();
-    let med_harm_not_moving = 1.0 - honest_sum / seeds as f64; // baseline honest utility is 1
-
-    let ci = |c: &mediator_games::ConfidenceInterval| {
-        format!("{} [{}, {}]", f4(c.mean), f4(c.lo), f4(c.hi))
-    };
-    let mut t = Table::new(
-        "E1b — conformance cells on the robust cheap talk (BA game, coalition {2}; mean [95% CI], paired)",
-        &[
-            "deviation",
-            "deviator gain",
-            "honest harm (CT)",
-            "honest harm (mediator game)",
-            "note",
-        ],
-    );
-    for cell in &report.cells {
-        let (med_harm, note) = match cell.strategy.as_str() {
-            "silent" | "refuse-move" => (
-                f4(med_harm_not_moving),
-                "not moving breaks unanimity — in both games equally",
-            ),
-            "crash-mid" => ("≤ same".to_string(), "tolerated: f = 1 crash is corrected"),
-            "lie-opens" => (
-                "n/a (no openings)".to_string(),
-                "corrected by OEC: no gain, no harm",
-            ),
-            "lie-input" => ("0.0000".to_string(), "own input; unanimity keeps majority"),
-            _ => (String::new(), "generated message-level strategy"),
-        };
-        t.row(vec![
-            cell.strategy.clone(),
-            ci(&cell.gain),
-            ci(&cell.harm),
-            med_harm,
-            note.into(),
-        ]);
-    }
-    print!("{t}");
-    println!(
-        "max deviator gain over the battery: {} — no message-level attack profits; \
-         the only honest harm comes from the deviator not moving, which costs the \
-         honest players exactly as much in the mediator game (implementation, not protocol weakness)",
-        f4(report.max_gain()),
-    );
-}
-
-/// E2 — Theorem 4.2: at `n > 3k + 3t` the ε-variant completes honest runs,
-/// survives silence, and *detects* (rather than corrects) active lies;
-/// the accepted-wrong-value rate stays ≤ ε.
-fn e2_epsilon(samples: usize) {
-    let mut t = Table::new(
-        "E2 — Theorem 4.2 (ε cheap talk at n = 3f+1, majority mediator)",
-        &[
-            "k",
-            "t",
-            "n",
-            "κ",
-            "honest ok",
-            "silent ok",
-            "liar: abort/stall",
-            "wrong accepted",
-            "msgs/run",
-        ],
-    );
-    for &(k, tt) in &[(0usize, 1usize), (1, 1)] {
-        let f = k + tt;
-        let n = 3 * f + 1;
-        let kappa = 3;
-        let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-            .players(n)
-            .tolerance(k, tt)
-            .epsilon(kappa)
-            .inputs(ones_inputs(n))
-            .build()
-            .expect("n = 3f+1 > 3k+3t");
-        let honest = plan.seeds(0..samples as u64).run_batch();
-        let honest_ok = honest
-            .outcomes()
-            .all(|out| out.resolve_default(&vec![0; n]) == vec![1; n]);
-        let msgs: u64 = honest.outcomes().map(|o| o.messages_sent).sum();
-        let silent_ok = plan
-            .clone()
-            .with_deviant(
-                0,
-                Behavior {
-                    silent: true,
-                    ..Behavior::default()
-                },
-            )
-            .seeds(0..samples as u64)
-            .run_batch()
-            .outcomes()
-            .all(|out| (1..n).all(|p| out.moves[p] == Some(1)));
-        let liar = plan
-            .clone()
-            .with_deviant(
-                0,
-                Behavior {
-                    lie_in_opens: true,
-                    ..Behavior::default()
-                },
-            )
-            .seeds(0..samples as u64)
-            .run_batch();
-        let mut aborts = 0usize;
-        let mut wrong = 0usize;
-        for out in liar.outcomes() {
-            // Every honest player either stalls/aborts to default (0) or
-            // moves the true value; accepting a *wrong* value is the ε-event.
-            for p in 1..n {
-                match out.moves[p] {
-                    Some(1) => {}
-                    None | Some(0) => aborts += 1,
-                    Some(_) => wrong += 1,
-                }
-            }
-        }
-        let silent_cell = if silent_ok {
-            check(true)
-        } else {
-            "stalls*".to_string()
-        };
-        t.row(vec![
-            k.to_string(),
-            tt.to_string(),
-            n.to_string(),
-            kappa.to_string(),
-            check(honest_ok),
-            silent_cell,
-            format!("{aborts}/{}", samples * (n - 1)),
-            format!("{wrong} (ε ≈ 2^-61·κ)"),
-            (msgs / samples as u64).to_string(),
-        ]);
-    }
-    print!("{t}");
-    println!(
-        "*at n = 3f+1 with k < t, a silent player stalls the degree-2f mul openings \
-         (they need deg+t+1 = n points): the BKR guaranteed-output-delivery gap, \
-         substituted by detect-and-abort — see EXPERIMENTS.md. For k ≥ t the margin \
-         covers it (the k=1,t=1 row survives silence)."
-    );
-}
-
-/// E3 — Theorem 4.4: punishment wills + cotermination barrier at
-/// `n > 3k + 4t`. Crashing players either leave everyone finishing or
-/// everyone punished — never a mix; message count is bounded.
-fn e3_punishment(samples: usize) {
-    let mut t = Table::new(
-        "E3 — Theorem 4.4 (punishment wills + cotermination, n > 3k+4t)",
-        &[
-            "k",
-            "t",
-            "n",
-            "runs",
-            "coterminated",
-            "finish",
-            "punish-all",
-            "mixed",
-            "msgs/run",
-        ],
-    );
-    for &(k, tt) in &[(1usize, 0usize), (1, 1)] {
-        let n = (3 * k + 4 * tt + 1).max(4 * (k + tt) + 1); // engine robustness also needs n > 4f
-        let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-            .players(n)
-            .tolerance(k, tt)
-            .wills(vec![3; n]) // punishment action, out of the game's range on purpose
-            .inputs(ones_inputs(n))
-            .build()
-            .expect("n > 3k+4t by construction");
-        let (mut finish, mut punish, mut mixed) = (0usize, 0usize, 0usize);
-        let mut msgs = 0u64;
-        // The crash point varies with the seed, so this stays a per-seed
-        // sweep of the plan rather than one fixed-deviant batch.
-        for seed in 0..samples as u64 {
-            let out = plan
-                .clone()
-                .with_deviant(
-                    1,
-                    Behavior {
-                        crash_after_sends: Some(40 + seed % 40),
-                        ..Behavior::default()
-                    },
-                )
-                .run_with(&SchedulerKind::Random, seed);
-            msgs += out.messages_sent;
-            let honest: Vec<bool> = (0..n)
-                .filter(|&p| p != 1)
-                .map(|p| out.moves[p].is_some())
-                .collect();
-            if honest.iter().all(|&b| b) {
-                finish += 1;
-            } else if honest.iter().all(|&b| !b) {
-                punish += 1;
-            } else {
-                mixed += 1;
-            }
-        }
-        t.row(vec![
-            k.to_string(),
-            tt.to_string(),
-            n.to_string(),
-            samples.to_string(),
-            check(mixed == 0),
-            finish.to_string(),
-            punish.to_string(),
-            mixed.to_string(),
-            (msgs / samples as u64).to_string(),
-        ]);
-    }
-    print!("{t}");
-}
-
-/// E3b — the relaxed-scheduler deadlock machinery (Lemma 6.10 /
-/// Proposition 6.9): withholding the mediator's STOP batch deadlocks the
-/// canonical game uniformly and the punishment wills fire.
-fn e3b_relaxed_deadlock(samples: usize) {
-    let n = 5;
-    let plan = Scenario::mediator(catalog::majority_circuit(n))
-        .players(n)
-        .tolerance(1, 0)
-        .wills(vec![9; n])
-        .inputs(ones_inputs(n))
-        .build()
-        .expect("n − k − t ≥ 1");
-    let mut all_punished = 0usize;
-    let mut all_finished = 0usize;
-    let mut mixed = 0usize;
-    for seed in 0..samples as u64 {
-        let out = plan.run_relaxed(n as u64 + 1 + seed % 3, seed);
-        let moved: Vec<bool> = (0..n).map(|p| out.moves[p].is_some()).collect();
-        if moved.iter().all(|&b| b) {
-            all_finished += 1;
-        } else if moved.iter().all(|&b| !b) {
-            all_punished += 1;
-        } else {
-            mixed += 1;
-        }
-    }
-    println!("\n## E3b — relaxed scheduler (Lemma 6.10): mediator STOP batch withheld\n");
-    println!(
-        "{samples} runs: all-finished {all_finished}, all-punished {all_punished}, mixed {mixed} \
-         (the all-or-none batch rule makes mixed = 0 — Definition 5.3's cotermination for free)"
-    );
-}
-
-/// E4 — Theorem 4.5: ε + punishment at `n > 2k + 3t`.
-fn e4_eps_punishment(samples: usize) {
-    let mut t = Table::new(
-        "E4 — Theorem 4.5 (ε + punishment, n > 2k+3t)",
-        &["k", "t", "n", "honest ok", "crash→coterminated", "msgs/run"],
-    );
-    for &(k, tt) in &[(0usize, 1usize), (1, 1)] {
-        let n = 2 * k + 3 * tt + 1;
-        let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-            .players(n)
-            .tolerance(k, tt)
-            .epsilon(3)
-            .wills(vec![3; n])
-            .inputs(ones_inputs(n))
-            .build()
-            .expect("n = 2k+3t+1 > 2k+3t");
-        let honest = plan.seeds(0..samples as u64).run_batch();
-        let honest_ok = honest
-            .outcomes()
-            .all(|out| out.moves[..n].iter().all(|m| m == &Some(1)));
-        let msgs: u64 = honest.outcomes().map(|o| o.messages_sent).sum();
-        let cotermination = plan
-            .clone()
-            .with_deviant(
-                0,
-                Behavior {
-                    crash_after_sends: Some(30),
-                    ..Behavior::default()
-                },
-            )
-            .seeds(0..samples as u64)
-            .run_batch()
-            .outcomes()
-            .all(|out| {
-                let honest: Vec<bool> = (1..n).map(|p| out.moves[p].is_some()).collect();
-                honest.iter().all(|&b| b) || honest.iter().all(|&b| !b)
-            });
-        t.row(vec![
-            k.to_string(),
-            tt.to_string(),
-            n.to_string(),
-            check(honest_ok),
-            check(cotermination),
-            (msgs / samples as u64).to_string(),
-        ]);
-    }
-    print!("{t}");
 }
 
 /// E5 — the `O(nNc)` message bound: measured scaling of messages in the
@@ -1437,113 +693,6 @@ fn e6_implementation(samples: usize) {
         2.0 / (samples as f64).sqrt());
 }
 
-/// E7 — the §6.4 counterexample, numbers straight from the paper.
-fn e7_counterexample(samples: u64) {
-    let n = 7;
-    let (game, mediated, k) = library::counterexample_game(n);
-    let mut t = Table::new(
-        format!("E7 — §6.4 counterexample (n = {n}, k = {k}), paper values: σ = 1.5, ⊥ = 1.1, naive deviation = 1.55"),
-        &["mediator", "coalition", "coalition payoff", "paired gain", "paper"],
-    );
-
-    // Game-layer ground truth.
-    let value = library::dist_utilities(&game, &vec![0; n], &mediated)[0];
-    let rho: Vec<mediator_games::Strategy> = (0..n)
-        .map(|_| mediator_games::Strategy::pure(1, 3, library::BOTTOM))
-        .collect();
-    let margin = punishment::punishment_margin(&game, &rho, &vec![value; n], k);
-    println!(
-        "\nground truth: mediated value = {value}; ⊥ is a {k}-punishment with margin {margin:.2}"
-    );
-
-    // Per-seed coalition utilities, so gains can be estimated *paired*
-    // (common random numbers: the same coin sequence hits baseline and
-    // deviation, cancelling the coin's sampling noise entirely).
-    let run_variant = |naive: bool, collude: bool| -> Vec<f64> {
-        let circuit = if naive {
-            catalog::counterexample_naive(n)
-        } else {
-            catalog::counterexample_minfo(n)
-        };
-        let mut builder = Scenario::mediator(circuit)
-            .players(n)
-            .tolerance(k, 0)
-            .wills(vec![library::BOTTOM as u64; n])
-            .resolve_defaults(vec![library::BOTTOM as u64; n]);
-        if naive {
-            builder = builder.naive_split();
-        }
-        if collude {
-            builder = builder
-                .deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))
-                .deviant(1, move || Box::new(CounterexampleColluder::new(n, 0)));
-        }
-        let set = builder
-            .build()
-            .expect("n − k ≥ 1")
-            .seeds(0..samples)
-            .run_batch();
-        // AH resolution with mass-⊥ fallback comes built into the set.
-        set.outcomes()
-            .map(|out| {
-                let actions = set.profile(out);
-                game.utilities(&vec![0; n], &actions)[0]
-            })
-            .collect()
-    };
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    let paired_gain =
-        |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x - y).sum::<f64>() / a.len() as f64;
-
-    let base_naive = run_variant(true, false);
-    let dev_naive = run_variant(true, true);
-    let base_mi = run_variant(false, false);
-    let dev_mi = run_variant(false, true);
-    t.row(vec![
-        "naive".into(),
-        "none".into(),
-        f4(mean(&base_naive)),
-        "0 (baseline)".into(),
-        "1.5".into(),
-    ]);
-    t.row(vec![
-        "naive".into(),
-        "{0,1} deadlock-if-b=0".into(),
-        f4(mean(&dev_naive)),
-        f4(paired_gain(&dev_naive, &base_naive)),
-        "1.55 (gain +0.05)".into(),
-    ]);
-    t.row(vec![
-        "min-info".into(),
-        "none".into(),
-        f4(mean(&base_mi)),
-        "0 (baseline)".into(),
-        "1.5".into(),
-    ]);
-    t.row(vec![
-        "min-info".into(),
-        "{0,1} deadlock-if-b=0".into(),
-        f4(mean(&dev_mi)),
-        f4(paired_gain(&dev_mi, &base_mi)),
-        "≤ 1.5 (gain 0)".into(),
-    ]);
-    print!("{t}");
-
-    // Also verify the mediated play is k-resilient at the game layer when
-    // modeled as the obvious one-shot profile (everyone plays the coin).
-    let coop = solution::best_coalition_gain(
-        &game,
-        &(0..n)
-            .map(|_| mediator_games::Strategy::pure(1, 3, 0))
-            .collect::<Vec<_>>(),
-        k,
-    );
-    println!(
-        "(game-layer sanity: best coalition gain over all-zeros one-shot play = {})",
-        f4(coop)
-    );
-}
-
 /// E8 — Lemma 6.8: scheduler-class counting and the exact-vs-weak
 /// implementation message gap.
 fn e8_min_info() {
@@ -1676,27 +825,119 @@ fn e10_scheduler_collusion(samples: usize) {
 mod tests {
     use super::*;
 
-    fn select(args: &[&str]) -> Result<Vec<&'static str>, String> {
+    fn parsed(args: &[&str]) -> Result<(Vec<&'static str>, Options), String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        selection(&args).map_err(str::to_string)
+        parse(&args).map(|(picked, opts)| (picked.iter().map(|c| c.flag).collect(), opts))
+    }
+
+    fn select(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        parsed(args).map(|(picked, _)| picked)
     }
 
     #[test]
     fn modifiers_and_options_are_not_selections() {
-        assert_eq!(select(&[]), Ok(EXPERIMENTS.to_vec()));
-        assert_eq!(select(&["--fast"]), Ok(EXPERIMENTS.to_vec()));
+        let all: Vec<&str> = tables().map(|c| c.flag).collect();
+        assert_eq!(all, ["--e5", "--e6", "--e8", "--e9", "--e10"]);
+        assert_eq!(select(&[]), Ok(all.clone()));
+        assert_eq!(select(&["--fast"]), Ok(all.clone()));
         assert_eq!(select(&["--fast", "--e9"]), Ok(vec!["--e9"]));
-        assert_eq!(select(&["--fast", "--all"]), Ok(EXPERIMENTS.to_vec()));
+        assert_eq!(select(&["--fast", "--all"]), Ok(all));
         // A valued option swallows its value in both spellings.
-        let conformance = ["--conformance", "--shard", "4", "--out=C.json"];
-        assert_eq!(select(&conformance), Ok(EXPERIMENTS.to_vec()));
-        assert_eq!(select(&["--replay", "--e12"]), Ok(EXPERIMENTS.to_vec()));
+        let (picked, opts) = parsed(&["--conformance", "--shard", "4", "--out=C.json"]).unwrap();
+        assert_eq!(picked, ["--conformance"]);
+        assert_eq!((opts.shard, opts.out.as_deref()), (Some(4), Some("C.json")));
+        let (picked, opts) = parsed(&["--replay", "--e12"]).unwrap();
+        assert_eq!(picked, ["--replay"]);
+        assert_eq!(opts.replay.as_deref(), Some("--e12"));
     }
 
     #[test]
     fn unrecognised_arguments_are_reported() {
-        assert_eq!(select(&["--e12"]), Err("--e12".into()));
-        assert_eq!(select(&["--bench"]), Err("--bench".into()));
-        assert_eq!(select(&["--fast", "e9"]), Err("e9".into()));
+        let unknown = |arg: &str| Err(format!("unrecognised argument `{arg}`"));
+        assert_eq!(select(&["--e12"]), unknown("--e12"));
+        assert_eq!(select(&["--bench"]), unknown("--bench"));
+        assert_eq!(select(&["--fast", "e9"]), unknown("e9"));
+        assert_eq!(select(&["--e9=1"]), unknown("--e9=1"));
+        // The modes whose claims the suites certify are gone, not aliased.
+        for gone in ["--e1", "--e1b", "--e2", "--e3", "--e4", "--e7", "--tamper"] {
+            assert_eq!(select(&[gone]), unknown(gone));
+        }
+    }
+
+    #[test]
+    fn valued_options_need_a_usable_value_and_a_command_that_reads_them() {
+        let problem = |args: &[&str]| select(args).unwrap_err();
+        for option in ["--out", "--witness-out", "--shard", "--replay"] {
+            let needs = format!("`{option}` needs a value");
+            assert_eq!(problem(&["--conformance", "--fast", option]), needs);
+            assert_eq!(problem(&["--conformance", &format!("{option}=")]), needs);
+        }
+        for workers in ["0", "x", "-1"] {
+            let told = problem(&["--conformance", "--shard", workers]);
+            assert!(told.starts_with("`--shard` takes"), "{told}");
+        }
+        // An artifact-only option on a table run; a mode in company.
+        let deaf = "`--out` does not apply to `--e5`";
+        assert_eq!(problem(&["--e5", "--out", "x.json"]), deaf);
+        assert!(problem(&["--shard=2"]).contains("does not apply"));
+        assert!(problem(&["--replay", "W.mtrc", "--out=x"]).contains("does not apply"));
+        assert_eq!(problem(&["--frontier", "--e5"]), "`--frontier` runs alone");
+        // Every flag and option the table declares is in the usage text.
+        for c in COMMANDS {
+            assert!(usage().contains(c.flag));
+            for (option, value) in c.takes {
+                assert!(usage().contains(&format!("{option} {value}")));
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_without_recipes_does_not_replay_vacuously() {
+        // Three service-session records, as a `StoreSink` leaves them.
+        let outcome = companion_plan(7, 2, 0).run_with(&SchedulerKind::Random, 0);
+        let mut store = TraceStore::in_memory();
+        for session in 0..3 {
+            let header = RunHeader {
+                meta: vec![("entry".to_string(), "svc-session".to_string())],
+                ..RunHeader::bare(session, 0)
+            };
+            store.record(header, &outcome).unwrap();
+        }
+        let results: Vec<_> = store
+            .ids()
+            .map(|id| replay_stored(&store.load(id).unwrap()))
+            .collect();
+        assert_eq!(tally(&results), (0, 0, 3));
+        // A full recipe under an entry the binary does not know, and a
+        // frontier entry whose header coordinates build no plan.
+        let no_entry = ReplayError::NoRecipe { key: "entry" };
+        let run = store.load(0).unwrap();
+        for (entry, n) in [("svc-session", 7), (WitnessRecipe::FRONTIER_ENTRY, 0)] {
+            let recipe = WitnessRecipe {
+                entry: entry.to_string(),
+                cell: None,
+                strategy: "deadlock-if-bit=0".to_string(),
+                coalition: vec![0, 1],
+                deadlock: 2,
+            };
+            let meta = recipe.meta();
+            let header = RunHeader {
+                n,
+                meta,
+                ..run.header.clone()
+            };
+            let forged = StoredRun {
+                header,
+                ..run.clone()
+            };
+            assert_eq!(replay_stored(&forged), Err(no_entry.clone()));
+        }
+        // The arithmetic: failures and recipe-less runs are counted apart.
+        let diverged = ReplayError::Divergence { at: 3 };
+        assert_eq!(
+            tally(&[Ok(()), Err(no_entry), Err(diverged), Ok(())]),
+            (2, 1, 1)
+        );
+        assert_eq!(tally::<()>(&[]), (0, 0, 0));
     }
 }

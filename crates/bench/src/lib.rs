@@ -1,9 +1,9 @@
 //! Shared workloads for the `experiments` binary and the Criterion benches.
 //!
-//! Every quantitative claim of the paper maps to an experiment E1–E10 (see
-//! DESIGN.md §4); this crate hosts the workload builders those experiments
-//! share with the Criterion benches. Timing lives in `benchmark/` (the
-//! repo benchmark, `BENCHMARK.json`), not here.
+//! DESIGN.md §4 maps every quantitative claim of the paper to a test suite
+//! or to one of the experiments kept here (E5, E6, E8–E10); this crate
+//! hosts the workload builders they share with the Criterion benches.
+//! Timing lives in `benchmark/` (the repo benchmark, `BENCHMARK.json`).
 
 use mediator_field::Fp;
 

@@ -58,7 +58,7 @@ pub fn chicken_mediator() -> Circuit {
 /// The leak is exactly the unnecessary information the paper warns about: a
 /// rational coalition containing players `i, j` of different parities
 /// computes `leak_i XOR leak_j = b` *before* acting and can profitably
-/// deadlock the protocol when `b = 0` (experiment E7).
+/// deadlock the protocol when `b = 0` (`tests/counterexample.rs`).
 pub fn counterexample_naive(n: usize) -> Circuit {
     let mut b = CircuitBuilder::new(n, &vec![0; n]);
     let bbit = b.rand_bit();

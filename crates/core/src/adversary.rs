@@ -1669,6 +1669,21 @@ mod tests {
         }
         let silent = &report.cells[0];
         assert!(silent.harm.lo > 0.5, "not moving breaks unanimity");
+        // ... and costs the honest players exactly as much in the mediator
+        // game: the harm is the game's, not the cheap talk's.
+        let mediated = crate::scenario::Scenario::mediator(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .deviant(2, || Box::new(crate::deviations::SilentProcess))
+            .build()
+            .expect("n − k − t ≥ 1")
+            .seeds(0..4)
+            .run_batch();
+        for out in mediated.outcomes() {
+            let honest = game.utilities(&vec![1; n], &mediated.profile(out))[0];
+            assert_eq!(1.0 - honest, silent.harm.mean);
+        }
     }
 
     #[test]

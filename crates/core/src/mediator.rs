@@ -351,24 +351,29 @@ mod tests {
         // all-or-none rule means no honest player moves, and the AH wills
         // (punishments) apply uniformly — the hypothesis Proposition 6.9
         // uses to price deadlocks at the punishment payoff.
-        let n = 4;
         // Let the players' inputs through, then drop everything the
-        // mediator sends (its STOP batch).
-        let out = majority(n, &[1; 4])
-            .wills(vec![7; n])
-            .build()
-            .expect("n − k ≥ 1")
-            .run_relaxed(n as u64 + 1, 3);
-        assert!(
-            out.trace.dropped_count() > 0,
-            "mediator batch must be dropped"
-        );
-        // Nobody moved; everyone's will fires — all-or-none, never a mix.
-        for p in 0..n {
-            assert_eq!(out.moves[p], None, "player {p} cannot move without STOP");
+        // mediator sends (its STOP batch) — wherever in the next three
+        // deliveries the blackout starts.
+        for n in [4usize, 5] {
+            let plan = majority(n, &vec![1; n])
+                .wills(vec![7; n])
+                .build()
+                .expect("n − k ≥ 1");
+            for (blackout, seed) in (n as u64 + 1..=n as u64 + 3).zip(3..) {
+                let out = plan.run_relaxed(blackout, seed);
+                assert!(
+                    out.trace.dropped_count() > 0,
+                    "mediator batch must be dropped"
+                );
+                // Nobody moved; everyone's will fires — all-or-none, never
+                // a mix.
+                for p in 0..n {
+                    assert_eq!(out.moves[p], None, "player {p} cannot move without STOP");
+                }
+                let resolved = out.resolve_ah(&vec![0; n + 1]);
+                assert_eq!(&resolved[..n], &vec![7; n][..]);
+            }
         }
-        let resolved = out.resolve_ah(&vec![0; n + 1]);
-        assert_eq!(&resolved[..n], &[7, 7, 7, 7]);
     }
 
     #[test]

@@ -70,19 +70,10 @@ pub fn f4(v: f64) -> String {
     format!("{v:.4}")
 }
 
-/// Formats a boolean as a check/cross.
-pub fn check(b: bool) -> String {
-    if b {
-        "✓".into()
-    } else {
-        "✗".into()
-    }
-}
-
 /// Escapes `s` for the inside of a JSON string literal: `"` and `\` get a
 /// backslash, control characters below U+0020 become `\uXXXX`. The offline
-/// serde shim does not serialize, so `CONFORMANCE.json`, `FRONTIER.json`
-/// and `TAMPER.json` are formatted by hand and all quote through here.
+/// serde shim does not serialize, so `CONFORMANCE.json` and `FRONTIER.json`
+/// are formatted by hand and both quote through here.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -121,8 +112,6 @@ mod tests {
     #[test]
     fn helpers() {
         assert_eq!(f4(1.0 / 3.0), "0.3333");
-        assert_eq!(check(true), "✓");
-        assert_eq!(check(false), "✗");
     }
 
     #[test]

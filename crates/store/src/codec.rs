@@ -638,7 +638,7 @@ mod tests {
         h.meta
             .push(("entry".into(), "naive_mediator_sec6_4".into()));
         assert_eq!(h.meta_value("entry"), Some("naive_mediator_sec6_4"));
-        assert_eq!(h.meta_value("strategy"), None);
+        assert_eq!(h.meta_value("absent"), None);
     }
 
     #[test]

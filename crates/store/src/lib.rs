@@ -38,7 +38,7 @@ pub mod sink;
 pub mod store;
 
 pub use codec::{OutcomeRecord, PlanKind, RunHeader, StoreError};
-pub use recipe::FrontierRecipe;
+pub use recipe::{record_witness, replay_witness, WitnessRecipe};
 pub use replay::{
     replay_networked_session, replay_plan, replay_run, stored_script, ReplayError, ReplayReport,
 };

@@ -66,6 +66,20 @@ pub enum ReplayError {
         /// The outcome field that disagreed.
         what: &'static str,
     },
+    /// The run's header carries no usable witness recipe: metadata `key`
+    /// is missing or malformed, or (for `entry`) names no known base plan.
+    /// Every run a `StoreSink` recorded is one of these.
+    NoRecipe {
+        /// The first metadata key that could not be used.
+        key: &'static str,
+    },
+    /// The recipe names a strategy the base plan's deviation battery does
+    /// not generate for the recipe's coalition (a stale or hand-edited
+    /// store).
+    UnknownStrategy {
+        /// The strategy name the recipe carries.
+        strategy: String,
+    },
     /// The store itself failed while materialising the run.
     Store(StoreError),
 }
@@ -93,6 +107,12 @@ impl fmt::Display for ReplayError {
             }
             ReplayError::Mismatch { what } => {
                 write!(f, "replayed outcome disagrees with the recording on {what}")
+            }
+            ReplayError::NoRecipe { key } => {
+                write!(f, "no witness recipe in the header (`{key}` unusable)")
+            }
+            ReplayError::UnknownStrategy { strategy } => {
+                write!(f, "no generated strategy '{strategy}' for the coalition")
             }
             ReplayError::Store(e) => write!(f, "store failure: {e}"),
         }

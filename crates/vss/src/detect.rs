@@ -21,8 +21,8 @@
 //!
 //! BKR close the remaining liveness gap (a disqualified-late dealer, aborts
 //! forced by byzantine openers) with heavier machinery; this implementation
-//! routes those events to the default/punishment path, and experiment E2
-//! measures how often they occur (the observed ε).
+//! routes those events to the default/punishment path
+//! (`tests/thresholds.rs` pins that a lie is never accepted).
 
 use crate::reconstruct::OecState;
 use mediator_field::{Fp, Poly};

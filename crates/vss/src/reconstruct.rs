@@ -195,8 +195,8 @@ mod tests {
     #[test]
     fn below_threshold_sharpness_deg2f_at_n_4f() {
         // With n = 4f (one below threshold), f silent + the rest honest gives
-        // only deg + f points: OEC must (correctly) never accept. This is the
-        // E1 below-threshold row.
+        // only deg + f points: OEC must (correctly) never accept — why the
+        // builder rejects Theorem 4.1 below its bound.
         let mut rng = StdRng::seed_from_u64(5);
         let f = 1;
         let deg = 2 * f;

@@ -99,7 +99,7 @@ pub mod prelude {
         Outcome, RunMeta, SchedulerKind, Session, SessionStatus, TerminationKind, TraceSink,
     };
     pub use mediator_store::{
-        replay_plan, FrontierRecipe, HeaderTemplate, PlanKind, ReplayError, ReplayReport,
-        RunHeader, StoreSink, StoredRun, TraceStore,
+        replay_plan, HeaderTemplate, PlanKind, ReplayError, ReplayReport, RunHeader, StoreSink,
+        StoredRun, TraceStore, WitnessRecipe,
     };
 }

@@ -6,7 +6,7 @@ use mediator_talk::circuits::catalog;
 use mediator_talk::core::adversary::Conformance;
 use mediator_talk::core::deviations::CounterexampleColluder;
 use mediator_talk::core::Scenario;
-use mediator_talk::games::{library, punishment, Strategy};
+use mediator_talk::games::{library, punishment, solution, Strategy};
 use mediator_talk::sim::SchedulerKind;
 
 const BOT: u64 = library::BOTTOM as u64;
@@ -49,6 +49,9 @@ fn bottom_is_a_k_punishment_with_margin_0_4() {
     assert!(punishment::is_m_punishment(&game, &rho, &[value; 7], k));
     let margin = punishment::punishment_margin(&game, &rho, &[value; 7], k);
     assert!((margin - 0.4).abs() < 1e-9);
+    // Game-layer sanity: no coalition of k gains on all-zeros one-shot play.
+    let zeros: Vec<Strategy> = (0..7).map(|_| Strategy::pure(1, 3, 0)).collect();
+    assert_eq!(solution::best_coalition_gain(&game, &zeros, k), 0.0);
 }
 
 #[test]

@@ -7,14 +7,14 @@
 //! construction certified resilient). The atlas's machine check must find
 //! the empirical classification identical to the theorem predicate, and
 //! every `Violated` cell's witness must persist to the trace store and
-//! re-enact byte-identically through `replay_plan` — the same recipe
-//! `experiments -- --replay` uses.
+//! re-enact byte-identically through `record_witness` / `replay_witness` —
+//! the two functions `experiments -- --frontier` and `-- --replay` call.
 
 mod common;
 
-use mediator_talk::core::adversary::mediator_deviant_cells;
 use mediator_talk::core::frontier::{companion_plan, run_frontier_local, CellClass, FrontierSpec};
 use mediator_talk::prelude::*;
+use mediator_talk::store::{record_witness, replay_witness};
 
 #[test]
 fn the_tiny_grid_matches_the_theorem_predicate_cell_for_cell() {
@@ -99,36 +99,31 @@ fn every_violated_cell_persists_a_witness_that_replays_byte_identically() {
     let path = dir.join("tiny.mtrc");
     let _ = std::fs::remove_file(&path);
 
-    // Persist: rebuild each witness's deviant plan from its (strategy,
-    // coalition) recipe, re-run it at the witnessing (scheduler, seed),
-    // and record the trace under a FrontierRecipe header — exactly what
-    // `experiments -- --frontier` does.
+    // Persist through `record_witness` — the call `experiments --
+    // --frontier` and `-- --conformance` make: each witness's deviant plan
+    // is rebuilt from its (strategy, coalition) recipe, re-run at the
+    // witnessing (scheduler, seed), and recorded under the recipe.
     let mut store = TraceStore::create(&path).expect("create store");
     let mut recorded = Vec::new();
     for (i, r) in atlas.violated().enumerate() {
         let w = r.witness.as_ref().expect("violated ⇒ witness");
-        let plan = companion_plan(r.cell.n, r.cell.k, r.cell.t);
-        let deviant = mediator_deviant_cells(&plan, &w.coalition, Some(bot))
-            .into_iter()
-            .find(|(s, _)| *s == w.strategy)
-            .unwrap_or_else(|| panic!("unknown strategy '{}'", w.strategy))
-            .1;
-        let outcome = deviant.run_with(&w.kind, w.seed);
-        let recipe = FrontierRecipe {
-            theorem: r.cell.theorem.name().to_string(),
-            cell_key: r.cell.key(),
+        let recipe = WitnessRecipe {
+            entry: WitnessRecipe::FRONTIER_ENTRY.to_string(),
+            cell: Some((r.cell.theorem.name().to_string(), r.cell.key())),
             strategy: w.strategy.clone(),
             coalition: w.coalition.clone(),
             deadlock: bot,
         };
-        let mut header = RunHeader::bare(i as u64, w.seed);
-        header.kind = Some(w.kind.clone());
-        header.plan = PlanKind::Mediator;
-        header.n = r.cell.n as u64;
-        header.k = r.cell.k as u64;
-        header.t = r.cell.t as u64;
-        header.meta = recipe.meta();
-        store.record(header, &outcome).expect("record witness");
+        let header = RunHeader {
+            kind: Some(w.kind.clone()),
+            plan: PlanKind::Mediator,
+            n: r.cell.n as u64,
+            k: r.cell.k as u64,
+            t: r.cell.t as u64,
+            ..RunHeader::bare(i as u64, w.seed)
+        };
+        let plan = companion_plan(r.cell.n, r.cell.k, r.cell.t);
+        record_witness(&mut store, header, &plan, &recipe).expect("record witness");
         recorded.push(r.cell.key());
     }
     assert_eq!(
@@ -136,31 +131,44 @@ fn every_violated_cell_persists_a_witness_that_replays_byte_identically() {
         vec!["thm4.1-n7-k2-t0", "thm4.5-n4-k2-t0"],
         "both violated cells persisted"
     );
+    // The §6.4 conformance entry goes through the same two functions: the
+    // same attack on the same plan, under the battery's entry name.
+    let sec64 = atlas.violated().next().expect("the §6.4 cell");
+    let w = sec64.witness.as_ref().expect("violated ⇒ witness");
+    let recipe = WitnessRecipe {
+        entry: "naive_mediator_sec6_4".to_string(),
+        cell: None,
+        strategy: w.strategy.clone(),
+        coalition: w.coalition.clone(),
+        deadlock: bot,
+    };
+    let header = RunHeader {
+        kind: Some(w.kind.clone()),
+        plan: PlanKind::Mediator,
+        n: 7,
+        k: 2,
+        ..RunHeader::bare(2, w.seed)
+    };
+    record_witness(&mut store, header, &companion_plan(7, 2, 0), &recipe).expect("record entry");
 
     // Replay: reopen the store cold, rebuild each plan purely from the
-    // persisted recipe, and demand a byte-identical re-enactment.
+    // persisted header, and demand a byte-identical re-enactment.
     let store = TraceStore::open(&path).expect("reopen store");
-    assert_eq!(store.len(), 2);
-    for id in store.ids().collect::<Vec<_>>() {
+    assert_eq!(store.len(), 3);
+    for id in store.ids() {
         let run = store.load(id).expect("stored run loads");
-        let recipe = FrontierRecipe::from_header(&run.header)
-            .expect("frontier witnesses carry their recipe");
-        let plan = companion_plan(
-            run.header.n as usize,
-            run.header.k as usize,
-            run.header.t as usize,
-        );
-        let deviant = mediator_deviant_cells(&plan, &recipe.coalition, Some(recipe.deadlock))
-            .into_iter()
-            .find(|(s, _)| s == &recipe.strategy)
-            .unwrap_or_else(|| panic!("unknown stored strategy '{}'", recipe.strategy))
-            .1;
-        // `replay_plan` already asserts the re-recorded trace is
+        let stored = WitnessRecipe::from_header(&run.header).expect("witnesses carry a recipe");
+        let h = &run.header;
+        let plan = match stored.entry.as_str() {
+            "naive_mediator_sec6_4" => companion_plan(7, 2, 0),
+            _ => companion_plan(h.n as usize, h.k as usize, h.t as usize),
+        };
+        // `replay_witness` already asserts the re-recorded trace is
         // byte-identical; outcome equality on top: the re-enactment ends
         // the same way the witness run did (the deadlock collusion's runs
         // terminate by deadlock, not quiescence).
-        let report = replay_plan(&deviant, &run)
-            .unwrap_or_else(|e| panic!("{} failed to replay: {e:?}", recipe.cell_key));
+        let report = replay_witness(&plan, &run)
+            .unwrap_or_else(|e| panic!("{stored:?} failed to replay: {e:?}"));
         assert_eq!(report.termination, run.outcome.termination);
         assert_eq!(report.termination, TerminationKind::Deadlock);
     }

@@ -46,27 +46,64 @@ fn theorem_4_1_exact_threshold_accepted_and_below_rejected() {
     }
 }
 
-#[test]
-fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
-    // n = 4f+1 with f = k+t = 2: one silent + one lying player.
-    let n = 9;
-    let silent = Behavior {
+fn silent() -> Behavior {
+    Behavior {
         silent: true,
         ..Behavior::default()
-    };
-    let liar = Behavior {
+    }
+}
+
+fn liar() -> Behavior {
+    Behavior {
         lie_in_opens: true,
         ..Behavior::default()
-    };
-    let out = majority(n, 1, 1)
-        .deviant(0, silent)
-        .deviant(1, liar)
-        .max_steps(20_000_000)
-        .build()
-        .expect("9 > 8")
-        .run_with(&SchedulerKind::Random, 5);
-    for p in 2..n {
-        assert_eq!(out.moves[p], Some(1), "player {p}");
+    }
+}
+
+fn crash_after(sends: u64) -> Behavior {
+    Behavior {
+        crash_after_sends: Some(sends),
+        ..Behavior::default()
+    }
+}
+
+/// Cotermination: the honest players (everyone but `deviant`) all moved or
+/// none did.
+fn assert_all_or_none(out: &Outcome, n: usize, deviant: usize, label: &str) {
+    let moved: Vec<bool> = (0..n)
+        .filter(|&p| p != deviant)
+        .map(|p| out.moves[p].is_some())
+        .collect();
+    assert!(
+        moved.iter().all(|&b| b) || moved.iter().all(|&b| !b),
+        "cotermination violated at {label}: {moved:?}"
+    );
+}
+
+#[test]
+fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
+    // n = 4f + 1 and 4f + 3 with f = k + t deviators: all silent, all lying
+    // in their openings, and at f = 2 one of each — the honest players
+    // still play the majority.
+    for (n, k, t) in [(5, 0, 1), (7, 1, 0), (7, 0, 1), (9, 1, 1), (11, 1, 1)] {
+        let f = k + t;
+        let mut mixes = vec![vec![silent(); f], vec![liar(); f]];
+        if f == 2 {
+            mixes.push(vec![silent(), liar()]);
+        }
+        for faults in mixes {
+            let mut scenario = majority(n, k, t).max_steps(20_000_000);
+            for (p, behavior) in faults.iter().enumerate() {
+                scenario = scenario.deviant(p, behavior.clone());
+            }
+            let plan = scenario.build().expect("n > 4k + 4t");
+            for seed in 0..8 {
+                let out = plan.run_with(&SchedulerKind::Random, seed);
+                for p in f..n {
+                    assert_eq!(out.moves[p], Some(1), "player {p}, n = {n}, {faults:?}");
+                }
+            }
+        }
     }
 }
 
@@ -79,44 +116,79 @@ fn theorem_4_2_threshold_n_3f_plus_1_runs() {
         .expect("4 > 3")
         .run_with(&SchedulerKind::Random, 9);
     assert_eq!(out.resolve_default(&vec![0; n]), vec![1; n]);
+
+    for (n, k, t) in [(4, 0, 1), (7, 1, 1)] {
+        let plan = majority(n, k, t).epsilon(3).build().expect("n = 3f + 1");
+        for seed in 0..8 {
+            // An active lie is detected, never accepted: an honest player
+            // moves the true value or falls back to its default 0.
+            let lied = plan
+                .clone()
+                .with_deviant(0, liar())
+                .run_with(&SchedulerKind::Random, seed);
+            for p in 1..n {
+                assert!(
+                    matches!(lied.moves[p], None | Some(0) | Some(1)),
+                    "n = {n} seed {seed}: player {p} accepted {:?}",
+                    lied.moves[p]
+                );
+            }
+            let muted = plan
+                .clone()
+                .with_deviant(0, silent())
+                .run_with(&SchedulerKind::Random, seed);
+            if k >= t {
+                // The margin covers one silent player.
+                for p in 1..n {
+                    assert_eq!(muted.moves[p], Some(1), "n = {n} seed {seed}");
+                }
+            } else {
+                // DESIGN §3 (ROADMAP item 6(c)): with k < t the degree-2f
+                // openings need all n points, so a silent player stalls
+                // them. Detect-and-abort gives no output here — nobody
+                // moves — but the run still ends on its own.
+                assert_eq!(muted.moves[1..n], vec![None; n - 1], "seed {seed}");
+                assert_eq!(muted.termination, TerminationKind::Deadlock);
+            }
+        }
+    }
 }
 
 #[test]
 fn theorem_4_4_crash_cannot_split_honest_players() {
-    let n = 6;
-    let plan = majority(n, 1, 0).wills(vec![5; n]).build().expect("6 > 3");
-    for seed in 0..8u64 {
-        let crash = Behavior {
-            crash_after_sends: Some(25 + 10 * seed),
-            ..Behavior::default()
-        };
-        let out = plan
-            .clone()
-            .with_deviant(2, crash)
-            .run_with(&SchedulerKind::Random, seed);
-        let honest: Vec<bool> = (0..n)
-            .filter(|&p| p != 2)
-            .map(|p| out.moves[p].is_some())
-            .collect();
-        assert!(
-            honest.iter().all(|&b| b) || honest.iter().all(|&b| !b),
-            "cotermination violated at seed {seed}: {honest:?}"
-        );
+    for (n, k, t) in [(6, 1, 0), (5, 1, 0), (9, 1, 1)] {
+        let plan = majority(n, k, t)
+            .wills(vec![5; n])
+            .build()
+            .expect("n > 3k + 4t");
+        for seed in 0..8u64 {
+            let out = plan
+                .clone()
+                .with_deviant(2, crash_after(25 + 10 * seed))
+                .run_with(&SchedulerKind::Random, seed);
+            assert_all_or_none(&out, n, 2, &format!("n = {n} seed {seed}"));
+        }
     }
 }
 
 #[test]
 fn theorem_4_5_runs_at_2k_3t_plus_1() {
-    let (k, t) = (1usize, 1usize);
-    let n = 2 * k + 3 * t + 1; // 6
-    let out = majority(n, k, t)
-        .epsilon(2)
-        .wills(vec![5; n])
-        .build()
-        .expect("6 > 5")
-        .run_with(&SchedulerKind::Random, 11);
-    let moves = out.resolve_default(&vec![0; n]);
-    assert_eq!(moves, vec![1; n]);
+    for (n, k, t) in [(6, 1, 1), (4, 0, 1)] {
+        let plan = majority(n, k, t)
+            .epsilon(2)
+            .wills(vec![5; n])
+            .build()
+            .expect("n = 2k + 3t + 1");
+        let out = plan.run_with(&SchedulerKind::Random, 11);
+        assert_eq!(out.resolve_default(&vec![0; n]), vec![1; n]);
+        for seed in 0..8u64 {
+            let out = plan
+                .clone()
+                .with_deviant(0, crash_after(30))
+                .run_with(&SchedulerKind::Random, seed);
+            assert_all_or_none(&out, n, 0, &format!("n = {n} seed {seed}"));
+        }
+    }
 }
 
 #[test]
@@ -132,16 +204,7 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
         .build()
         .expect("5 > 4");
     for (deviator, victim) in [(0usize, 1usize), (2, 3)] {
-        for behavior in [
-            Behavior {
-                silent: true,
-                ..Behavior::default()
-            },
-            Behavior {
-                lie_in_opens: true,
-                ..Behavior::default()
-            },
-        ] {
+        for behavior in [silent(), liar()] {
             let kind = SchedulerKind::TargetedDelay(vec![victim]);
             let out = plan
                 .clone()
