@@ -1,7 +1,7 @@
 //! Substrate microbenchmarks: field ops, Reed–Solomon robust
 //! decoding, reliable broadcast, binary agreement (common vs local coin —
 //! the DESIGN.md coin ablation), AVSS, one MPC multiplication, and the
-//! `World` event plane under its starvation watchdog.
+//! `World` event plane with ~1k events pending.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mediator_bcast::{AbaPeer, AbaState, CoinSource, IdealCoin, LocalCoin, RbcPeer};
@@ -168,14 +168,12 @@ impl Process<u32> for Relay {
     }
 }
 
-/// ~1k pending for 7k steps under a starvation bound not far above the ~1k
-/// steps a uniformly random pick leaves an event waiting, which makes the
-/// backstop pick 29% of them: the `sim_n13` regime (DESIGN §5).
-fn forced_world() -> World<u32> {
+/// ~1k pending for 7k steps under uniformly random picks: the plane size
+/// of the `sim_n13` regime (DESIGN §5).
+fn relay_world() -> World<u32> {
     let (n, fanout, hops) = (8, 128, 6);
     let relays = (0..n).map(|_| Box::new(Relay { n, fanout, hops }) as Box<dyn Process<u32>>);
     let mut world = World::new(relays.collect(), 5);
-    world.set_starvation_bound(1500);
     world.set_trace_mode(TraceMode::Off);
     world
 }
@@ -183,17 +181,17 @@ fn forced_world() -> World<u32> {
 fn bench_world(c: &mut Criterion) {
     let mut g = c.benchmark_group("world");
     g.sample_size(20);
-    // The bench is only worth its name while the backstop really picks.
-    let mut probe = forced_world();
-    let steps = probe.run(&mut RandomScheduler::new(), u64::MAX).steps;
+    // The bench is only worth its name while the plane really is large.
+    let mut probe = relay_world();
+    probe.run(&mut RandomScheduler::new(), u64::MAX);
     let stats = probe.stats();
     assert!(
-        stats.pending_high_water >= 1000 && 5 * stats.forced_deliveries >= steps,
-        "watchdog_forced_p1k left its regime: {stats:?} over {steps} steps"
+        stats.pending_high_water >= 1000,
+        "random_p1k left its regime: {stats:?}"
     );
-    g.bench_function("watchdog_forced_p1k", |bch| {
+    g.bench_function("random_p1k", |bch| {
         bch.iter_batched(
-            forced_world,
+            relay_world,
             |mut world| world.run(&mut RandomScheduler::new(), u64::MAX).steps,
             BatchSize::SmallInput,
         )

@@ -4,8 +4,8 @@
 //! contributes at start, so the generic
 //! [`SansIoProcess`](mediator_sim::sansio::SansIoProcess) adapter (or the
 //! [`Machines`](mediator_sim::sansio::Machines) runner) can drive
-//! it inside a full `World` — under every scheduler, with traces, the
-//! starvation bound, and behaviour-closure failure injection.
+//! it inside a full `World` — under every scheduler, with traces and
+//! behaviour-closure failure injection.
 //!
 //! Termination discipline (`is_done`): a peer only reports done when its
 //! protocol's own rule says it is safe to stop participating — RBC after

@@ -8,7 +8,7 @@
 //! * **[`Scenario`] builders** — `Scenario::cheap_talk(circuit)` /
 //!   `Scenario::mediator(circuit)` with fluent `.players(n)`,
 //!   `.tolerance(k, t)`, `.input(i, …)`, `.deviant(i, …)`, `.wills(…)`,
-//!   `.starvation_bound(…)`, `.scheduler(…)` steps. `build()` selects the
+//!   `.scheduler(…)` steps. `build()` selects the
 //!   theorem regime from the configured machinery and **validates the
 //!   threshold** (`n > 4k+4t` for Theorem 4.1, …), returning a typed
 //!   [`ScenarioError`] instead of a downstream panic.
@@ -60,24 +60,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default starvation bound for cheap-talk executions (inherited from the
-/// shared sans-IO runner): adversarial schedulers — LIFO in particular —
-/// can starve a prerequisite message behind a torrent of fresh protocol
-/// traffic (a cheap-talk run moves thousands of messages), and
-/// force-delivering after this many steps converts that livelock into
-/// near-linear runs while leaving plenty of room for genuinely adversarial
-/// reordering.
-pub const DEFAULT_CHEAP_TALK_STARVATION_BOUND: u64 = mediator_sim::sansio::DEFAULT_STARVATION_BOUND;
-
-/// Default starvation bound for mediator games. Deliberately **five times
-/// looser** than the cheap-talk bound: a canonical mediator game moves only
-/// O(n) messages, so there is no livelock to pace away — the backstop
-/// exists purely as the model's eventual-delivery guarantee. Keeping it
-/// loose lets the adversarial battery members (targeted delay, partitions)
-/// withhold traffic for as long as their design intends instead of having
-/// the watchdog neuter them after 2 000 steps.
-pub const DEFAULT_MEDIATOR_STARVATION_BOUND: u64 = 10_000;
-
 fn default_batch_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -85,15 +67,11 @@ fn default_batch_threads() -> usize {
 }
 
 /// Tunes a world for deterministic replay when `kind` is
-/// [`SchedulerKind::Replay`]: the starvation watchdog is disabled (every
-/// forced delivery of the original run is already an ordinary `Delivered`
-/// entry in the script, so re-deriving the watchdog would double-fire), and
-/// drops are allowed exactly when the recording contains them (a relaxed
-/// recording replays its blackout; an ordinary recording must not gain the
-/// ability to drop).
+/// [`SchedulerKind::Replay`]: drops are allowed exactly when the recording
+/// contains them (a relaxed recording replays its blackout; an ordinary
+/// recording must not gain the ability to drop).
 fn tune_world_for_replay<M>(world: &mut World<M>, kind: &SchedulerKind) {
     if let SchedulerKind::Replay(script) = kind {
-        world.set_starvation_bound(u64::MAX);
         if script.has_drops() {
             world.allow_drops();
         }
@@ -260,7 +238,6 @@ impl Scenario {
             defaults: None,
             default_actions: None,
             coin_seed: 0x5EED,
-            starvation_bound: DEFAULT_CHEAP_TALK_STARVATION_BOUND,
             scheduler: SchedulerKind::Random,
             seed: 0,
             max_steps: 8_000_000,
@@ -284,7 +261,6 @@ impl Scenario {
             deviants: Vec::new(),
             defaults: None,
             resolve_defaults: None,
-            starvation_bound: DEFAULT_MEDIATOR_STARVATION_BOUND,
             scheduler: SchedulerKind::Random,
             seed: 0,
             max_steps: 200_000,
@@ -321,7 +297,6 @@ pub struct CheapTalk {
     defaults: Option<Vec<Vec<Fp>>>,
     default_actions: Option<Vec<Action>>,
     coin_seed: u64,
-    starvation_bound: u64,
     scheduler: SchedulerKind,
     seed: u64,
     max_steps: u64,
@@ -402,13 +377,6 @@ impl CheapTalk {
     /// Overrides the shared setup seed (ABA coins, detection challenges).
     pub fn coin_seed(mut self, seed: u64) -> Self {
         self.coin_seed = seed;
-        self
-    }
-
-    /// Overrides the starvation bound
-    /// ([`DEFAULT_CHEAP_TALK_STARVATION_BOUND`] if not set).
-    pub fn starvation_bound(mut self, bound: u64) -> Self {
-        self.starvation_bound = bound;
         self
     }
 
@@ -598,7 +566,6 @@ impl CheapTalk {
             scheduler: self.scheduler,
             seed: self.seed,
             max_steps: self.max_steps,
-            starvation_bound: self.starvation_bound,
         })
     }
 }
@@ -615,7 +582,6 @@ pub struct CheapTalkPlan {
     scheduler: SchedulerKind,
     seed: u64,
     max_steps: u64,
-    starvation_bound: u64,
 }
 
 impl CheapTalkPlan {
@@ -649,9 +615,7 @@ impl CheapTalkPlan {
                 )) as Box<dyn Process<CtMsg>>
             })
             .collect();
-        let mut world = World::new(procs, seed);
-        world.set_starvation_bound(self.starvation_bound);
-        world
+        World::new(procs, seed)
     }
 
     /// Runs once with the configured scheduler and seed.
@@ -660,8 +624,8 @@ impl CheapTalkPlan {
     }
 
     /// Runs once with an explicit scheduler kind and seed. A
-    /// [`SchedulerKind::Replay`] kind re-enacts a recorded run: the
-    /// watchdog is disabled and drops are enabled iff the script has them.
+    /// [`SchedulerKind::Replay`] kind re-enacts a recorded run: drops are
+    /// enabled iff the script has them.
     pub fn run_with(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
         let mut world = self.build_world(seed);
         tune_world_for_replay(&mut world, kind);
@@ -763,7 +727,6 @@ pub struct MediatorGame {
     deviants: Vec<(usize, DeviantFactory)>,
     defaults: Option<Vec<Vec<Fp>>>,
     resolve_defaults: Option<Vec<Action>>,
-    starvation_bound: u64,
     scheduler: SchedulerKind,
     seed: u64,
     max_steps: u64,
@@ -838,14 +801,6 @@ impl MediatorGame {
     /// Defaults to all-zero.
     pub fn resolve_defaults(mut self, actions: Vec<Action>) -> Self {
         self.resolve_defaults = Some(actions);
-        self
-    }
-
-    /// Overrides the starvation bound
-    /// ([`DEFAULT_MEDIATOR_STARVATION_BOUND`] if not set; see that constant
-    /// for why mediator games default looser than cheap talk).
-    pub fn starvation_bound(mut self, bound: u64) -> Self {
-        self.starvation_bound = bound;
         self
     }
 
@@ -976,7 +931,6 @@ impl MediatorGame {
             inputs,
             deviants: self.deviants.into_iter().collect(),
             resolve_defaults,
-            starvation_bound: self.starvation_bound,
             scheduler: self.scheduler,
             seed: self.seed,
             max_steps: self.max_steps,
@@ -991,7 +945,6 @@ pub struct MediatorPlan {
     inputs: Vec<Vec<Fp>>,
     deviants: BTreeMap<usize, DeviantFactory>,
     resolve_defaults: Vec<Action>,
-    starvation_bound: u64,
     scheduler: SchedulerKind,
     seed: u64,
     max_steps: u64,
@@ -1004,7 +957,6 @@ impl fmt::Debug for MediatorPlan {
             .field("inputs", &self.inputs)
             .field("deviants", &self.deviants.keys().collect::<Vec<_>>())
             .field("resolve_defaults", &self.resolve_defaults)
-            .field("starvation_bound", &self.starvation_bound)
             .field("scheduler", &self.scheduler)
             .field("seed", &self.seed)
             .field("max_steps", &self.max_steps)
@@ -1050,9 +1002,7 @@ impl MediatorPlan {
             })
             .collect();
         procs.push(Box::new(CircuitMediator::new(self.spec.clone())));
-        let mut world = World::new(procs, seed);
-        world.set_starvation_bound(self.starvation_bound);
-        world
+        World::new(procs, seed)
     }
 
     /// Runs once with the configured scheduler and seed.
@@ -1073,13 +1023,10 @@ impl MediatorPlan {
     /// of Lemma 6.10 — after `drop_after` deliveries. This is the deadlock
     /// machinery of Propositions 6.9/6.11: with the mediator's STOP batch
     /// withheld, no honest player can move, and the wills (punishments)
-    /// fire. No starvation bound applies: force-delivering withheld
-    /// messages would contradict the blackout a relaxed environment is
-    /// allowed to impose.
+    /// fire.
     pub fn run_relaxed(&self, drop_after: u64, seed: u64) -> Outcome {
         let mediator = self.spec.n;
         let mut world = self.build_world(seed);
-        world.set_starvation_bound(u64::MAX);
         world.allow_drops();
         let mut sched = RelaxedScheduler::new(vec![mediator], drop_after);
         world.run(&mut sched, self.max_steps)

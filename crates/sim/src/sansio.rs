@@ -11,7 +11,7 @@
 //! * [`SansIo`] — the trait a driveable state machine implements;
 //! * [`SansIoProcess`] — the generic adapter that wraps any [`SansIo`]
 //!   machine as a [`Process`], so the full [`World`] — all schedulers,
-//!   starvation bounds, traces, failure injection — can drive it;
+//!   traces, failure injection — can drive it;
 //! * [`Behavior`] / [`ByzantineProcess`] — byzantine players as processes;
 //! * [`Machines`] — the runner the protocol test suites and benches drive
 //!   their substrates through (honest machines + byzantine behaviours + a
@@ -281,8 +281,8 @@ impl<T> RunOutputs<T> {
 pub type MoveMap<O> = Box<dyn Fn(&O) -> Action>;
 
 /// The generic adapter: wraps any [`SansIo`] machine as a [`Process`], so
-/// the full `World` — every scheduler, starvation bounds, traces, failure
-/// injection — can drive it.
+/// the full `World` — every scheduler, traces, failure injection — can
+/// drive it.
 pub struct SansIoProcess<S: SansIo> {
     machine: S,
     n: usize,
@@ -386,15 +386,6 @@ impl<M> Process<M> for ByzantineProcess<M> {
     }
 }
 
-/// Default starvation bound for [`Machines`]: adversarial schedulers
-/// (LIFO, targeted delay) stay technically fair — every message is delivered
-/// within this many steps — matching the paper's eventual-delivery model.
-/// The value matches the cheap-talk embedding layer's bound: LIFO can spin
-/// agreement rounds indefinitely on fresh traffic, and the bound is what
-/// converts that livelock into near-linear runs while leaving plenty of
-/// room for genuinely adversarial reordering.
-pub const DEFAULT_STARVATION_BOUND: u64 = 2_000;
-
 /// Builder over a set of sans-IO machines: the scenario-style entry the
 /// protocol test suites and benches drive their substrates through.
 ///
@@ -406,7 +397,6 @@ pub const DEFAULT_STARVATION_BOUND: u64 = 2_000;
 pub struct Machines<S: SansIo> {
     machines: Vec<S>,
     behaviors: Vec<Option<ByzantineProcess<S::Msg>>>,
-    starvation_bound: u64,
 }
 
 impl<S> Machines<S>
@@ -415,14 +405,12 @@ where
     S::Msg: 'static,
     S::Output: 'static,
 {
-    /// Starts a run over one machine per player. The starvation bound
-    /// defaults to [`DEFAULT_STARVATION_BOUND`].
+    /// Starts a run over one machine per player.
     pub fn new(machines: Vec<S>) -> Self {
         let n = machines.len();
         Machines {
             machines,
             behaviors: (0..n).map(|_| None).collect(),
-            starvation_bound: DEFAULT_STARVATION_BOUND,
         }
     }
 
@@ -434,13 +422,6 @@ where
     pub fn byzantine(mut self, p: usize, b: impl Into<ByzantineProcess<S::Msg>>) -> Self {
         assert!(p < self.machines.len(), "byzantine player {p} out of range");
         self.behaviors[p] = Some(b.into());
-        self
-    }
-
-    /// Overrides the starvation bound (the fairness backstop force-delivers
-    /// any event pending longer than this many steps).
-    pub fn starvation_bound(mut self, bound: u64) -> Self {
-        self.starvation_bound = bound;
         self
     }
 
@@ -456,9 +437,7 @@ where
                 None => Box::new(SansIoProcess::new(m, n, outputs.clone())),
             })
             .collect();
-        let mut world = World::new(procs, seed);
-        world.set_starvation_bound(self.starvation_bound);
-        (world, outputs)
+        (World::new(procs, seed), outputs)
     }
 
     /// Runs to completion, returning the world [`Outcome`] plus each
@@ -491,7 +470,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{FifoScheduler, LifoScheduler, RandomScheduler};
+    use crate::scheduler::{FifoScheduler, LifoScheduler, RandomScheduler, FAIRNESS_BOUND};
     use crate::world::TerminationKind;
 
     /// A toy sans-IO machine: the leader broadcasts a token; everyone
@@ -596,24 +575,22 @@ mod tests {
     }
 
     #[test]
-    fn starvation_bound_override_reaches_the_world() {
+    fn lifo_fairness_bound_ends_a_byzantine_starvation() {
         // Byzantine player 2 pings itself forever and LIFO always prefers
-        // the fresh ping, so everyone else only moves when the starvation
-        // watchdog forces a delivery.
-        let run = |machines: Machines<Echo>| {
+        // the fresh ping, so everyone else only moves once the leader's
+        // broadcast outlives the scheduler's fairness bound.
+        let run = |budget| {
             let pinger: Behavior<u32> = Box::new(|me, _, msg| vec![(me, *msg)]);
             let pinger = ByzantineProcess::new(pinger).with_kickoff(vec![(2, 0)]);
-            let (outcome, outputs) = machines
+            let (outcome, outputs) = Machines::new(echo_machines(3, 0, 9))
                 .byzantine(2, pinger)
-                .run(&mut LifoScheduler, 0, 500);
+                .run(&mut LifoScheduler, 0, budget);
             assert_eq!(outcome.termination, TerminationKind::BudgetExhausted);
             outputs
         };
-        // The default bound (2 000) outlasts the 500-step budget.
-        let starved = run(Machines::new(echo_machines(3, 0, 9)));
-        assert_eq!(starved, vec![None; 3]);
-        let forced = run(Machines::new(echo_machines(3, 0, 9)).starvation_bound(10));
-        assert_eq!(forced, vec![Some(9), Some(9), None]);
+        assert_eq!(run(500), vec![None; 3]);
+        // The start signals wait out one bound, the broadcast a second.
+        assert_eq!(run(2 * FAIRNESS_BOUND + 100), vec![Some(9), Some(9), None]);
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //! It sees only environment-visible metadata ([`PendingView`]) — never
 //! message contents — mirroring the paper's assumption that the environment
 //! cannot read messages (§6.1). Ordinary schedulers must eventually deliver
-//! everything; the [`World`](crate::World) enforces this with a *starvation
-//! bound*: any event pending for more than `starvation_bound` steps is
-//! force-delivered. Relaxed schedulers (allowed only in mediator games, §5)
-//! may instead [`SchedChoice::Drop`] events, subject to the all-or-none
-//! batch rule, which the `World` enforces by dropping whole batches.
+//! everything, and fairness is each scheduler's own job: Random is fair with
+//! probability 1, Fifo is oldest-first, Partition turns Random after a
+//! finite heal, and the two that could starve an event forever — Lifo and
+//! TargetedDelay — first deliver the lowest plane index whose age exceeds
+//! `FAIRNESS_BOUND`, the model's bounded-delay assumption. The
+//! [`World`](crate::World) has no backstop of its own. Relaxed schedulers
+//! (allowed only in mediator games, §5) may instead [`SchedChoice::Drop`]
+//! events, subject to the all-or-none batch rule, which the `World`
+//! enforces by dropping whole batches.
 //!
 //! Performance note: every field of a [`PendingView`] is fixed at the
 //! moment the event is queued, so the `World` maintains the view array
@@ -24,6 +28,13 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
+
+/// The model's bounded-delay assumption, in steps: an event pending for more
+/// than this long is delivered next by the schedulers that could otherwise
+/// starve it (Lifo, TargetedDelay). LIFO would spin agreement rounds on fresh
+/// traffic forever; the bound turns that livelock into a near-linear run
+/// without forbidding any finite reordering.
+pub(crate) const FAIRNESS_BOUND: u64 = 2_000;
 
 /// Environment-visible metadata of one pending event. All fields are
 /// immutable for the lifetime of the event.
@@ -84,11 +95,12 @@ pub enum SchedulerKind {
     Random,
     /// Oldest send first.
     Fifo,
-    /// Newest send first (maximally reordering but still fair via the
-    /// starvation bound).
+    /// Newest send first (maximally reordering), except that an event older
+    /// than the fairness bound goes first.
     Lifo,
     /// Starves messages to/from the given victims while anything else is
-    /// pending.
+    /// pending, except that an event older than the fairness bound goes
+    /// first.
     TargetedDelay(Vec<ProcessId>),
     /// Partitions the processes into two groups and withholds all
     /// cross-partition traffic for the given number of steps, then heals
@@ -118,13 +130,6 @@ impl SchedulerKind {
             }
             SchedulerKind::Replay(script) => Box::new(ReplayScheduler::new(script.clone())),
         }
-    }
-
-    /// Whether this kind replays a recorded dispatch order (replay runs
-    /// disable the starvation watchdog: forced deliveries are already baked
-    /// into the script).
-    pub fn is_replay(&self) -> bool {
-        matches!(self, SchedulerKind::Replay(_))
     }
 
     /// A small battery of schedulers covering the qualitatively different
@@ -328,25 +333,21 @@ impl Scheduler for ReplayScheduler {
     }
 }
 
-/// Withholds cross-partition messages until the partition heals, then
-/// behaves like the random scheduler. Models the classic "split then merge"
-/// network incident while remaining a legal (eventually-fair) environment.
+/// Withholds cross-partition messages until the partition heals at step
+/// `heal_after` of the world's clock, then behaves like the random
+/// scheduler. Models the classic "split then merge" network incident while
+/// remaining a legal (eventually-fair) environment.
 #[derive(Debug, Clone)]
 pub(crate) struct PartitionScheduler {
     group: Vec<ProcessId>,
     heal_after: u64,
-    steps: u64,
 }
 
 impl PartitionScheduler {
     /// Creates a scheduler partitioning `group` from everyone else for
     /// `heal_after` steps.
     pub(crate) fn new(group: Vec<ProcessId>, heal_after: u64) -> Self {
-        PartitionScheduler {
-            group,
-            heal_after,
-            steps: 0,
-        }
+        PartitionScheduler { group, heal_after }
     }
 
     fn crosses(&self, v: &PendingView) -> bool {
@@ -358,9 +359,8 @@ impl PartitionScheduler {
 }
 
 impl Scheduler for PartitionScheduler {
-    fn next(&mut self, pending: &[PendingView], _now: u64, rng: &mut StdRng) -> SchedChoice {
-        self.steps += 1;
-        if self.steps > self.heal_after {
+    fn next(&mut self, pending: &[PendingView], now: u64, rng: &mut StdRng) -> SchedChoice {
+        if now >= self.heal_after {
             return SchedChoice::Deliver(rng.gen_range(0..pending.len()));
         }
         let within: Vec<usize> = pending
@@ -421,19 +421,25 @@ impl Scheduler for FifoScheduler {
     }
 }
 
-/// Delivers the newest send first — an adversarial reordering environment.
+/// Delivers the newest send first — an adversarial reordering environment —
+/// unless some event is older than `FAIRNESS_BOUND`: then the lowest such
+/// plane index goes first, so nothing starves.
 #[derive(Debug, Clone, Default)]
 pub struct LifoScheduler;
 
 impl Scheduler for LifoScheduler {
-    fn next(&mut self, pending: &[PendingView], _now: u64, _rng: &mut StdRng) -> SchedChoice {
-        let i = pending
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| v.seq)
-            .map(|(i, _)| i)
-            .expect("pending non-empty");
-        SchedChoice::Deliver(i)
+    fn next(&mut self, pending: &[PendingView], now: u64, _rng: &mut StdRng) -> SchedChoice {
+        let mut newest = 0;
+        for (i, v) in pending.iter().enumerate() {
+            if v.age(now) > FAIRNESS_BOUND {
+                return SchedChoice::Deliver(i);
+            }
+            // `>=`: the last of equal seqs (start signals all carry 0).
+            if v.seq >= pending[newest].seq {
+                newest = i;
+            }
+        }
+        SchedChoice::Deliver(newest)
     }
     fn name(&self) -> &'static str {
         "lifo"
@@ -441,8 +447,9 @@ impl Scheduler for LifoScheduler {
 }
 
 /// Starves the victims: any event to or from a victim process waits as long
-/// as a non-victim event is pending. The starvation bound in the `World`
-/// keeps this technically fair, matching the paper's requirement that all
+/// as a non-victim event is pending — or until it is older than
+/// `FAIRNESS_BOUND`, when the lowest such plane index goes first. That
+/// keeps it technically fair, matching the paper's requirement that all
 /// messages are eventually delivered.
 #[derive(Debug, Clone)]
 pub(crate) struct TargetedDelayScheduler {
@@ -461,13 +468,16 @@ impl TargetedDelayScheduler {
 }
 
 impl Scheduler for TargetedDelayScheduler {
-    fn next(&mut self, pending: &[PendingView], _now: u64, rng: &mut StdRng) -> SchedChoice {
-        let non_victim: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !self.involves_victim(v))
-            .map(|(i, _)| i)
-            .collect();
+    fn next(&mut self, pending: &[PendingView], now: u64, rng: &mut StdRng) -> SchedChoice {
+        let mut non_victim = Vec::new();
+        for (i, v) in pending.iter().enumerate() {
+            if v.age(now) > FAIRNESS_BOUND {
+                return SchedChoice::Deliver(i);
+            }
+            if !self.involves_victim(v) {
+                non_victim.push(i);
+            }
+        }
         let pool: Vec<usize> = if non_victim.is_empty() {
             (0..pending.len()).collect()
         } else {
@@ -584,6 +594,47 @@ mod tests {
             LifoScheduler.next(&views(), 5, &mut rng),
             SchedChoice::Deliver(2)
         );
+    }
+
+    /// `views()` at a step where its first two views (born 0 and 3) are over
+    /// age and the third (born 5) is not.
+    const LATE: u64 = FAIRNESS_BOUND + 4;
+
+    #[test]
+    fn lifo_and_targeted_delay_deliver_the_lowest_over_age_index_first() {
+        let mut stale: [Box<dyn Scheduler>; 2] = [
+            Box::new(LifoScheduler),
+            Box::new(TargetedDelayScheduler::new(vec![0])),
+        ];
+        for s in &mut stale {
+            let mut rng = StdRng::seed_from_u64(0);
+            // Their own picks would be 2 (newest) and 1 or 2 (victim 0's
+            // start avoided); the rule wins, and the RNG is left untouched.
+            assert_eq!(s.next(&views(), LATE, &mut rng), SchedChoice::Deliver(0));
+            assert_eq!(rng, StdRng::seed_from_u64(0), "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn other_schedulers_ignore_age() {
+        let reborn: Vec<PendingView> = views()
+            .into_iter()
+            .map(|v| PendingView { born: LATE, ..v })
+            .collect();
+        let mut fair: [Box<dyn Scheduler>; 4] = [
+            Box::new(RandomScheduler::new()),
+            Box::new(FifoScheduler),
+            Box::new(PartitionScheduler::new(vec![1], LATE + 1)),
+            Box::new(PartitionScheduler::new(vec![1], LATE)),
+        ];
+        for s in &mut fair {
+            for seed in 0..8 {
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let aged = s.next(&views(), LATE, &mut r1);
+                assert_eq!(aged, s.next(&reborn, LATE, &mut r2), "{}", s.name());
+                assert_eq!(r1, r2, "{}", s.name());
+            }
+        }
     }
 
     #[test]
@@ -707,8 +758,6 @@ mod tests {
     fn replay_kind_builds_and_debug_is_compact() {
         let script = ReplayScript::new(vec![TraceEvent::Started { p: 0 }; 1000]);
         let kind = SchedulerKind::Replay(script);
-        assert!(kind.is_replay());
-        assert!(!SchedulerKind::Random.is_replay());
         let _ = kind.build();
         assert_eq!(format!("{kind:?}"), "Replay(ReplayScript(1000 events))");
     }
@@ -745,9 +794,15 @@ mod tests {
         // model — it falls back to delivering it.
         let c = s.next(&[cross], 0, &mut rng);
         assert_eq!(c, SchedChoice::Deliver(0));
-        // After healing, anything goes.
-        let mut s = PartitionScheduler::new(vec![0, 1], 0);
-        let got = s.next(&[within, cross], 0, &mut rng);
-        assert!(matches!(got, SchedChoice::Deliver(_)));
+        // The heal is read off the world's clock: from step `heal_after`
+        // on, anything goes — the same pick Random makes.
+        let mut r1 = StdRng::seed_from_u64(3);
+        let mut r2 = StdRng::seed_from_u64(3);
+        for now in 100..150 {
+            assert_eq!(
+                s.next(&[within, cross], now, &mut r1),
+                RandomScheduler.next(&[within, cross], now, &mut r2)
+            );
+        }
     }
 }

@@ -126,9 +126,8 @@ impl<M> Session<M> {
         self.id
     }
 
-    /// Dispatches one event (the scheduler's pick, or the starvation
-    /// backstop's). Returns [`SessionStatus::Done`] once the run has
-    /// terminated; calling `step` again after that is a no-op.
+    /// Dispatches the scheduler's pick. Returns [`SessionStatus::Done`] once
+    /// the run has terminated; calling `step` again after that is a no-op.
     pub fn step(&mut self) -> SessionStatus {
         if let Some(t) = self.done {
             return SessionStatus::Done(t);
@@ -483,17 +482,16 @@ mod tests {
         }
     }
 
-    /// One flood world under a tight starvation bound, driven the way a
-    /// transport pump drives a session — steps, outbox drains and
-    /// re-injections interleaved by a seeded schedule of its own. Returns a
-    /// hash of every drained envelope in drain order, and the outcome.
+    /// One flood world, driven the way a transport pump drives a session —
+    /// steps, outbox drains and re-injections interleaved by a seeded
+    /// schedule of its own. Returns a hash of every drained envelope in
+    /// drain order, and the outcome.
     fn drive_interleaved(kind: &SchedulerKind, seed: u64) -> (u64, Outcome) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let n = 8;
         let (quota, received) = (100, 0);
         let flooder = |_| Box::new(Flooder { n, quota, received }) as Box<dyn Process<u64>>;
-        let mut world = World::new((0..n).map(flooder).collect(), seed);
-        world.set_starvation_bound(12);
+        let world = World::new((0..n).map(flooder).collect(), seed);
         let mut session = Session::new(world, kind.build(), 100_000);
         let mut pump = StdRng::seed_from_u64(seed ^ 0x5e55_10f1);
         let mut wire = std::collections::VecDeque::new();
@@ -529,30 +527,30 @@ mod tests {
         }
         let stats = session.world().stats();
         assert!(
-            stats.forced_deliveries > 50 && stats.pending_high_water > 128,
-            "{kind:?} seed {seed} must exercise the backstop on a multi-block plane: {stats:?}"
+            stats.pending_high_water > 128,
+            "{kind:?} seed {seed} must run on a large plane: {stats:?}"
         );
         (drained_hash, session.finish())
     }
 
-    /// `(drained-envelope hash, Outcome::fingerprint)` per seed, captured
-    /// at the commit before `drain_messages` compacted in place and the
-    /// watchdog pick went through the block summary.
+    /// `(drained-envelope hash, Outcome::fingerprint)` per seed, derived at
+    /// the commit before the world's starvation backstop went, with it
+    /// lifted for Random and at the 2 000 steps Lifo now enforces itself.
     const INTERLEAVED_RANDOM: [(u64, u64); 6] = [
-        (0x63bf5e822706d491, 0x1af1c9f03c1f44c2),
-        (0x2893a3a788dd3582, 0x219d22ee02654874),
-        (0x8b433dd956015d56, 0xe54142958099dac8),
-        (0x273fc3854316d240, 0x4f9a504edb4e43d1),
-        (0x384754d7709fd55a, 0x4914a0d70fad143a),
-        (0xa077564d1fab5229, 0xa7277c1572e31a68),
+        (0xb2bf50ffc6f37081, 0x8530040b70e809f5),
+        (0x61f348deac7659a5, 0xbc550f225eba2cd4),
+        (0x2debde70956de628, 0x8554a5e33fe3b035),
+        (0xea70c2d169de8e93, 0x8d0f64a0be6d6cf0),
+        (0x2699264a7136cb8d, 0x13a430243e83348c),
+        (0x37b7323e9137a8be, 0x7c7750eaa1714be0),
     ];
     const INTERLEAVED_LIFO: [(u64, u64); 6] = [
-        (0x05637e569fedf811, 0x7c23de307e8da96b),
-        (0xdc926bc9797d2a0a, 0xd6320c0ddcd63dc5),
-        (0x4700def793ea662b, 0x3e87722e555f94eb),
-        (0x29901e6acd056ff9, 0xd19b63d0f8a062a0),
-        (0x69132d0a20492912, 0xf6c366f5f1cc8ec2),
-        (0x95006fc021543dfb, 0x259992f9c47b085d),
+        (0x011dcd13cb98be10, 0xbd33554ec7b08c8b),
+        (0x5c78b9070037d092, 0x3f9e37e0617d0433),
+        (0x1765925ed39037ee, 0x1b3c43255f813efd),
+        (0x5d5aaff6feaf4576, 0xc95b4f44cc7c48ba),
+        (0xc5fce17a210c5314, 0xffe99424a03f05ff),
+        (0xc2fb8e7b58d31b40, 0x256828b09dff6629),
     ];
 
     #[test]

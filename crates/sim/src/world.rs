@@ -23,28 +23,9 @@
 //!    sent but never enters the plane (the seed queued it and purged it
 //!    before the next pick — observationally identical).
 //!
-//! The starvation backstop is **block-summarised**. Beside the two arrays
-//! the plane keeps `block_born`, one entry per block of 64 views, each a
-//! *lower bound* on the smallest `born` in its block, and the cached
-//! `watchdog_deadline`, a lower bound on the first step at which *any*
-//! pending event can be over-age. Steps before the deadline skip the
-//! watchdog with one comparison. At the deadline — which at `n = 13` is
-//! due on a quarter of all steps, not a rare event — the pick reads the
-//! ~P/64 bounds, opens only blocks whose bound is below the cut
-//! (`steps − bound`) and scans each such block in index order: the first
-//! over-age view is force-delivered — exactly the lowest over-age dense
-//! index the seed's per-step linear scan picked — and a block with no hit
-//! has its bound tightened to its true minimum, so it is not opened again
-//! until something in it can really be over-age. With no hit anywhere the
-//! deadline moves to the minimum over the bounds.
-//!
-//! The lower-bound invariant is nearly free to keep. Birth steps are
-//! nondecreasing in push order, so a push touches the summary only when it
-//! opens a block; a `swap_remove` moves the tail view into the popped slot,
-//! which is one compare of its `born` against that block's bound (and a
-//! `pop` when the trailing block empties); removals otherwise only raise a
-//! block's true minimum, which a lower bound survives. The two whole-plane
-//! compactions (halt purge, outbox drain) recompute the summary.
+//! Every pick is the scheduler's: the world keeps no starvation backstop.
+//! Eventual delivery is the scheduler's contract (see
+//! [`crate::scheduler`]), so the plane is exactly the two arrays.
 
 use crate::process::{Action, Ctx, Process, ProcessId};
 use crate::scheduler::{PendingView, SchedChoice, Scheduler};
@@ -165,18 +146,9 @@ pub struct Envelope<M> {
 /// [`Outcome`], so fingerprints, goldens and stored traces cannot see it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorldStats {
-    /// Steps at which the starvation watchdog was due and looked for an
-    /// over-age event (`steps ≥` the cached deadline).
-    pub watchdog_scans: u64,
-    /// Steps whose event was picked by the starvation backstop instead of
-    /// the scheduler.
-    pub forced_deliveries: u64,
     /// The largest number of events ever pending at once.
     pub pending_high_water: u64,
 }
-
-/// Views per entry of the watchdog's block summary (see the module docs).
-const BLOCK: usize = 64;
 
 /// A deterministic asynchronous world: processes plus in-flight events.
 ///
@@ -186,11 +158,9 @@ const BLOCK: usize = 64;
 pub struct World<M> {
     procs: Vec<Box<dyn Process<M>>>,
     // The indexed event plane (see the module docs): two dense arrays in
-    // lockstep plus the starvation watchdog's block summary and deadline.
+    // lockstep.
     views: Vec<PendingView>,
     stores: Vec<Stored<M>>,
-    block_born: Vec<u64>,   // [b] <= min born of views[b*BLOCK..][..BLOCK]
-    watchdog_deadline: u64, // earliest step any event can be over-age
     stats: WorldStats,
     outbox_pool: Vec<(ProcessId, M)>, // recycled activation outbox
     started: Vec<bool>,
@@ -207,7 +177,6 @@ pub struct World<M> {
     delivered: u64,
     trace: Trace,
     allow_drop: bool,
-    starvation_bound: u64,
     ran: bool,
 }
 
@@ -227,8 +196,6 @@ impl<M> World<M> {
             procs,
             views: Vec::new(),
             stores: Vec::new(),
-            block_born: Vec::new(),
-            watchdog_deadline: u64::MAX,
             stats: WorldStats::default(),
             outbox_pool: Vec::new(),
             started: vec![false; n],
@@ -245,7 +212,6 @@ impl<M> World<M> {
             delivered: 0,
             trace: Trace::new(),
             allow_drop: false,
-            starvation_bound: u64::MAX,
             ran: false,
         }
     }
@@ -254,15 +220,6 @@ impl<M> World<M> {
     /// Dropping one message drops its entire batch (all-or-none rule).
     pub fn allow_drops(&mut self) -> &mut Self {
         self.allow_drop = true;
-        self
-    }
-
-    /// Force-delivers any event pending longer than `bound` steps, keeping
-    /// adversarial schedulers technically fair (eventual delivery).
-    ///
-    /// Must be configured before [`World::run`].
-    pub fn set_starvation_bound(&mut self, bound: u64) -> &mut Self {
-        self.starvation_bound = bound;
         self
     }
 
@@ -493,7 +450,6 @@ impl<M> World<M> {
         }
         self.views.truncate(kept);
         self.stores.truncate(kept);
-        self.resummarise();
         drained
     }
 
@@ -531,106 +487,18 @@ impl<M> World<M> {
 
     /// Queues one event on the plane.
     fn push_event(&mut self, view: PendingView, store: Stored<M>) {
-        // Birth steps are nondecreasing in push order, so the view that
-        // opens a block is a lower bound for everything pushed into it.
-        if self.views.len().is_multiple_of(BLOCK) {
-            self.block_born.push(view.born);
-        }
         self.views.push(view);
         self.stores.push(store);
         let high_water = &mut self.stats.pending_high_water;
         *high_water = (*high_water).max(self.views.len() as u64);
-        // For the same reason a push can tighten the cached watchdog
-        // deadline only when the plane had gone idle (deadline reset to
-        // MAX); one branch in the common case.
-        if self.starvation_bound != u64::MAX && self.watchdog_deadline == u64::MAX {
-            self.watchdog_deadline = view
-                .born
-                .saturating_add(self.starvation_bound)
-                .saturating_add(1);
-        }
     }
 
     /// Removes the event at dense index `i`, returning its view + payload.
     fn pop_event(&mut self, i: usize) -> (PendingView, Stored<M>) {
-        let view = self.views.swap_remove(i);
-        let store = self.stores.swap_remove(i);
-        if self.views.len().is_multiple_of(BLOCK) {
-            self.block_born.pop(); // the trailing block emptied
-        }
-        // The old tail now sits at `i` and may be older than its new block.
-        if let Some(moved) = self.views.get(i) {
-            let bound = &mut self.block_born[i / BLOCK];
-            *bound = (*bound).min(moved.born);
-        }
-        (view, store)
-    }
-
-    /// Recomputes the block summary exactly, after a whole-plane
-    /// compaction.
-    fn resummarise(&mut self) {
-        let oldest = |block: &[PendingView]| {
-            let borns = block.iter().map(|v| v.born);
-            borns.min().expect("chunks are non-empty")
-        };
-        self.block_born.clear();
-        self.block_born.extend(self.views.chunks(BLOCK).map(oldest));
-    }
-
-    /// The starvation backstop: one comparison per step while
-    /// `steps < watchdog_deadline`. At the deadline it returns the lowest
-    /// dense index whose event is over-age — the pick the seed's per-step
-    /// linear scan made — opening only blocks whose bound admits one; with
-    /// no hit, the deadline moves to the minimum over the (tightened)
-    /// bounds.
-    fn overdue_index(&mut self) -> Option<usize> {
-        if self.steps < self.watchdog_deadline {
-            return None;
-        }
-        self.stats.watchdog_scans += 1;
-        let found = self.first_over_age();
-        let (now, bound) = (self.steps, self.starvation_bound);
-        debug_assert_eq!(
-            found,
-            self.views.iter().position(|v| v.age(now) > bound),
-            "block summary disagrees with the seed's linear scan at step {now}"
-        );
-        found
-    }
-
-    fn first_over_age(&mut self) -> Option<usize> {
-        // Over-age ⇔ age > bound ⇔ born < steps − bound.
-        let cut = self.steps.saturating_sub(self.starvation_bound);
-        let mut min_born = u64::MAX;
-        let blocks = self.block_born.iter_mut().zip(self.views.chunks(BLOCK));
-        for (b, (bound, block)) in blocks.enumerate() {
-            if *bound < cut {
-                let mut block_min = u64::MAX;
-                for (j, v) in block.iter().enumerate() {
-                    if v.born < cut {
-                        return Some(b * BLOCK + j);
-                    }
-                    block_min = block_min.min(v.born);
-                }
-                *bound = block_min;
-            }
-            min_born = min_born.min(*bound);
-        }
-        // Nothing over-age: cache the next deadline. The run loop
-        // guarantees a non-empty plane here, but an empty one degrades to
-        // "idle" (deadline MAX, re-armed by the next push).
-        self.watchdog_deadline = min_born
-            .saturating_add(self.starvation_bound)
-            .saturating_add(1);
-        None
+        (self.views.swap_remove(i), self.stores.swap_remove(i))
     }
 
     fn pick(&mut self, scheduler: &mut dyn Scheduler) -> SchedChoice {
-        // Starvation backstop: force-deliver over-age events.
-        if let Some(i) = self.overdue_index() {
-            self.stats.forced_deliveries += 1;
-            return SchedChoice::Deliver(i);
-        }
         let c = scheduler.next(&self.views, self.steps, &mut self.sched_rng);
         let idx = match c {
             SchedChoice::Deliver(i) | SchedChoice::Drop(i) => i,
@@ -726,7 +594,6 @@ impl<M> World<M> {
         }
         self.views.truncate(w);
         self.stores.truncate(w);
-        self.resummarise();
     }
 
     fn drop_batch(&mut self, i: usize) {
@@ -765,7 +632,9 @@ impl<M> World<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{FifoScheduler, LifoScheduler, RandomScheduler, RelaxedScheduler};
+    use crate::scheduler::{
+        FifoScheduler, LifoScheduler, RandomScheduler, RelaxedScheduler, FAIRNESS_BOUND,
+    };
 
     /// Sends `fanout` messages to everyone on start; echoes once on receipt;
     /// moves with the number of messages received after `quota` receipts.
@@ -941,14 +810,17 @@ mod tests {
     }
 
     #[test]
-    fn starvation_bound_forces_delivery() {
+    fn lifo_delivers_a_starved_message_past_the_fairness_bound() {
         // LIFO + a self-feeding process would starve the other message
-        // forever; the bound forces it through.
+        // forever; the scheduler's fairness rule delivers it the first step
+        // its age exceeds the bound.
         struct SelfFeeder {
-            count: u32,
+            count: u64,
         }
         impl Process<u32> for SelfFeeder {
             fn on_start(&mut self, ctx: &mut Ctx<u32>) {
+                // LIFO starts the last of the equal-seq start signals (1's)
+                // first, so these two sends are born at step 1.
                 if ctx.me() == 0 {
                     ctx.send(1, 42); // the message LIFO will starve...
                     ctx.send(0, 0); // ...under this younger self-message loop
@@ -957,14 +829,14 @@ mod tests {
             fn on_message(&mut self, _src: ProcessId, m: u32, ctx: &mut Ctx<u32>) {
                 if ctx.me() == 0 {
                     self.count += 1;
-                    if self.count < 200 {
+                    if self.count < 2 * FAIRNESS_BOUND {
                         ctx.send(0, m);
                     } else {
                         ctx.make_move(0);
                         ctx.halt();
                     }
                 } else {
-                    ctx.make_move(m as Action);
+                    ctx.make_move(ctx.step() as Action);
                     ctx.halt();
                 }
             }
@@ -974,18 +846,14 @@ mod tests {
             Box::new(SelfFeeder { count: 0 }),
         ];
         let mut w = World::new(procs, 5);
-        w.set_starvation_bound(50);
         let out = w.run(&mut LifoScheduler, 100_000);
+        assert_eq!(out.termination, TerminationKind::Quiescent);
         assert_eq!(
             out.moves[1],
-            Some(42),
-            "starved message must eventually arrive"
+            Some((1 + FAIRNESS_BOUND + 1) as Action),
+            "the starved message arrives the step its age passes the bound"
         );
-        // The counters say who delivered it: the backstop, once, on a
-        // plane that never held more than two events.
-        let stats = w.stats();
-        assert_eq!(stats.forced_deliveries, 1, "{stats:?}");
-        assert_eq!(stats.pending_high_water, 2, "{stats:?}");
+        assert_eq!(w.stats().pending_high_water, 2);
     }
 
     #[test]
@@ -1101,83 +969,6 @@ mod tests {
         let ring_window: Vec<TraceEvent> = ring.trace.recent().copied().collect();
         assert_eq!(full_tail, ring_window);
     }
-
-    /// One summary entry per non-empty block, each a lower bound on the
-    /// smallest `born` in its block.
-    fn assert_summary_is_a_lower_bound(w: &World<u32>, after: &str) {
-        assert_eq!(
-            w.block_born.len(),
-            w.views.len().div_ceil(BLOCK),
-            "after {after}"
-        );
-        for (b, block) in w.views.chunks(BLOCK).enumerate() {
-            let min = block.iter().map(|v| v.born).min().expect("non-empty");
-            assert!(
-                w.block_born[b] <= min,
-                "after {after}: block {b} claims {} over a true minimum of {min}",
-                w.block_born[b]
-            );
-        }
-    }
-
-    #[test]
-    fn block_summary_stays_a_lower_bound_under_random_plane_edits() {
-        use rand::Rng;
-        struct Idle;
-        impl Process<u32> for Idle {
-            fn on_start(&mut self, _ctx: &mut Ctx<u32>) {}
-            fn on_message(&mut self, _src: ProcessId, _m: u32, _ctx: &mut Ctx<u32>) {}
-        }
-        let n = 6;
-        let procs = (0..n).map(|_| Box::new(Idle) as Box<dyn Process<u32>>);
-        let mut w = World::new(procs.collect(), 0);
-        w.set_starvation_bound(400);
-        w.start();
-        let mut rng = StdRng::seed_from_u64(7);
-        for round in 0..12_000 {
-            // As in `step_once`, a due watchdog goes first and its pick is
-            // popped; otherwise one random edit. Growing and shrinking
-            // phases alternate, so the tail that a pop moves into an
-            // earlier block is sometimes older than everything there.
-            let push_below = if (round / 600) % 2 == 0 { 600 } else { 50 };
-            let after = if let Some(i) = w.overdue_index() {
-                w.pop_event(i);
-                "forced pop"
-            } else {
-                match rng.gen_range(0..1000) {
-                    x if x < push_below => {
-                        for _ in 0..rng.gen_range(1..6) {
-                            w.inject(rng.gen_range(0..n), rng.gen_range(0..n), 0);
-                        }
-                        "push"
-                    }
-                    x if x < 990 => {
-                        if !w.views.is_empty() {
-                            w.pop_event(rng.gen_range(0..w.views.len()));
-                        }
-                        "pop"
-                    }
-                    x if x < 998 => {
-                        w.purge_for(rng.gen_range(0..n));
-                        "purge"
-                    }
-                    _ => {
-                        w.drain_messages();
-                        "drain"
-                    }
-                }
-            };
-            w.steps += 1;
-            assert_summary_is_a_lower_bound(&w, after);
-        }
-        let stats = w.stats();
-        assert!(
-            stats.pending_high_water > 4 * BLOCK as u64,
-            "the sequence must span several blocks, peaked at {}",
-            stats.pending_high_water
-        );
-        assert!(stats.watchdog_scans > 100, "{stats:?}");
-    }
 }
 
 /// Differential suite: the indexed event plane versus an executable
@@ -1210,7 +1001,6 @@ mod spec_parity {
         delivered: u64,
         trace: Trace,
         allow_drop: bool,
-        starvation_bound: u64,
     }
 
     impl<M> SpecWorld<M> {
@@ -1241,7 +1031,6 @@ mod spec_parity {
                 delivered: 0,
                 trace: Trace::new(),
                 allow_drop: false,
-                starvation_bound: u64::MAX,
             }
         }
 
@@ -1275,16 +1064,7 @@ mod spec_parity {
                 }
                 // Per-step view rebuild, as the seed did.
                 let views: Vec<PendingView> = self.pending.iter().map(|(v, _)| *v).collect();
-                let choice = if let Some((i, _)) = views
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| v.age(self.steps) > self.starvation_bound)
-                {
-                    SchedChoice::Deliver(i)
-                } else {
-                    scheduler.next(&views, self.steps, &mut self.sched_rng)
-                };
-                match choice {
+                match scheduler.next(&views, self.steps, &mut self.sched_rng) {
                     SchedChoice::Deliver(i) => self.dispatch(i),
                     SchedChoice::Drop(i) => {
                         if self.allow_drop {
@@ -1456,13 +1236,11 @@ mod spec_parity {
         sched: impl Fn() -> Box<dyn Scheduler>,
         name: &str,
         seed: u64,
-        bound: u64,
         drops: bool,
         mk: impl Fn() -> Vec<Box<dyn Process<u32>>>,
     ) -> WorldStats {
         let (plane, stats) = {
             let mut w = World::new(mk(), seed);
-            w.set_starvation_bound(bound);
             if drops {
                 w.allow_drops();
             }
@@ -1471,11 +1249,10 @@ mod spec_parity {
         };
         let spec = {
             let mut w = SpecWorld::new(mk(), seed);
-            w.starvation_bound = bound;
             w.allow_drop = drops;
             w.run(sched().as_mut(), 50_000)
         };
-        let label = format!("{name} seed {seed} bound {bound} drops {drops}");
+        let label = format!("{name} seed {seed} drops {drops}");
         assert_eq!(plane.trace.events(), spec.trace.events(), "trace: {label}");
         assert_eq!(plane.moves, spec.moves, "moves: {label}");
         assert_eq!(plane.wills, spec.wills, "wills: {label}");
@@ -1495,18 +1272,7 @@ mod spec_parity {
         for kind in SchedulerKind::battery(5) {
             for seed in 0..32 {
                 let name = format!("{kind:?}");
-                assert_same_run(|| kind.build(), &name, seed, u64::MAX, false, || mixers(5));
-            }
-        }
-    }
-
-    #[test]
-    fn plane_matches_spec_with_starvation_bound() {
-        // A tight bound forces the backstop path (first-over-age pick).
-        for kind in [SchedulerKind::Lifo, SchedulerKind::Random] {
-            for seed in 0..32 {
-                let name = format!("{kind:?}");
-                assert_same_run(|| kind.build(), &name, seed, 10, false, || mixers(4));
+                assert_same_run(|| kind.build(), &name, seed, false, || mixers(5));
             }
         }
     }
@@ -1518,45 +1284,34 @@ mod spec_parity {
     #[test]
     fn plane_matches_spec_under_relaxed_drops() {
         for seed in 0..32 {
-            assert_same_run(relaxed, "relaxed", seed, u64::MAX, true, || mixers(4));
+            assert_same_run(relaxed, "relaxed", seed, true, || mixers(4));
         }
     }
 
-    /// `mixers(24)` keeps several hundred events pending — a plane of many
-    /// summary blocks, where `mixers(4)` never fills one — and player 0,
-    /// fed by its self-loop, halts (and purges) while it is full.
+    /// `mixers(24)` keeps several hundred events pending — a plane of
+    /// hundreds of slots, where `mixers(4)` never holds more than a few
+    /// dozen — and player 0, fed by its self-loop, halts (and purges) while
+    /// it is full.
     #[test]
-    fn plane_matches_spec_with_starvation_bound_on_multi_block_planes() {
-        let kinds = [
-            SchedulerKind::Random,
-            SchedulerKind::Lifo,
-            SchedulerKind::TargetedDelay(vec![0]),
-        ];
-        for kind in kinds {
+    fn plane_matches_spec_on_large_planes() {
+        for kind in SchedulerKind::battery(24) {
             let name = format!("{kind:?}");
-            for bound in [10, 50, 300] {
-                for seed in 0..16 {
-                    let stats =
-                        assert_same_run(|| kind.build(), &name, seed, bound, false, || mixers(24));
-                    assert!(
-                        stats.pending_high_water > 4 * BLOCK as u64 && stats.forced_deliveries > 0,
-                        "{name} seed {seed} bound {bound}: {stats:?}"
-                    );
-                }
+            for seed in 0..16 {
+                let stats = assert_same_run(|| kind.build(), &name, seed, false, || mixers(24));
+                assert!(
+                    stats.pending_high_water > 256,
+                    "{name} seed {seed}: {stats:?}"
+                );
             }
         }
     }
 
     #[test]
-    fn plane_matches_spec_under_relaxed_drops_with_a_finite_bound() {
-        // Batch drops (back-to-front multi-pops) interleaved with forced
-        // picks on the same multi-block plane.
+    fn plane_matches_spec_under_relaxed_drops_on_large_planes() {
+        // Batch drops (back-to-front multi-pops) on the same large plane.
         for seed in 0..16 {
-            let stats = assert_same_run(relaxed, "relaxed", seed, 50, true, || mixers(24));
-            assert!(
-                stats.pending_high_water > 4 * BLOCK as u64 && stats.forced_deliveries > 0,
-                "seed {seed}: {stats:?}"
-            );
+            let stats = assert_same_run(relaxed, "relaxed", seed, true, || mixers(24));
+            assert!(stats.pending_high_water > 256, "seed {seed}: {stats:?}");
         }
     }
 
@@ -1571,9 +1326,6 @@ mod spec_parity {
         use crate::scheduler::{ReplayScheduler, ReplayScript};
         let script = ReplayScript::new(recorded.trace.events().to_vec());
         let mut w = World::new(mk(), seed);
-        // The recording already embeds every watchdog-forced delivery, so
-        // replay disables the watchdog instead of re-deriving its firings.
-        w.set_starvation_bound(u64::MAX);
         if script.has_drops() {
             w.allow_drops();
         }
@@ -1616,23 +1368,6 @@ mod spec_parity {
                 };
                 let label = format!("{kind:?} seed {seed}");
                 assert_replay_matches(&recorded, seed, &label, || mixers(5));
-            }
-        }
-    }
-
-    #[test]
-    fn replay_reproduces_watchdog_forced_runs() {
-        // A tight starvation bound bakes forced deliveries into the script;
-        // replay (watchdog off) must still reproduce them verbatim.
-        for kind in [SchedulerKind::Lifo, SchedulerKind::Random] {
-            for seed in 0..32 {
-                let recorded = {
-                    let mut w = World::new(mixers(4), seed);
-                    w.set_starvation_bound(10);
-                    w.run(kind.build().as_mut(), 50_000)
-                };
-                let label = format!("{kind:?} seed {seed} bound 10");
-                assert_replay_matches(&recorded, seed, &label, || mixers(4));
             }
         }
     }

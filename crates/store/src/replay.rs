@@ -336,9 +336,7 @@ mod tests {
             .expect("record");
         let run = store.load(id).unwrap();
         let report = replay_run(&run, |kind, seed| {
-            let mut world = echo_world(4, seed);
-            world.set_starvation_bound(u64::MAX);
-            world.run(kind.build().as_mut(), 10_000)
+            echo_world(4, seed).run(kind.build().as_mut(), 10_000)
         })
         .expect("replay reproduces");
         assert_eq!(report.events, outcome.trace.events().len());
@@ -382,9 +380,7 @@ mod tests {
         let run = store.load(id).unwrap();
         // Re-enact with a *different* world size: the trace cannot match.
         let err = replay_run(&run, |kind, seed| {
-            let mut world = echo_world(3, seed);
-            world.set_starvation_bound(u64::MAX);
-            world.run(kind.build().as_mut(), 10_000)
+            echo_world(3, seed).run(kind.build().as_mut(), 10_000)
         })
         .unwrap_err();
         assert!(

@@ -84,8 +84,7 @@ pub mod prelude {
     pub use mediator_core::implement::{compare_run_sets, ImplementationReport};
     pub use mediator_core::scenario::{
         Batch, CheapTalkPlan, DeviantFactory, MediatorPlan, Resolve, RunRecord, RunSet, Scenario,
-        ScenarioError, SessionPlan, Theorem, DEFAULT_CHEAP_TALK_STARVATION_BOUND,
-        DEFAULT_MEDIATOR_STARVATION_BOUND,
+        ScenarioError, SessionPlan, Theorem,
     };
     pub use mediator_field::Fp;
     pub use mediator_games::dist::OutcomeDist;
