@@ -84,6 +84,16 @@ fn bench_agreement(c: &mut Criterion) {
             run_aba(7, 2, seed, false)
         })
     });
+    // One core-agreement instance at the `sim_n13` working point: a
+    // Theorem 4.1 run at `n = 13, k = 3` holds 13 of them per player, and
+    // their `BVal` / `Aux` / `Done` are ~70% of its deliveries.
+    g.bench_function("aba_n13_f3", |bch| {
+        let mut seed = 0;
+        bch.iter(|| {
+            seed += 1;
+            run_aba(13, 3, seed, false)
+        })
+    });
     g.bench_function("aba_n7_local_coin", |bch| {
         let mut seed = 0;
         bch.iter(|| {

@@ -16,11 +16,15 @@
 //!
 //! A Bracha-style `Done` gadget (relay at `t+1`, halt at `2t+1`) lets
 //! processes stop participating.
+//!
+//! Every vote set is a [`PartySet`] bitset, and a sender id `≥ n` names no
+//! player: its message is ignored, so no quorum can be made of phantoms.
 
 use crate::coin::CoinSource;
 use mediator_sim::sansio::Outgoing;
+use mediator_sim::PartySet;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Agreement wire messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,13 +39,16 @@ pub enum AbaMsg {
 
 #[derive(Debug, Clone, Default)]
 struct RoundState {
-    bval_recv: [BTreeSet<usize>; 2],
+    bval_recv: [PartySet; 2],
     bval_sent: [bool; 2],
     bin_values: [bool; 2],
-    aux_recv: [BTreeSet<usize>; 2],
+    aux_recv: [PartySet; 2],
     aux_sent: bool,
     completed: bool,
 }
+
+/// Livelock guard: [`AbaState::on_message`] panics past this round.
+const MAX_ROUNDS: u64 = 10_000;
 
 /// One player's state in one binary-agreement instance.
 #[derive(Debug, Clone)]
@@ -55,11 +62,9 @@ pub struct AbaState {
     rounds: BTreeMap<u64, RoundState>,
     decided: Option<bool>,
     done_sent: bool,
-    done_recv: [BTreeSet<usize>; 2],
+    done_recv: [PartySet; 2],
     halted: bool,
     started: bool,
-    /// Livelock guard: panics past this round (see [`AbaState::on_message`]).
-    pub max_rounds: u64,
 }
 
 impl AbaState {
@@ -80,10 +85,9 @@ impl AbaState {
             rounds: BTreeMap::new(),
             decided: None,
             done_sent: false,
-            done_recv: [BTreeSet::new(), BTreeSet::new()],
+            done_recv: Default::default(),
             halted: false,
             started: false,
-            max_rounds: 10_000,
         }
     }
 
@@ -122,11 +126,11 @@ impl AbaState {
     }
 
     /// Processes a message; returns outgoing messages and the decision if it
-    /// is reached *now* (reported once).
+    /// is reached *now* (reported once). A sender id `≥ n` is ignored.
     ///
     /// # Panics
     ///
-    /// Panics if the instance exceeds `max_rounds` (livelock guard for
+    /// Panics if the instance exceeds 10 000 rounds (livelock guard for
     /// adversarial-scheduler experiments; never reached under fair
     /// schedulers).
     pub fn on_message(
@@ -135,7 +139,7 @@ impl AbaState {
         msg: AbaMsg,
     ) -> (Vec<Outgoing<AbaMsg>>, Option<bool>) {
         let mut out = Vec::new();
-        if self.halted {
+        if self.halted || from >= self.n {
             return (out, None);
         }
         let decided_before = self.decided;
@@ -193,9 +197,8 @@ impl AbaState {
                 return;
             }
             assert!(
-                self.round < self.max_rounds,
-                "ABA livelock: exceeded {} rounds",
-                self.max_rounds
+                self.round < MAX_ROUNDS,
+                "ABA livelock: exceeded {MAX_ROUNDS} rounds"
             );
             let round = self.round;
             let t = self.t;
@@ -205,21 +208,21 @@ impl AbaState {
                 return; // shouldn't happen; defensive
             }
             // Completion: ≥ n−t AUX senders whose values are accepted.
-            let mut senders: BTreeSet<usize> = BTreeSet::new();
-            let mut vals: Vec<bool> = Vec::new();
-            for v in [false, true] {
-                if rs.bin_values[v as usize] && !rs.aux_recv[v as usize].is_empty() {
-                    senders.extend(rs.aux_recv[v as usize].iter());
-                    vals.push(v);
-                }
-            }
-            if senders.len() < n - t || vals.is_empty() {
+            let vals = [0, 1].map(|v| rs.bin_values[v] && !rs.aux_recv[v].is_empty());
+            let senders = match vals {
+                [true, true] => rs.aux_recv[0].union_len(&rs.aux_recv[1]),
+                [true, false] => rs.aux_recv[0].len(),
+                [false, true] => rs.aux_recv[1].len(),
+                [false, false] => return,
+            };
+            if senders < n - t {
                 return;
             }
             rs.completed = true;
             let c = self.coin.flip(self.instance, round);
-            if vals.len() == 1 {
-                let v = vals[0];
+            if vals != [true, true] {
+                // One accepted value, and `vals[1]` says whether it is `true`.
+                let v = vals[1];
                 self.est = v;
                 if v == c && self.decided.is_none() {
                     self.decided = Some(v);
@@ -410,6 +413,37 @@ mod tests {
             .any(|o| matches!(o.msg, AbaMsg::Done { v: false })));
         let (_, _) = s.on_message(2, AbaMsg::Done { v: false });
         assert!(s.is_halted());
+        assert_eq!(s.decided(), Some(false));
+    }
+
+    #[test]
+    fn phantom_senders_never_make_a_quorum() {
+        // Ids n, n+1, … name no player: counted, t+1 phantom Done would make
+        // a fresh state adopt v and 2t+1 would halt it. Neither they nor a
+        // full round of phantom BVal / Aux may move anything.
+        let n = 4;
+        let mut s = AbaState::new(n, 1, 0, Box::new(IdealCoin::new(0)));
+        for from in n..2 * n {
+            assert_eq!(
+                s.on_message(from, AbaMsg::Done { v: false }),
+                (vec![], None)
+            );
+        }
+        assert!(!s.is_halted() && s.decided().is_none());
+        let _ = s.start(true);
+        for from in n..2 * n {
+            for msg in [
+                AbaMsg::BVal { round: 1, v: false },
+                AbaMsg::Aux { round: 1, v: false },
+            ] {
+                assert_eq!(s.on_message(from, msg), (vec![], None));
+            }
+        }
+        assert!(!s.is_halted() && s.decided().is_none());
+        // Real senders still count.
+        for from in 0..2 {
+            s.on_message(from, AbaMsg::Done { v: false });
+        }
         assert_eq!(s.decided(), Some(false));
     }
 

@@ -13,6 +13,7 @@
 //! `2t+1` readies deliver.
 
 use mediator_sim::sansio::Outgoing;
+use mediator_sim::PartySet;
 use serde::{Deserialize, Serialize};
 
 /// Reliable-broadcast wire messages.
@@ -40,33 +41,8 @@ pub struct RbcState<V> {
     ready_sent: bool,
     delivered: bool,
     /// Echo senders per value (values collapse via Ord).
-    echoes: Vec<(V, VoterSet)>,
-    readies: Vec<(V, VoterSet)>,
-}
-
-/// A dense bitset of voter ids with a maintained count: vote recording is
-/// one word-OR instead of a `BTreeSet` node allocation — this sits on the
-/// per-delivery hot path of every broadcast instance in the system.
-#[derive(Debug, Clone, Default)]
-struct VoterSet {
-    words: Vec<u64>,
-    count: usize,
-}
-
-impl VoterSet {
-    /// Records voter `i`; returns the number of distinct voters so far.
-    fn insert(&mut self, i: usize) -> usize {
-        let w = i / 64;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let bit = 1u64 << (i % 64);
-        if self.words[w] & bit == 0 {
-            self.words[w] |= bit;
-            self.count += 1;
-        }
-        self.count
-    }
+    echoes: Vec<(V, PartySet)>,
+    readies: Vec<(V, PartySet)>,
 }
 
 impl<V: Clone + Ord> RbcState<V> {
@@ -101,7 +77,8 @@ impl<V: Clone + Ord> RbcState<V> {
     }
 
     /// Processes a message from `from`; returns outgoing messages and the
-    /// delivered value, if delivery happens now.
+    /// delivered value, if delivery happens now. A sender id `≥ n` names no
+    /// player and is ignored.
     pub fn on_message(
         &mut self,
         from: usize,
@@ -109,6 +86,9 @@ impl<V: Clone + Ord> RbcState<V> {
     ) -> (Vec<Outgoing<RbcMsg<V>>>, Option<V>) {
         let mut out = Vec::new();
         let mut delivered = None;
+        if from >= self.n {
+            return (out, delivered);
+        }
         match msg {
             RbcMsg::Init(v) => {
                 // Only the dealer's first Init counts.
@@ -151,11 +131,12 @@ impl<V: Clone + Ord> RbcState<V> {
 }
 
 /// Records a vote; returns the number of distinct voters for this value.
-fn insert_vote<V: Clone + Ord>(votes: &mut Vec<(V, VoterSet)>, v: &V, from: usize) -> usize {
+fn insert_vote<V: Clone + Ord>(votes: &mut Vec<(V, PartySet)>, v: &V, from: usize) -> usize {
     if let Some((_, set)) = votes.iter_mut().find(|(val, _)| val == v) {
-        set.insert(from)
+        set.insert(from);
+        set.len()
     } else {
-        let mut set = VoterSet::default();
+        let mut set = PartySet::new();
         set.insert(from);
         votes.push((v.clone(), set));
         1
@@ -288,6 +269,19 @@ mod tests {
             let (_, d) = s.on_message(1, RbcMsg::Ready(7));
             assert!(d.is_none(), "one voter repeated must never reach 2t+1");
         }
+    }
+
+    #[test]
+    fn phantom_senders_never_make_a_quorum() {
+        // Ids n, n+1, … name no player: 2t+1 of their readies (and echoes
+        // past the echo threshold) neither relay nor deliver.
+        let n = 4;
+        let mut s: RbcState<u64> = RbcState::new(n, 1, 0);
+        for from in n..2 * n {
+            assert_eq!(s.on_message(from, RbcMsg::Echo(7)), (Vec::new(), None));
+            assert_eq!(s.on_message(from, RbcMsg::Ready(7)), (Vec::new(), None));
+        }
+        assert!(!s.is_delivered());
     }
 
     #[test]

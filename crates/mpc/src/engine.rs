@@ -6,11 +6,12 @@ use mediator_bcast::{AbaState, CoinSource, IdealCoin};
 use mediator_circuits::{Circuit, Gate};
 use mediator_field::Fp;
 use mediator_sim::sansio::Outgoing;
+use mediator_sim::PartySet;
 use mediator_vss::avss::{self, AvssDest, AvssState};
 use mediator_vss::detect::{deal_detectable, DetectState, Verdict};
 use mediator_vss::OecState;
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Externally visible engine status.
@@ -39,7 +40,7 @@ pub enum MpcEvent {
 #[derive(Debug, Clone)]
 struct OpenRec {
     oec: OecState,
-    senders: BTreeSet<usize>,
+    senders: PartySet,
     value: Option<Fp>,
 }
 
@@ -294,14 +295,15 @@ impl MpcEngine {
     }
 
     /// Processes one message. Returns outgoing messages and at most one
-    /// freshly-raised event.
+    /// freshly-raised event. A sender id `≥ n` names no player and is
+    /// ignored, so no opening or output can be decoded from phantom points.
     pub fn on_message(
         &mut self,
         from: usize,
         msg: MpcMsg,
     ) -> (Vec<Outgoing<MpcMsg>>, Option<MpcEvent>) {
         let mut out = Vec::new();
-        if self.status != MpcStatus::Running {
+        if self.status != MpcStatus::Running || from >= self.cfg.n {
             return (out, None);
         }
         match msg {
@@ -516,7 +518,7 @@ impl MpcEngine {
         self.next_open += 1;
         let mut rec = OpenRec {
             oec: OecState::new(deg, self.cfg.t),
-            senders: BTreeSet::new(),
+            senders: PartySet::new(),
             value: None,
         };
         if let Some(buf) = self.buffered.remove(&id) {
@@ -1151,6 +1153,34 @@ mod tests {
             d2 > d1,
             "more multiplications must cost more messages: {d1} vs {d2}"
         );
+    }
+
+    #[test]
+    fn phantom_openers_never_decide_an_opening() {
+        // Ids n, n+1, … name no player: counted, points of one polynomial
+        // from n of them would decode an opening nobody opened.
+        let n = 5;
+        let cfg = MpcConfig::robust(n, 1, 7, vec![vec![Fp::ZERO]; n]);
+        let mut engine = MpcEngine::new(cfg, Arc::new(catalog::sum_circuit(n)), 0);
+        let mut out = Vec::new();
+        let id = engine.open_value(1, Fp::new(42), &mut out);
+        for from in n..2 * n {
+            let open = MpcMsg::Open {
+                id,
+                value: Fp::new(99),
+            };
+            assert_eq!(engine.on_message(from, open), (Vec::new(), None));
+        }
+        let rec = &engine.opens[&id];
+        assert!(rec.senders.is_empty() && rec.value.is_none());
+        for from in 0..n {
+            let open = MpcMsg::Open {
+                id,
+                value: Fp::new(42),
+            };
+            engine.on_message(from, open);
+        }
+        assert_eq!(engine.open_result(id), Some(Fp::new(42)));
     }
 
     #[test]

@@ -345,10 +345,10 @@ impl Wire for mediator_vss::DetectMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         use mediator_vss::DetectMsg::*;
         match self {
-            Deal { shares, blinds } => {
+            Deal(d) => {
                 out.push(0);
-                shares.encode(out);
-                blinds.encode(out);
+                d.shares.encode(out);
+                d.blinds.encode(out);
             }
             Open { points } => {
                 out.push(1);
@@ -360,10 +360,10 @@ impl Wire for mediator_vss::DetectMsg {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use mediator_vss::DetectMsg::*;
         match r.u8()? {
-            0 => Ok(Deal {
+            0 => Ok(Deal(Box::new(mediator_vss::detect::Dealing {
                 shares: Wire::decode(r)?,
                 blinds: Wire::decode(r)?,
-            }),
+            }))),
             1 => Ok(Open {
                 points: Wire::decode(r)?,
             }),

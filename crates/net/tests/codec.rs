@@ -19,6 +19,7 @@ use mediator_net::{
     WIRE_VERSION, WIRE_VERSION_AUTH,
 };
 use mediator_sim::{Payload, TerminationKind};
+use mediator_vss::detect::Dealing;
 use mediator_vss::{AvssMsg, DetectMsg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,10 +69,10 @@ fn arb_avss(rng: &mut StdRng) -> AvssMsg {
 
 fn arb_detect(rng: &mut StdRng) -> DetectMsg {
     match rng.gen_range(0..3) {
-        0 => DetectMsg::Deal {
+        0 => DetectMsg::Deal(Box::new(Dealing {
             shares: fp_vec(rng, 5),
             blinds: fp_vec(rng, 5),
-        },
+        })),
         1 => DetectMsg::Open {
             points: Payload::new(fp_vec(rng, 6)),
         },

@@ -34,6 +34,8 @@
 //!   values to the content-blind scheduler via counted self-messages.
 //! * [`bytes`] — the byte kernel (bounds-checked cursor, strict LEB128)
 //!   the wire codec and the trace-store codec both decode through.
+//! * [`PartySet`] — the bitset of player ids every protocol state machine
+//!   counts its quorums with.
 //!
 //! # Example
 //!
@@ -60,6 +62,7 @@
 
 pub mod bytes;
 pub mod covert;
+pub mod party_set;
 pub mod process;
 pub mod sansio;
 pub mod scheduler;
@@ -68,6 +71,7 @@ pub mod sink;
 pub mod trace;
 pub mod world;
 
+pub use party_set::PartySet;
 pub use process::{Action, Ctx, OutgoingTamper, Process, ProcessId, Tamper, TamperVerdict};
 pub use sansio::{
     map_batch, route_batch, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines, Outgoing,

@@ -37,9 +37,9 @@
 use crate::reconstruct::OecState;
 use mediator_field::{grid, Fp};
 use mediator_sim::sansio::Payload;
+use mediator_sim::PartySet;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// AVSS wire messages (vector-valued: one entry per shared secret).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -172,7 +172,7 @@ pub struct AvssState {
     /// Constant terms of the confirmed rows.
     shares: Option<Vec<Fp>>,
     ready_sent: bool,
-    ready_recv: BTreeSet<usize>,
+    ready_recv: PartySet,
     completed: bool,
 }
 
@@ -195,7 +195,7 @@ impl AvssState {
             }),
             shares: None,
             ready_sent: false,
-            ready_recv: BTreeSet::new(),
+            ready_recv: PartySet::new(),
             completed: false,
         }
     }
@@ -214,11 +214,11 @@ impl AvssState {
     }
 
     /// Processes a message from `from`. `Rows` count only from the dealer
-    /// of this instance. Returns outgoing messages and `true` when the
-    /// instance completes now.
+    /// of this instance, and a sender id `≥ n` is ignored. Returns outgoing
+    /// messages and `true` when the instance completes now.
     pub fn on_message(&mut self, from: usize, msg: AvssMsg) -> (Vec<AvssOut>, bool) {
         let mut out = Vec::new();
-        if self.completed {
+        if self.completed || from >= self.n {
             return (out, false);
         }
         match (msg, &mut self.evidence) {
@@ -286,17 +286,20 @@ impl AvssState {
         let (n, f, w) = (self.n, self.f, self.f + 1);
         let Some(ev) = &self.evidence else { return };
         let Some(k) = ev.arity(f) else { return };
-        // The echoes of that arity, in sender order. Own-row agreement and
-        // decoding both rest on 2f+1 of them.
+        // Own-row agreement and decoding both rest on 2f+1 echoes of that
+        // arity: count them before collecting any, so an echo that leaves
+        // the count short allocates nothing.
+        let of_arity = ev.echoes.iter().flatten().filter(|v| v.len() == k);
+        if of_arity.count() <= 2 * f {
+            return;
+        }
+        // The echoes of that arity, in sender order.
         let senders: Vec<(usize, &[Fp])> = ev
             .echoes
             .iter()
             .enumerate()
             .filter_map(|(j, vals)| Some((j, vals.as_deref().filter(|v| v.len() == k)?)))
             .collect();
-        if senders.len() <= 2 * f {
-            return;
-        }
         let (mut shares, open): (Vec<Fp>, Vec<usize>) = match &ev.own {
             Some(own) => (
                 own.consts.clone(),
@@ -652,6 +655,30 @@ mod tests {
         for s in run(n, f, dealer, &secrets, &[3], &[], 1) {
             assert!(s.is_completed() && s.evidence.is_none());
         }
+    }
+
+    #[test]
+    fn phantom_readies_never_complete() {
+        // A confirmed holder needs 2f+1 READY votes; ids n, n+1, … name no
+        // player and must not supply them.
+        let (n, f, dealer) = (5, 1, 0);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut rows = deal(&[Fp::new(8)], n, f, &mut rng);
+        let mut holder = AvssState::new(n, f, dealer);
+        let (echoes, _) = holder.on_message(dealer, rows.swap_remove(0));
+        for (j, (_, m)) in echoes.into_iter().enumerate().take(2 * f + 1) {
+            holder.on_message(j, m);
+        }
+        assert!(holder.shares.is_some(), "confirmed");
+        for from in n..2 * n {
+            assert_eq!(holder.on_message(from, AvssMsg::Ready), (Vec::new(), false));
+        }
+        assert!(!holder.is_completed());
+        for from in 0..2 * f {
+            holder.on_message(from, AvssMsg::Ready);
+        }
+        assert!(!holder.is_completed(), "2f real readies are still short");
+        assert!(holder.on_message(2 * f, AvssMsg::Ready).1);
     }
 
     #[test]

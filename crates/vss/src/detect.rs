@@ -19,6 +19,9 @@
 //!   share: a colluding dealer targeted me; I must not use this share.
 //! * [`Verdict::Ok`] — consistent.
 //!
+//! Accusers and openers are counted in [`PartySet`]s, and a sender id `≥ n`
+//! names no player: its messages are ignored.
+//!
 //! BKR close the remaining liveness gap (a disqualified-late dealer, aborts
 //! forced by byzantine openers) with heavier machinery; this implementation
 //! routes those events to the default/punishment path
@@ -27,20 +30,26 @@
 use crate::reconstruct::OecState;
 use mediator_field::{Fp, Poly};
 use mediator_sim::sansio::Payload;
+use mediator_sim::PartySet;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+
+/// What the dealer sends player `i`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Dealing {
+    /// `f_c(x_i)` for each secret coordinate `c`.
+    pub shares: Vec<Fp>,
+    /// `g_k(x_i)` for each check `k`.
+    pub blinds: Vec<Fp>,
+}
 
 /// Wire messages for one detectable-sharing instance.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DetectMsg {
     /// Dealer → player `i`: the dealt share vector and blinding shares.
-    Deal {
-        /// `f_c(x_i)` for each secret coordinate `c`.
-        shares: Vec<Fp>,
-        /// `g_k(x_i)` for each check `k`.
-        blinds: Vec<Fp>,
-    },
+    /// Boxed: a dealing is sent once per (dealer, player), and two inline
+    /// vectors would set the size of every message the game carries.
+    Deal(Box<Dealing>),
     /// Player broadcast: `h_k(x_i)` for every check (sent once, after Deal).
     /// The point vector is [`Payload`]-shared: the n-way broadcast fan-out
     /// bumps a refcount per recipient instead of copying the vector.
@@ -94,10 +103,10 @@ pub fn deal_detectable<R: Rng + ?Sized>(
     (0..n)
         .map(|i| {
             let xi = Fp::new(i as u64 + 1);
-            DetectMsg::Deal {
+            DetectMsg::Deal(Box::new(Dealing {
                 shares: polys.iter().map(|p| p.eval(xi)).collect(),
                 blinds: blinds.iter().map(|g| g.eval(xi)).collect(),
-            }
+            }))
         })
         .collect()
 }
@@ -119,8 +128,8 @@ pub struct DetectState {
     opened: bool,
     oec: Vec<OecState>,
     decoded: Vec<Option<Poly>>,
-    accusers: BTreeSet<usize>,
-    open_points: BTreeMap<usize, Payload<Vec<Fp>>>,
+    accusers: PartySet,
+    openers: PartySet,
     verdict: Option<Verdict>,
     accused_self: bool,
 }
@@ -158,8 +167,8 @@ impl DetectState {
             opened: false,
             oec: (0..kappa).map(|_| OecState::new(f, t)).collect(),
             decoded: vec![None; kappa],
-            accusers: BTreeSet::new(),
-            open_points: BTreeMap::new(),
+            accusers: PartySet::new(),
+            openers: PartySet::new(),
             verdict: None,
             accused_self: false,
         }
@@ -176,13 +185,20 @@ impl DetectState {
     }
 
     /// Handles a message; returns broadcasts to send and the verdict when
-    /// first reached.
+    /// first reached. A sender id `≥ n` is ignored.
     pub fn on_message(&mut self, from: usize, msg: DetectMsg) -> (Vec<DetectMsg>, Option<Verdict>) {
         let mut out = Vec::new();
+        if from >= self.n {
+            return (out, None);
+        }
         let before = self.verdict;
         match msg {
-            DetectMsg::Deal { shares, blinds } => {
-                if from == self.dealer && self.my_shares.is_none() && blinds.len() == self.kappa {
+            DetectMsg::Deal(dealing) => {
+                if from == self.dealer
+                    && self.my_shares.is_none()
+                    && dealing.blinds.len() == self.kappa
+                {
+                    let Dealing { shares, blinds } = *dealing;
                     self.my_shares = Some(shares);
                     self.my_blinds = Some(blinds);
                     if !self.opened {
@@ -195,9 +211,7 @@ impl DetectState {
             }
             DetectMsg::Open { points } => {
                 if points.len() == self.kappa {
-                    self.open_points
-                        .entry(from)
-                        .or_insert_with(|| points.clone());
+                    self.openers.insert(from);
                     for (k, &p) in points.iter().enumerate() {
                         if self.decoded[k].is_none() && self.oec[k].add_share(from, p).is_some() {
                             self.decoded[k] = self.oec[k].polynomial().cloned();
@@ -244,7 +258,7 @@ impl DetectState {
         // Check decode failures: if ≥ n−t players opened a check and OEC
         // still has no candidate after all points arrived, the openings are
         // not f-consistent — dealer bad. (Conservatively: all n opened.)
-        if self.open_points.len() == self.n {
+        if self.openers.len() == self.n {
             for k in 0..self.kappa {
                 if self.decoded[k].is_none() {
                     self.verdict = Some(Verdict::DealerBad);
@@ -365,8 +379,8 @@ mod tests {
         // Corrupt three players' dealt shares: the share vector is no longer
         // degree-2 consistent.
         for d in deals.iter_mut().take(3) {
-            if let DetectMsg::Deal { shares, .. } = d {
-                shares[0] += Fp::new(1);
+            if let DetectMsg::Deal(d) = d {
+                d.shares[0] += Fp::new(1);
             }
         }
         let states = run(n, f, t, 0, deals, &[], 2, 7);
@@ -388,8 +402,8 @@ mod tests {
         let mut deals = deal_detectable(&[Fp::new(5)], n, f, 2, &mut rng);
         // Corrupt exactly one player's dealt share (≤ t targets: cannot be
         // pinned on the dealer by count alone).
-        if let DetectMsg::Deal { shares, .. } = &mut deals[4] {
-            shares[0] += Fp::new(99);
+        if let DetectMsg::Deal(d) = &mut deals[4] {
+            d.shares[0] += Fp::new(99);
         }
         let states = run(n, f, t, 0, deals, &[], 2, 9);
         assert_eq!(states[4].verdict(), Some(Verdict::MyShareBad));
@@ -400,6 +414,28 @@ mod tests {
                 assert_eq!(s.verdict(), Some(Verdict::Ok), "player {i}");
             }
         }
+    }
+
+    #[test]
+    fn phantom_accusers_and_openers_never_make_a_quorum() {
+        // Ids n, n+1, … name no player. t+1 phantom accusations must not
+        // disqualify the dealer, nor n phantom openers of garbage points
+        // stand in for "everyone opened and nothing decodes".
+        let (n, f, t) = (7, 2, 2);
+        let mut s = DetectState::new(n, f, t, 0, 0, 1, SEED);
+        for from in n..2 * n {
+            assert_eq!(s.on_message(from, DetectMsg::Accuse), (Vec::new(), None));
+            let points = Payload::new(vec![Fp::new(from as u64 * 7919)]);
+            assert_eq!(
+                s.on_message(from, DetectMsg::Open { points }),
+                (Vec::new(), None)
+            );
+        }
+        assert_eq!(s.verdict(), None);
+        for from in 0..=t {
+            s.on_message(from, DetectMsg::Accuse);
+        }
+        assert_eq!(s.verdict(), Some(Verdict::DealerBad), "t+1 real accusers");
     }
 
     #[test]
