@@ -1,10 +1,9 @@
 //! Substrate microbenchmarks: field ops, Reed–Solomon robust
-//! decoding, reliable broadcast, binary agreement (common vs local coin —
-//! the DESIGN.md coin ablation), AVSS, one MPC multiplication, and the
-//! `World` event plane with ~1k events pending.
+//! decoding, reliable broadcast, binary agreement, AVSS, one MPC
+//! multiplication, and the `World` event plane with ~1k events pending.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mediator_bcast::{AbaPeer, AbaState, CoinSource, IdealCoin, LocalCoin, RbcPeer};
+use mediator_bcast::{AbaPeer, AbaState, IdealCoin, RbcPeer};
 use mediator_field::{rs, Fp, Poly};
 use mediator_sim::sansio::Machines;
 use mediator_sim::{Ctx, Process, ProcessId, RandomScheduler, TraceMode, World};
@@ -52,15 +51,13 @@ fn run_rbc(n: usize, t: usize, seed: u64) -> u64 {
     outcome.messages_delivered
 }
 
-fn run_aba(n: usize, t: usize, seed: u64, local: bool) -> u64 {
+fn run_aba(n: usize, t: usize, seed: u64) -> u64 {
     let peers: Vec<AbaPeer> = (0..n)
         .map(|i| {
-            let coin: Box<dyn CoinSource> = if local {
-                Box::new(LocalCoin::new(100 + i as u64))
-            } else {
-                Box::new(IdealCoin::new(9))
-            };
-            AbaPeer::new(AbaState::new(n, t, 0, coin), i % 2 == 0)
+            AbaPeer::new(
+                AbaState::new(n, t, 0, Box::new(IdealCoin::new(9))),
+                i % 2 == 0,
+            )
         })
         .collect();
     let (outcome, _) = Machines::new(peers).run(&mut RandomScheduler::new(), seed, 2_000_000);
@@ -77,28 +74,21 @@ fn bench_agreement(c: &mut Criterion) {
             run_rbc(7, 2, seed)
         })
     });
-    g.bench_function("aba_n7_common_coin", |bch| {
+    g.bench_function("aba_n7_f2", |bch| {
         let mut seed = 0;
         bch.iter(|| {
             seed += 1;
-            run_aba(7, 2, seed, false)
+            run_aba(7, 2, seed)
         })
     });
     // One core-agreement instance at the `sim_n13` working point: a
     // Theorem 4.1 run at `n = 13, k = 3` holds 13 of them per player, and
-    // their `BVal` / `Aux` / `Done` are ~70% of its deliveries.
+    // their `BVal` / `Aux` / `Done` are half of its deliveries.
     g.bench_function("aba_n13_f3", |bch| {
         let mut seed = 0;
         bch.iter(|| {
             seed += 1;
-            run_aba(13, 3, seed, false)
-        })
-    });
-    g.bench_function("aba_n7_local_coin", |bch| {
-        let mut seed = 0;
-        bch.iter(|| {
-            seed += 1;
-            run_aba(7, 2, seed, true)
+            run_aba(13, 3, seed)
         })
     });
     g.finish();

@@ -7,12 +7,26 @@
 //! A singleton opinion set `{v}` sets the estimate to `v` and decides when
 //! `v` equals the coin; otherwise the estimate becomes the coin.
 //!
+//! Two rules keep an instance at its floor of three broadcasts per player
+//! (`BVal`, `Aux`, `Done`) when the votes are unanimous:
+//!
+//! * **Fixed coins for rounds 1–2.** Round 1 flips the constant 1 and
+//!   round 2 the constant 0; the [`CoinSource`] is consulted from round 3
+//!   on. Safety asks only that the coin be common, and a constant is, so
+//!   unanimous 1 decides in round 1 and unanimous 0 in round 2.
+//! * **A decided player stops proposing.** Once the coin rule fires here,
+//!   every honest player enters the next round with the decided value as
+//!   its estimate, so this player sends no proactive `BVal` in any later
+//!   round. It still relays `BVal` at `t + 1`, sends `Aux` and `Done`, so
+//!   a round that still has `t + 1` undecided honest proposers runs as
+//!   before, and otherwise `t + 1` honest `Done` halt everyone.
+//!
 //! Guarantees with `n > 3t`:
 //!
 //! * **Validity** — the decision is some honest player's input.
 //! * **Agreement** — no two honest players decide differently.
 //! * **Termination** — with probability 1 (expected O(1) rounds with a
-//!   common coin; finite but longer with local coins).
+//!   common coin).
 //!
 //! A Bracha-style `Done` gadget (relay at `t+1`, halt at `2t+1`) lets
 //! processes stop participating.
@@ -50,6 +64,16 @@ struct RoundState {
 /// Livelock guard: [`AbaState::on_message`] panics past this round.
 const MAX_ROUNDS: u64 = 10_000;
 
+/// The coin of `round`: the constants 1 and 0 in rounds 1 and 2, `coin`'s
+/// flip from round 3 on.
+fn round_coin(coin: &mut dyn CoinSource, instance: u64, round: u64) -> bool {
+    match round {
+        1 => true,
+        2 => false,
+        _ => coin.flip(instance, round),
+    }
+}
+
 /// One player's state in one binary-agreement instance.
 #[derive(Debug, Clone)]
 pub struct AbaState {
@@ -61,6 +85,8 @@ pub struct AbaState {
     round: u64,
     rounds: BTreeMap<u64, RoundState>,
     decided: Option<bool>,
+    /// The coin rule fired here: no proactive `BVal` from now on.
+    quiet: bool,
     done_sent: bool,
     done_recv: [PartySet; 2],
     halted: bool,
@@ -84,6 +110,7 @@ impl AbaState {
             round: 0,
             rounds: BTreeMap::new(),
             decided: None,
+            quiet: false,
             done_sent: false,
             done_recv: Default::default(),
             halted: false,
@@ -219,25 +246,30 @@ impl AbaState {
                 return;
             }
             rs.completed = true;
-            let c = self.coin.flip(self.instance, round);
+            let c = round_coin(self.coin.as_mut(), self.instance, round);
             if vals != [true, true] {
                 // One accepted value, and `vals[1]` says whether it is `true`.
                 let v = vals[1];
                 self.est = v;
-                if v == c && self.decided.is_none() {
-                    self.decided = Some(v);
-                    if !self.done_sent {
-                        self.done_sent = true;
-                        out.push(Outgoing::all(AbaMsg::Done { v }));
+                if v == c {
+                    self.quiet = true;
+                    if self.decided.is_none() {
+                        self.decided = Some(v);
+                        if !self.done_sent {
+                            self.done_sent = true;
+                            out.push(Outgoing::all(AbaMsg::Done { v }));
+                        }
                     }
                 }
             } else {
                 self.est = c;
             }
-            // Enter the next round.
+            // Enter the next round, proposing only while undecided here.
             self.round += 1;
-            let (r, e) = (self.round, self.est);
-            self.send_bval(r, e, out);
+            if !self.quiet {
+                let (r, e) = (self.round, self.est);
+                self.send_bval(r, e, out);
+            }
             // Messages for the next round may already be buffered; loop to
             // re-evaluate its completion with no new input.
         }
@@ -247,13 +279,13 @@ impl AbaState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coin::{IdealCoin, LocalCoin};
+    use crate::coin::IdealCoin;
     use crate::driver::AbaPeer;
     use mediator_sim::sansio::{Behavior, Machines};
     use mediator_sim::SchedulerKind;
 
     /// Runs one ABA instance under `kind`, with the players in `byz`
-    /// replaced by their behaviours; returns (decisions, deliveries).
+    /// replaced by their behaviours; returns the decisions.
     fn run_aba(
         n: usize,
         t: usize,
@@ -261,24 +293,20 @@ mod tests {
         byz: Vec<(usize, Behavior<AbaMsg>)>,
         kind: &SchedulerKind,
         seed: u64,
-        local_coin: bool,
-    ) -> (Vec<Option<bool>>, u64) {
+    ) -> Vec<Option<bool>> {
         let peers = (0..n)
             .map(|i| {
-                let coin: Box<dyn CoinSource> = if local_coin {
-                    Box::new(LocalCoin::new(1000 + i as u64))
-                } else {
-                    Box::new(IdealCoin::new(99))
-                };
-                AbaPeer::new(AbaState::new(n, t, 0, coin), inputs[i])
+                AbaPeer::new(
+                    AbaState::new(n, t, 0, Box::new(IdealCoin::new(99))),
+                    inputs[i],
+                )
             })
             .collect();
         let mut run = Machines::new(peers);
         for (p, b) in byz {
             run = run.byzantine(p, b);
         }
-        let (outcome, decisions) = run.run(kind.build().as_mut(), seed, 2_000_000);
-        (decisions, outcome.messages_delivered)
+        run.run(kind.build().as_mut(), seed, 2_000_000).1
     }
 
     fn no_op() -> Behavior<AbaMsg> {
@@ -290,7 +318,7 @@ mod tests {
         for kind in SchedulerKind::battery(4) {
             for seed in 0..5 {
                 for v in [false, true] {
-                    let (d, _) = run_aba(4, 1, &[v; 4], vec![], &kind, seed, false);
+                    let d = run_aba(4, 1, &[v; 4], vec![], &kind, seed);
                     assert_eq!(d, vec![Some(v); 4], "{kind:?} seed {seed} v {v}");
                 }
             }
@@ -302,7 +330,7 @@ mod tests {
         let inputs = [true, false, true, false, true, false, true];
         for kind in SchedulerKind::battery(7) {
             for seed in 0..10 {
-                let (d, _) = run_aba(7, 2, &inputs, vec![], &kind, seed, false);
+                let d = run_aba(7, 2, &inputs, vec![], &kind, seed);
                 let first = d[0].expect("decided");
                 for di in &d {
                     assert_eq!(*di, Some(first), "agreement, {kind:?} seed {seed}");
@@ -316,7 +344,7 @@ mod tests {
         for kind in SchedulerKind::battery(4) {
             for seed in 0..5 {
                 let byz = vec![(2, no_op())];
-                let (d, _) = run_aba(4, 1, &[true; 4], byz, &kind, seed, false);
+                let d = run_aba(4, 1, &[true; 4], byz, &kind, seed);
                 for (i, di) in d.iter().enumerate() {
                     if i != 2 {
                         assert_eq!(*di, Some(true), "{kind:?} seed {seed} player {i}");
@@ -346,7 +374,7 @@ mod tests {
         for kind in SchedulerKind::battery(4) {
             for seed in 0..10 {
                 let byz = vec![(3, behavior.clone_box())];
-                let (d, _) = run_aba(4, 1, &[true; 4], byz, &kind, seed, false);
+                let d = run_aba(4, 1, &[true; 4], byz, &kind, seed);
                 // Validity: all honest had input true; one byzantine cannot
                 // get false accepted (needs 2t+1 = 3 BVal senders).
                 for (i, di) in d.iter().enumerate() {
@@ -358,43 +386,76 @@ mod tests {
         }
     }
 
-    // The two LocalCoin tests stay on the fair random scheduler: with
-    // independent flips termination leans on the coins coinciding, which an
-    // adversarial order can postpone for exponentially many rounds.
+    /// A coin source that must not be asked.
+    #[derive(Debug, Clone)]
+    struct NoCoin;
 
-    #[test]
-    fn local_coin_still_terminates() {
-        for seed in 0..5 {
-            let inputs = [true, false, false, true];
-            let (d, _) = run_aba(4, 1, &inputs, vec![], &SchedulerKind::Random, seed, true);
-            let first = d[0].expect("decided with local coins");
-            for di in &d {
-                assert_eq!(*di, Some(first));
-            }
+    impl CoinSource for NoCoin {
+        fn flip(&mut self, _instance: u64, round: u64) -> bool {
+            panic!("coin source consulted in round {round}")
+        }
+        fn clone_box(&self) -> Box<dyn CoinSource> {
+            Box::new(NoCoin)
         }
     }
 
+    /// Delivers `BVal { round, v }` and then `Aux { round, v }` from players
+    /// `0..3` to `s`; returns everything `s` sent.
+    fn unanimous_round(s: &mut AbaState, round: u64, v: bool) -> Vec<AbaMsg> {
+        let bvals = (0..3).map(|from| (from, AbaMsg::BVal { round, v }));
+        let auxes = (0..3).map(|from| (from, AbaMsg::Aux { round, v }));
+        bvals
+            .chain(auxes)
+            .flat_map(|(from, m)| s.on_message(from, m).0)
+            .map(|o| o.msg)
+            .collect()
+    }
+
     #[test]
-    fn coin_ablation_both_variants_terminate() {
-        // The DESIGN §2 coin ablation in miniature: disagreeing inputs, measure
-        // deliveries. With a benign random network and n=4, local coins are
-        // only mildly worse than the common coin (the asymptotic gap needs an
-        // adversarial scheduler); here we check both terminate and stay
-        // within a sane factor of each other. The bench measures the ratio.
-        let mut common = 0u64;
-        let mut local = 0u64;
-        let runs = 20;
-        let kind = SchedulerKind::Random;
-        for seed in 0..runs {
-            let inputs = [true, false, true, false];
-            common += run_aba(4, 1, &inputs, vec![], &kind, seed, false).1;
-            local += run_aba(4, 1, &inputs, vec![], &kind, seed, true).1;
-        }
-        assert!(common > 0 && local > 0);
-        assert!(
-            local < 50 * common,
-            "local-coin cost exploded: {local} vs {common}"
+    fn unanimous_zero_decides_in_round_two_on_fixed_coins_then_only_relays() {
+        let (n, t) = (4, 1);
+        let mut s = AbaState::new(n, t, 0, Box::new(NoCoin));
+        let _ = s.start(false);
+        // Round 1 flips 1: `{0}` misses it and proposes 0 again in round 2.
+        let sent = unanimous_round(&mut s, 1, false);
+        assert_eq!(
+            sent,
+            [
+                AbaMsg::Aux { round: 1, v: false },
+                AbaMsg::BVal { round: 2, v: false }
+            ]
         );
+        assert_eq!(s.decided(), None);
+        // Round 2 flips 0: decide and announce, and propose nothing for 3.
+        let sent = unanimous_round(&mut s, 2, false);
+        assert_eq!(
+            sent,
+            [
+                AbaMsg::Aux { round: 2, v: false },
+                AbaMsg::Done { v: false }
+            ]
+        );
+        assert_eq!(s.decided(), Some(false));
+        // A round someone else still runs: relayed at t + 1, voted at 2t + 1.
+        let relay = s.on_message(0, AbaMsg::BVal { round: 3, v: false }).0;
+        assert!(relay.is_empty(), "one proposer is not t + 1");
+        let relay = s.on_message(1, AbaMsg::BVal { round: 3, v: false }).0;
+        assert_eq!(relay, [Outgoing::all(AbaMsg::BVal { round: 3, v: false })]);
+    }
+
+    #[test]
+    fn unanimous_one_decides_in_round_one_on_the_fixed_coin() {
+        let mut s = AbaState::new(4, 1, 0, Box::new(NoCoin));
+        assert_eq!(
+            s.start(true),
+            [Outgoing::all(AbaMsg::BVal { round: 1, v: true })]
+        );
+        let sent = unanimous_round(&mut s, 1, true);
+        assert_eq!(
+            sent,
+            [AbaMsg::Aux { round: 1, v: true }, AbaMsg::Done { v: true }]
+        );
+        assert_eq!(s.decided(), Some(true));
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Common-coin sources for randomized agreement.
 //!
 //! BCG obtain a common coin from verifiable secret sharing; re-deriving that
-//! construction is orthogonal to the mediator results, so the default here is
+//! construction is orthogonal to the mediator results, so the coin here is
 //! an **ideal setup coin**: a deterministic function of `(seed, instance,
 //! round)` shared by all players (the substitution is recorded in DESIGN.md).
-//! A purely local coin is provided for the ablation experiment — agreement
-//! still terminates with probability 1, just in more rounds.
+//! Agreement asks for it only from round 3 on: rounds 1 and 2 flip fixed
+//! constants (see [`crate::aba`]).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt::Debug;
 
 /// A source of per-round coin flips for binary agreement.
@@ -56,33 +54,6 @@ impl CoinSource for IdealCoin {
     }
 }
 
-/// A purely local coin: each player flips independently (Ben-Or style).
-/// Agreement remains correct; expected round count grows (the criterion
-/// pair `aba_n7_common_coin` / `aba_n7_local_coin` measures by how much).
-#[derive(Debug, Clone)]
-pub struct LocalCoin {
-    rng: StdRng,
-}
-
-impl LocalCoin {
-    /// Creates a local coin seeded per player (each player must use a
-    /// different seed, or it degenerates into the ideal coin).
-    pub fn new(seed: u64) -> Self {
-        LocalCoin {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl CoinSource for LocalCoin {
-    fn flip(&mut self, _instance: u64, _round: u64) -> bool {
-        self.rng.gen()
-    }
-    fn clone_box(&self) -> Box<dyn CoinSource> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +79,6 @@ mod tests {
         // Roughly balanced.
         let ones = flips_a.iter().filter(|&&x| x).count();
         assert!((16..=48).contains(&ones), "biased coin: {ones}/64");
-    }
-
-    #[test]
-    fn local_coins_diverge_across_players() {
-        let mut a = LocalCoin::new(1);
-        let mut b = LocalCoin::new(2);
-        let fa: Vec<bool> = (0..64).map(|r| a.flip(0, r)).collect();
-        let fb: Vec<bool> = (0..64).map(|r| b.flip(0, r)).collect();
-        assert_ne!(fa, fb);
     }
 
     #[test]

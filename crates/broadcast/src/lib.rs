@@ -12,9 +12,9 @@
 //!   every honest player delivers `v`.
 //! * [`aba`] — randomized binary Byzantine agreement (`t < n/3`), in the
 //!   Mostéfaoui–Moumen–Raynal style (BV-broadcast + common coin), with a
-//!   Bracha-style termination gadget. The coin is pluggable ([`coin`]):
-//!   an ideal setup coin (substituting BCG's AVSS-based coin — see
-//!   DESIGN.md) or purely local coins for the ablation experiment.
+//!   Bracha-style termination gadget. Rounds 1 and 2 flip fixed coins;
+//!   from round 3 the coin is a [`CoinSource`], the ideal setup coin of
+//!   [`coin`] (substituting BCG's AVSS-based coin — see DESIGN.md).
 //! * [`acs`] — BKR agreement on a common subset: every honest player ends
 //!   with the *same* set of ≥ n−t parties whose broadcasts all honest
 //!   players have delivered. This is what makes "wait for n−t inputs"
@@ -33,6 +33,6 @@ pub mod rbc;
 
 pub use aba::{AbaMsg, AbaState};
 pub use acs::{AcsMsg, AcsState};
-pub use coin::{CoinSource, IdealCoin, LocalCoin};
+pub use coin::{CoinSource, IdealCoin};
 pub use driver::{AbaPeer, AcsPeer, RbcPeer};
 pub use rbc::{RbcMsg, RbcState};

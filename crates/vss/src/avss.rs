@@ -10,6 +10,16 @@
 //! them, and run Bracha-style READY amplification to terminate. The final
 //! share is `f_i(0)`, a point on the degree-`f` polynomial `S(x, 0)`.
 //!
+//! READY follows BCG's `n − f` rule: a player vouches for the dealing on
+//! its own evidence only when the rows it echoed agree with `n − f` echoes
+//! in every coordinate — at least `n − 2f ≥ 2f + 1` of them honest, enough
+//! for every honest player to decode its row — and otherwise only after
+//! `f + 1` READY. It completes holding its shares and `2f + 1` READY.
+//! Confirming at `2f + 1` is not a reason to vouch: rows dealt to only
+//! `f + 1` honest players confirm there, and nobody else could ever
+//! recover theirs. A player echoes once per instance, its own rows or the
+//! ones it recovered, and a late `Rows` after recovery is ignored.
+//!
 //! A dealing is a *vector* of `k` secrets (the MPC input phase ships a
 //! player's inputs and every mask it contributes at once), and the state
 //! treats it as one matrix problem, not `k` scalar sharings. On receiving
@@ -23,8 +33,8 @@
 //! applied to all `k` columns, checked against the next `f` — which is
 //! [`OecState`]'s own first acceptance attempt; a column that fails it goes
 //! through `OecState` unchanged, the one implementation of error
-//! correction. Once the rows are confirmed only their constant terms are
-//! kept: the echo evidence and `E` are released.
+//! correction. Once the rows are confirmed and READY is sent only their
+//! constant terms are kept: the echo evidence and `E` are released.
 //!
 //! Properties exercised by the tests (for `n > 4f`):
 //!
@@ -32,7 +42,8 @@
 //! * a withheld row is recovered from echoes;
 //! * a corrupted row is overridden by the echo consensus;
 //! * a dealer that shares to too few players completes nowhere (so the ACS
-//!   excludes it from the input core).
+//!   excludes it from the input core) — including one whose rows reach
+//!   only `f + 1` honest players.
 
 use crate::reconstruct::OecState;
 use mediator_field::{grid, Fp};
@@ -111,8 +122,8 @@ fn echo_matrix(rows: &[Fp], w: usize, n: usize) -> Vec<Fp> {
     e
 }
 
-/// What a player knows from the dealer's `Rows`, reduced to what the rest
-/// of the instance reads.
+/// The rows a player echoed — the dealer's `Rows`, or the rows it
+/// recovered without them — reduced to what the rest of the instance reads.
 #[derive(Debug, Clone)]
 struct OwnRows {
     /// The rows' constant terms — the shares, should the rows be confirmed.
@@ -125,6 +136,23 @@ struct OwnRows {
 }
 
 impl OwnRows {
+    /// Rows `rows` (row-major, `w` low-to-high coefficients each) with the
+    /// stored `echoes` counted.
+    fn new(rows: &[Fp], w: usize, n: usize, echoes: &[Option<Vec<Fp>>]) -> Self {
+        let k = rows.len() / w;
+        let mut own = OwnRows {
+            consts: rows.iter().step_by(w).copied().collect(),
+            expect: echo_matrix(rows, w, n),
+            agree: vec![0; k],
+        };
+        for (j, vals) in echoes.iter().enumerate() {
+            if let Some(vals) = vals {
+                own.count(j, vals);
+            }
+        }
+        own
+    }
+
     /// Counts `vals`, the echo of player `from`, towards agreement.
     fn count(&mut self, from: usize, vals: &[Fp]) {
         let k = self.consts.len();
@@ -138,12 +166,13 @@ impl OwnRows {
     }
 }
 
-/// What confirmation is decided from; released once it is decided.
+/// What confirmation and READY are decided from; released once both are.
 #[derive(Debug, Clone)]
 struct Evidence {
     /// The first echo of each sender, whatever its length: an echo never
     /// decides the arity, it is only filtered by it.
     echoes: Vec<Option<Vec<Fp>>>,
+    /// The rows echoed, once they are: held iff this player has echoed.
     own: Option<OwnRows>,
 }
 
@@ -229,16 +258,7 @@ impl AvssState {
                     for (padded, r) in flat.chunks_exact_mut(w).zip(rows.iter()) {
                         padded[..r.len()].copy_from_slice(r);
                     }
-                    let mut own = OwnRows {
-                        consts: flat.iter().step_by(w).copied().collect(),
-                        expect: echo_matrix(&flat, w, self.n),
-                        agree: vec![0; k],
-                    };
-                    for (j, vals) in ev.echoes.iter().enumerate() {
-                        if let Some(vals) = vals {
-                            own.count(j, vals);
-                        }
-                    }
+                    let own = OwnRows::new(&flat, w, self.n, &ev.echoes);
                     send_echoes(&own.expect, k, self.n, &mut out);
                     ev.own = Some(own);
                 }
@@ -251,7 +271,7 @@ impl AvssState {
                     *slot = Some(vals);
                 }
             }
-            // Confirmed: nothing reads rows or echoes again.
+            // Confirmed and vouched for: nothing reads rows or echoes again.
             (AvssMsg::Rows(_) | AvssMsg::Echo(_), None) => {}
             (AvssMsg::Ready, _) => {
                 self.ready_recv.insert(from);
@@ -262,29 +282,37 @@ impl AvssState {
         (out, done)
     }
 
-    /// Attempts confirmation, READY, completion.
+    /// Attempts confirmation, READY, completion; releases the evidence once
+    /// the shares are held and READY is sent.
     fn progress(&mut self, out: &mut Vec<AvssOut>) {
         if self.shares.is_none() {
             self.try_confirm(out);
         }
-        if self.shares.is_some() {
-            if !self.ready_sent {
-                self.ready_sent = true;
-                out.push((AvssDest::All, AvssMsg::Ready));
-            }
-            if self.ready_recv.len() > 2 * self.f {
-                self.completed = true;
-            }
+        if !self.ready_sent && (self.vouched() || self.ready_recv.len() > self.f) {
+            self.ready_sent = true;
+            out.push((AvssDest::All, AvssMsg::Ready));
         }
+        if self.ready_sent && self.shares.is_some() {
+            self.evidence = None;
+            self.completed = self.ready_recv.len() > 2 * self.f;
+        }
+    }
+
+    /// Whether the echoed rows agree with `n − f` echoes in every
+    /// coordinate.
+    fn vouched(&self) -> bool {
+        let own = self.evidence.as_ref().and_then(|ev| ev.own.as_ref());
+        own.is_some_and(|own| own.agree.iter().all(|&a| a as usize >= self.n - self.f))
     }
 
     /// Confirms rows coordinate-wise: the own row if ≥ 2f+1 echoes agree
     /// with it, else the row decoded from the echoes addressed to us. On
-    /// success keeps the constant terms, echoes the rows if they were not
-    /// echoed on receipt (helping others finish), and drops the evidence.
+    /// success keeps the constant terms and, if nothing was echoed on
+    /// receipt, echoes the recovered rows (helping others finish) and holds
+    /// them as the rows READY is decided on.
     fn try_confirm(&mut self, out: &mut Vec<AvssOut>) {
         let (n, f, w) = (self.n, self.f, self.f + 1);
-        let Some(ev) = &self.evidence else { return };
+        let Some(ev) = &mut self.evidence else { return };
         let Some(k) = ev.arity(f) else { return };
         // Own-row agreement and decoding both rest on 2f+1 echoes of that
         // arity: count them before collecting any, so an echo that leaves
@@ -314,10 +342,11 @@ impl AvssState {
             shares[c] = row[0];
         }
         if ev.own.is_none() {
-            send_echoes(&echo_matrix(&rows, w, n), k, n, out);
+            let own = OwnRows::new(&rows, w, n, &ev.echoes);
+            send_echoes(&own.expect, k, n, out);
+            ev.own = Some(own);
         }
         self.shares = Some(shares);
-        self.evidence = None;
     }
 }
 
@@ -504,26 +533,76 @@ mod tests {
         check_consistent_shares(&states, 2, &secrets);
     }
 
-    /// Delivers `queue` first-in-first-out; what the `silent` (byzantine)
-    /// players would send is dropped.
+    /// Delivers `queue` first-in-first-out; what a state sends over a link
+    /// `cut(from, to)` is dropped.
     fn drain_fifo(
         states: &mut [AvssState],
         queue: &mut std::collections::VecDeque<(usize, usize, AvssMsg)>,
-        silent: &[usize],
+        cut: impl Fn(usize, usize) -> bool,
     ) {
         let n = states.len();
         while let Some((from, to, msg)) = queue.pop_front() {
             let (out, _) = states[to].on_message(from, msg);
-            if silent.contains(&to) {
-                continue;
-            }
             for (dest, m) in out {
-                match dest {
-                    AvssDest::One(d) => queue.push_back((to, d, m)),
-                    AvssDest::All => queue.extend((0..n).map(|d| (to, d, m.clone()))),
-                }
+                let dests = match dest {
+                    AvssDest::One(d) => d..d + 1,
+                    AvssDest::All => 0..n,
+                };
+                queue.extend(dests.filter(|&d| !cut(to, d)).map(|d| (to, d, m.clone())));
             }
         }
+    }
+
+    #[test]
+    fn rows_reaching_only_f_plus_1_honest_players_complete_nowhere() {
+        // Dealer 0 deals to itself and to 1, 2 — f + 1 honest players — and
+        // says nothing at all to 3, 4. The holders confirm their rows on
+        // 2f + 1 echoes, but vouching takes n − f = 4 and the outsiders can
+        // never decode theirs from two honest echoes: were confirmation a
+        // reason for READY, 1 and 2 would complete on the dealer's READY
+        // and an ACS could admit a dealing 3 and 4 hold no share of.
+        let (n, f, dealer) = (5, 1, 0);
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut states: Vec<AvssState> = (0..n).map(|_| AvssState::new(n, f, dealer)).collect();
+        let rows = deal(&[Fp::new(4), Fp::new(5)], n, f, &mut rng);
+        let mut queue: std::collections::VecDeque<_> = rows
+            .into_iter()
+            .take(3)
+            .enumerate()
+            .map(|(i, m)| (dealer, i, m))
+            .collect();
+        let outsider = |to| to == 3 || to == 4;
+        drain_fifo(&mut states, &mut queue, |from, to| {
+            from == dealer && outsider(to)
+        });
+        for (i, s) in states.iter().enumerate() {
+            assert!(!s.is_completed(), "player {i} completed");
+            assert_eq!(s.shares.is_some(), !outsider(i), "player {i} confirmed");
+            assert!(!s.ready_sent, "player {i} vouched");
+        }
+        // The dealer's READY alone is not f + 1: still nobody.
+        for holder in &mut states[1..3] {
+            assert_eq!(holder.on_message(dealer, AvssMsg::Ready), (vec![], false));
+        }
+    }
+
+    #[test]
+    fn a_late_rows_after_recovery_is_not_echoed_again() {
+        let (n, f, dealer, me) = (5, 1, 0, 3);
+        let mut rng = StdRng::seed_from_u64(14);
+        let rows = deal(&[Fp::new(6)], n, f, &mut rng);
+        let mut state = AvssState::new(n, f, dealer);
+        let mut sent = Vec::new();
+        for j in [0, 1, 2, 4] {
+            let (mut out, _) = AvssState::new(n, f, dealer).on_message(dealer, rows[j].clone());
+            let (_, echo) = out.swap_remove(me);
+            sent.extend(state.on_message(j, echo).0);
+        }
+        // Recovered at the third echo and echoed; vouched at the fourth.
+        assert_eq!(sent.len(), n + 1);
+        assert_eq!(sent[n], (AvssDest::All, AvssMsg::Ready));
+        assert!(state.shares.is_some());
+        assert_eq!(state.on_message(dealer, rows[me].clone()), (vec![], false));
     }
 
     #[test]
@@ -544,7 +623,7 @@ mod tests {
         ]);
         let rows = deal(&secrets, n, f, &mut rng);
         queue.extend(rows.into_iter().enumerate().map(|(i, m)| (dealer, i, m)));
-        drain_fifo(&mut states, &mut queue, &[byz]);
+        drain_fifo(&mut states, &mut queue, |from, _| from == byz);
         for i in [0, 2, 3, 4] {
             assert!(states[i].is_completed(), "honest player {i}");
         }
@@ -577,9 +656,9 @@ mod tests {
                 .zip(rows)
                 .map(|(i, m)| (dealer, i, m)),
         );
-        drain_fifo(&mut states, &mut queue, &[byz]);
+        drain_fifo(&mut states, &mut queue, |from, _| from == byz);
         queue.push_back((dealer, 1, late));
-        drain_fifo(&mut states, &mut queue, &[byz]);
+        drain_fifo(&mut states, &mut queue, |from, _| from == byz);
         for (i, s) in states.iter().enumerate().take(byz) {
             assert!(s.is_completed(), "honest player {i}");
         }
@@ -620,14 +699,17 @@ mod tests {
             "coordinate 1 is not decodable from 3 points"
         );
         let (out, _) = state.on_message(4, AvssMsg::Echo(echo_to_me[4].clone()));
-        // Recovered: echoes to everyone, then READY — and the echo to
-        // player `me` itself is what an honest holder of the row sends.
-        assert_eq!(out.len(), n + 1);
+        // Recovered: echoes to everyone — and the echo to player `me` itself
+        // is what an honest holder of the row sends. No READY yet: in
+        // coordinate 1 the rows agree with 3 echoes, not n − f = 4.
+        assert_eq!(out.len(), n);
         assert_eq!(
             out[me],
             (AvssDest::One(me), AvssMsg::Echo(echo_to_me[me].clone()))
         );
-        assert_eq!(out[n], (AvssDest::All, AvssMsg::Ready));
+        // Its own echo is the fourth.
+        let (out, _) = state.on_message(me, out[me].1.clone());
+        assert_eq!(out, [(AvssDest::All, AvssMsg::Ready)]);
     }
 
     #[test]
@@ -642,11 +724,17 @@ mod tests {
         // Player 0's own echoes stand in for those of 1 and 2 here: only
         // the row E[j] sent *to* j is what j's echo must equal, so feed
         // each sender its expected vector.
-        for (j, (_, m)) in echoes.into_iter().enumerate().take(2 * f + 1) {
+        let mut echoes = echoes.into_iter().map(|(_, m)| m);
+        for (j, m) in echoes.by_ref().enumerate().take(2 * f + 1) {
             assert!(holder.shares.is_none());
             holder.on_message(j, m);
         }
-        assert!(holder.shares.is_some() && !holder.is_completed());
+        // Confirmed, but READY waits for n − f agreeing echoes.
+        assert!(holder.shares.is_some() && !holder.ready_sent);
+        assert!(holder.evidence.is_some(), "still counting towards READY");
+        let (out, _) = holder.on_message(2 * f + 1, echoes.next().unwrap());
+        assert_eq!(out, [(AvssDest::All, AvssMsg::Ready)]);
+        assert!(!holder.is_completed());
         assert!(holder.evidence.is_none(), "echoes and E are dropped");
         // A later echo is not stored either.
         holder.on_message(4, AvssMsg::Echo(vec![Fp::ONE, Fp::ONE]));

@@ -9,6 +9,9 @@
 //! from the dealer, and an echo never decides the arity (the first echo per
 //! sender is kept whatever its length; the arity is the `Rows` length when
 //! held, otherwise the smallest length more than `2f` stored echoes share).
+//! It also carries the same READY rule: vouch when the echoed rows agree
+//! with `n − f` echoes in every coordinate, else after `f + 1` READY, and
+//! complete holding the rows and `2f + 1` READY.
 
 use mediator_field::{Fp, Poly};
 use mediator_sim::sansio::Payload;
@@ -164,13 +167,29 @@ impl RefState {
             self.own_rows = self.confirmed_rows.clone();
             self.send_echoes(out);
         }
-        if self.confirmed_rows.is_some() && !self.ready_sent {
+        if !self.ready_sent && (self.vouched() || self.ready_recv.len() > self.f) {
             self.ready_sent = true;
             out.push((AvssDest::All, AvssMsg::Ready));
         }
         if self.confirmed_rows.is_some() && self.ready_recv.len() > 2 * self.f {
             self.completed = true;
         }
+    }
+
+    /// Whether the echoed rows agree with `n − f` echoes in every
+    /// coordinate.
+    fn vouched(&self) -> bool {
+        let Some(rows) = &self.own_rows else {
+            return false;
+        };
+        let k = rows.len();
+        rows.iter().enumerate().all(|(c, row)| {
+            let agree = self
+                .echoes
+                .iter()
+                .filter(|(&j, vals)| vals.len() == k && vals[c] == row.eval(Fp::new(j as u64 + 1)));
+            agree.count() >= self.n - self.f
+        })
     }
 
     /// Confirms rows coordinate-wise: own row if ≥ 2f+1 echoes agree, else

@@ -40,17 +40,20 @@ fn battery_hash() -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Golden values captured from the pre-event-plane-refactor seed (PR 1).
+/// Golden values captured from the pre-event-plane-refactor seed,
+/// re-captured when READY moved from `2f + 1` confirming echoes to BCG's
+/// `n − f` agreeing echoes or `f + 1` READY (an honest dealing sends the
+/// same messages, at other times).
 const GOLDEN_AVSS: &[(&str, u64)] = &[
-    ("Random", 0x21c80abd94c695c3),
-    ("Fifo", 0x61f43a251e0bc5db),
-    ("Lifo", 0x148dd729c21d962d),
-    ("TargetedDelay([0])", 0x8f73534fd856240a),
-    ("TargetedDelay([1])", 0x67fa6a152b6eb5f4),
-    ("TargetedDelay([2])", 0x9b2eb877bad60bae),
+    ("Random", 0x83b706ed87e41d94),
+    ("Fifo", 0x09e8e6c69617aa3a),
+    ("Lifo", 0xd8027c4eb0a6a7d2),
+    ("TargetedDelay([0])", 0x2baf17c7cade5266),
+    ("TargetedDelay([1])", 0x4ad07ff8c82e6a19),
+    ("TargetedDelay([2])", 0xcc055fb20dbf71a5),
     (
         "Partition { group: [0, 1], heal_after: 200 }",
-        0xbb0f534959856f1f,
+        0x09254b060c07f121,
     ),
 ];
 

@@ -13,6 +13,7 @@
 
 mod common;
 
+use mediator_talk::core::adversary::generated_battery;
 use mediator_talk::games::library;
 use mediator_talk::prelude::*;
 
@@ -92,6 +93,40 @@ fn cheap_talk_at_valid_n_is_eps_k_resilient() {
             assert!(max_harm_hi >= 0.0);
         }
         ref v => panic!("unexpected verdict {v:?}"),
+    }
+}
+
+#[test]
+fn selective_silence_never_stalls_theorem_4_1() {
+    // The battery's `selective-silence`: the deviator says nothing at all
+    // to the first two players outside its coalition, so its AVSS rows
+    // reach only f + 1 = 2 honest players. Those confirm them on 2f + 1
+    // echoes; were that a reason for READY, they would complete, the core
+    // could admit the dealer, and the two outsiders — who can never decode
+    // their rows — would wait for shares forever. Under the `n − f` READY
+    // rule nobody completes that dealing, the core leaves it out, and every
+    // honest player plays the unanimous 1.
+    let n = 5;
+    let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(vec![vec![Fp::ONE]; n])
+        .build()
+        .expect("5 > 4");
+    for deviator in 0..n {
+        let (name, behavior) = generated_battery(n, &[deviator])
+            .into_iter()
+            .find(|(name, _)| name == "selective-silence")
+            .expect("the battery has the deviation");
+        let plan = plan.clone().with_deviant(deviator, behavior);
+        for seed in 0..200 {
+            let out = plan.run_with(&SchedulerKind::Random, seed);
+            let label = format!("{name} by {deviator}, seed {seed}");
+            assert_eq!(out.termination, TerminationKind::Quiescent, "{label}");
+            for p in (0..n).filter(|&p| p != deviator) {
+                assert_eq!(out.moves[p], Some(1), "player {p}: {label}");
+            }
+        }
     }
 }
 

@@ -2,8 +2,7 @@
 //! games (Theorem 4.1 robust and Theorem 4.4 wills+barrier) and mediator
 //! games (standard and §6.4 naive), pinning the scheduler-visible message
 //! pattern of every battery member across 32 seeds — plus five single runs
-//! of Theorem 4.1 at `n = 13, k = 3`, where a run is ~22k steps over a
-//! plane of ~3k pending events.
+//! of Theorem 4.1 at `n = 13, k = 3`, where a run is ~13k steps.
 //!
 //! The protocol substrates have had this safety net since PR 2
 //! (`crates/broadcast/tests/trace_golden.rs`,
@@ -38,8 +37,7 @@ fn cheap_talk_41_plan() -> CheapTalkPlan {
 }
 
 /// The `sim_n13` working point: every `k = 3` cell sits at `n ≥ 13`, where
-/// a run is ~22k steps over a plane that peaks at ~3k pending events, and
-/// Lifo's fairness rule (2 000 steps) picks over half of its deliveries.
+/// a run is ~13k steps.
 fn cheap_talk_41_n13_plan() -> CheapTalkPlan {
     cheap_talk_41_plan_at(13, 3)
 }
@@ -105,33 +103,33 @@ fn assert_matches(name: &str, golden: &[(&str, u64)], got: &[(String, u64)]) {
 /// top-level sessions were bit-identical across those PRs, verified by the
 /// scenario parity suite); the two cheap-talk tables were re-captured at
 /// PR 21, when `majority_circuit(5)` went from 24 multiplications to 4 and
-/// every evaluation schedule shortened with it. The `Partition` row of the
-/// 4.4 table was re-derived when the world's starvation backstop went (it
-/// fired there after the heal), at the parent commit with the backstop
-/// lifted.
+/// every evaluation schedule shortened with it. Both were re-captured
+/// again when core agreement took fixed coins for rounds 1–2 and stopped
+/// proposing once decided, and AVSS READY moved to the `n − f` rule: the
+/// ACS under every run changed its rounds and messages.
 const GOLDEN_CHEAP_TALK_41: &[(&str, u64)] = &[
-    ("Random", 0xf17a259374a33863),
-    ("Fifo", 0xeda0e553b771bbc1),
-    ("Lifo", 0x93578e68eea87197),
-    ("TargetedDelay([0])", 0x165bbf3249a19ec7),
-    ("TargetedDelay([1])", 0xd1a7fd1c7a0c1698),
-    ("TargetedDelay([2])", 0xddf6ee2a0735e4ba),
+    ("Random", 0x34729858310f3b4d),
+    ("Fifo", 0x614a610b1eb59ef5),
+    ("Lifo", 0x16ddcbb269b2368e),
+    ("TargetedDelay([0])", 0x8ea6eb64562d34f0),
+    ("TargetedDelay([1])", 0x8270f21dbff444db),
+    ("TargetedDelay([2])", 0x9fdbd528e223e4b0),
     (
         "Partition { group: [0, 1], heal_after: 200 }",
-        0x948fa66af90a617c,
+        0xd881a04783922526,
     ),
 ];
 
 const GOLDEN_CHEAP_TALK_44: &[(&str, u64)] = &[
-    ("Random", 0x68471f74849f8867),
-    ("Fifo", 0xa6c41abfd94be544),
-    ("Lifo", 0x0131d49ce9e16f86),
-    ("TargetedDelay([0])", 0x93ddbfdc950e5a13),
-    ("TargetedDelay([1])", 0x12a0f9d4765f4fbe),
-    ("TargetedDelay([2])", 0xbb651a09fb74bc2d),
+    ("Random", 0xdfd526b47ab33168),
+    ("Fifo", 0x2725c8697f7f2a41),
+    ("Lifo", 0xe5a126c81a5dd537),
+    ("TargetedDelay([0])", 0x6a76fa7f654484df),
+    ("TargetedDelay([1])", 0x172ca35fd7fafef5),
+    ("TargetedDelay([2])", 0x21ce137004cd7c45),
     (
         "Partition { group: [0, 1, 2], heal_after: 200 }",
-        0x9281c774de657ae8,
+        0x12166599b0004dd9,
     ),
 ];
 
@@ -168,48 +166,42 @@ fn cheap_talk_41_traces_match_pinned_sessions() {
     assert_matches("cheap_talk_41", GOLDEN_CHEAP_TALK_41, &got);
 }
 
-/// Per-run `(scheduler, seed, fingerprint)` at `n = 13, k = 3`: Lifo
-/// captured at PR 21 (`majority_circuit(13)`: 12 multiplications, not 168),
-/// Random and Fifo re-derived when the world's starvation backstop went —
-/// at the parent commit with the backstop lifted (it had picked 59% of
-/// Random's deliveries and 64% of Fifo's). A battery × 32-seed table would
-/// take a minute here; five runs are ~113k steps.
+/// Per-run `(scheduler, seed, fingerprint)` at `n = 13, k = 3`, captured
+/// when core agreement took fixed coins for rounds 1–2 and stopped
+/// proposing once decided (every vote is 1: each instance now decides in
+/// round 1, and a run sends ~13.4k messages, down from ~22.3k). A battery ×
+/// 32-seed table would take a minute here; five runs are ~67k steps.
 const GOLDEN_CHEAP_TALK_41_N13: [(SchedulerKind, u64, u64); 5] = [
-    (SchedulerKind::Random, 0, 0xff0f4383579a0c59),
-    (SchedulerKind::Random, 1, 0x3b2b74b4c6371979),
-    (SchedulerKind::Random, 2, 0xb19aa07a1b5cae55),
-    (SchedulerKind::Fifo, 0, 0x598fe54e04c777e4),
-    (SchedulerKind::Lifo, 0, 0x41a8d37f59779007),
+    (SchedulerKind::Random, 0, 0x38cd8991d69ddf8a),
+    (SchedulerKind::Random, 1, 0x8840de35de4654d2),
+    (SchedulerKind::Random, 2, 0xd104285613784149),
+    (SchedulerKind::Fifo, 0, 0x1993d5623d06bf24),
+    (SchedulerKind::Lifo, 0, 0xcf4c6c27b9cbc538),
 ];
 
 /// The arithmetic of the PR 21 schedule change. Compiling `lookup` on a
 /// power basis took `majority_circuit` from `n² − 1` multiplications to
-/// `n − 1`; each one is a masked opening of `n²` messages, and nothing
-/// before evaluation (dealing, ACS) moved. So at `n = 5` a Random run sends
-/// exactly `(old − new)·n²` fewer messages than against the PR 20 runtime.
-/// The `n = 13` arm, whose schedule moved again when the world's starvation
-/// backstop went, pins `messages_sent` (derived at that PR's parent with
-/// the backstop lifted).
+/// `n − 1`, each one a masked opening of `n²` messages. With core agreement
+/// at its floor, every message of an all-honest Random run is accounted
+/// for in closed form, so the openings are exactly the `(n − 1)·n²` the
+/// power basis leaves:
+///
+/// * AVSS: `n²` `Rows`, `n³` `Echo`, `n³` `Ready`;
+/// * core agreement: `3n³`, each player's `BVal`, `Aux` and `Done` in each
+///   of the `n` instances, all decided in round 1 on the fixed coin 1;
+/// * one opening per multiplication, and `n²` output shares.
+///
+/// That is 775 messages at `n = 5` and 13 351 at `n = 13`.
 #[test]
 fn power_basis_lookup_removed_exactly_its_openings() {
-    for n in [5, 13] {
-        let muls = catalog::majority_circuit(n).mul_count();
+    for (plan, n) in [(cheap_talk_41_plan(), 5u64), (cheap_talk_41_n13_plan(), 13)] {
+        let muls = catalog::majority_circuit(n as usize).mul_count() as u64;
         assert_eq!(muls, n - 1, "n = {n}");
-    }
-    // Random seeds 0–2: the PR 20 runtime's `messages_sent` at n = 5 less
-    // the removed openings, and the pinned counts at n = 13.
-    let removed = (24 - 4) * 25;
-    let n5 = [1940 - removed, 1915 - removed, 1910 - removed];
-    let n13 = [22_347, 22_373, 22_334];
-    for (plan, sent) in [(cheap_talk_41_plan(), n5), (cheap_talk_41_n13_plan(), n13)] {
-        for (seed, want) in sent.into_iter().enumerate() {
-            let outcome = plan.run_with(&SchedulerKind::Random, seed as u64);
-            assert_eq!(
-                outcome.messages_sent,
-                want,
-                "n = {}, seed {seed}",
-                plan.spec().n
-            );
+        let (avss, core) = (n * n + 2 * n.pow(3), 3 * n.pow(3));
+        let want = avss + core + muls * n * n + n * n;
+        for seed in 0..3 {
+            let outcome = plan.run_with(&SchedulerKind::Random, seed);
+            assert_eq!(outcome.messages_sent, want, "n = {n}, seed {seed}");
         }
     }
 }
