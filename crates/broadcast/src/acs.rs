@@ -1,298 +1,242 @@
-//! BKR agreement on a common subset (ACS).
+//! BKR agreement on a common subset (ACS): the rule that fixes the MPC
+//! input core.
 //!
-//! Every player reliably-broadcasts a value; `n` binary-agreement instances
-//! then decide *whose* broadcasts make it into the common subset. Honest
-//! players vote 1 for instance `j` when they deliver `j`'s broadcast, and
-//! vote 0 on all not-yet-started instances once `n − t` instances have
-//! decided 1. Guarantees for `n > 3t`:
+//! `n` binary-agreement instances decide *whose* dealing enters the core,
+//! instance `j` deciding player `j`. The rule is value-agnostic — the
+//! dealings themselves are the caller's:
 //!
-//! * all honest players output the **same** subset `S` with `|S| ≥ n − t`;
-//! * for every `j ∈ S`, all honest players hold `j`'s broadcast value
-//!   (ABA validity: deciding 1 means some honest voted 1, which means it
-//!   delivered the broadcast, which by RBC agreement everyone then does);
-//! * every honest player's own value is a candidate (if the player is
-//!   scheduled fairly its broadcast completes and its instance gets 1-votes).
+//! * start instance `j` with 1 when `j`'s dealing completes locally, or with
+//!   0 when it is rejected ([`Acs::vote`]);
+//! * once `n − f` instances have decided 1, start every unstarted instance
+//!   with 0;
+//! * fix the core as the decided-1 set once all `n` instances have decided.
 //!
-//! This is the mechanism that makes "wait for n−t inputs" *consistent* in
-//! the asynchronous MPC input phase — without it, different honest players
-//! would proceed with different input sets.
+//! Guarantees with `n > 3t`, when every honest player votes by its dealing:
+//!
+//! * every honest player fixes the **same** core (ABA agreement);
+//! * `|core| ≥ n − f`: an honest player votes 0 only once `n − f`
+//!   instances decided 1 at it, and those decide 1 everywhere;
+//! * every member's dealing completed at some honest player (ABA validity:
+//!   deciding 1 means an honest player voted 1), so a dealing protocol with
+//!   a completeness guarantee (AVSS) completes it at every honest player.
+//!
+//! This is what makes "wait for `n − f` inputs" *consistent* in the
+//! asynchronous MPC input phase: without it, different honest players would
+//! proceed with different input sets.
 
 use crate::aba::{AbaMsg, AbaState};
-use crate::coin::{CoinSource, IdealCoin};
-use crate::rbc::{RbcMsg, RbcState};
-use mediator_sim::sansio::{map_batch, Outgoing};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use crate::coin::CoinSource;
+use mediator_sim::sansio::Outgoing;
 
-/// ACS wire messages: instance-tagged sub-protocol messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AcsMsg<V> {
-    /// A reliable-broadcast message of `dealer`'s instance.
-    Rbc {
-        /// Whose broadcast this belongs to.
-        dealer: usize,
-        /// The inner RBC message.
-        inner: RbcMsg<V>,
-    },
-    /// A binary-agreement message of instance `instance`.
-    Aba {
-        /// Which party's membership is being decided.
-        instance: usize,
-        /// The inner ABA message.
-        inner: AbaMsg,
-    },
-}
-
-/// One step's result: outgoing messages plus the final common subset, if it
-/// is emitted now (exactly once per player), as a map `party → value`.
-pub type AcsStep<V> = (Vec<Outgoing<AcsMsg<V>>>, Option<BTreeMap<usize, V>>);
-
-/// One player's state in an agreement-on-common-subset execution.
+/// One player's common-subset rule over `n` binary agreements. Outgoing
+/// messages are instance-tagged as `(instance, msg)` and converted into the
+/// caller's wire type through `From`.
+///
+/// Agreement runs at threshold `t` while the vote-zero rule waits for
+/// `n − f` ones, and the two are different numbers in the MPC engine's
+/// ε mode. There `f = k + t` players may withhold their dealings, so the
+/// core cannot wait for more than `n − f` ones without stalling; but the
+/// configuration guarantees only `n > 3t` (Theorem 4.5 runs at
+/// `n > 2k + 3t`, where `n > 3f` can fail), so agreement must run at `t`.
+/// In robust mode `t = f` and the two coincide.
 #[derive(Debug, Clone)]
-pub struct AcsState<V> {
-    n: usize,
-    t: usize,
-    me: usize,
-    rbc: Vec<RbcState<V>>,
+pub struct Acs {
     aba: Vec<AbaState>,
-    values: Vec<Option<V>>,
     decisions: Vec<Option<bool>>,
+    /// Decided-1 instances after which the rest are voted 0: `n − f`.
+    quorum: usize,
     voted_zero: bool,
-    output_emitted: bool,
+    core: Option<Vec<usize>>,
 }
 
-impl<V: Clone + Ord> AcsState<V> {
-    /// Creates the state for player `me`; all agreement instances share the
-    /// ideal coin seeded with `coin_seed`.
-    pub fn new(n: usize, t: usize, me: usize, coin_seed: u64) -> Self {
-        Self::with_coin(n, t, me, &IdealCoin::new(coin_seed))
-    }
-
-    /// As [`AcsState::new`] with an explicit coin source.
-    pub fn with_coin(n: usize, t: usize, me: usize, coin: &dyn CoinSource) -> Self {
-        assert!(n > 3 * t, "ACS requires n > 3t (n={n}, t={t})");
-        AcsState {
-            n,
-            t,
-            me,
-            rbc: (0..n).map(|d| RbcState::new(n, t, d)).collect(),
+impl Acs {
+    /// Creates the `n` instances at agreement threshold `t`, instance `j`
+    /// with id `j` and its own clone of `coin`; the vote-zero rule fires at
+    /// `n − f` ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n > 3t` and `f < n`.
+    pub fn new(n: usize, t: usize, f: usize, coin: &dyn CoinSource) -> Self {
+        assert!(f < n, "ACS waits for n − f ≥ 1 ones (n={n}, f={f})");
+        Acs {
             aba: (0..n)
                 .map(|j| AbaState::new(n, t, j as u64, coin.clone_box()))
                 .collect(),
-            values: vec![None; n],
             decisions: vec![None; n],
+            quorum: n - f,
             voted_zero: false,
-            output_emitted: false,
+            core: None,
         }
     }
 
-    /// Starts by broadcasting this player's `value`.
-    pub fn start(&mut self, value: V) -> Vec<Outgoing<AcsMsg<V>>> {
-        let me = self.me;
-        let batch = self.rbc[me].start(value);
-        map_batch(batch, |inner| AcsMsg::Rbc { dealer: me, inner })
-    }
-
-    /// The delivered broadcast value of party `j`, if known.
-    pub fn value_of(&self, j: usize) -> Option<&V> {
-        self.values[j].as_ref()
-    }
-
-    /// Processes a message; returns outgoing messages plus the final common
-    /// subset (emitted exactly once) as a map `party → value`.
-    pub fn on_message(&mut self, from: usize, msg: AcsMsg<V>) -> AcsStep<V> {
-        let mut out = Vec::new();
-        match msg {
-            AcsMsg::Rbc { dealer, inner } => {
-                if dealer >= self.n {
-                    return (out, None); // malformed tag: drop
-                }
-                let (batch, delivered) = self.rbc[dealer].on_message(from, inner);
-                out.extend(map_batch(batch, |inner| AcsMsg::Rbc { dealer, inner }));
-                if let Some(v) = delivered {
-                    self.values[dealer] = Some(v);
-                    if !self.aba[dealer].is_started() {
-                        let batch = self.aba[dealer].start(true);
-                        out.extend(map_batch(batch, |inner| AcsMsg::Aba {
-                            instance: dealer,
-                            inner,
-                        }));
-                    }
-                }
-            }
-            AcsMsg::Aba { instance, inner } => {
-                if instance >= self.n {
-                    return (out, None);
-                }
-                let (batch, decided) = self.aba[instance].on_message(from, inner);
-                out.extend(map_batch(batch, |inner| AcsMsg::Aba { instance, inner }));
-                if let Some(d) = decided {
-                    self.decisions[instance] = Some(d);
-                    self.maybe_vote_zero(&mut out);
-                }
-            }
+    /// Starts `instance` with `v` — 1 when that player's dealing completed
+    /// here, 0 when it was rejected. An instance already started (a dealing
+    /// completing after the vote-zero rule fired) sends nothing.
+    pub fn vote<M: From<(usize, AbaMsg)>>(
+        &mut self,
+        instance: usize,
+        v: bool,
+        out: &mut Vec<Outgoing<M>>,
+    ) {
+        if !self.aba[instance].is_started() {
+            let batch = self.aba[instance].start(v);
+            tag(instance, batch, out);
         }
-        let output = self.try_output();
-        (out, output)
     }
 
-    /// Once n−t instances decided 1, vote 0 everywhere we haven't voted.
-    fn maybe_vote_zero(&mut self, out: &mut Vec<Outgoing<AcsMsg<V>>>) {
+    /// Processes `msg` of `instance` from `from`: emits the instance's batch,
+    /// then, when its decision is the `n − f`-th 1, the vote-zero starts in
+    /// instance order. An `instance ≥ n` is dropped, and a sender `≥ n` is
+    /// ignored by the instance itself.
+    pub fn on_message<M: From<(usize, AbaMsg)>>(
+        &mut self,
+        from: usize,
+        instance: usize,
+        msg: AbaMsg,
+        out: &mut Vec<Outgoing<M>>,
+    ) {
+        let Some(aba) = self.aba.get_mut(instance) else {
+            return;
+        };
+        let (batch, decided) = aba.on_message(from, msg);
+        tag(instance, batch, out);
+        if let Some(d) = decided {
+            self.decisions[instance] = Some(d);
+            self.maybe_vote_zero(out);
+            self.maybe_fix_core();
+        }
+    }
+
+    /// The core (the decided-1 instances, ascending) once every instance has
+    /// decided.
+    pub fn core(&self) -> Option<&[usize]> {
+        self.core.as_deref()
+    }
+
+    fn maybe_vote_zero<M: From<(usize, AbaMsg)>>(&mut self, out: &mut Vec<Outgoing<M>>) {
         if self.voted_zero {
             return;
         }
         let ones = self.decisions.iter().filter(|d| **d == Some(true)).count();
-        if ones < self.n - self.t {
+        if ones < self.quorum {
             return;
         }
         self.voted_zero = true;
-        for j in 0..self.n {
-            if !self.aba[j].is_started() {
-                let batch = self.aba[j].start(false);
-                out.extend(map_batch(batch, |inner| AcsMsg::Aba { instance: j, inner }));
-            }
+        for j in 0..self.aba.len() {
+            self.vote(j, false, out);
         }
     }
 
-    /// Whether this player has output its subset **and** every constituent
-    /// agreement instance has halted via its termination gadget — the point
-    /// at which it is safe to stop routing messages to this player without
-    /// endangering peers still below quorum (the `SansIo::is_done` rule for
-    /// [`AcsPeer`](crate::driver::AcsPeer)).
-    pub fn is_finished(&self) -> bool {
-        self.output_emitted && self.aba.iter().all(|a| a.is_halted())
+    fn maybe_fix_core(&mut self) {
+        if self.core.is_some() || self.decisions.iter().any(|d| d.is_none()) {
+            return;
+        }
+        let members = (0..self.decisions.len())
+            .filter(|&j| self.decisions[j] == Some(true))
+            .collect();
+        self.core = Some(members);
     }
+}
 
-    /// Output when every instance has decided and every member's value is
-    /// delivered.
-    fn try_output(&mut self) -> Option<BTreeMap<usize, V>> {
-        if self.output_emitted {
-            return None;
-        }
-        if self.decisions.iter().any(|d| d.is_none()) {
-            return None;
-        }
-        let mut subset = BTreeMap::new();
-        for j in 0..self.n {
-            if self.decisions[j] == Some(true) {
-                match &self.values[j] {
-                    Some(v) => {
-                        subset.insert(j, v.clone());
-                    }
-                    None => return None, // value still in flight
-                }
-            }
-        }
-        self.output_emitted = true;
-        Some(subset)
-    }
+/// Appends `instance`'s batch to `out`, each message tagged with it.
+fn tag<M: From<(usize, AbaMsg)>>(
+    instance: usize,
+    batch: Vec<Outgoing<AbaMsg>>,
+    out: &mut Vec<Outgoing<M>>,
+) {
+    out.extend(batch.into_iter().map(|o| o.map(|m| M::from((instance, m)))));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::AcsPeer;
-    use mediator_sim::sansio::{Behavior, Machines};
-    use mediator_sim::SchedulerKind;
+    use crate::coin::IdealCoin;
 
-    /// Runs one ACS execution (player `i` contributes `100 + i`) under
-    /// `kind` with the players in `byz` silent; returns (outputs,
-    /// deliveries).
-    fn run_acs(
-        n: usize,
-        t: usize,
-        byz: &[usize],
-        kind: &SchedulerKind,
-        seed: u64,
-    ) -> (Vec<Option<BTreeMap<usize, u64>>>, u64) {
-        let peers = (0..n)
-            .map(|i| AcsPeer::new(n, t, i, 7, 100 + i as u64))
-            .collect();
-        let mut run = Machines::new(peers);
-        for &p in byz {
-            let silent: Behavior<AcsMsg<u64>> = Box::new(|_, _, _| Vec::new());
-            run = run.byzantine(p, silent);
+    type Out = Vec<Outgoing<(usize, AbaMsg)>>;
+
+    /// Feeds `t + 1` `Done { v }` for `instance` from senders `0..=t`: the
+    /// instance adopts `v`, whether or not it was started.
+    fn decide(acs: &mut Acs, t: usize, instance: usize, v: bool) -> Out {
+        let mut out = Vec::new();
+        for from in 0..=t {
+            acs.on_message(from, instance, AbaMsg::Done { v }, &mut out);
         }
-        let (outcome, outputs) = run.run(kind.build().as_mut(), seed, 2_000_000);
-        (outputs, outcome.messages_delivered)
+        out
+    }
+
+    fn bval(instance: usize, v: bool) -> Outgoing<(usize, AbaMsg)> {
+        Outgoing::all((instance, AbaMsg::BVal { round: 1, v }))
     }
 
     #[test]
-    fn all_honest_agree_on_full_subset() {
-        for kind in SchedulerKind::battery(4) {
-            for seed in 0..5 {
-                let (outputs, _) = run_acs(4, 1, &[], &kind, seed);
-                let first = outputs[0].clone().expect("output");
-                assert!(first.len() >= 3, "|S| ≥ n−t");
-                for o in &outputs {
-                    assert_eq!(o.as_ref(), Some(&first), "{kind:?} seed {seed}");
-                }
-                for (&j, &v) in &first {
-                    assert_eq!(v, 100 + j as u64);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn silent_party_is_excluded_but_acs_completes() {
-        for kind in SchedulerKind::battery(4) {
-            for seed in 0..5 {
-                let (outputs, _) = run_acs(4, 1, &[2], &kind, seed);
-                let first = outputs[0].clone().expect("output despite silent party");
-                assert!(first.len() >= 3);
-                assert!(
-                    !first.contains_key(&2),
-                    "silent party cannot be in S (no RBC)"
-                );
-                for (i, o) in outputs.iter().enumerate() {
-                    if i != 2 {
-                        assert_eq!(o.as_ref(), Some(&first), "{kind:?} seed {seed} player {i}");
-                    }
+    fn vote_zero_fires_exactly_at_n_minus_f_ones() {
+        // (7, 1, 3) is the ε-mode shape: agreement at t, ones at n − f.
+        for (n, t, f) in [(4, 1, 1), (7, 2, 2), (7, 1, 3)] {
+            let mut acs = Acs::new(n, t, f, &IdealCoin::new(3));
+            for j in 0..n - f {
+                let mut out = Vec::new();
+                acs.vote(j, true, &mut out);
+                assert_eq!(out, vec![bval(j, true)]);
+                let out = decide(&mut acs, t, j, true);
+                let done = Outgoing::all((j, AbaMsg::Done { v: true }));
+                if j + 1 < n - f {
+                    assert_eq!(out, vec![done], "(n, t, f) = {:?}", (n, t, f));
+                } else {
+                    let zeros = (n - f..n).map(|k| bval(k, false));
+                    let want: Out = std::iter::once(done).chain(zeros).collect();
+                    assert_eq!(out, want, "(n, t, f) = {:?}", (n, t, f));
                 }
             }
+            assert_eq!(acs.core(), None, "the voted-zero instances are undecided");
+            for j in n - f..n {
+                decide(&mut acs, t, j, false);
+            }
+            assert_eq!(acs.core(), Some(&(0..n - f).collect::<Vec<_>>()[..]));
         }
     }
 
     #[test]
-    fn subset_size_lower_bound_holds_across_seeds() {
-        for kind in SchedulerKind::battery(7) {
-            for seed in 0..10 {
-                let (outputs, _) = run_acs(7, 2, &[5, 6], &kind, seed);
-                let s = outputs[0].clone().expect("output");
-                assert!(s.len() >= 5, "{kind:?}: n−t = 5, got {}", s.len());
-            }
+    fn a_dealing_after_vote_zero_sends_nothing() {
+        let mut acs = Acs::new(4, 1, 1, &IdealCoin::new(3));
+        for j in 0..3 {
+            decide(&mut acs, 1, j, true);
         }
+        let mut out: Out = Vec::new();
+        acs.vote(3, true, &mut out);
+        assert!(out.is_empty(), "instance 3 already started with 0");
     }
 
     #[test]
-    fn values_of_members_are_held_by_everyone() {
-        let n = 5;
-        for kind in SchedulerKind::battery(n) {
-            for seed in 0..5 {
-                let (outputs, _) = run_acs(n, 1, &[], &kind, seed);
-                let s = outputs[0].clone().unwrap();
-                for o in outputs.iter().flatten() {
-                    for &j in s.keys() {
-                        assert!(o.contains_key(&j));
-                    }
-                }
-            }
+    fn an_instance_past_n_is_dropped() {
+        let mut acs = Acs::new(4, 1, 1, &IdealCoin::new(3));
+        let mut out: Out = Vec::new();
+        for from in 0..4 {
+            let bval = AbaMsg::BVal { round: 1, v: true };
+            acs.on_message(from, 4, bval, &mut out);
+            acs.on_message(from, 4, AbaMsg::Done { v: true }, &mut out);
         }
+        assert!(out.is_empty());
+        assert_eq!(acs.core(), None);
+    }
+
+    #[test]
+    fn a_sender_past_n_is_ignored() {
+        // t + 1 `Done` from phantom ids would otherwise make instance 0
+        // adopt a value nobody decided.
+        let mut acs = Acs::new(4, 1, 1, &IdealCoin::new(3));
+        let mut out: Out = Vec::new();
+        for from in 4..8 {
+            acs.on_message(from, 0, AbaMsg::Done { v: true }, &mut out);
+        }
+        assert!(out.is_empty());
+        let out = decide(&mut acs, 1, 0, true);
+        assert_eq!(out, vec![Outgoing::all((0, AbaMsg::Done { v: true }))]);
     }
 
     #[test]
     #[should_panic(expected = "n > 3t")]
     fn rejects_insufficient_n() {
-        let _ = AcsState::<u64>::new(6, 2, 0, 0);
-    }
-
-    #[test]
-    fn message_complexity_reported() {
-        // ACS = n RBCs + n ABAs: O(n^3)-ish point-to-point messages. This
-        // records the measurement the E5 experiment scales.
-        let (_, delivered4) = run_acs(4, 1, &[], &SchedulerKind::Random, 0);
-        let (_, delivered7) = run_acs(7, 2, &[], &SchedulerKind::Random, 0);
-        assert!(delivered7 > delivered4);
+        let _ = Acs::new(6, 2, 2, &IdealCoin::new(0));
     }
 }

@@ -11,16 +11,13 @@
 //! protocol's own rule says it is safe to stop participating — RBC after
 //! delivery (its Echo/Ready contribution is already on the wire, and Ready
 //! amplification carries any late peer over the line), ABA when the Bracha
-//! `2t+1`-Done gadget fires, ACS when the subset is output *and* every
-//! constituent agreement instance has halted (stopping earlier could strand
-//! peers below the `n − t` quorum of a still-running round).
+//! `2t+1`-Done gadget fires (stopping earlier could strand peers below the
+//! `n − t` quorum of a still-running round).
 
 use crate::aba::{AbaMsg, AbaState};
-use crate::acs::{AcsMsg, AcsState};
 use crate::rbc::{RbcMsg, RbcState};
 use mediator_sim::sansio::{Outgoing, SansIo};
 use rand::rngs::StdRng;
-use std::collections::BTreeMap;
 
 /// One player in one reliable-broadcast instance. The dealer carries the
 /// value to broadcast; everyone else is purely reactive.
@@ -113,50 +110,6 @@ impl SansIo for AbaPeer {
     }
 }
 
-/// One player in an agreement-on-common-subset execution, carrying the value
-/// it contributes.
-#[derive(Debug, Clone)]
-pub struct AcsPeer<V> {
-    state: AcsState<V>,
-    input: Option<V>,
-}
-
-impl<V: Clone + Ord> AcsPeer<V> {
-    /// Creates the peer for player `me` contributing `value`; all agreement
-    /// instances share the ideal coin seeded with `coin_seed`.
-    pub fn new(n: usize, t: usize, me: usize, coin_seed: u64, value: V) -> Self {
-        AcsPeer {
-            state: AcsState::new(n, t, me, coin_seed),
-            input: Some(value),
-        }
-    }
-}
-
-impl<V: Clone + Ord> SansIo for AcsPeer<V> {
-    type Msg = AcsMsg<V>;
-    type Output = BTreeMap<usize, V>;
-
-    fn on_start(&mut self, _rng: &mut StdRng) -> Vec<Outgoing<AcsMsg<V>>> {
-        match self.input.take() {
-            Some(v) => self.state.start(v),
-            None => Vec::new(),
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        from: usize,
-        msg: AcsMsg<V>,
-        _rng: &mut StdRng,
-    ) -> (Vec<Outgoing<AcsMsg<V>>>, Option<BTreeMap<usize, V>>) {
-        self.state.on_message(from, msg)
-    }
-
-    fn is_done(&self) -> bool {
-        self.state.is_finished()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,25 +175,6 @@ mod tests {
                     Machines::new(machines).run(kind.build().as_mut(), seed, 500_000);
                 for (i, o) in outputs.iter().enumerate() {
                     assert_eq!(*o, Some(true), "player {i} under {kind:?} seed {seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn acs_under_world_outputs_common_subset() {
-        for kind in schedulers() {
-            for seed in 0..3 {
-                let machines: Vec<AcsPeer<u64>> = (0..4)
-                    .map(|me| AcsPeer::new(4, 1, me, 7, 100 + me as u64))
-                    .collect();
-                let (outcome, outputs) =
-                    Machines::new(machines).run(kind.build().as_mut(), seed, 1_000_000);
-                assert_eq!(outcome.termination, TerminationKind::Quiescent, "{kind:?}");
-                let first = outputs[0].clone().expect("output");
-                assert!(first.len() >= 3, "|S| >= n - t");
-                for o in &outputs {
-                    assert_eq!(o.as_ref(), Some(&first), "{kind:?} seed {seed}");
                 }
             }
         }

@@ -8,8 +8,8 @@
 //! players are [`ByzantineProcess`]es: reactive behaviour closures plus,
 //! for equivocating dealers, a deviant kickoff.
 
-use mediator_bcast::driver::{AbaPeer, AcsPeer, RbcPeer};
-use mediator_bcast::{AbaMsg, AbaState, AcsMsg, AcsState, IdealCoin, RbcMsg};
+use mediator_bcast::driver::{AbaPeer, RbcPeer};
+use mediator_bcast::{AbaMsg, AbaState, IdealCoin, RbcMsg};
 use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines};
 use mediator_sim::SchedulerKind;
 
@@ -150,99 +150,4 @@ fn aba_byzantine_cannot_inject_a_value_no_honest_proposed() {
             }
         }
     }
-}
-
-#[test]
-fn acs_byzantine_rbc_equivocator_is_either_consistent_or_excluded() {
-    // The byzantine party equivocates in its own broadcast; ACS must still
-    // give all honest players the same subset, and if the equivocator is
-    // included, every honest player holds the same value for it.
-    let n = 4;
-    let t = 1;
-    for kind in schedulers() {
-        for seed in 0..6 {
-            let machines: Vec<AcsPeer<u64>> = (0..n)
-                .map(|me| AcsPeer::new(n, t, me, 5, 100 + me as u64))
-                .collect();
-            let kickoff = vec![
-                (
-                    0,
-                    AcsMsg::Rbc {
-                        dealer: 3,
-                        inner: RbcMsg::Init(7),
-                    },
-                ),
-                (
-                    1,
-                    AcsMsg::Rbc {
-                        dealer: 3,
-                        inner: RbcMsg::Init(8),
-                    },
-                ),
-                (
-                    2,
-                    AcsMsg::Rbc {
-                        dealer: 3,
-                        inner: RbcMsg::Init(7),
-                    },
-                ),
-            ];
-            let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-            let (_, outputs) = Machines::new(machines).byzantine(3, byz).run(
-                kind.build().as_mut(),
-                seed,
-                1_000_000,
-            );
-            let first = outputs[0].clone().expect("honest ACS output");
-            for (i, o) in outputs.iter().enumerate().take(3) {
-                assert_eq!(o.as_ref(), Some(&first), "player {i}, {kind:?} seed {seed}");
-            }
-            assert!(first.len() >= n - t);
-            if let Some(v) = first.get(&3) {
-                assert!(
-                    *v == 7 || *v == 8,
-                    "agreed value is one of the dealer's claims"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn acs_two_silent_parties_at_exact_threshold() {
-    // n = 7, t = 2: with both byzantine parties silent, ACS still completes
-    // with |S| ≥ 5 and identical outputs.
-    let n = 7;
-    let t = 2;
-    for kind in [SchedulerKind::Random, SchedulerKind::Lifo] {
-        for seed in 0..3 {
-            let machines: Vec<AcsPeer<u64>> = (0..n)
-                .map(|me| AcsPeer::new(n, t, me, 1, me as u64))
-                .collect();
-            let (_, outputs) = Machines::new(machines)
-                .byzantine(5, no_op())
-                .byzantine(6, no_op())
-                .run(kind.build().as_mut(), seed, 2_000_000);
-            let first = outputs[0].clone().expect("output");
-            assert!(
-                first.len() >= 5,
-                "{kind:?} seed {seed}: |S| = {}",
-                first.len()
-            );
-            for (i, o) in outputs.iter().enumerate().take(5) {
-                assert_eq!(o.as_ref(), Some(&first), "player {i}, {kind:?} seed {seed}");
-            }
-        }
-    }
-}
-
-/// ACS under `AcsState`'s raw interface still works for callers that have
-/// not adopted the peers (compatibility check for the embedding layer).
-#[test]
-fn acs_raw_state_machines_still_driveable() {
-    let n = 4;
-    let mut states: Vec<AcsState<u64>> = (0..n).map(|i| AcsState::new(n, 1, i, 5)).collect();
-    let batch = states[0].start(7);
-    assert!(!batch.is_empty(), "start emits the RBC dealing");
-    assert!(states[0].value_of(0).is_none());
 }

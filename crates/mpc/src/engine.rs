@@ -2,7 +2,7 @@
 
 use crate::config::{Mode, MpcConfig};
 use crate::msg::MpcMsg;
-use mediator_bcast::{AbaState, CoinSource, IdealCoin};
+use mediator_bcast::{Acs, IdealCoin};
 use mediator_circuits::{Circuit, Gate};
 use mediator_field::Fp;
 use mediator_sim::sansio::Outgoing;
@@ -97,10 +97,7 @@ pub struct MpcEngine {
     dealer_ok: Vec<Option<bool>>,
     tainted: bool,
     // Core agreement.
-    aba: Vec<AbaState>,
-    decisions: Vec<Option<bool>>,
-    voted_zero: bool,
-    core: Option<Vec<usize>>,
+    acs: Acs,
     core_announced: bool,
     // Evaluation.
     started_eval: bool,
@@ -150,16 +147,8 @@ impl MpcEngine {
             }
         }
         let mask_budget = circuit.mul_count() + 2 * n * num_rb;
-        let t_aba = match cfg.mode {
-            Mode::Robust => cfg.f,
-            Mode::Epsilon { .. } => cfg.t,
-        };
-        // ABA requires n > 3t; with f = 0 (degenerate no-adversary runs)
-        // t_aba = 0 is fine.
-        let coin = IdealCoin::new(cfg.coin_seed);
-        let aba = (0..n)
-            .map(|d| AbaState::new(n, t_aba, d as u64, coin.clone_box()))
-            .collect();
+        // Robust mode validates t = f; ε mode agrees at t (see `Acs`).
+        let acs = Acs::new(n, cfg.t, cfg.f, &IdealCoin::new(cfg.coin_seed));
         let kappa = match cfg.mode {
             Mode::Epsilon { kappa } => kappa,
             Mode::Robust => 1,
@@ -193,10 +182,7 @@ impl MpcEngine {
             dealer_shares: vec![None; n],
             dealer_ok: vec![None; n],
             tainted: false,
-            aba,
-            decisions: vec![None; n],
-            voted_zero: false,
-            core: None,
+            acs,
             core_announced: false,
             started_eval: false,
             wires: vec![None; circuit.gates().len()],
@@ -221,7 +207,7 @@ impl MpcEngine {
 
     /// The agreed input core, once decided.
     pub fn core(&self) -> Option<&[usize]> {
-        self.core.as_deref()
+        self.acs.core()
     }
 
     /// Number of coordinates each dealer shares. The final coordinate is a
@@ -324,15 +310,7 @@ impl MpcEngine {
                         .shares()
                         .expect("completed AVSS has shares")
                         .to_vec();
-                    if shares.len() == self.vec_len(dealer) {
-                        self.dealer_shares[dealer] = Some(shares);
-                        self.dealer_ok[dealer] = Some(true);
-                        self.vote(dealer, true, &mut out);
-                    } else {
-                        // Malformed arity: treat the dealer as bad.
-                        self.dealer_ok[dealer] = Some(false);
-                        self.vote(dealer, false, &mut out);
-                    }
+                    self.accept_dealing(dealer, shares, &mut out);
                 }
             }
             MpcMsg::Detect { dealer, inner } => {
@@ -343,50 +321,25 @@ impl MpcEngine {
                 for m in batch {
                     out.push(Outgoing::all(MpcMsg::Detect { dealer, inner: m }));
                 }
-                if let Some(v) = verdict {
-                    match v {
-                        Verdict::Ok => {
-                            let shares = self.detect[dealer]
-                                .shares()
-                                .expect("Ok verdict has shares")
-                                .to_vec();
-                            if shares.len() == self.vec_len(dealer) {
-                                self.dealer_shares[dealer] = Some(shares);
-                                self.dealer_ok[dealer] = Some(true);
-                                self.vote(dealer, true, &mut out);
-                            } else {
-                                self.dealer_ok[dealer] = Some(false);
-                                self.vote(dealer, false, &mut out);
-                            }
-                        }
-                        Verdict::MyShareBad => {
-                            // Globally fine, locally unusable: participate
-                            // silently.
-                            self.tainted = true;
-                            self.dealer_ok[dealer] = Some(true);
-                            self.vote(dealer, true, &mut out);
-                        }
-                        Verdict::DealerBad => {
-                            self.dealer_ok[dealer] = Some(false);
-                            self.vote(dealer, false, &mut out);
-                        }
+                match verdict {
+                    Some(Verdict::Ok) => {
+                        let shares = self.detect[dealer]
+                            .shares()
+                            .expect("Ok verdict has shares")
+                            .to_vec();
+                        self.accept_dealing(dealer, shares, &mut out);
                     }
+                    Some(Verdict::MyShareBad) => {
+                        // Globally fine, locally unusable: participate
+                        // silently.
+                        self.tainted = true;
+                        self.judge_dealing(dealer, true, &mut out);
+                    }
+                    Some(Verdict::DealerBad) => self.judge_dealing(dealer, false, &mut out),
+                    None => {}
                 }
             }
-            MpcMsg::Core { dealer, inner } => {
-                if dealer >= self.cfg.n {
-                    return (out, None);
-                }
-                let (batch, decided) = self.aba[dealer].on_message(from, inner);
-                for o in batch {
-                    out.push(o.map(|inner| MpcMsg::Core { dealer, inner }));
-                }
-                if let Some(d) = decided {
-                    self.decisions[dealer] = Some(d);
-                    self.maybe_vote_zero(&mut out);
-                    self.maybe_fix_core();
-                }
-            }
+            MpcMsg::Core { dealer, inner } => self.acs.on_message(from, dealer, inner, &mut out),
             MpcMsg::Open { id, value } => {
                 if let Some(rec) = self.opens.get_mut(&id) {
                     rec.senders.insert(from);
@@ -412,37 +365,21 @@ impl MpcEngine {
         (out, event)
     }
 
-    fn vote(&mut self, dealer: usize, v: bool, out: &mut Vec<Outgoing<MpcMsg>>) {
-        if !self.aba[dealer].is_started() {
-            let batch = self.aba[dealer].start(v);
-            for o in batch {
-                out.push(o.map(|inner| MpcMsg::Core { dealer, inner }));
-            }
+    /// A dealing that completed here: kept and voted into the core when it
+    /// has the agreed arity, and otherwise its dealer is judged bad.
+    fn accept_dealing(&mut self, dealer: usize, shares: Vec<Fp>, out: &mut Vec<Outgoing<MpcMsg>>) {
+        let ok = shares.len() == self.vec_len(dealer);
+        if ok {
+            self.dealer_shares[dealer] = Some(shares);
         }
+        self.judge_dealing(dealer, ok, out);
     }
 
-    fn maybe_vote_zero(&mut self, out: &mut Vec<Outgoing<MpcMsg>>) {
-        if self.voted_zero {
-            return;
-        }
-        let ones = self.decisions.iter().filter(|d| **d == Some(true)).count();
-        if ones < self.cfg.n - self.cfg.f {
-            return;
-        }
-        self.voted_zero = true;
-        for d in 0..self.cfg.n {
-            self.vote(d, false, out);
-        }
-    }
-
-    fn maybe_fix_core(&mut self) {
-        if self.core.is_some() || self.decisions.iter().any(|d| d.is_none()) {
-            return;
-        }
-        let members: Vec<usize> = (0..self.cfg.n)
-            .filter(|&d| self.decisions[d] == Some(true))
-            .collect();
-        self.core = Some(members);
+    /// Records whether `dealer`'s dealing is usable and votes so on its core
+    /// instance.
+    fn judge_dealing(&mut self, dealer: usize, ok: bool, out: &mut Vec<Outgoing<MpcMsg>>) {
+        self.dealer_ok[dealer] = Some(ok);
+        self.acs.vote(dealer, ok, out);
     }
 
     // ---- evaluation ----
@@ -456,30 +393,19 @@ impl MpcEngine {
         if self.status != MpcStatus::Running {
             return None;
         }
+        let core = self.acs.core()?;
         let mut event = None;
         if !self.core_announced {
-            if let Some(c) = &self.core {
-                self.core_announced = true;
-                event = Some(MpcEvent::CoreDecided(c.clone()));
-            }
+            self.core_announced = true;
+            event = Some(MpcEvent::CoreDecided(core.to_vec()));
         }
         if !self.started_eval {
-            let ready = match &self.core {
-                None => false,
-                Some(c) => c.iter().all(|&d| self.dealer_ok[d].is_some()),
-            };
-            if !ready {
+            if core.iter().any(|&d| self.dealer_ok[d].is_none()) {
                 return event;
             }
             // A core member locally marked bad (ε-mode divergence): we
             // cannot compute valid shares — participate silently.
-            if self
-                .core
-                .as_ref()
-                .expect("checked")
-                .iter()
-                .any(|&d| self.dealer_ok[d] == Some(false))
-            {
+            if core.iter().any(|&d| self.dealer_ok[d] == Some(false)) {
                 self.tainted = true;
             }
             self.started_eval = true;
@@ -494,7 +420,7 @@ impl MpcEngine {
 
     /// My share of a sum-over-core coordinate accessor.
     fn core_sum(&self, coord_of: impl Fn(usize) -> usize) -> Fp {
-        let core = self.core.as_ref().expect("core fixed");
+        let core = self.acs.core().expect("core fixed");
         let mut acc = Fp::ZERO;
         for &d in core {
             if let Some(shares) = &self.dealer_shares[d] {
@@ -601,7 +527,7 @@ impl MpcEngine {
             let pc = self.pc;
             let value = match gates[pc] {
                 Gate::Input { player, index } => {
-                    let core = self.core.as_ref().expect("core fixed");
+                    let core = self.acs.core().expect("core fixed");
                     if core.contains(&player) {
                         match &self.dealer_shares[player] {
                             Some(shares) => shares[self.input_coord(player, index)],
@@ -682,7 +608,7 @@ impl MpcEngine {
         // Address the core by index instead of cloning the member list on
         // every call (this runs once per delivered message while a RandBit
         // gate is pending).
-        let core_len = self.core.as_ref().expect("core fixed").len();
+        let core_len = self.acs.core().expect("core fixed").len();
         loop {
             if self.status != MpcStatus::Running {
                 return false;
@@ -697,7 +623,7 @@ impl MpcEngine {
                         run.result = Some(run.acc.unwrap_or(Fp::ZERO));
                         return true;
                     }
-                    let d = self.core.as_ref().expect("core fixed")[run.pos];
+                    let d = self.acs.core().expect("core fixed")[run.pos];
                     let b = match &self.dealer_shares[d] {
                         Some(shares) => shares[self.rb_coord(d, run.ordinal)],
                         None => Fp::ZERO,
@@ -789,8 +715,10 @@ mod tests {
     use super::*;
     use crate::driver::MpcDriver;
     use mediator_circuits::{catalog, CircuitBuilder};
-    use mediator_sim::sansio::{Behavior, Machines};
+    use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines, SansIo};
     use mediator_sim::SchedulerKind;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Runs `n` engines under `kind`; `byz` players never start and behave
     /// per `behavior`. Returns each player's last event and the deliveries.
@@ -836,6 +764,188 @@ mod tests {
             assert_eq!(outputs_of(ev), &[v], "player {i} disagrees under {ctx:?}");
         }
         v
+    }
+
+    /// What a probed engine last reported: its core, whether each dealer's
+    /// dealing completed here, and its status.
+    struct Probe {
+        core: Vec<usize>,
+        completed: Vec<bool>,
+        status: MpcStatus,
+    }
+
+    /// An engine driven like `MpcDriver`, reporting a [`Probe`] after every
+    /// delivery once its core is fixed; the last one is its final state.
+    struct CoreProbe {
+        engine: MpcEngine,
+        inputs: Option<Vec<Fp>>,
+    }
+
+    impl SansIo for CoreProbe {
+        type Msg = MpcMsg;
+        type Output = Probe;
+
+        fn on_start(&mut self, rng: &mut StdRng) -> Vec<Outgoing<MpcMsg>> {
+            let inputs = self.inputs.take().expect("started once");
+            self.engine.start(&inputs, rng)
+        }
+
+        fn on_message(
+            &mut self,
+            from: usize,
+            msg: MpcMsg,
+            _rng: &mut StdRng,
+        ) -> (Vec<Outgoing<MpcMsg>>, Option<Probe>) {
+            let (out, _) = self.engine.on_message(from, msg);
+            let probe = self.engine.core().map(|core| Probe {
+                core: core.to_vec(),
+                completed: self
+                    .engine
+                    .dealer_shares
+                    .iter()
+                    .map(Option::is_some)
+                    .collect(),
+                status: self.engine.status.clone(),
+            });
+            (out, probe)
+        }
+
+        fn is_done(&self) -> bool {
+            self.engine.status != MpcStatus::Running
+        }
+    }
+
+    /// Runs `sum_circuit(n)` (player `i` inputs `i + 1`) with every player
+    /// probed, the ones in `byz` replaced; returns each player's last probe.
+    fn run_probed(
+        cfg: &MpcConfig,
+        byz: Vec<(usize, ByzantineProcess<MpcMsg>)>,
+        kind: &SchedulerKind,
+        seed: u64,
+    ) -> Vec<Option<Probe>> {
+        let cfg = Arc::new(cfg.clone());
+        let circuit = Arc::new(catalog::sum_circuit(cfg.n));
+        let probes = (0..cfg.n)
+            .map(|i| CoreProbe {
+                engine: MpcEngine::new(Arc::clone(&cfg), Arc::clone(&circuit), i),
+                inputs: Some(vec![Fp::new(i as u64 + 1)]),
+            })
+            .collect();
+        let mut run = Machines::new(probes);
+        for (p, b) in byz {
+            run = run.byzantine(p, b);
+        }
+        run.run(kind.build().as_mut(), seed, 8_000_000).1
+    }
+
+    /// The common-subset guarantees over the honest players (all but
+    /// `byz`): one core, of at least `n − f` members, each with its dealing
+    /// completed at every honest player. Returns the core.
+    fn assert_core_guarantees(
+        probes: &[Option<Probe>],
+        byz: &[usize],
+        f: usize,
+        ctx: &dyn std::fmt::Debug,
+    ) -> Vec<usize> {
+        let honest: Vec<usize> = (0..probes.len()).filter(|i| !byz.contains(i)).collect();
+        let probe = |i: usize| {
+            probes[i]
+                .as_ref()
+                .unwrap_or_else(|| panic!("player {i} fixed no core under {ctx:?}"))
+        };
+        let core = probe(honest[0]).core.clone();
+        assert!(
+            core.len() >= probes.len() - f,
+            "|core| < n − f under {ctx:?}"
+        );
+        for &i in &honest {
+            let p = probe(i);
+            assert_eq!(p.core, core, "player {i} under {ctx:?}");
+            for &d in &core {
+                assert!(p.completed[d], "member {d} incomplete at {i} under {ctx:?}");
+            }
+        }
+        core
+    }
+
+    #[test]
+    fn the_core_is_common_and_complete_under_every_scheduler() {
+        let zeros = |n| vec![vec![Fp::ZERO]; n];
+        let cases = [
+            (MpcConfig::robust(5, 1, 7, zeros(5)), vec![]),
+            (MpcConfig::robust(5, 1, 7, zeros(5)), vec![4]),
+            (MpcConfig::robust(9, 2, 7, zeros(9)), vec![]),
+            (MpcConfig::robust(9, 2, 7, zeros(9)), vec![7, 8]),
+            (MpcConfig::epsilon(4, 1, 1, 2, 31, zeros(4)), vec![]),
+            (MpcConfig::epsilon(4, 1, 1, 2, 31, zeros(4)), vec![3]),
+        ];
+        for (cfg, silent) in cases {
+            for kind in SchedulerKind::battery(cfg.n) {
+                for seed in 0..2 {
+                    let byz = silent.iter().map(|&p| (p, no_op().into())).collect();
+                    let probes = run_probed(&cfg, byz, &kind, seed);
+                    let ctx = (cfg.n, cfg.f, &silent, &kind, seed);
+                    let core = assert_core_guarantees(&probes, &silent, cfg.f, &ctx);
+                    assert!(!core.iter().any(|d| silent.contains(d)), "{ctx:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_equivocating_dealer_is_consistent_or_excluded() {
+        // Dealer 4 sends AVSS rows of two dealings (inputs 1 and 2, two
+        // polynomials). Alone, with rows alternating, it completes nowhere.
+        // Echoing as a holder of the first dealing, with only player 3 handed
+        // the second, it can be admitted (player 3 then recovers its row from
+        // the echoes) unless the schedule fixes the core first. Either way
+        // the honest players fix one core and finish on one sum, which counts
+        // exactly one of the two inputs if the dealer is a member.
+        let (n, f) = (5, 1);
+        let cfg = MpcConfig::robust(n, f, 7, vec![vec![Fp::ZERO]; n]);
+        let len = MpcEngine::new(cfg.clone(), Arc::new(catalog::sum_circuit(n)), 4).vec_len(4);
+        let mut rng = StdRng::seed_from_u64(5);
+        let rows = [1, 2].map(|x| avss::deal(&vec![Fp::new(x); len], n, f, &mut rng));
+        let to_honest = |p: usize, inner: avss::AvssMsg| (p, MpcMsg::Avss { dealer: 4, inner });
+        let (echoes, _) = AvssState::new(n, f, 4).on_message(4, rows[0][4].clone());
+        let echoes = echoes.into_iter().filter_map(|(dest, inner)| match dest {
+            AvssDest::One(p) if p < 4 => Some(to_honest(p, inner)),
+            _ => None,
+        });
+        let alternating: Vec<_> = (0..4)
+            .map(|p| to_honest(p, rows[p % 2][p].clone()))
+            .collect();
+        let echoing: Vec<_> = (0..4)
+            .map(|p| to_honest(p, rows[usize::from(p == 3)][p].clone()))
+            .chain(echoes)
+            .collect();
+        for (kickoff, may_admit) in [(alternating, false), (echoing, true)] {
+            let mut admitted = 0;
+            for kind in SchedulerKind::battery(n) {
+                for seed in 0..3 {
+                    let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff.clone());
+                    let probes = run_probed(&cfg, vec![(4, byz)], &kind, seed);
+                    let ctx = (may_admit, &kind, seed);
+                    let core = assert_core_guarantees(&probes, &[4], f, &ctx);
+                    let honest: u64 = core.iter().filter(|&&d| d < 4).map(|&d| d as u64 + 1).sum();
+                    let sum = |x: u64| MpcStatus::Done(vec![Fp::new(honest + x)]);
+                    let admissible = if core.contains(&4) {
+                        assert!(may_admit, "admitted under {ctx:?}");
+                        admitted += 1;
+                        [sum(1), sum(2)]
+                    } else {
+                        [sum(0), sum(0)]
+                    };
+                    let status = |i: usize| probes[i].as_ref().map(|p| p.status.clone());
+                    let first = status(0).expect("player 0 finished");
+                    assert!(admissible.contains(&first), "{first:?} under {ctx:?}");
+                    for i in 1..4 {
+                        assert_eq!(status(i), Some(first.clone()), "player {i} under {ctx:?}");
+                    }
+                }
+            }
+            assert_eq!(admitted > 0, may_admit, "never admitted");
+        }
     }
 
     // Asynchronous MPC fixes a core of ≥ n − f input providers: a scheduler
@@ -922,8 +1032,6 @@ mod tests {
         // domain `0..=n`, where the polynomial still has exactly one value —
         // and hold the engines to the plain evaluator on every input set a
         // scheduler may fix (≤ f dealings defaulted to 0).
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         for (n, f) in [(5usize, 1usize), (9, 2)] {
             let circuit = catalog::majority_circuit(n);
             let bits: Vec<Fp> = (0..n).map(|i| Fp::new((i % 3 != 0) as u64)).collect();

@@ -7,7 +7,8 @@
 //!
 //! * [`Mode::Robust`] (`n > 4f`, Theorem 4.1): inputs and randomness
 //!   contributions are dealt by **AVSS**; the input core is fixed by `n`
-//!   ABA instances (BKR agreement-on-a-common-subset rule); multiplications
+//!   ABA instances under the BKR common-subset rule
+//!   ([`mediator_bcast::Acs`]); multiplications
 //!   use masked public openings `z = ab + r` with the degree-doubling trick
 //!   `h(x) = A(x)B(x) + R(x) + x^f·R'(x)` and **online error correction**
 //!   (liveness exactly when `n ≥ 4f + 1` — the paper's bound).

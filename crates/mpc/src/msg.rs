@@ -46,6 +46,13 @@ pub enum MpcMsg {
     },
 }
 
+/// An [`Acs`](mediator_bcast::Acs) message, tagged with its instance.
+impl From<(usize, AbaMsg)> for MpcMsg {
+    fn from((dealer, inner): (usize, AbaMsg)) -> Self {
+        MpcMsg::Core { dealer, inner }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

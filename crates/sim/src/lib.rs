@@ -74,8 +74,8 @@ pub mod world;
 pub use party_set::PartySet;
 pub use process::{Action, Ctx, OutgoingTamper, Process, ProcessId, Tamper, TamperVerdict};
 pub use sansio::{
-    map_batch, route_batch, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines, Outgoing,
-    Payload, RunOutputs, SansIo, SansIoProcess,
+    route_batch, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines, Outgoing, Payload,
+    RunOutputs, SansIo, SansIoProcess,
 };
 pub use scheduler::{
     FifoScheduler, LifoScheduler, PendingView, RandomScheduler, RelaxedScheduler, ReplayScheduler,

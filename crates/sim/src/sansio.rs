@@ -6,7 +6,7 @@
 //! of [`Outgoing`] messages. This module is the one home for the glue that
 //! turns such a machine into something the [`World`] can drive:
 //!
-//! * [`Dest`] / [`Outgoing`] / [`map_batch`] — the outgoing-message shapes;
+//! * [`Dest`] / [`Outgoing`] — the outgoing-message shapes;
 //! * [`route_batch`] — the single implementation of broadcast expansion;
 //! * [`SansIo`] — the trait a driveable state machine implements;
 //! * [`SansIoProcess`] — the generic adapter that wraps any [`SansIo`]
@@ -155,11 +155,6 @@ impl<M> Outgoing<M> {
             msg: f(self.msg),
         }
     }
-}
-
-/// Maps a whole batch of outgoing messages (instance-tag wrapping).
-pub fn map_batch<M, N>(batch: Vec<Outgoing<M>>, mut f: impl FnMut(M) -> N) -> Vec<Outgoing<N>> {
-    batch.into_iter().map(|o| o.map(&mut f)).collect()
 }
 
 /// Expands a batch into point-to-point sends: the one shared implementation
@@ -623,10 +618,5 @@ mod tests {
         let o = Outgoing::to(3, 7u32).map(|v| v + 1);
         assert_eq!(o.dest, Dest::One(3));
         assert_eq!(o.msg, 8);
-        let b = map_batch(vec![Outgoing::all(1u8), Outgoing::to(0, 2u8)], |v| {
-            v as u16 * 10
-        });
-        assert_eq!(b[0].msg, 10);
-        assert_eq!(b[1].msg, 20);
     }
 }
