@@ -1,12 +1,14 @@
 //! Substrate microbenchmarks: field ops, Reed–Solomon robust
 //! decoding, reliable broadcast, binary agreement, AVSS, one MPC
-//! multiplication, and the `World` event plane with ~1k events pending.
+//! multiplication, the `World` event plane with ~1k events pending, and
+//! the trace store's record checksum.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mediator_bcast::{AbaPeer, AbaState, IdealCoin, RbcPeer};
 use mediator_field::{rs, Fp, Poly};
 use mediator_sim::sansio::Machines;
 use mediator_sim::{Ctx, Process, ProcessId, RandomScheduler, TraceMode, World};
+use mediator_store::format::crc32;
 use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -199,12 +201,24 @@ fn bench_world(c: &mut Criterion) {
     g.finish();
 }
 
+/// CRC32 over 64 KiB: the checksum every store record pays when it is
+/// recorded, opened, loaded and compacted.
+fn bench_store(c: &mut Criterion) {
+    let mut g = c.benchmark_group("store");
+    let bytes: Vec<u8> = (0..64 * 1024u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    g.bench_function("crc32_64k", |bch| bch.iter(|| crc32(black_box(&bytes))));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_field,
     bench_rs,
     bench_agreement,
     bench_avss,
-    bench_world
+    bench_world,
+    bench_store
 );
 criterion_main!(benches);

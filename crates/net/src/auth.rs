@@ -17,7 +17,12 @@
 //! Each authenticated `Msg` frame is MACed under a *pair key* derived from
 //! `(session, src, dst)` by two domain-separated SipHash invocations of
 //! the master key — so every directed channel of every session has its own
-//! key, the paper's "private channel per pair" made literal. Relays never
+//! key, the paper's "private channel per pair" made literal. A hosted
+//! session derives each of its pair keys once, on the channel's first
+//! frame, and keeps them in an `n × n` table: sealing and verifying a
+//! frame then cost one SipHash each. [`AuthKey::msg_mac`] and
+//! [`AuthKey::verify_msg`] derive per call (shard results, frames for a
+//! session that is gone) through the same MAC and compare. Relays never
 //! see any key: the service MACs a frame when it ships and verifies when
 //! the echo returns, so the relay's content-blind contract is now
 //! *enforced* rather than assumed — any decode/rewrite/re-encode round
@@ -36,7 +41,9 @@
 //! detection of *withholding* is the accountability layer's job, not the
 //! channel's (DESIGN.md §10).
 
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A 128-bit master key for a service's authenticated channels.
 ///
@@ -77,7 +84,8 @@ impl AuthKey {
 
     /// The pair key for directed channel `(session, src, dst)`: two
     /// domain-separated PRF calls on the master key.
-    fn pair_key(&self, session: u64, src: usize, dst: usize) -> (u64, u64) {
+    pub(crate) fn pair_key(&self, session: u64, src: usize, dst: usize) -> PairKey {
+        PAIR_KEYS_DERIVED.fetch_add(1, Ordering::Relaxed);
         let mut input = [0u8; 25];
         input[0..8].copy_from_slice(&session.to_le_bytes());
         input[8..16].copy_from_slice(&(src as u64).to_le_bytes());
@@ -86,15 +94,14 @@ impl AuthKey {
         let k0 = siphash24(self.k0, self.k1, &input);
         input[24] = 1;
         let k1 = siphash24(self.k0, self.k1, &input);
-        (k0, k1)
+        PairKey { k0, k1 }
     }
 
     /// MACs an authenticated `Msg` frame body prefix (everything up to
     /// but excluding the trailing 8 MAC bytes) for channel
     /// `(session, src, dst)`.
     pub fn msg_mac(&self, session: u64, src: usize, dst: usize, prefix: &[u8]) -> [u8; 8] {
-        let (k0, k1) = self.pair_key(session, src, dst);
-        siphash24(k0, k1, prefix).to_le_bytes()
+        self.pair_key(session, src, dst).mac(prefix)
     }
 
     /// Verifies a received MAC in constant time over the tag bytes.
@@ -107,16 +114,99 @@ impl AuthKey {
         prefix: &[u8],
         mac: [u8; 8],
     ) -> AuthVerdict {
-        let expect = self.msg_mac(session, src, dst, prefix);
-        let mut diff = 0u8;
-        for (a, b) in expect.iter().zip(mac.iter()) {
-            diff |= a ^ b;
-        }
+        self.pair_key(session, src, dst).verify(prefix, mac)
+    }
+}
+
+static PAIR_KEYS_DERIVED: AtomicU64 = AtomicU64::new(0);
+
+/// How many pair keys this process has derived so far, over every
+/// [`AuthKey`]: the count that shows a hosted session derives each of its
+/// channel keys once rather than once per frame.
+pub fn pair_keys_derived() -> u64 {
+    PAIR_KEYS_DERIVED.load(Ordering::Relaxed)
+}
+
+/// The key of one directed channel. Every MAC the crate computes or
+/// checks goes through [`PairKey::mac`] and [`PairKey::verify`].
+#[derive(Clone, Copy)]
+pub(crate) struct PairKey {
+    k0: u64,
+    k1: u64,
+}
+
+impl PairKey {
+    /// The SipHash-2-4 tag of `prefix` (little-endian).
+    pub(crate) fn mac(&self, prefix: &[u8]) -> [u8; 8] {
+        siphash24(self.k0, self.k1, prefix).to_le_bytes()
+    }
+
+    /// Checks `mac` against `prefix` in constant time over the tag bytes.
+    pub(crate) fn verify(&self, prefix: &[u8], mac: [u8; 8]) -> AuthVerdict {
+        let expect = self.mac(prefix);
+        let diff = expect.iter().zip(&mac).fold(0, |d, (a, b)| d | (a ^ b));
         if diff == 0 {
             AuthVerdict::Authentic
         } else {
             AuthVerdict::Forged
         }
+    }
+}
+
+/// The replay ledger of one authenticated session: one bit per sequence
+/// number, from the oldest still on the wire to the next one to issue. A
+/// number below the window was consumed and one past it never issued:
+/// both are replays, exactly as for a set of outstanding numbers.
+#[derive(Debug, Default)]
+pub struct ReplayWindow {
+    next: u64,
+    /// `words[0]` covers the numbers from `64 * first_word`.
+    first_word: u64,
+    words: VecDeque<u64>,
+}
+
+impl ReplayWindow {
+    /// Issues the next sequence number and marks it outstanding.
+    pub fn issue(&mut self) -> u64 {
+        let seq = self.next;
+        self.next += 1;
+        if self.words.is_empty() {
+            self.first_word = seq / 64;
+        }
+        if seq / 64 - self.first_word == self.words.len() as u64 {
+            self.words.push_back(0);
+        }
+        *self.words.back_mut().expect("the newest word") |= 1 << (seq % 64);
+        seq
+    }
+
+    /// Checks `seq` off. `false` is a replay: the number was consumed
+    /// already, or never issued.
+    pub fn retire(&mut self, seq: u64) -> bool {
+        let slot = (seq / 64)
+            .checked_sub(self.first_word)
+            .and_then(|w| self.words.get_mut(usize::try_from(w).ok()?));
+        let bit = 1u64 << (seq % 64);
+        match slot {
+            Some(word) if *word & bit != 0 => *word &= !bit,
+            _ => return false,
+        }
+        while self.words.front() == Some(&0) {
+            self.words.pop_front();
+            self.first_word += 1;
+        }
+        true
+    }
+
+    /// Sequence numbers issued and not yet checked off.
+    pub fn outstanding(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// True once every issued number has been checked off: the window
+    /// holds no words.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
     }
 }
 

@@ -16,7 +16,7 @@
 //! from a future format. Kind tags and payload layouts are tabulated in
 //! DESIGN.md §9.
 
-use crate::auth::{AuthKey, AuthTag, TamperKind};
+use crate::auth::{AuthKey, AuthTag, PairKey, TamperKind};
 use crate::wire::{CodecError, Reader, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};
 use mediator_sim::{Outcome, TerminationKind};
 use std::fmt;
@@ -481,9 +481,10 @@ impl<M: Wire> Frame<M> {
     }
 
     /// Seals an authenticable frame under `key`: encodes the
-    /// authenticated body, MACs everything up to the trailer, and patches
-    /// the tag in place. `Msg` MACs under its `(session, src, dst)`
-    /// domain; `ShardResult` under `(unit, worker, SHARD_COORD)` — the
+    /// authenticated body into a scratch buffer, seals it there
+    /// (`seal_in_place`), and copies the tag into the frame. `Msg` MACs
+    /// under its `(session, src, dst)` domain; `ShardResult` under
+    /// `(unit, worker, SHARD_COORD)` — the
     /// differing kind byte inside the MAC'd prefix keeps the two domains
     /// disjoint even on colliding ids. The frame must already carry an
     /// [`AuthTag`] (the ship path assigns the sequence number); no-op for
@@ -501,7 +502,7 @@ impl<M: Wire> Frame<M> {
         if body.first() != Some(&WIRE_VERSION_AUTH) {
             return; // no trailer to seal
         }
-        let mac = key.msg_mac(domain.0, domain.1, domain.2, &body[..body.len() - 8]);
+        let mac = seal_in_place(&mut body, &key.pair_key(domain.0, domain.1, domain.2));
         match self {
             Frame::Msg {
                 auth: Some(tag), ..
@@ -512,6 +513,20 @@ impl<M: Wire> Frame<M> {
             _ => {}
         }
     }
+}
+
+/// Bytes of the MAC trailer every authenticated body ends with.
+pub(crate) const MAC_LEN: usize = 8;
+
+/// The one sealing step: MACs an authenticated body's prefix (everything
+/// before the trailer) under `key` and writes the tag into the trailer.
+/// The service runs it on the bytes it has just queued for the wire;
+/// [`Frame::seal`] on a scratch encoding.
+pub(crate) fn seal_in_place(body: &mut [u8], key: &PairKey) -> [u8; 8] {
+    let (prefix, trailer) = body.split_at_mut(body.len() - MAC_LEN);
+    let mac = key.mac(prefix);
+    trailer.copy_from_slice(&mac);
+    mac
 }
 
 /// The `dst` slot of a [`Frame::ShardResult`] MAC domain: shard results

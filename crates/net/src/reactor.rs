@@ -16,7 +16,9 @@
 //! * **Timers** live in a lazily-revalidated heap: idle deadlines are
 //!   *updated* in place as events arrive and only re-pushed when a stale
 //!   entry fires, so a session's thousands of frames cost one heap entry,
-//!   not thousands.
+//!   not thousands. A finished session's entries are dropped once they
+//!   outnumber the live ones, so the heap holds live sessions, not the
+//!   last timeout's worth of hosted ones.
 //! * **Commands** from [`Service`](crate::Service) callers arrive over a
 //!   channel whose receiving end lives here. The session table (`sms`) is
 //!   the only registry: a `Host` command for a live id is answered
@@ -33,9 +35,10 @@
 //! (the loop's dispatch order) choosing which session advances next,
 //! constrained only by eventual delivery. See DESIGN.md §9.
 
-use crate::auth::TamperKind;
+use crate::auth::{PairKey, TamperKind};
 use crate::frame::{
-    peek_auth_session, Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN,
+    peek_auth_session, seal_in_place, Frame, NetError, OutcomeSummary, RejectReason, SessionId,
+    MAC_LEN, PREFIX_LEN,
 };
 use crate::readiness::{
     ConnIo, Event, Interest, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN,
@@ -47,7 +50,7 @@ use mediator_sim::{Outcome, RunMeta, Session, SessionStatus, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,6 +102,8 @@ struct SessionSm<M: Wire + Send> {
     /// revalidated against it.
     idle_deadline: Option<Instant>,
     idle_queued: bool,
+    /// The session's id sits in the run queue.
+    queued: bool,
 }
 
 impl<M: Wire + Send> SessionSm<M> {
@@ -122,7 +127,7 @@ impl<M: Wire + Send> SessionSm<M> {
             meta,
             routes: vec![None; expected],
             session: Some(session),
-            flight: FlightState::new(expected, cfg.auth),
+            flight: FlightState::new(sid, expected, cfg.auth),
             depth,
             rng,
             phase: SmPhase::Attaching {
@@ -134,6 +139,21 @@ impl<M: Wire + Send> SessionSm<M> {
             sink: cfg.sink.clone(),
             idle_deadline: None,
             idle_queued: false,
+            queued: false,
+        }
+    }
+
+    /// Queues an inbound event and puts the session on the run queue
+    /// (once, however many events arrive before it runs). Every absorbed
+    /// event restarts an armed idle window, to `idle`.
+    fn enqueue(&mut self, ev: Inbound<M>, idle: Instant, runnable: &mut Vec<SessionId>) {
+        self.queue.push_back(ev);
+        if self.idle_deadline.is_some() {
+            self.idle_deadline = Some(idle);
+        }
+        if !self.queued {
+            self.queued = true;
+            runnable.push(self.sid);
         }
     }
 
@@ -364,14 +384,25 @@ impl Conns {
     }
 
     /// Appends `frame` to the routed connection's out-buffer; the loop
-    /// flushes it at the end of the current pass. Fails once the
-    /// connection is gone — the signal `ship` turns into `PeerVanished`.
-    pub(crate) fn send<M: Wire>(&mut self, route: Route, frame: &Frame<M>) -> Result<(), NetError> {
+    /// flushes it at the end of the current pass. With a `key`, the frame
+    /// (encoded with a zero MAC) is sealed over the bytes just queued, so
+    /// it is encoded once. Fails once the connection is gone — the signal
+    /// `ship` turns into `PeerVanished`.
+    pub(crate) fn send<M: Wire>(
+        &mut self,
+        route: Route,
+        frame: &Frame<M>,
+        key: Option<&PairKey>,
+    ) -> Result<(), NetError> {
         let conn = self.live(route).ok_or(NetError::Disconnected)?;
         // A buffer with bytes pending is either queued for this pass's
         // flush already or waiting on writability.
         let newly_dirty = !conn.pending();
+        let start = conn.out.len();
         conn.queue(frame);
+        if let Some(key) = key {
+            seal_in_place(&mut conn.out[start + PREFIX_LEN..], key);
+        }
         if newly_dirty {
             self.dirty.push(route.0);
         }
@@ -484,10 +515,11 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         let mut events: Vec<Event> = Vec::new();
         let mut notified: Vec<usize> = Vec::new();
         let mut interests: Vec<Interest> = Vec::new();
-        let mut runnable: HashSet<SessionId> = HashSet::new();
+        // The run queue: each session at most once (`SessionSm::queued`),
+        // emptied by every `advance`.
+        let mut runnable: Vec<SessionId> = Vec::new();
 
         loop {
-            runnable.clear();
             self.now = Instant::now();
             // Commands, then parked attaches, then timers: an attach
             // parked by the previous wake-up meets its session here
@@ -546,7 +578,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
 
             for ev in events.drain(..) {
                 if ev.token == ACCEPT_TOKEN {
-                    self.accept_ready(&mut runnable);
+                    self.accept_ready();
                     continue;
                 }
                 if ev.readable {
@@ -558,7 +590,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             }
             for token in notified.drain(..) {
                 match token {
-                    ACCEPT_TOKEN => self.accept_ready(&mut runnable),
+                    ACCEPT_TOKEN => self.accept_ready(),
                     CMD_TOKEN => {} // drained when `wait` returned
                     slot => self.conn_readable(slot, &mut runnable),
                 }
@@ -569,7 +601,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
 
     // -- commands -----------------------------------------------------------
 
-    fn process_commands(&mut self, runnable: &mut HashSet<SessionId>) {
+    fn process_commands(&mut self, runnable: &mut Vec<SessionId>) {
         while let Ok(cmd) = self.commands.try_recv() {
             match cmd {
                 Command::Host {
@@ -586,13 +618,14 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                         continue;
                     }
                     let session = open().with_session_id(id);
-                    let sm = SessionSm::new(id, processes, meta, session, result, &self.cfg);
+                    let mut sm = SessionSm::new(id, processes, meta, session, result, &self.cfg);
                     self.timers.push(Reverse((
                         Instant::now() + self.cfg.attach_timeout,
                         Timer::Attach { session: id },
                     )));
+                    sm.queued = true;
                     self.sms.insert(id, sm);
-                    runnable.insert(id);
+                    runnable.push(id);
                 }
                 Command::Drain => {
                     self.draining = true;
@@ -607,7 +640,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     /// Re-tries parked attaches against the session table, so a session
     /// hosted mid-grace attaches on the wake-up its `Host` command caused
     /// instead of after a poll interval.
-    fn sweep_parked(&mut self, runnable: &mut HashSet<SessionId>) {
+    fn sweep_parked(&mut self, runnable: &mut Vec<SessionId>) {
         let mut i = 0;
         while i < self.parked.len() {
             if self.sms.contains_key(&self.parked[i].session) {
@@ -654,6 +687,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                             session,
                             reason: RejectReason::UnknownSession,
                         },
+                        None,
                     );
                 }
                 Timer::Attach { session } => {
@@ -705,13 +739,14 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     /// flushes the out-buffers that pass wrote to. A failed flush kills
     /// its connection, which can make sessions runnable again (their relay
     /// is gone), so repeat until a pass leaves nothing to run.
-    fn advance(&mut self, runnable: &mut HashSet<SessionId>) {
+    fn advance(&mut self, runnable: &mut Vec<SessionId>) {
         loop {
-            let ids: Vec<SessionId> = runnable.drain().collect();
-            for sid in ids {
+            // Running a session queues nothing; only the flush below can.
+            for &sid in runnable.iter() {
                 let Some(sm) = self.sms.get_mut(&sid) else {
                     continue;
                 };
+                sm.queued = false;
                 match sm.run(&mut self.conns) {
                     Some(result) => self.finish_session(sid, result),
                     // Blocked. Arm (or roll) the idle deadline only in the
@@ -727,6 +762,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     None => {}
                 }
             }
+            runnable.clear();
             while let Some(slot) = self.conns.dirty.pop() {
                 self.conn_flush(slot, runnable);
             }
@@ -752,24 +788,28 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         };
         broadcast::<M>(&sm.routes, &mut self.conns, &frame);
         let _ = sm.result.send(result);
+        // A finished session's attach and idle entries would wait out
+        // their deadlines in the heap, so memory would grow with sessions
+        // per second: drop them once they outnumber the live ones.
+        if self.timers.len() > 4 * self.sms.len() + self.parked.len() + 64 {
+            let sms = &self.sms;
+            self.timers.retain(|Reverse((_, timer))| match timer {
+                Timer::Attach { session } | Timer::Idle { session } => sms.contains_key(session),
+                Timer::AttachGrace { .. } => true,
+            });
+        }
     }
 
     /// Queues an inbound event on its session, if that session is live.
-    fn deliver(&mut self, sid: SessionId, ev: Inbound<M>, runnable: &mut HashSet<SessionId>) {
-        let Some(sm) = self.sms.get_mut(&sid) else {
-            return;
-        };
-        sm.queue.push_back(ev);
-        // Every absorbed event restarts the idle window.
-        if sm.idle_deadline.is_some() {
-            sm.idle_deadline = Some(self.now + self.cfg.idle_timeout);
+    fn deliver(&mut self, sid: SessionId, ev: Inbound<M>, runnable: &mut Vec<SessionId>) {
+        if let Some(sm) = self.sms.get_mut(&sid) {
+            sm.enqueue(ev, self.now + self.cfg.idle_timeout, runnable);
         }
-        runnable.insert(sid);
     }
 
     // -- accept / read / write ----------------------------------------------
 
-    fn accept_ready(&mut self, _runnable: &mut HashSet<SessionId>) {
+    fn accept_ready(&mut self) {
         loop {
             match self.listener.try_accept() {
                 Ok(Some(io)) => self.add_conn(io),
@@ -803,7 +843,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         });
     }
 
-    fn conn_readable(&mut self, slot: usize, runnable: &mut HashSet<SessionId>) {
+    fn conn_readable(&mut self, slot: usize, runnable: &mut Vec<SessionId>) {
         let Some(mut conn) = self.conns.slab.get_mut(slot).and_then(|c| c.take()) else {
             return;
         };
@@ -825,9 +865,11 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         }
         // Parse every complete frame; a trailing partial frame stays
         // buffered until its bytes arrive (one slow peer stalls only
-        // itself — the slow-loris test pins this).
+        // itself — the slow-loris test pins this). The buffer is held
+        // apart so the connection can queue answers while a body is read.
+        let mut rbuf = std::mem::take(&mut conn.rbuf);
         while !dead {
-            let body = match conn.rbuf.next_frame() {
+            let body = match rbuf.next_frame() {
                 Ok(Some(framed)) => &framed[PREFIX_LEN..],
                 Ok(None) => break,
                 // An oversized announcement is corruption or hostility:
@@ -838,16 +880,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 }
             };
             match Frame::<M>::decode_body(body) {
-                Ok(frame) => match self.vet_frame(&frame, body) {
-                    None => self.process_frame(&mut conn, slot, frame, runnable),
-                    Some(kind) => {
-                        let session = match &frame {
-                            Frame::Msg { session, .. } => *session,
-                            _ => unreachable!("only Msg frames are vetted"),
-                        };
-                        self.tampered(&mut conn, session, kind, runnable);
-                    }
-                },
+                Ok(frame) => self.process_frame(&mut conn, slot, frame, body, runnable),
                 Err(_) => {
                     // Undecodable bytes. On an authenticated service a
                     // damaged frame that still names its session aborts
@@ -863,6 +896,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 }
             }
         }
+        conn.rbuf = rbuf;
         // Rejects the frames above earned go out with this wake-up.
         if !dead && conn.pending() {
             dead = !conn.flush();
@@ -871,42 +905,6 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             self.kill_conn(slot, conn, runnable);
         } else {
             self.conns.slab[slot] = Some(conn);
-        }
-    }
-
-    /// Authenticates a decoded frame against the service key, if one is
-    /// configured. `None` = pass; `Some(kind)` = a violation to scope to
-    /// the frame's session. Only `Msg` frames carry MACs: control frames
-    /// either originate here (`Outcome`/`Reject`/`Abort` are ignored
-    /// inbound) or precede any routing (`Attach` — a forged attach can
-    /// only lose the race to the honest relay and collect a `Reject`).
-    fn vet_frame(&self, frame: &Frame<M>, body: &[u8]) -> Option<TamperKind> {
-        let key = self.cfg.auth.as_ref()?;
-        let Frame::Msg {
-            session,
-            src,
-            dst,
-            auth,
-            ..
-        } = frame
-        else {
-            return None;
-        };
-        match auth {
-            Some(tag) => {
-                let prefix = &body[..body.len() - 8];
-                if key
-                    .verify_msg(*session, *src, *dst, prefix, tag.mac)
-                    .is_authentic()
-                {
-                    None
-                } else {
-                    Some(TamperKind::BadMac)
-                }
-            }
-            // Downgrade rejection: an authenticated service refuses
-            // version-1 `Msg` frames — stripping the MAC is a tamper.
-            None => Some(TamperKind::Downgrade),
         }
     }
 
@@ -919,7 +917,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         conn: &mut Conn,
         session: SessionId,
         kind: TamperKind,
-        runnable: &mut HashSet<SessionId>,
+        runnable: &mut Vec<SessionId>,
     ) {
         conn.queue::<M>(&Frame::Reject {
             session,
@@ -935,12 +933,14 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         );
     }
 
+    /// Acts on one decoded frame; `body` is the bytes it was decoded from.
     fn process_frame(
         &mut self,
         conn: &mut Conn,
         slot: usize,
         frame: Frame<M>,
-        runnable: &mut HashSet<SessionId>,
+        body: &[u8],
+        runnable: &mut Vec<SessionId>,
     ) {
         let route = (slot, conn.id);
         match frame {
@@ -976,9 +976,36 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 msg,
                 auth,
             } => {
-                // A frame for an unknown session is a late echo for a run
-                // that already finished: dead, by design.
-                let Some(sm) = self.sms.get(&session) else {
+                // One table lookup serves authentication, the range check
+                // and queueing.
+                let mut sm = self.sms.get_mut(&session);
+                // Only `Msg` frames carry MACs: control frames either
+                // originate here or precede any routing (a forged `Attach`
+                // can only lose the race to the honest relay). A stripped
+                // trailer is a downgrade. A session that finished or never
+                // existed has no keys: the master key judges its frames,
+                // so a forgery still earns its `Reject`.
+                if let Some(master) = &self.cfg.auth {
+                    let keys = sm.as_mut().and_then(|sm| sm.flight.auth.as_mut());
+                    let authentic = auth.is_some_and(|tag| {
+                        let prefix = &body[..body.len() - MAC_LEN];
+                        match keys {
+                            Some(keys) => keys.pair(src, dst).verify(prefix, tag.mac),
+                            None => master.verify_msg(session, src, dst, prefix, tag.mac),
+                        }
+                        .is_authentic()
+                    });
+                    if !authentic {
+                        let kind = match auth {
+                            Some(_) => TamperKind::BadMac,
+                            None => TamperKind::Downgrade,
+                        };
+                        return self.tampered(conn, session, kind, runnable);
+                    }
+                }
+                // An authentic frame for an unknown session is a late echo
+                // for a run that already finished: dead, by design.
+                let Some(sm) = sm else {
                     return;
                 };
                 // Range-check before delivery: a hostile-but-well-formed
@@ -1000,7 +1027,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     seq: auth.map(|tag| tag.seq),
                     conn: conn.id,
                 };
-                self.deliver(session, ev, runnable);
+                sm.enqueue(ev, self.now + self.cfg.idle_timeout, runnable);
             }
             // `Outcome`/`Reject`/`Abort` only travel service → client;
             // shard lease frames belong to the shard coordinator plane,
@@ -1023,7 +1050,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         sid: SessionId,
         player: usize,
         route: Route,
-        runnable: &mut HashSet<SessionId>,
+        runnable: &mut Vec<SessionId>,
     ) {
         let (Some(sm), Some(conn)) = (self.sms.get_mut(&sid), self.conns.live(route)) else {
             return; // the conn died while parked
@@ -1040,12 +1067,13 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                         session: sid,
                         reason,
                     },
+                    None,
                 );
             }
         }
     }
 
-    fn conn_flush(&mut self, slot: usize, runnable: &mut HashSet<SessionId>) {
+    fn conn_flush(&mut self, slot: usize, runnable: &mut Vec<SessionId>) {
         let Some(mut conn) = self.conns.slab.get_mut(slot).and_then(|c| c.take()) else {
             return;
         };
@@ -1059,7 +1087,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     /// Tears a connection down: releases the routes it still holds
     /// (sessions then see `PeerVanished` at `ship`), tells each affected
     /// session its relay is gone, and frees the slot.
-    fn kill_conn(&mut self, slot: usize, conn: Conn, runnable: &mut HashSet<SessionId>) {
+    fn kill_conn(&mut self, slot: usize, conn: Conn, runnable: &mut Vec<SessionId>) {
         let route = (slot, conn.id);
         for &(sid, player) in &conn.claimed {
             let Some(sm) = self.sms.get_mut(&sid) else {

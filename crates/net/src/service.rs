@@ -43,7 +43,7 @@
 //! in-process `World`: a recorded run replays through `replay_plan` to a
 //! byte-identical trace (DESIGN.md §11).
 
-use crate::auth::{AuthKey, AuthTag, TamperKind};
+use crate::auth::{AuthKey, AuthTag, PairKey, ReplayWindow, TamperKind};
 use crate::client::Client;
 use crate::frame::{Frame, NetError, OutcomeSummary, SessionId};
 use crate::reactor::{Command, Conns, Reactor, Route, CMD_TOKEN};
@@ -55,7 +55,7 @@ use mediator_sim::SchedulerKind;
 use mediator_sim::{Envelope, Outcome, RunMeta, Session, TraceSink};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -172,8 +172,8 @@ pub(crate) enum Inbound<M> {
         msg: M,
         returned: bool,
         /// The authenticated sequence number, when the frame carried a
-        /// verified MAC. The in-flight accounting checks it off against
-        /// the outstanding set: a consumed number is a replay.
+        /// verified MAC. The in-flight accounting checks it off in the
+        /// replay window: a consumed number is a replay.
         seq: Option<u64>,
         /// Reactor-assigned id of the connection the frame arrived on
         /// (names the culprit in [`NetError::AuthFailure`]).
@@ -358,9 +358,10 @@ impl<M: Wire + Send + 'static> Drop for Service<M> {
 
 /// Ships one drained envelope to its destination's relay, recording it in
 /// the flight accounting and — under an authenticated config — assigning
-/// a fresh sequence number and sealing the frame's MAC. A missing route
-/// or a dead (or recycled) connection is [`NetError::PeerVanished`] — the
-/// typed owner the failure-mode suites assert on.
+/// a fresh sequence number and sealing the frame's MAC over the bytes
+/// queued for the wire. A missing route or a dead (or recycled)
+/// connection is [`NetError::PeerVanished`] — the typed owner the
+/// failure-mode suites assert on.
 pub(crate) fn ship<M: Wire>(
     routes: &[Option<Route>],
     conns: &mut Conns,
@@ -377,23 +378,19 @@ pub(crate) fn ship<M: Wire>(
     let Some(route) = routes.get(dst).copied().flatten() else {
         return Err(vanished);
     };
-    let auth = flight.auth.as_mut().map(|a| {
-        let seq = a.next_seq;
-        a.next_seq += 1;
-        a.outstanding.insert(seq);
-        AuthTag { seq, mac: [0; 8] }
-    });
-    let mut frame = Frame::Msg {
+    let sealing = flight
+        .auth
+        .as_mut()
+        .map(|a| (a.window.issue(), a.pair(env.src, dst)));
+    let frame = Frame::Msg {
         session: sid,
         src: env.src,
         dst,
         msg: env.msg,
-        auth,
+        auth: sealing.map(|(seq, _)| AuthTag { seq, mac: [0; 8] }),
     };
-    if let Some(a) = &flight.auth {
-        frame.seal(&a.key);
-    }
-    conns.send(route, &frame).map_err(|_| vanished)
+    let key = sealing.as_ref().map(|(_, key)| key);
+    conns.send(route, &frame, key).map_err(|_| vanished)
 }
 
 /// Sends `frame` once per distinct connection attached to the session (a
@@ -403,7 +400,7 @@ pub(crate) fn broadcast<M: Wire>(routes: &[Option<Route>], conns: &mut Conns, fr
     for route in routes.iter().flatten() {
         if !announced.contains(route) {
             announced.push(*route);
-            let _ = conns.send(*route, frame);
+            let _ = conns.send(*route, frame, None);
         }
     }
 }
@@ -425,17 +422,31 @@ pub(crate) struct FlightState<M> {
     pub(crate) violation: Option<(u64, TamperKind)>,
 }
 
-/// Per-session sequencing state for authenticated frames: the next ship
-/// sequence number, the numbers still on the wire, and the master key the
-/// MACs derive from.
+/// Per-session state for authenticated frames: the master key, each
+/// directed channel's pair key (`n × n`, derived on the channel's first
+/// frame), and the replay ledger of sequence numbers still on the wire.
 pub(crate) struct AuthState {
-    pub(crate) key: AuthKey,
-    pub(crate) next_seq: u64,
-    pub(crate) outstanding: HashSet<u64>,
+    key: AuthKey,
+    sid: SessionId,
+    n: usize,
+    pairs: Vec<Option<PairKey>>,
+    window: ReplayWindow,
+}
+
+impl AuthState {
+    /// The pair key for `src → dst` in this session. A hostile frame's
+    /// out-of-range ids derive afresh and are never cached.
+    pub(crate) fn pair(&mut self, src: usize, dst: usize) -> PairKey {
+        let (key, sid) = (self.key, self.sid);
+        if src >= self.n || dst >= self.n {
+            return key.pair_key(sid, src, dst);
+        }
+        *self.pairs[src * self.n + dst].get_or_insert_with(|| key.pair_key(sid, src, dst))
+    }
 }
 
 impl<M> FlightState<M> {
-    pub(crate) fn new(expected: usize, auth: Option<AuthKey>) -> Self {
+    pub(crate) fn new(sid: SessionId, expected: usize, auth: Option<AuthKey>) -> Self {
         FlightState {
             held: VecDeque::new(),
             in_flight: 0,
@@ -443,8 +454,10 @@ impl<M> FlightState<M> {
             gone: Vec::new(),
             auth: auth.map(|key| AuthState {
                 key,
-                next_seq: 0,
-                outstanding: HashSet::new(),
+                sid,
+                n: expected,
+                pairs: vec![None; expected * expected],
+                window: ReplayWindow::default(),
             }),
             violation: None,
         }
@@ -473,47 +486,30 @@ impl<M> FlightState<M> {
                 seq,
                 conn,
             } => {
-                match (&mut self.auth, seq) {
-                    // Authenticated channel: the MAC was already verified
-                    // at the parse layer; freshness is checked here, where
-                    // the outstanding set lives. A consumed sequence
-                    // number is a replay — flagged, not delivered.
-                    (Some(a), Some(seq)) => {
-                        if !a.outstanding.remove(&seq) {
-                            self.flag(conn, TamperKind::Replayed);
-                            return;
-                        }
-                        if returned {
-                            if let Some(slot) = self.in_flight_by.get_mut(dst) {
-                                if *slot > 0 {
-                                    *slot -= 1;
-                                    self.in_flight -= 1;
-                                }
-                            }
-                        }
-                        self.held.push_back(Envelope { src, dst, msg });
-                    }
-                    // An unauthenticated Msg reaching an authenticated
-                    // session: the parse layer rejects these, so this is
-                    // defense in depth against a path drift.
-                    (Some(_), None) => self.flag(conn, TamperKind::Downgrade),
-                    // Plain channel. Decrement only for a frame that (a)
-                    // came back on dst's own relay connection and (b) has
-                    // a shipped frame to account against — an improvised
-                    // frame (forged, or a stray client) is delivered but
-                    // cannot fake quiescence.
-                    (None, _) => {
-                        if returned {
-                            if let Some(slot) = self.in_flight_by.get_mut(dst) {
-                                if *slot > 0 {
-                                    *slot -= 1;
-                                    self.in_flight -= 1;
-                                }
-                            }
-                        }
-                        self.held.push_back(Envelope { src, dst, msg });
+                // Authenticated channel: the MAC was already verified at
+                // the parse layer; freshness is checked here, where the
+                // replay window lives. A consumed sequence number is a
+                // replay — flagged, not delivered. An unauthenticated Msg
+                // is a downgrade the parse layer already rejects: defense
+                // in depth against a path drift.
+                if let Some(a) = &mut self.auth {
+                    match seq {
+                        Some(seq) if a.window.retire(seq) => {}
+                        Some(_) => return self.flag(conn, TamperKind::Replayed),
+                        None => return self.flag(conn, TamperKind::Downgrade),
                     }
                 }
+                // Decrement only for a frame that (a) came back on dst's
+                // own relay connection and (b) has a shipped frame to
+                // account against — an improvised frame (forged, or a
+                // stray client) is delivered but cannot fake quiescence.
+                if returned {
+                    if let Some(slot) = self.in_flight_by.get_mut(dst).filter(|s| **s > 0) {
+                        *slot -= 1;
+                        self.in_flight -= 1;
+                    }
+                }
+                self.held.push_back(Envelope { src, dst, msg });
             }
             Inbound::Attached { player } => self.gone.retain(|&p| p != player),
             Inbound::PeerGone { player } => self.gone.push(player),

@@ -1,7 +1,8 @@
 //! Store-codec conformance: fuzz-style round-trip properties over every
 //! value type that lands in a trace-log file, plus the malformed-input
 //! battery — truncation, unknown tags, corrupted CRCs, and torn final
-//! records — each surfacing a *typed* [`StoreError`], never a panic. The
+//! records — each surfacing a *typed* [`StoreError`], never a panic — and
+//! the record checksum held to its bitwise definition. The
 //! structure mirrors the transport plane's codec suite
 //! (`crates/net/tests/codec.rs`): the two formats share conventions but
 //! not code, so each needs its own pin.
@@ -321,5 +322,53 @@ fn varint_encodings_are_canonical_under_round_trip() {
         let mut r = Reader::new(&buf);
         assert_eq!(r.varint(), Ok(v));
         r.finish().unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The CRC32 kernel against its bitwise definition
+// ---------------------------------------------------------------------------
+
+/// CRC32 one bit at a time (reflected IEEE polynomial): the definition the
+/// slicing-by-8 kernel must reproduce on every input.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+#[test]
+fn crc32_matches_the_bitwise_definition_at_every_length_and_offset() {
+    // The classic check value for the IEEE polynomial.
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b""), 0);
+    let bytes: Vec<u8> = (0..72u32).map(|i| (i * 37 + 11) as u8).collect();
+    // Every length 0–64, so the 8-byte words and the byte tail meet at
+    // every split, over eight shifted contents.
+    for start in 0..8 {
+        for len in 0..=64 {
+            let slice = &bytes[start..start + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_bitwise(slice),
+                "start {start}, len {len}"
+            );
+        }
+    }
+}
+
+#[test]
+fn crc32_matches_the_bitwise_definition_on_random_buffers() {
+    let mut rng: StdRng = rand::SeedableRng::seed_from_u64(32);
+    for _ in 0..200 {
+        let len = rng.gen_range(0..4096usize);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
     }
 }
