@@ -1,7 +1,7 @@
 //! The experiment harness: the tables no test suite certifies (E5, E6,
-//! E8–E10) and the artifact modes (`--conformance`, `--frontier`,
-//! `--replay`). DESIGN.md §4 maps every claim of the paper to the
-//! experiment or the suite that carries it.
+//! E8–E10) and the artifact modes (`--frontier`, `--replay`). DESIGN.md §4
+//! maps every claim of the paper to the experiment or the suite that
+//! carries it.
 //!
 //! ```sh
 //! cargo run -p mediator-bench --release --bin experiments            # all tables
@@ -10,14 +10,12 @@
 
 use mediator_bench::*;
 use mediator_circuits::catalog;
-use mediator_core::adversary::{Conformance, SweepPlan};
 use mediator_core::egl;
 use mediator_core::frontier::companion_plan;
 use mediator_core::implement::compare_run_sets;
 use mediator_core::min_info;
 use mediator_core::report::{f4, Table};
 use mediator_core::scenario::Scenario;
-use mediator_games::library;
 use mediator_sim::covert::{CovertDecoder, CovertSender};
 use mediator_sim::{Process, SchedulerKind, TerminationKind, World};
 use mediator_store::{
@@ -82,7 +80,6 @@ const COMMANDS: &[Command] = &[
     Command { flag: "--e8", takes: &[], run: |_| e8_min_info() },
     Command { flag: "--e9", takes: &[], run: |_| e9_egl() },
     Command { flag: "--e10", takes: &[], run: |o| e10_scheduler_collusion(o.samples()) },
-    Command { flag: "--conformance", takes: SWEEP_OPTIONS, run: conformance_battery },
     Command { flag: "--frontier", takes: SWEEP_OPTIONS, run: frontier_atlas },
     Command { flag: "--replay", takes: &[("--replay", "FILE")], run: replay_store },
 ];
@@ -180,181 +177,6 @@ fn main() {
     }
 }
 
-/// Under `--shard N`, re-runs one conformance sweep sharded over N
-/// in-process mem workers and asserts the rendered report is
-/// **byte-identical** to the already-computed local fan-out.
-fn shard_check<P: SweepPlan>(
-    name: &str,
-    shard: Option<usize>,
-    plan: &P,
-    (game, types, conf): (&mediator_games::BayesianGame, &[usize], &Conformance),
-    local: &mediator_core::adversary::ConformanceReport,
-) {
-    use mediator_net::{ShardConfig, ShardedSweep, TransportKind};
-    let Some(workers) = shard else { return };
-    let cfg = ShardConfig::default().lease_deadline(std::time::Duration::from_secs(60));
-    let (sharded, log) = conf.sharded(plan, game, types, workers, TransportKind::Mem, &cfg);
-    assert_eq!(
-        local.to_json(),
-        sharded.to_json(),
-        "{name}: sharded sweep diverged from the local fan-out"
-    );
-    println!(
-        "{name}: sharded over {workers} worker(s) — report identical to local \
-         ({} units, {} re-leases, {} discarded)",
-        log.units, log.releases, log.discarded
-    );
-}
-
-/// `--conformance` — the statistical ε-resilience conformance battery:
-/// the Theorem 4.1 cheap talk at a paper-valid working point (must be
-/// resilient), the §6.4 naive mediator below the 4.1 bound (the harness
-/// must *find* the profitable deviation), and the minimally-informative
-/// fix (resilient again). Writes all three reports to `--out` as JSON,
-/// persists the §6.4 witness run as a replayable trace in `--witness-out`
-/// (one `experiments -- --replay <path>` from a rerun), and panics —
-/// failing CI — on any unexpected verdict. With `--shard N` every sweep
-/// also runs sharded and must render byte-identically ([`shard_check`]).
-fn conformance_battery(opts: &Options) {
-    let out = opts.out.as_deref().unwrap_or("CONFORMANCE.json");
-    let witness_out = opts.witness_out.as_deref().unwrap_or("WITNESS.mtrc");
-    let (fast, shard) = (opts.fast, opts.shard);
-    let seeds = if fast { 16 } else { 48 };
-    let ct_seeds = if fast { 3 } else { 6 };
-    println!(
-        "# conformance battery ({seeds} seeds/kind on mediator games, \
-         {ct_seeds} on cheap talk) → {out}"
-    );
-    let mut entries: Vec<(&str, mediator_core::adversary::ConformanceReport)> = Vec::new();
-
-    // Theorem 4.1 working point: n = 5 > 4k + 4t.
-    let n = 5;
-    let (game, types) = (library::byzantine_agreement_game(n), vec![1usize; n]);
-    let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-        .players(n)
-        .tolerance(1, 0)
-        .inputs(ones_inputs(n))
-        .build()
-        .expect("5 > 4");
-    let ct_conf = Conformance::new(0.05, 1, 0)
-        .battery(if fast {
-            vec![SchedulerKind::Random]
-        } else {
-            vec![
-                SchedulerKind::Random,
-                SchedulerKind::Fifo,
-                SchedulerKind::Lifo,
-            ]
-        })
-        .seeds(ct_seeds);
-    let sweep = (&game, &types[..], &ct_conf);
-    let report = plan.conformance(&game, &types, &ct_conf);
-    assert!(
-        report.is_resilient(),
-        "Theorem 4.1 cheap talk must be resilient: {:?}",
-        report.verdict
-    );
-    shard_check("cheap_talk_thm41_n5", shard, &plan, sweep, &report);
-    entries.push(("cheap_talk_thm41_n5", report));
-
-    // §6.4: naive mediator at n = 7, k = 2 (n ≤ 4k — below the 4.1 bound).
-    let n = 7;
-    let (game, _, k) = library::counterexample_game(n);
-    let (bot, types) = (library::BOTTOM as u64, vec![0usize; n]);
-    let cfg = Conformance::new(0.01, k, 0)
-        .battery(vec![SchedulerKind::Random])
-        .seeds(seeds)
-        .coalitions(vec![vec![0], vec![0, 1]])
-        .deadlock_action(bot);
-    let naive = companion_plan(n, k, 0);
-    let sweep = (&game, &types[..], &cfg);
-    let report = naive.conformance(&game, &types, &cfg);
-    let witness = report
-        .witness()
-        .expect("the naive mediator's profitable deviation must be found")
-        .clone();
-    assert_eq!(witness.strategy, "deadlock-if-bit=0");
-    shard_check("naive_mediator_sec6_4", shard, &naive, sweep, &report);
-    entries.push(("naive_mediator_sec6_4", report));
-
-    // The minimally-informative fix: same game, same sweep.
-    let fixed = Scenario::mediator(catalog::counterexample_minfo(n))
-        .players(n)
-        .tolerance(k, 0)
-        .wills(vec![bot; n])
-        .resolve_defaults(vec![bot; n])
-        .build()
-        .expect("n − k ≥ 1");
-    let report = fixed.conformance(&game, &types, &cfg);
-    assert!(
-        report.is_resilient(),
-        "min-info mediator must be resilient: {:?}",
-        report.verdict
-    );
-    shard_check("min_info_mediator_sec6_4", shard, &fixed, sweep, &report);
-    entries.push(("min_info_mediator_sec6_4", report));
-
-    let mut t = Table::new(
-        "Conformance verdicts",
-        &["scenario", "cells", "verdict", "max gain"],
-    );
-    for (name, rep) in &entries {
-        let verdict = if rep.is_resilient() {
-            "ε-k-resilient".to_string()
-        } else {
-            format!(
-                "VIOLATED ({})",
-                rep.witness().expect("non-resilient").strategy
-            )
-        };
-        t.row(vec![
-            name.to_string(),
-            rep.cells.len().to_string(),
-            verdict,
-            f4(rep.max_gain()),
-        ]);
-    }
-    print!("{t}");
-    println!("witness: {witness}");
-
-    let mut json = String::from("{\n  \"entries\": [\n");
-    for (i, (name, rep)) in entries.iter().enumerate() {
-        let body: String = rep
-            .to_json()
-            .lines()
-            .map(|l| format!("      {l}\n"))
-            .collect();
-        json.push_str(&format!(
-            "    {{ \"name\": \"{name}\",\n      \"report\":\n{body}    }}{}\n",
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).expect("write conformance JSON");
-    println!("wrote {out}");
-
-    // Persist the Violated verdict's witness run as a replayable trace (the
-    // asserts above leave the naive mediator's — entry 1 — as the only one).
-    let recipe = WitnessRecipe {
-        entry: "naive_mediator_sec6_4".to_string(),
-        cell: None,
-        strategy: witness.strategy.clone(),
-        coalition: witness.coalition.clone(),
-        deadlock: bot,
-    };
-    let header = RunHeader {
-        kind: Some(witness.kind.clone()),
-        plan: PlanKind::Mediator,
-        n: n as u64,
-        k: k as u64,
-        ..RunHeader::bare(1, witness.seed)
-    };
-    let mut wstore = TraceStore::create(Path::new(witness_out)).expect("create witness store");
-    record_witness(&mut wstore, header, &naive, &recipe).expect("record witness");
-    println!("stored 1 witness trace(s) → {witness_out}");
-    println!("reproduce: cargo run -p mediator-bench --bin experiments -- --replay {witness_out}");
-}
-
 /// `--frontier` — the lower-bound frontier atlas (DESIGN.md §13): run the
 /// grid, machine-check it against the theorem predicates, persist every
 /// `Violated` cell's witness run with its typed rebuild recipe, and write
@@ -444,8 +266,7 @@ fn frontier_atlas(opts: &Options) {
     for r in atlas.violated() {
         let w = r.witness.as_ref().expect("violated cells carry witnesses");
         let recipe = WitnessRecipe {
-            entry: WitnessRecipe::FRONTIER_ENTRY.to_string(),
-            cell: Some((r.cell.theorem.name().to_string(), r.cell.key())),
+            cell: (r.cell.theorem.name().to_string(), r.cell.key()),
             strategy: w.strategy.clone(),
             coalition: w.coalition.clone(),
             deadlock: BOT,
@@ -466,25 +287,22 @@ fn frontier_atlas(opts: &Options) {
     println!("reproduce: cargo run -p mediator-bench --bin experiments -- --replay {witness_out}");
 }
 
-/// Re-enacts one stored run over the base plan its recipe's `entry`
-/// names; the line to print when it reproduced. A run no recipe rebuilds
-/// — none in the header, or an entry this binary does not know — is
-/// [`ReplayError::NoRecipe`], not a skip.
+/// Re-enacts one stored frontier witness over the §6.4 companion plan at
+/// its header's coordinates; the line to print when it reproduced. A run
+/// no recipe rebuilds — none in the header, another kind of entry, or
+/// coordinates that build no plan — is [`ReplayError::NoRecipe`], not a
+/// skip.
 fn replay_stored(run: &StoredRun) -> Result<String, ReplayError> {
     let recipe = WitnessRecipe::from_header(&run.header)?;
     let h = &run.header;
     let (n, k, t) = (h.n as usize, h.k as usize, h.t as usize);
-    // Both kinds of witness deviate from the §6.4 companion plan at the
-    // header's coordinates (the conformance entry's are (7, 2, 0); its two
-    // sibling entries must come back resilient, so they never persist one).
-    let known = ["naive_mediator_sec6_4", WitnessRecipe::FRONTIER_ENTRY];
-    if !known.contains(&recipe.entry.as_str()) || k + t >= n {
+    if k + t >= n {
         return Err(ReplayError::NoRecipe { key: "entry" });
     }
     let report = replay_witness(&companion_plan(n, k, t), run)?;
     Ok(format!(
         "[{} / {} / coalition {:?} / {:?} seed {}]: reproduced byte-identically, {:?}",
-        recipe.entry, recipe.strategy, recipe.coalition, h.kind, h.seed, report.termination
+        recipe.cell.1, recipe.strategy, recipe.coalition, h.kind, h.seed, report.termination
     ))
 }
 
@@ -843,9 +661,9 @@ mod tests {
         assert_eq!(select(&["--fast", "--e9"]), Ok(vec!["--e9"]));
         assert_eq!(select(&["--fast", "--all"]), Ok(all));
         // A valued option swallows its value in both spellings.
-        let (picked, opts) = parsed(&["--conformance", "--shard", "4", "--out=C.json"]).unwrap();
-        assert_eq!(picked, ["--conformance"]);
-        assert_eq!((opts.shard, opts.out.as_deref()), (Some(4), Some("C.json")));
+        let (picked, opts) = parsed(&["--frontier", "--shard", "4", "--out=F.json"]).unwrap();
+        assert_eq!(picked, ["--frontier"]);
+        assert_eq!((opts.shard, opts.out.as_deref()), (Some(4), Some("F.json")));
         let (picked, opts) = parsed(&["--replay", "--e12"]).unwrap();
         assert_eq!(picked, ["--replay"]);
         assert_eq!(opts.replay.as_deref(), Some("--e12"));
@@ -858,8 +676,18 @@ mod tests {
         assert_eq!(select(&["--bench"]), unknown("--bench"));
         assert_eq!(select(&["--fast", "e9"]), unknown("e9"));
         assert_eq!(select(&["--e9=1"]), unknown("--e9=1"));
-        // The modes whose claims the suites certify are gone, not aliased.
-        for gone in ["--e1", "--e1b", "--e2", "--e3", "--e4", "--e7", "--tamper"] {
+        // The modes whose claims the suites and the atlas certify are
+        // gone, not aliased.
+        for gone in [
+            "--e1",
+            "--e1b",
+            "--e2",
+            "--e3",
+            "--e4",
+            "--e7",
+            "--tamper",
+            "--conformance",
+        ] {
             assert_eq!(select(&[gone]), unknown(gone));
         }
     }
@@ -869,11 +697,11 @@ mod tests {
         let problem = |args: &[&str]| select(args).unwrap_err();
         for option in ["--out", "--witness-out", "--shard", "--replay"] {
             let needs = format!("`{option}` needs a value");
-            assert_eq!(problem(&["--conformance", "--fast", option]), needs);
-            assert_eq!(problem(&["--conformance", &format!("{option}=")]), needs);
+            assert_eq!(problem(&["--frontier", "--fast", option]), needs);
+            assert_eq!(problem(&["--frontier", &format!("{option}=")]), needs);
         }
         for workers in ["0", "x", "-1"] {
-            let told = problem(&["--conformance", "--shard", workers]);
+            let told = problem(&["--frontier", "--shard", workers]);
             assert!(told.starts_with("`--shard` takes"), "{told}");
         }
         // An artifact-only option on a table run; a mode in company.
@@ -909,18 +737,19 @@ mod tests {
             .collect();
         assert_eq!(tally(&results), (0, 0, 3));
         // A full recipe under an entry the binary does not know, and a
-        // frontier entry whose header coordinates build no plan.
+        // frontier recipe whose header coordinates build no plan.
         let no_entry = ReplayError::NoRecipe { key: "entry" };
         let run = store.load(0).unwrap();
-        for (entry, n) in [("svc-session", 7), (WitnessRecipe::FRONTIER_ENTRY, 0)] {
-            let recipe = WitnessRecipe {
-                entry: entry.to_string(),
-                cell: None,
-                strategy: "deadlock-if-bit=0".to_string(),
-                coalition: vec![0, 1],
-                deadlock: 2,
-            };
-            let meta = recipe.meta();
+        let frontier = WitnessRecipe {
+            cell: ("4.1".to_string(), "thm4.1-n7-k2-t0".to_string()),
+            strategy: "deadlock-if-bit=0".to_string(),
+            coalition: vec![0, 1],
+            deadlock: 2,
+        }
+        .meta();
+        let mut other = frontier.clone();
+        other[0].1 = "svc-session".to_string();
+        for (meta, n) in [(other, 7), (frontier, 0)] {
             let header = RunHeader {
                 n,
                 meta,

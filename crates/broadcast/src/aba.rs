@@ -118,7 +118,11 @@ impl AbaState {
         }
     }
 
-    /// Begins the instance with the player's input vote.
+    /// Begins the instance with the player's input vote, then completes
+    /// every round the votes already held allow: an adversarial schedule
+    /// can deliver a whole round before the player starts, and no later
+    /// message need come to re-test it. A decision reached here shows in
+    /// [`AbaState::decided`].
     pub fn start(&mut self, input: bool) -> Vec<Outgoing<AbaMsg>> {
         assert!(!self.started, "ABA instance started twice");
         self.started = true;
@@ -126,6 +130,7 @@ impl AbaState {
         self.round = 1;
         let mut out = Vec::new();
         self.send_bval(1, input, &mut out);
+        self.try_complete_rounds(&mut out);
         out
     }
 
@@ -455,6 +460,25 @@ mod tests {
             sent,
             [AbaMsg::Aux { round: 1, v: true }, AbaMsg::Done { v: true }]
         );
+        assert_eq!(s.decided(), Some(true));
+    }
+
+    #[test]
+    fn a_round_delivered_before_start_completes_at_start() {
+        // n − t `BVal` and `Aux` for 1 arrive before the player starts: it
+        // relays, votes `Aux`, but cannot complete an unstarted round. No
+        // further message is owed to it, so `start` must decide.
+        let mut s = AbaState::new(4, 1, 0, Box::new(NoCoin));
+        let sent = unanimous_round(&mut s, 1, true);
+        assert_eq!(
+            sent,
+            [
+                AbaMsg::BVal { round: 1, v: true },
+                AbaMsg::Aux { round: 1, v: true }
+            ]
+        );
+        assert_eq!(s.decided(), None);
+        assert_eq!(s.start(true), [Outgoing::all(AbaMsg::Done { v: true })]);
         assert_eq!(s.decided(), Some(true));
     }
 

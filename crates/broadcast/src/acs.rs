@@ -72,7 +72,9 @@ impl Acs {
 
     /// Starts `instance` with `v` — 1 when that player's dealing completed
     /// here, 0 when it was rejected. An instance already started (a dealing
-    /// completing after the vote-zero rule fired) sends nothing.
+    /// completing after the vote-zero rule fired) sends nothing. The start
+    /// can itself decide, on votes that arrived first; that decision counts
+    /// toward the vote-zero and core rules like any other.
     pub fn vote<M: From<(usize, AbaMsg)>>(
         &mut self,
         instance: usize,
@@ -82,6 +84,11 @@ impl Acs {
         if !self.aba[instance].is_started() {
             let batch = self.aba[instance].start(v);
             tag(instance, batch, out);
+            if self.decisions[instance].is_none() {
+                if let Some(d) = self.aba[instance].decided() {
+                    self.decide(instance, d, out);
+                }
+            }
         }
     }
 
@@ -102,9 +109,7 @@ impl Acs {
         let (batch, decided) = aba.on_message(from, msg);
         tag(instance, batch, out);
         if let Some(d) = decided {
-            self.decisions[instance] = Some(d);
-            self.maybe_vote_zero(out);
-            self.maybe_fix_core();
+            self.decide(instance, d, out);
         }
     }
 
@@ -112,6 +117,19 @@ impl Acs {
     /// decided.
     pub fn core(&self) -> Option<&[usize]> {
         self.core.as_deref()
+    }
+
+    /// Records `instance`'s decision, then applies the vote-zero and core
+    /// rules.
+    fn decide<M: From<(usize, AbaMsg)>>(
+        &mut self,
+        instance: usize,
+        d: bool,
+        out: &mut Vec<Outgoing<M>>,
+    ) {
+        self.decisions[instance] = Some(d);
+        self.maybe_vote_zero(out);
+        self.maybe_fix_core();
     }
 
     fn maybe_vote_zero<M: From<(usize, AbaMsg)>>(&mut self, out: &mut Vec<Outgoing<M>>) {
@@ -194,6 +212,36 @@ mod tests {
             }
             assert_eq!(acs.core(), Some(&(0..n - f).collect::<Vec<_>>()[..]));
         }
+    }
+
+    #[test]
+    fn a_decision_reached_at_start_counts_toward_vote_zero_and_the_core() {
+        // Instance 2's whole first round arrives before its dealing
+        // completes (agreement traffic overtaking AVSS, as under Lifo), so
+        // its start decides. That third 1 must fire vote-zero, and with
+        // every instance decided, fix the core: no later message is owed.
+        let (n, t) = (4, 1);
+        let mut acs = Acs::new(n, t, 1, &IdealCoin::new(3));
+        let mut out: Out = Vec::new();
+        for j in [0, 1] {
+            acs.vote(j, true, &mut out);
+            decide(&mut acs, t, j, true);
+        }
+        decide(&mut acs, t, 3, false);
+        for msg in [
+            AbaMsg::BVal { round: 1, v: true },
+            AbaMsg::Aux { round: 1, v: true },
+        ] {
+            for from in 0..n - t {
+                acs.on_message(from, 2, msg, &mut out);
+            }
+        }
+        assert_eq!(acs.core(), None);
+        let mut out: Out = Vec::new();
+        acs.vote(2, true, &mut out);
+        let done = Outgoing::all((2, AbaMsg::Done { v: true }));
+        assert_eq!(out, vec![done, bval(3, false)]);
+        assert_eq!(acs.core(), Some(&[0, 1, 2][..]));
     }
 
     #[test]

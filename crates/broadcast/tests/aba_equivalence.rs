@@ -6,8 +6,9 @@
 //! and contradictory votes, far-future rounds, `Done` floods, `start`
 //! before, amid or after the traffic) and over whole honest executions.
 //! The oracle carries the same agreement rules — fixed coins 1 and 0 in
-//! rounds 1 and 2, no proactive `BVal` once the coin rule has fired — so
-//! the comparison is of the data structures, message by message.
+//! rounds 1 and 2, no proactive `BVal` once the coin rule has fired, rounds
+//! completed at `start` on the votes already held — so the comparison is of
+//! the data structures, message by message.
 
 use mediator_bcast::{AbaMsg, AbaState, CoinSource, IdealCoin};
 use mediator_sim::sansio::{Dest, Outgoing};
@@ -16,9 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The pre-bitset `AbaState`, verbatim but for its name, its doc comments
-/// and the two agreement rules (its livelock bound is still the field it
-/// was).
+/// The pre-bitset `AbaState`, verbatim but for its name, its doc comments,
+/// the two agreement rules and the start rule (its livelock bound is still
+/// the field it was).
 mod oracle {
     use super::*;
 
@@ -78,6 +79,7 @@ mod oracle {
             self.round = 1;
             let mut out = Vec::new();
             self.send_bval(1, input, &mut out);
+            self.try_complete_rounds(&mut out);
             out
         }
 
@@ -307,7 +309,6 @@ proptest! {
         }
         if start_at >= words.len() && start_at <= words.len() + 1 {
             pair.start(input, &ctx);
-            // Completion is re-tested only on the next message.
             pair.deliver(0, AbaMsg::Aux { round: 1, v: input }, &ctx);
         }
     }

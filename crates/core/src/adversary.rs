@@ -1014,9 +1014,9 @@ impl ConformanceReport {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Renders the report as a small hand-rolled JSON document (the
-    /// `CONFORMANCE.json` CI artifact; the offline serde shim does not
-    /// serialize).
+    /// Renders the report as a small hand-rolled JSON document, the form
+    /// the sharded-sweep parity suites compare byte for byte (the offline
+    /// serde shim does not serialize).
     pub fn to_json(&self) -> String {
         use crate::report::json_escape as esc;
         fn ci(c: &ConfidenceInterval) -> String {

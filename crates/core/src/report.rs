@@ -72,8 +72,8 @@ pub fn f4(v: f64) -> String {
 
 /// Escapes `s` for the inside of a JSON string literal: `"` and `\` get a
 /// backslash, control characters below U+0020 become `\uXXXX`. The offline
-/// serde shim does not serialize, so `CONFORMANCE.json` and `FRONTIER.json`
-/// are formatted by hand and both quote through here.
+/// serde shim does not serialize, so a conformance report's JSON and
+/// `FRONTIER.json` are formatted by hand and both quote through here.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -635,9 +635,8 @@ mod tests {
     #[test]
     fn header_meta_lookup_finds_values() {
         let mut h = RunHeader::bare(7, 3);
-        h.meta
-            .push(("entry".into(), "naive_mediator_sec6_4".into()));
-        assert_eq!(h.meta_value("entry"), Some("naive_mediator_sec6_4"));
+        h.meta.push(("entry".into(), "frontier-cell".into()));
+        assert_eq!(h.meta_value("entry"), Some("frontier-cell"));
         assert_eq!(h.meta_value("absent"), None);
     }
 

@@ -1,15 +1,14 @@
 //! The typed rebuild recipe of a persisted witness, and the one
 //! record / replay pair every witness goes through.
 //!
-//! A `Violated` verdict — a conformance entry's or a frontier cell's —
-//! persists its witness run to the trace store; the header's free-form
-//! metadata must then carry everything needed to rebuild the deviant plan
-//! *from scratch*: which base plan (`entry`, plus the header's own
-//! `n`/`k`/`t`), and the `(strategy, coalition, deadlock)` deviation over
-//! it. [`WitnessRecipe`] gives that contract a type, and
-//! [`record_witness`] / [`replay_witness`] are its only writer and reader —
-//! `experiments -- --conformance`, `--frontier`, `--replay` and the
-//! integration suite all call these two.
+//! A `Violated` frontier cell persists its witness run to the trace store;
+//! the header's free-form metadata must then carry everything needed to
+//! rebuild the deviant plan *from scratch*: the cell (whose base plan is
+//! the §6.4 companion plan at the header's own `n`/`k`/`t`), and the
+//! `(strategy, coalition, deadlock)` deviation over it. [`WitnessRecipe`]
+//! gives that contract a type, and [`record_witness`] / [`replay_witness`]
+//! are its only writer and reader — `experiments -- --frontier`,
+//! `--replay` and the integration suite all call these two.
 
 use crate::codec::RunHeader;
 use crate::replay::{replay_plan, ReplayError, ReplayReport};
@@ -17,17 +16,17 @@ use crate::store::{RunId, StoredRun, TraceStore};
 use mediator_core::adversary::{sweep_unit_plan, Conformance, SweepPlan, SweepUnit};
 use mediator_core::scenario::SessionPlan;
 
+/// The `entry` value every witness header carries first: the run is a
+/// frontier-atlas witness.
+const ENTRY: &str = "frontier-cell";
+
 /// The metadata recipe a witness run carries in its header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessRecipe {
-    /// Which base plan the deviation applies to: a conformance entry's
-    /// name, or [`FRONTIER_ENTRY`](Self::FRONTIER_ENTRY) for the §6.4
-    /// companion plan at the header's `(n, k, t)`.
-    pub entry: String,
-    /// Frontier witnesses only: the theorem by paper number (`"4.1"`) and
-    /// the cell's stable atlas key (`thm4.1-n7-k2-t0`), for display and
-    /// cross-referencing against `FRONTIER.json`.
-    pub cell: Option<(String, String)>,
+    /// The theorem by paper number (`"4.1"`) and the cell's stable atlas
+    /// key (`thm4.1-n7-k2-t0`), for display and cross-referencing against
+    /// `FRONTIER.json`.
+    pub cell: (String, String),
     /// The generated deviant strategy the witness exercises
     /// (e.g. `deadlock-if-bit=0`).
     pub strategy: String,
@@ -39,10 +38,9 @@ pub struct WitnessRecipe {
 }
 
 impl WitnessRecipe {
-    /// The `entry` value that marks a run as a frontier-atlas witness.
-    pub const FRONTIER_ENTRY: &'static str = "frontier-cell";
-
-    /// Renders the recipe as header metadata, in stable key order.
+    /// Renders the recipe as header metadata, in stable key order:
+    /// `entry` (always `frontier-cell`), `theorem`, `cell`, `strategy`,
+    /// `coalition`, `deadlock`.
     pub fn meta(&self) -> Vec<(String, String)> {
         let coalition = self
             .coalition
@@ -50,24 +48,30 @@ impl WitnessRecipe {
             .map(|p| p.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        let mut meta = vec![("entry".to_string(), self.entry.clone())];
-        if let Some((theorem, key)) = &self.cell {
-            meta.push(("theorem".to_string(), theorem.clone()));
-            meta.push(("cell".to_string(), key.clone()));
-        }
-        meta.push(("strategy".to_string(), self.strategy.clone()));
-        meta.push(("coalition".to_string(), coalition));
-        meta.push(("deadlock".to_string(), self.deadlock.to_string()));
-        meta
+        let (theorem, key) = &self.cell;
+        [
+            ("entry", ENTRY.to_string()),
+            ("theorem", theorem.clone()),
+            ("cell", key.clone()),
+            ("strategy", self.strategy.clone()),
+            ("coalition", coalition),
+            ("deadlock", self.deadlock.to_string()),
+        ]
+        .map(|(key, value)| (key.to_string(), value))
+        .into()
     }
 
     /// Parses a recipe back out of a persisted header;
     /// [`ReplayError::NoRecipe`] names the first key that is missing or
-    /// malformed — a run some other recorder stored (a service session
+    /// malformed. An `entry` other than a frontier cell's is one no recipe
+    /// rebuilds: a run some other recorder stored (a service session
     /// behind a `StoreSink`) carries none.
     pub fn from_header(header: &RunHeader) -> Result<Self, ReplayError> {
         let value = |key| header.meta_value(key).ok_or(ReplayError::NoRecipe { key });
-        let entry = value("entry")?.to_string();
+        if value("entry")? != ENTRY {
+            return Err(ReplayError::NoRecipe { key: "entry" });
+        }
+        let cell = (value("theorem")?.to_string(), value("cell")?.to_string());
         let strategy = value("strategy")?.to_string();
         let coalition = value("coalition")?
             .split(',')
@@ -79,11 +83,7 @@ impl WitnessRecipe {
             .parse()
             .map_err(|_| ReplayError::NoRecipe { key: "deadlock" })?;
         Ok(WitnessRecipe {
-            entry,
-            cell: match (header.meta_value("theorem"), header.meta_value("cell")) {
-                (Some(theorem), Some(key)) => Some((theorem.to_string(), key.to_string())),
-                _ => None,
-            },
+            cell,
             strategy,
             coalition,
             deadlock,
@@ -155,8 +155,7 @@ mod tests {
 
     fn recipe() -> WitnessRecipe {
         WitnessRecipe {
-            entry: WitnessRecipe::FRONTIER_ENTRY.to_string(),
-            cell: Some(("4.1".to_string(), "thm4.1-n7-k2-t0".to_string())),
+            cell: ("4.1".to_string(), "thm4.1-n7-k2-t0".to_string()),
             strategy: "deadlock-if-bit=0".to_string(),
             coalition: vec![0, 1],
             deadlock: 2,
@@ -174,19 +173,16 @@ mod tests {
         let mut r = recipe();
         assert_eq!(parsed(r.meta()), Ok(r.clone()));
         r.coalition.clear();
-        assert_eq!(parsed(r.meta()), Ok(r.clone()));
-        r.entry = "naive_mediator_sec6_4".to_string();
-        r.cell = None;
         assert_eq!(parsed(r.meta()), Ok(r));
     }
 
     #[test]
-    fn both_witness_kinds_render_the_keys_they_always_had() {
-        // The key lists PR 8 (conformance) and PR 10 (frontier) wrote:
-        // WITNESS.mtrc and FRONTIER-WITNESS.mtrc depend on this order.
-        let keys = |r: &WitnessRecipe| r.meta().into_iter().map(|kv| kv.0).collect::<Vec<_>>();
-        let frontier = recipe();
-        let with_cell = [
+    fn a_witness_renders_the_keys_it_always_had() {
+        // The key list every frontier witness store was written with:
+        // FRONTIER-WITNESS.mtrc depends on this order.
+        let meta = recipe().meta();
+        let keys: Vec<&str> = meta.iter().map(|kv| kv.0.as_str()).collect();
+        let want = [
             "entry",
             "theorem",
             "cell",
@@ -194,18 +190,9 @@ mod tests {
             "coalition",
             "deadlock",
         ];
-        assert_eq!(keys(&frontier), with_cell);
-        assert_eq!(frontier.meta()[0].1, "frontier-cell");
-        assert_eq!(frontier.meta()[4].1, "0,1");
-        let conformance = WitnessRecipe {
-            entry: "naive_mediator_sec6_4".to_string(),
-            cell: None,
-            ..frontier
-        };
-        assert_eq!(
-            keys(&conformance),
-            ["entry", "strategy", "coalition", "deadlock"]
-        );
+        assert_eq!(keys, want);
+        assert_eq!(meta[0].1, "frontier-cell");
+        assert_eq!(meta[4].1, "0,1");
     }
 
     #[test]
@@ -214,7 +201,15 @@ mod tests {
         assert_eq!(parsed(Vec::new()), no_recipe("entry"));
         // What a `StoreSink`-recorded service session looks like.
         let service = vec![("entry".to_string(), "svc-session".to_string())];
-        assert_eq!(parsed(service), no_recipe("strategy"));
+        assert_eq!(parsed(service), no_recipe("entry"));
+        // Any other entry is refused even with every other key present,
+        // and a frontier entry needs its cell.
+        let mut other = recipe().meta();
+        other[0].1 = "svc-session".to_string();
+        assert_eq!(parsed(other), no_recipe("entry"));
+        let mut cell_less = recipe().meta();
+        cell_less.retain(|kv| kv.0 != "cell");
+        assert_eq!(parsed(cell_less), no_recipe("cell"));
         // Malformed values are rejected, not mangled.
         for (key, bad) in [("coalition", "0,x"), ("deadlock", "⊥")] {
             let mut meta = recipe().meta();

@@ -30,6 +30,16 @@ fn naive_counterexample_plan(n: usize, k: usize) -> MediatorPlan {
         .expect("n − k ≥ 1")
 }
 
+/// Theorem 4.1 cheap talk at `k = 1`, unanimous inputs 1.
+fn cheap_talk_41_plan(n: usize) -> CheapTalkPlan {
+    Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(vec![vec![Fp::ONE]; n])
+        .build()
+        .expect("n > 4")
+}
+
 fn min_info_plan(n: usize, k: usize) -> MediatorPlan {
     Scenario::mediator(catalog::counterexample_minfo(n))
         .players(n)
@@ -45,25 +55,21 @@ fn cheap_talk_at_valid_n_is_eps_k_resilient() {
     // Theorem 4.1 working point: n = 5 > 4k + 4t = 4. The generated
     // strategy battery (message-level drops, delays, equivocation,
     // selective silence, aborts, input/opening lies, refusals) must not
-    // let any singleton coalition gain more than ε in the BA game.
+    // let any singleton coalition gain more than ε in the BA game, under
+    // Random, Fifo or Lifo.
     let n = 5;
     let game = library::byzantine_agreement_game(n);
-    let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-        .players(n)
-        .tolerance(1, 0)
-        .inputs(vec![vec![Fp::ONE]; n])
-        .build()
-        .expect("5 > 4");
-    // Two singleton coalitions keep the debug-mode runtime modest; the
-    // mediator-game tests below sweep the full coalition generator, and
-    // the CI smoke job runs the wider battery in release mode.
+    let plan = cheap_talk_41_plan(n);
     let report = plan.conformance(
         &game,
         &vec![1usize; n],
         &Conformance::new(0.05, 1, 0)
-            .battery(vec![SchedulerKind::Random])
-            .seeds(3)
-            .coalitions(vec![vec![1], vec![3]]),
+            .battery(vec![
+                SchedulerKind::Random,
+                SchedulerKind::Fifo,
+                SchedulerKind::Lifo,
+            ])
+            .seeds(6),
     );
     assert!(
         report.is_resilient(),
@@ -75,13 +81,18 @@ fn cheap_talk_at_valid_n_is_eps_k_resilient() {
         assert!((ci.mean - 1.0).abs() < 1e-9);
         assert!(ci.width() < 1e-9, "honest play is deterministic here");
     }
-    // Every generated strategy ran for both coalitions.
-    assert!(
-        report.cells.len() >= 2 * 9,
-        "sweep too small: {}",
-        report.cells.len()
-    );
+    // Every generated strategy ran for every singleton coalition.
+    assert_eq!(report.cells.len(), 11 * n, "the sweep's cells");
     assert!(report.max_gain() <= 0.05);
+    // Only `silent` and `refuse-move` withhold the deviator's own move, so
+    // only they may cost the honest players (the BA game pays everyone 0
+    // without unanimity). Harm from any other cell is an honest player
+    // left without its move: a stall, not a payoff.
+    for c in &report.cells {
+        if !["silent", "refuse-move"].contains(&c.strategy.as_str()) {
+            assert_eq!(c.harm.hi, 0.0, "{} by {:?} harms", c.strategy, c.coalition);
+        }
+    }
     match report.verdict {
         ConformanceVerdict::Resilient {
             max_gain_hi,
@@ -107,12 +118,7 @@ fn selective_silence_never_stalls_theorem_4_1() {
     // rule nobody completes that dealing, the core leaves it out, and every
     // honest player plays the unanimous 1.
     let n = 5;
-    let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-        .players(n)
-        .tolerance(1, 0)
-        .inputs(vec![vec![Fp::ONE]; n])
-        .build()
-        .expect("5 > 4");
+    let plan = cheap_talk_41_plan(n);
     for deviator in 0..n {
         let (name, behavior) = generated_battery(n, &[deviator])
             .into_iter()
@@ -125,6 +131,36 @@ fn selective_silence_never_stalls_theorem_4_1() {
             assert_eq!(out.termination, TerminationKind::Quiescent, "{label}");
             for p in (0..n).filter(|&p| p != deviator) {
                 assert_eq!(out.moves[p], Some(1), "player {p}: {label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_crash_never_stalls_theorem_4_1() {
+    // A deviator that crashes after `s` sends, for every `s` up to past
+    // its dealing. Under Lifo an agreement instance's whole first round
+    // can reach a player before that instance's dealer's AVSS completes
+    // there; the round must complete when the player finally votes, since
+    // the crashed player's missing `Done` leaves the termination gadget
+    // one short.
+    let n = 5;
+    let plan = cheap_talk_41_plan(n);
+    for deviator in 0..n {
+        for sends in 0..160 {
+            let (_, crash) = Deviation::named("crash").crash_after(sends).build();
+            let plan = plan.clone().with_deviant(deviator, crash);
+            for kind in [
+                SchedulerKind::Random,
+                SchedulerKind::Fifo,
+                SchedulerKind::Lifo,
+            ] {
+                let out = plan.run_with(&kind, 0);
+                let label = format!("crash after {sends} by {deviator}, {kind:?}");
+                assert_eq!(out.termination, TerminationKind::Quiescent, "{label}");
+                for p in (0..n).filter(|&p| p != deviator) {
+                    assert_eq!(out.moves[p], Some(1), "player {p}: {label}");
+                }
             }
         }
     }

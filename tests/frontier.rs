@@ -100,7 +100,7 @@ fn every_violated_cell_persists_a_witness_that_replays_byte_identically() {
     let _ = std::fs::remove_file(&path);
 
     // Persist through `record_witness` — the call `experiments --
-    // --frontier` and `-- --conformance` make: each witness's deviant plan
+    // --frontier` makes: each witness's deviant plan
     // is rebuilt from its (strategy, coalition) recipe, re-run at the
     // witnessing (scheduler, seed), and recorded under the recipe.
     let mut store = TraceStore::create(&path).expect("create store");
@@ -108,8 +108,7 @@ fn every_violated_cell_persists_a_witness_that_replays_byte_identically() {
     for (i, r) in atlas.violated().enumerate() {
         let w = r.witness.as_ref().expect("violated ⇒ witness");
         let recipe = WitnessRecipe {
-            entry: WitnessRecipe::FRONTIER_ENTRY.to_string(),
-            cell: Some((r.cell.theorem.name().to_string(), r.cell.key())),
+            cell: (r.cell.theorem.name().to_string(), r.cell.key()),
             strategy: w.strategy.clone(),
             coalition: w.coalition.clone(),
             deadlock: bot,
@@ -131,38 +130,16 @@ fn every_violated_cell_persists_a_witness_that_replays_byte_identically() {
         vec!["thm4.1-n7-k2-t0", "thm4.5-n4-k2-t0"],
         "both violated cells persisted"
     );
-    // The §6.4 conformance entry goes through the same two functions: the
-    // same attack on the same plan, under the battery's entry name.
-    let sec64 = atlas.violated().next().expect("the §6.4 cell");
-    let w = sec64.witness.as_ref().expect("violated ⇒ witness");
-    let recipe = WitnessRecipe {
-        entry: "naive_mediator_sec6_4".to_string(),
-        cell: None,
-        strategy: w.strategy.clone(),
-        coalition: w.coalition.clone(),
-        deadlock: bot,
-    };
-    let header = RunHeader {
-        kind: Some(w.kind.clone()),
-        plan: PlanKind::Mediator,
-        n: 7,
-        k: 2,
-        ..RunHeader::bare(2, w.seed)
-    };
-    record_witness(&mut store, header, &companion_plan(7, 2, 0), &recipe).expect("record entry");
-
     // Replay: reopen the store cold, rebuild each plan purely from the
     // persisted header, and demand a byte-identical re-enactment.
     let store = TraceStore::open(&path).expect("reopen store");
-    assert_eq!(store.len(), 3);
+    assert_eq!(store.len(), 2);
     for id in store.ids() {
         let run = store.load(id).expect("stored run loads");
         let stored = WitnessRecipe::from_header(&run.header).expect("witnesses carry a recipe");
+        assert!(recorded.contains(&stored.cell.1), "{stored:?}");
         let h = &run.header;
-        let plan = match stored.entry.as_str() {
-            "naive_mediator_sec6_4" => companion_plan(7, 2, 0),
-            _ => companion_plan(h.n as usize, h.k as usize, h.t as usize),
-        };
+        let plan = companion_plan(h.n as usize, h.k as usize, h.t as usize);
         // `replay_witness` already asserts the re-recorded trace is
         // byte-identical; outcome equality on top: the re-enactment ends
         // the same way the witness run did (the deadlock collusion's runs
