@@ -132,8 +132,8 @@ fn agreement_validity_and_termination_hold_across_the_grid() {
 /// its broadcasts.
 fn broadcasts(outcome: &Outcome, n: usize) -> Vec<usize> {
     let mut per = vec![0; n];
-    for e in outcome.trace.events() {
-        if let TraceEvent::Sent { src, dst, .. } = *e {
+    for e in outcome.trace.events().iter() {
+        if let TraceEvent::Sent { src, dst, .. } = e {
             per[src] += usize::from(src == dst);
         }
     }

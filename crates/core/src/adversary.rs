@@ -404,44 +404,57 @@ impl Deviation {
     }
 }
 
-/// The generated deviation battery for a coalition inside an `n`-player
-/// cheap-talk game: the five legacy deviations plus the message-level
-/// primitives, with victim sets drawn from the players *outside* the
-/// coalition (silencing or equivocating toward a fellow deviator tests
-/// nothing). This is the strategy space the conformance harness sweeps.
-pub fn generated_battery(n: usize, coalition: &[usize]) -> Vec<(String, Behavior)> {
-    let outsiders: Vec<ProcessId> = (0..n).filter(|p| !coalition.contains(p)).collect();
+/// The generated deviation battery for a coalition inside a cheap-talk
+/// game whose player `p` has `arity[p]` private inputs: the five legacy
+/// deviations plus the message-level primitives, with victim sets drawn
+/// from the players *outside* the coalition (silencing or equivocating
+/// toward a fellow deviator tests nothing). This is the strategy space the
+/// conformance harness sweeps.
+///
+/// Each strategy names every member's behavior. They are all the same
+/// except under `lie-input`, where each member claims all ones at its own
+/// arity; that strategy is left out when no member has an input to lie
+/// about.
+pub fn generated_battery(
+    arity: &[usize],
+    coalition: &[usize],
+) -> Vec<(String, Vec<(ProcessId, Behavior)>)> {
+    let outsiders: Vec<ProcessId> = (0..arity.len())
+        .filter(|p| !coalition.contains(p))
+        .collect();
     let victims: Vec<ProcessId> = outsiders.iter().copied().take(2).collect();
+    let shared = |deviation: Deviation| {
+        let (name, behavior) = deviation.build();
+        let members = coalition.iter().map(|&m| (m, behavior.clone())).collect();
+        (name, members)
+    };
     let mut battery = vec![
-        Deviation::named("silent").silent().build(),
-        Deviation::named("crash-mid").crash_after(60).build(),
-        Deviation::named("lie-input")
-            .lie_about_input(vec![Fp::ONE])
-            .build(),
-        Deviation::named("lie-opens").lie_in_opens().build(),
-        Deviation::named("refuse-move").refuse_to_move().build(),
-        Deviation::named("drop-phase2")
-            .drop_between(60, u64::MAX)
-            .build(),
-        Deviation::named("abort-at-round").abort_at(90).build(),
-        Deviation::named("delay-until-phase")
-            .delay(0, 30, 90)
-            .build(),
-        Deviation::named("corrupt-opens-late")
-            .corrupt_opens(60, 7)
-            .build(),
+        shared(Deviation::named("silent").silent()),
+        shared(Deviation::named("crash-mid").crash_after(60)),
     ];
+    if coalition.iter().any(|&m| arity[m] > 0) {
+        let lie = |m: usize| Deviation::named("lie-input").lie_about_input(vec![Fp::ONE; arity[m]]);
+        let members = coalition.iter().map(|&m| (m, lie(m).build().1));
+        battery.push(("lie-input".to_string(), members.collect()));
+    }
+    battery.extend(
+        [
+            Deviation::named("lie-opens").lie_in_opens(),
+            Deviation::named("refuse-move").refuse_to_move(),
+            Deviation::named("drop-phase2").drop_between(60, u64::MAX),
+            Deviation::named("abort-at-round").abort_at(90),
+            Deviation::named("delay-until-phase").delay(0, 30, 90),
+            Deviation::named("corrupt-opens-late").corrupt_opens(60, 7),
+        ]
+        .map(shared),
+    );
     if !victims.is_empty() {
-        battery.push(
-            Deviation::named("selective-silence")
-                .silence_toward(victims.clone(), 0)
-                .build(),
-        );
-        battery.push(
-            Deviation::named("equivocate")
-                .equivocate(victims, OPEN_LIE_OFFSET)
-                .build(),
-        );
+        battery.push(shared(
+            Deviation::named("selective-silence").silence_toward(victims.clone(), 0),
+        ));
+        battery.push(shared(
+            Deviation::named("equivocate").equivocate(victims, OPEN_LIE_OFFSET),
+        ));
     }
     battery
 }
@@ -1297,14 +1310,13 @@ pub fn cheap_talk_deviant_cells(
     plan: &CheapTalkPlan,
     coalition: &[usize],
 ) -> Vec<(String, CheapTalkPlan)> {
-    let n = plan.players();
-    generated_battery(n, coalition)
+    generated_battery(plan.spec().circuit.inputs_per_player(), coalition)
         .into_iter()
-        .map(|(name, behavior)| {
-            let mut p = plan.clone();
-            for &m in coalition {
-                p = p.with_deviant(m, behavior.clone());
-            }
+        .map(|(name, members)| {
+            let p = members
+                .into_iter()
+                .try_fold(plan.clone(), |p, (m, behavior)| p.with_deviant(m, behavior))
+                .expect("the battery fits the plan's players and input arities");
             (name, p)
         })
         .collect()
@@ -1520,11 +1532,12 @@ mod tests {
 
     #[test]
     fn generated_battery_names_are_distinct_and_victims_exclude_coalition() {
-        let battery = generated_battery(5, &[1]);
+        let battery = generated_battery(&[1; 5], &[1]);
         let names: BTreeSet<&str> = battery.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names.len(), battery.len(), "duplicate strategy names");
-        for (name, b) in &battery {
-            for s in &b.tactics {
+        for (name, members) in &battery {
+            assert_eq!(members.iter().map(|m| m.0).collect::<Vec<_>>(), [1]);
+            for s in &members[0].1.tactics {
                 let victims = match &s.primitive {
                     Primitive::SilenceToward(v) => v.clone(),
                     Primitive::Equivocate { victims, .. } => victims.clone(),

@@ -400,6 +400,7 @@ mod tests {
             let out = plan
                 .clone()
                 .with_deviant(1, deviation)
+                .expect("player 1 of 6")
                 .run_with(&SchedulerKind::Random, seed);
             let honest_moved: Vec<bool> = (0..n)
                 .filter(|&p| p != 1)

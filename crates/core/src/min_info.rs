@@ -38,9 +38,9 @@ pub struct PatternClass {
 pub fn pattern_class(trace: &Trace) -> PatternClass {
     let mut sent = BTreeSet::new();
     let mut events = Vec::new();
-    for e in trace.events() {
+    for e in trace.events().iter() {
         events.push(e.to_string());
-        match *e {
+        match e {
             TraceEvent::Sent { src, dst, k } => {
                 sent.insert((src, dst, k));
             }
@@ -305,17 +305,17 @@ mod tests {
     fn pattern_class_records_undelivered_messages() {
         use mediator_sim::{Trace, TraceEvent};
         let mut t = Trace::new();
-        t.push_event(TraceEvent::Sent {
+        t.push(TraceEvent::Sent {
             src: 0,
             dst: 1,
             k: 1,
         });
-        t.push_event(TraceEvent::Sent {
+        t.push(TraceEvent::Sent {
             src: 0,
             dst: 1,
             k: 2,
         });
-        t.push_event(TraceEvent::Delivered {
+        t.push(TraceEvent::Delivered {
             src: 0,
             dst: 1,
             k: 1,

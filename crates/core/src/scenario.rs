@@ -532,17 +532,6 @@ impl CheapTalk {
                 });
             }
         }
-        let mut behaviors = BTreeMap::new();
-        for (p, b) in self.behaviors {
-            if p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "deviant",
-                    player: p,
-                    n,
-                });
-            }
-            behaviors.insert(p, b);
-        }
         let barrier = self.punishment.is_some();
         let spec = CheapTalkSpec {
             n,
@@ -559,14 +548,17 @@ impl CheapTalk {
             default_actions,
             barrier,
         };
-        Ok(CheapTalkPlan {
+        let plan = CheapTalkPlan {
             spec,
             inputs,
-            behaviors,
+            behaviors: BTreeMap::new(),
             scheduler: self.scheduler,
             seed: self.seed,
             max_steps: self.max_steps,
-        })
+        };
+        self.behaviors
+            .into_iter()
+            .try_fold(plan, |plan, (p, b)| plan.with_deviant(p, b))
     }
 }
 
@@ -595,11 +587,29 @@ impl CheapTalkPlan {
         &self.inputs
     }
 
-    /// Adds (or replaces) one player's deviation.
-    pub fn with_deviant(mut self, p: usize, behavior: Behavior) -> Self {
-        assert!(p < self.spec.n, "deviant {p} out of range");
-        self.behaviors.insert(p, behavior);
-        self
+    /// Adds (or replaces) one player's deviation. A player id `≥ n`, or an
+    /// `input_override` whose length is not that player's input arity, is
+    /// refused here, before any engine could start on it.
+    pub fn with_deviant(mut self, p: usize, behavior: Behavior) -> Result<Self, ScenarioError> {
+        let n = self.spec.n;
+        let Some(&expected) = self.spec.circuit.inputs_per_player().get(p) else {
+            return Err(ScenarioError::PlayerOutOfRange {
+                what: "deviant",
+                player: p,
+                n,
+            });
+        };
+        match &behavior.input_override {
+            Some(lie) if lie.len() != expected => Err(ScenarioError::ArityMismatch {
+                what: "deviant input",
+                expected,
+                got: lie.len(),
+            }),
+            _ => {
+                self.behaviors.insert(p, behavior);
+                Ok(self)
+            }
+        }
     }
 
     fn build_world(&self, seed: u64) -> World<CtMsg> {

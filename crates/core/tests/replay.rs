@@ -44,7 +44,7 @@ fn mediator_plan_replays_battery_exactly() {
     for kind in SchedulerKind::battery(n + 1) {
         for seed in 0..32 {
             let recorded = plan.run_with(&kind, seed);
-            let script = ReplayScript::new(recorded.trace.events().to_vec());
+            let script = ReplayScript::new(recorded.trace.events().iter().collect());
             let replayed = plan.run_with(&SchedulerKind::Replay(script), seed);
             assert_replayed(&recorded, &replayed, &format!("{kind:?} seed {seed}"));
         }
@@ -59,7 +59,7 @@ fn relaxed_mediator_recording_replays() {
     let plan = mediator_plan(n);
     for seed in 0..32 {
         let recorded = plan.run_relaxed(6, seed);
-        let script = ReplayScript::new(recorded.trace.events().to_vec());
+        let script = ReplayScript::new(recorded.trace.events().iter().collect());
         assert!(
             script.has_drops(),
             "blackout produced no drops (seed {seed})"
@@ -80,7 +80,7 @@ fn mediator_deviant_cells_replay() {
     for (strategy, cell) in mediator_deviant_cells(&plan, &coalition, Some(0)) {
         for seed in 0..4 {
             let recorded = cell.run_with(&SchedulerKind::Random, seed);
-            let script = ReplayScript::new(recorded.trace.events().to_vec());
+            let script = ReplayScript::new(recorded.trace.events().iter().collect());
             let replayed = cell.run_with(&SchedulerKind::Replay(script), seed);
             assert_replayed(&recorded, &replayed, &format!("{strategy} seed {seed}"));
         }
@@ -101,7 +101,7 @@ fn cheap_talk_plan_replays_spot_checks() {
     for kind in [SchedulerKind::Random, SchedulerKind::Lifo] {
         for seed in 0..2 {
             let recorded = plan.run_with(&kind, seed);
-            let script = ReplayScript::new(recorded.trace.events().to_vec());
+            let script = ReplayScript::new(recorded.trace.events().iter().collect());
             let replayed = plan.run_with(&SchedulerKind::Replay(script), seed);
             assert_replayed(&recorded, &replayed, &format!("{kind:?} seed {seed}"));
         }
@@ -123,7 +123,7 @@ fn cheap_talk_deviant_cell_replays() {
         .find(|(name, _)| name == "silent")
         .expect("generated battery contains the silent strategy");
     let recorded = cell.run_with(&SchedulerKind::Random, 1);
-    let script = ReplayScript::new(recorded.trace.events().to_vec());
+    let script = ReplayScript::new(recorded.trace.events().iter().collect());
     let replayed = cell.run_with(&SchedulerKind::Replay(script), 1);
     assert_replayed(&recorded, &replayed, strategy);
 }
@@ -135,7 +135,7 @@ fn session_replay_matches_run_replay() {
     let n = 5;
     let plan = mediator_plan(n);
     let recorded = plan.run_with(&SchedulerKind::Lifo, 7);
-    let script = ReplayScript::new(recorded.trace.events().to_vec());
+    let script = ReplayScript::new(recorded.trace.events().iter().collect());
     let session = plan.session_with(&SchedulerKind::Replay(script), 7);
     let replayed = session.finish();
     assert_replayed(&recorded, &replayed, "session replay");

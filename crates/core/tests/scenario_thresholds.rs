@@ -9,8 +9,11 @@
 //! bound and run to a typed `TerminationKind`; the robust engine's bound
 //! *is* Theorem 4.1's, so 4.1 and 4.4 plans are refused by the engine's
 //! own assertion — the hatch waives the builder's check, nothing below it.
+//! A deviant whose input lie has the wrong arity is refused the same way,
+//! with a typed error before any engine starts.
 
 use mediator_circuits::catalog;
+use mediator_core::deviations::Behavior;
 use mediator_core::scenario::{CheapTalkPlan, Scenario, ScenarioError, Theorem};
 use mediator_field::Fp;
 use mediator_sim::{SchedulerKind, TerminationKind};
@@ -216,4 +219,47 @@ fn a_hatch_built_4_5_plan_ends_typed_and_coterminated() {
     assert_ne!(out.termination, TerminationKind::BudgetExhausted);
     let moved = out.moves.iter().filter(|m| m.is_some()).count();
     assert!(moved == 0 || moved == 5, "mixed ending: {:?}", out.moves);
+}
+
+#[test]
+fn a_wrong_arity_input_lie_is_refused_before_any_engine_starts() {
+    // The §6.4 circuit takes no private input, so a one-element lie
+    // would trip the engine's arity assert at the first run.
+    let lie = |len| Behavior {
+        input_override: Some(vec![Fp::ONE; len]),
+        ..Behavior::default()
+    };
+    let err = Scenario::cheap_talk(catalog::counterexample_minfo(7))
+        .players(7)
+        .tolerance(1, 0)
+        .deviant(3, lie(1))
+        .build()
+        .expect_err("a lie longer than the player's inputs");
+    assert_eq!(
+        err,
+        ScenarioError::ArityMismatch {
+            what: "deviant input",
+            expected: 0,
+            got: 1
+        }
+    );
+    // The built plan checks the same way, and the right length passes.
+    let plan = build_with(Theorem::Robust41, 5, 1, 0, false).expect("5 > 4");
+    assert_eq!(
+        plan.clone().with_deviant(2, lie(3)).err(),
+        Some(ScenarioError::ArityMismatch {
+            what: "deviant input",
+            expected: 1,
+            got: 3
+        })
+    );
+    assert!(plan.clone().with_deviant(2, lie(1)).is_ok());
+    assert_eq!(
+        plan.with_deviant(5, Behavior::default()).err(),
+        Some(ScenarioError::PlayerOutOfRange {
+            what: "deviant",
+            player: 5,
+            n: 5
+        })
+    );
 }

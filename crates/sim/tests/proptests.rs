@@ -1,9 +1,11 @@
 //! Property-based tests for the simulator: determinism, conservation laws,
 //! and trace well-formedness under arbitrary seeds and scheduler choices.
 
+use mediator_sim::bytes::Reader;
+use mediator_sim::trace::read_event;
 use mediator_sim::{
-    Ctx, FifoScheduler, LifoScheduler, Process, ProcessId, RandomScheduler, Scheduler, TraceEvent,
-    World,
+    Ctx, FifoScheduler, LifoScheduler, Process, ProcessId, RandomScheduler, Scheduler, Trace,
+    TraceEvent, TraceMode, World,
 };
 use proptest::prelude::*;
 
@@ -29,6 +31,28 @@ impl Process<u32> for Gossip {
             let peer = (ctx.me() + hops as usize) % self.n;
             ctx.send(peer, hops - 1);
         }
+    }
+}
+
+/// A value anywhere in `u64`: `x` shifted right by its own low six bits,
+/// so one-byte, mid-size and full-width values (and `u64::MAX` itself)
+/// all turn up.
+fn spread(x: u64) -> u64 {
+    if x & 63 == 63 {
+        u64::MAX
+    } else {
+        x >> (x & 63)
+    }
+}
+
+/// Four random words as one event of any kind, ids spanning `usize`.
+fn event_from(w: &[u64]) -> TraceEvent {
+    let (src, dst, k) = (spread(w[1]) as usize, spread(w[2]) as usize, spread(w[3]));
+    match w[0] % 4 {
+        0 => TraceEvent::Started { p: src },
+        1 => TraceEvent::Sent { src, dst, k },
+        2 => TraceEvent::Delivered { src, dst, k },
+        _ => TraceEvent::Dropped { src, dst, k },
     }
 }
 
@@ -70,11 +94,11 @@ proptest! {
         let mut w = gossip_world(n, hops, seed);
         let out = w.run(&mut FifoScheduler, 100_000);
         let mut counters = std::collections::BTreeMap::new();
-        for e in out.trace.events() {
+        for e in out.trace.events().iter() {
             if let TraceEvent::Sent { src, dst, k } = e {
                 let c = counters.entry((src, dst)).or_insert(0u64);
                 *c += 1;
-                prop_assert_eq!(*k, *c, "non-consecutive k for {:?}", (src, dst));
+                prop_assert_eq!(k, *c, "non-consecutive k for {:?}", (src, dst));
             }
         }
     }
@@ -92,5 +116,46 @@ proptest! {
             // The chain has hops+1 messages: someone eventually moves.
             prop_assert!(out.moves.iter().any(|m| m.is_some()));
         }
+    }
+
+    /// Any event sequence reads back identical through `events()`: the
+    /// byte encoding is lossless for every id and counter, and the view's
+    /// length is the counters' sum. Byte chunks cut on event boundaries.
+    /// `Off` keeps nothing and counts exactly.
+    #[test]
+    fn traces_read_back_every_event(
+        words in proptest::collection::vec(any::<u64>(), 0..400),
+        per in 1usize..40,
+    ) {
+        let events: Vec<TraceEvent> = words.chunks_exact(4).map(event_from).collect();
+        let mut full = Trace::new();
+        let mut off = Trace::with_mode(TraceMode::Off);
+        for &e in &events {
+            full.push(e);
+            off.push(e);
+        }
+        prop_assert_eq!(events.clone(), full.events());
+        prop_assert_eq!(full.events().iter().len(), events.len());
+        let mut rechunked = Vec::new();
+        for (count, bytes) in full.events().byte_chunks(per) {
+            prop_assert!(count <= per);
+            let mut r = Reader::new(bytes);
+            rechunked.extend((0..count).map(|_| read_event(&mut r).unwrap()));
+            prop_assert_eq!(r.remaining(), 0);
+        }
+        prop_assert_eq!(rechunked, events.clone());
+        let counted = |t: &Trace| {
+            t.started_count() + t.sent_count() + t.delivered_count() + t.dropped_count()
+        };
+        prop_assert_eq!(full.events().len() as u64, counted(&full));
+        prop_assert_eq!(full.wrapped(), 0);
+        let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
+        prop_assert_eq!(off.started_count(), count(|e| matches!(e, TraceEvent::Started { .. })));
+        prop_assert_eq!(off.sent_count(), count(|e| matches!(e, TraceEvent::Sent { .. })));
+        prop_assert_eq!(off.delivered_count(), count(|e| matches!(e, TraceEvent::Delivered { .. })));
+        prop_assert_eq!(off.dropped_count(), count(|e| matches!(e, TraceEvent::Dropped { .. })));
+        prop_assert!(off.events().is_empty());
+        prop_assert!(off.events().as_bytes().is_empty());
+        prop_assert_eq!(off.wrapped(), events.len() as u64);
     }
 }

@@ -13,6 +13,7 @@
 //! evolve (and version) independently.
 
 use mediator_sim::bytes::ByteError;
+use mediator_sim::trace::{put_event, read_event};
 use mediator_sim::{ReplayScript, SchedulerKind, TerminationKind, TraceEvent};
 use std::fmt;
 
@@ -259,58 +260,14 @@ impl<A: StoreCodec, B: StoreCodec> StoreCodec for (A, B) {
 // Trace-log value types (tag tables pinned in DESIGN.md §11)
 // ---------------------------------------------------------------------------
 
+/// The event encoding is `mediator_sim::trace`'s: a run's trace already
+/// holds these bytes, and `TraceStore::record` copies them as they are.
 impl StoreCodec for TraceEvent {
     fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            TraceEvent::Started { p } => {
-                out.push(0);
-                p.encode(out);
-            }
-            TraceEvent::Sent { src, dst, k } => {
-                out.push(1);
-                src.encode(out);
-                dst.encode(out);
-                k.encode(out);
-            }
-            TraceEvent::Delivered { src, dst, k } => {
-                out.push(2);
-                src.encode(out);
-                dst.encode(out);
-                k.encode(out);
-            }
-            TraceEvent::Dropped { src, dst, k } => {
-                out.push(3);
-                src.encode(out);
-                dst.encode(out);
-                k.encode(out);
-            }
-        }
+        put_event(out, self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        match r.u8()? {
-            0 => Ok(TraceEvent::Started {
-                p: usize::decode(r)?,
-            }),
-            1 => Ok(TraceEvent::Sent {
-                src: usize::decode(r)?,
-                dst: usize::decode(r)?,
-                k: u64::decode(r)?,
-            }),
-            2 => Ok(TraceEvent::Delivered {
-                src: usize::decode(r)?,
-                dst: usize::decode(r)?,
-                k: u64::decode(r)?,
-            }),
-            3 => Ok(TraceEvent::Dropped {
-                src: usize::decode(r)?,
-                dst: usize::decode(r)?,
-                k: u64::decode(r)?,
-            }),
-            tag => Err(StoreError::UnknownTag {
-                what: "TraceEvent",
-                tag,
-            }),
-        }
+        Ok(read_event(r)?)
     }
 }
 
@@ -440,8 +397,8 @@ pub struct RunHeader {
     pub k: u64,
     /// Malicious tolerance `t`.
     pub t: u64,
-    /// `true` when the recorded trace is incomplete (ring-mode capture
-    /// wrapped); replay refuses such runs with a typed error.
+    /// `true` when the recorded trace is incomplete (a counters-only
+    /// capture); replay refuses such runs with a typed error.
     pub partial: bool,
     /// `true` when the run went through a transport (each logical message
     /// appears as two `Sent` events: emission and wire re-injection), so
@@ -534,8 +491,8 @@ pub struct OutcomeRecord {
 
 impl OutcomeRecord {
     /// Captures the storable projection of an outcome. `event_count` is
-    /// the number of events actually retained by the trace (a ring-mode
-    /// capture stores only its window).
+    /// the number of events actually retained by the trace (none for a
+    /// counters-only capture).
     pub fn capture(outcome: &mediator_sim::Outcome) -> Self {
         OutcomeRecord {
             moves: outcome.moves.clone(),

@@ -21,7 +21,7 @@
 //!   [`codec`](crate::codec) layer, so framing and content corruption
 //!   surface as distinct typed errors.
 
-use crate::codec::{put_varint, Reader, StoreCodec, StoreError};
+use crate::codec::{Reader, StoreCodec, StoreError};
 use mediator_sim::TraceEvent;
 
 /// The four-byte file magic.
@@ -173,16 +173,6 @@ pub fn put_record(out: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Encodes a chunk payload: a varint count followed by the events.
-pub fn encode_events_chunk(events: &[TraceEvent]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, events.len() as u64);
-    for e in events {
-        e.encode(&mut out);
-    }
-    out
-}
-
 /// Decodes a chunk payload back into its events.
 pub fn decode_events_chunk(payload: &[u8]) -> Result<Vec<TraceEvent>, StoreError> {
     let mut r = Reader::new(payload);
@@ -317,7 +307,10 @@ mod tests {
                 k: 1,
             },
         ];
-        let payload = encode_events_chunk(&events);
+        let mut payload = vec![events.len() as u8];
+        for e in &events {
+            e.encode(&mut payload);
+        }
         assert_eq!(decode_events_chunk(&payload).unwrap(), events);
     }
 }

@@ -34,8 +34,8 @@ use std::fmt;
 /// Why a stored run could not be replayed (or did not reproduce).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
-    /// The recording is marked partial (ring-mode capture wrapped): the
-    /// script is missing its prefix, so the run cannot be re-enacted.
+    /// The recording is marked partial (its trace kept only counters):
+    /// there is no script, so the run cannot be re-enacted.
     PartialTrace,
     /// Retention evicted part of the event body; only `have` of the
     /// `want` recorded events remain.
@@ -88,7 +88,7 @@ impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::PartialTrace => {
-                write!(f, "recording is partial (ring-mode capture wrapped)")
+                write!(f, "recording is partial (the trace kept only counters)")
             }
             ReplayError::Evicted { have, want } => {
                 write!(
@@ -162,13 +162,13 @@ pub fn stored_script(run: &StoredRun) -> Result<ReplayScript, ReplayError> {
 /// termination kind. (Step counts are *not* compared: replay merges the
 /// recording's trace-silent steps — the sim crate pins the exact law.)
 fn check(run: &StoredRun, replayed: &Outcome) -> Result<ReplayReport, ReplayError> {
-    if replayed.trace.events() != run.events.as_slice() {
+    if run.events != replayed.trace.events() {
         let at = replayed
             .trace
             .events()
             .iter()
             .zip(&run.events)
-            .position(|(a, b)| a != b)
+            .position(|(a, b)| a != *b)
             .unwrap_or_else(|| replayed.trace.events().len().min(run.events.len()));
         return Err(ReplayError::Divergence { at });
     }
@@ -347,9 +347,12 @@ mod tests {
     fn partial_recording_is_refused() {
         let mut store = TraceStore::in_memory();
         let mut world = echo_world(5, 2);
-        world.set_trace_mode(TraceMode::Ring(2));
+        world.set_trace_mode(TraceMode::Off);
         let outcome = world.run(SchedulerKind::Fifo.build().as_mut(), 10_000);
-        assert!(outcome.trace.wrapped() > 0, "ring capture must wrap");
+        assert!(
+            outcome.trace.wrapped() > 0,
+            "a counters-only capture is partial"
+        );
         let id = store.record(RunHeader::bare(1, 2), &outcome).unwrap();
         assert!(store.header(id).partial, "stored marked partial");
         let run = store.load(id).unwrap();

@@ -17,10 +17,9 @@
 //! evicted run is distinguishable from an empty one by its outcome's
 //! retained event count.
 
-use crate::codec::{OutcomeRecord, Reader, RunHeader, StoreCodec, StoreError};
+use crate::codec::{put_varint, OutcomeRecord, Reader, RunHeader, StoreCodec, StoreError};
 use crate::format::{
-    self, crc32_update, decode_events_chunk, encode_events_chunk, put_record, RawRecord,
-    RecordKind, CRC_INIT,
+    self, crc32_update, decode_events_chunk, put_record, RawRecord, RecordKind, CRC_INIT,
 };
 use mediator_sim::{Outcome, SchedulerKind, TraceEvent};
 use std::fs::{File, OpenOptions};
@@ -281,7 +280,7 @@ impl TraceStore {
     /// Records one finished run: header, event chunks, outcome — written
     /// as a single append so a crash can only tear the log's tail, never
     /// interleave half a run with the next. The header's `partial` flag is
-    /// derived from the trace itself (a ring-mode capture that wrapped is
+    /// derived from the trace itself (a counters-only capture is
     /// stored, but marked — replay will refuse it).
     pub fn record(
         &mut self,
@@ -290,14 +289,16 @@ impl TraceStore {
     ) -> Result<RunId, StoreError> {
         header.partial = outcome.trace.wrapped() > 0;
         let events = outcome.trace.events();
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(events.as_bytes().len());
         put_record(&mut buf, RecordKind::Header, &header.to_bytes());
-        for chunk in events.chunks(EVENTS_PER_CHUNK.max(1)) {
-            put_record(
-                &mut buf,
-                RecordKind::EventsChunk,
-                &encode_events_chunk(chunk),
-            );
+        // A chunk is a varint count and a copy of the trace's own bytes
+        // for that many events: the trace holds the store's encoding.
+        let mut chunk = Vec::new();
+        for (count, bytes) in events.byte_chunks(EVENTS_PER_CHUNK.max(1)) {
+            chunk.clear();
+            put_varint(&mut chunk, count as u64);
+            chunk.extend_from_slice(bytes);
+            put_record(&mut buf, RecordKind::EventsChunk, &chunk);
         }
         let record = OutcomeRecord::capture(outcome);
         put_record(&mut buf, RecordKind::Outcome, &record.to_bytes());

@@ -123,7 +123,7 @@ fn sixty_four_session_sweep_survives_a_byte_cap() {
     let fresh = store.load(fresh_id).expect("fresh run loads");
     let script = stored_script(&fresh).expect("surviving body replays");
     assert_eq!(
-        script.events(),
+        script.events().to_vec(),
         outcomes[fresh_id].trace.events(),
         "the surviving body is byte-identical to the recording"
     );
@@ -401,4 +401,69 @@ fn a_framing_error_outranks_an_earlier_grammar_error() {
         open_error(log),
         Some(StoreError::TornTail { offset: tear_at })
     );
+}
+
+// ---------------------------------------------------------------------------
+// The recorded bytes of one fixed run
+// ---------------------------------------------------------------------------
+
+/// A backend that keeps what each append wrote, so a test can hash the
+/// exact bytes one `record` call produced.
+struct Appends(std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>);
+
+impl mediator_store::Backend for Appends {
+    fn len(&self) -> u64 {
+        self.0.lock().unwrap().iter().map(|a| a.len() as u64).sum()
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.0.lock().unwrap().push(bytes.to_vec());
+        Ok(())
+    }
+    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+        let log = self.0.lock().unwrap().concat();
+        let start = offset as usize;
+        log.get(start..start + len)
+            .map(<[u8]>::to_vec)
+            .ok_or(StoreError::Truncated)
+    }
+    fn rewrite(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        *self.0.lock().unwrap() = vec![bytes.to_vec()];
+        Ok(())
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn one_recorded_theorem_4_1_run_is_byte_pinned() {
+    use mediator_core::scenario::Scenario;
+    use mediator_field::Fp;
+    // One all-honest Theorem 4.1 run at n = 5: 1 542 events, so the body
+    // spans two 1 024-event chunks. The hash covers the header, every
+    // events chunk and the outcome exactly as `record` appends them, so a
+    // change to the trace encoding, the chunking or the framing moves it.
+    // The value was taken when chunks were still encoded event by event
+    // from `TraceEvent`s: `.mtrc` files stay byte-identical.
+    let n = 5;
+    let outcome = Scenario::cheap_talk(mediator_circuits::catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(vec![vec![Fp::ONE]; n])
+        .build()
+        .expect("n = 5 > 4k")
+        .run_with(&SchedulerKind::Random, 7);
+    let appends = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut store =
+        TraceStore::with_backend(Box::new(Appends(appends.clone()))).expect("empty log opens");
+    let mut header = mediator_store::RunHeader::bare(3, 7);
+    header.kind = Some(SchedulerKind::Random);
+    store.record(header, &outcome).expect("record");
+    let appends = appends.lock().unwrap();
+    let run = appends.last().expect("record appends once");
+    assert_eq!(outcome.trace.events().len(), 1542);
+    assert_eq!((run.len(), fnv1a(run)), (6_241, 0x39a8_c1cf_2b10_30e4));
 }

@@ -108,6 +108,37 @@ fn cheap_talk_at_valid_n_is_eps_k_resilient() {
 }
 
 #[test]
+fn input_free_circuits_sweep_without_an_input_lie() {
+    // The §6.4 circuits take no private input. The battery's input lie
+    // once hard-coded one element and killed these sweeps at the engine's
+    // arity assert; with nothing to lie about it is left out, and the
+    // rest of the battery runs through Theorem 4.1 at n = 7, k = 1.
+    let n = 7;
+    let (game, _, _) = library::counterexample_game(n);
+    for circuit in [
+        catalog::counterexample_minfo(n),
+        catalog::counterexample_naive(n),
+    ] {
+        let plan = Scenario::cheap_talk(circuit)
+            .players(n)
+            .tolerance(1, 0)
+            .build()
+            .expect("7 > 4");
+        let report = plan.conformance(
+            &game,
+            &vec![0; n],
+            &Conformance::new(0.05, 1, 0)
+                .battery(vec![SchedulerKind::Random])
+                .seeds(2)
+                .coalitions(vec![vec![3]]),
+        );
+        let names: Vec<&str> = report.cells.iter().map(|c| c.strategy.as_str()).collect();
+        assert_eq!(names.len(), 10, "{names:?}");
+        assert!(!names.contains(&"lie-input"));
+    }
+}
+
+#[test]
 fn selective_silence_never_stalls_theorem_4_1() {
     // The battery's `selective-silence`: the deviator says nothing at all
     // to the first two players outside its coalition, so its AVSS rows
@@ -120,11 +151,14 @@ fn selective_silence_never_stalls_theorem_4_1() {
     let n = 5;
     let plan = cheap_talk_41_plan(n);
     for deviator in 0..n {
-        let (name, behavior) = generated_battery(n, &[deviator])
+        let (name, members) = generated_battery(&[1; 5], &[deviator])
             .into_iter()
             .find(|(name, _)| name == "selective-silence")
             .expect("the battery has the deviation");
-        let plan = plan.clone().with_deviant(deviator, behavior);
+        let plan = members
+            .into_iter()
+            .try_fold(plan.clone(), |p, (m, b)| p.with_deviant(m, b))
+            .expect("a valid deviant");
         for seed in 0..200 {
             let out = plan.run_with(&SchedulerKind::Random, seed);
             let label = format!("{name} by {deviator}, seed {seed}");
@@ -149,7 +183,10 @@ fn one_crash_never_stalls_theorem_4_1() {
     for deviator in 0..n {
         for sends in 0..160 {
             let (_, crash) = Deviation::named("crash").crash_after(sends).build();
-            let plan = plan.clone().with_deviant(deviator, crash);
+            let plan = plan
+                .clone()
+                .with_deviant(deviator, crash)
+                .expect("a valid deviant");
             for kind in [
                 SchedulerKind::Random,
                 SchedulerKind::Fifo,

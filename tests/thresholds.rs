@@ -125,6 +125,7 @@ fn theorem_4_2_threshold_n_3f_plus_1_runs() {
             let lied = plan
                 .clone()
                 .with_deviant(0, liar())
+                .expect("a valid deviant")
                 .run_with(&SchedulerKind::Random, seed);
             for p in 1..n {
                 assert!(
@@ -136,6 +137,7 @@ fn theorem_4_2_threshold_n_3f_plus_1_runs() {
             let muted = plan
                 .clone()
                 .with_deviant(0, silent())
+                .expect("a valid deviant")
                 .run_with(&SchedulerKind::Random, seed);
             if k >= t {
                 // The margin covers one silent player.
@@ -165,6 +167,7 @@ fn theorem_4_4_crash_cannot_split_honest_players() {
             let out = plan
                 .clone()
                 .with_deviant(2, crash_after(25 + 10 * seed))
+                .expect("a valid deviant")
                 .run_with(&SchedulerKind::Random, seed);
             assert_all_or_none(&out, n, 2, &format!("n = {n} seed {seed}"));
         }
@@ -185,6 +188,7 @@ fn theorem_4_5_runs_at_2k_3t_plus_1() {
             let out = plan
                 .clone()
                 .with_deviant(0, crash_after(30))
+                .expect("a valid deviant")
                 .run_with(&SchedulerKind::Random, seed);
             assert_all_or_none(&out, n, 0, &format!("n = {n} seed {seed}"));
         }
@@ -209,6 +213,7 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
             let out = plan
                 .clone()
                 .with_deviant(deviator, behavior)
+                .expect("a valid deviant")
                 .run_with(&kind, 13);
             for p in 0..n {
                 if p != deviator {

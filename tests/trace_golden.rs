@@ -211,6 +211,23 @@ fn power_basis_lookup_removed_exactly_its_openings() {
 }
 
 #[test]
+fn an_n13_message_pattern_costs_at_most_five_bytes_an_event() {
+    // The `sim_n13` working point: 13 351 messages sent, 26 606 events.
+    // The trace keeps them in codec bytes — a tag, two one-byte ids and
+    // a per-pair `k` that rarely needs a second byte — not 32-byte enums.
+    let out = cheap_talk_41_n13_plan().run_with(&SchedulerKind::Random, 1);
+    assert_eq!(out.messages_sent, 13_351);
+    let events = out.trace.events();
+    assert_eq!(events.len(), 26_606);
+    assert!(
+        events.as_bytes().len() <= 5 * events.len(),
+        "{} bytes for {} events",
+        events.as_bytes().len(),
+        events.len()
+    );
+}
+
+#[test]
 fn cheap_talk_41_n13_runs_match_pinned_fingerprints() {
     let plan = cheap_talk_41_n13_plan();
     for (kind, seed, golden) in GOLDEN_CHEAP_TALK_41_N13 {
