@@ -33,7 +33,7 @@
 
 use crate::deviations::Behavior;
 use crate::mediator::MedMsg;
-use crate::scenario::{BatchRun, CheapTalkPlan, MediatorPlan};
+use crate::scenario::{CheapTalkPlan, GameFamily, MediatorPlan, Plan};
 use mediator_field::Fp;
 use mediator_games::solution::subsets_up_to;
 use mediator_games::stats::{mean_ci, paired_gain_ci, ConfidenceInterval};
@@ -764,30 +764,6 @@ impl Conformance {
 // Sweep decomposition: leasable units and the shared render pipeline
 // ---------------------------------------------------------------------------
 
-/// A plan the conformance harness can sweep: batch-runnable, plus the
-/// enumeration of its generated deviant cells for one coalition. The two
-/// concrete plans implement this, which is what lets the sweep — local
-/// thread fan-out and the sharded coordinator/worker plane alike — stay
-/// generic over the game family.
-pub trait SweepPlan: BatchRun + Sized {
-    /// The generated `(strategy name, deviant plan)` cells for `coalition`
-    /// under `cfg`. Names must be unique within one coalition: they are
-    /// the portable half of a [`SweepUnit`]'s identity.
-    fn deviant_cells(&self, coalition: &[usize], cfg: &Conformance) -> Vec<(String, Self)>;
-}
-
-impl SweepPlan for CheapTalkPlan {
-    fn deviant_cells(&self, coalition: &[usize], _cfg: &Conformance) -> Vec<(String, Self)> {
-        cheap_talk_deviant_cells(self, coalition)
-    }
-}
-
-impl SweepPlan for MediatorPlan {
-    fn deviant_cells(&self, coalition: &[usize], cfg: &Conformance) -> Vec<(String, Self)> {
-        mediator_deviant_cells(self, coalition, cfg.deadlock_action)
-    }
-}
-
 /// One leasable work unit of a conformance sweep: the honest baseline
 /// (`strategy: None`) or one generated `(strategy, coalition)` cell. Every
 /// unit runs the *same* `battery × seeds` grid, so the paired
@@ -810,7 +786,7 @@ pub struct SweepUnit {
 ///
 /// Panics on an empty coalition set, an empty coalition, or an
 /// out-of-range member — a mis-specified experiment, never a data error.
-pub fn sweep_units<P: SweepPlan>(plan: &P, cfg: &Conformance) -> Vec<SweepUnit> {
+pub fn sweep_units<F: GameFamily>(plan: &Plan<F>, cfg: &Conformance) -> Vec<SweepUnit> {
     let n = plan.players();
     let coalitions = cfg.resolve_coalitions(n);
     assert!(!coalitions.is_empty(), "conformance needs a coalition set");
@@ -826,7 +802,7 @@ pub fn sweep_units<P: SweepPlan>(plan: &P, cfg: &Conformance) -> Vec<SweepUnit> 
         coalition: Vec::new(),
     }];
     for coalition in &coalitions {
-        for (strategy, _) in plan.deviant_cells(coalition, cfg) {
+        for (strategy, _) in F::deviant_cells(plan, coalition, cfg) {
             units.push(SweepUnit {
                 strategy: Some(strategy),
                 coalition: coalition.clone(),
@@ -838,13 +814,19 @@ pub fn sweep_units<P: SweepPlan>(plan: &P, cfg: &Conformance) -> Vec<SweepUnit> 
 
 /// Rebuilds the concrete plan of one unit from its `(strategy, coalition)`
 /// recipe — `None` when the strategy name is not one this plan generates
-/// (a hostile or stale lease grant, surfaced as an error rather than a
-/// panic by the shard worker).
-pub fn sweep_unit_plan<P: SweepPlan>(plan: &P, unit: &SweepUnit, cfg: &Conformance) -> Option<P> {
+/// or the coalition names a non-player (a hostile or stale lease grant,
+/// surfaced as an error rather than a panic by the shard worker).
+pub fn sweep_unit_plan<F: GameFamily>(
+    plan: &Plan<F>,
+    unit: &SweepUnit,
+    cfg: &Conformance,
+) -> Option<Plan<F>> {
+    if unit.coalition.iter().any(|&m| m >= plan.players()) {
+        return None;
+    }
     match &unit.strategy {
         None => Some(plan.clone()),
-        Some(name) => plan
-            .deviant_cells(&unit.coalition, cfg)
+        Some(name) => F::deviant_cells(plan, &unit.coalition, cfg)
             .into_iter()
             .find(|(s, _)| s == name)
             .map(|(_, p)| p),
@@ -856,8 +838,8 @@ pub fn sweep_unit_plan<P: SweepPlan>(plan: &P, unit: &SweepUnit, cfg: &Conforman
 /// shard worker ships back. Utilities, intervals, and the verdict are all
 /// deterministic functions of these profiles, which is what makes sharded
 /// verdicts bit-identical to local ones.
-pub fn run_sweep_unit<P: SweepPlan>(
-    plan: &P,
+pub fn run_sweep_unit<F: GameFamily>(
+    plan: &Plan<F>,
     unit: &SweepUnit,
     cfg: &Conformance,
 ) -> Option<Vec<Vec<usize>>> {
@@ -874,8 +856,8 @@ pub fn run_sweep_unit<P: SweepPlan>(
 /// Returns the decoded `(kind, seed)`, the raw outcome (for trace-sink
 /// recording), and the resolved profile. `None` when the run index falls
 /// outside the grid or the unit's strategy is unknown.
-pub fn run_sweep_cell<P: SweepPlan>(
-    plan: &P,
+pub fn run_sweep_cell<F: GameFamily>(
+    plan: &Plan<F>,
     unit: &SweepUnit,
     cfg: &Conformance,
     run: usize,
@@ -885,8 +867,8 @@ pub fn run_sweep_cell<P: SweepPlan>(
     let kind = battery.get(run / seeds)?.clone();
     let seed = (run % seeds) as u64;
     let cell = sweep_unit_plan(plan, unit, cfg)?;
-    let outcome = cell.run_one(&kind, seed);
-    let profile = cell.resolve_mode().profile(&outcome, cell.players());
+    let outcome = cell.run_with(&kind, seed);
+    let profile = cell.resolve().profile(&outcome, cell.players());
     Some((kind, seed, outcome, profile))
 }
 
@@ -1272,8 +1254,8 @@ pub fn render_sweep_report(
 /// grid through the local batch runner, and renders the verdict — the
 /// exact pipeline the sharded coordinator replays with remote workers in
 /// place of the local loop.
-fn sweep<P: SweepPlan>(
-    plan: &P,
+pub(crate) fn sweep<F: GameFamily>(
+    plan: &Plan<F>,
     game: &BayesianGame,
     types: &[usize],
     cfg: &Conformance,
@@ -1289,24 +1271,14 @@ fn sweep<P: SweepPlan>(
     render_sweep_report(game, types, cfg, &units, &profiles)
 }
 
-/// Conformance sweep of a cheap-talk plan: every coalition of size ≤ k
-/// plays every [`generated_battery`] strategy (each member running the
-/// strategy's behavior), and the report decides ε-k-resilience.
-pub fn cheap_talk_conformance(
-    plan: &CheapTalkPlan,
-    game: &BayesianGame,
-    types: &[usize],
-    cfg: &Conformance,
-) -> ConformanceReport {
-    sweep(plan, game, types, cfg)
-}
+/// Every caller of the cell generators has checked the coalition against
+/// the plan's players, and the battery's lies take the circuit's arity.
+const MEMBERS_ARE_PLAYERS: &str = "the battery fits the plan's players and input arities";
 
-/// The generated deviant cells of a cheap-talk plan for one coalition:
-/// `(strategy name, deviant plan)` pairs, every coalition member running the
-/// strategy's behavior. This is the single source the conformance sweep
-/// iterates — and the lookup table deterministic replay uses to rebuild a
-/// stored witness cell from its `(strategy, coalition)` recipe.
-pub fn cheap_talk_deviant_cells(
+/// The generated deviant cells of a cheap-talk plan for one coalition
+/// ([`GameFamily::deviant_cells`]): every coalition member runs one
+/// [`generated_battery`] strategy's behavior.
+pub(crate) fn cheap_talk_cells(
     plan: &CheapTalkPlan,
     coalition: &[usize],
 ) -> Vec<(String, CheapTalkPlan)> {
@@ -1316,40 +1288,26 @@ pub fn cheap_talk_deviant_cells(
             let p = members
                 .into_iter()
                 .try_fold(plan.clone(), |p, (m, behavior)| p.with_deviant(m, behavior))
-                .expect("the battery fits the plan's players and input arities");
+                .expect(MEMBERS_ARE_PLAYERS);
             (name, p)
         })
         .collect()
 }
 
-/// Conformance sweep of a mediator-game plan: every coalition of size ≤ k
-/// is wired as a [`GossipColluder`] clique under every [`collusion_battery`]
-/// rule, plus message-level tamper strategies (drop-acks, delayed input)
-/// applied to the honest player through the [`Tamper`] hook.
-pub fn mediator_conformance(
-    plan: &MediatorPlan,
-    game: &BayesianGame,
-    types: &[usize],
-    cfg: &Conformance,
-) -> ConformanceReport {
-    sweep(plan, game, types, cfg)
-}
-
-/// The generated deviant cells of a mediator-game plan for one coalition:
-/// gossip-clique colluders under each [`collusion_battery`] rule plus the
-/// message-level tamper strategies, as `(strategy name, deviant plan)`
-/// pairs. Single-sourced for the conformance sweep and for deterministic
-/// replay of a stored witness (rebuild the cell from its
-/// `(strategy, coalition, deadlock_action)` recipe).
-pub fn mediator_deviant_cells(
+/// The generated deviant cells of a mediator-game plan for one coalition
+/// ([`GameFamily::deviant_cells`]): gossip-clique colluders under each
+/// [`collusion_battery`] rule, re-bound to `cfg`'s deadlock action, plus
+/// message-level tampering of the honest player through the [`Tamper`]
+/// hook.
+pub(crate) fn mediator_cells(
     plan: &MediatorPlan,
     coalition: &[usize],
-    deadlock_action: Option<Action>,
+    cfg: &Conformance,
 ) -> Vec<(String, MediatorPlan)> {
     let n = plan.players();
     let wills = plan.spec().wills.clone();
     let inputs: Vec<Vec<Fp>> = plan.inputs().to_vec();
-    let deadlock = deadlock_action;
+    let deadlock = cfg.deadlock_action;
     let mut cells: Vec<(String, MediatorPlan)> = Vec::new();
     let will_of = |m: usize| -> Action {
         deadlock
@@ -1375,12 +1333,14 @@ pub fn mediator_deviant_cells(
             };
             let base_will = will_of(m);
             let input = inputs[m].clone();
-            p = p.with_deviant(m, move || {
-                Box::new(
-                    GossipColluder::new(n, partners.clone(), rule, base_will)
-                        .with_input(input.clone()),
-                )
-            });
+            p = p
+                .with_deviant(m, move || {
+                    Box::new(
+                        GossipColluder::new(n, partners.clone(), rule, base_will)
+                            .with_input(input.clone()),
+                    )
+                })
+                .expect(MEMBERS_ARE_PLAYERS);
         }
         cells.push((shape.name(), p));
     }
@@ -1407,12 +1367,14 @@ pub fn mediator_deviant_cells(
             let input = inputs[m].clone();
             let will = wills.as_ref().map(|w| w[m]);
             let steps = steps.clone();
-            p = p.with_deviant(m, move || {
-                Box::new(Tamper::new(
-                    crate::mediator::HonestMedPlayer::new(n, input.clone(), will),
-                    TacticState::new(steps.clone()),
-                ))
-            });
+            p = p
+                .with_deviant(m, move || {
+                    Box::new(Tamper::new(
+                        crate::mediator::HonestMedPlayer::new(n, input.clone(), will),
+                        TacticState::new(steps.clone()),
+                    ))
+                })
+                .expect(MEMBERS_ARE_PLAYERS);
         }
         cells.push((name.into(), p));
     }
@@ -1588,9 +1550,7 @@ mod tests {
             .naive_split()
             .extra_rounds(1)
             .wills(vec![2; n])
-            .build()
-            .expect("n − k − t ≥ 1")
-            .with_deviant(0, move || {
+            .deviant(0, move || {
                 Box::new(GossipColluder::new(
                     n,
                     [1],
@@ -1598,14 +1558,16 @@ mod tests {
                     2,
                 ))
             })
-            .with_deviant(1, move || {
+            .deviant(1, move || {
                 Box::new(GossipColluder::new(
                     n,
                     [0],
                     CollusionRule::AlwaysCooperate,
                     2,
                 ))
-            });
+            })
+            .build()
+            .expect("n − k − t ≥ 1");
         for seed in 0..4 {
             let out = plan.run_with(&SchedulerKind::Random, seed);
             let moves: Vec<_> = out.moves[..n].to_vec();
@@ -1629,8 +1591,7 @@ mod tests {
             .inputs(vec![vec![Fp::ONE]; n])
             .build()
             .expect("5 > 4");
-        let _ = cheap_talk_conformance(
-            &plan,
+        let _ = plan.conformance(
             &game,
             &vec![1; n],
             &Conformance::new(0.05, 1, 0).coalitions(vec![vec![]]),
@@ -1654,8 +1615,7 @@ mod tests {
             .inputs(vec![vec![Fp::ONE]; n])
             .build()
             .expect("5 > 4");
-        let report = cheap_talk_conformance(
-            &plan,
+        let report = plan.conformance(
             &game,
             &vec![1; n],
             &Conformance::new(0.05, 1, 0)

@@ -404,7 +404,7 @@ pub fn certification(
 }
 
 /// The §6.4 companion plan at `(n, k)`: the naive two-round mediator over
-/// the counterexample circuit, wills and resolve defaults all ⊥. Single
+/// the counterexample circuit, wills and default actions all ⊥. Single
 /// source for the sweep, the witness persistence recipe, and `--replay`.
 pub fn companion_plan(n: usize, k: usize, t: usize) -> MediatorPlan {
     Scenario::mediator(catalog::counterexample_naive(n))
@@ -412,7 +412,7 @@ pub fn companion_plan(n: usize, k: usize, t: usize) -> MediatorPlan {
         .tolerance(k, t)
         .naive_split()
         .wills(vec![BOT; n])
-        .resolve_defaults(vec![BOT; n])
+        .default_actions(vec![BOT; n])
         .build()
         .expect("companion cells guarantee k + t < n")
 }

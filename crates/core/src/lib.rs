@@ -65,7 +65,7 @@ pub mod scenario;
 
 pub use adversary::{
     render_sweep_report, run_sweep_cell, run_sweep_unit, sweep_unit_plan, sweep_units, Conformance,
-    ConformanceReport, ConformanceVerdict, Deviation, DeviationWitness, SweepPlan, SweepUnit,
+    ConformanceReport, ConformanceVerdict, Deviation, DeviationWitness, SweepUnit,
 };
 pub use cheap_talk::CtMsg;
 pub use deviations::Behavior;
@@ -77,5 +77,5 @@ pub use lease::{LeaseLedger, Reclaim};
 pub use mediator::MedMsg;
 pub use scenario::{
     Batch, CheapTalkPlan, MediatorPlan, Resolve, RunRecord, RunSet, Scenario, ScenarioError,
-    SessionPlan, Theorem,
+    Theorem,
 };

@@ -77,6 +77,9 @@ pub struct MediatorGameSpec {
     pub extra_rounds: u64,
     /// Wills (Aumann–Hart): action each honest player leaves in its will.
     pub wills: Option<Vec<Action>>,
+    /// Fallback actions (one per player) for resolving players that never
+    /// moved and left no will — the default moves `M_i`.
+    pub default_actions: Vec<Action>,
 }
 
 impl MediatorGameSpec {

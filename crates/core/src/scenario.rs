@@ -8,10 +8,17 @@
 //! * **[`Scenario`] builders** — `Scenario::cheap_talk(circuit)` /
 //!   `Scenario::mediator(circuit)` with fluent `.players(n)`,
 //!   `.tolerance(k, t)`, `.input(i, …)`, `.deviant(i, …)`, `.wills(…)`,
-//!   `.scheduler(…)` steps. `build()` selects the
-//!   theorem regime from the configured machinery and **validates the
-//!   threshold** (`n > 4k+4t` for Theorem 4.1, …), returning a typed
-//!   [`ScenarioError`] instead of a downstream panic.
+//!   `.scheduler(…)` steps. `build()` runs the family's tolerance check
+//!   (the theorem **threshold**, `n > 4k+4t` for Theorem 4.1, …; or
+//!   `k + t < n` for the mediator), then one validation both families
+//!   share, returning a typed [`ScenarioError`] instead of a downstream
+//!   panic.
+//! * **One plan type** — both builders produce a [`Plan`]:
+//!   [`CheapTalkPlan`] and [`MediatorPlan`] are its two instances, and
+//!   [`GameFamily`] holds the little that differs (message and deviant
+//!   types, world assembly, process count, infinite-play resolution,
+//!   generated deviant cells). Runs, sessions, batches and conformance
+//!   sweeps are written once.
 //! * **Batch execution plans** — `.battery(SchedulerKind::battery(n))
 //!   .seeds(0..4000).run_batch()` fans the `(scheduler, seed)` grid across
 //!   `std::thread` workers and returns a [`RunSet`] with built-in
@@ -19,8 +26,8 @@
 //! * **Steppable sessions** — `.session()` opens the identical run as a
 //!   [`Session`]: `step()` one event at a time, inspect `pending()`,
 //!   `inject(…)` external messages, `finish()` into the ordinary
-//!   [`Outcome`]. This is the seam a future async/network backend attaches
-//!   to.
+//!   [`Outcome`]. This is the seam the `mediator-net` service hosts and
+//!   the trace store replays.
 //!
 //! # Example
 //!
@@ -48,6 +55,7 @@
 //! }
 //! ```
 
+use crate::adversary::Conformance;
 use crate::cheap_talk::{CheapTalkPlayer, CheapTalkSpec, CtMsg, CtVariant};
 use crate::deviations::Behavior;
 use crate::mediator::{CircuitMediator, HonestMedPlayer, MedMsg, MediatorGameSpec};
@@ -64,18 +72,6 @@ fn default_batch_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Tunes a world for deterministic replay when `kind` is
-/// [`SchedulerKind::Replay`]: drops are allowed exactly when the recording
-/// contains them (a relaxed recording replays its blackout; an ordinary
-/// recording must not gain the ability to drop).
-fn tune_world_for_replay<M>(world: &mut World<M>, kind: &SchedulerKind) {
-    if let SchedulerKind::Replay(script) = kind {
-        if script.has_drops() {
-            world.allow_drops();
-        }
-    }
 }
 
 /// The four cheap-talk theorem regimes and their resilience thresholds.
@@ -226,21 +222,9 @@ impl Scenario {
     /// simulated). Configure with the fluent steps, then [`CheapTalk::build`].
     pub fn cheap_talk(circuit: Circuit) -> CheapTalk {
         CheapTalk {
-            circuit,
-            n: None,
-            k: 0,
-            t: 0,
+            draft: Draft::new(circuit, 8_000_000),
             kappa: None,
-            punishment: None,
-            inputs_all: None,
-            inputs_one: Vec::new(),
-            behaviors: Vec::new(),
-            defaults: None,
-            default_actions: None,
             coin_seed: 0x5EED,
-            scheduler: SchedulerKind::Random,
-            seed: 0,
-            max_steps: 8_000_000,
             allow_sub_threshold: false,
         }
     }
@@ -249,22 +233,161 @@ impl Scenario {
     /// mediator's strategy). Configure, then [`MediatorGame::build`].
     pub fn mediator(circuit: Circuit) -> MediatorGame {
         MediatorGame {
+            draft: Draft::new(circuit, 200_000),
+            naive_split: false,
+            extra_rounds: 0,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared builder state and validation
+// ---------------------------------------------------------------------------
+
+/// The builder state both game families share.
+#[derive(Clone)]
+struct Draft<F: GameFamily> {
+    circuit: Circuit,
+    n: Option<usize>,
+    k: usize,
+    t: usize,
+    wills: Option<Vec<Action>>,
+    inputs_all: Option<Vec<Vec<Fp>>>,
+    inputs_one: Vec<(usize, Vec<Fp>)>,
+    deviants: Vec<(usize, F::Deviant)>,
+    defaults: Option<Vec<Vec<Fp>>>,
+    default_actions: Option<Vec<Action>>,
+    scheduler: SchedulerKind,
+    seed: u64,
+    max_steps: u64,
+}
+
+/// What the shared validation hands a family to build its spec from.
+struct Validated {
+    n: usize,
+    k: usize,
+    t: usize,
+    circuit: Arc<Circuit>,
+    defaults: Vec<Vec<Fp>>,
+    wills: Option<Vec<Action>>,
+    default_actions: Vec<Action>,
+}
+
+fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), ScenarioError> {
+    if expected == got {
+        Ok(())
+    } else {
+        Err(ScenarioError::ArityMismatch {
+            what,
+            expected,
+            got,
+        })
+    }
+}
+
+/// The mediator game's tolerance check, and the basic sense the cheap-talk
+/// hatch keeps: a sharing degree of `k + t` needs strictly more points.
+fn tolerance_fits(n: usize, k: usize, t: usize) -> Result<(), ScenarioError> {
+    if k + t < n {
+        Ok(())
+    } else {
+        Err(ScenarioError::ToleranceTooLarge { n, k, t })
+    }
+}
+
+impl<F: GameFamily> Draft<F> {
+    fn new(circuit: Circuit, max_steps: u64) -> Self {
+        Draft {
             circuit,
             n: None,
             k: 0,
             t: 0,
-            naive_split: false,
-            extra_rounds: 0,
             wills: None,
             inputs_all: None,
             inputs_one: Vec::new(),
             deviants: Vec::new(),
             defaults: None,
-            resolve_defaults: None,
+            default_actions: None,
             scheduler: SchedulerKind::Random,
             seed: 0,
-            max_steps: 200_000,
+            max_steps,
         }
+    }
+
+    /// The one validation both builders run, in order: `n`, the circuit's
+    /// players, the family's `tolerance` check over `(n, k, t)`, default
+    /// inputs (count and per-player arity), wills, default actions,
+    /// inputs, per-player input arity, then each deviant through
+    /// [`Plan`]'s own check. The plan is assembled around the spec `spec`
+    /// builds from what passed.
+    fn build(
+        self,
+        tolerance: impl FnOnce(usize, usize, usize) -> Result<(), ScenarioError>,
+        spec: impl FnOnce(Validated) -> F,
+    ) -> Result<Plan<F>, ScenarioError> {
+        let n = self.n.filter(|&n| n > 0).ok_or(ScenarioError::NoPlayers)?;
+        check_len("circuit players", n, self.circuit.num_players())?;
+        tolerance(n, self.k, self.t)?;
+        let arity = self.circuit.inputs_per_player().to_vec();
+        let defaults = match self.defaults {
+            Some(d) => {
+                check_len("default inputs", n, d.len())?;
+                for (default, &a) in d.iter().zip(&arity) {
+                    check_len("default input arity", a, default.len())?;
+                }
+                d
+            }
+            None => arity.iter().map(|&a| vec![Fp::ZERO; a]).collect(),
+        };
+        if let Some(w) = &self.wills {
+            check_len("wills", n, w.len())?;
+        }
+        let default_actions = match self.default_actions {
+            Some(a) => {
+                check_len("default actions", n, a.len())?;
+                a
+            }
+            None => vec![0; n],
+        };
+        let mut inputs = match self.inputs_all {
+            Some(i) => {
+                check_len("inputs", n, i.len())?;
+                i
+            }
+            None => defaults.clone(),
+        };
+        for (p, input) in self.inputs_one {
+            if p >= n {
+                return Err(ScenarioError::PlayerOutOfRange {
+                    what: "input",
+                    player: p,
+                    n,
+                });
+            }
+            inputs[p] = input;
+        }
+        for (input, &a) in inputs.iter().zip(&arity) {
+            check_len("player input arity", a, input.len())?;
+        }
+        let plan = Plan {
+            spec: spec(Validated {
+                n,
+                k: self.k,
+                t: self.t,
+                circuit: Arc::new(self.circuit),
+                defaults,
+                wills: self.wills,
+                default_actions,
+            }),
+            inputs,
+            deviants: BTreeMap::new(),
+            scheduler: self.scheduler,
+            seed: self.seed,
+            max_steps: self.max_steps,
+        };
+        self.deviants
+            .into_iter()
+            .try_fold(plan, |plan, (p, d)| plan.deviate(p, d))
     }
 }
 
@@ -285,28 +408,16 @@ impl Scenario {
 /// | yes | yes | [`Theorem::EpsilonPunishment45`] |
 #[derive(Clone)]
 pub struct CheapTalk {
-    circuit: Circuit,
-    n: Option<usize>,
-    k: usize,
-    t: usize,
+    draft: Draft<CheapTalkSpec>,
     kappa: Option<usize>,
-    punishment: Option<Vec<Action>>,
-    inputs_all: Option<Vec<Vec<Fp>>>,
-    inputs_one: Vec<(usize, Vec<Fp>)>,
-    behaviors: Vec<(usize, Behavior)>,
-    defaults: Option<Vec<Vec<Fp>>>,
-    default_actions: Option<Vec<Action>>,
     coin_seed: u64,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_steps: u64,
     allow_sub_threshold: bool,
 }
 
 impl CheapTalk {
     /// Sets the number of players.
     pub fn players(mut self, n: usize) -> Self {
-        self.n = Some(n);
+        self.draft.n = Some(n);
         self
     }
 
@@ -314,8 +425,8 @@ impl CheapTalk {
     /// players. The theorem threshold over `(n, k, t)` is validated by
     /// [`CheapTalk::build`].
     pub fn tolerance(mut self, k: usize, t: usize) -> Self {
-        self.k = k;
-        self.t = t;
+        self.draft.k = k;
+        self.draft.t = t;
         self
     }
 
@@ -336,41 +447,41 @@ impl CheapTalk {
     /// Configures punishment wills (one action per player) and the
     /// cotermination barrier: Theorem 4.4, or 4.5 under the ε engine.
     pub fn wills(mut self, punishment: Vec<Action>) -> Self {
-        self.punishment = Some(punishment);
+        self.draft.wills = Some(punishment);
         self
     }
 
     /// Sets player `i`'s private input (players not set fall back to the
     /// default inputs).
     pub fn input(mut self, i: usize, input: Vec<Fp>) -> Self {
-        self.inputs_one.push((i, input));
+        self.draft.inputs_one.push((i, input));
         self
     }
 
     /// Sets every player's private input at once.
     pub fn inputs(mut self, inputs: Vec<Vec<Fp>>) -> Self {
-        self.inputs_all = Some(inputs);
+        self.draft.inputs_all = Some(inputs);
         self
     }
 
     /// Makes player `i` play the given parameterized deviation instead of
     /// the honest strategy.
     pub fn deviant(mut self, i: usize, behavior: Behavior) -> Self {
-        self.behaviors.push((i, behavior));
+        self.draft.deviants.push((i, behavior));
         self
     }
 
     /// Overrides the default circuit inputs used for excluded players
     /// (zeroes of the circuit's per-player arity if not set).
     pub fn default_inputs(mut self, defaults: Vec<Vec<Fp>>) -> Self {
-        self.defaults = Some(defaults);
+        self.draft.defaults = Some(defaults);
         self
     }
 
     /// Overrides the default moves `M_i` played on abort without wills
     /// (all-zero if not set).
     pub fn default_actions(mut self, actions: Vec<Action>) -> Self {
-        self.default_actions = Some(actions);
+        self.draft.default_actions = Some(actions);
         self
     }
 
@@ -383,19 +494,19 @@ impl CheapTalk {
     /// Sets the scheduler used by single runs and sessions (batches carry
     /// their own battery). Defaults to [`SchedulerKind::Random`].
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
+        self.draft.scheduler = kind;
         self
     }
 
     /// Sets the seed used by single runs and sessions. Defaults to 0.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.draft.seed = seed;
         self
     }
 
     /// Sets the step budget (livelock guard). Defaults to 8 000 000.
     pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
+        self.draft.max_steps = max_steps;
         self
     }
 
@@ -427,7 +538,7 @@ impl CheapTalk {
 
     /// The theorem regime the configured machinery selects.
     pub fn selected_theorem(&self) -> Theorem {
-        match (self.kappa.is_some(), self.punishment.is_some()) {
+        match (self.kappa.is_some(), self.draft.wills.is_some()) {
             (false, false) => Theorem::Robust41,
             (true, false) => Theorem::Epsilon42,
             (false, true) => Theorem::Punishment44,
@@ -438,278 +549,34 @@ impl CheapTalk {
     /// Validates the scenario — the theorem threshold first — and produces
     /// the executable [`CheapTalkPlan`].
     pub fn build(self) -> Result<CheapTalkPlan, ScenarioError> {
-        let n = self.n.filter(|&n| n > 0).ok_or(ScenarioError::NoPlayers)?;
-        if self.circuit.num_players() != n {
-            return Err(ScenarioError::ArityMismatch {
-                what: "circuit players",
-                expected: n,
-                got: self.circuit.num_players(),
-            });
-        }
         let theorem = self.selected_theorem();
-        if !theorem.admits(n, self.k, self.t) {
-            if !self.allow_sub_threshold {
-                return Err(ScenarioError::Threshold {
-                    theorem,
-                    n,
-                    k: self.k,
-                    t: self.t,
-                });
-            }
-            // The hatch waives the theorem guarantee, not basic sense:
-            // a sharing degree of k + t needs strictly more points.
-            if self.k + self.t >= n {
-                return Err(ScenarioError::ToleranceTooLarge {
-                    n,
-                    k: self.k,
-                    t: self.t,
-                });
-            }
-        }
-        let arity = self.circuit.inputs_per_player().to_vec();
-        let defaults = match self.defaults {
-            Some(d) => {
-                if d.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "default inputs",
-                        expected: n,
-                        got: d.len(),
-                    });
-                }
-                d
-            }
-            None => arity.iter().map(|&a| vec![Fp::ZERO; a]).collect(),
+        let hatch = self.allow_sub_threshold;
+        let coin_seed = self.coin_seed;
+        let variant = match self.kappa {
+            None => CtVariant::Robust,
+            Some(kappa) => CtVariant::Epsilon { kappa },
         };
-        let default_actions = match self.default_actions {
-            Some(a) if a.len() != n => {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "default actions",
-                    expected: n,
-                    got: a.len(),
-                });
+        let threshold = |n, k, t| {
+            if theorem.admits(n, k, t) {
+                Ok(())
+            } else if hatch {
+                tolerance_fits(n, k, t)
+            } else {
+                Err(ScenarioError::Threshold { theorem, n, k, t })
             }
-            Some(a) => a,
-            None => vec![0; n],
         };
-        if let Some(p) = &self.punishment {
-            if p.len() != n {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "wills",
-                    expected: n,
-                    got: p.len(),
-                });
-            }
-        }
-        let mut inputs = match self.inputs_all {
-            Some(i) => {
-                if i.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "inputs",
-                        expected: n,
-                        got: i.len(),
-                    });
-                }
-                i
-            }
-            None => defaults.clone(),
-        };
-        for (p, input) in self.inputs_one {
-            if p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "input",
-                    player: p,
-                    n,
-                });
-            }
-            inputs[p] = input;
-        }
-        for (p, input) in inputs.iter().enumerate() {
-            if input.len() != arity[p] {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "player input arity",
-                    expected: arity[p],
-                    got: input.len(),
-                });
-            }
-        }
-        let barrier = self.punishment.is_some();
-        let spec = CheapTalkSpec {
-            n,
-            k: self.k,
-            t: self.t,
-            variant: match self.kappa {
-                None => CtVariant::Robust,
-                Some(kappa) => CtVariant::Epsilon { kappa },
-            },
-            circuit: Arc::new(self.circuit),
-            coin_seed: self.coin_seed,
-            defaults,
-            punishment: self.punishment,
-            default_actions,
-            barrier,
-        };
-        let plan = CheapTalkPlan {
-            spec,
-            inputs,
-            behaviors: BTreeMap::new(),
-            scheduler: self.scheduler,
-            seed: self.seed,
-            max_steps: self.max_steps,
-        };
-        self.behaviors
-            .into_iter()
-            .try_fold(plan, |plan, (p, b)| plan.with_deviant(p, b))
-    }
-}
-
-/// A validated, executable cheap-talk scenario.
-///
-/// Cloneable and `Sync`: one plan fans out across however many runs,
-/// sessions, and worker threads the experiment needs.
-#[derive(Debug, Clone)]
-pub struct CheapTalkPlan {
-    spec: CheapTalkSpec,
-    inputs: Vec<Vec<Fp>>,
-    behaviors: BTreeMap<usize, Behavior>,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_steps: u64,
-}
-
-impl CheapTalkPlan {
-    /// The validated spec.
-    pub fn spec(&self) -> &CheapTalkSpec {
-        &self.spec
-    }
-
-    /// The resolved per-player inputs.
-    pub fn inputs(&self) -> &[Vec<Fp>] {
-        &self.inputs
-    }
-
-    /// Adds (or replaces) one player's deviation. A player id `≥ n`, or an
-    /// `input_override` whose length is not that player's input arity, is
-    /// refused here, before any engine could start on it.
-    pub fn with_deviant(mut self, p: usize, behavior: Behavior) -> Result<Self, ScenarioError> {
-        let n = self.spec.n;
-        let Some(&expected) = self.spec.circuit.inputs_per_player().get(p) else {
-            return Err(ScenarioError::PlayerOutOfRange {
-                what: "deviant",
-                player: p,
-                n,
-            });
-        };
-        match &behavior.input_override {
-            Some(lie) if lie.len() != expected => Err(ScenarioError::ArityMismatch {
-                what: "deviant input",
-                expected,
-                got: lie.len(),
-            }),
-            _ => {
-                self.behaviors.insert(p, behavior);
-                Ok(self)
-            }
-        }
-    }
-
-    fn build_world(&self, seed: u64) -> World<CtMsg> {
-        let n = self.spec.n;
-        let procs: Vec<Box<dyn Process<CtMsg>>> = (0..n)
-            .map(|p| {
-                let b = self.behaviors.get(&p).cloned().unwrap_or_default();
-                Box::new(CheapTalkPlayer::with_behavior(
-                    self.spec.clone(),
-                    p,
-                    self.inputs[p].clone(),
-                    b,
-                )) as Box<dyn Process<CtMsg>>
-            })
-            .collect();
-        World::new(procs, seed)
-    }
-
-    /// Runs once with the configured scheduler and seed.
-    pub fn run(&self) -> Outcome {
-        self.run_with(&self.scheduler, self.seed)
-    }
-
-    /// Runs once with an explicit scheduler kind and seed. A
-    /// [`SchedulerKind::Replay`] kind re-enacts a recorded run: drops are
-    /// enabled iff the script has them.
-    pub fn run_with(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
-        let mut world = self.build_world(seed);
-        tune_world_for_replay(&mut world, kind);
-        let mut sched = kind.build();
-        world.run(sched.as_mut(), self.max_steps)
-    }
-
-    /// Opens the configured run as a steppable [`Session`].
-    pub fn session(&self) -> Session<CtMsg> {
-        self.session_with(&self.scheduler, self.seed)
-    }
-
-    /// Opens a steppable [`Session`] with an explicit scheduler and seed.
-    pub fn session_with(&self, kind: &SchedulerKind, seed: u64) -> Session<CtMsg> {
-        let mut world = self.build_world(seed);
-        tune_world_for_replay(&mut world, kind);
-        Session::new(world, kind.build(), self.max_steps)
-    }
-
-    /// Starts a batch over the given scheduler battery (seeds default to
-    /// the plan's single seed until [`Batch::seeds`] widens them).
-    pub fn battery(&self, kinds: Vec<SchedulerKind>) -> Batch<CheapTalkPlan> {
-        Batch::new(self.clone()).battery(kinds)
-    }
-
-    /// Starts a batch over the given seeds (scheduler battery defaults to
-    /// the plan's single scheduler until [`Batch::battery`] widens it).
-    pub fn seeds(&self, seeds: impl IntoIterator<Item = u64>) -> Batch<CheapTalkPlan> {
-        Batch::new(self.clone()).seeds(seeds)
-    }
-
-    /// Runs the equilibrium conformance harness over this plan: every
-    /// coalition of size ≤ `cfg.k` plays every generated adversary-plane
-    /// strategy across the scheduler battery × seed grid, utilities are
-    /// accounted with confidence intervals against the honest baseline
-    /// under `game`/`types`, and the report's verdict states whether the
-    /// plan is ε-k-resilient within the statistical bound — or exhibits a
-    /// concrete witnessing deviation. See
-    /// [`adversary`](crate::adversary) for the strategy grammar.
-    pub fn conformance(
-        &self,
-        game: &mediator_games::BayesianGame,
-        types: &[usize],
-        cfg: &crate::adversary::Conformance,
-    ) -> crate::adversary::ConformanceReport {
-        crate::adversary::cheap_talk_conformance(self, game, types, cfg)
-    }
-}
-
-impl BatchRun for CheapTalkPlan {
-    fn run_one(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
-        self.run_with(kind, seed)
-    }
-
-    fn players(&self) -> usize {
-        self.spec.n
-    }
-
-    fn default_scheduler(&self) -> SchedulerKind {
-        self.scheduler.clone()
-    }
-
-    fn default_seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn resolve_mode(&self) -> Resolve {
-        // The paper's two infinite-play semantics: wills (Aumann–Hart)
-        // when the spec carries a punishment, default moves otherwise.
-        if self.spec.punishment.is_some() {
-            Resolve::Ah(self.spec.default_actions.clone())
-        } else {
-            Resolve::Default(self.spec.default_actions.clone())
-        }
+        self.draft.build(threshold, |v| CheapTalkSpec {
+            n: v.n,
+            k: v.k,
+            t: v.t,
+            variant,
+            circuit: v.circuit,
+            coin_seed,
+            defaults: v.defaults,
+            barrier: v.wills.is_some(),
+            punishment: v.wills,
+            default_actions: v.default_actions,
+        })
     }
 }
 
@@ -725,35 +592,23 @@ pub type DeviantFactory = Arc<dyn Fn() -> Box<dyn Process<MedMsg>> + Send + Sync
 /// including the §6.4 naive two-round shape).
 #[derive(Clone)]
 pub struct MediatorGame {
-    circuit: Circuit,
-    n: Option<usize>,
-    k: usize,
-    t: usize,
+    draft: Draft<MediatorGameSpec>,
     naive_split: bool,
     extra_rounds: u64,
-    wills: Option<Vec<Action>>,
-    inputs_all: Option<Vec<Vec<Fp>>>,
-    inputs_one: Vec<(usize, Vec<Fp>)>,
-    deviants: Vec<(usize, DeviantFactory)>,
-    defaults: Option<Vec<Vec<Fp>>>,
-    resolve_defaults: Option<Vec<Action>>,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_steps: u64,
 }
 
 impl MediatorGame {
     /// Sets the number of players (the mediator is process `n` on top).
     pub fn players(mut self, n: usize) -> Self {
-        self.n = Some(n);
+        self.draft.n = Some(n);
         self
     }
 
     /// Sets the tolerance pair `(k, t)`; the mediator waits for
     /// `n − k − t` complete inputs before computing.
     pub fn tolerance(mut self, k: usize, t: usize) -> Self {
-        self.k = k;
-        self.t = t;
+        self.draft.k = k;
+        self.draft.t = t;
         self
     }
 
@@ -772,19 +627,19 @@ impl MediatorGame {
 
     /// Configures the Aumann–Hart wills each honest player leaves at start.
     pub fn wills(mut self, wills: Vec<Action>) -> Self {
-        self.wills = Some(wills);
+        self.draft.wills = Some(wills);
         self
     }
 
     /// Sets player `i`'s private input.
     pub fn input(mut self, i: usize, input: Vec<Fp>) -> Self {
-        self.inputs_one.push((i, input));
+        self.draft.inputs_one.push((i, input));
         self
     }
 
     /// Sets every player's private input at once.
     pub fn inputs(mut self, inputs: Vec<Vec<Fp>>) -> Self {
-        self.inputs_all = Some(inputs);
+        self.draft.inputs_all = Some(inputs);
         self
     }
 
@@ -795,178 +650,265 @@ impl MediatorGame {
         i: usize,
         factory: impl Fn() -> Box<dyn Process<MedMsg>> + Send + Sync + 'static,
     ) -> Self {
-        self.deviants.push((i, Arc::new(factory)));
+        self.draft.deviants.push((i, Arc::new(factory)));
         self
     }
 
     /// Overrides the default inputs for players whose input never arrives
     /// (zeroes of the circuit's per-player arity if not set).
     pub fn default_inputs(mut self, defaults: Vec<Vec<Fp>>) -> Self {
-        self.defaults = Some(defaults);
+        self.draft.defaults = Some(defaults);
         self
     }
 
     /// Sets the fallback actions (one per player) used when a [`RunSet`]
     /// resolves outcomes of players that never moved and left no will.
     /// Defaults to all-zero.
-    pub fn resolve_defaults(mut self, actions: Vec<Action>) -> Self {
-        self.resolve_defaults = Some(actions);
+    pub fn default_actions(mut self, actions: Vec<Action>) -> Self {
+        self.draft.default_actions = Some(actions);
         self
     }
 
     /// Sets the scheduler used by single runs and sessions.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
+        self.draft.scheduler = kind;
         self
     }
 
     /// Sets the seed used by single runs and sessions.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.draft.seed = seed;
         self
     }
 
     /// Sets the step budget. Defaults to 200 000 (mediator games are
     /// O(n)-message affairs).
     pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
+        self.draft.max_steps = max_steps;
         self
     }
 
-    /// Validates the scenario and produces the executable [`MediatorPlan`].
+    /// Validates the scenario — `k + t < n` in place of a theorem
+    /// threshold — and produces the executable [`MediatorPlan`].
     pub fn build(self) -> Result<MediatorPlan, ScenarioError> {
-        let n = self.n.filter(|&n| n > 0).ok_or(ScenarioError::NoPlayers)?;
-        if self.circuit.num_players() != n {
-            return Err(ScenarioError::ArityMismatch {
-                what: "circuit players",
-                expected: n,
-                got: self.circuit.num_players(),
-            });
-        }
-        if self.k + self.t >= n {
-            return Err(ScenarioError::ToleranceTooLarge {
-                n,
-                k: self.k,
-                t: self.t,
-            });
-        }
-        let arity = self.circuit.inputs_per_player().to_vec();
-        let defaults = match self.defaults {
-            Some(d) => {
-                if d.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "default inputs",
-                        expected: n,
-                        got: d.len(),
-                    });
-                }
-                d
-            }
-            None => arity.iter().map(|&a| vec![Fp::ZERO; a]).collect(),
-        };
-        if let Some(w) = &self.wills {
-            if w.len() != n {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "wills",
-                    expected: n,
-                    got: w.len(),
-                });
-            }
-        }
-        let resolve_defaults = match self.resolve_defaults {
-            Some(a) if a.len() != n => {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "resolve defaults",
-                    expected: n,
-                    got: a.len(),
-                });
-            }
-            Some(a) => a,
-            None => vec![0; n],
-        };
-        let mut inputs = match self.inputs_all {
-            Some(i) => {
-                if i.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "inputs",
-                        expected: n,
-                        got: i.len(),
-                    });
-                }
-                i
-            }
-            None => defaults.clone(),
-        };
-        for (p, input) in self.inputs_one {
-            if p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "input",
-                    player: p,
-                    n,
-                });
-            }
-            inputs[p] = input;
-        }
-        // The mediator accepts an input iff its arity matches the player's
-        // default (mediator.rs `on_message`): reject the mismatch here
-        // instead of letting the input be silently ignored downstream.
-        for (p, input) in inputs.iter().enumerate() {
-            if input.len() != defaults[p].len() {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "player input arity",
-                    expected: defaults[p].len(),
-                    got: input.len(),
-                });
-            }
-        }
-        if let Some(&(player, _)) = self.deviants.iter().find(|(p, _)| *p >= n) {
-            return Err(ScenarioError::PlayerOutOfRange {
-                what: "deviant",
-                player,
-                n,
-            });
-        }
-        let spec = MediatorGameSpec {
-            n,
-            k: self.k,
-            t: self.t,
-            circuit: Arc::new(self.circuit),
-            defaults,
-            naive_split: self.naive_split,
-            extra_rounds: self.extra_rounds,
-            wills: self.wills,
-        };
-        Ok(MediatorPlan {
-            spec,
-            inputs,
-            deviants: self.deviants.into_iter().collect(),
-            resolve_defaults,
-            scheduler: self.scheduler,
-            seed: self.seed,
-            max_steps: self.max_steps,
+        let (naive_split, extra_rounds) = (self.naive_split, self.extra_rounds);
+        self.draft.build(tolerance_fits, |v| MediatorGameSpec {
+            n: v.n,
+            k: v.k,
+            t: v.t,
+            circuit: v.circuit,
+            defaults: v.defaults,
+            naive_split,
+            extra_rounds,
+            wills: v.wills,
+            default_actions: v.default_actions,
         })
     }
 }
 
-/// A validated, executable mediator-game scenario.
+// ---------------------------------------------------------------------------
+// The two game families
+// ---------------------------------------------------------------------------
+
+/// What differs between the two game families a [`Plan`] runs: cheap talk
+/// ([`CheapTalkSpec`]) and the mediator game ([`MediatorGameSpec`]).
+/// Everything else — single runs, sessions, batches, conformance sweeps,
+/// hosting over the wire, replay — is written once over this trait.
+pub trait GameFamily: Clone + fmt::Debug + Send + Sync + 'static {
+    /// The message type the family's processes exchange.
+    type Msg: Send + 'static;
+    /// How one deviating player is described: a [`Behavior`] the
+    /// cheap-talk player runs, or a [`DeviantFactory`] whose process
+    /// replaces the honest mediator-game player.
+    type Deviant: Clone + Send + Sync + 'static;
+
+    /// Number of game players.
+    fn players(&self) -> usize;
+
+    /// Number of processes in an opened world: the players, plus the
+    /// mediator (process `n`) in a mediator game.
+    fn processes(&self) -> usize;
+
+    /// Assembles one run's world: honest players on `inputs`, except the
+    /// players `deviants` names.
+    fn world(
+        &self,
+        inputs: &[Vec<Fp>],
+        deviants: &BTreeMap<usize, Self::Deviant>,
+        seed: u64,
+    ) -> World<Self::Msg>;
+
+    /// How a [`RunSet`] resolves infinite play.
+    fn resolve(&self) -> Resolve;
+
+    /// Refuses a deviant for `player` (already known to be a player) that
+    /// this family cannot run.
+    fn check_deviant(&self, _player: usize, _deviant: &Self::Deviant) -> Result<(), ScenarioError> {
+        Ok(())
+    }
+
+    /// The generated `(strategy name, deviant plan)` cells of the
+    /// conformance sweep for `coalition` under `cfg`. Names are unique
+    /// within one coalition: they are the portable half of a
+    /// [`SweepUnit`](crate::adversary::SweepUnit)'s identity, which replay
+    /// and the sharded sweep rebuild cells from.
+    fn deviant_cells(
+        plan: &Plan<Self>,
+        coalition: &[usize],
+        cfg: &Conformance,
+    ) -> Vec<(String, Plan<Self>)>;
+}
+
+impl GameFamily for CheapTalkSpec {
+    type Msg = CtMsg;
+    type Deviant = Behavior;
+
+    fn players(&self) -> usize {
+        self.n
+    }
+
+    fn processes(&self) -> usize {
+        self.n
+    }
+
+    fn world(
+        &self,
+        inputs: &[Vec<Fp>],
+        deviants: &BTreeMap<usize, Behavior>,
+        seed: u64,
+    ) -> World<CtMsg> {
+        let procs: Vec<Box<dyn Process<CtMsg>>> = (0..self.n)
+            .map(|p| {
+                let b = deviants.get(&p).cloned().unwrap_or_default();
+                Box::new(CheapTalkPlayer::with_behavior(
+                    self.clone(),
+                    p,
+                    inputs[p].clone(),
+                    b,
+                )) as Box<dyn Process<CtMsg>>
+            })
+            .collect();
+        World::new(procs, seed)
+    }
+
+    fn resolve(&self) -> Resolve {
+        // The paper's two infinite-play semantics: wills (Aumann–Hart)
+        // when the spec carries a punishment, default moves otherwise.
+        if self.punishment.is_some() {
+            Resolve::Ah(self.default_actions.clone())
+        } else {
+            Resolve::Default(self.default_actions.clone())
+        }
+    }
+
+    /// An `input_override` whose length is not the player's input arity is
+    /// refused here, before any engine could start on it.
+    fn check_deviant(&self, player: usize, behavior: &Behavior) -> Result<(), ScenarioError> {
+        match &behavior.input_override {
+            Some(lie) => check_len(
+                "deviant input",
+                self.circuit.inputs_per_player()[player],
+                lie.len(),
+            ),
+            None => Ok(()),
+        }
+    }
+
+    fn deviant_cells(
+        plan: &CheapTalkPlan,
+        coalition: &[usize],
+        _cfg: &Conformance,
+    ) -> Vec<(String, CheapTalkPlan)> {
+        crate::adversary::cheap_talk_cells(plan, coalition)
+    }
+}
+
+impl GameFamily for MediatorGameSpec {
+    type Msg = MedMsg;
+    type Deviant = DeviantFactory;
+
+    fn players(&self) -> usize {
+        self.n
+    }
+
+    fn processes(&self) -> usize {
+        self.n + 1
+    }
+
+    /// Each registered deviant's factory is invoked once, everyone else
+    /// plays the honest canonical strategy, and the mediator is process
+    /// `n`.
+    fn world(
+        &self,
+        inputs: &[Vec<Fp>],
+        deviants: &BTreeMap<usize, DeviantFactory>,
+        seed: u64,
+    ) -> World<MedMsg> {
+        let n = self.n;
+        let mut procs: Vec<Box<dyn Process<MedMsg>>> = (0..n)
+            .map(|p| match deviants.get(&p) {
+                Some(factory) => factory(),
+                None => {
+                    let will = self.wills.as_ref().map(|w| w[p]);
+                    Box::new(HonestMedPlayer::new(n, inputs[p].clone(), will))
+                }
+            })
+            .collect();
+        procs.push(Box::new(CircuitMediator::new(self.clone())));
+        World::new(procs, seed)
+    }
+
+    fn resolve(&self) -> Resolve {
+        // The world has n+1 processes (the mediator never moves): pad the
+        // per-player fallbacks with a zero for it.
+        let mut fallback = self.default_actions.clone();
+        fallback.push(0);
+        if self.wills.is_some() {
+            Resolve::Ah(fallback)
+        } else {
+            Resolve::Default(fallback)
+        }
+    }
+
+    fn deviant_cells(
+        plan: &MediatorPlan,
+        coalition: &[usize],
+        cfg: &Conformance,
+    ) -> Vec<(String, MediatorPlan)> {
+        crate::adversary::mediator_cells(plan, coalition, cfg)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Plans
+// ---------------------------------------------------------------------------
+
+/// A validated, executable scenario of either game family.
+///
+/// Cloneable and `Sync`: one plan fans out across however many runs,
+/// sessions, and worker threads the experiment needs.
 #[derive(Clone)]
-pub struct MediatorPlan {
-    spec: MediatorGameSpec,
+pub struct Plan<F: GameFamily> {
+    spec: F,
     inputs: Vec<Vec<Fp>>,
-    deviants: BTreeMap<usize, DeviantFactory>,
-    resolve_defaults: Vec<Action>,
+    deviants: BTreeMap<usize, F::Deviant>,
     scheduler: SchedulerKind,
     seed: u64,
     max_steps: u64,
 }
 
-impl fmt::Debug for MediatorPlan {
+/// A validated, executable cheap-talk scenario.
+pub type CheapTalkPlan = Plan<CheapTalkSpec>;
+
+/// A validated, executable mediator-game scenario.
+pub type MediatorPlan = Plan<MediatorGameSpec>;
+
+impl<F: GameFamily> fmt::Debug for Plan<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MediatorPlan")
+        f.debug_struct("Plan")
             .field("spec", &self.spec)
             .field("inputs", &self.inputs)
             .field("deviants", &self.deviants.keys().collect::<Vec<_>>())
-            .field("resolve_defaults", &self.resolve_defaults)
             .field("scheduler", &self.scheduler)
             .field("seed", &self.seed)
             .field("max_steps", &self.max_steps)
@@ -974,9 +916,9 @@ impl fmt::Debug for MediatorPlan {
     }
 }
 
-impl MediatorPlan {
+impl<F: GameFamily> Plan<F> {
     /// The validated spec.
-    pub fn spec(&self) -> &MediatorGameSpec {
+    pub fn spec(&self) -> &F {
         &self.spec
     }
 
@@ -985,34 +927,56 @@ impl MediatorPlan {
         &self.inputs
     }
 
-    /// Adds (or replaces) player `i`'s deviant factory (see
-    /// [`MediatorGame::deviant`]).
-    pub fn with_deviant(
-        mut self,
-        i: usize,
-        factory: impl Fn() -> Box<dyn Process<MedMsg>> + Send + Sync + 'static,
-    ) -> Self {
-        assert!(i < self.spec.n, "deviant {i} out of range");
-        self.deviants.insert(i, Arc::new(factory));
-        self
+    /// The scheduler single runs and sessions use.
+    pub fn scheduler(&self) -> &SchedulerKind {
+        &self.scheduler
     }
 
-    /// Assembles the `n + 1`-process world: each registered deviant's
-    /// factory is invoked once, everyone else plays the honest canonical
-    /// strategy with `inputs[p]`, and the mediator is process `n`.
-    fn build_world(&self, seed: u64) -> World<MedMsg> {
-        let n = self.spec.n;
-        let mut procs: Vec<Box<dyn Process<MedMsg>>> = (0..n)
-            .map(|p| match self.deviants.get(&p) {
-                Some(factory) => factory(),
-                None => {
-                    let will = self.spec.wills.as_ref().map(|w| w[p]);
-                    Box::new(HonestMedPlayer::new(n, self.inputs[p].clone(), will))
-                }
-            })
-            .collect();
-        procs.push(Box::new(CircuitMediator::new(self.spec.clone())));
-        World::new(procs, seed)
+    /// Number of game players (the mediator excluded).
+    pub fn players(&self) -> usize {
+        self.spec.players()
+    }
+
+    /// Number of processes in an opened world — the players plus, for
+    /// mediator games, the mediator: the `(session-id, player-id)` routes
+    /// a networked run attaches before pumping begins.
+    pub fn processes(&self) -> usize {
+        self.spec.processes()
+    }
+
+    /// How a [`RunSet`] of this plan resolves infinite play.
+    pub fn resolve(&self) -> Resolve {
+        self.spec.resolve()
+    }
+
+    /// Adds (or replaces) one player's deviant, refusing a player id `≥ n`
+    /// and whatever the family's own check refuses.
+    fn deviate(mut self, player: usize, deviant: F::Deviant) -> Result<Self, ScenarioError> {
+        let n = self.players();
+        if player >= n {
+            return Err(ScenarioError::PlayerOutOfRange {
+                what: "deviant",
+                player,
+                n,
+            });
+        }
+        self.spec.check_deviant(player, &deviant)?;
+        self.deviants.insert(player, deviant);
+        Ok(self)
+    }
+
+    /// The `(kind, seed)` cell's world. A [`SchedulerKind::Replay`] kind
+    /// allows drops exactly when the recording contains them (a relaxed
+    /// recording replays its blackout; an ordinary one must not gain the
+    /// ability to drop).
+    fn world(&self, kind: &SchedulerKind, seed: u64) -> World<F::Msg> {
+        let mut world = self.spec.world(&self.inputs, &self.deviants, seed);
+        if let SchedulerKind::Replay(script) = kind {
+            if script.has_drops() {
+                world.allow_drops();
+            }
+        }
+        world
     }
 
     /// Runs once with the configured scheduler and seed.
@@ -1020,12 +984,82 @@ impl MediatorPlan {
         self.run_with(&self.scheduler, self.seed)
     }
 
-    /// Runs once with an explicit scheduler kind and seed.
+    /// Runs once with an explicit scheduler kind and seed. A
+    /// [`SchedulerKind::Replay`] kind re-enacts a recorded run.
     pub fn run_with(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
-        let mut world = self.build_world(seed);
-        tune_world_for_replay(&mut world, kind);
+        let mut world = self.world(kind, seed);
         let mut sched = kind.build();
         world.run(sched.as_mut(), self.max_steps)
+    }
+
+    /// Opens the configured run as a steppable [`Session`].
+    pub fn session(&self) -> Session<F::Msg> {
+        self.session_with(&self.scheduler, self.seed)
+    }
+
+    /// Opens a steppable [`Session`] with an explicit scheduler and seed —
+    /// the seam the transport plane hosts and replay re-enacts.
+    pub fn session_with(&self, kind: &SchedulerKind, seed: u64) -> Session<F::Msg> {
+        Session::new(self.world(kind, seed), kind.build(), self.max_steps)
+    }
+
+    /// Starts a batch over this plan's single scheduler and seed until
+    /// [`Batch::battery`] / [`Batch::seeds`] widen them.
+    pub fn batch(&self) -> Batch<F> {
+        Batch::new(self.clone())
+    }
+
+    /// Starts a batch over the given scheduler battery (seeds default to
+    /// the plan's single seed until [`Batch::seeds`] widens them).
+    pub fn battery(&self, kinds: Vec<SchedulerKind>) -> Batch<F> {
+        self.batch().battery(kinds)
+    }
+
+    /// Starts a batch over the given seeds (scheduler battery defaults to
+    /// the plan's single scheduler until [`Batch::battery`] widens it).
+    pub fn seeds(&self, seeds: impl IntoIterator<Item = u64>) -> Batch<F> {
+        self.batch().seeds(seeds)
+    }
+
+    /// Runs the equilibrium conformance harness over this plan: every
+    /// coalition of size ≤ `cfg.k` plays every generated deviant cell of
+    /// the family ([`GameFamily::deviant_cells`]: the strategy battery in
+    /// cheap talk; gossip cliques under each collusion rule plus
+    /// message-level tampering in the mediator game) across the scheduler
+    /// battery × seed grid. Utilities are accounted with confidence
+    /// intervals against the honest baseline under `game`/`types`, and the
+    /// report's verdict states whether the plan is ε-k-resilient within
+    /// the statistical bound — or exhibits a concrete witnessing
+    /// deviation. See [`adversary`](crate::adversary) for the strategy
+    /// grammar.
+    pub fn conformance(
+        &self,
+        game: &mediator_games::BayesianGame,
+        types: &[usize],
+        cfg: &Conformance,
+    ) -> crate::adversary::ConformanceReport {
+        crate::adversary::sweep(self, game, types, cfg)
+    }
+}
+
+impl CheapTalkPlan {
+    /// Adds (or replaces) one player's deviation. A player id `≥ n`, or an
+    /// `input_override` whose length is not that player's input arity, is
+    /// refused here, before any engine could start on it.
+    pub fn with_deviant(self, p: usize, behavior: Behavior) -> Result<Self, ScenarioError> {
+        self.deviate(p, behavior)
+    }
+}
+
+impl MediatorPlan {
+    /// Adds (or replaces) player `i`'s deviant factory (see
+    /// [`MediatorGame::deviant`]). A player id `≥ n` is refused.
+    pub fn with_deviant(
+        self,
+        i: usize,
+        factory: impl Fn() -> Box<dyn Process<MedMsg>> + Send + Sync + 'static,
+    ) -> Result<Self, ScenarioError> {
+        self.deviate(i, Arc::new(factory))
     }
 
     /// Runs once under a **relaxed scheduler** (§5): the mediator's
@@ -1036,78 +1070,10 @@ impl MediatorPlan {
     /// fire.
     pub fn run_relaxed(&self, drop_after: u64, seed: u64) -> Outcome {
         let mediator = self.spec.n;
-        let mut world = self.build_world(seed);
+        let mut world = self.spec.world(&self.inputs, &self.deviants, seed);
         world.allow_drops();
         let mut sched = RelaxedScheduler::new(vec![mediator], drop_after);
         world.run(&mut sched, self.max_steps)
-    }
-
-    /// Opens the configured run as a steppable [`Session`].
-    pub fn session(&self) -> Session<MedMsg> {
-        self.session_with(&self.scheduler, self.seed)
-    }
-
-    /// Opens a steppable [`Session`] with an explicit scheduler and seed.
-    pub fn session_with(&self, kind: &SchedulerKind, seed: u64) -> Session<MedMsg> {
-        let mut world = self.build_world(seed);
-        tune_world_for_replay(&mut world, kind);
-        Session::new(world, kind.build(), self.max_steps)
-    }
-
-    /// Starts a batch over the given scheduler battery.
-    pub fn battery(&self, kinds: Vec<SchedulerKind>) -> Batch<MediatorPlan> {
-        Batch::new(self.clone()).battery(kinds)
-    }
-
-    /// Starts a batch over the given seeds.
-    pub fn seeds(&self, seeds: impl IntoIterator<Item = u64>) -> Batch<MediatorPlan> {
-        Batch::new(self.clone()).seeds(seeds)
-    }
-
-    /// Runs the equilibrium conformance harness over this mediator game:
-    /// every coalition of size ≤ `cfg.k` is wired as a gossip clique under
-    /// every generated collusion rule (plus message-level tamper
-    /// strategies), and the report's verdict states ε-k-resilience within
-    /// the statistical bound or a concrete witnessing deviation — the
-    /// generated form of the §6.4 counterexample. See
-    /// [`adversary`](crate::adversary).
-    pub fn conformance(
-        &self,
-        game: &mediator_games::BayesianGame,
-        types: &[usize],
-        cfg: &crate::adversary::Conformance,
-    ) -> crate::adversary::ConformanceReport {
-        crate::adversary::mediator_conformance(self, game, types, cfg)
-    }
-}
-
-impl BatchRun for MediatorPlan {
-    fn run_one(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
-        self.run_with(kind, seed)
-    }
-
-    fn players(&self) -> usize {
-        self.spec.n
-    }
-
-    fn default_scheduler(&self) -> SchedulerKind {
-        self.scheduler.clone()
-    }
-
-    fn default_seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn resolve_mode(&self) -> Resolve {
-        // The world has n+1 processes (the mediator never moves): pad the
-        // per-player fallbacks with a zero for it.
-        let mut fallback = self.resolve_defaults.clone();
-        fallback.push(0);
-        if self.spec.wills.is_some() {
-            Resolve::Ah(fallback)
-        } else {
-            Resolve::Default(fallback)
-        }
     }
 }
 
@@ -1115,89 +1081,17 @@ impl BatchRun for MediatorPlan {
 // Batches and run sets
 // ---------------------------------------------------------------------------
 
-/// A plan that can open any `(scheduler, seed)` cell as a steppable
-/// [`Session`] — the seam the transport plane attaches to. Implemented by
-/// [`CheapTalkPlan`] and [`MediatorPlan`].
-///
-/// The `mediator-net` service runtime is generic over this trait: it calls
-/// [`SessionPlan::open_session`] once per hosted game (inside the pump's
-/// worker thread, because [`Process`]es need not be `Send` — the same rule
-/// the batch runner follows) and uses [`SessionPlan::processes`] as the
-/// number of `(session-id, player-id)` routes a networked run must attach
-/// before pumping begins.
-pub trait SessionPlan: Clone + Send + Sync + 'static {
-    /// The message type the plan's processes exchange.
-    type Msg: Send + 'static;
-
-    /// Opens the `(kind, seed)` cell as a steppable [`Session`].
-    fn open_session(&self, kind: &SchedulerKind, seed: u64) -> Session<Self::Msg>;
-
-    /// Number of processes in the opened world — the game players plus,
-    /// for mediator games, the mediator itself.
-    fn processes(&self) -> usize;
-}
-
-impl SessionPlan for CheapTalkPlan {
-    type Msg = CtMsg;
-
-    fn open_session(&self, kind: &SchedulerKind, seed: u64) -> Session<CtMsg> {
-        self.session_with(kind, seed)
-    }
-
-    fn processes(&self) -> usize {
-        self.spec.n
-    }
-}
-
-impl SessionPlan for MediatorPlan {
-    type Msg = MedMsg;
-
-    fn open_session(&self, kind: &SchedulerKind, seed: u64) -> Session<MedMsg> {
-        self.session_with(kind, seed)
-    }
-
-    fn processes(&self) -> usize {
-        // The mediator is process `n` on top of the n players.
-        self.spec.n + 1
-    }
-}
-
-/// A plan that can execute one `(scheduler, seed)` cell of a batch grid.
-/// Implemented by [`CheapTalkPlan`] and [`MediatorPlan`].
-pub trait BatchRun: Clone + Sync {
-    /// Runs one cell.
-    fn run_one(&self, kind: &SchedulerKind, seed: u64) -> Outcome;
-    /// Number of game players (mediator excluded).
-    fn players(&self) -> usize;
-    /// The plan's configured single-run scheduler.
-    fn default_scheduler(&self) -> SchedulerKind;
-    /// The plan's configured single-run seed.
-    fn default_seed(&self) -> u64;
-    /// How the resulting [`RunSet`] resolves infinite play.
-    fn resolve_mode(&self) -> Resolve;
-
-    /// Starts a batch over this plan (the generic entry the conformance
-    /// harness uses; the concrete plans also expose `.battery(…)` /
-    /// `.seeds(…)` shortcuts).
-    fn batch(&self) -> Batch<Self>
-    where
-        Self: Sized,
-    {
-        Batch::new(self.clone())
-    }
-}
-
 /// A batch execution plan: a scheduler battery × a seed range, fanned
 /// across worker threads by [`Batch::run_batch`].
-pub struct Batch<P> {
-    plan: P,
+pub struct Batch<F: GameFamily> {
+    plan: Plan<F>,
     kinds: Option<Vec<SchedulerKind>>,
     seeds: Option<Vec<u64>>,
     threads: Option<usize>,
 }
 
-impl<P: BatchRun> Batch<P> {
-    fn new(plan: P) -> Self {
+impl<F: GameFamily> Batch<F> {
+    fn new(plan: Plan<F>) -> Self {
         Batch {
             plan,
             kinds: None,
@@ -1240,8 +1134,8 @@ impl<P: BatchRun> Batch<P> {
     pub fn run_batch(self) -> RunSet {
         let kinds = self
             .kinds
-            .unwrap_or_else(|| vec![self.plan.default_scheduler()]);
-        let seeds = self.seeds.unwrap_or_else(|| vec![self.plan.default_seed()]);
+            .unwrap_or_else(|| vec![self.plan.scheduler.clone()]);
+        let seeds = self.seeds.unwrap_or_else(|| vec![self.plan.seed]);
         assert!(!kinds.is_empty(), "run_batch: empty scheduler battery");
         assert!(!seeds.is_empty(), "run_batch: empty seed list");
         let threads = self.threads.unwrap_or_else(default_batch_threads);
@@ -1249,7 +1143,7 @@ impl<P: BatchRun> Batch<P> {
             .iter()
             .flat_map(|k| seeds.iter().map(move |&s| (k.clone(), s)))
             .collect();
-        let outcomes = run_grid(&jobs, threads, |kind, seed| self.plan.run_one(kind, seed));
+        let outcomes = run_grid(&jobs, threads, |kind, seed| self.plan.run_with(kind, seed));
         let runs = jobs
             .into_iter()
             .zip(outcomes)
@@ -1264,7 +1158,7 @@ impl<P: BatchRun> Batch<P> {
             kinds,
             seeds_per_kind: seeds.len(),
             players: self.plan.players(),
-            resolve: self.plan.resolve_mode(),
+            resolve: self.plan.resolve(),
         }
     }
 }
@@ -1604,7 +1498,8 @@ mod tests {
             .with_deviant(2, move || {
                 second[1].fetch_add(1, Ordering::Relaxed);
                 Box::new(HonestMedPlayer::new(n, vec![Fp::ONE], None))
-            });
+            })
+            .expect("player 2 of 4");
         for seed in 0..2 {
             let out = plan.run_with(&SchedulerKind::Fifo, seed);
             assert_eq!(out.moves[2], Some(1), "the later (honest) one plays");

@@ -8,8 +8,8 @@
 //! run recipe.
 
 use mediator_circuits::catalog;
-use mediator_core::adversary::{cheap_talk_deviant_cells, mediator_deviant_cells};
-use mediator_core::scenario::Scenario;
+use mediator_core::adversary::Conformance;
+use mediator_core::scenario::{GameFamily, Scenario};
 use mediator_field::Fp;
 use mediator_sim::{Outcome, ReplayScript, SchedulerKind};
 
@@ -71,13 +71,14 @@ fn relaxed_mediator_recording_replays() {
 
 #[test]
 fn mediator_deviant_cells_replay() {
-    // The witness path: a deviant cell rebuilt by `mediator_deviant_cells`
-    // replays its own recording — what `experiments -- --replay` does with
+    // The witness path: a deviant cell rebuilt by
+    // `GameFamily::deviant_cells` replays its own recording — what `experiments -- --replay` does with
     // a stored witness recipe.
     let n = 5;
     let plan = mediator_plan(n);
     let coalition = vec![0usize];
-    for (strategy, cell) in mediator_deviant_cells(&plan, &coalition, Some(0)) {
+    let cfg = Conformance::new(0.0, 1, 0).deadlock_action(0);
+    for (strategy, cell) in GameFamily::deviant_cells(&plan, &coalition, &cfg) {
         for seed in 0..4 {
             let recorded = cell.run_with(&SchedulerKind::Random, seed);
             let script = ReplayScript::new(recorded.trace.events().iter().collect());
@@ -117,7 +118,7 @@ fn cheap_talk_deviant_cell_replays() {
         .inputs(vec![vec![Fp::ONE]; n])
         .build()
         .expect("threshold satisfied");
-    let cells = cheap_talk_deviant_cells(&plan, &[0]);
+    let cells = GameFamily::deviant_cells(&plan, &[0], &Conformance::new(0.0, 1, 0));
     let (strategy, cell) = cells
         .iter()
         .find(|(name, _)| name == "silent")

@@ -10,10 +10,12 @@
 //! *is* Theorem 4.1's, so 4.1 and 4.4 plans are refused by the engine's
 //! own assertion — the hatch waives the builder's check, nothing below it.
 //! A deviant whose input lie has the wrong arity is refused the same way,
-//! with a typed error before any engine starts.
+//! with a typed error before any engine starts. Last, one table runs both
+//! game families through every rejection their builders share and pins
+//! the same [`ScenarioError`] from each.
 
 use mediator_circuits::catalog;
-use mediator_core::deviations::Behavior;
+use mediator_core::deviations::{Behavior, SilentProcess};
 use mediator_core::scenario::{CheapTalkPlan, Scenario, ScenarioError, Theorem};
 use mediator_field::Fp;
 use mediator_sim::{SchedulerKind, TerminationKind};
@@ -261,5 +263,160 @@ fn a_wrong_arity_input_lie_is_refused_before_any_engine_starts() {
             player: 5,
             n: 5
         })
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The shared builder validation: one table, both game families
+// ---------------------------------------------------------------------------
+
+const N: usize = 5;
+
+/// One misconfiguration of a well-formed `n = 5` majority scenario, which
+/// both builders reject through the same validation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Misstep {
+    NoPlayers,
+    CircuitPlayers,
+    DefaultsLength,
+    DefaultArity,
+    InputsLength,
+    InputOutOfRange,
+    InputArity,
+    DeviantOutOfRange,
+}
+
+impl Misstep {
+    const ALL: [Misstep; 8] = [
+        Misstep::NoPlayers,
+        Misstep::CircuitPlayers,
+        Misstep::DefaultsLength,
+        Misstep::DefaultArity,
+        Misstep::InputsLength,
+        Misstep::InputOutOfRange,
+        Misstep::InputArity,
+        Misstep::DeviantOutOfRange,
+    ];
+
+    fn circuit(self) -> mediator_circuits::Circuit {
+        let players = if self == Misstep::CircuitPlayers {
+            N + 1
+        } else {
+            N
+        };
+        catalog::majority_circuit(players)
+    }
+
+    fn expected(self) -> ScenarioError {
+        let arity = |what, expected, got| ScenarioError::ArityMismatch {
+            what,
+            expected,
+            got,
+        };
+        match self {
+            Misstep::NoPlayers => ScenarioError::NoPlayers,
+            Misstep::CircuitPlayers => arity("circuit players", N, N + 1),
+            Misstep::DefaultsLength => arity("default inputs", N, N - 1),
+            Misstep::DefaultArity => arity("default input arity", 1, 2),
+            Misstep::InputsLength => arity("inputs", N, N - 1),
+            Misstep::InputOutOfRange => ScenarioError::PlayerOutOfRange {
+                what: "input",
+                player: N + 2,
+                n: N,
+            },
+            Misstep::InputArity => arity("player input arity", 1, 2),
+            Misstep::DeviantOutOfRange => ScenarioError::PlayerOutOfRange {
+                what: "deviant",
+                player: N + 2,
+                n: N,
+            },
+        }
+    }
+}
+
+/// Applies `step` to a fresh builder of either family (the two builders
+/// share these setter names) and returns the build verdict.
+macro_rules! misconfigured {
+    ($builder:expr, $step:expr, $deviant:expr) => {{
+        let step: Misstep = $step;
+        let mut b = $builder.tolerance(1, 0).inputs(vec![vec![Fp::ONE]; N]);
+        if step != Misstep::NoPlayers {
+            b = b.players(N);
+        }
+        match step {
+            Misstep::DefaultsLength => b = b.default_inputs(vec![vec![Fp::ZERO]; N - 1]),
+            Misstep::DefaultArity => b = b.default_inputs(vec![vec![Fp::ZERO; 2]; N]),
+            Misstep::InputsLength => b = b.inputs(vec![vec![Fp::ONE]; N - 1]),
+            Misstep::InputOutOfRange => b = b.input(N + 2, vec![Fp::ONE]),
+            Misstep::InputArity => b = b.input(0, vec![Fp::ONE; 2]),
+            Misstep::DeviantOutOfRange => b = b.deviant(N + 2, $deviant),
+            Misstep::NoPlayers | Misstep::CircuitPlayers => {}
+        }
+        b.build().map(|_| ())
+    }};
+}
+
+#[test]
+fn both_families_reject_each_shared_misstep_with_the_same_error() {
+    for step in Misstep::ALL {
+        let cheap_talk = misconfigured!(
+            Scenario::cheap_talk(step.circuit()),
+            step,
+            Behavior::default()
+        );
+        let mediator = misconfigured!(Scenario::mediator(step.circuit()), step, || {
+            Box::new(SilentProcess)
+        });
+        assert_eq!(cheap_talk, Err(step.expected()), "cheap talk, {step:?}");
+        assert_eq!(mediator, Err(step.expected()), "mediator, {step:?}");
+    }
+}
+
+#[test]
+fn a_default_of_the_wrong_arity_is_refused_at_build_not_in_the_engine() {
+    // Defaults that do not fit the circuit used to build fine and panic
+    // at the first run: in the MPC engine's configuration for cheap talk,
+    // in the circuit evaluator for the mediator, even when every player's
+    // own input matched the defaults.
+    let two = || vec![vec![Fp::ZERO; 2]; N];
+    let expected = Err(Misstep::DefaultArity.expected());
+    let cheap_talk = Scenario::cheap_talk(catalog::majority_circuit(N))
+        .players(N)
+        .tolerance(1, 0)
+        .inputs(vec![vec![Fp::ONE]; N])
+        .default_inputs(two())
+        .build();
+    assert_eq!(cheap_talk.map(|_| ()), expected);
+    let mediator = Scenario::mediator(catalog::majority_circuit(N))
+        .players(N)
+        .tolerance(1, 0)
+        .inputs(vec![vec![Fp::ONE; 2]; N])
+        .default_inputs(two())
+        .build();
+    assert_eq!(mediator.map(|_| ()), expected);
+}
+
+#[test]
+fn a_built_plan_of_either_family_refuses_an_out_of_range_deviant() {
+    let out_of_range = Some(Misstep::DeviantOutOfRange.expected());
+    let cheap_talk = build_with(Theorem::Robust41, N, 1, 0, false).expect("5 > 4");
+    assert_eq!(
+        cheap_talk.with_deviant(N + 2, Behavior::default()).err(),
+        out_of_range
+    );
+    let mediator = Scenario::mediator(catalog::majority_circuit(N))
+        .players(N)
+        .tolerance(1, 0)
+        .build()
+        .expect("k + t < n");
+    assert!(mediator
+        .clone()
+        .with_deviant(N - 1, || Box::new(SilentProcess))
+        .is_ok());
+    assert_eq!(
+        mediator
+            .with_deviant(N + 2, || Box::new(SilentProcess))
+            .err(),
+        out_of_range
     );
 }

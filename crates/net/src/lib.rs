@@ -38,9 +38,11 @@
 //!   (rewrite / replay / redirect / truncate / reorder / drop / delay /
 //!   strip) over frame-counter windows — the adversary plane's combinator
 //!   style pointed at the transport (DESIGN.md §10).
-//! * [`plan`] — [`NetPlan`]: `.serve(…)` / `.connect_tcp(…)` /
-//!   `.run_over_tcp(…)` entries on every scenario plan, mirroring
-//!   `.session()`.
+//! * [`service`] also holds the plan entries: [`Service::host_plan`] hosts
+//!   any scenario plan's `(scheduler, seed)` cell — the networked
+//!   `.session_with(…)` — and [`run_over_tcp`] / [`run_over_mem`] do the
+//!   whole loopback round trip in one call; [`Client::tcp`] /
+//!   [`Client::mem`] dial a service with the plan's message type.
 //! * [`shard`] — the conformance sharding plane: a coordinator leases
 //!   sweep units (whole `(strategy, coalition)` grids, so honest-baseline
 //!   pairing survives) to workers over mem or TCP, reclaims lapsed or
@@ -65,7 +67,7 @@
 //! use mediator_circuits::catalog;
 //! use mediator_core::scenario::Scenario;
 //! use mediator_field::Fp;
-//! use mediator_net::NetPlan;
+//! use mediator_net::{run_over_tcp, ServiceConfig};
 //! use mediator_sim::{SchedulerKind, TerminationKind};
 //!
 //! let n = 5;
@@ -77,8 +79,7 @@
 //!     .expect("n = 5 > 4k+4t = 4");
 //! // Real sockets: a service on an ephemeral loopback port, one relay
 //! // connection per player, ~2k protocol messages over the wire.
-//! let out = plan
-//!     .run_over_tcp(&SchedulerKind::Fifo, 7)
+//! let out = run_over_tcp(&plan, &SchedulerKind::Fifo, 7, ServiceConfig::default())
 //!     .expect("networked run completes");
 //! assert_eq!(out.termination, TerminationKind::Quiescent);
 //! assert_eq!(out.resolve_default(&vec![0; n]), vec![1; n]);
@@ -90,7 +91,6 @@ pub mod auth;
 pub mod client;
 pub mod frame;
 pub mod frontier;
-pub mod plan;
 mod reactor;
 pub mod readiness;
 pub mod service;
@@ -103,7 +103,6 @@ pub use auth::{AuthKey, AuthTag, TamperKind};
 pub use client::{bulk_relay, Client};
 pub use frame::{Frame, NetError, OutcomeSummary, RejectReason, MAX_FRAME_LEN, SHARD_COORD};
 pub use frontier::{run_frontier_sharded, FrontierShardLog};
-pub use plan::NetPlan;
 pub use readiness::TryRead;
 pub use service::{
     run_over_mem, run_over_tcp, DeliveryOrder, Service, ServiceConfig, SessionHandle,

@@ -50,7 +50,7 @@ use crate::reactor::{Command, Conns, Reactor, Route, CMD_TOKEN};
 use crate::readiness::{NbListener, Poller, Waker};
 use crate::transport::{ConnPair, MemTransport, TcpTransport};
 use crate::wire::Wire;
-use mediator_core::scenario::SessionPlan;
+use mediator_core::scenario::{GameFamily, Plan};
 use mediator_sim::SchedulerKind;
 use mediator_sim::{Envelope, Outcome, RunMeta, Session, TraceSink};
 use rand::rngs::StdRng;
@@ -294,22 +294,22 @@ impl<M: Wire + Send + 'static> Service<M> {
     /// networked mirror of `plan.session_with(kind, seed)`. The cell
     /// travels with the session, so a store-backed sink records a
     /// replayable header.
-    pub fn host_plan<P>(
+    pub fn host_plan<F>(
         &self,
         id: SessionId,
-        plan: &P,
+        plan: &Plan<F>,
         kind: SchedulerKind,
         seed: u64,
     ) -> SessionHandle
     where
-        P: SessionPlan<Msg = M>,
+        F: GameFamily<Msg = M>,
     {
         let plan = plan.clone();
         let meta = RunMeta::cell(id, kind.clone(), seed);
         self.host_with_meta(
             id,
             plan.processes(),
-            move || plan.open_session(&kind, seed),
+            move || plan.session_with(&kind, seed),
             meta,
         )
     }
@@ -320,13 +320,13 @@ impl<M: Wire + Send + 'static> Service<M> {
     /// session has an outcome. All cells are registered before this call
     /// blocks, so relay clients may attach at any point (including before
     /// the call, thanks to the attach grace window).
-    pub fn run_many<P>(
+    pub fn run_many<F>(
         &self,
-        plan: &P,
+        plan: &Plan<F>,
         cells: impl IntoIterator<Item = (SessionId, SchedulerKind, u64)>,
     ) -> Vec<(SessionId, Result<Outcome, NetError>)>
     where
-        P: SessionPlan<Msg = M>,
+        F: GameFamily<Msg = M>,
     {
         let handles: Vec<SessionHandle> = cells
             .into_iter()
@@ -545,15 +545,15 @@ impl<M> FlightState<M> {
 /// Runs `plan`'s `(kind, seed)` cell end-to-end over the in-memory
 /// transport: a fresh single-session service, one relay client per world
 /// process, outcome back on the caller's thread.
-pub fn run_over_mem<P>(
-    plan: &P,
+pub fn run_over_mem<F>(
+    plan: &Plan<F>,
     kind: &SchedulerKind,
     seed: u64,
     cfg: ServiceConfig,
 ) -> Result<Outcome, NetError>
 where
-    P: SessionPlan,
-    P::Msg: Wire,
+    F: GameFamily,
+    F::Msg: Wire,
 {
     let hub = MemTransport::new();
     let service = Service::with_config(Box::new(hub.listener()), cfg);
@@ -562,15 +562,15 @@ where
 
 /// Runs `plan`'s `(kind, seed)` cell end-to-end over TCP loopback
 /// (ephemeral port): real sockets, one relay connection per world process.
-pub fn run_over_tcp<P>(
-    plan: &P,
+pub fn run_over_tcp<F>(
+    plan: &Plan<F>,
     kind: &SchedulerKind,
     seed: u64,
     cfg: ServiceConfig,
 ) -> Result<Outcome, NetError>
 where
-    P: SessionPlan,
-    P::Msg: Wire,
+    F: GameFamily,
+    F::Msg: Wire,
 {
     let transport = TcpTransport::bind_loopback()?;
     let addr = transport.addr();
@@ -580,17 +580,17 @@ where
     })
 }
 
-fn run_session_with<P, F>(
-    plan: &P,
+fn run_session_with<F, C>(
+    plan: &Plan<F>,
     kind: &SchedulerKind,
     seed: u64,
-    service: &Service<P::Msg>,
-    connect: F,
+    service: &Service<F::Msg>,
+    connect: C,
 ) -> Result<Outcome, NetError>
 where
-    P: SessionPlan,
-    P::Msg: Wire,
-    F: Fn() -> Result<ConnPair<P::Msg>, NetError> + Send + Sync,
+    F: GameFamily,
+    F::Msg: Wire,
+    C: Fn() -> Result<ConnPair<F::Msg>, NetError> + Send + Sync,
 {
     const SID: SessionId = 1;
     let handle = service.host_plan(SID, plan, kind.clone(), seed);

@@ -42,9 +42,10 @@ use crate::tamper::TransportKind;
 use crate::transport::{
     ConnPair, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport, TcpTransport,
 };
+use mediator_core::scenario::{GameFamily, Plan};
 use mediator_core::{
     render_sweep_report, run_sweep_cell, run_sweep_unit, sweep_units, Conformance,
-    ConformanceReport, ConformanceVerdict, LeaseLedger, SweepPlan, SweepUnit,
+    ConformanceReport, ConformanceVerdict, LeaseLedger, SweepUnit,
 };
 use mediator_games::BayesianGame;
 use mediator_sim::{RunMeta, TraceSink};
@@ -613,9 +614,9 @@ impl CoordState {
 /// count, scheduling, or how many leases were reclaimed along the way.
 /// The [`ShardLog`] carries the typed failures and release/discard
 /// accounting.
-pub fn coordinate<P: SweepPlan>(
+pub fn coordinate<F: GameFamily>(
     listener: &ShardListener,
-    plan: &P,
+    plan: &Plan<F>,
     game: &BayesianGame,
     types: &[usize],
     conf: &Conformance,
@@ -707,11 +708,11 @@ pub fn coordinate<P: SweepPlan>(
 /// The worker side: request leases, run granted units (whole grids or
 /// single witness cells), ship results, and return the number of leases
 /// served once drained.
-pub fn run_worker<P: SweepPlan>(
+pub fn run_worker<F: GameFamily>(
     mut tx: Box<dyn FrameTx<u64>>,
     mut rx: Box<dyn FrameRx<u64>>,
     worker: u64,
-    plan: &P,
+    plan: &Plan<F>,
     conf: &Conformance,
     cfg: &ShardConfig,
 ) -> Result<u64, NetError> {
@@ -781,10 +782,10 @@ pub fn run_worker<P: SweepPlan>(
 }
 
 /// Dials the coordinator's in-memory hub and serves as worker `worker`.
-pub fn worker_mem<P: SweepPlan>(
+pub fn worker_mem<F: GameFamily>(
     hub: &MemTransport,
     worker: u64,
-    plan: &P,
+    plan: &Plan<F>,
     conf: &Conformance,
     cfg: &ShardConfig,
 ) -> Result<u64, NetError> {
@@ -793,10 +794,10 @@ pub fn worker_mem<P: SweepPlan>(
 }
 
 /// Dials the coordinator's TCP listener and serves as worker `worker`.
-fn worker_tcp<P: SweepPlan>(
+fn worker_tcp<F: GameFamily>(
     addr: SocketAddr,
     worker: u64,
-    plan: &P,
+    plan: &Plan<F>,
     conf: &Conformance,
     cfg: &ShardConfig,
 ) -> Result<u64, NetError> {
@@ -809,9 +810,9 @@ fn worker_tcp<P: SweepPlan>(
 /// returning the (bit-identical) report plus the shard log.
 pub trait ShardedSweep {
     /// Runs this conformance sweep sharded over `n` workers.
-    fn sharded<P: SweepPlan>(
+    fn sharded<F: GameFamily>(
         &self,
-        plan: &P,
+        plan: &Plan<F>,
         game: &BayesianGame,
         types: &[usize],
         n: usize,
@@ -821,9 +822,9 @@ pub trait ShardedSweep {
 }
 
 impl ShardedSweep for Conformance {
-    fn sharded<P: SweepPlan>(
+    fn sharded<F: GameFamily>(
         &self,
-        plan: &P,
+        plan: &Plan<F>,
         game: &BayesianGame,
         types: &[usize],
         n: usize,

@@ -37,7 +37,7 @@ use crate::service::{Service, ServiceConfig};
 use crate::transport::{FrameBuf, MemTransport, TcpTransport};
 use crate::wire::{CodecError, Reader, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};
 use mediator_core::adversary::{TamperableMsg, Window};
-use mediator_core::scenario::SessionPlan;
+use mediator_core::scenario::{GameFamily, Plan};
 use mediator_sim::{Outcome, SchedulerKind};
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -409,8 +409,8 @@ pub struct TamperedPair {
 /// only the target. The contrast between `target` and `honest` fates —
 /// across transports and `cfg.auth` — is the paired conformance suite's
 /// entire subject.
-pub fn run_tampered_pair<P>(
-    plan: &P,
+pub fn run_tampered_pair<F>(
+    plan: &Plan<F>,
     transport: TransportKind,
     cfg: ServiceConfig,
     tamper: TamperPlan,
@@ -418,8 +418,8 @@ pub fn run_tampered_pair<P>(
     seed: u64,
 ) -> TamperedPair
 where
-    P: SessionPlan,
-    P::Msg: Wire + TamperableMsg + Send,
+    F: GameFamily,
+    F::Msg: Wire + TamperableMsg,
 {
     let n = plan.processes();
     let attaches: Vec<(SessionId, usize)> = [TARGET_SID, HONEST_SID]
@@ -427,10 +427,10 @@ where
         .flat_map(|sid| (0..n).map(move |p| (sid, p)))
         .collect();
 
-    let host = |service: &Service<P::Msg>, sid: SessionId| {
+    let host = |service: &Service<F::Msg>, sid: SessionId| {
         let plan = plan.clone();
         let k = kind.clone();
-        service.host(sid, n, move || plan.open_session(&k, seed))
+        service.host(sid, n, move || plan.session_with(&k, seed))
     };
 
     match transport {
@@ -441,7 +441,7 @@ where
             let honest = host(&service, HONEST_SID);
             let (tx, rx) = hub.connect_raw();
             let relay = std::thread::spawn(move || {
-                tamper_relay::<P::Msg, _, _>(rx, tx, &attaches, 2, &tamper)
+                tamper_relay::<F::Msg, _, _>(rx, tx, &attaches, 2, &tamper)
             });
             let pair = TamperedPair {
                 target: target.outcome(),
@@ -461,7 +461,7 @@ where
                 let sock = std::net::TcpStream::connect(addr)?;
                 sock.set_nodelay(true).ok();
                 let rx = sock.try_clone()?;
-                tamper_relay::<P::Msg, _, _>(rx, sock, &attaches, 2, &tamper)
+                tamper_relay::<F::Msg, _, _>(rx, sock, &attaches, 2, &tamper)
             });
             let pair = TamperedPair {
                 target: target.outcome(),

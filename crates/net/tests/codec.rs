@@ -791,7 +791,7 @@ fn replayed_frame_aborts_the_session_with_the_typed_owner_on_both_backends() {
     // the typed `Replayed` owner on both transports.
     use mediator_circuits::catalog;
     use mediator_core::scenario::Scenario;
-    use mediator_net::{Client, DeliveryOrder, NetPlan, Service, ServiceConfig};
+    use mediator_net::{Client, DeliveryOrder, Service, ServiceConfig};
     use mediator_sim::SchedulerKind;
 
     let n = 5;
@@ -821,7 +821,7 @@ fn replayed_frame_aborts_the_session_with_the_typed_owner_on_both_backends() {
             let service = Service::with_config(Box::new(hub.listener()), cfg.clone());
             (service, Client::mem(&hub))
         };
-        let handle = plan.serve(&service, 7, SchedulerKind::Fifo, 0);
+        let handle = service.host_plan(7, &plan, SchedulerKind::Fifo, 0);
         for player in 0..n {
             client.attach(7, player).expect("attach");
         }

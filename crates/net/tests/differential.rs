@@ -13,11 +13,11 @@
 
 use mediator_circuits::catalog;
 use mediator_core::cheap_talk::CtMsg;
-use mediator_core::scenario::{CheapTalkPlan, Scenario, SessionPlan};
+use mediator_core::scenario::{CheapTalkPlan, Scenario};
 use mediator_field::Fp;
 use mediator_net::{
-    Client, DeliveryOrder, Frame, MemTransport, NetError, NetPlan, RejectReason, Service,
-    ServiceConfig, SessionHandle, TcpTransport, Wire, WIRE_VERSION,
+    Client, DeliveryOrder, Frame, MemTransport, NetError, RejectReason, Service, ServiceConfig,
+    SessionHandle, TcpTransport, Wire, WIRE_VERSION,
 };
 use mediator_sim::{Outcome, SchedulerKind, TerminationKind};
 use std::time::Duration;
@@ -41,7 +41,7 @@ fn host(
     seed: u64,
 ) -> SessionHandle {
     let plan = plan.clone();
-    service.host(id, 5, move || plan.open_session(&kind, seed))
+    service.host(id, 5, move || plan.session_with(&kind, seed))
 }
 
 fn assert_outcome_parity(local: &Outcome, networked: &Outcome, players: usize, label: &str) {
@@ -149,7 +149,7 @@ fn attach_timeout_names_how_many_attached() {
     // Exactly one of five players attaches: the barrier must fail with
     // its typed owner, and the attached relay must learn via Abort, not
     // a hang.
-    let mut lone = plan.connect_mem(&hub);
+    let mut lone = Client::<CtMsg>::mem(&hub);
     lone.attach(8, 2).expect("attach");
     assert_eq!(
         handle.outcome().expect_err("attach barrier must time out"),
@@ -178,7 +178,7 @@ fn vanishing_relay_names_the_player_that_owes_frames() {
 
     let relays: Vec<_> = (1..5)
         .map(|player| {
-            let mut client = plan.connect_mem(&hub);
+            let mut client = Client::<CtMsg>::mem(&hub);
             std::thread::spawn(move || {
                 client.attach(3, player).expect("attach");
                 client.relay()
@@ -187,7 +187,7 @@ fn vanishing_relay_names_the_player_that_owes_frames() {
         .collect();
     // Player 0's relay swallows one message and dies: that frame is in
     // flight forever, so the session must name the culprit.
-    let mut defector = plan.connect_mem(&hub);
+    let mut defector = Client::<CtMsg>::mem(&hub);
     defector.attach(3, 0).expect("attach");
     loop {
         match defector.recv().expect("a frame for player 0") {
@@ -225,7 +225,7 @@ fn slow_loris_partial_frames_stall_nobody() {
     let transport = TcpTransport::bind_loopback().expect("bind");
     let addr = transport.addr();
     let service = Service::with_config(Box::new(transport), quick_cfg());
-    let handle = plan.serve(&service, 1, SchedulerKind::Fifo, 0);
+    let handle = service.host_plan(1, &plan, SchedulerKind::Fifo, 0);
 
     // The loris: a well-formed Attach for an unknown session, trickled.
     let loris = std::thread::spawn(move || {
@@ -280,9 +280,9 @@ fn rejection_reasons_are_typed_and_leave_the_session_live() {
     let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
     let handle = host(&service, 7, &plan, SchedulerKind::Fifo, 0);
 
-    let mut first = plan.connect_mem(&hub);
+    let mut first = Client::<CtMsg>::mem(&hub);
     first.attach(7, 0).expect("attach");
-    let mut second = plan.connect_mem(&hub);
+    let mut second = Client::<CtMsg>::mem(&hub);
     second.attach(7, 0).expect("attach");
     assert_eq!(
         second.relay(),
@@ -291,7 +291,7 @@ fn rejection_reasons_are_typed_and_leave_the_session_live() {
             reason: RejectReason::PlayerTaken
         })
     );
-    let mut ninth = plan.connect_mem(&hub);
+    let mut ninth = Client::<CtMsg>::mem(&hub);
     ninth.attach(7, 9).expect("attach");
     assert_eq!(
         ninth.relay(),

@@ -12,10 +12,11 @@
 
 use mediator_circuits::catalog;
 use mediator_core::cheap_talk::CtMsg;
-use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario, SessionPlan};
+use mediator_core::mediator::MedMsg;
+use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario};
 use mediator_field::Fp;
 use mediator_net::{
-    run_over_mem, Client, DeliveryOrder, Frame, MemTransport, NetError, NetPlan, RejectReason,
+    run_over_mem, run_over_tcp, Client, DeliveryOrder, Frame, MemTransport, NetError, RejectReason,
     Service, ServiceConfig,
 };
 use mediator_sim::{Ctx, Outcome, Process, SchedulerKind, Session, TerminationKind, World};
@@ -61,9 +62,13 @@ fn cheap_talk_over_mem_matches_in_process_outcome_kinds() {
     for seed in 0..3 {
         let local = plan.run_with(&SchedulerKind::Random, seed);
         assert_eq!(local.termination, TerminationKind::Quiescent);
-        let networked = plan
-            .run_over_mem(&SchedulerKind::Random, seed)
-            .expect("networked run completes");
+        let networked = run_over_mem(
+            &plan,
+            &SchedulerKind::Random,
+            seed,
+            ServiceConfig::default(),
+        )
+        .expect("networked run completes");
         assert_outcome_parity(&local, &networked, n, &format!("mem seed {seed}"));
         // The networked run moved every protocol message over the wire.
         assert!(networked.messages_sent >= local.messages_sent);
@@ -76,8 +81,7 @@ fn cheap_talk_over_tcp_matches_in_process_outcome_kinds() {
     let plan = majority_plan(n);
     for seed in [0u64, 9] {
         let local = plan.run_with(&SchedulerKind::Fifo, seed);
-        let networked = plan
-            .run_over_tcp(&SchedulerKind::Fifo, seed)
+        let networked = run_over_tcp(&plan, &SchedulerKind::Fifo, seed, ServiceConfig::default())
             .expect("tcp loopback run completes");
         assert_outcome_parity(&local, &networked, n, &format!("tcp seed {seed}"));
     }
@@ -109,9 +113,13 @@ fn mediator_game_over_mem_matches_in_process_outcome_kinds() {
     let plan = mediator_plan(n);
     for seed in 0..3 {
         let local = plan.run_with(&SchedulerKind::Random, seed);
-        let networked = plan
-            .run_over_mem(&SchedulerKind::Random, seed)
-            .expect("networked mediator game completes");
+        let networked = run_over_mem(
+            &plan,
+            &SchedulerKind::Random,
+            seed,
+            ServiceConfig::default(),
+        )
+        .expect("networked mediator game completes");
         assert_outcome_parity(&local, &networked, n, &format!("mediator seed {seed}"));
     }
 }
@@ -129,8 +137,7 @@ fn budget_exhaustion_travels_the_wire() {
         .expect("n = 5 > 4k+4t = 4");
     let local = plan.run_with(&SchedulerKind::Fifo, 1);
     assert_eq!(local.termination, TerminationKind::BudgetExhausted);
-    let networked = plan
-        .run_over_mem(&SchedulerKind::Fifo, 1)
+    let networked = run_over_mem(&plan, &SchedulerKind::Fifo, 1, ServiceConfig::default())
         .expect("networked run still yields an outcome");
     assert_eq!(networked.termination, TerminationKind::BudgetExhausted);
 }
@@ -212,11 +219,11 @@ fn double_attach_and_out_of_range_are_rejected() {
     let plan = majority_plan(5);
     let hub = MemTransport::new();
     let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
-    let handle = plan.serve(&service, 7, SchedulerKind::Fifo, 0);
+    let handle = service.host_plan(7, &plan, SchedulerKind::Fifo, 0);
 
-    let mut first = plan.connect_mem(&hub);
+    let mut first = Client::<CtMsg>::mem(&hub);
     first.attach(7, 0).expect("attach");
-    let mut second = plan.connect_mem(&hub);
+    let mut second = Client::<CtMsg>::mem(&hub);
     second.attach(7, 0).expect("attach");
     assert_eq!(
         second.relay(),
@@ -225,7 +232,7 @@ fn double_attach_and_out_of_range_are_rejected() {
             reason: RejectReason::PlayerTaken
         })
     );
-    let mut ninth = plan.connect_mem(&hub);
+    let mut ninth = Client::<CtMsg>::mem(&hub);
     ninth.attach(7, 9).expect("attach");
     assert_eq!(
         ninth.relay(),
@@ -261,18 +268,18 @@ fn improvised_in_range_frames_cannot_fake_quiescence() {
     let plan = mediator_plan(n);
     let hub = MemTransport::new();
     let service = Service::start(Box::new(hub.listener()));
-    let handle = plan.serve(&service, 21, SchedulerKind::Random, 1);
+    let handle = service.host_plan(21, &plan, SchedulerKind::Random, 1);
 
     let relays: Vec<_> = (0..plan.processes())
         .map(|player| {
-            let mut client = plan.connect_mem(&hub);
+            let mut client = Client::<MedMsg>::mem(&hub);
             std::thread::spawn(move || {
                 client.attach(21, player).expect("attach");
                 client.relay()
             })
         })
         .collect();
-    let mut attacker = plan.connect_mem(&hub);
+    let mut attacker = Client::<MedMsg>::mem(&hub);
     for _ in 0..32 {
         attacker
             .send(&Frame::Msg {
@@ -303,9 +310,9 @@ fn forged_out_of_range_msg_is_rejected_not_a_panic() {
     let plan = majority_plan(5);
     let hub = MemTransport::new();
     let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
-    let handle = plan.serve(&service, 5, SchedulerKind::Fifo, 0);
+    let handle = service.host_plan(5, &plan, SchedulerKind::Fifo, 0);
 
-    let mut attacker = plan.connect_mem(&hub);
+    let mut attacker = Client::<CtMsg>::mem(&hub);
     attacker
         .send(&Frame::Msg {
             session: 5,
@@ -340,8 +347,8 @@ fn duplicate_session_id_is_refused_without_clobbering_the_live_one() {
     let plan = majority_plan(5);
     let hub = MemTransport::new();
     let service = Service::with_config(Box::new(hub.listener()), quick_cfg());
-    let first = plan.serve(&service, 11, SchedulerKind::Fifo, 0);
-    let second = plan.serve(&service, 11, SchedulerKind::Fifo, 1);
+    let first = service.host_plan(11, &plan, SchedulerKind::Fifo, 0);
+    let second = service.host_plan(11, &plan, SchedulerKind::Fifo, 1);
     assert_eq!(
         second.outcome().expect_err("id is taken"),
         NetError::SessionIdTaken { session: 11 }
@@ -349,7 +356,7 @@ fn duplicate_session_id_is_refused_without_clobbering_the_live_one() {
     // The live session's routing was not clobbered: it still accepts an
     // attach and then fails for its own mundane reason (barrier timeout),
     // not ServiceGone.
-    let mut relay = plan.connect_mem(&hub);
+    let mut relay = Client::<CtMsg>::mem(&hub);
     relay.attach(11, 0).expect("attach to the live session");
     assert_eq!(
         first.outcome().expect_err("only one of five attached"),
@@ -461,12 +468,12 @@ fn vanishing_relay_with_traffic_in_flight_is_fatal_and_typed() {
             ..quick_cfg()
         },
     );
-    let handle = plan.serve(&service, 3, SchedulerKind::Random, 2);
+    let handle = service.host_plan(3, &plan, SchedulerKind::Random, 2);
 
     // Players 1..5 relay faithfully.
     let relays: Vec<_> = (1..5)
         .map(|player| {
-            let mut client = plan.connect_mem(&hub);
+            let mut client = Client::<CtMsg>::mem(&hub);
             std::thread::spawn(move || {
                 client.attach(3, player).expect("attach");
                 client.relay()
@@ -475,7 +482,7 @@ fn vanishing_relay_with_traffic_in_flight_is_fatal_and_typed() {
         .collect();
     // Player 0's relay swallows one message and dies: that frame is in
     // flight forever, so the pump must fail with the precise culprit.
-    let mut defector = plan.connect_mem(&hub);
+    let mut defector = Client::<CtMsg>::mem(&hub);
     defector.attach(3, 0).expect("attach");
     loop {
         match defector.recv().expect("a frame for player 0") {

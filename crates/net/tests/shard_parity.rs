@@ -13,9 +13,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mediator_circuits::catalog;
-use mediator_core::scenario::{BatchRun, MediatorPlan, Scenario, SessionPlan};
+use mediator_core::scenario::{GameFamily, MediatorPlan, Plan, Scenario};
 use mediator_core::{
-    sweep_unit_plan, sweep_units, Conformance, ConformanceReport, ConformanceVerdict,
+    sweep_unit_plan, sweep_units, Conformance, ConformanceReport, ConformanceVerdict, MedMsg,
 };
 use mediator_field::Fp;
 use mediator_games::library;
@@ -130,7 +130,7 @@ fn sec64_naive_mediator() -> (
         .tolerance(k, 0)
         .naive_split()
         .wills(vec![BOT; n])
-        .resolve_defaults(vec![BOT; n])
+        .default_actions(vec![BOT; n])
         .build()
         .expect("n − k ≥ 1");
     let conf = Conformance::new(0.01, k, 0)
@@ -240,11 +240,11 @@ fn witness_cell_reenacts_identically_as_a_networked_session() {
         let deviant = deviant.clone();
         let kind = w.kind.clone();
         let seed = w.seed;
-        service.host(sid, n, move || deviant.open_session(&kind, seed))
+        service.host(sid, n, move || deviant.session_with(&kind, seed))
     };
     let outcome = std::thread::scope(|s| {
         for player in 0..n {
-            let mut client: Client<<MediatorPlan as SessionPlan>::Msg> = Client::mem(&hub);
+            let mut client: Client<MedMsg> = Client::mem(&hub);
             s.spawn(move || {
                 client.attach(sid, player).expect("attach");
                 let _ = client.relay();
@@ -254,8 +254,32 @@ fn witness_cell_reenacts_identically_as_a_networked_session() {
     });
     service.shutdown();
     assert_eq!(
-        deviant.resolve_mode().profile(&outcome, deviant.players()),
+        deviant.resolve().profile(&outcome, deviant.players()),
         w.deviant_profile,
         "networked re-enactment matches the sweep's recorded witness"
     );
+}
+
+#[test]
+fn a_grant_naming_a_non_player_is_refused_not_a_panic() {
+    // A lease grant arrives from the wire, so its coalition is untrusted:
+    // a member `>= n` must rebuild to `None` (the worker's `Rejected`),
+    // never panic inside cell generation. Both families, every unit kind.
+    fn check<F: GameFamily>(plan: &Plan<F>, conf: &Conformance) {
+        let n = plan.players();
+        for unit in sweep_units(plan, conf) {
+            assert!(sweep_unit_plan(plan, &unit, conf).is_some());
+            let mut hostile = unit.clone();
+            hostile.coalition = vec![n];
+            assert!(
+                sweep_unit_plan(plan, &hostile, conf).is_none(),
+                "{:?} with coalition [{n}] must be refused",
+                unit.strategy
+            );
+        }
+    }
+    let (plan, _, _, conf) = thm41_cheap_talk();
+    check(&plan, &conf);
+    let (plan, _, _, conf) = sec64_naive_mediator();
+    check(&plan, &conf);
 }

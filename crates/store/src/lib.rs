@@ -20,7 +20,7 @@
 //!   iteration, and bounded retention: [`TraceStore::compact`] evicts the
 //!   oldest event bodies but never a header or outcome.
 //! * [`replay`] — [`replay_plan`] re-opens the world through the
-//!   `Scenario`/`SessionPlan` seam with a [`mediator_sim::ReplayScheduler`]
+//!   scenario plan's `session_with` seam with a [`mediator_sim::ReplayScheduler`]
 //!   forcing the recorded dispatch order; networked recordings re-enact
 //!   the transport pump in process. [`StoreSink`] plugs the store into
 //!   anything emitting [`mediator_sim::TraceSink`] callbacks — notably the

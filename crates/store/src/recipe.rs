@@ -13,8 +13,8 @@
 use crate::codec::RunHeader;
 use crate::replay::{replay_plan, ReplayError, ReplayReport};
 use crate::store::{RunId, StoredRun, TraceStore};
-use mediator_core::adversary::{sweep_unit_plan, Conformance, SweepPlan, SweepUnit};
-use mediator_core::scenario::SessionPlan;
+use mediator_core::adversary::{sweep_unit_plan, Conformance, SweepUnit};
+use mediator_core::scenario::{GameFamily, Plan};
 
 /// The `entry` value every witness header carries first: the run is a
 /// frontier-atlas witness.
@@ -93,7 +93,7 @@ impl WitnessRecipe {
     /// The deviant cell this recipe names over `base`, through the sweep's
     /// own `(strategy, coalition)` lookup — the one place a strategy no
     /// battery generates (a stale or hand-edited store) is diagnosed.
-    fn deviant_plan<P: SweepPlan>(&self, base: &P) -> Result<P, ReplayError> {
+    fn deviant_plan<F: GameFamily>(&self, base: &Plan<F>) -> Result<Plan<F>, ReplayError> {
         if self
             .coalition
             .iter()
@@ -118,18 +118,18 @@ impl WitnessRecipe {
 /// re-runs it at the header's `(kind, seed)` — the plan's own scheduler
 /// when the header names none — and records the trace under `header` with
 /// the recipe as its metadata, so [`replay_witness`] needs nothing else.
-pub fn record_witness<P: SweepPlan>(
+pub fn record_witness<F: GameFamily>(
     store: &mut TraceStore,
     mut header: RunHeader,
-    base: &P,
+    base: &Plan<F>,
     recipe: &WitnessRecipe,
 ) -> Result<RunId, ReplayError> {
     let cell = recipe.deviant_plan(base)?;
     let kind = header
         .kind
         .clone()
-        .unwrap_or_else(|| base.default_scheduler());
-    let outcome = cell.run_one(&kind, header.seed);
+        .unwrap_or_else(|| base.scheduler().clone());
+    let outcome = cell.run_with(&kind, header.seed);
     header.meta = recipe.meta();
     Ok(store.record(header, &outcome)?)
 }
@@ -139,8 +139,8 @@ pub fn record_witness<P: SweepPlan>(
 /// trace against the store through [`replay_plan`]. A run without a
 /// usable recipe, or naming a strategy `base` does not generate, is a
 /// typed error, never a panic and never a pass.
-pub fn replay_witness<P: SweepPlan + SessionPlan>(
-    base: &P,
+pub fn replay_witness<F: GameFamily>(
+    base: &Plan<F>,
     run: &StoredRun,
 ) -> Result<ReplayReport, ReplayError> {
     let recipe = WitnessRecipe::from_header(&run.header)?;

@@ -26,7 +26,7 @@
 
 use crate::codec::StoreError;
 use crate::store::StoredRun;
-use mediator_core::scenario::SessionPlan;
+use mediator_core::scenario::{GameFamily, Plan};
 use mediator_sim::{Outcome, ReplayScript, SchedulerKind, Session, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -205,7 +205,7 @@ fn check(run: &StoredRun, replayed: &Outcome) -> Result<ReplayReport, ReplayErro
 }
 
 /// Replays a stored run through an arbitrary executor — the seam for
-/// callers whose run recipe is not a [`SessionPlan`] (a bare world, a
+/// callers whose run recipe is not a scenario [`Plan`] (a bare world, a
 /// protocol substrate). `exec` receives the replay scheduler kind and the
 /// recorded seed and must rebuild and run the same world the recording
 /// came from.
@@ -222,15 +222,18 @@ pub fn replay_run(
 /// [`RunHeader::networked`](crate::codec::RunHeader::networked): bare
 /// recordings run the closed loop, networked recordings re-enact the
 /// transport pump in process.
-pub fn replay_plan<P: SessionPlan>(plan: &P, run: &StoredRun) -> Result<ReplayReport, ReplayError> {
+pub fn replay_plan<F: GameFamily>(
+    plan: &Plan<F>,
+    run: &StoredRun,
+) -> Result<ReplayReport, ReplayError> {
     let script = stored_script(run)?;
     let kind = SchedulerKind::Replay(script);
     if run.header.networked {
-        let session = plan.open_session(&kind, run.header.seed);
+        let session = plan.session_with(&kind, run.header.seed);
         let replayed = replay_networked_session(session, &run.events)?;
         check(run, &replayed)
     } else {
-        let replayed = plan.open_session(&kind, run.header.seed).finish();
+        let replayed = plan.session_with(&kind, run.header.seed).finish();
         check(run, &replayed)
     }
 }

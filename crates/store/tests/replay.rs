@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use mediator_circuits::catalog;
 use mediator_core::cheap_talk::CtMsg;
-use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario, SessionPlan};
+use mediator_core::scenario::{CheapTalkPlan, GameFamily, MediatorPlan, Plan, Scenario};
 use mediator_field::Fp;
 use mediator_net::{
     Client, DeliveryOrder, MemTransport, RunMeta, Service, ServiceConfig, TcpTransport, TraceSink,
@@ -63,8 +63,8 @@ fn template(plan: PlanKind, n: usize, networked: bool) -> HeaderTemplate {
 
 /// Records one in-process cell through [`StoreSink`] and returns the
 /// stored run — the same round trip a conformance sweep performs.
-fn record_in_process<P: SessionPlan>(
-    plan: &P,
+fn record_in_process<F: GameFamily>(
+    plan: &Plan<F>,
     plan_kind: PlanKind,
     kind: SchedulerKind,
     seed: u64,
@@ -73,7 +73,7 @@ fn record_in_process<P: SessionPlan>(
         TraceStore::in_memory(),
         template(plan_kind, plan.processes(), false),
     );
-    let outcome = plan.open_session(&kind, seed).finish();
+    let outcome = plan.session_with(&kind, seed).finish();
     sink.record(&RunMeta::cell(0, kind.clone(), seed), &outcome);
     assert!(sink.take_error().is_none(), "sink append failed");
     let store = sink.into_store();

@@ -52,7 +52,7 @@ fn main() {
         .tolerance(k, 0)
         .naive_split()
         .wills(vec![bot; n])
-        .resolve_defaults(vec![bot; n])
+        .default_actions(vec![bot; n])
         .build()
         .expect("n − k ≥ 1");
     let report = naive.conformance(&game, &vec![0; n], &cfg);
@@ -65,7 +65,7 @@ fn main() {
         .players(n)
         .tolerance(k, 0)
         .wills(vec![bot; n])
-        .resolve_defaults(vec![bot; n])
+        .default_actions(vec![bot; n])
         .build()
         .expect("n − k ≥ 1");
     let report = fixed.conformance(&game, &vec![0; n], &cfg);

@@ -17,6 +17,7 @@
 //! cargo run --example net_service
 //! ```
 
+use mediator_talk::core::CtMsg;
 use mediator_talk::prelude::*;
 use std::thread;
 
@@ -47,15 +48,14 @@ fn main() {
     let addr = transport.addr();
     println!("service listening on {addr}");
     let service = Service::start(Box::new(transport));
-    let handle = plan.serve(&service, 1, SchedulerKind::Random, 7);
+    let handle = service.host_plan(1, &plan, SchedulerKind::Random, 7);
 
     // The client side: one TCP connection per player. Each relay completes
     // the network leg of every message addressed to its player.
     let relays: Vec<_> = (0..n)
         .map(|player| {
-            let client_plan = plan.clone();
             thread::spawn(move || {
-                let mut client = client_plan.connect_tcp(addr).expect("dial service");
+                let mut client = Client::<CtMsg>::tcp(addr).expect("dial service");
                 client.attach(1, player).expect("attach");
                 let summary = client.relay().expect("relay to completion");
                 (player, summary)

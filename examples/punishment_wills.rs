@@ -34,7 +34,7 @@ fn run_variant(n: usize, naive: bool, collude: bool, samples: u64) -> (f64, f64)
         .players(n)
         .tolerance(k, 0)
         .wills(vec![library::BOTTOM as u64; n]) // ⊥ in every will
-        .resolve_defaults(vec![library::BOTTOM as u64; n]);
+        .default_actions(vec![library::BOTTOM as u64; n]);
     if naive {
         builder = builder.naive_split();
     }

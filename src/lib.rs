@@ -83,16 +83,16 @@ pub mod prelude {
     };
     pub use mediator_core::implement::{compare_run_sets, ImplementationReport};
     pub use mediator_core::scenario::{
-        Batch, CheapTalkPlan, DeviantFactory, MediatorPlan, Resolve, RunRecord, RunSet, Scenario,
-        ScenarioError, SessionPlan, Theorem,
+        Batch, CheapTalkPlan, DeviantFactory, GameFamily, MediatorPlan, Plan, Resolve, RunRecord,
+        RunSet, Scenario, ScenarioError, Theorem,
     };
     pub use mediator_field::Fp;
     pub use mediator_games::dist::OutcomeDist;
     pub use mediator_games::library;
     pub use mediator_net::{
-        run_frontier_sharded, Client, DeliveryOrder, FrontierShardLog, MemTransport, NetError,
-        NetPlan, OutcomeSummary, Service, ServiceConfig, SessionHandle, ShardConfig, ShardedSweep,
-        TcpTransport, TransportKind,
+        run_frontier_sharded, run_over_mem, run_over_tcp, Client, DeliveryOrder, FrontierShardLog,
+        MemTransport, NetError, OutcomeSummary, Service, ServiceConfig, SessionHandle, ShardConfig,
+        ShardedSweep, TcpTransport, TransportKind,
     };
     pub use mediator_sim::{
         Outcome, RunMeta, SchedulerKind, Session, SessionStatus, TerminationKind, TraceSink,

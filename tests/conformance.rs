@@ -25,7 +25,7 @@ fn naive_counterexample_plan(n: usize, k: usize) -> MediatorPlan {
         .tolerance(k, 0)
         .naive_split()
         .wills(vec![BOT; n])
-        .resolve_defaults(vec![BOT; n])
+        .default_actions(vec![BOT; n])
         .build()
         .expect("n − k ≥ 1")
 }
@@ -45,7 +45,7 @@ fn min_info_plan(n: usize, k: usize) -> MediatorPlan {
         .players(n)
         .tolerance(k, 0)
         .wills(vec![BOT; n])
-        .resolve_defaults(vec![BOT; n])
+        .default_actions(vec![BOT; n])
         .build()
         .expect("n − k ≥ 1")
 }

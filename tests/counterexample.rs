@@ -25,12 +25,12 @@ fn run(n: usize, naive: bool, collude: bool, seed: u64) -> Vec<usize> {
     if naive {
         game = game.naive_split();
     }
-    let mut plan = game.build().expect("n − k ≥ 1");
     if collude {
-        plan = plan
-            .with_deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))
-            .with_deviant(1, move || Box::new(CounterexampleColluder::new(n, 0)));
+        game = game
+            .deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))
+            .deviant(1, move || Box::new(CounterexampleColluder::new(n, 0)));
     }
+    let plan = game.build().expect("n − k ≥ 1");
     let out = plan.run_with(&SchedulerKind::Random, seed);
     out.resolve_ah(&vec![BOT; n + 1])[..n]
         .iter()
@@ -108,7 +108,7 @@ fn conformance_harness_rediscovers_the_hand_built_attack() {
         .tolerance(k, 0)
         .naive_split()
         .wills(vec![BOT; n])
-        .resolve_defaults(vec![BOT; n])
+        .default_actions(vec![BOT; n])
         .build()
         .expect("n − k ≥ 1");
     let report = plan.conformance(

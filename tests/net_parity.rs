@@ -21,8 +21,7 @@ fn networked_run_agrees_with_in_process_run() {
     let local = plan.run_with(&SchedulerKind::Random, 3);
     assert_eq!(local.termination, TerminationKind::Quiescent);
 
-    let networked = plan
-        .run_over_mem(&SchedulerKind::Random, 3)
+    let networked = run_over_mem(&plan, &SchedulerKind::Random, 3, ServiceConfig::default())
         .expect("networked run completes");
     assert_eq!(networked.termination, local.termination);
     assert_eq!(
@@ -37,8 +36,7 @@ fn tcp_loopback_run_agrees_with_in_process_run() {
     let n = 5;
     let plan = plan(n);
     let local = plan.run_with(&SchedulerKind::Fifo, 11);
-    let networked = plan
-        .run_over_tcp(&SchedulerKind::Fifo, 11)
+    let networked = run_over_tcp(&plan, &SchedulerKind::Fifo, 11, ServiceConfig::default())
         .expect("tcp loopback run completes");
     assert_eq!(networked.termination, local.termination);
     assert_eq!(
