@@ -1,6 +1,6 @@
 //! Protocol-level benchmarks: one bench per theorem transform plus the
 //! mediator-game baseline and the EGL curve (the timing companion to the
-//! message-count tables E5/E9 of the experiments binary).
+//! message counts that `tests/trace_golden.rs` and `egl`'s unit tests pin).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mediator_bench::ones_inputs;

@@ -87,8 +87,9 @@ pub fn counterexample_minfo(n: usize) -> Circuit {
 }
 
 /// A parameterized "work" circuit: `depth` layers of `width` multiplications
-/// over the players' inputs, all players learn the final wire. Used by the
-/// message-scaling experiment (E5) to sweep the paper's `c` parameter.
+/// over the players' inputs, all players learn the final wire. Sweeps the
+/// paper's `c` parameter in the message-cost test of the root
+/// `tests/trace_golden.rs`.
 pub fn work_circuit(n: usize, width: usize, depth: usize) -> Circuit {
     assert!(width >= 1 && n >= 1);
     let mut b = CircuitBuilder::new(n, &vec![1; n]);

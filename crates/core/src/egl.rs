@@ -7,8 +7,8 @@
 //! `2m` locally-drawn bits revealed alternately; aborting after any prefix
 //! leaves the other party with a coin whose bias the aborter controls by at
 //! most `1/(2m)`. Choosing `m = ⌈1/(2ε)⌉` yields advantage ≤ ε with exactly
-//! `2m = Θ(1/ε)` messages — the curve experiment E9 plots against the flat
-//! cost of the punishment-based cheap talk.
+//! `2m = Θ(1/ε)` messages, against the flat cost of the punishment-based
+//! cheap talk. The unit tests below certify the curve and the bound.
 
 use mediator_sim::{Action, Ctx, Process, ProcessId, RandomScheduler, World};
 use rand::Rng;
@@ -111,6 +111,23 @@ mod tests {
         assert_eq!(egl_message_count(0.1), 10);
         assert_eq!(egl_message_count(0.01), 100);
         assert_eq!(egl_message_count(0.001), 1000);
+    }
+
+    #[test]
+    fn a_run_sends_exactly_the_counted_messages() {
+        for (eps, msgs) in [
+            (0.1, 10),
+            (0.03, 34),
+            (0.01, 100),
+            (0.003, 334),
+            (0.001, 1000),
+        ] {
+            assert_eq!(egl_message_count(eps), msgs);
+            for seed in 0..3 {
+                let (_, sent) = run_gradual_release(eps, None, seed);
+                assert_eq!(sent, msgs, "ε = {eps}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! quantify over a **battery** of qualitatively distinct scheduler families
 //! ([`SchedulerKind::battery`](mediator_sim::SchedulerKind::battery)) and estimate each family's outcome
 //! distribution from seeded samples. The distances reported are therefore
-//! statistical estimates (E6 prints the sample counts beside them).
+//! statistical estimates, and the report carries the sample counts.
 
 use crate::scenario::RunSet;
 use mediator_games::dist::{set_distance, weak_set_distance};

@@ -15,10 +15,9 @@
 //! * message costs: `2Rn` for exact implementation (the `2^{O(N log N)}`
 //!   of Lemma 6.8) versus `n` for weak implementation.
 //!
-//! Exact values use [`BigUint`]; `log₂` variants use Stirling so tables can
-//! extend beyond exact-arithmetic comfort.
+//! The counts overflow every machine integer almost at once, so they are
+//! computed in `log₂`, through `ln Γ`.
 
-use mediator_field::BigUint;
 use mediator_sim::{Trace, TraceEvent};
 use std::collections::BTreeSet;
 
@@ -57,7 +56,7 @@ pub fn pattern_class(trace: &Trace) -> PatternClass {
 }
 
 /// Counts the distinct pattern classes among a set of traces — the
-/// empirical companion to [`scheduler_classes`].
+/// empirical companion to [`log2_scheduler_classes`].
 pub fn distinct_classes<'a>(traces: impl IntoIterator<Item = &'a Trace>) -> usize {
     traces
         .into_iter()
@@ -113,16 +112,8 @@ pub fn log2_scheduler_classes(r: u64, n: u64) -> f64 {
     (2.0 * r as f64 * n as f64).log2() + log2_message_patterns(r, n)
 }
 
-/// Exact scheduler-equivalence-class bound (small parameters only).
-pub fn scheduler_classes(r: u64, n: u64) -> BigUint {
-    let m = 4 * r * n;
-    let num = BigUint::factorial(m).mul_u64(m).mul_u64(2 * r * n);
-    let den = BigUint::factorial(r).pow(2 * n);
-    num.div(&den)
-}
-
-/// The least `R` with `(R·n)! ≥ classes(r, n)`, found by scanning with the
-/// Stirling estimate and confirming exactly when feasible.
+/// The least `R` with `(R·n)! ≥ classes(r, n)`, found by bisection on the
+/// `log₂` estimates.
 pub fn min_rounds(r: u64, n: u64) -> u64 {
     let target = log2_scheduler_classes(r, n);
     let mut lo = 1u64;
@@ -162,45 +153,20 @@ pub fn paper_sufficient_rounds_log2(r: u64, n: u64) -> f64 {
     m as f64 * (m as f64).log2()
 }
 
-/// One row of the Lemma 6.8 table (experiment E8).
-#[derive(Debug, Clone)]
-pub struct MinInfoRow {
-    /// Mediator rounds `r` of the original game.
-    pub r: u64,
-    /// Players.
-    pub n: u64,
-    /// `log₂` of the scheduler-class bound.
-    pub classes_log2: f64,
-    /// The least sufficient `R`.
-    pub min_r: u64,
-    /// Exact-implementation message count `2Rn`.
-    pub full_messages: u64,
-    /// Weak-implementation message count `n`.
-    pub weak_messages: u64,
-}
-
-/// Builds the E8 table over a parameter grid.
-pub fn min_info_table(grid: &[(u64, u64)]) -> Vec<MinInfoRow> {
-    grid.iter()
-        .map(|&(r, n)| MinInfoRow {
-            r,
-            n,
-            classes_log2: log2_scheduler_classes(r, n),
-            min_r: min_rounds(r, n),
-            full_messages: full_implementation_messages(r, n),
-            weak_messages: weak_implementation_messages(n),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `log₂(m!)` as the sum `Σ_{i≤m} log₂ i`: the independent reference
+    /// the `ln Γ` route is checked against.
+    fn log2_factorial_by_sum(m: u64) -> f64 {
+        (1..=m).map(|i| (i as f64).log2()).sum()
+    }
+
     #[test]
     fn log2_factorial_matches_exact() {
         for m in [1u64, 2, 5, 10, 20, 50, 100] {
-            let exact = BigUint::factorial(m).log2();
+            let exact = log2_factorial_by_sum(m);
             let approx = log2_factorial(m);
             assert!(
                 (exact - approx).abs() < 1e-6 * exact.max(1.0),
@@ -212,7 +178,9 @@ mod tests {
     #[test]
     fn exact_and_stirling_class_counts_agree() {
         for (r, n) in [(1u64, 2u64), (1, 3), (2, 2), (2, 3)] {
-            let exact = scheduler_classes(r, n).log2();
+            let m = 4 * r * n;
+            let exact = ((2 * r * n * m) as f64).log2() + log2_factorial_by_sum(m)
+                - 2.0 * n as f64 * log2_factorial_by_sum(r);
             let approx = log2_scheduler_classes(r, n);
             assert!(
                 (exact - approx).abs() < 1e-3 * exact.max(1.0),
@@ -231,6 +199,19 @@ mod tests {
                 assert!(log2_factorial((big_r - 1) * n) < target, "r={r} n={n}");
             }
         }
+        // The least R over a grid of mediator rounds r and players n.
+        let grid = [
+            ((1, 3), 5),
+            ((1, 5), 5),
+            ((2, 5), 8),
+            ((4, 5), 15),
+            ((8, 5), 29),
+            ((16, 5), 54),
+            ((4, 9), 15),
+        ];
+        for ((r, n), big_r) in grid {
+            assert_eq!(min_rounds(r, n), big_r, "r={r} n={n}");
+        }
     }
 
     #[test]
@@ -248,17 +229,16 @@ mod tests {
         // enough rounds to cover every scheduler class (2Rn messages, with
         // the paper's crude sufficient R giving the 2^{O(N log N)} bound),
         // while the weak implementation sends n messages, full stop.
-        let rows = min_info_table(&[(1, 4), (2, 4), (4, 4), (8, 4)]);
-        for w in rows.windows(2) {
-            assert!(w[1].full_messages > w[0].full_messages);
-            assert_eq!(w[1].weak_messages, 4);
-        }
-        let last = rows.last().unwrap();
-        assert!(last.full_messages > 10 * last.weak_messages);
+        let full: Vec<u64> = [1, 2, 4, 8]
+            .map(|r| full_implementation_messages(r, 4))
+            .into();
+        assert!(full.windows(2).all(|w| w[1] > w[0]), "{full:?}");
+        assert_eq!(weak_implementation_messages(4), 4);
+        assert!(full[3] > 10 * weak_implementation_messages(4));
         // The paper's closed-form R is astronomically above the minimal R:
         // log2((4rn)^{4rn}) vs log2(min R).
         let paper = paper_sufficient_rounds_log2(8, 4);
-        let ours = (last.min_r as f64).log2();
+        let ours = (min_rounds(8, 4) as f64).log2();
         assert!(paper > 100.0 * ours, "paper {paper} vs minimal {ours}");
     }
 

@@ -17,8 +17,6 @@
 //!   paper's `n > 4(k+t)` threshold (Theorem 4.1). The decoder solves its
 //!   linear systems in a flat reused scratch matrix with batch-inverted
 //!   pivots (see the module docs).
-//! * [`BigUint`] — a minimal arbitrary-precision unsigned integer, used only
-//!   by the Lemma 6.8 scheduler-class counting (factorials like `(4rn)!`).
 //!
 //! # Example
 //!
@@ -29,13 +27,11 @@
 //! assert_eq!(p.eval(Fp::new(2)), Fp::new(7));
 //! ```
 
-pub mod bigint;
 pub mod gf;
 pub mod grid;
 pub mod poly;
 pub mod rs;
 
-pub use bigint::BigUint;
 pub use gf::Fp;
 pub use poly::Poly;
 pub use rs::{decode_robust, decode_robust_indices, encode, interpolate_exact, RsError};

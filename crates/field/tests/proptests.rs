@@ -1,7 +1,7 @@
 //! Property-based tests: field axioms, polynomial identities, and robust
 //! decoding under arbitrary corruption patterns.
 
-use mediator_field::{rs, BigUint, Fp, Poly};
+use mediator_field::{rs, Fp, Poly};
 use proptest::prelude::*;
 
 fn arb_fp() -> impl Strategy<Value = Fp> {
@@ -124,28 +124,5 @@ proptest! {
         let (q, bad) = rs::decode_robust(&pts, deg, e).expect("decode");
         prop_assert_eq!(q, p);
         prop_assert_eq!(bad.len(), e.min(bad.len() + e - bad.len())); // bad ⊆ corrupted
-    }
-
-    #[test]
-    fn biguint_mul_matches_u128(a in any::<u64>(), b in any::<u64>()) {
-        let prod = BigUint::from(a).mul(&BigUint::from(b));
-        let expect = a as u128 * b as u128;
-        let lo = BigUint::from(expect as u64);
-        let hi = BigUint::from((expect >> 64) as u64);
-        let reference = hi.mul(&BigUint::from(u64::MAX)).add(&hi).add(&lo);
-        prop_assert_eq!(prod, reference);
-    }
-
-    #[test]
-    fn biguint_add_sub_roundtrip(a in any::<u64>(), b in any::<u64>()) {
-        let x = BigUint::from(a);
-        let y = BigUint::from(b);
-        prop_assert_eq!(x.add(&y).sub(&y), x);
-    }
-
-    #[test]
-    fn biguint_div_is_floor_division(a in any::<u64>(), b in 1u64..u64::MAX) {
-        let q = BigUint::from(a).div(&BigUint::from(b));
-        prop_assert_eq!(q, BigUint::from(a / b));
     }
 }

@@ -5,9 +5,9 @@
 //! *can* count them. A player signals the value `j ∈ {0..M}` by sending `j`
 //! empty messages to itself immediately after the event it wants to report;
 //! the scheduler decodes by counting self-deliveries. This module implements
-//! both ends, and the experiment `E10` uses it to demonstrate that the
-//! adversary/scheduler pair may be treated as a single coordinated entity —
-//! the premise of Propositions 6.1, 6.2 and Corollary 6.3.
+//! both ends, and its unit tests certify that the adversary/scheduler pair
+//! may be treated as a single coordinated entity — the premise of
+//! Propositions 6.1, 6.2 and Corollary 6.3.
 
 use crate::process::{Ctx, Process, ProcessId};
 use crate::scheduler::{PendingView, SchedChoice, Scheduler};

@@ -5,16 +5,12 @@
 use mediator_talk::circuits::catalog;
 use mediator_talk::field::Fp;
 use mediator_talk::prelude::{compare_run_sets, Scenario};
-use mediator_talk::sim::SchedulerKind;
+use mediator_talk::sim::{SchedulerKind, TerminationKind};
 
 #[test]
 fn majority_cheap_talk_implements_the_mediator_exactly_on_unanimous_inputs() {
     let n = 5;
-    let kinds = vec![
-        SchedulerKind::Random,
-        SchedulerKind::Fifo,
-        SchedulerKind::Lifo,
-    ];
+    let kinds = SchedulerKind::battery(n);
     let inputs = vec![vec![Fp::ONE]; n];
     let ct = Scenario::cheap_talk(catalog::majority_circuit(n))
         .players(n)
@@ -35,11 +31,19 @@ fn majority_cheap_talk_implements_the_mediator_exactly_on_unanimous_inputs() {
         .battery(kinds)
         .seeds(0..8)
         .run_batch();
+    // Scheduler-proofness (Corollary 6.3): under every kind of the
+    // battery, every cheap-talk run ends quiescent with everyone playing
+    // the majority — no deadlock, no default move.
+    for r in ct.runs() {
+        let at = (&r.kind, r.seed);
+        assert_eq!(r.outcome.termination, TerminationKind::Quiescent, "{at:?}");
+        assert_eq!(r.outcome.moves, vec![Some(1); n], "{at:?}");
+    }
     let rep = compare_run_sets(&ct, &md);
     // Unanimous inputs ⇒ both games are point masses on (1,...,1).
     assert_eq!(rep.distance, 0.0, "exact implementation on this input");
     assert!(rep.eps_implements(0.0));
-    assert_eq!(rep.kinds, 3);
+    assert_eq!(rep.kinds, 7);
     assert_eq!(rep.samples, 8);
 }
 

@@ -39,15 +39,23 @@ type Row = [u64; COLS];
 
 /// `(n, k, Random seed)` → deliveries per kind in [`KINDS`] order, then
 /// `to_halted`. Re-pinned when core agreement took fixed coins for rounds
-/// 1–2 and stopped proposing once decided: every vote is 1, so each
-/// instance decides in round 1 and `BVal = Aux = Done = n³`, the floor of
-/// three broadcasts per (player, instance); at `n = 13` `to_halted` fell
-/// from ~3 436 to ~1 450 and the `Open` counts moved with the schedule.
+/// 1–2 and stopped proposing once decided: on seeds 0–2 every vote is 1,
+/// so each instance decides in round 1 and `BVal = Aux = Done = n³`, the
+/// floor of three broadcasts per (player, instance); at `n = 13`
+/// `to_halted` fell from ~3 436 to ~1 450 and the `Open` counts moved with
+/// the schedule. Seeds 5 and 8 at `n = 5` are the two rules that leave the
+/// floor (`tests/trace_golden.rs` pins how often): on seed 5 player 4's
+/// own instance halts on `2f + 1` `Done` before it sends `Aux` (`Aux`
+/// 120); on seed 8 player 2 votes 0 in instance 1, which it had not
+/// started when `n − f` instances decided 1 (`BVal` 130: one `BVal(0)`
+/// broadcast, below the `f + 1` relay threshold).
 #[rustfmt::skip]
-const PINNED: [(usize, usize, u64, Row); 6] = [
+const PINNED: [(usize, usize, u64, Row); 8] = [
     (5, 1, 0, [25, 125, 125, 0, 0, 0, 125, 125, 125, 97, 16, 0, 79]),
     (5, 1, 1, [25, 125, 125, 0, 0, 0, 125, 125, 125, 93, 15, 0, 76]),
     (5, 1, 2, [25, 125, 125, 0, 0, 0, 125, 125, 125, 98, 16, 0, 80]),
+    (5, 1, 5, [25, 125, 125, 0, 0, 0, 125, 120, 124, 97, 15, 0, 79]),
+    (5, 1, 8, [25, 125, 125, 0, 0, 0, 130, 125, 124, 98, 15, 0, 72]),
     (13, 3, 0, [169, 2197, 2197, 0, 0, 0, 2197, 2197, 2197, 1999, 93, 0, 1467]),
     (13, 3, 1, [169, 2197, 2197, 0, 0, 0, 2197, 2197, 2197, 1997, 91, 0, 1469]),
     (13, 3, 2, [169, 2197, 2197, 0, 0, 0, 2197, 2197, 2197, 2000, 92, 0, 1445]),
