@@ -6,10 +6,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mediator_bcast::{AbaPeer, AbaState, IdealCoin, RbcPeer};
 use mediator_field::{rs, Fp, Poly};
-use mediator_sim::sansio::Machines;
+use mediator_sim::sansio::{route_batch, Machines, Outgoing};
 use mediator_sim::{Ctx, Process, ProcessId, RandomScheduler, TraceMode, World};
 use mediator_store::format::crc32;
-use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
+use mediator_vss::avss::{self, AvssMsg, AvssState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -107,14 +107,11 @@ fn run_avss_instance(n: usize, f: usize, dealer: usize, secrets: &[Fp], rng: &mu
         .map(|(to, rows)| (dealer, to, rows))
         .collect();
     let mut delivered = 0;
+    let mut out: Vec<Outgoing<AvssMsg>> = Vec::new();
     while let Some((from, to, msg)) = queue.pop_front() {
         delivered += 1;
-        for (dest, m) in states[to].on_message(from, msg).0 {
-            match dest {
-                AvssDest::One(d) => queue.push_back((to, d, m)),
-                AvssDest::All => queue.extend((0..n).map(|d| (to, d, m.clone()))),
-            }
-        }
+        states[to].on_message(from, msg, &mut out);
+        route_batch(n, out.drain(..), |d, m| queue.push_back((to, d, m)));
     }
     assert!(states.iter().all(AvssState::is_completed));
     delivered

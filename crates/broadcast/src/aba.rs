@@ -51,6 +51,14 @@ pub enum AbaMsg {
     Done { v: bool },
 }
 
+/// A lone instance's stream is untagged: the tag names the one instance
+/// its peer runs, so [`AbaPeer`](crate::AbaPeer) drops it.
+impl From<(usize, AbaMsg)> for AbaMsg {
+    fn from((_, msg): (usize, AbaMsg)) -> Self {
+        msg
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct RoundState {
     bval_recv: [PartySet; 2],
@@ -122,16 +130,15 @@ impl AbaState {
     /// every round the votes already held allow: an adversarial schedule
     /// can deliver a whole round before the player starts, and no later
     /// message need come to re-test it. A decision reached here shows in
-    /// [`AbaState::decided`].
-    pub fn start(&mut self, input: bool) -> Vec<Outgoing<AbaMsg>> {
+    /// [`AbaState::decided`]. Messages are appended to `out`, tagged with
+    /// this instance's id.
+    pub fn start<M: From<(usize, AbaMsg)>>(&mut self, input: bool, out: &mut Vec<Outgoing<M>>) {
         assert!(!self.started, "ABA instance started twice");
         self.started = true;
         self.est = input;
         self.round = 1;
-        let mut out = Vec::new();
-        self.send_bval(1, input, &mut out);
-        self.try_complete_rounds(&mut out);
-        out
+        self.send_bval(1, input, out);
+        self.try_complete_rounds(out);
     }
 
     /// The decision, if reached.
@@ -149,30 +156,41 @@ impl AbaState {
         self.started
     }
 
-    fn send_bval(&mut self, round: u64, v: bool, out: &mut Vec<Outgoing<AbaMsg>>) {
+    /// Broadcasts `msg`, tagged with this instance's id.
+    fn broadcast<M: From<(usize, AbaMsg)>>(&self, msg: AbaMsg, out: &mut Vec<Outgoing<M>>) {
+        out.push(Outgoing::all(M::from((self.instance as usize, msg))));
+    }
+
+    fn send_bval<M: From<(usize, AbaMsg)>>(
+        &mut self,
+        round: u64,
+        v: bool,
+        out: &mut Vec<Outgoing<M>>,
+    ) {
         let rs = self.rounds.entry(round).or_default();
         if !rs.bval_sent[v as usize] {
             rs.bval_sent[v as usize] = true;
-            out.push(Outgoing::all(AbaMsg::BVal { round, v }));
+            self.broadcast(AbaMsg::BVal { round, v }, out);
         }
     }
 
-    /// Processes a message; returns outgoing messages and the decision if it
-    /// is reached *now* (reported once). A sender id `≥ n` is ignored.
+    /// Processes a message, appending what it sends to `out` (tagged with
+    /// this instance's id); returns the decision if it is reached *now*
+    /// (reported once). A sender id `≥ n` is ignored.
     ///
     /// # Panics
     ///
     /// Panics if the instance exceeds 10 000 rounds (livelock guard for
     /// adversarial-scheduler experiments; never reached under fair
     /// schedulers).
-    pub fn on_message(
+    pub fn on_message<M: From<(usize, AbaMsg)>>(
         &mut self,
         from: usize,
         msg: AbaMsg,
-    ) -> (Vec<Outgoing<AbaMsg>>, Option<bool>) {
-        let mut out = Vec::new();
+        out: &mut Vec<Outgoing<M>>,
+    ) -> Option<bool> {
         if self.halted || from >= self.n {
-            return (out, None);
+            return None;
         }
         let decided_before = self.decided;
         match msg {
@@ -182,14 +200,14 @@ impl AbaState {
                 rs.bval_recv[v as usize].insert(from);
                 let count = rs.bval_recv[v as usize].len();
                 if count > t {
-                    self.send_bval(round, v, &mut out);
+                    self.send_bval(round, v, out);
                 }
                 let rs = self.rounds.entry(round).or_default();
                 if count > 2 * t && !rs.bin_values[v as usize] {
                     rs.bin_values[v as usize] = true;
                     if !rs.aux_sent {
                         rs.aux_sent = true;
-                        out.push(Outgoing::all(AbaMsg::Aux { round, v }));
+                        self.broadcast(AbaMsg::Aux { round, v }, out);
                     }
                 }
             }
@@ -204,7 +222,7 @@ impl AbaState {
                     // Adopt and announce: at least one honest player decided v.
                     self.decided = Some(v);
                     self.done_sent = true;
-                    out.push(Outgoing::all(AbaMsg::Done { v }));
+                    self.broadcast(AbaMsg::Done { v }, out);
                 }
                 if count > 2 * self.t {
                     self.decided = Some(v);
@@ -213,17 +231,16 @@ impl AbaState {
             }
         }
         if self.started {
-            self.try_complete_rounds(&mut out);
+            self.try_complete_rounds(out);
         }
-        let newly = match (decided_before, self.decided) {
+        match (decided_before, self.decided) {
             (None, Some(v)) => Some(v),
             _ => None,
-        };
-        (out, newly)
+        }
     }
 
     /// Advances the current round as long as its completion condition holds.
-    fn try_complete_rounds(&mut self, out: &mut Vec<Outgoing<AbaMsg>>) {
+    fn try_complete_rounds<M: From<(usize, AbaMsg)>>(&mut self, out: &mut Vec<Outgoing<M>>) {
         loop {
             if self.halted {
                 return;
@@ -262,7 +279,7 @@ impl AbaState {
                         self.decided = Some(v);
                         if !self.done_sent {
                             self.done_sent = true;
-                            out.push(Outgoing::all(AbaMsg::Done { v }));
+                            self.broadcast(AbaMsg::Done { v }, out);
                         }
                     }
                 }
@@ -391,6 +408,22 @@ mod tests {
         }
     }
 
+    type Out = Vec<Outgoing<AbaMsg>>;
+
+    /// Delivers one message; returns what `s` sent and the fresh decision.
+    fn deliver(s: &mut AbaState, from: usize, msg: AbaMsg) -> (Out, Option<bool>) {
+        let mut out = Vec::new();
+        let decided = s.on_message(from, msg, &mut out);
+        (out, decided)
+    }
+
+    /// Starts `s` with `v`; returns what it sent.
+    fn start(s: &mut AbaState, v: bool) -> Out {
+        let mut out = Vec::new();
+        s.start(v, &mut out);
+        out
+    }
+
     /// A coin source that must not be asked.
     #[derive(Debug, Clone)]
     struct NoCoin;
@@ -411,7 +444,7 @@ mod tests {
         let auxes = (0..3).map(|from| (from, AbaMsg::Aux { round, v }));
         bvals
             .chain(auxes)
-            .flat_map(|(from, m)| s.on_message(from, m).0)
+            .flat_map(|(from, m)| deliver(s, from, m).0)
             .map(|o| o.msg)
             .collect()
     }
@@ -420,7 +453,7 @@ mod tests {
     fn unanimous_zero_decides_in_round_two_on_fixed_coins_then_only_relays() {
         let (n, t) = (4, 1);
         let mut s = AbaState::new(n, t, 0, Box::new(NoCoin));
-        let _ = s.start(false);
+        let _ = start(&mut s, false);
         // Round 1 flips 1: `{0}` misses it and proposes 0 again in round 2.
         let sent = unanimous_round(&mut s, 1, false);
         assert_eq!(
@@ -442,9 +475,9 @@ mod tests {
         );
         assert_eq!(s.decided(), Some(false));
         // A round someone else still runs: relayed at t + 1, voted at 2t + 1.
-        let relay = s.on_message(0, AbaMsg::BVal { round: 3, v: false }).0;
+        let relay = deliver(&mut s, 0, AbaMsg::BVal { round: 3, v: false }).0;
         assert!(relay.is_empty(), "one proposer is not t + 1");
-        let relay = s.on_message(1, AbaMsg::BVal { round: 3, v: false }).0;
+        let relay = deliver(&mut s, 1, AbaMsg::BVal { round: 3, v: false }).0;
         assert_eq!(relay, [Outgoing::all(AbaMsg::BVal { round: 3, v: false })]);
     }
 
@@ -452,7 +485,7 @@ mod tests {
     fn unanimous_one_decides_in_round_one_on_the_fixed_coin() {
         let mut s = AbaState::new(4, 1, 0, Box::new(NoCoin));
         assert_eq!(
-            s.start(true),
+            start(&mut s, true),
             [Outgoing::all(AbaMsg::BVal { round: 1, v: true })]
         );
         let sent = unanimous_round(&mut s, 1, true);
@@ -478,7 +511,10 @@ mod tests {
             ]
         );
         assert_eq!(s.decided(), None);
-        assert_eq!(s.start(true), [Outgoing::all(AbaMsg::Done { v: true })]);
+        assert_eq!(
+            start(&mut s, true),
+            [Outgoing::all(AbaMsg::Done { v: true })]
+        );
         assert_eq!(s.decided(), Some(true));
     }
 
@@ -486,17 +522,17 @@ mod tests {
     fn done_gadget_halts_states() {
         let n = 4;
         let mut s = AbaState::new(n, 1, 0, Box::new(IdealCoin::new(0)));
-        let _ = s.start(true);
+        let _ = start(&mut s, true);
         // 2t+1 = 3 Done(v) messages halt even a fresh state.
-        let (_, d1) = s.on_message(0, AbaMsg::Done { v: false });
+        let (_, d1) = deliver(&mut s, 0, AbaMsg::Done { v: false });
         assert!(d1.is_none());
-        let (out2, d2) = s.on_message(1, AbaMsg::Done { v: false });
+        let (out2, d2) = deliver(&mut s, 1, AbaMsg::Done { v: false });
         // t+1 = 2: adopt and announce.
         assert_eq!(d2, Some(false));
         assert!(out2
             .iter()
             .any(|o| matches!(o.msg, AbaMsg::Done { v: false })));
-        let (_, _) = s.on_message(2, AbaMsg::Done { v: false });
+        let (_, _) = deliver(&mut s, 2, AbaMsg::Done { v: false });
         assert!(s.is_halted());
         assert_eq!(s.decided(), Some(false));
     }
@@ -510,24 +546,24 @@ mod tests {
         let mut s = AbaState::new(n, 1, 0, Box::new(IdealCoin::new(0)));
         for from in n..2 * n {
             assert_eq!(
-                s.on_message(from, AbaMsg::Done { v: false }),
+                deliver(&mut s, from, AbaMsg::Done { v: false }),
                 (vec![], None)
             );
         }
         assert!(!s.is_halted() && s.decided().is_none());
-        let _ = s.start(true);
+        let _ = start(&mut s, true);
         for from in n..2 * n {
             for msg in [
                 AbaMsg::BVal { round: 1, v: false },
                 AbaMsg::Aux { round: 1, v: false },
             ] {
-                assert_eq!(s.on_message(from, msg), (vec![], None));
+                assert_eq!(deliver(&mut s, from, msg), (vec![], None));
             }
         }
         assert!(!s.is_halted() && s.decided().is_none());
         // Real senders still count.
         for from in 0..2 {
-            s.on_message(from, AbaMsg::Done { v: false });
+            deliver(&mut s, from, AbaMsg::Done { v: false });
         }
         assert_eq!(s.decided(), Some(false));
     }
@@ -542,7 +578,7 @@ mod tests {
     #[should_panic(expected = "started twice")]
     fn rejects_double_start() {
         let mut s = AbaState::new(4, 1, 0, Box::new(IdealCoin::new(0)));
-        let _ = s.start(true);
-        let _ = s.start(false);
+        let _ = start(&mut s, true);
+        let _ = start(&mut s, false);
     }
 }

@@ -28,9 +28,10 @@ use crate::aba::{AbaMsg, AbaState};
 use crate::coin::CoinSource;
 use mediator_sim::sansio::Outgoing;
 
-/// One player's common-subset rule over `n` binary agreements. Outgoing
-/// messages are instance-tagged as `(instance, msg)` and converted into the
-/// caller's wire type through `From`.
+/// One player's common-subset rule over `n` binary agreements. Each
+/// instance appends its messages straight to the caller's outbox, tagged
+/// as `(instance, msg)` and converted into the caller's wire type through
+/// `From`.
 ///
 /// Agreement runs at threshold `t` while the vote-zero rule waits for
 /// `n − f` ones, and the two are different numbers in the MPC engine's
@@ -82,8 +83,7 @@ impl Acs {
         out: &mut Vec<Outgoing<M>>,
     ) {
         if !self.aba[instance].is_started() {
-            let batch = self.aba[instance].start(v);
-            tag(instance, batch, out);
+            self.aba[instance].start(v, out);
             if self.decisions[instance].is_none() {
                 if let Some(d) = self.aba[instance].decided() {
                     self.decide(instance, d, out);
@@ -106,9 +106,7 @@ impl Acs {
         let Some(aba) = self.aba.get_mut(instance) else {
             return;
         };
-        let (batch, decided) = aba.on_message(from, msg);
-        tag(instance, batch, out);
-        if let Some(d) = decided {
+        if let Some(d) = aba.on_message(from, msg, out) {
             self.decide(instance, d, out);
         }
     }
@@ -155,15 +153,6 @@ impl Acs {
             .collect();
         self.core = Some(members);
     }
-}
-
-/// Appends `instance`'s batch to `out`, each message tagged with it.
-fn tag<M: From<(usize, AbaMsg)>>(
-    instance: usize,
-    batch: Vec<Outgoing<AbaMsg>>,
-    out: &mut Vec<Outgoing<M>>,
-) {
-    out.extend(batch.into_iter().map(|o| o.map(|m| M::from((instance, m)))));
 }
 
 #[cfg(test)]

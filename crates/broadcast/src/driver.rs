@@ -46,10 +46,9 @@ impl<V: Clone + Ord> SansIo for RbcPeer<V> {
     type Msg = RbcMsg<V>;
     type Output = V;
 
-    fn on_start(&mut self, _rng: &mut StdRng) -> Vec<Outgoing<RbcMsg<V>>> {
-        match self.input.take() {
-            Some(v) => self.state.start(v),
-            None => Vec::new(),
+    fn on_start(&mut self, _rng: &mut StdRng, out: &mut Vec<Outgoing<RbcMsg<V>>>) {
+        if let Some(v) = self.input.take() {
+            self.state.start(v, out);
         }
     }
 
@@ -58,8 +57,9 @@ impl<V: Clone + Ord> SansIo for RbcPeer<V> {
         from: usize,
         msg: RbcMsg<V>,
         _rng: &mut StdRng,
-    ) -> (Vec<Outgoing<RbcMsg<V>>>, Option<V>) {
-        self.state.on_message(from, msg)
+        out: &mut Vec<Outgoing<RbcMsg<V>>>,
+    ) -> Option<V> {
+        self.state.on_message(from, msg, out)
     }
 
     fn is_done(&self) -> bool {
@@ -89,10 +89,9 @@ impl SansIo for AbaPeer {
     type Msg = AbaMsg;
     type Output = bool;
 
-    fn on_start(&mut self, _rng: &mut StdRng) -> Vec<Outgoing<AbaMsg>> {
-        match self.input.take() {
-            Some(v) => self.state.start(v),
-            None => Vec::new(),
+    fn on_start(&mut self, _rng: &mut StdRng, out: &mut Vec<Outgoing<AbaMsg>>) {
+        if let Some(v) = self.input.take() {
+            self.state.start(v, out);
         }
     }
 
@@ -101,8 +100,9 @@ impl SansIo for AbaPeer {
         from: usize,
         msg: AbaMsg,
         _rng: &mut StdRng,
-    ) -> (Vec<Outgoing<AbaMsg>>, Option<bool>) {
-        self.state.on_message(from, msg)
+        out: &mut Vec<Outgoing<AbaMsg>>,
+    ) -> Option<bool> {
+        self.state.on_message(from, msg, out)
     }
 
     fn is_done(&self) -> bool {

@@ -30,8 +30,8 @@ pub enum RbcMsg<V> {
 /// One player's state in one reliable-broadcast instance.
 ///
 /// Drive with [`RbcState::start`] (dealer only) and [`RbcState::on_message`];
-/// the latter returns messages to send plus `Some(value)` exactly once, when
-/// the instance delivers.
+/// both append the messages to send to the caller's outbox, and the latter
+/// returns `Some(value)` exactly once, when the instance delivers.
 #[derive(Debug, Clone)]
 pub struct RbcState<V> {
     n: usize,
@@ -72,22 +72,22 @@ impl<V: Clone + Ord> RbcState<V> {
     }
 
     /// Dealer's kick-off: broadcast `Init(v)`.
-    pub fn start(&mut self, value: V) -> Vec<Outgoing<RbcMsg<V>>> {
-        vec![Outgoing::all(RbcMsg::Init(value))]
+    pub fn start(&mut self, value: V, out: &mut Vec<Outgoing<RbcMsg<V>>>) {
+        out.push(Outgoing::all(RbcMsg::Init(value)));
     }
 
-    /// Processes a message from `from`; returns outgoing messages and the
-    /// delivered value, if delivery happens now. A sender id `≥ n` names no
-    /// player and is ignored.
+    /// Processes a message from `from`, appending what it sends to `out`;
+    /// returns the delivered value, if delivery happens now. A sender id
+    /// `≥ n` names no player and is ignored.
     pub fn on_message(
         &mut self,
         from: usize,
         msg: RbcMsg<V>,
-    ) -> (Vec<Outgoing<RbcMsg<V>>>, Option<V>) {
-        let mut out = Vec::new();
+        out: &mut Vec<Outgoing<RbcMsg<V>>>,
+    ) -> Option<V> {
         let mut delivered = None;
         if from >= self.n {
-            return (out, delivered);
+            return delivered;
         }
         match msg {
             RbcMsg::Init(v) => {
@@ -116,7 +116,7 @@ impl<V: Clone + Ord> RbcState<V> {
                 }
             }
         }
-        (out, delivered)
+        delivered
     }
 
     /// Whether this instance has delivered.
@@ -149,6 +149,15 @@ mod tests {
     use crate::driver::RbcPeer;
     use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines};
     use mediator_sim::{Outcome, SchedulerKind};
+
+    type Out = Vec<Outgoing<RbcMsg<u64>>>;
+
+    /// Delivers one message; returns what `s` sent and the delivery.
+    fn deliver(s: &mut RbcState<u64>, from: usize, msg: RbcMsg<u64>) -> (Out, Option<u64>) {
+        let mut out = Vec::new();
+        let delivered = s.on_message(from, msg, &mut out);
+        (out, delivered)
+    }
 
     fn no_op() -> Behavior<RbcMsg<u64>> {
         Box::new(|_, _, _| Vec::new())
@@ -249,13 +258,13 @@ mod tests {
         // Even a player that missed all echoes delivers from 2t+1 readies.
         let n = 4;
         let mut s: RbcState<u64> = RbcState::new(n, 1, 0);
-        let (_out, d) = s.on_message(1, RbcMsg::Ready(7));
+        let (_out, d) = deliver(&mut s, 1, RbcMsg::Ready(7));
         assert!(d.is_none());
-        let (out, d) = s.on_message(2, RbcMsg::Ready(7));
+        let (out, d) = deliver(&mut s, 2, RbcMsg::Ready(7));
         // t+1 = 2 readies: relays Ready itself.
         assert!(out.iter().any(|o| matches!(o.msg, RbcMsg::Ready(7))));
         assert!(d.is_none());
-        let (_, d) = s.on_message(3, RbcMsg::Ready(7));
+        let (_, d) = deliver(&mut s, 3, RbcMsg::Ready(7));
         // 2t+1 = 3 readies: delivers.
         assert_eq!(d, Some(7));
         assert!(s.is_delivered());
@@ -266,7 +275,7 @@ mod tests {
         let n = 4;
         let mut s: RbcState<u64> = RbcState::new(n, 1, 0);
         for _ in 0..10 {
-            let (_, d) = s.on_message(1, RbcMsg::Ready(7));
+            let (_, d) = deliver(&mut s, 1, RbcMsg::Ready(7));
             assert!(d.is_none(), "one voter repeated must never reach 2t+1");
         }
     }
@@ -278,8 +287,8 @@ mod tests {
         let n = 4;
         let mut s: RbcState<u64> = RbcState::new(n, 1, 0);
         for from in n..2 * n {
-            assert_eq!(s.on_message(from, RbcMsg::Echo(7)), (Vec::new(), None));
-            assert_eq!(s.on_message(from, RbcMsg::Ready(7)), (Vec::new(), None));
+            assert_eq!(deliver(&mut s, from, RbcMsg::Echo(7)), (Vec::new(), None));
+            assert_eq!(deliver(&mut s, from, RbcMsg::Ready(7)), (Vec::new(), None));
         }
         assert!(!s.is_delivered());
     }

@@ -236,14 +236,17 @@ impl Pair {
     }
 
     fn start(&mut self, input: bool, ctx: &str) -> Vec<Outgoing<AbaMsg>> {
-        let out = self.new.start(input);
+        let mut out = Vec::new();
+        self.new.start(input, &mut out);
         assert_eq!(out, self.old.start(input), "start: {ctx}");
         self.same_status(ctx);
         out
     }
 
     fn deliver(&mut self, from: usize, msg: AbaMsg, ctx: &str) -> Vec<Outgoing<AbaMsg>> {
-        let got = self.new.on_message(from, msg);
+        let mut out = Vec::new();
+        let decided = self.new.on_message(from, msg, &mut out);
+        let got = (out, decided);
         assert_eq!(
             got,
             self.old.on_message(from, msg),

@@ -10,7 +10,7 @@
 
 use mediator_bcast::driver::{AbaPeer, RbcPeer};
 use mediator_bcast::{AbaMsg, AbaState, IdealCoin, RbcMsg};
-use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines};
+use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines, Outgoing};
 use mediator_sim::SchedulerKind;
 
 fn no_op<M: 'static>() -> Behavior<M> {
@@ -104,9 +104,10 @@ fn aba_forged_done_below_quorum_does_not_decide() {
     let n = 7;
     let t = 2;
     let mut s = AbaState::new(n, t, 0, Box::new(IdealCoin::new(0)));
-    let _ = s.start(true);
-    let (_, d1) = s.on_message(5, AbaMsg::Done { v: false });
-    let (_, d2) = s.on_message(5, AbaMsg::Done { v: false }); // duplicate sender
+    let mut out: Vec<Outgoing<AbaMsg>> = Vec::new();
+    s.start(true, &mut out);
+    let d1 = s.on_message(5, AbaMsg::Done { v: false }, &mut out);
+    let d2 = s.on_message(5, AbaMsg::Done { v: false }, &mut out); // duplicate sender
     assert!(d1.is_none() && d2.is_none());
     assert_eq!(s.decided(), None, "one forger cannot reach t+1 = 3");
 }

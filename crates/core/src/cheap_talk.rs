@@ -28,8 +28,8 @@ use crate::adversary::TacticState;
 use crate::deviations::Behavior;
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
-use mediator_mpc::{Mode, MpcConfig, MpcDriver, MpcEvent, MpcMsg};
-use mediator_sim::sansio::{route_batch, SansIo};
+use mediator_mpc::{MpcConfig, MpcDriver, MpcEvent, MpcMsg};
+use mediator_sim::sansio::{route_batch, Outgoing, SansIo};
 use mediator_sim::{Action, Ctx, PartySet, Process, ProcessId, TamperVerdict};
 use std::sync::Arc;
 
@@ -60,6 +60,8 @@ pub enum CtMsg {
 const _: () = assert!(std::mem::size_of::<CtMsg>() <= 40);
 
 /// Specification of a cheap-talk execution.
+///
+/// One per plan, shared by every run and player behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct CheapTalkSpec {
     /// Number of players.
@@ -83,6 +85,10 @@ pub struct CheapTalkSpec {
     pub default_actions: Vec<Action>,
     /// Enable the t-cotermination barrier.
     pub barrier: bool,
+    /// The engine configuration, derived from the fields above when the
+    /// builder makes the spec; editing a field afterwards does not update
+    /// it.
+    pub(crate) mpc: Arc<MpcConfig>,
 }
 
 impl CheapTalkSpec {
@@ -91,32 +97,21 @@ impl CheapTalkSpec {
         self.k + self.t
     }
 
-    /// Builds the engine configuration for this spec.
-    pub fn mpc_config(&self) -> MpcConfig {
-        let f = self.f();
-        match self.variant {
-            CtVariant::Robust => {
-                MpcConfig::robust(self.n, f, self.coin_seed, self.defaults.clone())
-            }
-            CtVariant::Epsilon { kappa } => MpcConfig {
-                n: self.n,
-                f,
-                t: self.t.max(1).min(f.max(1)),
-                mode: Mode::Epsilon { kappa },
-                coin_seed: self.coin_seed,
-                defaults: self.defaults.clone(),
-            },
-        }
+    /// The engine configuration every engine of this spec shares.
+    pub fn mpc_config(&self) -> &Arc<MpcConfig> {
+        &self.mpc
     }
 }
 
 /// One cheap-talk player: the honest strategy, with optional parameterized
 /// deviations ([`Behavior`]) so experiments can reuse the honest machinery.
 pub struct CheapTalkPlayer {
-    spec: CheapTalkSpec,
+    spec: Arc<CheapTalkSpec>,
     me: usize,
     input: Vec<Fp>,
     engine: Option<MpcDriver>,
+    /// The engine's outbox, drained after every call and reused.
+    outbox: Vec<Outgoing<MpcMsg>>,
     behavior: Behavior,
     tactics: TacticState,
     held: Vec<(ProcessId, CtMsg)>,
@@ -129,13 +124,13 @@ pub struct CheapTalkPlayer {
 
 impl CheapTalkPlayer {
     /// An honest player.
-    pub fn honest(spec: CheapTalkSpec, me: usize, input: Vec<Fp>) -> Self {
+    pub fn honest(spec: impl Into<Arc<CheapTalkSpec>>, me: usize, input: Vec<Fp>) -> Self {
         CheapTalkPlayer::with_behavior(spec, me, input, Behavior::default())
     }
 
     /// A player with deviations switched on.
     pub fn with_behavior(
-        spec: CheapTalkSpec,
+        spec: impl Into<Arc<CheapTalkSpec>>,
         me: usize,
         input: Vec<Fp>,
         behavior: Behavior,
@@ -153,10 +148,11 @@ impl CheapTalkPlayer {
         }
         let tactics = TacticState::new(schedule);
         CheapTalkPlayer {
-            spec,
+            spec: spec.into(),
             me,
             input,
             engine: None,
+            outbox: Vec::new(),
             behavior,
             tactics,
             held: Vec::new(),
@@ -168,13 +164,17 @@ impl CheapTalkPlayer {
         }
     }
 
-    fn deliver_out(&mut self, batch: Vec<mediator_sim::Outgoing<MpcMsg>>, ctx: &mut Ctx<CtMsg>) {
+    /// Sends what the engine left in the outbox.
+    fn deliver_out(&mut self, ctx: &mut Ctx<CtMsg>) {
         // Broadcast fan-out goes through the shared sans-IO routing, with
         // this player's deviation-aware send in the hot seat (opening
         // lies, like every message-level deviation, live in the compiled
-        // tactic schedule the send path consults).
+        // tactic schedule the send path consults). The outbox goes back
+        // empty, keeping its capacity.
         let n = self.spec.n;
-        route_batch(n, batch, |d, msg| self.send(d, CtMsg::Mpc(msg), ctx));
+        let mut batch = std::mem::take(&mut self.outbox);
+        route_batch(n, batch.drain(..), |d, m| self.send(d, CtMsg::Mpc(m), ctx));
+        self.outbox = batch;
     }
 
     fn send(&mut self, dst: usize, msg: CtMsg, ctx: &mut Ctx<CtMsg>) {
@@ -282,14 +282,14 @@ impl Process<CtMsg> for CheapTalkPlayer {
             .clone()
             .unwrap_or_else(|| self.input.clone());
         let mut engine = MpcDriver::new(
-            self.spec.mpc_config(),
+            Arc::clone(self.spec.mpc_config()),
             self.spec.circuit.clone(),
             self.me,
             input,
         );
-        let batch = engine.on_start(ctx.std_rng());
+        engine.on_start(ctx.std_rng(), &mut self.outbox);
         self.engine = Some(engine);
-        self.deliver_out(batch, ctx);
+        self.deliver_out(ctx);
     }
 
     fn on_message(&mut self, src: ProcessId, msg: CtMsg, ctx: &mut Ctx<CtMsg>) {
@@ -299,8 +299,8 @@ impl Process<CtMsg> for CheapTalkPlayer {
                 let Some(engine) = self.engine.as_mut() else {
                     return;
                 };
-                let (batch, ev) = engine.on_message(src, m, ctx.std_rng());
-                self.deliver_out(batch, ctx);
+                let ev = engine.on_message(src, m, ctx.std_rng(), &mut self.outbox);
+                self.deliver_out(ctx);
                 if let Some(ev) = ev {
                     self.handle_event(ev, ctx);
                 }

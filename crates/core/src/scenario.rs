@@ -62,6 +62,7 @@ use crate::mediator::{CircuitMediator, HonestMedPlayer, MedMsg, MediatorGameSpec
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
 use mediator_games::dist::OutcomeDist;
+use mediator_mpc::{Mode, MpcConfig};
 use mediator_sim::{Action, Outcome, Process, RelaxedScheduler, SchedulerKind, Session, World};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -370,7 +371,7 @@ impl<F: GameFamily> Draft<F> {
             check_len("player input arity", a, input.len())?;
         }
         let plan = Plan {
-            spec: spec(Validated {
+            spec: Arc::new(spec(Validated {
                 n,
                 k: self.k,
                 t: self.t,
@@ -378,7 +379,7 @@ impl<F: GameFamily> Draft<F> {
                 defaults,
                 wills: self.wills,
                 default_actions,
-            }),
+            })),
             inputs,
             deviants: BTreeMap::new(),
             scheduler: self.scheduler,
@@ -565,17 +566,34 @@ impl CheapTalk {
                 Err(ScenarioError::Threshold { theorem, n, k, t })
             }
         };
-        self.draft.build(threshold, |v| CheapTalkSpec {
-            n: v.n,
-            k: v.k,
-            t: v.t,
-            variant,
-            circuit: v.circuit,
-            coin_seed,
-            defaults: v.defaults,
-            barrier: v.wills.is_some(),
-            punishment: v.wills,
-            default_actions: v.default_actions,
+        self.draft.build(threshold, |v| {
+            // One engine configuration per plan, shared by every engine.
+            let f = v.k + v.t;
+            let defaults = v.defaults.clone();
+            let mpc = Arc::new(match variant {
+                CtVariant::Robust => MpcConfig::robust(v.n, f, coin_seed, defaults),
+                CtVariant::Epsilon { kappa } => MpcConfig {
+                    n: v.n,
+                    f,
+                    t: v.t.max(1).min(f.max(1)),
+                    mode: Mode::Epsilon { kappa },
+                    coin_seed,
+                    defaults,
+                },
+            });
+            CheapTalkSpec {
+                n: v.n,
+                k: v.k,
+                t: v.t,
+                variant,
+                circuit: v.circuit,
+                coin_seed,
+                defaults: v.defaults,
+                barrier: v.wills.is_some(),
+                punishment: v.wills,
+                default_actions: v.default_actions,
+                mpc,
+            }
         })
     }
 }
@@ -732,7 +750,7 @@ pub trait GameFamily: Clone + fmt::Debug + Send + Sync + 'static {
     /// Assembles one run's world: honest players on `inputs`, except the
     /// players `deviants` names.
     fn world(
-        &self,
+        self: &Arc<Self>,
         inputs: &[Vec<Fp>],
         deviants: &BTreeMap<usize, Self::Deviant>,
         seed: u64,
@@ -772,7 +790,7 @@ impl GameFamily for CheapTalkSpec {
     }
 
     fn world(
-        &self,
+        self: &Arc<Self>,
         inputs: &[Vec<Fp>],
         deviants: &BTreeMap<usize, Behavior>,
         seed: u64,
@@ -781,7 +799,7 @@ impl GameFamily for CheapTalkSpec {
             .map(|p| {
                 let b = deviants.get(&p).cloned().unwrap_or_default();
                 Box::new(CheapTalkPlayer::with_behavior(
-                    self.clone(),
+                    Arc::clone(self),
                     p,
                     inputs[p].clone(),
                     b,
@@ -839,7 +857,7 @@ impl GameFamily for MediatorGameSpec {
     /// plays the honest canonical strategy, and the mediator is process
     /// `n`.
     fn world(
-        &self,
+        self: &Arc<Self>,
         inputs: &[Vec<Fp>],
         deviants: &BTreeMap<usize, DeviantFactory>,
         seed: u64,
@@ -854,7 +872,7 @@ impl GameFamily for MediatorGameSpec {
                 }
             })
             .collect();
-        procs.push(Box::new(CircuitMediator::new(self.clone())));
+        procs.push(Box::new(CircuitMediator::new((**self).clone())));
         World::new(procs, seed)
     }
 
@@ -889,7 +907,7 @@ impl GameFamily for MediatorGameSpec {
 /// sessions, and worker threads the experiment needs.
 #[derive(Clone)]
 pub struct Plan<F: GameFamily> {
-    spec: F,
+    spec: Arc<F>,
     inputs: Vec<Vec<Fp>>,
     deviants: BTreeMap<usize, F::Deviant>,
     scheduler: SchedulerKind,

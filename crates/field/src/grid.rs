@@ -110,40 +110,6 @@ pub fn point_powers(n: usize) -> Cow<'static, [Fp]> {
     }
 }
 
-/// Inverted barycentric denominators for an arbitrary subset of the grid:
-/// `weights[i] = 1 / ∏_{j≠i}(x_i − x_j)` with `x_i = idxs[i] + 1`.
-/// Contiguous-from-zero index sets hit the per-`n` cache.
-///
-/// # Panics
-///
-/// Panics if two indices coincide (duplicate share points).
-pub fn lagrange_weights(idxs: &[usize]) -> Cow<'static, [Fp]> {
-    let contiguous = idxs.iter().enumerate().all(|(i, &idx)| idx == i);
-    if contiguous {
-        return full_grid_weights(idxs.len());
-    }
-    let denoms: Vec<Fp> = idxs
-        .iter()
-        .enumerate()
-        .map(|(a, &i)| {
-            let mut d = Fp::ONE;
-            for (b, &j) in idxs.iter().enumerate() {
-                if b != a {
-                    // A duplicated index zeroes the product, which the
-                    // distinctness assertion below then rejects.
-                    d *= Fp::from_i64(i as i64 - j as i64);
-                }
-            }
-            d
-        })
-        .collect();
-    assert!(
-        denoms.iter().all(|d| !d.is_zero()),
-        "interpolation points must be distinct"
-    );
-    Cow::Owned(Fp::batch_inv(&denoms))
-}
-
 /// The Lagrange basis over the share points `idxs`, in coefficient form and
 /// transposed for column-batched interpolation: row-major `m × m`
 /// (`m = idxs.len()`) with `basis[b·m + a]` the coefficient of `x^b` in
@@ -156,37 +122,63 @@ pub fn lagrange_weights(idxs: &[usize]) -> Cow<'static, [Fp]> {
 /// Panics if two indices coincide.
 pub fn lagrange_basis(idxs: &[usize]) -> Vec<Fp> {
     let m = idxs.len();
-    let weights = lagrange_weights(idxs);
-    let x_of = |i: usize| Fp::new(idxs[i] as u64 + 1);
-    let master = Poly::master_coeffs(m, x_of);
-    let mut basis = vec![Fp::ZERO; m * m];
+    let mut points: Vec<(usize, Fp)> = idxs.iter().map(|&i| (i, Fp::ZERO)).collect();
+    let (mut basis, mut scratch) = (vec![Fp::ZERO; m * m], Vec::new());
     for a in 0..m {
         // L_a interpolates the a-th unit vector.
-        let unit = |i: usize| if i == a { Fp::ONE } else { Fp::ZERO };
-        let l_a = Poly::interpolate_with_master(&master, x_of, unit, &weights);
-        for (b, &c) in l_a.coeffs().iter().enumerate() {
+        points[a].1 = Fp::ONE;
+        for (b, &c) in interpolate_indices(&points, &mut scratch)
+            .iter()
+            .enumerate()
+        {
             basis[b * m + a] = c;
         }
+        points[a].1 = Fp::ZERO;
     }
     basis
 }
 
-/// Interpolates the unique polynomial of degree `< idxs.len()` through the
-/// share points `(idxs[i] + 1, ys[i])`, in coefficient form.
+/// Interpolates the unique polynomial of degree `< points.len()` through
+/// the share points `(i + 1, y)` for each `(i, y)` of `points`, on a
+/// caller-owned buffer: returns its low-to-high coefficients, which are
+/// the prefix of `scratch`. The rest of `scratch` is working space
+/// (weights, master polynomial, basis), grown as needed, so a caller that
+/// keeps it — online error correction does — interpolates without
+/// allocating. The full grid `0, 1, …` uses the cached weights.
 ///
 /// # Panics
 ///
-/// Panics if the lengths differ or two indices coincide.
-pub fn interpolate_indices(idxs: &[usize], ys: &[Fp]) -> Poly {
-    assert_eq!(idxs.len(), ys.len(), "one y per share index");
-    let n = idxs.len();
-    if n == 0 {
-        return Poly::zero();
-    }
-    let weights = lagrange_weights(idxs);
-    let x_of = |i: usize| Fp::new(idxs[i] as u64 + 1);
-    let master = Poly::master_coeffs(n, x_of);
-    Poly::interpolate_with_master(&master, x_of, |i| ys[i], &weights)
+/// Panics if two indices coincide.
+pub fn interpolate_indices<'a>(points: &[(usize, Fp)], scratch: &'a mut Vec<Fp>) -> &'a [Fp] {
+    let m = points.len();
+    scratch.clear();
+    scratch.resize(5 * m + 1, Fp::ZERO);
+    let (work, rest) = scratch.split_at_mut(2 * m);
+    let (master, rest) = rest.split_at_mut(m + 1);
+    let (denoms, subset_weights) = rest.split_at_mut(m);
+    let x_of = |i: usize| Fp::new(points[i].0 as u64 + 1);
+    let cached;
+    let weights: &[Fp] = if points.iter().enumerate().all(|(a, &(i, _))| i == a) {
+        cached = full_grid_weights(m);
+        &cached
+    } else {
+        // d_a = ∏_{b≠a}(x_a − x_b); a duplicated point zeroes one.
+        for (a, d) in denoms.iter_mut().enumerate() {
+            *d = (0..m)
+                .filter(|&b| b != a)
+                .map(|b| x_of(a) - x_of(b))
+                .product();
+        }
+        assert!(
+            denoms.iter().all(|d| !d.is_zero()),
+            "interpolation points must be distinct"
+        );
+        Fp::batch_inv_into(denoms, subset_weights);
+        subset_weights
+    };
+    Poly::master_coeffs(x_of, master);
+    Poly::interpolate_with_master(master, x_of, |i| points[i].1, weights, work);
+    &scratch[..m]
 }
 
 #[cfg(test)]
@@ -194,6 +186,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// [`interpolate_indices`] through `(idxs[i] + 1, ys[i])`, as a
+    /// polynomial.
+    fn interp(idxs: &[usize], ys: &[Fp]) -> Poly {
+        let points: Vec<(usize, Fp)> = idxs.iter().copied().zip(ys.iter().copied()).collect();
+        Poly::from_coeffs(interpolate_indices(&points, &mut Vec::new()).to_vec())
+    }
 
     #[test]
     fn full_grid_weights_match_direct_products() {
@@ -212,21 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_weights_match_direct_products() {
-        let idxs = [0usize, 2, 5, 6, 9];
-        let w = lagrange_weights(&idxs);
-        for (a, &i) in idxs.iter().enumerate() {
-            let mut d = Fp::ONE;
-            for &j in &idxs {
-                if j != i {
-                    d *= Fp::from_i64(i as i64 - j as i64);
-                }
-            }
-            assert_eq!(w[a], d.inv().unwrap());
-        }
-    }
-
-    #[test]
     fn interpolate_indices_matches_generic_interpolation() {
         let mut rng = StdRng::seed_from_u64(3);
         for deg in 0..8usize {
@@ -237,7 +221,7 @@ mod tests {
                 .iter()
                 .map(|&i| p.eval(Fp::new(i as u64 + 1)))
                 .collect();
-            let q = interpolate_indices(&idxs, &ys);
+            let q = interp(&idxs, &ys);
             assert_eq!(p, q, "deg {deg}");
             // Contiguous prefix (cached path).
             let idxs: Vec<usize> = (0..=deg).collect();
@@ -245,7 +229,7 @@ mod tests {
                 .iter()
                 .map(|&i| p.eval(Fp::new(i as u64 + 1)))
                 .collect();
-            assert_eq!(interpolate_indices(&idxs, &ys), p, "deg {deg} contiguous");
+            assert_eq!(interp(&idxs, &ys), p, "deg {deg} contiguous");
         }
     }
 
@@ -277,7 +261,7 @@ mod tests {
             let coeffs: Vec<Fp> = (0..m)
                 .map(|b| Fp::dot(&basis[b * m..(b + 1) * m], &ys))
                 .collect();
-            assert_eq!(Poly::from_coeffs(coeffs), interpolate_indices(&idxs, &ys));
+            assert_eq!(Poly::from_coeffs(coeffs), interp(&idxs, &ys));
         }
         assert!(lagrange_basis(&[]).is_empty());
     }
@@ -285,11 +269,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "distinct")]
     fn duplicate_indices_rejected() {
-        let _ = lagrange_weights(&[1, 3, 1]);
+        let _ = interp(&[1, 3, 1], &[Fp::ONE; 3]);
     }
 
     #[test]
     fn empty_interpolation_is_zero() {
-        assert!(interpolate_indices(&[], &[]).is_zero());
+        assert!(interp(&[], &[]).is_zero());
     }
 }

@@ -34,4 +34,4 @@ pub mod rs;
 
 pub use gf::Fp;
 pub use poly::Poly;
-pub use rs::{decode_robust, decode_robust_indices, encode, interpolate_exact, RsError};
+pub use rs::{decode_robust, encode, interpolate_exact, RsError};

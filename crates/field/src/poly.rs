@@ -112,7 +112,9 @@ impl Poly {
         if n == 0 {
             return Poly::zero();
         }
-        let master = Poly::master_coeffs(n, |i| points[i].0);
+        let x_of = |i: usize| points[i].0;
+        let mut master = vec![Fp::ZERO; n + 1];
+        Poly::master_coeffs(x_of, &mut master);
         // Denominators d_i = ∏_{j≠i}(x_i − x_j) = M'(x_i); a duplicated
         // point is a double root of M, making its derivative vanish there.
         let deriv = Poly::from_coeffs(
@@ -126,14 +128,18 @@ impl Poly {
             "interpolation points must be distinct"
         );
         let weights = Fp::batch_inv(&denoms);
-        Poly::interpolate_with_master(&master, |i| points[i].0, |i| points[i].1, &weights)
+        let mut work = vec![Fp::ZERO; 2 * n];
+        Poly::interpolate_with_master(&master, x_of, |i| points[i].1, &weights, &mut work);
+        work.truncate(n);
+        Poly::from_coeffs(work)
     }
 
-    /// The master polynomial `M(x) = ∏ (x − x_i)` over `n` points given by
-    /// `x_of`, low-to-high coefficients (shared by [`Poly::interpolate`]
-    /// and the grid kernel).
-    pub(crate) fn master_coeffs(n: usize, x_of: impl Fn(usize) -> Fp) -> Vec<Fp> {
-        let mut master = vec![Fp::ZERO; n + 1];
+    /// Writes the master polynomial `M(x) = ∏ (x − x_i)` over the
+    /// `master.len() − 1` points given by `x_of` into `master`, low-to-high
+    /// coefficients (shared by [`Poly::interpolate`] and the grid kernel).
+    pub(crate) fn master_coeffs(x_of: impl Fn(usize) -> Fp, master: &mut [Fp]) {
+        let n = master.len() - 1;
+        master.fill(Fp::ZERO);
         master[0] = Fp::ONE;
         for k in 0..n {
             let xi = x_of(k);
@@ -143,25 +149,26 @@ impl Poly {
             }
             master[0] = -(xi * master[0]);
         }
-        master
     }
 
     /// The shared interpolation core: given the master polynomial over the
     /// points and the inverted barycentric denominators (`weights`),
-    /// accumulates `Σ (y_i · w_i) · M(x)/(x − x_i)` with one synthetic
-    /// division per point. Both [`Poly::interpolate`] (derivative-based
-    /// weights) and [`crate::grid::interpolate_indices`] (cached grid
-    /// weights) bottom out here.
+    /// accumulates `Σ (y_i · w_i) · M(x)/(x − x_i)` into the first half of
+    /// `work` (`2n` long, caller-owned) with one synthetic division per
+    /// point. Both [`Poly::interpolate`] (derivative-based weights) and
+    /// [`crate::grid::interpolate_indices`] (cached grid weights) bottom
+    /// out here.
     pub(crate) fn interpolate_with_master(
         master: &[Fp],
         x_of: impl Fn(usize) -> Fp,
         y_of: impl Fn(usize) -> Fp,
         weights: &[Fp],
-    ) -> Poly {
+        work: &mut [Fp],
+    ) {
         let n = weights.len();
         debug_assert_eq!(master.len(), n + 1);
-        let mut acc = vec![Fp::ZERO; n];
-        let mut basis = vec![Fp::ZERO; n];
+        let (acc, basis) = work.split_at_mut(n);
+        acc.fill(Fp::ZERO);
         for (i, &w) in weights.iter().enumerate() {
             let scale = y_of(i) * w;
             if scale.is_zero() {
@@ -178,7 +185,6 @@ impl Poly {
                 *a += b * scale;
             }
         }
-        Poly::from_coeffs(acc)
     }
 
     /// Multiplies every coefficient by `s`.

@@ -16,7 +16,6 @@
 //! inverses obtained in a *single* batched inversion ([`Fp::batch_inv`]).
 
 use crate::gf::Fp;
-use crate::grid;
 use crate::poly::Poly;
 use std::fmt;
 
@@ -73,40 +72,6 @@ pub fn interpolate_exact(points: &[(Fp, Fp)], deg: usize) -> Result<Poly, RsErro
     }
     for &(x, y) in &points[deg + 1..] {
         if p.eval(x) != y {
-            return Err(RsError::DecodingFailed);
-        }
-    }
-    Ok(p)
-}
-
-/// Share-grid variant of [`interpolate_exact`]: point `i` is
-/// `(idxs[i] + 1, ys[i])`. Hits the cached barycentric weights of
-/// [`grid`], which is what every reconstruction in the sharing layer
-/// actually interpolates over.
-///
-/// # Errors
-///
-/// As [`interpolate_exact`].
-///
-/// # Panics
-///
-/// Panics if `idxs` and `ys` have different lengths, or if the first
-/// `deg + 1` indices contain a duplicate (later entries are consistency
-/// witnesses, checked as ordinary evaluation points).
-pub fn interpolate_exact_indices(idxs: &[usize], ys: &[Fp], deg: usize) -> Result<Poly, RsError> {
-    assert_eq!(idxs.len(), ys.len(), "one y per share index");
-    if idxs.len() < deg + 1 {
-        return Err(RsError::NotEnoughPoints {
-            have: idxs.len(),
-            need: deg + 1,
-        });
-    }
-    let p = grid::interpolate_indices(&idxs[..deg + 1], &ys[..deg + 1]);
-    if p.degree().map_or(0, |d| d) > deg {
-        return Err(RsError::DecodingFailed);
-    }
-    for (&i, &y) in idxs[deg + 1..].iter().zip(&ys[deg + 1..]) {
-        if p.eval(Fp::new(i as u64 + 1)) != y {
             return Err(RsError::DecodingFailed);
         }
     }
@@ -199,41 +164,6 @@ impl DecodeScratch {
             quot: Vec::with_capacity(deg + 1),
         }
     }
-}
-
-/// Share-grid variant of [`decode_robust`]: point `i` is
-/// `(idxs[i] + 1, ys[i])`, and the returned bad-share positions index into
-/// `idxs`. The exact-interpolation fast path (`max_errors == 0`) runs on
-/// the cached grid weights.
-///
-/// # Errors
-///
-/// As [`decode_robust`].
-///
-/// # Panics
-///
-/// Panics if `idxs` and `ys` have different lengths.
-pub fn decode_robust_indices(
-    idxs: &[usize],
-    ys: &[Fp],
-    deg: usize,
-    max_errors: usize,
-) -> Result<(Poly, Vec<usize>), RsError> {
-    assert_eq!(idxs.len(), ys.len(), "one y per share index");
-    let n = idxs.len();
-    let need = deg + 2 * max_errors + 1;
-    if n < need {
-        return Err(RsError::NotEnoughPoints { have: n, need });
-    }
-    if max_errors == 0 {
-        return interpolate_exact_indices(idxs, ys, deg).map(|p| (p, Vec::new()));
-    }
-    let points: Vec<(Fp, Fp)> = idxs
-        .iter()
-        .zip(ys)
-        .map(|(&i, &y)| (Fp::new(i as u64 + 1), y))
-        .collect();
-    decode_robust(&points, deg, max_errors)
 }
 
 /// One Berlekamp–Welch attempt with exactly-`e` error-locator degree.
@@ -467,41 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_robust_indices_matches_point_form() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let deg = 3;
-        let e = 2;
-        let p = Poly::random_with_secret(Fp::new(41), deg, &mut rng);
-        // A non-contiguous subset of the share grid, as OEC sees it.
-        let idxs: Vec<usize> = vec![0, 1, 3, 4, 6, 7, 8, 10, 11, 12];
-        let mut ys: Vec<Fp> = idxs
-            .iter()
-            .map(|&i| p.eval(Fp::new(i as u64 + 1)))
-            .collect();
-        ys[2] += Fp::new(5);
-        ys[7] += Fp::new(9);
-        let pts: Vec<(Fp, Fp)> = idxs
-            .iter()
-            .zip(&ys)
-            .map(|(&i, &y)| (Fp::new(i as u64 + 1), y))
-            .collect();
-        let a = decode_robust_indices(&idxs, &ys, deg, e).unwrap();
-        let b = decode_robust(&pts, deg, e).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.0, p);
-        // And the exact path with no corruption.
-        let clean: Vec<Fp> = idxs
-            .iter()
-            .map(|&i| p.eval(Fp::new(i as u64 + 1)))
-            .collect();
-        assert_eq!(
-            interpolate_exact_indices(&idxs, &clean, deg).unwrap(),
-            p,
-            "grid exact path"
-        );
-    }
-
-    #[test]
     fn decode_fails_beyond_error_budget() {
         let mut rng = StdRng::seed_from_u64(12);
         let deg = 2;
@@ -589,13 +484,6 @@ mod tests {
         pts[4].1 += Fp::ONE;
         assert_eq!(
             interpolate_exact(&pts, 2).unwrap_err(),
-            RsError::DecodingFailed
-        );
-        // The grid path fails identically.
-        let idxs: Vec<usize> = (0..5).collect();
-        let ys: Vec<Fp> = pts.iter().map(|&(_, y)| y).collect();
-        assert_eq!(
-            interpolate_exact_indices(&idxs, &ys, 2).unwrap_err(),
             RsError::DecodingFailed
         );
     }

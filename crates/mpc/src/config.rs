@@ -9,9 +9,9 @@ pub enum Mode {
     /// Full robustness: `n > 4f`. Cheating is *corrected* (online error
     /// correction); the protocol always terminates with the right outputs.
     Robust,
-    /// Detection-based: safety for `n > 3f`; cheating is *detected* with
-    /// probability ≥ 1 − 2^{−61} per check and the engine aborts.
-    /// `kappa` is the number of cut-and-choose checks per dealer.
+    /// Detection-based: safety for `n > 3f`; detected cheating aborts the
+    /// engine. `kappa` is the number of cut-and-choose checks per dealer,
+    /// each with the soundness `mediator_vss::detect` states.
     Epsilon {
         /// Cut-and-choose checks per dealer.
         kappa: usize,

@@ -55,9 +55,9 @@ impl SansIo for MpcDriver {
     type Msg = MpcMsg;
     type Output = MpcEvent;
 
-    fn on_start(&mut self, rng: &mut StdRng) -> Vec<Outgoing<MpcMsg>> {
+    fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<MpcMsg>>) {
         let inputs = self.inputs.take().expect("MPC driver started twice");
-        self.engine.start(&inputs, rng)
+        self.engine.start(&inputs, rng, out);
     }
 
     fn on_message(
@@ -65,8 +65,9 @@ impl SansIo for MpcDriver {
         from: usize,
         msg: MpcMsg,
         _rng: &mut StdRng,
-    ) -> (Vec<Outgoing<MpcMsg>>, Option<MpcEvent>) {
-        self.engine.on_message(from, msg)
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> Option<MpcEvent> {
+        self.engine.on_message(from, msg, out)
     }
 
     /// Done when the engine reached a terminal status (`Done`/`Aborted`); a

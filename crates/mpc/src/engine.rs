@@ -7,11 +7,10 @@ use mediator_circuits::{Circuit, Gate};
 use mediator_field::Fp;
 use mediator_sim::sansio::Outgoing;
 use mediator_sim::PartySet;
-use mediator_vss::avss::{self, AvssDest, AvssState};
+use mediator_vss::avss::{self, AvssState};
 use mediator_vss::detect::{deal_detectable, DetectState, Verdict};
 use mediator_vss::OecState;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Externally visible engine status.
@@ -44,10 +43,20 @@ struct OpenRec {
     value: Option<Fp>,
 }
 
+/// The slot of one opening id the circuit can make.
+#[derive(Debug, Clone)]
+enum OpenSlot {
+    /// Not reached here yet: the points that arrived first, at most one
+    /// per sender.
+    Early(Vec<(usize, Fp)>),
+    /// Reached: the reconstruction in progress, or done.
+    Open(OpenRec),
+}
+
 /// A multiplication in flight (masked public opening).
 #[derive(Debug, Clone)]
 struct MulRun {
-    open_id: u64,
+    open_id: usize,
     r_share: Fp,
     result: Option<Fp>,
 }
@@ -57,7 +66,7 @@ struct MulRun {
 enum RbStage {
     Idle,
     CheckMul { mul: MulRun, b_share: Fp },
-    CheckValue { open_id: u64, b_share: Fp },
+    CheckValue { open_id: usize, b_share: Fp },
     FoldMul { mul: MulRun, b_share: Fp, acc: Fp },
 }
 
@@ -93,7 +102,9 @@ pub struct MpcEngine {
     // Dealing.
     avss: Vec<AvssState>,
     detect: Vec<DetectState>,
-    dealer_shares: Vec<Option<Vec<Fp>>>,
+    /// Per dealer, whether its dealing completed here with the agreed
+    /// arity; its shares are then read from its sharing instance.
+    accepted: Vec<bool>,
     dealer_ok: Vec<Option<bool>>,
     tainted: bool,
     // Core agreement.
@@ -105,13 +116,14 @@ pub struct MpcEngine {
     pc: usize,
     pending: Option<PendingGate>,
     next_mask: usize,
-    next_open: u64,
-    opens: BTreeMap<u64, OpenRec>,
-    buffered: BTreeMap<u64, Vec<(usize, Fp)>>,
+    /// One slot per opening id the circuit can make, `0..next_open` reached.
+    opens: Vec<OpenSlot>,
+    next_open: usize,
     // Outputs.
     outputs_sent: bool,
-    output_oec: BTreeMap<usize, OecState>,
-    output_vals: BTreeMap<usize, Fp>,
+    /// The output indices this player owns, ascending, each with its
+    /// reconstruction.
+    outputs: Vec<(usize, OecState)>,
     status: MpcStatus,
 }
 
@@ -147,6 +159,10 @@ impl MpcEngine {
             }
         }
         let mask_budget = circuit.mul_count() + 2 * n * num_rb;
+        // A multiplication opens once; a RandBit opens at most three times
+        // per core member (its bit check's product, the check's value and
+        // the fold's product). No honest player opens an id past these.
+        let max_opens = circuit.mul_count() + 3 * n * num_rb;
         // Robust mode validates t = f; ε mode agrees at t (see `Acs`).
         let acs = Acs::new(n, cfg.t, cfg.f, &IdealCoin::new(cfg.coin_seed));
         let kappa = match cfg.mode {
@@ -163,12 +179,10 @@ impl MpcEngine {
                 .collect(),
             Mode::Robust => Vec::new(),
         };
-        let mut output_oec = BTreeMap::new();
-        for (idx, &(p, _)) in circuit.outputs().iter().enumerate() {
-            if p == me {
-                output_oec.insert(idx, OecState::new(cfg.f, cfg.t));
-            }
-        }
+        let outputs = (circuit.outputs().iter().enumerate())
+            .filter(|(_, &(p, _))| p == me)
+            .map(|(idx, _)| (idx, OecState::new(cfg.f, cfg.t)))
+            .collect();
         MpcEngine {
             cfg,
             me,
@@ -179,7 +193,7 @@ impl MpcEngine {
             mask_budget,
             avss: avss_states,
             detect: detect_states,
-            dealer_shares: vec![None; n],
+            accepted: vec![false; n],
             dealer_ok: vec![None; n],
             tainted: false,
             acs,
@@ -189,12 +203,10 @@ impl MpcEngine {
             pc: 0,
             pending: None,
             next_mask: 0,
+            opens: vec![OpenSlot::Early(Vec::new()); max_opens],
             next_open: 0,
-            opens: BTreeMap::new(),
-            buffered: BTreeMap::new(),
             outputs_sent: false,
-            output_oec,
-            output_vals: BTreeMap::new(),
+            outputs,
             status: MpcStatus::Running,
             circuit,
         }
@@ -237,18 +249,20 @@ impl MpcEngine {
     }
 
     /// Kicks off the execution: deals this player's inputs and randomness
-    /// contributions to everyone.
+    /// contributions to everyone, appending the dealing to `out`.
     pub fn start<R: Rng + ?Sized>(
         &mut self,
         my_inputs: &[Fp],
         rng: &mut R,
-    ) -> Vec<Outgoing<MpcMsg>> {
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) {
         assert_eq!(
             my_inputs.len(),
             self.circuit.inputs_per_player()[self.me],
             "input arity mismatch"
         );
-        let mut vec: Vec<Fp> = my_inputs.to_vec();
+        let mut vec = Vec::with_capacity(self.vec_len(self.me));
+        vec.extend_from_slice(my_inputs);
         for _ in 0..self.num_rand {
             vec.push(Fp::random(rng));
         }
@@ -264,115 +278,117 @@ impl MpcEngine {
         match self.cfg.mode {
             Mode::Robust => {
                 let rows = avss::deal(&vec, self.cfg.n, self.cfg.f, rng);
-                rows.into_iter()
-                    .enumerate()
-                    .map(|(i, inner)| Outgoing::to(i, MpcMsg::Avss { dealer: me, inner }))
-                    .collect()
+                for (i, m) in rows.into_iter().enumerate() {
+                    out.push(Outgoing::to(i, (me, m).into()));
+                }
             }
             Mode::Epsilon { kappa } => {
                 let deals = deal_detectable(&vec, self.cfg.n, self.cfg.f, kappa, rng);
-                deals
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, inner)| Outgoing::to(i, MpcMsg::Detect { dealer: me, inner }))
-                    .collect()
+                for (i, m) in deals.into_iter().enumerate() {
+                    out.push(Outgoing::to(i, (me, m).into()));
+                }
             }
         }
     }
 
-    /// Processes one message. Returns outgoing messages and at most one
-    /// freshly-raised event. A sender id `≥ n` names no player and is
-    /// ignored, so no opening or output can be decoded from phantom points.
+    /// Processes one message, appending what it sends to `out`; returns at
+    /// most one freshly-raised event. A sender id `≥ n` names no player and
+    /// is ignored, so no opening or output can be decoded from phantom
+    /// points.
     pub fn on_message(
         &mut self,
         from: usize,
         msg: MpcMsg,
-    ) -> (Vec<Outgoing<MpcMsg>>, Option<MpcEvent>) {
-        let mut out = Vec::new();
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> Option<MpcEvent> {
         if self.status != MpcStatus::Running || from >= self.cfg.n {
-            return (out, None);
+            return None;
         }
         match msg {
             MpcMsg::Avss { dealer, inner } => {
                 if dealer >= self.cfg.n || !matches!(self.cfg.mode, Mode::Robust) {
-                    return (out, None);
+                    return None;
                 }
-                let (batch, done) = self.avss[dealer].on_message(from, inner);
-                for (dest, m) in batch {
-                    let wrapped = MpcMsg::Avss { dealer, inner: m };
-                    match dest {
-                        AvssDest::One(d) => out.push(Outgoing::to(d, wrapped)),
-                        AvssDest::All => out.push(Outgoing::all(wrapped)),
-                    }
-                }
-                if done {
-                    let shares = self.avss[dealer]
-                        .shares()
-                        .expect("completed AVSS has shares")
-                        .to_vec();
-                    self.accept_dealing(dealer, shares, &mut out);
+                if self.avss[dealer].on_message(from, inner, out) {
+                    let shares = self.avss[dealer].shares();
+                    let len = shares.expect("completed AVSS has shares").len();
+                    self.accept_dealing(dealer, len, out);
                 }
             }
             MpcMsg::Detect { dealer, inner } => {
                 if dealer >= self.cfg.n || !matches!(self.cfg.mode, Mode::Epsilon { .. }) {
-                    return (out, None);
+                    return None;
                 }
-                let (batch, verdict) = self.detect[dealer].on_message(from, inner);
-                for m in batch {
-                    out.push(Outgoing::all(MpcMsg::Detect { dealer, inner: m }));
-                }
-                match verdict {
+                match self.detect[dealer].on_message(from, inner, out) {
                     Some(Verdict::Ok) => {
-                        let shares = self.detect[dealer]
-                            .shares()
-                            .expect("Ok verdict has shares")
-                            .to_vec();
-                        self.accept_dealing(dealer, shares, &mut out);
+                        let shares = self.detect[dealer].shares();
+                        let len = shares.expect("Ok verdict has shares").len();
+                        self.accept_dealing(dealer, len, out);
                     }
                     Some(Verdict::MyShareBad) => {
                         // Globally fine, locally unusable: participate
                         // silently.
                         self.tainted = true;
-                        self.judge_dealing(dealer, true, &mut out);
+                        self.judge_dealing(dealer, true, out);
                     }
-                    Some(Verdict::DealerBad) => self.judge_dealing(dealer, false, &mut out),
+                    Some(Verdict::DealerBad) => self.judge_dealing(dealer, false, out),
                     None => {}
                 }
             }
-            MpcMsg::Core { dealer, inner } => self.acs.on_message(from, dealer, inner, &mut out),
-            MpcMsg::Open { id, value } => {
-                if let Some(rec) = self.opens.get_mut(&id) {
-                    rec.senders.insert(from);
-                    if rec.value.is_none() {
-                        if let Some(v) = rec.oec.add_share(from, value) {
-                            rec.value = Some(v);
-                        }
-                    }
-                    self.check_open_abort(id);
-                } else {
-                    self.buffered.entry(id).or_default().push((from, value));
-                }
-            }
+            MpcMsg::Core { dealer, inner } => self.acs.on_message(from, dealer, inner, out),
+            MpcMsg::Open { id, value } => self.on_open(from, id, value),
             MpcMsg::Output { idx, value } => {
-                if let Some(oec) = self.output_oec.get_mut(&idx) {
-                    if let Some(v) = oec.add_share(from, value) {
-                        self.output_vals.insert(idx, v);
-                    }
+                if let Ok(at) = self.outputs.binary_search_by_key(&idx, |&(i, _)| i) {
+                    self.outputs[at].1.add_share(from, value);
                 }
             }
         }
-        let event = self.pump(&mut out);
-        (out, event)
+        self.pump(out)
     }
 
-    /// A dealing that completed here: kept and voted into the core when it
-    /// has the agreed arity, and otherwise its dealer is judged bad.
-    fn accept_dealing(&mut self, dealer: usize, shares: Vec<Fp>, out: &mut Vec<Outgoing<MpcMsg>>) {
-        let ok = shares.len() == self.vec_len(dealer);
-        if ok {
-            self.dealer_shares[dealer] = Some(shares);
+    /// A point of opening `id` from `from`. An id the circuit can never
+    /// open is dropped, and so is a second early point from one sender: a
+    /// byzantine player can make an engine hold at most `n` early points
+    /// per opening the circuit makes, however much it sends.
+    fn on_open(&mut self, from: usize, id: u64, value: Fp) {
+        let id = usize::try_from(id).unwrap_or(usize::MAX);
+        let Some(slot) = self.opens.get_mut(id) else {
+            return;
+        };
+        match slot {
+            OpenSlot::Open(rec) => {
+                rec.senders.insert(from);
+                if rec.value.is_none() {
+                    rec.value = rec.oec.add_share(from, value);
+                }
+                self.check_open_abort(id);
+            }
+            OpenSlot::Early(points) => {
+                if points.iter().all(|&(sender, _)| sender != from) {
+                    points.push((from, value));
+                }
+            }
         }
+    }
+
+    /// A dealing of `len` shares that completed here: kept and voted into
+    /// the core when it has the agreed arity, and otherwise its dealer is
+    /// judged bad.
+    fn accept_dealing(&mut self, dealer: usize, len: usize, out: &mut Vec<Outgoing<MpcMsg>>) {
+        let ok = len == self.vec_len(dealer);
+        self.accepted[dealer] = ok;
         self.judge_dealing(dealer, ok, out);
+    }
+
+    /// My shares of `dealer`'s dealing, once it was accepted here.
+    fn dealing(&self, dealer: usize) -> Option<&[Fp]> {
+        if !self.accepted[dealer] {
+            return None;
+        }
+        match self.cfg.mode {
+            Mode::Robust => self.avss[dealer].shares(),
+            Mode::Epsilon { .. } => self.detect[dealer].shares(),
+        }
     }
 
     /// Records whether `dealer`'s dealing is usable and votes so on its core
@@ -423,7 +439,7 @@ impl MpcEngine {
         let core = self.acs.core().expect("core fixed");
         let mut acc = Fp::ZERO;
         for &d in core {
-            if let Some(shares) = &self.dealer_shares[d] {
+            if let Some(shares) = self.dealing(d) {
                 acc += shares[coord_of(d)];
             }
             // Tainted players have garbage anyway; zeros keep going.
@@ -439,7 +455,7 @@ impl MpcEngine {
     }
 
     /// Registers a public opening of degree `deg` and broadcasts my point.
-    fn open_value(&mut self, deg: usize, my_point: Fp, out: &mut Vec<Outgoing<MpcMsg>>) -> u64 {
+    fn open_value(&mut self, deg: usize, my_point: Fp, out: &mut Vec<Outgoing<MpcMsg>>) -> usize {
         let id = self.next_open;
         self.next_open += 1;
         let mut rec = OpenRec {
@@ -447,20 +463,19 @@ impl MpcEngine {
             senders: PartySet::new(),
             value: None,
         };
-        if let Some(buf) = self.buffered.remove(&id) {
-            for (from, v) in buf {
+        let slot = &mut self.opens[id];
+        if let OpenSlot::Early(points) = slot {
+            for &(from, v) in points.iter() {
                 rec.senders.insert(from);
                 if rec.value.is_none() {
-                    if let Some(val) = rec.oec.add_share(from, v) {
-                        rec.value = Some(val);
-                    }
+                    rec.value = rec.oec.add_share(from, v);
                 }
             }
         }
-        self.opens.insert(id, rec);
+        *slot = OpenSlot::Open(rec);
         if !self.tainted {
             out.push(Outgoing::all(MpcMsg::Open {
-                id,
+                id: id as u64,
                 value: my_point,
             }));
         }
@@ -469,19 +484,22 @@ impl MpcEngine {
     }
 
     /// ε-mode: all `n` points received but no candidate → cheating detected.
-    fn check_open_abort(&mut self, id: u64) {
+    fn check_open_abort(&mut self, id: usize) {
         if !matches!(self.cfg.mode, Mode::Epsilon { .. }) {
             return;
         }
-        if let Some(rec) = self.opens.get(&id) {
+        if let Some(OpenSlot::Open(rec)) = self.opens.get(id) {
             if rec.value.is_none() && rec.senders.len() == self.cfg.n {
                 self.status = MpcStatus::Aborted;
             }
         }
     }
 
-    fn open_result(&self, id: u64) -> Option<Fp> {
-        self.opens.get(&id).and_then(|r| r.value)
+    fn open_result(&self, id: usize) -> Option<Fp> {
+        match self.opens.get(id) {
+            Some(OpenSlot::Open(rec)) => rec.value,
+            _ => None,
+        }
     }
 
     /// Starts a masked multiplication of two degree-f shares.
@@ -529,7 +547,7 @@ impl MpcEngine {
                 Gate::Input { player, index } => {
                     let core = self.acs.core().expect("core fixed");
                     if core.contains(&player) {
-                        match &self.dealer_shares[player] {
+                        match self.dealing(player) {
                             Some(shares) => shares[self.input_coord(player, index)],
                             None => Fp::ZERO, // tainted path
                         }
@@ -624,7 +642,7 @@ impl MpcEngine {
                         return true;
                     }
                     let d = self.acs.core().expect("core fixed")[run.pos];
-                    let b = match &self.dealer_shares[d] {
+                    let b = match self.dealing(d) {
                         Some(shares) => shares[self.rb_coord(d, run.ordinal)],
                         None => Fp::ZERO,
                     };
@@ -702,8 +720,12 @@ impl MpcEngine {
         if self.status != MpcStatus::Running || !self.outputs_sent {
             return;
         }
-        if self.output_vals.len() == self.output_oec.len() {
-            let vals: Vec<Fp> = self.output_vals.values().copied().collect();
+        if self.outputs.iter().all(|(_, oec)| oec.secret().is_some()) {
+            let vals: Vec<Fp> = self
+                .outputs
+                .iter()
+                .filter_map(|(_, oec)| oec.secret())
+                .collect();
             self.status = MpcStatus::Done(vals.clone());
             *event = Some(MpcEvent::Done(vals));
         }
@@ -715,7 +737,7 @@ mod tests {
     use super::*;
     use crate::driver::MpcDriver;
     use mediator_circuits::{catalog, CircuitBuilder};
-    use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines, SansIo};
+    use mediator_sim::sansio::{Behavior, ByzantineProcess, Dest, Machines, SansIo};
     use mediator_sim::SchedulerKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -785,9 +807,9 @@ mod tests {
         type Msg = MpcMsg;
         type Output = Probe;
 
-        fn on_start(&mut self, rng: &mut StdRng) -> Vec<Outgoing<MpcMsg>> {
+        fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<MpcMsg>>) {
             let inputs = self.inputs.take().expect("started once");
-            self.engine.start(&inputs, rng)
+            self.engine.start(&inputs, rng, out);
         }
 
         fn on_message(
@@ -795,19 +817,14 @@ mod tests {
             from: usize,
             msg: MpcMsg,
             _rng: &mut StdRng,
-        ) -> (Vec<Outgoing<MpcMsg>>, Option<Probe>) {
-            let (out, _) = self.engine.on_message(from, msg);
-            let probe = self.engine.core().map(|core| Probe {
+            out: &mut Vec<Outgoing<MpcMsg>>,
+        ) -> Option<Probe> {
+            self.engine.on_message(from, msg, out);
+            self.engine.core().map(|core| Probe {
                 core: core.to_vec(),
-                completed: self
-                    .engine
-                    .dealer_shares
-                    .iter()
-                    .map(Option::is_some)
-                    .collect(),
+                completed: self.engine.accepted.clone(),
                 status: self.engine.status.clone(),
-            });
-            (out, probe)
+            })
         }
 
         fn is_done(&self) -> bool {
@@ -907,9 +924,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let rows = [1, 2].map(|x| avss::deal(&vec![Fp::new(x); len], n, f, &mut rng));
         let to_honest = |p: usize, inner: avss::AvssMsg| (p, MpcMsg::Avss { dealer: 4, inner });
-        let (echoes, _) = AvssState::new(n, f, 4).on_message(4, rows[0][4].clone());
-        let echoes = echoes.into_iter().filter_map(|(dest, inner)| match dest {
-            AvssDest::One(p) if p < 4 => Some(to_honest(p, inner)),
+        let mut echoes = Vec::new();
+        AvssState::new(n, f, 4).on_message(4, rows[0][4].clone(), &mut echoes);
+        let echoes = echoes.into_iter().filter_map(|o| match (o.dest, o.msg) {
+            (Dest::One(p), MpcMsg::Avss { inner, .. }) if p < 4 => Some(to_honest(p, inner)),
             _ => None,
         });
         let alternating: Vec<_> = (0..4)
@@ -1266,29 +1284,109 @@ mod tests {
     #[test]
     fn phantom_openers_never_decide_an_opening() {
         // Ids n, n+1, … name no player: counted, points of one polynomial
-        // from n of them would decode an opening nobody opened.
+        // from n of them would decode an opening nobody opened. (A circuit
+        // with multiplications: the engine holds slots only for the
+        // openings its circuit makes.)
         let n = 5;
         let cfg = MpcConfig::robust(n, 1, 7, vec![vec![Fp::ZERO]; n]);
-        let mut engine = MpcEngine::new(cfg, Arc::new(catalog::sum_circuit(n)), 0);
+        let mut engine = MpcEngine::new(cfg, Arc::new(catalog::majority_circuit(n)), 0);
         let mut out = Vec::new();
         let id = engine.open_value(1, Fp::new(42), &mut out);
         for from in n..2 * n {
             let open = MpcMsg::Open {
-                id,
+                id: id as u64,
                 value: Fp::new(99),
             };
-            assert_eq!(engine.on_message(from, open), (Vec::new(), None));
+            let mut sent = Vec::new();
+            assert_eq!(engine.on_message(from, open, &mut sent), None);
+            assert!(sent.is_empty());
         }
-        let rec = &engine.opens[&id];
+        let OpenSlot::Open(rec) = &engine.opens[id] else {
+            panic!("opening {id} was reached")
+        };
         assert!(rec.senders.is_empty() && rec.value.is_none());
         for from in 0..n {
             let open = MpcMsg::Open {
-                id,
+                id: id as u64,
                 value: Fp::new(42),
             };
-            engine.on_message(from, open);
+            engine.on_message(from, open, &mut out);
         }
         assert_eq!(engine.open_result(id), Some(Fp::new(42)));
+    }
+
+    /// An engine driven like `MpcDriver`, reporting after every delivery the
+    /// most early points it has held for one opening so far, and its status.
+    struct HeldProbe {
+        engine: MpcEngine,
+        most_held: usize,
+    }
+
+    impl SansIo for HeldProbe {
+        type Msg = MpcMsg;
+        type Output = (usize, MpcStatus);
+
+        fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<MpcMsg>>) {
+            self.engine.start(&[Fp::ONE], rng, out);
+        }
+
+        fn on_message(
+            &mut self,
+            from: usize,
+            msg: MpcMsg,
+            _rng: &mut StdRng,
+            out: &mut Vec<Outgoing<MpcMsg>>,
+        ) -> Option<(usize, MpcStatus)> {
+            self.engine.on_message(from, msg, out);
+            let held = self.engine.opens.iter().map(|slot| match slot {
+                OpenSlot::Early(points) => points.len(),
+                OpenSlot::Open(_) => 0,
+            });
+            self.most_held = self.most_held.max(held.max().unwrap_or(0));
+            Some((self.most_held, self.engine.status.clone()))
+        }
+    }
+
+    #[test]
+    fn a_flood_of_early_opens_holds_at_most_n_points_per_opening() {
+        // Byzantine player 4 opens with 10 000 points for ids the circuit
+        // never opens and 1 000 copies of a point for id 0, dealt round the
+        // honest players. Buffered as they came, they would grow an honest
+        // engine by everything sent; bounded, each reachable id holds at
+        // most one point per sender, and the run ends as it would anyway:
+        // every honest input is 1, so the majority is 1 whoever is in the
+        // core.
+        let n = 5;
+        let cfg = Arc::new(MpcConfig::robust(n, 1, 7, vec![vec![Fp::ZERO]; n]));
+        let circuit = Arc::new(catalog::majority_circuit(n));
+        let phantom = (0..10_000u64).map(|i| (1_000 + i * 7_919, Fp::new(i)));
+        let repeats = (0..1_000).map(|_| (0, Fp::new(3)));
+        let flood: Vec<(usize, MpcMsg)> = (phantom.chain(repeats).enumerate())
+            .map(|(i, (id, value))| (i % 4, MpcMsg::Open { id, value }))
+            .collect();
+        for kind in SchedulerKind::battery(n) {
+            let probes = (0..n)
+                .map(|i| HeldProbe {
+                    engine: MpcEngine::new(Arc::clone(&cfg), Arc::clone(&circuit), i),
+                    most_held: 0,
+                })
+                .collect();
+            let byz = ByzantineProcess::new(no_op()).with_kickoff(flood.clone());
+            let run = Machines::new(probes).byzantine(4, byz);
+            let (_, reports) = run.run(kind.build().as_mut(), 3, 8_000_000);
+            for (i, report) in reports.iter().enumerate().take(4) {
+                let (most_held, status) = report.as_ref().expect("delivered to");
+                assert!(
+                    *most_held <= n,
+                    "player {i} held {most_held} under {kind:?}"
+                );
+                assert_eq!(
+                    *status,
+                    MpcStatus::Done(vec![Fp::ONE]),
+                    "player {i} under {kind:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,20 @@ impl From<(usize, AbaMsg)> for MpcMsg {
     }
 }
 
+/// An [`AvssState`](mediator_vss::AvssState) message, tagged with its dealer.
+impl From<(usize, AvssMsg)> for MpcMsg {
+    fn from((dealer, inner): (usize, AvssMsg)) -> Self {
+        MpcMsg::Avss { dealer, inner }
+    }
+}
+
+/// A [`DetectState`](mediator_vss::DetectState) message, tagged with its dealer.
+impl From<(usize, DetectMsg)> for MpcMsg {
+    fn from((dealer, inner): (usize, DetectMsg)) -> Self {
+        MpcMsg::Detect { dealer, inner }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

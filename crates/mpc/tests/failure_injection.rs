@@ -133,7 +133,7 @@ fn rows_spoofed_for_honest_dealers_are_ignored() {
         let mut rng = StdRng::seed_from_u64((5 * dealer + victim) as u64);
         let junk: Vec<Fp> = (0..arity).map(|_| Fp::random(&mut rng)).collect();
         let planted = avss::deal(&junk, 5, 1, &mut rng).swap_remove(victim);
-        [planted, avss::AvssMsg::Echo(junk)]
+        [planted, avss::AvssMsg::Echo(junk.into())]
             .into_iter()
             .map(|inner| MpcMsg::Avss { dealer, inner })
             .collect()
@@ -148,7 +148,7 @@ fn one_element_echoes_do_not_blind_honest_players() {
     honest_majority_survives(|dealer, _| {
         vec![MpcMsg::Avss {
             dealer,
-            inner: avss::AvssMsg::Echo(vec![Fp::ONE]),
+            inner: avss::AvssMsg::Echo(vec![Fp::ONE].into()),
         }]
     });
 }

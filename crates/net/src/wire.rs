@@ -24,6 +24,7 @@
 use mediator_field::Fp;
 use mediator_sim::bytes::ByteError;
 use std::fmt;
+use std::sync::Arc;
 
 pub use mediator_sim::bytes::{put_varint, Reader};
 
@@ -270,6 +271,22 @@ impl<T: Wire + Clone> Wire for mediator_sim::Payload<T> {
     }
 }
 
+/// A view travels as the `Vec` of its own range, and decodes into one buffer.
+impl<T: Wire + Default> Wire for mediator_sim::View<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        self.iter().for_each(|item| item.encode(out));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = r.length()?;
+        let mut buf: Arc<[T]> = std::iter::repeat_with(T::default).take(len).collect();
+        for cell in Arc::get_mut(&mut buf).expect("a fresh buffer is unshared") {
+            *cell = T::decode(r)?;
+        }
+        Ok(buf.into())
+    }
+}
+
 impl Wire for mediator_bcast::AbaMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         use mediator_bcast::AbaMsg::*;
@@ -312,13 +329,19 @@ impl Wire for mediator_bcast::AbaMsg {
     }
 }
 
+/// `Rows` travel as the `Vec<Vec<Fp>>` of their rows.
 impl Wire for mediator_vss::AvssMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         use mediator_vss::AvssMsg::*;
         match self {
-            Rows(rows) => {
+            Rows { rows, coeffs } => {
                 out.push(0);
-                rows.encode(out);
+                put_varint(out, u64::from(*rows));
+                let split = mediator_vss::avss::split_rows(*rows, coeffs);
+                for row in split.into_iter().flatten() {
+                    row.len().encode(out);
+                    row.iter().for_each(|c| c.encode(out));
+                }
             }
             Echo(points) => {
                 out.push(1);
@@ -330,7 +353,20 @@ impl Wire for mediator_vss::AvssMsg {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use mediator_vss::AvssMsg::*;
         match r.u8()? {
-            0 => Ok(Rows(Wire::decode(r)?)),
+            0 => {
+                // Ragged rows decode zero-padded to the widest; the padding
+                // may not outgrow the bytes the rows arrived in.
+                let remaining = r.remaining();
+                let rows = Vec::<Vec<Fp>>::decode(r)?;
+                let cells = rows.len() * rows.iter().map(Vec::len).max().unwrap_or(0);
+                if cells > remaining {
+                    return Err(CodecError::LengthOverrun {
+                        announced: cells as u64,
+                        remaining,
+                    });
+                }
+                Ok(mediator_vss::AvssMsg::rows(&rows))
+            }
             1 => Ok(Echo(Wire::decode(r)?)),
             2 => Ok(Ready),
             tag => Err(CodecError::UnknownTag {

@@ -23,7 +23,7 @@ use mediator_vss::detect::Dealing;
 use mediator_vss::{AvssMsg, DetectMsg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -57,12 +57,15 @@ fn arb_aba(rng: &mut StdRng) -> AbaMsg {
 fn arb_avss(rng: &mut StdRng) -> AvssMsg {
     match rng.gen_range(0..3) {
         0 => {
-            let rows = rng.gen_range(0..4usize);
-            AvssMsg::Rows(Payload::new(
-                (0..rows).map(|_| fp_vec(rng, 5)).collect::<Vec<_>>(),
-            ))
+            // Uniform rows: a ragged frame decodes padded (see
+            // `a_ragged_rows_frame_decodes_to_zero_padded_rows`).
+            let (rows, width) = (rng.gen_range(0..4usize), rng.gen_range(0..=5usize));
+            let rows: Vec<Vec<Fp>> = (0..rows)
+                .map(|_| (0..width).map(|_| arb_fp(rng)).collect())
+                .collect();
+            AvssMsg::rows(&rows)
         }
-        1 => AvssMsg::Echo(fp_vec(rng, 6)),
+        1 => AvssMsg::Echo(fp_vec(rng, 6).into()),
         _ => AvssMsg::Ready,
     }
 }
@@ -194,6 +197,85 @@ proptest! {
             prop_assert!(CtMsg::from_bytes(&bytes[..cut]).is_err());
         }
     }
+}
+
+/// `Frame::Msg` carrying `inner` of dealer 0 in session 7, encoded.
+fn avss_frame_body(src: usize, dst: usize, inner: AvssMsg) -> Vec<u8> {
+    let msg = CtMsg::Mpc(MpcMsg::Avss { dealer: 0, inner });
+    let frame = Frame::Msg {
+        session: 7,
+        src,
+        dst,
+        msg,
+        auth: None,
+    };
+    let mut body = Vec::new();
+    frame.encode_body(&mut body);
+    body
+}
+
+#[test]
+fn honest_avss_frames_keep_their_bytes() {
+    // A dealing at n = 5, f = 1 and the echo it causes: a row block and an
+    // echo are views of shared buffers in memory, and on the wire they are
+    // the bytes the owned `Vec` forms encoded to (pinned from that code).
+    let secrets = [Fp::new(11), Fp::new(22), Fp::new(33)];
+    let rows = mediator_vss::avss::deal(&secrets, 5, 1, &mut StdRng::seed_from_u64(2026));
+    let mut out: Vec<mediator_sim::Outgoing<AvssMsg>> = Vec::new();
+    mediator_vss::AvssState::new(5, 1, 0).on_message(0, rows[1].clone(), &mut out);
+    let echo = out[2].msg.clone();
+    let rows_frame: &[u8] = &[
+        1, 1, 7, 0, 1, 0, 0, 0, 0, 3, 2, 185, 238, 156, 195, 179, 152, 248, 207, 26, 231, 149, 252,
+        227, 200, 158, 246, 220, 7, 2, 177, 171, 184, 247, 172, 182, 173, 210, 17, 215, 217, 147,
+        167, 245, 161, 244, 159, 19, 2, 197, 198, 238, 135, 220, 165, 219, 187, 15, 204, 173, 224,
+        240, 164, 223, 227, 168, 28,
+    ];
+    let echo_frame: &[u8] = &[
+        1, 1, 7, 1, 2, 0, 0, 0, 1, 3, 239, 175, 145, 239, 141, 244, 218, 230, 17, 184, 184, 243,
+        236, 140, 156, 138, 178, 11, 172, 207, 143, 218, 202, 195, 134, 182, 4,
+    ];
+    for (body, pinned, msg) in [
+        (avss_frame_body(0, 1, rows[1].clone()), rows_frame, &rows[1]),
+        (avss_frame_body(1, 2, echo.clone()), echo_frame, &echo),
+    ] {
+        assert_eq!(body, pinned);
+        let Frame::Msg {
+            msg: CtMsg::Mpc(MpcMsg::Avss { inner, .. }),
+            ..
+        } = Frame::<CtMsg>::decode_body(&body).expect("pinned frame decodes")
+        else {
+            panic!("not an AVSS message frame")
+        };
+        assert_eq!(&inner, msg);
+    }
+}
+
+#[test]
+fn a_ragged_rows_frame_decodes_to_zero_padded_rows() {
+    // What a hostile dealer may put on the wire: rows of different
+    // lengths. They decode padded with zeros to the widest row — the rows
+    // a receiver pads to anyway.
+    let (a, b, c) = (Fp::new(5), Fp::new(6), Fp::new(7));
+    let ragged: Vec<Vec<Fp>> = vec![vec![a], vec![], vec![b, c]];
+    let mut bytes = vec![0, 3];
+    for row in &ragged {
+        bytes.push(row.len() as u8);
+        bytes.extend(row.iter().map(|x| x.as_u64() as u8));
+    }
+    let decoded = AvssMsg::from_bytes(&bytes).expect("a ragged frame decodes");
+    let padded = [vec![a, Fp::ZERO], vec![Fp::ZERO; 2], vec![b, c]];
+    assert_eq!(decoded, AvssMsg::rows(&padded));
+    assert_eq!(decoded, AvssMsg::rows(&ragged));
+    // Padding never outgrows the frame: one long row among many empty
+    // ones would, and is refused before anything is allocated.
+    let mut wide = vec![0, 40];
+    wide.extend([0; 39]);
+    wide.push(5);
+    wide.extend([1u8; 5]);
+    assert!(matches!(
+        AvssMsg::from_bytes(&wide),
+        Err(CodecError::LengthOverrun { announced: 200, .. })
+    ));
 }
 
 // ---------------------------------------------------------------------------

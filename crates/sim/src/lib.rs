@@ -75,7 +75,7 @@ pub use party_set::PartySet;
 pub use process::{Action, Ctx, OutgoingTamper, Process, ProcessId, Tamper, TamperVerdict};
 pub use sansio::{
     route_batch, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines, Outgoing, Payload,
-    RunOutputs, SansIo, SansIoProcess,
+    RunOutputs, SansIo, SansIoProcess, View,
 };
 pub use scheduler::{
     FifoScheduler, LifoScheduler, PendingView, RandomScheduler, RelaxedScheduler, ReplayScheduler,

@@ -2,11 +2,15 @@
 //!
 //! Every protocol substrate in this workspace — reliable broadcast, binary
 //! agreement, common subset, AVSS, the MPC engine — is written *sans IO*: a
-//! pure state machine that consumes `(from, msg)` events and returns batches
-//! of [`Outgoing`] messages. This module is the one home for the glue that
-//! turns such a machine into something the [`World`] can drive:
+//! pure state machine that consumes `(from, msg)` events and appends the
+//! [`Outgoing`] messages they cause to an outbox its caller owns and reuses,
+//! so a delivery costs no allocation of its own. This module is the one
+//! home for the glue that turns such a machine into something the [`World`]
+//! can drive:
 //!
 //! * [`Dest`] / [`Outgoing`] — the outgoing-message shapes;
+//! * [`Payload`] / [`View`] — shared message payloads: a whole value, or
+//!   one range of a buffer that several messages cut;
 //! * [`route_batch`] — the single implementation of broadcast expansion;
 //! * [`SansIo`] — the trait a driveable state machine implements;
 //! * [`SansIoProcess`] — the generic adapter that wraps any [`SansIo`]
@@ -35,10 +39,8 @@ use std::sync::Arc;
 /// once per destination — for a `Vec<Fp>`-bearing payload that used to be
 /// `n` deep copies per broadcast. Wrapping the heavy part of a message in
 /// `Payload` turns each of those clones into a refcount bump; the receiving
-/// state machine reads through `Deref` or takes ownership with
-/// [`Payload::into_inner`] (free when it holds the last reference, e.g.
-/// point-to-point messages). Comparisons forward to the payload value with
-/// a pointer-equality fast path, so wire types keep deriving
+/// state machine reads through `Deref`. Comparisons forward to the payload
+/// value with a pointer-equality fast path, so wire types keep deriving
 /// `PartialEq`/`Ord` and broadcast copies compare equal in O(1). The
 /// comparison impls require `T: Eq`/`T: Ord` (not merely the partial
 /// forms): reflexivity is what makes the pointer fast path sound, and
@@ -50,15 +52,6 @@ impl<T> Payload<T> {
     /// Wraps a value for shared fan-out.
     pub fn new(value: T) -> Self {
         Payload(Arc::new(value))
-    }
-
-    /// Takes the value back out: free if this is the last reference
-    /// (point-to-point delivery), one clone otherwise.
-    pub fn into_inner(self) -> T
-    where
-        T: Clone,
-    {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
     }
 }
 
@@ -110,6 +103,76 @@ impl<T: std::hash::Hash> std::hash::Hash for Payload<T> {
     }
 }
 
+/// A shared view of one range of a buffer: `Arc<[T]>` plus the range —
+/// [`Payload`]'s counterpart for a buffer whose rows go to different
+/// players (an AVSS dealing, an echo matrix): built once, each message
+/// carries a view of its row, so a message costs a refcount bump, not an
+/// allocation. A view reads as the slice of its own range — `Deref`,
+/// equality, `Debug` and the wire encoding never see the rest of the
+/// buffer, and there is no accessor to it. The buffer lives as long as its
+/// longest-lived view.
+#[derive(Clone)]
+pub struct View<T> {
+    buf: Arc<[T]>,
+    start: u32,
+    end: u32,
+}
+
+impl<T> View<T> {
+    /// Cuts `buf` into `parts` consecutive views of equal length (none when
+    /// `parts` is 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parts` divides the length, or if the buffer is longer
+    /// than `u32::MAX` elements.
+    pub fn split(buf: Arc<[T]>, parts: usize) -> impl Iterator<Item = View<T>> {
+        let total = u32::try_from(buf.len()).expect("view range fits u32");
+        let width = if parts == 0 { 0 } else { total / parts as u32 };
+        assert_eq!(width as usize * parts, buf.len(), "uneven split");
+        (0..parts as u32).map(move |i| View {
+            buf: Arc::clone(&buf),
+            start: width * i,
+            end: width * (i + 1),
+        })
+    }
+}
+
+impl<T> std::ops::Deref for View<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.buf[self.start as usize..self.end as usize]
+    }
+}
+
+/// The whole buffer as one view.
+impl<T> From<Arc<[T]>> for View<T> {
+    fn from(buf: Arc<[T]>) -> Self {
+        let end = u32::try_from(buf.len()).expect("view range fits u32");
+        View { buf, start: 0, end }
+    }
+}
+
+impl<T> From<Vec<T>> for View<T> {
+    fn from(values: Vec<T>) -> Self {
+        View::from(Arc::<[T]>::from(values))
+    }
+}
+
+impl<T: Eq> PartialEq for View<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for View<T> {}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for View<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// Where an outgoing message goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Dest {
@@ -146,21 +209,17 @@ impl<M> Outgoing<M> {
             msg,
         }
     }
-
-    /// Maps the payload, keeping the destination (used to wrap sub-protocol
-    /// messages with instance tags).
-    pub fn map<N>(self, f: impl FnOnce(M) -> N) -> Outgoing<N> {
-        Outgoing {
-            dest: self.dest,
-            msg: f(self.msg),
-        }
-    }
 }
 
 /// Expands a batch into point-to-point sends: the one shared implementation
 /// of broadcast fan-out, used by the [`SansIoProcess`] adapter and the
-/// cheap-talk embedding alike.
-pub fn route_batch<M: Clone>(n: usize, batch: Vec<Outgoing<M>>, mut send: impl FnMut(usize, M)) {
+/// cheap-talk embedding alike (both pass `outbox.drain(..)`, so the outbox
+/// keeps its capacity for the next delivery).
+pub fn route_batch<M: Clone>(
+    n: usize,
+    batch: impl IntoIterator<Item = Outgoing<M>>,
+    mut send: impl FnMut(usize, M),
+) {
     for o in batch {
         match o.dest {
             Dest::One(dst) => send(dst, o.msg),
@@ -196,8 +255,10 @@ pub type Behavior<M> = Box<dyn BehaviorFn<M>>;
 ///
 /// Implementations hold whatever start-time input the protocol needs (a
 /// dealer's value, an agreement vote, an MPC input vector) and surface the
-/// protocol's terminal result through [`SansIo::on_message`]'s second return
-/// slot. The `rng` handed in is the *process-local* deterministic generator
+/// protocol's terminal result through [`SansIo::on_message`]'s return
+/// value. Messages to send are appended to `out`, an outbox the caller owns
+/// and drains after every call: a machine never allocates a batch of its
+/// own. The `rng` handed in is the *process-local* deterministic generator
 /// of the embedding runtime, so a machine's randomness is reproducible under
 /// every scheduler.
 pub trait SansIo {
@@ -207,17 +268,18 @@ pub trait SansIo {
     type Output;
 
     /// Called exactly once when the runtime first schedules this player;
-    /// returns the kick-off batch (empty for purely reactive players).
-    fn on_start(&mut self, rng: &mut StdRng) -> Vec<Outgoing<Self::Msg>>;
+    /// appends the kick-off batch (nothing for purely reactive players).
+    fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<Self::Msg>>);
 
-    /// Handles one delivered message; returns messages to send plus the
-    /// output if one is produced *now*.
+    /// Handles one delivered message: appends the messages to send and
+    /// returns the output if one is produced *now*.
     fn on_message(
         &mut self,
         from: usize,
         msg: Self::Msg,
         rng: &mut StdRng,
-    ) -> (Vec<Outgoing<Self::Msg>>, Option<Self::Output>);
+        out: &mut Vec<Outgoing<Self::Msg>>,
+    ) -> Option<Self::Output>;
 
     /// Whether the machine has finished participating. Once true, the
     /// adapter halts the process: the runtime stops delivering to it.
@@ -277,10 +339,12 @@ pub type MoveMap<O> = Box<dyn Fn(&O) -> Action>;
 
 /// The generic adapter: wraps any [`SansIo`] machine as a [`Process`], so
 /// the full `World` — every scheduler, traces, failure injection — can
-/// drive it.
+/// drive it. The adapter owns the machine's outbox and drains it into the
+/// world after every call.
 pub struct SansIoProcess<S: SansIo> {
     machine: S,
     n: usize,
+    outbox: Vec<Outgoing<S::Msg>>,
     outputs: RunOutputs<S::Output>,
     to_action: Option<MoveMap<S::Output>>,
 }
@@ -292,6 +356,7 @@ impl<S: SansIo> SansIoProcess<S> {
         SansIoProcess {
             machine,
             n,
+            outbox: Vec::new(),
             outputs,
             to_action: None,
         }
@@ -305,23 +370,25 @@ impl<S: SansIo> SansIoProcess<S> {
         self
     }
 
-    fn emit(&mut self, batch: Vec<Outgoing<S::Msg>>, ctx: &mut Ctx<S::Msg>) {
-        route_batch(self.n, batch, |dst, msg| ctx.send(dst, msg));
+    fn emit(&mut self, ctx: &mut Ctx<S::Msg>) {
+        route_batch(self.n, self.outbox.drain(..), |dst, msg| ctx.send(dst, msg));
     }
 }
 
 impl<S: SansIo> Process<S::Msg> for SansIoProcess<S> {
     fn on_start(&mut self, ctx: &mut Ctx<S::Msg>) {
-        let batch = self.machine.on_start(ctx.std_rng());
-        self.emit(batch, ctx);
+        self.machine.on_start(ctx.std_rng(), &mut self.outbox);
+        self.emit(ctx);
         if self.machine.is_done() {
             ctx.halt();
         }
     }
 
     fn on_message(&mut self, src: ProcessId, msg: S::Msg, ctx: &mut Ctx<S::Msg>) {
-        let (batch, output) = self.machine.on_message(src, msg, ctx.std_rng());
-        self.emit(batch, ctx);
+        let output = self
+            .machine
+            .on_message(src, msg, ctx.std_rng(), &mut self.outbox);
+        self.emit(ctx);
         if let Some(out) = output {
             if let Some(f) = &self.to_action {
                 ctx.make_move(f(&out));
@@ -479,11 +546,8 @@ mod tests {
         type Msg = u32;
         type Output = u32;
 
-        fn on_start(&mut self, _rng: &mut StdRng) -> Vec<Outgoing<u32>> {
-            match self.token.take() {
-                Some(t) => vec![Outgoing::all(t)],
-                None => Vec::new(),
-            }
+        fn on_start(&mut self, _rng: &mut StdRng, out: &mut Vec<Outgoing<u32>>) {
+            out.extend(self.token.take().map(Outgoing::all));
         }
 
         fn on_message(
@@ -491,12 +555,13 @@ mod tests {
             _from: usize,
             msg: u32,
             _rng: &mut StdRng,
-        ) -> (Vec<Outgoing<u32>>, Option<u32>) {
+            _out: &mut Vec<Outgoing<u32>>,
+        ) -> Option<u32> {
             if self.seen.is_none() {
                 self.seen = Some(msg);
-                (Vec::new(), Some(msg))
+                Some(msg)
             } else {
-                (Vec::new(), None)
+                None
             }
         }
 
@@ -614,9 +679,16 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_destination() {
-        let o = Outgoing::to(3, 7u32).map(|v| v + 1);
-        assert_eq!(o.dest, Dest::One(3));
-        assert_eq!(o.msg, 8);
+    fn views_read_and_compare_as_their_own_range() {
+        let buf: Arc<[u32]> = (0..6).collect();
+        let rows: Vec<View<u32>> = View::split(buf, 3).collect();
+        assert_eq!(
+            (&*rows[1], format!("{:?}", rows[2])),
+            (&[2, 3][..], "[4, 5]".into())
+        );
+        // Equal elements are equal views, whatever buffer they were cut from.
+        assert_eq!(rows[1], View::from(vec![2, 3]));
+        assert_ne!(rows[0], rows[1]);
+        assert_eq!(View::split(Arc::<[u32]>::from(vec![]), 2).count(), 2);
     }
 }

@@ -47,46 +47,81 @@
 
 use crate::reconstruct::OecState;
 use mediator_field::{grid, Fp};
-use mediator_sim::sansio::Payload;
+use mediator_sim::sansio::{Outgoing, View};
 use mediator_sim::PartySet;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// AVSS wire messages (vector-valued: one entry per shared secret).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AvssMsg {
-    /// Dealer → player: the player's row polynomial coefficients, one
-    /// coefficient vector per secret. [`Payload`]-shared so re-routing or
-    /// buffering a dealing never deep-copies the coefficient matrix.
-    Rows(Payload<Vec<Vec<Fp>>>),
-    /// Player `i` → player `j`: the evaluations `f_i(x_j)`, one per secret.
-    Echo(Vec<Fp>),
+    /// Dealer → player: the player's row polynomials, one per secret, as
+    /// `rows` rows of equal length, row-major, low-to-high coefficients: a
+    /// [`View`] of the dealing's one buffer.
+    Rows {
+        /// Number of rows: the number of secrets dealt.
+        rows: u32,
+        /// The `rows × width` coefficients.
+        coeffs: View<Fp>,
+    },
+    /// Player `i` → player `j`: the evaluations `f_i(x_j)`, one per secret —
+    /// row `j` of `i`'s echo matrix, a [`View`] of it.
+    Echo(View<Fp>),
     /// Bracha-style completion vote.
     Ready,
 }
 
-/// Outgoing message with explicit destination (AVSS rows are per-recipient,
-/// so the generic broadcast-only plumbing does not fit).
-pub type AvssOut = (AvssDest, AvssMsg);
+impl AvssMsg {
+    /// A `Rows` message from explicit rows, each zero-padded to the longest
+    /// — what a ragged `Rows` frame decodes to. Padding changes no row
+    /// polynomial.
+    pub fn rows<R: AsRef<[Fp]>>(rows: &[R]) -> Self {
+        let width = rows.iter().map(|r| r.as_ref().len()).max().unwrap_or(0);
+        let mut coeffs = vec![Fp::ZERO; rows.len() * width];
+        for (padded, r) in coeffs.chunks_exact_mut(width.max(1)).zip(rows) {
+            padded[..r.as_ref().len()].copy_from_slice(r.as_ref());
+        }
+        AvssMsg::Rows {
+            rows: u32::try_from(rows.len()).expect("row count fits u32"),
+            coeffs: coeffs.into(),
+        }
+    }
+}
 
-/// Destination selector for [`AvssOut`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AvssDest {
-    /// To one player.
-    One(usize),
-    /// To all players (including self).
-    All,
+/// A `Rows` block's rows: `rows` equal slices of `coeffs`, or `None` for a
+/// block of no rows or one that does not split evenly.
+pub fn split_rows(rows: u32, coeffs: &[Fp]) -> Option<impl Iterator<Item = &[Fp]>> {
+    let k = rows as usize;
+    let w = coeffs.len().checked_div(k)?;
+    (k * w == coeffs.len()).then(|| (0..k).map(move |r| &coeffs[r * w..(r + 1) * w]))
+}
+
+/// A lone instance's stream is untagged: the tag names the dealer its
+/// [`AvssPeer`](crate::AvssPeer) already shares for, so it is dropped.
+impl From<(usize, AvssMsg)> for AvssMsg {
+    fn from((_, msg): (usize, AvssMsg)) -> Self {
+        msg
+    }
+}
+
+/// A buffer of `len` zeros, filled by `fill`, in one allocation.
+fn filled(len: usize, fill: impl FnOnce(&mut [Fp])) -> Arc<[Fp]> {
+    let mut buf: Arc<[Fp]> = std::iter::repeat_n(Fp::ZERO, len).collect();
+    fill(Arc::get_mut(&mut buf).expect("a fresh buffer is unshared"));
+    buf
 }
 
 /// Dealer-side sharing: builds the per-player row messages.
 ///
-/// Returns one `Rows` message per player.
+/// Returns one `Rows` message per player, each a view of one shared
+/// buffer of the whole dealing.
 pub fn deal<R: Rng + ?Sized>(secrets: &[Fp], n: usize, f: usize, rng: &mut R) -> Vec<AvssMsg> {
     // One symmetric bivariate polynomial per secret, S(x,y) = Σ c_ab x^a y^b
     // with c_ab = c_ba: all the (f+1)×(f+1) coefficient matrices in one
     // flat buffer, drawn upper triangle first, row by row.
-    let w = f + 1;
-    let mut coeffs = vec![Fp::ZERO; secrets.len() * w * w];
+    let (k, w) = (secrets.len(), f + 1);
+    let mut coeffs = vec![Fp::ZERO; k * w * w];
     for (m, &s) in coeffs.chunks_exact_mut(w * w).zip(secrets) {
         for a in 0..w {
             for b in a..w {
@@ -98,28 +133,30 @@ pub fn deal<R: Rng + ?Sized>(secrets: &[Fp], n: usize, f: usize, rng: &mut R) ->
     }
     // f_i(y) = Σ_b (Σ_a c_ab x_i^a) y^b, and by symmetry the inner sum is
     // matrix row b against the powers of x_i: player i's k·(f+1) row
-    // coefficients are one matrix–vector product.
+    // coefficients are one matrix–vector product, written straight into
+    // its block of the dealing.
     let powers = grid::point_powers(n);
-    let mut flat = vec![Fp::ZERO; secrets.len() * w];
-    (0..n)
-        .map(|i| {
-            Fp::mat_vec(&coeffs, &powers[i * n..i * n + w], &mut flat);
-            let rows = flat.chunks_exact(w).map(<[Fp]>::to_vec).collect();
-            AvssMsg::Rows(Payload::new(rows))
-        })
+    let dealing = filled(n * k * w, |cells| {
+        for i in 0..n {
+            let block = &mut cells[i * k * w..(i + 1) * k * w];
+            Fp::mat_vec(&coeffs, &powers[i * n..i * n + w], block);
+        }
+    });
+    let rows = u32::try_from(k).expect("row count fits u32");
+    View::split(dealing, n)
+        .map(|coeffs| AvssMsg::Rows { rows, coeffs })
         .collect()
 }
 
 /// The echo matrix of `k` row polynomials, given row-major with `w`
 /// low-to-high coefficients each: row-major `n × k`, `E[j·k + c] = f_c(x_j)`.
-fn echo_matrix(rows: &[Fp], w: usize, n: usize) -> Vec<Fp> {
-    let k = rows.len() / w;
+fn echo_matrix(rows: &[Fp], k: usize, w: usize, n: usize) -> Arc<[Fp]> {
     let powers = grid::point_powers(n);
-    let mut e = vec![Fp::ZERO; n * k];
-    for (j, ej) in e.chunks_exact_mut(k.max(1)).enumerate() {
-        Fp::mat_vec(rows, &powers[j * n..j * n + w], ej);
-    }
-    e
+    filled(n * k, |e| {
+        for (j, ej) in e.chunks_exact_mut(k.max(1)).enumerate() {
+            Fp::mat_vec(rows, &powers[j * n..j * n + w], ej);
+        }
+    })
 }
 
 /// The rows a player echoed — the dealer's `Rows`, or the rows it
@@ -129,20 +166,23 @@ struct OwnRows {
     /// The rows' constant terms — the shares, should the rows be confirmed.
     consts: Vec<Fp>,
     /// The echo matrix of the rows: `expect[j·k..(j+1)·k]` is what was sent
-    /// to `j` and what `j`'s echo has to equal.
-    expect: Vec<Fp>,
-    /// Per coordinate, how many stored echoes equal the expectation.
+    /// to `j` (as a view of this buffer) and what `j`'s echo has to equal.
+    expect: Arc<[Fp]>,
+    /// Per coordinate, how many stored echoes equal the expectation; its
+    /// length is the arity `k`.
     agree: Vec<u32>,
 }
 
 impl OwnRows {
-    /// Rows `rows` (row-major, `w` low-to-high coefficients each) with the
-    /// stored `echoes` counted.
-    fn new(rows: &[Fp], w: usize, n: usize, echoes: &[Option<Vec<Fp>>]) -> Self {
-        let k = rows.len() / w;
+    /// The `k` rows `rows` (row-major, of at most `f + 1` low-to-high
+    /// coefficients each) with the stored `echoes` counted.
+    fn new(rows: &[Fp], k: usize, n: usize, echoes: &[Option<View<Fp>>]) -> Self {
+        let w = rows.len() / k;
         let mut own = OwnRows {
-            consts: rows.iter().step_by(w).copied().collect(),
-            expect: echo_matrix(rows, w, n),
+            consts: (0..k)
+                .map(|c| if w == 0 { Fp::ZERO } else { rows[c * w] })
+                .collect(),
+            expect: echo_matrix(rows, k, w, n),
             agree: vec![0; k],
         };
         for (j, vals) in echoes.iter().enumerate() {
@@ -155,7 +195,7 @@ impl OwnRows {
 
     /// Counts `vals`, the echo of player `from`, towards agreement.
     fn count(&mut self, from: usize, vals: &[Fp]) {
-        let k = self.consts.len();
+        let k = self.agree.len();
         if vals.len() != k {
             return;
         }
@@ -164,6 +204,20 @@ impl OwnRows {
             *a += u32::from(v == e);
         }
     }
+
+    /// Queues row `j` of the echo matrix, a view of it, for each player `j`.
+    fn send_echoes<M: From<(usize, AvssMsg)>>(
+        &self,
+        dealer: usize,
+        n: usize,
+        out: &mut Vec<Outgoing<M>>,
+    ) {
+        let rows = View::split(Arc::clone(&self.expect), n);
+        out.extend(
+            rows.enumerate()
+                .map(|(j, row)| Outgoing::to(j, M::from((dealer, AvssMsg::Echo(row))))),
+        );
+    }
 }
 
 /// What confirmation and READY are decided from; released once both are.
@@ -171,7 +225,7 @@ impl OwnRows {
 struct Evidence {
     /// The first echo of each sender, whatever its length: an echo never
     /// decides the arity, it is only filtered by it.
-    echoes: Vec<Option<Vec<Fp>>>,
+    echoes: Vec<Option<View<Fp>>>,
     /// The rows echoed, once they are: held iff this player has echoed.
     own: Option<OwnRows>,
 }
@@ -182,12 +236,20 @@ impl Evidence {
     /// echoes share — at least `f + 1` honest players echoed it.
     fn arity(&self, f: usize) -> Option<usize> {
         if let Some(own) = &self.own {
-            return Some(own.consts.len());
+            return Some(own.agree.len());
         }
-        let lens = || self.echoes.iter().flatten().map(Vec::len);
+        let lens = || self.echoes.iter().flatten().map(|v| v.len());
         lens()
             .filter(|&l| lens().filter(|&m| m == l).count() > 2 * f)
             .min()
+    }
+
+    /// The echoes of arity `k`, with their senders, in sender order.
+    fn of_arity(&self, k: usize) -> impl Iterator<Item = (usize, &[Fp])> + Clone {
+        self.echoes
+            .iter()
+            .enumerate()
+            .filter_map(move |(j, vals)| Some((j, vals.as_deref().filter(|v| v.len() == k)?)))
     }
 }
 
@@ -242,24 +304,27 @@ impl AvssState {
         self.shares.as_deref()
     }
 
-    /// Processes a message from `from`. `Rows` count only from the dealer
-    /// of this instance, and a sender id `≥ n` is ignored. Returns outgoing
-    /// messages and `true` when the instance completes now.
-    pub fn on_message(&mut self, from: usize, msg: AvssMsg) -> (Vec<AvssOut>, bool) {
-        let mut out = Vec::new();
+    /// Processes a message from `from`, appending what it sends to `out`,
+    /// each message tagged with this instance's dealer. `Rows` count only
+    /// from the dealer of this instance, and a sender id `≥ n` is ignored.
+    /// Returns `true` when the instance completes now.
+    pub fn on_message<M: From<(usize, AvssMsg)>>(
+        &mut self,
+        from: usize,
+        msg: AvssMsg,
+        out: &mut Vec<Outgoing<M>>,
+    ) -> bool {
         if self.completed || from >= self.n {
-            return (out, false);
+            return false;
         }
         match (msg, &mut self.evidence) {
-            (AvssMsg::Rows(rows), Some(ev)) => {
-                if from == self.dealer && ev.own.is_none() && valid_rows(&rows, self.f) {
-                    let (k, w) = (rows.len(), self.f + 1);
-                    let mut flat = vec![Fp::ZERO; k * w];
-                    for (padded, r) in flat.chunks_exact_mut(w).zip(rows.iter()) {
-                        padded[..r.len()].copy_from_slice(r);
-                    }
-                    let own = OwnRows::new(&flat, w, self.n, &ev.echoes);
-                    send_echoes(&own.expect, k, self.n, &mut out);
+            (AvssMsg::Rows { rows, coeffs }, Some(ev)) => {
+                // Rows of at most f + 1 coefficients, of any arity but 0.
+                let fits =
+                    split_rows(rows, &coeffs).is_some_and(|mut r| r.all(|r| r.len() <= self.f + 1));
+                if from == self.dealer && ev.own.is_none() && fits {
+                    let own = OwnRows::new(&coeffs, rows as usize, self.n, &ev.echoes);
+                    own.send_echoes(self.dealer, self.n, out);
                     ev.own = Some(own);
                 }
             }
@@ -272,25 +337,24 @@ impl AvssState {
                 }
             }
             // Confirmed and vouched for: nothing reads rows or echoes again.
-            (AvssMsg::Rows(_) | AvssMsg::Echo(_), None) => {}
+            (AvssMsg::Rows { .. } | AvssMsg::Echo(_), None) => {}
             (AvssMsg::Ready, _) => {
                 self.ready_recv.insert(from);
             }
         }
-        self.progress(&mut out);
-        let done = self.completed;
-        (out, done)
+        self.progress(out);
+        self.completed
     }
 
     /// Attempts confirmation, READY, completion; releases the evidence once
     /// the shares are held and READY is sent.
-    fn progress(&mut self, out: &mut Vec<AvssOut>) {
+    fn progress<M: From<(usize, AvssMsg)>>(&mut self, out: &mut Vec<Outgoing<M>>) {
         if self.shares.is_none() {
             self.try_confirm(out);
         }
         if !self.ready_sent && (self.vouched() || self.ready_recv.len() > self.f) {
             self.ready_sent = true;
-            out.push((AvssDest::All, AvssMsg::Ready));
+            out.push(Outgoing::all(M::from((self.dealer, AvssMsg::Ready))));
         }
         if self.ready_sent && self.shares.is_some() {
             self.evidence = None;
@@ -310,40 +374,33 @@ impl AvssState {
     /// success keeps the constant terms and, if nothing was echoed on
     /// receipt, echoes the recovered rows (helping others finish) and holds
     /// them as the rows READY is decided on.
-    fn try_confirm(&mut self, out: &mut Vec<AvssOut>) {
+    fn try_confirm<M: From<(usize, AvssMsg)>>(&mut self, out: &mut Vec<Outgoing<M>>) {
         let (n, f, w) = (self.n, self.f, self.f + 1);
         let Some(ev) = &mut self.evidence else { return };
         let Some(k) = ev.arity(f) else { return };
         // Own-row agreement and decoding both rest on 2f+1 echoes of that
-        // arity: count them before collecting any, so an echo that leaves
-        // the count short allocates nothing.
-        let of_arity = ev.echoes.iter().flatten().filter(|v| v.len() == k);
-        if of_arity.count() <= 2 * f {
+        // arity.
+        if ev.of_arity(k).count() <= 2 * f {
             return;
         }
-        // The echoes of that arity, in sender order.
-        let senders: Vec<(usize, &[Fp])> = ev
-            .echoes
-            .iter()
-            .enumerate()
-            .filter_map(|(j, vals)| Some((j, vals.as_deref().filter(|v| v.len() == k)?)))
-            .collect();
-        let (mut shares, open): (Vec<Fp>, Vec<usize>) = match &ev.own {
-            Some(own) => (
-                own.consts.clone(),
-                (0..k).filter(|&c| own.agree[c] as usize <= 2 * f).collect(),
-            ),
-            None => (vec![Fp::ZERO; k], (0..k).collect()),
+        let open: Vec<usize> = match &ev.own {
+            Some(own) => (0..k).filter(|&c| own.agree[c] as usize <= 2 * f).collect(),
+            None => (0..k).collect(),
         };
-        let Some(rows) = recover(&senders, f, n, &open) else {
+        let Some(rows) = recover(ev.of_arity(k), f, n, &open) else {
             return;
+        };
+        let mut shares = match &mut ev.own {
+            // Nothing reads the constant terms once the shares are held.
+            Some(own) => std::mem::take(&mut own.consts),
+            None => vec![Fp::ZERO; k],
         };
         for (&c, row) in open.iter().zip(rows.chunks_exact(w)) {
             shares[c] = row[0];
         }
         if ev.own.is_none() {
-            let own = OwnRows::new(&rows, w, n, &ev.echoes);
-            send_echoes(&own.expect, k, n, out);
+            let own = OwnRows::new(&rows, k, n, &ev.echoes);
+            own.send_echoes(self.dealer, n, out);
             ev.own = Some(own);
         }
         self.shares = Some(shares);
@@ -362,30 +419,36 @@ impl AvssState {
 /// the first attempt [`OecState`] makes when fed in sender order, so a
 /// column that passes has the polynomial `OecState` would return, and a
 /// column that fails is handed to `OecState` from scratch.
-fn recover(senders: &[(usize, &[Fp])], f: usize, n: usize, cols: &[usize]) -> Option<Vec<Fp>> {
+fn recover<'a>(
+    senders: impl Iterator<Item = (usize, &'a [Fp])> + Clone,
+    f: usize,
+    n: usize,
+    cols: &[usize],
+) -> Option<Vec<Fp>> {
     let w = f + 1;
     if cols.is_empty() {
         return Some(Vec::new());
     }
-    let (through, witnesses) = senders[..2 * f + 1].split_at(w);
-    let idxs: Vec<usize> = through.iter().map(|&(j, _)| j).collect();
+    let through = senders.clone().take(w);
+    let witnesses = senders.clone().skip(w).take(f);
+    let idxs: Vec<usize> = through.clone().map(|(j, _)| j).collect();
     let basis = grid::lagrange_basis(&idxs);
     let powers = grid::point_powers(n);
     let mut rows = vec![Fp::ZERO; cols.len() * w];
     let mut ys = vec![Fp::ZERO; w];
     for (row, &c) in rows.chunks_exact_mut(w).zip(cols) {
-        for (y, (_, vals)) in ys.iter_mut().zip(through) {
+        for (y, (_, vals)) in ys.iter_mut().zip(through.clone()) {
             *y = vals[c];
         }
         Fp::mat_vec(&basis, &ys, row);
         let clean = witnesses
-            .iter()
-            .all(|&(j, vals)| Fp::dot(row, &powers[j * n..j * n + w]) == vals[c]);
+            .clone()
+            .all(|(j, vals)| Fp::dot(row, &powers[j * n..j * n + w]) == vals[c]);
         if !clean {
             let mut oec = OecState::new(f, f);
             senders
-                .iter()
-                .find_map(|&(j, vals)| oec.add_share(j, vals[c]))?;
+                .clone()
+                .find_map(|(j, vals)| oec.add_share(j, vals[c]))?;
             let decoded = oec.polynomial().expect("accepted OEC holds its polynomial");
             row.fill(Fp::ZERO);
             row[..decoded.coeffs().len()].copy_from_slice(decoded.coeffs());
@@ -394,26 +457,22 @@ fn recover(senders: &[(usize, &[Fp])], f: usize, n: usize, cols: &[usize]) -> Op
     Some(rows)
 }
 
-fn valid_rows(rows: &[Vec<Fp>], f: usize) -> bool {
-    !rows.is_empty() && rows.iter().all(|r| r.len() <= f + 1)
-}
-
-/// Queues row `j` of the `n × k` echo matrix `e` for player `j`.
-fn send_echoes(e: &[Fp], k: usize, n: usize, out: &mut Vec<AvssOut>) {
-    out.extend((0..n).map(|j| {
-        let vals = e[j * k..(j + 1) * k].to_vec();
-        (AvssDest::One(j), AvssMsg::Echo(vals))
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mediator_field::rs;
+    use mediator_sim::sansio::{route_batch, Dest};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Minimal driver: routes AvssOut messages among `n` states; `drop_row`
+    /// Delivers one message; returns what `s` sent and whether it completed.
+    fn deliver(s: &mut AvssState, from: usize, msg: AvssMsg) -> (Vec<Outgoing<AvssMsg>>, bool) {
+        let mut out = Vec::new();
+        let done = s.on_message(from, msg, &mut out);
+        (out, done)
+    }
+
+    /// Minimal driver: routes the outgoing messages among `n` states; `drop_row`
     /// suppresses the dealer's Rows to those players; `corrupt_row` hands
     /// those players a garbage row instead.
     fn run(
@@ -434,12 +493,11 @@ mod tests {
                 continue;
             }
             let msg = if corrupt_rows.contains(&i) {
-                AvssMsg::Rows(Payload::new(
-                    secrets
-                        .iter()
-                        .map(|_| vec![Fp::random(&mut rng); f + 1])
-                        .collect(),
-                ))
+                let garbage: Vec<Vec<Fp>> = secrets
+                    .iter()
+                    .map(|_| vec![Fp::random(&mut rng); f + 1])
+                    .collect();
+                AvssMsg::rows(&garbage)
             } else {
                 msg
             };
@@ -452,17 +510,8 @@ mod tests {
             assert!(guard < 1_000_000, "AVSS test livelock");
             let i = rng.gen_range(0..queue.len());
             let (from, to, msg) = queue.swap_remove(i);
-            let (out, _) = states[to].on_message(from, msg);
-            for (dest, m) in out {
-                match dest {
-                    AvssDest::One(d) => queue.push((to, d, m)),
-                    AvssDest::All => {
-                        for d in 0..n {
-                            queue.push((to, d, m.clone()));
-                        }
-                    }
-                }
-            }
+            let (out, _) = deliver(&mut states[to], from, msg);
+            route_batch(n, out, |d, m| queue.push((to, d, m)));
         }
         states
     }
@@ -542,14 +591,12 @@ mod tests {
     ) {
         let n = states.len();
         while let Some((from, to, msg)) = queue.pop_front() {
-            let (out, _) = states[to].on_message(from, msg);
-            for (dest, m) in out {
-                let dests = match dest {
-                    AvssDest::One(d) => d..d + 1,
-                    AvssDest::All => 0..n,
-                };
-                queue.extend(dests.filter(|&d| !cut(to, d)).map(|d| (to, d, m.clone())));
-            }
+            let (out, _) = deliver(&mut states[to], from, msg);
+            route_batch(n, out, |d, m| {
+                if !cut(to, d) {
+                    queue.push_back((to, d, m));
+                }
+            });
         }
     }
 
@@ -582,7 +629,7 @@ mod tests {
         }
         // The dealer's READY alone is not f + 1: still nobody.
         for holder in &mut states[1..3] {
-            assert_eq!(holder.on_message(dealer, AvssMsg::Ready), (vec![], false));
+            assert_eq!(deliver(holder, dealer, AvssMsg::Ready), (vec![], false));
         }
     }
 
@@ -594,15 +641,18 @@ mod tests {
         let mut state = AvssState::new(n, f, dealer);
         let mut sent = Vec::new();
         for j in [0, 1, 2, 4] {
-            let (mut out, _) = AvssState::new(n, f, dealer).on_message(dealer, rows[j].clone());
-            let (_, echo) = out.swap_remove(me);
-            sent.extend(state.on_message(j, echo).0);
+            let (mut out, _) = deliver(&mut AvssState::new(n, f, dealer), dealer, rows[j].clone());
+            let echo = out.swap_remove(me).msg;
+            sent.extend(deliver(&mut state, j, echo).0);
         }
         // Recovered at the third echo and echoed; vouched at the fourth.
         assert_eq!(sent.len(), n + 1);
-        assert_eq!(sent[n], (AvssDest::All, AvssMsg::Ready));
+        assert_eq!(sent[n], Outgoing::all(AvssMsg::Ready));
         assert!(state.shares.is_some());
-        assert_eq!(state.on_message(dealer, rows[me].clone()), (vec![], false));
+        assert_eq!(
+            deliver(&mut state, dealer, rows[me].clone()),
+            (vec![], false)
+        );
     }
 
     #[test]
@@ -619,7 +669,11 @@ mod tests {
         let planted = deal(&[Fp::new(1), Fp::new(2)], n, f, &mut rng).swap_remove(0);
         let mut queue = std::collections::VecDeque::from([
             (byz, 0, planted),
-            (byz, 0, AvssMsg::Echo(vec![Fp::new(666), Fp::new(667)])),
+            (
+                byz,
+                0,
+                AvssMsg::Echo(vec![Fp::new(666), Fp::new(667)].into()),
+            ),
         ]);
         let rows = deal(&secrets, n, f, &mut rng);
         queue.extend(rows.into_iter().enumerate().map(|(i, m)| (dealer, i, m)));
@@ -649,7 +703,8 @@ mod tests {
         let mut states: Vec<AvssState> = (0..n).map(|_| AvssState::new(n, f, dealer)).collect();
         let mut rows = deal(&secrets, n, f, &mut rng);
         let late = rows.remove(1);
-        let mut queue = std::collections::VecDeque::from([(byz, 1, AvssMsg::Echo(vec![Fp::ONE]))]);
+        let mut queue =
+            std::collections::VecDeque::from([(byz, 1, AvssMsg::Echo(vec![Fp::ONE].into()))]);
         queue.extend(
             [0, 2, 3, 4]
                 .into_iter()
@@ -679,10 +734,12 @@ mod tests {
         let echo_to_me: Vec<Vec<Fp>> = deal(&secrets, n, f, &mut rng)
             .into_iter()
             .map(|rows| {
-                let mut s = AvssState::new(n, f, dealer);
-                let (out, _) = s.on_message(dealer, rows);
+                let (out, _) = deliver(&mut AvssState::new(n, f, dealer), dealer, rows);
                 match &out[me] {
-                    (AvssDest::One(d), AvssMsg::Echo(vals)) if *d == me => vals.clone(),
+                    Outgoing {
+                        dest: Dest::One(d),
+                        msg: AvssMsg::Echo(vals),
+                    } if *d == me => vals.to_vec(),
                     other => panic!("not an echo to {me}: {other:?}"),
                 }
             })
@@ -691,25 +748,27 @@ mod tests {
         let mut bent = echo_to_me[0].clone();
         bent[1] += Fp::ONE;
         for (j, vals) in [(0, bent), (1, echo_to_me[1].clone())] {
-            assert!(state.on_message(j, AvssMsg::Echo(vals)).0.is_empty());
+            assert!(deliver(&mut state, j, AvssMsg::Echo(vals.into()))
+                .0
+                .is_empty());
         }
-        let (out, _) = state.on_message(2, AvssMsg::Echo(echo_to_me[2].clone()));
+        let (out, _) = deliver(&mut state, 2, AvssMsg::Echo(echo_to_me[2].clone().into()));
         assert!(
             out.is_empty(),
             "coordinate 1 is not decodable from 3 points"
         );
-        let (out, _) = state.on_message(4, AvssMsg::Echo(echo_to_me[4].clone()));
+        let (out, _) = deliver(&mut state, 4, AvssMsg::Echo(echo_to_me[4].clone().into()));
         // Recovered: echoes to everyone — and the echo to player `me` itself
         // is what an honest holder of the row sends. No READY yet: in
         // coordinate 1 the rows agree with 3 echoes, not n − f = 4.
         assert_eq!(out.len(), n);
         assert_eq!(
             out[me],
-            (AvssDest::One(me), AvssMsg::Echo(echo_to_me[me].clone()))
+            Outgoing::to(me, AvssMsg::Echo(echo_to_me[me].clone().into()))
         );
         // Its own echo is the fourth.
-        let (out, _) = state.on_message(me, out[me].1.clone());
-        assert_eq!(out, [(AvssDest::All, AvssMsg::Ready)]);
+        let (out, _) = deliver(&mut state, me, out[me].msg.clone());
+        assert_eq!(out, [Outgoing::all(AvssMsg::Ready)]);
     }
 
     #[test]
@@ -719,25 +778,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let mut rows = deal(&secrets, n, f, &mut rng);
         let mut holder = AvssState::new(n, f, dealer);
-        let (echoes, _) = holder.on_message(dealer, rows.swap_remove(0));
+        let (echoes, _) = deliver(&mut holder, dealer, rows.swap_remove(0));
         assert!(holder.evidence.as_ref().is_some_and(|ev| ev.own.is_some()));
         // Player 0's own echoes stand in for those of 1 and 2 here: only
         // the row E[j] sent *to* j is what j's echo must equal, so feed
         // each sender its expected vector.
-        let mut echoes = echoes.into_iter().map(|(_, m)| m);
+        let mut echoes = echoes.into_iter().map(|o| o.msg);
         for (j, m) in echoes.by_ref().enumerate().take(2 * f + 1) {
             assert!(holder.shares.is_none());
-            holder.on_message(j, m);
+            deliver(&mut holder, j, m);
         }
         // Confirmed, but READY waits for n − f agreeing echoes.
         assert!(holder.shares.is_some() && !holder.ready_sent);
         assert!(holder.evidence.is_some(), "still counting towards READY");
-        let (out, _) = holder.on_message(2 * f + 1, echoes.next().unwrap());
-        assert_eq!(out, [(AvssDest::All, AvssMsg::Ready)]);
+        let (out, _) = deliver(&mut holder, 2 * f + 1, echoes.next().unwrap());
+        assert_eq!(out, [Outgoing::all(AvssMsg::Ready)]);
         assert!(!holder.is_completed());
         assert!(holder.evidence.is_none(), "echoes and E are dropped");
         // A later echo is not stored either.
-        holder.on_message(4, AvssMsg::Echo(vec![Fp::ONE, Fp::ONE]));
+        deliver(&mut holder, 4, AvssMsg::Echo(vec![Fp::ONE, Fp::ONE].into()));
         assert!(holder.evidence.is_none());
         // And a whole honest run ends with no state holding evidence.
         for s in run(n, f, dealer, &secrets, &[3], &[], 1) {
@@ -753,20 +812,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let mut rows = deal(&[Fp::new(8)], n, f, &mut rng);
         let mut holder = AvssState::new(n, f, dealer);
-        let (echoes, _) = holder.on_message(dealer, rows.swap_remove(0));
-        for (j, (_, m)) in echoes.into_iter().enumerate().take(2 * f + 1) {
-            holder.on_message(j, m);
+        let (echoes, _) = deliver(&mut holder, dealer, rows.swap_remove(0));
+        for (j, o) in echoes.into_iter().enumerate().take(2 * f + 1) {
+            deliver(&mut holder, j, o.msg);
         }
         assert!(holder.shares.is_some(), "confirmed");
         for from in n..2 * n {
-            assert_eq!(holder.on_message(from, AvssMsg::Ready), (Vec::new(), false));
+            assert_eq!(
+                deliver(&mut holder, from, AvssMsg::Ready),
+                (Vec::new(), false)
+            );
         }
         assert!(!holder.is_completed());
         for from in 0..2 * f {
-            holder.on_message(from, AvssMsg::Ready);
+            deliver(&mut holder, from, AvssMsg::Ready);
         }
         assert!(!holder.is_completed(), "2f real readies are still short");
-        assert!(holder.on_message(2 * f, AvssMsg::Ready).1);
+        assert!(deliver(&mut holder, 2 * f, AvssMsg::Ready).1);
     }
 
     #[test]

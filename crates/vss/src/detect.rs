@@ -6,9 +6,14 @@
 //! random blinding polynomials `g_1..g_κ`; a public challenge derived from
 //! the setup seed gives field coefficients `ρ_{k,c}`, and every player
 //! publicly opens its point of `h_k = g_k + Σ_c ρ_{k,c}·f_c`. Each `h_k` is
-//! uniformly random (the blinding), so nothing leaks; but if the dealt
-//! shares are not degree-`f` consistent, a random combination stays
-//! inconsistent except with probability `1/|F| ≈ 2^{−61}` per check.
+//! uniformly random (the blinding), so nothing leaks.
+//!
+//! **Soundness.** Against a dealer that does not know the challenge, a
+//! check misses an inconsistent dealing with probability at most `1/|F|`
+//! (`|F| = 2^61 − 1`). The challenge comes from the setup seed, which every
+//! player — a deviating dealer too — holds before dealing; a dealer that
+//! uses it can blind any inconsistent dealing past every check, so against
+//! such a dealer detection is not guaranteed (DESIGN.md §3).
 //!
 //! Verdicts are per-player:
 //!
@@ -29,7 +34,7 @@
 
 use crate::reconstruct::OecState;
 use mediator_field::{Fp, Poly};
-use mediator_sim::sansio::Payload;
+use mediator_sim::sansio::{Outgoing, Payload};
 use mediator_sim::PartySet;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -184,12 +189,17 @@ impl DetectState {
         self.my_shares.as_deref()
     }
 
-    /// Handles a message; returns broadcasts to send and the verdict when
-    /// first reached. A sender id `≥ n` is ignored.
-    pub fn on_message(&mut self, from: usize, msg: DetectMsg) -> (Vec<DetectMsg>, Option<Verdict>) {
-        let mut out = Vec::new();
+    /// Handles a message, appending the broadcasts it sends to `out`, each
+    /// tagged with this instance's dealer; returns the verdict when first
+    /// reached. A sender id `≥ n` is ignored.
+    pub fn on_message<M: From<(usize, DetectMsg)>>(
+        &mut self,
+        from: usize,
+        msg: DetectMsg,
+        out: &mut Vec<Outgoing<M>>,
+    ) -> Option<Verdict> {
         if from >= self.n {
-            return (out, None);
+            return None;
         }
         let before = self.verdict;
         match msg {
@@ -203,9 +213,10 @@ impl DetectState {
                     self.my_blinds = Some(blinds);
                     if !self.opened {
                         self.opened = true;
-                        out.push(DetectMsg::Open {
-                            points: Payload::new(self.my_open_points()),
-                        });
+                        let points = Payload::new(self.my_open_points());
+                        out.push(Outgoing::all(
+                            (self.dealer, DetectMsg::Open { points }).into(),
+                        ));
                     }
                 }
             }
@@ -217,19 +228,18 @@ impl DetectState {
                             self.decoded[k] = self.oec[k].polynomial().cloned();
                         }
                     }
-                    self.evaluate(&mut out);
+                    self.evaluate(out);
                 }
             }
             DetectMsg::Accuse => {
                 self.accusers.insert(from);
-                self.evaluate(&mut out);
+                self.evaluate(out);
             }
         }
-        let newly = match (before, self.verdict) {
+        match (before, self.verdict) {
             (None, Some(v)) => Some(v),
             _ => None,
-        };
-        (out, newly)
+        }
     }
 
     fn my_open_points(&self) -> Vec<Fp> {
@@ -246,7 +256,7 @@ impl DetectState {
             .collect()
     }
 
-    fn evaluate(&mut self, out: &mut Vec<DetectMsg>) {
+    fn evaluate<M: From<(usize, DetectMsg)>>(&mut self, out: &mut Vec<Outgoing<M>>) {
         if self.verdict.is_some() {
             return;
         }
@@ -278,7 +288,7 @@ impl DetectState {
                 self.verdict = Some(Verdict::MyShareBad);
                 if !self.accused_self {
                     self.accused_self = true;
-                    out.push(DetectMsg::Accuse);
+                    out.push(Outgoing::all((self.dealer, DetectMsg::Accuse).into()));
                 }
             }
         }
@@ -321,8 +331,9 @@ mod tests {
             assert!(guard < 1_000_000);
             let i = rng.gen_range(0..queue.len());
             let (from, to, msg) = queue.swap_remove(i);
-            let (out, _) = states[to].on_message(from, msg);
-            for m in out {
+            let mut out: Vec<Outgoing<(usize, DetectMsg)>> = Vec::new();
+            states[to].on_message(from, msg, &mut out);
+            for Outgoing { msg: (_, m), .. } in out {
                 // All DetectMsg replies are broadcasts.
                 let m = if liars.contains(&to) {
                     match m {
@@ -423,17 +434,19 @@ mod tests {
         // stand in for "everyone opened and nothing decodes".
         let (n, f, t) = (7, 2, 2);
         let mut s = DetectState::new(n, f, t, 0, 0, 1, SEED);
+        let mut out: Vec<Outgoing<(usize, DetectMsg)>> = Vec::new();
         for from in n..2 * n {
-            assert_eq!(s.on_message(from, DetectMsg::Accuse), (Vec::new(), None));
+            assert_eq!(s.on_message(from, DetectMsg::Accuse, &mut out), None);
             let points = Payload::new(vec![Fp::new(from as u64 * 7919)]);
             assert_eq!(
-                s.on_message(from, DetectMsg::Open { points }),
-                (Vec::new(), None)
+                s.on_message(from, DetectMsg::Open { points }, &mut out),
+                None
             );
+            assert!(out.is_empty());
         }
         assert_eq!(s.verdict(), None);
         for from in 0..=t {
-            s.on_message(from, DetectMsg::Accuse);
+            s.on_message(from, DetectMsg::Accuse, &mut out);
         }
         assert_eq!(s.verdict(), Some(Verdict::DealerBad), "t+1 real accusers");
     }

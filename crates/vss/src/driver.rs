@@ -1,38 +1,17 @@
 //! [`SansIo`] driver for the AVSS state machine.
 //!
-//! AVSS messages are per-recipient (each player gets its own row
-//! polynomial), so the machine speaks its own [`AvssOut`] destination shape;
-//! this driver translates to the shared [`Outgoing`] vocabulary and bundles
+//! The machine speaks the shared [`Outgoing`] vocabulary directly (rows
+//! and echoes are per-recipient, READY a broadcast); this driver bundles
 //! the dealer's secrets so the whole sharing — dealing included — runs
 //! under the full `mediator-sim` `World` via
 //! [`SansIoProcess`](mediator_sim::sansio::SansIoProcess) or
 //! [`Machines`](mediator_sim::sansio::Machines).
 
-use crate::avss::{self, AvssDest, AvssMsg, AvssOut, AvssState};
+use crate::avss::{self, AvssMsg, AvssState};
 use crate::shamir::Share;
 use mediator_field::Fp;
 use mediator_sim::sansio::{Outgoing, SansIo};
 use rand::rngs::StdRng;
-
-/// Converts the AVSS-native destination to the shared one.
-impl From<AvssDest> for mediator_sim::sansio::Dest {
-    fn from(d: AvssDest) -> Self {
-        match d {
-            AvssDest::One(i) => mediator_sim::sansio::Dest::One(i),
-            AvssDest::All => mediator_sim::sansio::Dest::All,
-        }
-    }
-}
-
-fn convert(batch: Vec<AvssOut>) -> Vec<Outgoing<AvssMsg>> {
-    batch
-        .into_iter()
-        .map(|(dest, msg)| Outgoing {
-            dest: dest.into(),
-            msg,
-        })
-        .collect()
-}
 
 /// One player in one AVSS instance. The dealer carries the secrets to share
 /// and emits the per-player `Rows` messages on start (randomness drawn from
@@ -69,14 +48,14 @@ impl SansIo for AvssPeer {
     type Msg = AvssMsg;
     type Output = Vec<Share>;
 
-    fn on_start(&mut self, rng: &mut StdRng) -> Vec<Outgoing<AvssMsg>> {
-        match self.secrets.take() {
-            Some(secrets) => avss::deal(&secrets, self.n, self.f, rng)
-                .into_iter()
-                .enumerate()
-                .map(|(i, rows)| Outgoing::to(i, rows))
-                .collect(),
-            None => Vec::new(),
+    fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<AvssMsg>>) {
+        if let Some(secrets) = self.secrets.take() {
+            let rows = avss::deal(&secrets, self.n, self.f, rng);
+            out.extend(
+                rows.into_iter()
+                    .enumerate()
+                    .map(|(i, rows)| Outgoing::to(i, rows)),
+            );
         }
     }
 
@@ -85,12 +64,12 @@ impl SansIo for AvssPeer {
         from: usize,
         msg: AvssMsg,
         _rng: &mut StdRng,
-    ) -> (Vec<Outgoing<AvssMsg>>, Option<Vec<Share>>) {
-        let (batch, done) = self.state.on_message(from, msg);
+        out: &mut Vec<Outgoing<AvssMsg>>,
+    ) -> Option<Vec<Share>> {
+        let done = self.state.on_message(from, msg, out);
         let index = self.me;
         let shares = self.state.shares().filter(|_| done);
-        let shares = shares.map(|vals| vals.iter().map(|&value| Share { index, value }).collect());
-        (convert(batch), shares)
+        shares.map(|vals| vals.iter().map(|&value| Share { index, value }).collect())
     }
 
     /// A completed AVSS player produces no further messages (its echoes and

@@ -17,11 +17,11 @@
 //!   echoes addressed to them. Ships whole *vectors* of secrets in one
 //!   instance (the MPC input phase shares a player's inputs and all its
 //!   randomness contributions at once).
-//! * [`detect`] — cut-and-choose *detectable* sharing (`t < n/3`, soundness
-//!   `1 − 2^{−κ}`): the dealer also shares κ random blinding polynomials;
-//!   public coin challenges open `g_k + c_k·f`, which is uniformly random
-//!   (reveals nothing) yet exposes a non-polynomial dealing with probability
-//!   ≥ 1/2 per check. This is the ε-machinery of Theorems 4.2/4.5.
+//! * [`detect`] — cut-and-choose *detectable* sharing (`t < n/3`): the
+//!   dealer also shares κ random blinding polynomials, and public challenges
+//!   open `g_k + Σ_c ρ_{k,c}·f_c`, uniformly random (it reveals nothing);
+//!   [`detect`] states what a check catches. This is the ε-machinery of
+//!   Theorems 4.2/4.5.
 
 pub mod avss;
 pub mod detect;

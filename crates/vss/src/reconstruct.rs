@@ -10,15 +10,20 @@
 //! i.e. **`n ≥ deg + 2f + 1`** — with `deg = 2f` (product openings) this is
 //! the `n ≥ 4f + 1` of Theorem 4.1.
 
-use mediator_field::{rs, Fp, Poly};
-use std::collections::BTreeMap;
+use mediator_field::{grid, rs, Fp, Poly};
 
 /// Incremental robust reconstruction of one shared value.
+///
+/// The points received are kept sorted by sender, and every acceptance
+/// attempt interpolates in one reused scratch buffer; once accepted, only
+/// the polynomial and the secret are kept.
 #[derive(Debug, Clone)]
 pub struct OecState {
     deg: usize,
     f: usize,
-    points: BTreeMap<usize, Fp>,
+    /// `(sender, share)` for each sender heard from, by ascending sender.
+    points: Vec<(usize, Fp)>,
+    scratch: Vec<Fp>,
     decoded: Option<(Poly, Fp)>,
 }
 
@@ -29,7 +34,8 @@ impl OecState {
         OecState {
             deg,
             f,
-            points: BTreeMap::new(),
+            points: Vec::with_capacity(deg + f + 1),
+            scratch: Vec::new(),
             decoded: None,
         }
     }
@@ -52,48 +58,53 @@ impl OecState {
         if self.decoded.is_some() {
             return None;
         }
-        self.points.entry(index).or_insert(value);
-        self.try_accept()
+        // A repeated sender adds no point, so the attempt would fail again.
+        let at = self
+            .points
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .err()?;
+        self.points.insert(at, (index, value));
+        let s = self.try_accept()?;
+        (self.points, self.scratch) = (Vec::new(), Vec::new());
+        Some(s)
     }
 
     fn try_accept(&mut self) -> Option<Fp> {
-        let m = self.points.len();
-        if m < self.deg + self.f + 1 {
+        let (m, deg) = (self.points.len(), self.deg);
+        if m < deg + self.f + 1 {
             return None;
         }
-        // The share points are grid indices: the exact path (e = 0) runs on
-        // the cached-weight grid kernel; the error-correcting attempts
-        // share one point vector, built lazily — the common clean-shares
-        // case accepts at e = 0 without ever materialising it.
-        let idxs: Vec<usize> = self.points.keys().copied().collect();
-        let ys: Vec<Fp> = self.points.values().copied().collect();
-        let mut pts: Vec<(Fp, Fp)> = Vec::new();
         // Try error counts small to large; accept iff the candidate agrees
-        // with ≥ deg + f + 1 received points.
-        let max_e = ((m.saturating_sub(self.deg + 1)) / 2).min(self.f);
-        for e in 0..=max_e {
-            let attempt = if e == 0 {
-                rs::interpolate_exact_indices(&idxs, &ys, self.deg).map(|p| (p, Vec::new()))
-            } else {
-                if pts.is_empty() {
-                    pts = idxs
-                        .iter()
-                        .zip(&ys)
-                        .map(|(&i, &y)| (Fp::new(i as u64 + 1), y))
-                        .collect();
-                }
-                rs::decode_robust(&pts, self.deg, e)
-            };
-            if let Ok((poly, bad)) = attempt {
-                let agree = m - bad.len();
-                if agree > self.deg + self.f {
-                    let s = poly.eval(Fp::ZERO);
-                    self.decoded = Some((poly, s));
-                    return Some(s);
-                }
-            }
+        // with ≥ deg + f + 1 received points. The exact path (e = 0) runs on
+        // the cached-weight grid kernel, where clean shares accept.
+        let coeffs = grid::interpolate_indices(&self.points[..=deg], &mut self.scratch);
+        let on_curve = |&(i, y): &(usize, Fp)| {
+            let x = Fp::new(i as u64 + 1);
+            coeffs.iter().rev().fold(Fp::ZERO, |acc, &c| acc * x + c) == y
+        };
+        if self.points[deg + 1..].iter().all(on_curve) {
+            // The coefficients are the scratch's prefix: it becomes the
+            // polynomial.
+            let mut coeffs = std::mem::take(&mut self.scratch);
+            coeffs.truncate(deg + 1);
+            return Some(self.accept(Poly::from_coeffs(coeffs)));
         }
-        None
+        let max_e = ((m - (deg + 1)) / 2).min(self.f);
+        if max_e == 0 {
+            return None;
+        }
+        let pts: Vec<(Fp, Fp)> = (self.points.iter())
+            .map(|&(i, y)| (Fp::new(i as u64 + 1), y))
+            .collect();
+        let agrees = |(_, bad): &(Poly, Vec<usize>)| m - bad.len() > deg + self.f;
+        let decoded = (1..=max_e).find_map(|e| rs::decode_robust(&pts, deg, e).ok().filter(agrees));
+        Some(self.accept(decoded?.0))
+    }
+
+    fn accept(&mut self, poly: Poly) -> Fp {
+        let s = poly.eval(Fp::ZERO);
+        self.decoded = Some((poly, s));
+        s
     }
 }
 

@@ -14,8 +14,8 @@
 //! complete holding the rows and `2f + 1` READY.
 
 use mediator_field::{Fp, Poly};
-use mediator_sim::sansio::Payload;
-use mediator_vss::avss::{AvssDest, AvssMsg, AvssOut};
+use mediator_sim::sansio::Outgoing;
+use mediator_vss::avss::{split_rows, AvssMsg};
 use mediator_vss::OecState;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,7 +56,7 @@ pub fn deal<R: Rng + ?Sized>(secrets: &[Fp], n: usize, f: usize, rng: &mut R) ->
                         .collect()
                 })
                 .collect();
-            AvssMsg::Rows(Payload::new(rows))
+            AvssMsg::rows(&rows)
         })
         .collect()
 }
@@ -102,25 +102,22 @@ impl RefState {
         Some(rows.iter().map(|r| r.eval(Fp::ZERO)).collect())
     }
 
-    pub fn on_message(&mut self, from: usize, msg: AvssMsg) -> (Vec<AvssOut>, bool) {
+    pub fn on_message(&mut self, from: usize, msg: AvssMsg) -> (Vec<Outgoing<AvssMsg>>, bool) {
         let mut out = Vec::new();
         if self.completed {
             return (out, false);
         }
         match msg {
-            AvssMsg::Rows(rows) => {
-                if from == self.dealer && self.own_rows.is_none() && self.valid_rows(&rows) {
-                    self.own_rows = Some(
-                        rows.into_inner()
-                            .into_iter()
-                            .map(Poly::from_coeffs)
-                            .collect(),
-                    );
+            AvssMsg::Rows { rows, coeffs } => {
+                if from == self.dealer && self.own_rows.is_none() && self.valid_rows(rows, &coeffs)
+                {
+                    self.own_rows = split_rows(rows, &coeffs)
+                        .map(|rows| rows.map(|r| Poly::from_coeffs(r.to_vec())).collect());
                     self.send_echoes(&mut out);
                 }
             }
             AvssMsg::Echo(vals) => {
-                self.echoes.entry(from).or_insert(vals);
+                self.echoes.entry(from).or_insert_with(|| vals.to_vec());
             }
             AvssMsg::Ready => {
                 self.ready_recv.insert(from);
@@ -131,8 +128,8 @@ impl RefState {
         (out, done)
     }
 
-    fn valid_rows(&self, rows: &[Vec<Fp>]) -> bool {
-        !rows.is_empty() && rows.iter().all(|r| r.len() <= self.f + 1)
+    fn valid_rows(&self, rows: u32, coeffs: &[Fp]) -> bool {
+        split_rows(rows, coeffs).is_some_and(|mut rows| rows.all(|r| r.len() <= self.f + 1))
     }
 
     fn arity(&self) -> Option<usize> {
@@ -146,7 +143,7 @@ impl RefState {
             .min()
     }
 
-    fn send_echoes(&mut self, out: &mut Vec<AvssOut>) {
+    fn send_echoes(&mut self, out: &mut Vec<Outgoing<AvssMsg>>) {
         if self.echo_sent {
             return;
         }
@@ -155,12 +152,12 @@ impl RefState {
             for j in 0..self.n {
                 let xj = Fp::new(j as u64 + 1);
                 let vals: Vec<Fp> = rows.iter().map(|r| r.eval(xj)).collect();
-                out.push((AvssDest::One(j), AvssMsg::Echo(vals)));
+                out.push(Outgoing::to(j, AvssMsg::Echo(vals.into())));
             }
         }
     }
 
-    fn progress(&mut self, out: &mut Vec<AvssOut>) {
+    fn progress(&mut self, out: &mut Vec<Outgoing<AvssMsg>>) {
         self.try_confirm();
         // Late recovery may enable our echoes (helping others finish).
         if self.own_rows.is_none() && self.confirmed_rows.is_some() {
@@ -169,7 +166,7 @@ impl RefState {
         }
         if !self.ready_sent && (self.vouched() || self.ready_recv.len() > self.f) {
             self.ready_sent = true;
-            out.push((AvssDest::All, AvssMsg::Ready));
+            out.push(Outgoing::all(AvssMsg::Ready));
         }
         if self.confirmed_rows.is_some() && self.ready_recv.len() > 2 * self.f {
             self.completed = true;

@@ -6,8 +6,8 @@ mod avss_reference;
 
 use avss_reference::RefState;
 use mediator_field::{rs, Fp};
-use mediator_sim::sansio::Payload;
-use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
+use mediator_sim::sansio::{route_batch, Outgoing};
+use mediator_vss::avss::{self, AvssMsg, AvssState};
 use mediator_vss::shamir::{lagrange_at_zero, share_secret, Share};
 use mediator_vss::OecState;
 use proptest::prelude::*;
@@ -56,9 +56,10 @@ fn hostile_rows(rows: &[Vec<Fp>], f: usize, rng: &mut StdRng) -> Vec<Vec<Fp>> {
 /// What a byzantine player might send in place of one honest message;
 /// `None` drops it.
 fn hostile_msg(msg: AvssMsg, rng: &mut StdRng) -> Option<AvssMsg> {
-    let AvssMsg::Echo(mut vals) = msg else {
+    let AvssMsg::Echo(vals) = msg else {
         return (rng.gen_range(0..4) > 0).then_some(msg);
     };
+    let mut vals = vals.to_vec();
     match rng.gen_range(0..6) {
         0 => return None,
         1 => bend_some(&mut vals, rng),
@@ -67,7 +68,7 @@ fn hostile_msg(msg: AvssMsg, rng: &mut StdRng) -> Option<AvssMsg> {
         4 => vals.push(Fp::ZERO),
         _ => {}
     }
-    Some(AvssMsg::Echo(vals))
+    Some(AvssMsg::Echo(vals.into()))
 }
 
 /// Runs one AVSS instance on the vector state and on the per-coordinate
@@ -90,14 +91,18 @@ fn avss_matches_reference(n: usize, f: usize, k: usize, seed: u64) -> usize {
         .collect();
     let mut pool: Vec<(usize, usize, AvssMsg)> = Vec::new();
     for (to, msg) in dealt.into_iter().enumerate() {
-        let AvssMsg::Rows(rows) = &msg else {
+        let AvssMsg::Rows { rows, coeffs } = &msg else {
             unreachable!("deal returns rows")
         };
+        let rows: Vec<Vec<Fp>> = avss::split_rows(*rows, coeffs)
+            .expect("dealt rows split evenly")
+            .map(<[Fp]>::to_vec)
+            .collect();
         match rng.gen_range(0..6) {
             0 => {}
             1 => {
-                let bad = hostile_rows(rows, f, &mut rng);
-                pool.push((dealer, to, AvssMsg::Rows(Payload::new(bad))));
+                let bad = hostile_rows(&rows, f, &mut rng);
+                pool.push((dealer, to, AvssMsg::rows(&bad)));
             }
             _ => pool.push((dealer, to, msg)),
         }
@@ -116,23 +121,19 @@ fn avss_matches_reference(n: usize, f: usize, k: usize, seed: u64) -> usize {
     let mut refs: Vec<RefState> = (0..n).map(|_| RefState::new(n, f, dealer)).collect();
     while !pool.is_empty() {
         let (from, to, msg) = pool.swap_remove(rng.gen_range(0..pool.len()));
-        let got = states[to].on_message(from, msg.clone());
+        let mut out: Vec<Outgoing<AvssMsg>> = Vec::new();
+        let done = states[to].on_message(from, msg.clone(), &mut out);
+        let got = (out, done);
         let want = refs[to].on_message(from, msg);
         assert_eq!(got, want, "player {to} after a message from {from}");
         assert_eq!(states[to].shares().map(<[Fp]>::to_vec), refs[to].shares());
-        for (dest, m) in got.0 {
-            let dests = match dest {
-                AvssDest::One(d) => d..d + 1,
-                AvssDest::All => 0..n,
-            };
-            for d in dests {
-                if !byzantine.contains(&to) {
-                    pool.push((to, d, m.clone()));
-                } else if let Some(m) = hostile_msg(m.clone(), &mut rng) {
-                    pool.push((to, d, m));
-                }
+        route_batch(n, got.0, |d, m| {
+            if !byzantine.contains(&to) {
+                pool.push((to, d, m));
+            } else if let Some(m) = hostile_msg(m, &mut rng) {
+                pool.push((to, d, m));
             }
-        }
+        });
     }
     for (s, r) in states.iter().zip(&refs) {
         assert_eq!(s.is_completed(), r.is_completed());
@@ -220,7 +221,7 @@ proptest! {
         prop_assert_eq!(oec.secret(), Some(Fp::new(secret)), "must terminate with all shares in");
     }
 
-    /// The vector AVSS is the per-coordinate AVSS: same `AvssOut` sequence
+    /// The vector AVSS is the per-coordinate AVSS: same outgoing sequence
     /// after every message and same shares, hostile inputs included.
     #[test]
     fn vector_avss_matches_the_per_coordinate_reference(

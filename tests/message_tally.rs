@@ -64,7 +64,7 @@ const PINNED: [(usize, usize, u64, Row); 8] = [
 fn kind(msg: &CtMsg) -> usize {
     match msg {
         CtMsg::Mpc(MpcMsg::Avss { inner, .. }) => match inner {
-            AvssMsg::Rows(_) => 0,
+            AvssMsg::Rows { .. } => 0,
             AvssMsg::Echo(_) => 1,
             AvssMsg::Ready => 2,
         },
