@@ -275,43 +275,14 @@ impl<M: Wire> Frame<M> {
     /// which is what lets typed relays echo authenticated frames without
     /// holding any key.
     pub fn encode_body(&self, out: &mut Vec<u8>) {
-        if let Frame::Msg {
-            session,
-            src,
-            dst,
-            msg,
-            auth: Some(tag),
-        } = self
-        {
-            out.push(WIRE_VERSION_AUTH);
-            out.push(1);
-            session.encode(out);
-            src.encode(out);
-            dst.encode(out);
-            tag.seq.encode(out);
-            msg.encode(out);
-            out.extend_from_slice(&tag.mac);
-            return;
-        }
-        if let Frame::ShardResult {
-            unit,
-            worker,
-            profiles,
-            auth: Some(tag),
-        } = self
-        {
-            // Same trailer discipline as an authenticated Msg:
-            // [2][kind=7][unit][worker][seq][profiles][mac: 8 raw bytes].
-            out.push(WIRE_VERSION_AUTH);
-            out.push(7);
-            unit.encode(out);
-            worker.encode(out);
-            tag.seq.encode(out);
-            profiles.encode(out);
-            out.extend_from_slice(&tag.mac);
-            return;
-        }
-        out.push(WIRE_VERSION);
+        // `ShardResult` follows the same trailer discipline:
+        // [2][kind=7][unit][worker][seq][profiles][mac: 8 raw bytes].
+        let auth = match self {
+            Frame::Msg { auth, .. } | Frame::ShardResult { auth, .. } => auth.as_ref(),
+            _ => None,
+        };
+        let seq = |out: &mut Vec<u8>| auth.iter().for_each(|tag| tag.seq.encode(out));
+        out.push(auth.map_or(WIRE_VERSION, |_| WIRE_VERSION_AUTH));
         match self {
             Frame::Attach { session, player } => {
                 out.push(0);
@@ -329,6 +300,7 @@ impl<M: Wire> Frame<M> {
                 session.encode(out);
                 src.encode(out);
                 dst.encode(out);
+                seq(out);
                 msg.encode(out);
             }
             Frame::Outcome { session, summary } => {
@@ -370,6 +342,7 @@ impl<M: Wire> Frame<M> {
                 out.push(7);
                 unit.encode(out);
                 worker.encode(out);
+                seq(out);
                 profiles.encode(out);
             }
             Frame::ShardWitness { unit, run, profile } => {
@@ -378,9 +351,10 @@ impl<M: Wire> Frame<M> {
                 run.encode(out);
                 profile.encode(out);
             }
-            Frame::ShardDrain => {
-                out.push(9);
-            }
+            Frame::ShardDrain => out.push(9),
+        }
+        if let Some(tag) = auth {
+            out.extend_from_slice(&tag.mac);
         }
     }
 
@@ -389,48 +363,23 @@ impl<M: Wire> Frame<M> {
     /// consumed.
     pub fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(body);
-        let version = r.u8()?;
-        if version == WIRE_VERSION_AUTH {
-            // Authenticated layout: exactly `Msg` and `ShardResult`
-            // travel under it — any other kind byte is malformed.
-            match r.u8()? {
-                1 => {
-                    let session = Wire::decode(&mut r)?;
-                    let src = Wire::decode(&mut r)?;
-                    let dst = Wire::decode(&mut r)?;
-                    let seq = Wire::decode(&mut r)?;
-                    let msg = Wire::decode(&mut r)?;
-                    let mac: [u8; 8] = r.bytes(8)?.try_into().expect("8 bytes");
-                    r.finish()?;
-                    return Ok(Frame::Msg {
-                        session,
-                        src,
-                        dst,
-                        msg,
-                        auth: Some(AuthTag { seq, mac }),
-                    });
-                }
-                7 => {
-                    let unit = Wire::decode(&mut r)?;
-                    let worker = Wire::decode(&mut r)?;
-                    let seq = Wire::decode(&mut r)?;
-                    let profiles = Wire::decode(&mut r)?;
-                    let mac: [u8; 8] = r.bytes(8)?.try_into().expect("8 bytes");
-                    r.finish()?;
-                    return Ok(Frame::ShardResult {
-                        unit,
-                        worker,
-                        profiles,
-                        auth: Some(AuthTag { seq, mac }),
-                    });
-                }
-                tag => return Err(CodecError::UnknownTag { what: "Frame", tag }),
-            }
+        let authed = match r.u8()? {
+            WIRE_VERSION => false,
+            WIRE_VERSION_AUTH => true,
+            version => return Err(CodecError::UnknownVersion(version)),
+        };
+        // Authenticated layout: exactly `Msg` and `ShardResult` travel
+        // under it — any other kind byte is malformed. The tag's sequence
+        // number sits before the payload, its MAC after it.
+        let tag = r.u8()?;
+        if authed && tag != 1 && tag != 7 {
+            return Err(CodecError::UnknownTag { what: "Frame", tag });
         }
-        if version != WIRE_VERSION {
-            return Err(CodecError::UnknownVersion(version));
-        }
-        let frame = match r.u8()? {
+        let seq = |r: &mut Reader<'_>| match authed {
+            true => u64::decode(r).map(|seq| Some(AuthTag { seq, mac: [0; 8] })),
+            false => Ok(None),
+        };
+        let mut frame = match tag {
             0 => Frame::Attach {
                 session: Wire::decode(&mut r)?,
                 player: Wire::decode(&mut r)?,
@@ -439,8 +388,8 @@ impl<M: Wire> Frame<M> {
                 session: Wire::decode(&mut r)?,
                 src: Wire::decode(&mut r)?,
                 dst: Wire::decode(&mut r)?,
+                auth: seq(&mut r)?,
                 msg: Wire::decode(&mut r)?,
-                auth: None,
             },
             2 => Frame::Outcome {
                 session: Wire::decode(&mut r)?,
@@ -465,8 +414,8 @@ impl<M: Wire> Frame<M> {
             7 => Frame::ShardResult {
                 unit: Wire::decode(&mut r)?,
                 worker: Wire::decode(&mut r)?,
+                auth: seq(&mut r)?,
                 profiles: Wire::decode(&mut r)?,
-                auth: None,
             },
             8 => Frame::ShardWitness {
                 unit: Wire::decode(&mut r)?,
@@ -476,6 +425,9 @@ impl<M: Wire> Frame<M> {
             9 => Frame::ShardDrain,
             tag => return Err(CodecError::UnknownTag { what: "Frame", tag }),
         };
+        if let Some(tag) = frame.auth_mut() {
+            tag.mac = r.bytes(8)?.try_into().expect("8 bytes");
+        }
         r.finish()?;
         Ok(frame)
     }
@@ -503,14 +455,16 @@ impl<M: Wire> Frame<M> {
             return; // no trailer to seal
         }
         let mac = seal_in_place(&mut body, &key.pair_key(domain.0, domain.1, domain.2));
+        if let Some(tag) = self.auth_mut() {
+            tag.mac = mac;
+        }
+    }
+
+    /// The tag of an authenticated frame.
+    fn auth_mut(&mut self) -> Option<&mut AuthTag> {
         match self {
-            Frame::Msg {
-                auth: Some(tag), ..
-            }
-            | Frame::ShardResult {
-                auth: Some(tag), ..
-            } => tag.mac = mac,
-            _ => {}
+            Frame::Msg { auth, .. } | Frame::ShardResult { auth, .. } => auth.as_mut(),
+            _ => None,
         }
     }
 }

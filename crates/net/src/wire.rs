@@ -160,18 +160,22 @@ pub trait Wire: Sized {
 }
 
 impl Wire for u64 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, *self);
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(r.varint()?)
     }
 }
 
 impl Wire for usize {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, *self as u64);
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         // No silent truncation on 32-bit targets: a value that does not
         // fit `usize` must error, or two distinct encodings would alias
@@ -181,9 +185,11 @@ impl Wire for usize {
 }
 
 impl Wire for bool {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(r.boolean()?)
     }
@@ -194,9 +200,11 @@ impl Wire for bool {
 /// non-canonical residue on the wire still yields a valid element rather
 /// than an error — the field is closed under reduction.
 impl Wire for Fp {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.as_u64());
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Fp::new(r.varint()?))
     }
@@ -273,10 +281,12 @@ impl<T: Wire + Clone> Wire for mediator_sim::Payload<T> {
 
 /// A view travels as the `Vec` of its own range, and decodes into one buffer.
 impl<T: Wire + Default> Wire for mediator_sim::View<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.len() as u64);
         self.iter().for_each(|item| item.encode(out));
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.length()?;
         let mut buf: Arc<[T]> = std::iter::repeat_with(T::default).take(len).collect();
@@ -288,16 +298,12 @@ impl<T: Wire + Default> Wire for mediator_sim::View<T> {
 }
 
 impl Wire for mediator_bcast::AbaMsg {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         use mediator_bcast::AbaMsg::*;
         match self {
-            BVal { round, v } => {
-                out.push(0);
-                round.encode(out);
-                v.encode(out);
-            }
-            Aux { round, v } => {
-                out.push(1);
+            BVal { round, v } | Aux { round, v } => {
+                out.push(u8::from(matches!(self, Aux { .. })));
                 round.encode(out);
                 v.encode(out);
             }
@@ -307,17 +313,18 @@ impl Wire for mediator_bcast::AbaMsg {
             }
         }
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use mediator_bcast::AbaMsg::*;
         match r.u8()? {
-            0 => Ok(BVal {
-                round: u64::decode(r)?,
-                v: bool::decode(r)?,
-            }),
-            1 => Ok(Aux {
-                round: u64::decode(r)?,
-                v: bool::decode(r)?,
-            }),
+            tag @ (0 | 1) => {
+                let (round, v) = (u64::decode(r)?, bool::decode(r)?);
+                Ok(if tag == 0 {
+                    BVal { round, v }
+                } else {
+                    Aux { round, v }
+                })
+            }
             2 => Ok(Done {
                 v: bool::decode(r)?,
             }),
@@ -331,6 +338,7 @@ impl Wire for mediator_bcast::AbaMsg {
 
 /// `Rows` travel as the `Vec<Vec<Fp>>` of their rows.
 impl Wire for mediator_vss::AvssMsg {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         use mediator_vss::AvssMsg::*;
         match self {
@@ -350,10 +358,16 @@ impl Wire for mediator_vss::AvssMsg {
             Ready => out.push(2),
         }
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use mediator_vss::AvssMsg::*;
         match r.u8()? {
             0 => {
+                let mut uniform = r.clone();
+                if let Some(msg) = uniform_rows(&mut uniform) {
+                    *r = uniform;
+                    return Ok(msg);
+                }
                 // Ragged rows decode zero-padded to the widest; the padding
                 // may not outgrow the bytes the rows arrived in.
                 let remaining = r.remaining();
@@ -375,6 +389,32 @@ impl Wire for mediator_vss::AvssMsg {
             }),
         }
     }
+}
+
+/// A `Rows` block no row of which is wider than its first — an honest
+/// dealer's — decoded straight into its one buffer. `None` for any other
+/// block, well-formed or not: the general path decodes or rejects it.
+#[inline]
+fn uniform_rows(r: &mut Reader<'_>) -> Option<mediator_vss::AvssMsg> {
+    let remaining = r.remaining();
+    let k = r.length().ok()?;
+    let w = if k == 0 { 0 } else { r.clone().length().ok()? };
+    if k.checked_mul(w)? > remaining {
+        return None;
+    }
+    let mut coeffs: Arc<[Fp]> = std::iter::repeat_n(Fp::ZERO, k * w).collect();
+    let cells = Arc::get_mut(&mut coeffs)?;
+    for row in 0..k {
+        let len = r.length().ok().filter(|&len| len <= w)?;
+        for cell in &mut cells[row * w..row * w + len] {
+            *cell = Fp::decode(r).ok()?;
+        }
+    }
+    let rows = u32::try_from(k).ok()?;
+    Some(mediator_vss::AvssMsg::Rows {
+        rows,
+        coeffs: coeffs.into(),
+    })
 }
 
 impl Wire for mediator_vss::DetectMsg {
@@ -413,6 +453,7 @@ impl Wire for mediator_vss::DetectMsg {
 }
 
 impl Wire for mediator_mpc::MpcMsg {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         use mediator_mpc::MpcMsg::*;
         match self {
@@ -443,6 +484,7 @@ impl Wire for mediator_mpc::MpcMsg {
             }
         }
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use mediator_mpc::MpcMsg::*;
         match r.u8()? {
@@ -475,6 +517,7 @@ impl Wire for mediator_mpc::MpcMsg {
 }
 
 impl Wire for mediator_core::cheap_talk::CtMsg {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         use mediator_core::cheap_talk::CtMsg::*;
         match self {
@@ -485,6 +528,7 @@ impl Wire for mediator_core::cheap_talk::CtMsg {
             Finished => out.push(1),
         }
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use mediator_core::cheap_talk::CtMsg::*;
         match r.u8()? {

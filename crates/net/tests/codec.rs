@@ -949,3 +949,28 @@ fn accept_framed<M: mediator_net::Wire + 'static>(
         }
     }
 }
+
+#[test]
+fn a_rows_frame_whose_first_row_is_widest_decodes_padded() {
+    // The first row fixes the width the frame decodes into; later rows may
+    // be shorter, and decode zero-padded as a ragged frame would.
+    let (a, b, c) = (Fp::new(5), Fp::new(6), Fp::new(7));
+    let ragged: Vec<Vec<Fp>> = vec![vec![b, c], vec![a], vec![]];
+    let mut bytes = vec![0, 3];
+    for row in &ragged {
+        bytes.push(row.len() as u8);
+        bytes.extend(row.iter().map(|x| x.as_u64() as u8));
+    }
+    let decoded = AvssMsg::from_bytes(&bytes).expect("a ragged frame decodes");
+    assert_eq!(decoded, AvssMsg::rows(&ragged));
+    // A truncated or overlong frame fails as it does on the general path.
+    assert_eq!(
+        AvssMsg::from_bytes(&bytes[..bytes.len() - 1]),
+        Err(CodecError::Truncated)
+    );
+    bytes.push(0);
+    assert_eq!(
+        AvssMsg::from_bytes(&bytes),
+        Err(CodecError::TrailingBytes { extra: 1 })
+    );
+}

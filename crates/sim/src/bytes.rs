@@ -63,7 +63,9 @@ impl fmt::Display for ByteError {
 
 impl std::error::Error for ByteError {}
 
-/// A bounds-checked cursor over a received byte buffer.
+/// A bounds-checked cursor over a received byte buffer. A clone reads on
+/// from the same position, independently.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,

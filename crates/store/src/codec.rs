@@ -77,6 +77,13 @@ pub enum StoreError {
     },
     /// The backing file failed with this I/O error kind.
     Io(std::io::ErrorKind),
+    /// A [`crate::RunId`] past the end of the store's index.
+    UnknownRun {
+        /// The id asked for.
+        id: usize,
+        /// How many runs the store holds.
+        runs: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -113,6 +120,9 @@ impl fmt::Display for StoreError {
                 )
             }
             StoreError::Io(kind) => write!(f, "backing store I/O failure: {kind:?}"),
+            StoreError::UnknownRun { id, runs } => {
+                write!(f, "no run {id} in a store of {runs} runs")
+            }
         }
     }
 }
@@ -207,12 +217,18 @@ impl StoreCodec for String {
     }
 }
 
+/// Appends a length-prefixed sequence: the encoding of a `Vec<T>`, from a
+/// slice.
+fn put_slice<T: StoreCodec>(out: &mut Vec<u8>, items: &[T]) {
+    put_varint(out, items.len() as u64);
+    for item in items {
+        item.encode(out);
+    }
+}
+
 impl<T: StoreCodec> StoreCodec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
-        for item in self {
-            item.encode(out);
-        }
+        put_slice(out, self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let len = r.length()?;
@@ -490,20 +506,19 @@ pub struct OutcomeRecord {
 }
 
 impl OutcomeRecord {
-    /// Captures the storable projection of an outcome. `event_count` is
-    /// the number of events actually retained by the trace (none for a
-    /// counters-only capture).
-    pub fn capture(outcome: &mediator_sim::Outcome) -> Self {
-        OutcomeRecord {
-            moves: outcome.moves.clone(),
-            wills: outcome.wills.clone(),
-            halted: outcome.halted.clone(),
-            messages_sent: outcome.messages_sent,
-            messages_delivered: outcome.messages_delivered,
-            steps: outcome.steps,
-            termination: outcome.termination,
-            event_count: outcome.trace.events().len() as u64,
-        }
+    /// Appends the record `outcome` stores as, field for field what
+    /// [`StoreCodec::encode`] writes, without copying its vectors.
+    /// `event_count` is the number of events the trace retained (none for
+    /// a counters-only capture).
+    pub(crate) fn encode_outcome(outcome: &mediator_sim::Outcome, out: &mut Vec<u8>) {
+        put_slice(out, &outcome.moves);
+        put_slice(out, &outcome.wills);
+        put_slice(out, &outcome.halted);
+        outcome.messages_sent.encode(out);
+        outcome.messages_delivered.encode(out);
+        outcome.steps.encode(out);
+        outcome.termination.encode(out);
+        (outcome.trace.events().len() as u64).encode(out);
     }
 }
 

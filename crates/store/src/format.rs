@@ -60,7 +60,7 @@ impl RecordKind {
         }
     }
 
-    fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             RecordKind::Header => 0,
             RecordKind::EventsChunk => 1,
@@ -164,25 +164,36 @@ pub fn check_preamble(bytes: &[u8]) -> Result<u64, StoreError> {
 
 /// Appends one framed record (`len`, `crc`, `kind`, payload) to `out`.
 pub fn put_record(out: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
-    let body_len = payload.len() + 1;
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    // CRC over the body: compute incrementally to avoid a copy.
-    let crc = crc32_update(crc32_update(CRC_INIT, &[kind.tag()]), payload);
-    out.extend_from_slice(&(!crc).to_le_bytes());
-    out.push(kind.tag());
-    out.extend_from_slice(payload);
+    put_record_with(out, kind, |out| out.extend_from_slice(payload));
 }
 
-/// Decodes a chunk payload back into its events.
-pub fn decode_events_chunk(payload: &[u8]) -> Result<Vec<TraceEvent>, StoreError> {
+/// Appends one framed record whose payload `write` appends to `out`:
+/// the frame is patched in afterwards, so the payload is never staged in
+/// a buffer of its own.
+pub(crate) fn put_record_with(
+    out: &mut Vec<u8>,
+    kind: RecordKind,
+    write: impl FnOnce(&mut Vec<u8>),
+) {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_LEN]);
+    out.push(kind.tag());
+    write(out);
+    let body = &out[at + FRAME_LEN..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Decodes a chunk payload, appending its events to `out`.
+pub fn decode_events_chunk(payload: &[u8], out: &mut Vec<TraceEvent>) -> Result<(), StoreError> {
     let mut r = Reader::new(payload);
     let count = r.length()?;
-    let mut events = Vec::with_capacity(count);
+    out.reserve(count);
     for _ in 0..count {
-        events.push(TraceEvent::decode(&mut r)?);
+        out.push(TraceEvent::decode(&mut r)?);
     }
-    r.finish()?;
-    Ok(events)
+    Ok(r.finish()?)
 }
 
 /// One framed record located in a scanned buffer.
@@ -204,33 +215,77 @@ pub struct RawRecord {
 /// typed error — a short tail is [`StoreError::TornTail`], an in-place
 /// corruption [`StoreError::BadCrc`].
 pub fn scan(bytes: &[u8]) -> Result<Vec<RawRecord>, StoreError> {
-    let mut pos = check_preamble(bytes)? as usize;
-    let mut records = Vec::new();
-    while pos < bytes.len() {
-        let offset = pos as u64;
+    let start = check_preamble(bytes)?;
+    walk(&bytes[start as usize..], start)
+        .map(|r| r.map(|(rec, _)| rec))
+        .collect()
+}
+
+/// The records in `bytes`, log bytes from offset `base` on, each checked
+/// as [`scan`] checks it and paired with its payload. The first malformed
+/// frame is the walk's last item.
+pub(crate) fn walk(bytes: &[u8], base: u64) -> Walk<'_> {
+    Walk {
+        bytes,
+        pos: 0,
+        base,
+    }
+}
+
+/// The iterator [`walk`] returns.
+pub(crate) struct Walk<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    base: u64,
+}
+
+impl<'a> Walk<'a> {
+    /// The bytes not yet walked.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn record(&mut self) -> Result<(RawRecord, &'a [u8]), StoreError> {
+        let (bytes, pos) = (self.bytes, self.pos);
+        let offset = self.base + pos as u64;
         if bytes.len() - pos < FRAME_LEN {
             return Err(StoreError::TornTail { offset });
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        pos += FRAME_LEN;
-        if len == 0 || bytes.len() - pos < len {
+        let at = pos + FRAME_LEN;
+        if len == 0 || bytes.len() - at < len {
             return Err(StoreError::TornTail { offset });
         }
-        let body = &bytes[pos..pos + len];
+        let body = &bytes[at..at + len];
         if crc32(body) != crc {
             return Err(StoreError::BadCrc { offset });
         }
         let kind = RecordKind::from_tag(body[0])?;
-        records.push(RawRecord {
+        self.pos = at + len;
+        let rec = RawRecord {
             offset,
             kind,
-            payload_offset: (pos + 1) as u64,
+            payload_offset: offset + FRAME_LEN as u64 + 1,
             payload_len: len - 1,
-        });
-        pos += len;
+        };
+        Ok((rec, &body[1..]))
     }
-    Ok(records)
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = Result<(RawRecord, &'a [u8]), StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.bytes.len() {
+            return None;
+        }
+        let item = self.record();
+        if item.is_err() {
+            self.pos = self.bytes.len();
+        }
+        Some(item)
+    }
 }
 
 #[cfg(test)]
@@ -311,6 +366,8 @@ mod tests {
         for e in &events {
             e.encode(&mut payload);
         }
-        assert_eq!(decode_events_chunk(&payload).unwrap(), events);
+        let mut decoded = Vec::new();
+        decode_events_chunk(&payload, &mut decoded).unwrap();
+        assert_eq!(decoded, events);
     }
 }

@@ -18,7 +18,9 @@
 //! * [`store`] — [`TraceStore`] over a [`Backend`] (in-memory or
 //!   `std::fs`), with `(session, seed, kind)` lookup, streaming event
 //!   iteration, and bounded retention: [`TraceStore::compact`] evicts the
-//!   oldest event bodies but never a header or outcome.
+//!   oldest event bodies but never a header or outcome. The index in
+//!   memory is one 48-byte entry per run; headers and outcomes are read
+//!   from the log when asked for.
 //! * [`replay`] — [`replay_plan`] re-opens the world through the
 //!   scenario plan's `session_with` seam with a [`mediator_sim::ReplayScheduler`]
 //!   forcing the recorded dispatch order; networked recordings re-enact

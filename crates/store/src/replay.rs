@@ -357,7 +357,7 @@ mod tests {
             "a counters-only capture is partial"
         );
         let id = store.record(RunHeader::bare(1, 2), &outcome).unwrap();
-        assert!(store.header(id).partial, "stored marked partial");
+        assert!(store.header(id).unwrap().partial, "stored marked partial");
         let run = store.load(id).unwrap();
         assert_eq!(stored_script(&run), Err(ReplayError::PartialTrace));
     }

@@ -141,7 +141,7 @@ mod tests {
         assert!(sink.take_error().is_none());
         let store = sink.into_store();
         let id = store.find(9, 4).expect("recorded run is indexed");
-        let h = store.header(id);
+        let h = store.header(id).unwrap();
         assert_eq!(h.kind, Some(SchedulerKind::Fifo));
         assert!(h.networked);
         assert_eq!(h.meta_value("entry"), Some("ping"));

@@ -12,14 +12,22 @@
 //! is a torn *tail*, which [`TraceStore::open`] reports as the typed
 //! [`StoreError::TornTail`]. Retention ([`TraceStore::compact`]) evicts
 //! the *event bodies* of the oldest runs until the log fits a byte
-//! budget; headers and outcomes survive unconditionally, so the index —
-//! who ran, under what seed, to what verdict — is never lost, and an
+//! budget; headers and outcomes survive unconditionally in the log, so
+//! who ran, under what seed, to what verdict is never lost, and an
 //! evicted run is distinguishable from an empty one by its outcome's
-//! retained event count.
+//! recorded event count.
+//!
+//! The index in memory holds the *locations* of those records, not the
+//! records: one fixed-size entry per run (session, seed, the log offsets
+//! of its header and outcome records, its recorded and retained event
+//! counts), 48 bytes that own no heap memory. [`TraceStore::header`],
+//! [`TraceStore::outcome`] and [`TraceStore::load`] decode from the log
+//! when asked, so a store's memory does not grow with the sessions it has
+//! recorded beyond those bytes.
 
 use crate::codec::{put_varint, OutcomeRecord, Reader, RunHeader, StoreCodec, StoreError};
 use crate::format::{
-    self, crc32_update, decode_events_chunk, put_record, RawRecord, RecordKind, CRC_INIT,
+    self, crc32_update, decode_events_chunk, put_record_with, RawRecord, RecordKind, CRC_INIT,
 };
 use mediator_sim::{Outcome, SchedulerKind, TraceEvent};
 use std::fs::{File, OpenOptions};
@@ -188,22 +196,30 @@ impl Backend for FileBackend {
 /// Index handle for a stored run (position in file order).
 pub type RunId = usize;
 
-/// One indexed run: its decoded header and outcome (always in memory —
-/// they survive compaction) plus the location of its event chunks on the
-/// backend (possibly evicted).
-/// `(payload_offset, payload_len, events_in_chunk)` for one retained chunk.
-type ChunkSpan = (u64, usize, u64);
-
-#[derive(Debug)]
+/// One indexed run: where its records sit in the log, and what `find` and
+/// `evicted` need without reading them. It owns no heap memory, so a
+/// recorded run costs the index these 48 bytes; its header and outcome
+/// are decoded from the log when asked for.
+#[derive(Debug, Clone, Copy)]
 struct RunEntry {
-    header: RunHeader,
-    outcome: OutcomeRecord,
-    chunks: Vec<ChunkSpan>,
+    session: u64,
+    seed: u64,
+    /// Frame offset of the run's header record. Its events chunks follow
+    /// it, up to the outcome record.
+    header_at: u64,
+    /// Frame offset of the run's outcome record, the run's last.
+    outcome_at: u64,
+    /// Events the run recorded: its outcome's `event_count`.
+    recorded: u64,
+    /// Events its retained chunks hold.
+    retained: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<RunEntry>() <= 48);
+
 impl RunEntry {
-    fn retained_events(&self) -> u64 {
-        self.chunks.iter().map(|&(_, _, c)| c).sum()
+    fn evicted(&self) -> bool {
+        self.retained < self.recorded
     }
 }
 
@@ -290,44 +306,50 @@ impl TraceStore {
         header.partial = outcome.trace.wrapped() > 0;
         let events = outcome.trace.events();
         let mut buf = Vec::with_capacity(events.as_bytes().len());
-        put_record(&mut buf, RecordKind::Header, &header.to_bytes());
+        put_record_with(&mut buf, RecordKind::Header, |out| header.encode(out));
         // A chunk is a varint count and a copy of the trace's own bytes
         // for that many events: the trace holds the store's encoding.
-        let mut chunk = Vec::new();
-        for (count, bytes) in events.byte_chunks(EVENTS_PER_CHUNK.max(1)) {
-            chunk.clear();
-            put_varint(&mut chunk, count as u64);
-            chunk.extend_from_slice(bytes);
-            put_record(&mut buf, RecordKind::EventsChunk, &chunk);
+        for (count, bytes) in events.byte_chunks(EVENTS_PER_CHUNK) {
+            put_record_with(&mut buf, RecordKind::EventsChunk, |out| {
+                put_varint(out, count as u64);
+                out.extend_from_slice(bytes);
+            });
         }
-        let record = OutcomeRecord::capture(outcome);
-        put_record(&mut buf, RecordKind::Outcome, &record.to_bytes());
-
-        // Chunk payload offsets are relative to the append position.
         let base = self.backend.len();
+        let outcome_at = base + buf.len() as u64;
+        put_record_with(&mut buf, RecordKind::Outcome, |out| {
+            OutcomeRecord::encode_outcome(outcome, out)
+        });
         self.backend.append(&buf)?;
-        let appended = scan_appended(&buf, base)?;
+        let events = events.len() as u64;
         self.runs.push(RunEntry {
-            header,
-            outcome: record,
-            chunks: appended,
+            session: header.session,
+            seed: header.seed,
+            header_at: base,
+            outcome_at,
+            recorded: events,
+            retained: events,
         });
         Ok(self.runs.len() - 1)
     }
 
-    /// The header of run `id`.
-    pub fn header(&self, id: RunId) -> &RunHeader {
-        &self.runs[id].header
+    /// The header of run `id`, read from the log.
+    pub fn header(&self, id: RunId) -> Result<RunHeader, StoreError> {
+        let e = self.entry(id)?;
+        let bytes = self.read_span(e.header_at, self.record_end(e.header_at, e.outcome_at)?)?;
+        RunHeader::from_bytes(first_record(&bytes, e.header_at, RecordKind::Header)?)
     }
 
-    /// The stored outcome of run `id`.
-    pub fn outcome(&self, id: RunId) -> &OutcomeRecord {
-        &self.runs[id].outcome
+    /// The stored outcome of run `id`, read from the log.
+    pub fn outcome(&self, id: RunId) -> Result<OutcomeRecord, StoreError> {
+        let at = self.entry(id)?.outcome_at;
+        let bytes = self.read_span(at, self.run_end(id))?;
+        OutcomeRecord::from_bytes(first_record(&bytes, at, RecordKind::Outcome)?)
     }
 
     /// `true` when retention evicted part of run `id`'s event body.
-    pub fn evicted(&self, id: RunId) -> bool {
-        self.runs[id].retained_events() < self.runs[id].outcome.event_count
+    pub fn evicted(&self, id: RunId) -> Result<bool, StoreError> {
+        Ok(self.entry(id)?.evicted())
     }
 
     /// All run ids in file (i.e. recording) order.
@@ -338,102 +360,202 @@ impl TraceStore {
     /// The most recently recorded run whose header matches `(session,
     /// seed)`, if any.
     pub fn find(&self, session: u64, seed: u64) -> Option<RunId> {
-        (0..self.runs.len())
-            .rev()
-            .find(|&i| self.runs[i].header.session == session && self.runs[i].header.seed == seed)
+        self.runs
+            .iter()
+            .rposition(|e| e.session == session && e.seed == seed)
     }
 
     /// The most recent run matching `(session, seed)` recorded under the
-    /// given scheduler kind.
-    pub fn find_cell(&self, session: u64, seed: u64, kind: &SchedulerKind) -> Option<RunId> {
-        (0..self.runs.len()).rev().find(|&i| {
-            let h = &self.runs[i].header;
-            h.session == session && h.seed == seed && h.kind.as_ref() == Some(kind)
-        })
+    /// given scheduler kind. Only the headers of runs matching `(session,
+    /// seed)` are read.
+    pub fn find_cell(
+        &self,
+        session: u64,
+        seed: u64,
+        kind: &SchedulerKind,
+    ) -> Result<Option<RunId>, StoreError> {
+        for (id, e) in self.runs.iter().enumerate().rev() {
+            if e.session == session
+                && e.seed == seed
+                && self.header(id)?.kind.as_ref() == Some(kind)
+            {
+                return Ok(Some(id));
+            }
+        }
+        Ok(None)
     }
 
     /// Streams run `id`'s retained events chunk by chunk off the backend
-    /// (one chunk resident at a time).
+    /// (one chunk resident at a time). An unknown `id` yields its error
+    /// once.
     pub fn events(&self, id: RunId) -> EventsIter<'_> {
+        let span = self.entry(id).and_then(|e| match e.retained {
+            0 => Ok((e.outcome_at, e.outcome_at)),
+            _ => Ok((self.record_end(e.header_at, e.outcome_at)?, e.outcome_at)),
+        });
+        let ((at, end), error) = match span {
+            Ok(span) => (span, None),
+            Err(e) => ((0, 0), Some(e)),
+        };
         EventsIter {
             store: self,
-            chunks: &self.runs[id].chunks,
-            next_chunk: 0,
+            at,
+            end,
+            error,
             buffered: Vec::new(),
             buffered_at: 0,
         }
     }
 
-    /// Materialises run `id` for replay.
+    /// Materialises run `id` for replay, from one read of its records.
     pub fn load(&self, id: RunId) -> Result<StoredRun, StoreError> {
-        let mut events = Vec::with_capacity(self.runs[id].retained_events() as usize);
-        for e in self.events(id) {
-            events.push(e?);
+        let entry = *self.entry(id)?;
+        let bytes = self.read_span(entry.header_at, self.run_end(id))?;
+        let (body, outcome) = bytes.split_at((entry.outcome_at - entry.header_at) as usize);
+        let mut records = format::walk(body, entry.header_at);
+        let header = RunHeader::from_bytes(next_record(&mut records, RecordKind::Header)?)?;
+        // A chunk's count is bounded by its bytes; the entry's sum of them
+        // is not, in a log crafted to pass its CRCs.
+        let mut events = Vec::with_capacity(entry.retained.min(body.len() as u64) as usize);
+        while records.remaining() > 0 {
+            decode_events_chunk(
+                next_record(&mut records, RecordKind::EventsChunk)?,
+                &mut events,
+            )?;
         }
         Ok(StoredRun {
-            header: self.runs[id].header.clone(),
+            header,
             events,
-            outcome: self.runs[id].outcome.clone(),
-            evicted: self.evicted(id),
+            outcome: OutcomeRecord::from_bytes(first_record(
+                outcome,
+                entry.outcome_at,
+                RecordKind::Outcome,
+            )?)?,
+            evicted: entry.evicted(),
         })
     }
 
     /// Bounded retention: while the log exceeds `budget` bytes, evicts the
     /// event bodies of the oldest runs (headers and outcomes are kept
-    /// unconditionally), then rewrites the log in one pass. Returns how
-    /// many runs lost their bodies. The log may still exceed the budget
-    /// if headers + outcomes alone do: the index is never sacrificed.
+    /// unconditionally), then rewrites the log in one pass, copying every
+    /// kept record's bytes from the old log. Returns how many runs lost
+    /// their bodies. The log may still exceed the budget if headers +
+    /// outcomes alone do: the index is never sacrificed.
     pub fn compact(&mut self, budget: u64) -> Result<usize, StoreError> {
         let mut size = self.backend.len();
-        let mut evict = vec![false; self.runs.len()];
-        let mut evicted = 0usize;
+        // Where each evicted run's header record ends.
+        let mut evict: Vec<Option<u64>> = vec![None; self.runs.len()];
         for (i, run) in self.runs.iter().enumerate() {
             if size <= budget {
                 break;
             }
-            let body: u64 = run
-                .chunks
-                .iter()
-                .map(|&(_, len, _)| (format::FRAME_LEN + 1 + len) as u64)
-                .sum();
+            let header_end = self.record_end(run.header_at, run.outcome_at)?;
+            let body = run.outcome_at - header_end;
             if body > 0 {
-                evict[i] = true;
-                evicted += 1;
+                evict[i] = Some(header_end);
                 size -= body;
             }
         }
+        let evicted = evict.iter().flatten().count();
         if evicted == 0 {
             return Ok(0);
         }
+        // Every copied record is CRC-checked first: a record damaged since
+        // `open` fails here, before the rewrite could give it a home.
         let mut buf = Vec::new();
         format::put_preamble(&mut buf);
-        for (i, run) in self.runs.iter().enumerate() {
-            put_record(&mut buf, RecordKind::Header, &run.header.to_bytes());
-            if !evict[i] {
-                for &(offset, len, _) in &run.chunks {
-                    let payload = self.backend.read(offset, len)?;
-                    put_record(&mut buf, RecordKind::EventsChunk, &payload);
-                }
+        let mut copy = |from: u64, to: u64| -> Result<(), StoreError> {
+            let bytes = self.read_span(from, to)?;
+            for record in format::walk(&bytes, from) {
+                record?;
             }
-            put_record(&mut buf, RecordKind::Outcome, &run.outcome.to_bytes());
+            buf.extend_from_slice(&bytes);
+            Ok(())
+        };
+        for (i, run) in self.runs.iter().enumerate() {
+            let end = self.run_end(i);
+            match evict[i] {
+                Some(header_end) => {
+                    copy(run.header_at, header_end)?;
+                    copy(run.outcome_at, end)?;
+                }
+                None => copy(run.header_at, end)?,
+            }
         }
         self.backend.rewrite(&buf)?;
         self.runs = index_log(self.backend.as_ref())?;
         Ok(evicted)
     }
+
+    fn entry(&self, id: RunId) -> Result<&RunEntry, StoreError> {
+        self.runs.get(id).ok_or(StoreError::UnknownRun {
+            id,
+            runs: self.runs.len(),
+        })
+    }
+
+    /// Where run `id`'s records end: at the next run's header, or the log's
+    /// end.
+    fn run_end(&self, id: RunId) -> u64 {
+        self.runs
+            .get(id + 1)
+            .map_or(self.backend.len(), |next| next.header_at)
+    }
+
+    /// Where the record whose frame starts at `at` ends, from its frame.
+    /// A record that reaches past `limit`, the end of what open indexed
+    /// there, was damaged since.
+    fn record_end(&self, at: u64, limit: u64) -> Result<u64, StoreError> {
+        let frame = self.backend.read(at, format::FRAME_LEN)?;
+        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
+        let end = at + format::FRAME_LEN as u64 + u64::from(len);
+        if end > limit {
+            return Err(StoreError::BadCrc { offset: at });
+        }
+        Ok(end)
+    }
+
+    /// The log bytes `[from, to)`.
+    fn read_span(&self, from: u64, to: u64) -> Result<Vec<u8>, StoreError> {
+        let len = usize::try_from(to - from).map_err(|_| StoreError::Truncated)?;
+        self.backend.read(from, len)
+    }
+}
+
+/// The payload of the next record of `records`, which must be a `kind`
+/// record.
+fn next_record<'a>(
+    records: &mut format::Walk<'a>,
+    kind: RecordKind,
+) -> Result<&'a [u8], StoreError> {
+    match records.next().transpose()? {
+        Some((rec, payload)) if rec.kind == kind => Ok(payload),
+        Some((rec, _)) => Err(StoreError::UnexpectedRecord {
+            offset: rec.offset,
+            kind: rec.kind.tag(),
+        }),
+        None => Err(StoreError::Truncated),
+    }
+}
+
+/// The payload of the `kind` record at the front of `bytes`, the log
+/// bytes from offset `at` on.
+fn first_record(bytes: &[u8], at: u64, kind: RecordKind) -> Result<&[u8], StoreError> {
+    next_record(&mut format::walk(bytes, at), kind)
 }
 
 /// The `Header EventsChunk* Outcome` grammar, fed one record at a time.
 #[derive(Default)]
 struct RunGrammar {
     runs: Vec<RunEntry>,
-    open: Option<(RunHeader, Vec<ChunkSpan>)>,
+    open: Option<RunEntry>,
 }
 
 impl RunGrammar {
     /// Takes the next record. `payload` is the record's whole payload
     /// for a header or an outcome, and at least the leading count varint
-    /// for an events chunk.
+    /// for an events chunk. Headers and outcomes are decoded in full, so a
+    /// malformed one fails here, but only the entry is kept.
     fn push(&mut self, rec: RawRecord, payload: &[u8]) -> Result<(), StoreError> {
         let unexpected = |kind| StoreError::UnexpectedRecord {
             offset: rec.offset,
@@ -444,20 +566,26 @@ impl RunGrammar {
                 if self.open.is_some() {
                     return Err(unexpected(0));
                 }
-                self.open = Some((RunHeader::from_bytes(payload)?, Vec::new()));
+                let header = RunHeader::from_bytes(payload)?;
+                self.open = Some(RunEntry {
+                    session: header.session,
+                    seed: header.seed,
+                    header_at: rec.offset,
+                    outcome_at: 0,
+                    recorded: 0,
+                    retained: 0,
+                });
             }
             RecordKind::EventsChunk => {
-                let (_, chunks) = self.open.as_mut().ok_or(unexpected(1))?;
-                let count = chunk_event_count(payload)?;
-                chunks.push((rec.payload_offset, rec.payload_len, count));
+                let run = self.open.as_mut().ok_or(unexpected(1))?;
+                let count = Reader::new(payload).varint()?;
+                run.retained = run.retained.saturating_add(count);
             }
             RecordKind::Outcome => {
-                let (header, chunks) = self.open.take().ok_or(unexpected(2))?;
-                self.runs.push(RunEntry {
-                    header,
-                    outcome: OutcomeRecord::from_bytes(payload)?,
-                    chunks,
-                });
+                let mut run = self.open.take().ok_or(unexpected(2))?;
+                run.outcome_at = rec.offset;
+                run.recorded = OutcomeRecord::from_bytes(payload)?.event_count;
+                self.runs.push(run);
             }
         }
         Ok(())
@@ -575,41 +703,32 @@ fn index_log(backend: &dyn Backend) -> Result<Vec<RunEntry>, StoreError> {
     }
 }
 
-/// Indexes the chunk locations of a freshly appended run buffer, shifting
-/// offsets by the append position.
-fn scan_appended(buf: &[u8], base: u64) -> Result<Vec<(u64, usize, u64)>, StoreError> {
-    // `buf` has no preamble; prepend offsets manually by walking frames.
-    let mut pos = 0usize;
-    let mut chunks = Vec::new();
-    while pos < buf.len() {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let body = pos + format::FRAME_LEN;
-        if buf[body] == 1 {
-            let payload = &buf[body + 1..body + len];
-            chunks.push((
-                base + (body + 1) as u64,
-                len - 1,
-                chunk_event_count(payload)?,
-            ));
-        }
-        pos = body + len;
-    }
-    Ok(chunks)
-}
-
-/// Reads just the event count off a chunk payload.
-fn chunk_event_count(payload: &[u8]) -> Result<u64, StoreError> {
-    Ok(Reader::new(payload).varint()?)
-}
-
 /// Streaming iterator over one run's retained events: decodes one chunk
-/// at a time from the backend.
+/// at a time from the backend. After an error it yields nothing more.
 pub struct EventsIter<'a> {
     store: &'a TraceStore,
-    chunks: &'a [(u64, usize, u64)],
-    next_chunk: usize,
+    /// Frame offset of the next chunk record.
+    at: u64,
+    /// The run's outcome record, where its chunks end.
+    end: u64,
+    error: Option<StoreError>,
     buffered: Vec<TraceEvent>,
     buffered_at: usize,
+}
+
+impl EventsIter<'_> {
+    /// Reads and decodes the chunk at `self.at` into the buffer.
+    fn fill(&mut self) -> Result<(), StoreError> {
+        let store = self.store;
+        let next = store.record_end(self.at, self.end)?;
+        let bytes = store.read_span(self.at, next)?;
+        let payload = first_record(&bytes, self.at, RecordKind::EventsChunk)?;
+        self.buffered.clear();
+        self.buffered_at = 0;
+        decode_events_chunk(payload, &mut self.buffered)?;
+        self.at = next;
+        Ok(())
+    }
 }
 
 impl Iterator for EventsIter<'_> {
@@ -617,24 +736,20 @@ impl Iterator for EventsIter<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.buffered_at < self.buffered.len() {
-                let e = self.buffered[self.buffered_at];
+            if let Some(e) = self.error.take() {
+                // Nothing of a chunk that failed to decode is yielded.
+                self.at = self.end;
+                self.buffered.clear();
+                return Some(Err(e));
+            }
+            if let Some(&e) = self.buffered.get(self.buffered_at) {
                 self.buffered_at += 1;
                 return Some(Ok(e));
             }
-            let &(offset, len, _) = self.chunks.get(self.next_chunk)?;
-            self.next_chunk += 1;
-            let payload = match self.store.backend.read(offset, len) {
-                Ok(p) => p,
-                Err(e) => return Some(Err(e)),
-            };
-            match decode_events_chunk(&payload) {
-                Ok(events) => {
-                    self.buffered = events;
-                    self.buffered_at = 0;
-                }
-                Err(e) => return Some(Err(e)),
+            if self.at >= self.end {
+                return None;
             }
+            self.error = self.fill().err();
         }
     }
 }
@@ -700,8 +815,8 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(store.find(1, 5), Some(b));
         assert_eq!(store.find(2, 5), None);
-        assert_eq!(store.find_cell(1, 5, &SchedulerKind::Fifo), Some(b));
-        assert_eq!(store.find_cell(1, 5, &SchedulerKind::Lifo), None);
+        assert_eq!(store.find_cell(1, 5, &SchedulerKind::Fifo), Ok(Some(b)));
+        assert_eq!(store.find_cell(1, 5, &SchedulerKind::Lifo), Ok(None));
     }
 
     #[test]
@@ -716,11 +831,14 @@ mod tests {
         assert!(store.bytes() < before);
         assert_eq!(store.len(), 8, "every run survives compaction");
         // Oldest-first: run 0 evicted, and its outcome still readable.
-        assert!(store.evicted(0));
-        assert_eq!(store.outcome(0).termination, run_echo(4, 0).termination);
+        assert_eq!(store.evicted(0), Ok(true));
+        assert_eq!(
+            store.outcome(0).unwrap().termination,
+            run_echo(4, 0).termination
+        );
         // The newest run's body survives when the budget allows.
         let last = store.len() - 1;
-        if !store.evicted(last) {
+        if !store.evicted(last).unwrap() {
             let run = store.load(last).unwrap();
             assert_eq!(run.events.len() as u64, run.outcome.event_count);
         }

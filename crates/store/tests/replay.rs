@@ -77,7 +77,10 @@ fn record_in_process<F: GameFamily>(
     sink.record(&RunMeta::cell(0, kind.clone(), seed), &outcome);
     assert!(sink.take_error().is_none(), "sink append failed");
     let store = sink.into_store();
-    let id = store.find_cell(0, seed, &kind).expect("cell indexed");
+    let id = store
+        .find_cell(0, seed, &kind)
+        .expect("headers read")
+        .expect("cell indexed");
     store.load(id).expect("stored run loads")
 }
 
@@ -184,6 +187,7 @@ fn record_networked_mem(
         .with_store(|store| {
             let id = store
                 .find_cell(SID, seed, &kind)
+                .expect("headers read")
                 .expect("recorded cell indexed by (session, seed, kind)");
             store.load(id)
         })
@@ -259,6 +263,7 @@ fn tcp_recordings_replay_without_a_transport() {
         .with_store(|store| {
             let id = store
                 .find_cell(SID, 0, &SchedulerKind::Fifo)
+                .expect("headers read")
                 .expect("indexed");
             store.load(id)
         })
@@ -304,6 +309,7 @@ fn mediator_game_records_and_replays_over_the_wire() {
         .with_store(|store| {
             let id = store
                 .find_cell(SID, 2, &SchedulerKind::Random)
+                .expect("headers read")
                 .expect("indexed");
             store.load(id)
         })

@@ -80,9 +80,9 @@ fn sixty_four_session_sweep_survives_a_byte_cap() {
         let id = store
             .find(session, session)
             .unwrap_or_else(|| panic!("session {session} lost its header"));
-        let header = store.header(id);
+        let header = store.header(id).expect("header reads");
         assert_eq!(header.kind, Some(SchedulerKind::Random));
-        let stored = store.outcome(id);
+        let stored = store.outcome(id).expect("outcome reads");
         let original = &outcomes[session as usize];
         assert_eq!(stored.termination, original.termination);
         assert_eq!(stored.moves, original.moves);
@@ -97,12 +97,12 @@ fn sixty_four_session_sweep_survives_a_byte_cap() {
     // Eviction is oldest-first: the evicted prefix is contiguous.
     let first_kept = store
         .ids()
-        .position(|id| !store.evicted(id))
+        .position(|id| store.evicted(id) == Ok(false))
         .unwrap_or(SESSIONS as usize);
     for id in store.ids() {
         assert_eq!(
             store.evicted(id),
-            id < first_kept,
+            Ok(id < first_kept),
             "run {id}: eviction must be a contiguous oldest-first prefix"
         );
     }
@@ -142,7 +142,7 @@ fn compaction_is_idempotent_and_monotone() {
     // A tighter cap evicts more but can never drop below the index floor.
     store.compact(0).expect("evict every body");
     for id in store.ids().collect::<Vec<_>>() {
-        assert!(store.evicted(id) || store.outcome(id).event_count == 0);
+        assert!(store.evicted(id).unwrap() || store.outcome(id).unwrap().event_count == 0);
     }
     assert_eq!(store.len() as u64, SESSIONS);
 }
@@ -179,7 +179,7 @@ fn zero_budget_never_loses_a_verdict() {
     for session in 0..SESSIONS {
         let id = store.find(session, session).expect("indexed");
         assert_eq!(
-            store.outcome(id).termination,
+            store.outcome(id).expect("outcome reads").termination,
             outcomes[session as usize].termination
         );
         match stored_script(&store.load(id).expect("loads")) {
@@ -466,4 +466,89 @@ fn one_recorded_theorem_4_1_run_is_byte_pinned() {
     let run = appends.last().expect("record appends once");
     assert_eq!(outcome.trace.events().len(), 1542);
     assert_eq!((run.len(), fnv1a(run)), (6_241, 0x39a8_c1cf_2b10_30e4));
+}
+
+// ---------------------------------------------------------------------------
+// An id past the end of the index
+// ---------------------------------------------------------------------------
+
+/// A store of one run, and the error every accessor owes for id 1.
+fn one_run_store() -> (TraceStore, StoreError) {
+    let mut store = TraceStore::in_memory();
+    store
+        .record(RunHeader::bare(1, 1), &run_gossip(3, 1))
+        .expect("record");
+    (store, StoreError::UnknownRun { id: 1, runs: 1 })
+}
+
+#[test]
+fn header_of_an_unknown_run_is_a_typed_error() {
+    let (store, unknown) = one_run_store();
+    assert_eq!(store.header(1), Err(unknown));
+    assert!(store.header(0).is_ok());
+}
+
+#[test]
+fn outcome_of_an_unknown_run_is_a_typed_error() {
+    let (store, unknown) = one_run_store();
+    assert_eq!(store.outcome(1), Err(unknown));
+    assert!(store.outcome(0).is_ok());
+}
+
+#[test]
+fn evicted_of_an_unknown_run_is_a_typed_error() {
+    let (store, unknown) = one_run_store();
+    assert_eq!(store.evicted(1), Err(unknown));
+    assert_eq!(store.evicted(0), Ok(false));
+}
+
+#[test]
+fn events_of_an_unknown_run_yield_the_error_once() {
+    let (store, unknown) = one_run_store();
+    let items: Vec<_> = store.events(1).collect();
+    assert_eq!(items, vec![Err(unknown)]);
+    assert!(store.events(0).all(|e| e.is_ok()));
+}
+
+#[test]
+fn load_of_an_unknown_run_is_a_typed_error() {
+    let (store, unknown) = one_run_store();
+    assert_eq!(store.load(1), Err(unknown));
+    assert!(store.load(0).is_ok());
+}
+
+#[test]
+fn a_chunk_damaged_since_open_ends_the_stream_with_its_error() {
+    use mediator_store::format::RecordKind;
+    let log = SharedLog::default();
+    let mut store = TraceStore::with_backend(Box::new(log.clone())).expect("fresh store");
+    let outcome = run_gossip(20, 1);
+    let id = store
+        .record(RunHeader::bare(1, 1), &outcome)
+        .expect("record");
+    let bytes = log.bytes.lock().unwrap().clone();
+    let chunks: Vec<_> = scan(&bytes)
+        .expect("pristine log scans")
+        .into_iter()
+        .filter(|r| r.kind == RecordKind::EventsChunk)
+        .collect();
+    assert_eq!(chunks.len(), 2, "the body spans two chunks");
+    log.bytes.lock().unwrap()[chunks[1].payload_offset as usize + 3] ^= 0x10;
+
+    let streamed: Vec<_> = store.events(id).collect();
+    let (ok, rest) = streamed.split_at(1024);
+    assert!(ok.iter().all(Result::is_ok), "the first chunk is intact");
+    assert_eq!(
+        rest,
+        [Err(StoreError::BadCrc {
+            offset: chunks[1].offset
+        })]
+    );
+    assert_eq!(
+        store.load(id),
+        Err(StoreError::BadCrc {
+            offset: chunks[1].offset
+        })
+    );
+    assert!(store.header(id).is_ok() && store.outcome(id).is_ok());
 }
