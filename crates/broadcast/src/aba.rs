@@ -38,7 +38,6 @@ use crate::coin::CoinSource;
 use mediator_sim::sansio::Outgoing;
 use mediator_sim::PartySet;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Agreement wire messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,7 +68,8 @@ struct RoundState {
     completed: bool,
 }
 
-/// Livelock guard: [`AbaState::on_message`] panics past this round.
+/// Livelock guard: [`AbaState::on_message`] panics past this round, so
+/// honest votes name rounds `1..=MAX_ROUNDS` only; others are dropped.
 const MAX_ROUNDS: u64 = 10_000;
 
 /// The coin of `round`: the constants 1 and 0 in rounds 1 and 2, `coin`'s
@@ -91,7 +91,12 @@ pub struct AbaState {
     coin: Box<dyn CoinSource>,
     est: bool,
     round: u64,
-    rounds: BTreeMap<u64, RoundState>,
+    /// Round states sorted by round, in one small allocation: a unanimous
+    /// instance touches one or two. A byzantine sender can add a round per
+    /// vote, but only in `1..=MAX_ROUNDS`, so the table never exceeds
+    /// `MAX_ROUNDS` entries, and the worst insert shifts all of them:
+    /// `MAX_ROUNDS` moves of a 144-byte entry (about 1.4 MB of copying).
+    rounds: Vec<(u64, RoundState)>,
     decided: Option<bool>,
     /// The coin rule fired here: no proactive `BVal` from now on.
     quiet: bool,
@@ -116,7 +121,7 @@ impl AbaState {
             coin,
             est: false,
             round: 0,
-            rounds: BTreeMap::new(),
+            rounds: Vec::new(),
             decided: None,
             quiet: false,
             done_sent: false,
@@ -156,6 +161,15 @@ impl AbaState {
         self.started
     }
 
+    /// The state of `round`, inserted in order if it is new.
+    fn round_mut(&mut self, round: u64) -> &mut RoundState {
+        let i = self.rounds.partition_point(|(r, _)| *r < round);
+        if self.rounds.get(i).is_none_or(|(r, _)| *r != round) {
+            self.rounds.insert(i, (round, RoundState::default()));
+        }
+        &mut self.rounds[i].1
+    }
+
     /// Broadcasts `msg`, tagged with this instance's id.
     fn broadcast<M: From<(usize, AbaMsg)>>(&self, msg: AbaMsg, out: &mut Vec<Outgoing<M>>) {
         out.push(Outgoing::all(M::from((self.instance as usize, msg))));
@@ -167,7 +181,7 @@ impl AbaState {
         v: bool,
         out: &mut Vec<Outgoing<M>>,
     ) {
-        let rs = self.rounds.entry(round).or_default();
+        let rs = self.round_mut(round);
         if !rs.bval_sent[v as usize] {
             rs.bval_sent[v as usize] = true;
             self.broadcast(AbaMsg::BVal { round, v }, out);
@@ -176,7 +190,8 @@ impl AbaState {
 
     /// Processes a message, appending what it sends to `out` (tagged with
     /// this instance's id); returns the decision if it is reached *now*
-    /// (reported once). A sender id `≥ n` is ignored.
+    /// (reported once). A sender id `≥ n` is ignored, and so is a `BVal`
+    /// or `Aux` naming round 0 or a round past the livelock guard's.
     ///
     /// # Panics
     ///
@@ -189,20 +204,22 @@ impl AbaState {
         msg: AbaMsg,
         out: &mut Vec<Outgoing<M>>,
     ) -> Option<bool> {
-        if self.halted || from >= self.n {
+        let hostile = matches!(msg, AbaMsg::BVal { round, .. } | AbaMsg::Aux { round, .. }
+            if !(1..=MAX_ROUNDS).contains(&round));
+        if self.halted || from >= self.n || hostile {
             return None;
         }
         let decided_before = self.decided;
         match msg {
             AbaMsg::BVal { round, v } => {
                 let t = self.t;
-                let rs = self.rounds.entry(round).or_default();
+                let rs = self.round_mut(round);
                 rs.bval_recv[v as usize].insert(from);
                 let count = rs.bval_recv[v as usize].len();
                 if count > t {
                     self.send_bval(round, v, out);
                 }
-                let rs = self.rounds.entry(round).or_default();
+                let rs = self.round_mut(round);
                 if count > 2 * t && !rs.bin_values[v as usize] {
                     rs.bin_values[v as usize] = true;
                     if !rs.aux_sent {
@@ -212,7 +229,7 @@ impl AbaState {
                 }
             }
             AbaMsg::Aux { round, v } => {
-                let rs = self.rounds.entry(round).or_default();
+                let rs = self.round_mut(round);
                 rs.aux_recv[v as usize].insert(from);
             }
             AbaMsg::Done { v } => {
@@ -252,7 +269,7 @@ impl AbaState {
             let round = self.round;
             let t = self.t;
             let n = self.n;
-            let rs = self.rounds.entry(round).or_default();
+            let rs = self.round_mut(round);
             if rs.completed {
                 return; // shouldn't happen; defensive
             }
@@ -566,6 +583,24 @@ mod tests {
             deliver(&mut s, from, AbaMsg::Done { v: false });
         }
         assert_eq!(s.decided(), Some(false));
+    }
+
+    #[test]
+    fn a_flood_of_distinct_rounds_takes_no_entry_past_the_guard() {
+        // One sender votes in a few thousand rounds, highest first, so each
+        // in-range one lands at the front of the table (the worst case).
+        let mut s = AbaState::new(4, 1, 0, Box::new(IdealCoin::new(0)));
+        let _ = start(&mut s, true);
+        let top = MAX_ROUNDS + 1_000;
+        let rounds = (0..3_000).map(|i| top - i).chain([0, u64::MAX]);
+        for (round, v) in rounds.flat_map(|r| [(r, false), (r, true)]) {
+            let _ = deliver(&mut s, 0, AbaMsg::BVal { round, v });
+            let _ = deliver(&mut s, 0, AbaMsg::Aux { round, v });
+        }
+        // Round 1, then the 2 000 flooded rounds up to the guard, in order.
+        assert_eq!(s.rounds.len(), 2_001);
+        assert!(s.rounds.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(s.rounds.last().map(|(r, _)| *r), Some(MAX_ROUNDS));
     }
 
     #[test]

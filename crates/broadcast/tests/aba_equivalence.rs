@@ -7,8 +7,9 @@
 //! before, amid or after the traffic) and over whole honest executions.
 //! The oracle carries the same agreement rules — fixed coins 1 and 0 in
 //! rounds 1 and 2, no proactive `BVal` once the coin rule has fired, rounds
-//! completed at `start` on the votes already held — so the comparison is of
-//! the data structures, message by message.
+//! completed at `start` on the votes already held, `BVal` / `Aux` outside
+//! rounds `1..=10 000` dropped — so the comparison is of the data
+//! structures, message by message.
 
 use mediator_bcast::{AbaMsg, AbaState, CoinSource, IdealCoin};
 use mediator_sim::sansio::{Dest, Outgoing};
@@ -18,8 +19,8 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The pre-bitset `AbaState`, verbatim but for its name, its doc comments,
-/// the two agreement rules and the start rule (its livelock bound is still
-/// the field it was).
+/// the two agreement rules, the start rule and the hostile-round rule (its
+/// livelock bound is still the field it was).
 mod oracle {
     use super::*;
 
@@ -111,6 +112,11 @@ mod oracle {
             let mut out = Vec::new();
             if self.halted {
                 return (out, None);
+            }
+            if let AbaMsg::BVal { round, .. } | AbaMsg::Aux { round, .. } = msg {
+                if round == 0 || round > self.max_rounds {
+                    return (out, None);
+                }
             }
             let decided_before = self.decided;
             match msg {
@@ -269,14 +275,14 @@ impl Pair {
 
 /// Decodes one random word into a message from a sender in `0..n`: mostly
 /// rounds 1–3 (where completions happen), some later rounds and some far in
-/// the future; `Done` drawn with weight `done_bias / 8`, and `v = true` with
+/// the future, astride the livelock guard's last round; `Done` drawn with weight `done_bias / 8`, and `v = true` with
 /// weight `lean / 4` — a stream leaning to one value completes rounds on a
 /// single accepted value, a balanced one on both.
 fn message(x: u64, n: usize, done_bias: u64, lean: u64) -> (usize, AbaMsg) {
     let from = (x % n as u64) as usize;
     let v = (x >> 16) % 4 < lean;
     let round = match (x >> 20) % 16 {
-        0 => 1_000_000 + (x >> 40) % 4,
+        0 => 9_998 + (x >> 40) % 4,
         r @ 1..=12 => 1 + (r - 1) / 4,
         _ => 4 + (x >> 24) % 4,
     };

@@ -10,6 +10,8 @@
 //!   instance with every vote 1 costs each player at most 3 broadcasts
 //!   (`BVal`, `Aux`, `Done` in round 1), and one with every vote 0 at most
 //!   5 (round 1 misses the coin 1, round 2 meets the coin 0).
+//! * A byzantine flood of votes in a few thousand distinct rounds leaves
+//!   the honest decisions as they were.
 
 use mediator_bcast::{AbaMsg, AbaPeer, AbaState, IdealCoin};
 use mediator_sim::sansio::{Behavior, Machines};
@@ -28,6 +30,10 @@ enum Byzantine {
     /// Answers every `BVal` with `BVal`, `Aux` and `Done` for 0 to even
     /// players and for 1 to odd ones.
     Split,
+    /// Answers player 0's round-1 `BVal` with `BVal` and `Aux` for 0 in
+    /// 3 000 distinct rounds, highest first: a third of them past the
+    /// livelock guard's 10 000, the rest below it.
+    Flood,
 }
 
 impl Byzantine {
@@ -55,6 +61,20 @@ impl Byzantine {
                             (p, AbaMsg::Aux { round, v }),
                             (p, AbaMsg::Done { v }),
                         ]
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            }),
+            Byzantine::Flood => Box::new(move |_, from, msg| match *msg {
+                AbaMsg::BVal { round: 1, .. } if from == 0 => (0..honest)
+                    .flat_map(|p| {
+                        (0..3_000).flat_map(move |i| {
+                            let (round, v) = (11_000 - i, false);
+                            [
+                                (p, AbaMsg::BVal { round, v }),
+                                (p, AbaMsg::Aux { round, v }),
+                            ]
+                        })
                     })
                     .collect(),
                 _ => Vec::new(),
@@ -158,6 +178,22 @@ fn unanimous_instances_cost_at_most_three_and_five_broadcasts_per_player() {
                         (per.iter().sum::<usize>() * n) as u64
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_flood_of_distinct_rounds_leaves_the_decisions_alone() {
+    // Lifo delivers the flood ahead of the honest votes sent after it. The
+    // schedulers that scan the plane per pick are too slow at the flood's
+    // 18 000 pending messages to run here.
+    for kind in [SchedulerKind::Random, SchedulerKind::Lifo] {
+        for seed in 0..3 {
+            for v in [true, false] {
+                let flood = Some((1, Byzantine::Flood));
+                let (_, decisions) = run(1, &[v; 4], flood, &kind, seed);
+                assert_eq!(decisions[..3], [Some(v); 3], "{kind:?} seed {seed}");
             }
         }
     }

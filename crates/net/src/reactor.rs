@@ -3,16 +3,22 @@
 //! A single readiness loop owns all of it. Nothing below is reachable from
 //! another thread, so nothing below is locked:
 //!
-//! * **Connections** own a read buffer (incremental frame parsing — a
-//!   partial frame simply waits for more bytes, so a stalled peer cannot
-//!   block anyone else) and an out-buffer that session machines append
-//!   encoded frames to. After each pass over the runnable sessions the
-//!   loop flushes the buffers that pass dirtied, one `write` per
-//!   connection; a transport that pushes back is polled for writability.
-//! * **Sessions** run as state machines ([`SessionSm`]) executing the
-//!   ship → step → absorb → deliver → quiesce → vanish → block loop
-//!   specified on [`SessionSm::run`], returning to the loop where a
-//!   blocking design would wait; timeouts are timer entries.
+//! * **Connections** own a read buffer and an out-buffer. A readable
+//!   connection is read one [`READ_CHUNK`] at a time, and every complete
+//!   frame of a chunk is acted on before the next is read, so the buffer
+//!   holds one chunk plus a partial frame (which simply waits for more
+//!   bytes: a stalled peer blocks no one else), and frames that came
+//!   before a hangup are delivered before the connection is torn down.
+//!   Session machines append encoded frames to the out-buffer; it is
+//!   written once it holds a chunk, and after each pass over the runnable
+//!   sessions the loop flushes the buffers that pass dirtied; a transport
+//!   that pushes back is polled for writability.
+//! * **Sessions** run as state machines ([`SessionSm`]). An inbound event
+//!   is applied when it arrives — an attach count, or the frame joins the
+//!   session's delivery buffer — and the session executes the ship → step
+//!   → deliver → quiesce → vanish → block loop specified on
+//!   [`SessionSm::run`] when the pass reaches it, returning to the loop
+//!   where a blocking design would wait; timeouts are timer entries.
 //! * **Timers** live in a lazily-revalidated heap: idle deadlines are
 //!   *updated* in place as events arrive and only re-pushed when a stale
 //!   entry fires, so a session's thousands of frames cost one heap entry,
@@ -44,13 +50,13 @@ use crate::readiness::{
     ConnIo, Event, Interest, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN,
 };
 use crate::service::{broadcast, ship, DeliveryOrder, FlightState, Inbound, ServiceConfig};
-use crate::transport::FrameBuf;
+use crate::transport::{FrameBuf, READ_CHUNK};
 use crate::wire::Wire;
 use mediator_sim::{Outcome, RunMeta, Session, SessionStatus, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,18 +74,16 @@ const DRAIN_FLUSH_CAP: Duration = Duration::from_secs(5);
 // ---------------------------------------------------------------------------
 
 enum SmPhase {
-    /// Waiting for every world process to have a relay.
-    Attaching {
-        attached: Vec<bool>,
-        nattached: usize,
-    },
+    /// Waiting for every world process to have a relay: who has one.
+    Attaching(Vec<bool>),
     /// The pump loop proper.
     Running,
 }
 
 /// One hosted session as a state machine: the routing table, the wire
-/// accounting and the [`Session`] itself, advanced by [`SessionSm::run`]
-/// whenever an event for it arrives.
+/// accounting and the [`Session`] itself. Inbound events are applied on
+/// arrival ([`SessionSm::enqueue`]); [`SessionSm::run`] advances the
+/// session once per pass that finds it runnable.
 struct SessionSm<M: Wire + Send> {
     sid: SessionId,
     /// World size: how many players must attach before the run starts.
@@ -95,7 +99,6 @@ struct SessionSm<M: Wire + Send> {
     depth: usize,
     rng: Option<StdRng>,
     phase: SmPhase,
-    queue: VecDeque<Inbound<M>>,
     result: Sender<Result<Outcome, NetError>>,
     sink: Option<Arc<dyn TraceSink>>,
     /// Rolls forward on every absorbed event; the heap entry is lazily
@@ -130,11 +133,7 @@ impl<M: Wire + Send> SessionSm<M> {
             flight: FlightState::new(sid, expected, cfg.auth),
             depth,
             rng,
-            phase: SmPhase::Attaching {
-                attached: vec![false; expected],
-                nattached: 0,
-            },
-            queue: VecDeque::new(),
+            phase: SmPhase::Attaching(vec![false; expected]),
             result,
             sink: cfg.sink.clone(),
             idle_deadline: None,
@@ -143,11 +142,19 @@ impl<M: Wire + Send> SessionSm<M> {
         }
     }
 
-    /// Queues an inbound event and puts the session on the run queue
-    /// (once, however many events arrive before it runs). Every absorbed
+    /// Applies an inbound event (to the attach table while the barrier is
+    /// up, through [`FlightState::absorb`] after it) and queues the session
+    /// to run (once, however many events arrive before it runs). Every
     /// event restarts an armed idle window, to `idle`.
     fn enqueue(&mut self, ev: Inbound<M>, idle: Instant, runnable: &mut Vec<SessionId>) {
-        self.queue.push_back(ev);
+        match (&mut self.phase, ev) {
+            (SmPhase::Attaching(has), Inbound::Attached { player }) => has[player] = true,
+            (SmPhase::Attaching(has), Inbound::PeerGone { player }) => has[player] = false,
+            // Before the barrier falls nothing has been shipped, so an
+            // early frame is a peer improvising: it is held, and delivered
+            // in order.
+            (_, ev) => self.flight.absorb(ev),
+        }
         if self.idle_deadline.is_some() {
             self.idle_deadline = Some(idle);
         }
@@ -189,62 +196,33 @@ impl<M: Wire + Send> SessionSm<M> {
     }
 
     /// Runs until the session either blocks on the network (`None`) or
-    /// reaches its result. First the attach barrier, then the numbered
-    /// loop below — ship, step, absorb, deliver, quiesce, vanish, block —
-    /// which is the specification of a networked run: the session's own
-    /// termination verdict is trusted only at step 5, when the plane, the
-    /// delivery buffer and the wire are all empty.
+    /// reaches its result. First the tampering verdict and the attach
+    /// barrier, then the numbered loop below — ship, step, deliver,
+    /// quiesce, vanish, block — which is the specification of a networked
+    /// run: the session's own termination verdict is trusted only at step
+    /// 4, when the plane, the delivery buffer and the wire are all empty.
+    /// Events arrive only between runs, so both checks hold for the whole
+    /// loop.
     fn run(&mut self, conns: &mut Conns) -> Option<Result<Outcome, NetError>> {
+        // A tampering verdict (parse-layer event or replay detection)
+        // aborts the session with its typed owner.
+        if let Some((conn, kind)) = self.flight.violation {
+            return Some(Err(NetError::AuthFailure {
+                session: self.sid,
+                conn,
+                kind,
+            }));
+        }
         // Attach barrier: every world process needs a relay before the
         // first message leaves the plane. (The attach-timeout timer owns
         // the deadline; blocking here is just "wait for more events".)
-        if let SmPhase::Attaching {
-            attached,
-            nattached,
-        } = &mut self.phase
-        {
-            while let Some(ev) = self.queue.pop_front() {
-                match ev {
-                    Inbound::Attached { player } => {
-                        if !attached[player] {
-                            attached[player] = true;
-                            *nattached += 1;
-                        }
-                    }
-                    Inbound::PeerGone { player } => {
-                        if attached[player] {
-                            attached[player] = false;
-                            *nattached -= 1;
-                        }
-                    }
-                    // Nothing has been shipped yet, so any early frame is
-                    // a peer improvising; hold it — it will be delivered
-                    // in order.
-                    ev @ (Inbound::Msg { .. } | Inbound::Tampered { .. }) => self.flight.absorb(ev),
-                }
-            }
-            if let Some((conn, kind)) = self.flight.violation {
-                return Some(Err(NetError::AuthFailure {
-                    session: self.sid,
-                    conn,
-                    kind,
-                }));
-            }
-            if *nattached != self.expected {
+        if let SmPhase::Attaching(has) = &self.phase {
+            if has.contains(&false) {
                 return None;
             }
             self.phase = SmPhase::Running;
         }
         loop {
-            // 0. A tampering verdict (parse-layer event or replay
-            //    detection) aborts the session with its typed owner.
-            if let Some((conn, kind)) = self.flight.violation {
-                return Some(Err(NetError::AuthFailure {
-                    session: self.sid,
-                    conn,
-                    kind,
-                }));
-            }
             let session = self.session.as_mut().expect("session present until finish");
             // 1. Ship every freshly-sent message onto its network leg.
             for env in session.drain_outbox() {
@@ -262,18 +240,7 @@ impl<M: Wire + Send> SessionSm<M> {
                 }
                 continue;
             }
-            // 3. Absorb everything the network has already handed back.
-            while let Some(ev) = self.queue.pop_front() {
-                self.flight.absorb(ev);
-            }
-            if let Some((conn, kind)) = self.flight.violation {
-                return Some(Err(NetError::AuthFailure {
-                    session: self.sid,
-                    conn,
-                    kind,
-                }));
-            }
-            // 4. Deliver one held frame — immediately under Arrival order,
+            // 3. Deliver one held frame — immediately under Arrival order,
             //    through the shuffle buffer otherwise (force-drained once
             //    nothing is left in flight, so the policy is always live).
             if !self.flight.held.is_empty()
@@ -287,7 +254,7 @@ impl<M: Wire + Send> SessionSm<M> {
                 }
                 continue;
             }
-            // 5. Quiescence: plane drained, buffer empty, wire empty — the
+            // 4. Quiescence: plane drained, buffer empty, wire empty — the
             //    session's own verdict is now trustworthy.
             if self.flight.in_flight == 0 {
                 debug_assert!(self.flight.held.is_empty());
@@ -296,7 +263,7 @@ impl<M: Wire + Send> SessionSm<M> {
                     SessionStatus::Running => unreachable!("empty plane must terminate"),
                 });
             }
-            // 6. Traffic is in flight. A vanished relay is fatal only if
+            // 5. Traffic is in flight. A vanished relay is fatal only if
             //    its player still owes frames (otherwise a replacement may
             //    yet attach, and sends to it will fail loudly at `ship`).
             if let Some(player) = self.flight.fatal_gone() {
@@ -305,8 +272,8 @@ impl<M: Wire + Send> SessionSm<M> {
                     player,
                 }));
             }
-            // 7. Blocked for the network: the caller arms the idle timer,
-            //    and the next event for this session re-enters at 0.
+            // 6. Blocked for the network: the caller arms the idle timer,
+            //    and the next event for this session re-enters at the top.
             return None;
         }
     }
@@ -384,10 +351,12 @@ impl Conns {
     }
 
     /// Appends `frame` to the routed connection's out-buffer; the loop
-    /// flushes it at the end of the current pass. With a `key`, the frame
-    /// (encoded with a zero MAC) is sealed over the bytes just queued, so
-    /// it is encoded once. Fails once the connection is gone — the signal
-    /// `ship` turns into `PeerVanished`.
+    /// flushes it at the end of the current pass, and a buffer holding
+    /// [`READ_CHUNK`] bytes is written at once unless the transport pushed
+    /// back (a failed write is left to that flush, which kills the
+    /// connection). With a `key`, the frame (encoded with a zero MAC) is
+    /// sealed over the bytes just queued, so it is encoded once. Fails once
+    /// the connection is gone — the signal `ship` turns into `PeerVanished`.
     pub(crate) fn send<M: Wire>(
         &mut self,
         route: Route,
@@ -402,6 +371,9 @@ impl Conns {
         conn.queue(frame);
         if let Some(key) = key {
             seal_in_place(&mut conn.out[start + PREFIX_LEN..], key);
+        }
+        if conn.out.len() >= READ_CHUNK && !conn.want_write {
+            conn.flush();
         }
         if newly_dirty {
             self.dirty.push(route.0);
@@ -472,7 +444,6 @@ pub(crate) struct Reactor<M: Wire + Send + 'static> {
     timers: BinaryHeap<Reverse<(Instant, Timer)>>,
     draining: bool,
     drain_deadline: Option<Instant>,
-    scratch: Vec<u8>,
     next_conn_id: u64,
     /// The loop's clock: read at the top of each iteration and again
     /// when `wait` returns, so one reading serves the timer pass and one
@@ -504,7 +475,6 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             timers: BinaryHeap::new(),
             draining: false,
             drain_deadline: None,
-            scratch: vec![0u8; 64 * 1024],
             next_conn_id: 0,
             now: Instant::now(),
         }
@@ -617,7 +587,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                         let _ = result.send(Err(NetError::SessionIdTaken { session: id }));
                         continue;
                     }
-                    let session = open().with_session_id(id);
+                    let session = open();
                     let mut sm = SessionSm::new(id, processes, meta, session, result, &self.cfg);
                     self.timers.push(Reverse((
                         Instant::now() + self.cfg.attach_timeout,
@@ -692,7 +662,9 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 }
                 Timer::Attach { session } => {
                     let still_attaching = self.sms.get(&session).and_then(|sm| match &sm.phase {
-                        SmPhase::Attaching { nattached, .. } => Some((*nattached, sm.expected)),
+                        SmPhase::Attaching(has) => {
+                            Some((has.iter().filter(|&&a| a).count(), sm.expected))
+                        }
                         SmPhase::Running => None,
                     });
                     if let Some((attached, expected)) = still_attaching {
@@ -847,53 +819,52 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         let Some(mut conn) = self.conns.slab.get_mut(slot).and_then(|c| c.take()) else {
             return;
         };
+        // One chunk at a time, each parsed before the next is read (see
+        // the module docs). A trailing partial frame stays buffered until
+        // its bytes arrive (one slow peer stalls only itself — the
+        // slow-loris test pins this). The buffer is held apart so the
+        // connection can queue answers while a body is read.
+        let mut rbuf = std::mem::take(&mut conn.rbuf);
         let mut dead = false;
-        loop {
-            match conn.io.try_read(&mut self.scratch) {
-                TryRead::Data(n) => {
-                    conn.rbuf.extend(&self.scratch[..n]);
-                    if n < self.scratch.len() {
-                        break;
-                    }
-                }
+        while !dead {
+            let full = match rbuf.try_read_from(&mut conn.io) {
+                TryRead::Data(n) => n == READ_CHUNK,
                 TryRead::WouldBlock => break,
                 TryRead::Eof | TryRead::Err(_) => {
                     dead = true;
                     break;
                 }
-            }
-        }
-        // Parse every complete frame; a trailing partial frame stays
-        // buffered until its bytes arrive (one slow peer stalls only
-        // itself — the slow-loris test pins this). The buffer is held
-        // apart so the connection can queue answers while a body is read.
-        let mut rbuf = std::mem::take(&mut conn.rbuf);
-        while !dead {
-            let body = match rbuf.next_frame() {
-                Ok(Some(framed)) => &framed[PREFIX_LEN..],
-                Ok(None) => break,
-                // An oversized announcement is corruption or hostility:
-                // cut the connection before buffering the claimed body.
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
             };
-            match Frame::<M>::decode_body(body) {
-                Ok(frame) => self.process_frame(&mut conn, slot, frame, body, runnable),
-                Err(_) => {
-                    // Undecodable bytes. On an authenticated service a
-                    // damaged frame that still names its session aborts
-                    // that session alone (the relay is Byzantine, but
-                    // its other sessions stay live); structurally
-                    // anonymous garbage still kills the connection.
-                    match self.cfg.auth.and_then(|_| peek_auth_session(body)) {
-                        Some(session) => {
-                            self.tampered(&mut conn, session, TamperKind::Truncated, runnable)
+            while !dead {
+                let body = match rbuf.next_frame() {
+                    Ok(Some(framed)) => &framed[PREFIX_LEN..],
+                    Ok(None) => break,
+                    // An oversized announcement is corruption or hostility:
+                    // cut the connection before buffering the claimed body.
+                    Err(_) => {
+                        dead = true;
+                        break;
+                    }
+                };
+                match Frame::<M>::decode_body(body) {
+                    Ok(frame) => self.process_frame(&mut conn, slot, frame, body, runnable),
+                    Err(_) => {
+                        // Undecodable bytes. On an authenticated service a
+                        // damaged frame that still names its session aborts
+                        // that session alone (the relay is Byzantine, but
+                        // its other sessions stay live); structurally
+                        // anonymous garbage still kills the connection.
+                        match self.cfg.auth.and_then(|_| peek_auth_session(body)) {
+                            Some(session) => {
+                                self.tampered(&mut conn, session, TamperKind::Truncated, runnable)
+                            }
+                            None => dead = true,
                         }
-                        None => dead = true,
                     }
                 }
+            }
+            if !full {
+                break;
             }
         }
         conn.rbuf = rbuf;

@@ -7,11 +7,12 @@
 //! ```text
 //!             ┌────────────────────── Service ─────────────────────────┐
 //!   accept ──▶│            one reactor thread (readiness loop):        │
-//!             │  conn read buffers ──frames──▶ per-session event queue │
-//!             │                                       │                │
-//!             │  session state machines:              ▼                │
-//!             │    drain_outbox ──▶ conn write buffers (flushed when   │
-//!             │    inbound Msg  ──▶ inject + step      writable)       │
+//!             │  conn read buffer ──frames──▶ session delivery buffer  │
+//!             │  (one chunk per read)                  │               │
+//!             │  session state machines:               ▼               │
+//!             │    held Msg     ──▶ inject + step                      │
+//!             │    drain_outbox ──▶ conn write buffers (written at a   │
+//!             │                     chunk, flushed when the pass ends) │
 //!             │    plane empty ∧ nothing in flight ──▶ finish()        │
 //!             └────────────────────────────────────────────────────────┘
 //! ```
@@ -408,8 +409,11 @@ pub(crate) fn broadcast<M: Wire>(routes: &[Option<Route>], conns: &mut Conns, fr
 /// The pump's wire-side bookkeeping: the delivery buffer, the shipped-but-
 /// not-returned counts (total and per destination, kept in lockstep), and
 /// the vanished-relay ledger. One `absorb` is the single place an inbound
-/// event touches the accounting.
+/// event touches the accounting; the reactor calls it as each frame is
+/// parsed.
 pub(crate) struct FlightState<M> {
+    /// The session's one delivery buffer: frames absorbed and not yet
+    /// injected.
     pub(crate) held: VecDeque<Envelope<M>>,
     pub(crate) in_flight: u64,
     pub(crate) in_flight_by: Vec<u64>,

@@ -70,16 +70,17 @@ pub type ConnPair<M> = (Box<dyn FrameTx<M>>, Box<dyn FrameRx<M>>);
 // Framing over any byte stream
 // ---------------------------------------------------------------------------
 
-/// How much room a [`FrameBuf`] offers each blocking read. Protocol
-/// frames are tens of bytes, so one read drains a whole burst.
-const READ_CHUNK: usize = 64 * 1024;
+/// The most a [`FrameBuf`] reads at once (protocol frames are tens of
+/// bytes), and what a reactor connection's out-buffer holds before a write.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// The one length-prefix splitter: a rolling inbound buffer that takes
 /// whatever the stream hands over — a byte, half a prefix, a hundred
 /// frames — and yields each complete frame in order. Blocking readers
 /// ([`FramedRx`], `bulk_relay`, the tamper relay) fill it with
-/// [`FrameBuf::read_from`]; the reactor pushes what its non-blocking
-/// reads returned with [`FrameBuf::extend`].
+/// [`FrameBuf::read_from`], the reactor with non-blocking reads. A reader
+/// that takes every complete frame before it reads again holds one chunk
+/// plus a partial frame: each read gets exactly `READ_CHUNK` of room.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     /// Always fully initialised; `head..tail` holds the unconsumed bytes,
@@ -95,8 +96,8 @@ impl FrameBuf {
         FrameBuf::default()
     }
 
-    /// At least `n` writable bytes after `tail`, reclaiming the consumed
-    /// prefix before growing.
+    /// `n` writable bytes after `tail`, reclaiming the consumed prefix
+    /// before growing.
     fn room(&mut self, n: usize) -> &mut [u8] {
         if self.head == self.tail {
             self.head = 0;
@@ -109,16 +110,20 @@ impl FrameBuf {
                 self.head = 0;
             }
             if self.buf.len() - self.tail < n {
+                self.buf.reserve_exact(self.tail + n - self.buf.len());
                 self.buf.resize(self.tail + n, 0);
             }
         }
-        &mut self.buf[self.tail..]
+        &mut self.buf[self.tail..self.tail + n]
     }
 
-    /// Appends bytes a caller already read.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
-        self.tail += bytes.len();
+    /// One non-blocking read of at most [`READ_CHUNK`] bytes from `io`.
+    pub(crate) fn try_read_from(&mut self, io: &mut ConnIo) -> TryRead {
+        let read = io.try_read(self.room(READ_CHUNK));
+        if let TryRead::Data(n) = read {
+            self.tail += n;
+        }
+        read
     }
 
     /// One blocking read of whatever `source` has. End of stream is

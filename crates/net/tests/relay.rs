@@ -1,5 +1,5 @@
-//! The typed relay's flush-before-block invariant, and what hand-rolled
-//! clients keep.
+//! The typed relay's flush-before-block invariant, what hand-rolled
+//! clients keep, and how the service's reactor reads a burst.
 //!
 //! [`Client::relay`] queues its echoes and writes them once per read
 //! burst. That is only sound if it never blocks on the stream while an
@@ -8,14 +8,30 @@
 //! lock-step peer below is exactly that peer, on both backends.
 //! [`Client::attach`], [`Client::send`] and [`Client::recv`] stay
 //! immediate: nothing a hand-rolled client sends is ever left queued.
+//!
+//! The reactor reads a connection one 64 KiB chunk at a time and acts on
+//! every complete frame of a chunk before it reads the next. The last
+//! two tests pin what that keeps: a relay burst of several chunks comes
+//! back intact, the read buffer never holds more than one chunk plus a
+//! partial frame, and frames that arrive together with a hangup are
+//! delivered before the connection is torn down. The buffer sizes are
+//! read from a global allocator that records the largest byte buffer
+//! (an allocation of alignment 1) made on a reactor thread that asked to
+//! be watched.
 
 use mediator_core::cheap_talk::CtMsg;
+use mediator_net::frame::PREFIX_LEN;
+use mediator_net::transport::FrameBuf;
 use mediator_net::{
-    duplex, Client, ConnPair, Frame, FramedRx, FramedTx, NetError, OutcomeSummary, TryRead,
+    duplex, Client, ConnPair, Frame, FramedRx, FramedTx, MemTransport, NetError, OutcomeSummary,
+    Service, ServiceConfig, TryRead,
 };
-use mediator_sim::TerminationKind;
+use mediator_sim::{Ctx, Process, SchedulerKind, Session, TerminationKind, TraceMode, World};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -144,4 +160,315 @@ fn recv_hands_out_a_burst_one_frame_at_a_time() {
         assert_eq!(client.recv().expect("frame"), step_frame(k));
     }
     assert_eq!(client.recv().unwrap_err(), NetError::Closed);
+}
+
+// ---------------------------------------------------------------------------
+// The reactor's read path
+// ---------------------------------------------------------------------------
+
+/// What the reactor reads per `read`: `READ_CHUNK` in `transport.rs`.
+const READ_CHUNK: usize = 64 * 1024;
+
+struct LargestByteBuffer;
+
+thread_local! {
+    /// Set on a reactor thread by its session's `open` closure: the
+    /// counter its byte buffers are measured into.
+    static WATCH: Cell<Option<&'static AtomicUsize>> = const { Cell::new(None) };
+}
+
+fn note(layout: Layout, size: usize) {
+    if layout.align() == 1 {
+        // `try_with`: the allocator also runs while thread-locals are torn
+        // down.
+        if let Ok(Some(largest)) = WATCH.try_with(Cell::get) {
+            largest.fetch_max(size, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; the watch is a
+// thread-local `Cell` and the counter an atomic, and neither allocates.
+unsafe impl GlobalAlloc for LargestByteBuffer {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout, layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout, layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(layout, new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestByteBuffer = LargestByteBuffer;
+
+const SID: u64 = 7;
+
+/// Hosts a two-player session of `procs` whose reactor thread measures
+/// its byte buffers into `largest`. The trace is off: its event log is a
+/// byte buffer too, and would grow with the burst.
+fn host_watched(
+    service: &Service<u64>,
+    procs: impl FnOnce() -> Vec<Box<dyn Process<u64>>> + Send + 'static,
+    largest: &'static AtomicUsize,
+) -> mediator_net::SessionHandle {
+    service.host(SID, 2, move || {
+        WATCH.with(|w| w.set(Some(largest)));
+        let mut world = World::new(procs(), 1);
+        world.set_trace_mode(TraceMode::Off);
+        Session::new(world, SchedulerKind::Fifo.build(), 1_000_000)
+    })
+}
+
+/// A raw relay connection that has attached both players of [`SID`].
+fn attach_both(hub: &MemTransport) -> (impl Write, FrameBuf, impl std::io::Read) {
+    let (mut tx, rx) = hub.connect_raw();
+    let mut attach = Vec::new();
+    for player in 0..2 {
+        Frame::<u64>::Attach {
+            session: SID,
+            player,
+        }
+        .encode_framed(&mut attach);
+    }
+    tx.write_all(&attach).expect("attach");
+    (tx, FrameBuf::new(), rx)
+}
+
+fn msg_frame(src: usize, dst: usize, msg: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    Frame::Msg {
+        session: SID,
+        src,
+        dst,
+        msg,
+        auth: None,
+    }
+    .encode_framed(&mut bytes);
+    bytes
+}
+
+/// Messages in the round-tripped burst: 223 488 bytes of frames, three
+/// and a half chunks.
+const BURST: u64 = 20_000;
+
+/// How many of them player 0 sends per activation: at most 24 000 bytes
+/// of frames, so nothing the service writes reaches a chunk.
+const BATCH: u64 = 2_000;
+
+/// Player 0: sends `0..BURST` to player 1, a batch per activation, with
+/// a token to itself between batches; halts after the last.
+#[derive(Default)]
+struct Burster {
+    sent: u64,
+}
+
+impl Burster {
+    fn batch(&mut self, ctx: &mut Ctx<u64>) {
+        let end = self.sent + BATCH;
+        (self.sent..end).for_each(|k| ctx.send(1, k));
+        self.sent = end;
+        if end == BURST {
+            ctx.halt();
+        } else {
+            ctx.send(0, end);
+        }
+    }
+}
+
+impl Process<u64> for Burster {
+    fn on_start(&mut self, ctx: &mut Ctx<u64>) {
+        self.batch(ctx);
+    }
+    fn on_message(&mut self, _src: usize, _token: u64, ctx: &mut Ctx<u64>) {
+        self.batch(ctx);
+    }
+}
+
+/// Player 1: once the whole burst is in, moves how many of its messages
+/// arrived in order, and halts.
+#[derive(Default)]
+struct InOrder {
+    received: u64,
+    next: u64,
+}
+
+impl Process<u64> for InOrder {
+    fn on_start(&mut self, _ctx: &mut Ctx<u64>) {}
+    fn on_message(&mut self, _src: usize, k: u64, ctx: &mut Ctx<u64>) {
+        self.received += 1;
+        self.next += u64::from(k == self.next);
+        if self.received == BURST {
+            ctx.make_move(self.next);
+            ctx.halt();
+        }
+    }
+}
+
+#[test]
+fn a_relay_burst_of_several_chunks_round_trips_intact() {
+    static LARGEST: AtomicUsize = AtomicUsize::new(0);
+    let hub = MemTransport::new();
+    let service: Service<u64> = Service::start(Box::new(hub.listener()));
+    let procs = || -> Vec<Box<dyn Process<u64>>> {
+        vec![Box::new(Burster::default()), Box::new(InOrder::default())]
+    };
+    let handle = host_watched(&service, procs, &LARGEST);
+    // The relay echoes player 0's tokens at once and holds the burst
+    // until all of it is in, then writes it back in one write.
+    let (mut tx, mut inbound, mut rx) = attach_both(&hub);
+    let relay = thread::spawn(move || -> Result<(), NetError> {
+        let (mut echoes, mut held) = (Vec::new(), 0);
+        loop {
+            inbound.read_from(&mut rx)?;
+            while let Some(framed) = inbound.next_frame()? {
+                match Frame::<u64>::decode_body(&framed[PREFIX_LEN..])? {
+                    Frame::Msg { dst: 0, .. } => tx.write_all(framed)?,
+                    Frame::Msg { .. } => {
+                        echoes.extend_from_slice(framed);
+                        held += 1;
+                        if held == BURST {
+                            assert!(echoes.len() > 3 * READ_CHUNK, "{} bytes", echoes.len());
+                            tx.write_all(&echoes)?;
+                        }
+                    }
+                    Frame::Outcome { .. } => return Ok(()),
+                    other => panic!("relay got {other:?}"),
+                }
+            }
+        }
+    });
+    let out = handle.outcome().expect("the session completes");
+    relay.join().expect("relay thread").expect("relay");
+    assert_eq!(out.termination, TerminationKind::Quiescent);
+    assert_eq!(out.moves, [None, Some(BURST)], "every message, in order");
+    // Nothing the service writes reaches a chunk, so the largest byte
+    // buffer is the read buffer: one chunk plus a partial frame. One that
+    // took the whole burst would be 256 KiB.
+    let largest = LARGEST.load(Ordering::Relaxed);
+    let longest = msg_frame(0, 1, BURST).len();
+    assert!(
+        largest <= READ_CHUNK + longest,
+        "largest byte buffer {largest}"
+    );
+    service.shutdown();
+}
+
+/// The burst's filler value; the first message player 0 sends instead
+/// holds player 1's attention until player 1 reports.
+const HOLD: u64 = 0;
+
+/// Player 0: sends [`HOLD`] on start; moves whatever player 1 reports.
+struct Holder;
+
+impl Process<u64> for Holder {
+    fn on_start(&mut self, ctx: &mut Ctx<u64>) {
+        ctx.send(1, HOLD);
+    }
+    fn on_message(&mut self, _src: usize, report: u64, ctx: &mut Ctx<u64>) {
+        ctx.make_move(report);
+        ctx.halt();
+    }
+}
+
+/// Player 1: reports to player 0 once `expect` filler messages have
+/// arrived; moves its count and halts when [`HOLD`] arrives.
+struct Tally {
+    expect: u64,
+    count: u64,
+}
+
+impl Process<u64> for Tally {
+    fn on_start(&mut self, _ctx: &mut Ctx<u64>) {}
+    fn on_message(&mut self, _src: usize, msg: u64, ctx: &mut Ctx<u64>) {
+        if msg == HOLD {
+            ctx.make_move(self.count);
+            ctx.halt();
+            return;
+        }
+        self.count += 1;
+        if self.count == self.expect {
+            ctx.send(0, self.count);
+        }
+    }
+}
+
+#[test]
+fn frames_that_arrive_with_a_hangup_are_delivered_first() {
+    static LARGEST: AtomicUsize = AtomicUsize::new(0);
+    // Exactly three chunks of filler frames, one and two varint bytes of
+    // payload: every read of the burst is a full chunk, and the hangup is
+    // what the read after the third finds.
+    let (short, long) = (msg_frame(0, 1, 1), msg_frame(0, 1, 200));
+    assert_eq!(long.len(), short.len() + 1);
+    let total = 3 * READ_CHUNK;
+    let (frames, longs) = (total / short.len(), total % short.len());
+    let mut burst = long.repeat(longs);
+    burst.extend(short.repeat(frames - longs));
+    assert_eq!(burst.len(), total);
+
+    let hub = MemTransport::new();
+    let cfg = ServiceConfig {
+        idle_timeout: Duration::from_secs(10),
+        ..ServiceConfig::default()
+    };
+    let service: Service<u64> = Service::with_config(Box::new(hub.listener()), cfg);
+    let expect = frames as u64;
+    let procs = move || -> Vec<Box<dyn Process<u64>>> {
+        vec![Box::new(Holder), Box::new(Tally { expect, count: 0 })]
+    };
+    let handle = host_watched(&service, procs, &LARGEST);
+    // The relay holds `HOLD`, and echoes it with player 1's report: the
+    // session stays live, and ends only if the whole burst got through.
+    let (mut tx, mut inbound, mut rx) = attach_both(&hub);
+    let (running, wait_running) = mpsc::channel();
+    let relay = thread::spawn(move || -> Result<(), NetError> {
+        let mut held = Vec::new();
+        loop {
+            inbound.read_from(&mut rx)?;
+            while let Some(framed) = inbound.next_frame()? {
+                match Frame::<u64>::decode_body(&framed[PREFIX_LEN..])? {
+                    Frame::Msg { dst: 1, .. } => {
+                        held.extend_from_slice(framed);
+                        let _ = running.send(());
+                    }
+                    Frame::Msg { dst: 0, .. } => {
+                        held.extend_from_slice(framed);
+                        tx.write_all(&held)?;
+                    }
+                    Frame::Outcome { .. } => return Ok(()),
+                    other => panic!("relay got {other:?}"),
+                }
+            }
+        }
+    });
+    wait_running.recv().expect("the session ships HOLD");
+    // A second connection writes the burst and hangs up at once.
+    let (mut tx, rx) = hub.connect_raw();
+    tx.write_all(&burst).expect("burst");
+    drop((tx, rx));
+
+    let out = handle.outcome().expect("the burst was delivered");
+    relay.join().expect("relay thread").expect("relay");
+    assert_eq!(out.termination, TerminationKind::Quiescent);
+    assert_eq!(out.moves, [Some(expect), Some(expect)]);
+    // Nothing large goes out here, so the largest byte buffer is the read
+    // buffer: one chunk plus a partial frame.
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        largest <= READ_CHUNK + long.len(),
+        "largest byte buffer {largest}"
+    );
+    service.shutdown();
 }

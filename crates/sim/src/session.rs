@@ -97,7 +97,6 @@ pub struct Session<M> {
     scheduler: Box<dyn Scheduler>,
     max_steps: u64,
     done: Option<TerminationKind>,
-    id: Option<u64>,
 }
 
 impl<M> Session<M> {
@@ -110,20 +109,7 @@ impl<M> Session<M> {
             scheduler,
             max_steps,
             done: None,
-            id: None,
         }
-    }
-
-    /// Tags the session with the stable identifier a multi-session service
-    /// routes frames by (`(session-id, player-id)` addressing).
-    pub fn with_session_id(mut self, id: u64) -> Self {
-        self.id = Some(id);
-        self
-    }
-
-    /// The routing identifier, if one was assigned.
-    pub fn session_id(&self) -> Option<u64> {
-        self.id
     }
 
     /// Dispatches the scheduler's pick. Returns [`SessionStatus::Done`] once
@@ -141,20 +127,6 @@ impl<M> Session<M> {
                 SessionStatus::Done(t)
             }
             None => SessionStatus::Running,
-        }
-    }
-
-    /// Steps up to `n` events, stopping early on termination.
-    pub fn step_n(&mut self, n: u64) -> SessionStatus {
-        for _ in 0..n {
-            if let SessionStatus::Done(t) = self.step() {
-                return SessionStatus::Done(t);
-            }
-        }
-        if let Some(t) = self.done {
-            SessionStatus::Done(t)
-        } else {
-            SessionStatus::Running
         }
     }
 
@@ -182,11 +154,6 @@ impl<M> Session<M> {
         self.world.moves()
     }
 
-    /// The termination, once reached.
-    pub fn termination(&self) -> Option<TerminationKind> {
-        self.done
-    }
-
     /// Injects an external message from `src` to `dst` (see
     /// [`World::inject`]) and reports what happened as a typed
     /// [`Injected`] indicator. If the session had quiesced or deadlocked
@@ -209,14 +176,15 @@ impl<M> Session<M> {
     }
 
     /// Removes every in-flight *message* from the pending plane (start
-    /// signals stay put), returning the envelopes in plane order — the
+    /// signals stay put), yielding the envelopes in plane order — the
     /// non-consuming outbox drain a transport pump calls between steps:
     /// drained messages travel over real I/O and re-enter the run at
-    /// arrival via [`Session::inject`]. See [`World::drain_messages`] for
-    /// the re-sequencing semantics (the wire hop makes each message a
-    /// fresh one-message batch, so the networked trace is one more
-    /// delivery order in the adversary-scheduler sense).
-    pub fn drain_outbox(&mut self) -> Vec<Envelope<M>> {
+    /// arrival via [`Session::inject`] (collect first to inject while
+    /// draining: the iterator borrows the world's buffer). See
+    /// [`World::drain_messages`] for the buffer and the re-sequencing (the
+    /// wire hop makes each message a fresh one-message batch, so the
+    /// networked trace is one more delivery order in the adversary sense).
+    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, Envelope<M>> {
         self.world.drain_messages()
     }
 
@@ -428,11 +396,11 @@ mod tests {
     fn drain_outbox_extracts_messages_but_not_start_signals() {
         let mut session = Session::new(echo_world(3, 4), Box::new(FifoScheduler), 10_000);
         // Nothing sent yet: only the three start signals are pending.
-        assert!(session.drain_outbox().is_empty());
+        assert!(session.drain_outbox().as_slice().is_empty());
         assert_eq!(session.pending().len(), 3);
         // The leader's start broadcasts to everyone; drain it off the plane.
         session.step();
-        let drained = session.drain_outbox();
+        let drained: Vec<_> = session.drain_outbox().collect();
         assert_eq!(drained.len(), 3);
         for (d, env) in drained.iter().enumerate() {
             assert_eq!((env.src, env.dst, env.msg), (0, d, 40 + d as u64));
@@ -450,6 +418,42 @@ mod tests {
         }
         assert_eq!(session.run_to_completion(), TerminationKind::Quiescent);
         assert_eq!(session.moves(), &[Some(40), Some(41), Some(42)]);
+    }
+
+    #[test]
+    fn a_dropped_drain_drops_its_rest_and_the_next_starts_empty() {
+        let flooder = |_| {
+            Box::new(Flooder {
+                n: 3,
+                quota: 9,
+                received: 0,
+            }) as Box<dyn Process<u64>>
+        };
+        let world = World::new((0..3).map(flooder).collect(), 4);
+        let mut session = Session::new(world, Box::new(FifoScheduler), 10_000);
+        let starts = |s: &Session<u64>| -> Vec<_> {
+            s.pending()
+                .iter()
+                .filter(|v| v.src.is_none())
+                .map(|v| v.dst)
+                .collect()
+        };
+        // One start runs: six sends to each of its two peers. Read five.
+        session.step();
+        let before = starts(&session);
+        let mut drain = session.drain_outbox();
+        assert_eq!(drain.by_ref().take(5).count(), 5);
+        drop(drain);
+        // The other seven are gone; the start signals kept their order.
+        assert_eq!(session.pending().len(), 2);
+        assert_eq!(starts(&session), before);
+        assert!(session.drain_outbox().as_slice().is_empty());
+        // The next start's twelve sends, and nothing older, fill the next.
+        session.step();
+        let ran = before.iter().find(|&&p| starts(&session) != [p]);
+        let p = *ran.expect("one start left");
+        let peers = (0..3).filter(|&d| d != p).flat_map(|d| [(p, d); 6]);
+        assert!(session.drain_outbox().map(|e| (e.src, e.dst)).eq(peers));
     }
 
     /// Floods every peer on start, relays each message onward while its
@@ -570,20 +574,13 @@ mod tests {
     }
 
     #[test]
-    fn session_id_plumbs_through() {
-        let session = Session::new(echo_world(2, 0), Box::new(FifoScheduler), 100);
-        assert_eq!(session.session_id(), None);
-        let session = session.with_session_id(77);
-        assert_eq!(session.session_id(), Some(77));
-    }
-
-    #[test]
     fn wants_and_pump_ready_track_the_plane() {
         let mut session = Session::new(echo_world(2, 5), Box::new(FifoScheduler), 10_000);
         // Start signals are pending local work.
         assert_eq!(session.wants(), SessionWants::Step);
         while session.pump_ready() {
-            session.drain_outbox().into_iter().for_each(|env| {
+            let drained: Vec<_> = session.drain_outbox().collect();
+            drained.into_iter().for_each(|env| {
                 let _ = session.inject(env.src, env.dst, env.msg);
             });
         }
@@ -600,20 +597,10 @@ mod tests {
         // A session whose traffic is stranded on the wire wants Network.
         let mut stranded = Session::new(echo_world(2, 5), Box::new(FifoScheduler), 10_000);
         while stranded.pump_ready() {
-            stranded.drain_outbox().clear(); // swallow: frames "in flight"
+            drop(stranded.drain_outbox()); // swallow: frames "in flight"
         }
         if stranded.wants() == SessionWants::Network {
             assert!(!stranded.pump_ready(), "empty plane must not be stepped");
         }
-    }
-
-    #[test]
-    fn step_n_stops_at_termination() {
-        let mut session = Session::new(echo_world(2, 5), Box::new(FifoScheduler), 10_000);
-        let status = session.step_n(1_000);
-        assert!(status.is_done());
-        assert_eq!(session.termination(), Some(TerminationKind::Quiescent));
-        // Further steps are no-ops with the same verdict.
-        assert_eq!(session.step(), status);
     }
 }

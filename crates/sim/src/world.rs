@@ -163,6 +163,7 @@ pub struct World<M> {
     stores: Vec<Stored<M>>,
     stats: WorldStats,
     outbox_pool: Vec<(ProcessId, M)>, // recycled activation outbox
+    drained: Vec<Envelope<M>>,        // recycled `drain_messages` buffer
     started: Vec<bool>,
     halted: Vec<bool>,
     moves: Vec<Option<Action>>,
@@ -198,6 +199,7 @@ impl<M> World<M> {
             stores: Vec::new(),
             stats: WorldStats::default(),
             outbox_pool: Vec::new(),
+            drained: Vec::new(),
             started: vec![false; n],
             halted: vec![false; n],
             moves: vec![None; n],
@@ -412,11 +414,11 @@ impl<M> World<M> {
     }
 
     /// Removes every *message* event from the pending plane (start signals
-    /// stay put), returning the drained envelopes in plane order and
+    /// stay put), yielding the drained envelopes in plane order and
     /// preserving the relative order of what remains. The plane is
-    /// compacted in place — its arrays keep their capacity for the sends of
-    /// the next delivery — and the result is allocated once, at its final
-    /// size.
+    /// compacted in place and the envelopes move into a buffer the world
+    /// reuses, so a drain allocates only past the widest burst yet; the
+    /// iterator drops what it has not yielded, and each drain starts empty.
     ///
     /// This is the outbox of a networked run: a transport backend drains
     /// the messages the processes just sent, carries them over real I/O,
@@ -425,12 +427,8 @@ impl<M> World<M> {
     /// wire hop re-sequences each message as a fresh one-message batch, so
     /// a networked trace differs from the in-process trace of the same
     /// seed in exactly the way a different scheduler's would.
-    pub fn drain_messages(&mut self) -> Vec<Envelope<M>> {
-        let messages = self.views.iter().filter(|v| v.src.is_some()).count();
-        if messages == 0 {
-            return Vec::new();
-        }
-        let mut drained = Vec::with_capacity(messages);
+    pub fn drain_messages(&mut self) -> std::vec::Drain<'_, Envelope<M>> {
+        self.drained.clear();
         let mut kept = 0;
         for r in 0..self.views.len() {
             let view = self.views[r];
@@ -441,7 +439,7 @@ impl<M> World<M> {
                     self.views[kept] = view;
                     kept += 1;
                 }
-                Stored::Msg(msg) => drained.push(Envelope {
+                Stored::Msg(msg) => self.drained.push(Envelope {
                     src: view.src.expect("message event has a source"),
                     dst: view.dst,
                     msg,
@@ -450,7 +448,7 @@ impl<M> World<M> {
         }
         self.views.truncate(kept);
         self.stores.truncate(kept);
-        drained
+        self.drained.drain(..)
     }
 
     /// The one send-sequencing protocol: per-pair `k`, global `seq`, Sent
