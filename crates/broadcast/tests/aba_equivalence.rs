@@ -7,9 +7,11 @@
 //! before, amid or after the traffic) and over whole honest executions.
 //! The oracle carries the same agreement rules — fixed coins 1 and 0 in
 //! rounds 1 and 2, no proactive `BVal` once the coin rule has fired, rounds
-//! completed at `start` on the votes already held, `BVal` / `Aux` outside
-//! rounds `1..=10 000` dropped — so the comparison is of the data
-//! structures, message by message.
+//! completed at `start` on the votes already held — so the comparison is of
+//! the data structures, message by message. The one rule it predates is
+//! the round guard: a `BVal` / `Aux` naming round 0 or a round past the
+//! livelock bound is dropped. Such a vote is checked to leave the new
+//! state silent and unchanged, and is kept from the oracle.
 
 use mediator_bcast::{AbaMsg, AbaState, CoinSource, IdealCoin};
 use mediator_sim::sansio::{Dest, Outgoing};
@@ -19,8 +21,8 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The pre-bitset `AbaState`, verbatim but for its name, its doc comments,
-/// the two agreement rules, the start rule and the hostile-round rule (its
-/// livelock bound is still the field it was).
+/// the two agreement rules and the start rule (its livelock bound is still
+/// the field it was).
 mod oracle {
     use super::*;
 
@@ -112,11 +114,6 @@ mod oracle {
             let mut out = Vec::new();
             if self.halted {
                 return (out, None);
-            }
-            if let AbaMsg::BVal { round, .. } | AbaMsg::Aux { round, .. } = msg {
-                if round == 0 || round > self.max_rounds {
-                    return (out, None);
-                }
             }
             let decided_before = self.decided;
             match msg {
@@ -227,6 +224,9 @@ mod oracle {
 
 use oracle::OracleAba;
 
+/// The last round a vote may name: the livelock bound, 10 000 rounds.
+const ROUND_GUARD: u64 = 10_000;
+
 /// One player's new state and its oracle, fed in lockstep.
 struct Pair {
     new: AbaState,
@@ -253,6 +253,17 @@ impl Pair {
         let mut out = Vec::new();
         let decided = self.new.on_message(from, msg, &mut out);
         let got = (out, decided);
+        if let AbaMsg::BVal { round, .. } | AbaMsg::Aux { round, .. } = msg {
+            if !(1..=ROUND_GUARD).contains(&round) {
+                assert_eq!(
+                    got,
+                    (vec![], None),
+                    "{from} → {msg:?} past the guard: {ctx}"
+                );
+                self.same_status(ctx);
+                return got.0;
+            }
+        }
         assert_eq!(
             got,
             self.old.on_message(from, msg),
@@ -275,14 +286,14 @@ impl Pair {
 
 /// Decodes one random word into a message from a sender in `0..n`: mostly
 /// rounds 1–3 (where completions happen), some later rounds and some far in
-/// the future, astride the livelock guard's last round; `Done` drawn with weight `done_bias / 8`, and `v = true` with
+/// the future; `Done` drawn with weight `done_bias / 8`, and `v = true` with
 /// weight `lean / 4` — a stream leaning to one value completes rounds on a
 /// single accepted value, a balanced one on both.
 fn message(x: u64, n: usize, done_bias: u64, lean: u64) -> (usize, AbaMsg) {
     let from = (x % n as u64) as usize;
     let v = (x >> 16) % 4 < lean;
     let round = match (x >> 20) % 16 {
-        0 => 9_998 + (x >> 40) % 4,
+        0 => 1_000_000 + (x >> 40) % 4,
         r @ 1..=12 => 1 + (r - 1) / 4,
         _ => 4 + (x >> 24) % 4,
     };
@@ -319,6 +330,42 @@ proptest! {
         if start_at >= words.len() && start_at <= words.len() + 1 {
             pair.start(input, &ctx);
             pair.deliver(0, AbaMsg::Aux { round: 1, v: input }, &ctx);
+        }
+    }
+}
+
+proptest! {
+    /// The random streams again, with the far-future rounds moved astride
+    /// the guard (9 998–10 001), so votes for sparse rounds the table
+    /// keeps are compared with the oracle next to votes it drops.
+    #[test]
+    fn bitset_state_matches_the_oracle_astride_the_round_guard(
+        n in 1usize..14,
+        t_word in any::<u64>(),
+        words in proptest::collection::vec(any::<u64>(), 0..400),
+        start_at in 0usize..=420,
+        input in any::<bool>(),
+        coin_seed in any::<u64>(),
+        done_bias in 0u64..5,
+        lean in 0u64..=4,
+    ) {
+        let t = (t_word % ((n as u64 - 1) / 3 + 1)) as usize;
+        let mut pair = Pair::new(n, t, 3, IdealCoin::new(coin_seed));
+        let ctx = format!("n={n} t={t}");
+        for (i, &x) in words.iter().enumerate() {
+            if i == start_at {
+                pair.start(input, &ctx);
+            }
+            let (from, msg) = match message(x, n, done_bias, lean) {
+                (from, AbaMsg::BVal { round, v }) if round >= 1_000_000 => {
+                    (from, AbaMsg::BVal { round: round - 1_000_000 + 9_998, v })
+                }
+                (from, AbaMsg::Aux { round, v }) if round >= 1_000_000 => {
+                    (from, AbaMsg::Aux { round: round - 1_000_000 + 9_998, v })
+                }
+                other => other,
+            };
+            pair.deliver(from, msg, &ctx);
         }
     }
 }

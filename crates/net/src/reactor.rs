@@ -3,22 +3,18 @@
 //! A single readiness loop owns all of it. Nothing below is reachable from
 //! another thread, so nothing below is locked:
 //!
-//! * **Connections** own a read buffer and an out-buffer. A readable
-//!   connection is read one [`READ_CHUNK`] at a time, and every complete
-//!   frame of a chunk is acted on before the next is read, so the buffer
-//!   holds one chunk plus a partial frame (which simply waits for more
-//!   bytes: a stalled peer blocks no one else), and frames that came
-//!   before a hangup are delivered before the connection is torn down.
-//!   Session machines append encoded frames to the out-buffer; it is
-//!   written once it holds a chunk, and after each pass over the runnable
-//!   sessions the loop flushes the buffers that pass dirtied; a transport
-//!   that pushes back is polled for writability.
-//! * **Sessions** run as state machines ([`SessionSm`]). An inbound event
-//!   is applied when it arrives — an attach count, or the frame joins the
-//!   session's delivery buffer — and the session executes the ship → step
-//!   → deliver → quiesce → vanish → block loop specified on
-//!   [`SessionSm::run`] when the pass reaches it, returning to the loop
-//!   where a blocking design would wait; timeouts are timer entries.
+//! * **Connections** are read one [`READ_CHUNK`] at a time into the loop's
+//!   one read buffer, where each complete frame is acted on before the next
+//!   read (so frames that came before a hangup are delivered); a connection
+//!   keeps only a partial frame, which waits for its bytes (a stalled peer
+//!   blocks no one). Its out-buffer is written at half a chunk and when a
+//!   pass over the runnable sessions ends; a transport that pushes back is
+//!   polled for writability.
+//! * **Sessions** run as state machines ([`SessionSm`]): an inbound event
+//!   is applied on arrival, and the ship → step → deliver → quiesce →
+//!   vanish → block loop specified on [`SessionSm::run`] runs when a pass
+//!   reaches the session, returning where a blocking design would wait;
+//!   timeouts are timer entries.
 //! * **Timers** live in a lazily-revalidated heap: idle deadlines are
 //!   *updated* in place as events arrive and only re-pushed when a stale
 //!   entry fires, so a session's thousands of frames cost one heap entry,
@@ -73,13 +69,6 @@ const DRAIN_FLUSH_CAP: Duration = Duration::from_secs(5);
 // Reactor-hosted session state machine
 // ---------------------------------------------------------------------------
 
-enum SmPhase {
-    /// Waiting for every world process to have a relay: who has one.
-    Attaching(Vec<bool>),
-    /// The pump loop proper.
-    Running,
-}
-
 /// One hosted session as a state machine: the routing table, the wire
 /// accounting and the [`Session`] itself. Inbound events are applied on
 /// arrival ([`SessionSm::enqueue`]); [`SessionSm::run`] advances the
@@ -98,7 +87,9 @@ struct SessionSm<M: Wire + Send> {
     flight: FlightState<M>,
     depth: usize,
     rng: Option<StdRng>,
-    phase: SmPhase,
+    /// While the attach barrier is up, which world processes have a
+    /// relay; `None` once the pump loop proper runs.
+    attaching: Option<Vec<bool>>,
     result: Sender<Result<Outcome, NetError>>,
     sink: Option<Arc<dyn TraceSink>>,
     /// Rolls forward on every absorbed event; the heap entry is lazily
@@ -133,7 +124,7 @@ impl<M: Wire + Send> SessionSm<M> {
             flight: FlightState::new(sid, expected, cfg.auth),
             depth,
             rng,
-            phase: SmPhase::Attaching(vec![false; expected]),
+            attaching: Some(vec![false; expected]),
             result,
             sink: cfg.sink.clone(),
             idle_deadline: None,
@@ -147,9 +138,9 @@ impl<M: Wire + Send> SessionSm<M> {
     /// to run (once, however many events arrive before it runs). Every
     /// event restarts an armed idle window, to `idle`.
     fn enqueue(&mut self, ev: Inbound<M>, idle: Instant, runnable: &mut Vec<SessionId>) {
-        match (&mut self.phase, ev) {
-            (SmPhase::Attaching(has), Inbound::Attached { player }) => has[player] = true,
-            (SmPhase::Attaching(has), Inbound::PeerGone { player }) => has[player] = false,
+        match (&mut self.attaching, ev) {
+            (Some(has), Inbound::Attached { player }) => has[player] = true,
+            (Some(has), Inbound::PeerGone { player }) => has[player] = false,
             // Before the barrier falls nothing has been shipped, so an
             // early frame is a peer improvising: it is held, and delivered
             // in order.
@@ -216,11 +207,11 @@ impl<M: Wire + Send> SessionSm<M> {
         // Attach barrier: every world process needs a relay before the
         // first message leaves the plane. (The attach-timeout timer owns
         // the deadline; blocking here is just "wait for more events".)
-        if let SmPhase::Attaching(has) = &self.phase {
+        if let Some(has) = &self.attaching {
             if has.contains(&false) {
                 return None;
             }
-            self.phase = SmPhase::Running;
+            self.attaching = None;
         }
         loop {
             let session = self.session.as_mut().expect("session present until finish");
@@ -299,7 +290,8 @@ struct Conn {
     rbuf: FrameBuf,
     /// `(session, player)` routes this connection claimed.
     claimed: Vec<(SessionId, usize)>,
-    /// TCP only: the last flush hit `WouldBlock`; poll for writability.
+    /// The last write was pushed back (TCP: poll for writability) or
+    /// failed (the pass's flush kills the connection): no mid-pass write.
     want_write: bool,
 }
 
@@ -352,11 +344,10 @@ impl Conns {
 
     /// Appends `frame` to the routed connection's out-buffer; the loop
     /// flushes it at the end of the current pass, and a buffer holding
-    /// [`READ_CHUNK`] bytes is written at once unless the transport pushed
-    /// back (a failed write is left to that flush, which kills the
-    /// connection). With a `key`, the frame (encoded with a zero MAC) is
-    /// sealed over the bytes just queued, so it is encoded once. Fails once
-    /// the connection is gone — the signal `ship` turns into `PeerVanished`.
+    /// half a [`READ_CHUNK`] is written at once. With a `key`, the frame
+    /// (encoded with a zero MAC) is sealed over the bytes just queued, so
+    /// it is encoded once. Fails once the connection is gone — the signal
+    /// `ship` turns into `PeerVanished`.
     pub(crate) fn send<M: Wire>(
         &mut self,
         route: Route,
@@ -372,8 +363,10 @@ impl Conns {
         if let Some(key) = key {
             seal_in_place(&mut conn.out[start + PREFIX_LEN..], key);
         }
-        if conn.out.len() >= READ_CHUNK && !conn.want_write {
-            conn.flush();
+        // Written at half a chunk, so frames under half a chunk never grow
+        // it past one; a push-back or failed write waits for the pass's end.
+        if conn.out.len() >= READ_CHUNK / 2 && !conn.want_write && !conn.flush() {
+            conn.want_write = true;
         }
         if newly_dirty {
             self.dirty.push(route.0);
@@ -444,6 +437,8 @@ pub(crate) struct Reactor<M: Wire + Send + 'static> {
     timers: BinaryHeap<Reverse<(Instant, Timer)>>,
     draining: bool,
     drain_deadline: Option<Instant>,
+    /// Every connection is read into this one buffer; see `conn_readable`.
+    chunk: Vec<u8>,
     next_conn_id: u64,
     /// The loop's clock: read at the top of each iteration and again
     /// when `wait` returns, so one reading serves the timer pass and one
@@ -475,6 +470,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             timers: BinaryHeap::new(),
             draining: false,
             drain_deadline: None,
+            chunk: vec![0u8; READ_CHUNK],
             next_conn_id: 0,
             now: Instant::now(),
         }
@@ -587,7 +583,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                         let _ = result.send(Err(NetError::SessionIdTaken { session: id }));
                         continue;
                     }
-                    let session = open();
+                    let session = open().with_session_id(id);
                     let mut sm = SessionSm::new(id, processes, meta, session, result, &self.cfg);
                     self.timers.push(Reverse((
                         Instant::now() + self.cfg.attach_timeout,
@@ -661,11 +657,9 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     );
                 }
                 Timer::Attach { session } => {
-                    let still_attaching = self.sms.get(&session).and_then(|sm| match &sm.phase {
-                        SmPhase::Attaching(has) => {
-                            Some((has.iter().filter(|&&a| a).count(), sm.expected))
-                        }
-                        SmPhase::Running => None,
+                    let still_attaching = self.sms.get(&session).and_then(|sm| {
+                        let has = sm.attaching.as_ref()?;
+                        Some((has.iter().filter(|&&a| a).count(), sm.expected))
                     });
                     if let Some((attached, expected)) = still_attaching {
                         self.finish_session(
@@ -723,7 +717,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     Some(result) => self.finish_session(sid, result),
                     // Blocked. Arm (or roll) the idle deadline only in the
                     // running phase — attach has its own timer.
-                    None if matches!(sm.phase, SmPhase::Running) => {
+                    None if sm.attaching.is_none() => {
                         let d = Instant::now() + self.cfg.idle_timeout;
                         sm.idle_deadline = Some(d);
                         if !sm.idle_queued {
@@ -819,24 +813,24 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         let Some(mut conn) = self.conns.slab.get_mut(slot).and_then(|c| c.take()) else {
             return;
         };
-        // One chunk at a time, each parsed before the next is read (see
-        // the module docs). A trailing partial frame stays buffered until
-        // its bytes arrive (one slow peer stalls only itself — the
-        // slow-loris test pins this). The buffer is held apart so the
-        // connection can queue answers while a body is read.
+        // See the module docs; the slow-loris test pins that a partial
+        // frame stalls only its own connection. Both buffers are held
+        // apart so the connection can queue answers while a body is read.
+        let mut chunk = std::mem::take(&mut self.chunk);
         let mut rbuf = std::mem::take(&mut conn.rbuf);
         let mut dead = false;
         while !dead {
-            let full = match rbuf.try_read_from(&mut conn.io) {
-                TryRead::Data(n) => n == READ_CHUNK,
+            let mut bytes = match conn.io.try_read(&mut chunk) {
+                TryRead::Data(n) => &chunk[..n],
                 TryRead::WouldBlock => break,
                 TryRead::Eof | TryRead::Err(_) => {
                     dead = true;
                     break;
                 }
             };
+            let full = bytes.len() == READ_CHUNK;
             while !dead {
-                let body = match rbuf.next_frame() {
+                let body = match rbuf.next_frame_from(&mut bytes) {
                     Ok(Some(framed)) => &framed[PREFIX_LEN..],
                     Ok(None) => break,
                     // An oversized announcement is corruption or hostility:
@@ -867,6 +861,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 break;
             }
         }
+        self.chunk = chunk;
         conn.rbuf = rbuf;
         // Rejects the frames above earned go out with this wake-up.
         if !dead && conn.pending() {

@@ -7,12 +7,11 @@
 //! ```text
 //!             ┌────────────────────── Service ─────────────────────────┐
 //!   accept ──▶│            one reactor thread (readiness loop):        │
-//!             │  conn read buffer ──frames──▶ session delivery buffer  │
-//!             │  (one chunk per read)                  │               │
-//!             │  session state machines:               ▼               │
+//!             │  one read buffer (a chunk per read) ──frames──▶        │
+//!             │  session delivery buffers ──▶ state machines:          │
 //!             │    held Msg     ──▶ inject + step                      │
-//!             │    drain_outbox ──▶ conn write buffers (written at a   │
-//!             │                     chunk, flushed when the pass ends) │
+//!             │    drain_outbox ──▶ conn write buffers (written at     │
+//!             │                     half a chunk and when a pass ends) │
 //!             │    plane empty ∧ nothing in flight ──▶ finish()        │
 //!             └────────────────────────────────────────────────────────┘
 //! ```

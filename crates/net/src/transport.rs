@@ -70,17 +70,33 @@ pub type ConnPair<M> = (Box<dyn FrameTx<M>>, Box<dyn FrameRx<M>>);
 // Framing over any byte stream
 // ---------------------------------------------------------------------------
 
-/// The most a [`FrameBuf`] reads at once (protocol frames are tens of
-/// bytes), and what a reactor connection's out-buffer holds before a write.
+/// How much room a [`FrameBuf`] offers each blocking read, and the size of
+/// the reactor's read buffer (protocol frames are tens of bytes).
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// The length on the wire (prefix included) the frame at the front of
+/// `bytes` announces, once its prefix is there. Over [`MAX_FRAME_LEN`] it
+/// is refused before the body is buffered: corruption or hostility.
+fn announced(bytes: &[u8]) -> Result<Option<usize>, CodecError> {
+    let Some(prefix) = bytes.first_chunk::<PREFIX_LEN>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len > MAX_FRAME_LEN {
+        return Err(CodecError::LengthOverrun {
+            announced: u64::from(len),
+            remaining: MAX_FRAME_LEN as usize,
+        });
+    }
+    Ok(Some(PREFIX_LEN + len as usize))
+}
 
 /// The one length-prefix splitter: a rolling inbound buffer that takes
 /// whatever the stream hands over — a byte, half a prefix, a hundred
 /// frames — and yields each complete frame in order. Blocking readers
 /// ([`FramedRx`], `bulk_relay`, the tamper relay) fill it with
-/// [`FrameBuf::read_from`], the reactor with non-blocking reads. A reader
-/// that takes every complete frame before it reads again holds one chunk
-/// plus a partial frame: each read gets exactly `READ_CHUNK` of room.
+/// [`FrameBuf::read_from`]; the reactor parses its reads in place and
+/// keeps only a partial frame here (`FrameBuf::next_frame_from`).
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     /// Always fully initialised; `head..tail` holds the unconsumed bytes,
@@ -117,13 +133,37 @@ impl FrameBuf {
         &mut self.buf[self.tail..self.tail + n]
     }
 
-    /// One non-blocking read of at most [`READ_CHUNK`] bytes from `io`.
-    pub(crate) fn try_read_from(&mut self, io: &mut ConnIo) -> TryRead {
-        let read = io.try_read(self.room(READ_CHUNK));
-        if let TryRead::Data(n) = read {
-            self.tail += n;
+    /// Appends bytes a caller already read.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.room(bytes.len()).copy_from_slice(bytes);
+        self.tail += bytes.len();
+    }
+
+    /// The next complete frame of the stream whose unread bytes are this
+    /// buffer's, then `bytes` (a read parsed in place): only a partial
+    /// frame is copied in, and `None` leaves `bytes` used up.
+    pub(crate) fn next_frame_from<'s, 'b: 's>(
+        &'s mut self,
+        bytes: &mut &'b [u8],
+    ) -> Result<Option<&'s [u8]>, CodecError> {
+        if self.is_empty() {
+            if let Some(total) = announced(bytes)?.filter(|&total| bytes.len() >= total) {
+                let (framed, rest) = bytes.split_at(total);
+                *bytes = rest;
+                return Ok(Some(framed));
+            }
+            self.extend(std::mem::take(bytes));
+            return Ok(None);
         }
-        read
+        // Its prefix first, then the rest of the length it announces.
+        for _ in 0..2 {
+            let held = self.tail - self.head;
+            let want = announced(&self.buf[self.head..self.tail])?.unwrap_or(PREFIX_LEN);
+            let (lacked, rest) = bytes.split_at(want.saturating_sub(held).min(bytes.len()));
+            self.extend(lacked);
+            *bytes = rest;
+        }
+        self.next_frame()
     }
 
     /// One blocking read of whatever `source` has. End of stream is
@@ -168,24 +208,10 @@ impl FrameBuf {
     }
 
     /// Length on the wire (prefix included) of the next frame, once all
-    /// of it is buffered. An announcement over [`MAX_FRAME_LEN`] is
-    /// refused as soon as the prefix is, before its body is buffered (let
-    /// alone allocated for): an oversized prefix is corruption or
-    /// hostility.
+    /// of it is buffered (see [`announced`]).
     fn ready(&self) -> Result<Option<usize>, CodecError> {
         let held = &self.buf[self.head..self.tail];
-        let Some(prefix) = held.first_chunk::<PREFIX_LEN>() else {
-            return Ok(None);
-        };
-        let len = u32::from_le_bytes(*prefix);
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::LengthOverrun {
-                announced: u64::from(len),
-                remaining: MAX_FRAME_LEN as usize,
-            });
-        }
-        let total = PREFIX_LEN + len as usize;
-        Ok((held.len() >= total).then_some(total))
+        Ok(announced(held)?.filter(|&total| held.len() >= total))
     }
 
     /// True when [`FrameBuf::next_frame`] has something to say without

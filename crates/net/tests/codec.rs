@@ -378,13 +378,18 @@ proptest! {
         let end: Result<Frame<CtMsg>, NetError> = rx.recv();
         prop_assert_eq!(end.unwrap_err(), NetError::Closed);
 
-        // Through the splitter itself, one read at a time with every
-        // complete frame taken before the next (the reactor's way in):
-        // the wire bytes come back frame for frame.
+        // Through the splitter itself, pushed chunk by chunk (the
+        // reactor's way in): the wire bytes come back frame for frame.
         let mut buf = FrameBuf::new();
         let mut seen = Vec::new();
         let mut source = Chunked::new(&stream, &cuts);
-        while buf.read_from(&mut source).is_ok() {
+        let mut chunk = vec![0u8; 4096];
+        loop {
+            let n = std::io::Read::read(&mut source, &mut chunk).expect("scripted read");
+            if n == 0 {
+                break;
+            }
+            buf.extend(&chunk[..n]);
             while let Some(framed) = buf.next_frame().expect("valid stream") {
                 seen.push(Frame::<CtMsg>::decode_body(&framed[PREFIX_LEN..]).expect("decodes"));
             }

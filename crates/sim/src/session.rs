@@ -97,6 +97,7 @@ pub struct Session<M> {
     scheduler: Box<dyn Scheduler>,
     max_steps: u64,
     done: Option<TerminationKind>,
+    id: Option<u64>,
 }
 
 impl<M> Session<M> {
@@ -109,7 +110,20 @@ impl<M> Session<M> {
             scheduler,
             max_steps,
             done: None,
+            id: None,
         }
+    }
+
+    /// Tags the session with the stable identifier a multi-session service
+    /// routes frames by (`(session-id, player-id)` addressing).
+    pub fn with_session_id(mut self, id: u64) -> Self {
+        self.id = Some(id);
+        self
+    }
+
+    /// The routing identifier, if one was assigned.
+    pub fn session_id(&self) -> Option<u64> {
+        self.id
     }
 
     /// Dispatches the scheduler's pick. Returns [`SessionStatus::Done`] once
@@ -127,6 +141,20 @@ impl<M> Session<M> {
                 SessionStatus::Done(t)
             }
             None => SessionStatus::Running,
+        }
+    }
+
+    /// Steps up to `n` events, stopping early on termination.
+    pub fn step_n(&mut self, n: u64) -> SessionStatus {
+        for _ in 0..n {
+            if let SessionStatus::Done(t) = self.step() {
+                return SessionStatus::Done(t);
+            }
+        }
+        if let Some(t) = self.done {
+            SessionStatus::Done(t)
+        } else {
+            SessionStatus::Running
         }
     }
 
@@ -152,6 +180,11 @@ impl<M> Session<M> {
     /// Moves made so far (indexed by process id).
     pub fn moves(&self) -> &[Option<Action>] {
         self.world.moves()
+    }
+
+    /// The termination, once reached.
+    pub fn termination(&self) -> Option<TerminationKind> {
+        self.done
     }
 
     /// Injects an external message from `src` to `dst` (see
@@ -574,6 +607,14 @@ mod tests {
     }
 
     #[test]
+    fn session_id_plumbs_through() {
+        let session = Session::new(echo_world(2, 0), Box::new(FifoScheduler), 100);
+        assert_eq!(session.session_id(), None);
+        let session = session.with_session_id(77);
+        assert_eq!(session.session_id(), Some(77));
+    }
+
+    #[test]
     fn wants_and_pump_ready_track_the_plane() {
         let mut session = Session::new(echo_world(2, 5), Box::new(FifoScheduler), 10_000);
         // Start signals are pending local work.
@@ -602,5 +643,15 @@ mod tests {
         if stranded.wants() == SessionWants::Network {
             assert!(!stranded.pump_ready(), "empty plane must not be stepped");
         }
+    }
+
+    #[test]
+    fn step_n_stops_at_termination() {
+        let mut session = Session::new(echo_world(2, 5), Box::new(FifoScheduler), 10_000);
+        let status = session.step_n(1_000);
+        assert!(status.is_done());
+        assert_eq!(session.termination(), Some(TerminationKind::Quiescent));
+        // Further steps are no-ops with the same verdict.
+        assert_eq!(session.step(), status);
     }
 }
