@@ -2,7 +2,9 @@
 //! games (Theorem 4.1 robust and Theorem 4.4 wills+barrier) and mediator
 //! games (standard and §6.4 naive), pinning the scheduler-visible message
 //! pattern of every battery member across 32 seeds — plus five single runs
-//! of Theorem 4.1 at `n = 13, k = 3`, where a run is ~13k steps.
+//! of Theorem 4.1 at `n = 13, k = 3`, where a run is ~13k steps — and
+//! the deviant sessions of one coalition's conformance sweep in each game
+//! family.
 //!
 //! The protocol substrates have had this safety net since PR 2
 //! (`crates/broadcast/tests/trace_golden.rs`,
@@ -88,10 +90,42 @@ fn battery_hash(n: usize, run: impl Fn(&SchedulerKind, u64) -> Outcome) -> Vec<(
         .collect()
 }
 
+/// Seeds per scheduler kind in the deviant tables: a unit's row folds
+/// `battery × DEVIANT_SEEDS` runs.
+const DEVIANT_SEEDS: u64 = 4;
+
+/// One fingerprint per unit of the conformance sweep of coalition `[0]`
+/// (the honest baseline first, then every generated strategy), each over
+/// the plan's scheduler battery × [`DEVIANT_SEEDS`] seeds. The rows run
+/// every deviation primitive through the player that carries it.
+fn deviant_hash<F: GameFamily>(plan: &Plan<F>) -> Vec<(String, u64)> {
+    use mediator_talk::core::adversary::{sweep_unit_plan, sweep_units};
+    let cfg = Conformance::new(0.0, 1, 0)
+        .coalitions(vec![vec![0]])
+        .seeds(DEVIANT_SEEDS);
+    let battery = SchedulerKind::battery(plan.players());
+    sweep_units(plan, &cfg)
+        .iter()
+        .map(|unit| {
+            let cell = sweep_unit_plan(plan, unit, &cfg).expect("a generated unit");
+            let mut h = 0u64;
+            for kind in &battery {
+                for seed in 0..DEVIANT_SEEDS {
+                    h = h
+                        .rotate_left(1)
+                        .wrapping_add(cell.run_with(kind, seed).fingerprint());
+                }
+            }
+            let name = unit.strategy.clone().unwrap_or_else(|| "honest".into());
+            (name, h)
+        })
+        .collect()
+}
+
 fn assert_matches(name: &str, golden: &[(&str, u64)], got: &[(String, u64)]) {
-    assert_eq!(golden.len(), got.len(), "{name}: battery size changed");
+    assert_eq!(golden.len(), got.len(), "{name}: the table's rows changed");
     for ((gk, gh), (k, h)) in golden.iter().zip(got) {
-        assert_eq!(gk, k, "{name}: scheduler battery order changed");
+        assert_eq!(gk, k, "{name}: the table's row order changed");
         assert_eq!(
             *gh, *h,
             "{name}/{k}: message pattern diverged from the pinned session trace"
@@ -162,6 +196,56 @@ const GOLDEN_MEDIATOR_NAIVE: &[(&str, u64)] = &[
         0xc1f5d789dcaaa8f8,
     ),
 ];
+
+/// Deviant sessions, captured before the mediator game's tactic wrapper
+/// and the cheap-talk player's crash and lie switches became one tactic
+/// path: Theorem 4.1 at `n = 5` (the generated cheap-talk battery) and the
+/// §6.4 naive mediator game at `n = 7` (the gossip cells, `drop-acks`,
+/// `delay-input`). Rows with equal values differ only in payloads, which
+/// a fingerprint does not read (`lie-opens` and `corrupt-opens-late`), cut
+/// the same sends (`crash-mid` and `drop-phase2`), or change nothing the
+/// plan does not already do (`lie-input` claims the all-ones input the
+/// plan gives; `pool-then-cooperate` has no partner to pool with).
+const GOLDEN_CHEAP_TALK_41_DEVIANT: &[(&str, u64)] = &[
+    ("honest", 0xfd8a39dd3e6f10a9),
+    ("silent", 0xe7f6b258de7426da),
+    ("crash-mid", 0xaa99460e92f1a8cf),
+    ("lie-input", 0xfd8a39dd3e6f10a9),
+    ("lie-opens", 0x2e34d6a465ca5f69),
+    ("refuse-move", 0xc4c64e901aa455cb),
+    ("drop-phase2", 0xaa99460e92f1a8cf),
+    ("abort-at-round", 0xba8913333752aead),
+    ("delay-until-phase", 0x83da3ad2d2e6e882),
+    ("corrupt-opens-late", 0x2e34d6a465ca5f69),
+    ("selective-silence", 0x0faca420ac2aa7e5),
+    ("equivocate", 0x819590ccf19b5a66),
+];
+
+const GOLDEN_MEDIATOR_NAIVE_DEVIANT: &[(&str, u64)] = &[
+    ("honest", 0x7cc4ce1e536ba1c0),
+    ("deadlock-if-bit=0", 0x75a91407d22089f4),
+    ("deadlock-if-bit=1", 0xec8dedf9ed08343a),
+    ("always-deadlock", 0xe57233e36b2c358e),
+    ("pool-then-cooperate", 0x7cc4ce1e536ba1c0),
+    ("drop-acks", 0x8793856ca984c6d6),
+    ("delay-input", 0x0c1fe889b2d8c60b),
+];
+
+#[test]
+fn cheap_talk_41_deviant_traces_match_pinned_sessions() {
+    let got = deviant_hash(&cheap_talk_41_plan());
+    assert_matches("cheap_talk_41_deviant", GOLDEN_CHEAP_TALK_41_DEVIANT, &got);
+}
+
+#[test]
+fn mediator_naive_deviant_traces_match_pinned_sessions() {
+    let got = deviant_hash(&mediator_naive_plan());
+    assert_matches(
+        "mediator_naive_deviant",
+        GOLDEN_MEDIATOR_NAIVE_DEVIANT,
+        &got,
+    );
+}
 
 #[test]
 fn cheap_talk_41_traces_match_pinned_sessions() {
@@ -363,6 +447,14 @@ fn print_golden_tables() {
             let plan = mediator_naive_plan();
             battery_hash(7, |kind, seed| plan.run_with(kind, seed))
         }),
+        (
+            "GOLDEN_CHEAP_TALK_41_DEVIANT",
+            deviant_hash(&cheap_talk_41_plan()),
+        ),
+        (
+            "GOLDEN_MEDIATOR_NAIVE_DEVIANT",
+            deviant_hash(&mediator_naive_plan()),
+        ),
     ];
     for (name, got) in tables {
         println!("const {name}: &[(&str, u64)] = &[");
