@@ -10,9 +10,8 @@
 //!    phase, equivocate, selective silence toward a victim set, abort-at-
 //!    round — scheduled over send-index windows ([`Window`]) and composed
 //!    per player by the [`Deviation`] combinator builder. Programs compile
-//!    to a [`TacticState`], which plugs into the cheap-talk player's send
-//!    path directly and into *any* process (e.g. the honest mediator-game
-//!    player) through the generic [`mediator_sim::Tamper`] hook.
+//!    to a [`TacticState`], the one send path of both the cheap-talk player
+//!    and the honest mediator-game player.
 //! 2. **Coalition wiring** ([`GossipColluder`], generalizing the §6.4
 //!    `CounterexampleColluder`) — members pool their private leaks over
 //!    `Gossip` messages and act on the combined information via a
@@ -39,9 +38,7 @@ use mediator_games::solution::subsets_up_to;
 use mediator_games::stats::{mean_ci, paired_gain_ci, ConfidenceInterval};
 use mediator_games::BayesianGame;
 use mediator_mpc::MpcMsg;
-use mediator_sim::{
-    Action, Ctx, Outcome, OutgoingTamper, Process, ProcessId, SchedulerKind, Tamper, TamperVerdict,
-};
+use mediator_sim::{Action, Ctx, Outcome, Process, ProcessId, SchedulerKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -173,46 +170,68 @@ impl TamperableMsg for MedMsg {
     }
 }
 
-/// The compiled, stateful form of a tactic list: counts the deviator's
-/// sends and applies every active primitive in order. Implements
-/// [`OutgoingTamper`] so it plugs into [`Tamper`] around any process;
-/// the cheap-talk player embeds one directly in its send path.
-#[derive(Debug, Clone, Default)]
-pub struct TacticState {
+/// The compiled, stateful form of a tactic list, and the one send-side
+/// tamper path: the cheap-talk player and the honest mediator-game player
+/// both send through it. It counts the deviator's sends, applies every
+/// active primitive in order, and keeps the messages a
+/// [`Primitive::Delay`] holds until their release point.
+///
+/// Moves, wills and halts never pass through here: tampering is about the
+/// *communication* strategy, and a deviation that changes the move is a
+/// different [`Behavior`] switch. The environment stays content-blind
+/// (§6.1); a held message is indistinguishable from a slow link, which is
+/// why delaying is a legal strategy.
+#[derive(Debug, Clone)]
+pub struct TacticState<M> {
     steps: Vec<Scheduled>,
     sends: u64,
     aborted: bool,
     release_floor: Option<u64>,
+    held: Vec<(ProcessId, M)>,
 }
 
-impl TacticState {
-    /// Compiles a tactic list.
+impl<M: TamperableMsg> TacticState<M> {
+    /// Compiles a tactic list (empty: the honest player).
     pub fn new(steps: Vec<Scheduled>) -> Self {
         TacticState {
             steps,
             sends: 0,
             aborted: false,
             release_floor: None,
+            held: Vec::new(),
         }
     }
 
-    /// Whether there is nothing to do (the honest fast path).
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+    /// Sends one message through the active primitives: it goes out
+    /// (possibly corrupted), is dropped, or is held.
+    pub fn send(&mut self, dst: ProcessId, msg: M, ctx: &mut Ctx<M>) {
+        if self.steps.is_empty() {
+            ctx.send(dst, msg);
+        } else if let Some(msg) = self.route(dst, msg) {
+            ctx.send(dst, msg);
+        }
     }
 
-    /// Sends counted so far (attempts, including dropped/held ones — the
-    /// window clock must not depend on what earlier tampering did).
-    pub fn sends(&self) -> u64 {
-        self.sends
+    /// Sends the held messages once the send counter has passed every
+    /// pending release point. Players call it at the start of each
+    /// activation; an aborted deviator never releases.
+    pub fn release(&mut self, ctx: &mut Ctx<M>) {
+        if self.held.is_empty() || !self.due() {
+            return;
+        }
+        for (dst, msg) in self.held.drain(..) {
+            ctx.send(dst, msg);
+        }
     }
 
-    /// Routes one outgoing message through the active primitives.
-    pub fn apply<M: TamperableMsg>(&mut self, dst: ProcessId, msg: M) -> TamperVerdict<M> {
+    /// The fate of one outgoing message: `Some` to send now, `None` when
+    /// it was dropped or held. The window clock counts every attempt, so
+    /// it does not depend on what earlier tampering did.
+    fn route(&mut self, dst: ProcessId, msg: M) -> Option<M> {
         let i = self.sends;
         self.sends += 1;
         if self.aborted {
-            return TamperVerdict::Drop;
+            return None;
         }
         let mut msg = msg;
         let mut hold = false;
@@ -223,12 +242,12 @@ impl TacticState {
             match &s.primitive {
                 Primitive::Abort => {
                     self.aborted = true;
-                    return TamperVerdict::Drop;
+                    return None;
                 }
-                Primitive::Drop => return TamperVerdict::Drop,
+                Primitive::Drop => return None,
                 Primitive::SilenceToward(victims) => {
                     if victims.contains(&dst) {
-                        return TamperVerdict::Drop;
+                        return None;
                     }
                 }
                 Primitive::Delay { release_at } => {
@@ -247,15 +266,14 @@ impl TacticState {
             }
         }
         if hold {
-            TamperVerdict::Hold(msg)
-        } else {
-            TamperVerdict::Deliver(msg)
+            self.held.push((dst, msg));
+            return None;
         }
+        Some(msg)
     }
 
-    /// Whether held messages should be released now (the send counter has
-    /// passed every pending release point).
-    pub fn should_flush(&mut self) -> bool {
+    /// Whether the held messages are due (fires once per release point).
+    fn due(&mut self) -> bool {
         match self.release_floor {
             Some(floor) if self.sends >= floor && !self.aborted => {
                 self.release_floor = None;
@@ -263,16 +281,6 @@ impl TacticState {
             }
             _ => false,
         }
-    }
-}
-
-impl<M: TamperableMsg> OutgoingTamper<M> for TacticState {
-    fn outgoing(&mut self, dst: ProcessId, msg: M) -> TamperVerdict<M> {
-        self.apply(dst, msg)
-    }
-
-    fn flush_held(&mut self) -> bool {
-        self.should_flush()
     }
 }
 
@@ -317,11 +325,10 @@ impl Deviation {
         self
     }
 
-    /// Stop sending after `limit` messages (the legacy crash switch; for a
-    /// windowed, message-level version see [`Deviation::abort_at`]).
-    pub fn crash_after(mut self, limit: u64) -> Self {
-        self.behavior.crash_after_sends = Some(limit);
-        self
+    /// Stop sending after `limit` messages: [`Deviation::abort_at`] send
+    /// `limit`.
+    pub fn crash_after(self, limit: u64) -> Self {
+        self.abort_at(limit)
     }
 
     /// Substitute `input` for the real private input (lie-about-input: the
@@ -333,11 +340,11 @@ impl Deviation {
     }
 
     /// Corrupt every opening/output point sent, to everyone, for the whole
-    /// run (the legacy flag; [`Deviation::corrupt_opens`] is the windowed
-    /// form and [`Deviation::equivocate`] the per-recipient form).
-    pub fn lie_in_opens(mut self) -> Self {
-        self.behavior.lie_in_opens = true;
-        self
+    /// run: [`Deviation::corrupt_opens`] from send 0 by
+    /// [`OPEN_LIE_OFFSET`] ([`Deviation::equivocate`] is the per-recipient
+    /// form).
+    pub fn lie_in_opens(self) -> Self {
+        self.corrupt_opens(0, OPEN_LIE_OFFSET)
     }
 
     /// Decode the action but never move.
@@ -1297,8 +1304,7 @@ pub(crate) fn cheap_talk_cells(
 /// The generated deviant cells of a mediator-game plan for one coalition
 /// ([`GameFamily::deviant_cells`]): gossip-clique colluders under each
 /// [`collusion_battery`] rule, re-bound to `cfg`'s deadlock action, plus
-/// message-level tampering of the honest player through the [`Tamper`]
-/// hook.
+/// the honest player sending through a [`TacticState`].
 pub(crate) fn mediator_cells(
     plan: &MediatorPlan,
     coalition: &[usize],
@@ -1344,39 +1350,27 @@ pub(crate) fn mediator_cells(
         }
         cells.push((shape.name(), p));
     }
-    // Message-level tampering of the honest strategy via the sim hook.
-    let tampered: Vec<(&str, Vec<Scheduled>)> = vec![
-        (
-            "drop-acks",
-            vec![Scheduled {
-                window: Window::starting(1),
-                primitive: Primitive::Drop,
-            }],
-        ),
-        (
-            "delay-input",
-            vec![Scheduled {
-                window: Window::between(0, 1),
-                primitive: Primitive::Delay { release_at: 2 },
-            }],
-        ),
-    ];
-    for (name, steps) in tampered {
+    // Message-level tampering of the honest strategy.
+    for deviation in [
+        Deviation::named("drop-acks").drop_between(1, u64::MAX),
+        Deviation::named("delay-input").delay(0, 1, 2),
+    ] {
+        let (name, behavior) = deviation.build();
         let mut p = plan.clone();
         for &m in coalition {
             let input = inputs[m].clone();
             let will = wills.as_ref().map(|w| w[m]);
-            let steps = steps.clone();
+            let steps = behavior.tactics.clone();
             p = p
                 .with_deviant(m, move || {
-                    Box::new(Tamper::new(
-                        crate::mediator::HonestMedPlayer::new(n, input.clone(), will),
-                        TacticState::new(steps.clone()),
-                    ))
+                    Box::new(
+                        crate::mediator::HonestMedPlayer::new(n, input.clone(), will)
+                            .with_tactics(steps.clone()),
+                    )
                 })
                 .expect(MEMBERS_ARE_PLAYERS);
         }
-        cells.push((name.into(), p));
+        cells.push((name, p));
     }
     cells
 }
@@ -1384,7 +1378,6 @@ pub(crate) fn mediator_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mediator_sim::TamperVerdict;
 
     fn msg(v: u64) -> MedMsg {
         MedMsg::Input {
@@ -1409,61 +1402,85 @@ mod tests {
         Window::between(4, 2);
     }
 
+    fn tactics(deviation: Deviation) -> TacticState<MedMsg> {
+        TacticState::new(deviation.build().1.tactics)
+    }
+
     #[test]
     fn tactic_state_drop_window() {
-        let (_, b) = Deviation::named("d").drop_between(1, 3).build();
-        let mut t = TacticState::new(b.tactics);
-        assert!(matches!(t.apply(0, msg(1)), TamperVerdict::Deliver(_)));
-        assert!(matches!(t.apply(0, msg(2)), TamperVerdict::Drop));
-        assert!(matches!(t.apply(0, msg(3)), TamperVerdict::Drop));
-        assert!(matches!(t.apply(0, msg(4)), TamperVerdict::Deliver(_)));
+        let mut t = tactics(Deviation::named("d").drop_between(1, 3));
+        assert!(t.route(0, msg(1)).is_some());
+        assert!(t.route(0, msg(2)).is_none());
+        assert!(t.route(0, msg(3)).is_none());
+        assert!(t.route(0, msg(4)).is_some());
+        assert!(t.held.is_empty(), "a drop holds nothing");
     }
 
     #[test]
     fn tactic_state_abort_is_permanent() {
-        let (_, b) = Deviation::named("a").abort_at(2).build();
-        let mut t = TacticState::new(b.tactics);
-        assert!(matches!(t.apply(0, msg(1)), TamperVerdict::Deliver(_)));
-        assert!(matches!(t.apply(0, msg(2)), TamperVerdict::Deliver(_)));
+        let mut t = tactics(Deviation::named("a").abort_at(2));
+        assert!(t.route(0, msg(1)).is_some());
+        assert!(t.route(0, msg(2)).is_some());
         for _ in 0..5 {
-            assert!(matches!(t.apply(0, msg(3)), TamperVerdict::Drop));
+            assert!(t.route(0, msg(3)).is_none());
         }
+    }
+
+    #[test]
+    fn crash_and_lie_switches_are_tactic_shortcuts() {
+        let (_, b) = Deviation::named("c").crash_after(40).build();
+        assert_eq!(b.tactics, Deviation::named("a").abort_at(40).build().1.tactics);
+        let (_, b) = Deviation::named("l").lie_in_opens().build();
+        assert_eq!(
+            b.tactics,
+            Deviation::named("o")
+                .corrupt_opens(0, OPEN_LIE_OFFSET)
+                .build()
+                .1
+                .tactics
+        );
     }
 
     #[test]
     fn tactic_state_selective_silence_and_equivocation() {
-        let (_, b) = Deviation::named("s")
-            .silence_toward([2], 0)
-            .equivocate([1], 5)
-            .build();
-        let mut t = TacticState::new(b.tactics);
+        let mut t = tactics(
+            Deviation::named("s")
+                .silence_toward([2], 0)
+                .equivocate([1], 5),
+        );
         // To 0: untouched. To 1: corrupted. To 2: dropped.
-        match t.apply(0, msg(10)) {
-            TamperVerdict::Deliver(MedMsg::Input { value, .. }) => {
-                assert_eq!(value[0], Fp::new(10));
-            }
+        match t.route(0, msg(10)) {
+            Some(MedMsg::Input { value, .. }) => assert_eq!(value[0], Fp::new(10)),
             other => panic!("expected clean delivery, got {other:?}"),
         }
-        match t.apply(1, msg(10)) {
-            TamperVerdict::Deliver(MedMsg::Input { value, .. }) => {
-                assert_eq!(value[0], Fp::new(15));
-            }
+        match t.route(1, msg(10)) {
+            Some(MedMsg::Input { value, .. }) => assert_eq!(value[0], Fp::new(15)),
             other => panic!("expected corrupted delivery, got {other:?}"),
         }
-        assert!(matches!(t.apply(2, msg(10)), TamperVerdict::Drop));
+        assert!(t.route(2, msg(10)).is_none());
     }
 
     #[test]
-    fn tactic_state_delay_holds_then_flushes() {
-        let (_, b) = Deviation::named("d").delay(0, 2, 4).build();
-        let mut t = TacticState::new(b.tactics);
-        assert!(matches!(t.apply(0, msg(1)), TamperVerdict::Hold(_)));
-        assert!(matches!(t.apply(0, msg(2)), TamperVerdict::Hold(_)));
-        assert!(!t.should_flush(), "send counter 2 < release 4");
-        assert!(matches!(t.apply(0, msg(3)), TamperVerdict::Deliver(_)));
-        assert!(matches!(t.apply(0, msg(4)), TamperVerdict::Deliver(_)));
-        assert!(t.should_flush(), "send counter reached release point");
-        assert!(!t.should_flush(), "flush fires once");
+    fn tactic_state_delay_holds_then_releases() {
+        let mut t = tactics(Deviation::named("d").delay(0, 2, 4));
+        assert!(t.route(0, msg(1)).is_none());
+        assert!(t.route(0, msg(2)).is_none());
+        assert_eq!(t.held.len(), 2);
+        assert!(!t.due(), "send counter 2 < release 4");
+        assert!(t.route(0, msg(3)).is_some());
+        assert!(t.route(0, msg(4)).is_some());
+        assert!(t.due(), "send counter reached release point");
+        assert!(!t.due(), "release fires once");
+    }
+
+    #[test]
+    fn an_aborted_deviator_never_releases() {
+        let mut t = tactics(Deviation::named("d").delay(0, 1, 2).abort_at(2));
+        assert!(t.route(0, msg(1)).is_none());
+        assert!(t.route(0, msg(2)).is_some());
+        assert!(t.route(0, msg(3)).is_none(), "aborted at send 2");
+        assert_eq!(t.held.len(), 1);
+        assert!(!t.due());
     }
 
     #[test]

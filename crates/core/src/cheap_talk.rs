@@ -30,7 +30,7 @@ use mediator_circuits::Circuit;
 use mediator_field::Fp;
 use mediator_mpc::{MpcConfig, MpcDriver, MpcEvent, MpcMsg};
 use mediator_sim::sansio::{route_batch, Outgoing, SansIo};
-use mediator_sim::{Action, Ctx, PartySet, Process, ProcessId, TamperVerdict};
+use mediator_sim::{Action, Ctx, PartySet, Process, ProcessId};
 use std::sync::Arc;
 
 /// Which theorem's machinery to run.
@@ -113,10 +113,7 @@ pub struct CheapTalkPlayer {
     /// The engine's outbox, drained after every call and reused.
     outbox: Vec<Outgoing<MpcMsg>>,
     behavior: Behavior,
-    tactics: TacticState,
-    held: Vec<(ProcessId, CtMsg)>,
-    sends: u64,
-    crashed: bool,
+    tactics: TacticState<CtMsg>,
     action: Option<Action>,
     moved: bool,
     finished: PartySet,
@@ -133,20 +130,9 @@ impl CheapTalkPlayer {
         spec: impl Into<Arc<CheapTalkSpec>>,
         me: usize,
         input: Vec<Fp>,
-        behavior: Behavior,
+        mut behavior: Behavior,
     ) -> Self {
-        // The legacy `lie_in_opens` flag compiles onto the same corruption
-        // primitive the DSL uses — one corruption scheme, not two.
-        let mut schedule = behavior.tactics.clone();
-        if behavior.lie_in_opens {
-            schedule.push(crate::adversary::Scheduled {
-                window: crate::adversary::Window::all(),
-                primitive: crate::adversary::Primitive::CorruptOpens {
-                    offset: crate::adversary::OPEN_LIE_OFFSET,
-                },
-            });
-        }
-        let tactics = TacticState::new(schedule);
+        let tactics = TacticState::new(std::mem::take(&mut behavior.tactics));
         CheapTalkPlayer {
             spec: spec.into(),
             me,
@@ -155,9 +141,6 @@ impl CheapTalkPlayer {
             outbox: Vec::new(),
             behavior,
             tactics,
-            held: Vec::new(),
-            sends: 0,
-            crashed: false,
             action: None,
             moved: false,
             finished: PartySet::new(),
@@ -167,53 +150,15 @@ impl CheapTalkPlayer {
     /// Sends what the engine left in the outbox.
     fn deliver_out(&mut self, ctx: &mut Ctx<CtMsg>) {
         // Broadcast fan-out goes through the shared sans-IO routing, with
-        // this player's deviation-aware send in the hot seat (opening
-        // lies, like every message-level deviation, live in the compiled
-        // tactic schedule the send path consults). The outbox goes back
+        // this player's tactic schedule as the send path (every
+        // message-level deviation lives there). The outbox goes back
         // empty, keeping its capacity.
         let n = self.spec.n;
         let mut batch = std::mem::take(&mut self.outbox);
-        route_batch(n, batch.drain(..), |d, m| self.send(d, CtMsg::Mpc(m), ctx));
+        route_batch(n, batch.drain(..), |d, m| {
+            self.tactics.send(d, CtMsg::Mpc(m), ctx)
+        });
         self.outbox = batch;
-    }
-
-    fn send(&mut self, dst: usize, msg: CtMsg, ctx: &mut Ctx<CtMsg>) {
-        if self.crashed {
-            return;
-        }
-        if let Some(limit) = self.behavior.crash_after_sends {
-            if self.sends >= limit {
-                self.crashed = true;
-                return;
-            }
-        }
-        self.sends += 1;
-        if self.tactics.is_empty() {
-            ctx.send(dst, msg);
-            return;
-        }
-        match self.tactics.apply(dst, msg) {
-            TamperVerdict::Deliver(m) => ctx.send(dst, m),
-            TamperVerdict::Drop => {}
-            TamperVerdict::Hold(m) => self.held.push((dst, m)),
-        }
-    }
-
-    /// Releases delay-held messages once their tactic's release point has
-    /// passed (consulted at the start of every activation).
-    ///
-    /// Deliberately NOT the generic [`mediator_sim::Tamper`] wrapper: a
-    /// player whose `crash_after_sends` fired must stay silent — held
-    /// messages included — and only this state machine knows about the
-    /// crash. The wrapper flushes unconditionally, which is right for the
-    /// processes it wraps but wrong here.
-    fn flush_held(&mut self, ctx: &mut Ctx<CtMsg>) {
-        if self.held.is_empty() || self.crashed || !self.tactics.should_flush() {
-            return;
-        }
-        for (dst, msg) in std::mem::take(&mut self.held) {
-            ctx.send(dst, msg);
-        }
     }
 
     fn handle_event(&mut self, ev: MpcEvent, ctx: &mut Ctx<CtMsg>) {
@@ -229,7 +174,7 @@ impl CheapTalkPlayer {
                 }
                 if self.spec.barrier {
                     for d in 0..self.spec.n {
-                        self.send(d, CtMsg::Finished, ctx);
+                        self.tactics.send(d, CtMsg::Finished, ctx);
                     }
                     self.try_finish(ctx);
                 } else {
@@ -293,7 +238,7 @@ impl Process<CtMsg> for CheapTalkPlayer {
     }
 
     fn on_message(&mut self, src: ProcessId, msg: CtMsg, ctx: &mut Ctx<CtMsg>) {
-        self.flush_held(ctx);
+        self.tactics.release(ctx);
         match msg {
             CtMsg::Mpc(m) => {
                 let Some(engine) = self.engine.as_mut() else {
@@ -318,6 +263,7 @@ impl Process<CtMsg> for CheapTalkPlayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Deviation;
     use crate::scenario::{CheapTalk, Scenario};
     use mediator_circuits::catalog;
     use mediator_sim::SchedulerKind;
@@ -363,10 +309,7 @@ mod tests {
     #[test]
     fn opening_liar_is_corrected() {
         let n = 5;
-        let deviation = Behavior {
-            lie_in_opens: true,
-            ..Behavior::default()
-        };
+        let (_, deviation) = Deviation::named("lie").lie_in_opens().build();
         let out = majority(n, 1, 0, &[0, 0, 1, 0, 1])
             .deviant(2, deviation)
             .max_steps(4_000_000)
@@ -393,10 +336,7 @@ mod tests {
             .build()
             .expect("6 > 3");
         for seed in 0..5 {
-            let deviation = Behavior {
-                crash_after_sends: Some(40),
-                ..Behavior::default()
-            };
+            let (_, deviation) = Deviation::named("crash").crash_after(40).build();
             let out = plan
                 .clone()
                 .with_deviant(1, deviation)

@@ -27,18 +27,15 @@ use mediator_sim::{Action, Ctx, Process, ProcessId};
 pub struct Behavior {
     /// Never participate at all (crash at start).
     pub silent: bool,
-    /// Crash (stop sending) after this many messages.
-    pub crash_after_sends: Option<u64>,
     /// Substitute this input for the real one.
     pub input_override: Option<Vec<Fp>>,
-    /// Corrupt every opening/output point sent.
-    pub lie_in_opens: bool,
     /// Decode the action but never move (force wills/deadlock).
     pub refuse_to_move: bool,
     /// Write this will instead of the honest one.
     pub will_override: Option<Action>,
-    /// Message-level tactics (drop/delay/equivocate/silence/abort windows),
-    /// applied in the player's send path.
+    /// Message-level tactics (drop/delay/corrupt/equivocate/silence/abort
+    /// windows; crashing and lying in openings are two of them), applied in
+    /// the player's send path.
     pub tactics: Vec<Scheduled>,
 }
 

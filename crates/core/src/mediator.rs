@@ -19,6 +19,7 @@
 //! `extra_rounds` inserts content-free rounds for the Lemma 6.8
 //! message-count experiments.
 
+use crate::adversary::{Scheduled, TacticState};
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
 use mediator_sim::{Action, Ctx, Process, ProcessId};
@@ -198,13 +199,16 @@ impl CircuitMediator {
     }
 }
 
-/// Honest canonical-form player in the mediator game.
+/// Honest canonical-form player in the mediator game. Its sends go through
+/// a [`TacticState`], empty unless [`HonestMedPlayer::with_tactics`] gives
+/// it message-level deviations.
 pub struct HonestMedPlayer {
     /// The player's private input.
     pub input: Vec<Fp>,
     /// Will to leave at start (Aumann–Hart), if any.
     pub will: Option<Action>,
     mediator: ProcessId,
+    tactics: TacticState<MedMsg>,
 }
 
 impl HonestMedPlayer {
@@ -214,7 +218,20 @@ impl HonestMedPlayer {
             input,
             will,
             mediator: n,
+            tactics: TacticState::new(Vec::new()),
         }
+    }
+
+    /// The same player, sending through the tactic schedule `steps`.
+    pub fn with_tactics(mut self, steps: Vec<Scheduled>) -> Self {
+        self.tactics = TacticState::new(steps);
+        self
+    }
+
+    fn send_input(&mut self, round: u64, ctx: &mut Ctx<MedMsg>) {
+        let value = self.input.clone();
+        self.tactics
+            .send(self.mediator, MedMsg::Input { round, value }, ctx);
     }
 }
 
@@ -223,29 +240,16 @@ impl Process<MedMsg> for HonestMedPlayer {
         if let Some(w) = self.will {
             ctx.set_will(w);
         }
-        ctx.send(
-            self.mediator,
-            MedMsg::Input {
-                round: 0,
-                value: self.input.clone(),
-            },
-        );
+        self.send_input(0, ctx);
     }
 
     fn on_message(&mut self, src: ProcessId, msg: MedMsg, ctx: &mut Ctx<MedMsg>) {
+        self.tactics.release(ctx);
         if src != self.mediator {
             return; // honest players ignore non-mediator chatter
         }
         match msg {
-            MedMsg::Round { round, .. } => {
-                ctx.send(
-                    self.mediator,
-                    MedMsg::Input {
-                        round,
-                        value: self.input.clone(),
-                    },
-                );
-            }
+            MedMsg::Round { round, .. } => self.send_input(round, ctx),
             MedMsg::Stop { action } => {
                 ctx.make_move(action);
                 ctx.halt();

@@ -72,7 +72,7 @@ pub mod trace;
 pub mod world;
 
 pub use party_set::PartySet;
-pub use process::{Action, Ctx, OutgoingTamper, Process, ProcessId, Tamper, TamperVerdict};
+pub use process::{Action, Ctx, Process, ProcessId};
 pub use sansio::{
     route_batch, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines, Outgoing, Payload,
     RunOutputs, SansIo, SansIoProcess, View,

@@ -136,130 +136,6 @@ pub(crate) struct Effects<M> {
     pub halted: bool,
 }
 
-/// Verdict of an [`OutgoingTamper`] on one outgoing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TamperVerdict<M> {
-    /// Send the (possibly rewritten) message.
-    Deliver(M),
-    /// Drop the message silently (the recipient never learns it existed).
-    Drop,
-    /// Hold the message; it stays queued inside the [`Tamper`] wrapper
-    /// until [`OutgoingTamper::flush_held`] says to release it.
-    Hold(M),
-}
-
-/// A message-level tampering policy: the hook the adversary plane plugs
-/// into any [`Process`] via [`Tamper`].
-///
-/// Deviations in the paper's model are *strategies of the deviating
-/// players*, so tampering happens at the sender — the environment itself
-/// stays content-blind (§6.1). The policy sees every message the wrapped
-/// process emits, in emission order, and may rewrite, drop, or delay it;
-/// held messages are re-offered for release at each later activation
-/// (asynchrony makes any such delay indistinguishable from a slow link,
-/// which is exactly why delay-based deviations are legal strategies).
-pub trait OutgoingTamper<M> {
-    /// Decides the fate of one outgoing message (called in send order).
-    fn outgoing(&mut self, dst: ProcessId, msg: M) -> TamperVerdict<M>;
-
-    /// Whether messages held earlier should be released now. Consulted at
-    /// the start of every activation of the wrapped process.
-    fn flush_held(&mut self) -> bool {
-        false
-    }
-}
-
-/// Wraps a process and routes every message it emits through an
-/// [`OutgoingTamper`] — the generic message-tampering hook.
-///
-/// Moves, wills, and halts pass through untouched: tampering is about the
-/// *communication* strategy, not the game move (a deviation that changes
-/// the move is a different process, not a tamper).
-pub struct Tamper<M, P, T> {
-    inner: P,
-    tamper: T,
-    held: Vec<(ProcessId, M)>,
-    scratch: Vec<(ProcessId, M)>,
-}
-
-impl<M, P, T> Tamper<M, P, T>
-where
-    P: Process<M>,
-    T: OutgoingTamper<M>,
-{
-    /// Wraps `inner`, filtering its outgoing messages through `tamper`.
-    pub fn new(inner: P, tamper: T) -> Self {
-        Tamper {
-            inner,
-            tamper,
-            held: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Messages currently held back by the tamper policy.
-    pub fn held_len(&self) -> usize {
-        self.held.len()
-    }
-
-    fn activate(&mut self, ctx: &mut Ctx<M>, run: impl FnOnce(&mut P, &mut Ctx<M>)) {
-        if !self.held.is_empty() && self.tamper.flush_held() {
-            for (dst, msg) in self.held.drain(..) {
-                ctx.send(dst, msg);
-            }
-        }
-        // Run the inner process against a recycled effect collector (one
-        // growth curve per run, as with the world's own outboxes), then
-        // replay its effects through the tamper policy.
-        let mut inner_ctx = Ctx::new(
-            ctx.me,
-            ctx.step,
-            &mut *ctx.rng,
-            std::mem::take(&mut self.scratch),
-        );
-        run(&mut self.inner, &mut inner_ctx);
-        let mut effects = inner_ctx.finish();
-        for (dst, msg) in effects.outbox.drain(..) {
-            match self.tamper.outgoing(dst, msg) {
-                TamperVerdict::Deliver(m) => ctx.send(dst, m),
-                TamperVerdict::Drop => {}
-                TamperVerdict::Hold(m) => self.held.push((dst, m)),
-            }
-        }
-        self.scratch = effects.outbox;
-        if let Some(a) = effects.made_move {
-            ctx.make_move(a);
-        }
-        match effects.will {
-            Some((_, true)) => ctx.clear_will(),
-            Some((a, false)) => ctx.set_will(a),
-            None => {}
-        }
-        if effects.halted {
-            ctx.halt();
-        }
-    }
-}
-
-impl<M, P, T> Process<M> for Tamper<M, P, T>
-where
-    P: Process<M>,
-    T: OutgoingTamper<M>,
-{
-    fn on_start(&mut self, ctx: &mut Ctx<M>) {
-        self.activate(ctx, |p, c| p.on_start(c));
-    }
-
-    fn on_message(&mut self, src: ProcessId, msg: M, ctx: &mut Ctx<M>) {
-        self.activate(ctx, |p, c| p.on_message(src, msg, c));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,77 +161,6 @@ mod tests {
         ctx.make_move(5);
         ctx.make_move(9);
         assert_eq!(ctx.finish().made_move, Some(5));
-    }
-
-    struct Chatter;
-    impl Process<u8> for Chatter {
-        fn on_start(&mut self, ctx: &mut Ctx<u8>) {
-            ctx.send(1, 10);
-            ctx.send(2, 20);
-            ctx.set_will(4);
-        }
-        fn on_message(&mut self, _src: ProcessId, msg: u8, ctx: &mut Ctx<u8>) {
-            ctx.send(1, msg + 1);
-            ctx.make_move(9);
-            ctx.halt();
-        }
-    }
-
-    struct EvenDropper {
-        seen: u64,
-        flush_at: u64,
-    }
-    impl OutgoingTamper<u8> for EvenDropper {
-        fn outgoing(&mut self, dst: ProcessId, msg: u8) -> TamperVerdict<u8> {
-            self.seen += 1;
-            if dst == 2 {
-                TamperVerdict::Drop
-            } else if self.seen < self.flush_at {
-                TamperVerdict::Hold(msg)
-            } else {
-                TamperVerdict::Deliver(msg + 100)
-            }
-        }
-        fn flush_held(&mut self) -> bool {
-            self.seen >= self.flush_at
-        }
-    }
-
-    #[test]
-    fn tamper_rewrites_drops_and_holds() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut t = Tamper::new(
-            Chatter,
-            EvenDropper {
-                seen: 0,
-                flush_at: 3,
-            },
-        );
-        let mut ctx: Ctx<u8> = Ctx::new(0, 0, &mut rng, Vec::new());
-        t.on_start(&mut ctx);
-        let eff = ctx.finish();
-        // msg to 1 held (seen=1 < 3), msg to 2 dropped; will passes through.
-        assert!(eff.outbox.is_empty());
-        assert_eq!(eff.will, Some((4, false)));
-        assert_eq!(t.held_len(), 1);
-
-        // Next activation: seen reaches 3 on the new message, but the held
-        // flush happens at activation start (seen still 2 < 3): held stays.
-        let mut ctx: Ctx<u8> = Ctx::new(0, 1, &mut rng, Vec::new());
-        t.on_message(5, 7, &mut ctx);
-        let eff = ctx.finish();
-        // The new message (seen=3) is delivered rewritten; move/halt pass.
-        assert_eq!(eff.outbox, vec![(1, 108)]);
-        assert_eq!(eff.made_move, Some(9));
-        assert!(eff.halted);
-        assert_eq!(t.held_len(), 1);
-
-        // A further activation flushes the held original message first.
-        let mut ctx: Ctx<u8> = Ctx::new(0, 2, &mut rng, Vec::new());
-        t.on_message(5, 7, &mut ctx);
-        let eff = ctx.finish();
-        assert_eq!(eff.outbox[0], (1, 10), "held message released unrewritten");
-        assert_eq!(t.held_len(), 0);
     }
 
     #[test]

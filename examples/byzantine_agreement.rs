@@ -39,13 +39,7 @@ fn main() {
         .players(n)
         .tolerance(k, t)
         .inputs(inputs)
-        .deviant(
-            3,
-            Behavior {
-                lie_in_opens: true,
-                ..Behavior::default()
-            },
-        )
+        .deviant(3, Deviation::named("liar").lie_in_opens().build().1)
         .seed(7)
         .max_steps(4_000_000)
         .build()

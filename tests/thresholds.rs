@@ -47,24 +47,15 @@ fn theorem_4_1_exact_threshold_accepted_and_below_rejected() {
 }
 
 fn silent() -> Behavior {
-    Behavior {
-        silent: true,
-        ..Behavior::default()
-    }
+    Deviation::named("silent").silent().build().1
 }
 
 fn liar() -> Behavior {
-    Behavior {
-        lie_in_opens: true,
-        ..Behavior::default()
-    }
+    Deviation::named("liar").lie_in_opens().build().1
 }
 
 fn crash_after(sends: u64) -> Behavior {
-    Behavior {
-        crash_after_sends: Some(sends),
-        ..Behavior::default()
-    }
+    Deviation::named("crash").crash_after(sends).build().1
 }
 
 /// Cotermination: the honest players (everyone but `deviant`) all moved or
