@@ -1429,7 +1429,10 @@ mod tests {
     #[test]
     fn crash_and_lie_switches_are_tactic_shortcuts() {
         let (_, b) = Deviation::named("c").crash_after(40).build();
-        assert_eq!(b.tactics, Deviation::named("a").abort_at(40).build().1.tactics);
+        assert_eq!(
+            b.tactics,
+            Deviation::named("a").abort_at(40).build().1.tactics
+        );
         let (_, b) = Deviation::named("l").lie_in_opens().build();
         assert_eq!(
             b.tactics,

@@ -12,9 +12,9 @@
 //!
 //! [`Session`]: mediator_sim::Session
 
-use crate::frame::{Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN};
+use crate::frame::{is_msg, Frame, NetError, OutcomeSummary, SessionId, PREFIX_LEN};
 use crate::transport::{ConnPair, FrameBuf, FrameRx, FrameTx, MemTransport, TcpTransport};
-use crate::wire::{CodecError, Reader, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};
+use crate::wire::Wire;
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 
@@ -114,69 +114,78 @@ impl<M: Wire + 'static> Client<M> {
 /// client-side thread count stays O(1) while the service hosts thousands
 /// of concurrent sessions.
 pub fn bulk_relay<R: Read, W: Write>(
+    rx: R,
+    tx: W,
+    attaches: &[(SessionId, usize)],
+    expected: usize,
+) -> Result<Vec<(SessionId, OutcomeSummary)>, NetError> {
+    let mut outcomes: Vec<(SessionId, OutcomeSummary)> = Vec::with_capacity(expected);
+    // `Msg` frames pass as bytes, so no message is ever decoded: `u64`
+    // stands in for the message type, as on the shard plane.
+    relay_loop::<u64, _, _>(rx, tx, attaches, expected, |frame, out| match frame {
+        // The network leg: bounce the frame back, bytes and all.
+        Relayed::Msg(framed) => {
+            out.extend_from_slice(framed);
+            Ok(false)
+        }
+        Relayed::Control(Frame::Outcome { session, summary }) => {
+            outcomes.push((session, summary));
+            Ok(true)
+        }
+        Relayed::Control(Frame::Reject { session, reason }) => {
+            Err(NetError::Rejected { session, reason })
+        }
+        Relayed::Control(Frame::Abort { session }) => Err(NetError::Aborted { session }),
+        // `Attach` never travels service → client, and shard lease frames
+        // never reach a session relay; tolerate both, as `Client::relay`
+        // does.
+        Relayed::Control(_) => Ok(false),
+    })?;
+    Ok(outcomes)
+}
+
+/// One inbound frame as [`relay_loop`] hands it to its hook: a `Msg` in
+/// its wire bytes, length prefix included (echoing one never needs its
+/// content), or a decoded control frame.
+pub(crate) enum Relayed<'a, M> {
+    /// A `Msg` frame as it travelled.
+    Msg(&'a [u8]),
+    /// Any other frame, decoded.
+    Control(Frame<M>),
+}
+
+/// The one relay loop behind [`bulk_relay`] and the tamper battery's
+/// relay: attaches every `(session, player)`, then hands each inbound
+/// frame to `hook`, which appends what to echo to the out-buffer and says
+/// whether the frame resolved a session. Returns once `expected` sessions
+/// have resolved.
+pub(crate) fn relay_loop<M: Wire, R: Read, W: Write>(
     mut rx: R,
     mut tx: W,
     attaches: &[(SessionId, usize)],
     expected: usize,
-) -> Result<Vec<(SessionId, OutcomeSummary)>, NetError> {
-    // Hand-encoded Attach frames: body = version, tag 0, session, player.
+    mut hook: impl FnMut(Relayed<'_, M>, &mut Vec<u8>) -> Result<bool, NetError>,
+) -> Result<(), NetError> {
     let mut wbuf: Vec<u8> = Vec::with_capacity(64 * 1024);
     for &(session, player) in attaches {
-        let start = wbuf.len();
-        wbuf.extend_from_slice(&[0u8; 4]);
-        wbuf.push(WIRE_VERSION);
-        wbuf.push(0);
-        session.encode(&mut wbuf);
-        player.encode(&mut wbuf);
-        let len = (wbuf.len() - start - 4) as u32;
-        wbuf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        Frame::<M>::Attach { session, player }.encode_framed(&mut wbuf);
     }
     tx.write_all(&wbuf)?;
     tx.flush()?;
     wbuf.clear();
 
-    let mut outcomes: Vec<(SessionId, OutcomeSummary)> = Vec::with_capacity(expected);
+    let mut resolved = 0;
     let mut inbound = FrameBuf::new();
     loop {
         inbound.read_from(&mut rx)?;
-
-        // Every complete frame of the burst; echo `Msg` frames untouched.
         while let Some(framed) = inbound.next_frame()? {
             let body = &framed[PREFIX_LEN..];
-            if body.len() < 2 {
-                return Err(CodecError::Truncated.into());
-            }
-            // Both layouts keep the kind tag at byte 1: the relay stays
-            // content-blind whether or not frames carry MAC trailers.
-            if body[0] != WIRE_VERSION && body[0] != WIRE_VERSION_AUTH {
-                return Err(CodecError::UnknownVersion(body[0]).into());
-            }
-            match body[1] {
-                // The network leg: bounce the frame back, bytes and all.
-                1 => wbuf.extend_from_slice(framed),
-                2 => {
-                    let mut r = Reader::new(&body[2..]);
-                    let session = u64::decode(&mut r)?;
-                    let summary = OutcomeSummary::decode(&mut r)?;
-                    r.finish()?;
-                    outcomes.push((session, summary));
-                }
-                3 => {
-                    let mut r = Reader::new(&body[2..]);
-                    let session = u64::decode(&mut r)?;
-                    let reason = RejectReason::decode(&mut r)?;
-                    r.finish()?;
-                    return Err(NetError::Rejected { session, reason });
-                }
-                4 => {
-                    let mut r = Reader::new(&body[2..]);
-                    let session = u64::decode(&mut r)?;
-                    r.finish()?;
-                    return Err(NetError::Aborted { session });
-                }
-                0 => {} // `Attach` never travels service → client; tolerate it.
-                tag => return Err(CodecError::UnknownTag { what: "Frame", tag }.into()),
-            }
+            let frame = if is_msg(body) {
+                Relayed::Msg(framed)
+            } else {
+                Relayed::Control(Frame::decode_body(body)?)
+            };
+            resolved += usize::from(hook(frame, &mut wbuf)?);
         }
         if !wbuf.is_empty() {
             // One write + flush per read burst: echo batching is most of
@@ -185,8 +194,8 @@ pub fn bulk_relay<R: Read, W: Write>(
             tx.flush()?;
             wbuf.clear();
         }
-        if outcomes.len() >= expected {
-            return Ok(outcomes);
+        if resolved >= expected {
+            return Ok(());
         }
     }
 }

@@ -488,6 +488,20 @@ pub(crate) fn seal_in_place(body: &mut [u8], key: &PairKey) -> [u8; 8] {
 /// stands in for it.
 pub const SHARD_COORD: usize = usize::MAX;
 
+/// Whether a frame body is a `Msg`, under either wire version: the one
+/// question a relay asks before echoing a frame's bytes unread. Both
+/// layouts keep the kind at byte 1, so a relay stays content-blind whether
+/// or not frames carry MAC trailers.
+pub(crate) fn is_msg(body: &[u8]) -> bool {
+    matches!(body, [WIRE_VERSION | WIRE_VERSION_AUTH, 1, ..])
+}
+
+/// The session id of a `Msg` body ([`is_msg`]), read without decoding the
+/// rest: it sits at byte 2 in both wire versions.
+pub(crate) fn msg_session(body: &[u8]) -> Result<SessionId, CodecError> {
+    Ok(Reader::new(&body[2..]).varint()?)
+}
+
 /// Extracts the session id from an authenticated `Msg` body without fully
 /// decoding it — the scoping probe for damaged frames. A truncated
 /// authenticated frame usually still has its intact header (version, kind,
@@ -495,11 +509,10 @@ pub const SHARD_COORD: usize = usize::MAX;
 /// typed [`NetError::AuthFailure`] instead of killing the connection and
 /// every honest session multiplexed on it.
 pub(crate) fn peek_auth_session(body: &[u8]) -> Option<SessionId> {
-    if body.len() < 3 || body[0] != WIRE_VERSION_AUTH || body[1] != 1 {
+    if body.first() != Some(&WIRE_VERSION_AUTH) || !is_msg(body) {
         return None;
     }
-    let mut r = Reader::new(&body[2..]);
-    r.varint().ok()
+    msg_session(body).ok()
 }
 
 /// Every way the transport plane can fail, as one typed error. `PartialEq`

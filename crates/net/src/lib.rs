@@ -33,11 +33,13 @@
 //!   with sequence numbers for replay protection and downgrade rejection.
 //!   Enable via [`ServiceConfig::auth`]; tampering surfaces as the typed
 //!   [`NetError::AuthFailure`] and aborts only the tampered session.
-//! * [`tamper`] — the Byzantine-relay battery: its relay mirrors the
-//!   content-blind [`bulk_relay`] but applies wire-level tactics
-//!   (rewrite / replay / redirect / truncate / reorder / drop / delay /
-//!   strip) over frame-counter windows — the adversary plane's combinator
-//!   style pointed at the transport (DESIGN.md §10).
+//! * [`tamper`] — the Byzantine-relay battery: its relay is the
+//!   content-blind [`bulk_relay`] loop with wire-level tactics (rewrite /
+//!   replay / redirect / truncate / reorder / drop / delay / strip) over
+//!   frame-counter windows as its hook for the target session's frames —
+//!   the adversary plane's combinator style pointed at the transport
+//!   (DESIGN.md §10). Reordering is the relay's job alone: the service
+//!   delivers in arrival order.
 //! * [`service`] also holds the plan entries: [`Service::host_plan`] hosts
 //!   any scenario plan's `(scheduler, seed)` cell — the networked
 //!   `.session_with(…)` — and [`run_over_tcp`] / [`run_over_mem`] do the
@@ -104,9 +106,7 @@ pub use client::{bulk_relay, Client};
 pub use frame::{Frame, NetError, OutcomeSummary, RejectReason, MAX_FRAME_LEN, SHARD_COORD};
 pub use frontier::{run_frontier_sharded, FrontierShardLog};
 pub use readiness::TryRead;
-pub use service::{
-    run_over_mem, run_over_tcp, DeliveryOrder, Service, ServiceConfig, SessionHandle,
-};
+pub use service::{run_over_mem, run_over_tcp, Service, ServiceConfig, SessionHandle};
 // Re-exported so sink-wiring callers need not name `mediator_sim` at all.
 pub use mediator_sim::{RunMeta, TraceSink};
 pub use shard::{coordinate, run_worker, worker_mem, ShardConfig, ShardFrame, ShardedSweep};

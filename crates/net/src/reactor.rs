@@ -45,12 +45,10 @@ use crate::frame::{
 use crate::readiness::{
     ConnIo, Event, Interest, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN,
 };
-use crate::service::{broadcast, ship, DeliveryOrder, FlightState, Inbound, ServiceConfig};
+use crate::service::{broadcast, ship, FlightState, Inbound, ServiceConfig};
 use crate::transport::{FrameBuf, READ_CHUNK};
 use crate::wire::Wire;
 use mediator_sim::{Outcome, RunMeta, Session, SessionStatus, TraceSink};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::mpsc::{Receiver, Sender};
@@ -85,8 +83,6 @@ struct SessionSm<M: Wire + Send> {
     routes: Vec<Option<Route>>,
     session: Option<Session<M>>,
     flight: FlightState<M>,
-    depth: usize,
-    rng: Option<StdRng>,
     /// While the attach barrier is up, which world processes have a
     /// relay; `None` once the pump loop proper runs.
     attaching: Option<Vec<bool>>,
@@ -109,12 +105,6 @@ impl<M: Wire + Send> SessionSm<M> {
         result: Sender<Result<Outcome, NetError>>,
         cfg: &ServiceConfig,
     ) -> Self {
-        let (depth, rng) = match cfg.delivery {
-            DeliveryOrder::Arrival => (0usize, None),
-            DeliveryOrder::Shuffled { seed, depth } => {
-                (depth, Some(StdRng::seed_from_u64(seed ^ sid)))
-            }
-        };
         SessionSm {
             sid,
             expected,
@@ -122,8 +112,6 @@ impl<M: Wire + Send> SessionSm<M> {
             routes: vec![None; expected],
             session: Some(session),
             flight: FlightState::new(sid, expected, cfg.auth),
-            depth,
-            rng,
             attaching: Some(vec![false; expected]),
             result,
             sink: cfg.sink.clone(),
@@ -231,13 +219,8 @@ impl<M: Wire + Send> SessionSm<M> {
                 }
                 continue;
             }
-            // 3. Deliver one held frame — immediately under Arrival order,
-            //    through the shuffle buffer otherwise (force-drained once
-            //    nothing is left in flight, so the policy is always live).
-            if !self.flight.held.is_empty()
-                && (self.flight.held.len() > self.depth || self.flight.in_flight == 0)
-            {
-                let env = self.flight.release(self.rng.as_mut());
+            // 3. Deliver the oldest held frame: arrival order.
+            if let Some(env) = self.flight.held.pop_front() {
                 if session.inject(env.src, env.dst, env.msg).progressed()
                     && session.step().is_done()
                 {
@@ -248,7 +231,6 @@ impl<M: Wire + Send> SessionSm<M> {
             // 4. Quiescence: plane drained, buffer empty, wire empty — the
             //    session's own verdict is now trustworthy.
             if self.flight.in_flight == 0 {
-                debug_assert!(self.flight.held.is_empty());
                 return Some(match session.step() {
                     SessionStatus::Done(_) => Ok(self.finish_now()),
                     SessionStatus::Running => unreachable!("empty plane must terminate"),

@@ -21,8 +21,8 @@
 //! drained off the plane, shipped to the relay connection attached for its
 //! destination, and re-injected when the wire hands it back — so delivery
 //! order is whatever order the network returns frames in (TCP interleaving
-//! across connections, the reactor's dispatch order, or the service's own
-//! [`DeliveryOrder::Shuffled`] buffer). That is *exactly* an adversarial
+//! across connections, the reactor's dispatch order, a relay that
+//! reorders). That is *exactly* an adversarial
 //! scheduler in the paper's §2 model: a message-pattern-visible adversary
 //! choosing delivery order, constrained to eventual delivery. The paper's
 //! theorems therefore transfer: a networked run yields the same outcome
@@ -53,32 +53,11 @@ use crate::wire::Wire;
 use mediator_core::scenario::{GameFamily, Plan};
 use mediator_sim::SchedulerKind;
 use mediator_sim::{Envelope, Outcome, RunMeta, Session, TraceSink};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// How a session pump turns frame arrivals into deliveries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryOrder {
-    /// Deliver in arrival order (the network's own interleaving — already
-    /// a nondeterministic schedule across connections).
-    Arrival,
-    /// Hold up to `depth` arrived frames and release them in seeded-random
-    /// order — the paper's adversarial scheduler made literal, layered on
-    /// top of whatever reordering the transport itself produced. Always
-    /// live: the buffer force-drains whenever nothing is left in flight.
-    Shuffled {
-        /// RNG seed (XORed with the session id, so concurrent sessions
-        /// shuffle independently).
-        seed: u64,
-        /// Maximum frames held back at once.
-        depth: usize,
-    },
-}
 
 /// Tunables for a [`Service`].
 #[derive(Clone)]
@@ -92,8 +71,6 @@ pub struct ServiceConfig {
     /// before rejecting (smooths the host/connect race; wakeup-driven,
     /// so a host arriving mid-grace attaches immediately).
     pub attach_grace: Duration,
-    /// The pump's delivery policy.
-    pub delivery: DeliveryOrder,
     /// When set, every shipped `Msg` frame is sealed with a per-pair MAC
     /// under this master key and verified on return (see the `auth`
     /// module): tampered, replayed, stripped, or truncated frames abort
@@ -109,8 +86,7 @@ pub struct ServiceConfig {
     /// routing metadata only.
     ///
     /// A recording replays (`replay_plan`) only when the wire kept each
-    /// `(src, dst)` pair's frames in order: [`DeliveryOrder::Arrival`]
-    /// with honest relays. Under [`DeliveryOrder::Shuffled`], or through a
+    /// `(src, dst)` pair's frames in order, as honest relays do. Through a
     /// relay that reorders, the trace cannot say which of a pair's
     /// emissions came back first, and replay reports a `Divergence`
     /// (DESIGN.md §11).
@@ -123,7 +99,6 @@ impl std::fmt::Debug for ServiceConfig {
             .field("idle_timeout", &self.idle_timeout)
             .field("attach_timeout", &self.attach_timeout)
             .field("attach_grace", &self.attach_grace)
-            .field("delivery", &self.delivery)
             .field("auth", &self.auth)
             .field("sink", &self.sink.as_ref().map(|_| "dyn TraceSink"))
             .finish()
@@ -136,7 +111,6 @@ impl Default for ServiceConfig {
             idle_timeout: Duration::from_secs(30),
             attach_timeout: Duration::from_secs(30),
             attach_grace: Duration::from_secs(5),
-            delivery: DeliveryOrder::Arrival,
             auth: None,
             sink: None,
         }
@@ -518,18 +492,6 @@ impl<M> FlightState<M> {
             Inbound::PeerGone { player } => self.gone.push(player),
             Inbound::Tampered { conn, kind } => self.flag(conn, kind),
         }
-    }
-
-    /// Takes the next held frame to deliver: the oldest under arrival
-    /// order (O(1) however deep a burst made the buffer), a seeded-random
-    /// index under the shuffle policy — the survivors keep their order, so
-    /// a seed picks the same frames it always did.
-    pub(crate) fn release(&mut self, rng: Option<&mut StdRng>) -> Envelope<M> {
-        match rng {
-            Some(r) => self.held.remove(r.gen_range(0..self.held.len())),
-            None => self.held.pop_front(),
-        }
-        .expect("release is only called on a non-empty buffer")
     }
 
     /// A vanished relay whose player still owes shipped frames, if any.

@@ -32,10 +32,14 @@
 //! [`ServiceConfig::auth`]: crate::ServiceConfig
 //! [`Window`]: mediator_core::adversary::Window
 
-use crate::frame::{Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN};
+use crate::client::{relay_loop, Relayed};
+use crate::frame::{
+    msg_session, Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN,
+};
+use crate::readiness::NbListener;
 use crate::service::{Service, ServiceConfig};
-use crate::transport::{FrameBuf, MemTransport, TcpTransport};
-use crate::wire::{CodecError, Reader, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};
+use crate::transport::{MemTransport, TcpTransport};
+use crate::wire::Wire;
 use mediator_core::adversary::{TamperableMsg, Window};
 use mediator_core::scenario::{GameFamily, Plan};
 use mediator_sim::{Outcome, SchedulerKind};
@@ -134,15 +138,16 @@ pub struct TamperReport {
     pub tampered: u64,
 }
 
-/// A multi-session relay that misbehaves: attaches every `(session,
-/// player)` pair, echoes frames like `bulk_relay`, but runs `plan`'s
-/// tactics against the target session's frames. Returns once `expected`
-/// sessions have resolved (outcome *or* abort — a tampered session's
-/// abort is a resolution here, not an error, because observing the
-/// paired fates is the battery's job).
+/// A multi-session relay that misbehaves: the [`bulk_relay`] loop, with
+/// `plan`'s tactics as its hook for the target session's `Msg` frames.
+/// Returns once `expected` sessions have resolved (outcome *or* abort — a
+/// tampered session's abort is a resolution here, not an error, because
+/// observing the paired fates is the battery's job).
+///
+/// [`bulk_relay`]: crate::bulk_relay
 fn tamper_relay<M, R, W>(
-    mut rx: R,
-    mut tx: W,
+    rx: R,
+    tx: W,
     attaches: &[(SessionId, usize)],
     expected: usize,
     plan: &TamperPlan,
@@ -159,22 +164,6 @@ where
         .map(|&(_, p)| p + 1)
         .max()
         .unwrap_or(1);
-
-    let mut wbuf: Vec<u8> = Vec::with_capacity(64 * 1024);
-    for &(session, player) in attaches {
-        let start = wbuf.len();
-        wbuf.extend_from_slice(&[0u8; 4]);
-        wbuf.push(WIRE_VERSION);
-        wbuf.push(0);
-        session.encode(&mut wbuf);
-        player.encode(&mut wbuf);
-        let len = (wbuf.len() - start - 4) as u32;
-        wbuf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    }
-    tx.write_all(&wbuf)?;
-    tx.flush()?;
-    wbuf.clear();
-
     let mut report = TamperReport {
         outcomes: Vec::new(),
         aborted: Vec::new(),
@@ -187,189 +176,116 @@ where
     let mut delayed: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut reorder: Vec<Vec<u8>> = Vec::new();
 
-    let mut inbound = FrameBuf::new();
-    loop {
-        inbound.read_from(&mut rx)?;
-
-        while let Some(framed) = inbound.next_frame()? {
-            let body = &framed[PREFIX_LEN..];
-            if body.len() < 2 {
-                return Err(CodecError::Truncated.into());
+    relay_loop::<M, _, _>(rx, tx, attaches, expected, |frame, out| {
+        let framed = match frame {
+            Relayed::Msg(framed) => framed,
+            Relayed::Control(control) => {
+                let session = match control {
+                    Frame::Outcome { session, summary } => {
+                        report.outcomes.push((session, summary));
+                        session
+                    }
+                    Frame::Abort { session } => {
+                        report.aborted.push(session);
+                        session
+                    }
+                    Frame::Reject { session, reason } => {
+                        report.rejections.push((session, reason));
+                        return Ok(false);
+                    }
+                    _ => return Ok(false),
+                };
+                if session == plan.target {
+                    delayed.clear();
+                    reorder.clear();
+                }
+                return Ok(resolved.insert(session));
             }
-            if body[0] != WIRE_VERSION && body[0] != WIRE_VERSION_AUTH {
-                return Err(CodecError::UnknownVersion(body[0]).into());
-            }
-            match body[1] {
-                1 => {
-                    // Session id sits at byte 2 in both wire versions.
-                    let session = Reader::new(&body[2..]).varint()?;
-                    if session != plan.target {
-                        wbuf.extend_from_slice(framed);
-                    } else {
-                        let i = counter;
-                        counter += 1;
-                        let tactic = plan
-                            .tactics
-                            .iter()
-                            .find(|(w, _)| w.contains(i))
-                            .map(|&(_, t)| t);
-                        // A non-reorder frame flushes any reorder buffer
-                        // first (the window closed), reversed.
-                        if !matches!(tactic, Some(WireTactic::Reorder { .. })) {
-                            for held in reorder.drain(..).rev() {
-                                wbuf.extend_from_slice(&held);
-                            }
-                        }
-                        match tactic {
-                            None => wbuf.extend_from_slice(framed),
-                            Some(WireTactic::Drop) => report.tampered += 1,
-                            Some(WireTactic::Delay { release_at }) => {
-                                report.tampered += 1;
-                                delayed.push((release_at, framed.to_vec()));
-                            }
-                            Some(WireTactic::Reorder { depth }) => {
-                                report.tampered += 1;
-                                reorder.push(framed.to_vec());
-                                if reorder.len() >= depth {
-                                    for held in reorder.drain(..).rev() {
-                                        wbuf.extend_from_slice(&held);
-                                    }
-                                }
-                            }
-                            Some(WireTactic::Replay) => {
-                                report.tampered += 1;
-                                wbuf.extend_from_slice(framed);
-                                wbuf.extend_from_slice(framed);
-                            }
-                            Some(WireTactic::Rewrite { offset }) => {
-                                report.tampered += 1;
-                                let frame = Frame::<M>::decode_body(body)?;
-                                if let Frame::Msg {
-                                    session,
-                                    src,
-                                    dst,
-                                    msg,
-                                    auth,
-                                } = frame
-                                {
-                                    Frame::Msg {
-                                        session,
-                                        src,
-                                        dst,
-                                        msg: msg.corrupt(offset),
-                                        auth,
-                                    }
-                                    .encode_framed(&mut wbuf);
-                                }
-                            }
-                            Some(WireTactic::Redirect) => {
-                                report.tampered += 1;
-                                let frame = Frame::<M>::decode_body(body)?;
-                                if let Frame::Msg {
-                                    session,
-                                    src,
-                                    dst,
-                                    msg,
-                                    auth,
-                                } = frame
-                                {
-                                    Frame::Msg {
-                                        session,
-                                        src,
-                                        dst: (dst + 1) % players,
-                                        msg,
-                                        auth,
-                                    }
-                                    .encode_framed(&mut wbuf);
-                                }
-                            }
-                            Some(WireTactic::Truncate { cut }) => {
-                                report.tampered += 1;
-                                let keep = body.len().saturating_sub(cut).max(2);
-                                let start = wbuf.len();
-                                wbuf.extend_from_slice(&(keep as u32).to_le_bytes());
-                                wbuf.extend_from_slice(&body[..keep]);
-                                debug_assert_eq!(wbuf.len() - start, 4 + keep);
-                            }
-                            Some(WireTactic::Strip) => {
-                                report.tampered += 1;
-                                let frame = Frame::<M>::decode_body(body)?;
-                                if let Frame::Msg {
-                                    session,
-                                    src,
-                                    dst,
-                                    msg,
-                                    ..
-                                } = frame
-                                {
-                                    Frame::Msg {
-                                        session,
-                                        src,
-                                        dst,
-                                        msg,
-                                        auth: None,
-                                    }
-                                    .encode_framed(&mut wbuf);
-                                }
-                            }
-                        }
-                        // Free any delayed frames whose release index has
-                        // arrived.
-                        let due = counter;
-                        let mut j = 0;
-                        while j < delayed.len() {
-                            if delayed[j].0 <= due {
-                                let (_, bytes) = delayed.swap_remove(j);
-                                wbuf.extend_from_slice(&bytes);
-                            } else {
-                                j += 1;
-                            }
-                        }
-                    }
-                }
-                2 => {
-                    let mut r = Reader::new(&body[2..]);
-                    let session = u64::decode(&mut r)?;
-                    let summary = OutcomeSummary::decode(&mut r)?;
-                    r.finish()?;
-                    report.outcomes.push((session, summary));
-                    resolved.insert(session);
-                    if session == plan.target {
-                        delayed.clear();
-                        reorder.clear();
-                    }
-                }
-                3 => {
-                    let mut r = Reader::new(&body[2..]);
-                    let session = u64::decode(&mut r)?;
-                    let reason = RejectReason::decode(&mut r)?;
-                    r.finish()?;
-                    report.rejections.push((session, reason));
-                }
-                4 => {
-                    let mut r = Reader::new(&body[2..]);
-                    let session = u64::decode(&mut r)?;
-                    r.finish()?;
-                    report.aborted.push(session);
-                    resolved.insert(session);
-                    if session == plan.target {
-                        delayed.clear();
-                        reorder.clear();
-                    }
-                }
-                0 => {}
-                tag => return Err(CodecError::UnknownTag { what: "Frame", tag }.into()),
+        };
+        let body = &framed[PREFIX_LEN..];
+        if msg_session(body)? != plan.target {
+            out.extend_from_slice(framed);
+            return Ok(false);
+        }
+        let i = counter;
+        counter += 1;
+        let tactic = plan
+            .tactics
+            .iter()
+            .find(|(w, _)| w.contains(i))
+            .map(|&(_, t)| t);
+        // A non-reorder frame flushes any reorder buffer first (the
+        // window closed), reversed.
+        if !matches!(tactic, Some(WireTactic::Reorder { .. })) {
+            for held in reorder.drain(..).rev() {
+                out.extend_from_slice(&held);
             }
         }
-        if !wbuf.is_empty() {
-            tx.write_all(&wbuf)?;
-            tx.flush()?;
-            wbuf.clear();
+        if tactic.is_some() {
+            report.tampered += 1;
         }
-        if resolved.len() >= expected {
-            return Ok(report);
+        match tactic {
+            None => out.extend_from_slice(framed),
+            Some(WireTactic::Drop) => {}
+            Some(WireTactic::Delay { release_at }) => delayed.push((release_at, framed.to_vec())),
+            Some(WireTactic::Reorder { depth }) => {
+                reorder.push(framed.to_vec());
+                if reorder.len() >= depth {
+                    for held in reorder.drain(..).rev() {
+                        out.extend_from_slice(&held);
+                    }
+                }
+            }
+            Some(WireTactic::Replay) => {
+                out.extend_from_slice(framed);
+                out.extend_from_slice(framed);
+            }
+            Some(WireTactic::Truncate { cut }) => {
+                let keep = body.len().saturating_sub(cut).max(2);
+                out.extend_from_slice(&(keep as u32).to_le_bytes());
+                out.extend_from_slice(&body[..keep]);
+            }
+            // The content lies: decode, edit one field, re-encode.
+            Some(
+                edit @ (WireTactic::Rewrite { .. } | WireTactic::Redirect | WireTactic::Strip),
+            ) => {
+                if let Frame::Msg {
+                    session,
+                    src,
+                    mut dst,
+                    mut msg,
+                    mut auth,
+                } = Frame::<M>::decode_body(body)?
+                {
+                    match edit {
+                        WireTactic::Rewrite { offset } => msg = msg.corrupt(offset),
+                        WireTactic::Redirect => dst = (dst + 1) % players,
+                        _ => auth = None,
+                    }
+                    Frame::Msg {
+                        session,
+                        src,
+                        dst,
+                        msg,
+                        auth,
+                    }
+                    .encode_framed(out);
+                }
+            }
         }
-    }
+        // Free any delayed frames whose release index has arrived.
+        let mut j = 0;
+        while j < delayed.len() {
+            if delayed[j].0 <= counter {
+                let (_, bytes) = delayed.swap_remove(j);
+                out.extend_from_slice(&bytes);
+            } else {
+                j += 1;
+            }
+        }
+        Ok(false)
+    })?;
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -433,43 +349,38 @@ where
         service.host(sid, n, move || plan.session_with(&k, seed))
     };
 
-    match transport {
-        TransportKind::Mem => {
-            let hub = MemTransport::new();
-            let service = Service::with_config(Box::new(hub.listener()), cfg);
-            let target = host(&service, TARGET_SID);
-            let honest = host(&service, HONEST_SID);
-            let (tx, rx) = hub.connect_raw();
-            let relay = std::thread::spawn(move || {
-                tamper_relay::<F::Msg, _, _>(rx, tx, &attaches, 2, &tamper)
-            });
-            let pair = TamperedPair {
-                target: target.outcome(),
-                honest: honest.outcome(),
-                relay: relay.join().expect("tamper relay panicked"),
-            };
-            service.shutdown();
-            pair
-        }
-        TransportKind::Tcp => {
-            let listener = TcpTransport::bind_loopback().expect("bind loopback");
-            let addr = listener.addr();
-            let service = Service::with_config(Box::new(listener), cfg);
-            let target = host(&service, TARGET_SID);
-            let honest = host(&service, HONEST_SID);
-            let relay = std::thread::spawn(move || {
+    let hub = MemTransport::new();
+    let tcp = match transport {
+        TransportKind::Mem => None,
+        TransportKind::Tcp => Some(TcpTransport::bind_loopback().expect("bind loopback")),
+    };
+    let addr = tcp.as_ref().map(TcpTransport::addr);
+    let listener: Box<dyn NbListener> = match tcp {
+        Some(listener) => Box::new(listener),
+        None => Box::new(hub.listener()),
+    };
+    let service = Service::with_config(listener, cfg);
+    let target = host(&service, TARGET_SID);
+    let honest = host(&service, HONEST_SID);
+    let relay = std::thread::spawn(move || {
+        let (rx, tx): (Box<dyn Read>, Box<dyn Write>) = match addr {
+            None => {
+                let (tx, rx) = hub.connect_raw();
+                (Box::new(rx), Box::new(tx))
+            }
+            Some(addr) => {
                 let sock = std::net::TcpStream::connect(addr)?;
                 sock.set_nodelay(true).ok();
-                let rx = sock.try_clone()?;
-                tamper_relay::<F::Msg, _, _>(rx, sock, &attaches, 2, &tamper)
-            });
-            let pair = TamperedPair {
-                target: target.outcome(),
-                honest: honest.outcome(),
-                relay: relay.join().expect("tamper relay panicked"),
-            };
-            service.shutdown();
-            pair
-        }
-    }
+                (Box::new(sock.try_clone()?), Box::new(sock))
+            }
+        };
+        tamper_relay::<F::Msg, _, _>(rx, tx, &attaches, 2, &tamper)
+    });
+    let pair = TamperedPair {
+        target: target.outcome(),
+        honest: honest.outcome(),
+        relay: relay.join().expect("tamper relay panicked"),
+    };
+    service.shutdown();
+    pair
 }

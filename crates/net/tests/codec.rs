@@ -873,7 +873,7 @@ fn replayed_frame_aborts_the_session_with_the_typed_owner_on_both_backends() {
     // the typed `Replayed` owner on both transports.
     use mediator_circuits::catalog;
     use mediator_core::scenario::Scenario;
-    use mediator_net::{Client, DeliveryOrder, Service, ServiceConfig};
+    use mediator_net::{Client, Service, ServiceConfig};
     use mediator_sim::SchedulerKind;
 
     let n = 5;
@@ -887,7 +887,6 @@ fn replayed_frame_aborts_the_session_with_the_typed_owner_on_both_backends() {
         idle_timeout: std::time::Duration::from_secs(5),
         attach_timeout: std::time::Duration::from_secs(10),
         attach_grace: std::time::Duration::from_millis(100),
-        delivery: DeliveryOrder::Arrival,
         ..ServiceConfig::default()
     }
     .with_auth(AuthKey::from_seed(0xabad1dea));

@@ -16,8 +16,8 @@ use mediator_core::cheap_talk::CtMsg;
 use mediator_core::scenario::{CheapTalkPlan, Scenario};
 use mediator_field::Fp;
 use mediator_net::{
-    Client, DeliveryOrder, Frame, MemTransport, NetError, RejectReason, Service, ServiceConfig,
-    SessionHandle, TcpTransport, Wire, WIRE_VERSION,
+    Client, Frame, MemTransport, NetError, RejectReason, Service, ServiceConfig, SessionHandle,
+    TcpTransport, Wire, WIRE_VERSION,
 };
 use mediator_sim::{Outcome, SchedulerKind, TerminationKind};
 use std::time::Duration;
@@ -62,7 +62,6 @@ fn quick_cfg() -> ServiceConfig {
         idle_timeout: Duration::from_secs(5),
         attach_timeout: Duration::from_millis(400),
         attach_grace: Duration::from_millis(100),
-        delivery: DeliveryOrder::Arrival,
         ..ServiceConfig::default()
     }
 }

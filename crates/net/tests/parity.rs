@@ -16,8 +16,8 @@ use mediator_core::mediator::MedMsg;
 use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario};
 use mediator_field::Fp;
 use mediator_net::{
-    run_over_mem, run_over_tcp, Client, DeliveryOrder, Frame, MemTransport, NetError, RejectReason,
-    Service, ServiceConfig,
+    run_over_mem, run_over_tcp, Client, Frame, MemTransport, NetError, RejectReason, Service,
+    ServiceConfig,
 };
 use mediator_sim::{Ctx, Outcome, Process, SchedulerKind, Session, TerminationKind, World};
 use std::sync::mpsc;
@@ -85,24 +85,6 @@ fn cheap_talk_over_tcp_matches_in_process_outcome_kinds() {
             .expect("tcp loopback run completes");
         assert_outcome_parity(&local, &networked, n, &format!("tcp seed {seed}"));
     }
-}
-
-#[test]
-fn shuffled_delivery_is_just_another_scheduler() {
-    // The service's own reorder buffer on top of the transport's raced
-    // arrivals: still a valid delivery order, still the same outcome.
-    let n = 5;
-    let plan = majority_plan(n);
-    let local = plan.run_with(&SchedulerKind::Random, 4);
-    let cfg = ServiceConfig {
-        delivery: DeliveryOrder::Shuffled {
-            seed: 0xC0FFEE,
-            depth: 8,
-        },
-        ..ServiceConfig::default()
-    };
-    let networked = run_over_mem(&plan, &SchedulerKind::Random, 4, cfg).expect("shuffled run");
-    assert_outcome_parity(&local, &networked, n, "shuffled");
 }
 
 #[test]
@@ -190,7 +172,6 @@ fn quick_cfg() -> ServiceConfig {
         idle_timeout: Duration::from_secs(5),
         attach_timeout: Duration::from_millis(400),
         attach_grace: Duration::from_millis(100),
-        delivery: DeliveryOrder::Arrival,
         ..ServiceConfig::default()
     }
 }

@@ -22,8 +22,8 @@ use mediator_field::Fp;
 use mediator_net::auth::{pair_keys_derived, ReplayWindow};
 use mediator_net::transport::FrameBuf;
 use mediator_net::{
-    AuthKey, AuthTag, Client, DeliveryOrder, Frame, MemTransport, NetError, RejectReason, Service,
-    ServiceConfig, TamperKind, TcpTransport,
+    AuthKey, AuthTag, Client, Frame, MemTransport, NetError, RejectReason, Service, ServiceConfig,
+    TamperKind, TcpTransport,
 };
 use mediator_sim::SchedulerKind;
 use rand::rngs::StdRng;
@@ -57,7 +57,6 @@ fn cfg() -> ServiceConfig {
         idle_timeout: Duration::from_secs(10),
         attach_timeout: Duration::from_secs(10),
         attach_grace: Duration::from_millis(200),
-        delivery: DeliveryOrder::Arrival,
         ..ServiceConfig::default()
     }
     .with_auth(key())

@@ -46,10 +46,12 @@ fn thm41() -> (
     (plan, game, vec![1usize; n], conf)
 }
 
-/// Faulted runs must not disturb the statistics: same rendered JSON, same
+/// Faulted runs must not disturb the statistics: same rendered JSON, the
+/// same report at full precision (`{:?}` prints every float exactly), same
 /// per-cell sample counts (nothing double-counted, nothing dropped).
 fn assert_verdict_unchanged(local: &ConformanceReport, faulted: &ConformanceReport) {
     assert_eq!(local.to_json(), faulted.to_json());
+    assert_eq!(format!("{local:?}"), format!("{faulted:?}"));
     for (a, b) in local.baseline.iter().zip(&faulted.baseline) {
         assert_eq!(a.samples, b.samples, "baseline cells double-counted");
     }

@@ -92,8 +92,12 @@ fn assert_reports_identical(local: &ConformanceReport, sharded: &ConformanceRepo
         }
         (a, b) => panic!("verdicts diverged: local {a:?} vs sharded {b:?}"),
     }
-    // Belt and braces: the rendered JSON artifacts match byte for byte.
+    // Belt and braces: the rendered JSON artifacts match byte for byte,
+    // and so does every field at full precision (`{:?}` prints each float
+    // as the shortest decimal that round-trips, where the JSON keeps six
+    // places).
     assert_eq!(local.to_json(), sharded.to_json());
+    assert_eq!(format!("{local:?}"), format!("{sharded:?}"));
 }
 
 fn thm41_cheap_talk() -> (

@@ -24,7 +24,7 @@ use mediator_field::Fp;
 use mediator_net::tamper::{
     run_tampered_pair, TamperPlan, TamperedPair, TransportKind, WireTactic, HONEST_SID, TARGET_SID,
 };
-use mediator_net::{AuthKey, DeliveryOrder, NetError, RejectReason, ServiceConfig, TamperKind};
+use mediator_net::{AuthKey, NetError, RejectReason, ServiceConfig, TamperKind};
 use mediator_sim::{Outcome, SchedulerKind, TerminationKind};
 use std::time::Duration;
 
@@ -42,7 +42,6 @@ fn cfg(auth: bool) -> ServiceConfig {
         idle_timeout: Duration::from_millis(1500),
         attach_timeout: Duration::from_secs(10),
         attach_grace: Duration::from_millis(100),
-        delivery: DeliveryOrder::Arrival,
         ..ServiceConfig::default()
     };
     if auth {

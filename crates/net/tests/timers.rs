@@ -13,8 +13,7 @@ use mediator_core::cheap_talk::CtMsg;
 use mediator_core::scenario::{CheapTalkPlan, Scenario};
 use mediator_field::Fp;
 use mediator_net::{
-    bulk_relay, Client, DeliveryOrder, Frame, MemTransport, NetError, Service, ServiceConfig,
-    SessionHandle,
+    bulk_relay, Client, Frame, MemTransport, NetError, Service, ServiceConfig, SessionHandle,
 };
 use mediator_sim::SchedulerKind;
 use std::sync::mpsc;
@@ -49,7 +48,6 @@ fn timeouts_still_fire_after_the_heap_drops_finished_sessions() {
             idle_timeout: timeout,
             attach_timeout: timeout,
             attach_grace: Duration::from_millis(100),
-            delivery: DeliveryOrder::Arrival,
             ..ServiceConfig::default()
         },
     );

@@ -19,7 +19,7 @@ use mediator_core::cheap_talk::CtMsg;
 use mediator_core::scenario::{CheapTalkPlan, GameFamily, MediatorPlan, Plan, Scenario};
 use mediator_field::Fp;
 use mediator_net::{
-    Client, DeliveryOrder, MemTransport, RunMeta, Service, ServiceConfig, TcpTransport, TraceSink,
+    Client, MemTransport, RunMeta, Service, ServiceConfig, TcpTransport, TraceSink,
 };
 use mediator_sim::{Ctx, Process, ProcessId, SchedulerKind, TerminationKind, TraceMode, World};
 use mediator_store::{
@@ -144,7 +144,6 @@ fn recording_cfg(sink: Arc<dyn TraceSink>) -> ServiceConfig {
         idle_timeout: Duration::from_secs(5),
         attach_timeout: Duration::from_millis(400),
         attach_grace: Duration::from_millis(100),
-        delivery: DeliveryOrder::Arrival,
         ..ServiceConfig::default()
     }
     .with_sink(sink)

@@ -90,9 +90,9 @@ pub mod prelude {
     pub use mediator_games::dist::OutcomeDist;
     pub use mediator_games::library;
     pub use mediator_net::{
-        run_frontier_sharded, run_over_mem, run_over_tcp, Client, DeliveryOrder, FrontierShardLog,
-        MemTransport, NetError, OutcomeSummary, Service, ServiceConfig, SessionHandle, ShardConfig,
-        ShardedSweep, TcpTransport, TransportKind,
+        run_frontier_sharded, run_over_mem, run_over_tcp, Client, FrontierShardLog, MemTransport,
+        NetError, OutcomeSummary, Service, ServiceConfig, SessionHandle, ShardConfig, ShardedSweep,
+        TcpTransport, TransportKind,
     };
     pub use mediator_sim::{
         Outcome, RunMeta, SchedulerKind, Session, SessionStatus, TerminationKind, TraceSink,
