@@ -3,11 +3,12 @@
 //!
 //! PR 4's adversary plane deviates *processes* — a Byzantine player lies
 //! in its openings, equivocates, goes silent. This module deviates the
-//! **network**: its relay mirrors the content-blind `bulk_relay`
-//! (one raw byte stream, many sessions, echo every `Msg`) but applies
-//! [`WireTactic`]s to the frames of one *target session*, scheduled over
-//! frame-counter [`Window`]s — the same combinator grammar the adversary
-//! DSL uses for send-counter windows, pointed at the transport.
+//! **network**: its relay runs the content-blind `bulk_relay` loop
+//! (one raw byte stream, many sessions, echo every `Msg`) with
+//! [`WireTactic`]s as its hook for the frames of one *target session*,
+//! scheduled over frame-counter [`Window`]s — the same combinator grammar
+//! the adversary DSL uses for send-counter windows, pointed at the
+//! transport.
 //!
 //! The battery exists to demonstrate both halves of the channel
 //! assumption (DESIGN.md §10):
@@ -349,15 +350,15 @@ where
         service.host(sid, n, move || plan.session_with(&k, seed))
     };
 
+    // The relay dials the hub, or the loopback address when there is one.
     let hub = MemTransport::new();
-    let tcp = match transport {
-        TransportKind::Mem => None,
-        TransportKind::Tcp => Some(TcpTransport::bind_loopback().expect("bind loopback")),
-    };
-    let addr = tcp.as_ref().map(TcpTransport::addr);
-    let listener: Box<dyn NbListener> = match tcp {
-        Some(listener) => Box::new(listener),
-        None => Box::new(hub.listener()),
+    let (listener, addr): (Box<dyn NbListener>, _) = match transport {
+        TransportKind::Mem => (Box::new(hub.listener()), None),
+        TransportKind::Tcp => {
+            let tcp = TcpTransport::bind_loopback().expect("bind loopback");
+            let addr = tcp.addr();
+            (Box::new(tcp), Some(addr))
+        }
     };
     let service = Service::with_config(listener, cfg);
     let target = host(&service, TARGET_SID);
