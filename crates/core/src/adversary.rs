@@ -205,7 +205,10 @@ impl<M: TamperableMsg> TacticState<M> {
     /// Sends one message through the active primitives: it goes out
     /// (possibly corrupted), is dropped, or is held.
     pub fn send(&mut self, dst: ProcessId, msg: M, ctx: &mut Ctx<M>) {
-        if let Some(msg) = self.route(dst, msg) {
+        // The honest player's path: one branch, no routing.
+        if self.steps.is_empty() {
+            ctx.send(dst, msg);
+        } else if let Some(msg) = self.route(dst, msg) {
             ctx.send(dst, msg);
         }
     }
