@@ -21,8 +21,8 @@
 //! drained off the plane, shipped to the relay connection attached for its
 //! destination, and re-injected when the wire hands it back — so delivery
 //! order is whatever order the network returns frames in (TCP interleaving
-//! across connections, the reactor's dispatch order, a relay that
-//! reorders). That is *exactly* an adversarial
+//! across connections, the reactor's dispatch order, a reordering relay;
+//! the service keeps arrival order). That is *exactly* an adversarial
 //! scheduler in the paper's §2 model: a message-pattern-visible adversary
 //! choosing delivery order, constrained to eventual delivery. The paper's
 //! theorems therefore transfer: a networked run yields the same outcome
