@@ -36,4 +36,4 @@ pub use aba::{AbaMsg, AbaState};
 pub use acs::Acs;
 pub use coin::{CoinSource, IdealCoin};
 pub use driver::{AbaPeer, RbcPeer};
-pub use rbc::{RbcMsg, RbcState};
+pub use rbc::RbcMsg;

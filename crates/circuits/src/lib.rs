@@ -54,4 +54,4 @@ pub mod catalog;
 pub mod circuit;
 
 pub use builder::CircuitBuilder;
-pub use circuit::{Circuit, Evaluation, Gate, WireId};
+pub use circuit::{Circuit, Gate, WireId};

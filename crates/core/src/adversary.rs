@@ -326,26 +326,12 @@ impl Deviation {
         self
     }
 
-    /// Stop sending after `limit` messages: [`Deviation::abort_at`] send
-    /// `limit`.
-    pub fn crash_after(self, limit: u64) -> Self {
-        self.abort_at(limit)
-    }
-
     /// Substitute `input` for the real private input (lie-about-input: the
     /// model allows it — it is the player's own input — but the coalition
     /// may still hope to profit from a coordinated lie).
     pub fn lie_about_input(mut self, input: Vec<Fp>) -> Self {
         self.behavior.input_override = Some(input);
         self
-    }
-
-    /// Corrupt every opening/output point sent, to everyone, for the whole
-    /// run: [`Deviation::corrupt_opens`] from send 0 by
-    /// [`OPEN_LIE_OFFSET`] ([`Deviation::equivocate`] is the per-recipient
-    /// form).
-    pub fn lie_in_opens(self) -> Self {
-        self.corrupt_opens(0, OPEN_LIE_OFFSET)
     }
 
     /// Decode the action but never move.
@@ -438,7 +424,7 @@ pub fn generated_battery(
     };
     let mut battery = vec![
         shared(Deviation::named("silent").silent()),
-        shared(Deviation::named("crash-mid").crash_after(60)),
+        shared(Deviation::named("crash-mid").abort_at(60)),
     ];
     if coalition.iter().any(|&m| arity[m] > 0) {
         let lie = |m: usize| Deviation::named("lie-input").lie_about_input(vec![Fp::ONE; arity[m]]);
@@ -447,7 +433,7 @@ pub fn generated_battery(
     }
     battery.extend(
         [
-            Deviation::named("lie-opens").lie_in_opens(),
+            Deviation::named("lie-opens").corrupt_opens(0, OPEN_LIE_OFFSET),
             Deviation::named("refuse-move").refuse_to_move(),
             Deviation::named("drop-phase2").drop_between(60, u64::MAX),
             Deviation::named("abort-at-round").abort_at(90),
@@ -673,6 +659,9 @@ pub fn collusion_battery(will: Action) -> Vec<CollusionRule> {
 // The conformance harness
 // ---------------------------------------------------------------------------
 
+/// Critical value of every conformance interval (1.96 ≈ 95%).
+const Z: f64 = 1.96;
+
 /// Configuration of a conformance sweep: the claim to check
 /// (ε-k-resilience alongside t malicious players) and the sampling plan.
 #[derive(Debug, Clone)]
@@ -686,7 +675,6 @@ pub struct Conformance {
     pub t: usize,
     battery: Option<Vec<SchedulerKind>>,
     seeds: u64,
-    z: f64,
     coalitions: Option<Vec<Vec<usize>>>,
     deadlock_action: Option<Action>,
 }
@@ -702,7 +690,6 @@ impl Conformance {
             t,
             battery: None,
             seeds: 16,
-            z: 1.96,
             coalitions: None,
             deadlock_action: None,
         }
@@ -721,12 +708,6 @@ impl Conformance {
         self
     }
 
-    /// Overrides the confidence level's critical value (1.96 ≈ 95%).
-    pub fn z(mut self, z: f64) -> Self {
-        self.z = z;
-        self
-    }
-
     /// Restricts the swept coalitions (all subsets of size ≤ k otherwise).
     pub fn coalitions(mut self, coalitions: Vec<Vec<usize>>) -> Self {
         self.coalitions = Some(coalitions);
@@ -741,12 +722,6 @@ impl Conformance {
         self
     }
 
-    fn resolve_battery(&self, n: usize) -> Vec<SchedulerKind> {
-        self.battery
-            .clone()
-            .unwrap_or_else(|| SchedulerKind::battery(n))
-    }
-
     fn resolve_coalitions(&self, n: usize) -> Vec<Vec<usize>> {
         self.coalitions
             .clone()
@@ -759,7 +734,9 @@ impl Conformance {
     /// [`Self::seeds_per_kind`] — the decode the sharding plane's workers
     /// and witness re-enactment both rely on.
     pub fn resolved_battery(&self, n: usize) -> Vec<SchedulerKind> {
-        self.resolve_battery(n)
+        self.battery
+            .clone()
+            .unwrap_or_else(|| SchedulerKind::battery(n))
     }
 
     /// Seeds sampled per scheduler kind.
@@ -985,8 +962,6 @@ pub struct ConformanceReport {
     pub kinds: usize,
     /// Seeds per kind.
     pub seeds_per_kind: u64,
-    /// Critical value of the intervals.
-    pub z: f64,
     /// Honest per-player expected utilities.
     pub baseline: Vec<ConfidenceInterval>,
     /// Every swept (strategy × coalition) cell.
@@ -1031,7 +1006,7 @@ impl ConformanceReport {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"eps\": {}, \"k\": {}, \"t\": {}, \"kinds\": {}, \"seeds_per_kind\": {}, \"z\": {},\n",
-            self.eps, self.k, self.t, self.kinds, self.seeds_per_kind, self.z
+            self.eps, self.k, self.t, self.kinds, self.seeds_per_kind, Z
         ));
         let verdict = match &self.verdict {
             ConformanceVerdict::Resilient {
@@ -1141,11 +1116,11 @@ pub fn render_sweep_report(
         matches!(units.first(), Some(u) if u.strategy.is_none()),
         "unit 0 must be the honest baseline"
     );
-    let battery = cfg.resolve_battery(n);
+    let battery = cfg.resolved_battery(n);
 
     let base_profiles = &profiles[0];
     let base_u = profile_utility_grid(base_profiles, game, types);
-    let baseline: Vec<ConfidenceInterval> = base_u.iter().map(|xs| mean_ci(xs, cfg.z)).collect();
+    let baseline: Vec<ConfidenceInterval> = base_u.iter().map(|xs| mean_ci(xs, Z)).collect();
 
     let mut cells = Vec::new();
     let mut witness: Option<DeviationWitness> = None;
@@ -1166,7 +1141,7 @@ pub fn render_sweep_report(
         // Paired per-member gains: same (kind, seed) cell on each side.
         let member_gains: Vec<ConfidenceInterval> = coalition
             .iter()
-            .map(|&m| paired_gain_ci(&dev_u[m], &base_u[m], cfg.z))
+            .map(|&m| paired_gain_ci(&dev_u[m], &base_u[m], Z))
             .collect();
         // The resilience criterion needs **every** member to gain, so
         // the cell's gain is the minimum over members — taken
@@ -1179,7 +1154,7 @@ pub fn render_sweep_report(
         // componentwise max over players, for the same reason.
         let honest_harms: Vec<ConfidenceInterval> = (0..n)
             .filter(|p| !coalition.contains(p))
-            .map(|p| paired_gain_ci(&base_u[p], &dev_u[p], cfg.z))
+            .map(|p| paired_gain_ci(&base_u[p], &dev_u[p], Z))
             .collect();
         let harm = if honest_harms.is_empty() {
             ConfidenceInterval::point(0.0, runs)
@@ -1251,7 +1226,6 @@ pub fn render_sweep_report(
         t: cfg.t,
         kinds: battery.len(),
         seeds_per_kind: cfg.seeds,
-        z: cfg.z,
         baseline,
         cells,
         verdict,
@@ -1425,24 +1399,6 @@ mod tests {
         for _ in 0..5 {
             assert!(t.route(0, msg(3)).is_none());
         }
-    }
-
-    #[test]
-    fn crash_and_lie_switches_are_tactic_shortcuts() {
-        let (_, b) = Deviation::named("c").crash_after(40).build();
-        assert_eq!(
-            b.tactics,
-            Deviation::named("a").abort_at(40).build().1.tactics
-        );
-        let (_, b) = Deviation::named("l").lie_in_opens().build();
-        assert_eq!(
-            b.tactics,
-            Deviation::named("o")
-                .corrupt_opens(0, OPEN_LIE_OFFSET)
-                .build()
-                .1
-                .tactics
-        );
     }
 
     #[test]

@@ -263,7 +263,7 @@ impl Process<CtMsg> for CheapTalkPlayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::Deviation;
+    use crate::adversary::{Deviation, OPEN_LIE_OFFSET};
     use crate::scenario::{CheapTalk, Scenario};
     use mediator_circuits::catalog;
     use mediator_sim::SchedulerKind;
@@ -309,7 +309,9 @@ mod tests {
     #[test]
     fn opening_liar_is_corrected() {
         let n = 5;
-        let (_, deviation) = Deviation::named("lie").lie_in_opens().build();
+        let (_, deviation) = Deviation::named("lie")
+            .corrupt_opens(0, OPEN_LIE_OFFSET)
+            .build();
         let out = majority(n, 1, 0, &[0, 0, 1, 0, 1])
             .deviant(2, deviation)
             .max_steps(4_000_000)
@@ -336,7 +338,7 @@ mod tests {
             .build()
             .expect("6 > 3");
         for seed in 0..5 {
-            let (_, deviation) = Deviation::named("crash").crash_after(40).build();
+            let (_, deviation) = Deviation::named("crash").abort_at(40).build();
             let out = plan
                 .clone()
                 .with_deviant(1, deviation)

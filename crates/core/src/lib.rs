@@ -22,7 +22,7 @@
 //! * [`scenario`] — the **Scenario API**: the builder-first experiment
 //!   surface (`Scenario::cheap_talk(…)` / `Scenario::mediator(…)`) with
 //!   build-time theorem-threshold validation, the multi-threaded
-//!   `(scheduler × seed)` batch runner ([`RunSet`]), and steppable
+//!   `(scheduler × seed)` batch runner ([`RunSet`](scenario::RunSet)), and steppable
 //!   [`Session`](mediator_sim::Session)s — the one way the two game kinds
 //!   above are run.
 //! * [`implement`] — empirical **implementation checking**: outcome
@@ -65,17 +65,8 @@ pub mod scenario;
 
 pub use adversary::{
     render_sweep_report, run_sweep_cell, run_sweep_unit, sweep_unit_plan, sweep_units, Conformance,
-    ConformanceReport, ConformanceVerdict, Deviation, DeviationWitness, SweepUnit,
+    ConformanceReport, ConformanceVerdict, SweepUnit,
 };
 pub use cheap_talk::CtMsg;
-pub use deviations::Behavior;
-pub use frontier::{
-    run_frontier_local, CellClass, CellExperiment, CellResult, FrontierAtlas, FrontierCell,
-    FrontierSpec, PreparedCell, TheoremBand,
-};
 pub use lease::{LeaseLedger, Reclaim};
 pub use mediator::MedMsg;
-pub use scenario::{
-    Batch, CheapTalkPlan, MediatorPlan, Resolve, RunRecord, RunSet, Scenario, ScenarioError,
-    Theorem,
-};

@@ -34,4 +34,3 @@ pub mod rs;
 
 pub use gf::Fp;
 pub use poly::Poly;
-pub use rs::{decode_robust, encode, interpolate_exact, RsError};

@@ -96,12 +96,6 @@ pub fn correlated_violation(
     None
 }
 
-/// Convenience wrapper: `true` iff no obedience constraint is violated by
-/// more than `eps`.
-pub fn is_correlated_equilibrium(game: &BayesianGame, mu: &OutcomeDist, eps: f64) -> bool {
-    correlated_violation(game, mu, eps).is_none()
-}
-
 /// The per-player value of a correlated equilibrium (expected utilities
 /// under obedience).
 pub fn value(game: &BayesianGame, mu: &OutcomeDist) -> Vec<f64> {
@@ -124,7 +118,7 @@ mod tests {
     #[test]
     fn chicken_mediated_distribution_is_correlated_equilibrium() {
         let (game, mu) = library::chicken_correlated();
-        assert!(is_correlated_equilibrium(&game, &mu, 0.0));
+        assert!(correlated_violation(&game, &mu, 0.0).is_none());
         let v = value(&game, &mu);
         assert!((v[0] - 5.25).abs() < 1e-12);
         assert!((v[1] - 5.25).abs() < 1e-12);
@@ -142,7 +136,7 @@ mod tests {
         assert_eq!(v.better, 1);
         assert!((v.gain - 2.0).abs() < 1e-9);
         // But it IS an ε-correlated equilibrium for ε ≥ 2.
-        assert!(is_correlated_equilibrium(&game, &mu, 2.0));
+        assert!(correlated_violation(&game, &mu, 2.0).is_none());
     }
 
     #[test]
@@ -151,7 +145,7 @@ mod tests {
         // (Dare, Chicken) is a pure Nash of chicken.
         let mut mu = OutcomeDist::new();
         mu.add(vec![0, 1], 1.0);
-        assert!(is_correlated_equilibrium(&game, &mu, 0.0));
+        assert!(correlated_violation(&game, &mu, 0.0).is_none());
     }
 
     #[test]
@@ -159,7 +153,7 @@ mod tests {
         let (game, mu, _) = library::counterexample_game(4);
         // All-0 / all-1 each with probability 1/2: obedience is optimal
         // (disobeying alone yields 0 or keeps 1.1-threshold unreachable).
-        assert!(is_correlated_equilibrium(&game, &mu, 0.0));
+        assert!(correlated_violation(&game, &mu, 0.0).is_none());
         let v = value(&game, &mu);
         assert!((v[0] - 1.5).abs() < 1e-12);
     }
@@ -175,6 +169,6 @@ mod tests {
             |_, _| vec![0.0, 0.0],
         );
         let mu = OutcomeDist::from_samples(vec![vec![0, 0]]);
-        let _ = is_correlated_equilibrium(&g, &mu, 0.0);
+        let _ = correlated_violation(&g, &mu, 0.0);
     }
 }

@@ -178,12 +178,6 @@ impl BayesianGame {
         ProfileIter::new(self.action_counts.clone())
     }
 
-    /// Iterates over all action profiles of the players in `subset`
-    /// (profiles are reported as vectors aligned with `subset`).
-    pub fn action_profiles_of(&self, subset: &[usize]) -> ProfileIter {
-        ProfileIter::new(subset.iter().map(|&i| self.action_counts[i]).collect())
-    }
-
     /// Iterates over all type-profile assignments of the players in `subset`.
     pub fn type_profiles_of(&self, subset: &[usize]) -> ProfileIter {
         ProfileIter::new(subset.iter().map(|&i| self.type_counts[i]).collect())
@@ -281,8 +275,6 @@ mod tests {
         let g = coin_game();
         let tp: Vec<_> = g.type_profiles_of(&[0]).collect();
         assert_eq!(tp, vec![vec![0], vec![1]]);
-        let ap: Vec<_> = g.action_profiles_of(&[1]).collect();
-        assert_eq!(ap, vec![vec![0], vec![1]]);
     }
 
     #[test]

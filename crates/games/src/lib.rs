@@ -8,10 +8,11 @@
 //!
 //! * [`BayesianGame`] — the game representation, with exact expected-utility
 //!   evaluation by enumeration (games here are small by design).
-//! * [`Strategy`] / [`StrategyProfile`] — behavioural strategies
-//!   `T_i → Δ(A_i)` and profiles, plus *coalition deviations* that may
-//!   correlate the coalition's actions and depend on the coalition's joint
-//!   type (the paper lets deviating coalitions share type information).
+//! * [`Strategy`] / [`StrategyProfile`](strategy::StrategyProfile) —
+//!   behavioural strategies `T_i → Δ(A_i)` and profiles, plus *coalition
+//!   deviations* that may correlate the coalition's actions and depend on
+//!   the coalition's joint type (the paper lets deviating coalitions share
+//!   type information).
 //! * [`solution`] — exact checkers for k-resilience, t-immunity,
 //!   (k,t)-robustness and their ε- and strong variants (Definitions
 //!   3.1–3.6), using a small built-in LP so *mixed* coalition deviations are
@@ -21,7 +22,7 @@
 //!   including the §6.4 counterexample.
 //! * [`dist`] — the L1 distance on outcome distributions used by the
 //!   ε-implementation definition (§2).
-//! * [`stats`] — confidence intervals (normal, Wilson, bootstrap) for the
+//! * [`stats`] — normal-approximation confidence intervals for the
 //!   empirical utility accounting the conformance harness builds on.
 //!
 //! # Example
@@ -47,7 +48,6 @@ pub mod solution;
 pub mod stats;
 pub mod strategy;
 
-pub use dist::{l1_distance, OutcomeDist};
-pub use game::{ActionIx, BayesianGame, TypeIx};
-pub use stats::ConfidenceInterval;
-pub use strategy::{CoalitionDeviation, Strategy, StrategyProfile};
+pub use dist::OutcomeDist;
+pub use game::BayesianGame;
+pub use strategy::Strategy;

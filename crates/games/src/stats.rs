@@ -3,21 +3,15 @@
 //!
 //! The conformance harness turns batch outcomes into per-player expected
 //! utilities. Those are sample means over a finite seed sweep, so every
-//! comparison against an ε bound must carry its sampling error; this module
-//! provides the three estimators it uses:
-//!
-//! * [`mean_ci`] — normal-approximation interval for a sample mean
-//!   (the workhorse: utility samples are bounded, n is tens-to-thousands);
-//! * [`wilson_interval`] — the Wilson score interval for Bernoulli
-//!   proportions (outcome-profile probabilities from an
-//!   [`OutcomeDist`](crate::dist::OutcomeDist) sample count);
-//! * [`bootstrap_mean_ci`] — percentile bootstrap for small or skewed
-//!   samples, deterministic via an inlined SplitMix64 (no RNG dependency).
+//! comparison against an ε bound must carry its sampling error. Both
+//! estimators it uses are normal approximations: [`mean_ci`] for a sample
+//! mean (utility samples are bounded, n is tens-to-thousands) and
+//! [`paired_gain_ci`] for a common-random-number gain.
 
 /// A two-sided confidence interval around a sample mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
-    /// The point estimate (sample mean / proportion).
+    /// The point estimate (the sample mean).
     pub mean: f64,
     /// Lower confidence bound.
     pub lo: f64,
@@ -47,19 +41,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         self.lo <= value && value <= self.hi
     }
-
-    /// The interval of the difference `self − other` for **independent**
-    /// estimates (variances add).
-    pub fn minus(&self, other: &ConfidenceInterval) -> ConfidenceInterval {
-        let mean = self.mean - other.mean;
-        let half = ((self.hi - self.mean).powi(2) + (other.hi - other.mean).powi(2)).sqrt();
-        ConfidenceInterval {
-            mean,
-            lo: mean - half,
-            hi: mean + half,
-            samples: self.samples.min(other.samples),
-        }
-    }
 }
 
 /// Normal-approximation confidence interval for the mean of `xs` at
@@ -80,81 +61,6 @@ pub fn mean_ci(xs: &[f64], z: f64) -> ConfidenceInterval {
         mean,
         lo: mean - half,
         hi: mean + half,
-        samples: n,
-    }
-}
-
-/// The Wilson score interval for a Bernoulli proportion: `successes`
-/// out of `trials` at critical value `z`. Well-behaved at the boundaries
-/// (never escapes `[0, 1]`, sane at 0 and `trials`), which is why it is
-/// used for outcome-profile probabilities rather than the Wald interval.
-///
-/// # Panics
-///
-/// Panics if `successes > trials` or `trials == 0`.
-pub fn wilson_interval(successes: usize, trials: usize, z: f64) -> ConfidenceInterval {
-    assert!(trials > 0, "wilson_interval needs at least one trial");
-    assert!(successes <= trials, "more successes than trials");
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let centre = (p + z2 / (2.0 * n)) / denom;
-    let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-    ConfidenceInterval {
-        mean: p,
-        lo: (centre - half).max(0.0),
-        hi: (centre + half).min(1.0),
-        samples: trials,
-    }
-}
-
-/// SplitMix64: the deterministic resampler behind the bootstrap (keeps the
-/// crate free of an RNG dependency and bootstrap results reproducible).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Percentile-bootstrap confidence interval for the mean of `xs`:
-/// `reps` resamples with replacement, interval at the `(alpha/2,
-/// 1 − alpha/2)` percentiles (e.g. `alpha = 0.05` for 95%). Deterministic
-/// in `seed`.
-pub fn bootstrap_mean_ci(xs: &[f64], alpha: f64, reps: usize, seed: u64) -> ConfidenceInterval {
-    let n = xs.len();
-    if n == 0 {
-        return ConfidenceInterval::point(0.0, 0);
-    }
-    let mean = xs.iter().sum::<f64>() / n as f64;
-    if n == 1 || reps == 0 {
-        return ConfidenceInterval::point(mean, n);
-    }
-    let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
-    let mut means: Vec<f64> = (0..reps)
-        .map(|_| {
-            let mut acc = 0.0;
-            for _ in 0..n {
-                let i = (splitmix64(&mut state) % n as u64) as usize;
-                acc += xs[i];
-            }
-            acc / n as f64
-        })
-        .collect();
-    means.sort_by(|a, b| a.partial_cmp(b).expect("bootstrap means are finite"));
-    let idx = |q: f64| -> f64 {
-        let pos = q * (reps - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        means[lo] * (1.0 - frac) + means[hi] * frac
-    };
-    ConfidenceInterval {
-        mean,
-        lo: idx(alpha / 2.0),
-        hi: idx(1.0 - alpha / 2.0),
         samples: n,
     }
 }
@@ -214,50 +120,15 @@ mod tests {
     }
 
     #[test]
-    fn wilson_is_sane_at_boundaries() {
-        let none = wilson_interval(0, 20, 1.96);
-        assert_eq!(none.lo, 0.0);
-        assert!(none.hi > 0.0 && none.hi < 0.25);
-        let all = wilson_interval(20, 20, 1.96);
-        assert_eq!(all.hi, 1.0);
-        assert!(all.lo > 0.75);
-        let half = wilson_interval(50, 100, 1.96);
-        assert!(half.contains(0.5));
-        assert!(half.width() < 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "more successes")]
-    fn wilson_rejects_impossible_counts() {
-        wilson_interval(5, 4, 1.96);
-    }
-
-    #[test]
-    fn bootstrap_is_deterministic_and_covers_mean() {
-        let xs: Vec<f64> = (0..40).map(|i| (i % 5) as f64).collect();
-        let a = bootstrap_mean_ci(&xs, 0.05, 200, 7);
-        let b = bootstrap_mean_ci(&xs, 0.05, 200, 7);
-        assert_eq!(a, b, "same seed, same interval");
-        assert!(a.contains(a.mean));
-        assert!(a.lo < a.mean && a.mean < a.hi);
-        let c = bootstrap_mean_ci(&xs, 0.05, 200, 8);
-        assert!(
-            (a.lo - c.lo).abs() < 0.5,
-            "different seeds, similar interval"
-        );
-    }
-
-    #[test]
     fn paired_gain_cancels_common_noise() {
         // a = noise + 0.1, b = noise: the paired CI is the exact point 0.1,
-        // while independent differencing would inherit the noise width.
+        // while either side's own interval carries the noise width.
         let noise: Vec<f64> = (0..30).map(|i| (i * 37 % 11) as f64).collect();
         let a: Vec<f64> = noise.iter().map(|x| x + 0.1).collect();
         let paired = paired_gain_ci(&a, &noise, 1.96);
         assert!((paired.mean - 0.1).abs() < 1e-12);
         assert!(paired.width() < 1e-9);
-        let unpaired = mean_ci(&a, 1.96).minus(&mean_ci(&noise, 1.96));
-        assert!(unpaired.width() > 1.0);
+        assert!(mean_ci(&a, 1.96).width() > 1.0);
     }
 
     #[test]

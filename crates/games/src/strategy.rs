@@ -44,20 +44,6 @@ impl Strategy {
         }
     }
 
-    /// A type-dependent pure strategy: plays `choice[t]` on type `t`.
-    pub fn pure_by_type(actions: usize, choice: &[ActionIx]) -> Self {
-        let rows = choice
-            .iter()
-            .map(|&a| {
-                assert!(a < actions);
-                let mut row = vec![0.0; actions];
-                row[a] = 1.0;
-                row
-            })
-            .collect();
-        Strategy { rows }
-    }
-
     /// The uniformly-mixed strategy.
     pub fn uniform(types: usize, actions: usize) -> Self {
         Strategy {
@@ -194,13 +180,6 @@ mod tests {
         let s = Strategy::pure(2, 3, 1);
         assert_eq!(s.prob(0, 1), 1.0);
         assert_eq!(s.prob(1, 0), 0.0);
-    }
-
-    #[test]
-    fn pure_by_type_varies() {
-        let s = Strategy::pure_by_type(2, &[0, 1]);
-        assert_eq!(s.prob(0, 0), 1.0);
-        assert_eq!(s.prob(1, 1), 1.0);
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //! XOR-folds of core-contributed bits, each first verified by publicly
 //! opening `b·(b−1)`.
 //!
-//! The engine is a sans-IO state machine ([`MpcEngine`]): feed it messages,
-//! collect outgoing batches, watch for [`MpcEvent`]s. [`MpcDriver`] wraps it
-//! in the shared [`mediator_sim::sansio::SansIo`] contract so the full
-//! `mediator-sim` `World` (every scheduler, traces, failure injection) can
-//! drive it; the cheap-talk layer (`mediator-core`) embeds that same driver
-//! into its game-level processes.
+//! The engine is a sans-IO state machine ([`MpcEngine`](engine::MpcEngine)):
+//! feed it messages, collect outgoing batches, watch for [`MpcEvent`]s.
+//! [`MpcDriver`] wraps it in the shared [`mediator_sim::sansio::SansIo`]
+//! contract so the full `mediator-sim` `World` (every scheduler, traces,
+//! failure injection) can drive it; the cheap-talk layer (`mediator-core`)
+//! embeds that same driver into its game-level processes.
 
 pub mod config;
 pub mod driver;
@@ -38,5 +38,5 @@ pub mod msg;
 
 pub use config::{Mode, MpcConfig};
 pub use driver::MpcDriver;
-pub use engine::{MpcEngine, MpcEvent, MpcStatus};
+pub use engine::MpcEvent;
 pub use msg::MpcMsg;

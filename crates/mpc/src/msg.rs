@@ -60,7 +60,7 @@ impl From<(usize, AvssMsg)> for MpcMsg {
     }
 }
 
-/// A [`DetectState`](mediator_vss::DetectState) message, tagged with its dealer.
+/// A [`DetectState`](mediator_vss::detect::DetectState) message, tagged with its dealer.
 impl From<(usize, DetectMsg)> for MpcMsg {
     fn from((dealer, inner): (usize, DetectMsg)) -> Self {
         MpcMsg::Detect { dealer, inner }

@@ -50,7 +50,7 @@ impl FrontierShardLog {
 
 /// Runs the whole grid with every cell's sweep sharded over `workers`
 /// in-process workers on the chosen transport. The returned atlas must be
-/// byte-identical (via `to_json`) to [`mediator_core::run_frontier_local`]
+/// byte-identical (via `to_json`) to [`mediator_core::frontier::run_frontier_local`]
 /// on the same spec.
 pub fn run_frontier_sharded(
     spec: &FrontierSpec,

@@ -109,8 +109,8 @@ pub use readiness::TryRead;
 pub use service::{run_over_mem, run_over_tcp, Service, ServiceConfig, SessionHandle};
 // Re-exported so sink-wiring callers need not name `mediator_sim` at all.
 pub use mediator_sim::{RunMeta, TraceSink};
-pub use shard::{coordinate, run_worker, worker_mem, ShardConfig, ShardFrame, ShardedSweep};
-pub use tamper::{TamperPlan, TransportKind, WireTactic};
+pub use shard::{coordinate, run_worker, worker_mem, ShardConfig, ShardedSweep};
+pub use tamper::TransportKind;
 pub use transport::{
     duplex, pipe, ConnPair, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport, TcpTransport,
 };

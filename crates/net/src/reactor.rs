@@ -565,8 +565,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                         let _ = result.send(Err(NetError::SessionIdTaken { session: id }));
                         continue;
                     }
-                    let session = open().with_session_id(id);
-                    let mut sm = SessionSm::new(id, processes, meta, session, result, &self.cfg);
+                    let mut sm = SessionSm::new(id, processes, meta, open(), result, &self.cfg);
                     self.timers.push(Reverse((
                         Instant::now() + self.cfg.attach_timeout,
                         Timer::Attach { session: id },

@@ -22,10 +22,11 @@
 //! * [`Scheduler`] implementations — fair random, FIFO, LIFO, targeted-delay
 //!   adversaries, and the relaxed scheduler wrapper.
 //! * [`sansio`] — the shared sans-IO driving contract ([`Outgoing`],
-//!   [`Dest`], [`SansIo`]) plus the generic [`SansIoProcess`] adapter and
-//!   [`Machines`] runner that let any protocol state machine (reliable
-//!   broadcast, agreement, AVSS, the MPC engine) run under the full `World`
-//!   with every scheduler.
+//!   [`Dest`](sansio::Dest), [`SansIo`](sansio::SansIo)) plus the generic
+//!   [`SansIoProcess`](sansio::SansIoProcess) adapter and
+//!   [`Machines`](sansio::Machines) runner that let any protocol state
+//!   machine (reliable broadcast, agreement, AVSS, the MPC engine) run
+//!   under the full `World` with every scheduler.
 //! * [`Session`] — a steppable, non-consuming handle over a running
 //!   [`World`]: `step` one event at a time, inspect the pending plane,
 //!   `inject` external messages (the seam an async/network backend attaches
@@ -73,15 +74,12 @@ pub mod world;
 
 pub use party_set::PartySet;
 pub use process::{Action, Ctx, Process, ProcessId};
-pub use sansio::{
-    route_batch, Behavior, BehaviorFn, ByzantineProcess, Dest, Machines, Outgoing, Payload,
-    RunOutputs, SansIo, SansIoProcess, View,
-};
+pub use sansio::{Behavior, Outgoing, Payload, View};
 pub use scheduler::{
-    FifoScheduler, LifoScheduler, PendingView, RandomScheduler, RelaxedScheduler, ReplayScheduler,
-    ReplayScript, SchedChoice, Scheduler, SchedulerKind,
+    FifoScheduler, LifoScheduler, RandomScheduler, RelaxedScheduler, ReplayScript, Scheduler,
+    SchedulerKind,
 };
-pub use session::{Injected, Session, SessionStatus, SessionWants};
+pub use session::{Session, SessionStatus, SessionWants};
 pub use sink::{RunMeta, TraceSink};
 pub use trace::{Trace, TraceEvent, TraceMode};
 pub use world::{Envelope, Outcome, TerminationKind, World};

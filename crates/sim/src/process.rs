@@ -37,7 +37,7 @@ pub struct Ctx<'a, M> {
     step: u64,
     outbox: Vec<(ProcessId, M)>,
     made_move: Option<Action>,
-    will: Option<(Action, bool)>, // (action, clear)
+    will: Option<Action>,
     halted: bool,
     rng: &'a mut StdRng,
 }
@@ -93,12 +93,7 @@ impl<'a, M> Ctx<'a, M> {
     /// executor if the cheap-talk phase never ends (the Aumann–Hart
     /// approach). Overwrites any previous will.
     pub fn set_will(&mut self, action: Action) {
-        self.will = Some((action, false));
-    }
-
-    /// Clears a previously written will.
-    pub fn clear_will(&mut self) {
-        self.will = Some((0, true));
+        self.will = Some(action);
     }
 
     /// Stops the process: no further messages will be delivered to it.
@@ -132,7 +127,7 @@ impl<'a, M> Ctx<'a, M> {
 pub(crate) struct Effects<M> {
     pub outbox: Vec<(ProcessId, M)>,
     pub made_move: Option<Action>,
-    pub will: Option<(Action, bool)>,
+    pub will: Option<Action>,
     pub halted: bool,
 }
 
@@ -164,16 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn will_can_be_overwritten_and_cleared() {
+    fn will_can_be_overwritten() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx: Ctx<()> = Ctx::new(0, 0, &mut rng, Vec::new());
         ctx.set_will(7);
         ctx.set_will(8);
-        assert_eq!(ctx.finish().will, Some((8, false)));
-
-        let mut ctx: Ctx<()> = Ctx::new(0, 0, &mut rng, Vec::new());
-        ctx.set_will(7);
-        ctx.clear_will();
-        assert_eq!(ctx.finish().will, Some((0, true)));
+        assert_eq!(ctx.finish().will, Some(8));
     }
 }

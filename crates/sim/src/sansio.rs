@@ -21,9 +21,11 @@
 //!   their substrates through (honest machines + byzantine behaviours + a
 //!   scheduler in, an [`Outcome`] and per-player outputs out).
 //!
+//! The crate root re-exports only [`Behavior`], [`Outgoing`], [`Payload`]
+//! and [`View`]; everything else here is named `mediator_sim::sansio::…`.
 //! See DESIGN.md §1 for the runtime diagram.
 
-use crate::process::{Action, Ctx, Process, ProcessId};
+use crate::process::{Ctx, Process, ProcessId};
 use crate::scheduler::Scheduler;
 use crate::session::Session;
 use crate::world::{Outcome, World};
@@ -333,10 +335,6 @@ impl<T> RunOutputs<T> {
     }
 }
 
-/// Converts a machine output into the process's move in the underlying game
-/// (see [`SansIoProcess::with_move`]).
-pub type MoveMap<O> = Box<dyn Fn(&O) -> Action>;
-
 /// The generic adapter: wraps any [`SansIo`] machine as a [`Process`], so
 /// the full `World` — every scheduler, traces, failure injection — can
 /// drive it. The adapter owns the machine's outbox and drains it into the
@@ -346,7 +344,6 @@ pub struct SansIoProcess<S: SansIo> {
     n: usize,
     outbox: Vec<Outgoing<S::Msg>>,
     outputs: RunOutputs<S::Output>,
-    to_action: Option<MoveMap<S::Output>>,
 }
 
 impl<S: SansIo> SansIoProcess<S> {
@@ -358,16 +355,7 @@ impl<S: SansIo> SansIoProcess<S> {
             n,
             outbox: Vec::new(),
             outputs,
-            to_action: None,
         }
-    }
-
-    /// Additionally converts each output into a game move via `f` (so a
-    /// substrate decision can double as the process's move in the underlying
-    /// game, e.g. for outcome-resolution experiments).
-    pub fn with_move(mut self, f: impl Fn(&S::Output) -> Action + 'static) -> Self {
-        self.to_action = Some(Box::new(f));
-        self
     }
 
     fn emit(&mut self, ctx: &mut Ctx<S::Msg>) {
@@ -390,9 +378,6 @@ impl<S: SansIo> Process<S::Msg> for SansIoProcess<S> {
             .on_message(src, msg, ctx.std_rng(), &mut self.outbox);
         self.emit(ctx);
         if let Some(out) = output {
-            if let Some(f) = &self.to_action {
-                ctx.make_move(f(&out));
-            }
             self.outputs.record(ctx.me(), out);
         }
         if self.machine.is_done() {
@@ -651,22 +636,6 @@ mod tests {
         assert_eq!(run(500), vec![None; 3]);
         // The start signals wait out one bound, the broadcast a second.
         assert_eq!(run(2 * FAIRNESS_BOUND + 100), vec![Some(9), Some(9), None]);
-    }
-
-    #[test]
-    fn with_move_maps_outputs_to_game_moves() {
-        let n = 3;
-        let outputs = RunOutputs::new(n);
-        let procs: Vec<Box<dyn Process<u32>>> = echo_machines(n, 0, 6)
-            .into_iter()
-            .map(|m| {
-                Box::new(SansIoProcess::new(m, n, outputs.clone()).with_move(|&v| v as Action + 1))
-                    as Box<dyn Process<u32>>
-            })
-            .collect();
-        let mut world = World::new(procs, 5);
-        let outcome = world.run(&mut RandomScheduler::new(), 100_000);
-        assert_eq!(outcome.moves, vec![Some(7); n]);
     }
 
     #[test]

@@ -563,10 +563,8 @@ impl<M> World<M> {
                 self.moves[pid] = Some(a);
             }
         }
-        match effects.will {
-            Some((_, true)) => self.wills[pid] = None,
-            Some((a, false)) => self.wills[pid] = Some(a),
-            None => {}
+        if effects.will.is_some() {
+            self.wills[pid] = effects.will;
         }
         if effects.halted && !self.halted[pid] {
             self.halted[pid] = true;
@@ -1146,10 +1144,8 @@ mod spec_parity {
                     self.moves[pid] = Some(a);
                 }
             }
-            match effects.will {
-                Some((_, true)) => self.wills[pid] = None,
-                Some((a, false)) => self.wills[pid] = Some(a),
-                None => {}
+            if effects.will.is_some() {
+                self.wills[pid] = effects.will;
             }
             if effects.halted {
                 self.halted[pid] = true;

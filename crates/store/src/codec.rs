@@ -77,7 +77,7 @@ pub enum StoreError {
     },
     /// The backing file failed with this I/O error kind.
     Io(std::io::ErrorKind),
-    /// A [`crate::RunId`] past the end of the store's index.
+    /// A [`crate::store::RunId`] past the end of the store's index.
     UnknownRun {
         /// The id asked for.
         id: usize,

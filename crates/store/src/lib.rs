@@ -22,8 +22,9 @@
 //!   memory is one 48-byte entry per run; headers and outcomes are read
 //!   from the log when asked for.
 //! * [`replay`] — [`replay_plan`] re-opens the world through the
-//!   scenario plan's `session_with` seam with a [`mediator_sim::ReplayScheduler`]
-//!   forcing the recorded dispatch order; networked recordings re-enact
+//!   scenario plan's `session_with` seam with a
+//!   [`ReplayScheduler`](mediator_sim::scheduler::ReplayScheduler) forcing
+//!   the recorded dispatch order; networked recordings re-enact
 //!   the transport pump in process. [`StoreSink`] plugs the store into
 //!   anything emitting [`mediator_sim::TraceSink`] callbacks — notably the
 //!   `mediator-net` service drivers and the conformance sweep, which is
@@ -41,10 +42,6 @@ pub mod store;
 
 pub use codec::{OutcomeRecord, PlanKind, RunHeader, StoreError};
 pub use recipe::{record_witness, replay_witness, WitnessRecipe};
-pub use replay::{
-    replay_networked_session, replay_plan, replay_run, stored_script, ReplayError, ReplayReport,
-};
+pub use replay::{replay_plan, stored_script, ReplayError, ReplayReport};
 pub use sink::{HeaderTemplate, StoreSink};
-pub use store::{
-    Backend, EventsIter, FileBackend, MemBackend, RunId, StoredRun, TraceStore, INDEX_WINDOW,
-};
+pub use store::{Backend, MemBackend, StoredRun, TraceStore, INDEX_WINDOW};

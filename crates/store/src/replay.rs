@@ -10,10 +10,12 @@
 //! the recording: the re-recorded trace must be byte-identical and the
 //! stored outcome fields must match.
 //!
-//! Two driving modes, chosen by [`RunHeader::networked`](crate::RunHeader#structfield.networked):
+//! [`replay_plan`] has two driving modes, chosen by
+//! [`RunHeader::networked`](crate::RunHeader#structfield.networked):
 //!
-//! * **In-process** ([`replay_run`]): the recorded world delivered its own
-//!   sends; `plan.run_with(Replay(script), seed)` re-enacts it directly.
+//! * **In-process**: the recorded world delivered its own sends;
+//!   `plan.session_with(Replay(script), seed).finish()` re-enacts it
+//!   directly.
 //! * **Networked** ([`replay_networked_session`]): the recording came from
 //!   a transport pump, so every logical message appears twice — once when
 //!   the process sent it (emission) and once when the wire handed it back
@@ -204,20 +206,6 @@ fn check(run: &StoredRun, replayed: &Outcome) -> Result<ReplayReport, ReplayErro
     })
 }
 
-/// Replays a stored run through an arbitrary executor — the seam for
-/// callers whose run recipe is not a scenario [`Plan`] (a bare world, a
-/// protocol substrate). `exec` receives the replay scheduler kind and the
-/// recorded seed and must rebuild and run the same world the recording
-/// came from.
-pub fn replay_run(
-    run: &StoredRun,
-    exec: impl FnOnce(&SchedulerKind, u64) -> Outcome,
-) -> Result<ReplayReport, ReplayError> {
-    let script = stored_script(run)?;
-    let replayed = exec(&SchedulerKind::Replay(script), run.header.seed);
-    check(run, &replayed)
-}
-
 /// Replays a stored run against the plan that produced it, dispatching on
 /// [`RunHeader::networked`](crate::codec::RunHeader::networked): bare
 /// recordings run the closed loop, networked recordings re-enact the
@@ -331,22 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn bare_world_recording_replays_through_exec() {
-        let mut store = TraceStore::in_memory();
-        let outcome = echo_world(4, 11).run(SchedulerKind::Random.build().as_mut(), 10_000);
-        let id = store
-            .record(RunHeader::bare(3, 11), &outcome)
-            .expect("record");
-        let run = store.load(id).unwrap();
-        let report = replay_run(&run, |kind, seed| {
-            echo_world(4, seed).run(kind.build().as_mut(), 10_000)
-        })
-        .expect("replay reproduces");
-        assert_eq!(report.events, outcome.trace.events().len());
-        assert_eq!(report.termination, outcome.termination);
-    }
-
-    #[test]
     fn partial_recording_is_refused() {
         let mut store = TraceStore::in_memory();
         let mut world = echo_world(5, 2);
@@ -376,26 +348,6 @@ mod tests {
             }
             other => panic!("expected Evicted, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn wrong_seed_is_a_divergence_or_mismatch() {
-        let mut store = TraceStore::in_memory();
-        let outcome = echo_world(4, 7).run(SchedulerKind::Random.build().as_mut(), 10_000);
-        let id = store.record(RunHeader::bare(1, 7), &outcome).unwrap();
-        let run = store.load(id).unwrap();
-        // Re-enact with a *different* world size: the trace cannot match.
-        let err = replay_run(&run, |kind, seed| {
-            echo_world(3, seed).run(kind.build().as_mut(), 10_000)
-        })
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ReplayError::Divergence { .. } | ReplayError::Mismatch { .. }
-            ),
-            "got {err:?}"
-        );
     }
 
     #[test]

@@ -129,9 +129,14 @@ fn replaying_against_the_wrong_plan_is_a_typed_error_not_a_silent_pass() {
         .inputs(vec![vec![Fp::ZERO]; 5])
         .build()
         .expect("same shape, different inputs");
+    let err = replay_plan(&other, &run)
+        .expect_err("a foreign plan cannot reproduce the recorded outcome");
     assert!(
-        replay_plan(&other, &run).is_err(),
-        "a foreign plan cannot reproduce the recorded outcome"
+        matches!(
+            err,
+            ReplayError::Divergence { .. } | ReplayError::Mismatch { .. }
+        ),
+        "got {err:?}"
     );
 }
 

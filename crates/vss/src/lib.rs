@@ -30,7 +30,6 @@ pub mod reconstruct;
 pub mod shamir;
 
 pub use avss::{AvssMsg, AvssState};
-pub use detect::{DetectMsg, DetectState, Verdict};
+pub use detect::DetectMsg;
 pub use driver::AvssPeer;
 pub use reconstruct::OecState;
-pub use shamir::{share_secret, share_with_poly, Share};

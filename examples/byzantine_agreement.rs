@@ -6,6 +6,7 @@
 //! cargo run --example byzantine_agreement
 //! ```
 
+use mediator_talk::core::adversary::OPEN_LIE_OFFSET;
 use mediator_talk::prelude::*;
 
 fn main() {
@@ -35,11 +36,12 @@ fn main() {
     );
 
     // --- Without the mediator: cheap talk, one player actively lying ---
+    let liar = Deviation::named("liar").corrupt_opens(0, OPEN_LIE_OFFSET);
     let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
         .players(n)
         .tolerance(k, t)
         .inputs(inputs)
-        .deviant(3, Deviation::named("liar").lie_in_opens().build().1)
+        .deviant(3, liar.build().1)
         .seed(7)
         .max_steps(4_000_000)
         .build()

@@ -13,6 +13,7 @@
 //! cargo run --release --example correlated_chicken
 //! ```
 
+use mediator_talk::games::correlated::correlated_violation;
 use mediator_talk::prelude::*;
 
 fn main() {
@@ -52,5 +53,9 @@ fn main() {
 
     // Incentives: a player told Dare knows the other chickens (7 > 6);
     // told Chicken, the posterior makes it indifferent (14/3 either way).
+    assert!(
+        correlated_violation(&game, &reference, 0.0).is_none(),
+        "obedience must be a best response to every recommendation"
+    );
     println!("obedience is a correlated equilibrium — and only a mediator can deal it");
 }

@@ -182,7 +182,7 @@ fn one_crash_never_stalls_theorem_4_1() {
     let plan = cheap_talk_41_plan(n);
     for deviator in 0..n {
         for sends in 0..160 {
-            let (_, crash) = Deviation::named("crash").crash_after(sends).build();
+            let (_, crash) = Deviation::named("crash").abort_at(sends).build();
             let plan = plan
                 .clone()
                 .with_deviant(deviator, crash)

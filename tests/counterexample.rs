@@ -5,7 +5,7 @@
 use mediator_talk::circuits::catalog;
 use mediator_talk::core::adversary::Conformance;
 use mediator_talk::core::deviations::CounterexampleColluder;
-use mediator_talk::core::Scenario;
+use mediator_talk::core::scenario::Scenario;
 use mediator_talk::games::{library, punishment, solution, Strategy};
 use mediator_talk::sim::SchedulerKind;
 

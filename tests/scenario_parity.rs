@@ -127,7 +127,7 @@ fn batch_matches_individual_runs_and_is_thread_invariant() {
 #[test]
 fn machines_run_matches_stepped_session() {
     use mediator_talk::bcast::RbcPeer;
-    use mediator_talk::sim::Machines;
+    use mediator_talk::sim::sansio::Machines;
     let mk = || -> Vec<RbcPeer<u64>> {
         (0..4)
             .map(|me| RbcPeer::new(4, 1, 0, me, (me == 0).then_some(42)))

@@ -1,5 +1,6 @@
 //! Integration: the resilience thresholds of Theorems 4.1–4.5, end to end.
 
+use mediator_talk::core::adversary::OPEN_LIE_OFFSET;
 use mediator_talk::core::scenario::CheapTalk;
 use mediator_talk::prelude::*;
 
@@ -51,11 +52,14 @@ fn silent() -> Behavior {
 }
 
 fn liar() -> Behavior {
-    Deviation::named("liar").lie_in_opens().build().1
+    Deviation::named("liar")
+        .corrupt_opens(0, OPEN_LIE_OFFSET)
+        .build()
+        .1
 }
 
 fn crash_after(sends: u64) -> Behavior {
-    Deviation::named("crash").crash_after(sends).build().1
+    Deviation::named("crash").abort_at(sends).build().1
 }
 
 /// Cotermination: the honest players (everyone but `deviant`) all moved or

@@ -231,6 +231,50 @@ const GOLDEN_MEDIATOR_NAIVE_DEVIANT: &[(&str, u64)] = &[
     ("delay-input", 0x0c1fe889b2d8c60b),
 ];
 
+/// The battery cells of the two deviant tables that share a fingerprint,
+/// each with the reason. Any other shared fingerprint is a cell every
+/// conformance sweep runs twice.
+const SAME_FINGERPRINT: &[(&str, &str, &str)] = &[
+    (
+        "crash-mid",
+        "drop-phase2",
+        "a true duplicate: `abort_at(60)` and `drop_between(60, u64::MAX)` drop the same sends",
+    ),
+    (
+        "honest",
+        "lie-input",
+        "the lie claims the all-ones input the plan already gives",
+    ),
+    (
+        "lie-opens",
+        "corrupt-opens-late",
+        "both only change opened values, which OEC corrects and a fingerprint does not read",
+    ),
+    (
+        "honest",
+        "pool-then-cooperate",
+        "a one-player coalition has no partner to pool with, and then cooperates",
+    ),
+];
+
+#[test]
+fn deviant_batteries_are_sets_but_for_the_listed_pairs() {
+    for table in [GOLDEN_CHEAP_TALK_41_DEVIANT, GOLDEN_MEDIATOR_NAIVE_DEVIANT] {
+        for (i, &(a, fa)) in table.iter().enumerate() {
+            for &(b, fb) in &table[i + 1..] {
+                let listed = SAME_FINGERPRINT
+                    .iter()
+                    .any(|&(x, y, _)| (x, y) == (a, b) || (y, x) == (a, b));
+                assert_eq!(
+                    fa == fb,
+                    listed,
+                    "{a} / {b}: cells share a fingerprint exactly when SAME_FINGERPRINT lists them"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn cheap_talk_41_deviant_traces_match_pinned_sessions() {
     let got = deviant_hash(&cheap_talk_41_plan());
