@@ -13,7 +13,8 @@
 //!    to a [`TacticState`], the one send path of both the cheap-talk player
 //!    and the honest mediator-game player.
 //! 2. **Coalition wiring** ([`GossipColluder`], generalizing the §6.4
-//!    `CounterexampleColluder`) — members pool their private leaks over
+//!    counterexample coalition, [`GossipColluder::counterexample`]) —
+//!    members pool their private leaks over
 //!    `Gossip` messages and act on the combined information via a
 //!    [`CollusionRule`].
 //! 3. **The conformance harness** ([`Conformance`] → [`ConformanceReport`])
@@ -497,9 +498,8 @@ impl CollusionRule {
 /// leaks by XOR, and acts on a [`CollusionRule`]. With one partner of
 /// opposite parity and `DeadlockOnBit { trigger: 0, will: ⊥ }` this *is*
 /// the paper's counterexample coalition
-/// ([`CounterexampleColluder`](crate::deviations::CounterexampleColluder)
-/// is now a thin wrapper); the conformance harness sweeps the rule space
-/// instead of hard-coding that one point.
+/// ([`GossipColluder::counterexample`]); the conformance harness sweeps the
+/// rule space instead of hard-coding that one point.
 pub struct GossipColluder {
     n: usize,
     partners: Vec<ProcessId>,
@@ -531,6 +531,21 @@ impl GossipColluder {
             partner_leaks: BTreeMap::new(),
             acked: false,
         }
+    }
+
+    /// The §6.4 rational colluder whose one gossip partner is `partner`:
+    /// paired with a player of opposite parity, it XORs the two round-1
+    /// leaks to learn `b` early, then deadlocks the naive mediator when
+    /// `b = 0` (preferring the 1.1 punishment payoff to the 1.0 all-zeros
+    /// payoff) and cooperates when `b = 1` (payoff 2). ⊥ is its will from
+    /// the start.
+    pub fn counterexample(n: usize, partner: ProcessId) -> Self {
+        let bottom = mediator_games::library::BOTTOM as Action;
+        let rule = CollusionRule::DeadlockOnBit {
+            trigger: 0,
+            will: bottom,
+        };
+        GossipColluder::new(n, [partner], rule, bottom)
     }
 
     /// Sets the private input re-sent on acks (empty by default — the

@@ -10,14 +10,13 @@
 //! coalition-strategy batteries and owns the one harness that judges them
 //! — gains for deviators (resilience) and harms for bystanders (immunity),
 //! with paired intervals ([`Conformance`](crate::adversary::Conformance)).
-//! The §6.4 colluders are mediator-game processes ([`GossipColluder`] in
-//! general; [`CounterexampleColluder`] is the paper's specific point in
-//! that space).
+//! The §6.4 colluders are mediator-game processes:
+//! [`GossipColluder`](crate::adversary::GossipColluder) in general, and
+//! [`GossipColluder::counterexample`](crate::adversary::GossipColluder::counterexample)
+//! the paper's specific point in that space.
 
-use crate::adversary::{CollusionRule, GossipColluder, Scheduled};
-use crate::mediator::MedMsg;
+use crate::adversary::Scheduled;
 use mediator_field::Fp;
-use mediator_games::library;
 use mediator_sim::{Action, Ctx, Process, ProcessId};
 
 /// Parameterized deviations applied to the honest cheap-talk player:
@@ -47,46 +46,4 @@ impl<M> Process<M> for SilentProcess {
         ctx.halt();
     }
     fn on_message(&mut self, _src: ProcessId, _msg: M, _ctx: &mut Ctx<M>) {}
-}
-
-/// The §6.4 rational colluder (mediator game): paired players of opposite
-/// parity who XOR their round-1 leaks to learn `b` early, then deadlock the
-/// naive mediator when `b = 0` (preferring the 1.1 punishment payoff to the
-/// 1.0 all-zeros payoff) and cooperate when `b = 1` (payoff 2).
-///
-/// One specific point of the generalized coalition space: a
-/// [`GossipColluder`] pair under
-/// `CollusionRule::DeadlockOnBit { trigger: 0, will: ⊥ }`. The conformance
-/// harness *generates* this strategy (among others) rather than requiring
-/// it to be hand-built.
-pub struct CounterexampleColluder {
-    inner: GossipColluder,
-}
-
-impl CounterexampleColluder {
-    /// Creates a colluder whose gossip partner is `partner`.
-    pub fn new(n: usize, partner: ProcessId) -> Self {
-        let bottom = library::BOTTOM as Action;
-        CounterexampleColluder {
-            inner: GossipColluder::new(
-                n,
-                [partner],
-                CollusionRule::DeadlockOnBit {
-                    trigger: 0,
-                    will: bottom,
-                },
-                bottom,
-            ),
-        }
-    }
-}
-
-impl Process<MedMsg> for CounterexampleColluder {
-    fn on_start(&mut self, ctx: &mut Ctx<MedMsg>) {
-        self.inner.on_start(ctx);
-    }
-
-    fn on_message(&mut self, src: ProcessId, msg: MedMsg, ctx: &mut Ctx<MedMsg>) {
-        self.inner.on_message(src, msg, ctx);
-    }
 }

@@ -10,21 +10,26 @@
 //! round trips across connections is the delivery order the hosted run
 //! observes.
 //!
+//! Every relay here is content-blind: [`Client::relay`], [`bulk_relay`]
+//! and the tamper battery's relay all run `relay_loop`, which echoes a
+//! `Msg` frame as the bytes it arrived in and decodes only control
+//! frames. Only the service reads protocol messages.
+//!
 //! [`Session`]: mediator_sim::Session
 
 use crate::frame::{is_msg, Frame, NetError, OutcomeSummary, SessionId, PREFIX_LEN};
-use crate::transport::{ConnPair, FrameBuf, FrameRx, FrameTx, MemTransport, TcpTransport};
+use crate::transport::{ConnPair, FrameBuf, FramedRx, FramedTx, MemTransport, TcpTransport};
 use crate::wire::Wire;
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 
 /// A framed client connection to a [`Service`](crate::Service).
 pub struct Client<M> {
-    tx: Box<dyn FrameTx<M>>,
-    rx: Box<dyn FrameRx<M>>,
+    tx: FramedTx<M>,
+    rx: FramedRx<M>,
 }
 
-impl<M: Wire + 'static> Client<M> {
+impl<M: Wire> Client<M> {
     /// Wraps an established connection.
     pub fn from_pair((tx, rx): ConnPair<M>) -> Self {
         Client { tx, rx }
@@ -50,44 +55,15 @@ impl<M: Wire + 'static> Client<M> {
         self.tx.send(&Frame::Attach { session, player })
     }
 
-    /// The relay loop: echoes every `Msg` frame back to the service
-    /// (completing each message's network leg) until the service announces
-    /// the session's end, then returns the outcome summary.
-    ///
-    /// Echoes are burst-granular: they queue while complete frames remain
-    /// buffered from the last read and leave in **one write** the moment
-    /// the next frame would have to come off the stream — so the relay
-    /// never blocks holding a frame its peer is waiting for, and a burst
-    /// of k frames costs one read and one write instead of 2k of each.
-    /// Returning frames in bursts is one more delivery order the §2
-    /// scheduler was always free to pick (DESIGN.md §9).
-    pub fn relay(mut self) -> Result<OutcomeSummary, NetError> {
-        let end = loop {
-            if !self.rx.has_frame() {
-                self.tx.flush()?;
-            }
-            match self.rx.recv()? {
-                frame @ Frame::Msg { .. } => self.tx.queue(&frame),
-                Frame::Outcome { summary, .. } => break Ok(summary),
-                Frame::Reject { session, reason } => {
-                    break Err(NetError::Rejected { session, reason })
-                }
-                Frame::Abort { session } => break Err(NetError::Aborted { session }),
-                // `Attach` never travels service → client, and shard
-                // lease frames never reach a session relay; tolerate.
-                Frame::Attach { .. }
-                | Frame::ShardRequest { .. }
-                | Frame::ShardGrant { .. }
-                | Frame::ShardResult { .. }
-                | Frame::ShardWitness { .. }
-                | Frame::ShardDrain => {}
-            }
-        };
-        // Echoes that shared a burst with the closing frame belong to
-        // other sessions on this connection; they still go out, but the
-        // verdict already in hand outranks a write to a closing peer.
-        let _ = self.tx.flush();
-        end
+    /// The relay: echoes every `Msg` frame back to the service as the
+    /// bytes it arrived in (completing each message's network leg) until
+    /// the service announces the session's end, then returns the outcome
+    /// summary. This is [`bulk_relay`] over this connection, frames an
+    /// earlier [`Client::recv`] left buffered included.
+    pub fn relay(self) -> Result<OutcomeSummary, NetError> {
+        let Client { tx, rx } = self;
+        let mut outcomes = echo_relay(rx.source, rx.buf, tx.sink, &[], 1)?;
+        Ok(outcomes.pop().expect("one outcome resolves the relay").1)
     }
 
     /// Receives one frame (for hand-rolled clients and tests).
@@ -107,7 +83,8 @@ impl<M: Wire + 'static> Client<M> {
 /// bytes bounce back verbatim, which is the relay's "content-blind
 /// network leg" role made literal (only the service reads protocol
 /// messages; the network never needs to). Returns once `expected`
-/// sessions have announced outcomes.
+/// sessions have announced outcomes; a `Reject` or `Abort` ends it with
+/// the matching error.
 ///
 /// This is the client the multi-thousand-session benches run: one
 /// connection, one thread, relaying for every player of every session, so
@@ -119,28 +96,46 @@ pub fn bulk_relay<R: Read, W: Write>(
     attaches: &[(SessionId, usize)],
     expected: usize,
 ) -> Result<Vec<(SessionId, OutcomeSummary)>, NetError> {
+    echo_relay(rx, FrameBuf::new(), tx, attaches, expected)
+}
+
+/// [`bulk_relay`] over a stream whose first bytes are already in
+/// `inbound`.
+fn echo_relay<R: Read, W: Write>(
+    rx: R,
+    inbound: FrameBuf,
+    tx: W,
+    attaches: &[(SessionId, usize)],
+    expected: usize,
+) -> Result<Vec<(SessionId, OutcomeSummary)>, NetError> {
     let mut outcomes: Vec<(SessionId, OutcomeSummary)> = Vec::with_capacity(expected);
     // `Msg` frames pass as bytes, so no message is ever decoded: `u64`
     // stands in for the message type, as on the shard plane.
-    relay_loop::<u64, _, _>(rx, tx, attaches, expected, |frame, out| match frame {
-        // The network leg: bounce the frame back, bytes and all.
-        Relayed::Msg(framed) => {
-            out.extend_from_slice(framed);
-            Ok(false)
-        }
-        Relayed::Control(Frame::Outcome { session, summary }) => {
-            outcomes.push((session, summary));
-            Ok(true)
-        }
-        Relayed::Control(Frame::Reject { session, reason }) => {
-            Err(NetError::Rejected { session, reason })
-        }
-        Relayed::Control(Frame::Abort { session }) => Err(NetError::Aborted { session }),
-        // `Attach` never travels service → client, and shard lease frames
-        // never reach a session relay; tolerate both, as `Client::relay`
-        // does.
-        Relayed::Control(_) => Ok(false),
-    })?;
+    relay_loop::<u64, _, _>(
+        rx,
+        inbound,
+        tx,
+        attaches,
+        expected,
+        |frame, out| match frame {
+            // The network leg: bounce the frame back, bytes and all.
+            Relayed::Msg(framed) => {
+                out.extend_from_slice(framed);
+                Ok(false)
+            }
+            Relayed::Control(Frame::Outcome { session, summary }) => {
+                outcomes.push((session, summary));
+                Ok(true)
+            }
+            Relayed::Control(Frame::Reject { session, reason }) => {
+                Err(NetError::Rejected { session, reason })
+            }
+            Relayed::Control(Frame::Abort { session }) => Err(NetError::Aborted { session }),
+            // `Attach` never travels service → client, and shard lease frames
+            // never reach a session relay; tolerate both.
+            Relayed::Control(_) => Ok(false),
+        },
+    )?;
     Ok(outcomes)
 }
 
@@ -154,13 +149,22 @@ pub(crate) enum Relayed<'a, M> {
     Control(Frame<M>),
 }
 
-/// The one relay loop behind [`bulk_relay`] and the tamper battery's
-/// relay: attaches every `(session, player)`, then hands each inbound
-/// frame to `hook`, which appends what to echo to the out-buffer and says
-/// whether the frame resolved a session. Returns once `expected` sessions
-/// have resolved.
+/// The one relay loop, behind [`Client::relay`], [`bulk_relay`] and the
+/// tamper battery's relay: queues an `Attach` for every `(session,
+/// player)`, then hands each inbound frame — those already in `inbound`
+/// first — to `hook`, which appends what to echo to the out-buffer and
+/// says whether the frame resolved a session. Returns at the frame that
+/// resolves the `expected`-th session, or at the first error.
+///
+/// Echoes leave in one write per read burst, the moment the next frame
+/// would have to come off the stream, so the relay never blocks holding a
+/// frame its peer waits for (returning frames in bursts is one more
+/// delivery order the §2 scheduler was always free to pick, DESIGN.md
+/// §9). Echoes queued when the relay returns still go out, best effort: a
+/// verdict in hand outranks a write to a closing peer.
 pub(crate) fn relay_loop<M: Wire, R: Read, W: Write>(
     mut rx: R,
+    mut inbound: FrameBuf,
     mut tx: W,
     attaches: &[(SessionId, usize)],
     expected: usize,
@@ -170,15 +174,14 @@ pub(crate) fn relay_loop<M: Wire, R: Read, W: Write>(
     for &(session, player) in attaches {
         Frame::<M>::Attach { session, player }.encode_framed(&mut wbuf);
     }
-    tx.write_all(&wbuf)?;
-    tx.flush()?;
-    wbuf.clear();
-
-    let mut resolved = 0;
-    let mut inbound = FrameBuf::new();
-    loop {
-        inbound.read_from(&mut rx)?;
-        while let Some(framed) = inbound.next_frame()? {
+    let mut relay = || -> Result<(), NetError> {
+        let mut resolved = 0;
+        loop {
+            let Some(framed) = inbound.next_frame()? else {
+                write_out(&mut tx, &mut wbuf)?;
+                inbound.read_from(&mut rx)?;
+                continue;
+            };
             let body = &framed[PREFIX_LEN..];
             let frame = if is_msg(body) {
                 Relayed::Msg(framed)
@@ -186,16 +189,24 @@ pub(crate) fn relay_loop<M: Wire, R: Read, W: Write>(
                 Relayed::Control(Frame::decode_body(body)?)
             };
             resolved += usize::from(hook(frame, &mut wbuf)?);
+            if resolved >= expected {
+                return Ok(());
+            }
         }
-        if !wbuf.is_empty() {
-            // One write + flush per read burst: echo batching is most of
-            // the bulk relay's syscall win over per-frame clients.
-            tx.write_all(&wbuf)?;
-            tx.flush()?;
-            wbuf.clear();
-        }
-        if resolved >= expected {
-            return Ok(());
-        }
+    };
+    let end = relay();
+    let _ = write_out(&mut tx, &mut wbuf);
+    end
+}
+
+/// Writes and flushes what `wbuf` holds, then empties it: after a failed
+/// write the stream stands at an unknown offset, so nothing is kept to
+/// retry.
+fn write_out<W: Write>(tx: &mut W, wbuf: &mut Vec<u8>) -> Result<(), NetError> {
+    if wbuf.is_empty() {
+        return Ok(());
     }
+    let written = tx.write_all(wbuf).and_then(|()| tx.flush());
+    wbuf.clear();
+    Ok(written?)
 }

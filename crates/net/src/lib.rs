@@ -14,7 +14,8 @@
 //!   `Reject` / `Abort`) and the one [`NetError`] every failure maps to.
 //! * [`transport`] — two interchangeable backends under the same framing
 //!   code: in-memory duplex pipes ([`MemTransport`]) and TCP loopback
-//!   ([`TcpTransport`], always port 0 — sandbox/CI-safe).
+//!   ([`TcpTransport`], always port 0 — sandbox/CI-safe), each connection
+//!   split into one [`FramedTx`] and one [`FramedRx`].
 //! * [`readiness`] — the reactor's event plumbing: a hand-rolled
 //!   `poll(2)` wrapper (no `mio` in the container), a
 //!   [`Waker`](readiness::Waker) bridging fd- and notify-based sources,
@@ -27,14 +28,16 @@
 //!   concurrently on one core). Sessions, routes and connection buffers
 //!   are owned by that thread alone; callers hold a command sender.
 //! * [`client`] — the thin relay endpoint ([`Client`]): the network leg
-//!   of every message addressed to its players.
+//!   of every message addressed to its players. Its relay and
+//!   [`bulk_relay`] share one content-blind loop that echoes `Msg` frames
+//!   as bytes.
 //! * [`auth`] — authenticated frames: per-pair keyed MACs (hand-rolled
 //!   SipHash-2-4) sealing every shipped `Msg` under [`WIRE_VERSION_AUTH`],
 //!   with sequence numbers for replay protection and downgrade rejection.
 //!   Enable via [`ServiceConfig::auth`]; tampering surfaces as the typed
 //!   [`NetError::AuthFailure`] and aborts only the tampered session.
-//! * [`tamper`] — the Byzantine-relay battery: its relay is the
-//!   content-blind [`bulk_relay`] loop with wire-level tactics (rewrite /
+//! * [`tamper`] — the Byzantine-relay battery: its relay is that same
+//!   content-blind loop with wire-level tactics (rewrite /
 //!   replay / redirect / truncate / reorder / drop / delay / strip) over
 //!   frame-counter windows as its hook for the target session's frames —
 //!   the adversary plane's combinator style pointed at the transport
@@ -111,7 +114,5 @@ pub use service::{run_over_mem, run_over_tcp, Service, ServiceConfig, SessionHan
 pub use mediator_sim::{RunMeta, TraceSink};
 pub use shard::{coordinate, run_worker, worker_mem, ShardConfig, ShardedSweep};
 pub use tamper::TransportKind;
-pub use transport::{
-    duplex, pipe, ConnPair, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport, TcpTransport,
-};
+pub use transport::{duplex, pipe, ConnPair, FramedRx, FramedTx, MemTransport, TcpTransport};
 pub use wire::{CodecError, Wire, WIRE_VERSION, WIRE_VERSION_AUTH};

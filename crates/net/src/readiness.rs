@@ -483,19 +483,14 @@ impl ConnIo {
     /// switched to blocking mode first). Useful for tests and tools that
     /// accept through an [`NbListener`] but want the simple blocking
     /// codec view.
-    pub fn into_framed<M: Wire + 'static>(self) -> Result<ConnPair<M>, NetError> {
+    pub fn into_framed<M: Wire>(self) -> Result<ConnPair<M>, NetError> {
         match self {
             ConnIo::Tcp(stream) => {
                 stream.set_nonblocking(false)?;
                 let reader = stream.try_clone()?;
-                Ok((
-                    Box::new(FramedTx::new(stream)),
-                    Box::new(FramedRx::new(reader)),
-                ))
+                Ok((FramedTx::new(stream), FramedRx::new(reader)))
             }
-            ConnIo::Mem { rx, tx } => {
-                Ok((Box::new(FramedTx::new(tx)), Box::new(FramedRx::new(rx))))
-            }
+            ConnIo::Mem { rx, tx } => Ok((FramedTx::new(tx), FramedRx::new(rx))),
         }
     }
 

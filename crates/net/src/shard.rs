@@ -39,9 +39,7 @@
 use crate::auth::{AuthKey, AuthTag, TamperKind};
 use crate::frame::{Frame, NetError, RejectReason, SHARD_COORD};
 use crate::tamper::TransportKind;
-use crate::transport::{
-    ConnPair, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport, TcpTransport,
-};
+use crate::transport::{ConnPair, FramedRx, FramedTx, MemTransport, TcpTransport};
 use mediator_core::scenario::{GameFamily, Plan};
 use mediator_core::{
     render_sweep_report, run_sweep_cell, run_sweep_unit, sweep_units, Conformance,
@@ -189,7 +187,7 @@ impl ShardListener {
         match self {
             ShardListener::Mem(hub) => {
                 let (w, r) = hub.accept()?;
-                let conn: ConnPair<u64> = (Box::new(FramedTx::new(w)), Box::new(FramedRx::new(r)));
+                let conn: ConnPair<u64> = (FramedTx::new(w), FramedRx::new(r));
                 // Mem pipes close a direction when its writer drops, so
                 // dropping the registered tx half is teardown enough.
                 Some((conn, None))
@@ -206,10 +204,7 @@ impl ShardListener {
                         let _ = s.shutdown(std::net::Shutdown::Both);
                     }) as Box<dyn FnOnce() + Send>
                 });
-                let conn: ConnPair<u64> = (
-                    Box::new(FramedTx::new(stream)),
-                    Box::new(FramedRx::new(read)),
-                );
+                let conn: ConnPair<u64> = (FramedTx::new(stream), FramedRx::new(read));
                 Some((conn, closer))
             }
         }
@@ -252,7 +247,7 @@ struct WitnessLease {
 /// request (a muted worker never requests again, yet still deserves the
 /// drain frame — and its handler must not pin the coordinator's scope).
 struct ConnSlot {
-    tx: Option<Box<dyn FrameTx<u64>>>,
+    tx: Option<FramedTx<u64>>,
     close: Closer,
 }
 
@@ -347,7 +342,7 @@ impl Coord<'_> {
     /// One connection's handler: hold requests until a grant (or drain)
     /// is available, settle results against the ledger, and reclaim the
     /// worker's leases when the connection dies.
-    fn handle(&self, slot: Arc<Mutex<ConnSlot>>, mut rx: Box<dyn FrameRx<u64>>, conn: u64) {
+    fn handle(&self, slot: Arc<Mutex<ConnSlot>>, mut rx: FramedRx<u64>, conn: u64) {
         let mut me: Option<u64> = None;
         loop {
             match rx.recv() {
@@ -709,8 +704,8 @@ pub fn coordinate<F: GameFamily>(
 /// single witness cells), ship results, and return the number of leases
 /// served once drained.
 pub fn run_worker<F: GameFamily>(
-    mut tx: Box<dyn FrameTx<u64>>,
-    mut rx: Box<dyn FrameRx<u64>>,
+    mut tx: FramedTx<u64>,
+    mut rx: FramedRx<u64>,
     worker: u64,
     plan: &Plan<F>,
     conf: &Conformance,

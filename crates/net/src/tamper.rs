@@ -3,7 +3,7 @@
 //!
 //! PR 4's adversary plane deviates *processes* — a Byzantine player lies
 //! in its openings, equivocates, goes silent. This module deviates the
-//! **network**: its relay runs the content-blind `bulk_relay` loop
+//! **network**: its relay runs the content-blind loop every relay shares
 //! (one raw byte stream, many sessions, echo every `Msg`) with
 //! [`WireTactic`]s as its hook for the frames of one *target session*,
 //! scheduled over frame-counter [`Window`]s — the same combinator grammar
@@ -39,7 +39,7 @@ use crate::frame::{
 };
 use crate::readiness::NbListener;
 use crate::service::{Service, ServiceConfig};
-use crate::transport::{MemTransport, TcpTransport};
+use crate::transport::{FrameBuf, MemTransport, TcpTransport};
 use crate::wire::Wire;
 use mediator_core::adversary::{TamperableMsg, Window};
 use mediator_core::scenario::{GameFamily, Plan};
@@ -177,7 +177,7 @@ where
     let mut delayed: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut reorder: Vec<Vec<u8>> = Vec::new();
 
-    relay_loop::<M, _, _>(rx, tx, attaches, expected, |frame, out| {
+    relay_loop::<M, _, _>(rx, FrameBuf::new(), tx, attaches, expected, |frame, out| {
         let framed = match frame {
             Relayed::Msg(framed) => framed,
             Relayed::Control(control) => {

@@ -5,8 +5,8 @@
 //! truncation errors) holds identically on each. Framing is
 //! burst-granular: [`FrameBuf`] is the one length-prefix splitter (it
 //! takes whatever a read returned and yields every complete frame), and
-//! a [`FramedTx`] writes prefix and body — or a whole queue of frames —
-//! in one `write` (DESIGN.md §9, "Burst-granular framing").
+//! a [`FramedTx`] writes prefix and body in one `write` (DESIGN.md §9,
+//! "Burst-granular framing").
 //!
 //! * **In-memory duplex pipes** ([`MemTransport`]) — a [`pipe`] is a
 //!   `Mutex<VecDeque<u8>>` + condvar with hangup-aware ends; a connection
@@ -17,7 +17,8 @@
 //!   set because protocol frames are small and latency-bound.
 //!
 //! Two seams come out of here. Clients use the blocking framed halves
-//! [`FrameTx`]/[`FrameRx`]. The service side is readiness-based: both
+//! [`FramedTx`]/[`FramedRx`], one struct per direction over a boxed
+//! stream of either backend. The service side is readiness-based: both
 //! backends implement [`NbListener`], handing the reactor raw
 //! non-blocking [`ConnIo`] endpoints — TCP via `poll(2)` on the socket
 //! fd, memory pipes via a watcher hook ([`PipeReader::watch`]) that
@@ -28,43 +29,12 @@ use crate::readiness::{ConnIo, NbListener, TryRead, Waker, ACCEPT_TOKEN};
 use crate::wire::{CodecError, Wire};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// The sending half of a framed connection.
-pub trait FrameTx<M>: Send {
-    /// Encodes one frame (length prefix + body) into the outbound buffer
-    /// without touching the stream. Nothing is on the wire until
-    /// [`FrameTx::flush`].
-    fn queue(&mut self, frame: &Frame<M>);
-
-    /// Writes every queued frame to the stream in one `write`.
-    fn flush(&mut self) -> Result<(), NetError>;
-
-    /// Queues one frame and flushes: the frame is on the wire when this
-    /// returns.
-    fn send(&mut self, frame: &Frame<M>) -> Result<(), NetError> {
-        self.queue(frame);
-        self.flush()
-    }
-}
-
-/// The receiving half of a framed connection.
-pub trait FrameRx<M>: Send {
-    /// Blocks for the next frame. [`NetError::Closed`] means the peer
-    /// shut down cleanly at a frame boundary; [`NetError::Disconnected`]
-    /// means the stream died mid-frame.
-    fn recv(&mut self) -> Result<Frame<M>, NetError>;
-
-    /// True when the next [`FrameRx::recv`] returns without reading the
-    /// stream — a complete frame (or a refusable prefix) is already
-    /// buffered. A relay that queues its replies must flush them whenever
-    /// this is false, or it would block holding frames its peer waits for.
-    fn has_frame(&self) -> bool;
-}
-
 /// A connection, split into its two independently-owned halves.
-pub type ConnPair<M> = (Box<dyn FrameTx<M>>, Box<dyn FrameRx<M>>);
+pub type ConnPair<M> = (FramedTx<M>, FramedRx<M>);
 
 // ---------------------------------------------------------------------------
 // Framing over any byte stream
@@ -94,7 +64,7 @@ fn announced(bytes: &[u8]) -> Result<Option<usize>, CodecError> {
 /// The one length-prefix splitter: a rolling inbound buffer that takes
 /// whatever the stream hands over — a byte, half a prefix, a hundred
 /// frames — and yields each complete frame in order. Blocking readers
-/// ([`FramedRx`], `bulk_relay`, the tamper relay) fill it with
+/// ([`FramedRx`] and the one relay loop behind every relay) fill it with
 /// [`FrameBuf::read_from`]; the reactor parses its reads in place and
 /// keeps only a partial frame here (`FrameBuf::next_frame_from`).
 #[derive(Debug, Default)]
@@ -214,12 +184,6 @@ impl FrameBuf {
         Ok(announced(held)?.filter(|&total| held.len() >= total))
     }
 
-    /// True when [`FrameBuf::next_frame`] has something to say without
-    /// more bytes: a complete frame, or a prefix it refuses.
-    pub fn has_frame(&self) -> bool {
-        !matches!(self.ready(), Ok(None))
-    }
-
     /// Consumes the next complete frame and returns it as it travelled:
     /// the body is `[PREFIX_LEN..]`, and a content-blind relay echoes the
     /// whole slice. `None` means the frame's tail has not arrived yet —
@@ -233,70 +197,64 @@ impl FrameBuf {
     }
 }
 
-/// Frame writer over any byte sink.
-pub struct FramedTx<W> {
-    sink: W,
-    /// Queued frames, prefix and body contiguous.
+/// The sending half of a framed connection: each frame, prefix and body,
+/// leaves in one `write`.
+pub struct FramedTx<M> {
+    pub(crate) sink: Box<dyn Write + Send>,
+    /// One encoded frame, prefix and body contiguous.
     buf: Vec<u8>,
+    msg: PhantomData<fn() -> M>,
 }
 
-impl<W: Write> FramedTx<W> {
+impl<M: Wire> FramedTx<M> {
     /// Wraps a byte sink.
-    pub fn new(sink: W) -> Self {
+    pub fn new(sink: impl Write + Send + 'static) -> Self {
         FramedTx {
-            sink,
+            sink: Box::new(sink),
             buf: Vec::new(),
+            msg: PhantomData,
         }
     }
-}
 
-impl<W: Write + Send, M: Wire> FrameTx<M> for FramedTx<W> {
-    fn queue(&mut self, frame: &Frame<M>) {
-        frame.encode_framed(&mut self.buf);
-    }
-
-    fn flush(&mut self) -> Result<(), NetError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let written = self.sink.write_all(&self.buf);
-        // A failed write leaves the stream at an unknown offset: the
-        // connection is dead, so the queue is dropped either way.
+    /// Sends one frame: it is on the wire when this returns.
+    pub fn send(&mut self, frame: &Frame<M>) -> Result<(), NetError> {
         self.buf.clear();
-        written?;
+        frame.encode_framed(&mut self.buf);
+        self.sink.write_all(&self.buf)?;
         self.sink.flush()?;
         Ok(())
     }
 }
 
-/// Frame reader over any byte source.
-pub struct FramedRx<R> {
-    source: R,
-    buf: FrameBuf,
+/// The receiving half of a framed connection.
+pub struct FramedRx<M> {
+    pub(crate) source: Box<dyn Read + Send>,
+    /// Bytes read but not yet handed out: a [`Client`](crate::Client)
+    /// passes them on to its relay with the stream.
+    pub(crate) buf: FrameBuf,
+    msg: PhantomData<fn() -> M>,
 }
 
-impl<R: Read> FramedRx<R> {
+impl<M: Wire> FramedRx<M> {
     /// Wraps a byte source.
-    pub fn new(source: R) -> Self {
+    pub fn new(source: impl Read + Send + 'static) -> Self {
         FramedRx {
-            source,
+            source: Box::new(source),
             buf: FrameBuf::new(),
+            msg: PhantomData,
         }
     }
-}
 
-impl<R: Read + Send, M: Wire> FrameRx<M> for FramedRx<R> {
-    fn recv(&mut self) -> Result<Frame<M>, NetError> {
+    /// Blocks for the next frame. [`NetError::Closed`] means the peer
+    /// shut down cleanly at a frame boundary; [`NetError::Disconnected`]
+    /// means the stream died mid-frame.
+    pub fn recv(&mut self) -> Result<Frame<M>, NetError> {
         loop {
             if let Some(framed) = self.buf.next_frame()? {
                 return Ok(Frame::decode_body(&framed[PREFIX_LEN..])?);
             }
             self.buf.read_from(&mut self.source)?;
         }
-    }
-
-    fn has_frame(&self) -> bool {
-        self.buf.has_frame()
     }
 }
 
@@ -536,9 +494,9 @@ impl MemTransport {
     }
 
     /// Connects, returning framed halves for protocol use.
-    pub fn connect<M: Wire + 'static>(&self) -> ConnPair<M> {
+    pub fn connect<M: Wire>(&self) -> ConnPair<M> {
         let (tx, rx) = self.connect_raw();
-        (Box::new(FramedTx::new(tx)), Box::new(FramedRx::new(rx)))
+        (FramedTx::new(tx), FramedRx::new(rx))
     }
 
     /// The accepting side (hand it to `Service::start`).
@@ -662,14 +620,11 @@ impl TcpTransport {
 
     /// Dials `addr`, returning framed halves (the stream is split with
     /// `try_clone`; `TCP_NODELAY` is set on both).
-    pub fn connect<M: Wire + 'static>(addr: SocketAddr) -> Result<ConnPair<M>, NetError> {
+    pub fn connect<M: Wire>(addr: SocketAddr) -> Result<ConnPair<M>, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = stream.try_clone()?;
-        Ok((
-            Box::new(FramedTx::new(stream)),
-            Box::new(FramedRx::new(reader)),
-        ))
+        Ok((FramedTx::new(stream), FramedRx::new(reader)))
     }
 }
 

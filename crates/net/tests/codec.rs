@@ -14,9 +14,8 @@ use mediator_net::frame::PREFIX_LEN;
 use mediator_net::readiness::NbListener;
 use mediator_net::transport::FrameBuf;
 use mediator_net::{
-    AuthKey, AuthTag, Client, CodecError, Frame, FrameRx as _, FrameTx as _, FramedRx, FramedTx,
-    MemTransport, NetError, OutcomeSummary, TamperKind, TcpTransport, Wire, MAX_FRAME_LEN,
-    WIRE_VERSION, WIRE_VERSION_AUTH,
+    AuthKey, AuthTag, Client, CodecError, Frame, FramedRx, FramedTx, MemTransport, NetError,
+    OutcomeSummary, TamperKind, TcpTransport, Wire, MAX_FRAME_LEN, WIRE_VERSION, WIRE_VERSION_AUTH,
 };
 use mediator_sim::{Payload, TerminationKind};
 use mediator_vss::detect::Dealing;
@@ -516,10 +515,8 @@ fn relay_writes_at_most_once_per_read_burst() {
         let sink = CountingSink::default();
         let source = Chunked::new(&stream, cuts);
         let reads = Arc::clone(&source.reads);
-        let client: Client<CtMsg> = Client::from_pair((
-            Box::new(FramedTx::new(sink.clone())),
-            Box::new(FramedRx::new(source)),
-        ));
+        let client: Client<CtMsg> =
+            Client::from_pair((FramedTx::new(sink.clone()), FramedRx::new(source)));
         assert_eq!(client.relay().expect("outcome"), summary, "split {cuts:?}");
         assert_eq!(*sink.bytes.lock().unwrap(), echoes, "split {cuts:?}");
         let reads = reads.load(Ordering::SeqCst);
@@ -532,8 +529,8 @@ fn relay_writes_at_most_once_per_read_burst() {
     // The whole session in one read is one write.
     let sink = CountingSink::default();
     let client: Client<CtMsg> = Client::from_pair((
-        Box::new(FramedTx::new(sink.clone())),
-        Box::new(FramedRx::new(Chunked::new(&stream, &[usize::MAX]))),
+        FramedTx::new(sink.clone()),
+        FramedRx::new(Chunked::new(&stream, &[usize::MAX])),
     ));
     client.relay().expect("outcome");
     assert_eq!(sink.writes(), 1);
@@ -847,7 +844,7 @@ fn bit_flipped_payload_fails_mac_verification_on_both_backends() {
     // Over the wire on both backends: arrives decodable, still Forged.
     let (raw_tx, raw_rx) = mediator_net::pipe();
     let mut tx = mediator_net::FramedTx::new(raw_tx);
-    mediator_net::FrameTx::send(&mut tx, &forged).expect("send over mem");
+    tx.send(&forged).expect("send over mem");
     let mut rx: FramedRx<_> = FramedRx::new(raw_rx);
     let got: Frame<CtMsg> = rx.recv().expect("forged frame decodes at the codec layer");
     assert!(!verify(&got), "mem backend: Forged after the wire hop");
@@ -931,7 +928,7 @@ fn replayed_frame_aborts_the_session_with_the_typed_owner_on_both_backends() {
 /// Spin-waits one connection out of a non-blocking listener and hands it
 /// back as blocking framed halves (test convenience only — the service's
 /// reactor consumes the readiness-based form).
-fn accept_framed<M: mediator_net::Wire + 'static>(
+fn accept_framed<M: mediator_net::Wire>(
     listener: &mut dyn NbListener,
 ) -> mediator_net::ConnPair<M> {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);

@@ -1,13 +1,20 @@
-//! The typed relay's flush-before-block invariant, what hand-rolled
-//! clients keep, and how the service's reactor reads a burst.
+//! The relay loop's write-before-block invariant and its end rule, what
+//! hand-rolled clients keep, and how the service's reactor reads a burst.
 //!
-//! [`Client::relay`] queues its echoes and writes them once per read
-//! burst. That is only sound if it never blocks on the stream while an
-//! echo is still queued: a peer that sends frame k+1 only after echo k
-//! came back would otherwise wait forever, and so would the relay. The
-//! lock-step peer below is exactly that peer, on both backends.
-//! [`Client::attach`], [`Client::send`] and [`Client::recv`] stay
-//! immediate: nothing a hand-rolled client sends is ever left queued.
+//! Every relay — [`Client::relay`], [`bulk_relay`] and the tamper
+//! battery's — runs one loop, `relay_loop`, which queues its echoes and
+//! writes them once per read burst. That is only sound if it never blocks
+//! on the stream while an echo is still queued: a peer that sends frame
+//! k+1 only after echo k came back would otherwise wait forever, and so
+//! would the relay. The lock-step peer below is exactly that peer, on
+//! both backends, and it guards the loop through [`Client::relay`]. The
+//! loop echoes a `Msg` as the bytes it arrived in, so a payload the
+//! client's message type cannot decode still goes back; an echo write
+//! that fails once every expected outcome is in hand does not cost the
+//! outcomes; and frames an earlier [`Client::recv`] left buffered are the
+//! first the relay sees. [`Client::attach`], [`Client::send`] and
+//! [`Client::recv`] stay immediate: nothing a hand-rolled client sends is
+//! ever left queued.
 //!
 //! The reactor reads every connection into one 64 KiB buffer of its own,
 //! a chunk at a time, and acts on every complete frame of a chunk before
@@ -24,13 +31,13 @@ use mediator_core::cheap_talk::CtMsg;
 use mediator_net::frame::PREFIX_LEN;
 use mediator_net::transport::FrameBuf;
 use mediator_net::{
-    duplex, Client, ConnPair, Frame, FramedRx, FramedTx, MemTransport, NetError, OutcomeSummary,
-    Service, ServiceConfig, TryRead,
+    bulk_relay, duplex, Client, ConnPair, Frame, FramedRx, FramedTx, MemTransport, NetError,
+    OutcomeSummary, RejectReason, Service, ServiceConfig, TryRead,
 };
 use mediator_sim::{Ctx, Process, SchedulerKind, Session, TerminationKind, TraceMode, World};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -95,7 +102,7 @@ where
     W: Write + Send + 'static,
     R: std::io::Read + Send + 'static,
 {
-    (Box::new(FramedTx::new(w)), Box::new(FramedRx::new(r)))
+    (FramedTx::new(w), FramedRx::new(r))
 }
 
 #[test]
@@ -161,6 +168,99 @@ fn recv_hands_out_a_burst_one_frame_at_a_time() {
         assert_eq!(client.recv().expect("frame"), step_frame(k));
     }
     assert_eq!(client.recv().unwrap_err(), NetError::Closed);
+}
+
+/// A session-9 `Msg` frame whose `u64` payload is no `CtMsg`: a relay
+/// that decoded it as one would fail here.
+fn undecodable_msg() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    Frame::<u64>::Msg {
+        session: 9,
+        src: 0,
+        dst: 1,
+        msg: 9,
+        auth: None,
+    }
+    .encode_framed(&mut bytes);
+    assert!(Frame::<CtMsg>::decode_body(&bytes[PREFIX_LEN..]).is_err());
+    bytes
+}
+
+fn outcome_frame() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    Frame::<CtMsg>::Outcome {
+        session: 9,
+        summary: summary(),
+    }
+    .encode_framed(&mut bytes);
+    bytes
+}
+
+#[test]
+fn relay_echoes_a_msg_it_cannot_decode_byte_for_byte() {
+    let ((a_tx, a_rx), (mut b_tx, mut b_rx)) = duplex();
+    let client: Client<CtMsg> = Client::from_pair(framed(a_tx, a_rx));
+    let msg = undecodable_msg();
+    b_tx.write_all(&[msg.clone(), outcome_frame()].concat())
+        .expect("burst");
+    assert_eq!(client.relay().expect("outcome"), summary());
+    // The client is gone, so its end of the pipe is closed.
+    let mut echoed = Vec::new();
+    b_rx.read_to_end(&mut echoed).expect("echoes");
+    assert_eq!(echoed, msg);
+}
+
+/// A byte sink that takes `ok` writes, then fails every one after.
+struct BreaksAfter {
+    ok: usize,
+}
+
+impl Write for BreaksAfter {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        if self.ok == 0 {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        self.ok -= 1;
+        Ok(data.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn bulk_relay_keeps_its_outcomes_when_the_last_echo_write_fails() {
+    // The attach goes out; the echo that shares a burst with the outcome
+    // meets a peer that has hung up, and the outcome in hand still wins.
+    let stream = [undecodable_msg(), outcome_frame()].concat();
+    let got = bulk_relay(&stream[..], BreaksAfter { ok: 1 }, &[(9, 0)], 1);
+    assert_eq!(got.expect("outcomes"), [(9, summary())]);
+}
+
+#[test]
+fn relay_takes_over_the_frames_recv_left_buffered() {
+    // One burst: a `Reject` the hand-rolled client reads itself, then
+    // `Msg`s and the outcome, already off the stream when `relay` starts.
+    let ((a_tx, a_rx), (mut b_tx, mut b_rx)) = duplex();
+    let mut client: Client<CtMsg> = Client::from_pair(framed(a_tx, a_rx));
+    let reject = Frame::<CtMsg>::Reject {
+        session: 8,
+        reason: RejectReason::UnknownSession,
+    };
+    let mut burst = Vec::new();
+    reject.encode_framed(&mut burst);
+    let mut msgs = Vec::new();
+    for k in 0..3 {
+        step_frame(k).encode_framed(&mut msgs);
+    }
+    burst.extend_from_slice(&msgs);
+    burst.extend(outcome_frame());
+    b_tx.write_all(&burst).expect("burst");
+    assert_eq!(client.recv().expect("reject"), reject);
+    assert_eq!(client.relay().expect("outcome"), summary());
+    let mut echoed = Vec::new();
+    b_rx.read_to_end(&mut echoed).expect("echoes");
+    assert_eq!(echoed, msgs);
 }
 
 // ---------------------------------------------------------------------------

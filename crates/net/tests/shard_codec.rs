@@ -6,8 +6,8 @@
 //! transport backends.
 
 use mediator_net::{
-    AuthKey, AuthTag, CodecError, Frame, FrameRx as _, FramedRx, NetError, Wire, MAX_FRAME_LEN,
-    SHARD_COORD, WIRE_VERSION, WIRE_VERSION_AUTH,
+    AuthKey, AuthTag, CodecError, Frame, FramedRx, NetError, Wire, MAX_FRAME_LEN, SHARD_COORD,
+    WIRE_VERSION, WIRE_VERSION_AUTH,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -17,8 +17,8 @@ use mediator_field::Fp;
 use mediator_games::library;
 use mediator_net::shard::{ShardListener, ShardLog};
 use mediator_net::{
-    coordinate, duplex, run_worker, worker_mem, ConnPair, Frame, FrameRx, FrameTx, FramedRx,
-    FramedTx, MemTransport, NetError, ShardConfig,
+    coordinate, duplex, run_worker, worker_mem, ConnPair, Frame, FramedRx, FramedTx, MemTransport,
+    NetError, ShardConfig,
 };
 use mediator_sim::SchedulerKind;
 
@@ -290,9 +290,14 @@ fn byte_proxy_swallowing_results_costs_time_not_statistics() {
         let conf = conf.clone();
         let cfg = cfg.clone();
         thread::spawn(move || {
-            let tx: Box<dyn FrameTx<u64>> = Box::new(FramedTx::new(wk_w));
-            let rx: Box<dyn FrameRx<u64>> = Box::new(FramedRx::new(wk_r));
-            run_worker(tx, rx, 66, &plan, &conf, &cfg)
+            run_worker(
+                FramedTx::new(wk_w),
+                FramedRx::new(wk_r),
+                66,
+                &plan,
+                &conf,
+                &cfg,
+            )
         })
     };
     let honest = {

@@ -16,7 +16,6 @@
 //! cargo run --release --example punishment_wills
 //! ```
 
-use mediator_talk::core::deviations::CounterexampleColluder;
 use mediator_talk::prelude::*;
 
 fn mean(xs: &[f64]) -> f64 {
@@ -42,8 +41,8 @@ fn run_variant(n: usize, naive: bool, collude: bool, samples: u64) -> (f64, f64)
         // Players 0 and 1 have odd index difference: their leaks XOR
         // to b in the naive game.
         builder = builder
-            .deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))
-            .deviant(1, move || Box::new(CounterexampleColluder::new(n, 0)));
+            .deviant(0, move || Box::new(GossipColluder::counterexample(n, 1)))
+            .deviant(1, move || Box::new(GossipColluder::counterexample(n, 0)));
     }
     let set = builder
         .build()

@@ -3,8 +3,7 @@
 //! rediscovery of the same attack by the conformance harness.
 
 use mediator_talk::circuits::catalog;
-use mediator_talk::core::adversary::Conformance;
-use mediator_talk::core::deviations::CounterexampleColluder;
+use mediator_talk::core::adversary::{Conformance, GossipColluder};
 use mediator_talk::core::scenario::Scenario;
 use mediator_talk::games::{library, punishment, solution, Strategy};
 use mediator_talk::sim::SchedulerKind;
@@ -27,8 +26,8 @@ fn run(n: usize, naive: bool, collude: bool, seed: u64) -> Vec<usize> {
     }
     if collude {
         game = game
-            .deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))
-            .deviant(1, move || Box::new(CounterexampleColluder::new(n, 0)));
+            .deviant(0, move || Box::new(GossipColluder::counterexample(n, 1)))
+            .deviant(1, move || Box::new(GossipColluder::counterexample(n, 0)));
     }
     let plan = game.build().expect("n − k ≥ 1");
     let out = plan.run_with(&SchedulerKind::Random, seed);

@@ -12,6 +12,9 @@
 //!   `benchmark/src`. A `pub` item's own file's `#[cfg(test)]` code is not
 //!   a user; a root re-export's users are the paths that go through the
 //!   crate root (`mediator_sim::X`, `mediator_talk::sim::X`, `crate::X`).
+//!   A third table lists each `pub fn` name defined in more than one file,
+//!   with its definition sites: name matching shares their users, so a
+//!   dead one among them (`new`, `len`, `start`) never reads zero.
 //!
 //!   ```sh
 //!   cargo test --test surface -- --ignored --nocapture
@@ -20,7 +23,7 @@
 //!   outside its own file's `#[cfg(test)]` code, unless [`UNUSED_KEPT`]
 //!   lists it with its reason.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -609,6 +612,19 @@ fn surface_report() {
             "{}",
             row(&format!("{} `{}`", d.kind, d.name), &files[d.file].path, c)
         );
+    }
+    let mut fn_sites: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for d in defs.iter().filter(|d| d.kind == "fn") {
+        let paths = fn_sites.entry(&d.name).or_default();
+        if !paths.contains(&files[d.file].path.as_str()) {
+            paths.push(&files[d.file].path);
+        }
+    }
+    println!("### `pub fn` names defined in more than one file (tests/surface.rs)");
+    println!("| fn | defined in |");
+    println!("|---|---|");
+    for (name, paths) in fn_sites.iter().filter(|(_, paths)| paths.len() > 1) {
+        println!("| `{name}` | {} |", paths.join(", "));
     }
     let roots = root_exports(&files);
     let users = root_users(&files, &roots);
