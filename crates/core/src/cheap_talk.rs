@@ -7,12 +7,14 @@
 //! cotermination barrier, and abort-to-default resolution.
 //! The four theorem parameterizations:
 //!
-//! | Theorem | `CtVariant` | threshold | extras |
-//! |---------|-------------|-----------|--------|
+//! | Theorem | `Mode` | threshold | extras |
+//! |---------|--------|-----------|--------|
 //! | 4.1 | `Robust` | `n > 4(k+t)` | none |
 //! | 4.2 | `Epsilon{κ}` | `n > 3(k+t)` | ε-detection, abort → default move |
-//! | 4.4 | `Robust` + `punishment` + `barrier` | `n > 3k+4t` | wills carry the punishment; cotermination barrier |
+//! | 4.4 | `Robust` + `punishment` | `n > 3k+4t` | wills carry the punishment; cotermination barrier |
 //! | 4.5 | `Epsilon{κ}` + `punishment` | `n > 2k+3t` | both |
+//!
+//! The mode is [`mediator_mpc::Mode`] in [`CheapTalkSpec::mpc_config`].
 //!
 //! Infinite-play semantics: with `punishment = Some(ρ)` the player writes
 //! `ρ_i` into its will at start (the Aumann–Hart executor plays it on
@@ -33,18 +35,6 @@ use mediator_sim::sansio::{route_batch, Outgoing, SansIo};
 use mediator_sim::{Action, Ctx, PartySet, Process, ProcessId};
 use std::sync::Arc;
 
-/// Which theorem's machinery to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtVariant {
-    /// Theorem 4.1: full robustness, `n > 4(k+t)`.
-    Robust,
-    /// Theorems 4.2/4.5: detection with `kappa` cut-and-choose checks.
-    Epsilon {
-        /// Cut-and-choose checks per dealer.
-        kappa: usize,
-    },
-}
-
 /// Wire messages of the cheap-talk game.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CtMsg {
@@ -64,30 +54,21 @@ const _: () = assert!(std::mem::size_of::<CtMsg>() <= 40);
 /// One per plan, shared by every run and player behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct CheapTalkSpec {
-    /// Number of players.
-    pub n: usize,
     /// Rational-coalition bound.
     pub k: usize,
     /// Malicious bound.
     pub t: usize,
-    /// Engine variant.
-    pub variant: CtVariant,
     /// The mediator circuit being simulated.
     pub circuit: Arc<Circuit>,
-    /// Shared setup seed (ABA coins, detection challenges).
-    pub coin_seed: u64,
-    /// Default circuit inputs for excluded players.
-    pub defaults: Vec<Vec<Fp>>,
-    /// Punishment actions for the wills (Theorems 4.4/4.5); `None` = no
-    /// wills (Theorems 4.1/4.2).
+    /// Punishment actions for the wills (Theorems 4.4/4.5), which also
+    /// switch on the t-cotermination barrier; `None` = no wills and no
+    /// barrier (Theorems 4.1/4.2).
     pub punishment: Option<Vec<Action>>,
     /// Default moves (`M_i`) used when the engine aborts without wills.
     pub default_actions: Vec<Action>,
-    /// Enable the t-cotermination barrier.
-    pub barrier: bool,
-    /// The engine configuration, derived from the fields above when the
-    /// builder makes the spec; editing a field afterwards does not update
-    /// it.
+    /// The engine configuration: player count, mode, shared setup seed
+    /// (ABA coins, detection challenges) and default inputs for excluded
+    /// players.
     pub(crate) mpc: Arc<MpcConfig>,
 }
 
@@ -153,7 +134,7 @@ impl CheapTalkPlayer {
         // this player's tactic schedule as the send path (every
         // message-level deviation lives there). The outbox goes back
         // empty, keeping its capacity.
-        let n = self.spec.n;
+        let n = self.spec.mpc.n;
         let mut batch = std::mem::take(&mut self.outbox);
         route_batch(n, batch.drain(..), |d, m| {
             self.tactics.send(d, CtMsg::Mpc(m), ctx)
@@ -172,8 +153,8 @@ impl CheapTalkPlayer {
                     ctx.halt();
                     return;
                 }
-                if self.spec.barrier {
-                    for d in 0..self.spec.n {
+                if self.spec.punishment.is_some() {
+                    for d in 0..self.spec.mpc.n {
                         self.tactics.send(d, CtMsg::Finished, ctx);
                     }
                     self.try_finish(ctx);
@@ -200,7 +181,7 @@ impl CheapTalkPlayer {
         if self.moved || self.action.is_none() {
             return;
         }
-        let quorum = self.spec.n - self.spec.f();
+        let quorum = self.spec.mpc.n - self.spec.f();
         if self.finished.len() >= quorum {
             self.moved = true;
             ctx.make_move(self.action.expect("checked"));
@@ -251,7 +232,7 @@ impl Process<CtMsg> for CheapTalkPlayer {
                 }
             }
             CtMsg::Finished => {
-                if src < self.spec.n {
+                if src < self.spec.mpc.n {
                     self.finished.insert(src);
                 }
                 self.try_finish(ctx);

@@ -383,24 +383,18 @@ pub fn certification(
     cell: &FrontierCell,
     spec: &FrontierSpec,
 ) -> (Result<CheapTalkPlan, ScenarioError>, &'static str) {
-    if cell.theorem == Theorem::Punishment44 && cell.n <= 4 * (cell.k + cell.t) {
-        let n = cell.n;
-        let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
-            .players(n)
-            .tolerance(cell.k, cell.t)
-            .inputs(vec![vec![Fp::ONE]; n])
-            .epsilon(spec.kappa)
-            .wills(vec![0; n])
-            .build();
-        return (plan, "cheap-talk:eps+wills");
-    }
-    let label = match cell.theorem {
+    let theorem = match cell.theorem {
+        Theorem::Punishment44 if cell.n <= 4 * (cell.k + cell.t) => Theorem::EpsilonPunishment45,
+        theorem => theorem,
+    };
+    let label = match theorem {
         Theorem::Robust41 => "cheap-talk:robust",
         Theorem::Epsilon42 => "cheap-talk:eps",
         Theorem::Punishment44 => "cheap-talk:robust+wills",
         Theorem::EpsilonPunishment45 => "cheap-talk:eps+wills",
     };
-    (construction(cell, spec, false), label)
+    let regime = FrontierCell { theorem, ..*cell };
+    (construction(&regime, spec, false), label)
 }
 
 /// The §6.4 companion plan at `(n, k)`: the naive two-round mediator over

@@ -5,15 +5,15 @@
 //! this module is the one way a cheap-talk or mediator game is configured,
 //! validated and run.
 //!
-//! * **[`Scenario`] builders** — `Scenario::cheap_talk(circuit)` /
-//!   `Scenario::mediator(circuit)` with fluent `.players(n)`,
-//!   `.tolerance(k, t)`, `.input(i, …)`, `.deviant(i, …)`, `.wills(…)`,
-//!   `.scheduler(…)` steps. `build()` runs the family's tolerance check
-//!   (the theorem **threshold**, `n > 4k+4t` for Theorem 4.1, …; or
-//!   `k + t < n` for the mediator), then one validation both families
-//!   share, returning a typed [`ScenarioError`] instead of a downstream
-//!   panic.
-//! * **One plan type** — both builders produce a [`Plan`]:
+//! * **One [`Builder`]** — `Scenario::cheap_talk(circuit)` /
+//!   `Scenario::mediator(circuit)` start it; `.players(n)`,
+//!   `.tolerance(k, t)`, `.input(i, …)`, `.wills(…)`, `.scheduler(…)` and
+//!   the other shared steps are written once, beside each family's own
+//!   (`.epsilon(κ)` / `.naive_split()`, `.deviant(i, …)`, `build()`).
+//!   `build()` runs the family's tolerance check (the theorem
+//!   **threshold**, or `k + t < n`), then one shared validation, returning
+//!   a typed [`ScenarioError`] instead of a downstream panic.
+//! * **One plan type** — both families build a [`Plan`]:
 //!   [`CheapTalkPlan`] and [`MediatorPlan`] are its two instances, and
 //!   [`GameFamily`] holds the little that differs (message and deviant
 //!   types, world assembly, process count, infinite-play resolution,
@@ -56,13 +56,13 @@
 //! ```
 
 use crate::adversary::Conformance;
-use crate::cheap_talk::{CheapTalkPlayer, CheapTalkSpec, CtMsg, CtVariant};
+use crate::cheap_talk::{CheapTalkPlayer, CheapTalkSpec, CtMsg};
 use crate::deviations::Behavior;
 use crate::mediator::{CircuitMediator, HonestMedPlayer, MedMsg, MediatorGameSpec};
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
 use mediator_games::dist::OutcomeDist;
-use mediator_mpc::{Mode, MpcConfig};
+use mediator_mpc::MpcConfig;
 use mediator_sim::{Action, Outcome, Process, RelaxedScheduler, SchedulerKind, Session, World};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -176,6 +176,9 @@ pub enum ScenarioError {
         /// Provided length.
         got: usize,
     },
+    /// `.epsilon(0)`: the ε engine needs at least one cut-and-choose check
+    /// per dealer.
+    NoCutAndChooseCheck,
 }
 
 impl ScenarioError {
@@ -209,6 +212,7 @@ impl fmt::Display for ScenarioError {
                 expected,
                 got,
             } => write!(f, "{what}: expected length {expected}, got {got}"),
+            ScenarioError::NoCutAndChooseCheck => write!(f, "epsilon(0): the ε engine needs κ ≥ 1"),
         }
     }
 }
@@ -220,34 +224,42 @@ pub struct Scenario;
 
 impl Scenario {
     /// Starts a cheap-talk scenario over `circuit` (the mediator being
-    /// simulated). Configure with the fluent steps, then [`CheapTalk::build`].
+    /// simulated). Configure with the fluent steps, then [`Builder::build`].
     pub fn cheap_talk(circuit: Circuit) -> CheapTalk {
-        CheapTalk {
-            draft: Draft::new(circuit, 8_000_000),
-            kappa: None,
-            coin_seed: 0x5EED,
-            allow_sub_threshold: false,
-        }
+        Builder::new(
+            circuit,
+            8_000_000,
+            CheapTalkKnobs {
+                kappa: None,
+                coin_seed: 0x5EED,
+                allow_sub_threshold: false,
+            },
+        )
     }
 
     /// Starts a mediator-game scenario over `circuit` (the trusted
-    /// mediator's strategy). Configure, then [`MediatorGame::build`].
+    /// mediator's strategy). Configure, then [`Builder::build`].
     pub fn mediator(circuit: Circuit) -> MediatorGame {
-        MediatorGame {
-            draft: Draft::new(circuit, 200_000),
-            naive_split: false,
-            extra_rounds: 0,
-        }
+        Builder::new(
+            circuit,
+            200_000,
+            MediatorKnobs {
+                naive_split: false,
+                extra_rounds: 0,
+            },
+        )
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared builder state and validation
+// The builder: shared steps and validation
 // ---------------------------------------------------------------------------
 
-/// The builder state both game families share.
+/// The one scenario builder: the game description both families share,
+/// with its steps and validation written once, plus the family's own
+/// [`GameFamily::Knobs`], steps and `build()`.
 #[derive(Clone)]
-struct Draft<F: GameFamily> {
+pub struct Builder<F: GameFamily> {
     circuit: Circuit,
     n: Option<usize>,
     k: usize,
@@ -261,6 +273,28 @@ struct Draft<F: GameFamily> {
     scheduler: SchedulerKind,
     seed: u64,
     max_steps: u64,
+    knobs: F::Knobs,
+}
+
+/// Builder for a cheap-talk scenario (Theorems 4.1/4.2/4.4/4.5).
+pub type CheapTalk = Builder<CheapTalkSpec>;
+
+/// Builder for a mediator-game scenario (§2's canonical form, or §6.4's).
+pub type MediatorGame = Builder<MediatorGameSpec>;
+
+/// The cheap-talk builder's own settings: engine, coin seed and hatch.
+#[derive(Clone, Copy)]
+pub struct CheapTalkKnobs {
+    kappa: Option<usize>,
+    coin_seed: u64,
+    allow_sub_threshold: bool,
+}
+
+/// The mediator-game builder's own settings: naive shape, extra rounds.
+#[derive(Clone, Copy)]
+pub struct MediatorKnobs {
+    naive_split: bool,
+    extra_rounds: u64,
 }
 
 /// What the shared validation hands a family to build its spec from.
@@ -296,9 +330,9 @@ fn tolerance_fits(n: usize, k: usize, t: usize) -> Result<(), ScenarioError> {
     }
 }
 
-impl<F: GameFamily> Draft<F> {
-    fn new(circuit: Circuit, max_steps: u64) -> Self {
-        Draft {
+impl<F: GameFamily> Builder<F> {
+    fn new(circuit: Circuit, max_steps: u64, knobs: F::Knobs) -> Self {
+        Builder {
             circuit,
             n: None,
             k: 0,
@@ -312,19 +346,95 @@ impl<F: GameFamily> Draft<F> {
             scheduler: SchedulerKind::Random,
             seed: 0,
             max_steps,
+            knobs,
         }
     }
 
-    /// The one validation both builders run, in order: `n`, the circuit's
+    /// Sets the number of players (in a mediator game the mediator is
+    /// process `n` on top).
+    pub fn players(mut self, n: usize) -> Self {
+        self.n = Some(n);
+        self
+    }
+
+    /// Sets the tolerance pair: `k` rational deviators, `t` malicious
+    /// players. `build()` checks it: the theorem threshold over
+    /// `(n, k, t)` in cheap talk, `k + t < n` in a mediator game (whose
+    /// mediator waits for `n − k − t` complete inputs before computing).
+    pub fn tolerance(mut self, k: usize, t: usize) -> Self {
+        self.k = k;
+        self.t = t;
+        self
+    }
+
+    /// Configures the wills (one action per player) each honest player
+    /// leaves at start. In cheap talk they carry the punishment and switch
+    /// on the cotermination barrier: Theorem 4.4, or 4.5 under the ε
+    /// engine. In a mediator game they are the Aumann–Hart wills.
+    pub fn wills(mut self, wills: Vec<Action>) -> Self {
+        self.wills = Some(wills);
+        self
+    }
+
+    /// Sets player `i`'s private input (players not set fall back to the
+    /// default inputs).
+    pub fn input(mut self, i: usize, input: Vec<Fp>) -> Self {
+        self.inputs_one.push((i, input));
+        self
+    }
+
+    /// Sets every player's private input at once.
+    pub fn inputs(mut self, inputs: Vec<Vec<Fp>>) -> Self {
+        self.inputs_all = Some(inputs);
+        self
+    }
+
+    /// Overrides the default circuit inputs used for excluded players, or
+    /// players whose input never arrives (zeroes of the circuit's
+    /// per-player arity if not set).
+    pub fn default_inputs(mut self, defaults: Vec<Vec<Fp>>) -> Self {
+        self.defaults = Some(defaults);
+        self
+    }
+
+    /// Overrides the default moves `M_i` (one per player, all-zero if not
+    /// set): a cheap-talk player plays its own on abort without wills, and
+    /// a [`RunSet`] resolves players that never moved and left no will
+    /// with them.
+    pub fn default_actions(mut self, actions: Vec<Action>) -> Self {
+        self.default_actions = Some(actions);
+        self
+    }
+
+    /// Sets the scheduler used by single runs and sessions (batches carry
+    /// their own battery). Defaults to [`SchedulerKind::Random`].
+    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
+        self.scheduler = kind;
+        self
+    }
+
+    /// Sets the seed used by single runs and sessions. Defaults to 0.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Sets the step budget (livelock guard). Defaults to 8 000 000 in
+    /// cheap talk and 200 000 in a mediator game (an O(n)-message affair).
+    pub fn max_steps(mut self, max_steps: u64) -> Self {
+        self.max_steps = max_steps;
+        self
+    }
+
+    /// The one validation both families run, in order: `n`, the circuit's
     /// players, the family's `tolerance` check over `(n, k, t)`, default
     /// inputs (count and per-player arity), wills, default actions,
-    /// inputs, per-player input arity, then each deviant through
-    /// [`Plan`]'s own check. The plan is assembled around the spec `spec`
-    /// builds from what passed.
-    fn build(
+    /// inputs, per-player input arity, the family's `spec` from what
+    /// passed, then each deviant through [`Plan`]'s own check.
+    fn plan(
         self,
         tolerance: impl FnOnce(usize, usize, usize) -> Result<(), ScenarioError>,
-        spec: impl FnOnce(Validated) -> F,
+        spec: impl FnOnce(Validated) -> Result<F, ScenarioError>,
     ) -> Result<Plan<F>, ScenarioError> {
         let n = self.n.filter(|&n| n > 0).ok_or(ScenarioError::NoPlayers)?;
         check_len("circuit players", n, self.circuit.num_players())?;
@@ -379,7 +489,7 @@ impl<F: GameFamily> Draft<F> {
                 defaults,
                 wills: self.wills,
                 default_actions,
-            })),
+            })?),
             inputs,
             deviants: BTreeMap::new(),
             scheduler: self.scheduler,
@@ -392,122 +502,41 @@ impl<F: GameFamily> Draft<F> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cheap talk
-// ---------------------------------------------------------------------------
-
-/// Builder for a cheap-talk scenario (Theorems 4.1/4.2/4.4/4.5).
+/// The cheap-talk steps. The theorem regime is selected by the machinery
+/// you configure — the same four combinations the paper proves:
 ///
-/// The theorem regime is selected by the machinery you configure — the same
-/// four combinations the paper proves:
-///
-/// | ε ([`CheapTalk::epsilon`]) | wills ([`CheapTalk::wills`]) | regime |
+/// | ε ([`Builder::epsilon`]) | wills ([`Builder::wills`]) | regime |
 /// |---|---|---|
 /// | no  | no  | [`Theorem::Robust41`] |
 /// | yes | no  | [`Theorem::Epsilon42`] |
 /// | no  | yes | [`Theorem::Punishment44`] (cotermination barrier on) |
 /// | yes | yes | [`Theorem::EpsilonPunishment45`] |
-#[derive(Clone)]
-pub struct CheapTalk {
-    draft: Draft<CheapTalkSpec>,
-    kappa: Option<usize>,
-    coin_seed: u64,
-    allow_sub_threshold: bool,
-}
-
-impl CheapTalk {
-    /// Sets the number of players.
-    pub fn players(mut self, n: usize) -> Self {
-        self.draft.n = Some(n);
-        self
-    }
-
-    /// Sets the tolerance pair: `k` rational deviators, `t` malicious
-    /// players. The theorem threshold over `(n, k, t)` is validated by
-    /// [`CheapTalk::build`].
-    pub fn tolerance(mut self, k: usize, t: usize) -> Self {
-        self.draft.k = k;
-        self.draft.t = t;
-        self
-    }
-
+impl Builder<CheapTalkSpec> {
     /// Selects the fully robust engine (the default): Theorem 4.1, or 4.4
     /// once wills are configured.
     pub fn robust(mut self) -> Self {
-        self.kappa = None;
+        self.knobs.kappa = None;
         self
     }
 
     /// Selects the ε engine with `kappa` cut-and-choose checks per dealer:
-    /// Theorem 4.2, or 4.5 once wills are configured.
+    /// Theorem 4.2, or 4.5 once wills are configured. `kappa` must be at
+    /// least 1 ([`ScenarioError::NoCutAndChooseCheck`]).
     pub fn epsilon(mut self, kappa: usize) -> Self {
-        self.kappa = Some(kappa);
-        self
-    }
-
-    /// Configures punishment wills (one action per player) and the
-    /// cotermination barrier: Theorem 4.4, or 4.5 under the ε engine.
-    pub fn wills(mut self, punishment: Vec<Action>) -> Self {
-        self.draft.wills = Some(punishment);
-        self
-    }
-
-    /// Sets player `i`'s private input (players not set fall back to the
-    /// default inputs).
-    pub fn input(mut self, i: usize, input: Vec<Fp>) -> Self {
-        self.draft.inputs_one.push((i, input));
-        self
-    }
-
-    /// Sets every player's private input at once.
-    pub fn inputs(mut self, inputs: Vec<Vec<Fp>>) -> Self {
-        self.draft.inputs_all = Some(inputs);
+        self.knobs.kappa = Some(kappa);
         self
     }
 
     /// Makes player `i` play the given parameterized deviation instead of
     /// the honest strategy.
     pub fn deviant(mut self, i: usize, behavior: Behavior) -> Self {
-        self.draft.deviants.push((i, behavior));
-        self
-    }
-
-    /// Overrides the default circuit inputs used for excluded players
-    /// (zeroes of the circuit's per-player arity if not set).
-    pub fn default_inputs(mut self, defaults: Vec<Vec<Fp>>) -> Self {
-        self.draft.defaults = Some(defaults);
-        self
-    }
-
-    /// Overrides the default moves `M_i` played on abort without wills
-    /// (all-zero if not set).
-    pub fn default_actions(mut self, actions: Vec<Action>) -> Self {
-        self.draft.default_actions = Some(actions);
+        self.deviants.push((i, behavior));
         self
     }
 
     /// Overrides the shared setup seed (ABA coins, detection challenges).
     pub fn coin_seed(mut self, seed: u64) -> Self {
-        self.coin_seed = seed;
-        self
-    }
-
-    /// Sets the scheduler used by single runs and sessions (batches carry
-    /// their own battery). Defaults to [`SchedulerKind::Random`].
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.draft.scheduler = kind;
-        self
-    }
-
-    /// Sets the seed used by single runs and sessions. Defaults to 0.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.draft.seed = seed;
-        self
-    }
-
-    /// Sets the step budget (livelock guard). Defaults to 8 000 000.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.draft.max_steps = max_steps;
+        self.knobs.coin_seed = seed;
         self
     }
 
@@ -517,7 +546,7 @@ impl CheapTalk {
     /// ([`crate::frontier`]) uses to deliberately build cells *below*
     /// each theorem's boundary.
     ///
-    /// The default stays strict: without this call, [`CheapTalk::build`]
+    /// The default stays strict: without this call, [`Builder::build`]
     /// returns [`ScenarioError::Threshold`] for any `(n, k, t)` the
     /// selected theorem does not admit. With it, the threshold check is
     /// skipped — but the plan's guarantee is void below the boundary (the
@@ -533,13 +562,13 @@ impl CheapTalk {
     /// panics if run; the ε engines' bound is weaker than 4.2's / 4.5's,
     /// so those plans mostly do run (`tests/scenario_thresholds.rs`).
     pub fn allow_sub_threshold(mut self) -> Self {
-        self.allow_sub_threshold = true;
+        self.knobs.allow_sub_threshold = true;
         self
     }
 
     /// The theorem regime the configured machinery selects.
     pub fn selected_theorem(&self) -> Theorem {
-        match (self.kappa.is_some(), self.draft.wills.is_some()) {
+        match (self.knobs.kappa.is_some(), self.wills.is_some()) {
             (false, false) => Theorem::Robust41,
             (true, false) => Theorem::Epsilon42,
             (false, true) => Theorem::Punishment44,
@@ -547,117 +576,60 @@ impl CheapTalk {
         }
     }
 
-    /// Validates the scenario — the theorem threshold first — and produces
-    /// the executable [`CheapTalkPlan`].
+    /// Validates the scenario — the theorem threshold first, then the
+    /// shared checks and the engine configuration — and produces the
+    /// executable [`CheapTalkPlan`].
     pub fn build(self) -> Result<CheapTalkPlan, ScenarioError> {
         let theorem = self.selected_theorem();
-        let hatch = self.allow_sub_threshold;
-        let coin_seed = self.coin_seed;
-        let variant = match self.kappa {
-            None => CtVariant::Robust,
-            Some(kappa) => CtVariant::Epsilon { kappa },
-        };
+        let knobs = self.knobs;
         let threshold = |n, k, t| {
             if theorem.admits(n, k, t) {
                 Ok(())
-            } else if hatch {
+            } else if knobs.allow_sub_threshold {
                 tolerance_fits(n, k, t)
             } else {
                 Err(ScenarioError::Threshold { theorem, n, k, t })
             }
         };
-        self.draft.build(threshold, |v| {
+        self.plan(threshold, |v| {
             // One engine configuration per plan, shared by every engine.
             let f = v.k + v.t;
-            let defaults = v.defaults.clone();
-            let mpc = Arc::new(match variant {
-                CtVariant::Robust => MpcConfig::robust(v.n, f, coin_seed, defaults),
-                CtVariant::Epsilon { kappa } => MpcConfig {
-                    n: v.n,
-                    f,
-                    t: v.t.max(1).min(f.max(1)),
-                    mode: Mode::Epsilon { kappa },
-                    coin_seed,
-                    defaults,
-                },
-            });
-            CheapTalkSpec {
-                n: v.n,
+            let mpc = match knobs.kappa {
+                None => MpcConfig::robust(v.n, f, knobs.coin_seed, v.defaults),
+                Some(0) => return Err(ScenarioError::NoCutAndChooseCheck),
+                Some(kappa) => {
+                    let t = v.t.max(1).min(f.max(1));
+                    MpcConfig::epsilon(v.n, f, t, kappa, knobs.coin_seed, v.defaults)
+                }
+            };
+            Ok(CheapTalkSpec {
                 k: v.k,
                 t: v.t,
-                variant,
                 circuit: v.circuit,
-                coin_seed,
-                defaults: v.defaults,
-                barrier: v.wills.is_some(),
                 punishment: v.wills,
                 default_actions: v.default_actions,
-                mpc,
-            }
+                mpc: Arc::new(mpc),
+            })
         })
     }
 }
-
-// ---------------------------------------------------------------------------
-// Mediator games
-// ---------------------------------------------------------------------------
 
 /// A deviant-process factory: batches need a fresh process per run, so
 /// deviants are registered as closures rather than boxed instances.
 pub type DeviantFactory = Arc<dyn Fn() -> Box<dyn Process<MedMsg>> + Send + Sync>;
 
-/// Builder for a mediator-game scenario (the canonical form of §2,
-/// including the §6.4 naive two-round shape).
-#[derive(Clone)]
-pub struct MediatorGame {
-    draft: Draft<MediatorGameSpec>,
-    naive_split: bool,
-    extra_rounds: u64,
-}
-
-impl MediatorGame {
-    /// Sets the number of players (the mediator is process `n` on top).
-    pub fn players(mut self, n: usize) -> Self {
-        self.draft.n = Some(n);
-        self
-    }
-
-    /// Sets the tolerance pair `(k, t)`; the mediator waits for
-    /// `n − k − t` complete inputs before computing.
-    pub fn tolerance(mut self, k: usize, t: usize) -> Self {
-        self.draft.k = k;
-        self.draft.t = t;
-        self
-    }
-
+/// The mediator-game steps.
+impl Builder<MediatorGameSpec> {
     /// Selects the §6.4 naive two-round shape: a private leak round that
     /// waits for *all* `n` acks before the STOP.
     pub fn naive_split(mut self) -> Self {
-        self.naive_split = true;
+        self.knobs.naive_split = true;
         self
     }
 
     /// Inserts content-free rounds before STOP (Lemma 6.8 experiments).
     pub fn extra_rounds(mut self, rounds: u64) -> Self {
-        self.extra_rounds = rounds;
-        self
-    }
-
-    /// Configures the Aumann–Hart wills each honest player leaves at start.
-    pub fn wills(mut self, wills: Vec<Action>) -> Self {
-        self.draft.wills = Some(wills);
-        self
-    }
-
-    /// Sets player `i`'s private input.
-    pub fn input(mut self, i: usize, input: Vec<Fp>) -> Self {
-        self.draft.inputs_one.push((i, input));
-        self
-    }
-
-    /// Sets every player's private input at once.
-    pub fn inputs(mut self, inputs: Vec<Vec<Fp>>) -> Self {
-        self.draft.inputs_all = Some(inputs);
+        self.knobs.extra_rounds = rounds;
         self
     }
 
@@ -668,58 +640,26 @@ impl MediatorGame {
         i: usize,
         factory: impl Fn() -> Box<dyn Process<MedMsg>> + Send + Sync + 'static,
     ) -> Self {
-        self.draft.deviants.push((i, Arc::new(factory)));
-        self
-    }
-
-    /// Overrides the default inputs for players whose input never arrives
-    /// (zeroes of the circuit's per-player arity if not set).
-    pub fn default_inputs(mut self, defaults: Vec<Vec<Fp>>) -> Self {
-        self.draft.defaults = Some(defaults);
-        self
-    }
-
-    /// Sets the fallback actions (one per player) used when a [`RunSet`]
-    /// resolves outcomes of players that never moved and left no will.
-    /// Defaults to all-zero.
-    pub fn default_actions(mut self, actions: Vec<Action>) -> Self {
-        self.draft.default_actions = Some(actions);
-        self
-    }
-
-    /// Sets the scheduler used by single runs and sessions.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.draft.scheduler = kind;
-        self
-    }
-
-    /// Sets the seed used by single runs and sessions.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.draft.seed = seed;
-        self
-    }
-
-    /// Sets the step budget. Defaults to 200 000 (mediator games are
-    /// O(n)-message affairs).
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.draft.max_steps = max_steps;
+        self.deviants.push((i, Arc::new(factory)));
         self
     }
 
     /// Validates the scenario — `k + t < n` in place of a theorem
     /// threshold — and produces the executable [`MediatorPlan`].
     pub fn build(self) -> Result<MediatorPlan, ScenarioError> {
-        let (naive_split, extra_rounds) = (self.naive_split, self.extra_rounds);
-        self.draft.build(tolerance_fits, |v| MediatorGameSpec {
-            n: v.n,
-            k: v.k,
-            t: v.t,
-            circuit: v.circuit,
-            defaults: v.defaults,
-            naive_split,
-            extra_rounds,
-            wills: v.wills,
-            default_actions: v.default_actions,
+        let knobs = self.knobs;
+        self.plan(tolerance_fits, |v| {
+            Ok(MediatorGameSpec {
+                n: v.n,
+                k: v.k,
+                t: v.t,
+                circuit: v.circuit,
+                defaults: v.defaults,
+                naive_split: knobs.naive_split,
+                extra_rounds: knobs.extra_rounds,
+                wills: v.wills,
+                default_actions: v.default_actions,
+            })
         })
     }
 }
@@ -739,6 +679,9 @@ pub trait GameFamily: Clone + fmt::Debug + Send + Sync + 'static {
     /// cheap-talk player runs, or a [`DeviantFactory`] whose process
     /// replaces the honest mediator-game player.
     type Deviant: Clone + Send + Sync + 'static;
+    /// The family's own [`Builder`] settings, beside the shared game
+    /// description.
+    type Knobs: Clone;
 
     /// Number of game players.
     fn players(&self) -> usize;
@@ -780,13 +723,14 @@ pub trait GameFamily: Clone + fmt::Debug + Send + Sync + 'static {
 impl GameFamily for CheapTalkSpec {
     type Msg = CtMsg;
     type Deviant = Behavior;
+    type Knobs = CheapTalkKnobs;
 
     fn players(&self) -> usize {
-        self.n
+        self.mpc.n
     }
 
     fn processes(&self) -> usize {
-        self.n
+        self.mpc.n
     }
 
     fn world(
@@ -795,7 +739,7 @@ impl GameFamily for CheapTalkSpec {
         deviants: &BTreeMap<usize, Behavior>,
         seed: u64,
     ) -> World<CtMsg> {
-        let procs: Vec<Box<dyn Process<CtMsg>>> = (0..self.n)
+        let procs: Vec<Box<dyn Process<CtMsg>>> = (0..self.mpc.n)
             .map(|p| {
                 let b = deviants.get(&p).cloned().unwrap_or_default();
                 Box::new(CheapTalkPlayer::with_behavior(
@@ -844,6 +788,7 @@ impl GameFamily for CheapTalkSpec {
 impl GameFamily for MediatorGameSpec {
     type Msg = MedMsg;
     type Deviant = DeviantFactory;
+    type Knobs = MediatorKnobs;
 
     fn players(&self) -> usize {
         self.n
@@ -1070,8 +1015,8 @@ impl CheapTalkPlan {
 }
 
 impl MediatorPlan {
-    /// Adds (or replaces) player `i`'s deviant factory (see
-    /// [`MediatorGame::deviant`]). A player id `≥ n` is refused.
+    /// Adds (or replaces) player `i`'s deviant factory, as the mediator
+    /// builder's `deviant` step does. A player id `≥ n` is refused.
     pub fn with_deviant(
         self,
         i: usize,

@@ -18,6 +18,7 @@ use mediator_circuits::catalog;
 use mediator_core::deviations::{Behavior, SilentProcess};
 use mediator_core::scenario::{CheapTalkPlan, Scenario, ScenarioError, Theorem};
 use mediator_field::Fp;
+use mediator_mpc::Mode;
 use mediator_sim::{SchedulerKind, TerminationKind};
 use proptest::prelude::*;
 
@@ -419,4 +420,79 @@ fn a_built_plan_of_either_family_refuses_an_out_of_range_deviant() {
             .err(),
         out_of_range
     );
+}
+
+// ---------------------------------------------------------------------------
+// The cheap-talk knobs, as the engine configuration carries them
+// ---------------------------------------------------------------------------
+
+#[test]
+fn each_cheap_talk_knob_reaches_the_engine_config() {
+    // `(n, k, t, ε-mode t)`: the ε engine decodes against
+    // `t.max(1).min(f.max(1))` lying players, so `t = 0` still asks for
+    // one and `f = 0` caps it there; the robust engine corrects `t = f`.
+    let points = [(5, 1, 0, 1), (9, 1, 1, 1), (9, 0, 2, 2), (3, 0, 0, 1)];
+    for (row, &(n, k, t, eps_t)) in points.iter().enumerate() {
+        for kappa in [None, Some(3)] {
+            for wills in [false, true] {
+                let coin_seed = 0xC0FFEE + row as u64;
+                let defaults: Vec<Vec<Fp>> = (0..n).map(|p| vec![Fp::new(p as u64 % 2)]).collect();
+                let mut builder = Scenario::cheap_talk(catalog::majority_circuit(n))
+                    .players(n)
+                    .tolerance(k, t)
+                    .coin_seed(coin_seed)
+                    .default_inputs(defaults.clone());
+                if let Some(kappa) = kappa {
+                    builder = builder.epsilon(kappa);
+                }
+                if wills {
+                    builder = builder.wills(vec![4; n]);
+                }
+                let theorem = match (kappa.is_some(), wills) {
+                    (false, false) => Theorem::Robust41,
+                    (true, false) => Theorem::Epsilon42,
+                    (false, true) => Theorem::Punishment44,
+                    (true, true) => Theorem::EpsilonPunishment45,
+                };
+                let case = format!("n = {n}, k = {k}, t = {t}, κ = {kappa:?}, wills = {wills}");
+                assert_eq!(builder.selected_theorem(), theorem, "{case}");
+                let plan = builder.build().unwrap_or_else(|e| panic!("{case}: {e}"));
+                let spec = plan.spec();
+                let mpc = spec.mpc_config();
+                let (mode, engine_t) = match kappa {
+                    None => (Mode::Robust, k + t),
+                    Some(kappa) => (Mode::Epsilon { kappa }, eps_t),
+                };
+                assert_eq!(mpc.mode, mode, "{case}");
+                assert_eq!(mpc.n, n, "{case}");
+                assert_eq!(mpc.f, k + t, "{case}");
+                assert_eq!(mpc.t, engine_t, "{case}");
+                assert_eq!(mpc.coin_seed, coin_seed, "{case}");
+                assert_eq!(mpc.defaults, defaults, "{case}");
+                assert_eq!(spec.punishment, wills.then(|| vec![4; n]), "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_epsilon_engine_without_a_check_is_refused_at_build() {
+    // `.epsilon(0)` asks the ε engine for zero cut-and-choose checks per
+    // dealer, which it cannot run: the builder refuses it instead of
+    // handing out a plan that panics at its first run.
+    for wills in [false, true] {
+        let mut builder = Scenario::cheap_talk(catalog::majority_circuit(5))
+            .players(5)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; 5])
+            .epsilon(0);
+        if wills {
+            builder = builder.wills(vec![5; 5]);
+        }
+        assert_eq!(
+            builder.build().map(|_| ()),
+            Err(ScenarioError::NoCutAndChooseCheck),
+            "wills = {wills}"
+        );
+    }
 }

@@ -128,7 +128,7 @@ fn plan(n: usize, k: usize) -> CheapTalkPlan {
 /// One Random run of `plan` with every player counted.
 fn tally(plan: &CheapTalkPlan, seed: u64) -> Row {
     let spec = plan.spec();
-    let n = spec.n;
+    let n = plan.players();
     let tally = Rc::new(RefCell::new([0; COLS]));
     let procs: Vec<Box<dyn Process<CtMsg>>> = (0..n)
         .map(|p| {
