@@ -33,6 +33,7 @@
 
 use crate::deviations::Behavior;
 use crate::mediator::MedMsg;
+use crate::report::{block, object, ToJson};
 use crate::scenario::{CheapTalkPlan, GameFamily, MediatorPlan, Plan};
 use mediator_field::Fp;
 use mediator_games::solution::subsets_up_to;
@@ -1007,69 +1008,56 @@ impl ConformanceReport {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Renders the report as a small hand-rolled JSON document, the form
-    /// the sharded-sweep parity suites compare byte for byte (the offline
-    /// serde shim does not serialize).
+    /// Renders the report as a JSON document through the crate's one JSON
+    /// writer ([`crate::report`]), the form the sharded-sweep parity
+    /// suites compare byte for byte. Every float carries its exact
+    /// `f64::to_bits` hex, so equal text means bit-identical reports; a
+    /// violated verdict's witness renders as in `FRONTIER.json`.
     pub fn to_json(&self) -> String {
-        use crate::report::json_escape as esc;
-        fn ci(c: &ConfidenceInterval) -> String {
-            format!(
-                "{{ \"mean\": {:.6}, \"lo\": {:.6}, \"hi\": {:.6}, \"samples\": {} }}",
-                c.mean, c.lo, c.hi, c.samples
-            )
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"eps\": {}, \"k\": {}, \"t\": {}, \"kinds\": {}, \"seeds_per_kind\": {}, \"z\": {},\n",
-            self.eps, self.k, self.t, self.kinds, self.seeds_per_kind, Z
-        ));
         let verdict = match &self.verdict {
             ConformanceVerdict::Resilient {
                 max_gain_hi,
                 max_harm_hi,
-            } => format!(
-                "{{ \"kind\": \"resilient\", \"max_gain_hi\": {max_gain_hi:.6}, \"max_harm_hi\": {max_harm_hi:.6} }}"
-            ),
-            ConformanceVerdict::Violated(w) => format!(
-                "{{ \"kind\": \"violated\", \"strategy\": \"{}\", \"coalition\": {:?}, \"gain\": {}, \"scheduler\": \"{}\", \"seed\": {} }}",
-                esc(&w.strategy),
-                w.coalition,
-                ci(&w.gain),
-                esc(&format!("{:?}", w.kind)),
-                w.seed
-            ),
+            } => object!(0;
+                "kind": "resilient", "max_gain_hi": max_gain_hi, "max_harm_hi": max_harm_hi),
+            ConformanceVerdict::Violated(w) => {
+                object!(0; "kind": "violated", "gain": w.gain, "witness": w)
+            }
             ConformanceVerdict::Inconclusive {
                 strategy,
                 coalition,
                 gain,
-            } => format!(
-                "{{ \"kind\": \"inconclusive\", \"strategy\": \"{}\", \"coalition\": {:?}, \"gain\": {} }}",
-                esc(strategy),
-                coalition,
-                ci(gain)
-            ),
+            } => object!(0;
+                "kind": "inconclusive", "strategy": strategy, "coalition": coalition, "gain": gain),
         };
-        out.push_str(&format!("  \"verdict\": {verdict},\n"));
-        out.push_str("  \"baseline\": [");
-        for (i, b) in self.baseline.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&ci(b));
-        }
-        out.push_str("],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"strategy\": \"{}\", \"coalition\": {:?}, \"gain\": {}, \"harm\": {} }}{}\n",
-                esc(&c.strategy),
-                c.coalition,
-                ci(&c.gain),
-                ci(&c.harm),
-                if i + 1 == self.cells.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let cells = self.cells.iter().map(|c| {
+            object!(0; "strategy": c.strategy, "coalition": c.coalition, "gain": c.gain,
+                "harm": c.harm)
+        });
+        object!(document;
+            "eps": self.eps, "k": self.k, "t": self.t, "kinds": self.kinds,
+                "seeds_per_kind": self.seeds_per_kind, "z": Z;
+            "verdict": verdict;
+            "baseline": self.baseline;
+            "cells": block(2, cells))
+    }
+}
+
+impl ToJson for ConfidenceInterval {
+    fn json(&self) -> String {
+        object!(0; "mean": self.mean, "lo": self.lo, "hi": self.hi, "samples": self.samples).0
+    }
+}
+
+/// The one rendering of a witness, shared by the conformance report and
+/// `FRONTIER.json`.
+impl ToJson for DeviationWitness {
+    fn json(&self) -> String {
+        let scheduler = format!("{:?}", self.kind);
+        object!(0; "strategy": self.strategy, "coalition": self.coalition, "scheduler": scheduler,
+            "seed": self.seed, "unit": self.unit, "run": self.run, "gain": self.gain.mean,
+            "baseline_profile": self.baseline_profile, "deviant_profile": self.deviant_profile)
+        .0
     }
 }
 

@@ -32,8 +32,10 @@
 //!   [`DeviationWitness`].
 //!
 //! The result renders as a deterministic `FRONTIER.json` artifact
-//! ([`FrontierAtlas::to_json`]: hand-rolled, stable key order, every float
-//! carried both as `{:.6}` and as its exact `f64::to_bits` hex), and
+//! ([`FrontierAtlas::to_json`]: the crate's one JSON writer in
+//! [`crate::report`], which the conformance report shares — stable key
+//! order, every float carried both as `{:.6}` and as its exact
+//! `f64::to_bits` hex, witnesses rendered by one function), and
 //! [`FrontierAtlas::check`] machine-checks that the empirical boundary
 //! coincides with the theorem predicate cell for cell.
 //!
@@ -51,6 +53,7 @@ use mediator_games::BayesianGame;
 use mediator_sim::SchedulerKind;
 
 use crate::adversary::{Conformance, ConformanceReport, ConformanceVerdict, DeviationWitness};
+use crate::report::{block, object};
 use crate::scenario::{CheapTalkPlan, MediatorPlan, Scenario, ScenarioError, Theorem};
 
 /// The ⊥ action of the §6.4 counterexample game, as the mediator's action
@@ -710,120 +713,39 @@ impl FrontierAtlas {
         }
     }
 
-    /// Renders the atlas as the deterministic `FRONTIER.json` artifact:
-    /// hand-rolled (the offline serde shim does not serialize), stable key
-    /// order, and every float carried both human-readably (`{:.6}`) and
+    /// Renders the atlas as the deterministic `FRONTIER.json` artifact
+    /// through the crate's one JSON writer ([`crate::report`]): stable key
+    /// order, every float carried both human-readably (`{:.6}`) and
     /// exactly (`f64::to_bits` hex) — the representation the sharded-vs-
     /// local differential diffs byte for byte.
     pub fn to_json(&self) -> String {
-        use crate::report::json_escape as esc;
-        fn jf(x: f64) -> String {
-            format!(
-                "{{ \"val\": {:.6}, \"bits\": \"0x{:016x}\" }}",
-                x,
-                x.to_bits()
-            )
-        }
-        let mut out = String::from("{\n");
-        // Spec echo.
-        out.push_str(&format!(
-            "  \"spec\": {{ \"name\": \"{}\", \"ct_seeds\": {}, \"med_seeds\": {}, \
-             \"eps_upper\": {}, \"eps_lower\": {}, \"kappa\": {}, \"inconclusive_budget\": {},\n",
-            esc(&self.spec.name),
-            self.spec.ct_seeds,
-            self.spec.med_seeds,
-            jf(self.spec.eps_upper),
-            jf(self.spec.eps_lower),
-            self.spec.kappa,
-            self.spec.inconclusive_budget
-        ));
-        out.push_str("    \"bands\": [\n");
-        for (i, b) in self.spec.bands.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"theorem\": \"{}\", \"bound\": \"{}\", \"k\": [{}, {}], \
-                 \"t\": [{}, {}], \"offsets\": [{}, {}] }}{}\n",
-                b.theorem.name(),
-                esc(b.theorem.bound()),
-                b.k.0,
-                b.k.1,
-                b.t.0,
-                b.t.1,
-                b.offsets.0,
-                b.offsets.1,
-                if i + 1 == self.spec.bands.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("    ] },\n  \"cells\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let witness = match &r.witness {
-                None => "null".to_string(),
-                Some(w) => format!(
-                    "{{ \"strategy\": \"{}\", \"coalition\": {:?}, \"scheduler\": \"{:?}\", \
-                     \"seed\": {}, \"unit\": {}, \"run\": {}, \"gain\": {}, \
-                     \"baseline_profile\": {:?}, \"deviant_profile\": {:?} }}",
-                    esc(&w.strategy),
-                    w.coalition,
-                    w.kind,
-                    w.seed,
-                    w.unit,
-                    w.run,
-                    jf(w.gain.mean),
-                    w.baseline_profile,
-                    w.deviant_profile
-                ),
-            };
-            let max_gain = match r.max_gain {
-                None => "null".to_string(),
-                Some(g) => jf(g),
-            };
-            out.push_str(&format!(
-                "    {{ \"key\": \"{}\", \"theorem\": \"{}\", \"n\": {}, \"k\": {}, \"t\": {}, \
-                 \"bound\": {}, \"admits\": {},\n      \"strict_build\": \"{}\", \
-                 \"hatch_build\": \"{}\", \"experiment\": \"{}\",\n      \"class\": \"{}\", \
-                 \"max_gain\": {}, \"sweep_cells\": {}, \"note\": \"{}\",\n      \
-                 \"witness\": {} }}{}\n",
-                esc(&r.cell.key()),
-                r.cell.theorem.name(),
-                r.cell.n,
-                r.cell.k,
-                r.cell.t,
-                r.cell.bound(),
-                r.cell.admits(),
-                esc(&r.evidence.strict_build),
-                esc(&r.evidence.hatch_build),
-                r.experiment,
-                r.class.name(),
-                max_gain,
-                r.sweep_cells,
-                esc(&r.note),
-                witness,
-                if i + 1 == self.results.len() { "" } else { "," }
-            ));
-        }
-        let (res, vio, inc) = self.counts();
-        let mismatches = match self.check() {
-            Ok(()) => Vec::new(),
-            Err(m) => m,
-        };
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"summary\": {{ \"cells\": {}, \"resilient\": {res}, \"violated\": {vio}, \
-             \"inconclusive\": {inc}, \"matches_theorem_predicate\": {}, \"mismatches\": [",
-            self.results.len(),
-            mismatches.is_empty()
-        ));
-        for (i, m) in mismatches.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", esc(m)));
-        }
-        out.push_str("] }\n}\n");
-        out
+        let spec = &self.spec;
+        let bands = spec.bands.iter().map(|b| {
+            object!(0; "theorem": b.theorem.name(), "bound": b.theorem.bound(),
+                "k": [b.k.0, b.k.1], "t": [b.t.0, b.t.1], "offsets": [b.offsets.0, b.offsets.1])
+        });
+        let cells = self.results.iter().map(|r| {
+            object!(6;
+                "key": r.cell.key(), "theorem": r.cell.theorem.name(), "n": r.cell.n,
+                    "k": r.cell.k, "t": r.cell.t, "bound": r.cell.bound(), "admits": r.cell.admits();
+                "strict_build": r.evidence.strict_build, "hatch_build": r.evidence.hatch_build,
+                    "experiment": r.experiment;
+                "class": r.class.name(), "max_gain": r.max_gain, "sweep_cells": r.sweep_cells,
+                    "note": r.note;
+                "witness": r.witness)
+        });
+        let (resilient, violated, inconclusive) = self.counts();
+        let mismatches = self.check().err().unwrap_or_default();
+        object!(document;
+            "spec": object!(4;
+                "name": spec.name, "ct_seeds": spec.ct_seeds, "med_seeds": spec.med_seeds,
+                    "eps_upper": spec.eps_upper, "eps_lower": spec.eps_lower, "kappa": spec.kappa,
+                    "inconclusive_budget": spec.inconclusive_budget;
+                "bands": block(4, bands));
+            "cells": block(2, cells);
+            "summary": object!(0; "cells": self.results.len(), "resilient": resilient,
+                "violated": violated, "inconclusive": inconclusive,
+                "matches_theorem_predicate": mismatches.is_empty(), "mismatches": mismatches))
     }
 }
 

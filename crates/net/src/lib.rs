@@ -92,6 +92,12 @@
 
 #![warn(missing_docs)]
 
+// The reactor waits on sockets through `poll(2)` (`readiness::sys`); off
+// unix it would never read a TCP connection, so the crate does not build
+// there.
+#[cfg(not(unix))]
+compile_error!("mediator-net needs poll(2): it builds on unix targets only");
+
 pub mod auth;
 pub mod client;
 pub mod frame;

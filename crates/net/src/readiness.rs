@@ -26,6 +26,7 @@ use crate::transport::{ConnPair, FramedRx, FramedTx, PipeReader, PipeWriter};
 use crate::wire::Wire;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -34,10 +35,9 @@ use std::time::Duration;
 pub(crate) const ACCEPT_TOKEN: usize = usize::MAX;
 
 // ---------------------------------------------------------------------------
-// poll(2), via FFI (unix only — the build container is Linux)
+// poll(2), via FFI (unix only: see the crate root)
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 pub(crate) mod sys {
     //! The minimal libc surface the reactor needs, declared by hand: the
     //! container has no `libc` crate, but every Rust std binary already
@@ -111,8 +111,7 @@ pub struct Waker {
     /// waker swaps it back to [`AWAKE`] so only one wake signal is paid
     /// per sleep cycle.
     park: AtomicU8,
-    /// Write end of the self-pipe (unix), used to interrupt `poll(2)`.
-    #[cfg(unix)]
+    /// Write end of the self-pipe, used to interrupt `poll(2)`.
     pipe_wr: i32,
 }
 
@@ -127,7 +126,6 @@ impl Waker {
         }
         match self.park.swap(AWAKE, Ordering::AcqRel) {
             PARKED_CONDVAR => self.cvar.notify_all(),
-            #[cfg(unix)]
             PARKED_POLL => {
                 // SAFETY: pipe_wr is an owned, open, non-blocking fd for
                 // the lifetime of the Waker (closed only in Drop, which
@@ -182,47 +180,32 @@ pub(crate) struct Interest {
 /// sources exist (the in-memory transport configuration).
 pub(crate) struct Poller {
     waker: Arc<Waker>,
-    /// Read end of the self-pipe (unix).
-    #[cfg(unix)]
+    /// Read end of the self-pipe.
     pipe_rd: i32,
-    #[cfg(unix)]
     fds: Vec<sys::PollFd>,
 }
 
 impl Poller {
-    /// Builds a poller and its waker (self-pipe included on unix).
+    /// Builds a poller and its waker, self-pipe included.
     pub fn new() -> Result<Self, NetError> {
-        #[cfg(unix)]
-        {
-            let mut fds = [0i32; 2];
-            // SAFETY: pipe(2) with a valid out-array of two fds.
-            let rc = unsafe { sys::pipe(fds.as_mut_ptr()) };
-            if rc != 0 {
-                return Err(NetError::Io(std::io::ErrorKind::Other));
-            }
-            sys::set_nonblocking(fds[0]);
-            sys::set_nonblocking(fds[1]);
-            Ok(Poller {
-                waker: Arc::new(Waker {
-                    state: Mutex::new(WakerState { ready: Vec::new() }),
-                    cvar: Condvar::new(),
-                    park: AtomicU8::new(AWAKE),
-                    pipe_wr: fds[1],
-                }),
-                pipe_rd: fds[0],
-                fds: Vec::new(),
-            })
+        let mut fds = [0i32; 2];
+        // SAFETY: pipe(2) with a valid out-array of two fds.
+        let rc = unsafe { sys::pipe(fds.as_mut_ptr()) };
+        if rc != 0 {
+            return Err(NetError::Io(std::io::ErrorKind::Other));
         }
-        #[cfg(not(unix))]
-        {
-            Ok(Poller {
-                waker: Arc::new(Waker {
-                    state: Mutex::new(WakerState { ready: Vec::new() }),
-                    cvar: Condvar::new(),
-                    park: AtomicU8::new(AWAKE),
-                }),
-            })
-        }
+        sys::set_nonblocking(fds[0]);
+        sys::set_nonblocking(fds[1]);
+        Ok(Poller {
+            waker: Arc::new(Waker {
+                state: Mutex::new(WakerState { ready: Vec::new() }),
+                cvar: Condvar::new(),
+                park: AtomicU8::new(AWAKE),
+                pipe_wr: fds[1],
+            }),
+            pipe_rd: fds[0],
+            fds: Vec::new(),
+        })
     }
 
     /// The waker notify-based sources signal through.
@@ -258,16 +241,7 @@ impl Poller {
             return;
         }
 
-        #[cfg(unix)]
         self.park_poll(interests, timeout, events, notified);
-        #[cfg(not(unix))]
-        {
-            // No fd support off unix: the reactor only registers fd
-            // interests for TCP, which the non-unix build routes to the
-            // threaded transport instead.
-            let _ = interests;
-            self.park_condvar(timeout, notified);
-        }
     }
 
     fn park_condvar(&self, timeout: Option<Duration>, notified: &mut Vec<usize>) {
@@ -300,7 +274,6 @@ impl Poller {
         notified.append(&mut st.ready);
     }
 
-    #[cfg(unix)]
     fn park_poll(
         &mut self,
         interests: &[Interest],
@@ -372,7 +345,6 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(unix)]
         // SAFETY: both fds are owned by this poller/waker pair and closed
         // exactly once; the waker's Arc cannot outlive the reactor that
         // owns the poller in this crate's usage, and a late `wake` on a
@@ -435,13 +407,7 @@ impl ConnIo {
         match self {
             ConnIo::Tcp(stream) => {
                 let _ = stream.set_nonblocking(true);
-                #[cfg(unix)]
-                {
-                    use std::os::unix::io::AsRawFd;
-                    Some(stream.as_raw_fd())
-                }
-                #[cfg(not(unix))]
-                None
+                Some(stream.as_raw_fd())
             }
             ConnIo::Mem { rx, .. } => {
                 rx.watch(Arc::clone(waker), token);
@@ -535,13 +501,7 @@ pub trait NbListener: Send {
 impl NbListener for TcpListener {
     fn register(&mut self, _waker: &Arc<Waker>) -> Option<i32> {
         let _ = self.set_nonblocking(true);
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            Some(self.as_raw_fd())
-        }
-        #[cfg(not(unix))]
-        None
+        Some(self.as_raw_fd())
     }
 
     fn try_accept(&mut self) -> Result<Option<ConnIo>, NetError> {
@@ -629,11 +589,9 @@ mod tests {
         assert!(notified.is_empty());
     }
 
-    #[cfg(unix)]
     #[test]
     fn poll_park_sees_fd_readiness_and_waker_interrupt() {
         use std::io::Write as _;
-        use std::os::unix::io::AsRawFd;
         // A real TCP socketpair gives us an fd with controllable
         // readability.
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");

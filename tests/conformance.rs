@@ -306,3 +306,40 @@ fn conformance_report_renders_json() {
     assert!(json.contains(r#"say \"x\\y\"\u000athen\u0009stall"#));
     common::assert_strict_json(&json);
 }
+
+/// The report carries every float exactly (`f64::to_bits` hex beside the
+/// six-decimal value), so two reports with equal JSON are bit-identical —
+/// the property the sharded-sweep parity suites lean on.
+#[test]
+fn conformance_json_carries_exact_floats() {
+    let n = 5;
+    let resilient = cheap_talk_41_plan(n).conformance(
+        &library::byzantine_agreement_game(n),
+        &vec![1usize; n],
+        &Conformance::new(0.05, 1, 0)
+            .battery(vec![SchedulerKind::Random])
+            .seeds(2),
+    );
+    assert!(resilient.is_resilient(), "{:?}", resilient.verdict);
+    let n = 7;
+    let (game, _, k) = library::counterexample_game(n);
+    let violated = naive_counterexample_plan(n, k).conformance(
+        &game,
+        &vec![0usize; n],
+        &Conformance::new(0.01, k, 0)
+            .battery(vec![SchedulerKind::Random])
+            .seeds(16)
+            .coalitions(vec![vec![0, 1]])
+            .deadlock_action(BOT),
+    );
+    assert!(violated.witness().is_some(), "{:?}", violated.verdict);
+    for report in [&resilient, &violated] {
+        let json = report.to_json();
+        let exact = |x: f64| format!("0x{:016x}", x.to_bits());
+        assert!(json.contains(&exact(report.cells[0].gain.hi)), "{json}");
+        for b in &report.baseline {
+            assert!(json.contains(&exact(b.mean)), "{json}");
+        }
+        common::assert_strict_json(&json);
+    }
+}

@@ -151,3 +151,87 @@ fn every_violated_cell_persists_a_witness_that_replays_byte_identically() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// A hand-built atlas over the tiny spec: one violated cell with a
+/// witness (and an escape-hatch verdict the machine check quotes back),
+/// one skipped cell whose note is hostile free text. The bytes are the
+/// `FRONTIER.json` layout the golden and the sharded differential pin.
+#[test]
+fn the_atlas_layout_is_pinned_byte_for_byte() {
+    use mediator_talk::core::frontier::{cell_skipped, CellEvidence};
+    use mediator_talk::games::stats::ConfidenceInterval;
+
+    let gain = 0.1 + 0.2;
+    let violated = CellResult {
+        cell: FrontierCell {
+            theorem: Theorem::Robust41,
+            n: 7,
+            k: 2,
+            t: 0,
+        },
+        evidence: CellEvidence {
+            strict_build: "rejected(required_n=9)".to_string(),
+            hatch_build: "panicked: \"boom\"".to_string(),
+        },
+        experiment: "companion",
+        class: CellClass::Violated,
+        max_gain: Some(gain),
+        sweep_cells: 12,
+        note: String::new(),
+        witness: Some(DeviationWitness {
+            strategy: "deadlock-if-bit=0".to_string(),
+            coalition: vec![0, 1],
+            gain: ConfidenceInterval {
+                mean: gain,
+                lo: 0.25,
+                hi: 0.35,
+                samples: 16,
+            },
+            kind: SchedulerKind::Random,
+            seed: 15,
+            baseline_profile: vec![0; 7],
+            deviant_profile: vec![2; 7],
+            unit: 7,
+            run: 15,
+        }),
+    };
+    let skipped = cell_skipped(
+        FrontierCell {
+            theorem: Theorem::EpsilonPunishment45,
+            n: 5,
+            k: 2,
+            t: 0,
+        },
+        CellEvidence {
+            strict_build: "ok".to_string(),
+            hatch_build: "-".to_string(),
+        },
+        "say \"x\\y\"\nthen\tstall\u{1}".to_string(),
+    );
+    let atlas = FrontierAtlas {
+        spec: FrontierSpec::tiny(),
+        results: vec![violated, skipped],
+    };
+    let expected = r#"{
+  "spec": { "name": "tiny", "ct_seeds": 2, "med_seeds": 16, "eps_upper": { "val": 0.050000, "bits": "0x3fa999999999999a" }, "eps_lower": { "val": 0.010000, "bits": "0x3f847ae147ae147b" }, "kappa": 2, "inconclusive_budget": 0,
+    "bands": [
+      { "theorem": "4.1", "bound": "n > 4k + 4t", "k": [2, 2], "t": [0, 0], "offsets": [-1, -1] },
+      { "theorem": "4.5", "bound": "n > 2k + 3t", "k": [2, 2], "t": [0, 0], "offsets": [0, 1] }
+    ] },
+  "cells": [
+    { "key": "thm4.1-n7-k2-t0", "theorem": "4.1", "n": 7, "k": 2, "t": 0, "bound": 8, "admits": false,
+      "strict_build": "rejected(required_n=9)", "hatch_build": "panicked: \"boom\"", "experiment": "companion",
+      "class": "violated", "max_gain": { "val": 0.300000, "bits": "0x3fd3333333333334" }, "sweep_cells": 12, "note": "",
+      "witness": { "strategy": "deadlock-if-bit=0", "coalition": [0, 1], "scheduler": "Random", "seed": 15, "unit": 7, "run": 15, "gain": { "val": 0.300000, "bits": "0x3fd3333333333334" }, "baseline_profile": [0, 0, 0, 0, 0, 0, 0], "deviant_profile": [2, 2, 2, 2, 2, 2, 2] } },
+    { "key": "thm4.5-n5-k2-t0", "theorem": "4.5", "n": 5, "k": 2, "t": 0, "bound": 4, "admits": true,
+      "strict_build": "ok", "hatch_build": "-", "experiment": "none",
+      "class": "inconclusive", "max_gain": null, "sweep_cells": 0, "note": "say \"x\\y\"\u000athen\u0009stall\u0001",
+      "witness": null }
+  ],
+  "summary": { "cells": 2, "resilient": 0, "violated": 1, "inconclusive": 1, "matches_theorem_predicate": false, "mismatches": ["thm4.1-n7-k2-t0: escape hatch failed to construct the cell: panicked: \"boom\"", "1 inconclusive cell(s) exceed the budget of 0"] }
+}
+"#;
+    let json = atlas.to_json();
+    assert_eq!(json, expected);
+    common::assert_strict_json(&json);
+}
