@@ -1,13 +1,18 @@
 //! Substrate microbenchmarks: field ops, Reed–Solomon robust
 //! decoding, reliable broadcast, binary agreement, AVSS, one MPC
-//! multiplication, the `World` event plane with ~1k events pending, and
-//! the trace store's record checksum.
+//! multiplication, the `World` event plane with ~1k events pending, the
+//! trace store's record checksum, and the hosted path's `Msg` frame codec.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mediator_bcast::{AbaPeer, AbaState, IdealCoin, RbcPeer};
+use mediator_bench::ones_inputs;
+use mediator_circuits::catalog;
+use mediator_core::cheap_talk::CtMsg;
+use mediator_core::scenario::Scenario;
 use mediator_field::{rs, Fp, Poly};
+use mediator_net::Frame;
 use mediator_sim::sansio::{route_batch, Machines, Outgoing};
-use mediator_sim::{Ctx, Process, ProcessId, RandomScheduler, TraceMode, World};
+use mediator_sim::{Ctx, Process, ProcessId, RandomScheduler, SchedulerKind, TraceMode, World};
 use mediator_store::format::crc32;
 use mediator_vss::avss::{self, AvssMsg, AvssState};
 use rand::rngs::StdRng;
@@ -209,6 +214,63 @@ fn bench_store(c: &mut Criterion) {
     g.finish();
 }
 
+/// Every `Msg` frame one `n = 5` Theorem 4.1 session ships, in ship
+/// order: the session pumped in process, each drained message returned
+/// first in, first out — the order one relay connection echoes them in.
+fn shipped_msgs_n5() -> Vec<Frame<CtMsg>> {
+    let plan = Scenario::cheap_talk(catalog::majority_circuit(5))
+        .players(5)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(5))
+        .build()
+        .expect("n = 5 > 4k + 4t = 4");
+    let mut session = plan.session_with(&SchedulerKind::Random, 1);
+    let mut wire = VecDeque::new();
+    let mut frames = Vec::new();
+    loop {
+        wire.extend(session.drain_outbox());
+        if session.pump_ready() {
+            continue;
+        }
+        let Some(env) = wire.pop_front() else { break };
+        frames.push(Frame::Msg {
+            session: 1,
+            src: env.src,
+            dst: env.dst,
+            msg: env.msg.clone(),
+            auth: None,
+        });
+        if session.inject(env.src, env.dst, env.msg).progressed() {
+            session.pump_ready();
+        }
+    }
+    frames
+}
+
+/// The `Msg` frame codec the hosted path pays per frame, twice per
+/// message (ship and return): encode, then decode, every frame of one
+/// `n = 5` session (~0.8k frames, mostly 9-byte field-element varints).
+fn bench_net(c: &mut Criterion) {
+    let mut g = c.benchmark_group("net");
+    let frames = shipped_msgs_n5();
+    assert!(
+        frames.len() >= 765,
+        "{} frames: not a whole session",
+        frames.len()
+    );
+    let mut body = Vec::with_capacity(1024);
+    g.bench_function("msg_codec_n5", |bch| {
+        bch.iter(|| {
+            for frame in &frames {
+                body.clear();
+                frame.encode_body(&mut body);
+                black_box(Frame::<CtMsg>::decode_body(black_box(&body)).expect("decodes"));
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_field,
@@ -216,6 +278,7 @@ criterion_group!(
     bench_agreement,
     bench_avss,
     bench_world,
-    bench_store
+    bench_store,
+    bench_net
 );
 criterion_main!(benches);

@@ -20,14 +20,13 @@
 //! key, the paper's "private channel per pair" made literal. A hosted
 //! session derives each of its pair keys once, on the channel's first
 //! frame, and keeps them in an `n × n` table: sealing and verifying a
-//! frame then cost one SipHash each. [`AuthKey::msg_mac`] and
-//! [`AuthKey::verify_msg`] derive per call (shard results, frames for a
-//! session that is gone) through the same MAC and compare. Relays never
-//! see any key: the service MACs a frame when it ships and verifies when
-//! the echo returns, so the relay's content-blind contract is now
-//! *enforced* rather than assumed — any decode/rewrite/re-encode round
-//! trip that changes a byte (payload, header, or the sequence number)
-//! fails verification.
+//! frame then cost one SipHash each. [`AuthKey::verify_msg`] derives per
+//! call (shard results, frames for a session that is gone) through the
+//! same MAC and compare. Relays never see any key: the service MACs a
+//! frame when it ships and verifies when the echo returns, so the relay's
+//! content-blind contract is now *enforced* rather than assumed — any
+//! decode/rewrite/re-encode round trip that changes a byte (payload,
+//! header, or the sequence number) fails verification.
 //!
 //! **What the MAC covers.** Everything: the version byte, kind tag,
 //! session, src, dst, the per-session sequence number, and the payload —
@@ -95,13 +94,6 @@ impl AuthKey {
         input[24] = 1;
         let k1 = siphash24(self.k0, self.k1, &input);
         PairKey { k0, k1 }
-    }
-
-    /// MACs an authenticated `Msg` frame body prefix (everything up to
-    /// but excluding the trailing 8 MAC bytes) for channel
-    /// `(session, src, dst)`.
-    pub fn msg_mac(&self, session: u64, src: usize, dst: usize, prefix: &[u8]) -> [u8; 8] {
-        self.pair_key(session, src, dst).mac(prefix)
     }
 
     /// Verifies a received MAC in constant time over the tag bytes.
@@ -355,13 +347,18 @@ mod tests {
         }
     }
 
+    /// The MAC of `prefix` on channel `(session, src, dst)`, derived per call.
+    fn msg_mac(key: &AuthKey, session: u64, src: usize, dst: usize, prefix: &[u8]) -> [u8; 8] {
+        key.pair_key(session, src, dst).mac(prefix)
+    }
+
     #[test]
     fn pair_keys_separate_channels() {
         let master = AuthKey::from_seed(7);
         let body = b"same bytes";
-        let a = master.msg_mac(1, 0, 1, body);
-        let b = master.msg_mac(1, 1, 0, body);
-        let c = master.msg_mac(2, 0, 1, body);
+        let a = msg_mac(&master, 1, 0, 1, body);
+        let b = msg_mac(&master, 1, 1, 0, body);
+        let c = msg_mac(&master, 2, 0, 1, body);
         assert_ne!(a, b, "direction must separate keys");
         assert_ne!(a, c, "session must separate keys");
         assert!(master.verify_msg(1, 0, 1, body, a).is_authentic());
@@ -372,7 +369,7 @@ mod tests {
     fn single_bit_flip_fails_verification() {
         let master = AuthKey::from_seed(42);
         let body: Vec<u8> = (0..64).collect();
-        let mac = master.msg_mac(9, 2, 3, &body);
+        let mac = msg_mac(&master, 9, 2, 3, &body);
         for byte in 0..body.len() {
             let mut flipped = body.clone();
             flipped[byte] ^= 1;

@@ -179,7 +179,7 @@ pub struct OutcomeSummary {
     pub wills: Vec<Option<u64>>,
     /// Which processes halted.
     pub halted: Vec<bool>,
-    /// Messages sent during the run.
+    /// Messages sent during the run, as [`Outcome::messages_sent`] counts.
     pub messages_sent: u64,
     /// Messages delivered during the run.
     pub messages_delivered: u64,
@@ -248,37 +248,26 @@ impl Wire for RejectReason {
 }
 
 impl<M: Wire> Frame<M> {
-    /// Appends the frame as it travels: `len u32 LE`, then the body. The
-    /// one framer every sender shares (blocking halves, the reactor's
-    /// out-buffers, the tamper battery), so a burst of frames is one
-    /// contiguous buffer and one `write`.
+    /// Appends the frame as it travels: `len u32 LE`, then the body.
     pub fn encode_framed(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[0u8; PREFIX_LEN]);
-        self.encode_body(out);
-        let len = (out.len() - start - PREFIX_LEN) as u32;
-        debug_assert!(len <= MAX_FRAME_LEN);
-        out[start..start + PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
+        put_framed(out, |out| self.encode_body(out));
     }
 
     /// Encodes the frame *body* (version byte + kind + payload) — the
-    /// length prefix is [`Frame::encode_framed`]'s job. A `Msg`
-    /// carrying an [`AuthTag`] encodes under [`WIRE_VERSION_AUTH`]:
-    ///
-    /// ```text
-    /// [2][kind=1][session][src][dst][seq][msg][mac: 8 raw bytes]
-    /// ```
-    ///
-    /// so the layout is a strict extension of version 1 (kind stays at
-    /// byte 1, session at byte 2 — content-blind relays parse both the
-    /// same way) and a decode → re-encode round trip is byte-identical,
-    /// which is what lets typed relays echo authenticated frames without
-    /// holding any key.
+    /// length prefix is [`Frame::encode_framed`]'s job. A `Msg` goes
+    /// through the one `Msg` encoder the service ships with.
     pub fn encode_body(&self, out: &mut Vec<u8>) {
-        // `ShardResult` follows the same trailer discipline:
+        // `ShardResult` follows `encode_msg`'s trailer discipline:
         // [2][kind=7][unit][worker][seq][profiles][mac: 8 raw bytes].
         let auth = match self {
-            Frame::Msg { auth, .. } | Frame::ShardResult { auth, .. } => auth.as_ref(),
+            Frame::Msg {
+                session,
+                src,
+                dst,
+                msg,
+                auth,
+            } => return encode_msg(out, *session, *src, *dst, *auth, msg),
+            Frame::ShardResult { auth, .. } => auth.as_ref(),
             _ => None,
         };
         let seq = |out: &mut Vec<u8>| auth.iter().for_each(|tag| tag.seq.encode(out));
@@ -289,20 +278,7 @@ impl<M: Wire> Frame<M> {
                 session.encode(out);
                 player.encode(out);
             }
-            Frame::Msg {
-                session,
-                src,
-                dst,
-                msg,
-                auth: _,
-            } => {
-                out.push(1);
-                session.encode(out);
-                src.encode(out);
-                dst.encode(out);
-                seq(out);
-                msg.encode(out);
-            }
+            Frame::Msg { .. } => unreachable!("written by `encode_msg` above"),
             Frame::Outcome { session, summary } => {
                 out.push(2);
                 session.encode(out);
@@ -362,17 +338,27 @@ impl<M: Wire> Frame<M> {
     /// version byte, then the kind tag, and insists the body is fully
     /// consumed.
     pub fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
+        if is_msg(body) {
+            let (session, src, dst, auth, msg) = decode_msg(body)?;
+            return Ok(Frame::Msg {
+                session,
+                src,
+                dst,
+                msg,
+                auth,
+            });
+        }
         let mut r = Reader::new(body);
         let authed = match r.u8()? {
             WIRE_VERSION => false,
             WIRE_VERSION_AUTH => true,
             version => return Err(CodecError::UnknownVersion(version)),
         };
-        // Authenticated layout: exactly `Msg` and `ShardResult` travel
-        // under it — any other kind byte is malformed. The tag's sequence
-        // number sits before the payload, its MAC after it.
+        // Authenticated layout: exactly `Msg` (read above) and
+        // `ShardResult` travel under it — any other kind byte is malformed.
+        // The tag's sequence number sits before the payload, its MAC after.
         let tag = r.u8()?;
-        if authed && tag != 1 && tag != 7 {
+        if authed && tag != 7 {
             return Err(CodecError::UnknownTag { what: "Frame", tag });
         }
         let seq = |r: &mut Reader<'_>| match authed {
@@ -383,13 +369,6 @@ impl<M: Wire> Frame<M> {
             0 => Frame::Attach {
                 session: Wire::decode(&mut r)?,
                 player: Wire::decode(&mut r)?,
-            },
-            1 => Frame::Msg {
-                session: Wire::decode(&mut r)?,
-                src: Wire::decode(&mut r)?,
-                dst: Wire::decode(&mut r)?,
-                auth: seq(&mut r)?,
-                msg: Wire::decode(&mut r)?,
             },
             2 => Frame::Outcome {
                 session: Wire::decode(&mut r)?,
@@ -469,6 +448,71 @@ impl<M: Wire> Frame<M> {
     }
 }
 
+/// Appends `len u32 LE`, then the body `body` writes: the one framer every
+/// sender shares (blocking halves, the reactor's out-buffers, the tamper
+/// battery), so a burst of frames is one contiguous buffer and one `write`.
+pub(crate) fn put_framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; PREFIX_LEN]);
+    body(out);
+    let len = (out.len() - start - PREFIX_LEN) as u32;
+    debug_assert!(len <= MAX_FRAME_LEN);
+    out[start..start + PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The one `Msg` encoder, which [`Frame::encode_body`], the service's ship
+/// path and the tamper battery share, so shipping builds no [`Frame`]. A
+/// `Msg` carrying an [`AuthTag`] encodes under [`WIRE_VERSION_AUTH`]:
+///
+/// ```text
+/// [2][kind=1][session][src][dst][seq][msg][mac: 8 raw bytes]
+/// ```
+///
+/// so the layout is a strict extension of version 1 (kind stays at byte
+/// 1, session at byte 2 — content-blind relays parse both the same way)
+/// and a decode → re-encode round trip is byte-identical, which is what
+/// lets typed relays echo authenticated frames without holding any key.
+/// `ship` passes a zero MAC and seals the bytes it queued.
+pub(crate) fn encode_msg<M: Wire>(
+    out: &mut Vec<u8>,
+    session: SessionId,
+    src: usize,
+    dst: usize,
+    auth: Option<AuthTag>,
+    msg: &M,
+) {
+    out.extend_from_slice(&[auth.map_or(WIRE_VERSION, |_| WIRE_VERSION_AUTH), 1]);
+    session.encode(out);
+    src.encode(out);
+    dst.encode(out);
+    auth.iter().for_each(|tag| tag.seq.encode(out));
+    msg.encode(out);
+    auth.iter().for_each(|tag| out.extend_from_slice(&tag.mac));
+}
+
+/// The one `Msg` decoder, over a body that passed [`is_msg`]:
+/// [`Frame::decode_body`], the reactor and the tamper battery read a `Msg`
+/// through it, so the reactor builds no [`Frame`] per frame.
+pub(crate) fn decode_msg<M: Wire>(
+    body: &[u8],
+) -> Result<(SessionId, usize, usize, Option<AuthTag>, M), CodecError> {
+    let mut r = Reader::new(body);
+    let authed = r.bytes(2)? == [WIRE_VERSION_AUTH, 1];
+    let session = u64::decode(&mut r)?;
+    let (src, dst) = (usize::decode(&mut r)?, usize::decode(&mut r)?);
+    let seq = authed.then(|| u64::decode(&mut r)).transpose()?;
+    let msg = M::decode(&mut r)?;
+    let auth = match seq {
+        Some(seq) => Some(AuthTag {
+            seq,
+            mac: r.bytes(MAC_LEN)?.try_into().expect("MAC_LEN bytes"),
+        }),
+        None => None,
+    };
+    r.finish()?;
+    Ok((session, src, dst, auth, msg))
+}
+
 /// Bytes of the MAC trailer every authenticated body ends with.
 pub(crate) const MAC_LEN: usize = 8;
 
@@ -509,10 +553,9 @@ pub(crate) fn msg_session(body: &[u8]) -> Result<SessionId, CodecError> {
 /// typed [`NetError::AuthFailure`] instead of killing the connection and
 /// every honest session multiplexed on it.
 pub(crate) fn peek_auth_session(body: &[u8]) -> Option<SessionId> {
-    if body.first() != Some(&WIRE_VERSION_AUTH) || !is_msg(body) {
-        return None;
-    }
-    msg_session(body).ok()
+    matches!(body, [WIRE_VERSION_AUTH, 1, ..])
+        .then(|| msg_session(body).ok())
+        .flatten()
 }
 
 /// Every way the transport plane can fail, as one typed error. `PartialEq`

@@ -24,8 +24,8 @@
 //!   thread** accepts connections, routes frames by `(session-id,
 //!   player-id)`, drives every hosted session as a state machine over
 //!   per-connection read/write buffers, detects quiescence, surfaces
-//!   outcomes ([`Service::run_many`] drives thousands of sessions
-//!   concurrently on one core). Sessions, routes and connection buffers
+//!   outcomes (thousands of sessions hosted with
+//!   [`Service::host_plan`] run concurrently on one core). Sessions, routes and connection buffers
 //!   are owned by that thread alone; callers hold a command sender.
 //! * [`client`] — the thin relay endpoint ([`Client`]): the network leg
 //!   of every message addressed to its players. Its relay and

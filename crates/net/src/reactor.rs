@@ -37,10 +37,10 @@
 //! (the loop's dispatch order) choosing which session advances next,
 //! constrained only by eventual delivery. See DESIGN.md §9.
 
-use crate::auth::{PairKey, TamperKind};
+use crate::auth::{AuthTag, PairKey, TamperKind};
 use crate::frame::{
-    peek_auth_session, seal_in_place, Frame, NetError, OutcomeSummary, RejectReason, SessionId,
-    MAC_LEN, PREFIX_LEN,
+    decode_msg, is_msg, peek_auth_session, put_framed, seal_in_place, Frame, NetError,
+    OutcomeSummary, RejectReason, SessionId, MAC_LEN, PREFIX_LEN,
 };
 use crate::readiness::{
     ConnIo, Event, Interest, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN,
@@ -51,6 +51,7 @@ use crate::wire::Wire;
 use mediator_sim::{Outcome, RunMeta, Session, SessionStatus, TraceSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -278,8 +279,9 @@ struct Conn {
 }
 
 impl Conn {
-    fn queue<M: Wire>(&mut self, frame: &Frame<M>) {
-        frame.encode_framed(&mut self.out);
+    /// Queues a `Reject` of `session`'s frame, written with this pass.
+    fn reject<M: Wire>(&mut self, session: SessionId, reason: RejectReason) {
+        Frame::<M>::Reject { session, reason }.encode_framed(&mut self.out);
     }
 
     fn pending(&self) -> bool {
@@ -324,16 +326,16 @@ impl Conns {
         self.slab.get_mut(slot)?.as_mut().filter(|c| c.id == id)
     }
 
-    /// Appends `frame` to the routed connection's out-buffer; the loop
-    /// flushes it at the end of the current pass, and a buffer holding
-    /// half a [`READ_CHUNK`] is written at once. With a `key`, the frame
-    /// (encoded with a zero MAC) is sealed over the bytes just queued, so
-    /// it is encoded once. Fails once the connection is gone — the signal
-    /// `ship` turns into `PeerVanished`.
-    pub(crate) fn send<M: Wire>(
+    /// Frames the body `body` writes onto the routed connection's
+    /// out-buffer; the loop flushes it at the end of the current pass, and
+    /// a buffer holding half a [`READ_CHUNK`] is written at once. With a
+    /// `key`, the body (written with a zero MAC) is sealed over the bytes
+    /// just queued, so it is encoded once. Fails once the connection is
+    /// gone — the signal `ship` turns into `PeerVanished`.
+    pub(crate) fn send(
         &mut self,
         route: Route,
-        frame: &Frame<M>,
+        body: impl FnOnce(&mut Vec<u8>),
         key: Option<&PairKey>,
     ) -> Result<(), NetError> {
         let conn = self.live(route).ok_or(NetError::Disconnected)?;
@@ -341,7 +343,7 @@ impl Conns {
         // flush already or waiting on writability.
         let newly_dirty = !conn.pending();
         let start = conn.out.len();
-        conn.queue(frame);
+        put_framed(&mut conn.out, body);
         if let Some(key) = key {
             seal_in_place(&mut conn.out[start + PREFIX_LEN..], key);
         }
@@ -402,6 +404,26 @@ enum Timer {
     Idle { session: SessionId },
 }
 
+/// The session table's hash: one multiply by an odd constant, the 128-bit
+/// product's high half folded onto its low, in place of SipHash on the
+/// lookup every inbound frame takes. Only `Host` commands insert, so the
+/// table holds ids the host chose: an id a relay names can only miss.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a `SessionId` hashes through `write_u64`")
+    }
+    fn write_u64(&mut self, id: u64) {
+        let p = u128::from(id) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p >> 64) as u64 ^ p as u64;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The reactor proper
 // ---------------------------------------------------------------------------
@@ -414,7 +436,7 @@ pub(crate) struct Reactor<M: Wire + Send + 'static> {
     waker: Arc<Waker>,
     commands: Receiver<Command<M>>,
     conns: Conns,
-    sms: HashMap<SessionId, SessionSm<M>>,
+    sms: HashMap<SessionId, SessionSm<M>, BuildHasherDefault<IdHasher>>,
     parked: Vec<Parked>,
     timers: BinaryHeap<Reverse<(Instant, Timer)>>,
     draining: bool,
@@ -447,7 +469,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 slab: Vec::new(),
                 dirty: Vec::new(),
             },
-            sms: HashMap::new(),
+            sms: HashMap::default(),
             parked: Vec::new(),
             timers: BinaryHeap::new(),
             draining: false,
@@ -628,14 +650,11 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     // Still parked after this iteration's sweep: the
                     // session never appeared.
                     self.parked.swap_remove(i);
-                    let _ = self.conns.send::<M>(
-                        conn,
-                        &Frame::Reject {
-                            session,
-                            reason: RejectReason::UnknownSession,
-                        },
-                        None,
-                    );
+                    let reject = Frame::<M>::Reject {
+                        session,
+                        reason: RejectReason::UnknownSession,
+                    };
+                    let _ = self.conns.send(conn, |out| reject.encode_body(out), None);
                 }
                 Timer::Attach { session } => {
                     let still_attaching = self.sms.get(&session).and_then(|sm| {
@@ -821,20 +840,25 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                         break;
                     }
                 };
-                match Frame::<M>::decode_body(body) {
-                    Ok(frame) => self.process_frame(&mut conn, slot, frame, body, runnable),
-                    Err(_) => {
-                        // Undecodable bytes. On an authenticated service a
-                        // damaged frame that still names its session aborts
-                        // that session alone (the relay is Byzantine, but
-                        // its other sessions stay live); structurally
-                        // anonymous garbage still kills the connection.
-                        match self.cfg.auth.and_then(|_| peek_auth_session(body)) {
-                            Some(session) => {
-                                self.tampered(&mut conn, session, TamperKind::Truncated, runnable)
-                            }
-                            None => dead = true,
+                // A `Msg` is read field by field, never as a `Frame`.
+                let route = (slot, conn.id);
+                let acted = if is_msg(body) {
+                    decode_msg(body).map(|m| self.process_msg(&mut conn, route, m, body, runnable))
+                } else {
+                    Frame::decode_body(body)
+                        .map(|f| self.process_frame(&mut conn, route, f, runnable))
+                };
+                if acted.is_err() {
+                    // Undecodable bytes. On an authenticated service a
+                    // damaged frame that still names its session aborts
+                    // that session alone (the relay is Byzantine, but its
+                    // other sessions stay live); structurally anonymous
+                    // garbage still kills the connection.
+                    match self.cfg.auth.and_then(|_| peek_auth_session(body)) {
+                        Some(session) => {
+                            self.tampered(&mut conn, session, TamperKind::Truncated, runnable)
                         }
+                        None => dead = true,
                     }
                 }
             }
@@ -866,10 +890,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         kind: TamperKind,
         runnable: &mut Vec<SessionId>,
     ) {
-        conn.queue::<M>(&Frame::Reject {
-            session,
-            reason: RejectReason::TamperDetected,
-        });
+        conn.reject::<M>(session, RejectReason::TamperDetected);
         self.deliver(
             session,
             Inbound::Tampered {
@@ -880,16 +901,14 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         );
     }
 
-    /// Acts on one decoded frame; `body` is the bytes it was decoded from.
+    /// Acts on one decoded control frame.
     fn process_frame(
         &mut self,
         conn: &mut Conn,
-        slot: usize,
+        route: Route,
         frame: Frame<M>,
-        body: &[u8],
         runnable: &mut Vec<SessionId>,
     ) {
-        let route = (slot, conn.id);
         match frame {
             Frame::Attach { session, player } => match self.sms.get_mut(&session) {
                 Some(sm) => match sm.claim(player, route) {
@@ -897,7 +916,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                         conn.claimed.push((session, player));
                         self.deliver(session, Inbound::Attached { player }, runnable);
                     }
-                    Some(reason) => conn.queue::<M>(&Frame::Reject { session, reason }),
+                    Some(reason) => conn.reject::<M>(session, reason),
                 },
                 None => {
                     // Park for the grace window (the host/connect race).
@@ -916,70 +935,13 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     )));
                 }
             },
-            Frame::Msg {
-                session,
-                src,
-                dst,
-                msg,
-                auth,
-            } => {
-                // One table lookup serves authentication, the range check
-                // and queueing.
-                let mut sm = self.sms.get_mut(&session);
-                // Only `Msg` frames carry MACs: control frames either
-                // originate here or precede any routing (a forged `Attach`
-                // can only lose the race to the honest relay). A stripped
-                // trailer is a downgrade. A session that finished or never
-                // existed has no keys: the master key judges its frames,
-                // so a forgery still earns its `Reject`.
-                if let Some(master) = &self.cfg.auth {
-                    let keys = sm.as_mut().and_then(|sm| sm.flight.auth.as_mut());
-                    let authentic = auth.is_some_and(|tag| {
-                        let prefix = &body[..body.len() - MAC_LEN];
-                        match keys {
-                            Some(keys) => keys.pair(src, dst).verify(prefix, tag.mac),
-                            None => master.verify_msg(session, src, dst, prefix, tag.mac),
-                        }
-                        .is_authentic()
-                    });
-                    if !authentic {
-                        let kind = match auth {
-                            Some(_) => TamperKind::BadMac,
-                            None => TamperKind::Downgrade,
-                        };
-                        return self.tampered(conn, session, kind, runnable);
-                    }
-                }
-                // An authentic frame for an unknown session is a late echo
-                // for a run that already finished: dead, by design.
-                let Some(sm) = sm else {
-                    return;
-                };
-                // Range-check before delivery: a hostile-but-well-formed
-                // frame must never panic a hosted session.
-                if src >= sm.expected || dst >= sm.expected {
-                    conn.queue::<M>(&Frame::Reject {
-                        session,
-                        reason: RejectReason::PlayerOutOfRange,
-                    });
-                    return;
-                }
-                let ev = Inbound::Msg {
-                    src,
-                    dst,
-                    msg,
-                    // Only `dst`'s own relay can complete a shipped
-                    // frame's network leg (see `Inbound::Msg`).
-                    returned: sm.routed_to(dst, route),
-                    seq: auth.map(|tag| tag.seq),
-                    conn: conn.id,
-                };
-                sm.enqueue(ev, self.now + self.cfg.idle_timeout, runnable);
-            }
+            // `Msg` bodies never get here: `conn_readable` reads them with
+            // `decode_msg` and hands them to `process_msg`.
             // `Outcome`/`Reject`/`Abort` only travel service → client;
             // shard lease frames belong to the shard coordinator plane,
             // not a session service. All are dead on arrival here.
-            Frame::Outcome { .. }
+            Frame::Msg { .. }
+            | Frame::Outcome { .. }
             | Frame::Reject { .. }
             | Frame::Abort { .. }
             | Frame::ShardRequest { .. }
@@ -988,6 +950,63 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             | Frame::ShardWitness { .. }
             | Frame::ShardDrain => {}
         }
+    }
+
+    /// Acts on one `Msg` as [`decode_msg`] read it from `body`. One table
+    /// lookup serves authentication, the range check and queueing.
+    fn process_msg(
+        &mut self,
+        conn: &mut Conn,
+        route: Route,
+        (session, src, dst, auth, msg): (SessionId, usize, usize, Option<AuthTag>, M),
+        body: &[u8],
+        runnable: &mut Vec<SessionId>,
+    ) {
+        let mut sm = self.sms.get_mut(&session);
+        // Only `Msg` frames carry MACs: control frames either originate
+        // here or precede any routing (a forged `Attach` can only lose the
+        // race to the honest relay). A stripped trailer is a downgrade. A
+        // session that finished or never existed has no keys: the master
+        // key judges its frames, so a forgery still earns its `Reject`.
+        if let Some(master) = &self.cfg.auth {
+            let keys = sm.as_mut().and_then(|sm| sm.flight.auth.as_mut());
+            let authentic = auth.is_some_and(|tag| {
+                let prefix = &body[..body.len() - MAC_LEN];
+                match keys {
+                    Some(keys) => keys.pair(src, dst).verify(prefix, tag.mac),
+                    None => master.verify_msg(session, src, dst, prefix, tag.mac),
+                }
+                .is_authentic()
+            });
+            if !authentic {
+                let kind = match auth {
+                    Some(_) => TamperKind::BadMac,
+                    None => TamperKind::Downgrade,
+                };
+                return self.tampered(conn, session, kind, runnable);
+            }
+        }
+        // An authentic frame for an unknown session is a late echo for a
+        // run that already finished: dead, by design.
+        let Some(sm) = sm else {
+            return;
+        };
+        // Range-check before delivery: a hostile-but-well-formed frame
+        // must never panic a hosted session.
+        if src >= sm.expected || dst >= sm.expected {
+            return conn.reject::<M>(session, RejectReason::PlayerOutOfRange);
+        }
+        let ev = Inbound::Msg {
+            src,
+            dst,
+            msg,
+            // Only `dst`'s own relay can complete a shipped frame's network
+            // leg (see `Inbound::Msg`).
+            returned: sm.routed_to(dst, route),
+            seq: auth.map(|tag| tag.seq),
+            conn: conn.id,
+        };
+        sm.enqueue(ev, self.now + self.cfg.idle_timeout, runnable);
     }
 
     /// Attaches `player` on a conn referenced by route (the parked-attach
@@ -1008,14 +1027,11 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 self.deliver(sid, Inbound::Attached { player }, runnable);
             }
             Some(reason) => {
-                let _ = self.conns.send::<M>(
-                    route,
-                    &Frame::Reject {
-                        session: sid,
-                        reason,
-                    },
-                    None,
-                );
+                let reject = Frame::<M>::Reject {
+                    session: sid,
+                    reason,
+                };
+                let _ = self.conns.send(route, |out| reject.encode_body(out), None);
             }
         }
     }

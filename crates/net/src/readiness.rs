@@ -22,8 +22,7 @@
 //! syscalls).
 
 use crate::frame::NetError;
-use crate::transport::{ConnPair, FramedRx, FramedTx, PipeReader, PipeWriter};
-use crate::wire::Wire;
+use crate::transport::{PipeReader, PipeWriter};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -442,21 +441,6 @@ impl ConnIo {
                 }
             },
             ConnIo::Mem { rx, .. } => rx.try_read(buf),
-        }
-    }
-
-    /// Converts back into blocking framed halves (TCP streams are
-    /// switched to blocking mode first). Useful for tests and tools that
-    /// accept through an [`NbListener`] but want the simple blocking
-    /// codec view.
-    pub fn into_framed<M: Wire>(self) -> Result<ConnPair<M>, NetError> {
-        match self {
-            ConnIo::Tcp(stream) => {
-                stream.set_nonblocking(false)?;
-                let reader = stream.try_clone()?;
-                Ok((FramedTx::new(stream), FramedRx::new(reader)))
-            }
-            ConnIo::Mem { rx, tx } => Ok((FramedTx::new(tx), FramedRx::new(rx))),
         }
     }
 

@@ -45,7 +45,7 @@
 
 use crate::auth::{AuthKey, AuthTag, PairKey, ReplayWindow, TamperKind};
 use crate::client::Client;
-use crate::frame::{Frame, NetError, OutcomeSummary, SessionId};
+use crate::frame::{encode_msg, Frame, NetError, OutcomeSummary, SessionId};
 use crate::reactor::{Command, Conns, Reactor, Route, CMD_TOKEN};
 use crate::readiness::{NbListener, Poller, Waker};
 use crate::transport::{ConnPair, MemTransport, TcpTransport};
@@ -288,27 +288,6 @@ impl<M: Wire + Send + 'static> Service<M> {
         )
     }
 
-    /// The batch entry: hosts every `(id, scheduler, seed)` cell of `plan`
-    /// concurrently — all sessions live at once on the reactor, frames
-    /// multiplexed by `(session-id, player-id)` — and blocks until every
-    /// session has an outcome. All cells are registered before this call
-    /// blocks, so relay clients may attach at any point (including before
-    /// the call, thanks to the attach grace window).
-    pub fn run_many<F>(
-        &self,
-        plan: &Plan<F>,
-        cells: impl IntoIterator<Item = (SessionId, SchedulerKind, u64)>,
-    ) -> Vec<(SessionId, Result<Outcome, NetError>)>
-    where
-        F: GameFamily<Msg = M>,
-    {
-        let handles: Vec<SessionHandle> = cells
-            .into_iter()
-            .map(|(id, kind, seed)| self.host_plan(id, plan, kind, seed))
-            .collect();
-        handles.into_iter().map(|h| (h.id(), h.outcome())).collect()
-    }
-
     /// Stops accepting connections and waits for the reactor to drain:
     /// hosted sessions run to their outcomes and final frames are flushed
     /// before this returns.
@@ -356,15 +335,10 @@ pub(crate) fn ship<M: Wire>(
         .auth
         .as_mut()
         .map(|a| (a.window.issue(), a.pair(env.src, dst)));
-    let frame = Frame::Msg {
-        session: sid,
-        src: env.src,
-        dst,
-        msg: env.msg,
-        auth: sealing.map(|(seq, _)| AuthTag { seq, mac: [0; 8] }),
-    };
+    let auth = sealing.map(|(seq, _)| AuthTag { seq, mac: [0; 8] });
+    let body = |out: &mut Vec<u8>| encode_msg(out, sid, env.src, dst, auth, &env.msg);
     let key = sealing.as_ref().map(|(_, key)| key);
-    conns.send(route, &frame, key).map_err(|_| vanished)
+    conns.send(route, body, key).map_err(|_| vanished)
 }
 
 /// Sends `frame` once per distinct connection attached to the session (a
@@ -374,7 +348,7 @@ pub(crate) fn broadcast<M: Wire>(routes: &[Option<Route>], conns: &mut Conns, fr
     for route in routes.iter().flatten() {
         if !announced.contains(route) {
             announced.push(*route);
-            let _ = conns.send(*route, frame, None);
+            let _ = conns.send(*route, |out| frame.encode_body(out), None);
         }
     }
 }

@@ -35,7 +35,8 @@
 
 use crate::client::{relay_loop, Relayed};
 use crate::frame::{
-    msg_session, Frame, NetError, OutcomeSummary, RejectReason, SessionId, PREFIX_LEN,
+    decode_msg, encode_msg, msg_session, put_framed, Frame, NetError, OutcomeSummary, RejectReason,
+    SessionId, PREFIX_LEN,
 };
 use crate::readiness::NbListener;
 use crate::service::{Service, ServiceConfig};
@@ -250,28 +251,13 @@ where
             Some(
                 edit @ (WireTactic::Rewrite { .. } | WireTactic::Redirect | WireTactic::Strip),
             ) => {
-                if let Frame::Msg {
-                    session,
-                    src,
-                    mut dst,
-                    mut msg,
-                    mut auth,
-                } = Frame::<M>::decode_body(body)?
-                {
-                    match edit {
-                        WireTactic::Rewrite { offset } => msg = msg.corrupt(offset),
-                        WireTactic::Redirect => dst = (dst + 1) % players,
-                        _ => auth = None,
-                    }
-                    Frame::Msg {
-                        session,
-                        src,
-                        dst,
-                        msg,
-                        auth,
-                    }
-                    .encode_framed(out);
+                let (session, src, mut dst, mut auth, mut msg) = decode_msg::<M>(body)?;
+                match edit {
+                    WireTactic::Rewrite { offset } => msg = msg.corrupt(offset),
+                    WireTactic::Redirect => dst = (dst + 1) % players,
+                    _ => auth = None,
                 }
+                put_framed(out, |out| encode_msg(out, session, src, dst, auth, &msg));
             }
         }
         // Free any delayed frames whose release index has arrived.

@@ -655,6 +655,40 @@ fn trailing_garbage_inside_a_frame_is_a_typed_error_on_both_backends() {
     );
 }
 
+/// A `Msg` body is read by its own decoder, the one the reactor calls,
+/// so it owes the same refusal: a byte past the message (or past the MAC
+/// trailer) is `TrailingBytes`, under both wire versions.
+#[test]
+fn trailing_garbage_after_a_msg_is_a_typed_error() {
+    for auth in [
+        None,
+        Some(AuthTag {
+            seq: 7,
+            mac: [9; 8],
+        }),
+    ] {
+        let mut body = Vec::new();
+        Frame::Msg {
+            session: 3,
+            src: 0,
+            dst: 1,
+            msg: CtMsg::Mpc(MpcMsg::Avss {
+                dealer: 0,
+                inner: AvssMsg::Ready,
+            }),
+            auth,
+        }
+        .encode_body(&mut body);
+        assert!(Frame::<CtMsg>::decode_body(&body).is_ok(), "{auth:?}");
+        body.push(0xAB);
+        assert_eq!(
+            Frame::<CtMsg>::decode_body(&body),
+            Err(CodecError::TrailingBytes { extra: 1 }),
+            "{auth:?}"
+        );
+    }
+}
+
 #[test]
 fn connecting_to_a_closed_mem_hub_fails_fast() {
     // TCP refuses a dead port; the mem hub must not park the connector on
@@ -926,15 +960,21 @@ fn replayed_frame_aborts_the_session_with_the_typed_owner_on_both_backends() {
 }
 
 /// Spin-waits one connection out of a non-blocking listener and hands it
-/// back as blocking framed halves (test convenience only — the service's
-/// reactor consumes the readiness-based form).
+/// back as blocking framed halves (TCP streams switched to blocking mode
+/// first) — the service's reactor consumes the readiness-based form.
 fn accept_framed<M: mediator_net::Wire>(
     listener: &mut dyn NbListener,
 ) -> mediator_net::ConnPair<M> {
+    use mediator_net::readiness::ConnIo;
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {
         match listener.try_accept().expect("listener open") {
-            Some(io) => return io.into_framed().expect("framed"),
+            Some(ConnIo::Tcp(stream)) => {
+                stream.set_nonblocking(false).expect("blocking mode");
+                let reader = stream.try_clone().expect("a second handle");
+                return (FramedTx::new(stream), FramedRx::new(reader));
+            }
+            Some(ConnIo::Mem { rx, tx }) => return (FramedTx::new(tx), FramedRx::new(rx)),
             None => {
                 assert!(
                     std::time::Instant::now() < deadline,

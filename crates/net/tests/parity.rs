@@ -75,6 +75,42 @@ fn cheap_talk_over_mem_matches_in_process_outcome_kinds() {
     }
 }
 
+/// A hosted session counts each protocol message twice in
+/// `Outcome::messages_sent`: once when a process sends it and once when
+/// its returned frame is injected (`Session::inject` is a send on the
+/// plane). One relay connection echoing every frame in arrival order
+/// returns them first in, first out, so the count is the Fifo schedule's
+/// exactly: 775 shipped frames, 1 550 sends.
+#[test]
+fn a_hosted_session_counts_each_message_at_its_send_and_at_its_return() {
+    let n = 5;
+    let plan = majority_plan(n);
+    let local = plan.run_with(&SchedulerKind::Fifo, 0);
+    let hub = MemTransport::new();
+    let service = Service::start(Box::new(hub.listener()));
+    let handle = service.host_plan(1, &plan, SchedulerKind::Fifo, 0);
+    let mut relay = Client::<CtMsg>::mem(&hub);
+    for player in 0..n {
+        relay.attach(1, player).expect("attach");
+    }
+    let mut shipped = 0u64;
+    loop {
+        match relay.recv().expect("the service answers") {
+            frame @ Frame::Msg { .. } => {
+                shipped += 1;
+                relay.send(&frame).expect("echo");
+            }
+            Frame::Outcome { .. } => break,
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    let networked = handle.outcome().expect("hosted run completes");
+    service.shutdown();
+    assert_eq!((shipped, local.messages_sent), (775, 775), "the floor");
+    assert_eq!(networked.messages_sent, 1_550, "2 × 775");
+    assert_eq!(networked.messages_delivered, local.messages_delivered);
+}
+
 #[test]
 fn cheap_talk_over_tcp_matches_in_process_outcome_kinds() {
     let n = 5;
@@ -125,7 +161,7 @@ fn budget_exhaustion_travels_the_wire() {
 }
 
 #[test]
-fn run_many_drives_concurrent_sessions_to_the_same_profile() {
+fn concurrent_hosted_sessions_reach_the_same_profile() {
     let n = 5;
     let sessions = 8u64;
     let plan = majority_plan(n);
@@ -133,7 +169,7 @@ fn run_many_drives_concurrent_sessions_to_the_same_profile() {
     let service = Service::start(Box::new(hub.listener()));
 
     // Relays connect first; the attach grace window absorbs the race with
-    // run_many's host loop.
+    // the host loop.
     let relays: Vec<_> = (0..sessions)
         .flat_map(|sid| (0..n).map(move |player| (sid, player)))
         .map(|(sid, player)| {
@@ -145,14 +181,17 @@ fn run_many_drives_concurrent_sessions_to_the_same_profile() {
         })
         .collect();
 
-    let results = service.run_many(
-        &plan,
-        (0..sessions).map(|sid| (sid, SchedulerKind::Random, sid)),
-    );
-    assert_eq!(results.len(), sessions as usize);
+    // Every cell is hosted before any outcome is awaited, so all of them
+    // are live on the reactor at once.
+    let handles: Vec<_> = (0..sessions)
+        .map(|sid| service.host_plan(sid, &plan, SchedulerKind::Random, sid))
+        .collect();
     let local = plan.run_with(&SchedulerKind::Random, 0);
-    for (sid, result) in results {
-        let outcome = result.unwrap_or_else(|e| panic!("session {sid}: {e}"));
+    for handle in handles {
+        let sid = handle.id();
+        let outcome = handle
+            .outcome()
+            .unwrap_or_else(|e| panic!("session {sid}: {e}"));
         assert_outcome_parity(&local, &outcome, n, &format!("session {sid}"));
     }
     for relay in relays {

@@ -3,7 +3,8 @@
 //! An authenticated service derives each of a session's pair keys once,
 //! caches them, seals every shipped `Msg` in place over the bytes it just
 //! queued, and verifies echoes under the same cache. This suite holds that
-//! path to `AuthKey::msg_mac`, which derives the pair key on every call:
+//! path to `msg_mac` below, which derives the pair key on every call from
+//! the documented key schedule over std's SipHash-2-4:
 //!
 //! * every frame shipped, over both transports and across concurrent
 //!   sessions, is byte-identical to `encode_framed` of the same frame
@@ -48,8 +49,36 @@ fn majority_plan() -> CheapTalkPlan {
         .expect("n = 5 > 4k+4t = 4")
 }
 
+const SEED: u64 = 0x5ea1;
+
 fn key() -> AuthKey {
-    AuthKey::from_seed(0x5ea1)
+    AuthKey::from_seed(SEED)
+}
+
+/// SipHash-2-4 as std implements it: the reference for the crate's own.
+#[allow(deprecated)]
+fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::hash::SipHasher::new_with_keys(k0, k1);
+    h.write(data);
+    h.finish()
+}
+
+/// The MAC of `prefix` on channel `(session, src, dst)` under `key()`,
+/// derived per call: the master key as `AuthKey::from_seed` expands
+/// `SEED`, the pair key as two PRF calls on `session ‖ src ‖ dst` (each
+/// 8 bytes LE) and a domain byte 0, then 1.
+fn msg_mac(session: u64, src: usize, dst: usize, prefix: &[u8]) -> [u8; 8] {
+    let k0 = siphash24(SEED, !SEED, b"mediator-auth-k0");
+    let k1 = siphash24(!SEED, SEED, b"mediator-auth-k1");
+    let mut input = [0u8; 25];
+    input[..8].copy_from_slice(&session.to_le_bytes());
+    input[8..16].copy_from_slice(&(src as u64).to_le_bytes());
+    input[16..24].copy_from_slice(&(dst as u64).to_le_bytes());
+    let pair0 = siphash24(k0, k1, &input);
+    input[24] = 1;
+    let pair1 = siphash24(k0, k1, &input);
+    siphash24(pair0, pair1, prefix).to_le_bytes()
 }
 
 fn cfg() -> ServiceConfig {
@@ -167,7 +196,7 @@ fn every_shipped_frame_matches_the_derive_per_call_seal() {
 }
 
 /// `frame` (a sealed `Msg`) re-addressed to `session` and sealed through
-/// the derive-per-call `AuthKey::msg_mac` under the key of
+/// the derive-per-call `msg_mac` under the key of
 /// `(key_session, key_src, key_dst)`.
 fn sealed_as(
     frame: &Frame<CtMsg>,
@@ -196,7 +225,7 @@ fn sealed_as(
     };
     let mut body = Vec::new();
     sealed.encode_body(&mut body);
-    let mac = key().msg_mac(key_session, key_src, key_dst, &body[..body.len() - 8]);
+    let mac = msg_mac(key_session, key_src, key_dst, &body[..body.len() - 8]);
     if let Frame::Msg {
         auth: Some(tag), ..
     } = &mut sealed

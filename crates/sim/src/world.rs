@@ -57,7 +57,9 @@ pub struct Outcome {
     pub wills: Vec<Option<Action>>,
     /// Which processes halted.
     pub halted: Vec<bool>,
-    /// Messages sent during the run.
+    /// Messages sent during the run. An injected message counts as a
+    /// send, so a hosted session, which re-injects each message when its
+    /// frame returns, counts every protocol message twice.
     pub messages_sent: u64,
     /// Messages delivered during the run.
     pub messages_delivered: u64,
