@@ -10,8 +10,8 @@
 //! * **ABA** with unanimous inputs: validity forces the decision, so every
 //!   player decides the common input under every scheduler.
 //!
-//! The common subset's guarantees are asserted where it runs, on the MPC
-//! engine's core (`mediator_mpc::engine` tests).
+//! The common subset's guarantees are asserted where it runs, on the core
+//! `MpcEngine` fixes (`mediator_mpc::engine` tests).
 
 use mediator_bcast::driver::{AbaPeer, RbcPeer};
 use mediator_bcast::{AbaState, IdealCoin};

@@ -1,7 +1,7 @@
 //! Cheap-talk games: the mediator replaced by asynchronous MPC.
 //!
 //! `CheapTalkPlayer` embeds the MPC engine into a `mediator-sim` process by
-//! driving [`MpcDriver`] — the same [`mediator_sim::sansio::SansIo`] wrapper
+//! driving [`MpcEngine`] — the same [`mediator_sim::sansio::SansIo`] machine
 //! the protocol test suites run — through the shared `route_batch` fan-out,
 //! adding only the game-level machinery on top: deviations, wills, the
 //! cotermination barrier, and abort-to-default resolution.
@@ -30,7 +30,7 @@ use crate::adversary::TacticState;
 use crate::deviations::Behavior;
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
-use mediator_mpc::{MpcConfig, MpcDriver, MpcEvent, MpcMsg};
+use mediator_mpc::{MpcConfig, MpcEngine, MpcEvent, MpcMsg};
 use mediator_sim::sansio::{route_batch, Outgoing, SansIo};
 use mediator_sim::{Action, Ctx, PartySet, Process, ProcessId};
 use std::sync::Arc;
@@ -90,7 +90,7 @@ pub struct CheapTalkPlayer {
     spec: Arc<CheapTalkSpec>,
     me: usize,
     input: Vec<Fp>,
-    engine: Option<MpcDriver>,
+    engine: Option<MpcEngine>,
     /// The engine's outbox, drained after every call and reused.
     outbox: Vec<Outgoing<MpcMsg>>,
     behavior: Behavior,
@@ -173,18 +173,17 @@ impl CheapTalkPlayer {
                     ctx.halt();
                 }
             }
-            MpcEvent::CoreDecided(_) => {}
         }
     }
 
     fn try_finish(&mut self, ctx: &mut Ctx<CtMsg>) {
-        if self.moved || self.action.is_none() {
+        let (Some(action), false) = (self.action, self.moved) else {
             return;
-        }
+        };
         let quorum = self.spec.mpc.n - self.spec.f();
         if self.finished.len() >= quorum {
             self.moved = true;
-            ctx.make_move(self.action.expect("checked"));
+            ctx.make_move(action);
             ctx.halt();
         }
     }
@@ -207,7 +206,7 @@ impl Process<CtMsg> for CheapTalkPlayer {
             .input_override
             .clone()
             .unwrap_or_else(|| self.input.clone());
-        let mut engine = MpcDriver::new(
+        let mut engine = MpcEngine::new(
             Arc::clone(self.spec.mpc_config()),
             self.spec.circuit.clone(),
             self.me,
@@ -382,7 +381,7 @@ mod tests {
     fn player_that_fixes_the_core_and_finishes_on_one_delivery_still_moves() {
         // A multiplication-free circuit evaluates locally, so under targeted
         // delay a player can fix the core and finish on the same delivery;
-        // the engine's `Done` must not be masked by its `CoreDecided`.
+        // the engine reports its `Done` on that delivery.
         let n = 5;
         let plan = Scenario::cheap_talk(catalog::sum_circuit(n))
             .players(n)

@@ -5,34 +5,70 @@ use crate::msg::MpcMsg;
 use mediator_bcast::{Acs, IdealCoin};
 use mediator_circuits::{Circuit, Gate};
 use mediator_field::Fp;
-use mediator_sim::sansio::Outgoing;
+use mediator_sim::sansio::{Outgoing, SansIo};
 use mediator_sim::PartySet;
 use mediator_vss::avss::{self, AvssState};
 use mediator_vss::detect::{deal_detectable, DetectState, Verdict};
 use mediator_vss::OecState;
+use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
 
-/// Externally visible engine status.
+/// How an engine's run ended: its one output to the embedding layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MpcStatus {
-    /// Still running.
-    Running,
+pub enum MpcEvent {
     /// Finished; the player's private output values, in declaration order.
     Done(Vec<Fp>),
     /// ε-mode abort: cheating detected but not correctable.
     Aborted,
 }
 
-/// Events surfaced to the embedding layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MpcEvent {
-    /// The input core was fixed (sorted member list).
-    CoreDecided(Vec<usize>),
-    /// The engine finished with the player's outputs.
+/// Where one engine is in the protocol. Phases only move forward, and
+/// only [`MpcEngine::advance`] moves them.
+#[derive(Debug)]
+enum Phase {
+    /// Dealing and core agreement, as one phase: each dealing is voted on
+    /// as it completes here. Ends once the core is fixed and every member's
+    /// dealing has a standing here.
+    Agree,
+    /// Evaluating the circuit over the agreed `core`: `pc` is the next
+    /// gate, `pending` the interaction it is blocked on.
+    Evaluate {
+        core: Vec<usize>,
+        pc: usize,
+        pending: Option<PendingGate>,
+    },
+    /// Every gate evaluated and my output points sent: reconstructing the
+    /// outputs I own.
+    Output,
+    /// Finished with my outputs, in declaration order.
     Done(Vec<Fp>),
-    /// The engine aborted (ε-mode detection).
+    /// ε mode: an opening holds all `n` points and no candidate.
     Aborted,
+}
+
+/// What one dealer's dealing is worth here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Standing {
+    /// Not complete here yet.
+    Pending,
+    /// Complete with the agreed arity: voted in, and my shares are read
+    /// from it.
+    Usable,
+    /// ε mode: consistent, but my own share failed its check: voted in,
+    /// and unusable here.
+    ShareBad,
+    /// Of the wrong arity, or (ε mode) from a detected bad dealer: voted
+    /// out.
+    Rejected,
+}
+
+/// The `n` dealers' sharing instances, of the mode's kind.
+enum Sharings {
+    /// Robust mode: one AVSS per dealer.
+    Avss(Vec<AvssState>),
+    /// ε mode: one detectable sharing per dealer.
+    Detect(Vec<DetectState>),
 }
 
 /// One public opening in flight.
@@ -58,7 +94,6 @@ enum OpenSlot {
 struct MulRun {
     open_id: usize,
     r_share: Fp,
-    result: Option<Fp>,
 }
 
 /// Stage of a RandBit gate's sub-protocol.
@@ -77,7 +112,6 @@ struct RandBitRun {
     pos: usize,
     stage: RbStage,
     acc: Option<Fp>,
-    result: Option<Fp>,
 }
 
 /// A blocked gate.
@@ -87,77 +121,79 @@ enum PendingGate {
     RandBit(RandBitRun),
 }
 
-/// One player's engine for one MPC execution. See the crate docs for the
-/// protocol description.
+/// One player's engine for one MPC execution, driven through [`SansIo`].
+/// See the crate docs for the protocol description.
 pub struct MpcEngine {
     cfg: Arc<MpcConfig>,
     circuit: Arc<Circuit>,
     me: usize,
+    /// My circuit inputs, until `on_start` deals them.
+    inputs: Vec<Fp>,
     // Per-circuit derived counts.
-    rand_ordinals: Vec<Option<usize>>,
-    rb_ordinals: Vec<Option<usize>>,
+    /// Per gate, its place among the circuit's gates of its kind (`Rand`
+    /// or `RandBit`); 0 for the other gates.
+    ordinals: Vec<usize>,
     num_rand: usize,
     num_rb: usize,
     mask_budget: usize,
-    // Dealing.
-    avss: Vec<AvssState>,
-    detect: Vec<DetectState>,
-    /// Per dealer, whether its dealing completed here with the agreed
-    /// arity; its shares are then read from its sharing instance.
-    accepted: Vec<bool>,
-    dealer_ok: Vec<Option<bool>>,
-    tainted: bool,
-    // Core agreement.
+    phase: Phase,
+    // Dealing and core agreement.
+    sharings: Sharings,
+    standing: Vec<Standing>,
     acs: Acs,
-    core_announced: bool,
+    /// Whether some core member's dealing is not usable here, fixed as
+    /// evaluation starts: then I evaluate along without sending.
+    tainted: bool,
     // Evaluation.
-    started_eval: bool,
-    wires: Vec<Option<Fp>>,
-    pc: usize,
-    pending: Option<PendingGate>,
+    /// Gate values, pushed in gate order.
+    wires: Vec<Fp>,
     next_mask: usize,
     /// One slot per opening id the circuit can make, `0..next_open` reached.
     opens: Vec<OpenSlot>,
     next_open: usize,
-    // Outputs.
-    outputs_sent: bool,
     /// The output indices this player owns, ascending, each with its
     /// reconstruction.
     outputs: Vec<(usize, OecState)>,
-    status: MpcStatus,
 }
 
 impl MpcEngine {
-    /// Creates an engine for player `me`. The configuration is shared:
-    /// pass an `Arc<MpcConfig>` (or a plain `MpcConfig`, converted for
-    /// you) so the n engines of one execution bump a refcount instead of
-    /// deep-cloning the defaults table per player.
+    /// Creates the engine for player `me` contributing `inputs`. The
+    /// configuration is shared: pass an `Arc<MpcConfig>` (or a plain
+    /// `MpcConfig`, converted for you) so the n engines of one execution
+    /// bump a refcount instead of deep-cloning the defaults table per
+    /// player.
     ///
     /// # Panics
     ///
     /// Panics if the configuration violates its mode's thresholds
-    /// (see [`MpcConfig::validate`]).
-    pub fn new(cfg: impl Into<Arc<MpcConfig>>, circuit: Arc<Circuit>, me: usize) -> Self {
+    /// (see [`MpcConfig::validate`]), or `inputs` is not of `me`'s arity.
+    pub fn new(
+        cfg: impl Into<Arc<MpcConfig>>,
+        circuit: Arc<Circuit>,
+        me: usize,
+        inputs: Vec<Fp>,
+    ) -> Self {
         let cfg: Arc<MpcConfig> = cfg.into();
         cfg.validate(circuit.inputs_per_player());
         let n = cfg.n;
         assert_eq!(n, circuit.num_players(), "config/circuit player mismatch");
-        let mut rand_ordinals = vec![None; circuit.gates().len()];
-        let mut rb_ordinals = vec![None; circuit.gates().len()];
+        assert_eq!(
+            inputs.len(),
+            circuit.inputs_per_player()[me],
+            "input arity mismatch"
+        );
         let (mut num_rand, mut num_rb) = (0usize, 0usize);
-        for (i, g) in circuit.gates().iter().enumerate() {
-            match g {
-                Gate::Rand => {
-                    rand_ordinals[i] = Some(num_rand);
-                    num_rand += 1;
-                }
-                Gate::RandBit => {
-                    rb_ordinals[i] = Some(num_rb);
-                    num_rb += 1;
-                }
-                _ => {}
-            }
-        }
+        let ordinals = (circuit.gates().iter())
+            .map(|g| {
+                let count = match g {
+                    Gate::Rand => &mut num_rand,
+                    Gate::RandBit => &mut num_rb,
+                    _ => return 0,
+                };
+                *count += 1;
+                *count - 1
+            })
+            .collect();
         let mask_budget = circuit.mul_count() + 2 * n * num_rb;
         // A multiplication opens once; a RandBit opens at most three times
         // per core member (its bit check's product, the check's value and
@@ -165,19 +201,13 @@ impl MpcEngine {
         let max_opens = circuit.mul_count() + 3 * n * num_rb;
         // Robust mode validates t = f; ε mode agrees at t (see `Acs`).
         let acs = Acs::new(n, cfg.t, cfg.f, &IdealCoin::new(cfg.coin_seed));
-        let kappa = match cfg.mode {
-            Mode::Epsilon { kappa } => kappa,
-            Mode::Robust => 1,
-        };
-        let avss_states = match cfg.mode {
-            Mode::Robust => (0..n).map(|d| AvssState::new(n, cfg.f, d)).collect(),
-            Mode::Epsilon { .. } => Vec::new(),
-        };
-        let detect_states = match cfg.mode {
-            Mode::Epsilon { .. } => (0..n)
-                .map(|d| DetectState::new(n, cfg.f, cfg.t, me, d, kappa, cfg.coin_seed))
-                .collect(),
-            Mode::Robust => Vec::new(),
+        let sharings = match cfg.mode {
+            Mode::Robust => Sharings::Avss((0..n).map(|d| AvssState::new(n, cfg.f, d)).collect()),
+            Mode::Epsilon { kappa } => Sharings::Detect(
+                (0..n)
+                    .map(|d| DetectState::new(n, cfg.f, cfg.t, me, d, kappa, cfg.coin_seed))
+                    .collect(),
+            ),
         };
         let outputs = (circuit.outputs().iter().enumerate())
             .filter(|(_, &(p, _))| p == me)
@@ -186,35 +216,23 @@ impl MpcEngine {
         MpcEngine {
             cfg,
             me,
-            rand_ordinals,
-            rb_ordinals,
+            inputs,
+            ordinals,
             num_rand,
             num_rb,
             mask_budget,
-            avss: avss_states,
-            detect: detect_states,
-            accepted: vec![false; n],
-            dealer_ok: vec![None; n],
-            tainted: false,
+            phase: Phase::Agree,
+            sharings,
+            standing: vec![Standing::Pending; n],
             acs,
-            core_announced: false,
-            started_eval: false,
-            wires: vec![None; circuit.gates().len()],
-            pc: 0,
-            pending: None,
+            tainted: false,
+            wires: Vec::with_capacity(circuit.gates().len()),
             next_mask: 0,
             opens: vec![OpenSlot::Early(Vec::new()); max_opens],
             next_open: 0,
-            outputs_sent: false,
             outputs,
-            status: MpcStatus::Running,
             circuit,
         }
-    }
-
-    /// The engine status.
-    pub fn status(&self) -> &MpcStatus {
-        &self.status
     }
 
     /// The agreed input core, once decided.
@@ -222,7 +240,8 @@ impl MpcEngine {
         self.acs.core()
     }
 
-    /// Number of coordinates each dealer shares. The final coordinate is a
+    /// Number of coordinates each dealer shares: its inputs first, then its
+    /// randomness contributions and masks. The final coordinate is a
     /// dummy pad so the dealing is never empty (a dealer with no inputs and
     /// a randomness-free circuit still needs a live AVSS/detect instance to
     /// be votable into the core).
@@ -234,10 +253,6 @@ impl MpcEngine {
             + 1
     }
 
-    fn input_coord(&self, dealer: usize, idx: usize) -> usize {
-        debug_assert!(idx < self.circuit.inputs_per_player()[dealer]);
-        idx
-    }
     fn rand_coord(&self, dealer: usize, g: usize) -> usize {
         self.circuit.inputs_per_player()[dealer] + g
     }
@@ -246,104 +261,6 @@ impl MpcEngine {
     }
     fn mask_coord(&self, dealer: usize, m: usize) -> usize {
         self.circuit.inputs_per_player()[dealer] + self.num_rand + self.num_rb + m
-    }
-
-    /// Kicks off the execution: deals this player's inputs and randomness
-    /// contributions to everyone, appending the dealing to `out`.
-    pub fn start<R: Rng + ?Sized>(
-        &mut self,
-        my_inputs: &[Fp],
-        rng: &mut R,
-        out: &mut Vec<Outgoing<MpcMsg>>,
-    ) {
-        assert_eq!(
-            my_inputs.len(),
-            self.circuit.inputs_per_player()[self.me],
-            "input arity mismatch"
-        );
-        let mut vec = Vec::with_capacity(self.vec_len(self.me));
-        vec.extend_from_slice(my_inputs);
-        for _ in 0..self.num_rand {
-            vec.push(Fp::random(rng));
-        }
-        for _ in 0..self.num_rb {
-            vec.push(if rng.gen() { Fp::ONE } else { Fp::ZERO });
-        }
-        for _ in 0..2 * self.mask_budget {
-            vec.push(Fp::random(rng));
-        }
-        vec.push(Fp::random(rng)); // dummy pad (see vec_len)
-        debug_assert_eq!(vec.len(), self.vec_len(self.me));
-        let me = self.me;
-        match self.cfg.mode {
-            Mode::Robust => {
-                let rows = avss::deal(&vec, self.cfg.n, self.cfg.f, rng);
-                for (i, m) in rows.into_iter().enumerate() {
-                    out.push(Outgoing::to(i, (me, m).into()));
-                }
-            }
-            Mode::Epsilon { kappa } => {
-                let deals = deal_detectable(&vec, self.cfg.n, self.cfg.f, kappa, rng);
-                for (i, m) in deals.into_iter().enumerate() {
-                    out.push(Outgoing::to(i, (me, m).into()));
-                }
-            }
-        }
-    }
-
-    /// Processes one message, appending what it sends to `out`; returns at
-    /// most one freshly-raised event. A sender id `≥ n` names no player and
-    /// is ignored, so no opening or output can be decoded from phantom
-    /// points.
-    pub fn on_message(
-        &mut self,
-        from: usize,
-        msg: MpcMsg,
-        out: &mut Vec<Outgoing<MpcMsg>>,
-    ) -> Option<MpcEvent> {
-        if self.status != MpcStatus::Running || from >= self.cfg.n {
-            return None;
-        }
-        match msg {
-            MpcMsg::Avss { dealer, inner } => {
-                if dealer >= self.cfg.n || !matches!(self.cfg.mode, Mode::Robust) {
-                    return None;
-                }
-                if self.avss[dealer].on_message(from, inner, out) {
-                    let shares = self.avss[dealer].shares();
-                    let len = shares.expect("completed AVSS has shares").len();
-                    self.accept_dealing(dealer, len, out);
-                }
-            }
-            MpcMsg::Detect { dealer, inner } => {
-                if dealer >= self.cfg.n || !matches!(self.cfg.mode, Mode::Epsilon { .. }) {
-                    return None;
-                }
-                match self.detect[dealer].on_message(from, inner, out) {
-                    Some(Verdict::Ok) => {
-                        let shares = self.detect[dealer].shares();
-                        let len = shares.expect("Ok verdict has shares").len();
-                        self.accept_dealing(dealer, len, out);
-                    }
-                    Some(Verdict::MyShareBad) => {
-                        // Globally fine, locally unusable: participate
-                        // silently.
-                        self.tainted = true;
-                        self.judge_dealing(dealer, true, out);
-                    }
-                    Some(Verdict::DealerBad) => self.judge_dealing(dealer, false, out),
-                    None => {}
-                }
-            }
-            MpcMsg::Core { dealer, inner } => self.acs.on_message(from, dealer, inner, out),
-            MpcMsg::Open { id, value } => self.on_open(from, id, value),
-            MpcMsg::Output { idx, value } => {
-                if let Ok(at) = self.outputs.binary_search_by_key(&idx, |&(i, _)| i) {
-                    self.outputs[at].1.add_share(from, value);
-                }
-            }
-        }
-        self.pump(out)
     }
 
     /// A point of opening `id` from `from`. An id the circuit can never
@@ -361,7 +278,6 @@ impl MpcEngine {
                 if rec.value.is_none() {
                     rec.value = rec.oec.add_share(from, value);
                 }
-                self.check_open_abort(id);
             }
             OpenSlot::Early(points) => {
                 if points.iter().all(|&(sender, _)| sender != from) {
@@ -371,87 +287,180 @@ impl MpcEngine {
         }
     }
 
-    /// A dealing of `len` shares that completed here: kept and voted into
-    /// the core when it has the agreed arity, and otherwise its dealer is
-    /// judged bad.
-    fn accept_dealing(&mut self, dealer: usize, len: usize, out: &mut Vec<Outgoing<MpcMsg>>) {
-        let ok = len == self.vec_len(dealer);
-        self.accepted[dealer] = ok;
-        self.judge_dealing(dealer, ok, out);
+    /// The standing of `dealer`'s dealing, completed here with `len`
+    /// shares: usable when that is the agreed arity, voted out otherwise.
+    fn completed(&self, dealer: usize, len: usize) -> Standing {
+        if len == self.vec_len(dealer) {
+            Standing::Usable
+        } else {
+            Standing::Rejected
+        }
     }
 
-    /// My shares of `dealer`'s dealing, once it was accepted here.
+    /// Records `dealer`'s standing and votes it in or out of the core.
+    fn judge(&mut self, dealer: usize, standing: Standing, out: &mut Vec<Outgoing<MpcMsg>>) {
+        self.standing[dealer] = standing;
+        self.acs.vote(dealer, standing != Standing::Rejected, out);
+    }
+
+    /// My shares of `dealer`'s dealing, when it is usable here.
     fn dealing(&self, dealer: usize) -> Option<&[Fp]> {
-        if !self.accepted[dealer] {
+        if self.standing[dealer] != Standing::Usable {
             return None;
         }
-        match self.cfg.mode {
-            Mode::Robust => self.avss[dealer].shares(),
-            Mode::Epsilon { .. } => self.detect[dealer].shares(),
+        match &self.sharings {
+            Sharings::Avss(avss) => avss[dealer].shares(),
+            Sharings::Detect(detect) => detect[dealer].shares(),
         }
     }
 
-    /// Records whether `dealer`'s dealing is usable and votes so on its core
-    /// instance.
-    fn judge_dealing(&mut self, dealer: usize, ok: bool, out: &mut Vec<Outgoing<MpcMsg>>) {
-        self.dealer_ok[dealer] = Some(ok);
-        self.acs.vote(dealer, ok, out);
+    // ---- phases ----
+
+    /// Moves through every phase whose exit condition holds now, and
+    /// returns the run's end if this call reached it. The only place the
+    /// phase changes. It runs only on a live engine, so an end met here
+    /// was reached in this call.
+    fn advance(&mut self, out: &mut Vec<Outgoing<MpcMsg>>) -> Option<MpcEvent> {
+        loop {
+            match &mut self.phase {
+                Phase::Agree => {
+                    let core = self.acs.core()?;
+                    if core.iter().any(|&d| self.standing[d] == Standing::Pending) {
+                        return None;
+                    }
+                    // A core member's dealing I cannot use (ε mode: my
+                    // share failed its check, or I judged its dealer bad)
+                    // leaves me no valid share of anything the core sums:
+                    // I evaluate along, sending nothing. A dealing outside
+                    // the core is never read.
+                    self.tainted = core.iter().any(|&d| self.standing[d] != Standing::Usable);
+                    self.phase = Phase::Evaluate {
+                        core: core.to_vec(),
+                        pc: 0,
+                        pending: None,
+                    };
+                }
+                Phase::Evaluate { core, pc, pending } => {
+                    let (core, pc, pending) = (std::mem::take(core), *pc, pending.take());
+                    self.phase = self.evaluate(core, pc, pending, out);
+                    if let Phase::Evaluate { .. } = self.phase {
+                        return None;
+                    }
+                }
+                Phase::Output => {
+                    if !self.outputs.iter().all(|(_, oec)| oec.secret().is_some()) {
+                        return None;
+                    }
+                    let outputs = self.outputs.iter().filter_map(|(_, oec)| oec.secret());
+                    self.phase = Phase::Done(outputs.collect());
+                }
+                Phase::Done(outputs) => return Some(MpcEvent::Done(outputs.clone())),
+                Phase::Aborted => return Some(MpcEvent::Aborted),
+            }
+        }
     }
 
-    // ---- evaluation ----
+    /// Runs gates from `pc` until one blocks; once every gate has a value,
+    /// sends my output points and moves to `Output`.
+    fn evaluate(
+        &mut self,
+        core: Vec<usize>,
+        mut pc: usize,
+        mut pending: Option<PendingGate>,
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> Phase {
+        // Clone the circuit handle (refcount bump), not the gate list: this
+        // runs once per delivered message.
+        let circuit = Arc::clone(&self.circuit);
+        while let Some(&gate) = circuit.gates().get(pc) {
+            // A blocked gate resumes its own run; the gate decides only
+            // what a fresh one does.
+            let value = match (pending.take(), gate) {
+                (Some(run), _) => self.poll(&core, run, out),
+                (None, Gate::Mul(a, b)) => {
+                    let mul = self.start_mul(&core, self.wires[a], self.wires[b], out);
+                    self.poll(&core, PendingGate::Mul(mul), out)
+                }
+                (None, Gate::RandBit) => {
+                    let run = RandBitRun {
+                        ordinal: self.ordinals[pc],
+                        pos: 0,
+                        stage: RbStage::Idle,
+                        acc: None,
+                    };
+                    self.poll(&core, PendingGate::RandBit(run), out)
+                }
+                (None, Gate::Input { player, index }) => Ok(if core.contains(&player) {
+                    // Inputs are a dealing's first coordinates; a tainted
+                    // player reads zeros.
+                    self.dealing(player).map_or(Fp::ZERO, |s| s[index])
+                } else {
+                    // Excluded player: public default (a constant is a
+                    // valid degree-0 sharing of itself).
+                    self.cfg.defaults[player][index]
+                }),
+                (None, Gate::Const(c)) => Ok(c),
+                (None, Gate::Add(a, b)) => Ok(self.wires[a] + self.wires[b]),
+                (None, Gate::Sub(a, b)) => Ok(self.wires[a] - self.wires[b]),
+                (None, Gate::MulConst(a, c)) => Ok(self.wires[a] * c),
+                (None, Gate::Rand) => {
+                    let g = self.ordinals[pc];
+                    Ok(self.core_sum(&core, |d| self.rand_coord(d, g)))
+                }
+            };
+            match value {
+                Ok(value) => {
+                    self.wires.push(value);
+                    pc += 1;
+                }
+                Err(_) if self.stuck() => return Phase::Aborted,
+                Err(run) => {
+                    return Phase::Evaluate {
+                        core,
+                        pc,
+                        pending: Some(run),
+                    }
+                }
+            }
+        }
+        if !self.tainted {
+            for (idx, &(p, w)) in self.circuit.outputs().iter().enumerate() {
+                let value = self.wires[w];
+                out.push(Outgoing::to(p, MpcMsg::Output { idx, value }));
+            }
+        }
+        Phase::Output
+    }
 
-    /// Advances everything that can advance; returns at most one event. A
-    /// terminal event (`Done` / `Aborted`) supersedes `CoreDecided` when
-    /// one call reaches both — a starved player can fix the core and
-    /// finish on the same delivery, and the embedding layer acts only on
-    /// the terminal one.
-    fn pump(&mut self, out: &mut Vec<Outgoing<MpcMsg>>) -> Option<MpcEvent> {
-        if self.status != MpcStatus::Running {
-            return None;
-        }
-        let core = self.acs.core()?;
-        let mut event = None;
-        if !self.core_announced {
-            self.core_announced = true;
-            event = Some(MpcEvent::CoreDecided(core.to_vec()));
-        }
-        if !self.started_eval {
-            if core.iter().any(|&d| self.dealer_ok[d].is_none()) {
-                return event;
-            }
-            // A core member locally marked bad (ε-mode divergence): we
-            // cannot compute valid shares — participate silently.
-            if core.iter().any(|&d| self.dealer_ok[d] == Some(false)) {
-                self.tainted = true;
-            }
-            self.started_eval = true;
-        }
-        self.run_eval(out);
-        self.maybe_finish(&mut event);
-        if self.status == MpcStatus::Aborted {
-            event = Some(MpcEvent::Aborted);
-        }
-        event
+    /// Advances a blocked gate's run: its value once it has one, else the
+    /// run, still blocked.
+    fn poll(
+        &mut self,
+        core: &[usize],
+        mut run: PendingGate,
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> Result<Fp, PendingGate> {
+        let value = match &mut run {
+            PendingGate::Mul(mul) => self.poll_mul(mul),
+            PendingGate::RandBit(rb) => self.run_randbit(core, rb, out),
+        };
+        value.ok_or(run)
     }
 
     /// My share of a sum-over-core coordinate accessor.
-    fn core_sum(&self, coord_of: impl Fn(usize) -> usize) -> Fp {
-        let core = self.acs.core().expect("core fixed");
-        let mut acc = Fp::ZERO;
-        for &d in core {
-            if let Some(shares) = self.dealing(d) {
-                acc += shares[coord_of(d)];
-            }
-            // Tainted players have garbage anyway; zeros keep going.
-        }
-        acc
+    fn core_sum(&self, core: &[usize], coord_of: impl Fn(usize) -> usize) -> Fp {
+        // A dealing unusable here leaves me tainted, with garbage anyway;
+        // zeros keep going.
+        (core.iter())
+            .filter_map(|&d| Some(self.dealing(d)?[coord_of(d)]))
+            .sum()
     }
 
-    fn mask_share(&mut self) -> Fp {
+    fn mask_share(&mut self, core: &[usize]) -> Fp {
         let m = self.next_mask;
         assert!(m < 2 * self.mask_budget, "mask budget exhausted");
         self.next_mask += 1;
-        self.core_sum(|d| self.mask_coord(d, m))
+        self.core_sum(core, |d| self.mask_coord(d, m))
     }
 
     /// Registers a public opening of degree `deg` and broadcasts my point.
@@ -479,20 +488,19 @@ impl MpcEngine {
                 value: my_point,
             }));
         }
-        self.check_open_abort(id);
         id
     }
 
-    /// ε-mode: all `n` points received but no candidate → cheating detected.
-    fn check_open_abort(&mut self, id: usize) {
-        if !matches!(self.cfg.mode, Mode::Epsilon { .. }) {
-            return;
-        }
-        if let Some(OpenSlot::Open(rec)) = self.opens.get(id) {
-            if rec.value.is_none() && rec.senders.len() == self.cfg.n {
-                self.status = MpcStatus::Aborted;
+    /// ε mode: whether the last opening reached here holds all `n` points
+    /// and no candidate — cheating detected. A blocked gate always waits
+    /// on the last opening reached; every earlier one has its value.
+    fn stuck(&self) -> bool {
+        if let (Sharings::Detect(_), Some(id)) = (&self.sharings, self.next_open.checked_sub(1)) {
+            if let OpenSlot::Open(rec) = &self.opens[id] {
+                return rec.value.is_none() && rec.senders.len() == self.cfg.n;
             }
         }
+        false
     }
 
     fn open_result(&self, id: usize) -> Option<Fp> {
@@ -503,247 +511,215 @@ impl MpcEngine {
     }
 
     /// Starts a masked multiplication of two degree-f shares.
-    fn start_mul(&mut self, a: Fp, b: Fp, out: &mut Vec<Outgoing<MpcMsg>>) -> MulRun {
-        let r = self.mask_share();
-        let rp = self.mask_share();
+    fn start_mul(
+        &mut self,
+        core: &[usize],
+        a: Fp,
+        b: Fp,
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> MulRun {
+        let r = self.mask_share(core);
+        let rp = self.mask_share(core);
         let x = Fp::new(self.me as u64 + 1);
         let z = a * b + r + x.pow(self.cfg.f as u64) * rp;
-        let id = self.open_value(2 * self.cfg.f, z, out);
+        let open_id = self.open_value(2 * self.cfg.f, z, out);
         MulRun {
-            open_id: id,
+            open_id,
             r_share: r,
-            result: None,
         }
     }
 
-    fn poll_mul(&mut self, run: &mut MulRun) -> bool {
-        if run.result.is_some() {
-            return true;
-        }
-        if let Some(z) = self.open_result(run.open_id) {
-            // z is public; z − ⟨r⟩ is a degree-f sharing of a·b.
-            run.result = Some(z - run.r_share);
-            true
-        } else {
-            false
-        }
+    /// My share of the product, once its masked opening has a value.
+    fn poll_mul(&self, run: &MulRun) -> Option<Fp> {
+        // z is public; z − ⟨r⟩ is a degree-f sharing of a·b.
+        self.open_result(run.open_id).map(|z| z - run.r_share)
     }
 
-    /// Runs gates until blocked or finished.
-    fn run_eval(&mut self, out: &mut Vec<Outgoing<MpcMsg>>) {
-        if !self.started_eval || self.status != MpcStatus::Running {
-            return;
-        }
-        // Clone the circuit handle (refcount bump), not the gate list: this
-        // runs once per delivered message.
-        let circuit = Arc::clone(&self.circuit);
-        let gates = circuit.gates();
-        while self.pc < gates.len() {
-            if self.status != MpcStatus::Running {
-                return;
-            }
-            let pc = self.pc;
-            let value = match gates[pc] {
-                Gate::Input { player, index } => {
-                    let core = self.acs.core().expect("core fixed");
-                    if core.contains(&player) {
-                        match self.dealing(player) {
-                            Some(shares) => shares[self.input_coord(player, index)],
-                            None => Fp::ZERO, // tainted path
-                        }
-                    } else {
-                        // Excluded player: public default (a constant is a
-                        // valid degree-0 sharing of itself).
-                        self.cfg.defaults[player][index]
-                    }
-                }
-                Gate::Const(c) => c,
-                Gate::Add(a, b) => self.wire(a) + self.wire(b),
-                Gate::Sub(a, b) => self.wire(a) - self.wire(b),
-                Gate::MulConst(a, c) => self.wire(a) * c,
-                Gate::Rand => {
-                    let g = self.rand_ordinals[pc].expect("rand ordinal");
-                    self.core_sum(|d| self.rand_coord(d, g))
-                }
-                Gate::Mul(a, b) => {
-                    let mut run = match self.pending.take() {
-                        Some(PendingGate::Mul(run)) => run,
-                        Some(other) => {
-                            // Can't happen: pending always matches pc's gate.
-                            self.pending = Some(other);
-                            unreachable!("pending mismatch at mul gate");
-                        }
-                        None => {
-                            let (wa, wb) = (self.wire(a), self.wire(b));
-                            self.start_mul(wa, wb, out)
-                        }
-                    };
-                    if self.poll_mul(&mut run) {
-                        run.result.expect("polled")
-                    } else {
-                        self.pending = Some(PendingGate::Mul(run));
-                        return; // blocked
-                    }
-                }
-                Gate::RandBit => {
-                    let mut run = match self.pending.take() {
-                        Some(PendingGate::RandBit(run)) => run,
-                        Some(other) => {
-                            self.pending = Some(other);
-                            unreachable!("pending mismatch at randbit gate");
-                        }
-                        None => RandBitRun {
-                            ordinal: self.rb_ordinals[pc].expect("rb ordinal"),
-                            pos: 0,
-                            stage: RbStage::Idle,
-                            acc: None,
-                            result: None,
-                        },
-                    };
-                    if self.run_randbit(&mut run, out) {
-                        run.result.expect("randbit finished")
-                    } else {
-                        self.pending = Some(PendingGate::RandBit(run));
-                        return; // blocked
-                    }
-                }
-            };
-            self.wires[pc] = Some(value);
-            self.pc += 1;
-        }
-        self.send_outputs(out);
-    }
-
-    fn wire(&self, w: usize) -> Fp {
-        self.wires[w].expect("wire evaluated in topological order")
-    }
-
-    /// Advances a RandBit sub-protocol; returns `true` when finished.
+    /// Advances a RandBit sub-protocol; returns its value when finished.
     ///
     /// For each core contributor (in sorted order): verify the contributed
     /// value is a bit by opening `b·(b−1)`, then XOR-fold the valid bits.
-    fn run_randbit(&mut self, run: &mut RandBitRun, out: &mut Vec<Outgoing<MpcMsg>>) -> bool {
-        // Address the core by index instead of cloning the member list on
-        // every call (this runs once per delivered message while a RandBit
-        // gate is pending).
-        let core_len = self.acs.core().expect("core fixed").len();
+    fn run_randbit(
+        &mut self,
+        core: &[usize],
+        run: &mut RandBitRun,
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> Option<Fp> {
         loop {
-            if self.status != MpcStatus::Running {
-                return false;
-            }
             // Take the stage by value (leaving the cheap `Idle`) rather
             // than cloning it on every poll.
             match std::mem::replace(&mut run.stage, RbStage::Idle) {
                 RbStage::Idle => {
-                    if run.pos >= core_len {
+                    let Some(&d) = core.get(run.pos) else {
                         // Fold finished; an (impossible in practice) empty
                         // valid set degrades to the constant 0.
-                        run.result = Some(run.acc.unwrap_or(Fp::ZERO));
-                        return true;
-                    }
-                    let d = self.acs.core().expect("core fixed")[run.pos];
-                    let b = match self.dealing(d) {
-                        Some(shares) => shares[self.rb_coord(d, run.ordinal)],
-                        None => Fp::ZERO,
+                        return Some(run.acc.unwrap_or(Fp::ZERO));
                     };
+                    let b =
+                        (self.dealing(d)).map_or(Fp::ZERO, |s| s[self.rb_coord(d, run.ordinal)]);
                     // u = b·(b−1); share of (b−1) is b_share − 1.
-                    let mul = self.start_mul(b, b - Fp::ONE, out);
+                    let mul = self.start_mul(core, b, b - Fp::ONE, out);
                     run.stage = RbStage::CheckMul { mul, b_share: b };
                 }
-                RbStage::CheckMul { mut mul, b_share } => {
-                    if !self.poll_mul(&mut mul) {
+                RbStage::CheckMul { mul, b_share } => {
+                    let Some(u_share) = self.poll_mul(&mul) else {
                         run.stage = RbStage::CheckMul { mul, b_share };
-                        return false;
-                    }
-                    let u_share = mul.result.expect("polled");
+                        return None;
+                    };
                     let open_id = self.open_value(self.cfg.f, u_share, out);
                     run.stage = RbStage::CheckValue { open_id, b_share };
                 }
                 RbStage::CheckValue { open_id, b_share } => {
                     let Some(u) = self.open_result(open_id) else {
                         run.stage = RbStage::CheckValue { open_id, b_share };
-                        return false;
+                        return None;
                     };
                     if !u.is_zero() {
                         // Not a bit: contributor discarded (publicly visible
                         // to everyone identically).
                         run.pos += 1;
-                        run.stage = RbStage::Idle;
                         continue;
                     }
                     match run.acc {
                         None => {
                             run.acc = Some(b_share);
                             run.pos += 1;
-                            run.stage = RbStage::Idle;
                         }
                         Some(acc) => {
-                            let mul = self.start_mul(acc, b_share, out);
+                            let mul = self.start_mul(core, acc, b_share, out);
                             run.stage = RbStage::FoldMul { mul, b_share, acc };
                         }
                     }
                 }
-                RbStage::FoldMul {
-                    mut mul,
-                    b_share,
-                    acc,
-                } => {
-                    if !self.poll_mul(&mut mul) {
+                RbStage::FoldMul { mul, b_share, acc } => {
+                    let Some(ab) = self.poll_mul(&mul) else {
                         run.stage = RbStage::FoldMul { mul, b_share, acc };
-                        return false;
-                    }
-                    let ab = mul.result.expect("polled");
+                        return None;
+                    };
                     // XOR: a + b − 2ab.
                     run.acc = Some(acc + b_share - ab - ab);
                     run.pos += 1;
-                    run.stage = RbStage::Idle;
                 }
             }
         }
     }
+}
 
-    fn send_outputs(&mut self, out: &mut Vec<Outgoing<MpcMsg>>) {
-        if self.outputs_sent {
-            return;
+impl SansIo for MpcEngine {
+    type Msg = MpcMsg;
+    type Output = MpcEvent;
+
+    /// Kicks off the execution: deals my inputs and randomness
+    /// contributions to everyone.
+    fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<MpcMsg>>) {
+        let mut vec = Vec::with_capacity(self.vec_len(self.me));
+        vec.extend_from_slice(&std::mem::take(&mut self.inputs));
+        for _ in 0..self.num_rand {
+            vec.push(Fp::random(rng));
         }
-        self.outputs_sent = true;
-        if self.tainted {
-            return; // silent participation
+        for _ in 0..self.num_rb {
+            vec.push(if rng.gen() { Fp::ONE } else { Fp::ZERO });
         }
-        for (idx, &(p, w)) in self.circuit.outputs().iter().enumerate() {
-            let value = self.wire(w);
-            out.push(Outgoing::to(p, MpcMsg::Output { idx, value }));
+        for _ in 0..2 * self.mask_budget {
+            vec.push(Fp::random(rng));
+        }
+        vec.push(Fp::random(rng)); // dummy pad (see vec_len)
+        debug_assert_eq!(vec.len(), self.vec_len(self.me));
+        let (me, n, f) = (self.me, self.cfg.n, self.cfg.f);
+        match self.cfg.mode {
+            Mode::Robust => {
+                let rows = avss::deal(&vec, n, f, rng);
+                out.extend(
+                    rows.into_iter()
+                        .enumerate()
+                        .map(|(i, m)| Outgoing::to(i, (me, m).into())),
+                );
+            }
+            Mode::Epsilon { kappa } => {
+                let deals = deal_detectable(&vec, n, f, kappa, rng);
+                out.extend(
+                    deals
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, m)| Outgoing::to(i, (me, m).into())),
+                );
+            }
         }
     }
 
-    fn maybe_finish(&mut self, event: &mut Option<MpcEvent>) {
-        if self.status != MpcStatus::Running || !self.outputs_sent {
-            return;
+    /// Processes one message, appending what it sends to `out`; returns
+    /// the run's end when this message brought it. A sender id `≥ n` names
+    /// no player and is ignored, so no opening or output can be decoded
+    /// from phantom points.
+    fn on_message(
+        &mut self,
+        from: usize,
+        msg: MpcMsg,
+        _rng: &mut StdRng,
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> Option<MpcEvent> {
+        if self.is_done() || from >= self.cfg.n {
+            return None;
         }
-        if self.outputs.iter().all(|(_, oec)| oec.secret().is_some()) {
-            let vals: Vec<Fp> = self
-                .outputs
-                .iter()
-                .filter_map(|(_, oec)| oec.secret())
-                .collect();
-            self.status = MpcStatus::Done(vals.clone());
-            *event = Some(MpcEvent::Done(vals));
+        match msg {
+            MpcMsg::Avss { dealer, inner } => {
+                let Sharings::Avss(avss) = &mut self.sharings else {
+                    return None;
+                };
+                let sharing = avss.get_mut(dealer)?;
+                if sharing.on_message(from, inner, out) {
+                    let len = sharing.shares().map_or(0, <[Fp]>::len);
+                    self.judge(dealer, self.completed(dealer, len), out);
+                }
+            }
+            MpcMsg::Detect { dealer, inner } => {
+                let Sharings::Detect(detect) = &mut self.sharings else {
+                    return None;
+                };
+                let sharing = detect.get_mut(dealer)?;
+                let standing = match sharing.on_message(from, inner, out) {
+                    Some(Verdict::Ok) => {
+                        let len = sharing.shares().map_or(0, <[Fp]>::len);
+                        self.completed(dealer, len)
+                    }
+                    // Globally fine, locally unusable: voted in, and read
+                    // as zeros here.
+                    Some(Verdict::MyShareBad) => Standing::ShareBad,
+                    Some(Verdict::DealerBad) => Standing::Rejected,
+                    None => return self.advance(out),
+                };
+                self.judge(dealer, standing, out);
+            }
+            MpcMsg::Core { dealer, inner } => self.acs.on_message(from, dealer, inner, out),
+            MpcMsg::Open { id, value } => self.on_open(from, id, value),
+            MpcMsg::Output { idx, value } => {
+                if let Ok(at) = self.outputs.binary_search_by_key(&idx, |&(i, _)| i) {
+                    self.outputs[at].1.add_share(from, value);
+                }
+            }
         }
+        self.advance(out)
+    }
+
+    /// Done at either end: an ended engine sends nothing more, so halting
+    /// it is behaviourally equivalent to keeping it. Every end comes after
+    /// its core was fixed, that is after every agreement instance decided
+    /// and sent its `Done`.
+    fn is_done(&self) -> bool {
+        matches!(self.phase, Phase::Done(_) | Phase::Aborted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::MpcDriver;
     use mediator_circuits::{catalog, CircuitBuilder};
-    use mediator_sim::sansio::{Behavior, ByzantineProcess, Dest, Machines, SansIo};
+    use mediator_sim::sansio::{Behavior, ByzantineProcess, Dest, Machines};
     use mediator_sim::SchedulerKind;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Runs `n` engines under `kind`; `byz` players never start and behave
-    /// per `behavior`. Returns each player's last event and the deliveries.
+    /// per `behavior`. Returns each player's end and the deliveries.
     fn run_mpc(
         cfg: MpcConfig,
         circuit: Circuit,
@@ -755,12 +731,12 @@ mod tests {
     ) -> (Vec<Option<MpcEvent>>, u64) {
         let circuit = Arc::new(circuit);
         let cfg = Arc::new(cfg); // shared by all n engines
-        let drivers = inputs
+        let engines = inputs
             .into_iter()
             .enumerate()
-            .map(|(i, x)| MpcDriver::new(Arc::clone(&cfg), circuit.clone(), i, x))
+            .map(|(i, x)| MpcEngine::new(Arc::clone(&cfg), circuit.clone(), i, x))
             .collect();
-        let mut run = Machines::new(drivers);
+        let mut run = Machines::new(engines);
         for &p in byz {
             run = run.byzantine(p, behavior.clone_box());
         }
@@ -788,64 +764,113 @@ mod tests {
         v
     }
 
-    /// What a probed engine last reported: its core, whether each dealer's
-    /// dealing completed here, and its status.
-    struct Probe {
+    /// What a probed engine reported after a delivery, once its core was
+    /// fixed.
+    struct Report {
         core: Vec<usize>,
-        completed: Vec<bool>,
-        status: MpcStatus,
+        /// Per dealer, whether its dealing is usable here.
+        usable: Vec<bool>,
+        /// How the run ended, once it has.
+        end: Option<MpcEvent>,
+        /// The most early points it has held for one opening so far.
+        most_held: usize,
     }
 
-    /// An engine driven like `MpcDriver`, reporting a [`Probe`] after every
-    /// delivery once its core is fixed; the last one is its final state.
-    struct CoreProbe {
+    /// An engine driven as the runtime drives it, reporting after every
+    /// delivery once its core is fixed; the last report is its final
+    /// state. It fails the run if
+    /// the engine's progress ever goes back.
+    struct Probe {
         engine: MpcEngine,
-        inputs: Option<Vec<Fp>>,
+        progress: (u8, usize),
+        most_held: usize,
     }
 
-    impl SansIo for CoreProbe {
+    impl Probe {
+        fn new(engine: MpcEngine) -> Self {
+            Probe {
+                engine,
+                progress: (0, 0),
+                most_held: 0,
+            }
+        }
+    }
+
+    impl SansIo for Probe {
         type Msg = MpcMsg;
-        type Output = Probe;
+        type Output = Report;
 
         fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<MpcMsg>>) {
-            let inputs = self.inputs.take().expect("started once");
-            self.engine.start(&inputs, rng, out);
+            self.engine.on_start(rng, out);
         }
 
         fn on_message(
             &mut self,
             from: usize,
             msg: MpcMsg,
-            _rng: &mut StdRng,
+            rng: &mut StdRng,
             out: &mut Vec<Outgoing<MpcMsg>>,
-        ) -> Option<Probe> {
-            self.engine.on_message(from, msg, out);
-            self.engine.core().map(|core| Probe {
-                core: core.to_vec(),
-                completed: self.engine.accepted.clone(),
-                status: self.engine.status.clone(),
+        ) -> Option<Report> {
+            self.engine.on_message(from, msg, rng, out);
+            let engine = &self.engine;
+            // The phase's place in the order phases run in (the two ends
+            // share the last), then the next gate.
+            let progress = match engine.phase {
+                Phase::Agree => (0, 0),
+                Phase::Evaluate { pc, .. } => (1, pc),
+                Phase::Output => (2, 0),
+                Phase::Done(_) | Phase::Aborted => (3, 0),
+            };
+            assert!(
+                progress >= self.progress,
+                "player {} went back from {:?} to {progress:?}",
+                engine.me,
+                self.progress
+            );
+            self.progress = progress;
+            let held = engine.opens.iter().map(|slot| match slot {
+                OpenSlot::Early(points) => points.len(),
+                OpenSlot::Open(_) => 0,
+            });
+            self.most_held = self.most_held.max(held.max().unwrap_or(0));
+            Some(Report {
+                core: engine.core()?.to_vec(),
+                usable: (engine.standing.iter())
+                    .map(|&s| s == Standing::Usable)
+                    .collect(),
+                end: match &engine.phase {
+                    Phase::Done(outputs) => Some(MpcEvent::Done(outputs.clone())),
+                    Phase::Aborted => Some(MpcEvent::Aborted),
+                    _ => None,
+                },
+                most_held: self.most_held,
             })
         }
 
         fn is_done(&self) -> bool {
-            self.engine.status != MpcStatus::Running
+            self.engine.is_done()
         }
     }
 
     /// Runs `sum_circuit(n)` (player `i` inputs `i + 1`) with every player
-    /// probed, the ones in `byz` replaced; returns each player's last probe.
+    /// probed, the ones in `byz` replaced; returns each player's last report.
     fn run_probed(
         cfg: &MpcConfig,
         byz: Vec<(usize, ByzantineProcess<MpcMsg>)>,
         kind: &SchedulerKind,
         seed: u64,
-    ) -> Vec<Option<Probe>> {
+    ) -> Vec<Option<Report>> {
         let cfg = Arc::new(cfg.clone());
         let circuit = Arc::new(catalog::sum_circuit(cfg.n));
         let probes = (0..cfg.n)
-            .map(|i| CoreProbe {
-                engine: MpcEngine::new(Arc::clone(&cfg), Arc::clone(&circuit), i),
-                inputs: Some(vec![Fp::new(i as u64 + 1)]),
+            .map(|i| {
+                let inputs = vec![Fp::new(i as u64 + 1)];
+                Probe::new(MpcEngine::new(
+                    Arc::clone(&cfg),
+                    Arc::clone(&circuit),
+                    i,
+                    inputs,
+                ))
             })
             .collect();
         let mut run = Machines::new(probes);
@@ -857,29 +882,29 @@ mod tests {
 
     /// The common-subset guarantees over the honest players (all but
     /// `byz`): one core, of at least `n − f` members, each with its dealing
-    /// completed at every honest player. Returns the core.
+    /// usable at every honest player. Returns the core.
     fn assert_core_guarantees(
-        probes: &[Option<Probe>],
+        reports: &[Option<Report>],
         byz: &[usize],
         f: usize,
         ctx: &dyn std::fmt::Debug,
     ) -> Vec<usize> {
-        let honest: Vec<usize> = (0..probes.len()).filter(|i| !byz.contains(i)).collect();
-        let probe = |i: usize| {
-            probes[i]
+        let honest: Vec<usize> = (0..reports.len()).filter(|i| !byz.contains(i)).collect();
+        let report = |i: usize| {
+            reports[i]
                 .as_ref()
                 .unwrap_or_else(|| panic!("player {i} fixed no core under {ctx:?}"))
         };
-        let core = probe(honest[0]).core.clone();
+        let core = report(honest[0]).core.clone();
         assert!(
-            core.len() >= probes.len() - f,
+            core.len() >= reports.len() - f,
             "|core| < n − f under {ctx:?}"
         );
         for &i in &honest {
-            let p = probe(i);
-            assert_eq!(p.core, core, "player {i} under {ctx:?}");
+            let r = report(i);
+            assert_eq!(r.core, core, "player {i} under {ctx:?}");
             for &d in &core {
-                assert!(p.completed[d], "member {d} incomplete at {i} under {ctx:?}");
+                assert!(r.usable[d], "member {d} unusable at {i} under {ctx:?}");
             }
         }
         core
@@ -920,7 +945,8 @@ mod tests {
         // exactly one of the two inputs if the dealer is a member.
         let (n, f) = (5, 1);
         let cfg = MpcConfig::robust(n, f, 7, vec![vec![Fp::ZERO]; n]);
-        let len = MpcEngine::new(cfg.clone(), Arc::new(catalog::sum_circuit(n)), 4).vec_len(4);
+        let circuit = Arc::new(catalog::sum_circuit(n));
+        let len = MpcEngine::new(cfg.clone(), circuit, 4, vec![Fp::ZERO]).vec_len(4);
         let mut rng = StdRng::seed_from_u64(5);
         let rows = [1, 2].map(|x| avss::deal(&vec![Fp::new(x); len], n, f, &mut rng));
         let to_honest = |p: usize, inner: avss::AvssMsg| (p, MpcMsg::Avss { dealer: 4, inner });
@@ -946,7 +972,7 @@ mod tests {
                     let ctx = (may_admit, &kind, seed);
                     let core = assert_core_guarantees(&probes, &[4], f, &ctx);
                     let honest: u64 = core.iter().filter(|&&d| d < 4).map(|&d| d as u64 + 1).sum();
-                    let sum = |x: u64| MpcStatus::Done(vec![Fp::new(honest + x)]);
+                    let sum = |x: u64| MpcEvent::Done(vec![Fp::new(honest + x)]);
                     let admissible = if core.contains(&4) {
                         assert!(may_admit, "admitted under {ctx:?}");
                         admitted += 1;
@@ -954,11 +980,11 @@ mod tests {
                     } else {
                         [sum(0), sum(0)]
                     };
-                    let status = |i: usize| probes[i].as_ref().map(|p| p.status.clone());
-                    let first = status(0).expect("player 0 finished");
+                    let end = |i: usize| probes[i].as_ref().and_then(|p| p.end.clone());
+                    let first = end(0).expect("player 0 finished");
                     assert!(admissible.contains(&first), "{first:?} under {ctx:?}");
                     for i in 1..4 {
-                        assert_eq!(status(i), Some(first.clone()), "player {i} under {ctx:?}");
+                        assert_eq!(end(i), Some(first.clone()), "player {i} under {ctx:?}");
                     }
                 }
             }
@@ -1218,7 +1244,9 @@ mod tests {
     fn epsilon_mode_liar_causes_abort_never_wrong_output() {
         // n = 4 = 3f+1 with f = t = 1: a mul opening needs all n points to
         // agree (deg + t + 1 = 4), so an active liar forces detection-abort
-        // — but can never make an honest engine accept a wrong value.
+        // — but can never make an honest engine accept a wrong value. Every
+        // honest engine ends, and says how: the abort is found when the
+        // last point of the opening arrives, and is reported then.
         let n = 4;
         let mut b = CircuitBuilder::new(n, &[1, 1, 0, 0]);
         let x0 = b.input(0, 0);
@@ -1257,9 +1285,12 @@ mod tests {
                     behavior.clone_box(),
                 );
                 for (i, ev) in events.iter().enumerate().take(3) {
-                    // Anything but Done is detected / stalled: safe.
-                    if let Some(MpcEvent::Done(v)) = ev {
-                        assert_eq!(v, &[Fp::new(42)], "player {i} accepted a wrong value");
+                    match ev {
+                        Some(MpcEvent::Aborted) => {}
+                        Some(MpcEvent::Done(v)) => {
+                            assert_eq!(v, &[Fp::new(42)], "player {i} accepted a wrong value")
+                        }
+                        None => panic!("player {i} never ended under {kind:?} seed {seed}"),
                     }
                 }
             }
@@ -1289,7 +1320,9 @@ mod tests {
         // openings its circuit makes.)
         let n = 5;
         let cfg = MpcConfig::robust(n, 1, 7, vec![vec![Fp::ZERO]; n]);
-        let mut engine = MpcEngine::new(cfg, Arc::new(catalog::majority_circuit(n)), 0);
+        let circuit = Arc::new(catalog::majority_circuit(n));
+        let mut engine = MpcEngine::new(cfg, circuit, 0, vec![Fp::ZERO]);
+        let rng = &mut StdRng::seed_from_u64(0);
         let mut out = Vec::new();
         let id = engine.open_value(1, Fp::new(42), &mut out);
         for from in n..2 * n {
@@ -1298,7 +1331,7 @@ mod tests {
                 value: Fp::new(99),
             };
             let mut sent = Vec::new();
-            assert_eq!(engine.on_message(from, open, &mut sent), None);
+            assert_eq!(engine.on_message(from, open, rng, &mut sent), None);
             assert!(sent.is_empty());
         }
         let OpenSlot::Open(rec) = &engine.opens[id] else {
@@ -1310,41 +1343,9 @@ mod tests {
                 id: id as u64,
                 value: Fp::new(42),
             };
-            engine.on_message(from, open, &mut out);
+            engine.on_message(from, open, rng, &mut out);
         }
         assert_eq!(engine.open_result(id), Some(Fp::new(42)));
-    }
-
-    /// An engine driven like `MpcDriver`, reporting after every delivery the
-    /// most early points it has held for one opening so far, and its status.
-    struct HeldProbe {
-        engine: MpcEngine,
-        most_held: usize,
-    }
-
-    impl SansIo for HeldProbe {
-        type Msg = MpcMsg;
-        type Output = (usize, MpcStatus);
-
-        fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<MpcMsg>>) {
-            self.engine.start(&[Fp::ONE], rng, out);
-        }
-
-        fn on_message(
-            &mut self,
-            from: usize,
-            msg: MpcMsg,
-            _rng: &mut StdRng,
-            out: &mut Vec<Outgoing<MpcMsg>>,
-        ) -> Option<(usize, MpcStatus)> {
-            self.engine.on_message(from, msg, out);
-            let held = self.engine.opens.iter().map(|slot| match slot {
-                OpenSlot::Early(points) => points.len(),
-                OpenSlot::Open(_) => 0,
-            });
-            self.most_held = self.most_held.max(held.max().unwrap_or(0));
-            Some((self.most_held, self.engine.status.clone()))
-        }
     }
 
     #[test]
@@ -1366,23 +1367,22 @@ mod tests {
             .collect();
         for kind in SchedulerKind::battery(n) {
             let probes = (0..n)
-                .map(|i| HeldProbe {
-                    engine: MpcEngine::new(Arc::clone(&cfg), Arc::clone(&circuit), i),
-                    most_held: 0,
+                .map(|i| {
+                    let engine =
+                        MpcEngine::new(Arc::clone(&cfg), Arc::clone(&circuit), i, vec![Fp::ONE]);
+                    Probe::new(engine)
                 })
                 .collect();
             let byz = ByzantineProcess::new(no_op()).with_kickoff(flood.clone());
             let run = Machines::new(probes).byzantine(4, byz);
             let (_, reports) = run.run(kind.build().as_mut(), 3, 8_000_000);
             for (i, report) in reports.iter().enumerate().take(4) {
-                let (most_held, status) = report.as_ref().expect("delivered to");
-                assert!(
-                    *most_held <= n,
-                    "player {i} held {most_held} under {kind:?}"
-                );
+                let report = report.as_ref().expect("core fixed");
+                let most_held = report.most_held;
+                assert!(most_held <= n, "player {i} held {most_held} under {kind:?}");
                 assert_eq!(
-                    *status,
-                    MpcStatus::Done(vec![Fp::ONE]),
+                    report.end,
+                    Some(MpcEvent::Done(vec![Fp::ONE])),
                     "player {i} under {kind:?}"
                 );
             }

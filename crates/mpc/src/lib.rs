@@ -24,19 +24,20 @@
 //! XOR-folds of core-contributed bits, each first verified by publicly
 //! opening `b·(b−1)`.
 //!
-//! The engine is a sans-IO state machine ([`MpcEngine`](engine::MpcEngine)):
-//! feed it messages, collect outgoing batches, watch for [`MpcEvent`]s.
-//! [`MpcDriver`] wraps it in the shared [`mediator_sim::sansio::SansIo`]
-//! contract so the full `mediator-sim` `World` (every scheduler, traces,
-//! failure injection) can drive it; the cheap-talk layer (`mediator-core`)
-//! embeds that same driver into its game-level processes.
+//! One player's engine ([`MpcEngine`]) is a sans-IO state machine built
+//! with that player's inputs. It implements the shared
+//! [`mediator_sim::sansio::SansIo`] contract itself, so the full
+//! `mediator-sim` `World` (every scheduler, traces, failure injection)
+//! drives it directly, and the cheap-talk layer (`mediator-core`) embeds the
+//! same type into its game-level processes. It moves through four phases,
+//! only forward: agreement on the input core (dealing included),
+//! evaluation, output reconstruction, and an end, reported once as an
+//! [`MpcEvent`].
 
 pub mod config;
-pub mod driver;
 pub mod engine;
 pub mod msg;
 
 pub use config::{Mode, MpcConfig};
-pub use driver::MpcDriver;
-pub use engine::MpcEvent;
+pub use engine::{MpcEngine, MpcEvent};
 pub use msg::MpcMsg;

@@ -1,18 +1,18 @@
 //! Failure injection for the MPC engine: malformed dealings, forged
 //! outputs, and the exclusion machinery.
 //!
-//! Runs under the full `mediator-sim` `World` through [`MpcDriver`] and the
-//! shared sans-IO adapter, so every attack is exercised against real
-//! adversarial schedulers. Byzantine dealings that used to be pre-seeded
-//! into the legacy `Net` queue are now the byzantine player's kickoff
-//! batch. Assertions are stated against the asynchronous guarantee (the
-//! agreed core has ≥ n − f members, excluded inputs default), which holds
-//! under *every* legal schedule, not just uniform-random delivery.
+//! Runs [`MpcEngine`]s under the full `mediator-sim` `World` through the
+//! shared sans-IO adapter, so every attack is exercised against every
+//! scheduler of `SchedulerKind::battery`. A byzantine dealing is the
+//! byzantine player's kickoff batch. Assertions are stated against the
+//! asynchronous guarantee (the agreed core has ≥ n − f members, excluded
+//! inputs default), which holds under *every* legal schedule, not just
+//! uniform-random delivery.
 
 use mediator_circuits::catalog;
 use mediator_field::Fp;
-use mediator_mpc::{MpcConfig, MpcDriver, MpcEvent, MpcMsg};
-use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines};
+use mediator_mpc::{MpcConfig, MpcEngine, MpcEvent, MpcMsg};
+use mediator_sim::sansio::{Behavior, ByzantineProcess, Machines, Outgoing, SansIo};
 use mediator_sim::SchedulerKind;
 use mediator_vss::avss;
 use rand::rngs::StdRng;
@@ -23,23 +23,15 @@ fn no_op() -> Behavior<MpcMsg> {
     Box::new(|_, _, _| Vec::new())
 }
 
-fn schedulers() -> Vec<SchedulerKind> {
-    vec![
-        SchedulerKind::Random,
-        SchedulerKind::Lifo,
-        SchedulerKind::TargetedDelay(vec![1]),
-    ]
-}
-
-fn drivers(
+fn engines(
     cfg: &MpcConfig,
     circuit: &Arc<mediator_circuits::Circuit>,
     inputs: &[Vec<Fp>],
-) -> Vec<MpcDriver> {
-    // One shared config allocation for all n drivers.
+) -> Vec<MpcEngine> {
+    // One shared config allocation for all n engines.
     let cfg = Arc::new(cfg.clone());
     (0..cfg.n)
-        .map(|me| MpcDriver::new(Arc::clone(&cfg), circuit.clone(), me, inputs[me].clone()))
+        .map(|me| MpcEngine::new(Arc::clone(&cfg), circuit.clone(), me, inputs[me].clone()))
         .collect()
 }
 
@@ -63,7 +55,7 @@ fn wrong_arity_dealer_is_excluded_and_default_used() {
     let cfg = MpcConfig::robust(n, f, 3, vec![vec![Fp::ZERO]; n]);
     let circuit = Arc::new(catalog::majority_circuit(n));
     let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         for seed in 0..2 {
             // Craft a 1-coordinate dealing (the honest vector for the
             // majority circuit is longer: input + masks + pad).
@@ -75,7 +67,7 @@ fn wrong_arity_dealer_is_excluded_and_default_used() {
                 .map(|(i, inner)| (i, MpcMsg::Avss { dealer: 4, inner }))
                 .collect();
             let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-            let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+            let (_, outputs) = Machines::new(engines(&cfg, &circuit, &inputs))
                 .byzantine(4, byz)
                 .run(kind.build().as_mut(), seed, 4_000_000);
             for (i, ev) in outputs.iter().enumerate().take(4) {
@@ -98,7 +90,7 @@ fn honest_majority_survives(attack: impl Fn(usize, usize) -> Vec<MpcMsg>) {
     let cfg = MpcConfig::robust(n, f, 41, vec![vec![Fp::ZERO]; n]);
     let circuit = Arc::new(catalog::majority_circuit(n));
     let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         for seed in 0..3 {
             let kickoff: Vec<(usize, MpcMsg)> = (0..byz)
                 .flat_map(|dealer| (0..byz).map(move |victim| (dealer, victim)))
@@ -106,7 +98,7 @@ fn honest_majority_survives(attack: impl Fn(usize, usize) -> Vec<MpcMsg>) {
                     attack(dealer, victim).into_iter().map(move |m| (victim, m))
                 })
                 .collect();
-            let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+            let (_, outputs) = Machines::new(engines(&cfg, &circuit, &inputs))
                 .byzantine(byz, ByzantineProcess::new(no_op()).with_kickoff(kickoff))
                 .run(kind.build().as_mut(), seed, 4_000_000);
             for (i, ev) in outputs.iter().enumerate().take(byz) {
@@ -177,7 +169,7 @@ fn forged_private_outputs_are_corrected() {
         }
         _ => Vec::new(),
     });
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         for seed in 0..2 {
             let byz = ByzantineProcess::new(behavior.clone_box()).with_kickoff(vec![(
                 0,
@@ -186,7 +178,7 @@ fn forged_private_outputs_are_corrected() {
                     value: Fp::new(31337),
                 },
             )]);
-            let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+            let (_, outputs) = Machines::new(engines(&cfg, &circuit, &inputs))
                 .byzantine(3, byz)
                 .run(kind.build().as_mut(), seed, 4_000_000);
             for (i, ev) in outputs.iter().enumerate() {
@@ -210,7 +202,7 @@ fn stale_open_ids_from_byzantine_are_harmless() {
     let cfg = MpcConfig::robust(n, 1, 17, vec![vec![Fp::ZERO]; n]);
     let circuit = Arc::new(catalog::majority_circuit(n));
     let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         let kickoff: Vec<(usize, MpcMsg)> = (0..n)
             .flat_map(|p| {
                 (1000u64..1005).map(move |id| {
@@ -225,7 +217,7 @@ fn stale_open_ids_from_byzantine_are_harmless() {
             })
             .collect();
         let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-        let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+        let (_, outputs) = Machines::new(engines(&cfg, &circuit, &inputs))
             .byzantine(2, byz)
             .run(kind.build().as_mut(), 19, 4_000_000);
         for (i, ev) in outputs.iter().enumerate() {
@@ -246,16 +238,22 @@ fn randomness_contributions_of_excluded_players_do_not_matter() {
     let r = b.rand();
     b.output_all(r);
     let circuit = Arc::new(b.build());
-    for silent in [0usize, 4] {
-        let cfg = MpcConfig::robust(n, 1, 23, vec![vec![]; n]);
-        let inputs: Vec<Vec<Fp>> = vec![vec![]; n];
-        let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
-            .byzantine(silent, no_op())
-            .run(SchedulerKind::Random.build().as_mut(), 29, 4_000_000);
-        let honest: Vec<usize> = (0..n).filter(|&p| p != silent).collect();
-        let v = done_value(&outputs[honest[0]]);
-        for &p in &honest {
-            assert_eq!(done_value(&outputs[p]), v, "disagreement at {p}");
+    for kind in SchedulerKind::battery(n) {
+        for silent in [0usize, 4] {
+            let cfg = MpcConfig::robust(n, 1, 23, vec![vec![]; n]);
+            let inputs: Vec<Vec<Fp>> = vec![vec![]; n];
+            let (_, outputs) = Machines::new(engines(&cfg, &circuit, &inputs))
+                .byzantine(silent, no_op())
+                .run(kind.build().as_mut(), 29, 4_000_000);
+            let honest: Vec<usize> = (0..n).filter(|&p| p != silent).collect();
+            let v = done_value(&outputs[honest[0]]);
+            for &p in &honest {
+                assert_eq!(
+                    done_value(&outputs[p]),
+                    v,
+                    "disagreement at {p} under {kind:?}"
+                );
+            }
         }
     }
 }
@@ -272,7 +270,7 @@ fn epsilon_mode_wrong_arity_detect_dealer_is_excluded() {
     let cfg = MpcConfig::epsilon(n, 1, 1, 2, 31, vec![vec![Fp::ZERO]; n]);
     let circuit = Arc::new(catalog::sum_circuit(n));
     let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         let mut rng = StdRng::seed_from_u64(3);
         // 1-coordinate dealing where the honest vector is longer (sum
         // circuit honest vectors are input + dummy pad = 2 coordinates).
@@ -283,11 +281,97 @@ fn epsilon_mode_wrong_arity_detect_dealer_is_excluded() {
             .map(|(i, inner)| (i, MpcMsg::Detect { dealer: 3, inner }))
             .collect();
         let byz = ByzantineProcess::new(no_op()).with_kickoff(kickoff);
-        let (_, outputs) = Machines::new(drivers(&cfg, &circuit, &inputs))
+        let (_, outputs) = Machines::new(engines(&cfg, &circuit, &inputs))
             .byzantine(3, byz)
             .run(kind.build().as_mut(), 37, 4_000_000);
         for (i, ev) in outputs.iter().enumerate().take(3) {
             assert_eq!(done_value(ev), Fp::new(3), "player {i} under {kind:?}");
         }
     }
+}
+
+/// An engine reporting after every delivery, once its core is fixed, the
+/// core and how its run ended, if it has.
+struct Watched {
+    engine: MpcEngine,
+    end: Option<MpcEvent>,
+}
+
+impl SansIo for Watched {
+    type Msg = MpcMsg;
+    type Output = (Vec<usize>, Option<MpcEvent>);
+
+    fn on_start(&mut self, rng: &mut StdRng, out: &mut Vec<Outgoing<MpcMsg>>) {
+        self.engine.on_start(rng, out);
+    }
+
+    fn on_message(
+        &mut self,
+        from: usize,
+        msg: MpcMsg,
+        rng: &mut StdRng,
+        out: &mut Vec<Outgoing<MpcMsg>>,
+    ) -> Option<Self::Output> {
+        if let Some(end) = self.engine.on_message(from, msg, rng, out) {
+            self.end = Some(end);
+        }
+        Some((self.engine.core()?.to_vec(), self.end.clone()))
+    }
+}
+
+#[test]
+fn a_dealer_outside_the_core_cannot_silence_a_player() {
+    use mediator_vss::detect::deal_detectable;
+    use mediator_vss::DetectMsg;
+    // ε mode at n = 5, f = t = 1. Byzantine dealer 4 deals a sharing of
+    // the agreed arity (input, eight masks, pad) whose only flaw is player
+    // 0's first share, then falls silent: player 0's check of that dealing
+    // fails, everyone else's passes, and the dealing is voted in. When the
+    // schedule leaves dealer 4 out of the core, its dealing is never read,
+    // so player 0 must evaluate and send like everyone else: an opening of
+    // degree 2f needs all four honest points. When dealer 4 is in the core,
+    // player 0 has no valid share and sits out, and the run waits on the
+    // silent dealer's points (the ε-mode opening gap); those runs are not
+    // asserted on.
+    let n = 5;
+    let cfg = Arc::new(MpcConfig::epsilon(n, 1, 1, 2, 31, vec![vec![Fp::ZERO]; n]));
+    let circuit = Arc::new(catalog::majority_circuit(n));
+    let mut excluded = 0;
+    for kind in SchedulerKind::battery(n) {
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed + 100);
+            let mut deals = deal_detectable(&[Fp::ONE; 10], n, 1, 2, &mut rng);
+            if let DetectMsg::Deal(dealing) = &mut deals[0] {
+                dealing.shares[0] += Fp::ONE;
+            }
+            let kickoff = (deals.into_iter().enumerate())
+                .map(|(i, inner)| (i, MpcMsg::Detect { dealer: 4, inner }))
+                .collect();
+            let watched = (0..n)
+                .map(|me| Watched {
+                    engine: MpcEngine::new(Arc::clone(&cfg), circuit.clone(), me, vec![Fp::ONE]),
+                    end: None,
+                })
+                .collect();
+            let (_, reports) = Machines::new(watched)
+                .byzantine(4, ByzantineProcess::new(no_op()).with_kickoff(kickoff))
+                .run(kind.build().as_mut(), seed, 4_000_000);
+            let ctx = (&kind, seed);
+            let (core, _) = reports[0].as_ref().expect("core fixed");
+            if core.contains(&4) {
+                continue;
+            }
+            excluded += 1;
+            for (i, report) in reports.iter().enumerate().take(4) {
+                let (its_core, end) = report.as_ref().expect("core fixed");
+                assert_eq!(its_core, core, "player {i} under {ctx:?}");
+                assert_eq!(
+                    end,
+                    &Some(MpcEvent::Done(vec![Fp::ONE])),
+                    "player {i} under {ctx:?}"
+                );
+            }
+        }
+    }
+    assert!(excluded > 0, "no schedule left dealer 4 out of the core");
 }
