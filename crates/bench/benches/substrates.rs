@@ -1,7 +1,8 @@
-//! Substrate microbenchmarks: field ops, Reed–Solomon robust
-//! decoding, reliable broadcast, binary agreement, AVSS, one MPC
-//! multiplication, the `World` event plane with ~1k events pending, the
-//! trace store's record checksum, and the hosted path's `Msg` frame codec.
+//! Substrate microbenchmarks: field ops, share-subset interpolation,
+//! Reed–Solomon robust decoding, reliable broadcast, binary agreement,
+//! AVSS, one MPC multiplication, the `World` event plane with ~1k events
+//! pending, the trace store's record checksum, and the hosted path's `Msg`
+//! frame codec.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mediator_bcast::{AbaPeer, AbaState, IdealCoin, RbcPeer};
@@ -9,7 +10,7 @@ use mediator_bench::ones_inputs;
 use mediator_circuits::catalog;
 use mediator_core::cheap_talk::CtMsg;
 use mediator_core::scenario::Scenario;
-use mediator_field::{rs, Fp, Poly};
+use mediator_field::{grid, rs, Fp, Poly};
 use mediator_net::Frame;
 use mediator_sim::sansio::{route_batch, Machines, Outgoing};
 use mediator_sim::{Ctx, Process, ProcessId, RandomScheduler, SchedulerKind, TraceMode, World};
@@ -29,6 +30,16 @@ fn bench_field(c: &mut Criterion) {
     g.bench_function("inv", |bch| bch.iter(|| black_box(b).inv().unwrap()));
     let poly = Poly::random_with_secret(a, 8, &mut rng);
     g.bench_function("poly_eval_deg8", |bch| bch.iter(|| poly.eval(black_box(b))));
+    // A degree-2f opening at the `sim_n13` working point: 7 of the 13 share
+    // points, the subset a scheduler delivers first rather than a prefix.
+    let points: Vec<(usize, Fp)> = [0usize, 2, 3, 6, 8, 9, 12]
+        .iter()
+        .map(|&i| (i, Fp::random(&mut rng)))
+        .collect();
+    let mut scratch = Vec::new();
+    g.bench_function("interpolate_subset_n13", |bch| {
+        bch.iter(|| grid::interpolate_indices(black_box(&points), &mut scratch)[0])
+    });
     g.finish();
 }
 

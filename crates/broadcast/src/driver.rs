@@ -117,18 +117,9 @@ mod tests {
     use mediator_sim::sansio::Machines;
     use mediator_sim::{SchedulerKind, TerminationKind};
 
-    fn schedulers() -> Vec<SchedulerKind> {
-        vec![
-            SchedulerKind::Random,
-            SchedulerKind::Fifo,
-            SchedulerKind::Lifo,
-            SchedulerKind::TargetedDelay(vec![0]),
-        ]
-    }
-
     #[test]
     fn rbc_under_world_delivers_for_all_schedulers() {
-        for kind in schedulers() {
+        for kind in SchedulerKind::battery(4) {
             for seed in 0..4 {
                 let machines: Vec<RbcPeer<u64>> = (0..4)
                     .map(|me| RbcPeer::new(4, 1, 0, me, (me == 0).then_some(42)))
@@ -164,7 +155,7 @@ mod tests {
 
     #[test]
     fn aba_under_world_agrees_for_all_schedulers() {
-        for kind in schedulers() {
+        for kind in SchedulerKind::battery(4) {
             for seed in 0..4 {
                 let machines: Vec<AbaPeer> = (0..4)
                     .map(|_| {

@@ -3,10 +3,11 @@
 //! priced against.
 //!
 //! These suites run under the full `mediator-sim` `World` through the
-//! shared sans-IO adapter, so every attack is exercised against real
-//! adversarial schedulers, not just uniform-random delivery. Byzantine
-//! players are [`ByzantineProcess`]es: reactive behaviour closures plus,
-//! for equivocating dealers, a deviant kickoff.
+//! shared sans-IO adapter, so every attack is exercised against the
+//! adversarial schedulers of `SchedulerKind::battery(n)`, not just
+//! uniform-random delivery. Byzantine players are [`ByzantineProcess`]es:
+//! reactive behaviour closures plus, for equivocating dealers, a deviant
+//! kickoff.
 
 use mediator_bcast::driver::{AbaPeer, RbcPeer};
 use mediator_bcast::{AbaMsg, AbaState, IdealCoin, RbcMsg};
@@ -15,16 +16,6 @@ use mediator_sim::SchedulerKind;
 
 fn no_op<M: 'static>() -> Behavior<M> {
     Box::new(|_, _, _| Vec::new())
-}
-
-/// The scheduler battery every attack runs against.
-fn schedulers() -> Vec<SchedulerKind> {
-    vec![
-        SchedulerKind::Random,
-        SchedulerKind::Fifo,
-        SchedulerKind::Lifo,
-        SchedulerKind::TargetedDelay(vec![1]),
-    ]
 }
 
 fn rbc_peers(n: usize, t: usize, dealer: usize, value: u64) -> Vec<RbcPeer<u64>> {
@@ -45,7 +36,7 @@ fn rbc_flooded_ready_for_fake_value_does_not_deliver() {
             .map(|p| (p, RbcMsg::Ready(666)))
             .collect()
     });
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         for seed in 0..4 {
             let (_, delivered) = Machines::new(rbc_peers(n, 1, 0, 42))
                 .byzantine(3, behavior.clone_box())
@@ -70,7 +61,7 @@ fn rbc_byzantine_dealer_equivocation_never_splits_honest_players() {
     // value (agreement), possibly nothing.
     let n = 7;
     let t = 2;
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         for seed in 0..8 {
             // All players are receivers; the byzantine "dealer" (6) plays an
             // equivocating kickoff instead of its honest machine (whose
@@ -133,7 +124,7 @@ fn aba_byzantine_cannot_inject_a_value_no_honest_proposed() {
             .collect(),
         _ => Vec::new(),
     });
-    for kind in schedulers() {
+    for kind in SchedulerKind::battery(n) {
         for seed in 0..4 {
             let machines: Vec<AbaPeer> = (0..n)
                 .map(|_| AbaPeer::new(AbaState::new(n, t, 0, Box::new(IdealCoin::new(3))), true))

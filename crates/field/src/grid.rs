@@ -5,17 +5,21 @@
 //! sees arbitrary field elements — it sees small-integer grid indices. That
 //! structure pays twice:
 //!
-//! * the barycentric denominators `d_i = ∏_{j≠i}(x_i − x_j)` are products
-//!   of small integers, and for the *full* grid they collapse to the
-//!   factorial formula `d_i = (−1)^{n−1−i} · i! · (n−1−i)!` — cached here
-//!   per `n`, computed once per process instead of once per reconstruction
-//!   (a fixed table of `OnceLock`s: the read path takes no lock);
-//! * all inversions (one per weight) batch into a single field inversion
-//!   via Montgomery's trick ([`Fp::batch_inv`]).
+//! * the barycentric denominators `d_i = ∏_{j≠i}(x_i − x_j)` of the *full*
+//!   grid collapse to the factorial formula
+//!   `d_i = (−1)^{n−1−i} · i! · (n−1−i)!`, and their inverses are cached
+//!   here per `n`, computed once per process instead of once per
+//!   reconstruction (a fixed table of `OnceLock`s: the read path takes no
+//!   lock);
+//! * the weights of any *subset* `S` of a grid `G` follow from the cached
+//!   ones with no inversion, `w_a^S = w_a^G · ∏_{j ∈ G∖S}(x_a − x_j)`: a
+//!   reconstruction runs over whichever shares the scheduler delivered
+//!   first, and it pays `m(g − m)` multiplications for it, not an
+//!   inversion.
 //!
 //! [`interpolate_indices`] combines the weights with one master-polynomial
-//! synthetic division per point: O(n²) multiplications and exactly one
-//! field inversion for a full interpolation — the seed implementation
+//! synthetic division per point: O(n²) multiplications and, on grids of
+//! up to 64 points, no field inversion at all — the seed implementation
 //! rebuilt each Lagrange basis polynomial from scratch (O(n³)) and paid an
 //! exponentiation-inversion per point.
 
@@ -115,70 +119,98 @@ pub fn point_powers(n: usize) -> Cow<'static, [Fp]> {
 /// (`m = idxs.len()`) with `basis[b·m + a]` the coefficient of `x^b` in
 /// `L_a`, where `L_a(x_c) = δ_ac`. The polynomial through `(x_a, y_a)` has
 /// `x^b` coefficient `Fp::dot(&basis[b·m..(b+1)·m], ys)`, so one basis
-/// serves every value vector over the same points.
+/// serves every value vector over the same points. One weight vector and
+/// one master polynomial serve all `m` columns: `L_a = w_a · M(x)/(x − x_a)`
+/// is one synthetic division, O(m²) in all and no inversion.
 ///
 /// # Panics
 ///
 /// Panics if two indices coincide.
 pub fn lagrange_basis(idxs: &[usize]) -> Vec<Fp> {
     let m = idxs.len();
-    let mut points: Vec<(usize, Fp)> = idxs.iter().map(|&i| (i, Fp::ZERO)).collect();
-    let (mut basis, mut scratch) = (vec![Fp::ZERO; m * m], Vec::new());
+    // The basis heads the buffer the working space trails: one allocation.
+    let mut buf = Vec::new();
+    let (basis, acc, master, weights) = layout(m, |a| idxs[a], m * m, &mut buf);
     for a in 0..m {
         // L_a interpolates the a-th unit vector.
-        points[a].1 = Fp::ONE;
-        for (b, &c) in interpolate_indices(&points, &mut scratch)
-            .iter()
-            .enumerate()
-        {
+        let unit = |c: usize| Fp::new(u64::from(c == a));
+        Poly::interpolate_with_master(master, |c| x_of(idxs[c]), unit, weights, acc);
+        for (b, &c) in acc.iter().enumerate() {
             basis[b * m + a] = c;
         }
-        points[a].1 = Fp::ZERO;
     }
-    basis
+    buf.truncate(m * m);
+    buf
 }
 
 /// Interpolates the unique polynomial of degree `< points.len()` through
 /// the share points `(i + 1, y)` for each `(i, y)` of `points`, on a
 /// caller-owned buffer: returns its low-to-high coefficients, which are
 /// the prefix of `scratch`. The rest of `scratch` is working space
-/// (weights, master polynomial, basis), grown as needed, so a caller that
-/// keeps it — online error correction does — interpolates without
-/// allocating. The full grid `0, 1, …` uses the cached weights.
+/// (master polynomial, weights, the points left out), grown as needed, so
+/// a caller that keeps it — online error correction does — interpolates
+/// without allocating. Every subset takes its weights from the cached
+/// weights of the full grid `G = {0, …, g − 1}` up to its largest index:
+/// `w_a^S = w_a^G · ∏_{j ∈ G∖S}(x_a − x_j)`, `m(g − m)` multiplications
+/// and `g` entries of working space, so for `g ≤ 64` (cached grids) no
+/// reconstruction inverts.
 ///
 /// # Panics
 ///
 /// Panics if two indices coincide.
 pub fn interpolate_indices<'a>(points: &[(usize, Fp)], scratch: &'a mut Vec<Fp>) -> &'a [Fp] {
     let m = points.len();
-    scratch.clear();
-    scratch.resize(5 * m + 1, Fp::ZERO);
-    let (work, rest) = scratch.split_at_mut(2 * m);
-    let (master, rest) = rest.split_at_mut(m + 1);
-    let (denoms, subset_weights) = rest.split_at_mut(m);
-    let x_of = |i: usize| Fp::new(points[i].0 as u64 + 1);
-    let cached;
-    let weights: &[Fp] = if points.iter().enumerate().all(|(a, &(i, _))| i == a) {
-        cached = full_grid_weights(m);
-        &cached
-    } else {
-        // d_a = ∏_{b≠a}(x_a − x_b); a duplicated point zeroes one.
-        for (a, d) in denoms.iter_mut().enumerate() {
-            *d = (0..m)
-                .filter(|&b| b != a)
-                .map(|b| x_of(a) - x_of(b))
-                .product();
-        }
-        assert!(
-            denoms.iter().all(|d| !d.is_zero()),
-            "interpolation points must be distinct"
-        );
-        Fp::batch_inv_into(denoms, subset_weights);
-        subset_weights
-    };
-    Poly::master_coeffs(x_of, master);
-    Poly::interpolate_with_master(master, x_of, |i| points[i].1, weights, work);
+    let (_, acc, master, weights) = layout(m, |a| points[a].0, 0, scratch);
+    Poly::interpolate_with_master(master, |a| x_of(points[a].0), |a| points[a].1, weights, acc);
     &scratch[..m]
+}
+
+/// The share point of grid index `i`.
+fn x_of(i: usize) -> Fp {
+    Fp::new(i as u64 + 1)
+}
+
+/// Lays `scratch` out for interpolating through the share points of the
+/// grid indices `idx(0), …, idx(m − 1)`: returns its first `head` entries
+/// (zeroed, the caller's), the `m` entries
+/// [`Poly::interpolate_with_master`] writes the coefficients to, the
+/// master polynomial and the barycentric weights
+/// `w_a^S = 1 / ∏_{b≠a}(x_a − x_b)`, derived from the full grid's by
+/// multiplying the factors of the points `S` leaves out back in. The
+/// prefix `S = G` is the case with no factor at all.
+fn layout(
+    m: usize,
+    idx: impl Fn(usize) -> usize,
+    head: usize,
+    scratch: &mut Vec<Fp>,
+) -> (&mut [Fp], &mut [Fp], &[Fp], &[Fp]) {
+    let g = (0..m).map(&idx).max().map_or(0, |i| i + 1);
+    scratch.clear();
+    scratch.resize(head + 3 * m + 1 + g, Fp::ZERO);
+    let (head, rest) = scratch.split_at_mut(head);
+    let (acc, rest) = rest.split_at_mut(m);
+    let (master, rest) = rest.split_at_mut(m + 1);
+    let (weights, absent) = rest.split_at_mut(m);
+    // Mark the grid's members of S (zero), then pack the points of G∖S.
+    absent.fill(Fp::ONE);
+    for a in 0..m {
+        let fresh = std::mem::replace(&mut absent[idx(a)], Fp::ZERO);
+        assert!(!fresh.is_zero(), "interpolation points must be distinct");
+    }
+    let mut left_out = 0;
+    for j in 0..g {
+        if !absent[j].is_zero() {
+            absent[left_out] = x_of(j);
+            left_out += 1;
+        }
+    }
+    let full = full_grid_weights(g);
+    for (a, w) in weights.iter_mut().enumerate() {
+        let i = idx(a);
+        *w = (absent[..left_out].iter()).fold(full[i], |w, &xj| w * (x_of(i) - xj));
+    }
+    Poly::master_coeffs(|a| x_of(idx(a)), master);
+    (head, acc, master, weights)
 }
 
 #[cfg(test)]
@@ -223,7 +255,7 @@ mod tests {
                 .collect();
             let q = interp(&idxs, &ys);
             assert_eq!(p, q, "deg {deg}");
-            // Contiguous prefix (cached path).
+            // Contiguous prefix: the full-grid weights as they are.
             let idxs: Vec<usize> = (0..=deg).collect();
             let ys: Vec<Fp> = idxs
                 .iter()

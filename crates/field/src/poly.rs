@@ -101,8 +101,9 @@ impl Poly {
     /// evaluations, and their inverses batch via Montgomery's trick. (The
     /// seed rebuilt every basis from its linear factors — O(n³) — and paid
     /// one exponentiation-inversion per point.) For share-grid points,
-    /// [`crate::grid::interpolate_indices`] is faster still: its weights
-    /// are cached.
+    /// [`crate::grid::interpolate_indices`] is faster still: it derives
+    /// the weights of any subset of the grid from the cached full-grid
+    /// weights, with no inversion.
     ///
     /// # Panics
     ///
@@ -128,10 +129,9 @@ impl Poly {
             "interpolation points must be distinct"
         );
         let weights = Fp::batch_inv(&denoms);
-        let mut work = vec![Fp::ZERO; 2 * n];
-        Poly::interpolate_with_master(&master, x_of, |i| points[i].1, &weights, &mut work);
-        work.truncate(n);
-        Poly::from_coeffs(work)
+        let mut acc = vec![Fp::ZERO; n];
+        Poly::interpolate_with_master(&master, x_of, |i| points[i].1, &weights, &mut acc);
+        Poly::from_coeffs(acc)
     }
 
     /// Writes the master polynomial `M(x) = ∏ (x − x_i)` over the
@@ -153,21 +153,22 @@ impl Poly {
 
     /// The shared interpolation core: given the master polynomial over the
     /// points and the inverted barycentric denominators (`weights`),
-    /// accumulates `Σ (y_i · w_i) · M(x)/(x − x_i)` into the first half of
-    /// `work` (`2n` long, caller-owned) with one synthetic division per
-    /// point. Both [`Poly::interpolate`] (derivative-based weights) and
-    /// [`crate::grid::interpolate_indices`] (cached grid weights) bottom
-    /// out here.
+    /// writes `Σ (y_i · w_i) · M(x)/(x − x_i)` into `acc` (`n` long,
+    /// caller-owned), accumulating each quotient as its synthetic division
+    /// produces it. Both [`Poly::interpolate`] (derivative-based weights,
+    /// one batched inversion) and [`crate::grid::interpolate_indices`]
+    /// (subset weights `w_a^S = w_a^G · ∏_{j ∈ G∖S}(x_a − x_j)` from the
+    /// cached full-grid weights, `m(g − m)` multiplications, no inversion)
+    /// bottom out here.
     pub(crate) fn interpolate_with_master(
         master: &[Fp],
         x_of: impl Fn(usize) -> Fp,
         y_of: impl Fn(usize) -> Fp,
         weights: &[Fp],
-        work: &mut [Fp],
+        acc: &mut [Fp],
     ) {
         let n = weights.len();
         debug_assert_eq!(master.len(), n + 1);
-        let (acc, basis) = work.split_at_mut(n);
         acc.fill(Fp::ZERO);
         for (i, &w) in weights.iter().enumerate() {
             let scale = y_of(i) * w;
@@ -177,13 +178,10 @@ impl Poly {
             let xi = x_of(i);
             let mut carry = master[n];
             for j in (0..n).rev() {
-                basis[j] = carry;
+                acc[j] += carry * scale;
                 carry = master[j] + xi * carry;
             }
             debug_assert!(carry.is_zero(), "x_i must be a root of the master poly");
-            for (a, &b) in acc.iter_mut().zip(basis.iter()) {
-                *a += b * scale;
-            }
         }
     }
 

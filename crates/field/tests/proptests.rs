@@ -1,11 +1,37 @@
-//! Property-based tests: field axioms, polynomial identities, and robust
-//! decoding under arbitrary corruption patterns.
+//! Property-based tests: field axioms, polynomial identities, share-grid
+//! interpolation over any subset, and robust decoding under arbitrary
+//! corruption patterns.
 
-use mediator_field::{rs, Fp, Poly};
+use mediator_field::{grid, rs, Fp, Poly};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_fp() -> impl Strategy<Value = Fp> {
     any::<u64>().prop_map(Fp::new)
+}
+
+/// A non-empty random subset of the share grid `{0, …, g − 1}`, in random
+/// order, each index with a random value.
+fn grid_subset(g: usize, seed: u64) -> Vec<(usize, Fp)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut idxs: Vec<usize> = (0..g).collect();
+    for i in 0..g {
+        idxs.swap(i, rng.gen_range(i..g));
+    }
+    let m = rng.gen_range(1..=g);
+    idxs[..m]
+        .iter()
+        .map(|&i| (i, Fp::random(&mut rng)))
+        .collect()
+}
+
+/// The generic form of share-grid points: `(i + 1, y)`.
+fn share_points(points: &[(usize, Fp)]) -> Vec<(Fp, Fp)> {
+    points
+        .iter()
+        .map(|&(i, y)| (Fp::new(i as u64 + 1), y))
+        .collect()
 }
 
 fn arb_poly(max_deg: usize) -> impl Strategy<Value = Poly> {
@@ -105,7 +131,6 @@ proptest! {
         deltas in proptest::collection::vec(1u64..1_000_000, 3),
         coeff_seed in any::<u64>(),
     ) {
-        use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(coeff_seed);
         let p = Poly::random_with_secret(secret, deg, &mut rng);
         let n = deg + 2 * e + 1;
@@ -124,5 +149,52 @@ proptest! {
         let (q, bad) = rs::decode_robust(&pts, deg, e).expect("decode");
         prop_assert_eq!(q, p);
         prop_assert_eq!(bad.len(), e.min(bad.len() + e - bad.len())); // bad ⊆ corrupted
+    }
+
+    /// The grid kernel derives every subset's weights from the cached
+    /// full-grid ones; on grids of up to 70 points (both sides of the
+    /// 64-point cache), any subset in any order interpolates to the same
+    /// polynomial as the generic derivative-weight path.
+    #[test]
+    fn grid_interpolation_matches_generic_on_any_subset(g in 1usize..=70, seed in any::<u64>()) {
+        let points = grid_subset(g, seed);
+        let got = grid::interpolate_indices(&points, &mut Vec::new()).to_vec();
+        prop_assert_eq!(Poly::from_coeffs(got), Poly::interpolate(&share_points(&points)));
+    }
+
+    /// Column `a` of the Lagrange basis is the polynomial through the
+    /// `a`-th unit vector.
+    #[test]
+    fn lagrange_basis_columns_interpolate_unit_vectors(g in 1usize..=70, seed in any::<u64>()) {
+        let mut points = grid_subset(g, seed);
+        let idxs: Vec<usize> = points.iter().map(|&(i, _)| i).collect();
+        let m = idxs.len();
+        let basis = grid::lagrange_basis(&idxs);
+        for a in 0..m {
+            for (c, p) in points.iter_mut().enumerate() {
+                p.1 = Fp::new(u64::from(c == a));
+            }
+            let column: Vec<Fp> = (0..m).map(|b| basis[b * m + a]).collect();
+            prop_assert_eq!(Poly::from_coeffs(column), Poly::interpolate(&share_points(&points)));
+        }
+    }
+
+    /// A repeated index is refused by both entry points, wherever it sits.
+    #[test]
+    fn a_repeated_index_panics(g in 1usize..=70, seed in any::<u64>(), at in any::<usize>()) {
+        let mut points = grid_subset(g, seed);
+        let (dup, m) = (points[at % points.len()], points.len());
+        points.insert(at / m % (m + 1), dup);
+        let idxs: Vec<usize> = points.iter().map(|&(i, _)| i).collect();
+        let refusals = [
+            std::panic::catch_unwind(|| grid::interpolate_indices(&points, &mut Vec::new()).to_vec()),
+            std::panic::catch_unwind(|| grid::lagrange_basis(&idxs)),
+        ];
+        for refusal in refusals {
+            let payload = refusal.expect_err("a repeated index must panic");
+            let msg = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            prop_assert_eq!(msg, Some("interpolation points must be distinct"));
+        }
     }
 }

@@ -233,15 +233,22 @@ struct Evidence {
 impl Evidence {
     /// The number of secrets in this dealing: the length of the own rows
     /// when held, otherwise the (smallest) length more than `2f` stored
-    /// echoes share — at least `f + 1` honest players echoed it.
+    /// echoes share — at least `f + 1` honest players echoed it. A length
+    /// is counted only while it is below the best found, so when all
+    /// echoes share one length this is three passes, not one per echo.
     fn arity(&self, f: usize) -> Option<usize> {
         if let Some(own) = &self.own {
             return Some(own.agree.len());
         }
         let lens = || self.echoes.iter().flatten().map(|v| v.len());
-        lens()
-            .filter(|&l| lens().filter(|&m| m == l).count() > 2 * f)
-            .min()
+        if lens().count() <= 2 * f {
+            return None;
+        }
+        lens().fold(None, |best, l| match best {
+            Some(b) if b <= l => best,
+            _ if lens().filter(|&m| m == l).count() > 2 * f => Some(l),
+            _ => best,
+        })
     }
 
     /// The echoes of arity `k`, with their senders, in sender order.

@@ -48,29 +48,6 @@ pub fn share_with_poly(poly: &Poly, n: usize) -> Vec<Share> {
         .collect()
 }
 
-/// The Lagrange coefficient λ_j for evaluating at `x = 0` from the points
-/// `{index + 1 : index ∈ holders}` (reconstruction weights).
-///
-/// # Panics
-///
-/// Panics if `j` is not in `holders` or holders repeat.
-pub fn lagrange_at_zero(holders: &[usize], j: usize) -> Fp {
-    assert!(holders.contains(&j), "player {j} not among holders");
-    let xj = Fp::new(j as u64 + 1);
-    let mut num = Fp::ONE;
-    let mut den = Fp::ONE;
-    for &m in holders {
-        if m == j {
-            continue;
-        }
-        let xm = Fp::new(m as u64 + 1);
-        assert_ne!(m, j, "duplicate holder {m}");
-        num *= -xm; // (0 - x_m)
-        den *= xj - xm;
-    }
-    num * den.inv().expect("distinct holders")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,24 +101,6 @@ mod tests {
         let pts: Vec<(Fp, Fp)> = sum.iter().map(Share::point).collect();
         let p = rs::interpolate_exact(&pts, 2).unwrap();
         assert_eq!(p.eval(Fp::ZERO), Fp::new(42));
-    }
-
-    #[test]
-    fn lagrange_weights_reconstruct_constant_term() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (poly, shares) = share_secret(Fp::new(31415), 3, 9, &mut rng);
-        let holders = [0usize, 2, 4, 6];
-        let mut acc = Fp::ZERO;
-        for &j in &holders {
-            acc += lagrange_at_zero(&holders, j) * shares[j].value;
-        }
-        assert_eq!(acc, poly.eval(Fp::ZERO));
-    }
-
-    #[test]
-    #[should_panic(expected = "not among holders")]
-    fn lagrange_rejects_non_holder() {
-        let _ = lagrange_at_zero(&[0, 1, 2], 5);
     }
 
     #[test]

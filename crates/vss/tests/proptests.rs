@@ -5,10 +5,10 @@
 mod avss_reference;
 
 use avss_reference::RefState;
-use mediator_field::{rs, Fp};
+use mediator_field::{grid, rs, Fp};
 use mediator_sim::sansio::{route_batch, Outgoing};
 use mediator_vss::avss::{self, AvssMsg, AvssState};
-use mediator_vss::shamir::{lagrange_at_zero, share_secret, Share};
+use mediator_vss::shamir::{share_secret, Share};
 use mediator_vss::OecState;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -177,12 +177,10 @@ proptest! {
         let deg = 2;
         let n = 7;
         let (_, shares) = share_secret(Fp::new(secret), deg, n, &mut rng);
-        let holders = [1usize, 3, 4, 6];
-        let mut acc = Fp::ZERO;
-        for &j in &holders {
-            acc += lagrange_at_zero(&holders, j) * shares[j].value;
-        }
-        prop_assert_eq!(acc, Fp::new(secret));
+        let holders: Vec<(usize, Fp)> =
+            [1usize, 3, 4, 6].iter().map(|&j| (j, shares[j].value)).collect();
+        let coeffs = grid::interpolate_indices(&holders, &mut Vec::new()).to_vec();
+        prop_assert_eq!(coeffs[0], Fp::new(secret));
     }
 
     /// OEC soundness under arbitrary arrival order, arbitrary liar subset of

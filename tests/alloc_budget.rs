@@ -65,10 +65,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 #[test]
 fn a_run_allocates_per_protocol_instance_not_per_message() {
     // (n, k, most allocations one run may make). When the budgets were set
-    // a run made at most 391 (n = 5, 775 messages) and 2 089 (n = 13,
+    // a run made at most 384 (n = 5, 775 messages) and 2 039 (n = 13,
     // 13 351 messages); at about one allocation per message it had made
     // 1 450 and 13 780.
-    for (n, k, budget) in [(5, 1, 410), (13, 3, 2_193)] {
+    for (n, k, budget) in [(5, 1, 403), (13, 3, 2_140)] {
         let plan = Scenario::cheap_talk(catalog::majority_circuit(n))
             .players(n)
             .tolerance(k, 0)
